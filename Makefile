@@ -6,13 +6,14 @@ verify:
 
 # Race tier: vet plus the race detector on the concurrency-bearing
 # packages (the parallel blis driver, the pack kernels it calls from many
-# goroutines, the HTTP server that shares the arena pool and in-flight
-# semaphore across requests, the scatter-gather cluster coordinator, and
-# the ldserver lifecycle).
+# goroutines, the tile container whose LRU every store query shares, the
+# HTTP server that shares the arena pool and in-flight semaphore across
+# requests, the scatter-gather cluster coordinator, and the ldserver
+# lifecycle).
 .PHONY: verify-race
 verify-race:
 	go vet ./...
-	go test -race ./internal/blis/... ./internal/core/... ./internal/kernel/... ./internal/popcount/... ./internal/ldstore/... ./internal/ldsparse/... ./internal/server/... ./internal/cluster/... ./cmd/ldserver/...
+	go test -race ./internal/blis/... ./internal/core/... ./internal/kernel/... ./internal/popcount/... ./internal/tilefile/... ./internal/ldstore/... ./internal/ldsparse/... ./internal/server/... ./internal/cluster/... ./cmd/ldserver/...
 
 # Cluster tier: the httptest cluster end to end — bit-identity against a
 # single node (including replica failover), shard-kill → partial
@@ -48,15 +49,21 @@ bench-store:
 bench-store-smoke:
 	go run ./cmd/ldbench -scale 16 -store-json /tmp/BENCH_store_smoke.json
 
-# Short fuzz smoke on the tile-store open paths (dense and sparse) and
-# the checkpoint manifest parsers: hostile and truncated files must
+# Short fuzz smoke on the tile container: one open target and one
+# checkpoint-manifest target, each run against every codec (dense, dense
+# + DEFLATE, sparse, banded sparse). Hostile and truncated files must
 # error, never panic or over-allocate (CI runs this too).
 .PHONY: fuzz-smoke
 fuzz-smoke:
-	go test ./internal/ldstore -run=Fuzz -fuzz=FuzzStoreOpen -fuzztime=10s
-	go test ./internal/ldstore -run=Fuzz -fuzz=FuzzManifest -fuzztime=10s
-	go test ./internal/ldsparse -run=Fuzz -fuzz=FuzzSparseOpen -fuzztime=10s
-	go test ./internal/ldsparse -run=Fuzz -fuzz=FuzzSparseManifest -fuzztime=10s
+	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
+	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzManifest -fuzztime=20s
+
+# The benchmark/ module is its own Go module, so tier-1 `go test ./...`
+# never enters it: compile and smoke-test it against this tree, so an API
+# break shows up here and not first at the benchmark gate.
+.PHONY: bench-compile
+bench-compile:
+	cd benchmark && go vet . && go test -count=1 .
 
 # Kernel-dispatch smoke: tiny shapes through every popcount engine
 # (scalar, CSA, SIMD when present), with the batched families asserted

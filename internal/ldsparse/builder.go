@@ -1,24 +1,20 @@
 package ldsparse
 
 import (
-	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"os"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/core"
-	"ldgemm/internal/ldstore"
+	"ldgemm/internal/tilefile"
 )
 
 // BuildOptions configures a sparse tile-store build.
 type BuildOptions struct {
 	// TileSize is NT, the side of each square tile (default 256). The
-	// dense-equivalent NT²×8 bytes must not exceed ldstore.MaxTileBytes,
+	// dense-equivalent NT²×8 bytes must not exceed tilefile.MaxTileBytes,
 	// which also keeps NT within the uint16 tile-local column range.
 	TileSize int
 	// Stat selects the statistic to materialize (default StatR2).
@@ -41,328 +37,109 @@ type BuildOptions struct {
 	LD core.Options
 }
 
+// SourceBuildOptions configures an out-of-core sparse tile-store build.
+type SourceBuildOptions struct {
+	BuildOptions
+	// IOPanelSNPs is the column-panel width of the out-of-core
+	// scheduler's B-side fetches (default 1024 SNPs). In banded mode the
+	// schedule caps every stripe's panels at the band edge, so this also
+	// bounds the per-stripe I/O to O(Band + panel) columns.
+	IOPanelSNPs int
+	// Checkpoint maintains a <store>.ckpt manifest and <store>.idx index
+	// sidecar, durably advanced after every flushed stripe, so a killed
+	// build can restart where it left off instead of from scratch. On
+	// failure the partial store and its sidecars are left in place.
+	Checkpoint bool
+	// Resume restarts from an existing checkpoint manifest (implies
+	// Checkpoint). Without a manifest the build starts fresh; with one
+	// that does not match this dataset + options — the sparse knobs
+	// included, since resuming under a different pruning rule would mix
+	// incompatible tiles — the build refuses.
+	Resume bool
+}
+
 // BuildStats reports what a build wrote.
 type BuildStats struct {
-	// Tiles is the number of tiles indexed (empty ones included); NNZ
-	// the entries that survived pruning; TileBytes their total CSR
-	// payload size; FileBytes the whole container.
-	Tiles     int
-	NNZ       int64
-	TileBytes int64
-	FileBytes int64
-	// StartStripe is the tile row the build began at: 0 for a fresh
-	// build, the checkpoint's stripe count for a resumed one.
-	StartStripe int
+	tilefile.BuildStats
+	// NNZ is the number of entries that survived pruning.
+	NNZ int64
 }
 
-func (o BuildOptions) normalize() (BuildOptions, error) {
-	if o.TileSize == 0 {
-		o.TileSize = 256
-	}
-	if o.Stat == 0 {
-		o.Stat = StatR2
-	}
-	if o.TileSize < 1 {
-		return o, fmt.Errorf("ldsparse: invalid tile size %d", o.TileSize)
-	}
-	if raw := int64(o.TileSize) * int64(o.TileSize) * 8; raw > ldstore.MaxTileBytes || o.TileSize > maxTileSide {
-		return o, fmt.Errorf("ldsparse: tile size %d needs %d-byte dense-equivalent tiles, above MaxTileBytes (%d)",
-			o.TileSize, raw, ldstore.MaxTileBytes)
-	}
-	if !validStat(o.Stat) {
-		return o, fmt.Errorf("ldsparse: invalid statistic kind %d", uint32(o.Stat))
-	}
+// PartialError is the container's partial-progress error, shared with
+// ldstore so callers (the ldstore CLI's resume hint among them) handle
+// both tiers' killed builds with one errors.As.
+type PartialError = tilefile.PartialError
+
+// spec validates the sparse knobs (the container validates tile size and
+// statistic) and describes the build to the container's driver.
+func (o SourceBuildOptions) spec() (tilefile.Spec, error) {
 	if math.IsNaN(o.Threshold) || o.Threshold < 0 {
-		return o, fmt.Errorf("ldsparse: invalid threshold %v", o.Threshold)
+		return tilefile.Spec{}, fmt.Errorf("ldsparse: invalid threshold %v", o.Threshold)
 	}
 	if o.Banded && o.Band < 0 {
-		return o, fmt.Errorf("ldsparse: invalid band width %d", o.Band)
+		return tilefile.Spec{}, fmt.Errorf("ldsparse: invalid band width %d", o.Band)
 	}
 	if !o.Banded && o.Band != 0 {
-		return o, fmt.Errorf("ldsparse: Band=%d set without Banded", o.Band)
+		return tilefile.Spec{}, fmt.Errorf("ldsparse: Band=%d set without Banded", o.Band)
 	}
-	return o, nil
-}
-
-func (o BuildOptions) header(n, samples int, fp uint64) header {
-	t := tilesFor(n, o.TileSize)
-	h := header{
-		stat:        o.Stat,
-		snps:        uint64(n),
-		samples:     uint64(samples),
-		tileSize:    uint32(o.TileSize),
-		fingerprint: fp,
-		tileCount:   uint64(triangleTiles(t)),
-		threshold:   o.Threshold,
+	spec := tilefile.Spec{
+		Format: &format, TileSize: o.TileSize, Stat: o.Stat,
+		Ext: make([]byte, extSize),
+		Params: tilefile.Params{
+			ThresholdBits: math.Float64bits(o.Threshold),
+			Banded:        o.Banded, Band: o.Band,
+		},
+		Encoder: &encoder{tau: o.Threshold},
+		LD:      o.LD, IOPanelSNPs: o.IOPanelSNPs,
+		Checkpoint: o.Checkpoint, Resume: o.Resume,
 	}
+	binary.LittleEndian.PutUint64(spec.Ext[extThreshold:], spec.Params.ThresholdBits)
 	if o.Banded {
-		h.flags |= flagBanded
-		h.band = uint64(o.Band)
+		spec.Flags = flagBanded
+		binary.LittleEndian.PutUint64(spec.Ext[extBand:], uint64(o.Band))
 	}
-	return h
+	return spec, nil
 }
 
-// streamOptions builds the core scan configuration shared by the
-// resident and out-of-core builds: one stripe per tile row, triangular,
-// Exact (stored values bit-identical to the dense compute paths), and
-// banded when requested.
-func (o BuildOptions) streamOptions(ctx context.Context) core.StreamOptions {
-	ld := o.LD
-	ld.Ctx = ctx
-	ld.Measures = o.Stat.Measure()
-	return core.StreamOptions{
-		Options:    ld,
-		StripeRows: o.TileSize,
-		Triangular: true,
-		Exact:      true,
-		Banded:     o.Banded,
-		Band:       o.Band,
+// buildStats reads the entry count FinishHeader stamped into the spec's
+// header extension.
+func buildStats(st tilefile.BuildStats, err error, spec tilefile.Spec) (BuildStats, error) {
+	if err != nil {
+		return BuildStats{}, err
 	}
+	return BuildStats{BuildStats: st, NNZ: int64(binary.LittleEndian.Uint64(spec.Ext[extNNZ:]))}, nil
+}
+
+// Build computes the selected statistic for every SNP pair of g (or only
+// the |i−j| ≤ Band pairs in banded mode) with the blocked driver and
+// writes the threshold-pruned CSR tile container to w; each tile row is
+// pruned and serialized from one stripe as the values land, so pruning
+// costs no pass of its own. See tilefile.Build for the scan and its
+// memory bound.
+func Build(w io.WriteSeeker, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
+	spec, err := SourceBuildOptions{BuildOptions: opt}.spec()
+	if err != nil {
+		return BuildStats{}, err
+	}
+	st, err := tilefile.Build(w, bitmat.NewMemSource(g), spec)
+	return buildStats(st, err, spec)
 }
 
 // BuildFile builds a sparse tile store for the matrix at path, removing
 // the partial file on failure.
 func BuildFile(path string, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
-	f, err := os.Create(path)
+	return BuildFileFromSource(path, bitmat.NewMemSource(g), SourceBuildOptions{BuildOptions: opt})
+}
+
+// BuildFileFromSource builds a sparse tile store at path from any
+// bitmat.Source (band-capped panel schedule when Banded), with
+// byte-identical output whatever the source; see tilefile.BuildFile for
+// checkpointing, resume, and failure behaviour.
+func BuildFileFromSource(path string, src bitmat.Source, opt SourceBuildOptions) (BuildStats, error) {
+	spec, err := opt.spec()
 	if err != nil {
 		return BuildStats{}, err
 	}
-	st, err := Build(f, g, opt)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-		return BuildStats{}, err
-	}
-	return st, nil
+	st, err := tilefile.BuildFile(path, src, spec)
+	return buildStats(st, err, spec)
 }
-
-// Build computes the selected statistic for every SNP pair of g (or only
-// the |i−j| ≤ Band pairs in banded mode) with the blocked driver and
-// writes the threshold-pruned CSR tile container to w. The scan rides
-// core.Stream's fused tile epilogue with StripeRows = TileSize, so each
-// tile row is pruned and serialized from one stripe as the values land —
-// result memory stays O(TileSize × SNPs) and pruning costs no pass of
-// its own. The Exact epilogue is forced so surviving values are
-// bit-identical to the dense core.Matrix path and to ldstore's tiles.
-func Build(w io.WriteSeeker, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
-	opt, err := opt.normalize()
-	if err != nil {
-		return BuildStats{}, err
-	}
-	n := g.SNPs
-	hdr := opt.header(n, g.Samples, g.Fingerprint())
-
-	bw := bufio.NewWriterSize(writerOnly{w}, 1<<20)
-	if _, err := bw.Write(hdr.encode()); err != nil {
-		return BuildStats{}, err
-	}
-	b := newSparseBuilder(n, opt, bw, headerSize, nil, 0)
-
-	parent := opt.LD.Ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	streamErr := core.Stream(g, opt.streamOptions(ctx), func(i, j0 int, row []float64) {
-		if b.err != nil {
-			return
-		}
-		if err := b.addRow(i, row); err != nil {
-			b.err = err
-			cancel()
-		}
-	})
-	if b.err != nil {
-		return BuildStats{}, b.err
-	}
-	if streamErr != nil {
-		return BuildStats{}, streamErr
-	}
-
-	// Index, then the back-patched header carrying its offset and the
-	// final entry count.
-	tileBytes := b.offset - headerSize
-	hdr.indexOffset = uint64(b.offset)
-	hdr.nnz = uint64(b.nnz)
-	entry := make([]byte, indexEntrySize)
-	for _, e := range b.index {
-		e.encode(entry)
-		if _, err := bw.Write(entry); err != nil {
-			return BuildStats{}, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return BuildStats{}, err
-	}
-	if _, err := w.Seek(0, io.SeekStart); err != nil {
-		return BuildStats{}, err
-	}
-	if _, err := w.Write(hdr.encode()); err != nil {
-		return BuildStats{}, err
-	}
-	return BuildStats{
-		Tiles:     len(b.index),
-		NNZ:       b.nnz,
-		TileBytes: tileBytes,
-		FileBytes: b.offset + int64(len(b.index)*indexEntrySize),
-	}, nil
-}
-
-// sparseBuilder accumulates one stripe of statistic rows and flushes it
-// as one row of threshold-pruned CSR tiles.
-type sparseBuilder struct {
-	n     int
-	nt    int
-	tiles int
-	tau   float64
-
-	bw     *bufio.Writer
-	offset int64
-	index  []indexEntry
-	nnz    int64
-	err    error
-
-	// onStripe, when set, runs after each stripe's tiles are fully
-	// appended — the checkpointing hook of the out-of-core builder.
-	onStripe func(i0 int) error
-
-	// buf holds the current stripe: row r (global SNP i0+r) occupies
-	// buf[r*width : (r+1)*width] for columns [i0, SNPs), width = SNPs−i0.
-	// rowEnd[r] is the exclusive global end column the stream actually
-	// delivered for that row — the band edge in banded mode, n otherwise.
-	// Cells past rowEnd are stale bytes from an earlier stripe and are
-	// never scanned.
-	buf    []float64
-	rowEnd []int
-
-	ptrBuf []uint32
-	colBuf []uint16
-	valBuf []float64
-	raw    []byte
-
-	next int // expected next global row
-}
-
-func newSparseBuilder(n int, opt BuildOptions, bw *bufio.Writer, offset int64, loaded []indexEntry, next int) *sparseBuilder {
-	nt := opt.TileSize
-	t := tilesFor(n, nt)
-	b := &sparseBuilder{
-		n: n, nt: nt, tiles: t, tau: opt.Threshold,
-		bw:     bw,
-		offset: offset,
-		index:  append(make([]indexEntry, 0, triangleTiles(t)), loaded...),
-		buf:    make([]float64, min(nt, max(n, 1))*n),
-		rowEnd: make([]int, min(nt, max(n, 1))),
-		next:   next,
-	}
-	for _, e := range loaded {
-		b.nnz += int64(e.nnz)
-	}
-	return b
-}
-
-// addRow copies one streamed row into the stripe buffer and flushes the
-// stripe once its last row has arrived. core.Stream delivers rows in
-// order; the builder asserts that rather than trusting it silently.
-func (b *sparseBuilder) addRow(i int, row []float64) error {
-	if i != b.next {
-		return fmt.Errorf("ldsparse: stream delivered row %d, want %d", i, b.next)
-	}
-	b.next++
-	i0 := i - i%b.nt
-	width := b.n - i0
-	r := i - i0
-	copy(b.buf[r*width+(i-i0):r*width+(i-i0)+len(row)], row)
-	b.rowEnd[r] = i + len(row)
-	if i == min(i0+b.nt, b.n)-1 {
-		return b.flushStripe(i0)
-	}
-	return nil
-}
-
-// flushStripe prunes and serializes every tile of tile row i0/nt. The
-// diagonal tile keeps only its upper triangle — the stripe never held
-// the lower half, and sparse consumers apply symmetry themselves.
-func (b *sparseBuilder) flushStripe(i0 int) error {
-	rows := min(b.nt, b.n-i0)
-	width := b.n - i0
-	ti := i0 / b.nt
-	for tj := ti; tj < b.tiles; tj++ {
-		if err := b.writeTile(i0, rows, width, ti, tj); err != nil {
-			return err
-		}
-	}
-	if b.onStripe != nil {
-		return b.onStripe(i0)
-	}
-	return nil
-}
-
-// writeTile scans tile (ti, tj)'s cells in the stripe buffer, keeps the
-// |v| ≥ τ survivors as a tile-local CSR block, and appends payload +
-// index entry. Tiles with no survivor — every far-off-band tile of a
-// banded build — cost zero payload bytes, only their index entry.
-func (b *sparseBuilder) writeTile(i0, rows, width, ti, tj int) error {
-	colBase := tj * b.nt
-	ncols := min(b.nt, b.n-colBase)
-	b.ptrBuf = append(b.ptrBuf[:0], 0)
-	b.colBuf = b.colBuf[:0]
-	b.valBuf = b.valBuf[:0]
-	for r := 0; r < rows; r++ {
-		gi := i0 + r
-		cStart := colBase
-		if ti == tj && gi > cStart {
-			cStart = gi // diagonal tile: upper triangle only
-		}
-		cEnd := min(colBase+ncols, b.rowEnd[r])
-		for c := cStart; c < cEnd; c++ {
-			if v := b.buf[r*width+(c-i0)]; keep(v, b.tau) {
-				b.colBuf = append(b.colBuf, uint16(c-colBase))
-				b.valBuf = append(b.valBuf, v)
-			}
-		}
-		b.ptrBuf = append(b.ptrBuf, uint32(len(b.colBuf)))
-	}
-	nnz := int64(len(b.colBuf))
-	var payload []byte
-	if nnz > 0 {
-		length := int(csrBytes(rows, nnz))
-		if cap(b.raw) < length {
-			b.raw = make([]byte, length)
-		}
-		b.raw = b.raw[:length]
-		for k, p := range b.ptrBuf {
-			binary.LittleEndian.PutUint32(b.raw[k*4:], p)
-		}
-		off := (rows + 1) * 4
-		for k, c := range b.colBuf {
-			binary.LittleEndian.PutUint16(b.raw[off+k*2:], c)
-		}
-		off += len(b.colBuf) * 2
-		for k, v := range b.valBuf {
-			binary.LittleEndian.PutUint64(b.raw[off+k*8:], math.Float64bits(v))
-		}
-		payload = b.raw
-		if _, err := b.bw.Write(payload); err != nil {
-			return err
-		}
-	}
-	b.index = append(b.index, indexEntry{
-		offset: uint64(b.offset),
-		length: uint32(len(payload)),
-		crc:    crc32.ChecksumIEEE(payload),
-		nnz:    uint64(nnz),
-	})
-	b.offset += int64(len(payload))
-	b.nnz += nnz
-	return nil
-}
-
-// writerOnly hides the Seek method from bufio so buffered writes cannot
-// interleave with the final header patch unflushed.
-type writerOnly struct{ w io.Writer }
-
-func (wo writerOnly) Write(p []byte) (int, error) { return wo.w.Write(p) }

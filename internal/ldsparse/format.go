@@ -12,24 +12,22 @@
 // streams rows out of the blocked driver costs no extra pass over the
 // data, and cuts the store by orders of magnitude.
 //
-// File layout ("LDSS", all integers little-endian):
-//
-//	header (96 bytes)
-//	CSR tile payloads, in index order (row-major over the upper tile
-//	triangle); tiles with no surviving entry have zero-length payloads
-//	index: one 24-byte entry per tile, ending exactly at end-of-file
-//
-// Each non-empty tile payload is a tile-local CSR block:
+// The file ("LDSS") is a tilefile container with a 32-byte header
+// extension (threshold, band width, total entry count). The index
+// auxiliary word is the tile's entry count; a tile with no surviving
+// entry has a zero-length payload, and every other payload is a
+// tile-local CSR block:
 //
 //	rowPtr  (rows+1) × uint32   entry offsets per tile row
 //	cols    nnz × uint16        tile-local column indices, ascending
 //	vals    nnz × float64       statistic values
 //
-// Tiles cover the upper triangle of the SNP×SNP matrix like ldstore's
-// LDTS; unlike LDTS, diagonal tiles keep only their upper triangle
-// (local row ≤ col) — sparse consumers apply symmetry themselves, so
-// mirrored storage would only double the bytes. See DESIGN.md ("Sparse
-// tier") for the byte-level tables.
+// Unlike LDTS, diagonal tiles keep only their upper triangle (local row
+// ≤ col) — sparse consumers apply symmetry themselves, so mirrored
+// storage would only double the bytes. This package is that codec plus
+// the sparse operators; the container itself (header, index, cache,
+// checkpointed build) is internal/tilefile. See DESIGN.md ("Tile
+// container") for the byte-level tables.
 package ldsparse
 
 import (
@@ -37,26 +35,38 @@ import (
 	"fmt"
 	"math"
 
-	"ldgemm/internal/ldstore"
+	"ldgemm/internal/tilefile"
 )
 
-// Stat re-exports ldstore's statistic kind: the sparse tier holds the
-// same three measures and shares the CLI spellings.
-type Stat = ldstore.Stat
+// Stat is the statistic kind: the sparse tier holds the same three
+// measures as the dense tier and shares the CLI spellings.
+type Stat = tilefile.Stat
 
 const (
-	StatR2     = ldstore.StatR2
-	StatD      = ldstore.StatD
-	StatDPrime = ldstore.StatDPrime
+	StatR2     = tilefile.StatR2
+	StatD      = tilefile.StatD
+	StatDPrime = tilefile.StatDPrime
 )
 
-// Container constants. The header is fixed-size so the index offset and
-// entry count can be patched in place after the variable-length tile
-// section is written.
+var format = tilefile.Format{
+	Name:          "ldsparse",
+	Magic:         [4]byte{'L', 'D', 'S', 'S'},
+	ManifestMagic: "ldsparse-checkpoint",
+	ExtSize:       extSize,
+}
+
 const (
-	headerSize     = 96
-	indexEntrySize = 24
-	formatVersion  = 1
+	// Header extension layout (offsets within the extension; file offset
+	// is 64 more):
+	//
+	//	 0  8 pruning threshold τ (float64 bits; entries keep |v| ≥ τ)
+	//	 8  8 band width W (meaningful only when flag bit 0 is set)
+	//	16  8 total surviving entries (nnz)
+	//	24  8 reserved (zero)
+	extSize      = 32
+	extThreshold = 0
+	extBand      = 8
+	extNNZ       = 16
 
 	// flagBanded marks a store built under a |i−j| ≤ band window: cells
 	// outside the band are absent because they were never computed, not
@@ -66,128 +76,14 @@ const (
 	// csrEntryBytes is the per-entry payload cost: one uint16 column
 	// plus one float64 value.
 	csrEntryBytes = 10
+
+	// maxBand caps a header's band width at the SNP cap.
+	maxBand = 1 << 31
 )
 
-var magic = [4]byte{'L', 'D', 'S', 'S'}
-
-// Dimension sanity caps, mirroring ldstore: a corrupt or hostile header
-// must not drive an implausible allocation before any payload is
-// validated. Tile-local columns are uint16, so NT is additionally capped
-// at 65536; the MaxTileBytes bound keeps it far below that anyway.
-const (
-	maxSNPs     = 1 << 31
-	maxSamples  = 1 << 40
-	maxTileSide = 1 << 16
-)
-
-// header is the decoded fixed-size file header.
-//
-// Byte layout:
-//
-//	off size field
-//	  0    4 magic "LDSS"
-//	  4    4 version (uint32, currently 1)
-//	  8    4 flags (bit 0: banded build)
-//	 12    4 statistic kind (1 r², 2 D, 3 D′)
-//	 16    8 SNPs
-//	 24    8 samples
-//	 32    4 tile size NT
-//	 36    4 reserved (zero)
-//	 40    8 dataset fingerprint (FNV-1a 64 over dims + packed words)
-//	 48    8 index offset
-//	 56    8 tile count
-//	 64    8 pruning threshold τ (float64 bits; entries keep |v| ≥ τ)
-//	 72    8 band width W (meaningful only when flag bit 0 is set)
-//	 80    8 total surviving entries (nnz)
-//	 88    8 reserved (zero)
-type header struct {
-	flags       uint32
-	stat        Stat
-	snps        uint64
-	samples     uint64
-	tileSize    uint32
-	fingerprint uint64
-	indexOffset uint64
-	tileCount   uint64
-	threshold   float64
-	band        uint64
-	nnz         uint64
-}
-
-func (h header) encode() []byte {
-	b := make([]byte, headerSize)
-	copy(b[0:4], magic[:])
-	binary.LittleEndian.PutUint32(b[4:], formatVersion)
-	binary.LittleEndian.PutUint32(b[8:], h.flags)
-	binary.LittleEndian.PutUint32(b[12:], uint32(h.stat))
-	binary.LittleEndian.PutUint64(b[16:], h.snps)
-	binary.LittleEndian.PutUint64(b[24:], h.samples)
-	binary.LittleEndian.PutUint32(b[32:], h.tileSize)
-	binary.LittleEndian.PutUint64(b[40:], h.fingerprint)
-	binary.LittleEndian.PutUint64(b[48:], h.indexOffset)
-	binary.LittleEndian.PutUint64(b[56:], h.tileCount)
-	binary.LittleEndian.PutUint64(b[64:], math.Float64bits(h.threshold))
-	binary.LittleEndian.PutUint64(b[72:], h.band)
-	binary.LittleEndian.PutUint64(b[80:], h.nnz)
-	return b
-}
-
-func decodeHeader(b []byte) (header, error) {
-	var h header
-	if len(b) < headerSize {
-		return h, fmt.Errorf("ldsparse: short header (%d bytes)", len(b))
-	}
-	if [4]byte(b[0:4]) != magic {
-		return h, fmt.Errorf("ldsparse: bad magic %q", b[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != formatVersion {
-		return h, fmt.Errorf("ldsparse: unsupported version %d", v)
-	}
-	h.flags = binary.LittleEndian.Uint32(b[8:])
-	h.stat = Stat(binary.LittleEndian.Uint32(b[12:]))
-	h.snps = binary.LittleEndian.Uint64(b[16:])
-	h.samples = binary.LittleEndian.Uint64(b[24:])
-	h.tileSize = binary.LittleEndian.Uint32(b[32:])
-	h.fingerprint = binary.LittleEndian.Uint64(b[40:])
-	h.indexOffset = binary.LittleEndian.Uint64(b[48:])
-	h.tileCount = binary.LittleEndian.Uint64(b[56:])
-	h.threshold = math.Float64frombits(binary.LittleEndian.Uint64(b[64:]))
-	h.band = binary.LittleEndian.Uint64(b[72:])
-	h.nnz = binary.LittleEndian.Uint64(b[80:])
-	return h, nil
-}
-
-func (h header) banded() bool { return h.flags&flagBanded != 0 }
-
-func validStat(s Stat) bool { return s == StatR2 || s == StatD || s == StatDPrime }
-
-// indexEntry locates and authenticates one CSR tile payload.
-//
-// Byte layout (24 bytes): offset uint64, length uint32, crc32 (IEEE) of
-// the stored payload uint32, then the tile's surviving entry count as a
-// uint64 — redundant with the payload length for non-empty tiles, which
-// is exactly why the open path can cross-check the two.
-type indexEntry struct {
-	offset uint64
-	length uint32
-	crc    uint32
-	nnz    uint64
-}
-
-func (e indexEntry) encode(b []byte) {
-	binary.LittleEndian.PutUint64(b[0:], e.offset)
-	binary.LittleEndian.PutUint32(b[8:], e.length)
-	binary.LittleEndian.PutUint32(b[12:], e.crc)
-	binary.LittleEndian.PutUint64(b[16:], e.nnz)
-}
-
-func decodeIndexEntry(b []byte) indexEntry {
-	return indexEntry{
-		offset: binary.LittleEndian.Uint64(b[0:]),
-		length: binary.LittleEndian.Uint32(b[8:]),
-		crc:    binary.LittleEndian.Uint32(b[12:]),
-		nnz:    binary.LittleEndian.Uint64(b[16:]),
-	}
+// extWord reads one 64-bit field of the header extension.
+func extWord(h *tilefile.Header, off int) uint64 {
+	return binary.LittleEndian.Uint64(h.Ext[off:])
 }
 
 // csrBytes returns the payload length of a tile holding nnz entries over
@@ -199,29 +95,167 @@ func csrBytes(rows int, nnz int64) int64 {
 	return int64(rows+1)*4 + nnz*csrEntryBytes
 }
 
-// Tile-grid geometry, identical to ldstore's: tile (ti, tj) with tj ≥ ti
-// holds rows [ti·NT, ...) × columns [tj·NT, ...), ordered row-major over
-// the upper tile triangle.
-
-func tilesFor(n, nt int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + nt - 1) / nt
-}
-
-func triangleTiles(t int) int64 {
-	return int64(t) * int64(t+1) / 2
-}
-
-func tileID(t, ti, tj int) int64 {
-	return int64(ti)*int64(t) - int64(ti)*int64(ti-1)/2 + int64(tj-ti)
-}
-
 // keep is the pruning predicate: an entry survives iff |v| ≥ τ. It is a
 // pure value predicate — no positional state, no quota — so entries
 // whose magnitudes tie exactly at the threshold are kept
 // deterministically, independent of scan order or parallel schedule.
 func keep(v, tau float64) bool {
 	return math.Abs(v) >= tau
+}
+
+// csrTile is one decoded tile-local CSR block. rowPtr has the tile's row
+// count + 1 entries; cols are tile-local and strictly ascending within
+// each row; diagonal tiles hold only local row ≤ col. Tiles are immutable
+// once decoded.
+type csrTile struct {
+	rowPtr []uint32
+	cols   []uint16
+	vals   []float64
+}
+
+// codec is the LDSS read side.
+type codec struct{}
+
+func (codec) CheckHeader(h *tilefile.Header) error {
+	if tau := math.Float64frombits(extWord(h, extThreshold)); math.IsNaN(tau) || tau < 0 {
+		return fmt.Errorf("invalid threshold %v", tau)
+	}
+	band := extWord(h, extBand)
+	if h.Flags&flagBanded != 0 {
+		if band > maxBand {
+			return fmt.Errorf("implausible band width %d", band)
+		}
+	} else if band != 0 {
+		return fmt.Errorf("band width %d without the banded flag", band)
+	}
+	return nil
+}
+
+// CheckEntry requires the payload length to be exactly the CSR size of
+// the declared entry count, which itself must fit the tile: full
+// rectangle off the diagonal, upper triangle (diagonal included) on it.
+func (codec) CheckEntry(_ *tilefile.Header, t tilefile.Tile, e *tilefile.Entry) error {
+	cells := int64(t.Rows) * int64(t.Cols)
+	if t.Diagonal() {
+		cells = int64(t.Rows) * int64(t.Rows+1) / 2
+	}
+	if e.Aux > uint64(cells) {
+		return fmt.Errorf("declares %d entries, above its %d cells", e.Aux, cells)
+	}
+	if want := csrBytes(t.Rows, int64(e.Aux)); int64(e.Length) != want {
+		return fmt.Errorf("has %d payload bytes, want %d for %d entries", e.Length, want, e.Aux)
+	}
+	return nil
+}
+
+// Decode unpacks and validates one CSR block. The invariants — rowPtr
+// monotone from 0 to nnz, columns in range and strictly ascending per
+// row, diagonal tiles upper-triangular — are enforced here so every
+// consumer can walk the arrays without bounds anxiety. The whole
+// row-pointer array is checked before any column is touched: a pointer
+// past nnz would otherwise index cols out of range.
+func (codec) Decode(_ *tilefile.Header, t tilefile.Tile, e tilefile.Entry, payload []byte) (*csrTile, error) {
+	rows, nnz := t.Rows, int(e.Aux)
+	tile := &csrTile{rowPtr: make([]uint32, rows+1)}
+	if nnz == 0 {
+		return tile, nil
+	}
+	for k := range tile.rowPtr {
+		tile.rowPtr[k] = binary.LittleEndian.Uint32(payload[k*4:])
+		if k > 0 && tile.rowPtr[k] < tile.rowPtr[k-1] {
+			return nil, fmt.Errorf("row %d pointers decrease", k-1)
+		}
+	}
+	if tile.rowPtr[0] != 0 || tile.rowPtr[rows] != uint32(nnz) {
+		return nil, fmt.Errorf("row pointers span [%d,%d), want [0,%d)", tile.rowPtr[0], tile.rowPtr[rows], nnz)
+	}
+	tile.cols = make([]uint16, nnz)
+	tile.vals = make([]float64, nnz)
+	colOff := (rows + 1) * 4
+	valOff := colOff + nnz*2
+	for k := 0; k < nnz; k++ {
+		tile.cols[k] = binary.LittleEndian.Uint16(payload[colOff+k*2:])
+		tile.vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(payload[valOff+k*8:]))
+	}
+	for r := 0; r < rows; r++ {
+		lo, hi := tile.rowPtr[r], tile.rowPtr[r+1]
+		for k := lo; k < hi; k++ {
+			c := int(tile.cols[k])
+			if c >= t.Cols || (t.Diagonal() && c < r) {
+				return nil, fmt.Errorf("row %d holds column %d outside its range", r, c)
+			}
+			if k > lo && c <= int(tile.cols[k-1]) {
+				return nil, fmt.Errorf("row %d columns not ascending", r)
+			}
+		}
+	}
+	return tile, nil
+}
+
+// encoder is the LDSS write side, with the scratch it reuses across tiles.
+type encoder struct {
+	tau    float64
+	ptrBuf []uint32
+	colBuf []uint16
+	valBuf []float64
+	raw    []byte
+}
+
+// EncodeTile scans tile t's cells in the stripe, keeps the |v| ≥ τ
+// survivors as a tile-local CSR block, and returns it with the entry
+// count. The diagonal tile keeps only its upper triangle — the stripe
+// never held the lower half. Tiles with no survivor — every far-off-band
+// tile of a banded build — cost zero payload bytes, only their index
+// entry.
+func (enc *encoder) EncodeTile(s *tilefile.Stripe, t tilefile.Tile) ([]byte, uint64, error) {
+	enc.ptrBuf = append(enc.ptrBuf[:0], 0)
+	enc.colBuf = enc.colBuf[:0]
+	enc.valBuf = enc.valBuf[:0]
+	for r := 0; r < t.Rows; r++ {
+		gi := s.I0 + r
+		cStart := t.Col0
+		if t.Diagonal() && gi > cStart {
+			cStart = gi // diagonal tile: upper triangle only
+		}
+		cEnd := min(t.Col0+t.Cols, s.RowEnd[r])
+		for c := cStart; c < cEnd; c++ {
+			if v := s.Vals[r*s.Width+(c-s.I0)]; keep(v, enc.tau) {
+				enc.colBuf = append(enc.colBuf, uint16(c-t.Col0))
+				enc.valBuf = append(enc.valBuf, v)
+			}
+		}
+		enc.ptrBuf = append(enc.ptrBuf, uint32(len(enc.colBuf)))
+	}
+	nnz := len(enc.colBuf)
+	if nnz == 0 {
+		return nil, 0, nil
+	}
+	length := int(csrBytes(t.Rows, int64(nnz)))
+	if cap(enc.raw) < length {
+		enc.raw = make([]byte, length)
+	}
+	enc.raw = enc.raw[:length]
+	for k, p := range enc.ptrBuf {
+		binary.LittleEndian.PutUint32(enc.raw[k*4:], p)
+	}
+	off := (t.Rows + 1) * 4
+	for k, c := range enc.colBuf {
+		binary.LittleEndian.PutUint16(enc.raw[off+k*2:], c)
+	}
+	off += nnz * 2
+	for k, v := range enc.valBuf {
+		binary.LittleEndian.PutUint64(enc.raw[off+k*8:], math.Float64bits(v))
+	}
+	return enc.raw, uint64(nnz), nil
+}
+
+// FinishHeader stamps the store's total entry count, summed from the
+// index — on a resumed build the reloaded entries carry the earlier
+// stripes' share.
+func (*encoder) FinishHeader(h *tilefile.Header, index []tilefile.Entry) {
+	var nnz uint64
+	for _, e := range index {
+		nnz += e.Aux
+	}
+	binary.LittleEndian.PutUint64(h.Ext[extNNZ:], nnz)
 }

@@ -56,6 +56,15 @@ func buildStore(t *testing.T, g *bitmat.Matrix, bo BuildOptions) (string, *Store
 	return path, s
 }
 
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // inBand reports whether the pair (i, j) was computed by a build with
 // the given band options.
 func inBand(bo BuildOptions, i, j int) bool {
@@ -226,7 +235,7 @@ func TestBandedStoreWideBandIdentical(t *testing.T) {
 	if len(db) != len(bb) {
 		t.Fatalf("file sizes differ: %d vs %d", len(db), len(bb))
 	}
-	if string(db[headerSize:]) != string(bb[headerSize:]) {
+	if string(db[format.HeaderSize():]) != string(bb[format.HeaderSize():]) {
 		t.Fatal("tile payloads differ between wide-banded and unbanded builds")
 	}
 	ref := denseRef(t, g, StatR2)

@@ -43,7 +43,7 @@ func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
 	}
 	t0 := time.Now()
 	out := make([]float64, r1-r0)
-	nt := int(s.h.tileSize)
+	nt := s.TileSize()
 	tb0, tb1 := r0/nt, (r1-1)/nt
 
 	var (
@@ -92,7 +92,7 @@ func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
 // (clipped to [r0, r1)) into out, in globally ascending source-index
 // order per output row. Returns the number of stored entries visited.
 func (s *Store) bandInto(tb int, x, out []float64, r0, r1 int) (int64, error) {
-	nt := int(s.h.tileSize)
+	nt := s.TileSize()
 	base := tb * nt
 	var visited int64
 	inRange := func(g int) bool { return g >= r0 && g < r1 }
@@ -103,7 +103,7 @@ func (s *Store) bandInto(tb int, x, out []float64, r0, r1 int) (int64, error) {
 	// contributions in ascending gi — and ta ascending keeps that order
 	// global.
 	for ta := 0; ta < tb; ta++ {
-		t, err := s.tile(ta, tb)
+		t, err := s.Tile(ta, tb)
 		if err != nil {
 			return visited, err
 		}
@@ -124,7 +124,7 @@ func (s *Store) bandInto(tb int, x, out []float64, r0, r1 int) (int64, error) {
 	// contributions first (entries (a, R) while scanning rows a < R,
 	// ascending), then the j ≥ R ones (row R's own entries, columns
 	// ascending) — exactly the serial reference's ascending-j fold.
-	t, err := s.tile(tb, tb)
+	t, err := s.Tile(tb, tb)
 	if err != nil {
 		return visited, err
 	}
@@ -147,8 +147,8 @@ func (s *Store) bandInto(tb int, x, out []float64, r0, r1 int) (int64, error) {
 	// Tiles to the right, consumed directly: entry (gi, gj) with gj in
 	// band tc > tb contributes out[gi] += v·x[gj], columns ascending
 	// within each row and tc ascending across tiles.
-	for tc := tb + 1; tc < s.tiles; tc++ {
-		t, err := s.tile(tb, tc)
+	for tc := tb + 1; tc < s.Bands; tc++ {
+		t, err := s.Tile(tb, tc)
 		if err != nil {
 			return visited, err
 		}

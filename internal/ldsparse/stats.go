@@ -1,25 +1,23 @@
 package ldsparse
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"ldgemm/internal/tilefile"
+)
 
 // Package-wide store instrumentation, mirroring ldstore's: cumulative
 // atomic counters any observer (the /debug/vars surface, the benchmark
 // harness) snapshots with ReadStats and differences over time.
-type storeCounters struct {
-	tilesRead   atomic.Uint64
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	evictions   atomic.Uint64
-	bytesRead   atomic.Uint64
-	bytesServed atomic.Uint64
+var stats struct {
+	tilefile.Counters // fed by the container's read path
+	bytesServed       atomic.Uint64
 
 	matVecs        atomic.Uint64
 	matVecNanos    atomic.Uint64
 	scores         atomic.Uint64
 	entriesVisited atomic.Uint64
 }
-
-var stats storeCounters
 
 // Stats is a snapshot of the cumulative sparse-store counters.
 type Stats struct {
@@ -46,23 +44,17 @@ type Stats struct {
 
 // HitRate returns the decoded-tile cache hit fraction, or 0 before the
 // first lookup.
-func (s Stats) HitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
+func (s Stats) HitRate() float64 { return tilefile.HitRate(s.CacheHits, s.CacheMisses) }
 
 // ReadStats snapshots the cumulative counters. Counters only grow;
 // observers difference successive snapshots for rates.
 func ReadStats() Stats {
 	return Stats{
-		TilesRead:      stats.tilesRead.Load(),
-		CacheHits:      stats.cacheHits.Load(),
-		CacheMisses:    stats.cacheMisses.Load(),
-		Evictions:      stats.evictions.Load(),
-		BytesRead:      stats.bytesRead.Load(),
+		TilesRead:      stats.TilesRead.Load(),
+		CacheHits:      stats.CacheHits.Load(),
+		CacheMisses:    stats.CacheMisses.Load(),
+		Evictions:      stats.Evictions.Load(),
+		BytesRead:      stats.BytesRead.Load(),
 		BytesServed:    stats.bytesServed.Load(),
 		MatVecs:        stats.matVecs.Load(),
 		MatVecNanos:    stats.matVecNanos.Load(),

@@ -1,198 +1,76 @@
 package ldsparse
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"sort"
+
+	"ldgemm/internal/tilefile"
 )
 
 // Options configures a Store reader.
 type Options struct {
 	// CacheTiles is the decoded-tile LRU capacity in tiles (default 64).
+	// Capacity is approximate in bytes (tiles vary in nnz): the resident
+	// bound is CacheTiles × the largest tile's decoded size.
 	CacheTiles int
 }
 
-// Store serves sparse LD operators from a CSR tile file built by Build.
-// All query methods are safe for concurrent use: tile reads go through
-// ReadAt and the LRU is mutex-guarded.
-type Store struct {
-	r      io.ReaderAt
-	closer io.Closer // nil when opened over a caller-owned reader
-	h      header
-	tiles  int // tile bands per side
-	index  []indexEntry
-	coords []tileCoord // linear id → (ti, tj), same order as index
-	cache  *tileCache
-}
+type reader = tilefile.Reader[*csrTile]
 
-type tileCoord struct{ ti, tj int }
+// Store serves sparse LD operators from a CSR tile file built by Build.
+// All query methods are safe for concurrent use. The embedded reader
+// supplies Close, SNPs, Samples, Stat, TileSize and Fingerprint.
+type Store struct {
+	*reader
+}
 
 // Open opens the sparse tile store at path.
 func Open(path string, opt Options) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	s, err := OpenReader(f, fi.Size(), opt)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ldsparse: %s: %w", path, err)
-	}
-	s.closer = f
-	return s, nil
+	return newStore(tilefile.Open(path, &format, codec{}, opt.CacheTiles, &stats.Counters))
 }
 
 // OpenReader opens a sparse tile store over an arbitrary random-access
-// reader of the given size, validating the header and the whole index
-// before any query runs: dimensions, tile size, threshold, and band must
-// be plausible, the tile count must match the geometry, the index must
-// end exactly at end-of-file, every entry must lie inside the tile
-// section with a length exactly consistent with its declared entry
-// count, and the per-tile counts must sum to the header's total — so a
-// corrupt or hostile file fails here with an error, never with a panic
-// or an unbounded allocation. (Per-tile CSR structure — monotone row
-// pointers, ascending in-range columns — is validated when the tile is
-// first decoded.)
+// reader of the given size. The header and the whole index are validated
+// before any query runs (see tilefile.OpenReader), every entry's payload
+// length must equal the CSR size of its declared entry count, and the
+// per-tile counts must sum to the header's total — so a corrupt or
+// hostile file fails here with an error, never with a panic or an
+// unbounded allocation. (Per-tile CSR structure is validated when the
+// tile is first decoded.)
 func OpenReader(r io.ReaderAt, size int64, opt Options) (*Store, error) {
-	if opt.CacheTiles == 0 {
-		opt.CacheTiles = 64
-	}
-	if opt.CacheTiles < 1 {
-		return nil, fmt.Errorf("ldsparse: invalid cache capacity %d", opt.CacheTiles)
-	}
-	if size < headerSize {
-		return nil, fmt.Errorf("ldsparse: file of %d bytes is shorter than the %d-byte header", size, headerSize)
-	}
-	hb := make([]byte, headerSize)
-	if _, err := r.ReadAt(hb, 0); err != nil {
-		return nil, fmt.Errorf("ldsparse: reading header: %w", err)
-	}
-	h, err := decodeHeader(hb)
+	return newStore(tilefile.OpenReader(r, size, &format, codec{}, opt.CacheTiles, &stats.Counters))
+}
+
+func newStore(r *reader, err error) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !validStat(h.stat) {
-		return nil, fmt.Errorf("ldsparse: unknown statistic kind %d", uint32(h.stat))
+	s := &Store{r}
+	var total uint64
+	for _, e := range r.Index {
+		total += e.Aux
 	}
-	if h.snps > maxSNPs || h.samples > maxSamples {
-		return nil, fmt.Errorf("ldsparse: implausible dimensions %d×%d", h.snps, h.samples)
-	}
-	if h.snps > 0 && h.samples == 0 {
-		return nil, fmt.Errorf("ldsparse: %d SNPs with zero samples", h.snps)
-	}
-	if h.tileSize < 1 || h.tileSize > maxTileSide {
-		return nil, fmt.Errorf("ldsparse: invalid tile size %d", h.tileSize)
-	}
-	if math.IsNaN(h.threshold) || h.threshold < 0 {
-		return nil, fmt.Errorf("ldsparse: invalid threshold %v", h.threshold)
-	}
-	if h.banded() {
-		if h.band > maxSNPs {
-			return nil, fmt.Errorf("ldsparse: implausible band width %d", h.band)
-		}
-	} else if h.band != 0 {
-		return nil, fmt.Errorf("ldsparse: band width %d without the banded flag", h.band)
-	}
-	n, nt := int(h.snps), int(h.tileSize)
-	t := tilesFor(n, nt)
-	if h.tileCount != uint64(triangleTiles(t)) {
-		return nil, fmt.Errorf("ldsparse: %d tiles indexed, want %d for %d SNPs at tile size %d",
-			h.tileCount, triangleTiles(t), n, nt)
-	}
-	// The index is the last thing in the file; requiring it to end exactly
-	// at EOF both rejects truncation and bounds the index allocation by
-	// the input size.
-	if h.tileCount > uint64(size)/indexEntrySize {
-		return nil, fmt.Errorf("ldsparse: index of %d entries cannot fit a %d-byte file", h.tileCount, size)
-	}
-	indexBytes := int64(h.tileCount) * indexEntrySize
-	if h.indexOffset < headerSize || int64(h.indexOffset) != size-indexBytes {
-		return nil, fmt.Errorf("ldsparse: index offset %d inconsistent with file size %d", h.indexOffset, size)
-	}
-
-	s := &Store{r: r, h: h, tiles: t,
-		index:  make([]indexEntry, h.tileCount),
-		coords: make([]tileCoord, 0, h.tileCount),
-		cache:  newTileCache(opt.CacheTiles),
-	}
-	for ti := 0; ti < t; ti++ {
-		for tj := ti; tj < t; tj++ {
-			s.coords = append(s.coords, tileCoord{ti, tj})
-		}
-	}
-	ib := make([]byte, indexBytes)
-	if _, err := r.ReadAt(ib, int64(h.indexOffset)); err != nil {
-		return nil, fmt.Errorf("ldsparse: reading index: %w", err)
-	}
-	var totalNNZ uint64
-	for id := range s.index {
-		e := decodeIndexEntry(ib[id*indexEntrySize:])
-		c := s.coords[id]
-		if e.offset < headerSize || e.offset > h.indexOffset ||
-			uint64(e.length) > h.indexOffset-e.offset {
-			return nil, fmt.Errorf("ldsparse: tile %d at [%d, +%d) escapes the tile section [%d, %d)",
-				id, e.offset, e.length, headerSize, h.indexOffset)
-		}
-		rows := s.tileDim(c.ti)
-		if e.nnz > uint64(s.tileCells(c.ti, c.tj)) {
-			return nil, fmt.Errorf("ldsparse: tile %d declares %d entries, above its %d cells",
-				id, e.nnz, s.tileCells(c.ti, c.tj))
-		}
-		if int64(e.length) != csrBytes(rows, int64(e.nnz)) {
-			return nil, fmt.Errorf("ldsparse: tile %d has %d payload bytes, want %d for %d entries",
-				id, e.length, csrBytes(rows, int64(e.nnz)), e.nnz)
-		}
-		totalNNZ += e.nnz
-		s.index[id] = e
-	}
-	if totalNNZ != h.nnz {
-		return nil, fmt.Errorf("ldsparse: index entries sum to %d nnz, header says %d", totalNNZ, h.nnz)
+	if total != uint64(s.NNZ()) {
+		r.Close()
+		return nil, fmt.Errorf("ldsparse: index entries sum to %d nnz, header says %d", total, s.NNZ())
 	}
 	return s, nil
 }
 
-// Close releases the underlying file, if the Store owns one.
-func (s *Store) Close() error {
-	if s.closer == nil {
-		return nil
-	}
-	return s.closer.Close()
-}
-
-// SNPs returns the dataset's SNP count.
-func (s *Store) SNPs() int { return int(s.h.snps) }
-
-// Samples returns the dataset's sequence count.
-func (s *Store) Samples() int { return int(s.h.samples) }
-
-// Stat returns the statistic the store holds.
-func (s *Store) Stat() Stat { return s.h.stat }
-
-// TileSize returns NT.
-func (s *Store) TileSize() int { return int(s.h.tileSize) }
-
 // Threshold returns the pruning cutoff τ stamped at build time.
-func (s *Store) Threshold() float64 { return s.h.threshold }
+func (s *Store) Threshold() float64 {
+	return math.Float64frombits(extWord(&s.Header, extThreshold))
+}
 
 // Banded reports whether the store was built under a band window, and
 // Band its width (0 unless Banded).
-func (s *Store) Banded() bool { return s.h.banded() }
-func (s *Store) Band() int    { return int(s.h.band) }
+func (s *Store) Banded() bool { return s.Header.Flags&flagBanded != 0 }
+func (s *Store) Band() int    { return int(extWord(&s.Header, extBand)) }
 
 // NNZ returns the number of stored (surviving) upper-triangle entries.
-func (s *Store) NNZ() int64 { return int64(s.h.nnz) }
-
-// Fingerprint returns the dataset fingerprint stamped at build time.
-func (s *Store) Fingerprint() uint64 { return s.h.fingerprint }
+func (s *Store) NNZ() int64 { return int64(extWord(&s.Header, extNNZ)) }
 
 // Info summarizes a sparse store for tooling.
 type Info struct {
@@ -216,8 +94,8 @@ type Info struct {
 // Info returns the store's header summary.
 func (s *Store) Info() Info {
 	empty := 0
-	for _, e := range s.index {
-		if e.nnz == 0 {
+	for _, e := range s.Index {
+		if e.Aux == 0 {
 			empty++
 		}
 	}
@@ -225,100 +103,18 @@ func (s *Store) Info() Info {
 	cells := n * (n + 1) / 2
 	info := Info{
 		SNPs: s.SNPs(), Samples: s.Samples(), Stat: s.Stat().String(),
-		TileSize: s.TileSize(), Tiles: len(s.index), EmptyTiles: empty,
+		TileSize: s.TileSize(), Tiles: len(s.Index), EmptyTiles: empty,
 		Threshold: s.Threshold(), Banded: s.Banded(), Band: s.Band(),
 		NNZ:         s.NNZ(),
-		Fingerprint: fmt.Sprintf("%016x", s.h.fingerprint),
-		TileBytes:   int64(s.h.indexOffset) - headerSize,
-		FileBytes:   int64(s.h.indexOffset) + int64(len(s.index)*indexEntrySize),
+		Fingerprint: fmt.Sprintf("%016x", s.Fingerprint()),
+		TileBytes:   s.TileBytes(),
+		FileBytes:   int64(s.Header.IndexOffset) + int64(len(s.Index))*tilefile.IndexEntrySize,
 		DenseBytes:  cells * 8,
 	}
 	if cells > 0 {
 		info.Density = float64(s.NNZ()) / float64(cells)
 	}
 	return info
-}
-
-// tileDim returns the row (or column) count of tile band t.
-func (s *Store) tileDim(t int) int {
-	return min(int(s.h.tileSize), int(s.h.snps)-t*int(s.h.tileSize))
-}
-
-// tileCells returns the cell capacity of tile (ti, tj): full rectangle
-// off the diagonal, upper triangle (diagonal included) on it.
-func (s *Store) tileCells(ti, tj int) int64 {
-	rows, cols := int64(s.tileDim(ti)), int64(s.tileDim(tj))
-	if ti == tj {
-		return rows * (rows + 1) / 2
-	}
-	return rows * cols
-}
-
-// tile returns the decoded CSR block of tile (ti, tj), ti ≤ tj, loading,
-// validating, and caching on miss. The CSR invariants — rowPtr
-// monotone from 0 to nnz, columns in range and strictly ascending per
-// row, diagonal tiles upper-triangular — are enforced here so every
-// consumer can walk the arrays without bounds anxiety.
-func (s *Store) tile(ti, tj int) (*csrTile, error) {
-	id := tileID(s.tiles, ti, tj)
-	if t, ok := s.cache.get(id); ok {
-		return t, nil
-	}
-	e := s.index[id]
-	rows := s.tileDim(ti)
-	cols := s.tileDim(tj)
-	t := &csrTile{rowPtr: make([]uint32, rows+1)}
-	if e.length > 0 {
-		payload := make([]byte, e.length)
-		if _, err := s.r.ReadAt(payload, int64(e.offset)); err != nil {
-			return nil, fmt.Errorf("ldsparse: reading tile (%d,%d): %w", ti, tj, err)
-		}
-		if crc := crc32.ChecksumIEEE(payload); crc != e.crc {
-			return nil, fmt.Errorf("ldsparse: tile (%d,%d) checksum %08x, want %08x", ti, tj, crc, e.crc)
-		}
-		nnz := int(e.nnz)
-		for k := range t.rowPtr {
-			t.rowPtr[k] = binary.LittleEndian.Uint32(payload[k*4:])
-		}
-		if t.rowPtr[0] != 0 || t.rowPtr[rows] != uint32(nnz) {
-			return nil, fmt.Errorf("ldsparse: tile (%d,%d) row pointers span [%d,%d), want [0,%d)",
-				ti, tj, t.rowPtr[0], t.rowPtr[rows], nnz)
-		}
-		t.cols = make([]uint16, nnz)
-		t.vals = make([]float64, nnz)
-		colOff := (rows + 1) * 4
-		valOff := colOff + nnz*2
-		for k := 0; k < nnz; k++ {
-			t.cols[k] = binary.LittleEndian.Uint16(payload[colOff+k*2:])
-			t.vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(payload[valOff+k*8:]))
-		}
-		for r := 0; r < rows; r++ {
-			lo, hi := t.rowPtr[r], t.rowPtr[r+1]
-			if lo > hi {
-				return nil, fmt.Errorf("ldsparse: tile (%d,%d) row %d pointers decrease", ti, tj, r)
-			}
-			for k := lo; k < hi; k++ {
-				c := int(t.cols[k])
-				if c >= cols || (ti == tj && c < r) {
-					return nil, fmt.Errorf("ldsparse: tile (%d,%d) row %d holds column %d outside its range", ti, tj, r, c)
-				}
-				if k > lo && c <= int(t.cols[k-1]) {
-					return nil, fmt.Errorf("ldsparse: tile (%d,%d) row %d columns not ascending", ti, tj, r)
-				}
-			}
-		}
-		stats.bytesRead.Add(uint64(len(payload)))
-	}
-	stats.tilesRead.Add(1)
-	s.cache.put(id, t)
-	return t, nil
-}
-
-func (s *Store) checkSNP(name string, i int) error {
-	if i < 0 || i >= s.SNPs() {
-		return fmt.Errorf("ldsparse: %s=%d outside 0..%d", name, i, s.SNPs()-1)
-	}
-	return nil
 }
 
 // At returns the stored statistic for the pair (i, j), or 0 when the
@@ -332,18 +128,18 @@ func (s *Store) At(i, j int) (float64, error) {
 // Lookup is At plus an explicit presence flag, distinguishing a stored
 // zero from a pruned entry.
 func (s *Store) Lookup(i, j int) (float64, bool, error) {
-	if err := s.checkSNP("i", i); err != nil {
+	if err := s.CheckSNP("i", i); err != nil {
 		return 0, false, err
 	}
-	if err := s.checkSNP("j", j); err != nil {
+	if err := s.CheckSNP("j", j); err != nil {
 		return 0, false, err
 	}
 	if i > j {
 		i, j = j, i
 	}
-	nt := int(s.h.tileSize)
+	nt := s.TileSize()
 	ti, tj := i/nt, j/nt
-	t, err := s.tile(ti, tj)
+	t, err := s.Tile(ti, tj)
 	if err != nil {
 		return 0, false, err
 	}

@@ -1,26 +1,18 @@
 package ldstore
 
 import (
-	"bufio"
-	"bytes"
-	"compress/flate"
-	"context"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
-	"os"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/core"
+	"ldgemm/internal/tilefile"
 )
 
 // BuildOptions configures a tile-store build.
 type BuildOptions struct {
 	// TileSize is NT, the side of each square tile (default 256). Larger
 	// tiles amortize index and seek overhead; smaller tiles sharpen the
-	// LRU's working set. NT²×8 bytes must not exceed MaxTileBytes.
+	// LRU's working set. NT²×8 bytes must not exceed tilefile.MaxTileBytes.
 	TileSize int
 	// Stat selects the statistic to materialize (default StatR2).
 	Stat Stat
@@ -31,283 +23,63 @@ type BuildOptions struct {
 	LD core.Options
 }
 
-// BuildStats reports what a build wrote and the memory bound it ran
-// under.
-type BuildStats struct {
-	// Tiles is the number of tiles written; TileBytes their total payload
-	// size on disk; FileBytes the whole container including header and
-	// index.
-	Tiles     int
-	TileBytes int64
-	FileBytes int64
-	// PeakResultBytes is the build's result-storage high-water mark: one
-	// NT-row float64 stripe buffer plus core.Stream's fused float64
-	// stripe — O(StripeRows × SNPs), never the n² result. (The fused
-	// epilogue writes statistics straight into the stream's stripe; the
-	// old uint32 count stripe and per-row vector no longer exist.)
-	PeakResultBytes int64
-	// StartStripe is the tile row the build began at: 0 for a fresh
-	// build, the checkpoint's stripe count for a resumed one.
-	StartStripe int
+// SourceBuildOptions configures an out-of-core tile-store build.
+type SourceBuildOptions struct {
+	BuildOptions
+	// IOPanelSNPs is the column-panel width of the out-of-core scheduler's
+	// B-side fetches (default 1024 SNPs); the knob that trades resident
+	// panel memory against per-fetch I/O efficiency for file sources.
+	IOPanelSNPs int
+	// Checkpoint maintains a <store>.ckpt manifest and <store>.idx index
+	// sidecar, durably advanced after every flushed stripe, so a killed
+	// build can restart where it left off instead of from scratch. On
+	// failure the partial store and its sidecars are left in place.
+	Checkpoint bool
+	// Resume restarts from an existing checkpoint manifest (implies
+	// Checkpoint). Without a manifest the build starts fresh; with one
+	// that does not match this dataset + options, the build refuses.
+	Resume bool
 }
 
-func (o BuildOptions) normalize() (BuildOptions, error) {
-	if o.TileSize == 0 {
-		o.TileSize = 256
+// BuildStats reports what a build wrote and the memory bound it ran
+// under.
+type BuildStats = tilefile.BuildStats
+
+// PartialError reports a build that failed after durably flushing some
+// stripes; see tilefile.PartialError.
+type PartialError = tilefile.PartialError
+
+func (o SourceBuildOptions) spec() tilefile.Spec {
+	spec := tilefile.Spec{
+		Format: &format, TileSize: o.TileSize, Stat: o.Stat,
+		Params:  tilefile.Params{Compress: o.Compress},
+		Encoder: newEncoder(o.Compress),
+		LD:      o.LD, IOPanelSNPs: o.IOPanelSNPs,
+		Checkpoint: o.Checkpoint, Resume: o.Resume,
 	}
-	if o.Stat == 0 {
-		o.Stat = StatR2
+	if o.Compress {
+		spec.Flags = flagCompressed
 	}
-	if o.TileSize < 1 {
-		return o, fmt.Errorf("ldstore: invalid tile size %d", o.TileSize)
-	}
-	if raw := int64(o.TileSize) * int64(o.TileSize) * 8; raw > MaxTileBytes {
-		return o, fmt.Errorf("ldstore: tile size %d needs %d-byte tiles, above MaxTileBytes (%d)",
-			o.TileSize, raw, MaxTileBytes)
-	}
-	if !o.Stat.valid() {
-		return o, fmt.Errorf("ldstore: invalid statistic kind %d", o.Stat)
-	}
-	return o, nil
+	return spec
+}
+
+// Build computes the selected statistic for every SNP pair of g with the
+// blocked driver and writes the tile container to w; see tilefile.Build
+// for the scan and its memory bound.
+func Build(w io.WriteSeeker, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
+	return tilefile.Build(w, bitmat.NewMemSource(g), SourceBuildOptions{BuildOptions: opt}.spec())
 }
 
 // BuildFile builds a tile store for the matrix at path, removing the
 // partial file on failure.
 func BuildFile(path string, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return BuildStats{}, err
-	}
-	st, err := Build(f, g, opt)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-		return BuildStats{}, err
-	}
-	return st, nil
+	return BuildFileFromSource(path, bitmat.NewMemSource(g), SourceBuildOptions{BuildOptions: opt})
 }
 
-// Build computes the selected statistic for every SNP pair of g with the
-// blocked driver and writes the tile container to w. It reuses
-// core.Stream's triangular scan with StripeRows = TileSize, so each tile
-// row of the output is produced from one stripe and result memory stays
-// O(TileSize × SNPs) no matter how large the full n² matrix would be;
-// the scan rides the fused tile epilogue, so the statistics land in the
-// stripe straight from the driver's workers with no count intermediate.
-// The Exact epilogue is forced so stored values are bit-identical to the
-// dense core.Matrix path a serverless request would compute.
-func Build(w io.WriteSeeker, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
-	opt, err := opt.normalize()
-	if err != nil {
-		return BuildStats{}, err
-	}
-	n, nt := g.SNPs, opt.TileSize
-	t := tilesFor(n, nt)
-	hdr := header{
-		stat:        opt.Stat,
-		snps:        uint64(n),
-		samples:     uint64(g.Samples),
-		tileSize:    uint32(nt),
-		fingerprint: Fingerprint(g),
-		tileCount:   uint64(triangleTiles(t)),
-	}
-	if opt.Compress {
-		hdr.flags |= flagCompressed
-	}
-
-	bw := bufio.NewWriterSize(writerOnly{w}, 1<<20)
-	if _, err := bw.Write(hdr.encode()); err != nil {
-		return BuildStats{}, err
-	}
-
-	b := &builder{
-		n: n, nt: nt, tiles: t, compress: opt.Compress,
-		bw:     bw,
-		offset: headerSize,
-		index:  make([]indexEntry, 0, triangleTiles(t)),
-		buf:    make([]float64, min(nt, max(n, 1))*n),
-		raw:    make([]byte, 0, nt*nt*8),
-	}
-	if opt.Compress {
-		b.fw, _ = flate.NewWriter(&b.comp, flate.DefaultCompression)
-	}
-
-	// A visit callback cannot abort core.Stream, so I/O failures are
-	// recorded and the scan is cancelled through the driver's own context
-	// plumbing; the first recorded error wins over the resulting ctx.Err.
-	parent := opt.LD.Ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-	ld := opt.LD
-	ld.Ctx = ctx
-	ld.Measures = opt.Stat.Measure()
-	streamErr := core.Stream(g, core.StreamOptions{
-		Options:    ld,
-		StripeRows: nt,
-		Triangular: true,
-		Exact:      true,
-	}, func(i, j0 int, row []float64) {
-		if b.err != nil {
-			return
-		}
-		if err := b.addRow(i, row); err != nil {
-			b.err = err
-			cancel()
-		}
-	})
-	if b.err != nil {
-		return BuildStats{}, b.err
-	}
-	if streamErr != nil {
-		return BuildStats{}, streamErr
-	}
-
-	// Index, then the back-patched header carrying its offset.
-	tileBytes := b.offset - headerSize
-	hdr.indexOffset = uint64(b.offset)
-	entry := make([]byte, indexEntrySize)
-	for _, e := range b.index {
-		e.encode(entry)
-		if _, err := bw.Write(entry); err != nil {
-			return BuildStats{}, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return BuildStats{}, err
-	}
-	if _, err := w.Seek(0, io.SeekStart); err != nil {
-		return BuildStats{}, err
-	}
-	if _, err := w.Write(hdr.encode()); err != nil {
-		return BuildStats{}, err
-	}
-	return BuildStats{
-		Tiles:     len(b.index),
-		TileBytes: tileBytes,
-		FileBytes: b.offset + int64(len(b.index)*indexEntrySize),
-		PeakResultBytes: int64(len(b.buf))*8 + // tile-row stripe buffer
-			int64(min(nt, max(n, 1)))*int64(n)*8, // core.Stream fused value stripe
-	}, nil
+// BuildFileFromSource builds a tile store at path from any bitmat.Source —
+// a resident matrix, or an mmap'd / windowed .ldbm container that never
+// fits in memory — with byte-identical output either way; see
+// tilefile.BuildFile for checkpointing, resume, and failure behaviour.
+func BuildFileFromSource(path string, src bitmat.Source, opt SourceBuildOptions) (BuildStats, error) {
+	return tilefile.BuildFile(path, src, opt.spec())
 }
-
-// builder accumulates one stripe of statistic rows and flushes it as one
-// row of tiles.
-type builder struct {
-	n        int // SNP count (matrix side)
-	nt       int
-	tiles    int
-	compress bool
-
-	bw     *bufio.Writer
-	offset int64
-	index  []indexEntry
-	err    error
-
-	// onStripe, when set, runs after each stripe's tiles are fully
-	// appended — the checkpointing hook of the out-of-core builder.
-	onStripe func(i0 int) error
-
-	// buf holds the current stripe: row r (global SNP i0+r) occupies
-	// buf[r*width : (r+1)*width] for columns [i0, SNPs), width = SNPs−i0.
-	buf  []float64
-	raw  []byte
-	comp bytes.Buffer
-	fw   *flate.Writer
-
-	next int // expected next global row
-}
-
-// addRow copies one streamed row into the stripe buffer and flushes the
-// stripe once its last row has arrived. core.Stream delivers rows in
-// order; the builder asserts that rather than trusting it silently.
-func (b *builder) addRow(i int, row []float64) error {
-	if i != b.next {
-		return fmt.Errorf("ldstore: stream delivered row %d, want %d", i, b.next)
-	}
-	b.next++
-	n := b.n
-	i0 := i - i%b.nt
-	width := n - i0
-	r := i - i0
-	copy(b.buf[r*width+(i-i0):(r+1)*width], row)
-	if i == min(i0+b.nt, n)-1 {
-		return b.flushStripe(i0)
-	}
-	return nil
-}
-
-// flushStripe mirrors the diagonal tile's lower triangle (both halves live
-// in the same stripe) and writes every tile of tile row i0/nt.
-func (b *builder) flushStripe(i0 int) error {
-	n := b.n
-	rows := min(b.nt, n-i0)
-	width := n - i0
-	for r := 1; r < rows; r++ {
-		for c := 0; c < r; c++ {
-			b.buf[r*width+c] = b.buf[c*width+r]
-		}
-	}
-	ti := i0 / b.nt
-	for tj := ti; tj < b.tiles; tj++ {
-		if err := b.writeTile(i0, rows, width, ti, tj); err != nil {
-			return err
-		}
-	}
-	if b.onStripe != nil {
-		return b.onStripe(i0)
-	}
-	return nil
-}
-
-// writeTile serializes tile (ti, tj) from the stripe buffer, optionally
-// compresses it, and appends payload + index entry.
-func (b *builder) writeTile(i0, rows, width, ti, tj int) error {
-	n := b.n
-	colLo := tj*b.nt - i0
-	cols := min(b.nt, n-tj*b.nt)
-	b.raw = b.raw[:rows*cols*8]
-	maxOff := math.Inf(-1)
-	for r := 0; r < rows; r++ {
-		src := b.buf[r*width+colLo : r*width+colLo+cols]
-		for c, v := range src {
-			binary.LittleEndian.PutUint64(b.raw[(r*cols+c)*8:], math.Float64bits(v))
-			if v > maxOff && !(ti == tj && r == c) {
-				maxOff = v
-			}
-		}
-	}
-	payload := b.raw
-	if b.compress {
-		b.comp.Reset()
-		b.fw.Reset(&b.comp)
-		if _, err := b.fw.Write(b.raw); err != nil {
-			return err
-		}
-		if err := b.fw.Close(); err != nil {
-			return err
-		}
-		payload = b.comp.Bytes()
-	}
-	if _, err := b.bw.Write(payload); err != nil {
-		return err
-	}
-	b.index = append(b.index, indexEntry{
-		offset: uint64(b.offset),
-		length: uint32(len(payload)),
-		crc:    crc32.ChecksumIEEE(payload),
-		maxOff: maxOff,
-	})
-	b.offset += int64(len(payload))
-	return nil
-}
-
-// writerOnly hides the Seek method from bufio so buffered writes cannot
-// interleave with the final header patch unflushed.
-type writerOnly struct{ w io.Writer }
-
-func (wo writerOnly) Write(p []byte) (int, error) { return wo.w.Write(p) }

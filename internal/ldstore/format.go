@@ -1,228 +1,62 @@
-// Package ldstore is the on-disk tile store for precomputed all-pairs LD:
+// Package ldstore is the dense on-disk tier for precomputed all-pairs LD:
 // compute the blocked GEMM once, then serve point, region, top-K, and
 // banded queries from an indexed, checksummed tile file at cache speed.
 //
 // The motivation follows Fabregat-Traver & Bientinesi's out-of-core GWAS
 // pipelines and PLINK's precomputed LD reports: the paper's kernel makes
 // the n² result cheap to *produce*, and tiling it to disk makes it cheap
-// to *serve* — one build, millions of reads. The file holds the upper
-// triangle of one statistic (r², D, or D′) as NT×NT float64 tiles behind
-// a per-tile offset/checksum index, with a dataset fingerprint binding
-// the store to the matrix it was computed from.
+// to *serve* — one build, millions of reads.
 //
-// File layout (all integers little-endian):
-//
-//	header (64 bytes)
-//	tile payloads, in index order (row-major over the upper tile triangle)
-//	index: one 24-byte entry per tile, ending exactly at end-of-file
-//
-// See DESIGN.md for the byte-level header and index tables.
+// The file ("LDTS") is a tilefile container with no header extension.
+// Each tile payload is its rows×cols float64 values row-major, optionally
+// DEFLATE-compressed (header flag bit 0); diagonal tiles store their full
+// mirrored square so point and region reads never have to transpose. The
+// index auxiliary word is the tile's maximum off-diagonal value — the
+// pruning bound that lets top-K queries skip cold tiles. This package is
+// that codec plus the query operators; the container itself (header,
+// index, cache, checkpointed build) is internal/tilefile. See DESIGN.md
+// ("Tile container") for the byte-level tables.
 package ldstore
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"ldgemm/internal/bitmat"
-	"ldgemm/internal/core"
+	"ldgemm/internal/tilefile"
 )
 
 // Stat identifies the statistic a store holds.
-type Stat uint32
+type Stat = tilefile.Stat
 
 const (
-	// StatR2 is the squared correlation r² (Eq. 2 of the paper).
-	StatR2 Stat = 1
-	// StatD is the raw disequilibrium coefficient D (Eq. 1).
-	StatD Stat = 2
-	// StatDPrime is Lewontin's normalized D′.
-	StatDPrime Stat = 3
+	StatR2     = tilefile.StatR2
+	StatD      = tilefile.StatD
+	StatDPrime = tilefile.StatDPrime
 )
-
-// String returns the CLI spelling of the statistic.
-func (s Stat) String() string {
-	switch s {
-	case StatR2:
-		return "r2"
-	case StatD:
-		return "d"
-	case StatDPrime:
-		return "dprime"
-	}
-	return fmt.Sprintf("stat(%d)", uint32(s))
-}
-
-// Measure maps the statistic to the core measure flag that computes it.
-func (s Stat) Measure() core.Measure {
-	switch s {
-	case StatR2:
-		return core.MeasureR2
-	case StatD:
-		return core.MeasureD
-	case StatDPrime:
-		return core.MeasureDPrime
-	}
-	return 0
-}
 
 // ParseStat parses the CLI spelling of a statistic kind.
 func ParseStat(s string) (Stat, error) {
-	switch s {
-	case "r2":
-		return StatR2, nil
-	case "d":
-		return StatD, nil
-	case "dprime":
-		return StatDPrime, nil
+	for _, st := range []Stat{StatR2, StatD, StatDPrime} {
+		if s == st.String() {
+			return st, nil
+		}
 	}
 	return 0, fmt.Errorf("ldstore: unknown statistic %q (want r2, d, or dprime)", s)
 }
 
-func (s Stat) valid() bool { return s == StatR2 || s == StatD || s == StatDPrime }
-
-// Container constants. The header is fixed-size so the index offset can be
-// patched in place after the variable-length tile section is written.
-const (
-	headerSize     = 64
-	indexEntrySize = 24
-	formatVersion  = 1
-
-	// flagCompressed marks per-tile DEFLATE compression.
-	flagCompressed = 1 << 0
-)
-
-var magic = [4]byte{'L', 'D', 'T', 'S'}
-
-// Dimension sanity caps: a corrupt or hostile header must not drive an
-// implausible allocation before any payload is validated.
-const (
-	maxSNPs    = 1 << 31
-	maxSamples = 1 << 40
-)
-
-// MaxTileBytes caps the decoded size of a single tile (tileSize² float64s).
-// A compressed tile expands to exactly this bound times nothing more, so it
-// also bounds the decompression allocation. Raise it for very large tiles.
-var MaxTileBytes int64 = 1 << 26 // 64 MiB = 2896² float64
-
-// header is the decoded fixed-size file header.
-//
-// Byte layout:
-//
-//	off size field
-//	  0    4 magic "LDTS"
-//	  4    4 version (uint32, currently 1)
-//	  8    4 flags (bit 0: tiles are DEFLATE-compressed)
-//	 12    4 statistic kind (1 r², 2 D, 3 D′)
-//	 16    8 SNPs
-//	 24    8 samples
-//	 32    4 tile size NT
-//	 36    4 reserved (zero)
-//	 40    8 dataset fingerprint (FNV-1a 64 over dims + packed words)
-//	 48    8 index offset
-//	 56    8 tile count
-type header struct {
-	flags       uint32
-	stat        Stat
-	snps        uint64
-	samples     uint64
-	tileSize    uint32
-	fingerprint uint64
-	indexOffset uint64
-	tileCount   uint64
+var format = tilefile.Format{
+	Name:          "ldstore",
+	Magic:         [4]byte{'L', 'D', 'T', 'S'},
+	ManifestMagic: "ldstore-checkpoint",
 }
 
-func (h header) encode() []byte {
-	b := make([]byte, headerSize)
-	copy(b[0:4], magic[:])
-	binary.LittleEndian.PutUint32(b[4:], formatVersion)
-	binary.LittleEndian.PutUint32(b[8:], h.flags)
-	binary.LittleEndian.PutUint32(b[12:], uint32(h.stat))
-	binary.LittleEndian.PutUint64(b[16:], h.snps)
-	binary.LittleEndian.PutUint64(b[24:], h.samples)
-	binary.LittleEndian.PutUint32(b[32:], h.tileSize)
-	binary.LittleEndian.PutUint64(b[40:], h.fingerprint)
-	binary.LittleEndian.PutUint64(b[48:], h.indexOffset)
-	binary.LittleEndian.PutUint64(b[56:], h.tileCount)
-	return b
-}
-
-func decodeHeader(b []byte) (header, error) {
-	var h header
-	if len(b) < headerSize {
-		return h, fmt.Errorf("ldstore: short header (%d bytes)", len(b))
-	}
-	if [4]byte(b[0:4]) != magic {
-		return h, fmt.Errorf("ldstore: bad magic %q", b[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != formatVersion {
-		return h, fmt.Errorf("ldstore: unsupported version %d", v)
-	}
-	h.flags = binary.LittleEndian.Uint32(b[8:])
-	h.stat = Stat(binary.LittleEndian.Uint32(b[12:]))
-	h.snps = binary.LittleEndian.Uint64(b[16:])
-	h.samples = binary.LittleEndian.Uint64(b[24:])
-	h.tileSize = binary.LittleEndian.Uint32(b[32:])
-	h.fingerprint = binary.LittleEndian.Uint64(b[40:])
-	h.indexOffset = binary.LittleEndian.Uint64(b[48:])
-	h.tileCount = binary.LittleEndian.Uint64(b[56:])
-	return h, nil
-}
-
-func (h header) compressed() bool { return h.flags&flagCompressed != 0 }
-
-// indexEntry locates and authenticates one tile payload.
-//
-// Byte layout (24 bytes): offset uint64, length uint32, crc32 (IEEE) of
-// the stored payload uint32, then the tile's maximum off-diagonal value as
-// a float64 — the pruning bound that lets top-K queries skip cold tiles.
-type indexEntry struct {
-	offset uint64
-	length uint32
-	crc    uint32
-	maxOff float64
-}
-
-func (e indexEntry) encode(b []byte) {
-	binary.LittleEndian.PutUint64(b[0:], e.offset)
-	binary.LittleEndian.PutUint32(b[8:], e.length)
-	binary.LittleEndian.PutUint32(b[12:], e.crc)
-	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(e.maxOff))
-}
-
-func decodeIndexEntry(b []byte) indexEntry {
-	return indexEntry{
-		offset: binary.LittleEndian.Uint64(b[0:]),
-		length: binary.LittleEndian.Uint32(b[8:]),
-		crc:    binary.LittleEndian.Uint32(b[12:]),
-		maxOff: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
-	}
-}
-
-// Tile-grid geometry. Tiles cover the upper triangle of the SNP×SNP
-// matrix: tile (ti, tj) with tj ≥ ti holds rows [ti·NT, ...) × columns
-// [tj·NT, ...). Diagonal tiles (ti == tj) store their full mirrored
-// square so point and region reads never have to transpose.
-
-// tilesFor returns the number of tile bands covering n SNPs.
-func tilesFor(n, nt int) int {
-	if n <= 0 {
-		return 0
-	}
-	return (n + nt - 1) / nt
-}
-
-// triangleTiles returns the number of tiles in the upper tile triangle.
-func triangleTiles(t int) int64 {
-	return int64(t) * int64(t+1) / 2
-}
-
-// tileID maps tile coordinates (ti ≤ tj) to the linear index used by the
-// on-disk layout: tiles are ordered row-major over the upper triangle.
-func tileID(t, ti, tj int) int64 {
-	return int64(ti)*int64(t) - int64(ti)*int64(ti-1)/2 + int64(tj-ti)
-}
+// flagCompressed marks per-tile DEFLATE compression.
+const flagCompressed = 1 << 0
 
 // Fingerprint hashes a genomic matrix (dimensions plus packed words) with
 // FNV-1a 64. Builders stamp it into the header and servers refuse to pair
@@ -234,3 +68,108 @@ func tileID(t, ti, tj int) int64 {
 func Fingerprint(g *bitmat.Matrix) uint64 {
 	return g.Fingerprint()
 }
+
+// codec is the LDTS read side: a decoded tile is its values, row-major.
+type codec struct{}
+
+func (codec) CheckHeader(*tilefile.Header) error { return nil }
+
+func (codec) CheckEntry(h *tilefile.Header, t tilefile.Tile, e *tilefile.Entry) error {
+	raw := int64(t.Rows) * int64(t.Cols) * 8
+	if h.Flags&flagCompressed != 0 {
+		// DEFLATE worst case is a whisker over the input; anything
+		// bigger than raw plus slack cannot be a legitimate tile.
+		if int64(e.Length) > raw+raw/100+64 {
+			return fmt.Errorf("compressed payload of %d bytes exceeds plausible bound for %d raw bytes", e.Length, raw)
+		}
+	} else if int64(e.Length) != raw {
+		return fmt.Errorf("payload has %d bytes, want %d", e.Length, raw)
+	}
+	if math.IsNaN(math.Float64frombits(e.Aux)) {
+		e.Aux = math.Float64bits(math.Inf(-1))
+	}
+	return nil
+}
+
+func (codec) Decode(h *tilefile.Header, t tilefile.Tile, _ tilefile.Entry, payload []byte) ([]float64, error) {
+	rawLen := t.Rows * t.Cols * 8
+	raw := payload
+	if h.Flags&flagCompressed != 0 {
+		fr := flate.NewReader(bytes.NewReader(payload))
+		defer fr.Close()
+		raw = make([]byte, rawLen)
+		if _, err := io.ReadFull(fr, raw); err != nil {
+			return nil, fmt.Errorf("decompressing: %w", err)
+		}
+		var extra [1]byte
+		if m, _ := fr.Read(extra[:]); m != 0 {
+			return nil, fmt.Errorf("decompresses past its declared %d bytes", rawLen)
+		}
+	}
+	vals := make([]float64, rawLen/8)
+	for k := range vals {
+		vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(raw[k*8:]))
+	}
+	return vals, nil
+}
+
+// encoder is the LDTS write side, with the scratch it reuses across tiles.
+type encoder struct {
+	raw  []byte
+	comp bytes.Buffer
+	fw   *flate.Writer // nil unless compressing
+}
+
+func newEncoder(compress bool) *encoder {
+	enc := &encoder{}
+	if compress {
+		// Fixed level, and the writer is reset per tile, so payloads are
+		// deterministic: resumed builds converge to the same bytes.
+		enc.fw, _ = flate.NewWriter(&enc.comp, flate.DefaultCompression)
+	}
+	return enc
+}
+
+// EncodeTile serializes tile t from the stripe. For the diagonal tile it
+// first mirrors the lower triangle into the stripe (both halves live in
+// the same tile row), so the stored square is complete.
+func (enc *encoder) EncodeTile(s *tilefile.Stripe, t tilefile.Tile) ([]byte, uint64, error) {
+	if t.Diagonal() {
+		for r := 1; r < s.Rows; r++ {
+			for c := 0; c < r; c++ {
+				s.Vals[r*s.Width+c] = s.Vals[c*s.Width+r]
+			}
+		}
+	}
+	if need := t.Rows * t.Cols * 8; cap(enc.raw) < need {
+		enc.raw = make([]byte, need)
+	} else {
+		enc.raw = enc.raw[:need]
+	}
+	colLo := t.Col0 - s.I0
+	maxOff := math.Inf(-1)
+	for r := 0; r < t.Rows; r++ {
+		src := s.Vals[r*s.Width+colLo : r*s.Width+colLo+t.Cols]
+		for c, v := range src {
+			binary.LittleEndian.PutUint64(enc.raw[(r*t.Cols+c)*8:], math.Float64bits(v))
+			if v > maxOff && !(t.Diagonal() && r == c) {
+				maxOff = v
+			}
+		}
+	}
+	payload := enc.raw
+	if enc.fw != nil {
+		enc.comp.Reset()
+		enc.fw.Reset(&enc.comp)
+		if _, err := enc.fw.Write(enc.raw); err != nil {
+			return nil, 0, err
+		}
+		if err := enc.fw.Close(); err != nil {
+			return nil, 0, err
+		}
+		payload = enc.comp.Bytes()
+	}
+	return payload, math.Float64bits(maxOff), nil
+}
+
+func (*encoder) FinishHeader(*tilefile.Header, []tilefile.Entry) {}

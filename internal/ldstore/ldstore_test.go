@@ -174,7 +174,7 @@ func TestStoreTopPrunes(t *testing.T) {
 		t.Fatalf("Top: %v", err)
 	}
 	read := ReadStats().TilesRead - before.TilesRead
-	if total := uint64(len(s.index)); read >= total {
+	if total := uint64(len(s.Index)); read >= total {
 		t.Fatalf("Top(3) read all %d tiles; maxOff pruning is not working", total)
 	}
 }
@@ -306,7 +306,7 @@ func TestBuildErrors(t *testing.T) {
 // partial output.
 func TestBuildWriteFailure(t *testing.T) {
 	g := testMatrix(t, 64, 32, 23)
-	w := &failingWriter{failAfter: headerSize + 100}
+	w := &failingWriter{failAfter: format.HeaderSize() + 100}
 	if _, err := Build(w, g, BuildOptions{TileSize: 16}); err == nil {
 		t.Fatal("Build on a failing writer succeeded")
 	}
@@ -367,7 +367,7 @@ func TestStoreCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[headerSize+5] ^= 0xFF
+	data[format.HeaderSize()+5] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package ldstore
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"ldgemm/internal/tilefile"
+)
 
 // Package-wide serving instrumentation, mirroring the blis driver
 // counters: the HTTP surface needs to answer "is the tile cache doing its
@@ -9,12 +13,8 @@ import "sync/atomic"
 // observer (/debug/vars, a benchmark harness) snapshots with ReadStats
 // and differences over time.
 var stats struct {
-	tilesRead   atomic.Uint64
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	evictions   atomic.Uint64
-	bytesRead   atomic.Uint64
-	bytesServed atomic.Uint64
+	tilefile.Counters // fed by the container's read path
+	bytesServed       atomic.Uint64
 }
 
 // Stats is a snapshot of the cumulative tile-store counters.
@@ -35,23 +35,17 @@ type Stats struct {
 
 // HitRate returns the fraction of tile lookups served from the cache, or
 // 0 before the first lookup.
-func (s Stats) HitRate() float64 {
-	total := s.CacheHits + s.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
+func (s Stats) HitRate() float64 { return tilefile.HitRate(s.CacheHits, s.CacheMisses) }
 
 // ReadStats snapshots the cumulative store counters. Counters only grow;
 // observers difference successive snapshots for rates.
 func ReadStats() Stats {
 	return Stats{
-		TilesRead:   stats.tilesRead.Load(),
-		BytesRead:   stats.bytesRead.Load(),
-		CacheHits:   stats.cacheHits.Load(),
-		CacheMisses: stats.cacheMisses.Load(),
-		Evictions:   stats.evictions.Load(),
+		TilesRead:   stats.TilesRead.Load(),
+		BytesRead:   stats.BytesRead.Load(),
+		CacheHits:   stats.CacheHits.Load(),
+		CacheMisses: stats.CacheMisses.Load(),
+		Evictions:   stats.Evictions.Load(),
 		BytesServed: stats.bytesServed.Load(),
 	}
 }

@@ -1,16 +1,13 @@
 package ldstore
 
 import (
-	"bytes"
-	"compress/flate"
 	"container/heap"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"sort"
+
+	"ldgemm/internal/tilefile"
 )
 
 // Options configures a Store reader.
@@ -20,165 +17,45 @@ type Options struct {
 	CacheTiles int
 }
 
-// Store serves LD statistics from a tile file built by Build. All query
-// methods are safe for concurrent use: tile reads go through ReadAt and
-// the LRU is mutex-guarded.
-type Store struct {
-	r      io.ReaderAt
-	closer io.Closer // nil when opened over a caller-owned reader
-	h      header
-	tiles  int // tile bands per side
-	index  []indexEntry
-	coords []tileCoord // linear id → (ti, tj), same order as index
-	cache  *tileCache
-}
+type reader = tilefile.Reader[[]float64]
 
-type tileCoord struct{ ti, tj int }
+// Store serves LD statistics from a tile file built by Build. All query
+// methods are safe for concurrent use. The embedded reader supplies
+// Close, SNPs, Samples, Stat, TileSize and Fingerprint.
+type Store struct {
+	*reader
+	// maxOff is each tile's maximum off-diagonal value, in index order:
+	// the Top pruning bound, decoded once from the index aux words.
+	maxOff []float64
+}
 
 // Open opens the tile store at path.
 func Open(path string, opt Options) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	s, err := OpenReader(f, fi.Size(), opt)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ldstore: %s: %w", path, err)
-	}
-	s.closer = f
-	return s, nil
+	return newStore(tilefile.Open(path, &format, codec{}, opt.CacheTiles, &stats.Counters))
 }
 
 // OpenReader opens a tile store over an arbitrary random-access reader of
-// the given size, validating the header and the whole index before any
-// query runs: dimensions and tile size must be plausible, the tile count
-// must match the geometry, the index must end exactly at end-of-file, and
-// every entry must lie inside the tile section with a length consistent
-// with its tile's decoded size — so a corrupt or hostile file fails here
-// with an error, never with a panic or an unbounded allocation.
+// the given size. The header and the whole index are validated before any
+// query runs (see tilefile.OpenReader), so a corrupt or hostile file
+// fails here with an error, never with a panic or an unbounded
+// allocation.
 func OpenReader(r io.ReaderAt, size int64, opt Options) (*Store, error) {
-	if opt.CacheTiles == 0 {
-		opt.CacheTiles = 64
-	}
-	if opt.CacheTiles < 1 {
-		return nil, fmt.Errorf("ldstore: invalid cache capacity %d", opt.CacheTiles)
-	}
-	if size < headerSize {
-		return nil, fmt.Errorf("ldstore: file of %d bytes is shorter than the %d-byte header", size, headerSize)
-	}
-	hb := make([]byte, headerSize)
-	if _, err := r.ReadAt(hb, 0); err != nil {
-		return nil, fmt.Errorf("ldstore: reading header: %w", err)
-	}
-	h, err := decodeHeader(hb)
+	return newStore(tilefile.OpenReader(r, size, &format, codec{}, opt.CacheTiles, &stats.Counters))
+}
+
+func newStore(r *reader, err error) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !h.stat.valid() {
-		return nil, fmt.Errorf("ldstore: unknown statistic kind %d", uint32(h.stat))
-	}
-	if h.snps > maxSNPs || h.samples > maxSamples {
-		return nil, fmt.Errorf("ldstore: implausible dimensions %d×%d", h.snps, h.samples)
-	}
-	if h.snps > 0 && h.samples == 0 {
-		return nil, fmt.Errorf("ldstore: %d SNPs with zero samples", h.snps)
-	}
-	if h.tileSize < 1 {
-		return nil, fmt.Errorf("ldstore: invalid tile size %d", h.tileSize)
-	}
-	if raw := int64(h.tileSize) * int64(h.tileSize) * 8; raw > MaxTileBytes {
-		return nil, fmt.Errorf("ldstore: tile size %d needs %d-byte tiles, above MaxTileBytes (%d)",
-			h.tileSize, raw, MaxTileBytes)
-	}
-	n, nt := int(h.snps), int(h.tileSize)
-	t := tilesFor(n, nt)
-	if h.tileCount != uint64(triangleTiles(t)) {
-		return nil, fmt.Errorf("ldstore: %d tiles indexed, want %d for %d SNPs at tile size %d",
-			h.tileCount, triangleTiles(t), n, nt)
-	}
-	// The index is the last thing in the file; requiring it to end exactly
-	// at EOF both rejects truncation and bounds the index allocation by
-	// the input size.
-	if h.tileCount > uint64(size)/indexEntrySize {
-		return nil, fmt.Errorf("ldstore: index of %d entries cannot fit a %d-byte file", h.tileCount, size)
-	}
-	indexBytes := int64(h.tileCount) * indexEntrySize
-	if h.indexOffset < headerSize || int64(h.indexOffset) != size-indexBytes {
-		return nil, fmt.Errorf("ldstore: index offset %d inconsistent with file size %d", h.indexOffset, size)
-	}
-
-	s := &Store{r: r, h: h, tiles: t,
-		index:  make([]indexEntry, h.tileCount),
-		coords: make([]tileCoord, 0, h.tileCount),
-		cache:  newTileCache(opt.CacheTiles),
-	}
-	for ti := 0; ti < t; ti++ {
-		for tj := ti; tj < t; tj++ {
-			s.coords = append(s.coords, tileCoord{ti, tj})
-		}
-	}
-	ib := make([]byte, indexBytes)
-	if _, err := r.ReadAt(ib, int64(h.indexOffset)); err != nil {
-		return nil, fmt.Errorf("ldstore: reading index: %w", err)
-	}
-	for id := range s.index {
-		e := decodeIndexEntry(ib[id*indexEntrySize:])
-		c := s.coords[id]
-		raw := s.tileRawBytes(c.ti, c.tj)
-		if e.offset < headerSize || e.offset > h.indexOffset ||
-			uint64(e.length) > h.indexOffset-e.offset {
-			return nil, fmt.Errorf("ldstore: tile %d at [%d, +%d) escapes the tile section [%d, %d)",
-				id, e.offset, e.length, headerSize, h.indexOffset)
-		}
-		if h.compressed() {
-			// DEFLATE worst case is a whisker over the input; anything
-			// bigger than raw plus slack cannot be a legitimate tile.
-			if int64(e.length) > raw+raw/100+64 {
-				return nil, fmt.Errorf("ldstore: compressed tile %d of %d bytes exceeds plausible bound for %d raw bytes",
-					id, e.length, raw)
-			}
-		} else if int64(e.length) != raw {
-			return nil, fmt.Errorf("ldstore: tile %d has %d bytes, want %d", id, e.length, raw)
-		}
-		if math.IsNaN(e.maxOff) {
-			e.maxOff = math.Inf(-1)
-		}
-		s.index[id] = e
+	s := &Store{reader: r, maxOff: make([]float64, len(r.Index))}
+	for id, e := range r.Index {
+		s.maxOff[id] = math.Float64frombits(e.Aux)
 	}
 	return s, nil
 }
 
-// Close releases the underlying file, if the Store owns one.
-func (s *Store) Close() error {
-	if s.closer == nil {
-		return nil
-	}
-	return s.closer.Close()
-}
-
-// SNPs returns the dataset's SNP count.
-func (s *Store) SNPs() int { return int(s.h.snps) }
-
-// Samples returns the dataset's sequence count.
-func (s *Store) Samples() int { return int(s.h.samples) }
-
-// Stat returns the statistic the store holds.
-func (s *Store) Stat() Stat { return s.h.stat }
-
-// TileSize returns NT.
-func (s *Store) TileSize() int { return int(s.h.tileSize) }
-
 // Compressed reports whether tiles are DEFLATE-compressed.
-func (s *Store) Compressed() bool { return s.h.compressed() }
-
-// Fingerprint returns the dataset fingerprint stamped at build time.
-func (s *Store) Fingerprint() uint64 { return s.h.fingerprint }
+func (s *Store) Compressed() bool { return s.Header.Flags&flagCompressed != 0 }
 
 // Info summarizes a store for tooling.
 type Info struct {
@@ -197,14 +74,15 @@ type Info struct {
 // Info returns the store's header summary.
 func (s *Store) Info() Info {
 	var raw int64
-	for _, c := range s.coords {
-		raw += s.tileRawBytes(c.ti, c.tj)
+	for id := range s.Index {
+		t := s.TileAt(id)
+		raw += int64(t.Rows) * int64(t.Cols) * 8
 	}
-	tileBytes := int64(s.h.indexOffset) - headerSize
+	tileBytes := s.TileBytes()
 	info := Info{
 		SNPs: s.SNPs(), Samples: s.Samples(), Stat: s.Stat().String(),
-		TileSize: s.TileSize(), Tiles: len(s.index), Compressed: s.Compressed(),
-		Fingerprint: fmt.Sprintf("%016x", s.h.fingerprint),
+		TileSize: s.TileSize(), Tiles: len(s.Index), Compressed: s.Compressed(),
+		Fingerprint: fmt.Sprintf("%016x", s.Fingerprint()),
 		TileBytes:   tileBytes, RawBytes: raw,
 	}
 	if raw > 0 {
@@ -215,77 +93,24 @@ func (s *Store) Info() Info {
 
 // tileDim returns the row (or column) count of tile band t.
 func (s *Store) tileDim(t int) int {
-	return min(int(s.h.tileSize), int(s.h.snps)-t*int(s.h.tileSize))
-}
-
-func (s *Store) tileRawBytes(ti, tj int) int64 {
-	return int64(s.tileDim(ti)) * int64(s.tileDim(tj)) * 8
-}
-
-// tile returns the decoded values of tile (ti, tj), ti ≤ tj, loading and
-// caching on miss. Diagonal tiles hold their full mirrored square;
-// off-diagonal tiles hold rows of band ti × columns of band tj.
-func (s *Store) tile(ti, tj int) ([]float64, error) {
-	id := tileID(s.tiles, ti, tj)
-	if vals, ok := s.cache.get(id); ok {
-		return vals, nil
-	}
-	e := s.index[id]
-	payload := make([]byte, e.length)
-	if _, err := s.r.ReadAt(payload, int64(e.offset)); err != nil {
-		return nil, fmt.Errorf("ldstore: reading tile (%d,%d): %w", ti, tj, err)
-	}
-	if crc := crc32.ChecksumIEEE(payload); crc != e.crc {
-		return nil, fmt.Errorf("ldstore: tile (%d,%d) checksum %08x, want %08x", ti, tj, crc, e.crc)
-	}
-	rawLen := int(s.tileRawBytes(ti, tj))
-	raw := payload
-	if s.h.compressed() {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		raw = make([]byte, rawLen)
-		if _, err := io.ReadFull(fr, raw); err != nil {
-			return nil, fmt.Errorf("ldstore: decompressing tile (%d,%d): %w", ti, tj, err)
-		}
-		var extra [1]byte
-		if m, _ := fr.Read(extra[:]); m != 0 {
-			return nil, fmt.Errorf("ldstore: tile (%d,%d) decompresses past its declared %d bytes", ti, tj, rawLen)
-		}
-		fr.Close()
-	} else if len(raw) != rawLen {
-		return nil, fmt.Errorf("ldstore: tile (%d,%d) has %d bytes, want %d", ti, tj, len(raw), rawLen)
-	}
-	vals := make([]float64, rawLen/8)
-	for k := range vals {
-		vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(raw[k*8:]))
-	}
-	stats.tilesRead.Add(1)
-	stats.bytesRead.Add(uint64(len(payload)))
-	s.cache.put(id, vals)
-	return vals, nil
-}
-
-func (s *Store) checkSNP(name string, i int) error {
-	if i < 0 || i >= s.SNPs() {
-		return fmt.Errorf("ldstore: %s=%d outside 0..%d", name, i, s.SNPs()-1)
-	}
-	return nil
+	return min(s.TileSize(), s.SNPs()-t*s.TileSize())
 }
 
 // At returns the stored statistic for the pair (i, j). The store is
 // symmetric: argument order does not matter.
 func (s *Store) At(i, j int) (float64, error) {
-	if err := s.checkSNP("i", i); err != nil {
+	if err := s.CheckSNP("i", i); err != nil {
 		return 0, err
 	}
-	if err := s.checkSNP("j", j); err != nil {
+	if err := s.CheckSNP("j", j); err != nil {
 		return 0, err
 	}
 	if i > j {
 		i, j = j, i
 	}
-	nt := int(s.h.tileSize)
+	nt := s.TileSize()
 	ti, tj := i/nt, j/nt
-	vals, err := s.tile(ti, tj)
+	vals, err := s.Tile(ti, tj)
 	if err != nil {
 		return 0, err
 	}
@@ -303,10 +128,10 @@ func (s *Store) Region(start, end int) ([]float64, error) {
 	}
 	w := end - start
 	out := make([]float64, w*w)
-	nt := int(s.h.tileSize)
+	nt := s.TileSize()
 	for ti := start / nt; ti*nt < end; ti++ {
 		for tj := ti; tj*nt < end; tj++ {
-			vals, err := s.tile(ti, tj)
+			vals, err := s.Tile(ti, tj)
 			if err != nil {
 				return nil, err
 			}
@@ -343,11 +168,11 @@ func (s *Store) Rect(r0, r1, c0, c1 int) ([]float64, error) {
 	}
 	w := c1 - c0
 	out := make([]float64, (r1-r0)*w)
-	nt := int(s.h.tileSize)
+	nt := s.TileSize()
 	for tr := r0 / nt; tr*nt < r1; tr++ {
 		for tc := c0 / nt; tc*nt < c1; tc++ {
 			ti, tj := min(tr, tc), max(tr, tc)
-			vals, err := s.tile(ti, tj)
+			vals, err := s.Tile(ti, tj)
 			if err != nil {
 				return nil, err
 			}
@@ -396,45 +221,43 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 	if n := s.SNPs(); r0 < 0 || r1 <= r0 || r1 > n {
 		return nil, fmt.Errorf("ldstore: invalid top row range [%d,%d) of %d SNPs", r0, r1, n)
 	}
-	nt := int(s.h.tileSize)
-	order := make([]int, 0, len(s.index))
-	for id := range s.index {
+	order := make([]int, 0, len(s.Index))
+	for id := range s.Index {
 		// Only tiles whose row band intersects the window hold owned pairs.
-		if lo := s.coords[id].ti * nt; lo < r1 && lo+s.tileDim(s.coords[id].ti) > r0 {
+		if t := s.TileAt(id); t.Row0 < r1 && t.Row0+t.Rows > r0 {
 			order = append(order, id)
 		}
 	}
 	sort.Slice(order, func(a, b int) bool {
-		return s.index[order[a]].maxOff > s.index[order[b]].maxOff
+		return s.maxOff[order[a]] > s.maxOff[order[b]]
 	})
 	h := &topHeap{}
 	for _, id := range order {
 		// Strict inequality: a tile whose maximum ties the current k-th
 		// value can still hold a pair that wins on the (I, J) tie-break,
 		// so only strictly-weaker tiles are pruned.
-		if h.Len() == k && s.index[id].maxOff < (*h)[0].Value {
+		if h.Len() == k && s.maxOff[id] < (*h)[0].Value {
 			break
 		}
-		if math.IsInf(s.index[id].maxOff, -1) {
+		if math.IsInf(s.maxOff[id], -1) {
 			break // only empty 1×1 diagonal tiles remain
 		}
-		c := s.coords[id]
-		vals, err := s.tile(c.ti, c.tj)
+		c := s.TileAt(id)
+		vals, err := s.Tile(c.TI, c.TJ)
 		if err != nil {
 			return nil, err
 		}
-		cols := s.tileDim(c.tj)
-		for r := 0; r < s.tileDim(c.ti); r++ {
-			i := c.ti*nt + r
+		for r := 0; r < c.Rows; r++ {
+			i := c.Row0 + r
 			if i < r0 || i >= r1 {
 				continue // row outside the ownership window
 			}
-			row := vals[r*cols : (r+1)*cols]
+			row := vals[r*c.Cols : (r+1)*c.Cols]
 			for col, v := range row {
-				if c.ti == c.tj && col <= r {
+				if c.Diagonal() && col <= r {
 					continue // mirrored square: keep i < j once, skip the diagonal
 				}
-				p := TopPair{I: i, J: c.tj*nt + col, Value: v}
+				p := TopPair{I: i, J: c.Col0 + col, Value: v}
 				if h.Len() < k {
 					heap.Push(h, p)
 				} else if topLess((*h)[0], p) {

@@ -190,14 +190,6 @@ func TestDebugVars(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/api/ld/region?start=10&end=30", nil); code != http.StatusOK {
 		t.Fatalf("region status %d", code)
 	}
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("vars status %d", resp.StatusCode)
-	}
 	var vars struct {
 		Requests  map[string]int64 `json:"requests"`
 		Statuses  map[string]int64 `json:"statuses"`
@@ -213,8 +205,15 @@ func TestDebugVars(t *testing.T) {
 			ArenaHitRate float64 `json:"arena_hit_rate"`
 		} `json:"blis"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatal(err)
+	// The middleware records a request after its response is written, so
+	// the client can be back before the counters move: wait for the event.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if code := getJSON(t, ts.URL+"/debug/vars", &vars); code != http.StatusOK {
+			t.Fatalf("vars status %d", code)
+		}
+		if vars.Requests["/api/ld/region"] >= 1 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if vars.Requests["/api/ld/region"] < 1 {
 		t.Fatalf("region request count %d", vars.Requests["/api/ld/region"])

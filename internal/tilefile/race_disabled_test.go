@@ -1,5 +1,5 @@
 //go:build !race
 
-package ldstore
+package tilefile_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package ldstore
+package tilefile_test
 
 // raceEnabled reports that this test binary runs under the race
 // detector, whose instrumentation and sync.Pool behavior inflate
