@@ -4,39 +4,18 @@ import (
 	"container/list"
 	"net/http"
 	"sync"
+
+	"ldgemm/internal/server"
 )
 
-// clusterResponse is a fully materialized coordinator answer: the status,
-// the JSON body, and the degradation marker. It is the unit the result
-// cache stores and the singleflight group shares between coalesced
-// callers, so one shard fan-out can answer many clients byte-identically.
-type clusterResponse struct {
-	status  int
-	body    []byte
-	partial bool
-	failed  string // X-LD-Shards-Failed header value, "" when complete
-}
-
-// cacheable reports whether the response may be admitted to the result
+// cacheable reports whether a response may be admitted to the result
 // cache. Only complete 200 answers qualify: for a fixed dataset
 // fingerprint they are immutable, so they can live until the coordinator
 // is rebootstrapped against a new fingerprint. Partial answers reflect a
 // transient outage and errors reflect transient or caller state — caching
 // either would pin a bad answer forever.
-func (cr *clusterResponse) cacheable() bool {
-	return cr.status == http.StatusOK && !cr.partial
-}
-
-// write relays the response to one client.
-func (cr *clusterResponse) write(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	if cr.failed != "" {
-		w.Header().Set("X-LD-Shards-Failed", cr.failed)
-	}
-	if cr.status != http.StatusOK {
-		w.WriteHeader(cr.status)
-	}
-	w.Write(cr.body)
+func cacheable(resp *server.Response) bool {
+	return resp.Status == http.StatusOK && resp.Failed == ""
 }
 
 // cacheEntryOverhead approximates the bookkeeping cost of one entry
@@ -68,7 +47,7 @@ const maxEntryFraction = 8
 
 type cacheEntry struct {
 	key  string
-	resp *clusterResponse
+	resp *server.Response
 	cost int64
 }
 
@@ -77,7 +56,7 @@ func newResultCache(capBytes int64) *resultCache {
 }
 
 // get returns the cached response for key, refreshing its recency.
-func (c *resultCache) get(key string) (*clusterResponse, bool) {
+func (c *resultCache) get(key string) (*server.Response, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -92,8 +71,8 @@ func (c *resultCache) get(key string) (*clusterResponse, bool) {
 
 // put admits resp under key, evicting least-recently-used entries until
 // the byte budget holds. Oversized entries are rejected.
-func (c *resultCache) put(key string, resp *clusterResponse) {
-	cost := int64(len(resp.body)+len(key)) + cacheEntryOverhead
+func (c *resultCache) put(key string, resp *server.Response) {
+	cost := int64(len(resp.Body)+len(key)) + cacheEntryOverhead
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cost > c.cap/maxEntryFraction {

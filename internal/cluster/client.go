@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -101,23 +100,13 @@ func (c *shardClient) health() (state breakerState, p95 time.Duration, known boo
 	return state, p95, known
 }
 
-// get fetches pathQuery (e.g. "/api/ld?i=3&j=5") from the shard and
-// returns the 200 body.
-func (c *shardClient) get(ctx context.Context, pathQuery string) ([]byte, error) {
-	return c.call(ctx, http.MethodGet, pathQuery, nil)
-}
-
-// post sends body (JSON) to pathQuery. The cluster's POST endpoints are
-// pure functions of the dataset and the request body, so posts ride the
-// same retry, hedge, and failover machinery as gets — a duplicated or
-// replayed request answers identically.
-func (c *shardClient) post(ctx context.Context, pathQuery string, body []byte) ([]byte, error) {
-	return c.call(ctx, http.MethodPost, pathQuery, body)
-}
-
-// call runs one logical request. The breaker is consulted once per call
-// and fed one outcome per attempt, so a string of failed retries trips
-// it as fast as a string of failed calls.
+// call runs one logical request — pathQuery is e.g. "/api/ld?i=3&j=5",
+// reqBody a JSON POST body or nil — and returns the 200 body. Every
+// endpoint is a pure function of the dataset, the query and the body, so
+// POSTs ride the same retry, hedge, and failover machinery as GETs: a
+// duplicated or replayed request answers identically. The breaker is
+// consulted once per call and fed one outcome per attempt, so a string of
+// failed retries trips it as fast as a string of failed calls.
 func (c *shardClient) call(ctx context.Context, method, pathQuery string, reqBody []byte) ([]byte, error) {
 	if !c.breaker.allow() {
 		c.m.fastFails.Add(1)
@@ -286,13 +275,4 @@ func (c *shardClient) do(ctx context.Context, method, pathQuery string, reqBody 
 	}
 	c.lat.add(time.Since(start))
 	return body, nil
-}
-
-// getJSON fetches and decodes a 200 response.
-func (c *shardClient) getJSON(ctx context.Context, pathQuery string, v any) error {
-	body, err := c.get(ctx, pathQuery)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
 }

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,21 +86,20 @@ func (c Config) normalize() Config {
 }
 
 // Coordinator fronts a set of shard replica groups with the single-node
-// HTTP API: pair lookups route to the group owning the strip, region and
-// top queries scatter to the owning strips and gather bit-identical
-// merged answers, and whole-matrix endpoints proxy to any healthy
-// replica. Within a group, calls go to the healthiest replica and fail
-// over through the rest before the strip is declared lost. Identical
-// in-flight pair/region/top requests coalesce into one shard fan-out,
-// and complete responses are cached under the dataset fingerprint.
+// HTTP API, served from the same query definitions (server.Definitions):
+// it parses and validates a request exactly as a node would, sends each
+// strip the query's window overlaps the canonical spelling narrowed to
+// that strip's rows, and merges the answers by the definition's rule;
+// queries that need no row ownership forward to any healthy replica.
+// Within a group, calls go to the healthiest replica and fail over
+// through the rest before the strip is declared lost. Identical in-flight
+// requests coalesce into one shard fan-out, and complete responses are
+// cached under the dataset fingerprint.
 type Coordinator struct {
-	cfg     Config
 	hc      *http.Client
 	part    partition
-	groups  []*replicaGroup // ordered by strip, parallel to part.ranges
-	info    server.InfoResponse
-	fp      string // dataset fingerprint every replica advertised
-	n       int
+	groups  []*replicaGroup     // ordered by strip, parallel to part.ranges
+	info    server.InfoResponse // as every replica advertised, minus the shard range
 	m       *metrics
 	cache   *resultCache // nil when disabled
 	flight  *flightGroup
@@ -140,7 +141,7 @@ func New(ctx context.Context, shardURLs []string, cfg Config) (*Coordinator, err
 
 	first := infos[0][0]
 	n := first.SNPs
-	ranges := make([]Range, len(groups))
+	ranges := make([]server.Window, len(groups))
 	for gi, group := range groups {
 		for ri, info := range infos[gi] {
 			base := group[ri]
@@ -159,9 +160,9 @@ func New(ctx context.Context, shardURLs []string, cfg Config) (*Coordinator, err
 		}
 		switch {
 		case infos[gi][0].Shard != nil:
-			ranges[gi] = Range{Start: infos[gi][0].Shard.Start, End: infos[gi][0].Shard.End}
+			ranges[gi] = server.Window{Lo: infos[gi][0].Shard.Start, Hi: infos[gi][0].Shard.End}
 		case len(groups) == 1:
-			ranges[gi] = Range{Start: 0, End: n} // lone unsharded group
+			ranges[gi] = server.Window{Hi: n} // lone unsharded group
 		default:
 			return nil, fmt.Errorf("cluster: shard %s advertises no shard range", group[0])
 		}
@@ -171,12 +172,7 @@ func New(ctx context.Context, shardURLs []string, cfg Config) (*Coordinator, err
 		return nil, err
 	}
 
-	co := &Coordinator{
-		cfg: cfg, hc: hc, part: part, n: n,
-		info:   first,
-		fp:     first.Fingerprint,
-		flight: newFlightGroup(),
-	}
+	co := &Coordinator{hc: hc, part: part, info: first, flight: newFlightGroup()}
 	co.info.Shard = nil
 	if cfg.ResultCacheBytes > 0 {
 		co.cache = newResultCache(cfg.ResultCacheBytes)
@@ -190,7 +186,11 @@ func New(ctx context.Context, shardURLs []string, cfg Config) (*Coordinator, err
 		co.groups[k] = g
 	}
 	co.m = newMetrics(co)
-	co.handler = observeMiddleware(co.m, co.routes())
+	lim := server.Limits{SNPs: n, Sparse: first.Sparse != nil}
+	mux := server.NewMux(lim, co.m.Metrics, co.execute, nil)
+	mux.HandleFunc("GET /readyz", co.handleReadyz)
+	mux.HandleFunc("GET /api/info", co.handleInfo)
+	co.handler = server.Observe(co.m.Metrics, nil, mux)
 	return co, nil
 }
 
@@ -229,29 +229,6 @@ func fetchJSON(ctx context.Context, hc *http.Client, url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-func (co *Coordinator) routes() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /readyz", co.handleReadyz)
-	mux.HandleFunc("/", handleFallback)
-	mux.HandleFunc("GET /api/info", co.handleInfo)
-	mux.HandleFunc("GET /api/freq", co.handleFreq)
-	mux.HandleFunc("GET /api/ld", co.handlePair)
-	mux.HandleFunc("GET /api/ld/region", co.handleRegion)
-	mux.HandleFunc("GET /api/ld/top", co.handleTop)
-	mux.HandleFunc("POST /api/sparse/matvec", co.handleSparseMatVec)
-	mux.HandleFunc("POST /api/sparse/score", co.handleSparseScore)
-	mux.HandleFunc("/api/sparse/matvec", postOnlyFallback)
-	mux.HandleFunc("/api/sparse/score", postOnlyFallback)
-	mux.HandleFunc("GET /api/prune", co.handleProxy)
-	mux.HandleFunc("GET /api/blocks", co.handleProxy)
-	mux.HandleFunc("GET /api/omega", co.handleProxy)
-	mux.HandleFunc("GET /debug/vars", co.m.serveVars)
-	return mux
-}
-
 // ServeHTTP implements http.Handler.
 func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	co.handler.ServeHTTP(w, r)
@@ -259,19 +236,10 @@ func (co *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // VarsHandler exposes the coordinator metric surface for a separate
 // admin listener.
-func (co *Coordinator) VarsHandler() http.Handler { return http.HandlerFunc(co.m.serveVars) }
+func (co *Coordinator) VarsHandler() http.Handler { return http.HandlerFunc(co.m.ServeVars) }
 
 // Close releases idle shard connections.
 func (co *Coordinator) Close() { co.hc.CloseIdleConnections() }
-
-func handleFallback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	httpError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
-}
 
 // handleReadyz reports ready while at least one replica's breaker admits
 // traffic: a degraded cluster still serves partial answers, but a cluster
@@ -279,11 +247,11 @@ func handleFallback(w http.ResponseWriter, r *http.Request) {
 func (co *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	for _, g := range co.groups {
 		if g.admitting() {
-			writeJSON(w, map[string]string{"status": "ok"})
+			server.OK(map[string]string{"status": "ok"}).Write(w)
 			return
 		}
 	}
-	httpError(w, http.StatusServiceUnavailable, "all shard breakers open")
+	server.Errorf(http.StatusServiceUnavailable, "all shard breakers open").Write(w)
 }
 
 // ReplicaInfo is one replica's entry in the cluster info payload.
@@ -316,7 +284,7 @@ func (co *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 		state, _ := g.replicas[0].breaker.snapshot()
 		si := ShardInfo{
 			URL:   g.replicas[0].base,
-			Start: co.part.ranges[i].Start, End: co.part.ranges[i].End,
+			Start: co.part.ranges[i].Lo, End: co.part.ranges[i].Hi,
 			Breaker: state.String(),
 		}
 		if len(g.replicas) > 1 {
@@ -327,64 +295,47 @@ func (co *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards = append(resp.Shards, si)
 	}
-	writeJSON(w, resp)
+	server.OK(resp).Write(w)
 }
 
-// handleFreq serves per-SNP frequencies. Every replica holds the full
-// matrix, so the owning group is only a preference: on failure the
-// request fails over to the remaining groups (and within each group to
-// its remaining replicas).
-func (co *Coordinator) handleFreq(w http.ResponseWriter, r *http.Request) {
-	i, err := intQuery(r, "i")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+// execute is the coordinator's Executor. The canonical spelling of the
+// query over its whole window is the coalesce and result-cache key, so
+// every spelling of one request — measure= omitted or r2, rows= omitted
+// or the full window — is one entry and one fan-out.
+func (co *Coordinator) execute(ctx context.Context, d *server.Definition, q server.Query) *server.Response {
+	rows, _ := q.Rows()
+	if d.AnyShard {
+		return co.forward(ctx, q.Path(rows))
 	}
-	if i < 0 || i >= co.n {
-		httpError(w, http.StatusBadRequest, "snp i=%d outside 0..%d", i, co.n-1)
-		return
+	key := q.Path(rows)
+	if sq, ok := q.(server.SparseQuery); ok {
+		// Here the vector is the query, so its digest joins the key.
+		key += " vec=" + vecDigest(sq.Vec)
 	}
-	first := co.part.owner(i)
-	var lastErr error
-	for k := range co.groups {
-		g := co.groups[(first+k)%len(co.groups)]
-		body, err := g.get(r.Context(), "/api/freq?i="+strconv.Itoa(i))
-		if err == nil {
-			relayBody(w, body)
-			return
-		}
-		var he *HTTPError
-		if errors.As(err, &he) && he.Status < 500 {
-			relayError(w, he)
-			return
-		}
-		lastErr = err
-	}
-	httpError(w, http.StatusBadGateway, "all shards failed: %v", lastErr)
+	return co.serve(ctx, key, func(ctx context.Context) *server.Response {
+		return co.scatter(ctx, d, q, rows)
+	})
 }
 
-// serve answers a cacheable, coalescable endpoint (pair/region/top):
-// the result cache is consulted first, then concurrent identical
-// requests collapse into one execution of fetch whose response every
-// caller shares, and complete 200 answers are admitted to the cache.
-// The key is the normalized query prefixed by the dataset fingerprint,
-// so equivalent requests coalesce regardless of parameter spelling and
-// a coordinator bootstrapped against a different dataset can never
-// collide. fetch runs detached from any single caller's context — its
-// result is shared work — but stays bounded by the per-attempt shard
-// timeouts and retry budget.
-func (co *Coordinator) serve(w http.ResponseWriter, r *http.Request, key string, fetch func(ctx context.Context) *clusterResponse) {
-	key = co.fp + " " + key
+// serve answers a cacheable, coalescable query: the result cache is
+// consulted first, then concurrent identical requests collapse into one
+// execution of fetch whose response every caller shares, and complete
+// 200 answers are admitted to the cache. The key is prefixed by the
+// dataset fingerprint, so a coordinator bootstrapped against a different
+// dataset can never collide. fetch runs detached from any single
+// caller's context — its result is shared work — but stays bounded by
+// the per-attempt shard timeouts and retry budget.
+func (co *Coordinator) serve(ctx context.Context, key string, fetch func(ctx context.Context) *server.Response) *server.Response {
+	key = co.info.Fingerprint + " " + key
 	if co.cache != nil {
 		if resp, ok := co.cache.get(key); ok {
-			resp.write(w)
-			return
+			return resp
 		}
 	}
-	ctx := context.WithoutCancel(r.Context())
-	resp, shared := co.flight.do(key, func() *clusterResponse {
+	ctx = context.WithoutCancel(ctx)
+	resp, shared := co.flight.do(key, func() *server.Response {
 		resp := fetch(ctx)
-		if co.cache != nil && resp.cacheable() {
+		if co.cache != nil && cacheable(resp) {
 			co.cache.put(key, resp)
 		}
 		return resp
@@ -392,338 +343,110 @@ func (co *Coordinator) serve(w http.ResponseWriter, r *http.Request, key string,
 	if shared {
 		co.m.coalesced.Add(1)
 	}
-	resp.write(w)
+	return resp
 }
 
-// errorResponse builds a non-cached JSON error in clusterResponse form.
-func errorResponse(code int, format string, args ...any) *clusterResponse {
-	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
-	return &clusterResponse{status: code, body: append(body, '\n')}
-}
-
-// okResponse marshals a complete or partial 200 payload.
-func okResponse(v any, failed string) *clusterResponse {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return errorResponse(http.StatusInternalServerError, "encoding response: %v", err)
-	}
-	return &clusterResponse{
-		status: http.StatusOK, body: append(body, '\n'),
-		partial: failed != "", failed: failed,
-	}
-}
-
-// handlePair routes a pair lookup to the group owning min(i, j).
-func (co *Coordinator) handlePair(w http.ResponseWriter, r *http.Request) {
-	i, err := intQuery(r, "i")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	j, err := intQuery(r, "j")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if i < 0 || i >= co.n || j < 0 || j >= co.n {
-		httpError(w, http.StatusBadRequest, "pair (%d,%d) outside 0..%d", i, j, co.n-1)
-		return
-	}
-	query := fmt.Sprintf("/api/ld?i=%d&j=%d", i, j)
-	co.serve(w, r, query, func(ctx context.Context) *clusterResponse {
-		g := co.groups[co.part.owner(min(i, j))]
-		body, err := g.get(ctx, query)
-		if err != nil {
-			return co.stripFailure(g, err)
-		}
-		return &clusterResponse{status: http.StatusOK, body: body}
-	})
-}
-
-// stripResult is one replica group's share of a scatter-gather.
-type stripResult struct {
-	region server.RegionResponse
-	top    server.TopResponse
-	matvec server.MatVecResponse
-	score  server.ScoreResponse
-	err    error
-}
-
-// scatter fans query out to the given groups concurrently, decoding each
-// response into the slot decode selects. Within each group the call
-// routes to the healthiest replica and fails over through the rest.
-func (co *Coordinator) scatter(ctx context.Context, owners []int, query func(shard int) string, decode func(*stripResult) any) []stripResult {
-	results := make([]stripResult, len(owners))
+// scatter sends every strip q's window overlaps the canonical spelling
+// narrowed to that strip's rows, concurrently, and merges the answers by
+// the definition's rule. Within each group the call routes to the
+// healthiest replica and fails over through the rest.
+func (co *Coordinator) scatter(ctx context.Context, d *server.Definition, q server.Query, rows server.Window) *server.Response {
+	owners := co.part.overlapping(rows.Lo, rows.Hi)
+	body := q.Body()
+	strips := make([]server.Window, len(owners))
+	parts := make([]any, len(owners))
+	errs := make([]error, len(owners))
 	var wg sync.WaitGroup
 	for k, shard := range owners {
+		strips[k] = rows.Intersect(co.part.ranges[shard])
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[k].err = co.groups[shard].getJSON(ctx, query(shard), decode(&results[k]))
+			var resp []byte
+			if resp, errs[k] = co.groups[shard].call(ctx, d.Method, q.Path(strips[k]), body); errs[k] == nil {
+				parts[k], errs[k] = decodeStrip(d.Merge, q, resp)
+			}
 		}()
 	}
 	wg.Wait()
-	return results
-}
 
-// gatherVerdict classifies a scatter: a terminal 4xx anywhere is relayed
-// verbatim (the request itself is wrong, and every shard would say so); a
-// strip whose whole replica group is down degrades the answer; all strips
-// down fails it. terminal is the relayable error response when done.
-func (co *Coordinator) gatherVerdict(owners []int, results []stripResult) (failed []int, terminal *clusterResponse) {
+	// A terminal 4xx anywhere is relayed verbatim: the request itself is
+	// wrong, and every shard would say so. A strip whose whole replica
+	// group is down degrades the answer where the merge rule can mark the
+	// hole and fails it where it cannot; all strips down always fails it.
+	var failed []string
 	var lastErr error
-	for k, res := range results {
-		if res.err == nil {
+	for k, err := range errs {
+		if err == nil {
 			continue
 		}
-		var he *HTTPError
-		if errors.As(res.err, &he) && he.Status < 500 {
-			return nil, &clusterResponse{status: he.Status, body: he.Body}
+		if resp := terminal(err); resp != nil {
+			return resp
 		}
-		failed = append(failed, owners[k])
-		lastErr = res.err
+		parts[k] = nil
+		failed = append(failed, co.groups[owners[k]].names())
+		lastErr = err
 	}
-	if len(failed) == len(owners) {
-		return nil, errorResponse(http.StatusBadGateway, "all owner shards failed: %v", lastErr)
+	switch {
+	case len(failed) == len(owners):
+		return server.Errorf(http.StatusBadGateway, "all owner shards failed: %v", lastErr)
+	case len(failed) > 0 && !d.Merge.PartialOK():
+		return server.Errorf(http.StatusBadGateway, "%s lost strips served by %s", d.Path, strings.Join(failed, ","))
+	case len(failed) > 0:
+		co.m.partials.Add(1)
 	}
-	return failed, nil
+	if d.Merge == server.MergeNone {
+		return &server.Response{Status: http.StatusOK, Body: parts[0].([]byte)}
+	}
+	v, err := mergeStrips(d.Merge, q, rows, strips, parts, len(failed) > 0)
+	if err != nil {
+		return server.Errorf(http.StatusBadGateway, "%v", err)
+	}
+	resp := server.OK(v)
+	resp.Failed = strings.Join(failed, ",")
+	return resp
 }
 
-// failedNames joins the replica-group names of lost strips for the
-// X-LD-Shards-Failed header; empty when the answer is complete.
-func (co *Coordinator) failedNames(failed []int) string {
-	if len(failed) == 0 {
-		return ""
-	}
-	names := make([]string, len(failed))
-	for k, shard := range failed {
-		names[k] = co.groups[shard].names()
-	}
-	co.m.partials.Add(1)
-	return strings.Join(names, ",")
-}
-
-func (co *Coordinator) handleRegion(w http.ResponseWriter, r *http.Request) {
-	start, err := intQuery(r, "start")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	end, err := intQuery(r, "end")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if start < 0 || end <= start || end > co.n {
-		httpError(w, http.StatusBadRequest, "invalid region [%d,%d) of %d SNPs", start, end, co.n)
-		return
-	}
-	rlo, rhi, windowed, err := rowsQuery(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if windowed {
-		if rlo < start || rhi <= rlo || rhi > end {
-			httpError(w, http.StatusBadRequest,
-				"rows [%d,%d) outside region [%d,%d)", rlo, rhi, start, end)
-			return
-		}
-	} else {
-		rlo, rhi = start, end
-	}
-
-	measure := r.URL.Query().Get("measure")
-	key := fmt.Sprintf("region start=%d end=%d measure=%s rows=%d:%d windowed=%t",
-		start, end, measure, rlo, rhi, windowed)
-	co.serve(w, r, key, func(ctx context.Context) *clusterResponse {
-		owners := co.part.overlapping(rlo, rhi)
-		results := co.scatter(ctx, owners, func(shard int) string {
-			strip := co.part.ranges[shard]
-			q := url.Values{}
-			q.Set("start", strconv.Itoa(start))
-			q.Set("end", strconv.Itoa(end))
-			if measure != "" {
-				q.Set("measure", measure)
-			}
-			q.Set("rows", fmt.Sprintf("%d:%d", max(strip.Start, rlo), min(strip.End, rhi)))
-			return "/api/ld/region?" + q.Encode()
-		}, func(res *stripResult) any { return &res.region })
-		failed, terminal := co.gatherVerdict(owners, results)
-		if terminal != nil {
-			return terminal
-		}
-
-		resp := server.RegionResponse{Start: start, End: end, Partial: len(failed) > 0}
-		if windowed && !(rlo == start && rhi == end) {
-			resp.RowStart, resp.RowEnd = rlo, rhi
-		}
-		resp.Values = make([][]float64, rhi-rlo)
-		for k, shard := range owners {
-			if results[k].err != nil {
-				continue
-			}
-			resp.Measure = results[k].region.Measure
-			strip := co.part.ranges[shard]
-			for i, row := range results[k].region.Values {
-				resp.Values[max(strip.Start, rlo)-rlo+i] = row
-			}
-		}
-		return okResponse(resp, co.failedNames(failed))
-	})
-}
-
-func (co *Coordinator) handleTop(w http.ResponseWriter, r *http.Request) {
-	k := 20
-	if v := r.URL.Query().Get("k"); v != "" {
-		var err error
-		if k, err = strconv.Atoi(v); err != nil {
-			httpError(w, http.StatusBadRequest, "parameter %q: %v", "k", err)
-			return
-		}
-	}
-	if k < 1 {
-		httpError(w, http.StatusBadRequest, "k=%d below 1", k)
-		return
-	}
-	rlo, rhi, windowed, err := rowsQuery(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if windowed {
-		if rlo < 0 || rhi <= rlo || rhi > co.n {
-			httpError(w, http.StatusBadRequest, "rows [%d,%d) outside 0..%d", rlo, rhi, co.n)
-			return
-		}
-	} else {
-		rlo, rhi = 0, co.n
-	}
-
-	key := fmt.Sprintf("top k=%d rows=%d:%d windowed=%t", k, rlo, rhi, windowed)
-	co.serve(w, r, key, func(ctx context.Context) *clusterResponse {
-		owners := co.part.overlapping(rlo, rhi)
-		results := co.scatter(ctx, owners, func(shard int) string {
-			strip := co.part.ranges[shard]
-			q := url.Values{}
-			q.Set("k", strconv.Itoa(k))
-			q.Set("rows", fmt.Sprintf("%d:%d", max(strip.Start, rlo), min(strip.End, rhi)))
-			return "/api/ld/top?" + q.Encode()
-		}, func(res *stripResult) any { return &res.top })
-		failed, terminal := co.gatherVerdict(owners, results)
-		if terminal != nil {
-			return terminal
-		}
-
-		lists := make([][]server.PairResponse, 0, len(results))
-		for _, res := range results {
-			if res.err == nil {
-				lists = append(lists, res.top.Pairs)
-			}
-		}
-		return okResponse(
-			server.TopResponse{K: k, Partial: len(failed) > 0, Pairs: mergeTop(k, lists)},
-			co.failedNames(failed))
-	})
-}
-
-// handleProxy forwards whole-matrix endpoints (prune, blocks, omega) —
-// every replica holds the full matrix, so any healthy one can answer.
-// The round-robin cursor spreads the load across groups; breaker-open
-// replicas fail fast and the next candidate is tried.
-func (co *Coordinator) handleProxy(w http.ResponseWriter, r *http.Request) {
-	pathQuery := r.URL.Path
-	if r.URL.RawQuery != "" {
-		pathQuery += "?" + r.URL.RawQuery
-	}
+// forward sends a query that needs no row ownership to any healthy
+// replica. The round-robin cursor spreads the load across groups;
+// breaker-open replicas fail fast and the next group is tried.
+func (co *Coordinator) forward(ctx context.Context, pathQuery string) *server.Response {
 	first := int(co.rr.Add(1)) % len(co.groups)
 	var lastErr error
 	for k := range co.groups {
 		g := co.groups[(first+k)%len(co.groups)]
-		body, err := g.get(r.Context(), pathQuery)
+		body, err := g.call(ctx, http.MethodGet, pathQuery, nil)
 		if err == nil {
 			co.m.proxied.Add(1)
-			relayBody(w, body)
-			return
+			return &server.Response{Status: http.StatusOK, Body: body}
 		}
-		var he *HTTPError
-		if errors.As(err, &he) && he.Status < 500 {
-			relayError(w, he)
-			return
+		if resp := terminal(err); resp != nil {
+			return resp
 		}
 		lastErr = err
 	}
-	httpError(w, http.StatusBadGateway, "all shards failed: %v", lastErr)
+	return server.Errorf(http.StatusBadGateway, "all shards failed: %v", lastErr)
 }
 
-// stripFailure builds the response for a single-strip route that could
-// not be served by any replica: terminal shard responses relay verbatim,
-// everything else is a 502.
-func (co *Coordinator) stripFailure(g *replicaGroup, err error) *clusterResponse {
+// terminal returns the shard's own answer when err is a deliberate 4xx —
+// the shard is healthy and rejected the request itself — to be relayed
+// verbatim, and nil for any failure of the shard.
+func terminal(err error) *server.Response {
 	var he *HTTPError
 	if errors.As(err, &he) && he.Status < 500 {
-		return &clusterResponse{status: he.Status, body: he.Body}
+		return &server.Response{Status: he.Status, Body: he.Body}
 	}
-	return errorResponse(http.StatusBadGateway, "shard %s failed: %v", g.names(), err)
+	return nil
 }
 
-// relayBody forwards a shard's 200 response verbatim, preserving
-// bit-identity with the single-node API.
-func relayBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-// relayError forwards a terminal shard error (status and body) verbatim.
-func relayError(w http.ResponseWriter, he *HTTPError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(he.Status)
-	w.Write(he.Body)
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
+// vecDigest hashes a vector's exact bit pattern for cache/coalesce keys:
+// two requests share an entry only when every entry is bit-identical.
+func vecDigest(v []float64) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func intQuery(r *http.Request, name string) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return n, nil
-}
-
-// rowsQuery parses an optional rows=a:b window.
-func rowsQuery(r *http.Request) (lo, hi int, ok bool, err error) {
-	v := r.URL.Query().Get("rows")
-	if v == "" {
-		return 0, 0, false, nil
-	}
-	a, b, found := strings.Cut(v, ":")
-	if !found {
-		return 0, 0, false, fmt.Errorf("parameter %q: want a:b, got %q", "rows", v)
-	}
-	if lo, err = strconv.Atoi(a); err != nil {
-		return 0, 0, false, fmt.Errorf("parameter %q: %v", "rows", err)
-	}
-	if hi, err = strconv.Atoi(b); err != nil {
-		return 0, 0, false, fmt.Errorf("parameter %q: %v", "rows", err)
-	}
-	return lo, hi, true, nil
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }

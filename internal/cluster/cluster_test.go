@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -158,6 +160,117 @@ func TestClusterBitIdentity(t *testing.T) {
 		info.Shards[1].Start != 60 || info.Shards[1].End != 120 {
 		t.Fatalf("cluster info %+v", info)
 	}
+
+	// Error parity: every invalid request gets the same status and a
+	// byte-identical {"error":…} body from a single node, a 1-strip
+	// coordinator and a 2-strip coordinator — all three parse and validate
+	// through the same query definitions. The nodes here carry a sparse
+	// store so the operator endpoints reject on their own grounds.
+	tiers := []*httptest.Server{
+		sparseShardServer(t, 0, 0),
+		newTestCluster(t, fastConfig(), sparseShardServer(t, 0, 120).URL),
+		newTestCluster(t, fastConfig(), sparseShardServer(t, 0, 60).URL, sparseShardServer(t, 60, 120).URL),
+	}
+	vector := func(key string, n int) string {
+		b, _ := json.Marshal(map[string][]float64{key: make([]float64, n)})
+		return string(b)
+	}
+	for _, c := range []struct {
+		method, path, body string
+		status             int
+		wording            string // the node's wording, where the tiers used to differ
+	}{
+		// a missing parameter
+		{method: "GET", path: "/api/freq", status: 400},
+		{method: "GET", path: "/api/ld?i=3", status: 400},
+		{method: "GET", path: "/api/ld/region?start=30", status: 400},
+		// a non-integer value
+		{method: "GET", path: "/api/freq?i=x", status: 400},
+		{method: "GET", path: "/api/ld?i=3&j=x", status: 400},
+		{method: "GET", path: "/api/ld/region?start=x&end=90", status: 400},
+		{method: "GET", path: "/api/ld/region?start=30&end=90&rows=a:b", status: 400},
+		{method: "GET", path: "/api/ld/region?start=30&end=90&rows=5", status: 400, wording: `parameter "rows" must be a:b, got "5"`},
+		{method: "GET", path: "/api/ld/top?k=x", status: 400},
+		{method: "GET", path: "/api/ld/top?rows=5", status: 400},
+		{method: "POST", path: "/api/sparse/matvec?rows=1:x", body: vector("x", 120), status: 400},
+		{method: "POST", path: "/api/sparse/score", body: "{nope", status: 400},
+		{method: "GET", path: "/api/prune?window=x", status: 400},
+		{method: "GET", path: "/api/prune?r2=x", status: 400},
+		{method: "GET", path: "/api/blocks?frac=x", status: 400},
+		{method: "GET", path: "/api/omega?max_each=x", status: 400},
+		// an out-of-range index or value
+		{method: "GET", path: "/api/freq?i=120", status: 400, wording: "i=120 outside 0..119"},
+		{method: "GET", path: "/api/ld?i=0&j=999", status: 400, wording: "j=999 outside 0..119"},
+		{method: "GET", path: "/api/ld?i=-1&j=5", status: 400},
+		{method: "GET", path: "/api/ld/region?start=0&end=999", status: 400},
+		{method: "GET", path: "/api/ld/region?start=90&end=30", status: 400},
+		{method: "GET", path: "/api/prune?window=1", status: 400},
+		{method: "GET", path: "/api/prune?r2=0", status: 400},
+		{method: "GET", path: "/api/blocks?dprime=2", status: 400},
+		{method: "GET", path: "/api/omega?grid=0", status: 400},
+		{method: "GET", path: "/api/omega?min_each=100", status: 400},
+		// an inverted or empty rows window
+		{method: "GET", path: "/api/ld/region?start=30&end=90&rows=70:50", status: 400},
+		{method: "GET", path: "/api/ld/region?start=30&end=90&rows=50:50", status: 400},
+		{method: "GET", path: "/api/ld/top?rows=70:50", status: 400},
+		{method: "POST", path: "/api/sparse/matvec?rows=90:10", body: vector("x", 120), status: 400},
+		{method: "POST", path: "/api/sparse/score?rows=10:10", body: vector("z", 120), status: 400},
+		// rows outside the region or the matrix
+		{method: "GET", path: "/api/ld/region?start=30&end=90&rows=0:40", status: 400},
+		{method: "GET", path: "/api/ld/region?start=30&end=90&rows=80:100", status: 400},
+		{method: "GET", path: "/api/ld/top?rows=100:121", status: 400},
+		{method: "POST", path: "/api/sparse/score?rows=-1:10", body: vector("z", 120), status: 400},
+		// k outside 1..cap: the cap is the shards', so their verdict is relayed
+		{method: "GET", path: "/api/ld/top?k=0", status: 400, wording: "k=0 outside 1..1000"},
+		{method: "GET", path: "/api/ld/top?k=-3", status: 400},
+		{method: "GET", path: "/api/ld/top?k=1001", status: 400},
+		// an unknown measure
+		{method: "GET", path: "/api/ld/region?start=30&end=90&measure=nope", status: 400},
+		// a wrong-length vector
+		{method: "POST", path: "/api/sparse/matvec", body: vector("x", 7), status: 400},
+		{method: "POST", path: "/api/sparse/score", body: vector("z", 121), status: 400},
+		{method: "POST", path: "/api/sparse/matvec", body: vector("z", 120), status: 400}, // wrong field: x is empty
+		// an oversized body
+		{method: "POST", path: "/api/sparse/matvec", body: vector("x", 8000), status: 413},
+		// a wrong method, an unknown path
+		{method: "POST", path: "/api/ld/region?start=30&end=90", status: 405},
+		{method: "POST", path: "/api/freq?i=3", status: 405},
+		{method: "GET", path: "/api/sparse/matvec", status: 405},
+		{method: "DELETE", path: "/api/sparse/score", status: 405},
+		{method: "GET", path: "/api/nope", status: 404},
+	} {
+		var want []byte
+		for tier, ts := range tiers {
+			req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			got := append([]byte(resp.Header.Get("Allow")+" "), body...)
+			if resp.StatusCode != c.status {
+				t.Errorf("%s %s: tier %d answered %d %s, want %d", c.method, c.path, tier, resp.StatusCode, body, c.status)
+			}
+			var payload struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(body, &payload); err != nil || payload.Error == "" {
+				t.Errorf("%s %s: tier %d body %q is not a JSON error", c.method, c.path, tier, body)
+			}
+			if c.wording != "" && payload.Error != c.wording {
+				t.Errorf("%s %s: tier %d says %q, the node's wording is %q", c.method, c.path, tier, payload.Error, c.wording)
+			}
+			if tier == 0 {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("%s %s: tier %d answered %q, single node %q", c.method, c.path, tier, got, want)
+			}
+		}
+	}
 }
 
 // TestClusterPartial kills one shard: scatter-gathered endpoints must
@@ -221,17 +334,18 @@ func TestClusterPartial(t *testing.T) {
 	}
 }
 
-// TestClusterRelaysTerminal checks that shard-side 4xx responses pass
-// through the coordinator verbatim instead of being retried or masked.
+// TestClusterRelaysTerminal checks that bad requests get a JSON 4xx,
+// whether the coordinator rejects them itself or relays a shard's verdict
+// (k=0: the cap is the shard's) verbatim instead of retrying or masking it.
 func TestClusterRelaysTerminal(t *testing.T) {
 	cluster := newTestCluster(t, fastConfig(), shardServer(t, 0, 60).URL, shardServer(t, 60, 120).URL)
 	cases := []struct {
 		q    string
 		want int
 	}{
-		{"/api/ld?i=0&j=999", http.StatusBadRequest}, // coordinator-side bounds check
+		{"/api/ld?i=0&j=999", http.StatusBadRequest},
 		{"/api/ld/region?start=0&end=999", http.StatusBadRequest},
-		{"/api/ld/region?start=0&end=120&measure=nope", http.StatusBadRequest}, // relayed from shard
+		{"/api/ld/region?start=0&end=120&measure=nope", http.StatusBadRequest},
 		{"/api/ld/top?k=0", http.StatusBadRequest},
 		{"/api/nope", http.StatusNotFound},
 	}
@@ -259,27 +373,29 @@ func TestClusterRelaysTerminal(t *testing.T) {
 // TestPartitionValidation rejects shard sets that do not tile the index
 // range, and New rejects mismatched matrices.
 func TestPartitionValidation(t *testing.T) {
-	if _, _, err := newPartition([]Range{{0, 60}, {50, 120}}, 120); err == nil {
+	if _, _, err := newPartition([]server.Window{{Lo: 0, Hi: 60}, {Lo: 50, Hi: 120}}, 120); err == nil {
 		t.Fatal("overlapping strips accepted")
 	}
-	if _, _, err := newPartition([]Range{{0, 50}, {60, 120}}, 120); err == nil {
+	if _, _, err := newPartition([]server.Window{{Lo: 0, Hi: 50}, {Lo: 60, Hi: 120}}, 120); err == nil {
 		t.Fatal("gapped strips accepted")
 	}
-	if _, _, err := newPartition([]Range{{0, 60}, {60, 100}}, 120); err == nil {
+	if _, _, err := newPartition([]server.Window{{Lo: 0, Hi: 60}, {Lo: 60, Hi: 100}}, 120); err == nil {
 		t.Fatal("short strips accepted")
 	}
 	if _, _, err := newPartition(nil, 120); err == nil {
 		t.Fatal("empty shard set accepted")
 	}
-	p, order, err := newPartition([]Range{{60, 120}, {0, 60}}, 120)
+	p, order, err := newPartition([]server.Window{{Lo: 60, Hi: 120}, {Lo: 0, Hi: 60}}, 120)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(order, []int{1, 0}) {
 		t.Fatalf("sort order %v", order)
 	}
-	if p.owner(0) != 0 || p.owner(59) != 0 || p.owner(60) != 1 || p.owner(119) != 1 {
-		t.Fatal("owner lookup broken")
+	for row, want := range map[int]int{0: 0, 59: 0, 60: 1, 119: 1} {
+		if ov := p.overlapping(row, row+1); !reflect.DeepEqual(ov, []int{want}) {
+			t.Fatalf("row %d owned by %v, want strip %d", row, ov, want)
+		}
 	}
 	if ov := p.overlapping(50, 70); !reflect.DeepEqual(ov, []int{0, 1}) {
 		t.Fatalf("overlapping(50,70) = %v", ov)
@@ -315,7 +431,7 @@ func TestRetry(t *testing.T) {
 	defer ts.Close()
 	m := &shardMetrics{}
 	c := newShardClient(ts.URL, ts.Client(), Config{Retries: 2, RetryBackoff: time.Millisecond, HedgeAfter: -1}.normalize(), m)
-	body, err := c.get(context.Background(), "/")
+	body, err := c.call(context.Background(), http.MethodGet, "/", nil)
 	if err != nil {
 		t.Fatalf("get after retries: %v", err)
 	}
@@ -348,7 +464,7 @@ func TestHedge(t *testing.T) {
 	defer close(release)
 	m := &shardMetrics{}
 	c := newShardClient(ts.URL, ts.Client(), Config{HedgeAfter: 5 * time.Millisecond, Retries: -1}.normalize(), m)
-	if _, err := c.get(context.Background(), "/"); err != nil {
+	if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err != nil {
 		t.Fatalf("hedged get: %v", err)
 	}
 	if m.hedges.Value() < 1 || m.hedgeWins.Value() < 1 {
@@ -376,7 +492,7 @@ func TestBreakerTripRecover(t *testing.T) {
 	}.normalize(), m)
 
 	for i := 0; i < 2; i++ {
-		if _, err := c.get(context.Background(), "/"); err == nil {
+		if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err == nil {
 			t.Fatal("failing shard answered")
 		}
 	}
@@ -385,7 +501,7 @@ func TestBreakerTripRecover(t *testing.T) {
 	}
 	// Open circuit: fail fast, no network.
 	before := m.requests.Value()
-	if _, err := c.get(context.Background(), "/"); err == nil {
+	if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err == nil {
 		t.Fatal("open breaker admitted a call")
 	}
 	if m.requests.Value() != before {
@@ -397,7 +513,7 @@ func TestBreakerTripRecover(t *testing.T) {
 
 	failing.Store(false)
 	time.Sleep(60 * time.Millisecond)
-	if _, err := c.get(context.Background(), "/"); err != nil {
+	if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	if state, _ := c.breaker.snapshot(); state != breakerClosed {

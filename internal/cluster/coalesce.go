@@ -1,6 +1,10 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
+
+	"ldgemm/internal/server"
+)
 
 // flightGroup coalesces identical in-flight requests: the first caller
 // for a key becomes the leader and runs the shard fan-out, every
@@ -16,7 +20,7 @@ type flightGroup struct {
 
 type flightCall struct {
 	done chan struct{}
-	resp *clusterResponse
+	resp *server.Response
 }
 
 func newFlightGroup() *flightGroup {
@@ -26,7 +30,7 @@ func newFlightGroup() *flightGroup {
 // do returns fn's response for key, running fn at most once across all
 // concurrent callers. shared reports whether this caller piggybacked on
 // another's in-flight work.
-func (g *flightGroup) do(key string, fn func() *clusterResponse) (resp *clusterResponse, shared bool) {
+func (g *flightGroup) do(key string, fn func() *server.Response) (resp *server.Response, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()

@@ -2,22 +2,77 @@ package cluster
 
 import (
 	"container/heap"
+	"encoding/json"
+	"fmt"
 
+	"ldgemm/internal/core"
 	"ldgemm/internal/server"
 )
 
-// pairStronger is the canonical ranking order (R2 desc, then I, then J) —
-// the same comparator core.PairStronger and the store's top-K heap use,
-// so a merge of per-shard rankings reproduces the single-node order
-// exactly.
-func pairStronger(a, b server.PairResponse) bool {
-	if a.R2 != b.R2 {
-		return a.R2 > b.R2
+// The coordinator's half of a query definition's merge rule: decodeStrip
+// parses one strip's 200 body (concurrently, as answers arrive) into the
+// part the rule combines, and mergeStrips combines the parts, in strip
+// order, into the payload a single node would have produced.
+
+// sparsePart is one strip's answered window and vector segment.
+type sparsePart struct {
+	rows server.Window
+	seg  []float64
+}
+
+func decodeStrip(rule server.Merge, q server.Query, body []byte) (any, error) {
+	switch rule {
+	case server.MergeStack:
+		var resp server.RegionResponse
+		err := json.Unmarshal(body, &resp)
+		return resp.Values, err
+	case server.MergeKWay:
+		var resp server.TopResponse
+		err := json.Unmarshal(body, &resp)
+		return resp.Pairs, err
+	case server.MergeConcat:
+		rows, seg, err := q.(server.SparseQuery).Segment(body)
+		return sparsePart{rows, seg}, err
 	}
-	if a.I != b.I {
-		return a.I < b.I
+	return body, nil // MergeNone: the bytes themselves are relayed
+}
+
+// mergeStrips combines per-strip parts; parts[k] is nil for a lost strip
+// (only under rules that allow a partial answer).
+func mergeStrips(rule server.Merge, q server.Query, rows server.Window, strips []server.Window, parts []any, partial bool) (any, error) {
+	switch rule {
+	case server.MergeStack:
+		values := make([][]float64, rows.Hi-rows.Lo)
+		for k, part := range parts {
+			if part != nil {
+				copy(values[strips[k].Lo-rows.Lo:], part.([][]float64))
+			}
+		}
+		resp := q.(server.RegionQuery).Response(rows, values)
+		resp.Partial = partial
+		return resp, nil
+	case server.MergeKWay:
+		k := q.(server.TopQuery).K
+		lists := make([][]server.PairResponse, 0, len(parts))
+		for _, part := range parts {
+			if part != nil {
+				lists = append(lists, part.([]server.PairResponse))
+			}
+		}
+		return server.TopResponse{K: k, Partial: partial, Pairs: mergeTop(k, lists)}, nil
+	case server.MergeConcat:
+		out := make([]float64, rows.Hi-rows.Lo)
+		for k, part := range parts {
+			p := part.(sparsePart)
+			if p.rows != strips[k] || len(p.seg) != strips[k].Hi-strips[k].Lo {
+				return nil, fmt.Errorf("strip [%d,%d) answered window [%d,%d) with %d rows",
+					strips[k].Lo, strips[k].Hi, p.rows.Lo, p.rows.Hi, len(p.seg))
+			}
+			copy(out[strips[k].Lo-rows.Lo:], p.seg)
+		}
+		return q.(server.SparseQuery).Response(rows, out), nil
 	}
-	return a.J < b.J
+	return nil, fmt.Errorf("no merge rule %d", rule)
 }
 
 // mergeHeap is a k-way merge frontier over per-shard rankings: one cursor
@@ -31,7 +86,8 @@ type mergeHeap struct {
 func (h *mergeHeap) Len() int { return len(h.head) }
 func (h *mergeHeap) Less(a, b int) bool {
 	la, lb := h.head[a], h.head[b]
-	return pairStronger(h.lists[la][h.pos[la]], h.lists[lb][h.pos[lb]])
+	pa, pb := h.lists[la][h.pos[la]], h.lists[lb][h.pos[lb]]
+	return core.RanksBefore(pa.R2, pa.I, pa.J, pb.R2, pb.I, pb.J)
 }
 func (h *mergeHeap) Swap(a, b int) { h.head[a], h.head[b] = h.head[b], h.head[a] }
 func (h *mergeHeap) Push(x any)    { h.head = append(h.head, x.(int)) }
@@ -42,7 +98,7 @@ func (h *mergeHeap) Pop() any {
 }
 
 // mergeTop streams the k strongest pairs out of per-shard rankings, each
-// already sorted by pairStronger. Because shard strips partition the pair
+// already in canonical order (core.RanksBefore). Because shard strips partition the pair
 // set disjointly, no deduplication is needed: every pair appears in
 // exactly one list.
 func mergeTop(k int, lists [][]server.PairResponse) []server.PairResponse {

@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"expvar"
-	"fmt"
-	"net/http"
-	"time"
+
+	"ldgemm/internal/server"
 )
 
 // shardMetrics is the resilience ledger of one shard, published under the
@@ -27,17 +26,12 @@ type shardMetrics struct {
 	fastFails expvar.Int
 }
 
-// metrics is the coordinator's ops surface, mirroring internal/server's
-// private-expvar-map pattern so many coordinators can coexist in one
-// process without duplicate-name panics.
+// metrics is the coordinator's ops surface: the request accounting every
+// tier shares (server.Metrics) plus the scatter-gather counters.
 type metrics struct {
-	start     time.Time
-	root      *expvar.Map
-	requests  *expvar.Map
-	statuses  *expvar.Map
-	latency   *expvar.Map
+	*server.Metrics
 	partials  expvar.Int // scatter-gathers answered with partial: true
-	proxied   expvar.Int // whole-matrix requests forwarded to a single replica
+	proxied   expvar.Int // ownerless requests forwarded to a single replica
 	coalesced expvar.Int // requests that shared another caller's in-flight fan-out
 }
 
@@ -46,22 +40,10 @@ type metrics struct {
 // every backend) under "shards", plus the result-cache and coalescing
 // counters on the root.
 func newMetrics(coord *Coordinator) *metrics {
-	m := &metrics{
-		start:    time.Now(),
-		root:     new(expvar.Map).Init(),
-		requests: new(expvar.Map).Init(),
-		statuses: new(expvar.Map).Init(),
-		latency:  new(expvar.Map).Init(),
-	}
-	m.root.Set("requests", m.requests)
-	m.root.Set("statuses", m.statuses)
-	m.root.Set("latency_ns", m.latency)
-	m.root.Set("partial_responses", &m.partials)
-	m.root.Set("proxied", &m.proxied)
-	m.root.Set("coalesced_requests", &m.coalesced)
-	m.root.Set("uptime_seconds", expvar.Func(func() any {
-		return time.Since(m.start).Seconds()
-	}))
+	m := &metrics{Metrics: server.NewMetrics()}
+	m.Root.Set("partial_responses", &m.partials)
+	m.Root.Set("proxied", &m.proxied)
+	m.Root.Set("coalesced_requests", &m.coalesced)
 	cacheVar := func(pick func(cacheStats) int64) expvar.Func {
 		return func() any {
 			if coord.cache == nil {
@@ -70,12 +52,12 @@ func newMetrics(coord *Coordinator) *metrics {
 			return pick(coord.cache.stats())
 		}
 	}
-	m.root.Set("result_cache_hits", cacheVar(func(s cacheStats) int64 { return s.Hits }))
-	m.root.Set("result_cache_misses", cacheVar(func(s cacheStats) int64 { return s.Misses }))
-	m.root.Set("result_cache_bytes", cacheVar(func(s cacheStats) int64 { return s.Bytes }))
-	m.root.Set("result_cache_entries", cacheVar(func(s cacheStats) int64 { return s.Entries }))
-	m.root.Set("result_cache_evictions", cacheVar(func(s cacheStats) int64 { return s.Evictions }))
-	m.root.Set("result_cache_rejected", cacheVar(func(s cacheStats) int64 { return s.Rejected }))
+	m.Root.Set("result_cache_hits", cacheVar(func(s cacheStats) int64 { return s.Hits }))
+	m.Root.Set("result_cache_misses", cacheVar(func(s cacheStats) int64 { return s.Misses }))
+	m.Root.Set("result_cache_bytes", cacheVar(func(s cacheStats) int64 { return s.Bytes }))
+	m.Root.Set("result_cache_entries", cacheVar(func(s cacheStats) int64 { return s.Entries }))
+	m.Root.Set("result_cache_evictions", cacheVar(func(s cacheStats) int64 { return s.Evictions }))
+	m.Root.Set("result_cache_rejected", cacheVar(func(s cacheStats) int64 { return s.Rejected }))
 	shards := new(expvar.Map).Init()
 	for gi, g := range coord.groups {
 		for _, rep := range g.replicas {
@@ -100,52 +82,6 @@ func newMetrics(coord *Coordinator) *metrics {
 			shards.Set(rep.base, sv)
 		}
 	}
-	m.root.Set("shards", shards)
+	m.Root.Set("shards", shards)
 	return m
-}
-
-// observe records one finished coordinator request.
-func (m *metrics) observe(path string, status int, d time.Duration) {
-	m.requests.Add(path, 1)
-	m.statuses.Add(fmt.Sprintf("%d", status), 1)
-	m.latency.Add(path, int64(d))
-}
-
-// serveVars writes the metric tree in expvar's JSON format.
-func (m *metrics) serveVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, m.root.String())
-}
-
-// statusWriter captures the response status for metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// observeMiddleware wraps the coordinator mux with request accounting.
-func observeMiddleware(m *metrics, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, r)
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		m.observe(r.URL.Path, sw.status, time.Since(start))
-	})
 }

@@ -26,25 +26,22 @@ package cluster
 import (
 	"fmt"
 	"sort"
-)
 
-// Range is a half-open row strip [Start, End) of the SNP index range.
-type Range struct {
-	Start, End int
-}
+	"ldgemm/internal/server"
+)
 
 // partition maps SNP rows to owning shards. ranges[i] is the strip owned
 // by shard i (after construction, sorted, disjoint, and covering [0, n)
 // exactly).
 type partition struct {
-	ranges []Range
+	ranges []server.Window
 	n      int
 }
 
 // newPartition validates that the advertised strips tile [0, n) exactly.
 // order maps each range back to its shard index: ranges are sorted here,
 // but shard identity must follow the sort.
-func newPartition(ranges []Range, n int) (partition, []int, error) {
+func newPartition(ranges []server.Window, n int) (partition, []int, error) {
 	if len(ranges) == 0 {
 		return partition{}, nil, fmt.Errorf("cluster: no shards")
 	}
@@ -52,17 +49,17 @@ func newPartition(ranges []Range, n int) (partition, []int, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return ranges[order[a]].Start < ranges[order[b]].Start })
-	sorted := make([]Range, len(ranges))
+	sort.Slice(order, func(a, b int) bool { return ranges[order[a]].Lo < ranges[order[b]].Lo })
+	sorted := make([]server.Window, len(ranges))
 	next := 0
 	for k, idx := range order {
 		r := ranges[idx]
-		if r.Start != next || r.End <= r.Start {
+		if r.Lo != next || r.Hi <= r.Lo {
 			return partition{}, nil, fmt.Errorf(
-				"cluster: shard strips do not tile the index range: strip [%d,%d) after row %d", r.Start, r.End, next)
+				"cluster: shard strips do not tile the index range: strip [%d,%d) after row %d", r.Lo, r.Hi, next)
 		}
 		sorted[k] = r
-		next = r.End
+		next = r.Hi
 	}
 	if next != n {
 		return partition{}, nil, fmt.Errorf("cluster: shard strips cover [0,%d) of %d SNPs", next, n)
@@ -70,17 +67,12 @@ func newPartition(ranges []Range, n int) (partition, []int, error) {
 	return partition{ranges: sorted, n: n}, order, nil
 }
 
-// owner returns the shard index owning row i.
-func (p partition) owner(i int) int {
-	return sort.Search(len(p.ranges), func(s int) bool { return p.ranges[s].End > i })
-}
-
 // overlapping returns the shard indices whose strips intersect rows
 // [lo, hi), in ascending strip order.
 func (p partition) overlapping(lo, hi int) []int {
 	var out []int
 	for s, r := range p.ranges {
-		if r.Start < hi && r.End > lo {
+		if r.Lo < hi && r.Hi > lo {
 			out = append(out, s)
 		}
 	}

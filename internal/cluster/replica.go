@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"sort"
 	"strings"
@@ -97,35 +96,21 @@ func (g *replicaGroup) ranked() []*shardClient {
 	return out
 }
 
-// get fetches pathQuery from the healthiest replica, failing over
-// through the rest of the group on shard-side failures. A terminal 4xx
-// returns immediately — it is deterministic for the query, and every
-// replica would answer the same — and only when every replica has
-// failed is the strip reported lost.
-func (g *replicaGroup) get(ctx context.Context, pathQuery string) ([]byte, error) {
-	return g.call(ctx, func(ctx context.Context, r *shardClient) ([]byte, error) {
-		return r.get(ctx, pathQuery)
-	})
-}
-
-// post sends the same JSON body to replicas in health order until one
-// answers. The sparse POST endpoints are pure functions of the dataset
-// and body, so replaying the body on the next replica is safe.
-func (g *replicaGroup) post(ctx context.Context, pathQuery string, body []byte) ([]byte, error) {
-	return g.call(ctx, func(ctx context.Context, r *shardClient) ([]byte, error) {
-		return r.post(ctx, pathQuery, body)
-	})
-}
-
-func (g *replicaGroup) call(ctx context.Context, do func(context.Context, *shardClient) ([]byte, error)) ([]byte, error) {
+// call sends one request to the healthiest replica, failing over through
+// the rest of the group on shard-side failures. A terminal 4xx returns
+// immediately — it is deterministic for the query, and every replica
+// would answer the same — and only when every replica has failed is the
+// strip reported lost. Every endpoint, POST included, is a pure function
+// of the dataset, the query and the body, so replaying the same request
+// on the next replica is safe.
+func (g *replicaGroup) call(ctx context.Context, method, pathQuery string, body []byte) ([]byte, error) {
 	var lastErr error
 	for _, r := range g.ranked() {
-		body, err := do(ctx, r)
+		resp, err := r.call(ctx, method, pathQuery, body)
 		if err == nil {
-			return body, nil
+			return resp, nil
 		}
-		var he *HTTPError
-		if errors.As(err, &he) && he.Status < 500 {
+		if terminal(err) != nil {
 			return nil, err
 		}
 		lastErr = err
@@ -134,24 +119,6 @@ func (g *replicaGroup) call(ctx context.Context, do func(context.Context, *shard
 		}
 	}
 	return nil, lastErr
-}
-
-// getJSON fetches and decodes a 200 response with in-group failover.
-func (g *replicaGroup) getJSON(ctx context.Context, pathQuery string, v any) error {
-	body, err := g.get(ctx, pathQuery)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
-}
-
-// postJSON posts body and decodes a 200 response with in-group failover.
-func (g *replicaGroup) postJSON(ctx context.Context, pathQuery string, body []byte, v any) error {
-	resp, err := g.post(ctx, pathQuery, body)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(resp, v)
 }
 
 // admitting reports whether any replica's breaker would let a call

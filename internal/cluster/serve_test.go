@@ -107,6 +107,66 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	}
 }
 
+// TestResultCacheKeysOnParsedQuery: the cache and coalesce key is the
+// parsed query's canonical spelling, not the raw query string, so a
+// second spelling of a request — a default written out, the full window
+// written out, parameters reordered — is a cache hit with zero shard
+// round trips; and a request the definitions reject never reaches a shard.
+func TestResultCacheKeysOnParsedQuery(t *testing.T) {
+	shardA, callsA := countingShard(t, 0, 60, 0)
+	shardB, callsB := countingShard(t, 60, 120, 0)
+	cluster := newTestCluster(t, fastConfig(), shardA.URL, shardB.URL)
+	fetch := func(q string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(cluster.URL + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	hits := int64(0)
+	for _, spellings := range [][]string{
+		{"/api/ld/region?start=30&end=90", "/api/ld/region?start=30&end=90&measure=r2",
+			"/api/ld/region?start=30&end=90&measure=", "/api/ld/region?start=30&end=90&rows=30:90",
+			"/api/ld/region?measure=r2&rows=30:90&end=90&start=30"},
+		{"/api/ld/top", "/api/ld/top?k=20", "/api/ld/top?k=20&rows=0:120"},
+		{"/api/ld?i=3&j=45", "/api/ld?j=45&i=3"},
+	} {
+		code, first := fetch(spellings[0])
+		if code != http.StatusOK {
+			t.Fatalf("%s status %d", spellings[0], code)
+		}
+		before := callsA.Load() + callsB.Load()
+		for _, q := range spellings[1:] {
+			code, body := fetch(q)
+			if code != http.StatusOK || !bytes.Equal(body, first) {
+				t.Fatalf("%s: status %d, body %q; %s answered %q", q, code, body, spellings[0], first)
+			}
+			if after := callsA.Load() + callsB.Load(); after != before {
+				t.Fatalf("%s reached the shards (%d round trips) after %s was cached", q, after-before, spellings[0])
+			}
+			hits++
+		}
+	}
+	if v := readVars(t, cluster.URL); v.CacheHits != hits {
+		t.Fatalf("result_cache_hits = %d, want %d", v.CacheHits, hits)
+	}
+
+	before := callsA.Load() + callsB.Load()
+	if code, body := fetch("/api/ld/region?start=30&end=90&measure=nope"); code != http.StatusBadRequest {
+		t.Fatalf("unknown measure: status %d %s", code, body)
+	}
+	if after := callsA.Load() + callsB.Load(); after != before {
+		t.Fatalf("unknown measure fanned out to the shards (%d round trips)", after-before)
+	}
+}
+
 // TestResultCacheSkipsPartial: a degraded (partial) answer must never be
 // admitted — the next identical request re-scatters and heals once the
 // strip returns.
@@ -191,8 +251,8 @@ func TestCoalesceConcurrentIdentical(t *testing.T) {
 // TestResultCacheAdmission drives the LRU unit directly: byte budget,
 // oversize rejection, LRU eviction order, and replacement accounting.
 func TestResultCacheAdmission(t *testing.T) {
-	body := func(n int) *clusterResponse {
-		return &clusterResponse{status: http.StatusOK, body: bytes.Repeat([]byte("x"), n)}
+	body := func(n int) *server.Response {
+		return &server.Response{Status: http.StatusOK, Body: bytes.Repeat([]byte("x"), n)}
 	}
 	c := newResultCache(8 << 10) // 8 KiB, max entry 1 KiB
 
@@ -253,10 +313,10 @@ func TestFlightGroupSharesLeader(t *testing.T) {
 	g := newFlightGroup()
 	var runs atomic.Int64
 	gate := make(chan struct{})
-	fn := func() *clusterResponse {
+	fn := func() *server.Response {
 		runs.Add(1)
 		<-gate
-		return &clusterResponse{status: http.StatusOK, body: []byte("r")}
+		return &server.Response{Status: http.StatusOK, Body: []byte("r")}
 	}
 	const n = 6
 	var wg sync.WaitGroup
@@ -266,7 +326,7 @@ func TestFlightGroupSharesLeader(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			resp, shared := g.do("key", fn)
-			if string(resp.body) != "r" {
+			if string(resp.Body) != "r" {
 				t.Error("wrong response")
 			}
 			if shared {
@@ -289,7 +349,7 @@ func TestFlightGroupSharesLeader(t *testing.T) {
 		t.Fatalf("%d callers shared, want %d", sharedCount.Load(), n-1)
 	}
 	// After completion the key is free again.
-	if _, shared := g.do("key", func() *clusterResponse { runs.Add(1); return &clusterResponse{} }); shared {
+	if _, shared := g.do("key", func() *server.Response { runs.Add(1); return &server.Response{} }); shared {
 		t.Fatal("fresh call reported shared")
 	}
 	if runs.Load() != 2 {

@@ -105,5 +105,7 @@ func TestSignificanceRowWindow(t *testing.T) {
 }
 
 func sortPairs(ps []SignificantPair) {
-	sort.Slice(ps, func(a, b int) bool { return PairStronger(ps[a], ps[b]) })
+	sort.Slice(ps, func(a, b int) bool {
+		return RanksBefore(ps[a].R2, ps[a].I, ps[a].J, ps[b].R2, ps[b].I, ps[b].J)
+	})
 }

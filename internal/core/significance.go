@@ -138,21 +138,27 @@ func Significance(g *bitmat.Matrix, opt SignificanceOptions) (*SignificanceResul
 	// Strongest first, ties broken by (I, J) so the ranking is fully
 	// deterministic — a cluster coordinator merging per-shard lists with
 	// the same comparator reproduces the single-node order exactly.
-	sort.Slice(res.Pairs, func(a, b int) bool { return PairStronger(res.Pairs[a], res.Pairs[b]) })
+	sort.Slice(res.Pairs, func(a, b int) bool {
+		pa, pb := res.Pairs[a], res.Pairs[b]
+		return RanksBefore(pa.R2, pa.I, pa.J, pb.R2, pb.I, pb.J)
+	})
 	return res, nil
 }
 
-// PairStronger is the canonical ranking of significant pairs: by r²
-// descending, then (I, J) ascending. Exported so scatter-gather merges
-// order partial results exactly as Significance orders a full scan.
-func PairStronger(a, b SignificantPair) bool {
-	if a.R2 != b.R2 {
-		return a.R2 > b.R2
+// RanksBefore is the canonical ranking of SNP pairs, over the bare
+// (r², i, j) triple: by r² descending, then (i, j) ascending. Every
+// ranking in the system — Significance below, the tile store's top-K
+// heap, a coordinator's k-way merge of per-shard lists — orders by this
+// one comparator, so merged partial rankings reproduce a full scan's
+// order exactly.
+func RanksBefore(r2a float64, ia, ja int, r2b float64, ib, jb int) bool {
+	if r2a != r2b {
+		return r2a > r2b
 	}
-	if a.I != b.I {
-		return a.I < b.I
+	if ia != ib {
+		return ia < ib
 	}
-	return a.J < b.J
+	return ja < jb
 }
 
 // pairHeap is a min-heap of SignificantPair ordered by r².

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"ldgemm/internal/core"
 	"ldgemm/internal/tilefile"
 )
 
@@ -274,17 +275,11 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 	return out, nil
 }
 
-// topLess orders pairs weakest-first: by value, then reversed (I, J) so
-// that the heap evicts the lexicographically-latest among equals and the
-// final ranking is deterministic.
+// topLess orders pairs weakest-first — the canonical ranking reversed —
+// so the heap evicts the last-ranked among equals and the final ranking
+// is deterministic.
 func topLess(a, b TopPair) bool {
-	if a.Value != b.Value {
-		return a.Value < b.Value
-	}
-	if a.I != b.I {
-		return a.I > b.I
-	}
-	return a.J > b.J
+	return core.RanksBefore(b.Value, b.I, b.J, a.Value, a.I, a.J)
 }
 
 type topHeap []TopPair

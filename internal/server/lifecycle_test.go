@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -232,6 +233,47 @@ func TestDebugVars(t *testing.T) {
 	}
 }
 
+// TestMetricsKeyedByRoute: /debug/vars keys requests and latency by the
+// matched route, not the raw path, so a scanner walking a thousand
+// distinct junk paths adds one "other" key instead of a thousand permanent
+// ones — also under a request deadline, which hands the mux a copy of the
+// request.
+func TestMetricsKeyedByRoute(t *testing.T) {
+	g, err := popsim.Mosaic(40, 32, popsim.MosaicConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(g, Config{RequestTimeout: time.Minute}))
+	defer ts.Close()
+	for i := 0; i < 1000; i++ {
+		if code := getJSON(t, fmt.Sprintf("%s/a%d", ts.URL, i), nil); code != http.StatusNotFound {
+			t.Fatalf("junk path status %d", code)
+		}
+	}
+	getJSON(t, ts.URL+"/api/ld/region?start=0&end=8", nil)
+	getJSON(t, ts.URL+"/api/sparse/matvec", nil) // 405 on the POST-only route
+	var vars struct {
+		Requests map[string]int64 `json:"requests"`
+		Latency  map[string]int64 `json:"latency_ns"`
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		getJSON(t, ts.URL+"/debug/vars", &vars)
+		if vars.Requests["/api/sparse/matvec"] >= 1 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if vars.Requests["other"] != 1000 {
+		t.Fatalf("requests[other] = %d, want 1000", vars.Requests["other"])
+	}
+	if vars.Requests["/api/ld/region"] != 1 || vars.Requests["/api/sparse/matvec"] != 1 {
+		t.Fatalf("registered routes not keyed by their path: %v", vars.Requests)
+	}
+	if max := len(Definitions) + 6; len(vars.Requests) > max || len(vars.Latency) > max {
+		t.Fatalf("%d request keys and %d latency keys after 1000 junk paths, want at most %d: %v",
+			len(vars.Requests), len(vars.Latency), max, vars.Requests)
+	}
+}
+
 // TestOmegaPeakSeededFromFirstPoint locks in the peak-selection fix: a
 // scan over a monomorphic matrix has ω = 0 everywhere, and the reported
 // peak must be a real grid point (the first), not the zero value.
@@ -272,7 +314,7 @@ func TestComputeErrorClassification(t *testing.T) {
 	}
 	for _, c := range cases {
 		rec := httptest.NewRecorder()
-		s.computeError(rec, httptest.NewRequest("GET", "/api/ld/region", nil), c.err)
+		s.computeError(c.err).Write(rec)
 		if rec.Code != c.want {
 			t.Fatalf("%v -> %d, want %d", c.err, rec.Code, c.want)
 		}

@@ -11,21 +11,55 @@ import (
 	"ldgemm/internal/ldstore"
 )
 
-// metrics is the per-Server ops surface, served on /debug/vars. The
-// counters are expvar vars held in a private map rather than published to
-// the process-global expvar registry, so many Servers (tests, multi-tenant
-// embedding) can coexist without duplicate-name panics.
+// Metrics is the request accounting every tier publishes on /debug/vars,
+// and the root its tier-specific counters hang from. The vars live in a
+// private map rather than the process-global expvar registry, so many
+// servers and coordinators (tests, multi-tenant embedding) can coexist
+// without duplicate-name panics.
 //
-// Exposed names:
-//
-//	requests        per-endpoint request counts (by URL path)
+//	requests        request counts by matched route; every path no
+//	                route matches folds into "other", so a scanner
+//	                cannot mint a permanent key per 404
 //	statuses        response counts by HTTP status code
-//	latency_ns      per-endpoint cumulative handling time, nanoseconds
+//	latency_ns      cumulative handling time by route, nanoseconds
+//	uptime_seconds  seconds since construction
+type Metrics struct {
+	Root     *expvar.Map
+	requests *expvar.Map
+	statuses *expvar.Map
+	latency  *expvar.Map
+}
+
+// NewMetrics builds the shared request-accounting tree.
+func NewMetrics() *Metrics {
+	m := &Metrics{
+		Root:     new(expvar.Map).Init(),
+		requests: new(expvar.Map).Init(),
+		statuses: new(expvar.Map).Init(),
+		latency:  new(expvar.Map).Init(),
+	}
+	start := time.Now()
+	m.Root.Set("requests", m.requests)
+	m.Root.Set("statuses", m.statuses)
+	m.Root.Set("latency_ns", m.latency)
+	m.Root.Set("uptime_seconds", expvar.Func(func() any {
+		return time.Since(start).Seconds()
+	}))
+	return m
+}
+
+// ServeVars writes the metric tree in expvar's JSON format.
+func (m *Metrics) ServeVars(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	fmt.Fprintln(w, m.Root.String())
+}
+
+// metrics is a node's ops surface: the shared request accounting plus
+//
 //	in_flight       heavy requests currently holding a semaphore slot
 //	shed            requests rejected with 503 by the in-flight cap
 //	cancelled       compute requests abandoned by the client (499)
 //	timed_out       compute requests that hit the deadline (504)
-//	uptime_seconds  seconds since the Server was constructed
 //	blis            cumulative kernel-driver counters: calls, cancelled,
 //	                cells, nanos, kernel_gcells_per_sec (mean giga-cells
 //	                of C×k work per second), kernel_variant and
@@ -54,11 +88,7 @@ import (
 //	                evictions, bytes_served, matvecs, matvec_nanos,
 //	                scores, entries_visited
 type metrics struct {
-	start          time.Time
-	root           *expvar.Map
-	requests       *expvar.Map
-	statuses       *expvar.Map
-	latency        *expvar.Map
+	*Metrics
 	inFlight       expvar.Int
 	shed           expvar.Int
 	cancelled      expvar.Int
@@ -69,27 +99,15 @@ type metrics struct {
 }
 
 func newMetrics() *metrics {
-	m := &metrics{
-		start:    time.Now(),
-		root:     new(expvar.Map).Init(),
-		requests: new(expvar.Map).Init(),
-		statuses: new(expvar.Map).Init(),
-		latency:  new(expvar.Map).Init(),
-	}
-	m.root.Set("requests", m.requests)
-	m.root.Set("statuses", m.statuses)
-	m.root.Set("latency_ns", m.latency)
-	m.root.Set("in_flight", &m.inFlight)
-	m.root.Set("shed", &m.shed)
-	m.root.Set("cancelled", &m.cancelled)
-	m.root.Set("timed_out", &m.timedOut)
-	m.root.Set("uptime_seconds", expvar.Func(func() any {
-		return time.Since(m.start).Seconds()
-	}))
-	m.root.Set("store_served", &m.storeServed)
-	m.root.Set("store_fallbacks", &m.storeFallbacks)
-	m.root.Set("sparse_served", &m.sparseServed)
-	m.root.Set("sparse", expvar.Func(func() any {
+	m := &metrics{Metrics: NewMetrics()}
+	m.Root.Set("in_flight", &m.inFlight)
+	m.Root.Set("shed", &m.shed)
+	m.Root.Set("cancelled", &m.cancelled)
+	m.Root.Set("timed_out", &m.timedOut)
+	m.Root.Set("store_served", &m.storeServed)
+	m.Root.Set("store_fallbacks", &m.storeFallbacks)
+	m.Root.Set("sparse_served", &m.sparseServed)
+	m.Root.Set("sparse", expvar.Func(func() any {
 		s := ldsparse.ReadStats()
 		return map[string]any{
 			"tiles_read":      s.TilesRead,
@@ -105,7 +123,7 @@ func newMetrics() *metrics {
 			"entries_visited": s.EntriesVisited,
 		}
 	}))
-	m.root.Set("store", expvar.Func(func() any {
+	m.Root.Set("store", expvar.Func(func() any {
 		s := ldstore.ReadStats()
 		return map[string]any{
 			"tiles_read":     s.TilesRead,
@@ -117,7 +135,7 @@ func newMetrics() *metrics {
 			"bytes_served":   s.BytesServed,
 		}
 	}))
-	m.root.Set("blis", expvar.Func(func() any {
+	m.Root.Set("blis", expvar.Func(func() any {
 		s := blis.ReadStats()
 		return map[string]any{
 			"calls":                 s.Calls,
@@ -158,18 +176,5 @@ func (m *metrics) setShard(start, end int) {
 	shard := new(expvar.Map).Init()
 	shard.Set("row_start", &lo)
 	shard.Set("row_end", &hi)
-	m.root.Set("shard", shard)
-}
-
-// observe records one finished request.
-func (m *metrics) observe(path string, status int, d time.Duration) {
-	m.requests.Add(path, 1)
-	m.statuses.Add(fmt.Sprintf("%d", status), 1)
-	m.latency.Add(path, int64(d))
-}
-
-// serveVars writes the metric tree in expvar's JSON format.
-func (m *metrics) serveVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintln(w, m.root.String())
+	m.Root.Set("shard", shard)
 }

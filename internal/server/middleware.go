@@ -5,18 +5,22 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 )
 
-// Request-lifecycle middleware. The serving stack is
+// Request-lifecycle middleware. A node's serving stack is
 //
-//	observe(withDeadline(mux))          — every endpoint
+//	withDeadline(Observe(mux))          — every endpoint
 //	         └── limitInFlight(handler) — heavy (LD-computing) endpoints
 //
-// observe records metrics and structured access logs, withDeadline imposes
-// the per-request timeout that the kernel drivers honour through context
-// cancellation, and limitInFlight sheds load once too many dense-linear-
-// algebra requests are already running.
+// and a coordinator's is Observe(mux). Observe records metrics and
+// structured access logs, withDeadline imposes the per-request timeout
+// that the kernel drivers honour through context cancellation, and
+// limitInFlight sheds load once too many dense-linear-algebra requests
+// are already running. Observe sits inside the deadline so that it holds
+// the very request the mux routed: the mux stamps the matched pattern on
+// the request it was handed, not on copies made above it.
 
 // statusWriter captures the status code and body size for logs/metrics.
 type statusWriter struct {
@@ -95,9 +99,11 @@ func inFlightLimiter(limit int, retryAfter time.Duration, m *metrics) func(http.
 	}
 }
 
-// observe wraps the whole mux with metrics accounting and, when an access
-// logger is configured, one structured log line per request.
-func observe(m *metrics, logger *slog.Logger, next http.Handler) http.Handler {
+// Observe wraps a tier's mux with metrics accounting and, when an access
+// logger is configured, one structured log line per request. Metrics are
+// keyed by the matched route ("/api/ld/region"), never by the raw path:
+// whatever no route claims — every 404 — is counted under "other".
+func Observe(m *Metrics, logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
@@ -106,7 +112,16 @@ func observe(m *metrics, logger *slog.Logger, next http.Handler) http.Handler {
 			sw.status = http.StatusOK
 		}
 		elapsed := time.Since(start)
-		m.observe(r.URL.Path, sw.status, elapsed)
+		route := r.Pattern
+		if _, path, ok := strings.Cut(route, " "); ok {
+			route = path // "GET /api/ld" → "/api/ld"
+		}
+		if route == "" || route == "/" {
+			route = "other"
+		}
+		m.requests.Add(route, 1)
+		m.statuses.Add(strconv.Itoa(sw.status), 1)
+		m.latency.Add(route, int64(elapsed))
 		if logger != nil {
 			logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 				slog.String("method", r.Method),

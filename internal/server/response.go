@@ -1,0 +1,74 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+)
+
+// Response is a fully materialized answer: status, JSON body, and the
+// cluster degradation marker. Both tiers build every reply through it —
+// a node from what it computed, a coordinator from what it merged,
+// relayed, or replayed out of its result cache — so a body reads the
+// same whichever tier produced it.
+type Response struct {
+	Status int
+	Body   []byte
+	// Failed names the replica groups a coordinator's gather lost (the
+	// X-LD-Shards-Failed header); "" on every complete answer.
+	Failed string
+}
+
+// OK marshals a 200 payload. The payload is marshalled before any byte
+// is written, so an encoding failure still produces a well-formed JSON
+// error instead of a truncated body behind a 200 already on the wire.
+func OK(v any) *Response {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return Errorf(http.StatusInternalServerError, "encoding response: %v", err)
+	}
+	return &Response{Status: http.StatusOK, Body: append(b, '\n')}
+}
+
+// Errorf builds the JSON error payload every non-200 answer carries.
+func Errorf(status int, format string, args ...any) *Response {
+	b, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
+	return &Response{Status: status, Body: append(b, '\n')}
+}
+
+// Write sends the response to one client.
+func (resp *Response) Write(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	if resp.Failed != "" {
+		w.Header().Set("X-LD-Shards-Failed", resp.Failed)
+	}
+	if resp.Status != http.StatusOK {
+		w.WriteHeader(resp.Status)
+	}
+	w.Write(resp.Body)
+}
+
+func writeJSON(w http.ResponseWriter, v any) { OK(v).Write(w) }
+
+func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+	Errorf(code, format, args...).Write(w)
+}
+
+// handleFallback is the mux catch-all, keeping even router misses on the
+// JSON error contract: unknown paths get a JSON 404 and non-GET methods a
+// JSON 405, so coordinator-side response classification never needs to
+// parse plain-text bodies.
+func handleFallback(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+		return
+	}
+	httpError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
+}
+
+// postOnly answers non-POST requests to a POST-only path.
+func postOnly(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Allow", http.MethodPost)
+	httpError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
+}

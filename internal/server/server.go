@@ -8,13 +8,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -103,8 +100,7 @@ func (c Config) normalize() Config {
 type Server struct {
 	g       *bitmat.Matrix
 	cfg     Config
-	mux     *http.ServeMux
-	handler http.Handler // mux wrapped in the lifecycle middleware
+	handler http.Handler // the mux wrapped in the lifecycle middleware
 	metrics *metrics
 	store   *ldstore.Store  // nil without a (fingerprint-matched) tile store
 	sparse  *ldsparse.Store // nil without a (fingerprint-matched) sparse store
@@ -145,47 +141,23 @@ func New(g *bitmat.Matrix, cfg Config) *Server {
 	}
 	s.metrics.setShard(s.cfg.ShardStart, s.cfg.ShardEnd)
 	heavy := inFlightLimiter(s.cfg.MaxInFlight, s.cfg.RetryAfter, s.metrics)
-	mux := http.NewServeMux()
+	lim := Limits{
+		SNPs: g.SNPs, MaxRegionSNPs: s.cfg.MaxRegionSNPs, MaxTopK: s.cfg.MaxTopK,
+		Sparse: s.sparse != nil,
+	}
+	mux := NewMux(lim, s.metrics.Metrics, s.execute, heavy)
 	// Probes are registered on the bare mux, never behind the in-flight
 	// limiter: a saturated server sheds work but keeps answering its
 	// liveness and readiness checks, so load never reads as death.
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("/", handleFallback)
 	mux.HandleFunc("GET /api/info", s.handleInfo)
-	mux.HandleFunc("GET /api/freq", s.handleFreq)
-	mux.HandleFunc("GET /api/ld", s.handlePair)
-	mux.Handle("GET /api/ld/region", heavy(http.HandlerFunc(s.handleRegion)))
-	mux.Handle("GET /api/ld/top", heavy(http.HandlerFunc(s.handleTop)))
-	mux.Handle("GET /api/prune", heavy(http.HandlerFunc(s.handlePrune)))
-	mux.Handle("GET /api/blocks", heavy(http.HandlerFunc(s.handleBlocks)))
-	mux.Handle("GET /api/omega", heavy(http.HandlerFunc(s.handleOmega)))
-	// The sparse operators are POST (the vector rides in the body). The
-	// methodless registrations catch every other verb with a proper 405 +
-	// Allow — the bare "/" catch-all would otherwise 404 a GET here.
-	mux.Handle("POST /api/sparse/matvec", heavy(http.HandlerFunc(s.handleSparseMatVec)))
-	mux.Handle("POST /api/sparse/score", heavy(http.HandlerFunc(s.handleSparseScore)))
-	mux.HandleFunc("/api/sparse/matvec", postOnly)
-	mux.HandleFunc("/api/sparse/score", postOnly)
-	mux.HandleFunc("GET /debug/vars", s.metrics.serveVars)
-	s.mux = mux
-	s.handler = observe(s.metrics, s.cfg.AccessLog, withDeadline(s.cfg.RequestTimeout, mux))
+	s.handler = withDeadline(s.cfg.RequestTimeout, Observe(s.metrics.Metrics, s.cfg.AccessLog, mux))
 	s.ready.Store(true)
 	return s
 }
 
 // sharded reports whether this server owns only a row strip.
 func (s *Server) sharded() bool { return s.cfg.ShardEnd > 0 }
-
-// ownsRow reports whether this server answers for pairs whose smaller
-// index is i.
-func (s *Server) ownsRow(i int) bool {
-	return !s.sharded() || (i >= s.cfg.ShardStart && i < s.cfg.ShardEnd)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, map[string]string{"status": "ok"})
-}
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
@@ -198,25 +170,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleFallback is the mux catch-all, keeping even router misses on the
-// JSON error contract: unknown paths get a JSON 404 and non-GET methods a
-// JSON 405, so coordinator-side response classification never needs to
-// parse plain-text bodies.
-func handleFallback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		httpError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
-		return
-	}
-	httpError(w, http.StatusNotFound, "no such endpoint %s", r.URL.Path)
-}
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
 
 // VarsHandler exposes the /debug/vars metric surface for mounting on a
 // separate admin listener.
-func (s *Server) VarsHandler() http.Handler { return http.HandlerFunc(s.metrics.serveVars) }
+func (s *Server) VarsHandler() http.Handler { return http.HandlerFunc(s.metrics.ServeVars) }
 
 // blisConfig is the per-request kernel configuration: the request context
 // flows into the parallel driver so an abandoned or timed-out request
@@ -249,112 +208,17 @@ const statusClientClosedRequest = 499
 // computeError answers a failed LD computation: requests abandoned by the
 // client map to 499, deadline hits to 504 Gateway Timeout, anything else
 // — parameters were already validated — is an internal error (500).
-func (s *Server) computeError(w http.ResponseWriter, r *http.Request, err error) {
+func (s *Server) computeError(err error) *Response {
 	switch {
 	case errors.Is(err, context.Canceled):
 		s.metrics.cancelled.Add(1)
-		httpError(w, statusClientClosedRequest, "request cancelled: %v", err)
+		return Errorf(statusClientClosedRequest, "request cancelled: %v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.timedOut.Add(1)
-		httpError(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
+		return Errorf(http.StatusGatewayTimeout, "deadline exceeded: %v", err)
 	default:
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		return Errorf(http.StatusInternalServerError, "%v", err)
 	}
-}
-
-// writeJSON emits a 200 response with the JSON payload. The payload is
-// marshalled before any byte is written, so an encoding failure still
-// produces a well-formed JSON error response instead of a truncated body
-// with a 200 status already on the wire.
-func writeJSON(w http.ResponseWriter, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
-}
-
-// httpError emits a JSON error payload.
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// intParam parses a required integer query parameter.
-func intParam(r *http.Request, name string) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return n, nil
-}
-
-// intParamDefault parses an optional integer query parameter.
-func intParamDefault(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return n, nil
-}
-
-// floatParamDefault parses an optional float query parameter.
-func floatParamDefault(r *http.Request, name string, def float64) (float64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %v", name, err)
-	}
-	return f, nil
-}
-
-// rowsParam parses the optional rows=a:b query parameter restricting a
-// scatter-gathered request to the row window [a, b).
-func rowsParam(r *http.Request) (lo, hi int, ok bool, err error) {
-	v := r.URL.Query().Get("rows")
-	if v == "" {
-		return 0, 0, false, nil
-	}
-	a, b, found := strings.Cut(v, ":")
-	if !found {
-		return 0, 0, false, fmt.Errorf("parameter \"rows\" must be a:b, got %q", v)
-	}
-	if lo, err = strconv.Atoi(a); err != nil {
-		return 0, 0, false, fmt.Errorf("parameter \"rows\": %v", err)
-	}
-	if hi, err = strconv.Atoi(b); err != nil {
-		return 0, 0, false, fmt.Errorf("parameter \"rows\": %v", err)
-	}
-	return lo, hi, true, nil
-}
-
-// misdirected answers a query for rows this shard does not own: 421 tells
-// the coordinator its partition map disagrees with the shard's config,
-// which must surface as an error rather than silently double-serving.
-func (s *Server) misdirected(w http.ResponseWriter, what string) {
-	httpError(w, http.StatusMisdirectedRequest,
-		"shard owns rows [%d,%d); %s is outside it", s.cfg.ShardStart, s.cfg.ShardEnd, what)
-}
-
-func (s *Server) checkSNP(name string, i int) error {
-	if i < 0 || i >= s.g.SNPs {
-		return fmt.Errorf("%s=%d outside 0..%d", name, i, s.g.SNPs-1)
-	}
-	return nil
 }
 
 // InfoResponse is the /api/info payload.
@@ -405,24 +269,75 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// execute is the node's Executor: narrow the query's row window to the
+// rows this node owns, run the query over them, encode.
+func (s *Server) execute(ctx context.Context, d *Definition, q Query) *Response {
+	rows, explicit := q.Rows()
+	if s.sharded() && !d.AnyShard {
+		// A shard answers only for the rows it owns. By default that is
+		// its part of the query's window; a window the client (the
+		// coordinator) spelled must already lie inside the strip. Anything
+		// else is 421: the coordinator's partition map disagrees with this
+		// shard's config, which must surface as an error rather than
+		// silently double-serving.
+		own := Window{Lo: s.cfg.ShardStart, Hi: s.cfg.ShardEnd}
+		asked := rows
+		if !explicit {
+			rows = rows.Intersect(own)
+		}
+		if rows.Lo >= rows.Hi || rows.Lo < own.Lo || rows.Hi > own.Hi {
+			return Errorf(http.StatusMisdirectedRequest,
+				"shard owns rows [%d,%d); rows [%d,%d) is outside it", own.Lo, own.Hi, asked.Lo, asked.Hi)
+		}
+	}
+	var v any
+	var err error
+	switch q := q.(type) {
+	case FreqQuery:
+		v = FreqResponse{SNP: q.I, Frequency: s.freqs[q.I], Count: s.g.DerivedCount(q.I)}
+	case PairQuery:
+		v = s.pair(q)
+	case RegionQuery:
+		v, err = s.region(ctx, q, rows)
+	case TopQuery:
+		v, err = s.top(ctx, q, rows)
+	case SparseQuery:
+		v, err = s.sparseOp(ctx, q, rows)
+	case PruneQuery:
+		v, err = s.prune(ctx, q)
+	case BlocksQuery:
+		v, err = s.blocks(ctx, q)
+	case OmegaQuery:
+		v, err = s.omega(ctx, q)
+	}
+	if err != nil {
+		// Parameters were validated by the definition: what fails here is
+		// the computation, which computeError classifies.
+		return s.computeError(err)
+	}
+	return OK(v)
+}
+
+// storeOr is the one place a query meets the tile store: when the store
+// is usable for it, read the answer from tiles and count it served; on any
+// store error count a fallback and compute on the fly instead. The
+// builder forces the Exact epilogue, so both routes yield the same bits.
+func storeOr[T any](s *Server, usable bool, read, compute func() (T, error)) (T, error) {
+	if usable {
+		if v, err := read(); err == nil {
+			s.metrics.storeServed.Add(1)
+			return v, nil
+		}
+		s.metrics.storeFallbacks.Add(1)
+	}
+	return compute()
+}
+
 // FreqResponse is the /api/freq payload.
 type FreqResponse struct {
 	SNP       int     `json:"snp"`
 	Frequency float64 `json:"derived_frequency"`
 	Count     int     `json:"derived_count"`
-}
-
-func (s *Server) handleFreq(w http.ResponseWriter, r *http.Request) {
-	i, err := intParam(r, "i")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := s.checkSNP("i", i); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, FreqResponse{SNP: i, Frequency: s.freqs[i], Count: s.g.DerivedCount(i)})
 }
 
 // PairResponse is the /api/ld payload.
@@ -439,301 +354,115 @@ type PairResponse struct {
 	PValue float64 `json:"p_value"`
 }
 
-func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
-	i, err := intParam(r, "i")
+// pairResponse assembles the payload for pair p = (i, j), testing linkage
+// equilibrium with χ² = Nseq·r2 (1 df) for the r² value the caller ranks
+// or reports the pair by.
+func (s *Server) pairResponse(i, j int, p core.Pair, r2 float64) PairResponse {
+	chi2 := float64(s.g.Samples) * r2
+	pv, err := stats.ChiSquarePValue(chi2, 1)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+		pv = 0 // deep tail beyond float precision
 	}
-	j, err := intParam(r, "j")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	return PairResponse{
+		I: i, J: j, PAB: p.PAB, PA: p.PA, PB: p.PB,
+		D: p.D, R2: p.R2, DPrime: p.DPrime, Chi2: chi2, PValue: pv,
 	}
-	if err := s.checkSNP("i", i); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if err := s.checkSNP("j", j); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if o := min(i, j); !s.ownsRow(o) {
-		s.misdirected(w, fmt.Sprintf("pair (%d,%d) owned by row %d", i, j, o))
-		return
-	}
-	p := core.PairLD(s.g, i, j)
+}
+
+func (s *Server) pair(q PairQuery) PairResponse {
+	p := core.PairLD(s.g, q.I, q.J)
 	// With a tile store loaded, the stored statistic is authoritative: it
 	// overrides the per-pair recomputation so /api/ld answers are
 	// bit-identical to the corresponding /api/ld/region cells.
 	if s.store != nil {
-		if v, err := s.store.At(i, j); err == nil {
-			switch s.store.Stat() {
-			case ldstore.StatR2:
-				p.R2 = v
-			case ldstore.StatD:
-				p.D = v
-			case ldstore.StatDPrime:
-				p.DPrime = v
+		stat := &p.R2
+		switch s.store.Stat() {
+		case ldstore.StatD:
+			stat = &p.D
+		case ldstore.StatDPrime:
+			stat = &p.DPrime
+		}
+		*stat, _ = storeOr(s, true,
+			func() (float64, error) { return s.store.At(q.I, q.J) },
+			func() (float64, error) { return *stat, nil })
+	}
+	return s.pairResponse(q.I, q.J, p, p.R2)
+}
+
+func (s *Server) region(ctx context.Context, q RegionQuery, rows Window) (RegionResponse, error) {
+	meas := q.measure()
+	opt := s.ldOptions(ctx)
+	opt.Measures = meas
+	cols := s.g.Slice(q.Start, q.End)
+	// The executors for a rectangular strip: rows [Lo, Hi) against every
+	// region column, from store tiles or the GEMM. Per-cell values are a
+	// pure function of pair counts and the two SNP frequencies, so a strip
+	// is bit-identical to the same rows of the square below.
+	read := func() ([]float64, error) { return s.store.Rect(rows.Lo, rows.Hi, q.Start, q.End) }
+	compute := func() (*core.Result, error) { return core.Cross(s.g.Slice(rows.Lo, rows.Hi), cols, opt) }
+	if rows == (Window{Lo: q.Start, Hi: q.End}) {
+		// A window covering every region row is the plain square, which
+		// has cheaper executors: upper-triangle tiles and SYRK.
+		read = func() ([]float64, error) { return s.store.Region(q.Start, q.End) }
+		compute = func() (*core.Result, error) { return core.Matrix(cols, opt) }
+	}
+	flat, err := storeOr(s, s.store != nil && s.store.Stat().Measure() == meas, read,
+		func() ([]float64, error) {
+			res, err := compute()
+			if err != nil {
+				return nil, err
 			}
-			s.metrics.storeServed.Add(1)
-		} else {
-			s.metrics.storeFallbacks.Add(1)
-		}
-	}
-	chi2 := p.Chi2(s.g.Samples)
-	pv, err := stats.ChiSquarePValue(chi2, 1)
-	if err != nil {
-		pv = 0
-	}
-	writeJSON(w, PairResponse{
-		I: i, J: j, PAB: p.PAB, PA: p.PA, PB: p.PB,
-		D: p.D, R2: p.R2, DPrime: p.DPrime, Chi2: chi2, PValue: pv,
-	})
-}
-
-// RegionResponse is the /api/ld/region payload: a dense row-major matrix
-// for SNPs [Start, End). With a rows=a:b window (a cluster shard serving
-// its strip of a scatter-gathered request) Values holds only rows
-// [RowStart, RowEnd) × columns [Start, End). Partial is set only by a
-// cluster coordinator whose gather lost one or more shards; the missing
-// rows are null.
-type RegionResponse struct {
-	Start    int         `json:"start"`
-	End      int         `json:"end"`
-	Measure  string      `json:"measure"`
-	RowStart int         `json:"row_start,omitempty"`
-	RowEnd   int         `json:"row_end,omitempty"`
-	Partial  bool        `json:"partial,omitempty"`
-	Values   [][]float64 `json:"values"`
-}
-
-func (s *Server) handleRegion(w http.ResponseWriter, r *http.Request) {
-	start, err := intParam(r, "start")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	end, err := intParam(r, "end")
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if start < 0 || end <= start || end > s.g.SNPs {
-		httpError(w, http.StatusBadRequest, "invalid region [%d,%d) of %d SNPs", start, end, s.g.SNPs)
-		return
-	}
-	if end-start > s.cfg.MaxRegionSNPs {
-		httpError(w, http.StatusUnprocessableEntity,
-			"region width %d exceeds cap %d", end-start, s.cfg.MaxRegionSNPs)
-		return
-	}
-	measure := r.URL.Query().Get("measure")
-	var meas core.Measure
-	switch measure {
-	case "", "r2":
-		measure, meas = "r2", core.MeasureR2
-	case "d":
-		meas = core.MeasureD
-	case "dprime":
-		meas = core.MeasureDPrime
-	default:
-		httpError(w, http.StatusBadRequest, "unknown measure %q", measure)
-		return
-	}
-	// Resolve the row window: a rows=a:b parameter (or this shard's owned
-	// strip) narrows the output to rows [rlo, rhi) of the region. A window
-	// covering every region row collapses to the plain square path, so a
-	// one-shard "cluster" stays bit-identical to a single node.
-	rlo, rhi, windowed, err := rowsParam(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if windowed {
-		if rlo < start || rhi <= rlo || rhi > end {
-			httpError(w, http.StatusBadRequest,
-				"rows [%d,%d) outside region [%d,%d)", rlo, rhi, start, end)
-			return
-		}
-		if s.sharded() && (rlo < s.cfg.ShardStart || rhi > s.cfg.ShardEnd) {
-			s.misdirected(w, fmt.Sprintf("rows [%d,%d)", rlo, rhi))
-			return
-		}
-	} else if s.sharded() {
-		rlo, rhi = max(start, s.cfg.ShardStart), min(end, s.cfg.ShardEnd)
-		if rlo >= rhi {
-			s.misdirected(w, fmt.Sprintf("region [%d,%d)", start, end))
-			return
-		}
-		windowed = true
-	} else {
-		rlo, rhi = start, end
-	}
-	if rlo == start && rhi == end {
-		windowed = false
-	}
-	wdt := end - start
-	// Store fast path: a tile store holding this statistic serves the
-	// window from cached tiles — zero kernel invocations, and (because the
-	// builder forces the Exact epilogue) bit-identical to the dense
-	// compute below. Store errors fall through to on-the-fly compute.
-	var flat []float64
-	if s.store != nil && s.store.Stat().Measure() == meas {
-		var vals []float64
-		var serr error
-		if windowed {
-			vals, serr = s.store.Rect(rlo, rhi, start, end)
-		} else {
-			vals, serr = s.store.Region(start, end)
-		}
-		if serr == nil {
-			flat = vals
-			s.metrics.storeServed.Add(1)
-		} else {
-			s.metrics.storeFallbacks.Add(1)
-		}
-	}
-	if flat == nil {
-		opt := s.ldOptions(r.Context())
-		opt.Measures = meas
-		var res *core.Result
-		var cerr error
-		if windowed {
-			// Rectangular strip: rows [rlo, rhi) against every region
-			// column. Per-cell values are a pure function of pair counts
-			// and the two SNP frequencies, so the strip is bit-identical
-			// to the same rows of the square compute below.
-			res, cerr = core.Cross(s.g.Slice(rlo, rhi), s.g.Slice(start, end), opt)
-		} else {
-			res, cerr = core.Matrix(s.g.Slice(start, end), opt)
-		}
-		if cerr != nil {
-			s.computeError(w, r, cerr)
-			return
-		}
-		switch meas {
-		case core.MeasureR2:
-			flat = res.R2
-		case core.MeasureD:
-			flat = res.D
-		default:
-			flat = res.DPrime
-		}
-	}
-	resp := RegionResponse{Start: start, End: end, Measure: measure}
-	if windowed {
-		resp.RowStart, resp.RowEnd = rlo, rhi
-	}
-	resp.Values = make([][]float64, rhi-rlo)
-	for i := range resp.Values {
-		resp.Values[i] = flat[i*wdt : (i+1)*wdt]
-	}
-	writeJSON(w, resp)
-}
-
-// TopResponse is the /api/ld/top payload. Partial is set only by a
-// cluster coordinator whose gather lost one or more shards: the ranking
-// is then missing that strip's pairs.
-type TopResponse struct {
-	K       int            `json:"k"`
-	Partial bool           `json:"partial,omitempty"`
-	Pairs   []PairResponse `json:"pairs"`
-}
-
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	k, err := intParamDefault(r, "k", 20)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if k < 1 || k > s.cfg.MaxTopK {
-		httpError(w, http.StatusBadRequest, "k=%d outside 1..%d", k, s.cfg.MaxTopK)
-		return
-	}
-	// Resolve the row window: rows=a:b (or this shard's owned strip)
-	// restricts the ranking to pairs whose smaller index lies in [rlo,
-	// rhi) — the cluster ownership rule, which partitions the pair set
-	// disjointly across shards.
-	rlo, rhi, windowed, err := rowsParam(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if windowed {
-		if rlo < 0 || rhi <= rlo || rhi > s.g.SNPs {
-			httpError(w, http.StatusBadRequest,
-				"rows [%d,%d) outside 0..%d", rlo, rhi, s.g.SNPs)
-			return
-		}
-		if s.sharded() && (rlo < s.cfg.ShardStart || rhi > s.cfg.ShardEnd) {
-			s.misdirected(w, fmt.Sprintf("rows [%d,%d)", rlo, rhi))
-			return
-		}
-	} else if s.sharded() {
-		rlo, rhi, windowed = s.cfg.ShardStart, s.cfg.ShardEnd, true
-	}
-	if windowed && rlo == 0 && rhi == s.g.SNPs {
-		windowed = false
-	}
-	// Store fast path: an r² tile store already knows the strongest pairs
-	// (per-tile maxima prune the scan), so the whole-matrix significance
-	// stream — the most expensive query the server owns — is skipped.
-	// Per-pair details are recomputed from the two SNP vectors, which
-	// involves no kernel driver.
-	if s.store != nil && s.store.Stat() == ldstore.StatR2 {
-		var top []ldstore.TopPair
-		var err error
-		if windowed {
-			top, err = s.store.TopRange(k, rlo, rhi)
-		} else {
-			top, err = s.store.Top(k)
-		}
-		if err == nil {
-			out := TopResponse{K: k}
-			for _, p := range top {
-				full := core.PairLD(s.g, p.I, p.J)
-				full.R2 = p.Value
-				chi2 := full.Chi2(s.g.Samples)
-				pv, perr := stats.ChiSquarePValue(chi2, 1)
-				if perr != nil {
-					pv = 0
-				}
-				out.Pairs = append(out.Pairs, PairResponse{
-					I: p.I, J: p.J, PAB: full.PAB, PA: full.PA, PB: full.PB,
-					D: full.D, R2: full.R2, DPrime: full.DPrime, Chi2: chi2, PValue: pv,
-				})
+			switch meas {
+			case core.MeasureR2:
+				return res.R2, nil
+			case core.MeasureD:
+				return res.D, nil
+			default:
+				return res.DPrime, nil
 			}
-			s.metrics.storeServed.Add(1)
-			writeJSON(w, out)
-			return
-		}
-		s.metrics.storeFallbacks.Add(1)
-	}
-	sopt := core.SignificanceOptions{
-		Alpha: 0.999999, AlphaIsPerTest: true, MaxResults: s.cfg.MaxTopK * 4,
-		LD: s.ldOptions(r.Context()),
-	}
-	if windowed {
-		sopt.RowStart, sopt.RowEnd = rlo, rhi
-	}
-	res, err := core.Significance(s.g, sopt)
-	if err != nil {
-		s.computeError(w, r, err)
-		return
-	}
-	out := TopResponse{K: k}
-	for _, p := range res.Pairs {
-		if len(out.Pairs) == k {
-			break
-		}
-		full := core.PairLD(s.g, p.I, p.J)
-		out.Pairs = append(out.Pairs, PairResponse{
-			I: p.I, J: p.J, PAB: full.PAB, PA: full.PA, PB: full.PB,
-			D: full.D, R2: full.R2, DPrime: full.DPrime, Chi2: p.Chi2, PValue: p.PValue,
 		})
+	if err != nil {
+		return RegionResponse{}, err
 	}
-	writeJSON(w, out)
+	width := q.End - q.Start
+	values := make([][]float64, rows.Hi-rows.Lo)
+	for i := range values {
+		values[i] = flat[i*width : (i+1)*width]
+	}
+	return q.Response(rows, values), nil
+}
+
+// top ranks the pairs whose smaller index lies in rows — the cluster
+// ownership rule, which partitions the pair set disjointly across shards.
+func (s *Server) top(ctx context.Context, q TopQuery, rows Window) (TopResponse, error) {
+	// An r² tile store already knows the strongest pairs (per-tile maxima
+	// prune the scan), so the whole-matrix significance stream — the most
+	// expensive query the server owns — is skipped. Per-pair details are
+	// recomputed from the two SNP vectors, which involves no kernel driver.
+	pairs, err := storeOr(s, s.store != nil && s.store.Stat() == ldstore.StatR2,
+		func() (pairs []PairResponse, err error) {
+			top, err := s.store.TopRange(q.K, rows.Lo, rows.Hi)
+			for _, t := range top {
+				p := core.PairLD(s.g, t.I, t.J)
+				p.R2 = t.Value
+				pairs = append(pairs, s.pairResponse(t.I, t.J, p, p.R2))
+			}
+			return pairs, err
+		},
+		func() (pairs []PairResponse, err error) {
+			res, err := core.Significance(s.g, core.SignificanceOptions{
+				Alpha: 0.999999, AlphaIsPerTest: true, MaxResults: s.cfg.MaxTopK * 4,
+				RowStart: rows.Lo, RowEnd: rows.Hi, LD: s.ldOptions(ctx),
+			})
+			if err != nil {
+				return nil, err
+			}
+			for _, sp := range res.Pairs[:min(q.K, len(res.Pairs))] {
+				pairs = append(pairs, s.pairResponse(sp.I, sp.J, core.PairLD(s.g, sp.I, sp.J), sp.R2))
+			}
+			return pairs, nil
+		})
+	return TopResponse{K: q.K, Pairs: pairs}, err
 }
 
 // PruneResponse is the /api/prune payload.
@@ -742,41 +471,15 @@ type PruneResponse struct {
 	Removed []int `json:"removed"`
 }
 
-func (s *Server) handlePrune(w http.ResponseWriter, r *http.Request) {
-	window, err := intParamDefault(r, "window", 50)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	step, err := intParamDefault(r, "step", 5)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	r2, err := floatParamDefault(r, "r2", 0.5)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Parameter errors are the client's fault (400); once past this
-	// check, core failures are classified by computeError.
-	if window < 2 || step < 1 || step > window {
-		httpError(w, http.StatusBadRequest, "invalid window/step %d/%d", window, step)
-		return
-	}
-	if r2 <= 0 || r2 > 1 {
-		httpError(w, http.StatusBadRequest, "r2 threshold %v outside (0,1]", r2)
-		return
-	}
+func (s *Server) prune(ctx context.Context, q PruneQuery) (PruneResponse, error) {
 	res, err := core.Prune(s.g, core.PruneOptions{
-		WindowSNPs: window, StepSNPs: step, R2Threshold: r2,
-		LD: s.ldOptions(r.Context()),
+		WindowSNPs: q.Window, StepSNPs: q.Step, R2Threshold: q.R2,
+		LD: s.ldOptions(ctx),
 	})
 	if err != nil {
-		s.computeError(w, r, err)
-		return
+		return PruneResponse{}, err
 	}
-	writeJSON(w, PruneResponse{Kept: res.Kept, Removed: res.Removed})
+	return PruneResponse{Kept: res.Kept, Removed: res.Removed}, nil
 }
 
 // BlocksResponse is the /api/blocks payload.
@@ -784,31 +487,12 @@ type BlocksResponse struct {
 	Blocks []core.Block `json:"blocks"`
 }
 
-func (s *Server) handleBlocks(w http.ResponseWriter, r *http.Request) {
-	dprime, err := floatParamDefault(r, "dprime", 0.8)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	frac, err := floatParamDefault(r, "frac", 0.9)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if dprime <= 0 || dprime > 1 || frac <= 0 || frac > 1 {
-		httpError(w, http.StatusBadRequest,
-			"dprime %v and frac %v must lie in (0,1]", dprime, frac)
-		return
-	}
+func (s *Server) blocks(ctx context.Context, q BlocksQuery) (BlocksResponse, error) {
 	blocks, err := core.Blocks(s.g, core.BlockOptions{
-		DPrimeThreshold: dprime, MinStrongFrac: frac,
-		LD: s.ldOptions(r.Context()),
+		DPrimeThreshold: q.DPrime, MinStrongFrac: q.Frac,
+		LD: s.ldOptions(ctx),
 	})
-	if err != nil {
-		s.computeError(w, r, err)
-		return
-	}
-	writeJSON(w, BlocksResponse{Blocks: blocks})
+	return BlocksResponse{Blocks: blocks}, err
 }
 
 // OmegaResponse is the /api/omega payload. Peak is the grid point with
@@ -819,39 +503,13 @@ type OmegaResponse struct {
 	Peak   *omega.Point  `json:"peak,omitempty"`
 }
 
-func (s *Server) handleOmega(w http.ResponseWriter, r *http.Request) {
-	grid, err := intParamDefault(r, "grid", 50)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	minEach, err := intParamDefault(r, "min_each", 2)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	maxEach, err := intParamDefault(r, "max_each", 100)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if grid < 1 || minEach < 2 || maxEach < minEach {
-		httpError(w, http.StatusBadRequest,
-			"invalid scan: grid=%d min_each=%d max_each=%d", grid, minEach, maxEach)
-		return
-	}
-	if s.g.SNPs < 2*minEach {
-		httpError(w, http.StatusBadRequest,
-			"%d SNPs is too few for min_each=%d", s.g.SNPs, minEach)
-		return
-	}
+func (s *Server) omega(ctx context.Context, q OmegaQuery) (OmegaResponse, error) {
 	points, err := omega.Scan(s.g, omega.Config{
-		GridPoints: grid, MinEach: minEach, MaxEach: maxEach,
-		LD: s.ldOptions(r.Context()),
+		GridPoints: q.Grid, MinEach: q.MinEach, MaxEach: q.MaxEach,
+		LD: s.ldOptions(ctx),
 	})
 	if err != nil {
-		s.computeError(w, r, err)
-		return
+		return OmegaResponse{}, err
 	}
 	resp := OmegaResponse{Points: points}
 	if len(points) > 0 {
@@ -865,5 +523,5 @@ func (s *Server) handleOmega(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Peak = &peak
 	}
-	writeJSON(w, resp)
+	return resp, nil
 }

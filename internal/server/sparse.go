@@ -1,144 +1,32 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"net/http"
+	"context"
 
 	"ldgemm/internal/ldsparse"
 )
 
-// Sparse-tier endpoints: R·v matvec and score-statistic aggregation over
-// a threshold-pruned CSR tile store. Both are POST (the vector rides in
-// the body), both run behind the heavy-request limiter and the request
-// deadline, and both honor the rows=a:b strip window so a cluster
-// coordinator can scatter one vector to every shard and concatenate the
-// returned segments — MatVecRange's fold order makes the assembled
-// vector bit-identical to a single node's.
-
-// MatVecRequest is the /api/sparse/matvec request body.
-type MatVecRequest struct {
-	X []float64 `json:"x"`
-}
-
-// MatVecResponse is the /api/sparse/matvec payload: Y holds output rows
-// [RowStart, RowEnd) of R·x (the full range when no window was asked).
-type MatVecResponse struct {
-	RowStart int       `json:"row_start"`
-	RowEnd   int       `json:"row_end"`
-	Y        []float64 `json:"y"`
-}
-
-// ScoreRequest is the /api/sparse/score request body: per-SNP z-scores.
-type ScoreRequest struct {
-	Z []float64 `json:"z"`
-}
-
-// ScoreResponse is the /api/sparse/score payload: Scores[k] is the
-// Σ_j stat(i,j)·z[j]² aggregate for SNP i = RowStart+k.
-type ScoreResponse struct {
-	RowStart int       `json:"row_start"`
-	RowEnd   int       `json:"row_end"`
-	Scores   []float64 `json:"scores"`
-}
-
-// sparseVector decodes the POST body's vector field and resolves the
-// row window shared by both sparse endpoints. A nil return with ok=false
-// means the response has already been written.
-func (s *Server) sparseVector(w http.ResponseWriter, r *http.Request, dst *[]float64, decode func([]byte) error) (r0, r1 int, ok bool) {
-	if s.sparse == nil {
-		httpError(w, http.StatusNotFound, "no sparse store loaded")
-		return 0, 0, false
+// sparseOp executes a sparse operator over output rows [Lo, Hi). It runs
+// behind the heavy-request limiter and the request deadline like the
+// dense queries.
+func (s *Server) sparseOp(ctx context.Context, q SparseQuery, rows Window) (any, error) {
+	op := s.sparse.MatVecRange
+	if q.Op == "score" {
+		op = s.sparse.ScoreRange
 	}
-	n := s.sparse.SNPs()
-	// The vector is ~20 bytes/entry as JSON; 64 bytes/entry of headroom
-	// bounds hostile bodies without rejecting any legitimate vector.
-	body, err := readBody(r, int64(n)*64+4096)
+	seg, err := sparseCompute(ctx, func() ([]float64, error) { return op(q.Vec, rows.Lo, rows.Hi) })
 	if err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, "%v", err)
-		return 0, 0, false
-	}
-	if err := decode(body); err != nil {
-		httpError(w, http.StatusBadRequest, "request body: %v", err)
-		return 0, 0, false
-	}
-	if len(*dst) != n {
-		httpError(w, http.StatusBadRequest, "vector holds %d entries, dataset has %d SNPs", len(*dst), n)
-		return 0, 0, false
-	}
-	rlo, rhi, windowed, err := rowsParam(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return 0, 0, false
-	}
-	if windowed {
-		if rlo < 0 || rhi <= rlo || rhi > n {
-			httpError(w, http.StatusBadRequest, "rows [%d,%d) outside 0..%d", rlo, rhi, n)
-			return 0, 0, false
-		}
-		if s.sharded() && (rlo < s.cfg.ShardStart || rhi > s.cfg.ShardEnd) {
-			s.misdirected(w, fmt.Sprintf("rows [%d,%d)", rlo, rhi))
-			return 0, 0, false
-		}
-		return rlo, rhi, true
-	}
-	if s.sharded() {
-		return s.cfg.ShardStart, s.cfg.ShardEnd, true
-	}
-	return 0, n, true
-}
-
-// readBody drains the request body under a hard byte cap.
-func readBody(r *http.Request, limit int64) ([]byte, error) {
-	defer r.Body.Close()
-	b, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return nil, fmt.Errorf("request body exceeds %d bytes", limit)
-		}
 		return nil, err
 	}
-	return b, nil
-}
-
-func (s *Server) handleSparseMatVec(w http.ResponseWriter, r *http.Request) {
-	var req MatVecRequest
-	r0, r1, ok := s.sparseVector(w, r, &req.X, func(b []byte) error { return json.Unmarshal(b, &req) })
-	if !ok {
-		return
-	}
-	y, err := s.sparseCompute(r, func() ([]float64, error) { return s.sparse.MatVecRange(req.X, r0, r1) })
-	if err != nil {
-		s.computeError(w, r, err)
-		return
-	}
 	s.metrics.sparseServed.Add(1)
-	writeJSON(w, MatVecResponse{RowStart: r0, RowEnd: r1, Y: y})
-}
-
-func (s *Server) handleSparseScore(w http.ResponseWriter, r *http.Request) {
-	var req ScoreRequest
-	r0, r1, ok := s.sparseVector(w, r, &req.Z, func(b []byte) error { return json.Unmarshal(b, &req) })
-	if !ok {
-		return
-	}
-	scores, err := s.sparseCompute(r, func() ([]float64, error) { return s.sparse.ScoreRange(req.Z, r0, r1) })
-	if err != nil {
-		s.computeError(w, r, err)
-		return
-	}
-	s.metrics.sparseServed.Add(1)
-	writeJSON(w, ScoreResponse{RowStart: r0, RowEnd: r1, Scores: scores})
+	return q.Response(rows, seg), nil
 }
 
 // sparseCompute runs one sparse operator under the request context: a
 // cancelled or timed-out request stops waiting (computeError maps the
 // context error to 499/504) even though the tile walk itself — bounded
 // by store size, not SNP² — finishes in the background.
-func (s *Server) sparseCompute(r *http.Request, f func() ([]float64, error)) ([]float64, error) {
+func sparseCompute(ctx context.Context, f func() ([]float64, error)) ([]float64, error) {
 	type result struct {
 		v   []float64
 		err error
@@ -151,15 +39,9 @@ func (s *Server) sparseCompute(r *http.Request, f func() ([]float64, error)) ([]
 	select {
 	case res := <-ch:
 		return res.v, res.err
-	case <-r.Context().Done():
-		return nil, r.Context().Err()
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-}
-
-// postOnly answers non-POST requests to a POST-only path.
-func postOnly(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Allow", http.MethodPost)
-	httpError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 }
 
 // SparseInfo summarizes the loaded sparse store for /api/info.
