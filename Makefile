@@ -51,14 +51,19 @@ bench-store:
 bench-store-smoke:
 	go run ./cmd/ldbench -scale 16 -store-json /tmp/BENCH_store_smoke.json
 
-# Short fuzz smoke on the tile container: one open target and one
+# Short fuzz smoke. The tile container: one open target and one
 # checkpoint-manifest target, each run against every codec (dense, dense
-# + DEFLATE, sparse, banded sparse). Hostile and truncated files must
-# error, never panic or over-allocate (CI runs this too).
+# + DEFLATE, sparse, banded sparse); hostile and truncated files must
+# error, never panic or over-allocate. The float wire: the node's encoder
+# against encoding/json on any float64 bits, and the coordinator's strip
+# scan on any bytes — what it accepts, encoding/json accepts with the same
+# shape (CI runs this too).
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
 	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzManifest -fuzztime=20s
+	go test ./internal/server -run=Fuzz -fuzz=FuzzWireFloat -fuzztime=10s
+	go test ./internal/cluster -run=Fuzz -fuzz=FuzzSpliceScan -fuzztime=10s
 
 # The benchmark/ module is its own Go module, so tier-1 `go test ./...`
 # never enters it: compile and smoke-test it against this tree, so an API
@@ -89,9 +94,14 @@ bench-json:
 
 # Quick fused-vs-split epilogue comparison on a small probe: keeps the
 # benchmark harness compiling and running in CI without full-size cost.
+# Then one iteration each of the float-wire micro-benchmarks: a node
+# encoding an 80 × 80 region, a coordinator checking and splicing its two
+# strips.
 .PHONY: bench-smoke
 bench-smoke:
 	go run ./cmd/ldbench -scale 20 -threads 1,2 -epilogue-json /tmp/BENCH_epilogue_smoke.json
+	go test ./internal/server -run '^$$' -bench BenchmarkEncodeRegion -benchtime 1x -benchmem
+	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
 
 # Full-size epilogue benchmark (the committed BENCH_epilogue.json:
 # ≥8192 SNPs, thread grid through 8).

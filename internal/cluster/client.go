@@ -262,7 +262,7 @@ func (c *shardClient) do(ctx context.Context, method, pathQuery string, reqBody 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -275,4 +275,20 @@ func (c *shardClient) do(ctx context.Context, method, pathQuery string, reqBody 
 	}
 	c.lat.add(time.Since(start))
 	return body, nil
+}
+
+// maxPresizedBody caps the buffer readBody allocates on a shard's word:
+// the widest region a default shard answers is a few megabytes.
+const maxPresizedBody = 16 << 20
+
+// readBody reads a reply into one buffer of its declared length — nodes
+// declare it (server.Response.Write) — instead of io.ReadAll's doubling;
+// an undeclared or implausible length falls back to io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 || resp.ContentLength > maxPresizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, resp.ContentLength)
+	_, err := io.ReadFull(resp.Body, body)
+	return body, err
 }

@@ -364,7 +364,7 @@ func (co *Coordinator) scatter(ctx context.Context, d *server.Definition, q serv
 			defer wg.Done()
 			var resp []byte
 			if resp, errs[k] = co.groups[shard].call(ctx, d.Method, q.Path(strips[k]), body); errs[k] == nil {
-				parts[k], errs[k] = decodeStrip(d.Merge, q, resp)
+				parts[k], errs[k] = decodeStrip(d.Merge, q, strips[k], resp)
 			}
 		}()
 	}
@@ -398,11 +398,7 @@ func (co *Coordinator) scatter(ctx context.Context, d *server.Definition, q serv
 	if d.Merge == server.MergeNone {
 		return &server.Response{Status: http.StatusOK, Body: parts[0].([]byte)}
 	}
-	v, err := mergeStrips(d.Merge, q, rows, strips, parts, len(failed) > 0)
-	if err != nil {
-		return server.Errorf(http.StatusBadGateway, "%v", err)
-	}
-	resp := server.OK(v)
+	resp := mergeStrips(d.Merge, q, rows, strips, parts, len(failed) > 0)
 	resp.Failed = strings.Join(failed, ",")
 	return resp
 }

@@ -22,7 +22,7 @@ import (
 // testGenotypes builds the shared matrix every node serves. Each caller
 // gets an identical copy (same generator, same seed), mirroring a real
 // deployment where every shard loads the same input file.
-func testGenotypes(t *testing.T) *bitmat.Matrix {
+func testGenotypes(t testing.TB) *bitmat.Matrix {
 	t.Helper()
 	g, err := popsim.Mosaic(120, 200, popsim.MosaicConfig{Seed: 9})
 	if err != nil {

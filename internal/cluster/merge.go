@@ -1,57 +1,170 @@
 package cluster
 
 import (
+	"bytes"
 	"container/heap"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"strconv"
 
 	"ldgemm/internal/core"
 	"ldgemm/internal/server"
 )
 
 // The coordinator's half of a query definition's merge rule: decodeStrip
-// parses one strip's 200 body (concurrently, as answers arrive) into the
-// part the rule combines, and mergeStrips combines the parts, in strip
+// checks one strip's 200 body (concurrently, as answers arrive) and keeps
+// the part the rule combines, and mergeStrips combines the parts, in strip
 // order, into the payload a single node would have produced.
+//
+// MergeStack and MergeConcat combine float arrays, and a float is
+// formatted once, by the shard that computed it (server/wire.go): the part
+// is the strip's array bytes, validated and spliced, never converted.
+// MergeKWay has to compare values, so it alone decodes.
 
-// sparsePart is one strip's answered window and vector segment.
-type sparsePart struct {
-	rows server.Window
-	seg  []float64
+// stripShape is what q's float payload over rows looks like: its JSON up
+// to the array, and the length of each array row (0 when the array is a
+// flat vector).
+func stripShape(q server.Query, rows server.Window, partial bool) (head []byte, width int) {
+	b := make([]byte, 0, 128) // a head is about 80 bytes
+	switch q := q.(type) {
+	case server.RegionQuery:
+		resp := q.Response(rows, nil)
+		resp.Partial = partial
+		return resp.AppendHead(b), q.End - q.Start
+	case server.SparseQuery:
+		return q.Response(rows, nil).AppendHead(b), 0
+	}
+	panic(fmt.Sprintf("cluster: %T has no float payload", q))
 }
 
-func decodeStrip(rule server.Merge, q server.Query, body []byte) (any, error) {
+func decodeStrip(rule server.Merge, q server.Query, strip server.Window, body []byte) (any, error) {
 	switch rule {
-	case server.MergeStack:
-		var resp server.RegionResponse
-		err := json.Unmarshal(body, &resp)
-		return resp.Values, err
+	case server.MergeStack, server.MergeConcat:
+		head, width := stripShape(q, strip, false)
+		return scanStrip(body, head, strip.Hi-strip.Lo, width)
 	case server.MergeKWay:
 		var resp server.TopResponse
 		err := json.Unmarshal(body, &resp)
 		return resp.Pairs, err
-	case server.MergeConcat:
-		rows, seg, err := q.(server.SparseQuery).Segment(body)
-		return sparsePart{rows, seg}, err
 	}
 	return body, nil // MergeNone: the bytes themselves are relayed
 }
 
+// scanStrip is the one pass a strip's float payload gets: body must be
+// exactly head — the envelope echoing the asked region, measure and row
+// window, not partial — then an array of n rows, each an array of width
+// JSON numbers (or n bare numbers when width is 0), then "}\n" and nothing
+// more. It returns the bytes between the array's brackets, which are what
+// mergeStrips splices. Everything encoding/json would refuse is refused
+// here, so a body that fails is a lost strip exactly as a decode error was.
+func scanStrip(body, head []byte, n, width int) ([]byte, error) {
+	if !bytes.HasPrefix(body, head) {
+		return nil, fmt.Errorf("strip reply does not open with %s", head)
+	}
+	i := len(head)
+	if width == 0 {
+		i = scanNumbers(body, i, n)
+	} else {
+		i = expect(body, i, '[')
+		for r := 0; r < n && i >= 0; r++ {
+			if r > 0 {
+				i = expect(body, i, ',')
+			}
+			i = scanNumbers(body, i, width)
+		}
+		i = expect(body, i, ']')
+	}
+	if i < 0 || string(body[i:]) != "}\n" {
+		return nil, fmt.Errorf("strip reply is not %d rows of %d numbers and nothing else", n, max(width, 1))
+	}
+	return body[len(head)+1 : i-1], nil
+}
+
+// The scan steps return the index after what they step over at b[i], and
+// -1 — which they also pass on — when it is not there.
+
+func expect(b []byte, i int, c byte) int {
+	if i < 0 || i >= len(b) || b[i] != c {
+		return -1
+	}
+	return i + 1
+}
+
+// scanNumbers steps over "[" + n comma-separated JSON numbers + "]".
+func scanNumbers(b []byte, i, n int) int {
+	i = expect(b, i, '[')
+	for k := 0; k < n && i >= 0; k++ {
+		if k > 0 {
+			i = expect(b, i, ',')
+		}
+		i = scanNumber(b, i)
+	}
+	return expect(b, i, ']')
+}
+
+// scanNumber steps over one number of the JSON grammar. The grammar has no
+// upper bound and float64 does, so a number is also refused unless it is
+// plainly below 1e308: that is the one thing encoding/json checks by
+// converting, and no LD value comes near it.
+func scanNumber(b []byte, i int) int {
+	if i < 0 {
+		return -1
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	from := i
+	i = scanDigits(b, i)
+	magnitude := i - from // the value is below this power of ten
+	switch {
+	case magnitude == 0, magnitude > 1 && b[from] == '0':
+		return -1
+	case b[from] == '0':
+		magnitude = 0
+	}
+	if i < len(b) && b[i] == '.' {
+		from = i + 1
+		if i = scanDigits(b, from); i == from {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		negative := i < len(b) && b[i] == '-'
+		if negative || i < len(b) && b[i] == '+' {
+			i++
+		}
+		from = i
+		if i = scanDigits(b, from); i == from {
+			return -1
+		}
+		if !negative {
+			exp, err := strconv.Atoi(string(b[from:i]))
+			if err != nil {
+				return -1
+			}
+			magnitude += exp
+		}
+	}
+	if magnitude > 308 {
+		return -1
+	}
+	return i
+}
+
+// scanDigits steps over any decimal digits at b[i].
+func scanDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
 // mergeStrips combines per-strip parts; parts[k] is nil for a lost strip
 // (only under rules that allow a partial answer).
-func mergeStrips(rule server.Merge, q server.Query, rows server.Window, strips []server.Window, parts []any, partial bool) (any, error) {
-	switch rule {
-	case server.MergeStack:
-		values := make([][]float64, rows.Hi-rows.Lo)
-		for k, part := range parts {
-			if part != nil {
-				copy(values[strips[k].Lo-rows.Lo:], part.([][]float64))
-			}
-		}
-		resp := q.(server.RegionQuery).Response(rows, values)
-		resp.Partial = partial
-		return resp, nil
-	case server.MergeKWay:
+func mergeStrips(rule server.Merge, q server.Query, rows server.Window, strips []server.Window, parts []any, partial bool) *server.Response {
+	if rule == server.MergeKWay {
 		k := q.(server.TopQuery).K
 		lists := make([][]server.PairResponse, 0, len(parts))
 		for _, part := range parts {
@@ -59,20 +172,36 @@ func mergeStrips(rule server.Merge, q server.Query, rows server.Window, strips [
 				lists = append(lists, part.([]server.PairResponse))
 			}
 		}
-		return server.TopResponse{K: k, Partial: partial, Pairs: mergeTop(k, lists)}, nil
-	case server.MergeConcat:
-		out := make([]float64, rows.Hi-rows.Lo)
-		for k, part := range parts {
-			p := part.(sparsePart)
-			if p.rows != strips[k] || len(p.seg) != strips[k].Hi-strips[k].Lo {
-				return nil, fmt.Errorf("strip [%d,%d) answered window [%d,%d) with %d rows",
-					strips[k].Lo, strips[k].Hi, p.rows.Lo, p.rows.Hi, len(p.seg))
-			}
-			copy(out[strips[k].Lo-rows.Lo:], p.seg)
-		}
-		return q.(server.SparseQuery).Response(rows, out), nil
+		return server.OK(server.TopResponse{K: k, Partial: partial, Pairs: mergeTop(k, lists)})
 	}
-	return nil, fmt.Errorf("no merge rule %d", rule)
+	// MergeStack, MergeConcat: the coordinator's envelope around the strips'
+	// array bytes in strip order, null for each row of a lost strip.
+	head, _ := stripShape(q, rows, partial)
+	size := len(head) + len("[]}\n")
+	for k, part := range parts {
+		if part != nil {
+			size += len(part.([]byte)) + 1
+		} else {
+			size += len("null,") * (strips[k].Hi - strips[k].Lo)
+		}
+	}
+	b := append(append(make([]byte, 0, size), head...), '[')
+	for k, part := range parts {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		if part != nil {
+			b = append(b, part.([]byte)...)
+			continue
+		}
+		for r := range strips[k].Hi - strips[k].Lo {
+			if r > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "null"...)
+		}
+	}
+	return &server.Response{Status: http.StatusOK, Body: append(b, "]}\n"...)}
 }
 
 // mergeHeap is a k-way merge frontier over per-shard rankings: one cursor

@@ -16,7 +16,7 @@ import (
 // sparseTestStore builds one threshold-pruned store over the shared test
 // matrix and opens an independent handle per caller, mirroring a real
 // deployment where every shard opens the same store file.
-func sparseTestStore(t *testing.T) *ldsparse.Store {
+func sparseTestStore(t testing.TB) *ldsparse.Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "r.ldss")
 	if _, err := ldsparse.BuildFile(path, testGenotypes(t), ldsparse.BuildOptions{

@@ -143,9 +143,10 @@ var wireRequests = []wireRequest{
 		stored: "cc263d4933142be13e20c97c0e7c16e84ea4a63cc189b28639fe43a525e87b53"},
 }
 
-// wireTopology is one dataset served twice: by a single node and by a
-// 2-strip cluster, every node over the same (optional) stores.
-func wireTopology(t *testing.T, stored bool) (single, cluster *httptest.Server) {
+// wireNodes returns the constructor of the wire dataset's nodes: every node
+// it makes serves the same matrix over the same (optional) stores, owning
+// rows [lo, hi) or, for 0:0, unsharded.
+func wireNodes(t testing.TB, stored bool) func(lo, hi int) *server.Server {
 	t.Helper()
 	matrix := func() *bitmat.Matrix {
 		g, err := popsim.Mosaic(256, 128, popsim.MosaicConfig{Seed: 13})
@@ -164,7 +165,7 @@ func wireTopology(t *testing.T, stored bool) (single, cluster *httptest.Server) 
 			t.Fatal(err)
 		}
 	}
-	node := func(lo, hi int) *httptest.Server {
+	return func(lo, hi int) *server.Server {
 		cfg := server.Config{MaxRegionSNPs: 128, MaxTopK: 100, Threads: 2, ShardStart: lo, ShardEnd: hi}
 		if stored {
 			st, err := ldstore.Open(dense, ldstore.Options{})
@@ -179,11 +180,30 @@ func wireTopology(t *testing.T, stored bool) (single, cluster *httptest.Server) 
 			t.Cleanup(func() { sp.Close() })
 			cfg.Store, cfg.Sparse = st, sp
 		}
-		ts := httptest.NewServer(server.New(matrix(), cfg))
+		return server.New(matrix(), cfg)
+	}
+}
+
+// wireTopology is one dataset served twice: by a single node and by a
+// 2-strip cluster, every node over the same (optional) stores.
+func wireTopology(t *testing.T, stored bool) (single, cluster *httptest.Server) {
+	t.Helper()
+	nodes := wireNodes(t, stored)
+	node := func(lo, hi int) *httptest.Server {
+		ts := httptest.NewServer(nodes(lo, hi))
 		t.Cleanup(ts.Close)
 		return ts
 	}
 	return node(0, 0), newTestCluster(t, fastConfig(), node(0, 128).URL, node(128, 256).URL)
+}
+
+// wireVector is the vector every pinned sparse request posts.
+func wireVector() []float64 {
+	vec := make([]float64, 256)
+	for i := range vec {
+		vec[i] = float64(i%7) - 2.5 + float64(i)/64
+	}
+	return vec
 }
 
 // TestWireStability pins the bytes on the wire: every 200 body a single
@@ -191,10 +211,7 @@ func wireTopology(t *testing.T, stored bool) (single, cluster *httptest.Server) 
 // hash to the digest the parent commit's handlers produced, with and
 // without stores loaded. It is the serving tier's TestFormatStability.
 func TestWireStability(t *testing.T) {
-	vec := make([]float64, 256)
-	for i := range vec {
-		vec[i] = float64(i%7) - 2.5 + float64(i)/64
-	}
+	vec := wireVector()
 	fetch := func(base string, rq wireRequest) (int, string) {
 		t.Helper()
 		var resp *http.Response

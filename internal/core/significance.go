@@ -101,12 +101,16 @@ func Significance(g *bitmat.Matrix, opt SignificanceOptions) (*SignificanceResul
 	r2Cut := chiCut / float64(max(g.Samples, 1))
 
 	res := &SignificanceResult{Tested: tested, Threshold: threshold}
-	// Keep the strongest MaxResults pairs with a min-heap on r²; p-values
-	// are evaluated once at the end, only for the survivors.
+	// Keep the MaxResults first pairs of the canonical ranking in a heap
+	// whose root is the last of them, so ties at the cut resolve exactly as
+	// the final sort would; p-values are evaluated once at the end, only
+	// for the survivors.
 	h := &pairHeap{}
 	ld := opt.LD
 	ld.Measures = MeasureR2
-	err = Stream(g, StreamOptions{Options: ld, Triangular: true, RowStart: lo, RowEnd: hi},
+	// Stripes are cut at the window's end anyway: a window shorter than the
+	// default stripe (512 rows) asks for a stripe buffer of its own height.
+	err = Stream(g, StreamOptions{Options: ld, Triangular: true, RowStart: lo, RowEnd: hi, StripeRows: min(hi-lo, 512)},
 		func(i, j0 int, row []float64) {
 			for t, r2 := range row {
 				j := j0 + t
@@ -116,7 +120,7 @@ func Significance(g *bitmat.Matrix, opt SignificanceOptions) (*SignificanceResul
 				res.Significant++
 				if h.Len() < opt.MaxResults {
 					heap.Push(h, SignificantPair{I: i, J: j, R2: r2})
-				} else if r2 > (*h)[0].R2 {
+				} else if last := (*h)[0]; RanksBefore(r2, i, j, last.R2, last.I, last.J) {
 					(*h)[0] = SignificantPair{I: i, J: j, R2: r2}
 					heap.Fix(h, 0)
 				}
@@ -161,14 +165,17 @@ func RanksBefore(r2a float64, ia, ja int, r2b float64, ib, jb int) bool {
 	return ja < jb
 }
 
-// pairHeap is a min-heap of SignificantPair ordered by r².
+// pairHeap is a heap of SignificantPair in reverse canonical order: the
+// root is the pair every other one RanksBefore.
 type pairHeap []SignificantPair
 
-func (h pairHeap) Len() int           { return len(h) }
-func (h pairHeap) Less(i, j int) bool { return h[i].R2 < h[j].R2 }
-func (h pairHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x any)        { *h = append(*h, x.(SignificantPair)) }
-func (h *pairHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h pairHeap) Len() int { return len(h) }
+func (h pairHeap) Less(i, j int) bool {
+	return RanksBefore(h[j].R2, h[j].I, h[j].J, h[i].R2, h[i].I, h[i].J)
+}
+func (h pairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *pairHeap) Push(x any)   { *h = append(*h, x.(SignificantPair)) }
+func (h *pairHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 var _ heap.Interface = (*pairHeap)(nil)
 

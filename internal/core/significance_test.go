@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"ldgemm/internal/bitmat"
@@ -118,6 +119,65 @@ func TestSignificanceMaxResults(t *testing.T) {
 	}
 	if res.Significant < int64(len(res.Pairs)) {
 		t.Fatal("Significant count below returned pairs")
+	}
+}
+
+// TestSignificanceTiesAtTheCut: when the cut falls inside a run of tied
+// pairs, the kept ones are exactly the first MaxResults of the canonical
+// ranking of every pair. The ties here are scanned before the strongest
+// pairs, so which of them get evicted is the heap's choice: a heap ordered
+// by r² alone drops arbitrary ones.
+func TestSignificanceTiesAtTheCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	g := randomMatrix(rng, 40, 128)
+	// SNPs 5, 8, …, 23 are SNP 2 less one carrier each, a different one:
+	// 7 pairs (2, b) tie, and below them the 21 pairs (b, b').
+	carrier := 0
+	for b := 5; b <= 23; b += 3 {
+		copy(g.SNP(b), g.SNP(2))
+		for g.SNP(2)[0]>>carrier&1 == 0 {
+			carrier++
+		}
+		g.SNP(b)[0] &^= 1 << carrier
+		carrier++
+	}
+	// Scanned after all of those and stronger: three identical SNPs.
+	copy(g.SNP(33), g.SNP(30))
+	copy(g.SNP(36), g.SNP(30))
+
+	var all []SignificantPair
+	err := Stream(g, StreamOptions{Options: Options{Measures: MeasureR2}, Triangular: true},
+		func(i, j0 int, row []float64) {
+			for t, r2 := range row {
+				if j := j0 + t; j != i {
+					all = append(all, SignificantPair{I: i, J: j, R2: r2})
+				}
+			}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(all, func(a, b int) bool {
+		return RanksBefore(all[a].R2, all[a].I, all[a].J, all[b].R2, all[b].I, all[b].J)
+	})
+	if all[0].R2 != all[2].R2 || all[3].R2 != all[9].R2 || all[10].R2 != all[30].R2 ||
+		!(all[2].R2 > all[3].R2 && all[9].R2 > all[10].R2 && all[30].R2 > all[31].R2) {
+		t.Fatalf("want runs of 3, 7 and 21 tied pairs, the ranking opens %v", all[:32])
+	}
+	for k := 1; k <= 40; k++ {
+		res, err := Significance(g, SignificanceOptions{Alpha: 0.999999, AlphaIsPerTest: true, MaxResults: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Pairs) != k {
+			t.Fatalf("MaxResults %d kept %d pairs", k, len(res.Pairs))
+		}
+		for r, p := range res.Pairs {
+			if w := all[r]; p.I != w.I || p.J != w.J || math.Float64bits(p.R2) != math.Float64bits(w.R2) {
+				t.Fatalf("MaxResults %d: rank %d is (%d,%d) r²=%v, the full ranking has (%d,%d) r²=%v",
+					k, r, p.I, p.J, p.R2, w.I, w.J, w.R2)
+			}
+		}
 	}
 }
 

@@ -482,23 +482,11 @@ type ScoreResponse struct {
 }
 
 // Response wraps the output segment of rows in the operator's payload.
-func (q SparseQuery) Response(rows Window, seg []float64) any {
+func (q SparseQuery) Response(rows Window, seg []float64) FloatPayload {
 	if q.Op == "score" {
 		return ScoreResponse{RowStart: rows.Lo, RowEnd: rows.Hi, Scores: seg}
 	}
 	return MatVecResponse{RowStart: rows.Lo, RowEnd: rows.Hi, Y: seg}
-}
-
-// Segment decodes one strip's payload back into its window and segment.
-func (q SparseQuery) Segment(body []byte) (Window, []float64, error) {
-	if q.Op == "score" {
-		var resp ScoreResponse
-		err := json.Unmarshal(body, &resp)
-		return Window{Lo: resp.RowStart, Hi: resp.RowEnd}, resp.Scores, err
-	}
-	var resp MatVecResponse
-	err := json.Unmarshal(body, &resp)
-	return Window{Lo: resp.RowStart, Hi: resp.RowEnd}, resp.Y, err
 }
 
 // PruneQuery is /api/prune: window/step/r² LD pruning of the whole matrix.

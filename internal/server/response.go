@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 )
 
 // Response is a fully materialized answer: status, JSON body, and the
@@ -19,15 +20,23 @@ type Response struct {
 	Failed string
 }
 
-// OK marshals a 200 payload. The payload is marshalled before any byte
-// is written, so an encoding failure still produces a well-formed JSON
-// error instead of a truncated body behind a 200 already on the wire.
+// OK marshals a 200 payload: a float payload through the one float
+// encoder (wire.go), anything else through encoding/json. The payload is
+// marshalled before any byte is written, so an encoding failure still
+// produces a well-formed JSON error instead of a truncated body behind a
+// 200 already on the wire.
 func OK(v any) *Response {
-	b, err := json.Marshal(v)
+	var b []byte
+	var err error
+	if p, ok := v.(FloatPayload); ok {
+		b, err = encodeFloatPayload(p)
+	} else if b, err = json.Marshal(v); err == nil {
+		b = append(b, '\n')
+	}
 	if err != nil {
 		return Errorf(http.StatusInternalServerError, "encoding response: %v", err)
 	}
-	return &Response{Status: http.StatusOK, Body: append(b, '\n')}
+	return &Response{Status: http.StatusOK, Body: b}
 }
 
 // Errorf builds the JSON error payload every non-200 answer carries.
@@ -36,9 +45,12 @@ func Errorf(status int, format string, args ...any) *Response {
 	return &Response{Status: status, Body: append(b, '\n')}
 }
 
-// Write sends the response to one client.
+// Write sends the response to one client. The body is whole, so its length
+// is declared and net/http does not fall back to chunked transfer for
+// anything over its 2 KiB buffer.
 func (resp *Response) Write(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.Body)))
 	if resp.Failed != "" {
 		w.Header().Set("X-LD-Shards-Failed", resp.Failed)
 	}

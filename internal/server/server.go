@@ -451,13 +451,13 @@ func (s *Server) top(ctx context.Context, q TopQuery, rows Window) (TopResponse,
 		},
 		func() (pairs []PairResponse, err error) {
 			res, err := core.Significance(s.g, core.SignificanceOptions{
-				Alpha: 0.999999, AlphaIsPerTest: true, MaxResults: s.cfg.MaxTopK * 4,
+				Alpha: 0.999999, AlphaIsPerTest: true, MaxResults: q.K,
 				RowStart: rows.Lo, RowEnd: rows.Hi, LD: s.ldOptions(ctx),
 			})
 			if err != nil {
 				return nil, err
 			}
-			for _, sp := range res.Pairs[:min(q.K, len(res.Pairs))] {
+			for _, sp := range res.Pairs {
 				pairs = append(pairs, s.pairResponse(sp.I, sp.J, core.PairLD(s.g, sp.I, sp.J), sp.R2))
 			}
 			return pairs, nil

@@ -1,0 +1,161 @@
+package server
+
+import (
+	"encoding/json"
+	"math"
+	"strconv"
+)
+
+// The float payloads. Three 200 bodies — the region matrix and the two
+// sparse operators' vectors — are almost entirely one array of floats, and
+// a float is formatted exactly once, here, by the node that computed it: a
+// coordinator validates and splices those bytes (internal/cluster) and
+// never converts a digit. What it relies on is the shape this encoder
+// writes, which is encoding/json's output for the same struct, byte for
+// byte:
+//
+//	head array "}\n"
+//
+// head is every other field in declaration order plus the array's key,
+// the array is the payload's last field, there is no whitespace anywhere
+// and exactly one trailing newline, and every number is spelled as
+// encoding/json spells it (the shortest decimal that round-trips; exponent
+// form below 1e-6 and from 1e21, its e-07 cleaned up to e-7).
+
+// FloatPayload is a 200 payload that ends in a float array.
+type FloatPayload interface {
+	// AppendHead appends the payload's JSON up to the array: every other
+	// field and the array's key.
+	AppendHead(b []byte) []byte
+	// appendArray appends the array; floats is how many it holds.
+	appendArray(b []byte) ([]byte, error)
+	floats() int
+}
+
+const (
+	payloadTail = "}\n"
+	// maxFloatLen is the longest spelling of a float64, e.g.
+	// -0.0000012345678901234567.
+	maxFloatLen = 25
+)
+
+// encodeFloatPayload writes head + array + tail into one allocation sized
+// for the longest spelling of every float.
+func encodeFloatPayload(p FloatPayload) ([]byte, error) {
+	b := p.AppendHead(make([]byte, 0, 160+p.floats()*(maxFloatLen+1)))
+	b, err := p.appendArray(b)
+	return append(b, payloadTail...), err
+}
+
+func (r RegionResponse) AppendHead(b []byte) []byte {
+	b = appendIntField(append(b, '{'), "start", r.Start, false)
+	b = appendIntField(b, "end", r.End, false)
+	b = appendString(append(b, `,"measure":`...), r.Measure)
+	b = appendIntField(b, "row_start", r.RowStart, true)
+	b = appendIntField(b, "row_end", r.RowEnd, true)
+	if r.Partial {
+		b = append(b, `,"partial":true`...)
+	}
+	return append(b, `,"values":`...)
+}
+
+func (r RegionResponse) appendArray(b []byte) (_ []byte, err error) {
+	if r.Values == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	for i, row := range r.Values {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = appendFloats(b, row); err != nil {
+			return b, err
+		}
+	}
+	return append(b, ']'), nil
+}
+
+func (r RegionResponse) floats() int {
+	n := 0
+	for _, row := range r.Values {
+		n += max(len(row), 1) // a null or empty row is still a few bytes
+	}
+	return n
+}
+
+func (r MatVecResponse) AppendHead(b []byte) []byte {
+	return appendVectorHead(b, r.RowStart, r.RowEnd, "y")
+}
+func (r MatVecResponse) appendArray(b []byte) ([]byte, error) { return appendFloats(b, r.Y) }
+func (r MatVecResponse) floats() int                          { return len(r.Y) }
+
+func (r ScoreResponse) AppendHead(b []byte) []byte {
+	return appendVectorHead(b, r.RowStart, r.RowEnd, "scores")
+}
+func (r ScoreResponse) appendArray(b []byte) ([]byte, error) { return appendFloats(b, r.Scores) }
+func (r ScoreResponse) floats() int                          { return len(r.Scores) }
+
+func appendVectorHead(b []byte, lo, hi int, key string) []byte {
+	b = appendIntField(append(b, '{'), "row_start", lo, false)
+	b = appendIntField(b, "row_end", hi, false)
+	return append(append(append(b, `,"`...), key...), `":`...)
+}
+
+// appendIntField appends `,"key":v` — without the comma right after the
+// opening brace, and nothing at all for an omitempty zero.
+func appendIntField(b []byte, key string, v int, omitempty bool) []byte {
+	if omitempty && v == 0 {
+		return b
+	}
+	if b[len(b)-1] != '{' {
+		b = append(b, ',')
+	}
+	b = append(append(append(b, '"'), key...), `":`...)
+	return strconv.AppendInt(b, int64(v), 10)
+}
+
+// appendString appends s as encoding/json quotes it. The measure names are
+// plain; any other string takes encoding/json's own escaping.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// appendFloats appends one JSON array of floats, null for a nil slice.
+func appendFloats(b []byte, fs []float64) (_ []byte, err error) {
+	if fs == nil {
+		return append(b, "null"...), nil
+	}
+	b = append(b, '[')
+	for i, f := range fs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = appendFloat(b, f); err != nil {
+			return b, err
+		}
+	}
+	return append(b, ']'), nil
+}
+
+// appendFloat spells f as encoding/json does, and refuses what it refuses.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	abs := math.Abs(f)
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		b = strconv.AppendFloat(b, f, 'e', -1, 64)
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1] // e-07 → e-7
+			b = b[:n-1]
+		}
+		return b, nil
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64), nil
+}
