@@ -1,3 +1,8 @@
+# Formatting gate: gofmt must have nothing to say about any file.
+.PHONY: fmt-check
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
 # Tier-1: everything must build and every test pass.
 .PHONY: verify
 verify:
@@ -96,12 +101,14 @@ bench-json:
 # benchmark harness compiling and running in CI without full-size cost.
 # Then one iteration each of the float-wire micro-benchmarks: a node
 # encoding an 80 × 80 region, a coordinator checking and splicing its two
-# strips.
+# strips. And one pass of the small-k stream (8192 SNPs × 512 samples),
+# which prints what the fused epilogue costs per pair.
 .PHONY: bench-smoke
 bench-smoke:
 	go run ./cmd/ldbench -scale 20 -threads 1,2 -epilogue-json /tmp/BENCH_epilogue_smoke.json
 	go test ./internal/server -run '^$$' -bench BenchmarkEncodeRegion -benchtime 1x -benchmem
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
+	go test . -run '^$$' -bench BenchmarkStreamSmallK -benchtime 1x
 
 # Full-size epilogue benchmark (the committed BENCH_epilogue.json:
 # ≥8192 SNPs, thread grid through 8).

@@ -517,3 +517,33 @@ func BenchmarkAblationKernelShape(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStreamSmallK is the small-k regime of ROADMAP item 5 (the
+// benchmark module's compute_small_k): 8192 SNPs × 512 samples through a
+// triangular r² core.Stream with a visitor that only counts. At eight
+// sample words per SNP the count→r² conversion is a first-order cost next
+// to the AND+POPCNT+ADD kernel, so besides Mpairs/s it reports what the
+// fused epilogue costs per delivered pair (wall time inside the hook,
+// summed over workers).
+func BenchmarkStreamSmallK(b *testing.B) {
+	const n, k = 8192, 512
+	g := benchMatrix(b, 15, n, k)
+	want := int64(n) * int64(n+1) / 2
+	opt := core.StreamOptions{Triangular: true}
+	before := blis.ReadStats()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var pairs int64
+		err := core.Stream(g, opt, func(_, _ int, row []float64) { pairs += int64(len(row)) })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pairs != want {
+			b.Fatalf("visited %d pairs, want %d", pairs, want)
+		}
+	}
+	epiNanos := blis.ReadStats().EpilogueNanos - before.EpilogueNanos
+	total := float64(want) * float64(b.N)
+	b.ReportMetric(total/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+	b.ReportMetric(float64(epiNanos)/total, "epilogue-ns/pair")
+}

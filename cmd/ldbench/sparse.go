@@ -53,14 +53,14 @@ type sparseReport struct {
 	// Matvec throughput over the pruned store, and the bit-identity
 	// verdict against a dense ascending-j fold over the kept entries
 	// (always asserted; the benchmark fails on any mismatch).
-	MatVecReps          int     `json:"matvec_reps"`
-	MatVecSeconds       float64 `json:"matvec_seconds"`
-	MatVecsPerSec       float64 `json:"matvecs_per_sec"`
-	EntriesPerSec       float64 `json:"entries_per_sec"`
-	MatVecExact         bool    `json:"matvec_exact"`
-	RatiosEnforced      bool    `json:"ratios_enforced"`
-	MinSizeRatio        float64 `json:"min_size_ratio"`
-	MinBandSpeedup      float64 `json:"min_band_speedup"`
+	MatVecReps     int     `json:"matvec_reps"`
+	MatVecSeconds  float64 `json:"matvec_seconds"`
+	MatVecsPerSec  float64 `json:"matvecs_per_sec"`
+	EntriesPerSec  float64 `json:"entries_per_sec"`
+	MatVecExact    bool    `json:"matvec_exact"`
+	RatiosEnforced bool    `json:"ratios_enforced"`
+	MinSizeRatio   float64 `json:"min_size_ratio"`
+	MinBandSpeedup float64 `json:"min_band_speedup"`
 }
 
 // writeSparseJSON builds one dataset three ways — dense LDTS, pruned

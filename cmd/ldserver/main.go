@@ -136,7 +136,7 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	tuneProfile := fs.String("tune-profile", "",
 		"per-host tune profile JSON (ldbench -write-tune-profile output); corrupt or stale profiles are logged and ignored")
 	epilogue := fs.String("epilogue", "fused",
-		"LD epilogue mode: fused (convert counts per tile inside the blocked driver) or split (legacy two-phase)")
+		"LD epilogue mode: fused (convert counts inside the blocked driver) or split (legacy two-phase)")
 	shardRange := fs.String("shard-range", "",
 		"owned SNP row range a:b when running as a cluster shard (empty = unsharded)")
 	coordinator := fs.String("coordinator", "",

@@ -110,18 +110,26 @@ func (c Config) normalize() (Config, error) {
 }
 
 // TileEpilogue is the fused-epilogue hook of GemmEpilogue/SyrkEpilogue
-// (and their masked variants): the driver invokes it once per finished
-// mm×nn register tile, immediately after the tile's final rank-k update,
-// from the worker goroutine that computed it. tile addresses the finished
-// counts with row stride ldt in C entries — for the plain kernel the cell
-// (r, c) of the tile is tile[r*ldt+c]; for the masked kernel each C entry
-// is four uint32 counts and cell (r, c, k) is tile[(r*ldt+c)*4+k]. (i0,
-// j0) are the tile's global output coordinates. worker identifies the
-// calling worker (0 ≤ worker < Config.Threads) so implementations can use
-// per-worker state without locking; distinct calls may touch the same
-// output rows (different column ranges), so writes the hook performs must
-// be disjoint by (i0, j0) — which they are when it writes only its own
-// tile's cells, plus SYRK mirror cells owned by that tile.
+// (and their masked variants). The driver invokes it once per finished
+// row run: mm ≤ MR consecutive output rows (one row of register tiles)
+// spanning nn consecutive columns — every computed column of the
+// scheduler job that owns them, typically hundreds to thousands — right
+// after the job's final rank-k update, from the worker goroutine that
+// computed it. tile addresses the finished counts with row stride ldt in
+// C entries — for the plain kernel the cell (r, c) of the run is
+// tile[r*ldt+c]; for the masked kernel each C entry is four uint32 counts
+// and cell (r, c, k) is tile[(r*ldt+c)*4+k]. (i0, j0) are the run's
+// global output coordinates; i0 is a multiple of MR and j0 of NR. Under
+// SYRK a run starts at its panel's first register tile with i0 < j0+NR,
+// so the cells delivered are exactly those of the tiles the triangle
+// sweep computes. Handing over whole rows rather than MR×NR tiles lets
+// the hook hoist per-row state and write nn contiguous outputs; a hook
+// must not assume nn ≤ NR. worker identifies the calling worker (0 ≤
+// worker < Config.Threads) so implementations can use per-worker state
+// without locking; distinct calls may touch the same output rows
+// (different column ranges), so writes the hook performs must be disjoint
+// by cell — which they are when it writes only its own run's cells, plus
+// SYRK mirror cells owned by them.
 type TileEpilogue func(worker int, tile []uint32, ldt, i0, j0, mm, nn int)
 
 // Gemm computes the full m×n count matrix between the SNPs of a and b:
@@ -143,7 +151,7 @@ func Gemm(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int) error {
 
 // GemmEpilogue runs the blocked GEMM of Gemm fused: no count matrix is
 // materialized — counts accumulate in pooled per-job scratch and every
-// finished register tile is handed to epi while cache-hot. Callers
+// finished row run is handed to epi while cache-hot. Callers
 // convert counts to their final representation (LD measures, summaries)
 // inside epi; the dense m×n uint32 intermediate never exists.
 func GemmEpilogue(cfg Config, a, b *bitmat.Matrix, epi TileEpilogue) error {
@@ -184,9 +192,10 @@ func Syrk(cfg Config, a *bitmat.Matrix, c []uint32, ldc int, mirror bool) error 
 }
 
 // SyrkEpilogue runs the blocked SYRK of Syrk fused (see GemmEpilogue):
-// epi receives every register tile the triangle sweep computes — tiles
-// with i0 < j0+nr, i.e. the upper triangle plus the diagonal-crossing
-// tiles, whose below-diagonal cells hold correct counts as a by-product.
+// epi receives, as row runs, every register tile the triangle sweep
+// computes — tiles with i0 < j0+nr, i.e. the upper triangle plus the
+// diagonal-crossing tiles, whose below-diagonal cells hold correct counts
+// as a by-product.
 // There is no count mirror; epilogues that need the lower triangle mirror
 // their own converted values (bit-safe for the LD measures because the
 // denominator grouping is symmetric under SNP exchange).

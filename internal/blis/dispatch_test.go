@@ -219,7 +219,7 @@ func TestParsePopcountRoundTrip(t *testing.T) {
 // through the vector engine concurrently, all sharing the arena pool.
 func TestConcurrentBatchedSyrk(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
-	n, samples := 70, 64 * 40
+	n, samples := 70, 64*40
 	g := randomMatrix(rng, n, samples)
 	mg, mk := randomMasked(rng, n, samples)
 	want := make([]uint32, n*n)

@@ -2,7 +2,7 @@ package blis
 
 import (
 	"math/rand"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"ldgemm/internal/bitmat"
@@ -46,57 +46,161 @@ func TestGemmEpilogueMatchesReference(t *testing.T) {
 	}
 }
 
-// Every output cell must be handed to the epilogue exactly once, whatever
-// the blocking fringes and thread interleaving do.
-func TestGemmEpilogueCoversEachCellOnce(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomMatrix(rng, 61, 150)
-	b := randomMatrix(rng, 43, 150)
-	seen := make([]atomic.Int32, 61*43)
-	epi := func(_ int, _ []uint32, _, i0, j0, mm, nn int) {
+// epiRun is one TileEpilogue invocation as the contract tests record it.
+type epiRun struct{ i0, j0, mm, nn int }
+
+// checkRowRunContract runs one fused call and holds it to the TileEpilogue
+// contract: every hook call is a row run of mm ≤ MR rows lying inside one
+// scheduler job and ending at that job's right edge, each (job, panel)
+// with computed cells is handed over exactly once, every computed cell —
+// all of C, or under SYRK exactly the register tiles with i0 < j0+NR, the
+// set the mirror ownership rule of internal/core is built on — is
+// delivered exactly once with its fully reduced count, and no other cell
+// is delivered at all.
+func checkRowRunContract(t *testing.T, cfg Config, m, n, samples int, syrk bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(m*1000 + n)))
+	a := randomMatrix(rng, m, samples)
+	b := a
+	if !syrk {
+		b = randomMatrix(rng, n, samples)
+	}
+	want := make([]uint32, m*n)
+	if err := Reference(a, b, want, n); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var runs []epiRun
+	seen := make([]int, m*n)
+	epi := func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
+		mu.Lock()
+		defer mu.Unlock()
+		runs = append(runs, epiRun{i0, j0, mm, nn})
 		for r := 0; r < mm; r++ {
 			for c := 0; c < nn; c++ {
-				seen[(i0+r)*43+j0+c].Add(1)
+				seen[(i0+r)*n+j0+c]++
+				if got := tile[r*ldt+c]; got != want[(i0+r)*n+j0+c] {
+					t.Errorf("run (%d,%d): C[%d,%d] = %d, want %d", i0, j0, i0+r, j0+c, got, want[(i0+r)*n+j0+c])
+				}
 			}
 		}
 	}
-	if err := GemmEpilogue(smallConfig(kernel.Default, 4), a, b, epi); err != nil {
+	var err error
+	if syrk {
+		err = SyrkEpilogue(cfg, a, epi)
+	} else {
+		err = GemmEpilogue(cfg, a, b, epi)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range seen {
-		if got := seen[i].Load(); got != 1 {
-			t.Fatalf("cell %d visited %d times, want exactly once", i, got)
+
+	norm, err := cfg.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, nr := norm.Kernel.MR, norm.Kernel.NR
+	mcBlk, ncBlk := roundUp(norm.MC, mr), roundUp(norm.NC, nr)
+
+	// The computed set, from the tile rule alone.
+	for i0 := 0; i0 < m; i0 += mr {
+		for j0 := 0; j0 < n; j0 += nr {
+			computed := 1
+			if syrk && i0 >= j0+nr {
+				computed = 0
+			}
+			for i := i0; i < min(i0+mr, m); i++ {
+				for j := j0; j < min(j0+nr, n); j++ {
+					if seen[i*n+j] != computed {
+						t.Fatalf("cell (%d,%d) of tile (%d,%d) delivered %d times, want %d", i, j, i0, j0, seen[i*n+j], computed)
+					}
+				}
+			}
+		}
+	}
+
+	// The runs the scheduler's jobs imply: per job and MR-row panel, the
+	// panel's computed tiles, as one span.
+	expect := map[epiRun]int{}
+	for jc := 0; jc < n; jc += ncBlk {
+		nc := min(ncBlk, n-jc)
+		target := norm.ChunkTiles
+		if target == 0 {
+			target = countTiles(m, jc, nc, mcBlk, mr, nr, syrk) / (norm.Threads * chunksPerWorker)
+		}
+		for _, jb := range buildTileJobs(nil, m, jc, nc, mcBlk, mr, nr, target, syrk) {
+			for ir := 0; ir < jb.mc; ir += mr {
+				i0 := jb.ic + ir
+				for jr := jb.jr0; jr < jb.jr1; jr += nr {
+					if syrk && i0 >= jc+jr+nr {
+						continue
+					}
+					expect[epiRun{i0, jc + jr, min(mr, jb.mc-ir), min(jb.jr1, nc) - jr}]++
+					break
+				}
+			}
+		}
+	}
+	for _, r := range runs {
+		if r.mm > mr {
+			t.Fatalf("run %+v is taller than MR = %d", r, mr)
+		}
+		if expect[r] != 1 {
+			t.Fatalf("run %+v is not one job's panel (or was handed over twice)", r)
+		}
+		expect[r]--
+	}
+	if len(runs) != len(expect) {
+		t.Fatalf("%d runs delivered, the jobs hold %d panels with computed cells", len(runs), len(expect))
+	}
+}
+
+// contractShapes are off multiples of every blocking parameter used below
+// (MR/NR ∈ {3, 4, 5, 8}, MC ∈ {8, 12}, NC ∈ {12, 20}), plus degenerate and
+// exactly-aligned ones.
+var contractShapes = []struct{ m, n int }{
+	{1, 1}, {3, 9}, {16, 24}, {37, 29}, {61, 43}, {65, 130},
+}
+
+// contractConfigs varies what decides where runs start and end: register
+// tile shape, block sizes, chunking (1 tile per job, 7, derived), threads.
+func contractConfigs() []Config {
+	var cfgs []Config
+	for _, k := range []kernel.Kernel{kernel.Default, kernel.Fixed[3] /* 8x4 */, kernel.Fixed[4] /* 4x8 */, kernel.Generic(3, 5)} {
+		for _, chunk := range []int{1, 7, 0} {
+			for _, threads := range []int{1, 3, 8} {
+				cfgs = append(cfgs, Config{MC: 12, NC: 20, KC: 1, Kernel: k, ChunkTiles: chunk, Threads: threads})
+			}
+		}
+	}
+	return append(cfgs, Config{MC: 8, NC: 12, KC: 2, ChunkTiles: 7, Threads: 2}, Config{Threads: 5})
+}
+
+// Every output cell must be handed to the epilogue exactly once, as row
+// runs that respect job boundaries, whatever the blocking fringes, slab
+// grouping, chunking and thread interleaving do.
+func TestGemmEpilogueCoversEachCellOnce(t *testing.T) {
+	old := maxGroupWords
+	maxGroupWords = 64 // several slab groups: runs fire after the last only
+	defer func() { maxGroupWords = old }()
+	for _, cfg := range contractConfigs() {
+		for _, sh := range contractShapes {
+			checkRowRunContract(t, cfg, sh.m, sh.n, 64*5+9, false)
 		}
 	}
 }
 
+// Under SYRK the delivered cells are exactly those of the register tiles
+// with i0 < j0+NR: the upper triangle plus the diagonal-crossing tiles,
+// whose below-diagonal cells hold correct counts as a by-product.
 func TestSyrkEpilogueUpperTriangle(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 7, 16, 33, 65, 130} {
-		a := randomMatrix(rng, n, 257)
-		const sentinel = ^uint32(0)
-		got := make([]uint32, n*n)
-		for i := range got {
-			got[i] = sentinel
-		}
-		if err := SyrkEpilogue(smallConfig(kernel.Default, 4), a, gatherEpilogue(got, n)); err != nil {
-			t.Fatal(err)
-		}
-		want := make([]uint32, n*n)
-		if err := Reference(a, a, want, n); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				switch v := got[i*n+j]; {
-				case j >= i && v != want[i*n+j]:
-					t.Fatalf("n=%d: upper C[%d,%d] = %d, want %d", n, i, j, v, want[i*n+j])
-				case j < i && v != sentinel && v != want[i*n+j]:
-					// Diagonal-crossing tiles may deliver below-diagonal
-					// cells; when they do, the by-product must be correct.
-					t.Fatalf("n=%d: crossing-tile C[%d,%d] = %d, want %d", n, i, j, v, want[i*n+j])
-				}
-			}
+	old := maxGroupWords
+	maxGroupWords = 64
+	defer func() { maxGroupWords = old }()
+	for _, cfg := range contractConfigs() {
+		for _, sh := range contractShapes {
+			checkRowRunContract(t, cfg, sh.n, sh.n, 64*5+9, true)
 		}
 	}
 }

@@ -158,7 +158,7 @@ type tileDriver struct {
 	slabWords int // packed words of one slab at the widest column block
 	apanelLen int // packed words of one A micro-panel per slab
 	// epi, when non-nil, is the fused epilogue: counts accumulate in
-	// per-job scratch instead of a caller matrix, and finished tiles are
+	// per-job scratch instead of a caller matrix, and finished row runs are
 	// handed to the hook during the final slab group while still hot.
 	epi     TileEpilogue
 	scratch []uint32 // per-column-block count scratch (epi mode only)
@@ -183,8 +183,8 @@ func ctxErr(ctx context.Context) error {
 // With epi non-nil the call runs fused: c is ignored (callers pass nil),
 // every job accumulates its counts in a slice of the per-column-block
 // scratch buffer, and during the final slab group the worker that
-// finishes a job immediately walks the job's register tiles and hands
-// each one to epi — the counts are at most one job region behind the
+// finishes a job immediately hands the job's MR-row panels to epi, one
+// row run each — the counts are at most one job region behind the
 // kernel's last store, so the conversion reads cache-resident data and
 // the full m×n count matrix never exists.
 func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk bool, epi TileEpilogue) error {
@@ -352,7 +352,7 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 // packs (and memoizes) the A panels of the job's row block first. Under a
 // fused epilogue the kernel accumulates into the job's scratch region
 // (local coordinates, row stride = job width); when the final slab group
-// completes, the worker converts the job's finished tiles in place via
+// completes, the worker converts the job's finished row runs in place via
 // the epilogue hook.
 func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs int, buf []uint64, share, final bool) {
 	ops := &d.ops
@@ -423,27 +423,31 @@ func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs in
 	}
 }
 
-// fuseJob walks the finished register tiles of one job — its counts just
-// received their last rank-k update, so the region is cache-resident —
-// and hands each to the epilogue hook with global output coordinates.
+// fuseJob hands the finished counts of one job — they just received their
+// last rank-k update, so the region is cache-resident — to the epilogue
+// hook one MR-row panel at a time, each as a single row run spanning every
+// computed column of the job, with global output coordinates. Under SYRK a
+// panel's run starts at its first tile with i0 < j0+nr (the compute
+// sweep's skip rule), so the cells delivered are exactly the cells
+// computed.
 func (d *tileDriver) fuseJob(w int, jb tileJob, jc, nc int, cdst []uint32, width int) {
 	ops := &d.ops
 	mr, nr := ops.mr, ops.nr
 	start := time.Now()
 	tiles := uint64(0)
-	for jr := jb.jr0; jr < jb.jr1; jr += nr {
-		j0 := jc + jr
-		nn := min(nr, nc-jr)
-		for ir := 0; ir < jb.mc; ir += mr {
-			i0 := jb.ic + ir
-			if d.syrk && i0 >= j0+nr {
-				break // same skip rule as the compute sweep
+	jrEnd := min(jb.jr1, nc)
+	for ir := 0; ir < jb.mc; ir += mr {
+		i0 := jb.ic + ir
+		jr := jb.jr0
+		if d.syrk && i0 >= jc+jr+nr {
+			jr = (i0 - jc) / nr * nr // first micro-column with jc+jr+nr > i0
+			if jr >= jrEnd {
+				break // rows only sink further below the diagonal
 			}
-			mm := min(mr, jb.mc-ir)
-			off := (ir*width + (jr - jb.jr0)) * ops.cells
-			d.epi(w, cdst[off:], width, i0, j0, mm, nn)
-			tiles++
 		}
+		off := (ir*width + (jr - jb.jr0)) * ops.cells
+		d.epi(w, cdst[off:], width, i0, jc+jr, min(mr, jb.mc-ir), jrEnd-jr)
+		tiles += uint64((jrEnd - jr + nr - 1) / nr)
 	}
 	stats.epiTiles.Add(tiles)
 	stats.epiNanos.Add(uint64(time.Since(start)))

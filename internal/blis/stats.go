@@ -60,8 +60,8 @@ type DriverStats struct {
 	ArenaGets   uint64
 	ArenaMisses uint64
 	// EpilogueTiles counts register tiles converted in place by a fused
-	// tile epilogue, EpilogueNanos the wall time workers spent inside the
-	// hook, and EpilogueBytesAvoided the dense count-matrix bytes that
+	// epilogue (the tiles its row runs span), EpilogueNanos the wall time
+	// workers spent inside the hook, and EpilogueBytesAvoided the dense count-matrix bytes that
 	// fused calls never materialized (m·n·4 per cell per call).
 	EpilogueTiles        uint64
 	EpilogueNanos        uint64

@@ -228,7 +228,8 @@ descent:
 
 	// Phase 3: pipeline shape — is the fused tile epilogue faster than
 	// materializing the count matrix on this host? The fused probe pays
-	// for the per-tile hook dispatch; split pays for the dense C traffic.
+	// for the per-job scratch and one hook call per row run; split pays
+	// for the dense C traffic.
 	if !time.Now().After(deadline) {
 		cfg := best
 		cfg.Threads = opt.Threads

@@ -8,8 +8,9 @@ import (
 )
 
 // This file implements the fused LD epilogue: blis.TileEpilogue hooks that
-// convert haplotype counts to D/r²/D′ per finished register tile, inside
-// the blocked driver's workers, while the counts are still cache-hot. The
+// convert haplotype counts to D/r²/D′ per finished row run (one MR-row
+// panel of a scheduler job, every computed column), inside the blocked
+// driver's workers, while the counts are still cache-hot. The
 // split pipeline (fillMeasures/fillMaskedMeasures) materializes the full
 // m×n uint32 count matrix and walks it serially afterwards — a second
 // round-trip through memory that Amdahl-caps the parallel driver. Fused,
@@ -81,163 +82,198 @@ func invVarTable(p []float64) []float64 {
 
 func roundUp2(x, m int) int { return (x + m - 1) / m * m }
 
-// denseEpilogue converts plain-count tiles into the requested measures.
-// Outputs are row-major with stride ld; rowFreqs/colFreqs are indexed by
-// the driver's global tile coordinates, so streaming callers pass
-// sub-slices of the frequency vector aligned to the sub-matrix origin.
-type denseEpilogue struct {
-	inv                float64 // 1/Nseq
-	rowFreqs, colFreqs []float64
-	rowVar, colVar     []float64 // exact r²: p(1−p) variance factors
-	rowInv, colInv     []float64 // fast r²: 1/(p(1−p)) reciprocals
-	d, r2, dp          []float64 // outputs; nil when not requested
-	ld                 int
-	fast               bool // r² via reciprocal tables (FastR2 / stream default)
-	// mirror enables the SYRK lower-triangle fill: each tile writes the
-	// transposed copy of the cells whose transposed tile the triangle
-	// sweep never computed (see ownership rule in tile). mr/nr must match
-	// the driver's register tile for the rule to partition correctly.
+// measureOut is the output side the two epilogues share: the requested
+// measure matrices, row-major with stride ld, and the SYRK mirror rule.
+type measureOut struct {
+	d, r2, dp []float64 // outputs; nil when not requested
+	ld        int
+	// mirror enables the SYRK lower-triangle fill: each run also writes
+	// the transposed copy of the cells whose transposed tile the triangle
+	// sweep never computed. mr/nr must match the driver's register tile
+	// for the ownership rule to partition correctly.
 	mirror bool
 	mr, nr int
+}
+
+// alloc allocates the measure matrices opt requests on res.
+func (o *measureOut) alloc(res *Result, opt Options) {
+	meas := opt.measures()
+	cells := res.SNPs * res.Cols
+	if meas&MeasureD != 0 {
+		res.D = make([]float64, cells)
+		o.d = res.D
+	}
+	if meas&MeasureR2 != 0 {
+		res.R2 = make([]float64, cells)
+		o.r2 = res.R2
+	}
+	if meas&MeasureDPrime != 0 {
+		res.DPrime = make([]float64, cells)
+		o.dp = res.DPrime
+	}
+}
+
+// mirrorFrom returns the first column of row gi that this row must also
+// write transposed. The SYRK sweep computes exactly the tiles with
+// tileRow < tileCol+nr, so the transposed home of cell (i, j) is
+// uncomputed — and (i, j)'s run must write the (j, i) copy — iff
+// ⌊j/mr⌋·mr ≥ (⌊i/nr⌋+1)·nr, i.e. j ≥ roundUp(i − i%nr + nr, mr). Cells
+// left of that either lie in the rows of a diagonal-crossing tile (which
+// computes correct below-diagonal counts as a by-product, written
+// directly) or belong to another computed tile; both triangles are
+// therefore written exactly once, with no write shared between concurrent
+// hook invocations. The bound is past every row of gi's own MR panel, so
+// a mirrored write never lands in the run being converted.
+func (o *measureOut) mirrorFrom(gi int) int {
+	return roundUp2(gi-gi%o.nr+o.nr, o.mr)
+}
+
+// reflect copies the mirrored cells of the finished run — rows [i0,
+// i0+mm), columns [j0, j0+nn) — to their transposed homes. The walk is
+// column-major: each transposed row receives its mm contiguous floats in
+// one visit, NR such rows per register tile's worth of columns, as the
+// per-tile walk did. Reflecting a row at a time instead would touch nn
+// transposed rows — all one cache set when ld·8 is a multiple of 4 KiB —
+// between two neighbouring floats of the same line.
+func (o *measureOut) reflect(i0, j0, mm, nn int) {
+	end := j0 + nn
+	// Every row mirrors from all on; rows above the panel's last may start
+	// earlier when neither of mr, nr divides the other.
+	all := min(max(o.mirrorFrom(i0+mm-1), j0), end)
+	for _, m := range [...][]float64{o.d, o.r2, o.dp} {
+		if m == nil {
+			continue
+		}
+		for r := 0; r < mm-1; r++ {
+			gi := i0 + r
+			for c := max(o.mirrorFrom(gi), j0); c < all; c++ {
+				m[c*o.ld+gi] = m[gi*o.ld+c]
+			}
+		}
+		for c := all; c < end; c++ {
+			dst := m[c*o.ld+i0:][:mm]
+			for r := range dst {
+				dst[r] = m[(i0+r)*o.ld+c]
+			}
+		}
+	}
+}
+
+// denseEpilogue converts plain-count row runs into the requested measures.
+// rowFreqs/colFreqs (and the variance tables) are indexed by the driver's
+// global coordinates, so streaming callers pass sub-slices aligned to the
+// sub-matrix origin.
+type denseEpilogue struct {
+	measureOut
+	inv                float64 // 1/Nseq
+	rowFreqs, colFreqs []float64
+	// rowTab/colTab are the per-SNP r² factors (see r2Table): reciprocals
+	// 1/(p(1−p)) when fast, variance factors p(1−p) otherwise.
+	rowTab, colTab []float64
+	fast           bool // r² via reciprocal tables (FastR2 / stream default)
 }
 
 // newDenseEpilogue allocates the requested measure matrices on res and
 // returns the epilogue that fills them with row stride res.Cols.
 func newDenseEpilogue(res *Result, opt Options, mirror bool) *denseEpilogue {
-	meas := opt.measures()
-	m, n := res.SNPs, res.Cols
 	e := &denseEpilogue{
-		rowFreqs: res.RowFreqs, colFreqs: res.ColFreqs,
-		ld: n, fast: opt.FastR2, mirror: mirror,
+		measureOut: measureOut{ld: res.Cols, mirror: mirror},
+		rowFreqs:   res.RowFreqs, colFreqs: res.ColFreqs,
+		fast: opt.FastR2,
 	}
 	e.mr, e.nr = kernelShape(opt.Blis)
 	if res.Samples > 0 {
 		e.inv = 1 / float64(res.Samples)
 	}
-	if meas&MeasureD != 0 {
-		res.D = make([]float64, m*n)
-		e.d = res.D
+	e.alloc(res, opt)
+	if e.r2 != nil {
+		e.rowTab = r2Table(e.rowFreqs, e.fast)
+		e.colTab = e.rowTab
+		shared := len(e.rowFreqs) > 0 && len(e.colFreqs) == len(e.rowFreqs) && &e.rowFreqs[0] == &e.colFreqs[0]
+		if !shared {
+			e.colTab = r2Table(e.colFreqs, e.fast)
+		}
 	}
-	if meas&MeasureR2 != 0 {
-		res.R2 = make([]float64, m*n)
-		e.r2 = res.R2
-	}
-	if meas&MeasureDPrime != 0 {
-		res.DPrime = make([]float64, m*n)
-		e.dp = res.DPrime
-	}
-	e.prepare()
 	return e
 }
 
-// prepare builds whichever per-SNP tables the configured r² path needs.
-func (e *denseEpilogue) prepare() {
-	if e.r2 == nil {
-		return
+// r2Table returns the per-SNP table the r² path reads: invVarTable for the
+// fast path, varTable for the exact one.
+func r2Table(p []float64, fast bool) []float64 {
+	if fast {
+		return invVarTable(p)
 	}
-	shared := len(e.rowFreqs) > 0 && len(e.colFreqs) == len(e.rowFreqs) && &e.rowFreqs[0] == &e.colFreqs[0]
-	if e.fast {
-		e.rowInv = invVarTable(e.rowFreqs)
-		e.colInv = e.rowInv
-		if !shared {
-			e.colInv = invVarTable(e.colFreqs)
-		}
-		return
-	}
-	e.rowVar = varTable(e.rowFreqs)
-	e.colVar = e.rowVar
-	if !shared {
-		e.colVar = varTable(e.colFreqs)
-	}
+	return varTable(p)
 }
 
-// tile is the blis.TileEpilogue hook. The mirror ownership rule: the SYRK
-// sweep computes exactly the tiles with tileRow < tileCol+nr, so the
-// transposed home of cell (i, j) is uncomputed — and this tile must write
-// the (j, i) copy — iff ⌊j/mr⌋·mr ≥ (⌊i/nr⌋+1)·nr, i.e. j ≥ jm where
-// jm = roundUp(i − i%nr + nr, mr). Cells below jm either lie in this
-// tile's own rows (diagonal-crossing tiles compute correct below-diagonal
-// counts as a by-product, written directly here) or belong to another
-// computed tile; both triangles are therefore written exactly once, with
-// no write shared between concurrent hook invocations.
+// tile is the blis.TileEpilogue hook: one finished row run of mm ≤ MR
+// rows by nn columns. Rows are converted whole, each measure in its own
+// loop over contiguous operands and outputs; mirrored cells are copied
+// from the converted values afterwards (see reflect).
 func (e *denseEpilogue) tile(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 	for r := 0; r < mm; r++ {
-		gi := i0 + r
-		pa := e.rowFreqs[gi]
-		trow := t[r*ldt:]
-		base := gi * e.ld
-		jm := 0
-		if e.mirror {
-			jm = roundUp2(gi-gi%e.nr+e.nr, e.mr)
+		e.row(t[r*ldt:][:nn], i0+r, j0)
+	}
+	if e.mirror {
+		e.reflect(i0, j0, mm, nn)
+	}
+}
+
+// row converts cells [j0, j0+len(trow)) of output row gi. Every loop
+// replicates PairFromFreqs's operation sequence for its measure (the
+// variance product taken from the per-SNP tables); the fast r² loop is
+// the streaming epilogue's expression shape, so fused streaming stays
+// bit-identical to the split streaming fast path.
+func (e *denseEpilogue) row(trow []uint32, gi, j0 int) {
+	nn := len(trow)
+	pa, inv := e.rowFreqs[gi], e.inv
+	colFreqs := e.colFreqs[j0:][:nn]
+	base := gi*e.ld + j0
+	if e.d != nil {
+		out := e.d[base:][:nn]
+		for c, cnt := range trow {
+			out[c] = float64(cnt)*inv - pa*colFreqs[c]
 		}
-		if e.fast && e.d == nil && e.dp == nil {
-			// r²-only fast path: the streaming epilogue's exact expression
-			// shape (kept verbatim so fused streaming stays bit-identical
-			// to the split streaming fast path).
-			iva := e.rowInv[gi]
-			for c := 0; c < nn; c++ {
-				gj := j0 + c
-				d := float64(trow[c])*e.inv - pa*e.colFreqs[gj]
-				v := d * d * (iva * e.colInv[gj])
-				e.r2[base+gj] = v
-				if e.mirror && gj >= jm {
-					e.r2[gj*e.ld+gi] = v
-				}
-			}
-			continue
+	}
+	if e.r2 != nil && e.fast {
+		out := e.r2[base:][:nn]
+		iva, colInv := e.rowTab[gi], e.colTab[j0:][:nn]
+		for c, cnt := range trow {
+			d := float64(cnt)*inv - pa*colFreqs[c]
+			out[c] = d * d * (iva * colInv[c])
 		}
-		var va float64
-		if e.rowVar != nil {
-			va = e.rowVar[gi]
+	} else if e.r2 != nil {
+		out := e.r2[base:][:nn]
+		va, colVar := e.rowTab[gi], e.colTab[j0:][:nn]
+		for c, cnt := range trow {
+			d := float64(cnt)*inv - pa*colFreqs[c]
+			var v float64
+			if den := va * colVar[c]; den > 0 {
+				v = d * d / den
+			}
+			out[c] = v
 		}
-		for c := 0; c < nn; c++ {
-			gj := j0 + c
-			pb := e.colFreqs[gj]
-			// PairFromFreqs's operation sequence, with the variance
-			// product taken from the per-SNP tables.
-			pab := float64(trow[c]) * e.inv
-			d := pab - pa*pb
-			mir := e.mirror && gj >= jm
-			idx := base + gj
-			midx := gj*e.ld + gi
-			if e.d != nil {
-				e.d[idx] = d
-				if mir {
-					e.d[midx] = d
-				}
+	}
+	if e.dp != nil {
+		out := e.dp[base:][:nn]
+		for c, cnt := range trow {
+			pb := colFreqs[c]
+			d := float64(cnt)*inv - pa*pb
+			var v, dmax float64
+			if d >= 0 {
+				dmax = math.Min(pa*(1-pb), pb*(1-pa))
+			} else {
+				dmax = math.Min(pa*pb, (1-pa)*(1-pb))
 			}
-			if e.r2 != nil {
-				var v float64
-				if e.fast {
-					v = d * d * (e.rowInv[gi] * e.colInv[gj])
-				} else if den := va * e.colVar[gj]; den > 0 {
-					v = d * d / den
-				}
-				e.r2[idx] = v
-				if mir {
-					e.r2[midx] = v
-				}
+			if dmax > 0 {
+				v = math.Max(-1, math.Min(1, d/dmax))
 			}
-			if e.dp != nil {
-				var v, dmax float64
-				if d >= 0 {
-					dmax = math.Min(pa*(1-pb), pb*(1-pa))
-				} else {
-					dmax = math.Min(pa*pb, (1-pa)*(1-pb))
-				}
-				if dmax > 0 {
-					v = math.Max(-1, math.Min(1, d/dmax))
-				}
-				e.dp[idx] = v
-				if mir {
-					e.dp[midx] = v
-				}
-			}
+			out[c] = v
 		}
 	}
 }
 
-// maskedEpilogue converts four-count tiles (Section VII) into measures
+// maskedEpilogue converts four-count row runs (Section VII) into measures
 // using per-pair effective sample sizes, replicating fillMaskedMeasures.
 // The mirror write copies the computed floats: the measures are invariant
 // under exchanging the SNP roles (the count quadruple transposes to
@@ -245,46 +281,35 @@ func (e *denseEpilogue) tile(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 // under pa↔pb), so the copy lands the same bits the legacy MirrorMasked +
 // reconvert pipeline produces.
 type maskedEpilogue struct {
-	d, r2, dp []float64
-	ld        int
-	mirror    bool
-	mr, nr    int
+	measureOut
 }
 
 func newMaskedEpilogue(res *Result, opt Options, mirror bool) *maskedEpilogue {
-	meas := opt.measures()
-	m, n := res.SNPs, res.Cols
 	mk := kernel.Masked2x2() // driveMasked's fixed register tile
-	e := &maskedEpilogue{ld: n, mirror: mirror, mr: mk.MR, nr: mk.NR}
-	if meas&MeasureD != 0 {
-		res.D = make([]float64, m*n)
-		e.d = res.D
-	}
-	if meas&MeasureR2 != 0 {
-		res.R2 = make([]float64, m*n)
-		e.r2 = res.R2
-	}
-	if meas&MeasureDPrime != 0 {
-		res.DPrime = make([]float64, m*n)
-		e.dp = res.DPrime
-	}
+	e := &maskedEpilogue{measureOut{ld: res.Cols, mirror: mirror, mr: mk.MR, nr: mk.NR}}
+	e.alloc(res, opt)
 	return e
 }
 
 // tile is the blis.TileEpilogue hook for the masked kernel: each C entry
-// is four uint32 counts, cell (r, c, k) at t[(r*ldt+c)*4+k]. Mirror
-// ownership is the same rule as denseEpilogue.tile.
+// is four uint32 counts, cell (r, c, k) at t[(r*ldt+c)*4+k]. Same shape
+// as denseEpilogue.tile: whole rows, then the mirrored cells copied.
 func (e *maskedEpilogue) tile(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 	for r := 0; r < mm; r++ {
-		gi := i0 + r
-		base := gi * e.ld
-		jm := 0
-		if e.mirror {
-			jm = roundUp2(gi-gi%e.nr+e.nr, e.mr)
+		quads := t[r*ldt*4:][:nn*4]
+		base := (i0+r)*e.ld + j0
+		var d, r2, dp []float64
+		if e.d != nil {
+			d = e.d[base:][:nn]
+		}
+		if e.r2 != nil {
+			r2 = e.r2[base:][:nn]
+		}
+		if e.dp != nil {
+			dp = e.dp[base:][:nn]
 		}
 		for c := 0; c < nn; c++ {
-			gj := j0 + c
-			cell := t[(r*ldt+c)*4:]
+			cell := quads[c*4:][:4]
 			var p Pair
 			if v := cell[kernel.MaskedValid]; v > 0 {
 				nv := float64(v)
@@ -294,27 +319,18 @@ func (e *maskedEpilogue) tile(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 					float64(cell[kernel.MaskedJ])/nv,
 				)
 			}
-			mir := e.mirror && gj >= jm
-			idx := base + gj
-			midx := gj*e.ld + gi
-			if e.d != nil {
-				e.d[idx] = p.D
-				if mir {
-					e.d[midx] = p.D
-				}
+			if d != nil {
+				d[c] = p.D
 			}
-			if e.r2 != nil {
-				e.r2[idx] = p.R2
-				if mir {
-					e.r2[midx] = p.R2
-				}
+			if r2 != nil {
+				r2[c] = p.R2
 			}
-			if e.dp != nil {
-				e.dp[idx] = p.DPrime
-				if mir {
-					e.dp[midx] = p.DPrime
-				}
+			if dp != nil {
+				dp[c] = p.DPrime
 			}
 		}
+	}
+	if e.mirror {
+		e.reflect(i0, j0, mm, nn)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
+	"ldgemm/internal/kernel"
 )
 
 // measureSets covers every combination the API exposes (zero = default r²).
@@ -332,5 +333,132 @@ func TestMatrixFusedAllocBudget(t *testing.T) {
 	}
 	if budget := uint64(n*n*8) + counts/2; fused > budget {
 		t.Fatalf("fused path allocated %d bytes, budget %d (result + slack)", fused, budget)
+	}
+}
+
+// cutIntoTiles is the per-tile walk the row-run contract replaced, kept as
+// a test oracle: it cuts every run the driver hands over back into
+// register tiles of at most nr columns and feeds them to the same hook.
+// cells is uint32 counts per C entry (1 plain, 4 masked).
+func cutIntoTiles(hook blis.TileEpilogue, nr, cells int) blis.TileEpilogue {
+	return func(w int, t []uint32, ldt, i0, j0, mm, nn int) {
+		for c := 0; c < nn; c += nr {
+			hook(w, t[c*cells:], ldt, i0, j0+c, mm, min(nr, nn-c))
+		}
+	}
+}
+
+// withMonomorphic fixes two SNPs of g (all-ancestral, all-derived) so the
+// zero-variance branches of every measure run.
+func withMonomorphic(g *bitmat.Matrix) *bitmat.Matrix {
+	if g.SNPs < 5 {
+		return g
+	}
+	clear(g.SNP(1))
+	for s := 0; s < g.Samples; s++ {
+		g.SetBit(g.SNPs-2, s)
+	}
+	return g
+}
+
+// A hook must produce the same bits whether it is handed whole row runs or
+// the register tiles they consist of: every cell's value and its mirror
+// ownership depend on the cell alone. Dense epilogue: every measure
+// combination × exact/fast r² × SYRK-with-mirror / GEMM × register-tile
+// shapes (3x5 makes the mirror bound differ between rows of one panel), on
+// shapes off multiples of the tile and block sizes, monomorphic SNPs
+// included. The mirrored uncut run must also be what the split pipeline
+// returns (exact r² only: that sweep has no reciprocal path).
+func TestDenseEpilogueRunsMatchTilesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	kernels := []kernel.Kernel{kernel.Default, kernel.Fixed[3] /* 8x4 */, kernel.Fixed[4] /* 4x8 */, kernel.Generic(3, 5)}
+	for _, n := range []int{5, 67, 131} {
+		g := withMonomorphic(randomMatrix(rng, n, 77))
+		b := withMonomorphic(randomMatrix(rng, n+9, 77))
+		p, pb := AlleleFrequencies(g), AlleleFrequencies(b)
+		for _, k := range kernels {
+			for _, meas := range measureSets {
+				for _, fast := range []bool{false, true} {
+					opt := Options{Measures: meas, FastR2: fast, Blis: fringeConfig(3)}
+					opt.Blis.Kernel = k
+					run := func(mirror, cut bool) *Result {
+						res := &Result{SNPs: n, Cols: n, Samples: g.Samples, RowFreqs: p, ColFreqs: p}
+						if !mirror {
+							res.Cols, res.ColFreqs = b.SNPs, pb
+						}
+						hook := blis.TileEpilogue(newDenseEpilogue(res, opt, mirror).tile)
+						if cut {
+							hook = cutIntoTiles(hook, k.NR, 1)
+						}
+						var err error
+						if mirror {
+							err = blis.SyrkEpilogue(opt.blisCfg(), g, hook)
+						} else {
+							err = blis.GemmEpilogue(opt.blisCfg(), g, b, hook)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						return res
+					}
+					for _, mirror := range []bool{true, false} {
+						bitsEqualResults(t, run(mirror, false), run(mirror, true))
+					}
+					if fast {
+						continue // the split sweep has no reciprocal path
+					}
+					opt.Epilogue = EpilogueSplit
+					split, err := Matrix(g, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bitsEqualResults(t, run(true, false), split)
+				}
+			}
+		}
+	}
+}
+
+// The same for the masked (four-count) epilogue, whose register tile is
+// fixed at 2x2.
+func TestMaskedEpilogueRunsMatchTilesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	mk := kernel.Masked2x2()
+	for _, n := range []int{5, 67, 131} {
+		g, mask := randomMaskedPair(rng, n, 77)
+		withMonomorphic(g)
+		if err := mask.ApplyTo(g); err != nil {
+			t.Fatal(err)
+		}
+		b, maskB := randomMaskedPair(rng, n+9, 77)
+		if err := maskB.ApplyTo(b); err != nil {
+			t.Fatal(err)
+		}
+		for _, meas := range measureSets {
+			opt := Options{Measures: meas, Blis: fringeConfig(3)}
+			run := func(mirror, cut bool) *Result {
+				res := &Result{SNPs: n, Cols: n, Samples: g.Samples}
+				if !mirror {
+					res.Cols = b.SNPs
+				}
+				hook := blis.TileEpilogue(newMaskedEpilogue(res, opt, mirror).tile)
+				if cut {
+					hook = cutIntoTiles(hook, mk.NR, 4)
+				}
+				var err error
+				if mirror {
+					err = blis.MaskedSyrkEpilogue(opt.blisCfg(), g, mask, hook)
+				} else {
+					err = blis.MaskedGemmEpilogue(opt.blisCfg(), g, b, mask, maskB, hook)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			for _, mirror := range []bool{true, false} {
+				bitsEqualResults(t, run(mirror, false), run(mirror, true))
+			}
+		}
 	}
 }

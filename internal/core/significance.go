@@ -108,9 +108,7 @@ func Significance(g *bitmat.Matrix, opt SignificanceOptions) (*SignificanceResul
 	h := &pairHeap{}
 	ld := opt.LD
 	ld.Measures = MeasureR2
-	// Stripes are cut at the window's end anyway: a window shorter than the
-	// default stripe (512 rows) asks for a stripe buffer of its own height.
-	err = Stream(g, StreamOptions{Options: ld, Triangular: true, RowStart: lo, RowEnd: hi, StripeRows: min(hi-lo, 512)},
+	err = Stream(g, StreamOptions{Options: ld, Triangular: true, RowStart: lo, RowEnd: hi},
 		func(i, j0 int, row []float64) {
 			for t, r2 := range row {
 				j := j0 + t

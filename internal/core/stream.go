@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
@@ -113,7 +114,8 @@ func (o StreamOptions) rowWindow(n int) (lo, hi int, err error) {
 // each finished row to visit as (i, j0, row) where row[t] is the statistic
 // for the pair (i, j0+t). In full mode j0 is always 0; in triangular mode
 // j0 == i (each row starts at its own diagonal). The row slice is reused
-// across calls; callers must not retain it.
+// across calls — and, once Stream returns, by later scans (the stripe
+// buffer is pooled); callers must not retain it.
 //
 // The statistic delivered is r² unless Options.Measures selects exactly
 // MeasureD or MeasureDPrime.
@@ -138,10 +140,10 @@ func Stream(g *bitmat.Matrix, opt StreamOptions, visit func(i, j0 int, row []flo
 	}
 	p := AlleleFrequencies(g)
 	meas := opt.measures()
-	r2Only := meas&MeasureR2 != 0 && !opt.Exact
 	if opt.fused() {
 		return streamFused(g, opt, p, stripe, visit)
 	}
+	r2Only := meas&MeasureR2 != 0 && !opt.Exact
 	counts := make([]uint32, min(stripe, max(n, 1))*n)
 	row := make([]float64, n)
 	inv := 0.0
@@ -228,54 +230,104 @@ func Stream(g *bitmat.Matrix, opt StreamOptions, visit func(i, j0 int, row []flo
 	return nil
 }
 
+// stripeScan builds the stripe epilogues of one fused scan. Whatever
+// per-SNP table the r² path reads is built once, over the whole frequency
+// vector, and sliced per stripe — every entry depends on its own p[i] only.
+type stripeScan struct {
+	meas   Measure
+	fast   bool
+	inv    float64 // 1/Nseq
+	p, tab []float64
+}
+
+func newStripeScan(opt StreamOptions, p []float64, samples int) *stripeScan {
+	s := &stripeScan{meas: opt.measures(), p: p}
+	s.fast = s.meas&MeasureR2 != 0 && !opt.Exact
+	if samples > 0 {
+		s.inv = 1 / float64(samples)
+	}
+	if s.meas&MeasureR2 != 0 {
+		s.tab = r2Table(p, s.fast)
+	}
+	return s
+}
+
+// epilogue returns the epilogue writing the scan's single statistic into
+// out (row stride ld) for a driver call whose row 0 is SNP row0 and whose
+// column 0 is SNP col0.
+func (s *stripeScan) epilogue(out []float64, ld, row0, col0 int) *denseEpilogue {
+	e := &denseEpilogue{
+		measureOut: measureOut{ld: ld},
+		rowFreqs:   s.p[row0:], colFreqs: s.p[col0:],
+		inv: s.inv, fast: s.fast,
+	}
+	switch {
+	case s.meas&MeasureR2 != 0:
+		e.r2 = out
+		e.rowTab, e.colTab = s.tab[row0:], s.tab[col0:]
+	case s.meas&MeasureD != 0:
+		e.d = out
+	default:
+		e.dp = out
+	}
+	return e
+}
+
+// stripeCells returns the float64 cells the widest stripe of a fused scan
+// over rows [lo, hi) needs: its height times the columns from the stripe
+// origin to n.
+func (o StreamOptions) stripeCells(stripe, lo, hi, n int) int {
+	width := n
+	if o.Triangular {
+		width = n - lo
+	}
+	return min(stripe, hi-lo) * width
+}
+
+// stripePool recycles the fused scans' float64 stripe buffers (*[]float64)
+// across calls. A recycled buffer is not cleared: the epilogue assigns
+// every cell a scan goes on to deliver, and nothing else is read.
+var stripePool sync.Pool
+
+// getStripe returns a stripe buffer of exactly cells elements.
+func getStripe(cells int) *[]float64 {
+	if b, _ := stripePool.Get().(*[]float64); b != nil && cap(*b) >= cells {
+		*b = (*b)[:cells]
+		return b
+	}
+	b := make([]float64, cells)
+	return &b
+}
+
 // streamFused is Stream's fused-epilogue body: the stripe's statistic
-// values are written directly by the blocked driver's tile epilogue into a
-// float64 stripe — the uint32 count stripe and the per-row conversion pass
+// values are written directly by the blocked driver's fused epilogue into
+// a float64 stripe — the uint32 count stripe and the per-row conversion pass
 // are gone, and the conversion runs in parallel inside the driver.
 // Expression shapes match the split path exactly (fast r² inline, exact
 // via PairFromFreqs's sequence), so streamed values stay bit-identical.
 func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, stripe int, visit func(i, j0 int, row []float64)) error {
 	n := g.SNPs
 	lo, hi, _ := opt.rowWindow(n) // validated by Stream before dispatch
-	meas := opt.measures()
-	fast := meas&MeasureR2 != 0 && !opt.Exact
-	vals := make([]float64, min(stripe, max(n, 1))*n)
-	// epi builds a stripe epilogue writing the single requested statistic
-	// into out (row stride ld), with frequency slices aligned to the
-	// driver's sub-matrix coordinates.
-	epi := func(out []float64, ld int, rowFreqs, colFreqs []float64) *denseEpilogue {
-		e := &denseEpilogue{
-			rowFreqs: rowFreqs, colFreqs: colFreqs, ld: ld, fast: fast,
-		}
-		if g.Samples > 0 {
-			e.inv = 1 / float64(g.Samples)
-		}
-		switch {
-		case meas&MeasureR2 != 0:
-			e.r2 = out
-		case meas&MeasureD != 0:
-			e.d = out
-		default:
-			e.dp = out
-		}
-		e.prepare()
-		return e
-	}
+	scan := newStripeScan(opt, p, g.Samples)
+	buf := getStripe(opt.stripeCells(stripe, lo, hi, n))
+	defer stripePool.Put(buf)
+	vals := *buf
 	for i0 := lo; i0 < hi; i0 += stripe {
 		rows := min(stripe, hi-i0)
 		sub := g.Slice(i0, i0+rows)
 		base := 0
 		width := n
-		v := vals[:rows*width]
 		if opt.Triangular {
 			base = i0
 			width = n - i0
-			v = vals[:rows*width]
+		}
+		v := vals[:rows*width]
+		if opt.Triangular {
 			// Diagonal block: the fused SYRK sweep writes every upper-
 			// triangle cell (and correct below-diagonal by-products the
 			// visit loop never reads), so no clear is needed — the
 			// epilogue assigns rather than accumulates.
-			e := epi(v, width, p[i0:], p[i0:])
+			e := scan.epilogue(v, width, i0, i0)
 			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, e.tile); err != nil {
 				return err
 			}
@@ -285,13 +337,13 @@ func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, stripe int, v
 			}
 			if i0+rows < bHi {
 				rest := g.Slice(i0+rows, bHi)
-				e := epi(vals[rows:], width, p[i0:], p[i0+rows:])
+				e := scan.epilogue(vals[rows:], width, i0, i0+rows)
 				if err := blis.GemmEpilogue(opt.blisCfg(), sub, rest, e.tile); err != nil {
 					return err
 				}
 			}
 		} else {
-			e := epi(v, width, p[i0:], p)
+			e := scan.epilogue(v, width, i0, 0)
 			if err := blis.GemmEpilogue(opt.blisCfg(), sub, g, e.tile); err != nil {
 				return err
 			}

@@ -147,3 +147,65 @@ func TestStreamErrors(t *testing.T) {
 		t.Fatal("zero samples accepted")
 	}
 }
+
+// drainStripePool empties the stripe-buffer pool, so the next scan
+// allocates (and the runtime zeroes) a fresh buffer.
+func drainStripePool() {
+	for stripePool.Get() != nil {
+	}
+}
+
+// A recycled stripe buffer is never cleared, so nothing it held may reach
+// a visitor: for each scan mode, a scan that follows a scan of a different
+// matrix — with the pooled buffer overwritten by NaN in between — must
+// deliver the bits a scan into a fresh buffer delivers, resident and out
+// of core.
+func TestStreamRecycledStripeIsNeverRead(t *testing.T) {
+	g := streamMatrix(t, 150, 90, 7)
+	other := streamMatrix(t, 150, 90, 8)
+	modes := map[string]StreamOptions{
+		"full":       {StripeRows: 40},
+		"triangular": {Triangular: true, StripeRows: 40},
+		"row-window": {Triangular: true, Exact: true, StripeRows: 16, RowStart: 21, RowEnd: 83},
+		"banded":     {Triangular: true, Banded: true, Band: 19, StripeRows: 32},
+	}
+	for name, opt := range modes {
+		scans := map[string]func(*bitmat.Matrix) []visitRow{
+			"resident": func(m *bitmat.Matrix) []visitRow {
+				return collectVisits(t, func(v func(i, j0 int, row []float64)) error { return Stream(m, opt, v) })
+			},
+			"out-of-core": func(m *bitmat.Matrix) []visitRow {
+				return collectVisits(t, func(v func(i, j0 int, row []float64)) error {
+					return StreamSource(sliceBacked(t, m), opt, v)
+				})
+			},
+		}
+		for where, scan := range scans {
+			drainStripePool()
+			fresh := scan(g)
+			scan(other)
+			// Hand the next scan buffers that are poisoned throughout and
+			// larger than it needs (several: under the race detector a Put
+			// may be dropped).
+			drainStripePool()
+			for i := 0; i < 4; i++ {
+				b := getStripe(150 * 150)
+				for j := range *b {
+					(*b)[j] = math.NaN()
+				}
+				stripePool.Put(b)
+			}
+			recycled := scan(g)
+			if len(recycled) != len(fresh) {
+				t.Fatalf("%s %s: %d rows, fresh scan delivered %d", name, where, len(recycled), len(fresh))
+			}
+			for r := range fresh {
+				if recycled[r].i != fresh[r].i || recycled[r].j0 != fresh[r].j0 {
+					t.Fatalf("%s %s: row %d is (%d,%d), fresh scan delivered (%d,%d)", name, where, r,
+						recycled[r].i, recycled[r].j0, fresh[r].i, fresh[r].j0)
+				}
+				bitsEqual(t, name+" "+where, recycled[r].row, fresh[r].row)
+			}
+		}
+	}
+}

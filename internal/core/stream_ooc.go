@@ -185,30 +185,10 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 		return pnl, pnl.err
 	}
 
-	meas := opt.measures()
-	fast := meas&MeasureR2 != 0 && !opt.Exact
-	inv := 0.0
-	if samples > 0 {
-		inv = 1 / float64(samples)
-	}
-	// Same epilogue constructor as streamFused: one statistic, frequency
-	// slices aligned to the driver's sub-matrix coordinates.
-	epi := func(out []float64, ld int, rowFreqs, colFreqs []float64) *denseEpilogue {
-		e := &denseEpilogue{
-			rowFreqs: rowFreqs, colFreqs: colFreqs, ld: ld, fast: fast, inv: inv,
-		}
-		switch {
-		case meas&MeasureR2 != 0:
-			e.r2 = out
-		case meas&MeasureD != 0:
-			e.d = out
-		default:
-			e.dp = out
-		}
-		e.prepare()
-		return e
-	}
-	vals := make([]float64, min(stripe, max(n, 1))*n)
+	scan := newStripeScan(opt, p, samples)
+	buf := getStripe(opt.stripeCells(stripe, lo, hi, n))
+	defer stripePool.Put(buf)
+	vals := *buf
 	for i0 := lo; i0 < hi; i0 += stripe {
 		rows := min(stripe, hi-i0)
 		a, err := recv()
@@ -227,18 +207,17 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 		if opt.Triangular {
 			bLo = i0 + rows
 			bHi = opt.stripeColEnd(i0, rows, n)
-			e := epi(v, width, p[i0:i0+rows], p[i0:i0+rows])
+			e := scan.epilogue(v, width, i0, i0)
 			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, e.tile); err != nil {
 				return err
 			}
 		}
 		for c := bLo; c < bHi; c += panel {
-			c1 := min(c+panel, bHi)
 			b, err := recv()
 			if err != nil {
 				return err
 			}
-			e := epi(v[c-base:], width, p[i0:i0+rows], p[c:c1])
+			e := scan.epilogue(v[c-base:], width, i0, c)
 			err = blis.GemmEpilogue(opt.blisCfg(), sub, b.m, e.tile)
 			freeB <- b.buf
 			if err != nil {

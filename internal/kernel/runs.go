@@ -18,7 +18,7 @@ import "ldgemm/internal/bitmat"
 func PackPanelRuns(dst []uint64, m *bitmat.Matrix, snp, count, rr, pc, kc int) {
 	dst = dst[:kc*rr]
 	for i := 0; i < count; i++ {
-		copy(dst[i*kc:(i+1)*kc], m.SNP(snp+i)[pc:pc+kc])
+		copy(dst[i*kc:(i+1)*kc], m.SNP(snp + i)[pc:pc+kc])
 	}
 	clear(dst[count*kc:])
 }
@@ -36,8 +36,8 @@ func PackPanelRuns(dst []uint64, m *bitmat.Matrix, snp, count, rr, pc, kc int) {
 func PackMaskedPanelRuns(dst []uint64, m *bitmat.Matrix, k *bitmat.Mask, snp, count, rr, pc, kc int) {
 	dst = dst[:2*kc*rr]
 	for i := 0; i < count; i++ {
-		copy(dst[i*2*kc:i*2*kc+kc], m.SNP(snp+i)[pc:pc+kc])
-		copy(dst[i*2*kc+kc:(i+1)*2*kc], k.SNP(snp+i)[pc:pc+kc])
+		copy(dst[i*2*kc:i*2*kc+kc], m.SNP(snp + i)[pc:pc+kc])
+		copy(dst[i*2*kc+kc:(i+1)*2*kc], k.SNP(snp + i)[pc:pc+kc])
 	}
 	clear(dst[count*2*kc:])
 }
