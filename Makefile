@@ -62,13 +62,15 @@ bench-store-smoke:
 # error, never panic or over-allocate. The float wire: the node's encoder
 # against encoding/json on any float64 bits, and the coordinator's strip
 # scan on any bytes — what it accepts, encoding/json accepts with the same
-# shape (CI runs this too).
+# shape — and a sparse operator's request body, scanned or handed to
+# encoding/json, against encoding/json alone (CI runs this too).
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
 	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzManifest -fuzztime=20s
 	go test ./internal/server -run=Fuzz -fuzz=FuzzWireFloat -fuzztime=10s
 	go test ./internal/cluster -run=Fuzz -fuzz=FuzzSpliceScan -fuzztime=10s
+	go test ./internal/server -run=Fuzz -fuzz=FuzzParseVector -fuzztime=10s
 
 # The benchmark/ module is its own Go module, so tier-1 `go test ./...`
 # never enters it: compile and smoke-test it against this tree, so an API
@@ -102,13 +104,18 @@ bench-json:
 # Then one iteration each of the float-wire micro-benchmarks: a node
 # encoding an 80 × 80 region, a coordinator checking and splicing its two
 # strips. And one pass of the small-k stream (8192 SNPs × 512 samples),
-# which prints what the fused epilogue costs per pair.
+# which prints what the fused epilogue costs per pair. Then the sparse
+# operator path: one matvec over the ledger's 4096-SNP banded store,
+# resident and laid out per call (entries/s, allocs/op), and its 4096-float
+# request body through the vector scanner (MB/s).
 .PHONY: bench-smoke
 bench-smoke:
 	go run ./cmd/ldbench -scale 20 -threads 1,2 -epilogue-json /tmp/BENCH_epilogue_smoke.json
 	go test ./internal/server -run '^$$' -bench BenchmarkEncodeRegion -benchtime 1x -benchmem
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
 	go test . -run '^$$' -bench BenchmarkStreamSmallK -benchtime 1x
+	go test ./internal/ldsparse -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
+	go test ./internal/server -run '^$$' -bench BenchmarkParseVector -benchtime 1x -benchmem
 
 # Full-size epilogue benchmark (the committed BENCH_epilogue.json:
 # ≥8192 SNPs, thread grid through 8).

@@ -132,7 +132,7 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	storeCache := fs.Int("store-cache", 0, "tile-store LRU capacity in tiles (0 = default)")
 	sparsePath := fs.String("sparse-store", "",
 		"threshold-pruned sparse store (ldstore build -sparse output) backing the /api/sparse operator endpoints")
-	sparseCache := fs.Int("sparse-cache", 0, "sparse-store LRU capacity in tiles (0 = default)")
+	sparseCache := fs.Int("sparse-cache", 0, "sparse-store tile LRU capacity (0 = default); it serves pair lookups, and the operators only of a store too large to keep resident")
 	tuneProfile := fs.String("tune-profile", "",
 		"per-host tune profile JSON (ldbench -write-tune-profile output); corrupt or stale profiles are logged and ignored")
 	epilogue := fs.String("epilogue", "fused",
@@ -252,8 +252,8 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 		}
 		cfg.Sparse = sp
 		info := sp.Info()
-		fmt.Fprintf(stderr, "ldserver: sparse store %s: %d entries of %s at threshold %g (density %.4f)\n",
-			*sparsePath, info.NNZ, info.Stat, info.Threshold, info.Density)
+		fmt.Fprintf(stderr, "ldserver: sparse store %s: %d entries of %s at threshold %g (density %.4f), resident=%t (%d bytes)\n",
+			*sparsePath, info.NNZ, info.Stat, info.Threshold, info.Density, info.Resident, info.ResidentBytes)
 	}
 	s := server.New(g, cfg)
 	fmt.Fprintf(stderr, "ldserver: loaded %d SNPs × %d sequences; listening on %s\n",

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"ldgemm/internal/core"
 	"ldgemm/internal/server"
@@ -62,103 +61,11 @@ func scanStrip(body, head []byte, n, width int) ([]byte, error) {
 	if !bytes.HasPrefix(body, head) {
 		return nil, fmt.Errorf("strip reply does not open with %s", head)
 	}
-	i := len(head)
-	if width == 0 {
-		i = scanNumbers(body, i, n)
-	} else {
-		i = expect(body, i, '[')
-		for r := 0; r < n && i >= 0; r++ {
-			if r > 0 {
-				i = expect(body, i, ',')
-			}
-			i = scanNumbers(body, i, width)
-		}
-		i = expect(body, i, ']')
-	}
+	i := server.ScanFloatArray(body, len(head), n, width)
 	if i < 0 || string(body[i:]) != "}\n" {
 		return nil, fmt.Errorf("strip reply is not %d rows of %d numbers and nothing else", n, max(width, 1))
 	}
 	return body[len(head)+1 : i-1], nil
-}
-
-// The scan steps return the index after what they step over at b[i], and
-// -1 — which they also pass on — when it is not there.
-
-func expect(b []byte, i int, c byte) int {
-	if i < 0 || i >= len(b) || b[i] != c {
-		return -1
-	}
-	return i + 1
-}
-
-// scanNumbers steps over "[" + n comma-separated JSON numbers + "]".
-func scanNumbers(b []byte, i, n int) int {
-	i = expect(b, i, '[')
-	for k := 0; k < n && i >= 0; k++ {
-		if k > 0 {
-			i = expect(b, i, ',')
-		}
-		i = scanNumber(b, i)
-	}
-	return expect(b, i, ']')
-}
-
-// scanNumber steps over one number of the JSON grammar. The grammar has no
-// upper bound and float64 does, so a number is also refused unless it is
-// plainly below 1e308: that is the one thing encoding/json checks by
-// converting, and no LD value comes near it.
-func scanNumber(b []byte, i int) int {
-	if i < 0 {
-		return -1
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	from := i
-	i = scanDigits(b, i)
-	magnitude := i - from // the value is below this power of ten
-	switch {
-	case magnitude == 0, magnitude > 1 && b[from] == '0':
-		return -1
-	case b[from] == '0':
-		magnitude = 0
-	}
-	if i < len(b) && b[i] == '.' {
-		from = i + 1
-		if i = scanDigits(b, from); i == from {
-			return -1
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		negative := i < len(b) && b[i] == '-'
-		if negative || i < len(b) && b[i] == '+' {
-			i++
-		}
-		from = i
-		if i = scanDigits(b, from); i == from {
-			return -1
-		}
-		if !negative {
-			exp, err := strconv.Atoi(string(b[from:i]))
-			if err != nil {
-				return -1
-			}
-			magnitude += exp
-		}
-	}
-	if magnitude > 308 {
-		return -1
-	}
-	return i
-}
-
-// scanDigits steps over any decimal digits at b[i].
-func scanDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }
 
 // mergeStrips combines per-strip parts; parts[k] is nil for a lost strip

@@ -12,8 +12,9 @@ import (
 // Options configures a Store reader.
 type Options struct {
 	// CacheTiles is the decoded-tile LRU capacity in tiles (default 64).
-	// Capacity is approximate in bytes (tiles vary in nnz): the resident
-	// bound is CacheTiles × the largest tile's decoded size.
+	// The LRU serves At/Lookup, and the operators only of a store too large
+	// to keep resident (see Info.Resident). Capacity is approximate in bytes
+	// (tiles vary in nnz): CacheTiles × the largest tile's decoded size.
 	CacheTiles int
 }
 
@@ -24,6 +25,7 @@ type reader = tilefile.Reader[*csrTile]
 // supplies Close, SNPs, Samples, Stat, TileSize and Fingerprint.
 type Store struct {
 	*reader
+	rows *rowCSR // every row, laid out at open; nil above residentBudget
 }
 
 // Open opens the sparse tile store at path.
@@ -37,8 +39,10 @@ func Open(path string, opt Options) (*Store, error) {
 // length must equal the CSR size of its declared entry count, and the
 // per-tile counts must sum to the header's total — so a corrupt or
 // hostile file fails here with an error, never with a panic or an
-// unbounded allocation. (Per-tile CSR structure is validated when the
-// tile is first decoded.)
+// unbounded allocation. A store inside the residency budget then decodes
+// every non-empty tile into its row layout (matvec.go), so a bad checksum
+// or CSR structure is refused here too; a larger store meets those checks
+// when a query first decodes the tile.
 func OpenReader(r io.ReaderAt, size int64, opt Options) (*Store, error) {
 	return newStore(tilefile.OpenReader(r, size, &format, codec{}, opt.CacheTiles, &stats.Counters))
 }
@@ -47,16 +51,45 @@ func newStore(r *reader, err error) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{r}
-	var total uint64
-	for _, e := range r.Index {
-		total += e.Aux
-	}
-	if total != uint64(s.NNZ()) {
+	s := &Store{reader: r}
+	if s.rows, err = s.load(); err != nil {
 		r.Close()
-		return nil, fmt.Errorf("ldsparse: index entries sum to %d nnz, header says %d", total, s.NNZ())
+		return nil, err
 	}
 	return s, nil
+}
+
+// load checks the index against the header's totals — the entry counts
+// sum to nnz, and under a band no tile beyond its reach holds any — and
+// lays the rows out when they fit the residency budget (nil when not).
+func (s *Store) load() (*rowCSR, error) {
+	var total uint64
+	reach, id := s.reach(), 0
+	for ti := 0; ti < s.Bands; ti++ {
+		for tj := ti; tj < s.Bands; tj, id = tj+1, id+1 {
+			aux := s.Index[id].Aux
+			if aux != 0 && tj-ti > reach {
+				return nil, fmt.Errorf("ldsparse: tile (%d,%d) holds %d entries outside the band of %d", ti, tj, aux, s.Band())
+			}
+			total += aux
+		}
+	}
+	if total != uint64(s.NNZ()) {
+		return nil, fmt.Errorf("ldsparse: index entries sum to %d nnz, header says %d", total, s.NNZ())
+	}
+	// Two row arrays, and 12 bytes for each stored entry and for its mirror.
+	if 8*int64(s.SNPs()+1)+24*s.NNZ() > residentBudget {
+		return nil, nil
+	}
+	return s.assemble(0, s.Bands)
+}
+
+// SetResidentBudgetForTest overrides the budget until restore is called, so
+// tests here and in tilefile reach the over-budget path with small files.
+func SetResidentBudgetForTest(bytes int64) (restore func()) {
+	old := residentBudget
+	residentBudget = bytes
+	return func() { residentBudget = old }
 }
 
 // Threshold returns the pruning cutoff τ stamped at build time.
@@ -89,6 +122,9 @@ type Info struct {
 	TileBytes   int64   `json:"tile_bytes"`
 	FileBytes   int64   `json:"file_bytes"`
 	DenseBytes  int64   `json:"dense_bytes"` // upper triangle at 8 bytes/cell
+	// Resident: the operators fold a row layout of ResidentBytes kept since open.
+	Resident      bool  `json:"resident"`
+	ResidentBytes int64 `json:"resident_bytes"`
 }
 
 // Info returns the store's header summary.
@@ -113,6 +149,10 @@ func (s *Store) Info() Info {
 	}
 	if cells > 0 {
 		info.Density = float64(s.NNZ()) / float64(cells)
+	}
+	if c := s.rows; c != nil {
+		info.Resident = true
+		info.ResidentBytes = 4*int64(len(c.ptr)+len(c.stored)+len(c.col)) + 8*int64(len(c.val))
 	}
 	return info
 }
@@ -139,6 +179,10 @@ func (s *Store) Lookup(i, j int) (float64, bool, error) {
 	}
 	nt := s.TileSize()
 	ti, tj := i/nt, j/nt
+	if s.Entry(ti, tj).Aux == 0 {
+		stats.bytesServed.Add(8)
+		return 0, false, nil // the index alone answers for an empty tile
+	}
 	t, err := s.Tile(ti, tj)
 	if err != nil {
 		return 0, false, err

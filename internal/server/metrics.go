@@ -96,6 +96,7 @@ type metrics struct {
 	storeServed    expvar.Int
 	storeFallbacks expvar.Int
 	sparseServed   expvar.Int
+	sparseResident expvar.Int // bytes of the sparse store's resident row layout
 }
 
 func newMetrics() *metrics {
@@ -121,6 +122,7 @@ func newMetrics() *metrics {
 			"matvec_nanos":    s.MatVecNanos,
 			"scores":          s.Scores,
 			"entries_visited": s.EntriesVisited,
+			"resident_bytes":  m.sparseResident.Value(),
 		}
 	}))
 	m.Root.Set("store", expvar.Func(func() any {

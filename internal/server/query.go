@@ -413,7 +413,9 @@ func parseSparse(op string) func(*http.Request, Limits) (Query, *Response) {
 			return nil, Errorf(http.StatusRequestEntityTooLarge, "%v", err)
 		}
 		q := SparseQuery{Op: op}
-		if op == "score" {
+		if vec, ok := parseVector(body, sparseKey[q.Op], lim.SNPs); ok {
+			q.Vec = vec
+		} else if op == "score" {
 			var req ScoreRequest
 			err = json.Unmarshal(body, &req)
 			q.Vec = req.Z
@@ -434,10 +436,17 @@ func parseSparse(op string) func(*http.Request, Limits) (Query, *Response) {
 	}
 }
 
-// readBody drains the request body under a hard byte cap.
-func readBody(r *http.Request, limit int64) ([]byte, error) {
+// readBody drains the request body under a hard byte cap, into one buffer
+// of the declared Content-Length when there is one inside the cap.
+func readBody(r *http.Request, limit int64) (b []byte, err error) {
 	defer r.Body.Close()
-	b, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, limit))
+	body := http.MaxBytesReader(nil, r.Body, limit)
+	if n := r.ContentLength; 0 <= n && n <= limit {
+		b = make([]byte, n)
+		_, err = io.ReadFull(body, b)
+	} else {
+		b, err = io.ReadAll(body)
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -448,21 +457,20 @@ func readBody(r *http.Request, limit int64) ([]byte, error) {
 	return b, nil
 }
 
+// sparseKey is the one field of each operator's request body.
+var sparseKey = map[string]string{"matvec": "x", "score": "z"}
+
 func (q SparseQuery) Path(w Window) string {
 	return fmt.Sprintf("/api/sparse/%s?rows=%d:%d", q.Op, w.Lo, w.Hi)
 }
 
-// Body is the decoded vector re-marshalled, so every shard sees the same
-// bytes however the client spelled its JSON.
-// Entries decoded from JSON are finite, so marshalling cannot fail.
+// Body is the decoded vector re-encoded as encoding/json writes the request
+// struct, so every shard sees the same bytes however the client spelled its
+// JSON. Entries decoded from JSON are finite, so encoding cannot fail.
 func (q SparseQuery) Body() []byte {
-	var b []byte
-	if q.Op == "score" {
-		b, _ = json.Marshal(ScoreRequest{Z: q.Vec})
-	} else {
-		b, _ = json.Marshal(MatVecRequest{X: q.Vec})
-	}
-	return b
+	b := make([]byte, 0, 8+len(q.Vec)*(maxFloatLen+1))
+	b, _ = appendFloats(append(append(append(b, `{"`...), sparseKey[q.Op]...), `":`...), q.Vec)
+	return append(b, '}')
 }
 
 // MatVecResponse is the /api/sparse/matvec payload: Y holds output rows

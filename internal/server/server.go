@@ -133,6 +133,7 @@ func New(g *bitmat.Matrix, cfg Config) *Server {
 	}
 	if cfg.Sparse != nil && cfg.Sparse.Fingerprint() == ldstore.Fingerprint(g) {
 		s.sparse = cfg.Sparse
+		s.metrics.sparseResident.Set(cfg.Sparse.Info().ResidentBytes)
 	}
 	for i := 0; i < g.SNPs; i++ {
 		if c := g.DerivedCount(i); c > 0 && c < g.Samples {

@@ -235,7 +235,7 @@ func TestSparseShardStrips(t *testing.T) {
 }
 
 // TestSparseMetrics: sparse requests move sparse_served and the sparse
-// counter map on /debug/vars.
+// counter map on /debug/vars, which also reports the resident row layout.
 func TestSparseMetrics(t *testing.T) {
 	ts, _, sp := sparseServer(t, Config{})
 	x := make([]float64, sp.SNPs())
@@ -245,7 +245,8 @@ func TestSparseMetrics(t *testing.T) {
 	var vars struct {
 		SparseServed int64 `json:"sparse_served"`
 		Sparse       struct {
-			MatVecs uint64 `json:"matvecs"`
+			MatVecs       uint64 `json:"matvecs"`
+			ResidentBytes int64  `json:"resident_bytes"`
 		} `json:"sparse"`
 	}
 	if code := getJSON(t, ts.URL+"/debug/vars", &vars); code != http.StatusOK {
@@ -256,5 +257,8 @@ func TestSparseMetrics(t *testing.T) {
 	}
 	if vars.Sparse.MatVecs == 0 {
 		t.Fatal("sparse.matvecs did not move")
+	}
+	if info := sp.Info(); !info.Resident || vars.Sparse.ResidentBytes != info.ResidentBytes || info.ResidentBytes == 0 {
+		t.Fatalf("sparse.resident_bytes = %d, store reports %+v", vars.Sparse.ResidentBytes, info)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -158,4 +159,134 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 		return b, nil
 	}
 	return strconv.AppendFloat(b, f, 'f', -1, 64), nil
+}
+
+// ScanFloatArray steps over a payload's float array at b[i] — n rows of
+// width JSON numbers, or n bare numbers when width is 0, no whitespace —
+// and returns the index after it, or -1 when b[i:] does not open with one.
+func ScanFloatArray(b []byte, i, n, width int) int {
+	if width == 0 {
+		return scanNumbers(b, i, n)
+	}
+	i = expect(b, i, '[')
+	for r := 0; r < n && i >= 0; r++ {
+		if r > 0 {
+			i = expect(b, i, ',')
+		}
+		i = scanNumbers(b, i, width)
+	}
+	return expect(b, i, ']')
+}
+
+// parseVector reads a sparse operator's request body when it is exactly
+// {"key":[ n numbers ]} as this encoder, encoding/json and client libraries
+// write it (one trailing newline allowed), converting each literal as
+// encoding/json does. Any other body — whitespace, more keys, null, another
+// count, a literal near the float64 range — reports false and is left to
+// encoding/json, which alone decides what is accepted and what errors say.
+func parseVector(body []byte, key string, n int) ([]float64, bool) {
+	open := `{"` + key + `":[`
+	if !bytes.HasPrefix(body, []byte(open)) {
+		return nil, false
+	}
+	vec := make([]float64, n)
+	i := len(open)
+	for k := range vec {
+		if k > 0 {
+			i = expect(body, i, ',')
+		}
+		end := scanNumber(body, i)
+		if end < 0 {
+			return nil, false
+		}
+		f, err := strconv.ParseFloat(string(body[i:end]), 64)
+		if err != nil {
+			return nil, false
+		}
+		vec[k], i = f, end
+	}
+	if rest := body[i:]; string(rest) != "]}" && string(rest) != "]}\n" {
+		return nil, false
+	}
+	return vec, true
+}
+
+// The scan steps return the index after what they step over at b[i], and
+// -1 — which they also pass on — when it is not there.
+
+func expect(b []byte, i int, c byte) int {
+	if i < 0 || i >= len(b) || b[i] != c {
+		return -1
+	}
+	return i + 1
+}
+
+// scanNumbers steps over "[" + n comma-separated JSON numbers + "]".
+func scanNumbers(b []byte, i, n int) int {
+	i = expect(b, i, '[')
+	for k := 0; k < n && i >= 0; k++ {
+		if k > 0 {
+			i = expect(b, i, ',')
+		}
+		i = scanNumber(b, i)
+	}
+	return expect(b, i, ']')
+}
+
+// scanNumber steps over one number of the JSON grammar. The grammar has no
+// upper bound and float64 does, so a number is also refused unless it is
+// plainly below 1e308: that is the one thing encoding/json checks by
+// converting, and no LD value comes near it.
+func scanNumber(b []byte, i int) int {
+	if i < 0 {
+		return -1
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	from := i
+	i = scanDigits(b, i)
+	magnitude := i - from // the value is below this power of ten
+	switch {
+	case magnitude == 0, magnitude > 1 && b[from] == '0':
+		return -1
+	case b[from] == '0':
+		magnitude = 0
+	}
+	if i < len(b) && b[i] == '.' {
+		from = i + 1
+		if i = scanDigits(b, from); i == from {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		negative := i < len(b) && b[i] == '-'
+		if negative || i < len(b) && b[i] == '+' {
+			i++
+		}
+		from = i
+		if i = scanDigits(b, from); i == from {
+			return -1
+		}
+		if !negative {
+			exp, err := strconv.Atoi(string(b[from:i]))
+			if err != nil {
+				return -1
+			}
+			magnitude += exp
+		}
+	}
+	if magnitude > 308 {
+		return -1
+	}
+	return i
+}
+
+// scanDigits steps over any decimal digits at b[i].
+func scanDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }

@@ -352,21 +352,58 @@ func TestSourceBuildMemoryBudget(t *testing.T) {
 }
 
 // TestCraftedRowPointers: a structurally valid LDSS file whose row
-// pointers overshoot the entry count passes every open-time check and
-// must then fail its tile decode with an error; it used to index the
-// column array out of range.
+// pointers overshoot the entry count passes every index check and must
+// then fail its tile decode with an error; it used to index the column
+// array out of range. A store inside the residency budget decodes every
+// tile when it opens, so it is refused there; with the budget forced to 0
+// the file opens as it always did and the first query to decode the tile
+// gets the error. A tile with a flipped payload bit takes the same two
+// routes; an index whose entry counts disagree with the header never
+// opens. Hostile files fail earlier, never differently.
 func TestCraftedRowPointers(t *testing.T) {
-	data := craftedRowPtrLDSS(t)
-	s, err := ldsparse.OpenReader(bytes.NewReader(data), int64(len(data)), ldsparse.Options{})
-	if err != nil {
-		t.Fatalf("crafted file should pass open-time validation: %v", err)
-	}
-	defer s.Close()
-	if _, err := s.MatVec(make([]float64, s.SNPs())); err == nil {
-		t.Fatal("MatVec over the crafted tile succeeded")
-	}
-	if _, _, err := s.Lookup(s.SNPs()-1, s.SNPs()-1); err == nil {
-		t.Fatal("Lookup in the crafted tile succeeded")
+	le := binary.LittleEndian
+	valid := ramBytes(t, sparseTier("sparse", 0, false, "", ""), testMatrix(t, 16, 16, 41), shape{nt: 8})
+	flipped := bytes.Clone(valid)
+	flipped[le.Uint64(flipped[len(flipped)-tilefile.IndexEntrySize:])] ^= 0x40 // last tile, first payload byte
+	miscounted := bytes.Clone(valid)
+	le.PutUint64(miscounted[80:], le.Uint64(miscounted[80:])+1)
+
+	for _, c := range []struct {
+		name  string
+		data  []byte
+		lazy  bool   // opens when no tile is decoded at open
+		wants string // in the error, wherever it surfaces
+	}{
+		{"row pointers", craftedRowPtrLDSS(t), true, "pointers decrease"},
+		{"checksum", flipped, true, "checksum"},
+		{"entry count", miscounted, false, "header says"},
+	} {
+		for _, budget := range []int64{-1, 0} {
+			t.Run(fmt.Sprintf("%s/budget=%d", c.name, budget), func(t *testing.T) {
+				if budget >= 0 {
+					defer ldsparse.SetResidentBudgetForTest(budget)()
+				}
+				refused := func(what string, err error) {
+					t.Helper()
+					if err == nil || !strings.Contains(err.Error(), c.wants) {
+						t.Fatalf("%s: error %v, want one naming %q", what, err, c.wants)
+					}
+				}
+				s, err := ldsparse.OpenReader(bytes.NewReader(c.data), int64(len(c.data)), ldsparse.Options{})
+				if budget < 0 || !c.lazy {
+					refused("open", err)
+					return
+				}
+				if err != nil {
+					t.Fatalf("with nothing decoded at open the file should open: %v", err)
+				}
+				defer s.Close()
+				_, err = s.MatVec(make([]float64, s.SNPs()))
+				refused("MatVec over the bad tile", err)
+				_, _, err = s.Lookup(s.SNPs()-1, s.SNPs()-1)
+				refused("Lookup in the bad tile", err)
+			})
+		}
 	}
 }
 

@@ -209,6 +209,11 @@ func (r *Reader[T]) TileAt(id int) Tile {
 	return tileAt(r.SNPs(), r.TileSize(), int(c[0]), int(c[1]))
 }
 
+// Entry returns the index entry of tile (ti, tj), ti ≤ tj: what a query
+// can learn about the tile (its length, its auxiliary word) without
+// reading it.
+func (r *Reader[T]) Entry(ti, tj int) Entry { return r.Index[tileID(r.Bands, ti, tj)] }
+
 // TileBytes returns the total payload bytes of the tile section.
 func (r *Reader[T]) TileBytes() int64 {
 	return int64(r.Header.IndexOffset) - int64(r.format.HeaderSize())
