@@ -9,6 +9,13 @@ verify:
 	go build ./...
 	go test ./...
 
+# Build-tag gate: the AVX-512 micro-kernel and the SIMD popcount tiers are
+# amd64-only files; a non-amd64 target must still build from what is left
+# (offline, standard library only).
+.PHONY: build-arm64
+build-arm64:
+	GOOS=linux GOARCH=arm64 go build ./...
+
 # Race tier: vet plus the race detector on the concurrency-bearing
 # packages (the parallel blis driver, the pack kernels it calls from many
 # goroutines, the tile container whose LRU every store query shares, the
@@ -79,13 +86,16 @@ fuzz-smoke:
 bench-compile:
 	cd benchmark && go vet . && go test -count=1 .
 
-# Kernel-dispatch smoke: tiny shapes through every popcount engine
-# (scalar, CSA, SIMD when present), with the batched families asserted
-# bit-identical to the scalar oracle at each k before any timing is
-# believed. Cheap enough for the verify tier.
+# Kernel-dispatch smoke: the AVX-512 tile against the generic kernel
+# (skipped with a message where the host cannot run it), then tiny shapes
+# through every popcount engine (scalar, CSA, SIMD when present) asserted
+# bit-identical to the scalar oracle at each k — under the host default
+# and again as on a host without the tile — before any timing is believed.
+# Cheap enough for the verify tier.
 .PHONY: bench-kernel
 bench-kernel:
-	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK'
+	go test ./internal/kernel -count=1 -run 'TestVectorTile'
+	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute'
 	go run ./cmd/ldbench -scale 128 -threads 1 -json /tmp/BENCH_ld_smoke.json
 
 # Driver benchmark: seed fork/join vs pooled slab-pipelined at 1 and 4
@@ -107,7 +117,9 @@ bench-json:
 # which prints what the fused epilogue costs per pair. Then the sparse
 # operator path: one matvec over the ledger's 4096-SNP banded store,
 # resident and laid out per call (entries/s, allocs/op), and its 4096-float
-# request body through the vector scanner (MB/s).
+# request body through the vector scanner (MB/s). Last, one call each of
+# the micro-kernel rows (portable 4x4, per-cell vector, AVX-512 tile at kc
+# 8/32/256, Gtriples/s).
 .PHONY: bench-smoke
 bench-smoke:
 	go run ./cmd/ldbench -scale 20 -threads 1,2 -epilogue-json /tmp/BENCH_epilogue_smoke.json
@@ -116,6 +128,7 @@ bench-smoke:
 	go test . -run '^$$' -bench BenchmarkStreamSmallK -benchtime 1x
 	go test ./internal/ldsparse -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
 	go test ./internal/server -run '^$$' -bench BenchmarkParseVector -benchtime 1x -benchmem
+	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x
 
 # Full-size epilogue benchmark (the committed BENCH_epilogue.json:
 # ≥8192 SNPs, thread grid through 8).

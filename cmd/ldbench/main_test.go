@@ -113,7 +113,8 @@ func TestLdbenchSIMDTable(t *testing.T) {
 	if err := run([]string{"-scale", "64", "simd"}, &out, &errBuf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Section V", "scalar (Section IV kernel)", "hardware vector POPCNT"} {
+	for _, want := range []string{"Section V", "scalar (Section IV kernel)", "hardware vector POPCNT",
+		"Section V with a hardware vector popcount", "model T/T_HW (v = 8)"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("missing %q in output", want)
 		}

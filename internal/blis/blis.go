@@ -38,11 +38,17 @@ type Config struct {
 	MC int // rows of A packed per L2-resident block
 	NC int // columns of B packed per slab
 	KC int // words per rank-k slab (KC*8 bytes of each SNP)
-	// Kernel is the register-blocked micro-kernel (Default if zero).
+	// Kernel is the register-blocked micro-kernel of the plain driver;
+	// the zero value means kernel.Default, the host-resolved default (the
+	// AVX-512 VPOPCNTQ tile where the host runs it, the Go 4x4 elsewhere).
+	// A kernel set here is the kernel that runs, with one exception: the
+	// vector tile cannot serve a forced scalar or CSA strategy, which fall
+	// back to kernel.Portable (see PlainKernel).
 	Kernel kernel.Kernel
 	// Popcount selects the AND-count engine of the micro-kernel sweep
-	// (see PopcountStrategy). The zero value is PopcountAuto: k-dispatch
-	// between the scalar kernel and the batched CSA/vector family.
+	// (see PopcountStrategy). The zero value is PopcountAuto: the vector
+	// tile at every k when Kernel is that tile; for a Go kernel,
+	// k-dispatch between it and the batched CSA/vector family.
 	Popcount PopcountStrategy
 	// Threads is the number of worker goroutines (GOMAXPROCS if 0).
 	Threads int
@@ -72,6 +78,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// PlainKernel returns the micro-kernel the plain (unmasked) driver runs
+// for c — the one answer to "which kernel, which register tile" that
+// normalize, the tuner's log and core's SYRK mirror-ownership rule share.
+// An unset Kernel is kernel.Default. A vector tile counts with its own
+// vector popcount, so it serves PopcountAuto and PopcountVector; under a
+// forced PopcountScalar or PopcountCSA the Go kernel.Portable runs
+// instead, which keeps those two strategies the portable oracles they are
+// on every host.
+func (c Config) PlainKernel() kernel.Kernel {
+	k := c.Kernel
+	if k.Fn == nil {
+		k = kernel.Default
+	}
+	if k.Lanes > 1 && (c.Popcount == PopcountScalar || c.Popcount == PopcountCSA) {
+		k = kernel.Portable
+	}
+	return k
+}
+
 // normalize fills zero fields with defaults and validates the rest.
 func (c Config) normalize() (Config, error) {
 	d := DefaultConfig()
@@ -84,9 +109,7 @@ func (c Config) normalize() (Config, error) {
 	if c.KC == 0 {
 		c.KC = d.KC
 	}
-	if c.Kernel.Fn == nil {
-		c.Kernel = d.Kernel
-	}
+	c.Kernel = c.PlainKernel()
 	if c.Threads == 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
 	}
@@ -98,13 +121,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Popcount < PopcountAuto || c.Popcount > PopcountVector {
 		return c, fmt.Errorf("blis: invalid popcount strategy %d", int(c.Popcount))
-	}
-	// Blocks must hold at least one register tile.
-	if c.MC < c.Kernel.MR {
-		c.MC = c.Kernel.MR
-	}
-	if c.NC < c.Kernel.NR {
-		c.NC = c.Kernel.NR
 	}
 	return c, nil
 }
@@ -301,35 +317,35 @@ func checkC(m, n int, c []uint32, ldc int) error {
 }
 
 // drive instantiates the slab-pipelined parallel driver (parallel.go) for
-// the plain count kernel, selecting the AND-count engine by the resolved
-// popcount strategy: the interleaved scalar micro-kernel, or the batched
-// run-packed family (dispatch.go). With syrk set, register tiles strictly
-// below the diagonal are skipped and — when the column block spans the
-// whole matrix and the register tile is square — the packed B slab
-// doubles as the packed A panels.
+// the plain count kernel by the route plainEngine resolves: the
+// micro-kernel itself on interleaved panels (the vector tile at every k,
+// a Go kernel when the engine is scalar), or the batched run-packed
+// family around a Go kernel's shape (dispatch.go). With syrk set, register
+// tiles strictly below the diagonal are skipped and — when the column
+// block spans the whole matrix and the register tile is square — the
+// packed B slab doubles as the packed A panels.
 func drive(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int, syrk bool, epi TileEpilogue) error {
 	k := cfg.Kernel
-	strat := resolvePopcount(cfg.Popcount, a.Words)
+	strat := plainEngine(k, cfg.Popcount, a.Words)
 	var ops tileOps
-	if strat == PopcountScalar {
-		ops = scalarOps(k, a, b)
-		stats.setVariant(k.Name, strategyTag(strat))
+	if interleaved(k, strat) {
+		ops = interleavedOps(k, a, b)
 	} else {
 		ops = runOps(k, a, b, strat)
-		stats.setVariant(k.Name+"-runs", strategyTag(strat))
 	}
+	stats.setVariant(variantName(k, strat), strategyTag(strat))
 	return driveTiles(cfg, ops, a.SNPs, b.SNPs, a.Words, c, ldc, syrk, epi)
 }
 
-// scalarOps is the original interleaved-panel tileOps: one hardware
-// POPCNT per word-pair inside the register-blocked micro-kernel. It is
-// the short-k dispatch target and the bit-exactness oracle the batched
-// family is tested against.
-func scalarOps(k kernel.Kernel, a, b *bitmat.Matrix) tileOps {
+// interleavedOps is the interleaved-panel tileOps: the register-blocked
+// micro-kernel does the counting — one hardware POPCNT per word-pair in a
+// Go kernel (the bit-exactness oracle everything else is tested against),
+// one VPOPCNTQ per k.Lanes word-pairs in the vector tile.
+func interleavedOps(k kernel.Kernel, a, b *bitmat.Matrix) tileOps {
 	mr, nr := k.MR, k.NR
 	return tileOps{
 		mr: mr, nr: nr, stride: 1, cells: 1,
-		popcPerWord: 1, popcFold: 1,
+		popcPerWord: 1, popcFold: max(1, k.Lanes),
 		shareable: a == b && mr == nr,
 		packA: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackPanel(dst, a, snp, count, mr, pc, kc)

@@ -9,46 +9,55 @@ import (
 )
 
 // Popcount strategy selection: which AND-count engine the register-tile
-// sweep uses. The scalar strategy is the original interleaved-panel
+// sweep uses. The scalar strategy is the original interleaved-panel Go
 // micro-kernel (one hardware POPCNT per word-pair) and stays the
-// bit-exactness oracle. The batched strategies repack panels into
-// per-SNP kc-word runs (kernel.PackPanelRuns) so every register-tile
-// cell becomes one slice AND-count, which the CSA strategy feeds through
-// the Harley–Seal fold-16 tree and the vector strategy through the SIMD
-// tier (AVX-512 VPOPCNTQ or the AVX2 nibble LUT). All three produce
-// bit-identical counts; they differ only in popcounts executed per word.
+// bit-exactness oracle. The vector strategy, on a host with AVX-512
+// VPOPCNTDQ, is the register-tiled kernel.AVX512Name micro-kernel on the
+// same interleaved panels: vectorised across the tile's eight columns, so
+// it has no per-cell setup to amortise and runs at every k. Everywhere
+// else — a Go kernel under the CSA or vector strategy — the batched
+// family repacks panels into per-SNP kc-word runs (kernel.PackPanelRuns)
+// so every register-tile cell becomes one slice AND-count, fed through the
+// Harley–Seal fold-16 tree (CSA) or the SIMD dot product (AVX-512
+// VPOPCNTQ or the AVX2 nibble LUT). All routes produce bit-identical
+// counts; they differ only in popcounts executed per word.
 //
-// Dispatch keys on k: a batched cell amortizes its setup over kc words,
-// so short slabs (k below CSAMinWords) run scalar even under Auto — the
-// fold would drain mostly-empty accumulators. Fringe tiles under the
-// batched family fall out naturally: the run layout counts partial
-// tiles cell-by-cell straight into C, no scratch scatter needed, and
-// zero-padded runs contribute nothing.
+// For the batched family dispatch keys on k: a batched cell amortizes its
+// setup over kc words, so short slabs (k below CSAMinWords) run scalar
+// even under Auto — the fold would drain mostly-empty accumulators.
+// Fringe tiles under the batched family fall out naturally: the run
+// layout counts partial tiles cell-by-cell straight into C, no scratch
+// scatter needed, and zero-padded runs contribute nothing.
 
 // PopcountStrategy selects the AND-count engine of the micro-kernel
 // sweep.
 type PopcountStrategy int
 
 const (
-	// PopcountAuto k-dispatches: the vector strategy when the sample
-	// dimension has at least CSAMinWords words and a SIMD tier exists,
-	// the scalar kernel otherwise. The zero value, so existing Configs
-	// keep working and pick up the dispatch.
+	// PopcountAuto is the vector tile at every k when the kernel is that
+	// tile (the default where the host runs it). For a Go kernel it
+	// k-dispatches: the batched vector strategy when the sample dimension
+	// has at least CSAMinWords words and a SIMD tier exists, the scalar
+	// kernel otherwise. The zero value, so existing Configs keep working
+	// and pick up the dispatch.
 	PopcountAuto PopcountStrategy = iota
-	// PopcountScalar forces the interleaved scalar micro-kernel.
+	// PopcountScalar forces the interleaved scalar Go micro-kernel.
 	PopcountScalar
 	// PopcountCSA forces the portable Harley–Seal fold-16 kernels.
 	PopcountCSA
-	// PopcountVector forces the SIMD kernels, degrading to CSA when the
-	// host has no usable SIMD tier.
+	// PopcountVector forces the SIMD kernels — the vector tile when the
+	// kernel is one, the batched dot product around a Go kernel otherwise
+	// — degrading to CSA when the host has no usable SIMD tier.
 	PopcountVector
 )
 
-// CSAMinWords is the k-dispatch threshold: Auto picks a batched strategy
-// only when the sample dimension spans at least this many 64-bit words
-// (2048 samples). Below it the per-cell call overhead of the batched
-// family outweighs the folded popcounts. A variable so Tune probes and
-// tests can move the boundary.
+// CSAMinWords is the k-dispatch threshold of the batched family: for a Go
+// kernel, Auto picks a batched strategy only when the sample dimension
+// spans at least this many 64-bit words (2048 samples). Below it the
+// per-cell call overhead of the batched family outweighs the folded
+// popcounts. The vector tile never consults it; it decides for AVX2-only
+// and portable hosts, for the masked family, and for an explicitly set Go
+// kernel. A variable so Tune probes and tests can move the boundary.
 var CSAMinWords = 32
 
 // String names the strategy as accepted by ParsePopcount.
@@ -84,8 +93,34 @@ func ParsePopcount(name string) (PopcountStrategy, error) {
 	}
 }
 
-// resolvePopcount maps a requested strategy to the concrete engine for a
-// call over kw sample words.
+// plainEngine resolves the concrete engine of a plain driver call over kw
+// sample words with the (already resolved, see Config.PlainKernel) kernel
+// k: a vector tile is its own engine at every k, a Go kernel goes through
+// the k-dispatch.
+func plainEngine(k kernel.Kernel, s PopcountStrategy, kw int) PopcountStrategy {
+	if k.Lanes > 1 {
+		return PopcountVector
+	}
+	return resolvePopcount(s, kw)
+}
+
+// interleaved reports whether the micro-kernel itself runs, on interleaved
+// panels, rather than the batched family on run-packed ones.
+func interleaved(k kernel.Kernel, s PopcountStrategy) bool {
+	return s == PopcountScalar || k.Lanes > 1
+}
+
+// variantName is the DriverStats variant label of a (kernel, engine)
+// pair — the batched family repacks panels into runs, hence the suffix.
+func variantName(k kernel.Kernel, s PopcountStrategy) string {
+	if interleaved(k, s) {
+		return k.Name
+	}
+	return k.Name + "-runs"
+}
+
+// resolvePopcount maps a requested strategy to the concrete engine of the
+// batched-or-scalar k-dispatch for a call over kw sample words.
 func resolvePopcount(s PopcountStrategy, kw int) PopcountStrategy {
 	switch s {
 	case PopcountAuto:
@@ -103,11 +138,14 @@ func resolvePopcount(s PopcountStrategy, kw int) PopcountStrategy {
 	}
 }
 
-// strategyTag names the concrete engine for stats and /debug/vars,
-// qualifying the vector strategy with its SIMD tier.
+// vectorTag is the vector strategy's stats name, qualified with the SIMD
+// tier; built once because every driver call reports it.
+var vectorTag = "vector-" + popcount.VectorName()
+
+// strategyTag names the concrete engine for stats and /debug/vars.
 func strategyTag(s PopcountStrategy) string {
 	if s == PopcountVector {
-		return "vector-" + popcount.VectorName()
+		return vectorTag
 	}
 	return s.String()
 }

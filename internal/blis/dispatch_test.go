@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"ldgemm/internal/kernel"
 	"ldgemm/internal/popcount"
 )
 
@@ -150,9 +151,11 @@ func TestBatchedMultiSlabGroups(t *testing.T) {
 	}
 }
 
-// TestAutoDispatchPicksByK pins the k-dispatch rule: short k runs the
-// scalar kernel, long k the batched family (when a SIMD tier exists),
-// observable through the driver's variant stats.
+// TestAutoDispatchPicksByK pins the dispatch rule, observable through the
+// driver's variant stats. With the vector tile available it is the engine
+// at every k; with it off (a host without AVX-512 VPOPCNTDQ) short k runs
+// the scalar kernel and long k the batched family (when a SIMD tier
+// exists).
 func TestAutoDispatchPicksByK(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	run := func(words int) DriverStats {
@@ -163,6 +166,23 @@ func TestAutoDispatchPicksByK(t *testing.T) {
 		}
 		return ReadStats()
 	}
+
+	if _, err := kernel.ByName(kernel.AVX512Name); err == nil {
+		for _, words := range []int{4, 64} {
+			before := ReadStats().PopcountsAvoided
+			got := run(words)
+			if got.Variant != kernel.AVX512Name || got.Popcount != "vector-avx512-vpopcntdq" {
+				t.Fatalf("k = %d words dispatched to %q/%q, want %s/vector-avx512-vpopcntdq",
+					words, got.Variant, got.Popcount, kernel.AVX512Name)
+			}
+			// One VPOPCNTQ serves 8 cells: fold 8 over 16·16·words triples.
+			cells := uint64(16 * 16 * words)
+			if avoided := got.PopcountsAvoided - before; avoided != cells-cells/8 {
+				t.Fatalf("k = %d words: PopcountsAvoided grew by %d, want %d", words, avoided, cells-cells/8)
+			}
+		}
+	}
+	defer kernel.DisableVectorTileForTest()()
 
 	short := run(CSAMinWords / 8) // k = 4 words on the default threshold
 	if short.Variant != "4x4" || short.Popcount != "scalar" {
@@ -184,6 +204,55 @@ func TestAutoDispatchPicksByK(t *testing.T) {
 	if long.PopcountsAvoided <= before {
 		t.Fatal("batched call did not grow PopcountsAvoided")
 	}
+}
+
+// TestPlainKernelResolution pins the one resolver of "which kernel runs":
+// unset means the host default, an explicit kernel is kept, and the vector
+// tile steps aside for the portable 4x4 under a forced scalar or CSA
+// strategy — so those two stay portable oracles on every host.
+func TestPlainKernelResolution(t *testing.T) {
+	if got := (Config{}).PlainKernel(); got.Name != kernel.Default.Name {
+		t.Fatalf("unset kernel resolved to %q, want the default %q", got.Name, kernel.Default.Name)
+	}
+	if got := DefaultConfig().Kernel; got.Name != kernel.Default.Name {
+		t.Fatalf("DefaultConfig kernel %q, want %q", got.Name, kernel.Default.Name)
+	}
+	for _, s := range []PopcountStrategy{PopcountAuto, PopcountScalar, PopcountCSA, PopcountVector} {
+		if got := (Config{Kernel: kernel.Fixed[3], Popcount: s}).PlainKernel(); got.Name != "8x4" {
+			t.Fatalf("explicit 8x4 under %v resolved to %q", s, got.Name)
+		}
+	}
+	tile, err := kernel.ByName(kernel.AVX512Name)
+	if err != nil {
+		t.Skipf("no vector tile to resolve: %v", err)
+	}
+	for s, want := range map[PopcountStrategy]string{
+		PopcountAuto: tile.Name, PopcountVector: tile.Name,
+		PopcountScalar: kernel.Portable.Name, PopcountCSA: kernel.Portable.Name,
+	} {
+		got := (Config{Kernel: tile, Popcount: s}).PlainKernel()
+		if got.Name != want {
+			t.Fatalf("tile under %v resolved to %q, want %q", s, got.Name, want)
+		}
+		if eng := plainEngine(got, s, 4); (got.Lanes > 1) != (eng == PopcountVector) {
+			t.Fatalf("tile under %v at k = 4 words: kernel %q, engine %v", s, got.Name, eng)
+		}
+	}
+}
+
+// TestPortableRoute reruns the driver oracle tests and the row-run contract
+// table as on a host without the vector tile, so one AVX-512 host checks
+// the route everyone else runs. (The tests themselves run with the host
+// default: the tile, where there is one.)
+func TestPortableRoute(t *testing.T) {
+	if _, err := kernel.ByName(kernel.AVX512Name); err != nil {
+		t.Skipf("the portable route is already this host's default: %v", err)
+	}
+	defer kernel.DisableVectorTileForTest()()
+	t.Run("GemmStrategies", TestGemmStrategiesMatchScalarOracle)
+	t.Run("SyrkStrategies", TestSyrkStrategiesMatchScalarOracle)
+	t.Run("GemmRowRuns", TestGemmEpilogueCoversEachCellOnce)
+	t.Run("SyrkRowRuns", TestSyrkEpilogueUpperTriangle)
 }
 
 // TestVectorDegradesWithoutSIMD pins the explicit-vector fallback: a host

@@ -40,8 +40,8 @@ type tileOps struct {
 	// popcPerWord is the single-word popcounts the scalar kernel would
 	// execute per (cell, word) triple (1 plain, 4 masked); popcFold is
 	// how many of those the selected engine folds into one popcount
-	// (1 scalar, 16 CSA, the SIMD lane width vectorized). Together they
-	// feed the popcounts-avoided counter.
+	// (1 scalar, 16 CSA, the SIMD lane width vectorized — tile or dot
+	// product). Together they feed the popcounts-avoided counter.
 	popcPerWord int
 	popcFold    int
 	// shareable reports that A and B are the same matrix with a square

@@ -23,7 +23,9 @@ import (
 
 // profileVersion is bumped whenever the profile semantics change in a
 // way that invalidates old measurements (e.g. a new kernel family).
-const profileVersion = 1
+// 2: the search starts from the host default, which on AVX-512 VPOPCNTDQ
+// hosts is the vector tile — a version-1 winner never raced it.
+const profileVersion = 2
 
 // ErrProfileStale reports a structurally valid profile measured on a
 // different host or by an incompatible version; callers fall back to
@@ -63,7 +65,10 @@ func HostFingerprint() string {
 		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), popcount.VectorName(), profileVersion)
 }
 
-// Config converts a loaded profile into a driver configuration.
+// Config converts a loaded profile into a driver configuration. A
+// profile naming a kernel this host cannot run (kernel.AVX512Name without
+// AVX-512 VPOPCNTDQ) is refused here, by kernel.ByName, whatever its
+// fingerprint says.
 func (p Profile) Config() (Config, error) {
 	k, err := kernel.ByName(p.Kernel)
 	if err != nil {

@@ -2,11 +2,14 @@ package blis
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"ldgemm/internal/kernel"
 )
 
 // TestTuneProfileRoundTrip runs a small tune with persistence and checks
@@ -87,7 +90,7 @@ func TestLoadProfileCorrupt(t *testing.T) {
 		t.Fatal("corrupt profile loaded without error")
 	}
 	// Structurally valid JSON with an unknown kernel is also rejected.
-	if err := os.WriteFile(path, []byte(`{"version":1,"fingerprint":"`+HostFingerprint()+`","kernel":"13x13","popcount":"auto"}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(fmt.Sprintf(`{"version":%d,"fingerprint":%q,"kernel":"13x13","popcount":"auto"}`, profileVersion, HostFingerprint())), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadProfile(path); err == nil {
@@ -123,11 +126,29 @@ func TestLoadProfileStaleFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, []byte(strings.Replace(string(raw), `"version": 1`, `"version": 99`, 1)), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(strings.Replace(string(raw), fmt.Sprintf(`"version": %d`, profileVersion), `"version": 99`, 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadProfile(path); !errors.Is(err, ErrProfileStale) {
 		t.Fatalf("wrong-version profile error = %v, want ErrProfileStale", err)
+	}
+}
+
+// TestProfileVectorTileNeedsTheHost pins that a profile naming the vector
+// tile converts only where the tile runs: on any other host (here: with
+// the tile turned off) Config refuses it, naming the missing feature, so a
+// copied profile can never steer a process into an illegal instruction.
+func TestProfileVectorTileNeedsTheHost(t *testing.T) {
+	p := Profile{Kernel: kernel.AVX512Name, Popcount: "vector", MC: 128, NC: 4096, KC: 256}
+	if _, err := kernel.ByName(kernel.AVX512Name); err == nil {
+		cfg, err := p.Config()
+		if err != nil || cfg.Kernel.Name != kernel.AVX512Name {
+			t.Fatalf("tile profile on a tile host: %+v, %v", cfg.Kernel, err)
+		}
+	}
+	defer kernel.DisableVectorTileForTest()()
+	if _, err := p.Config(); err == nil || !strings.Contains(err.Error(), "AVX512_VPOPCNTDQ") {
+		t.Fatalf("tile profile without the tile: %v", err)
 	}
 }
 

@@ -67,8 +67,9 @@ type DriverStats struct {
 	EpilogueNanos        uint64
 	EpilogueBytesAvoided uint64
 	// PopcountsAvoided counts the single-word popcount executions the
-	// batched (CSA/vector) strategies folded away relative to the scalar
-	// kernel: popcPerWord · cells · (1 − 1/fold) per call.
+	// vector tile (fold 8: one VPOPCNTQ per eight cells) and the batched
+	// CSA/vector strategies folded away relative to the scalar kernel:
+	// popcPerWord · cells · (1 − 1/fold) per call.
 	PopcountsAvoided uint64
 	// PanelsRead/PanelBytesRead count the I/O panels (and their packed
 	// bytes) an out-of-core scheduler fetched from a file-backed bit
@@ -88,9 +89,11 @@ type DriverStats struct {
 	BandPanelsSkipped uint64
 	BandCellsSkipped  uint64
 	// Variant names the kernel variant of the most recent driver call
-	// (e.g. "4x4", "4x4-runs", "masked2x2-runs"); Popcount names its
-	// concrete AND-count engine ("scalar", "csa", "vector-avx512-
-	// vpopcntdq"). Empty until the first call.
+	// (e.g. "8x8-avx512", "4x4", "4x4-runs", "masked2x2-runs"); Popcount
+	// names its concrete AND-count engine ("scalar", "csa", "vector-
+	// avx512-vpopcntdq" — the last for the tile and for the per-cell dot
+	// product alike; the variant tells them apart). Empty until the first
+	// call.
 	Variant  string
 	Popcount string
 }

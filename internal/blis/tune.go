@@ -99,15 +99,6 @@ type TuneResult struct {
 	Probes []TuneProbe
 }
 
-// variantName is the DriverStats variant label of a (kernel, strategy)
-// pair — the batched family repacks panels into runs, hence the suffix.
-func variantName(k kernel.Kernel, s PopcountStrategy) string {
-	if s == PopcountScalar {
-		return k.Name
-	}
-	return k.Name + "-runs"
-}
-
 // tuneStrategies returns the distinct concrete strategies worth probing
 // on this host: vector and CSA coincide when no SIMD tier exists.
 func tuneStrategies() []PopcountStrategy {
@@ -133,16 +124,20 @@ func Tune(opt TuneOptions) (*TuneResult, error) {
 
 	res := &TuneResult{}
 	triples := float64(probeN) * float64(probeN+1) / 2 * float64(g.Words)
+	// names reports what the driver runs for cfg on the probe, in
+	// DriverStats terms.
+	names := func(cfg Config) (k kernel.Kernel, variant, engine string) {
+		k = cfg.PlainKernel()
+		strat := plainEngine(k, cfg.Popcount, g.Words)
+		return k, variantName(k, strat), strategyTag(strat)
+	}
 	record := func(cfg Config, phase string, rate float64) {
-		k := cfg.Kernel
-		if k.Fn == nil {
-			k = kernel.Default
-		}
+		k, variant, engine := names(cfg)
 		res.Evaluated++
 		res.Probes = append(res.Probes, TuneProbe{
 			Kernel:   k.Name,
-			Variant:  variantName(k, resolvePopcount(cfg.Popcount, g.Words)),
-			Popcount: strategyTag(resolvePopcount(cfg.Popcount, g.Words)),
+			Variant:  variant,
+			Popcount: engine,
 			Phase:    phase,
 			MC:       cfg.MC, NC: cfg.NC, KC: cfg.KC,
 			Threads: cfg.Threads, ChunkTiles: cfg.ChunkTiles,
@@ -165,8 +160,14 @@ func Tune(opt TuneOptions) (*TuneResult, error) {
 		return rate, nil
 	}
 
+	// The baseline is the host default as the driver runs it: the vector
+	// tile where there is one, the scalar Go kernel elsewhere.
 	best := DefaultConfig()
 	best.Popcount = PopcountScalar
+	if best.Kernel.Lanes > 1 {
+		best.Popcount = PopcountVector
+	}
+	baseline := best
 	bestRate, err := measure(best, opt.Threads, "baseline")
 	if err != nil {
 		return nil, err
@@ -178,7 +179,7 @@ func Tune(opt TuneOptions) (*TuneResult, error) {
 	// family (slice-call amortization).
 	for _, strat := range tuneStrategies() {
 		for _, k := range kernel.Fixed {
-			if strat == PopcountScalar && k.Name == best.Kernel.Name {
+			if strat == baseline.Popcount && k.Name == baseline.Kernel.Name {
 				continue // the baseline already measured it
 			}
 			if time.Now().After(deadline) {
@@ -278,8 +279,7 @@ descent:
 	}
 	res.Config = best
 	res.TriplesPerSecond = bestRate
-	res.Variant = variantName(best.Kernel, resolvePopcount(best.Popcount, g.Words))
-	res.Popcount = strategyTag(resolvePopcount(best.Popcount, g.Words))
+	_, res.Variant, res.Popcount = names(best)
 
 	if opt.ProfilePath != "" {
 		p := Profile{

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"ldgemm/internal/blis"
 	"ldgemm/internal/kernel"
 )
 
@@ -44,16 +43,6 @@ const (
 // fused reports whether the computation should run the fused epilogue.
 func (o Options) fused() bool {
 	return o.Epilogue != EpilogueSplit && o.measures()&KeepCounts == 0
-}
-
-// kernelShape returns the register-tile shape the plain blocked driver
-// will use for cfg — needed by the SYRK mirror ownership rule below.
-func kernelShape(cfg blis.Config) (mr, nr int) {
-	k := cfg.Kernel
-	if k.Fn == nil {
-		k = kernel.Default
-	}
-	return k.MR, k.NR
 }
 
 // varTable returns v[i] = p[i]·(1−p[i]), the per-SNP variance factor of
@@ -181,7 +170,8 @@ func newDenseEpilogue(res *Result, opt Options, mirror bool) *denseEpilogue {
 		rowFreqs:   res.RowFreqs, colFreqs: res.ColFreqs,
 		fast: opt.FastR2,
 	}
-	e.mr, e.nr = kernelShape(opt.Blis)
+	k := opt.Blis.PlainKernel()
+	e.mr, e.nr = k.MR, k.NR
 	if res.Samples > 0 {
 		e.inv = 1 / float64(res.Samples)
 	}

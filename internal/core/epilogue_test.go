@@ -261,6 +261,19 @@ func TestStreamFusedMatchesSplitBitwise(t *testing.T) {
 	}
 }
 
+// TestPortableRouteBitwise reruns the fused-vs-split and mirror-symmetry
+// contracts as on a host without the vector tile: the SYRK mirror-ownership
+// rule reads the register-tile shape from the same resolver as the driver,
+// so both defaults (8×8 tile, 4×4 portable) must partition the triangle.
+func TestPortableRouteBitwise(t *testing.T) {
+	if _, err := kernel.ByName(kernel.AVX512Name); err != nil {
+		t.Skipf("the portable route is already this host's default: %v", err)
+	}
+	defer kernel.DisableVectorTileForTest()()
+	t.Run("StreamFusedMatchesSplit", TestStreamFusedMatchesSplitBitwise)
+	t.Run("MatrixFusedSymmetry", TestMatrixFusedSymmetryBitwise)
+}
+
 // Streamed values must also agree with the dense Matrix outputs when Exact
 // is set — the contract the tile store's precompute/serve path rides.
 func TestStreamExactMatchesMatrixBitwise(t *testing.T) {

@@ -112,6 +112,29 @@ func TestSIMDTable(t *testing.T) {
 	}
 }
 
+func TestSIMDHardwareTable(t *testing.T) {
+	tbl, err := SIMDHardware(Config{Peak: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 3 { // kc = 8, 32, 256
+		t.Fatalf("%d rows", len(tbl.Rows))
+	}
+	for _, row := range tbl.Rows {
+		if row[4] != "8.00" {
+			t.Fatalf("model T/T_HW at v = 8 printed as %q", row[4])
+		}
+		if row[3] == "-" {
+			continue // no tile on this host: the row says so
+		}
+		// The paper's point, measured: with a hardware vector popcount the
+		// wide kernel wins. Far below the model's 8× so a noisy host passes.
+		if sp, err := strconv.ParseFloat(row[3], 64); err != nil || sp < 2 {
+			t.Fatalf("tile over scalar at kc = %s: %q (%v)", row[0], row[3], err)
+		}
+	}
+}
+
 func TestGapsTable(t *testing.T) {
 	tbl, err := Gaps(fastConfig())
 	if err != nil {

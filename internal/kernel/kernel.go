@@ -12,6 +12,11 @@
 // two contiguous buffers while its mr·nr accumulators stay in registers —
 // exactly the structure a BLIS dgemm micro-kernel has, with the FMA replaced
 // by the AND+POPCNT+ADD triple.
+//
+// The same layout serves the vector tile (AVX512Name, tile_amd64.s): the nr
+// B words of one sample word are contiguous, so they are one zmm load, and
+// the mr A words are its broadcast operands. Default resolves, once per
+// host, between that tile and the portable Go 4x4.
 package kernel
 
 import (
@@ -29,7 +34,13 @@ type Kernel struct {
 	Name string
 	MR   int
 	NR   int
-	Fn   Func
+	// Lanes is how many cells one popcount instruction of Fn serves: 0 for
+	// the Go kernels (one scalar POPCNT per cell and word), 8 for the zmm
+	// VPOPCNTQ tile. A kernel with Lanes > 1 is itself the vector engine:
+	// the driver runs it on interleaved panels at every k and reports it
+	// as such (see blis.Config.PlainKernel).
+	Lanes int
+	Fn    Func
 }
 
 // Generic returns a micro-kernel of arbitrary shape built from nested
@@ -204,7 +215,7 @@ func micro8x8(kc int, ap, bp []uint64, c []uint32, ldc int) {
 	}
 }
 
-// Fixed enumerates every hand-unrolled micro-kernel.
+// Fixed enumerates every hand-unrolled Go micro-kernel.
 var Fixed = []Kernel{
 	{Name: "1x1", MR: 1, NR: 1, Fn: micro1x1},
 	{Name: "2x2", MR: 2, NR: 2, Fn: micro2x2},
@@ -214,13 +225,48 @@ var Fixed = []Kernel{
 	{Name: "8x8", MR: 8, NR: 8, Fn: micro8x8},
 }
 
-// Default is the micro-kernel the BLIS driver selects when not overridden.
-// 4x4 keeps all 16 accumulators plus both operand quads in registers and
-// benchmarks fastest on amd64 (see BenchmarkMicroKernel).
-var Default = Fixed[2] // 4x4
+// Portable is the pure-Go default: 4x4 keeps all 16 accumulators plus both
+// operand quads in registers and is the fastest Go shape on amd64 (see
+// BenchmarkMicroKernel). It is what every host without the vector tile
+// runs, what a forced scalar or CSA strategy runs everywhere, and the
+// oracle the tile is pinned to.
+var Portable = Fixed[2]
 
-// ByName returns a fixed kernel by name, or an error listing choices.
+// AVX512Name names the register-tiled AVX-512 VPOPCNTQ micro-kernel
+// (tile_amd64.s): 8×8, broadcast A word × eight B words per zmm, one
+// VPANDQ/VPOPCNTQ/VPADDQ per row and sample word, no cross-lane reduction.
+// It consumes the same interleaved PackPanel layout as the Go kernels.
+const AVX512Name = "8x8-avx512"
+
+// vectorTile is the AVX512Name kernel where the host can run it (set by
+// the amd64 init), the zero Kernel elsewhere.
+var vectorTile Kernel
+
+// Default is the micro-kernel the BLIS driver selects when not overridden,
+// resolved once for this host: the vector tile where AVX-512F + VPOPCNTDQ
+// are usable, Portable everywhere else. Every "the default kernel" in the
+// tree reads this one value.
+var Default = Portable
+
+// DisableVectorTileForTest makes Default and ByName resolve as on a host
+// without AVX-512 VPOPCNTDQ until restore is called, so one host tests
+// both routes. Not safe beside running driver calls.
+func DisableVectorTileForTest() (restore func()) {
+	d, t := Default, vectorTile
+	Default, vectorTile = Portable, Kernel{}
+	return func() { Default, vectorTile = d, t }
+}
+
+// ByName returns a kernel by name, or an error listing choices. The vector
+// tile resolves only where it can run: a name from a profile or a flag
+// must never reach an instruction the host lacks.
 func ByName(name string) (Kernel, error) {
+	if name == AVX512Name {
+		if vectorTile.Fn == nil {
+			return Kernel{}, fmt.Errorf("kernel: micro-kernel %q needs amd64 with AVX-512F and AVX512_VPOPCNTDQ and OS-enabled zmm state, which this host lacks", name)
+		}
+		return vectorTile, nil
+	}
 	for _, k := range Fixed {
 		if k.Name == name {
 			return k, nil
@@ -229,6 +275,9 @@ func ByName(name string) (Kernel, error) {
 	names := make([]string, len(Fixed))
 	for i, k := range Fixed {
 		names[i] = k.Name
+	}
+	if vectorTile.Fn != nil {
+		names = append(names, vectorTile.Name)
 	}
 	return Kernel{}, fmt.Errorf("kernel: unknown micro-kernel %q (have %v)", name, names)
 }

@@ -113,24 +113,3 @@ func TestQuickMasked2x2MatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkMicroKernel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const kcWords = 256
-	for _, k := range Fixed {
-		a := randomMatrix(rng, k.MR, kcWords*64)
-		bb := randomMatrix(rng, k.NR, kcWords*64)
-		ap := make([]uint64, kcWords*k.MR)
-		bp := make([]uint64, kcWords*k.NR)
-		PackPanel(ap, a, 0, k.MR, k.MR, 0, kcWords)
-		PackPanel(bp, bb, 0, k.NR, k.NR, 0, kcWords)
-		c := make([]uint32, k.MR*k.NR)
-		b.Run(k.Name, func(b *testing.B) {
-			// ops = one AND+POPCNT+ADD triple per (word, cell)
-			b.SetBytes(int64(kcWords * k.MR * k.NR * 8))
-			for i := 0; i < b.N; i++ {
-				k.Fn(kcWords, ap, bp, c, k.NR)
-			}
-		})
-	}
-}

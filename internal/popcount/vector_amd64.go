@@ -61,6 +61,11 @@ func init() {
 // CSA kernels.
 func HasVector() bool { return hasAVX2 || hasAVX512Popcnt }
 
+// HasAVX512VPOPCNTDQ reports whether the host runs zmm VPOPCNTQ: AVX-512F
+// and AVX512_VPOPCNTDQ in CPUID with the OS saving zmm state. The
+// register-tiled micro-kernel of internal/kernel needs exactly this.
+func HasAVX512VPOPCNTDQ() bool { return hasAVX512Popcnt }
+
 // VectorName names the active SIMD tier for stats, tune profiles and
 // /debug/vars: "avx512-vpopcntdq", "avx2-lut", or "none".
 func VectorName() string {

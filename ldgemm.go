@@ -263,7 +263,9 @@ func Tune(opt TuneOptions) (*TuneResult, error) { return blis.Tune(opt) }
 
 // PopcountStrategy selects the AND-count engine of the blocked kernels
 // (BlockConfig.Popcount): scalar POPCNT per word-pair, the portable
-// Harley–Seal CSA fold, the SIMD tier, or auto k-dispatch between them.
+// Harley–Seal CSA fold, the SIMD tier, or auto — the register-tiled
+// AVX-512 VPOPCNTQ micro-kernel at every k where the host runs it,
+// k-dispatch between scalar and the SIMD tier elsewhere.
 type PopcountStrategy = blis.PopcountStrategy
 
 const (
