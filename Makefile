@@ -18,7 +18,8 @@ build-arm64:
 
 # Race tier: vet plus the race detector on the concurrency-bearing
 # packages (the parallel blis driver, the pack kernels it calls from many
-# goroutines, the tile container whose LRU every store query shares, the
+# goroutines, the tile container whose LRU every store query shares and
+# whose build is a three-stage pipeline tested under injected faults, the
 # HTTP server that shares the arena pool and in-flight semaphore across
 # requests, the scatter-gather cluster coordinator, and the ldserver
 # lifecycle).
@@ -117,9 +118,12 @@ bench-json:
 # which prints what the fused epilogue costs per pair. Then the sparse
 # operator path: one matvec over the ledger's 4096-SNP banded store,
 # resident and laid out per call (entries/s, allocs/op), and its 4096-float
-# request body through the vector scanner (MB/s). Last, one call each of
+# request body through the vector scanner (MB/s). Then one call each of
 # the micro-kernel rows (portable 4x4, per-cell vector, AVX-512 tile at kc
-# 8/32/256, Gtriples/s).
+# 8/32/256, Gtriples/s). Last, one store build per codec (dense, banded
+# sparse) × checkpoint on/off through the three-stage build pipeline from a
+# windowed .ldbm: pairs/s, MB/s written, commits per build against its 16
+# stripes, scan wait, B/op.
 .PHONY: bench-smoke
 bench-smoke:
 	go run ./cmd/ldbench -scale 20 -threads 1,2 -epilogue-json /tmp/BENCH_epilogue_smoke.json
@@ -129,6 +133,7 @@ bench-smoke:
 	go test ./internal/ldsparse -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
 	go test ./internal/server -run '^$$' -bench BenchmarkParseVector -benchtime 1x -benchmem
 	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x
+	go test ./internal/tilefile -run '^$$' -bench BenchmarkBuildFile -benchtime 1x -benchmem
 
 # Full-size epilogue benchmark (the committed BENCH_epilogue.json:
 # ≥8192 SNPs, thread grid through 8).

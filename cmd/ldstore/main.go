@@ -18,8 +18,9 @@
 // A .ldbm input is the out-of-core path: the bit matrix stays on disk
 // (windowed reads, or -mmap) and the build streams double-buffered panel
 // pairs through the GEMM, so genome-scale inputs never need to fit in
-// memory. -checkpoint makes progress durable per stripe; -resume restarts
-// a killed build where it left off, producing byte-identical output.
+// memory. -checkpoint makes progress durable stripe by stripe, as fast as
+// the disk commits; -resume restarts a killed build where it left off,
+// producing byte-identical output.
 //
 // -sparse writes a threshold-pruned CSR container (ldsparse's LDSS
 // format) instead of the dense tile store: entries with |value| below
@@ -88,7 +89,7 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 	mmap := fs.Bool("mmap", false, "memory-map a .ldbm input instead of windowed reads")
 	ioWindow := fs.Int("io-window", 0, "out-of-core column-panel width in SNPs (0 = default 1024)")
 	checkpoint := fs.Bool("checkpoint", false,
-		"keep a durable per-stripe checkpoint (<out>.ckpt/.idx) so a killed build can -resume")
+		"keep a durable stripe-granular checkpoint (<out>.ckpt/.idx) so a killed build can -resume")
 	resume := fs.Bool("resume", false, "resume a checkpointed build from where it left off (implies -checkpoint)")
 	splitChrom := fs.String("split-chrom", "",
 		"variant .bim path; build one store per chromosome, inserting .chr<N> before the output extension")
@@ -193,6 +194,15 @@ func resumeHint(err error, out string, checkpointing bool, stderr io.Writer) {
 	}
 }
 
+// stageTimes renders where one build's time went behind the scan: how
+// long the scan waited on the output side, and what the writer and the
+// committer were busy for meanwhile.
+func stageTimes(st ldstore.BuildStats) string {
+	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	return fmt.Sprintf("scan waited %.1f ms on output, encode+write %.1f ms, %d commits %.1f ms",
+		ms(st.ScanWaitNanos), ms(st.EncodeWriteNanos), st.Commits, ms(st.CommitNanos))
+}
+
 // denseBuildFunc runs a single out-of-core (or delegated in-RAM) dense
 // tile-store build and reports the result.
 func denseBuildFunc(opt ldstore.SourceBuildOptions) buildFunc {
@@ -206,8 +216,8 @@ func denseBuildFunc(opt ldstore.SourceBuildOptions) buildFunc {
 		if res.StartStripe > 0 {
 			resumed = fmt.Sprintf(", resumed at stripe %d", res.StartStripe)
 		}
-		fmt.Fprintf(stderr, "ldstore: wrote %s: %d tiles, %d bytes (%s, %d×%d, peak result memory %d bytes%s)\n",
-			out, res.Tiles, res.FileBytes, opt.Stat, src.NumSNPs(), src.NumSamples(), res.PeakResultBytes, resumed)
+		fmt.Fprintf(stderr, "ldstore: wrote %s: %d tiles, %d bytes (%s, %d×%d, peak result memory %d bytes%s; %s)\n",
+			out, res.Tiles, res.FileBytes, opt.Stat, src.NumSNPs(), src.NumSamples(), res.PeakResultBytes, resumed, stageTimes(res))
 		return nil
 	}
 }
@@ -228,9 +238,9 @@ func sparseBuildFunc(opt ldsparse.SourceBuildOptions) buildFunc {
 		if res.StartStripe > 0 {
 			resumed = fmt.Sprintf(", resumed at stripe %d", res.StartStripe)
 		}
-		fmt.Fprintf(stderr, "ldstore: wrote %s: %d tiles, %d entries, %d bytes (sparse %s, threshold %g%s, %d×%d%s)\n",
+		fmt.Fprintf(stderr, "ldstore: wrote %s: %d tiles, %d entries, %d bytes (sparse %s, threshold %g%s, %d×%d, peak result memory %d bytes%s; %s)\n",
 			out, res.Tiles, res.NNZ, res.FileBytes, opt.Stat, opt.Threshold, banded,
-			src.NumSNPs(), src.NumSamples(), resumed)
+			src.NumSNPs(), src.NumSamples(), res.PeakResultBytes, resumed, stageTimes(res.BuildStats))
 		return nil
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"ldgemm/internal/blis"
 	"ldgemm/internal/core"
 	"ldgemm/internal/harness"
+	"ldgemm/internal/kernel"
 	"ldgemm/internal/popsim"
 )
 
@@ -94,14 +95,68 @@ func syrkTriples(n, words int) int64 {
 	return int64(n) * int64(n+1) / 2 * int64(words)
 }
 
-// Fig3 reproduces Figure 3: the scalar blocked kernel's fraction of the
+// DriverPeak returns the single-core peak Figures 3 and 4 divide by, and
+// what it is a peak of: the ceiling of the engine a default blis.Config
+// actually drives. Where the default micro-kernel is itself a vector
+// engine (the AVX-512 tile, Lanes > 1) that is the kernel on L1-resident
+// panels — one vector popcount serves eight cells, so the scalar triple
+// loop is no bound on it. Elsewhere the default is the scalar 4x4 and the
+// paper's peak, cfg.Peak, stands.
+func DriverPeak(cfg Config) (peak float64, of string) {
+	cfg = cfg.normalize()
+	k := kernel.Default
+	if k.Lanes <= 1 {
+		return cfg.Peak, "scalar AND+POPCNT+ADD loop"
+	}
+	return calibrateKernel(k, cfg.CalibrationTime), k.Name + " micro-kernel on L1-resident panels"
+}
+
+// calibrateKernel measures k's single-core triple rate on packed panels
+// that stay in L1 (128 sample words: 8 KiB a side at MR = NR = 8), best
+// window of at least minDuration, as harness.CalibratePeak does for the
+// scalar triple: no pack, no C traffic beyond one tile, no fringe —
+// everything the driver adds shows as a fraction below 100 %.
+func calibrateKernel(k kernel.Kernel, minDuration time.Duration) float64 {
+	const kc, calls = 128, 1024
+	ap, bp := make([]uint64, kc*k.MR), make([]uint64, kc*k.NR)
+	for i := range ap {
+		ap[i] = 0x9e3779b97f4a7c15 * uint64(i+1)
+	}
+	for i := range bp {
+		bp[i] = 0xbf58476d1ce4e5b9 * uint64(i+3)
+	}
+	c := make([]uint32, k.MR*k.NR)
+	pass := func() float64 {
+		start := time.Now()
+		for range calls {
+			k.Fn(kc, ap, bp, c, k.NR)
+		}
+		return float64(calls*kc*k.MR*k.NR) / time.Since(start).Seconds()
+	}
+	pass() // warm up
+	best := 0.0
+	for start := time.Now(); time.Since(start) < minDuration; {
+		best = max(best, pass())
+	}
+	return best
+}
+
+// peakTitle is the shared title tail of Figures 3 and 4: which peak the
+// last column divides by.
+func peakTitle(cfg Config, peak float64, of string) string {
+	return fmt.Sprintf("%% of calibrated peak (scale 1/%d; peak: %s, %s Gtriples/s)", cfg.Scale, of, harness.F(peak/1e9, 2))
+}
+
+// Fig3 reproduces Figure 3: the blocked kernel's fraction of the
 // calibrated peak as the sample dimension k grows, for square haplotype
 // matrices m = n ∈ {4096, 8192, 16384}/Scale. The paper reports 84–90%,
-// flat in both k and n.
+// flat in both k and n. The peak is DriverPeak's: that of the engine the
+// driver runs, named in the title.
 func Fig3(cfg Config) (*harness.Table, error) {
 	cfg = cfg.normalize()
+	peak, of := DriverPeak(cfg)
 	tbl := &harness.Table{
-		Title:   fmt.Sprintf("Figure 3: haplotype matrix construction, %% of calibrated peak (scale 1/%d)", cfg.Scale),
+		Title:   "Figure 3: haplotype matrix construction, " + peakTitle(cfg, peak, of),
 		Headers: []string{"m=n", "k (samples)", "time (s)", "Gtriples/s", "% of peak"},
 	}
 	for _, baseN := range []int{4096, 8192, 16384} {
@@ -122,7 +177,7 @@ func Fig3(cfg Config) (*harness.Table, error) {
 				fmt.Sprint(n), fmt.Sprint(k),
 				harness.F(m.Elapsed.Seconds(), 3),
 				harness.F(m.TriplesPerSecond()/1e9, 2),
-				harness.F(100*m.PeakFraction(cfg.Peak), 1),
+				harness.F(100*m.PeakFraction(peak), 1),
 			)
 		}
 	}
@@ -134,8 +189,9 @@ func Fig3(cfg Config) (*harness.Table, error) {
 // case); attained fraction of peak should stay in the same band.
 func Fig4(cfg Config) (*harness.Table, error) {
 	cfg = cfg.normalize()
+	peak, of := DriverPeak(cfg)
 	tbl := &harness.Table{
-		Title:   fmt.Sprintf("Figure 4: two different genomic matrices, %% of calibrated peak (scale 1/%d)", cfg.Scale),
+		Title:   "Figure 4: two different genomic matrices, " + peakTitle(cfg, peak, of),
 		Headers: []string{"m=n", "k (samples)", "time (s)", "Gtriples/s", "% of peak"},
 	}
 	for _, baseN := range []int{4096, 8192, 16384} {
@@ -158,7 +214,7 @@ func Fig4(cfg Config) (*harness.Table, error) {
 				fmt.Sprint(n), fmt.Sprint(k),
 				harness.F(m.Elapsed.Seconds(), 3),
 				harness.F(m.TriplesPerSecond()/1e9, 2),
-				harness.F(100*m.PeakFraction(cfg.Peak), 1),
+				harness.F(100*m.PeakFraction(peak), 1),
 			)
 		}
 	}

@@ -33,16 +33,20 @@ func TestFig3Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if frac <= 0 || frac > 130 {
-			t.Fatalf("implausible peak fraction %v%%", frac)
+		// The denominator is the peak of the engine the driver runs (the
+		// default micro-kernel on L1-resident panels where that is a vector
+		// tile), so nothing the driver does can beat it: 100 % plus the
+		// noise of a 10 ms calibration.
+		if frac <= 0 || frac > 110 {
+			t.Fatalf("implausible peak fraction %v%% (%s)", frac, tbl.Title)
 		}
 	}
 	var buf bytes.Buffer
 	if err := tbl.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Figure 3") {
-		t.Fatal("missing title")
+	if !strings.Contains(buf.String(), "Figure 3") || !strings.Contains(buf.String(), "peak: ") {
+		t.Fatalf("title %q must name the figure and the peak it divides by", tbl.Title)
 	}
 }
 
@@ -53,6 +57,11 @@ func TestFig4Shape(t *testing.T) {
 	}
 	if len(tbl.Rows) != 15 {
 		t.Fatalf("%d rows", len(tbl.Rows))
+	}
+	for _, row := range tbl.Rows {
+		if frac, err := strconv.ParseFloat(row[4], 64); err != nil || frac <= 0 || frac > 110 {
+			t.Fatalf("implausible peak fraction %q (%v; %s)", row[4], err, tbl.Title)
+		}
 	}
 }
 

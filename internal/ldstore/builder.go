@@ -31,8 +31,9 @@ type SourceBuildOptions struct {
 	// panel memory against per-fetch I/O efficiency for file sources.
 	IOPanelSNPs int
 	// Checkpoint maintains a <store>.ckpt manifest and <store>.idx index
-	// sidecar, durably advanced after every flushed stripe, so a killed
-	// build can restart where it left off instead of from scratch. On
+	// sidecar, advanced as fast as the disk commits and never past durable
+	// data, so a killed build can restart where it left off (less at most
+	// the stripes written during one commit) instead of from scratch. On
 	// failure the partial store and its sidecars are left in place.
 	Checkpoint bool
 	// Resume restarts from an existing checkpoint manifest (implies

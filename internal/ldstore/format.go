@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/tilefile"
@@ -107,10 +108,27 @@ func (codec) Decode(h *tilefile.Header, t tilefile.Tile, _ tilefile.Entry, paylo
 		}
 	}
 	vals := make([]float64, rawLen/8)
+	if hostLittleEndian {
+		copy(floatBytes(vals), raw)
+		return vals, nil
+	}
 	for k := range vals {
 		vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(raw[k*8:]))
 	}
 	return vals, nil
+}
+
+// hostLittleEndian: a float64 in memory is already its LDTS bytes, so the
+// codec moves whole tile rows with copy in both directions; a big-endian
+// host converts value by value.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// floatBytes views v's backing array as bytes, in host order.
+func floatBytes(v []float64) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
 }
 
 // encoder is the LDTS write side, with the scratch it reuses across tiles.
@@ -150,11 +168,20 @@ func (enc *encoder) EncodeTile(s *tilefile.Stripe, t tilefile.Tile) ([]byte, uin
 	maxOff := math.Inf(-1)
 	for r := 0; r < t.Rows; r++ {
 		src := s.Vals[r*s.Width+colLo : r*s.Width+colLo+t.Cols]
-		for c, v := range src {
-			binary.LittleEndian.PutUint64(enc.raw[(r*t.Cols+c)*8:], math.Float64bits(v))
-			if v > maxOff && !(t.Diagonal() && r == c) {
-				maxOff = v
+		dst := enc.raw[r*t.Cols*8 : (r+1)*t.Cols*8]
+		if hostLittleEndian {
+			copy(dst, floatBytes(src))
+		} else {
+			for c, v := range src {
+				binary.LittleEndian.PutUint64(dst[c*8:], math.Float64bits(v))
 			}
+		}
+		// The bound is over off-diagonal cells: a diagonal tile's row r
+		// skips its own column.
+		if t.Diagonal() {
+			maxOff = rowMax(rowMax(maxOff, src[:r]), src[r+1:])
+		} else {
+			maxOff = rowMax(maxOff, src)
 		}
 	}
 	payload := enc.raw
@@ -170,6 +197,18 @@ func (enc *encoder) EncodeTile(s *tilefile.Stripe, t tilefile.Tile) ([]byte, uin
 		payload = enc.comp.Bytes()
 	}
 	return payload, math.Float64bits(maxOff), nil
+}
+
+// rowMax folds row into the running maximum m. NaN compares false and
+// never wins; of equal values (−0 and +0) the first seen stays, which the
+// stored bits depend on.
+func rowMax(m float64, row []float64) float64 {
+	for _, v := range row {
+		if v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 func (*encoder) FinishHeader(*tilefile.Header, []tilefile.Entry) {}

@@ -7,6 +7,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
@@ -19,7 +22,8 @@ import (
 // triangle is delivered, so the cells left of a row's own diagonal are
 // unset. RowEnd[r] is the exclusive global end column the scan delivered
 // for that row — the band edge in a banded build, N otherwise; cells past
-// it are stale values of an earlier stripe.
+// it are stale values of an earlier stripe, possibly of an earlier build
+// (the buffers are pooled and never cleared).
 type Stripe struct {
 	N, I0, Rows, Width int
 	Vals               []float64
@@ -75,37 +79,102 @@ type BuildStats struct {
 	Tiles     int
 	TileBytes int64
 	FileBytes int64
-	// PeakResultBytes is the build's result-storage high-water mark: one
-	// NT-row float64 stripe buffer plus the scan's fused float64 stripe —
+	// PeakResultBytes is the build's result-storage high-water mark: three
+	// NT-row float64 stripes — the scan's fused stripe, the buffer it is
+	// being copied into, and the one the writer is encoding —
 	// O(TileSize × SNPs), never the n² result.
 	PeakResultBytes int64
 	// StartStripe is the tile row the build began at: 0 for a fresh
 	// build, the checkpoint's stripe count for a resumed one.
 	StartStripe int
+
+	// Where this call's time went, by pipeline stage. ScanWaitNanos is how
+	// long the scan sat blocked for a free stripe buffer: the output
+	// side's back-pressure on the compute side. EncodeWriteNanos is the
+	// writer's busy time (encode, CRC, append, flush) and CommitNanos the
+	// committer's (fsyncs and the manifest rename); both overlap the scan.
+	ScanWaitNanos    int64
+	EncodeWriteNanos int64
+	CommitNanos      int64
+	// Commits is the number of manifests written: one per stripe when the
+	// disk keeps up, fewer when pending commits were merged, 0 without
+	// checkpointing.
+	Commits int
 }
 
-// builder is the single build driver: core.StreamSource → stripe buffer →
-// per-tile encode → index → header back-patch.
+// builder is the single build driver, a three-stage pipeline:
+//
+//	scan (core.StreamSource → addRow) → writer (encode, CRC, append, index)
+//	→ committer (fsync, sidecar, manifest; checkpointed file builds only)
+//
+// The scan fills one of two stripe buffers while the writer drains the
+// other, and the committer makes the newest flushed stripe durable while
+// both run on. Each field below belongs to one stage while the pipeline
+// runs; everything is joined before run reads any of it back.
 type builder struct {
-	spec   *Spec
-	src    bitmat.Source
-	n, nt  int
-	bands  int
-	hdr    Header
-	id     identity
-	stripe Stripe
+	spec  *Spec
+	src   bitmat.Source
+	n, nt int
+	bands int
+	hdr   Header
+	id    identity
 
+	// Scan side.
+	next int     // expected next global row
+	cur  *Stripe // the buffer being filled, nil between stripes
+
+	// The two stripe buffers circulate free → scan → full → writer → free;
+	// both channels hold every buffer there is, so only the scan's wait for
+	// a free one ever blocks.
+	free, full chan *Stripe
+
+	// Writer side.
 	w      io.WriteSeeker
 	bw     *bufio.Writer
 	offset int64
 	index  []Entry
-	next   int // expected next global row
+
+	// commits carries the writer's newest flushed position to the
+	// committer; nil unless checkpointing.
+	commits chan commitReq
+
+	// The first error of any stage (failErr is read only after the join),
+	// and the cancel that stops the scan.
+	failed  atomic.Bool
+	failErr error
+	cancel  context.CancelFunc
 
 	// File builds only.
 	file        *os.File
 	ck          *checkpoint // nil unless checkpointing
 	startStripe int
+	// stripesDone counts durable stripes: advanced by the committer when
+	// checkpointing, by the writer otherwise.
 	stripesDone int
+
+	stats BuildStats
+}
+
+// commitReq asks the committer to make everything up to a flushed stripe
+// durable: index holds every entry through that stripe, offset is where
+// its tile bytes end.
+type commitReq struct {
+	index   []Entry
+	stripes int
+	offset  int64
+}
+
+// stripePool recycles the builders' stripe buffers across builds. A
+// recycled buffer is not cleared: RowEnd bounds what the scan delivered,
+// and stale cells past it are already part of Stripe's contract.
+var stripePool sync.Pool
+
+func getStripe(n, rows int) *Stripe {
+	if s, _ := stripePool.Get().(*Stripe); s != nil && cap(s.Vals) >= rows*n && cap(s.RowEnd) >= rows {
+		s.N, s.Vals, s.RowEnd = n, s.Vals[:rows*n], s.RowEnd[:rows]
+		return s
+	}
+	return &Stripe{N: n, Vals: make([]float64, rows*n), RowEnd: make([]int, rows)}
 }
 
 func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
@@ -137,6 +206,8 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 		},
 		offset: int64(f.HeaderSize()),
 	}
+	// Full capacity up front: the writer appends while the committer reads
+	// the entries of an earlier stripe, so the array must never move.
 	b.index = make([]Entry, 0, b.hdr.TileCount)
 	b.id = identity{
 		Fingerprint: b.hdr.Fingerprint, SNPs: n, Samples: src.NumSamples(),
@@ -152,8 +223,10 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 // and result memory stays O(TileSize × SNPs) no matter how large the full
 // n² matrix would be; a resident bitmat.MemSource runs core.Stream's
 // in-RAM scan, any other source the double-buffered panel schedule. The
-// Exact epilogue is forced so stored values are bit-identical to the dense
-// core.Matrix path a serverless request would compute.
+// output side is double-buffered too: a writer goroutine encodes and
+// appends stripe s while the scan computes stripe s+1. The Exact epilogue
+// is forced so stored values are bit-identical to the dense core.Matrix
+// path a serverless request would compute.
 func Build(w io.WriteSeeker, src bitmat.Source, spec Spec) (BuildStats, error) {
 	b, err := newBuilder(src, &spec)
 	if err != nil {
@@ -167,8 +240,10 @@ func Build(w io.WriteSeeker, src bitmat.Source, spec Spec) (BuildStats, error) {
 }
 
 // BuildFile is Build into the file at path. With spec.Checkpoint it
-// maintains the manifest and index sidecar, durably advanced after every
-// flushed stripe; with spec.Resume it restarts from an existing manifest
+// maintains the manifest and index sidecar, advanced as fast as the disk
+// commits and never past durable data (a committer goroutine fsyncs and
+// renames behind the writer, one manifest covering every stripe flushed
+// since the last); with spec.Resume it restarts from an existing manifest
 // (starting fresh without one, refusing one written by a different
 // dataset or options), re-computing only the stripes past it and
 // converging to the bytes of an uninterrupted build.
@@ -213,7 +288,7 @@ func BuildFile(path string, src bitmat.Source, spec Spec) (BuildStats, error) {
 		if b.file, err = os.Create(path); err != nil {
 			return BuildStats{}, err
 		}
-		if _, err = b.file.Write(b.hdr.encode(f)); err == nil && useCkpt {
+		if _, err = (dataFile{b.file}).Write(b.hdr.encode(f)); err == nil && useCkpt {
 			b.ck = &checkpoint{path: path, id: b.id}
 			b.ck.sidecar, err = os.Create(SidecarPath(path))
 		}
@@ -223,11 +298,11 @@ func BuildFile(path string, src bitmat.Source, spec Spec) (BuildStats, error) {
 			return BuildStats{}, err
 		}
 	}
-	b.setOutput(b.file)
+	b.setOutput(dataFile{b.file})
 
 	st, err := b.run()
 	if err == nil {
-		err = b.file.Sync()
+		err = fsys.sync(b.file)
 	}
 	if cerr := b.file.Close(); err == nil {
 		err = cerr
@@ -251,6 +326,20 @@ func BuildFile(path string, src bitmat.Source, spec Spec) (BuildStats, error) {
 	return st, nil
 }
 
+// fsys holds the three calls a checkpointed build's durability rests on.
+// It exists so export_test.go can record their order and inject faults;
+// nothing else assigns it.
+var fsys = struct {
+	write  func(f *os.File, p []byte) (int, error) // store bytes to the data file
+	sync   func(f *os.File) error                  // data file, sidecar, manifest temp
+	rename func(oldpath, newpath string) error     // manifest temp → manifest
+}{(*os.File).Write, (*os.File).Sync, os.Rename}
+
+// dataFile is the store's data file with its writes routed through fsys.
+type dataFile struct{ *os.File }
+
+func (d dataFile) Write(p []byte) (int, error) { return fsys.write(d.File, p) }
+
 func (b *builder) setOutput(w io.WriteSeeker) {
 	b.w = w
 	// bufio sees only a Writer, so buffered tile writes can never
@@ -258,51 +347,13 @@ func (b *builder) setOutput(w io.WriteSeeker) {
 	b.bw = bufio.NewWriterSize(struct{ io.Writer }{w}, 1<<20)
 }
 
-// run scans the rows not yet durable, then writes the index and the
-// back-patched header carrying its offset.
+// run scans the rows not yet durable through the pipeline, then writes
+// the index and the back-patched header carrying its offset.
 func (b *builder) run() (BuildStats, error) {
 	rows := min(b.nt, max(b.n, 1))
-	b.stripe = Stripe{N: b.n, Vals: make([]float64, rows*b.n), RowEnd: make([]int, rows)}
-
 	if start := b.startStripe * b.nt; start == 0 || start < b.n {
-		// A visit callback cannot abort the stream, so a write failure is
-		// recorded and the scan cancelled through the driver's own context
-		// plumbing; the recorded error wins over the resulting ctx.Err.
-		parent := b.spec.LD.Ctx
-		if parent == nil {
-			parent = context.Background()
-		}
-		ctx, cancel := context.WithCancel(parent)
-		defer cancel()
-		ld := b.spec.LD
-		ld.Ctx = ctx
-		ld.Measures = b.spec.Stat.Measure()
-		so := core.StreamOptions{
-			Options:     ld,
-			StripeRows:  b.nt,
-			Triangular:  true,
-			Exact:       true,
-			Banded:      b.spec.Params.Banded,
-			Band:        b.spec.Params.Band,
-			IOPanelSNPs: b.spec.IOPanelSNPs,
-		}
-		if start > 0 {
-			so.RowStart, so.RowEnd = start, b.n
-		}
-		var visitErr error
-		streamErr := core.StreamSource(b.src, so, func(i, j0 int, row []float64) {
-			if visitErr != nil {
-				return
-			}
-			if visitErr = b.addRow(i, row); visitErr != nil {
-				cancel()
-			}
-		})
-		if visitErr != nil {
-			return BuildStats{}, visitErr
-		}
-		if streamErr != nil {
-			return BuildStats{}, streamErr
+		if err := b.scan(start, rows); err != nil {
+			return BuildStats{}, err
 		}
 	}
 
@@ -325,41 +376,149 @@ func (b *builder) run() (BuildStats, error) {
 	if _, err := b.w.Write(b.hdr.encode(f)); err != nil {
 		return BuildStats{}, err
 	}
-	return BuildStats{
-		Tiles:     len(b.index),
-		TileBytes: b.offset - int64(f.HeaderSize()),
-		FileBytes: b.offset + int64(len(b.index))*IndexEntrySize,
-		// The scan's own stripe has the shape of ours.
-		PeakResultBytes: 2 * 8 * int64(len(b.stripe.Vals)),
-		StartStripe:     b.startStripe,
-	}, nil
+	st := b.stats
+	st.Tiles = len(b.index)
+	st.TileBytes = b.offset - int64(f.HeaderSize())
+	st.FileBytes = b.offset + int64(len(b.index))*IndexEntrySize
+	// Our two buffers and the scan's own stripe, which has their shape.
+	st.PeakResultBytes = 3 * 8 * int64(rows) * int64(b.n)
+	st.StartStripe = b.startStripe
+	return st, nil
 }
 
-// addRow copies one streamed row into the stripe buffer and flushes the
-// stripe once its last row has arrived. The stream delivers rows in
-// order; the builder asserts that rather than trusting it silently.
-func (b *builder) addRow(i int, row []float64) error {
+// scan runs the stream from row start with the writer and, when
+// checkpointing, the committer behind it, and returns once all three have
+// finished. A stripe the scan handed over is written and committed
+// whatever stops the scan afterwards (a cancelled parent context, a failed
+// source read), so stripesDone and the manifest always agree. A stage's
+// own error cannot abort the stream from inside a visit callback: it is
+// recorded, the scan is cancelled through the driver's context plumbing,
+// and the recorded error wins over the resulting ctx.Err.
+func (b *builder) scan(start, rows int) error {
+	parent := b.spec.LD.Ctx
+	if parent == nil {
+		parent = context.Background()
+	}
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+	b.cancel = cancel
+	ld := b.spec.LD
+	ld.Ctx = ctx
+	ld.Measures = b.spec.Stat.Measure()
+	so := core.StreamOptions{
+		Options:     ld,
+		StripeRows:  b.nt,
+		Triangular:  true,
+		Exact:       true,
+		Banded:      b.spec.Params.Banded,
+		Band:        b.spec.Params.Band,
+		IOPanelSNPs: b.spec.IOPanelSNPs,
+	}
+	if start > 0 {
+		so.RowStart, so.RowEnd = start, b.n
+	}
+
+	const buffers = 2
+	b.free, b.full = make(chan *Stripe, buffers), make(chan *Stripe, buffers)
+	for range buffers {
+		b.free <- getStripe(b.n, rows)
+	}
+	var stages sync.WaitGroup
+	if b.ck != nil {
+		b.commits = make(chan commitReq, 1)
+		stages.Add(1)
+		go func() {
+			defer stages.Done()
+			b.commitStripes()
+		}()
+	}
+	stages.Add(1)
+	go func() {
+		defer stages.Done()
+		b.writeStripes()
+	}()
+
+	streamErr := core.StreamSource(b.src, so, func(i, _ int, row []float64) { b.addRow(i, row) })
+
+	close(b.full)
+	stages.Wait()
+	if b.cur != nil {
+		stripePool.Put(b.cur)
+	}
+	for range len(b.free) {
+		stripePool.Put(<-b.free)
+	}
+	if b.failErr != nil {
+		return b.failErr
+	}
+	return streamErr
+}
+
+// fail records the first error of any stage and cancels the scan.
+func (b *builder) fail(err error) {
+	if b.failed.CompareAndSwap(false, true) {
+		b.failErr = err
+		b.cancel()
+	}
+}
+
+// addRow copies one streamed row into the current stripe buffer and hands
+// the buffer to the writer once its last row has arrived. The stream
+// delivers rows in order; the builder asserts that rather than trusting it
+// silently.
+func (b *builder) addRow(i int, row []float64) {
+	if b.failed.Load() {
+		return
+	}
 	if i != b.next {
-		return b.spec.Format.errorf("stream delivered row %d, want %d", i, b.next)
+		b.fail(b.spec.Format.errorf("stream delivered row %d, want %d", i, b.next))
+		return
 	}
 	b.next++
-	s := &b.stripe
 	if i%b.nt == 0 {
-		s.I0, s.Rows, s.Width = i, min(b.nt, b.n-i), b.n-i
+		// The writer returns every buffer it is handed, failed or not, so
+		// this wait always ends; it is timed only when it blocks.
+		select {
+		case b.cur = <-b.free:
+		default:
+			t0 := time.Now()
+			b.cur = <-b.free
+			b.stats.ScanWaitNanos += time.Since(t0).Nanoseconds()
+		}
+		b.cur.I0, b.cur.Rows, b.cur.Width = i, min(b.nt, b.n-i), b.n-i
 	}
+	s := b.cur
 	r := i - s.I0
 	copy(s.Vals[r*s.Width+r:(r+1)*s.Width], row)
 	s.RowEnd[r] = i + len(row)
 	if r == s.Rows-1 {
-		return b.flushStripe()
+		b.cur = nil
+		b.full <- s
 	}
-	return nil
 }
 
-// flushStripe encodes and appends every tile of the buffered tile row,
-// then checkpoints it.
-func (b *builder) flushStripe() error {
-	s := &b.stripe
+// writeStripes is the writer stage: every stripe the scan hands over, in
+// order, until the scan closes the channel. After a failure anywhere it
+// only recycles buffers, so the scan never waits on a dead writer.
+func (b *builder) writeStripes() {
+	if b.commits != nil {
+		defer close(b.commits)
+	}
+	for s := range b.full {
+		if !b.failed.Load() {
+			t0 := time.Now()
+			if err := b.writeStripe(s); err != nil {
+				b.fail(err)
+			}
+			b.stats.EncodeWriteNanos += time.Since(t0).Nanoseconds()
+		}
+		b.free <- s
+	}
+}
+
+// writeStripe encodes and appends every tile of one tile row, then either
+// counts it done or flushes it to the file and posts it for commit.
+func (b *builder) writeStripe(s *Stripe) error {
 	ti := s.I0 / b.nt
 	for tj := ti; tj < b.bands; tj++ {
 		payload, aux, err := b.spec.Encoder.EncodeTile(s, tileAt(b.n, b.nt, ti, tj))
@@ -377,17 +536,52 @@ func (b *builder) flushStripe() error {
 		})
 		b.offset += int64(len(payload))
 	}
-	if b.ck != nil {
-		if err := b.bw.Flush(); err != nil {
-			return err
+	if b.ck == nil {
+		b.stripesDone++
+		return nil
+	}
+	if err := b.bw.Flush(); err != nil {
+		return err
+	}
+	// Newest wins: commit appends index[ck.tiles:], so this request covers
+	// every stripe of one the committer has not started on. The writer is
+	// the only sender, so the loop ends after at most one displacement.
+	req := commitReq{index: b.index, stripes: ti + 1, offset: b.offset}
+	for {
+		select {
+		case b.commits <- req:
+			return nil
+		default:
 		}
-		if err := b.file.Sync(); err != nil {
-			return err
-		}
-		if err := b.ck.commit(b.spec.Format, b.index, b.stripesDone+1, b.offset); err != nil {
-			return err
+		select {
+		case <-b.commits:
+		default:
 		}
 	}
-	b.stripesDone++
-	return nil
+}
+
+// commitStripes is the committer stage: the unchanged durability sequence
+// — tile bytes to disk, index entries to disk, then the manifest rename
+// that counts them — run on whatever the newest request is each time it
+// comes round. The data fsync is issued after the request's bytes were
+// flushed to the file, so a manifest never names a byte or an index entry
+// that is not durable; stripes flushed during a commit ride the next one,
+// and a kill loses at most those. A request outstanding when the scan or
+// the writer stops is still committed; a commit that fails ends the stage
+// (the writer's post never blocks, so nothing waits on it).
+func (b *builder) commitStripes() {
+	for req := range b.commits {
+		t0 := time.Now()
+		err := fsys.sync(b.file)
+		if err == nil {
+			err = b.ck.commit(b.spec.Format, req.index, req.stripes, req.offset)
+		}
+		b.stats.CommitNanos += time.Since(t0).Nanoseconds()
+		if err != nil {
+			b.fail(err)
+			return
+		}
+		b.stripesDone = req.stripes
+		b.stats.Commits++
+	}
 }

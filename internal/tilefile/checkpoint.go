@@ -15,13 +15,19 @@ import (
 //   - the manifest (<store>.ckpt): a JSON record of how many stripes are
 //     durably on disk, the data-file byte offset they end at, and the full
 //     build identity (dataset fingerprint + options). Written with the
-//     atomic temp+rename idiom after every stripe, strictly after the
-//     stripe's tile bytes and index sidecar have been fsync'd — so the
-//     manifest never points past data that could be lost.
+//     atomic temp+rename idiom, strictly after the tile bytes and index
+//     entries it counts have been fsync'd — so the manifest never points
+//     past data that could be lost.
 //   - the index sidecar (<store>.idx): the raw 24-byte Entry records of
-//     every flushed tile, appended per stripe. The store's real index only
-//     lands at end-of-file once the build completes, so a resumed build
-//     reloads the entries it can no longer recompute from here.
+//     every committed tile, appended per commit. The store's real index
+//     only lands at end-of-file once the build completes, so a resumed
+//     build reloads the entries it can no longer recompute from here.
+//
+// Commits run on their own goroutine behind the build's writer (see
+// builder.commitStripes) and each takes the newest flushed position, so
+// the manifest advances as fast as the disk commits — once per stripe on
+// a disk that keeps up, once per several on one that does not — and a
+// kill loses at most the stripes written during one commit.
 //
 // Resume truncates the data file to the manifest's offset, reloads the
 // sidecar, and restarts the scan at the next stripe via the stream's row
@@ -133,8 +139,8 @@ func writeManifest(path string, m manifest) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err == nil {
-		err = f.Sync()
+	if _, err = f.Write(b); err == nil {
+		err = fsys.sync(f)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -143,7 +149,7 @@ func writeManifest(path string, m manifest) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	return fsys.rename(tmp, path)
 }
 
 // checkpoint is the open checkpoint state of one file build: the index
@@ -232,11 +238,12 @@ func cutTo(f *os.File, size int64) error {
 	return err
 }
 
-// commit makes one more stripe durable. The caller has already synced the
-// stripe's tile bytes to the data file. Durability order: tile bytes to
-// disk, index entries to disk, then the manifest rename that makes the
-// stripe count them. A crash between any two steps leaves the previous
-// manifest authoritative.
+// commit makes every stripe through stripesDone durable: it appends the
+// index entries past the last commit, however many stripes they span. The
+// caller has already synced the tile bytes up to dataOffset to the data
+// file. Durability order: tile bytes to disk, index entries to disk, then
+// the manifest rename that makes the stripe count them. A crash between
+// any two steps leaves the previous manifest authoritative.
 func (ck *checkpoint) commit(f *Format, index []Entry, stripesDone int, dataOffset int64) error {
 	fresh := index[ck.tiles:]
 	buf := make([]byte, len(fresh)*IndexEntrySize)
@@ -246,7 +253,7 @@ func (ck *checkpoint) commit(f *Format, index []Entry, stripesDone int, dataOffs
 	if _, err := ck.sidecar.Write(buf); err != nil {
 		return err
 	}
-	if err := ck.sidecar.Sync(); err != nil {
+	if err := fsys.sync(ck.sidecar); err != nil {
 		return err
 	}
 	ck.tiles = len(index)

@@ -1,0 +1,410 @@
+package tilefile_test
+
+import (
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ldgemm/internal/bitmat"
+	"ldgemm/internal/tilefile"
+)
+
+// The build pipeline under observation and injected faults. The seam sees
+// three calls — a write to the data file, an fsync, the manifest rename —
+// and tells the fsyncs apart by file name.
+const (
+	opWrite        = "data write"
+	opSyncData     = "data fsync"
+	opSyncSidecar  = "sidecar fsync"
+	opSyncManifest = "manifest fsync"
+	opRename       = "manifest rename"
+)
+
+var errInjected = errors.New("injected fault")
+
+type fsEvent struct {
+	op string
+	// size is the file's length when an fsync was issued; manifest the
+	// bytes a rename installs.
+	size     int64
+	manifest []byte
+}
+
+// seam records every call through tilefile's fs seam and can fail, gate
+// or delay any of them.
+type seam struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	events []fsEvent
+	calls  map[string]int
+
+	// failOp's failAt-th call (1-based) returns errInjected.
+	failOp   string
+	failAt   int
+	injected bool
+	// lockstep > 0 makes the pipeline deterministic for that many stripes:
+	// the data write of stripe s waits for the manifest that counts stripe
+	// s−1, so commit k covers exactly stripe k.
+	lockstep int
+	// before runs ahead of the nth call of op, outside the lock.
+	before func(op string, nth int)
+}
+
+func installSeam(t *testing.T, s *seam) *seam {
+	t.Helper()
+	s.cond = sync.NewCond(&s.mu)
+	s.calls = make(map[string]int)
+	t.Cleanup(tilefile.SetFSForTest(s.write, s.sync, s.rename))
+	return s
+}
+
+// wait blocks until pred holds or a fault has been injected.
+func (s *seam) wait(pred func() bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !pred() && !s.injected {
+		s.cond.Wait()
+	}
+}
+
+func (s *seam) count(op string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.calls[op]
+}
+
+func (s *seam) enter(ev fsEvent) error {
+	s.mu.Lock()
+	s.calls[ev.op]++
+	nth := s.calls[ev.op]
+	s.events = append(s.events, ev)
+	fail := ev.op == s.failOp && nth == s.failAt
+	if fail {
+		s.injected = true
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if s.before != nil {
+		s.before(ev.op, nth)
+	}
+	if ev.op == opWrite && s.lockstep > 0 {
+		// Write 1 is the header, write 2+s stripe s; the index and the
+		// header patch follow the last stripe's manifest.
+		need := min(nth-2, s.lockstep)
+		s.wait(func() bool { return s.calls[opRename] >= need })
+	}
+	if fail {
+		return errInjected
+	}
+	return nil
+}
+
+func (s *seam) write(f *os.File, p []byte) (int, error) {
+	if err := s.enter(fsEvent{op: opWrite}); err != nil {
+		return 0, err
+	}
+	return f.Write(p)
+}
+
+func (s *seam) sync(f *os.File) error {
+	op := opSyncData
+	switch {
+	case strings.HasSuffix(f.Name(), ".idx"):
+		op = opSyncSidecar
+	case strings.HasSuffix(f.Name(), ".tmp"):
+		op = opSyncManifest
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if err := s.enter(fsEvent{op: op, size: fi.Size()}); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+func (s *seam) rename(oldpath, newpath string) error {
+	m, err := os.ReadFile(oldpath)
+	if err != nil {
+		return err
+	}
+	if err := s.enter(fsEvent{op: opRename, manifest: m}); err != nil {
+		return err
+	}
+	return os.Rename(oldpath, newpath)
+}
+
+// settleGoroutines waits for the goroutine count to come back to base: a
+// build joins its own stages, but the scan's panel prefetcher is only
+// signalled, so it may take a moment to exit.
+func settleGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before the build", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBuildDurabilityOrder: whatever the three stages interleave into,
+// every manifest that gets renamed into place was preceded by a data
+// fsync issued with at least its DataOffset bytes in the file and by a
+// sidecar fsync covering its TilesWritten entries — and the build's own
+// count of commits is the number of manifests.
+func TestBuildDurabilityOrder(t *testing.T) {
+	g := testMatrix(t, 120, 77, 9)
+	sh := shape{nt: 16, band: 50}
+	stripes := tilefile.BandsFor(120, sh.nt)
+	for _, tr := range tiers {
+		s := installSeam(t, &seam{})
+		path := filepath.Join(t.TempDir(), "ordered.store")
+		st, err := tr.build(path, ldbmSource(t, g, false), sh, srcOpts{ioPanel: 16, checkpoint: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tr.name, err)
+		}
+		if got := mustRead(t, path); string(got) != string(ramBytes(t, tr, g, sh)) {
+			t.Fatalf("%s: store differs from the in-RAM build", tr.name)
+		}
+		renames := 0
+		var dataSynced, sidecarSynced int64 // the most any fsync so far covered
+		for _, ev := range s.events {
+			switch ev.op {
+			case opSyncData:
+				dataSynced = max(dataSynced, ev.size)
+			case opSyncSidecar:
+				sidecarSynced = max(sidecarSynced, ev.size)
+			case opRename:
+				renames++
+				m, err := tilefile.ParseManifest(&tr.format, ev.manifest)
+				if err != nil {
+					t.Fatalf("%s: manifest %d: %v", tr.name, renames, err)
+				}
+				if dataSynced < m.DataOffset {
+					t.Fatalf("%s: manifest %d names data offset %d, only %d bytes were in the file at the last data fsync",
+						tr.name, renames, m.DataOffset, dataSynced)
+				}
+				if want := int64(m.TilesWritten) * tilefile.IndexEntrySize; sidecarSynced < want {
+					t.Fatalf("%s: manifest %d counts %d tiles (%d sidecar bytes), only %d were fsynced",
+						tr.name, renames, m.TilesWritten, want, sidecarSynced)
+				}
+			}
+		}
+		if renames == 0 || renames > stripes || st.Commits != renames {
+			t.Fatalf("%s: %d manifests for %d stripes, BuildStats.Commits %d", tr.name, renames, stripes, st.Commits)
+		}
+		if st.EncodeWriteNanos <= 0 || st.CommitNanos <= 0 {
+			t.Fatalf("%s: stage times not recorded: %+v", tr.name, st)
+		}
+	}
+}
+
+// TestBuildInjectedFaults fails the third data write, data fsync, sidecar
+// fsync and manifest rename in turn, in lockstep so the outcome is exact.
+// Each must surface as a *PartialError whose FlushedStripes is the
+// manifest's StripesDone, wrap the injected error rather than the
+// cancellation it caused, leave no goroutine behind, and resume to the
+// bytes of an uninterrupted build.
+func TestBuildInjectedFaults(t *testing.T) {
+	g := testMatrix(t, 120, 77, 9)
+	sh := shape{nt: 16, band: 50}
+	stripes := tilefile.BandsFor(120, sh.nt)
+	for _, tr := range tiers {
+		ref := ramBytes(t, tr, g, sh)
+		src := ldbmSource(t, g, false)
+		for _, c := range []struct {
+			op      string
+			durable int // stripes the third call's failure leaves committed
+		}{
+			{opWrite, 1}, // the header is the first data write
+			{opSyncData, 2},
+			{opSyncSidecar, 2},
+			{opRename, 2},
+		} {
+			t.Run(tr.name+"/"+c.op, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				installSeam(t, &seam{failOp: c.op, failAt: 3, lockstep: stripes})
+				path := filepath.Join(t.TempDir(), "faulted.store")
+				_, err := tr.build(path, src, sh, srcOpts{ioPanel: 16, checkpoint: true})
+				var pe *tilefile.PartialError
+				if !errors.As(err, &pe) || !errors.Is(err, errInjected) {
+					t.Fatalf("build returned %v, want a *PartialError wrapping the injected fault", err)
+				}
+				m, err := tilefile.ParseManifest(&tr.format, mustRead(t, tilefile.CheckpointPath(path)))
+				if err != nil {
+					t.Fatalf("manifest after the fault: %v", err)
+				}
+				if pe.FlushedStripes != c.durable || m.StripesDone != c.durable {
+					t.Fatalf("error says %d stripes durable, manifest %d, want %d", pe.FlushedStripes, m.StripesDone, c.durable)
+				}
+				settleGoroutines(t, "after the fault", base)
+
+				// The resumed build runs through the same seam, unfaulted
+				// and unsynchronised.
+				s := installSeam(t, &seam{})
+				st, err := tr.build(path, src, sh, srcOpts{ioPanel: 16, resume: true})
+				if err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				if st.StartStripe != c.durable {
+					t.Fatalf("resumed at stripe %d, want %d", st.StartStripe, c.durable)
+				}
+				if got := mustRead(t, path); string(got) != string(ref) {
+					t.Fatal("resumed store differs from an uninterrupted build")
+				}
+				if st.Commits != s.count(opRename) || st.Commits > stripes-c.durable {
+					t.Fatalf("resume of %d stripes: %d commits, %d manifests", stripes-c.durable, st.Commits, s.count(opRename))
+				}
+				settleGoroutines(t, "after the resume", base)
+			})
+		}
+	}
+}
+
+// TestBuildGroupCommit: a committer slower than the scan merges pending
+// commits instead of queueing them. The first data fsync is held until
+// every stripe has been flushed, so the second commit has to cover all the
+// rest: two manifests for eight stripes, and the same bytes.
+func TestBuildGroupCommit(t *testing.T) {
+	g := testMatrix(t, 120, 77, 9)
+	sh := shape{nt: 16, band: 50}
+	stripes := tilefile.BandsFor(120, sh.nt)
+	for _, tr := range tiers {
+		s := &seam{}
+		s.before = func(op string, nth int) {
+			if op == opSyncData && nth == 1 {
+				s.wait(func() bool { return s.calls[opWrite] >= 1+stripes })
+			}
+		}
+		installSeam(t, s)
+		path := filepath.Join(t.TempDir(), "grouped.store")
+		st, err := tr.build(path, ldbmSource(t, g, false), sh, srcOpts{ioPanel: 16, checkpoint: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tr.name, err)
+		}
+		if st.Commits != 2 || s.count(opRename) != 2 {
+			t.Fatalf("%s: %d commits (%d manifests) for %d stripes, want 2", tr.name, st.Commits, s.count(opRename), stripes)
+		}
+		if got := mustRead(t, path); string(got) != string(ramBytes(t, tr, g, sh)) {
+			t.Fatalf("%s: group-committed store differs from the in-RAM build", tr.name)
+		}
+	}
+}
+
+// countingSource counts panel fetches: the one thing a test can see of
+// how far the scan has run.
+type countingSource struct {
+	bitmat.Source
+	fetches atomic.Int64
+}
+
+func (s *countingSource) Panel(lo, hi int, buf *bitmat.Matrix) (*bitmat.Matrix, error) {
+	s.fetches.Add(1)
+	return s.Source.Panel(lo, hi, buf)
+}
+
+// TestBuildBackPressure: a writer stuck on the first stripe must stall the
+// scan, not let it run on into more buffers. With two builder buffers the
+// scan can hand over stripes 0 and 1 and compute stripe 2 into its own
+// stripe before it blocks; the prefetcher runs a few panels further. The
+// writer is held for a window and the fetches made by its end counted: a
+// third buffer would let the scan finish stripe 3 as well, nine fetches
+// beyond the bound.
+func TestBuildBackPressure(t *testing.T) {
+	const (
+		snps, nt  = 192, 16
+		stripes   = snps / nt
+		lookahead = 5 // panels the prefetcher holds past the scan: 2 queued, 1 in hand, slack
+	)
+	g := testMatrix(t, snps, 64, 13)
+	sh := shape{nt: nt, band: 100}
+	// With IOPanelSNPs = nt, stripe s fetches its own panel and one per
+	// stripe to its right; the frequency pass fetches every panel once.
+	bound := int64(stripes + lookahead)
+	for s := 0; s <= 2; s++ {
+		bound += int64(stripes - s)
+	}
+	tr := tiers[0] // dense: every stripe is full width
+	src := &countingSource{Source: ldbmSource(t, g, false)}
+	s := &seam{}
+	var held int64
+	s.before = func(op string, nth int) {
+		if op != opWrite || nth != 2 { // stripe 0's tile bytes
+			return
+		}
+		for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline) && src.fetches.Load() <= bound; {
+			time.Sleep(time.Millisecond)
+		}
+		held = src.fetches.Load()
+	}
+	installSeam(t, s)
+	path := filepath.Join(t.TempDir(), "stalled.store")
+	st, err := tr.build(path, src, sh, srcOpts{ioPanel: nt, checkpoint: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held == 0 || held > bound {
+		t.Fatalf("scan made %d panel fetches while the writer was stuck on stripe 0, bound %d (of %d)", held, bound, src.fetches.Load())
+	}
+	t.Logf("writer held: %d fetches (bound %d, whole build %d), scan waited %.1f ms",
+		held, bound, src.fetches.Load(), float64(st.ScanWaitNanos)/1e6)
+	if got := mustRead(t, path); string(got) != string(ramBytes(t, tr, g, sh)) {
+		t.Fatal("store differs from the in-RAM build")
+	}
+	if want := int64(3 * 8 * nt * snps); st.PeakResultBytes != want {
+		t.Fatalf("PeakResultBytes %d, want three stripes = %d", st.PeakResultBytes, want)
+	}
+}
+
+// BenchmarkBuildFile runs the whole build pipeline from a windowed .ldbm:
+// the dense and the banded sparse codec, with and without the checkpoint's
+// committer stage. pairs/s is the headline; MB/s is the store written,
+// commits/op how many manifests the group commit needed for the stripes/op
+// it covered, scan-wait-ms/op the back-pressure the output side put on the
+// scan.
+func BenchmarkBuildFile(b *testing.B) {
+	const snps, samples, nt, band = 2048, 1024, 128, 256
+	g := testMatrix(b, snps, samples, 17)
+	src := ldbmSource(b, g, false)
+	sh := shape{nt: nt, band: band}
+	for _, c := range []struct {
+		name  string
+		tier  tier
+		pairs int64
+	}{
+		{"dense", tiers[0], int64(snps) * int64(snps+1) / 2},
+		{"sparse-banded", tiers[3], int64(snps)*int64(band+1) - int64(band)*int64(band+1)/2},
+	} {
+		for _, ckpt := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%s/checkpoint=%v", c.name, ckpt), func(b *testing.B) {
+				path := filepath.Join(b.TempDir(), "bench.store")
+				var st tilefile.BuildStats
+				var commits, waited int64
+				b.ReportAllocs()
+				for b.Loop() {
+					var err error
+					if st, err = c.tier.build(path, src, sh, srcOpts{ioPanel: 256, checkpoint: ckpt}); err != nil {
+						b.Fatal(err)
+					}
+					commits += int64(st.Commits)
+					waited += st.ScanWaitNanos
+				}
+				secs, n := b.Elapsed().Seconds(), float64(b.N)
+				b.ReportMetric(float64(c.pairs)*n/secs, "pairs/s")
+				b.ReportMetric(float64(st.FileBytes)*n/secs/1e6, "MB/s")
+				b.ReportMetric(float64(commits)/n, "commits/op")
+				b.ReportMetric(float64(snps/nt), "stripes/op")
+				b.ReportMetric(float64(waited)/n/1e6, "scan-wait-ms/op")
+			})
+		}
+	}
+}
