@@ -38,32 +38,6 @@ verify-race:
 verify-cluster:
 	go test -race -count=1 ./internal/cluster/
 
-# Replica-cluster resilience benchmark: in-process 2-strip × 2-replica
-# cluster under randomized load, one replica killed halfway; fails on
-# any error, partial, identity mismatch, or cache-probe round trip
-# (the committed BENCH_cluster.json).
-.PHONY: bench-cluster
-bench-cluster:
-	go run ./cmd/ldbench -scale 4 -cluster-duration 10s -cluster-workers 8 -cluster-json BENCH_cluster.json
-
-# CI-sized variant of the same run.
-.PHONY: bench-cluster-smoke
-bench-cluster-smoke:
-	go run ./cmd/ldbench -scale 20 -cluster-duration 3s -cluster-workers 4 -cluster-json /tmp/BENCH_cluster_smoke.json
-
-# Out-of-core store-build benchmark: stream a .ldbm dataset to disk
-# (never resident), build the tile store from it with windowed reads at
-# 2× the allocation budget — enforced — and record build throughput plus
-# the prefetch-stall counters (the committed BENCH_store.json).
-.PHONY: bench-store
-bench-store:
-	go run ./cmd/ldbench -scale 1 -store-json BENCH_store.json
-
-# CI-sized variant of the same run (budget reported, not enforced).
-.PHONY: bench-store-smoke
-bench-store-smoke:
-	go run ./cmd/ldbench -scale 16 -store-json /tmp/BENCH_store_smoke.json
-
 # Short fuzz smoke. The tile container: one open target and one
 # checkpoint-manifest target, each run against every codec (dense, dense
 # + DEFLATE, sparse, banded sparse); hostile and truncated files must
@@ -87,35 +61,22 @@ fuzz-smoke:
 bench-compile:
 	cd benchmark && go vet . && go test -count=1 .
 
-# Kernel-dispatch smoke: the AVX-512 tile against the generic kernel
+# Kernel-dispatch tests: the AVX-512 tile against the generic kernel
 # (skipped with a message where the host cannot run it), then tiny shapes
-# through every popcount engine (scalar, CSA, SIMD when present) asserted
-# bit-identical to the scalar oracle at each k — under the host default
-# and again as on a host without the tile — before any timing is believed.
-# Cheap enough for the verify tier.
+# through every popcount engine (scalar, CSA, SIMD when present, and the
+# auto dispatch) asserted bit-identical to the scalar oracle at each k —
+# under the host default and again as on a host without the tile. Cheap
+# enough for the verify tier.
 .PHONY: bench-kernel
 bench-kernel:
 	go test ./internal/kernel -count=1 -run 'TestVectorTile'
 	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute'
-	go run ./cmd/ldbench -scale 128 -threads 1 -json /tmp/BENCH_ld_smoke.json
 
-# Driver benchmark: seed fork/join vs pooled slab-pipelined at 1 and 4
-# threads on the acceptance shape.
-.PHONY: bench-driver
-bench-driver:
-	go test -run xxx -bench BenchmarkSyrkDriver -benchtime 3x .
-
-# Machine-readable perf trajectory (BENCH_ld.json).
-.PHONY: bench-json
-bench-json:
-	go run ./cmd/ldbench -scale 10 -threads 1,2,4 -json BENCH_ld.json
-
-# Quick fused-vs-split epilogue comparison on a small probe: keeps the
-# benchmark harness compiling and running in CI without full-size cost.
-# Then one iteration each of the float-wire micro-benchmarks: a node
-# encoding an 80 × 80 region, a coordinator checking and splicing its two
-# strips. And one pass of the small-k stream (8192 SNPs × 512 samples),
-# which prints what the fused epilogue costs per pair. Then the sparse
+# One iteration each of the Go micro-benchmarks, so they keep compiling
+# and running in CI. The float wire: a node encoding an 80 × 80 region, a
+# coordinator checking and splicing its two strips. One pass of the small-k
+# stream (8192 SNPs × 512 samples), which prints what the fused epilogue
+# costs per pair. Then the sparse
 # operator path: one matvec over the ledger's 4096-SNP banded store,
 # resident and laid out per call (entries/s, allocs/op), and its 4096-float
 # request body through the vector scanner (MB/s). Then one call each of
@@ -126,7 +87,6 @@ bench-json:
 # stripes, scan wait, B/op.
 .PHONY: bench-smoke
 bench-smoke:
-	go run ./cmd/ldbench -scale 20 -threads 1,2 -epilogue-json /tmp/BENCH_epilogue_smoke.json
 	go test ./internal/server -run '^$$' -bench BenchmarkEncodeRegion -benchtime 1x -benchmem
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
 	go test . -run '^$$' -bench BenchmarkStreamSmallK -benchtime 1x
@@ -134,22 +94,3 @@ bench-smoke:
 	go test ./internal/server -run '^$$' -bench BenchmarkParseVector -benchtime 1x -benchmem
 	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x
 	go test ./internal/tilefile -run '^$$' -bench BenchmarkBuildFile -benchtime 1x -benchmem
-
-# Full-size epilogue benchmark (the committed BENCH_epilogue.json:
-# ≥8192 SNPs, thread grid through 8).
-.PHONY: bench-epilogue
-bench-epilogue:
-	go run ./cmd/ldbench -scale 1 -threads 1,2,4,8 -epilogue-json BENCH_epilogue.json
-
-# Sparse/banded tier benchmark: build one dataset as dense LDTS, pruned
-# LDSS, and banded LDSS; verify the sparse R·v bit-identical to a dense
-# fold over the kept entries; enforce the ≥10× store-size ratio and ≥2×
-# banded build speedup (the committed BENCH_sparse.json).
-.PHONY: bench-sparse
-bench-sparse:
-	go run ./cmd/ldbench -scale 4 -sparse-json BENCH_sparse.json
-
-# CI-sized variant of the same run (ratios reported, not enforced).
-.PHONY: bench-sparse-smoke
-bench-sparse-smoke:
-	go run ./cmd/ldbench -scale 32 -sparse-json /tmp/BENCH_sparse_smoke.json

@@ -13,7 +13,6 @@ package ldgemm
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -357,155 +356,6 @@ func BenchmarkAblationBlocking(b *testing.B) {
 		}
 		report(b)
 	})
-}
-
-// seedSyrk is a frozen copy of the pre-worker-pool driver (fork/join per
-// (jc, pc) slab, single-threaded B packing, whole-MC-block jobs), kept as
-// the baseline BenchmarkSyrkDriver compares the pooled slab-pipelined
-// driver against.
-func seedSyrk(cfg blis.Config, a *bitmat.Matrix, c []uint32, ldc int) error {
-	b, syrk := a, true
-	k := cfg.Kernel
-	if k.Fn == nil {
-		k = kernel.Default
-	}
-	if cfg.MC == 0 {
-		cfg.MC = 128
-	}
-	if cfg.NC == 0 {
-		cfg.NC = 4096
-	}
-	if cfg.KC == 0 {
-		cfg.KC = 256
-	}
-	m, n, kw := a.SNPs, b.SNPs, a.Words
-	if m == 0 || n == 0 || kw == 0 {
-		return nil
-	}
-	mr, nr := k.MR, k.NR
-	kcMax := min(cfg.KC, kw)
-	nc0 := min(cfg.NC, n)
-	bpanels := (nc0 + nr - 1) / nr
-	bpack := make([]uint64, bpanels*nr*kcMax)
-
-	workers := cfg.Threads
-	type job struct{ ic, mc int }
-	var (
-		wg     sync.WaitGroup
-		cursor atomic.Int64
-		jobs   []job
-	)
-	apacks := make([][]uint64, workers)
-	tiles := make([][]uint32, workers)
-	for w := range apacks {
-		apanels := (min(cfg.MC, m) + mr - 1) / mr
-		apacks[w] = make([]uint64, apanels*mr*kcMax)
-		tiles[w] = make([]uint32, mr*nr)
-	}
-
-	runBlock := func(ic, mc, jc, nc, pc, kc int, apack []uint64, tile []uint32) {
-		for ir := 0; ir < mc; ir += mr {
-			kernel.PackPanel(apack[(ir/mr)*mr*kcMax:], a, ic+ir, min(mr, mc-ir), mr, pc, kc)
-		}
-		for jr := 0; jr < nc; jr += nr {
-			bw := bpack[(jr/nr)*nr*kcMax : (jr/nr)*nr*kcMax+kc*nr]
-			for ir := 0; ir < mc; ir += mr {
-				i0, j0 := ic+ir, jc+jr
-				if syrk && i0 >= j0+nr {
-					continue
-				}
-				aw := apack[(ir/mr)*mr*kcMax : (ir/mr)*mr*kcMax+kc*mr]
-				mm, nn := min(mr, mc-ir), min(nr, nc-jr)
-				if mm == mr && nn == nr {
-					k.Fn(kc, aw, bw, c[i0*ldc+j0:], ldc)
-					continue
-				}
-				for t := range tile {
-					tile[t] = 0
-				}
-				k.Fn(kc, aw, bw, tile, nr)
-				for i := 0; i < mm; i++ {
-					row := c[(i0+i)*ldc+j0:]
-					for j := 0; j < nn; j++ {
-						row[j] += tile[i*nr+j]
-					}
-				}
-			}
-		}
-	}
-
-	for jc := 0; jc < n; jc += cfg.NC {
-		nc := min(cfg.NC, n-jc)
-		jobs = jobs[:0]
-		for ic := 0; ic < m; ic += cfg.MC {
-			if syrk && ic >= jc+nc {
-				continue
-			}
-			jobs = append(jobs, job{ic, min(cfg.MC, m-ic)})
-		}
-		if len(jobs) == 0 {
-			continue
-		}
-		for pc := 0; pc < kw; pc += cfg.KC {
-			kc := min(cfg.KC, kw-pc)
-			for jr := 0; jr < nc; jr += nr {
-				kernel.PackPanel(bpack[(jr/nr)*nr*kcMax:], b, jc+jr, min(nr, nc-jr), nr, pc, kc)
-			}
-			cursor.Store(0)
-			nw := min(workers, len(jobs))
-			wg.Add(nw)
-			for w := 0; w < nw; w++ {
-				go func(w int) {
-					defer wg.Done()
-					for {
-						idx := int(cursor.Add(1)) - 1
-						if idx >= len(jobs) {
-							return
-						}
-						jb := jobs[idx]
-						runBlock(jb.ic, jb.mc, jc, nc, pc, kc, apacks[w], tiles[w])
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
-	}
-	return nil
-}
-
-// BenchmarkSyrkDriver compares the seed fork/join driver against the
-// pooled slab-pipelined driver on the issue's acceptance shape (4096 SNPs
-// × 2048 samples) at 1 and 4 threads. The acceptance target is ≥1.2× at
-// ≥4 threads on a multicore host; on a single-core host the pooled driver
-// still wins on scheduling overhead (no per-slab goroutine churn) but
-// cannot show parallel scaling.
-func BenchmarkSyrkDriver(b *testing.B) {
-	const n, k = 4096, 2048
-	g := benchMatrix(b, 99, n, k)
-	c := make([]uint32, n*n)
-	triples := int64(n) * int64(n+1) / 2 * int64(g.Words)
-	for _, threads := range []int{1, 4} {
-		b.Run(fmt.Sprintf("seed/threads=%d", threads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				clear(c)
-				if err := seedSyrk(blis.Config{Threads: threads}, g, c, n); err != nil {
-					b.Fatal(err)
-				}
-			}
-			rate := float64(triples) * float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(rate/1e9, "Gtriples/s")
-		})
-		b.Run(fmt.Sprintf("pooled/threads=%d", threads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				clear(c)
-				if err := blis.Syrk(blis.Config{Threads: threads}, g, c, n, false); err != nil {
-					b.Fatal(err)
-				}
-			}
-			rate := float64(triples) * float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(rate/1e9, "Gtriples/s")
-		})
-	}
 }
 
 // BenchmarkAblationKernelShape sweeps the register-block shapes of the

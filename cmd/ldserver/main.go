@@ -78,7 +78,6 @@ import (
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
 	"ldgemm/internal/cluster"
-	"ldgemm/internal/core"
 	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
 	"ldgemm/internal/seqio"
@@ -135,8 +134,6 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	sparseCache := fs.Int("sparse-cache", 0, "sparse-store tile LRU capacity (0 = default); it serves pair lookups, and the operators only of a store too large to keep resident")
 	tuneProfile := fs.String("tune-profile", "",
 		"per-host tune profile JSON (ldbench -write-tune-profile output); corrupt or stale profiles are logged and ignored")
-	epilogue := fs.String("epilogue", "fused",
-		"LD epilogue mode: fused (convert counts inside the blocked driver) or split (legacy two-phase)")
 	shardRange := fs.String("shard-range", "",
 		"owned SNP row range a:b when running as a cluster shard (empty = unsharded)")
 	coordinator := fs.String("coordinator", "",
@@ -188,10 +185,6 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 		fs.Usage()
 		return nil, fmt.Errorf("-in is required")
 	}
-	emode, err := parseEpilogue(*epilogue)
-	if err != nil {
-		return nil, err
-	}
 	g, err := load(*in)
 	if err != nil {
 		return nil, err
@@ -199,7 +192,6 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	cfg := server.Config{
 		MaxRegionSNPs: *maxRegion, Threads: *threads, ChunkTiles: *chunk,
 		RequestTimeout: *reqTimeout, MaxInFlight: *maxInFlight,
-		Epilogue: emode,
 	}
 	if *tuneProfile != "" {
 		cfg.Blis = loadTuneProfile(*tuneProfile, stderr)
@@ -307,17 +299,6 @@ func parseShardRange(s string, snps int) (lo, hi int, err error) {
 }
 
 // newHTTPServer wraps a handler in an http.Server with conservative edge
-// parseEpilogue maps the -epilogue flag to the core mode.
-func parseEpilogue(s string) (core.EpilogueMode, error) {
-	switch s {
-	case "fused", "":
-		return core.EpilogueAuto, nil
-	case "split":
-		return core.EpilogueSplit, nil
-	}
-	return 0, fmt.Errorf("-epilogue must be \"fused\" or \"split\", got %q", s)
-}
-
 // timeouts: ReadHeaderTimeout defeats slowloris handshakes, and the write
 // timeout leaves room past the per-request deadline so timeout responses
 // are still delivered instead of the connection being cut mid-body.

@@ -30,6 +30,7 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/kernel"
+	"ldgemm/internal/popcount"
 )
 
 // Config carries the cache blocking parameters and parallelism degree.
@@ -388,7 +389,7 @@ func Reference(a, b *bitmat.Matrix, c []uint32, ldc int) error {
 			bj := b.SNP(j)
 			var n uint32
 			for w := range ai {
-				n += popc(ai[w] & bj[w])
+				n += popcount.Count(ai[w] & bj[w])
 			}
 			c[i*ldc+j] += n
 		}

@@ -68,7 +68,9 @@ func TestSyrkStrategiesMatchScalarOracle(t *testing.T) {
 		if err := Reference(g, g, want, n); err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range explicitStrategies {
+		// Auto rides along: whatever engine it resolves to at this k must
+		// fill the same triangle as the scalar oracle.
+		for _, strat := range append([]PopcountStrategy{PopcountAuto}, explicitStrategies...) {
 			// Defaults keep NC wide, exercising the pack-sharing path the
 			// run layout must preserve; the small config forces fringe
 			// tiles and multi-slab groups.

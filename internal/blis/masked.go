@@ -6,6 +6,7 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/kernel"
+	"ldgemm/internal/popcount"
 )
 
 // MaskedGemm computes, for every SNP pair (i of a, j of b), the four
@@ -192,10 +193,10 @@ func MaskedReference(a, b *bitmat.Matrix, ka, kb *bitmat.Mask, c []uint32, ldc i
 			cell := c[(i*ldc+j)*4:]
 			for w := range si {
 				cij := ci[w] & cj[w]
-				cell[kernel.MaskedValid] += popc(cij)
-				cell[kernel.MaskedI] += popc(cij & si[w])
-				cell[kernel.MaskedJ] += popc(cij & sj[w])
-				cell[kernel.MaskedIJ] += popc(cij & si[w] & sj[w])
+				cell[kernel.MaskedValid] += popcount.Count(cij)
+				cell[kernel.MaskedI] += popcount.Count(cij & si[w])
+				cell[kernel.MaskedJ] += popcount.Count(cij & sj[w])
+				cell[kernel.MaskedIJ] += popcount.Count(cij & si[w] & sj[w])
 			}
 		}
 	}

@@ -48,10 +48,6 @@ type Profile struct {
 	// phase beat the single-core winner (0 otherwise).
 	Threads    int `json:"threads,omitempty"`
 	ChunkTiles int `json:"chunk_tiles,omitempty"`
-	// Epilogue records the faster pipeline shape on this host: "fused"
-	// or "split". Informational for servers whose epilogue mode is
-	// chosen per deployment.
-	Epilogue string `json:"epilogue,omitempty"`
 	// TriplesPerSecond is the winner's probe throughput, for humans
 	// diffing profiles.
 	TriplesPerSecond float64 `json:"triples_per_second,omitempty"`

@@ -16,10 +16,9 @@ import (
 // the missing step: an empirical search on a probe problem shaped like
 // the caller's workload, jointly over micro-kernel shape × popcount
 // strategy (the two interact: the batched strategies shift work from the
-// register tile to the slice engine), then cache blocking, pipeline
-// shape (fused vs split epilogue), and thread/chunk parallelism. The
-// winner can be persisted as a per-host profile (profile.go) so serving
-// binaries skip the search at startup.
+// register tile to the slice engine), then cache blocking, and
+// thread/chunk parallelism. The winner can be persisted as a per-host
+// profile (profile.go) so serving binaries skip the search at startup.
 
 // TuneOptions bounds the auto-tuning search.
 type TuneOptions struct {
@@ -87,10 +86,6 @@ type TuneResult struct {
 	// AND-count engine, as they will appear in DriverStats.
 	Variant  string
 	Popcount string
-	// Epilogue is the faster pipeline shape on the probe: "fused" (tile
-	// epilogue, no materialized count matrix) or "split". Empty when the
-	// budget ran out before the epilogue phase.
-	Epilogue string
 	// TriplesPerSecond is the probe throughput of the winner.
 	TriplesPerSecond float64
 	// Evaluated is the number of configurations measured.
@@ -227,29 +222,8 @@ descent:
 		}
 	}
 
-	// Phase 3: pipeline shape — is the fused tile epilogue faster than
-	// materializing the count matrix on this host? The fused probe pays
-	// for the per-job scratch and one hook call per row run; split pays
-	// for the dense C traffic.
-	if !time.Now().After(deadline) {
-		cfg := best
-		cfg.Threads = opt.Threads
-		cfg.Ctx = opt.Ctx
-		start := time.Now()
-		err := SyrkEpilogue(cfg, g, func(int, []uint32, int, int, int, int, int) {})
-		if err != nil {
-			return nil, err
-		}
-		fusedRate := triples / time.Since(start).Seconds()
-		record(cfg, "epilogue-fused", fusedRate)
-		res.Epilogue = "split"
-		if fusedRate >= bestRate {
-			res.Epilogue = "fused"
-		}
-	}
-
 	best.Threads = 0 // leave thread choice to the caller
-	// Phase 4 (MaxThreads > 0): search thread counts and work-queue chunk
+	// Phase 3 (MaxThreads > 0): search thread counts and work-queue chunk
 	// granularity against the single-core winner. Pins Threads/ChunkTiles
 	// only when a parallel config beats it.
 	if opt.MaxThreads > 1 {
@@ -290,7 +264,6 @@ descent:
 			KC:               best.KC,
 			Threads:          best.Threads,
 			ChunkTiles:       best.ChunkTiles,
-			Epilogue:         res.Epilogue,
 			TriplesPerSecond: bestRate,
 		}
 		if err := SaveProfile(opt.ProfilePath, p); err != nil {

@@ -69,9 +69,25 @@ func TestReplicaFailoverBitIdentity(t *testing.T) {
 	check("all replicas up")
 
 	// Kill one replica of each strip: every strip still has a survivor,
-	// so nothing may degrade. Repeat to let breakers and rotation see the
-	// dead replicas more than once.
-	a2.Close()
+	// so nothing may degrade. The first dies mid-run — its live
+	// connections severed from another goroutine while passes are in
+	// flight, as a process death would — the second between passes. Then
+	// repeat to let breakers and rotation see the dead replicas more than
+	// once.
+	killed := make(chan struct{})
+	go func() {
+		defer close(killed)
+		a2.CloseClientConnections()
+		a2.Close()
+	}()
+	for dying := true; dying; {
+		select {
+		case <-killed:
+			dying = false
+		default:
+		}
+		check("replica dying mid-run")
+	}
 	b1.Close()
 	for i := 0; i < 3; i++ {
 		check(fmt.Sprintf("one replica down, pass %d", i))

@@ -24,25 +24,11 @@ import (
 // once per call, which is bit-safe because the product (pa(1−pa))·(pb(1−pb))
 // rounds each factor before multiplying either way.
 
-// EpilogueMode selects how the O(n²) count-to-measure conversion runs.
-type EpilogueMode int
-
-const (
-	// EpilogueAuto fuses the conversion into the blocked driver unless
-	// KeepCounts requires the dense count matrix. The default.
-	EpilogueAuto EpilogueMode = iota
-	// EpilogueFused forces the fused path (still overridden by KeepCounts,
-	// which cannot run fused: its contract is the materialized counts).
-	EpilogueFused
-	// EpilogueSplit forces the legacy two-phase pipeline: dense count
-	// matrix first, serial conversion sweep second. Escape hatch for
-	// comparison benchmarks and debugging.
-	EpilogueSplit
-)
-
-// fused reports whether the computation should run the fused epilogue.
+// fused reports whether the conversion runs inside the blocked driver. The
+// one thing that forces the dense count matrix into existence is a caller
+// asking for it back (KeepCounts); then the split sweep fills the measures.
 func (o Options) fused() bool {
-	return o.Epilogue != EpilogueSplit && o.measures()&KeepCounts == 0
+	return o.measures()&KeepCounts == 0
 }
 
 // varTable returns v[i] = p[i]·(1−p[i]), the per-SNP variance factor of
@@ -212,8 +198,8 @@ func (e *denseEpilogue) tile(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 // row converts cells [j0, j0+len(trow)) of output row gi. Every loop
 // replicates PairFromFreqs's operation sequence for its measure (the
 // variance product taken from the per-SNP tables); the fast r² loop is
-// the streaming epilogue's expression shape, so fused streaming stays
-// bit-identical to the split streaming fast path.
+// d·d·(ivᵢ·ivⱼ) with the reciprocals grouped first, so the value is
+// bit-symmetric under SNP exchange (IEEE multiplication commutes).
 func (e *denseEpilogue) row(trow []uint32, gi, j0 int) {
 	nn := len(trow)
 	pa, inv := e.rowFreqs[gi], e.inv

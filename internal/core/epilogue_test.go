@@ -50,20 +50,20 @@ func fringeConfig(threads int) blis.Config {
 }
 
 // The golden contract: the fused per-tile epilogue produces bit-identical
-// measures to the legacy split sweep, for every measure combination and
-// across fringe shapes (n % MR ≠ 0, n < NR, n = 1).
+// measures to the split sweep over the dense counts (the route KeepCounts
+// takes), for every measure combination and across fringe shapes
+// (n % MR ≠ 0, n < NR, n = 1).
 func TestMatrixFusedMatchesSplitBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 3, 13, 50, 67} {
 		g := randomMatrix(rng, n, 65)
 		for _, meas := range measureSets {
 			opt := Options{Measures: meas, Blis: fringeConfig(3)}
-			opt.Epilogue = EpilogueFused
 			fused, err := Matrix(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt.Epilogue = EpilogueSplit
+			opt.Measures |= KeepCounts
 			split, err := Matrix(g, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -81,7 +81,7 @@ func TestMatrixFusedDefaultConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	split, err := Matrix(g, Options{
-		Measures: MeasureD | MeasureR2 | MeasureDPrime, Epilogue: EpilogueSplit,
+		Measures: MeasureD | MeasureR2 | MeasureDPrime | KeepCounts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,12 +96,12 @@ func TestCrossFusedMatchesSplitBitwise(t *testing.T) {
 		a := randomMatrix(rng, sh.m, 100)
 		b := randomMatrix(rng, sh.n, 100)
 		for _, meas := range measureSets {
-			opt := Options{Measures: meas, Blis: fringeConfig(2), Epilogue: EpilogueFused}
+			opt := Options{Measures: meas, Blis: fringeConfig(2)}
 			fused, err := Cross(a, b, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt.Epilogue = EpilogueSplit
+			opt.Measures |= KeepCounts
 			split, err := Cross(a, b, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -118,7 +118,7 @@ func TestMatrixFusedSymmetryBitwise(t *testing.T) {
 	g := randomMatrix(rng, 61, 200)
 	res, err := Matrix(g, Options{
 		Measures: MeasureD | MeasureR2 | MeasureDPrime,
-		Blis:     fringeConfig(4), Epilogue: EpilogueFused,
+		Blis:     fringeConfig(4),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -167,15 +167,15 @@ func TestMatrixFastR2(t *testing.T) {
 	}
 }
 
-// KeepCounts cannot run fused (its contract is the dense counts): even
-// with EpilogueFused requested, the counts must be present, exact, and
-// the measures identical to the split pipeline.
+// KeepCounts cannot run fused (its contract is the dense counts): the
+// counts must be present, exact, and the measures identical to the fused
+// pipeline's.
 func TestKeepCountsStillExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 33
 	g := randomMatrix(rng, n, 80)
 	res, err := Matrix(g, Options{
-		Measures: MeasureR2 | KeepCounts, Blis: fringeConfig(2), Epilogue: EpilogueFused,
+		Measures: MeasureR2 | KeepCounts, Blis: fringeConfig(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,11 +192,11 @@ func TestKeepCountsStillExact(t *testing.T) {
 			t.Fatalf("Counts[%d] = %d, want %d", i, res.Counts[i], want[i])
 		}
 	}
-	split, err := Matrix(g, Options{Measures: MeasureR2, Epilogue: EpilogueSplit, Blis: fringeConfig(2)})
+	fused, err := Matrix(g, Options{Measures: MeasureR2, Blis: fringeConfig(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitsEqual(t, "R2", res.R2, split.R2)
+	bitsEqual(t, "R2", res.R2, fused.R2)
 }
 
 func TestMaskedMatrixFusedMatchesSplitBitwise(t *testing.T) {
@@ -204,12 +204,12 @@ func TestMaskedMatrixFusedMatchesSplitBitwise(t *testing.T) {
 	for _, n := range []int{1, 3, 21, 40} {
 		g, k := randomMaskedPair(rng, n, 130)
 		for _, meas := range measureSets {
-			opt := Options{Measures: meas, Blis: fringeConfig(3), Epilogue: EpilogueFused}
+			opt := Options{Measures: meas, Blis: fringeConfig(3)}
 			fused, err := MaskedMatrix(g, k, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt.Epilogue = EpilogueSplit
+			opt.Measures |= KeepCounts
 			split, err := MaskedMatrix(g, k, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -235,9 +235,52 @@ func streamDense(t *testing.T, g *bitmat.Matrix, opt StreamOptions) []float64 {
 	return out
 }
 
+// splitStream is what a count-then-convert scan delivers, as a dense
+// matrix: the split sweep of Matrix (PairFromFreqs per cell) for every
+// statistic, except that a non-Exact r² scan trades the quotient for the
+// reciprocal product, spelled out here over the reference counts.
+func splitStream(t *testing.T, g *bitmat.Matrix, meas Measure, exact bool) []float64 {
+	t.Helper()
+	n := g.SNPs
+	if meas&MeasureR2 != 0 && !exact {
+		counts := make([]uint32, n*n)
+		if err := blis.Reference(g, g, counts, n); err != nil {
+			t.Fatal(err)
+		}
+		p, out := AlleleFrequencies(g), make([]float64, n*n)
+		iv := make([]float64, n)
+		for i, pi := range p {
+			if v := pi * (1 - pi); v > 0 {
+				iv[i] = 1 / v
+			}
+		}
+		inv := 1 / float64(g.Samples)
+		for i := range n {
+			for j := range n {
+				d := float64(counts[i*n+j])*inv - p[i]*p[j]
+				out[i*n+j] = d * d * (iv[i] * iv[j])
+			}
+		}
+		return out
+	}
+	res, err := Matrix(g, Options{Measures: meas | KeepCounts, Blis: fringeConfig(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case meas&MeasureR2 != 0:
+		return res.R2
+	case meas&MeasureD != 0:
+		return res.D
+	default:
+		return res.DPrime
+	}
+}
+
 func TestStreamFusedMatchesSplitBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomMatrix(rng, 53, 120)
+	n := g.SNPs
 	for _, triangular := range []bool{false, true} {
 		for _, exact := range []bool{false, true} {
 			for _, meas := range []Measure{MeasureR2, MeasureD, MeasureDPrime} {
@@ -245,11 +288,16 @@ func TestStreamFusedMatchesSplitBitwise(t *testing.T) {
 					Options:    Options{Measures: meas, Blis: fringeConfig(2)},
 					StripeRows: 17, Triangular: triangular, Exact: exact,
 				}
-				opt.Epilogue = EpilogueFused
 				fused := streamDense(t, g, opt)
-				opt.Epilogue = EpilogueSplit
-				split := streamDense(t, g, opt)
+				split := splitStream(t, g, meas, exact)
 				for i := range fused {
+					if triangular && i%n < i/n {
+						if !math.IsNaN(fused[i]) {
+							t.Fatalf("tri=%v exact=%v meas=%b: cell %d below the diagonal was visited",
+								triangular, exact, meas, i)
+						}
+						continue
+					}
 					fb, sb := math.Float64bits(fused[i]), math.Float64bits(split[i])
 					if fb != sb {
 						t.Fatalf("tri=%v exact=%v meas=%b: cell %d = %x, want %x",
@@ -318,8 +366,9 @@ func allocBytes(f func()) uint64 {
 	return least
 }
 
-// The point of the fusion, asserted: the split pipeline allocates the
-// dense n²·4-byte count matrix per call and the fused pipeline does not.
+// The point of the fusion, asserted: only a caller that asks for the
+// counts (KeepCounts, the split pipeline) pays for the dense n²·4-byte
+// count matrix; the fused pipeline never allocates it.
 func TestMatrixFusedAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")
@@ -327,19 +376,20 @@ func TestMatrixFusedAllocBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const n = 512
 	g := randomMatrix(rng, n, 256)
-	run := func(mode EpilogueMode) func() {
+	run := func(meas Measure) func() {
 		return func() {
-			if _, err := Matrix(g, Options{Measures: MeasureR2, Epilogue: mode, Blis: blis.Config{Threads: 2}}); err != nil {
+			if _, err := Matrix(g, Options{Measures: meas, Blis: blis.Config{Threads: 2}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	fused := allocBytes(run(EpilogueFused))
-	split := allocBytes(run(EpilogueSplit))
+	fused := allocBytes(run(MeasureR2))
+	split := allocBytes(run(MeasureR2 | KeepCounts))
 	counts := uint64(n * n * 4)
 	// Both paths allocate the n²·8 R2 result; only split adds the count
-	// matrix. Allow slack for pool misses and runtime noise, but the gap
-	// must show most of the count matrix gone.
+	// matrix, which it returns as Result.Counts — the one allocation of
+	// that size, so it is the whole gap. Allow slack for pool misses and
+	// runtime noise, but the gap must show most of the count matrix gone.
 	if fused+counts/2 > split {
 		t.Fatalf("fused path allocated %d bytes vs split %d — count matrix (%d) not eliminated",
 			fused, split, counts)
@@ -420,8 +470,9 @@ func TestDenseEpilogueRunsMatchTilesBitwise(t *testing.T) {
 					if fast {
 						continue // the split sweep has no reciprocal path
 					}
-					opt.Epilogue = EpilogueSplit
-					split, err := Matrix(g, opt)
+					splitOpt := opt
+					splitOpt.Measures |= KeepCounts
+					split, err := Matrix(g, splitOpt)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ldgemm/internal/bitmat"
+	"ldgemm/internal/popcount"
 )
 
 // Higher-order LD (the specialized use case of Section VIII, after
@@ -35,10 +36,10 @@ func TripleLD(g *bitmat.Matrix, i, j, k int) Triple {
 	var cIJ, cIK, cJK, cIJK uint32
 	for w := range si {
 		ij := si[w] & sj[w]
-		cIJ += popc(ij)
-		cIK += popc(si[w] & sk[w])
-		cJK += popc(sj[w] & sk[w])
-		cIJK += popc(ij & sk[w])
+		cIJ += popcount.Count(ij)
+		cIK += popcount.Count(si[w] & sk[w])
+		cJK += popcount.Count(sj[w] & sk[w])
+		cIJK += popcount.Count(ij & sk[w])
 	}
 	n := float64(g.Samples)
 	pi, pj, pk := g.AlleleFrequency(i), g.AlleleFrequency(j), g.AlleleFrequency(k)
@@ -104,16 +105,16 @@ func TripleScan(g *bitmat.Matrix, opt TripleScanOptions) ([]Triple, error) {
 			var cIJ uint32
 			for w := range ij {
 				ij[w] = si[w] & sj[w]
-				cIJ += popc(ij[w])
+				cIJ += popcount.Count(ij[w])
 			}
 			dij := float64(cIJ)*inv - p[i]*p[j]
 			for k := j + 1; k <= i+opt.MaxSpan && k < n; k++ {
 				sk := g.SNP(k)
 				var cIK, cJK, cIJK uint32
 				for w := range ij {
-					cIK += popc(si[w] & sk[w])
-					cJK += popc(sj[w] & sk[w])
-					cIJK += popc(ij[w] & sk[w])
+					cIK += popcount.Count(si[w] & sk[w])
+					cJK += popcount.Count(sj[w] & sk[w])
+					cIJK += popcount.Count(ij[w] & sk[w])
 				}
 				dik := float64(cIK)*inv - p[i]*p[k]
 				djk := float64(cJK)*inv - p[j]*p[k]

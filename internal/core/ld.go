@@ -21,6 +21,7 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
+	"ldgemm/internal/popcount"
 )
 
 // Measure selects which LD statistics to materialize.
@@ -43,11 +44,6 @@ type Options struct {
 	Measures Measure
 	// Blis carries blocking parameters and thread count for the GEMM.
 	Blis blis.Config
-	// Epilogue selects how counts become measures: fused into the blocked
-	// driver (per-tile, parallel, no dense count matrix — the default) or
-	// the legacy split sweep over a materialized count matrix. KeepCounts
-	// always runs split, since its contract is the dense counts.
-	Epilogue EpilogueMode
 	// FastR2 computes r² with precomputed 1/(p(1−p)) reciprocal tables —
 	// multiplies instead of divides — which can differ from the exact
 	// PairFromFreqs quotient in the last ulp. Off by default so dense
@@ -137,7 +133,7 @@ func PairLD(g *bitmat.Matrix, i, j int) Pair {
 	si, sj := g.SNP(i), g.SNP(j)
 	var cnt uint32
 	for w := range si {
-		cnt += popc(si[w] & sj[w])
+		cnt += popcount.Count(si[w] & sj[w])
 	}
 	n := float64(g.Samples)
 	return PairFromFreqs(float64(cnt)/n, g.AlleleFrequency(i), g.AlleleFrequency(j))
@@ -188,10 +184,10 @@ func (r *Result) At(i, j int) Pair {
 
 // Matrix computes all-pairs LD within one genomic matrix: the H = GᵀG/Nseq
 // rank-k update of Section III-B via the blocked symmetric driver, plus the
-// O(n²) D/r²/D′ epilogue — fused into the driver's tile sweep by default
-// (Options.Epilogue), as a separate serial pass when split or when
-// KeepCounts needs the dense counts. Both triangles of each output are
-// filled; fused and split produce bit-identical measures.
+// O(n²) D/r²/D′ epilogue — fused into the driver's tile sweep, or a
+// separate serial pass over the dense counts when KeepCounts asks for them
+// back. Both triangles of each output are filled; the two routes produce
+// bit-identical measures.
 func Matrix(g *bitmat.Matrix, opt Options) (*Result, error) {
 	if g.Samples == 0 && g.SNPs > 0 {
 		return nil, fmt.Errorf("core: LD of %d SNPs with zero samples", g.SNPs)
@@ -245,7 +241,8 @@ func Cross(a, b *bitmat.Matrix, opt Options) (*Result, error) {
 }
 
 // fillMeasures runs the O(n²) epilogue converting haplotype counts into the
-// requested statistics.
+// requested statistics, and hands the counts back: it is reached only with
+// KeepCounts set.
 func fillMeasures(res *Result, counts []uint32, opt Options) {
 	meas := opt.measures()
 	m, n := res.SNPs, res.Cols
@@ -279,7 +276,5 @@ func fillMeasures(res *Result, counts []uint32, opt Options) {
 			}
 		}
 	}
-	if meas&KeepCounts != 0 {
-		res.Counts = counts
-	}
+	res.Counts = counts
 }

@@ -6,6 +6,7 @@ import (
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
 	"ldgemm/internal/kernel"
+	"ldgemm/internal/popcount"
 )
 
 // MaskedPairLD computes gap-aware LD between SNPs i and j of g directly
@@ -17,10 +18,10 @@ func MaskedPairLD(g *bitmat.Matrix, k *bitmat.Mask, i, j int) Pair {
 	var nValid, nI, nJ, nIJ uint32
 	for w := range si {
 		cij := ci[w] & cj[w]
-		nValid += popc(cij)
-		nI += popc(cij & si[w])
-		nJ += popc(cij & sj[w])
-		nIJ += popc(cij & si[w] & sj[w])
+		nValid += popcount.Count(cij)
+		nI += popcount.Count(cij & si[w])
+		nJ += popcount.Count(cij & sj[w])
+		nIJ += popcount.Count(cij & si[w] & sj[w])
 	}
 	if nValid == 0 {
 		return Pair{}

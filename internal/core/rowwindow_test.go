@@ -6,41 +6,44 @@ import (
 )
 
 // TestStreamRowWindow checks that a row-windowed scan delivers exactly the
-// window's rows, bit-identical to the same rows of a full scan, across
-// triangular/full × fused/split × fast/exact and window placements that
-// start mid-stripe, end mid-stripe, and cover single rows.
+// window's rows, bit-identical to the same rows of a full scan and of the
+// split (count-then-convert) oracle, across triangular/full × fast/exact
+// and window placements that start mid-stripe, end mid-stripe, and cover
+// single rows.
 func TestStreamRowWindow(t *testing.T) {
 	g := streamMatrix(t, 61, 96, 404)
 	n := g.SNPs
 	windows := [][2]int{{0, n}, {0, 17}, {17, 42}, {42, n}, {n - 1, n}, {30, 31}}
 	for _, tri := range []bool{true, false} {
-		for _, fused := range []EpilogueMode{EpilogueFused, EpilogueSplit} {
-			for _, exact := range []bool{false, true} {
-				base := StreamOptions{Triangular: tri, StripeRows: 13, Exact: exact}
-				base.Epilogue = fused
-				full := collectStream(t, g, base)
-				for _, w := range windows {
-					opt := base
-					opt.RowStart, opt.RowEnd = w[0], w[1]
-					seen := 0
-					err := Stream(g, opt, func(i, j0 int, row []float64) {
-						if i < w[0] || i >= w[1] {
-							t.Fatalf("window %v delivered row %d", w, i)
-						}
-						seen++
-						for tt, v := range row {
-							if want := full[i*n+j0+tt]; v != want {
-								t.Fatalf("tri=%v fused=%v exact=%v window %v: (%d,%d) = %v, full scan %v",
-									tri, fused, exact, w, i, j0+tt, v, want)
-							}
-						}
-					})
-					if err != nil {
-						t.Fatalf("Stream window %v: %v", w, err)
+		for _, exact := range []bool{false, true} {
+			base := StreamOptions{Triangular: tri, StripeRows: 13, Exact: exact}
+			full := collectStream(t, g, base)
+			split := splitStream(t, g, MeasureR2, exact)
+			for _, w := range windows {
+				opt := base
+				opt.RowStart, opt.RowEnd = w[0], w[1]
+				seen := 0
+				err := Stream(g, opt, func(i, j0 int, row []float64) {
+					if i < w[0] || i >= w[1] {
+						t.Fatalf("window %v delivered row %d", w, i)
 					}
-					if seen != w[1]-w[0] {
-						t.Fatalf("window %v delivered %d rows", w, seen)
+					seen++
+					for tt, v := range row {
+						if want := full[i*n+j0+tt]; v != want {
+							t.Fatalf("tri=%v exact=%v window %v: (%d,%d) = %v, full scan %v",
+								tri, exact, w, i, j0+tt, v, want)
+						}
+						if want := split[i*n+j0+tt]; v != want {
+							t.Fatalf("tri=%v exact=%v window %v: (%d,%d) = %v, split oracle %v",
+								tri, exact, w, i, j0+tt, v, want)
+						}
 					}
+				})
+				if err != nil {
+					t.Fatalf("Stream window %v: %v", w, err)
+				}
+				if seen != w[1]-w[0] {
+					t.Fatalf("window %v delivered %d rows", w, seen)
 				}
 			}
 		}

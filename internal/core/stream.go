@@ -12,8 +12,7 @@ import (
 type StreamOptions struct {
 	Options
 	// StripeRows is the number of SNP rows materialized at a time
-	// (default 512). Peak memory is StripeRows × SNPs × 4 bytes for the
-	// counts plus one float64 row.
+	// (default 512). Peak memory is one StripeRows × SNPs float64 stripe.
 	StripeRows int
 	// Triangular restricts the scan to the upper triangle exactly: each
 	// stripe runs a symmetric rank-k update on its diagonal block plus a
@@ -49,8 +48,8 @@ type StreamOptions struct {
 	// is still a full-K dot product through the identical epilogue, so
 	// in-band results are bit-identical to an unbanded scan's, and
 	// Band ≥ n−1 degenerates to exactly the unbanded schedule. Requires
-	// Triangular and the fused epilogue. Skipped work is recorded on
-	// blis.DriverStats.BandPanelsSkipped/BandCellsSkipped.
+	// Triangular. Skipped work is recorded on blis.DriverStats
+	// (BandPanelsSkipped/BandCellsSkipped).
 	Banded bool
 	Band   int
 }
@@ -63,8 +62,13 @@ func (o StreamOptions) ioPanel() int {
 	return 1024
 }
 
-// checkBanded validates a banded configuration against the scan mode.
-func (o StreamOptions) checkBanded() error {
+// check validates what every streaming scan shares: a scan hands out
+// float64 rows and never holds the dense count matrix KeepCounts promises,
+// and a band needs the triangular schedule.
+func (o StreamOptions) check() error {
+	if !o.fused() {
+		return fmt.Errorf("core: streaming requires the fused epilogue (no KeepCounts)")
+	}
 	if !o.Banded {
 		return nil
 	}
@@ -73,9 +77,6 @@ func (o StreamOptions) checkBanded() error {
 	}
 	if !o.Triangular {
 		return fmt.Errorf("core: banded streaming requires Triangular")
-	}
-	if !o.fused() {
-		return fmt.Errorf("core: banded streaming requires the fused epilogue (no KeepCounts, no EpilogueSplit)")
 	}
 	return nil
 }
@@ -130,104 +131,14 @@ func Stream(g *bitmat.Matrix, opt StreamOptions, visit func(i, j0 int, row []flo
 	if stripe < 1 {
 		return fmt.Errorf("core: invalid StripeRows %d", stripe)
 	}
-	n := g.SNPs
-	lo, hi, err := opt.rowWindow(n)
+	lo, hi, err := opt.rowWindow(g.SNPs)
 	if err != nil {
 		return err
 	}
-	if err := opt.checkBanded(); err != nil {
+	if err := opt.check(); err != nil {
 		return err
 	}
-	p := AlleleFrequencies(g)
-	meas := opt.measures()
-	if opt.fused() {
-		return streamFused(g, opt, p, stripe, visit)
-	}
-	r2Only := meas&MeasureR2 != 0 && !opt.Exact
-	counts := make([]uint32, min(stripe, max(n, 1))*n)
-	row := make([]float64, n)
-	inv := 0.0
-	if g.Samples > 0 {
-		inv = 1 / float64(g.Samples)
-	}
-	// Fast r² epilogue: precompute the per-SNP variance reciprocals so the
-	// O(n²) loop is five multiplies per pair with no branches on the hot
-	// path (monomorphic SNPs get a zero factor, which zeroes their r²).
-	var invVar []float64
-	if r2Only {
-		invVar = make([]float64, n)
-		for i, pi := range p {
-			if v := pi * (1 - pi); v > 0 {
-				invVar[i] = 1 / v
-			}
-		}
-	}
-	for i0 := lo; i0 < hi; i0 += stripe {
-		rows := min(stripe, hi-i0)
-		sub := g.Slice(i0, i0+rows)
-		base := 0
-		width := n
-		c := counts[:rows*width]
-		if opt.Triangular {
-			base = i0
-			width = n - i0
-			c = counts[:rows*width]
-			clear(c)
-			// Diagonal block: symmetric rank-k update, upper triangle only.
-			if err := blis.Syrk(opt.blisCfg(), sub, c, width, false); err != nil {
-				return err
-			}
-			// Off-diagonal rectangle against the remaining columns,
-			// written at column offset `rows` within the stripe block.
-			if i0+rows < n {
-				rest := g.Slice(i0+rows, n)
-				if err := blis.Gemm(opt.blisCfg(), sub, rest, counts[rows:], width); err != nil {
-					return err
-				}
-			}
-		} else {
-			clear(c)
-			if err := blis.Gemm(opt.blisCfg(), sub, g, c, width); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < rows; i++ {
-			gi := i0 + i
-			j0 := base
-			off := 0
-			if opt.Triangular {
-				j0 = gi
-				off = gi - i0
-			}
-			pa := p[gi]
-			src := c[i*width+off : (i+1)*width]
-			dst := row[:len(src)]
-			if r2Only {
-				iva := invVar[gi]
-				for t, cnt := range src {
-					d := float64(cnt)*inv - pa*p[j0+t]
-					// The reciprocals are grouped before scaling d² so the
-					// value is bit-symmetric under SNP exchange (IEEE
-					// multiplication commutes), matching the fused epilogue.
-					dst[t] = d * d * (iva * invVar[j0+t])
-				}
-			} else {
-				for t, cnt := range src {
-					pr := PairFromFreqs(float64(cnt)*inv, pa, p[j0+t])
-					switch {
-					case meas&MeasureR2 != 0:
-						dst[t] = pr.R2
-					case meas&MeasureD != 0:
-						dst[t] = pr.D
-					default:
-						dst[t] = pr.DPrime
-					}
-				}
-			}
-			visit(gi, j0, dst)
-		}
-	}
-	return nil
+	return streamFused(g, opt, AlleleFrequencies(g), lo, hi, stripe, visit)
 }
 
 // stripeScan builds the stripe epilogues of one fused scan. Whatever
@@ -299,15 +210,14 @@ func getStripe(cells int) *[]float64 {
 	return &b
 }
 
-// streamFused is Stream's fused-epilogue body: the stripe's statistic
-// values are written directly by the blocked driver's fused epilogue into
-// a float64 stripe — the uint32 count stripe and the per-row conversion pass
-// are gone, and the conversion runs in parallel inside the driver.
-// Expression shapes match the split path exactly (fast r² inline, exact
-// via PairFromFreqs's sequence), so streamed values stay bit-identical.
-func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, stripe int, visit func(i, j0 int, row []float64)) error {
+// streamFused is Stream's body: the stripe's statistic values are written
+// directly by the blocked driver's fused epilogue into a float64 stripe —
+// no uint32 count stripe, no per-row conversion pass, and the conversion
+// runs in parallel inside the driver. Expression shapes match the dense
+// split sweep exactly (exact via PairFromFreqs's sequence), so streamed
+// values under Exact are bit-identical to Matrix's.
+func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, lo, hi, stripe int, visit func(i, j0 int, row []float64)) error {
 	n := g.SNPs
-	lo, hi, _ := opt.rowWindow(n) // validated by Stream before dispatch
 	scan := newStripeScan(opt, p, g.Samples)
 	buf := getStripe(opt.stripeCells(stripe, lo, hi, n))
 	defer stripePool.Put(buf)

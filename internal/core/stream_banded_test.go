@@ -128,8 +128,8 @@ func TestBandedSkipCounters(t *testing.T) {
 }
 
 // TestBandedStreamOptionsValidation: StreamOptions.Banded requires
-// triangular + fused, and a negative band is rejected, on both the
-// resident and source paths.
+// triangular and no KeepCounts, and a negative band is rejected, on both
+// the resident and source paths.
 func TestBandedStreamOptionsValidation(t *testing.T) {
 	g := streamMatrix(t, 24, 16, 1)
 	sink := func(i, j0 int, row []float64) {}
@@ -140,9 +140,9 @@ func TestBandedStreamOptionsValidation(t *testing.T) {
 		t.Fatal("negative band accepted")
 	}
 	bad := StreamOptions{Triangular: true, Banded: true, Band: 2}
-	bad.Epilogue = EpilogueSplit
+	bad.Measures = MeasureR2 | KeepCounts
 	if err := Stream(g, bad, sink); err == nil {
-		t.Fatal("banded with the split epilogue accepted")
+		t.Fatal("banded with KeepCounts accepted")
 	}
 	if err := StreamSource(sliceBacked(t, g), StreamOptions{Banded: true, Band: 2}, sink); err == nil {
 		t.Fatal("out-of-core banded without Triangular accepted")

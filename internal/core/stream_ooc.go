@@ -69,17 +69,13 @@ func SourceAlleleFrequencies(src bitmat.Source, panelSNPs int) ([]float64, error
 // short-circuits to Stream (one zero-copy "panel" is the whole matrix);
 // file sources run the double-buffered panel-pair schedule.
 //
-// Only fused-epilogue configurations are supported out of core (the
-// default; KeepCounts and EpilogueSplit need the dense count stripe that
-// out-of-core operation exists to avoid).
+// Like Stream it rejects KeepCounts: the dense count matrix is what
+// streaming exists to avoid.
 func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, row []float64)) error {
 	if ms, ok := src.(*bitmat.MemSource); ok {
 		return Stream(ms.M, opt, visit)
 	}
-	if !opt.fused() {
-		return fmt.Errorf("core: out-of-core streaming requires the fused epilogue (no KeepCounts, no EpilogueSplit)")
-	}
-	if err := opt.checkBanded(); err != nil {
+	if err := opt.check(); err != nil {
 		return err
 	}
 	n := src.NumSNPs()

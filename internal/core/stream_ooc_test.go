@@ -109,12 +109,12 @@ func TestStreamSourceRejectsUnfusable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	opt := StreamOptions{Options: Options{Epilogue: EpilogueSplit}, Triangular: true}
+	opt := StreamOptions{Options: Options{Measures: MeasureR2 | KeepCounts}, Triangular: true}
 	if err := StreamSource(f, opt, func(int, int, []float64) {}); err == nil {
-		t.Fatal("split-epilogue out-of-core scan must be rejected")
+		t.Fatal("KeepCounts out-of-core scan must be rejected")
 	}
-	// The MemSource path delegates to Stream, which handles split fine.
-	if err := StreamSource(bitmat.NewMemSource(m), opt, func(int, int, []float64) {}); err != nil {
-		t.Fatalf("MemSource split delegation: %v", err)
+	// The MemSource path delegates to Stream, which rejects it the same way.
+	if err := StreamSource(bitmat.NewMemSource(m), opt, func(int, int, []float64) {}); err == nil {
+		t.Fatal("KeepCounts resident scan must be rejected")
 	}
 }

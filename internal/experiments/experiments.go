@@ -39,10 +39,6 @@ type Config struct {
 	// Peak is the calibrated single-core triple rate; 0 means calibrate
 	// now.
 	Peak float64
-	// Epilogue selects the count-to-measure conversion mode for the
-	// experiments that run the full LD pipeline (fused by default; the
-	// ldbench -epilogue flag sets split for A/B comparisons).
-	Epilogue core.EpilogueMode
 	// CalibrationTime bounds the peak calibration (default 200ms).
 	CalibrationTime time.Duration
 }
@@ -271,7 +267,7 @@ func ComparisonTable(ds popsim.Dataset, cfg Config) (*harness.Table, error) {
 		}
 		tg, err := harness.Time(0, func() error {
 			_, _, err := core.SumR2(g, core.StreamOptions{
-				Options: core.Options{Blis: blis.Config{Threads: threads}, Epilogue: cfg.Epilogue},
+				Options: core.Options{Blis: blis.Config{Threads: threads}},
 			})
 			return err
 		})

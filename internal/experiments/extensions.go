@@ -215,14 +215,14 @@ func FSM(cfg Config) (*harness.Table, error) {
 	g := randomMatrix(123, n, k)
 
 	tISM, err := harness.Time(0, func() error {
-		_, err := core.Matrix(g, core.Options{Measures: core.MeasureR2, Blis: blis.Config{Threads: 1}, Epilogue: cfg.Epilogue})
+		_, err := core.Matrix(g, core.Options{Measures: core.MeasureR2, Blis: blis.Config{Threads: 1}})
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	tFSM, err := harness.Time(0, func() error {
-		_, err := core.FSMLD(fsm, core.Options{Blis: blis.Config{Threads: 1}, Epilogue: cfg.Epilogue})
+		_, err := core.FSMLD(fsm, core.Options{Blis: blis.Config{Threads: 1}})
 		return err
 	})
 	if err != nil {
@@ -459,7 +459,7 @@ func Banded(cfg Config) (*harness.Table, error) {
 			harness.F(float64(pairs)/m.Elapsed.Seconds()/1e6, 2))
 		return nil
 	}
-	opt := core.Options{Blis: blis.Config{Threads: 1}, Epilogue: cfg.Epilogue}
+	opt := core.Options{Blis: blis.Config{Threads: 1}}
 	if err := addRow("full triangle", func() (int64, error) {
 		_, p, err := core.SumR2(g, core.StreamOptions{Options: opt})
 		return p, err

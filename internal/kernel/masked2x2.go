@@ -1,5 +1,7 @@
 package kernel
 
+import "ldgemm/internal/popcount"
+
 // masked2x2Scalar is the Masked2x2 compute loop with all sixteen
 // accumulators as scalar locals. The [2][2][4]uint32 array formulation
 // forces the accumulators to memory (the compiler will not register-
@@ -21,28 +23,28 @@ func masked2x2Scalar(kc int, ap, bp []uint64, c []uint32, ldc int) {
 		t1, d1 := b[2], b[3]
 
 		m00 := c0 & d0
-		v00 += popc(m00)
-		i00 += popc(m00 & s0)
-		j00 += popc(m00 & t0)
-		x00 += popc(m00 & s0 & t0)
+		v00 += popcount.Count(m00)
+		i00 += popcount.Count(m00 & s0)
+		j00 += popcount.Count(m00 & t0)
+		x00 += popcount.Count(m00 & s0 & t0)
 
 		m01 := c0 & d1
-		v01 += popc(m01)
-		i01 += popc(m01 & s0)
-		j01 += popc(m01 & t1)
-		x01 += popc(m01 & s0 & t1)
+		v01 += popcount.Count(m01)
+		i01 += popcount.Count(m01 & s0)
+		j01 += popcount.Count(m01 & t1)
+		x01 += popcount.Count(m01 & s0 & t1)
 
 		m10 := c1 & d0
-		v10 += popc(m10)
-		i10 += popc(m10 & s1)
-		j10 += popc(m10 & t0)
-		x10 += popc(m10 & s1 & t0)
+		v10 += popcount.Count(m10)
+		i10 += popcount.Count(m10 & s1)
+		j10 += popcount.Count(m10 & t0)
+		x10 += popcount.Count(m10 & s1 & t0)
 
 		m11 := c1 & d1
-		v11 += popc(m11)
-		i11 += popc(m11 & s1)
-		j11 += popc(m11 & t1)
-		x11 += popc(m11 & s1 & t1)
+		v11 += popcount.Count(m11)
+		i11 += popcount.Count(m11 & s1)
+		j11 += popcount.Count(m11 & t1)
+		x11 += popcount.Count(m11 & s1 & t1)
 	}
 	c[0] += v00
 	c[1] += i00

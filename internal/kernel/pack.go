@@ -1,6 +1,9 @@
 package kernel
 
-import "ldgemm/internal/bitmat"
+import (
+	"ldgemm/internal/bitmat"
+	"ldgemm/internal/popcount"
+)
 
 // PackPanel packs rr consecutive SNPs of m (starting at snp, count of them
 // real, the rest zero-padded) over the word range [pc, pc+kc) into the
@@ -89,10 +92,10 @@ func MaskedGeneric(mr, nr int) MaskedKernel {
 					sj, cj := b[2*j], b[2*j+1]
 					cij := ci & cj
 					cell := c[(i*ldc+j)*4 : (i*ldc+j)*4+4]
-					cell[MaskedValid] += popc(cij)
-					cell[MaskedI] += popc(cij & si)
-					cell[MaskedJ] += popc(cij & sj)
-					cell[MaskedIJ] += popc(cij & si & sj)
+					cell[MaskedValid] += popcount.Count(cij)
+					cell[MaskedI] += popcount.Count(cij & si)
+					cell[MaskedJ] += popcount.Count(cij & sj)
+					cell[MaskedIJ] += popcount.Count(cij & si & sj)
 				}
 			}
 		}

@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"ldgemm/internal/bitmat"
+	"ldgemm/internal/blis"
 	"ldgemm/internal/core"
+	"ldgemm/internal/ldstore"
 	"ldgemm/internal/popsim"
 )
 
@@ -260,6 +262,39 @@ func TestBandedStoreNarrow(t *testing.T) {
 	bo := BuildOptions{TileSize: 16, Banded: true, Band: 9, Threshold: 0.02}
 	_, s := buildStore(t, g, bo)
 	checkAgainstDense(t, s, denseRef(t, g, StatR2), bo)
+}
+
+// TestTierRatios holds the two things the sparse tier exists for, at a
+// shape large enough that container overheads do not drown them
+// (2048 SNPs × 1024 samples, τ = 0.2, W = n/16, tile 128): the pruned
+// store is at most a tenth of the dense store's bytes, and the banded
+// build never schedules at least half of the triangle's cells.
+func TestTierRatios(t *testing.T) {
+	const n, tile, tau = 2048, 128, 0.2
+	g := testMatrix(t, n, 1024, 5)
+	dir := t.TempDir()
+	dense, err := ldstore.BuildFile(filepath.Join(dir, "g.ldts"), g, ldstore.BuildOptions{TileSize: tile})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := BuildFile(filepath.Join(dir, "g.ldss"), g, BuildOptions{TileSize: tile, Threshold: tau})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.FileBytes < 10*pruned.FileBytes {
+		t.Fatalf("dense store %d bytes, pruned %d: ratio %.1f, want ≥ 10",
+			dense.FileBytes, pruned.FileBytes, float64(dense.FileBytes)/float64(pruned.FileBytes))
+	}
+
+	before := blis.ReadStats().BandCellsSkipped
+	bo := BuildOptions{TileSize: tile, Threshold: tau, Banded: true, Band: n / 16}
+	if _, err := BuildFile(filepath.Join(dir, "g.banded.ldss"), g, bo); err != nil {
+		t.Fatal(err)
+	}
+	skipped := blis.ReadStats().BandCellsSkipped - before
+	if triangle := uint64(n) * (n + 1) / 2; 2*skipped < triangle {
+		t.Fatalf("banded build skipped %d of the triangle's %d cells, want at least half", skipped, triangle)
+	}
 }
 
 // TestBuildValidation: malformed options must refuse before any I/O.

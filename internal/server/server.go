@@ -38,12 +38,6 @@ type Config struct {
 	// override its corresponding fields when non-zero, and the request
 	// context is always attached per request.
 	Blis blis.Config
-	// Epilogue selects how the LD handlers convert counts to measures:
-	// fused into the blocked driver (the default — no dense count matrix,
-	// conversion parallelized across the kernel workers) or the legacy
-	// split sweep (core.EpilogueSplit), the ldserver -epilogue escape
-	// hatch.
-	Epilogue core.EpilogueMode
 	// ChunkTiles is the parallel driver's work-queue granularity
 	// (blis.Config.ChunkTiles; default 0 = derived).
 	ChunkTiles int
@@ -196,9 +190,9 @@ func (s *Server) blisConfig(ctx context.Context) blis.Config {
 }
 
 // ldOptions is the per-request core configuration shared by the heavy
-// handlers: the kernel config plus the server's epilogue mode.
+// handlers: the server's kernel config bound to the request context.
 func (s *Server) ldOptions(ctx context.Context) core.Options {
-	return core.Options{Blis: s.blisConfig(ctx), Epilogue: s.cfg.Epilogue}
+	return core.Options{Blis: s.blisConfig(ctx)}
 }
 
 // statusClientClosedRequest is nginx's convention for "the client went

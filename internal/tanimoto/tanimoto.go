@@ -17,6 +17,7 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
+	"ldgemm/internal/popcount"
 )
 
 // Fingerprints is a set of equal-width binary fingerprints. Internally a
@@ -74,9 +75,9 @@ func (f *Fingerprints) Pair(i, j int) float64 {
 	si, sj := f.m.SNP(i), f.m.SNP(j)
 	var x, p, q int
 	for w := range si {
-		x += onesCount(si[w] & sj[w])
-		p += onesCount(si[w])
-		q += onesCount(sj[w])
+		x += popcount.Word(si[w] & sj[w])
+		p += popcount.Word(si[w])
+		q += popcount.Word(sj[w])
 	}
 	den := p + q - x
 	if den == 0 {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ldgemm/internal/bitmat"
+	"ldgemm/internal/blis"
 	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/tilefile"
 )
@@ -326,11 +327,16 @@ func TestSourceBuildMemoryBudget(t *testing.T) {
 	}
 	for _, tr := range tiers {
 		var before, after runtime.MemStats
+		panels := blis.ReadStats()
 		runtime.ReadMemStats(&before)
 		if _, err := tr.build(path, src, shape{nt: nt, band: 512}, opt); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
+		// The input came through the prefetcher in panels, not whole.
+		if st := blis.ReadStats(); st.PanelsRead == panels.PanelsRead || st.PanelBytesRead == panels.PanelBytesRead {
+			t.Fatalf("%s: windowed build recorded no panel I/O", tr.name)
+		}
 		alloc := int64(after.TotalAlloc - before.TotalAlloc)
 		t.Logf("%s: build allocated %d bytes total (matrix %d, result %d, budget %d)",
 			tr.name, alloc, matrixBytes, resultBytes, budget)

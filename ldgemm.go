@@ -82,17 +82,6 @@ const (
 	KeepCounts    = core.KeepCounts
 )
 
-// EpilogueMode selects how haplotype counts become LD measures: fused
-// into the blocked driver's tile sweep (the default) or as the legacy
-// split pass over a materialized count matrix (Options.Epilogue).
-type EpilogueMode = core.EpilogueMode
-
-const (
-	EpilogueAuto  = core.EpilogueAuto
-	EpilogueFused = core.EpilogueFused
-	EpilogueSplit = core.EpilogueSplit
-)
-
 // Result is a materialized all-pairs LD matrix.
 type Result = core.Result
 
