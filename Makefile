@@ -45,7 +45,9 @@ verify-cluster:
 # against encoding/json on any float64 bits, and the coordinator's strip
 # scan on any bytes — what it accepts, encoding/json accepts with the same
 # shape — and a sparse operator's request body, scanned or handed to
-# encoding/json, against encoding/json alone (CI runs this too).
+# encoding/json, against encoding/json alone. Last, the fused epilogue's
+# AVX-512 row kernels against their Go loops, bit for bit, on any counts,
+# frequencies and row length (CI runs this too).
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
@@ -53,6 +55,7 @@ fuzz-smoke:
 	go test ./internal/server -run=Fuzz -fuzz=FuzzWireFloat -fuzztime=10s
 	go test ./internal/cluster -run=Fuzz -fuzz=FuzzSpliceScan -fuzztime=10s
 	go test ./internal/server -run=Fuzz -fuzz=FuzzParseVector -fuzztime=10s
+	go test ./internal/core -run=Fuzz -fuzz=FuzzEpilogueRow -fuzztime=10s
 
 # The benchmark/ module is its own Go module, so tier-1 `go test ./...`
 # never enters it: compile and smoke-test it against this tree, so an API
@@ -65,18 +68,23 @@ bench-compile:
 # (skipped with a message where the host cannot run it), then tiny shapes
 # through every popcount engine (scalar, CSA, SIMD when present, and the
 # auto dispatch) asserted bit-identical to the scalar oracle at each k —
-# under the host default and again as on a host without the tile. Cheap
-# enough for the verify tier.
+# under the host default and again as on a host without the tile. Then the
+# fused epilogue's AVX-512 row kernels against their Go loops, bit for bit
+# (the vector half skipped with a message without AVX-512F). Cheap enough
+# for the verify tier.
 .PHONY: bench-kernel
 bench-kernel:
 	go test ./internal/kernel -count=1 -run 'TestVectorTile'
+	go test ./internal/core -count=1 -run 'TestEpilogueRows'
 	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute'
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling
 # and running in CI. The float wire: a node encoding an 80 × 80 region, a
 # coordinator checking and splicing its two strips. One pass of the small-k
 # stream (8192 SNPs × 512 samples), which prints what the fused epilogue
-# costs per pair. Then the sparse
+# costs per pair, and one call of each of its row conversions (D, fast and
+# exact r², Go loop and AVX-512 row kernel, 512 and 3840 cells, ns/cell on
+# L2-resident operands). Then the sparse
 # operator path: one matvec over the ledger's 4096-SNP banded store,
 # resident and laid out per call (entries/s, allocs/op), and its 4096-float
 # request body through the vector scanner (MB/s). Then one call each of
@@ -90,6 +98,7 @@ bench-smoke:
 	go test ./internal/server -run '^$$' -bench BenchmarkEncodeRegion -benchtime 1x -benchmem
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
 	go test . -run '^$$' -bench BenchmarkStreamSmallK -benchtime 1x
+	go test ./internal/core -run '^$$' -bench BenchmarkEpilogueRow -benchtime 1x
 	go test ./internal/ldsparse -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
 	go test ./internal/server -run '^$$' -bench BenchmarkParseVector -benchtime 1x -benchmem
 	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ldgemm/internal/bitmat"
-	"ldgemm/internal/blis"
 )
 
 // BandOptions configures a banded LD scan: only pairs within Band SNPs of
@@ -21,77 +20,18 @@ type BandOptions struct {
 
 // BandedStream computes LD for all pairs (i, j) with i ≤ j ≤ i+Band,
 // delivering rows like Stream: visit(i, j0, row) with j0 == i and row[t]
-// the statistic for pair (i, i+t), truncated at min(i+Band, n−1). Each
-// stripe runs one blocked GEMM of shape stripe × (stripe+Band), so the
-// total work is O(n·Band·k/64) — linear in n.
+// the statistic for pair (i, i+t), truncated at min(i+Band, n−1). It is the
+// triangular banded Stream — same schedule, same fused epilogue, so every
+// value is bit-equal to the unbanded scan's in-band cell — and its total
+// work is O(n·Band·k/64), linear in n.
 func BandedStream(g *bitmat.Matrix, opt BandOptions, visit func(i, j0 int, row []float64)) error {
 	if opt.Band < 1 {
 		return fmt.Errorf("core: invalid band %d", opt.Band)
 	}
-	if g.Samples == 0 && g.SNPs > 0 {
-		return fmt.Errorf("core: banded LD with zero samples")
-	}
-	stripe := opt.StripeRows
-	if stripe == 0 {
-		stripe = 512
-	}
-	if stripe < 1 {
-		return fmt.Errorf("core: invalid StripeRows %d", stripe)
-	}
-	n := g.SNPs
-	p := AlleleFrequencies(g)
-	inv := 0.0
-	if g.Samples > 0 {
-		inv = 1 / float64(g.Samples)
-	}
-	meas := opt.measures()
-	r2Only := meas&MeasureR2 != 0
-	var invVar []float64
-	if r2Only {
-		invVar = make([]float64, n)
-		for i, pi := range p {
-			if v := pi * (1 - pi); v > 0 {
-				invVar[i] = 1 / v
-			}
-		}
-	}
-	width := min(stripe+opt.Band, max(n, 1))
-	counts := make([]uint32, min(stripe, max(n, 1))*width)
-	row := make([]float64, opt.Band+1)
-	for i0 := 0; i0 < n; i0 += stripe {
-		rows := min(stripe, n-i0)
-		hi := min(i0+rows+opt.Band, n)
-		w := hi - i0
-		c := counts[:rows*w]
-		clear(c)
-		if err := blis.Gemm(opt.blisCfg(), g.Slice(i0, i0+rows), g.Slice(i0, hi), c, w); err != nil {
-			return err
-		}
-		for i := 0; i < rows; i++ {
-			gi := i0 + i
-			jEnd := min(gi+opt.Band, n-1)
-			src := c[i*w+i : i*w+(jEnd-i0)+1]
-			dst := row[:len(src)]
-			if r2Only {
-				iva := invVar[gi]
-				for t, cnt := range src {
-					d := float64(cnt)*inv - p[gi]*p[gi+t]
-					dst[t] = d * d * iva * invVar[gi+t]
-				}
-			} else {
-				for t, cnt := range src {
-					pr := PairFromFreqs(float64(cnt)*inv, p[gi], p[gi+t])
-					if meas&MeasureD != 0 {
-						dst[t] = pr.D
-					} else {
-						dst[t] = pr.DPrime
-					}
-				}
-			}
-			visit(gi, gi, dst)
-		}
-	}
-	return nil
+	return Stream(g, StreamOptions{
+		Options: opt.Options, StripeRows: opt.StripeRows,
+		Triangular: true, Banded: true, Band: opt.Band,
+	}, visit)
 }
 
 // BandedSumR2 reduces r² over the band (diagonal included), the banded

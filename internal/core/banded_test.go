@@ -53,6 +53,30 @@ func TestBandedStreamMatchesFull(t *testing.T) {
 	}
 }
 
+// TestBandedStreamBitEqualsStream: a banded row is the in-band prefix of the
+// unbanded triangular scan's row, bit for bit (one epilogue, one spelling of
+// fast r²), from a stripe no wider than the band needs.
+func TestBandedStreamBitEqualsStream(t *testing.T) {
+	g := randomMatrix(rand.New(rand.NewSource(6)), 70, 333)
+	var full [][]float64
+	err := Stream(g, StreamOptions{Triangular: true, StripeRows: 16}, func(_, _ int, row []float64) {
+		full = append(full, append([]float64(nil), row...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = BandedStream(g, BandOptions{Band: 9, StripeRows: 11}, func(i, _ int, row []float64) {
+		bitsEqual(t, "banded row", row, full[i][:len(row)])
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := StreamOptions{Triangular: true, Banded: true, Band: 9}
+	if got := opt.stripeCells(11, 0, 70, 70); got != 11*(11+9) {
+		t.Fatalf("banded stripe holds %d cells, want %d", got, 11*(11+9))
+	}
+}
+
 func TestBandedStreamMeasures(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randomMatrix(rng, 20, 100)

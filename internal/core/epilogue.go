@@ -195,11 +195,14 @@ func (e *denseEpilogue) tile(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 	}
 }
 
-// row converts cells [j0, j0+len(trow)) of output row gi. Every loop
-// replicates PairFromFreqs's operation sequence for its measure (the
-// variance product taken from the per-SNP tables); the fast r² loop is
-// d·d·(ivᵢ·ivⱼ) with the reciprocals grouped first, so the value is
-// bit-symmetric under SNP exchange (IEEE multiplication commutes).
+// row converts cells [j0, j0+len(trow)) of output row gi, each measure in
+// its own loop. D and the two r² loops are the scalar* functions below;
+// each one's row kernel (rowD, rowR2Fast, rowR2Exact: epilogue_amd64.go)
+// first converts as many leading cells as it can, eight per instruction and
+// bit-equal per lane, and the Go loop finishes from the index it returns —
+// the tail, or the whole row on a host without the kernels. D′ stays a Go
+// loop: math.Min and math.Max carry NaN and ±0 rules a vector min/max does
+// not share.
 func (e *denseEpilogue) row(trow []uint32, gi, j0 int) {
 	nn := len(trow)
 	pa, inv := e.rowFreqs[gi], e.inv
@@ -207,27 +210,17 @@ func (e *denseEpilogue) row(trow []uint32, gi, j0 int) {
 	base := gi*e.ld + j0
 	if e.d != nil {
 		out := e.d[base:][:nn]
-		for c, cnt := range trow {
-			out[c] = float64(cnt)*inv - pa*colFreqs[c]
-		}
+		k := rowD(out, trow, colFreqs, nil, inv, pa, 0)
+		scalarD(out[k:], trow[k:], colFreqs[k:], nil, inv, pa, 0)
 	}
-	if e.r2 != nil && e.fast {
-		out := e.r2[base:][:nn]
-		iva, colInv := e.rowTab[gi], e.colTab[j0:][:nn]
-		for c, cnt := range trow {
-			d := float64(cnt)*inv - pa*colFreqs[c]
-			out[c] = d * d * (iva * colInv[c])
-		}
-	} else if e.r2 != nil {
-		out := e.r2[base:][:nn]
-		va, colVar := e.rowTab[gi], e.colTab[j0:][:nn]
-		for c, cnt := range trow {
-			d := float64(cnt)*inv - pa*colFreqs[c]
-			var v float64
-			if den := va * colVar[c]; den > 0 {
-				v = d * d / den
-			}
-			out[c] = v
+	if e.r2 != nil {
+		out, colTab, tab := e.r2[base:][:nn], e.colTab[j0:][:nn], e.rowTab[gi]
+		if e.fast {
+			k := rowR2Fast(out, trow, colFreqs, colTab, inv, pa, tab)
+			scalarR2Fast(out[k:], trow[k:], colFreqs[k:], colTab[k:], inv, pa, tab)
+		} else {
+			k := rowR2Exact(out, trow, colFreqs, colTab, inv, pa, tab)
+			scalarR2Exact(out[k:], trow[k:], colFreqs[k:], colTab[k:], inv, pa, tab)
 		}
 	}
 	if e.dp != nil {
@@ -246,6 +239,43 @@ func (e *denseEpilogue) row(trow []uint32, gi, j0 int) {
 			}
 			out[c] = v
 		}
+	}
+}
+
+// The scalar loops share the row kernels' parameters: out, cnt, colFreq and
+// colTab run over the same cells, pa is the row's frequency and tab its r²
+// table entry (see r2Table). Each replicates PairFromFreqs's operation
+// sequence for its measure, the variance product taken from the tables.
+
+// scalarD reads no r² table.
+func scalarD(out []float64, cnt []uint32, colFreq, _ []float64, inv, pa, _ float64) {
+	out, colFreq = out[:len(cnt)], colFreq[:len(cnt)]
+	for c, n := range cnt {
+		out[c] = float64(n)*inv - pa*colFreq[c]
+	}
+}
+
+// scalarR2Fast is d·d·(ivᵢ·ivⱼ) over reciprocal tables, the reciprocals
+// grouped first, so the value is bit-symmetric under SNP exchange (IEEE
+// multiplication commutes).
+func scalarR2Fast(out []float64, cnt []uint32, colFreq, colInv []float64, inv, pa, iva float64) {
+	out, colFreq, colInv = out[:len(cnt)], colFreq[:len(cnt)], colInv[:len(cnt)]
+	for c, n := range cnt {
+		d := float64(n)*inv - pa*colFreq[c]
+		out[c] = d * d * (iva * colInv[c])
+	}
+}
+
+// scalarR2Exact divides by the variance product, +0 where it is not positive.
+func scalarR2Exact(out []float64, cnt []uint32, colFreq, colVar []float64, inv, pa, va float64) {
+	out, colFreq, colVar = out[:len(cnt)], colFreq[:len(cnt)], colVar[:len(cnt)]
+	for c, n := range cnt {
+		d := float64(n)*inv - pa*colFreq[c]
+		var v float64
+		if den := va * colVar[c]; den > 0 {
+			v = d * d / den
+		}
+		out[c] = v
 	}
 }
 

@@ -1,0 +1,64 @@
+//go:build amd64
+
+package core
+
+import "ldgemm/internal/popcount"
+
+// Implemented in epilogue_amd64.s.
+//
+//go:noescape
+func rowDAVX512(out *float64, cnt *uint32, colFreq *float64, n int, inv, pa float64)
+
+//go:noescape
+func rowR2FastAVX512(out *float64, cnt *uint32, colFreq, colInv *float64, n int, inv, pa, iva float64)
+
+//go:noescape
+func rowR2ExactAVX512(out *float64, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va float64)
+
+// The row kernels are the vector bodies of denseEpilogue.row's loops: rowX
+// converts the first vectorCells(cnt) cells, bit for bit what scalarX
+// writes there, and returns that count for the Go loop to finish from. The
+// assembly reads and writes n elements of each operand without looking at
+// a slice length, so the extents are checked here, by the index
+// expressions whose failure the Go loop would panic on.
+
+// vectorCells returns how many leading cells of a row the kernels convert:
+// whole groups of eight, none on a host without AVX-512F.
+func vectorCells(cnt []uint32) int {
+	if !popcount.HasAVX512F() {
+		return 0
+	}
+	return len(cnt) &^ 7
+}
+
+// rowD writes out[c] = float64(cnt[c])·inv − pa·colFreq[c]. colTab and tab
+// are unused: D reads no r² table.
+func rowD(out []float64, cnt []uint32, colFreq, _ []float64, inv, pa, _ float64) int {
+	n := vectorCells(cnt)
+	if n > 0 {
+		_, _ = out[n-1], colFreq[n-1]
+		rowDAVX512(&out[0], &cnt[0], &colFreq[0], n, inv, pa)
+	}
+	return n
+}
+
+// rowR2Fast writes out[c] = d·d·(tab·colTab[c]) over reciprocal tables.
+func rowR2Fast(out []float64, cnt []uint32, colFreq, colTab []float64, inv, pa, tab float64) int {
+	n := vectorCells(cnt)
+	if n > 0 {
+		_, _, _ = out[n-1], colFreq[n-1], colTab[n-1]
+		rowR2FastAVX512(&out[0], &cnt[0], &colFreq[0], &colTab[0], n, inv, pa, tab)
+	}
+	return n
+}
+
+// rowR2Exact writes out[c] = d·d/(tab·colTab[c]) over variance tables, +0
+// where that denominator is not positive.
+func rowR2Exact(out []float64, cnt []uint32, colFreq, colTab []float64, inv, pa, tab float64) int {
+	n := vectorCells(cnt)
+	if n > 0 {
+		_, _, _ = out[n-1], colFreq[n-1], colTab[n-1]
+		rowR2ExactAVX512(&out[0], &cnt[0], &colFreq[0], &colTab[0], n, inv, pa, tab)
+	}
+	return n
+}

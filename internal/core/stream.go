@@ -12,7 +12,8 @@ import (
 type StreamOptions struct {
 	Options
 	// StripeRows is the number of SNP rows materialized at a time
-	// (default 512). Peak memory is one StripeRows × SNPs float64 stripe.
+	// (default 512). Peak memory is one StripeRows × SNPs float64 stripe,
+	// StripeRows × (StripeRows + Band) when Banded.
 	StripeRows int
 	// Triangular restricts the scan to the upper triangle exactly: each
 	// stripe runs a symmetric rank-k update on its diagonal block plus a
@@ -185,14 +186,14 @@ func (s *stripeScan) epilogue(out []float64, ld, row0, col0 int) *denseEpilogue 
 }
 
 // stripeCells returns the float64 cells the widest stripe of a fused scan
-// over rows [lo, hi) needs: its height times the columns from the stripe
-// origin to n.
+// over rows [lo, hi) needs — the first: its height times the columns from
+// the stripe origin to n, or to the band edge.
 func (o StreamOptions) stripeCells(stripe, lo, hi, n int) int {
-	width := n
+	rows, width := min(stripe, hi-lo), n
 	if o.Triangular {
-		width = n - lo
+		width = o.stripeColEnd(lo, rows, n) - lo
 	}
-	return min(stripe, hi-lo) * width
+	return rows * width
 }
 
 // stripePool recycles the fused scans' float64 stripe buffers (*[]float64)
@@ -227,9 +228,10 @@ func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, lo, hi, strip
 		sub := g.Slice(i0, i0+rows)
 		base := 0
 		width := n
+		bHi := opt.stripeColEnd(i0, rows, n)
 		if opt.Triangular {
 			base = i0
-			width = n - i0
+			width = bHi - i0
 		}
 		v := vals[:rows*width]
 		if opt.Triangular {
@@ -241,7 +243,6 @@ func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, lo, hi, strip
 			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, e.tile); err != nil {
 				return err
 			}
-			bHi := opt.stripeColEnd(i0, rows, n)
 			if skip := n - bHi; skip > 0 {
 				blis.NoteBandSkip(1, int64(rows)*int64(skip))
 			}

@@ -194,15 +194,15 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 		sub := a.m
 		base := 0
 		width := n
-		if opt.Triangular {
-			base = i0
-			width = n - i0
-		}
-		v := vals[:rows*width]
 		bLo, bHi := 0, n
 		if opt.Triangular {
+			base = i0
 			bLo = i0 + rows
 			bHi = opt.stripeColEnd(i0, rows, n)
+			width = bHi - i0
+		}
+		v := vals[:rows*width]
+		if opt.Triangular {
 			e := scan.epilogue(v, width, i0, i0)
 			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, e.tile); err != nil {
 				return err

@@ -25,6 +25,7 @@ func andCount4AVX2(a, b, c, d *uint64, n int) uint64
 
 var (
 	hasAVX2         bool
+	hasAVX512F      bool
 	hasAVX512Popcnt bool
 )
 
@@ -51,15 +52,19 @@ func init() {
 	hasAVX2 = ebx7&(1<<5) != 0
 	const avx512f = 1 << 16       // CPUID(7,0).EBX
 	const avx512vpopcnt = 1 << 14 // CPUID(7,0).ECX
-	if xcr0&zmmState == zmmState && ebx7&avx512f != 0 && ecx7&avx512vpopcnt != 0 {
-		hasAVX512Popcnt = true
-	}
+	hasAVX512F = xcr0&zmmState == zmmState && ebx7&avx512f != 0
+	hasAVX512Popcnt = hasAVX512F && ecx7&avx512vpopcnt != 0
 }
 
 // HasVector reports whether a SIMD AND-count tier is available on this
 // host; when false the Vector entry points fall through to the portable
 // CSA kernels.
 func HasVector() bool { return hasAVX2 || hasAVX512Popcnt }
+
+// HasAVX512F reports whether the host runs zmm arithmetic: AVX-512F in
+// CPUID with the OS saving zmm state. The fused epilogue's row kernels in
+// internal/core need exactly this, with or without VPOPCNTDQ.
+func HasAVX512F() bool { return hasAVX512F }
 
 // HasAVX512VPOPCNTDQ reports whether the host runs zmm VPOPCNTQ: AVX-512F
 // and AVX512_VPOPCNTDQ in CPUID with the OS saving zmm state. The

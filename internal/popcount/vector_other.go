@@ -8,6 +8,9 @@ package popcount
 // HasVector reports whether a SIMD AND-count tier is available.
 func HasVector() bool { return false }
 
+// HasAVX512F reports whether the host runs zmm arithmetic.
+func HasAVX512F() bool { return false }
+
 // HasAVX512VPOPCNTDQ reports whether the host runs zmm VPOPCNTQ.
 func HasAVX512VPOPCNTDQ() bool { return false }
 
