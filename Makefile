@@ -64,19 +64,22 @@ fuzz-smoke:
 bench-compile:
 	cd benchmark && go vet . && go test -count=1 .
 
-# Kernel-dispatch tests: the AVX-512 tile against the generic kernel
-# (skipped with a message where the host cannot run it), then tiny shapes
-# through every popcount engine (scalar, CSA, SIMD when present, and the
-# auto dispatch) asserted bit-identical to the scalar oracle at each k —
-# under the host default and again as on a host without the tile. Then the
-# fused epilogue's AVX-512 row kernels against their Go loops, bit for bit
-# (the vector half skipped with a message without AVX-512F). Cheap enough
-# for the verify tier.
+# Kernel-dispatch tests: the AVX-512 tile against the generic kernel — one
+# tile per call, then its row entry (a row of tiles per call, storing and
+# adding, canary cells around the destination, Row at one tile ≡ Fn) and
+# both wrappers' extent checks (skipped with a message where the host
+# cannot run it). Then tiny shapes through every popcount engine (scalar,
+# CSA, SIMD when present, and the auto dispatch) asserted bit-identical to
+# the scalar oracle at each k — under the host default and again as on a
+# host without the tile — and every fused driver on an all-ones recycled
+# count scratch, which nothing clears. Then the fused epilogue's AVX-512
+# row kernels against their Go loops, bit for bit (the vector half skipped
+# with a message without AVX-512F). Cheap enough for the verify tier.
 .PHONY: bench-kernel
 bench-kernel:
 	go test ./internal/kernel -count=1 -run 'TestVectorTile'
 	go test ./internal/core -count=1 -run 'TestEpilogueRows'
-	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute'
+	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents'
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling
 # and running in CI. The float wire: a node encoding an 80 × 80 region, a
@@ -89,7 +92,9 @@ bench-kernel:
 # resident and laid out per call (entries/s, allocs/op), and its 4096-float
 # request body through the vector scanner (MB/s). Then one call each of
 # the micro-kernel rows (portable 4x4, per-cell vector, AVX-512 tile at kc
-# 8/32/256, Gtriples/s). Last, one store build per codec (dense, banded
+# 8/32/256, Gtriples/s and ns/tile; then the tile's row entry at kc 8/256,
+# 1/16/256 tiles per call, storing and adding — the per-call floor and
+# what one call per row of tiles leaves of it). Last, one store build per codec (dense, banded
 # sparse) × checkpoint on/off through the three-stage build pipeline from a
 # windowed .ldbm: pairs/s, MB/s written, commits per build against its 16
 # stripes, scan wait, B/op.

@@ -344,7 +344,8 @@ func drive(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int, syrk bool, epi 
 // one VPOPCNTQ per k.Lanes word-pairs in the vector tile.
 func interleavedOps(k kernel.Kernel, a, b *bitmat.Matrix) tileOps {
 	mr, nr := k.MR, k.NR
-	return tileOps{
+	row := k.Row // captured alone: a closure over k copies all 64 bytes of it, per call
+	ops := tileOps{
 		mr: mr, nr: nr, stride: 1, cells: 1,
 		popcPerWord: 1, popcFold: max(1, k.Lanes),
 		shareable: a == b && mr == nr,
@@ -354,23 +355,16 @@ func interleavedOps(k kernel.Kernel, a, b *bitmat.Matrix) tileOps {
 		packB: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackPanel(dst, b, snp, count, nr, pc, kc)
 		},
-		full: func(kc int, aw, bw []uint64, c []uint32, i0, j0, ldc int) {
-			k.Fn(kc, aw, bw, c[i0*ldc+j0:], ldc)
-		},
-		fringe: func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int) {
-			// Compute into scratch, scatter the valid region.
-			for t := range tile {
-				tile[t] = 0
-			}
-			k.Fn(kc, aw, bw, tile, nr)
-			for i := 0; i < mm; i++ {
-				row := c[(i0+i)*ldc+j0:]
-				for j := 0; j < nn; j++ {
-					row[j] += tile[i*nr+j]
-				}
-			}
-		},
+		fringe: tileFringe(k.Fn, nr, 1),
 	}
+	if row != nil {
+		ops.row = func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
+			row(kc, aw, bw, bstride, nt, c[i0*ldc+j0:], ldc, acc)
+		}
+	} else {
+		ops.row = tileRow(k.Fn, mr, nr, 1)
+	}
+	return ops
 }
 
 // Reference computes the count matrix with plain per-pair word loops; it is

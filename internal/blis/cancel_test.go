@@ -14,10 +14,13 @@ import (
 
 // slowKernel wraps the default micro-kernel with a per-tile delay and a
 // started signal, so tests can cancel a driver call that is provably
-// mid-flight instead of racing a real kernel to completion.
+// mid-flight instead of racing a real kernel to completion. The kernel's
+// own row entry is dropped: the driver would call it in place of the
+// wrapped Fn (see kernel.Kernel.Row) and no tile would ever signal.
 func slowKernel(started chan<- struct{}, delay time.Duration) kernel.Kernel {
 	k := kernel.Default
 	inner := k.Fn
+	k.Row = nil
 	var first atomic.Bool
 	k.Fn = func(kc int, aw, bw []uint64, c []uint32, ldc int) {
 		if first.CompareAndSwap(false, true) {

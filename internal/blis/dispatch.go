@@ -166,6 +166,24 @@ func popcFold(s PopcountStrategy) int {
 	}
 }
 
+// runTile counts an mm×nn tile of the batched plain family: one slice
+// AND-count per cell over run-packed panels, added into C or stored over
+// it. Full and partial tiles alike — the run layout needs no scratch
+// scatter, and zero-padded runs contribute nothing.
+func runTile(count func(a, b []uint64) int, kc int, aw, bw []uint64, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
+	for i := 0; i < mm; i++ {
+		ai := aw[i*kc : (i+1)*kc]
+		row := c[(i0+i)*ldc+j0:][:nn]
+		for j := range row {
+			n := uint32(count(ai, bw[j*kc:(j+1)*kc]))
+			if acc {
+				n += row[j]
+			}
+			row[j] = n
+		}
+	}
+}
+
 // runOps builds the tileOps of the batched plain kernel family: run-
 // packed panels, one slice AND-count per register-tile cell. The panel
 // footprint (kc·rr words) matches the interleaved layout, so the blocked
@@ -186,49 +204,47 @@ func runOps(k kernel.Kernel, a, b *bitmat.Matrix, s PopcountStrategy) tileOps {
 		packB: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackPanelRuns(dst, b, snp, count, nr, pc, kc)
 		},
-		full: func(kc int, aw, bw []uint64, c []uint32, i0, j0, ldc int) {
-			for i := 0; i < mr; i++ {
-				ai := aw[i*kc : (i+1)*kc]
-				row := c[(i0+i)*ldc+j0:]
-				for j := 0; j < nr; j++ {
-					row[j] += uint32(count(ai, bw[j*kc:(j+1)*kc]))
-				}
+		row: func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
+			for t := 0; t < nt; t++ {
+				runTile(count, kc, aw, bw[t*bstride:], c, i0, j0+t*nr, mr, nr, ldc, acc)
 			}
 		},
-		fringe: func(kc int, aw, bw []uint64, _, c []uint32, i0, j0, mm, nn, ldc int) {
-			// Partial tiles need no scratch scatter under the run layout:
-			// each live cell is counted directly into C.
-			for i := 0; i < mm; i++ {
-				ai := aw[i*kc : (i+1)*kc]
-				row := c[(i0+i)*ldc+j0:]
-				for j := 0; j < nn; j++ {
-					row[j] += uint32(count(ai, bw[j*kc:(j+1)*kc]))
-				}
-			}
+		fringe: func(kc int, aw, bw []uint64, _, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
+			runTile(count, kc, aw, bw, c, i0, j0, mm, nn, ldc, acc)
 		},
 	}
 }
 
-// maskedRunOps is the batched masked family: run-packed (value, mask)
-// panels and one fused four-count slice pass per cell. The register tile
-// stays the masked driver's 2×2 so scalar and batched runs are
-// geometrically identical.
+// maskedRunTile is runTile for the batched masked family: run-packed
+// (value, mask) panels, one fused four-count slice pass per cell.
+func maskedRunTile(counts func(si, ci, sj, cj []uint64) (v, nI, nJ, nIJ int), kc int, aw, bw []uint64, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
+	for i := 0; i < mm; i++ {
+		si := aw[i*2*kc : i*2*kc+kc]
+		ci := aw[i*2*kc+kc : (i+1)*2*kc]
+		for j := 0; j < nn; j++ {
+			sj := bw[j*2*kc : j*2*kc+kc]
+			cj := bw[j*2*kc+kc : (j+1)*2*kc]
+			v, nI, nJ, nIJ := counts(si, ci, sj, cj)
+			cell := c[((i0+i)*ldc+j0+j)*4:][:4]
+			if !acc {
+				clear(cell)
+			}
+			cell[kernel.MaskedValid] += uint32(v)
+			cell[kernel.MaskedI] += uint32(nI)
+			cell[kernel.MaskedJ] += uint32(nJ)
+			cell[kernel.MaskedIJ] += uint32(nIJ)
+		}
+	}
+}
+
+// maskedRunOps is the batched masked family. The register tile stays the
+// masked driver's 2×2 so scalar and batched runs are geometrically
+// identical.
 func maskedRunOps(mk kernel.MaskedKernel, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, s PopcountStrategy) tileOps {
 	mr, nr := mk.MR, mk.NR
 	counts := popcount.MaskedCountsVector
 	if s == PopcountCSA {
 		counts = popcount.MaskedCountsCSA
-	}
-	cell := func(kc int, aw, bw []uint64, c []uint32, i, j int) {
-		si := aw[i*2*kc : i*2*kc+kc]
-		ci := aw[i*2*kc+kc : (i+1)*2*kc]
-		sj := bw[j*2*kc : j*2*kc+kc]
-		cj := bw[j*2*kc+kc : (j+1)*2*kc]
-		v, nI, nJ, nIJ := counts(si, ci, sj, cj)
-		c[kernel.MaskedValid] += uint32(v)
-		c[kernel.MaskedI] += uint32(nI)
-		c[kernel.MaskedJ] += uint32(nJ)
-		c[kernel.MaskedIJ] += uint32(nIJ)
 	}
 	return tileOps{
 		mr: mr, nr: nr, stride: 2, cells: 4,
@@ -240,19 +256,13 @@ func maskedRunOps(mk kernel.MaskedKernel, a, b *bitmat.Matrix, ka, kb *bitmat.Ma
 		packB: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackMaskedPanelRuns(dst, b, kb, snp, count, nr, pc, kc)
 		},
-		full: func(kc int, aw, bw []uint64, c []uint32, i0, j0, ldc int) {
-			for i := 0; i < mr; i++ {
-				for j := 0; j < nr; j++ {
-					cell(kc, aw, bw, c[((i0+i)*ldc+j0+j)*4:], i, j)
-				}
+		row: func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
+			for t := 0; t < nt; t++ {
+				maskedRunTile(counts, kc, aw, bw[t*bstride:], c, i0, j0+t*nr, mr, nr, ldc, acc)
 			}
 		},
-		fringe: func(kc int, aw, bw []uint64, _, c []uint32, i0, j0, mm, nn, ldc int) {
-			for i := 0; i < mm; i++ {
-				for j := 0; j < nn; j++ {
-					cell(kc, aw, bw, c[((i0+i)*ldc+j0+j)*4:], i, j)
-				}
-			}
+		fringe: func(kc int, aw, bw []uint64, _, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
+			maskedRunTile(counts, kc, aw, bw, c, i0, j0, mm, nn, ldc, acc)
 		},
 	}
 }

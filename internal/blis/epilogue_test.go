@@ -2,6 +2,7 @@ package blis
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -218,9 +219,9 @@ func TestEpilogueManySlabGroups(t *testing.T) {
 	a := randomMatrix(rng, 37, 64*11+5) // 12 words → ≥6 slab groups
 	b := randomMatrix(rng, 29, 64*11+5)
 	got := make([]uint32, 37*29)
-	if err := GemmEpilogue(Config{MC: 8, NC: 12, KC: 1, Threads: 3}, a, b, gatherEpilogue(got, 29)); err != nil {
-		t.Fatal(err)
-	}
+	onPoisonedScratch(t, 64*64, func() error {
+		return GemmEpilogue(Config{MC: 8, NC: 12, KC: 1, Threads: 3}, a, b, gatherEpilogue(got, 29))
+	})
 	want := make([]uint32, 37*29)
 	if err := Reference(a, b, want, 29); err != nil {
 		t.Fatal(err)
@@ -232,9 +233,9 @@ func TestEpilogueManySlabGroups(t *testing.T) {
 	}
 
 	sgot := make([]uint32, 37*37)
-	if err := SyrkEpilogue(Config{MC: 8, NC: 12, KC: 1, Threads: 3}, a, gatherEpilogue(sgot, 37)); err != nil {
-		t.Fatal(err)
-	}
+	onPoisonedScratch(t, 64*64, func() error {
+		return SyrkEpilogue(Config{MC: 8, NC: 12, KC: 1, Threads: 3}, a, gatherEpilogue(sgot, 37))
+	})
 	swant := make([]uint32, 37*37)
 	if err := Reference(a, a, swant, 37); err != nil {
 		t.Fatal(err)
@@ -245,6 +246,119 @@ func TestEpilogueManySlabGroups(t *testing.T) {
 				t.Fatalf("syrk C[%d,%d] = %d, want %d", i, j, sgot[i*37+j], swant[i*37+j])
 			}
 		}
+	}
+}
+
+// onPoisonedScratch runs one fused driver call on a recycled count scratch
+// of `cells` all-ones cells: it empties the arena pool, leaves one arena
+// holding that scratch, and makes the call. No delivered count may depend
+// on what the scratch held — the first slab of a job stores, nothing
+// clears — so a caller's comparison against Reference is the assertion;
+// this helper's own is that the call really ran on the poison (it wrote
+// into it). sync.Pool may drop a Put (it does, at random, under the race
+// detector), hence the retries.
+func onPoisonedScratch(t *testing.T, cells int, call func() error) {
+	t.Helper()
+	isPoison := func(v uint32) bool { return v == ^uint32(0) }
+	for attempt := 0; attempt < 10; attempt++ {
+		for len(arenaPool.Get().(*arena).ws) > 0 {
+			// A used arena; one fresh from New means the pool is empty.
+		}
+		scratch := make([]uint32, cells)
+		for i := range scratch {
+			scratch[i] = ^uint32(0)
+		}
+		arenaPool.Put(&arena{cscratch: scratch})
+		if err := call(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(scratch, isPoison) {
+			t.Fatalf("%d poisoned cells were all overwritten: the scratch was sized too small to prove anything", cells)
+		}
+		if slices.ContainsFunc(scratch, func(v uint32) bool { return !isPoison(v) }) {
+			return
+		}
+	}
+	t.Fatal("the driver never ran on the poisoned scratch")
+}
+
+// TestEpilogueIgnoresScratchContents is the guarantee that replaced the
+// per-job clear: every count a fused call delivers equals Reference when
+// the recycled scratch starts as all-ones. It crosses what decides which
+// op writes a cell first — fringe rows and columns (m, n off every register
+// tile), SYRK diagonal-crossing tiles, several slabs per group, several
+// groups, several column blocks — with all four tileOps families, on the
+// vector tile's route and the portable one, at 1 and 4 threads.
+func TestEpilogueIgnoresScratchContents(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	const m, n, samples = 37, 43, 64*6 + 5
+	a, ka := randomMasked(rng, m, samples)
+	b, kb := randomMasked(rng, n, samples)
+	reference := func(a, b *bitmat.Matrix, ka, kb *bitmat.Mask) (plain, masked []uint32) {
+		plain, masked = make([]uint32, a.SNPs*b.SNPs), make([]uint32, a.SNPs*b.SNPs*4)
+		if err := Reference(a, b, plain, b.SNPs); err != nil {
+			t.Fatal(err)
+		}
+		if err := MaskedReference(a, b, ka, kb, masked, b.SNPs); err != nil {
+			t.Fatal(err)
+		}
+		return plain, masked
+	}
+	gemm, maskedGemm := reference(a, b, ka, kb)
+	syrk, maskedSyrk := reference(b, b, kb, kb)
+	// check compares every delivered cell (cells uint32s each) with want.
+	check := func(name string, want []uint32, cells int) TileEpilogue {
+		return func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
+			for r := 0; r < mm; r++ {
+				got := tile[r*ldt*cells:][:nn*cells]
+				if w := want[((i0+r)*n+j0)*cells:][:nn*cells]; !slices.Equal(got, w) {
+					t.Errorf("%s: row %d from column %d = %v, want %v", name, i0+r, j0, got, w)
+				}
+			}
+		}
+	}
+
+	blockings := []struct {
+		cfg        Config
+		groupWords int
+	}{
+		{Config{MC: 16, NC: 24, KC: 2}, maxGroupWords}, // column blocks; one group of slabs
+		{Config{MC: 16, NC: 24, KC: 1}, 2},             // every slab its own group
+		{Config{KC: 2}, 300},                           // groups of several slabs
+	}
+	oldGroup := maxGroupWords
+	defer func() { maxGroupWords = oldGroup }()
+	route := func(t *testing.T) {
+		for _, bl := range blockings {
+			maxGroupWords = bl.groupWords
+			for _, pop := range []PopcountStrategy{PopcountAuto, PopcountCSA, PopcountVector} {
+				for _, threads := range []int{1, 4} {
+					cfg := bl.cfg
+					cfg.Popcount, cfg.Threads = pop, threads
+					const scratch = 4 * 64 * 64
+					onPoisonedScratch(t, scratch, func() error {
+						return GemmEpilogue(cfg, a, b, check("gemm", gemm, 1))
+					})
+					onPoisonedScratch(t, scratch, func() error {
+						return SyrkEpilogue(cfg, b, check("syrk", syrk, 1))
+					})
+					onPoisonedScratch(t, scratch, func() error {
+						return MaskedGemmEpilogue(cfg, a, b, ka, kb, check("masked gemm", maskedGemm, 4))
+					})
+					onPoisonedScratch(t, scratch, func() error {
+						return MaskedSyrkEpilogue(cfg, b, kb, check("masked syrk", maskedSyrk, 4))
+					})
+					if t.Failed() {
+						t.Fatalf("failed at %+v, maxGroupWords %d", cfg, bl.groupWords)
+					}
+				}
+			}
+		}
+	}
+	t.Run("host-default", route)
+	if _, err := kernel.ByName(kernel.AVX512Name); err == nil {
+		defer kernel.DisableVectorTileForTest()()
+		t.Run("portable", route)
 	}
 }
 

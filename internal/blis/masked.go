@@ -159,24 +159,8 @@ func maskedScalarOps(mk kernel.MaskedKernel, a, b *bitmat.Matrix, ka, kb *bitmat
 		packB: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackMaskedPanel(dst, b, kb, snp, count, nr, pc, kc)
 		},
-		full: func(kc int, aw, bw []uint64, c []uint32, i0, j0, ldc int) {
-			mk.Fn(kc, aw, bw, c[(i0*ldc+j0)*4:], ldc)
-		},
-		fringe: func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int) {
-			for t := range tile {
-				tile[t] = 0
-			}
-			mk.Fn(kc, aw, bw, tile, nr)
-			for i := 0; i < mm; i++ {
-				for j := 0; j < nn; j++ {
-					dst := c[((i0+i)*ldc+j0+j)*4:]
-					src := tile[(i*nr+j)*4:]
-					for t := 0; t < 4; t++ {
-						dst[t] += src[t]
-					}
-				}
-			}
-		},
+		row:    tileRow(mk.Fn, mr, nr, 4),
+		fringe: tileFringe(mk.Fn, nr, 4),
 	}
 }
 

@@ -50,10 +50,51 @@ type tileOps struct {
 	// packA/packB pack one micro-panel over the word range [pc, pc+kc).
 	packA func(dst []uint64, snp, count, pc, kc int)
 	packB func(dst []uint64, snp, count, pc, kc int)
-	// full applies the micro-kernel to a full tile at (i0, j0) in C.
-	full func(kc int, aw, bw []uint64, c []uint32, i0, j0, ldc int)
-	// fringe computes a partial mm×nn tile through the scratch tile.
-	fringe func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int)
+	// row applies the micro-kernel to nt consecutive full tiles of one row
+	// of tiles — the A micro-panel aw against the B micro-panels at
+	// bw[t*bstride:] — the first at (i0, j0) in C. acc is BLAS β: set, the
+	// counts are added into C; clear, they are stored over whatever C held.
+	row func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool)
+	// fringe computes a partial mm×nn tile through the scratch tile, with
+	// the same acc.
+	fringe func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int, acc bool)
+}
+
+// tileRow is the row op of a kernel that has only a per-tile function
+// (every Go kernel, plain or masked): fn over the nt tiles, each cleared
+// first when the row stores, since fn can only add.
+func tileRow(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), mr, nr, cells int) func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
+	return func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
+		for t := 0; t < nt; t++ {
+			ct := c[(i0*ldc+j0+t*nr)*cells:]
+			if !acc {
+				for i := 0; i < mr; i++ {
+					clear(ct[i*ldc*cells:][:nr*cells])
+				}
+			}
+			fn(kc, aw, bw[t*bstride:], ct, ldc)
+		}
+	}
+}
+
+// tileFringe is the fringe op of the same kernels: fn into the zeroed
+// scratch tile, then the valid mm×nn region added into C or copied over it.
+func tileFringe(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), nr, cells int) func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
+	return func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
+		clear(tile)
+		fn(kc, aw, bw, tile, nr)
+		for i := 0; i < mm; i++ {
+			dst := c[((i0+i)*ldc+j0)*cells:][:nn*cells]
+			src := tile[i*nr*cells:]
+			if !acc {
+				copy(dst, src)
+				continue
+			}
+			for t := range dst {
+				dst[t] += src[t]
+			}
+		}
+	}
 }
 
 // tileJob is one scheduler chunk: micro-tile columns [jr0, jr1) of row
@@ -347,13 +388,31 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 	return nil
 }
 
+// firstCol returns the first micro-column of job jb, within column block
+// jc, that the sweep computes for the MR-row panel at global row i0: the
+// job's left edge, or under SYRK the first tile with i0 < j0+nr. A result
+// at or past the job's right edge means the panel — and, rows only sinking
+// further below the diagonal, every later one — has no computed tile.
+func (d *tileDriver) firstCol(jb tileJob, jc, i0 int) int {
+	nr := d.ops.nr
+	if d.syrk && i0 >= jc+jb.jr0+nr {
+		return (i0 - jc) / nr * nr
+	}
+	return jb.jr0
+}
+
 // runJob computes one tile-range chunk over every slab of the current
 // group. Unless the SYRK pack-sharing path is active, the worker lazily
-// packs (and memoizes) the A panels of the job's row block first. Under a
-// fused epilogue the kernel accumulates into the job's scratch region
-// (local coordinates, row stride = job width); when the final slab group
-// completes, the worker converts the job's finished row runs in place via
-// the epilogue hook.
+// packs (and memoizes) the A panels of the job's row block first. The
+// sweep is slab → MR-row panel → one row op over the panel's full tiles →
+// the fringe tile, if the column block ends in one. The slab loop stays
+// outermost so a panel re-reads B micro-panels one slab apart, not all
+// slabs apart. Under a fused epilogue the counts land in the job's scratch
+// region (local coordinates, row stride = job width), and the job's very
+// first slab stores them instead of adding, so the recycled scratch is
+// never cleared and never read before it is written; when the final slab
+// group completes, the worker converts the job's finished row runs in
+// place via the epilogue hook.
 func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs int, buf []uint64, share, final bool) {
 	ops := &d.ops
 	mr, nr := ops.mr, ops.nr
@@ -374,47 +433,40 @@ func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs in
 	cdst, ldc := d.c, d.ldc
 	width := jb.jr1 - jb.jr0
 	fused := d.epi != nil
+	iorg, jorg := 0, 0
 	if fused {
 		cdst, ldc = d.scratch[jb.off:jb.off+jb.mc*width*ops.cells], width
-		if pg == 0 {
-			clear(cdst) // kernels accumulate; first group starts from zero
-		}
+		iorg, jorg = jb.ic, jc+jb.jr0
 	}
 	panelB := nr * d.kcMax * ops.stride
+	fullEnd := min(jb.jr1, nc/nr*nr) // tiles left of it are nr columns wide
 	for s := 0; s < gs; s++ {
 		pc := pg + s*d.cfg.KC
 		kc := min(d.cfg.KC, d.kw-pc)
 		sbase := s * d.slabWords
 		abase := s * apanels * d.apanelLen
-		for jr := jb.jr0; jr < jb.jr1; jr += nr {
-			j0 := jc + jr
-			bw := buf[sbase+(jr/nr)*panelB:][:kc*nr*ops.stride]
-			nn := min(nr, nc-jr)
-			jl := j0
-			if fused {
-				jl = jr - jb.jr0
+		// The caller's C is added to; a job's scratch is stored by the
+		// first slab of the first group and added to by the rest.
+		acc := !fused || pc > 0
+		for ir := 0; ir < jb.mc; ir += mr {
+			i0 := jb.ic + ir
+			jr := d.firstCol(jb, jc, i0)
+			if jr >= jb.jr1 {
+				break
 			}
-			for ir := 0; ir < jb.mc; ir += mr {
-				i0 := jb.ic + ir
-				if d.syrk && i0 >= j0+nr {
-					break // rows only sink further below the diagonal
-				}
-				var aw []uint64
-				if share {
-					aw = buf[sbase+(i0/mr)*panelB:][:kc*mr*ops.stride]
-				} else {
-					aw = st.apack[abase+(ir/mr)*d.apanelLen:][:kc*mr*ops.stride]
-				}
-				il := i0
-				if fused {
-					il = ir
-				}
-				mm := min(mr, jb.mc-ir)
-				if mm == mr && nn == nr {
-					ops.full(kc, aw, bw, cdst, il, jl, ldc)
-				} else {
-					ops.fringe(kc, aw, bw, st.tile, cdst, il, jl, mm, nn, ldc)
-				}
+			var aw []uint64
+			if share {
+				aw = buf[sbase+(i0/mr)*panelB:][:kc*mr*ops.stride]
+			} else {
+				aw = st.apack[abase+(ir/mr)*d.apanelLen:][:kc*mr*ops.stride]
+			}
+			mm := min(mr, jb.mc-ir)
+			if mm == mr && jr < fullEnd {
+				ops.row(kc, aw, buf[sbase+(jr/nr)*panelB:], panelB, (fullEnd-jr)/nr, cdst, i0-iorg, jc+jr-jorg, ldc, acc)
+				jr = fullEnd
+			}
+			for ; jr < jb.jr1; jr += nr {
+				ops.fringe(kc, aw, buf[sbase+(jr/nr)*panelB:], st.tile, cdst, i0-iorg, jc+jr-jorg, mm, min(nr, nc-jr), ldc, acc)
 			}
 		}
 	}
@@ -438,12 +490,9 @@ func (d *tileDriver) fuseJob(w int, jb tileJob, jc, nc int, cdst []uint32, width
 	jrEnd := min(jb.jr1, nc)
 	for ir := 0; ir < jb.mc; ir += mr {
 		i0 := jb.ic + ir
-		jr := jb.jr0
-		if d.syrk && i0 >= jc+jr+nr {
-			jr = (i0 - jc) / nr * nr // first micro-column with jc+jr+nr > i0
-			if jr >= jrEnd {
-				break // rows only sink further below the diagonal
-			}
+		jr := d.firstCol(jb, jc, i0)
+		if jr >= jrEnd {
+			break
 		}
 		off := (ir*width + (jr - jb.jr0)) * ops.cells
 		d.epi(w, cdst[off:], width, i0, jc+jr, min(mr, jb.mc-ir), jrEnd-jr)

@@ -29,6 +29,14 @@ import (
 // in the package comment.
 type Func func(kc int, ap, bp []uint64, c []uint32, ldc int)
 
+// RowFunc computes nt consecutive MR×NR micro-tiles of one row of tiles in
+// a single call: the A micro-panel ap against the B micro-panels starting
+// at bp[t*bstride], t < nt, tile t's cell (i, j) being c[i*ldc+t*NR+j].
+// With acc set the counts are added into c, as Func does; without it they
+// are stored over whatever c held (BLAS β = 0), so the first rank-k update
+// of a C that nobody cleared is exact.
+type RowFunc func(kc int, ap, bp []uint64, bstride, nt int, c []uint32, ldc int, acc bool)
+
 // Kernel bundles a micro-kernel with its register-block shape.
 type Kernel struct {
 	Name string
@@ -41,6 +49,13 @@ type Kernel struct {
 	// as such (see blis.Config.PlainKernel).
 	Lanes int
 	Fn    Func
+	// Row, when non-nil, is the kernel's own loop over a row of tiles (the
+	// assembly tile's; nil for the Go kernels, which the driver loops Fn
+	// over instead). Fn and Row must count the same tile: Row at nt = 1
+	// with acc set is Fn bit for bit, and the driver calls Row wherever it
+	// is set — so whoever wraps or replaces Fn must wrap, replace or nil
+	// Row with it, or the wrapper is bypassed.
+	Row RowFunc
 }
 
 // Generic returns a micro-kernel of arbitrary shape built from nested

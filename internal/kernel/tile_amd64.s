@@ -2,22 +2,38 @@
 
 #include "textflag.h"
 
-// func tile8x8VPOPCNTQ(kc int, ap, bp *uint64, c *uint32, ldc int)
+// func tileRow8x8VPOPCNTQ(kc int, ap, bp *uint64, bstride, nt int, c *uint32, ldc int, acc bool)
 //
-// The 8×8 register tile over interleaved panels (ap[l*8+i], bp[l*8+j]).
-// Z0–Z7 hold row i's eight column counts as qword lanes. Per sample word
-// the eight B words are one zmm load, and each A word reaches all eight
-// lanes through the embedded broadcast of VPANDQ, so a lane is a finished
-// cell: nothing is ever reduced across lanes. The qword sums are narrowed
-// to dwords (mod 2³², the scalar kernels' uint32 wrap) and added into C.
-// kc ≥ 1 and the panel and C extents are the Go wrapper's to check.
-TEXT ·tile8x8VPOPCNTQ(SB), NOSPLIT, $0-40
-	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), SI
+// One row of 8×8 register tiles over interleaved panels (ap[l*8+i],
+// bp[t*bstride+l*8+j]): the A micro-panel against nt B micro-panels
+// bstride words apart, tile t landing eight dwords further along each of
+// eight C rows. Inside a tile Z0–Z7 hold row i's eight column counts as
+// qword lanes. Per sample word the eight B words are one zmm load, and each
+// A word reaches all eight lanes through the embedded broadcast of VPANDQ,
+// so a lane is a finished cell: nothing is ever reduced across lanes. The
+// qword sums are narrowed to dwords (mod 2³², the scalar kernels' uint32
+// wrap) and leave through one of two exits: added into C (acc, BLAS β = 1)
+// or stored over it (β = 0), so a first rank-k update needs no cleared C.
+// kc ≥ 1, nt ≥ 1 and the panel and C extents are the Go wrapper's to check.
+TEXT ·tileRow8x8VPOPCNTQ(SB), NOSPLIT, $0-57
+	MOVQ kc+0(FP), R8
+	MOVQ ap+8(FP), R9
 	MOVQ bp+16(FP), DI
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), BX
-	SHLQ $2, BX // C row stride in bytes
+	MOVQ bstride+24(FP), R10
+	MOVQ nt+32(FP), R11
+	MOVQ c+40(FP), DX
+	MOVQ ldc+48(FP), BX
+	MOVBLZX acc+56(FP), AX
+	SHLQ $2, BX             // C row stride in bytes
+	LEAQ (BX)(BX*2), R13    // three C rows
+	MOVQ R8, CX
+	SHLQ $3, CX
+	SUBQ CX, R10            // the k-loop leaves DI 8·kc words into its panel:
+	SHLQ $3, R10            // bytes from there to the next panel's first word
+
+tile:
+	MOVQ R8, CX
+	MOVQ R9, SI
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -66,28 +82,30 @@ word:
 	VPMOVQD Z5, Y13
 	VPMOVQD Z6, Y14
 	VPMOVQD Z7, Y15
+	LEAQ (DX)(BX*4), R12 // C row 4 of this tile
+	TESTQ AX, AX
+	JZ   store
 	VPADDD (DX), Y8, Y8
+	VPADDD (DX)(BX*1), Y9, Y9
+	VPADDD (DX)(BX*2), Y10, Y10
+	VPADDD (DX)(R13*1), Y11, Y11
+	VPADDD (R12), Y12, Y12
+	VPADDD (R12)(BX*1), Y13, Y13
+	VPADDD (R12)(BX*2), Y14, Y14
+	VPADDD (R12)(R13*1), Y15, Y15
+
+store:
 	VMOVDQU Y8, (DX)
-	ADDQ BX, DX
-	VPADDD (DX), Y9, Y9
-	VMOVDQU Y9, (DX)
-	ADDQ BX, DX
-	VPADDD (DX), Y10, Y10
-	VMOVDQU Y10, (DX)
-	ADDQ BX, DX
-	VPADDD (DX), Y11, Y11
-	VMOVDQU Y11, (DX)
-	ADDQ BX, DX
-	VPADDD (DX), Y12, Y12
-	VMOVDQU Y12, (DX)
-	ADDQ BX, DX
-	VPADDD (DX), Y13, Y13
-	VMOVDQU Y13, (DX)
-	ADDQ BX, DX
-	VPADDD (DX), Y14, Y14
-	VMOVDQU Y14, (DX)
-	ADDQ BX, DX
-	VPADDD (DX), Y15, Y15
-	VMOVDQU Y15, (DX)
+	VMOVDQU Y9, (DX)(BX*1)
+	VMOVDQU Y10, (DX)(BX*2)
+	VMOVDQU Y11, (DX)(R13*1)
+	VMOVDQU Y12, (R12)
+	VMOVDQU Y13, (R12)(BX*1)
+	VMOVDQU Y14, (R12)(BX*2)
+	VMOVDQU Y15, (R12)(R13*1)
+	ADDQ $32, DX
+	ADDQ R10, DI
+	DECQ R11
+	JNZ  tile
 	VZEROUPPER
 	RET

@@ -100,11 +100,37 @@ func TestVectorTileChecksExtents(t *testing.T) {
 	if c[0] != 7 {
 		t.Fatalf("kc=0 changed C: %d", c[0])
 	}
+
+	// The row entry: nt panels bstride words apart, 8·nt columns of C.
+	const nt, bstride = 3, 8*kc + 5
+	const ldr = 8*nt + 2
+	rb := make([]uint64, (nt-1)*bstride+8*kc)
+	rc := make([]uint32, 7*ldr+8*nt)
+	for _, acc := range []bool{false, true} {
+		tile.Row(kc, ap, rb, bstride, nt, rc, ldr, acc) // exact extents are enough
+		tile.Row(kc, ap, rb, bstride, 0, nil, ldr, acc) // no tiles, nothing touched
+	}
+	rc[0], rc[ldr+8*nt-1], rc[8*nt] = 7, 7, 7
+	tile.Row(0, nil, nil, bstride, nt, rc, ldr, true)
+	if rc[0] != 7 || rc[ldr+8*nt-1] != 7 {
+		t.Fatalf("kc=0 row in add mode changed C: %d %d", rc[0], rc[ldr+8*nt-1])
+	}
+	tile.Row(0, nil, nil, bstride, nt, rc, ldr, false)
+	if rc[0] != 0 || rc[ldr+8*nt-1] != 0 || rc[8*nt] != 7 {
+		t.Fatalf("kc=0 row in store mode left C = %d %d, gap cell %d", rc[0], rc[ldr+8*nt-1], rc[8*nt])
+	}
+
 	for name, call := range map[string]func(){
 		"short A":      func() { tile.Fn(kc, ap[:8*kc-1], bp, c, ldc) },
 		"short B":      func() { tile.Fn(kc, ap, bp[:8*kc-1], c, ldc) },
 		"short C":      func() { tile.Fn(kc, ap, bp, c[:7*ldc+7], ldc) },
 		"negative ldc": func() { tile.Fn(kc, ap, bp, c, -1) },
+
+		"row short A":          func() { tile.Row(kc, ap[:8*kc-1], rb, bstride, nt, rc, ldr, true) },
+		"row short last B":     func() { tile.Row(kc, ap, rb[:len(rb)-1], bstride, nt, rc, ldr, true) },
+		"row short C":          func() { tile.Row(kc, ap, rb, bstride, nt, rc[:len(rc)-1], ldr, false) },
+		"row negative ldc":     func() { tile.Row(kc, ap, rb, bstride, nt, rc, -1, true) },
+		"row negative bstride": func() { tile.Row(kc, ap, rb, -1, nt, rc, ldr, true) },
 	} {
 		func() {
 			defer func() {
@@ -114,6 +140,108 @@ func TestVectorTileChecksExtents(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+}
+
+// TestVectorTileRowMatchesGeneric is the row entry's oracle table: against
+// Generic(8,8) looped over the tiles, exact uint32 equality over the whole
+// C array — which is wider than the 8 × 8nt destination on every side, so
+// the canary cells around it must come back untouched. Store mode runs over
+// a destination full of 0xdeadbeef and must equal the oracle on a zeroed
+// one; add mode runs over cells within 2·64·kc of 2³² and must wrap exactly
+// as the Go kernels do.
+func TestVectorTileRowMatchesGeneric(t *testing.T) {
+	tile := vectorTileOrSkip(t)
+	oracle := Generic(8, 8)
+	rng := rand.New(rand.NewSource(23))
+	const rowsAbove, colsLeft, colsRight, rowsBelow = 2, 3, 5, 1
+	for _, kc := range []int{1, 7, 8, 33, 256} {
+		for _, nt := range []int{1, 2, 5, 64} {
+			for _, bstride := range []int{8 * kc, 8*kc + 24} {
+				ap := make([]uint64, 8*kc)
+				bp := make([]uint64, (nt-1)*bstride+8*kc)
+				for i := range ap {
+					ap[i] = rng.Uint64()
+				}
+				for i := range bp {
+					bp[i] = rng.Uint64()
+				}
+				ldc := colsLeft + 8*nt + colsRight
+				org := rowsAbove*ldc + colsLeft // the destination's first cell
+				inside := func(i int) bool {
+					r, col := i/ldc-rowsAbove, i%ldc-colsLeft
+					return r >= 0 && r < 8 && col >= 0 && col < 8*nt
+				}
+				for _, acc := range []bool{false, true} {
+					want := make([]uint32, (rowsAbove+8+rowsBelow)*ldc)
+					for i := range want {
+						want[i] = rng.Uint32() // canaries, and add mode's start
+						if acc && inside(i) {
+							want[i] = -uint32(rng.Intn(2*64*kc) + 1)
+						}
+					}
+					got := append([]uint32(nil), want...)
+					for i := range want {
+						if !acc && inside(i) {
+							want[i], got[i] = 0, 0xdeadbeef
+						}
+					}
+					for tl := 0; tl < nt; tl++ {
+						oracle.Fn(kc, ap, bp[tl*bstride:], want[org+8*tl:], ldc)
+					}
+					tile.Row(kc, ap, bp, bstride, nt, got[org:], ldc, acc)
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("kc=%d nt=%d bstride=%d acc=%v: c[%d] (inside=%v) = %#x, want %#x",
+								kc, nt, bstride, acc, i, inside(i), got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVectorTileRowEqualsFn holds every registered kernel that has a row
+// entry to the rule on Kernel.Row: at nt = 1 in add mode it is Fn, bit for
+// bit — the driver calls whichever is set, so the two may never drift.
+func TestVectorTileRowEqualsFn(t *testing.T) {
+	kernels := append([]Kernel(nil), Fixed...)
+	if vectorTile.Fn != nil {
+		kernels = append(kernels, vectorTile)
+	}
+	rng := rand.New(rand.NewSource(29))
+	checked := 0
+	for _, k := range kernels {
+		if k.Row == nil {
+			continue
+		}
+		checked++
+		for _, kc := range []int{1, 8, 33, 256} {
+			ap, bp := make([]uint64, k.MR*kc), make([]uint64, k.NR*kc)
+			for i := range ap {
+				ap[i] = rng.Uint64()
+			}
+			for i := range bp {
+				bp[i] = rng.Uint64()
+			}
+			ldc := k.NR + 3
+			want := make([]uint32, k.MR*ldc)
+			for i := range want {
+				want[i] = rng.Uint32()
+			}
+			got := append([]uint32(nil), want...)
+			k.Fn(kc, ap, bp, want, ldc)
+			k.Row(kc, ap, bp, 0, 1, got, ldc, true)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s kc=%d: Row c[%d] = %d, Fn %d", k.Name, kc, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Skip("no registered kernel has a row entry on this host")
 	}
 }
 
@@ -141,16 +269,23 @@ func TestVectorTileGating(t *testing.T) {
 }
 
 // BenchmarkMicroKernel times one register tile per call, in Gtriples/s
-// (AND+POPCNT+ADD per cell and word). At kc = 8, 32 and 256 words it puts
-// the three engines the driver chooses between side by side: the portable
-// 4x4, the per-cell vector route (4x4-runs: one popcount.AndCountVector
-// dot product per cell over run-packed panels, what Auto ran at k ≥
-// CSAMinWords before the tile and still runs on AVX2-only hosts) and the
-// AVX-512 tile. The other Go shapes run at kc = 256 only, as the shape
-// ablation.
+// (AND+POPCNT+ADD per cell and word) and ns per tile. At kc = 8, 32 and 256
+// words it puts the three engines the driver chooses between side by side:
+// the portable 4x4, the per-cell vector route (4x4-runs: one
+// popcount.AndCountVector dot product per cell over run-packed panels, what
+// Auto ran at k ≥ CSAMinWords before the tile and still runs on AVX2-only
+// hosts) and the AVX-512 tile. The other Go shapes run at kc = 256 only, as
+// the shape ablation. Last, the tile's row entry at kc = 8 and 256: nt = 1,
+// 16 and 256 tiles per call, storing and adding — ns/tile at nt = 1 against
+// the per-tile Fn line is what a call costs, and against nt = 256 what the
+// driver's one call per row of tiles leaves of it.
 func BenchmarkMicroKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	type packer func(dst []uint64, m *bitmat.Matrix, snp, count, rr, pc, kc int)
+	report := func(b *testing.B, tiles, triples int) {
+		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N*tiles), "ns/tile")
+		b.ReportMetric(float64(b.N*triples)/b.Elapsed().Seconds()/1e9, "Gtriples/s")
+	}
 	run := func(name string, mr, nr, kc int, pack packer, fn Func) {
 		ap, bp := make([]uint64, kc*mr), make([]uint64, kc*nr)
 		pack(ap, randomMatrix(rng, mr, kc*64), 0, mr, mr, 0, kc)
@@ -160,7 +295,7 @@ func BenchmarkMicroKernel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fn(kc, ap, bp, c, nr)
 			}
-			b.ReportMetric(float64(b.N)*float64(kc*mr*nr)/b.Elapsed().Seconds()/1e9, "Gtriples/s")
+			report(b, 1, kc*mr*nr)
 		})
 	}
 	perCell := func(kc int, ap, bp []uint64, c []uint32, ldc int) {
@@ -171,16 +306,41 @@ func BenchmarkMicroKernel(b *testing.B) {
 			}
 		}
 	}
+	tile, tileErr := ByName(AVX512Name)
 	for _, kc := range []int{8, 32, 256} {
 		run(Portable.Name, Portable.MR, Portable.NR, kc, PackPanel, Portable.Fn)
 		run(Portable.Name+"-runs", Portable.MR, Portable.NR, kc, PackPanelRuns, perCell)
-		if tile, err := ByName(AVX512Name); err == nil {
+		if tileErr == nil {
 			run(tile.Name, tile.MR, tile.NR, kc, PackPanel, tile.Fn)
 		}
 	}
 	for _, k := range Fixed {
 		if k.Name != Portable.Name {
 			run(k.Name, k.MR, k.NR, 256, PackPanel, k.Fn)
+		}
+	}
+	if tileErr != nil {
+		return
+	}
+	mr, nr := tile.MR, tile.NR
+	for _, kc := range []int{8, 256} {
+		for _, nt := range []int{1, 16, 256} {
+			ap, bp := make([]uint64, kc*mr), make([]uint64, nt*kc*nr)
+			PackPanel(ap, randomMatrix(rng, mr, kc*64), 0, mr, mr, 0, kc)
+			cols := randomMatrix(rng, nt*nr, kc*64)
+			for t := 0; t < nt; t++ {
+				PackPanel(bp[t*kc*nr:], cols, t*nr, nr, nr, 0, kc)
+			}
+			c := make([]uint32, mr*nt*nr)
+			for _, acc := range []bool{false, true} {
+				mode := map[bool]string{false: "store", true: "add"}[acc]
+				b.Run(fmt.Sprintf("%s-row/kc=%d/nt=%d/%s", tile.Name, kc, nt, mode), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						tile.Row(kc, ap, bp, kc*nr, nt, c, nt*nr, acc)
+					}
+					report(b, nt, nt*kc*mr*nr)
+				})
+			}
 		}
 	}
 }
