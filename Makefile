@@ -16,10 +16,13 @@ verify:
 build-arm64:
 	GOOS=linux GOARCH=arm64 go build ./...
 
-# Race tier: vet plus the race detector on the concurrency-bearing
-# packages (the parallel blis driver, the pack kernels it calls from many
-# goroutines, the tile container whose LRU every store query shares and
-# whose build is a three-stage pipeline tested under injected faults, the
+# Race tier: vet (asmdecl holds the assembly tile's frame to its Go
+# declaration) plus the race detector on the concurrency-bearing packages
+# (the parallel blis driver — four workers streaming panels through their
+# strips in TestEpilogueContractFourWorkers — the pack kernels it calls from
+# many goroutines, the tile container whose LRU every store query shares and
+# whose build is a three-stage pipeline, three stripe buffers handed from the
+# scan to the writer and back, tested under injected faults, the
 # HTTP server that shares the arena pool and in-flight semaphore across
 # requests, the scatter-gather cluster coordinator, and the ldserver
 # lifecycle).
@@ -66,26 +69,32 @@ bench-compile:
 
 # Kernel-dispatch tests: the AVX-512 tile against the generic kernel — one
 # tile per call, then its row entry (a row of tiles per call, storing and
-# adding, canary cells around the destination, Row at one tile ≡ Fn) and
-# both wrappers' extent checks (skipped with a message where the host
-# cannot run it). Then tiny shapes through every popcount engine (scalar,
-# CSA, SIMD when present, and the auto dispatch) asserted bit-identical to
-# the scalar oracle at each k — under the host default and again as on a
-# host without the tile — and every fused driver on an all-ones recycled
-# count scratch, which nothing clears. Then the fused epilogue's AVX-512
-# row kernels against their Go loops, bit for bit (the vector half skipped
-# with a message without AVX-512F). Cheap enough for the verify tier.
+# adding, with and without a destination hint, canary cells around the
+# destination, Row at one tile ≡ Fn) and both wrappers' extent checks
+# (skipped with a message where the host cannot run it). Then tiny shapes
+# through every popcount engine (scalar, CSA, SIMD when present, and the
+# auto dispatch) asserted bit-identical to the scalar oracle at each k —
+# under the host default and again as on a host without the tile — every
+# fused driver on all-ones recycled count scratch and strips, which nothing
+# clears, and the row-run contract in both orders (one slab: streamed panel
+# by panel; several: after the last), on one worker and on four. Then the
+# fused epilogue's AVX-512 row kernels against their Go loops, bit for bit
+# (the vector half skipped with a message without AVX-512F), and the
+# destination hint shown unobservable in Matrix, Cross and Stream. Cheap
+# enough for the verify tier.
 .PHONY: bench-kernel
 bench-kernel:
 	go test ./internal/kernel -count=1 -run 'TestVectorTile'
-	go test ./internal/core -count=1 -run 'TestEpilogueRows'
-	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents'
+	go test ./internal/core -count=1 -run 'TestEpilogueRows|TestDestHintUnobservable|TestDenseEpilogueDest'
+	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller'
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling
 # and running in CI. The float wire: a node encoding an 80 × 80 region, a
 # coordinator checking and splicing its two strips. One pass of the small-k
 # stream (8192 SNPs × 512 samples), which prints what the fused epilogue
-# costs per pair, and one call of each of its row conversions (D, fast and
+# costs per pair, one pass of the dense store build's out-of-core scan
+# (4096 × 2048, stripes of 128 against 256-SNP panels) at 1 and 2 threads,
+# which must read alike, and one call of each of its row conversions (D, fast and
 # exact r², Go loop and AVX-512 row kernel, 512 and 3840 cells, ns/cell on
 # L2-resident operands). Then the sparse
 # operator path: one matvec over the ledger's 4096-SNP banded store,
@@ -94,7 +103,8 @@ bench-kernel:
 # the micro-kernel rows (portable 4x4, per-cell vector, AVX-512 tile at kc
 # 8/32/256, Gtriples/s and ns/tile; then the tile's row entry at kc 8/256,
 # 1/16/256 tiles per call, storing and adding — the per-call floor and
-# what one call per row of tiles leaves of it). Last, one store build per codec (dense, banded
+# what one call per row of tiles leaves of it — and at kc 8/32 with and
+# without a destination hint). Last, one store build per codec (dense, banded
 # sparse) × checkpoint on/off through the three-stage build pipeline from a
 # windowed .ldbm: pairs/s, MB/s written, commits per build against its 16
 # stripes, scan wait, B/op.
@@ -102,7 +112,7 @@ bench-kernel:
 bench-smoke:
 	go test ./internal/server -run '^$$' -bench BenchmarkEncodeRegion -benchtime 1x -benchmem
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
-	go test . -run '^$$' -bench BenchmarkStreamSmallK -benchtime 1x
+	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamSource' -benchtime 1x
 	go test ./internal/core -run '^$$' -bench BenchmarkEpilogueRow -benchtime 1x
 	go test ./internal/ldsparse -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
 	go test ./internal/server -run '^$$' -bench BenchmarkParseVector -benchtime 1x -benchmem

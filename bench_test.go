@@ -12,6 +12,7 @@ package ldgemm
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -408,4 +409,37 @@ func BenchmarkStreamSmallK(b *testing.B) {
 	total := float64(want) * float64(b.N)
 	b.ReportMetric(total/b.Elapsed().Seconds()/1e6, "Mpairs/s")
 	b.ReportMetric(float64(epiNanos)/total, "epilogue-ns/pair")
+}
+
+// BenchmarkStreamSource is the scan of the benchmark module's
+// build_dense_ooc on its own: 4096 SNPs × 2048 samples from a windowed
+// .ldbm, triangular exact r², stripes of 128 rows against 256-SNP column
+// panels — 288 driver calls of about 100 µs — with a visitor that does
+// nothing, at 1 and 2 threads. Calls this small run on the caller alone
+// (blis's small-call rule), so the two rows must read alike; before the
+// rule the second thread's wake-ups made the 2-thread scan the slower one.
+func BenchmarkStreamSource(b *testing.B) {
+	const n, k = 4096, 2048
+	path := filepath.Join(b.TempDir(), "g.ldbm")
+	if err := bitmat.WriteFile(path, benchMatrix(b, 16, n, k)); err != nil {
+		b.Fatal(err)
+	}
+	src, err := bitmat.OpenFile(path, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			opt := core.StreamOptions{Triangular: true, Exact: true, StripeRows: 128, IOPanelSNPs: 256}
+			opt.Blis.Threads = threads
+			for i := 0; i < b.N; i++ {
+				if err := core.StreamSource(src, opt, func(int, int, []float64) {}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			pairs := float64(n) * float64(n+1) / 2 * float64(b.N)
+			b.ReportMetric(pairs/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+		})
+	}
 }

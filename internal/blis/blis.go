@@ -27,6 +27,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/kernel"
@@ -147,7 +148,39 @@ func (c Config) normalize() (Config, error) {
 // (different column ranges), so writes the hook performs must be disjoint
 // by cell — which they are when it writes only its own run's cells, plus
 // SYRK mirror cells owned by them.
+//
+// tile is only valid during the call: when the sample dimension fits one
+// KC slab the run sits in a per-worker strip that the next panel's counts
+// overwrite (see runJob).
 type TileEpilogue func(worker int, tile []uint32, ldt, i0, j0, mm, nn int)
+
+// RowRun calls f: a plain function is an Epilogue, net/http.HandlerFunc-
+// style.
+func (f TileEpilogue) RowRun(worker int, tile []uint32, ldt, i0, j0, mm, nn int) {
+	f(worker, tile, ldt, i0, j0, mm, nn)
+}
+
+// Epilogue is what the fused entry points take: RowRun is the hook, with
+// TileEpilogue's contract. An implementation that converts each run into a
+// float64 matrix may also answer
+//
+//	Dest(i0, j0 int) (p unsafe.Pointer, rowBytes int)
+//
+// with the address it will write for the run starting at (i0, j0) — its
+// first row's first cell, eight bytes a cell, the run's further rows
+// rowBytes apart — or nil. The driver hands the answer to the micro-kernel
+// as its destination hint (kernel.RowFunc), which prefetches those lines
+// while it counts; nothing is read or written through it, so an epilogue
+// that answers and the same epilogue wrapped so it does not produce the
+// same bits.
+type Epilogue interface {
+	RowRun(worker int, tile []uint32, ldt, i0, j0, mm, nn int)
+}
+
+// destHinter is the optional half of Epilogue.
+type destHinter interface {
+	Dest(i0, j0 int) (p unsafe.Pointer, rowBytes int)
+}
 
 // Gemm computes the full m×n count matrix between the SNPs of a and b:
 // c[i*ldc+j] += dot(a.SNP(i), b.SNP(j)). The matrices must have the same
@@ -171,7 +204,7 @@ func Gemm(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int) error {
 // finished row run is handed to epi while cache-hot. Callers
 // convert counts to their final representation (LD measures, summaries)
 // inside epi; the dense m×n uint32 intermediate never exists.
-func GemmEpilogue(cfg Config, a, b *bitmat.Matrix, epi TileEpilogue) error {
+func GemmEpilogue(cfg Config, a, b *bitmat.Matrix, epi Epilogue) error {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return err
@@ -216,7 +249,7 @@ func Syrk(cfg Config, a *bitmat.Matrix, c []uint32, ldc int, mirror bool) error 
 // There is no count mirror; epilogues that need the lower triangle mirror
 // their own converted values (bit-safe for the LD measures because the
 // denominator grouping is symmetric under SNP exchange).
-func SyrkEpilogue(cfg Config, a *bitmat.Matrix, epi TileEpilogue) error {
+func SyrkEpilogue(cfg Config, a *bitmat.Matrix, epi Epilogue) error {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return err
@@ -325,7 +358,7 @@ func checkC(m, n int, c []uint32, ldc int) error {
 // tiles strictly below the diagonal are skipped and — when the column
 // block spans the whole matrix and the register tile is square — the
 // packed B slab doubles as the packed A panels.
-func drive(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int, syrk bool, epi TileEpilogue) error {
+func drive(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int, syrk bool, epi Epilogue) error {
 	k := cfg.Kernel
 	strat := plainEngine(k, cfg.Popcount, a.Words)
 	var ops tileOps
@@ -358,8 +391,8 @@ func interleavedOps(k kernel.Kernel, a, b *bitmat.Matrix) tileOps {
 		fringe: tileFringe(k.Fn, nr, 1),
 	}
 	if row != nil {
-		ops.row = func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
-			row(kc, aw, bw, bstride, nt, c[i0*ldc+j0:], ldc, acc)
+		ops.row = func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool, pf unsafe.Pointer, pfRowBytes int) {
+			row(kc, aw, bw, bstride, nt, c[i0*ldc+j0:], ldc, acc, pf, pfRowBytes)
 		}
 	} else {
 		ops.row = tileRow(k.Fn, mr, nr, 1)

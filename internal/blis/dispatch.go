@@ -2,6 +2,7 @@ package blis
 
 import (
 	"fmt"
+	"unsafe"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/kernel"
@@ -204,7 +205,7 @@ func runOps(k kernel.Kernel, a, b *bitmat.Matrix, s PopcountStrategy) tileOps {
 		packB: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackPanelRuns(dst, b, snp, count, nr, pc, kc)
 		},
-		row: func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
+		row: func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool, _ unsafe.Pointer, _ int) {
 			for t := 0; t < nt; t++ {
 				runTile(count, kc, aw, bw[t*bstride:], c, i0, j0+t*nr, mr, nr, ldc, acc)
 			}
@@ -256,7 +257,7 @@ func maskedRunOps(mk kernel.MaskedKernel, a, b *bitmat.Matrix, ka, kb *bitmat.Ma
 		packB: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackMaskedPanelRuns(dst, b, kb, snp, count, nr, pc, kc)
 		},
-		row: func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
+		row: func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool, _ unsafe.Pointer, _ int) {
 			for t := 0; t < nt; t++ {
 				maskedRunTile(counts, kc, aw, bw[t*bstride:], c, i0, j0+t*nr, mr, nr, ldc, acc)
 			}

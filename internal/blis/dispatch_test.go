@@ -359,7 +359,7 @@ func TestBatchedEpilogueFusion(t *testing.T) {
 		got := make([]uint32, n*n)
 		var mu sync.Mutex
 		cfg := Config{Popcount: strat, MC: 8, NC: 16, KC: 9, Threads: 3}
-		err := SyrkEpilogue(cfg, g, func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
+		err := SyrkEpilogue(cfg, g, TileEpilogue(func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
 			mu.Lock()
 			defer mu.Unlock()
 			for i := 0; i < mm; i++ {
@@ -367,7 +367,7 @@ func TestBatchedEpilogueFusion(t *testing.T) {
 					got[(i0+i)*n+j0+j] = tile[i*ldt+j]
 				}
 			}
-		})
+		}))
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}

@@ -74,7 +74,7 @@ func checkRowRunContract(t *testing.T, cfg Config, m, n, samples int, syrk bool)
 	var mu sync.Mutex
 	var runs []epiRun
 	seen := make([]int, m*n)
-	epi := func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
+	epi := TileEpilogue(func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
 		mu.Lock()
 		defer mu.Unlock()
 		runs = append(runs, epiRun{i0, j0, mm, nn})
@@ -86,7 +86,7 @@ func checkRowRunContract(t *testing.T, cfg Config, m, n, samples int, syrk bool)
 				}
 			}
 		}
-	}
+	})
 	var err error
 	if syrk {
 		err = SyrkEpilogue(cfg, a, epi)
@@ -128,7 +128,7 @@ func checkRowRunContract(t *testing.T, cfg Config, m, n, samples int, syrk bool)
 		nc := min(ncBlk, n-jc)
 		target := norm.ChunkTiles
 		if target == 0 {
-			target = countTiles(m, jc, nc, mcBlk, mr, nr, syrk) / (norm.Threads * chunksPerWorker)
+			target = countTiles(m, jc, nc, mcBlk, mr, nr, syrk) / (callWorkers(norm.Threads, m, n, a.Words) * chunksPerWorker)
 		}
 		for _, jb := range buildTileJobs(nil, m, jc, nc, mcBlk, mr, nr, target, syrk) {
 			for ir := 0; ir < jb.mc; ir += mr {
@@ -178,16 +178,32 @@ func contractConfigs() []Config {
 	return append(cfgs, Config{MC: 8, NC: 12, KC: 2, ChunkTiles: 7, Threads: 2}, Config{Threads: 5})
 }
 
+// contractSamples returns the two sample counts every contract config runs
+// at: one that fits a single KC slab, so the call is streamed (each panel
+// handed over from the worker's strip as soon as it is counted), and one
+// spanning several slabs (panels handed over from the job's scratch after
+// the last). The runs, the cells and the once-each rule are the same.
+func contractSamples(t *testing.T, cfg Config) [2]int {
+	t.Helper()
+	norm, err := cfg.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [2]int{64*norm.KC - 7, 64*norm.KC*5 + 9}
+}
+
 // Every output cell must be handed to the epilogue exactly once, as row
 // runs that respect job boundaries, whatever the blocking fringes, slab
-// grouping, chunking and thread interleaving do.
+// count and grouping, chunking and thread interleaving do.
 func TestGemmEpilogueCoversEachCellOnce(t *testing.T) {
 	old := maxGroupWords
 	maxGroupWords = 64 // several slab groups: runs fire after the last only
 	defer func() { maxGroupWords = old }()
 	for _, cfg := range contractConfigs() {
-		for _, sh := range contractShapes {
-			checkRowRunContract(t, cfg, sh.m, sh.n, 64*5+9, false)
+		for _, samples := range contractSamples(t, cfg) {
+			for _, sh := range contractShapes {
+				checkRowRunContract(t, cfg, sh.m, sh.n, samples, false)
+			}
 		}
 	}
 }
@@ -200,9 +216,23 @@ func TestSyrkEpilogueUpperTriangle(t *testing.T) {
 	maxGroupWords = 64
 	defer func() { maxGroupWords = old }()
 	for _, cfg := range contractConfigs() {
-		for _, sh := range contractShapes {
-			checkRowRunContract(t, cfg, sh.n, sh.n, 64*5+9, true)
+		for _, samples := range contractSamples(t, cfg) {
+			for _, sh := range contractShapes {
+				checkRowRunContract(t, cfg, sh.n, sh.n, samples, true)
+			}
 		}
+	}
+}
+
+// The contract on a call large enough to keep four workers busy, in both
+// orders; under the race detector it is what watches four workers stream
+// through their strips at once.
+func TestEpilogueContractFourWorkers(t *testing.T) {
+	cfg := Config{MC: 64, NC: 256, KC: 8, Threads: 4}
+	const m, n = 600, 900
+	for _, samples := range contractSamples(t, cfg) {
+		checkRowRunContract(t, cfg, m, n, samples, false)
+		checkRowRunContract(t, cfg, n, n, samples, true)
 	}
 }
 
@@ -249,33 +279,48 @@ func TestEpilogueManySlabGroups(t *testing.T) {
 	}
 }
 
-// onPoisonedScratch runs one fused driver call on a recycled count scratch
-// of `cells` all-ones cells: it empties the arena pool, leaves one arena
-// holding that scratch, and makes the call. No delivered count may depend
-// on what the scratch held — the first slab of a job stores, nothing
+// onPoisonedScratch runs one fused driver call on recycled count scratch of
+// all-ones cells — the column block's scratch, `cells` of them, and a strip
+// of as many for each of eight workers: it empties the arena pool, leaves
+// one arena holding those buffers, and makes the call. No delivered count
+// may depend on what they held — the first slab of a job stores, nothing
 // clears — so a caller's comparison against Reference is the assertion;
 // this helper's own is that the call really ran on the poison (it wrote
-// into it). sync.Pool may drop a Put (it does, at random, under the race
-// detector), hence the retries.
+// into the scratch, or streamed through a strip). sync.Pool may drop a Put
+// (it does, at random, under the race detector), hence the retries.
 func onPoisonedScratch(t *testing.T, cells int, call func() error) {
 	t.Helper()
 	isPoison := func(v uint32) bool { return v == ^uint32(0) }
+	poisoned := func() []uint32 {
+		b := make([]uint32, cells)
+		for i := range b {
+			b[i] = ^uint32(0)
+		}
+		return b
+	}
 	for attempt := 0; attempt < 10; attempt++ {
 		for len(arenaPool.Get().(*arena).ws) > 0 {
 			// A used arena; one fresh from New means the pool is empty.
 		}
-		scratch := make([]uint32, cells)
-		for i := range scratch {
-			scratch[i] = ^uint32(0)
+		ar := &arena{cscratch: poisoned()}
+		bufs := [][]uint32{ar.cscratch}
+		for range 8 {
+			w := &tileWorker{strip: poisoned()}
+			ar.ws = append(ar.ws, w)
+			bufs = append(bufs, w.strip)
 		}
-		arenaPool.Put(&arena{cscratch: scratch})
+		arenaPool.Put(ar)
 		if err := call(); err != nil {
 			t.Fatal(err)
 		}
-		if !slices.ContainsFunc(scratch, isPoison) {
-			t.Fatalf("%d poisoned cells were all overwritten: the scratch was sized too small to prove anything", cells)
+		written := false
+		for _, b := range bufs {
+			if !slices.ContainsFunc(b, isPoison) {
+				t.Fatalf("%d poisoned cells were all overwritten: the scratch was sized too small to prove anything", cells)
+			}
+			written = written || slices.ContainsFunc(b, func(v uint32) bool { return !isPoison(v) })
 		}
-		if slices.ContainsFunc(scratch, func(v uint32) bool { return !isPoison(v) }) {
+		if written {
 			return
 		}
 	}
@@ -286,9 +331,10 @@ func onPoisonedScratch(t *testing.T, cells int, call func() error) {
 // per-job clear: every count a fused call delivers equals Reference when
 // the recycled scratch starts as all-ones. It crosses what decides which
 // op writes a cell first — fringe rows and columns (m, n off every register
-// tile), SYRK diagonal-crossing tiles, several slabs per group, several
-// groups, several column blocks — with all four tileOps families, on the
-// vector tile's route and the portable one, at 1 and 4 threads.
+// tile), SYRK diagonal-crossing tiles, one slab (the streamed order, through
+// the workers' strips), several slabs per group, several groups, several
+// column blocks — with all four tileOps families, on the vector tile's
+// route and the portable one, at 1 and 4 threads.
 func TestEpilogueIgnoresScratchContents(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const m, n, samples = 37, 43, 64*6 + 5
@@ -322,6 +368,7 @@ func TestEpilogueIgnoresScratchContents(t *testing.T) {
 		cfg        Config
 		groupWords int
 	}{
+		{Config{MC: 16, NC: 24, KC: 8}, maxGroupWords}, // one slab: streamed, panel by panel through a strip
 		{Config{MC: 16, NC: 24, KC: 2}, maxGroupWords}, // column blocks; one group of slabs
 		{Config{MC: 16, NC: 24, KC: 1}, 2},             // every slab its own group
 		{Config{KC: 2}, 300},                           // groups of several slabs
@@ -371,11 +418,11 @@ func TestMaskedGemmEpilogueMatchesReference(t *testing.T) {
 		a, ka := randomMasked(rng, sh.m, sh.samples)
 		b, kb := randomMasked(rng, sh.n, sh.samples)
 		got := make([]uint32, sh.m*sh.n*4)
-		epi := func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
+		epi := TileEpilogue(func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
 			for r := 0; r < mm; r++ {
 				copy(got[((i0+r)*sh.n+j0)*4:((i0+r)*sh.n+j0+nn)*4], tile[r*ldt*4:(r*ldt+nn)*4])
 			}
-		}
+		})
 		cfg := Config{MC: 7, NC: 9, KC: 2, Threads: 3}
 		if err := MaskedGemmEpilogue(cfg, a, b, ka, kb, epi); err != nil {
 			t.Fatal(err)
@@ -397,11 +444,11 @@ func TestMaskedSyrkEpilogueUpperTriangle(t *testing.T) {
 	const n = 25
 	a, ka := randomMasked(rng, n, 200)
 	got := make([]uint32, n*n*4)
-	epi := func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
+	epi := TileEpilogue(func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
 		for r := 0; r < mm; r++ {
 			copy(got[((i0+r)*n+j0)*4:((i0+r)*n+j0+nn)*4], tile[r*ldt*4:(r*ldt+nn)*4])
 		}
-	}
+	})
 	if err := MaskedSyrkEpilogue(Config{MC: 6, NC: 10, KC: 1, Threads: 2}, a, ka, epi); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +470,7 @@ func TestMaskedSyrkEpilogueUpperTriangle(t *testing.T) {
 
 func TestEpilogueErrors(t *testing.T) {
 	a := bitmat.New(3, 10)
-	if err := GemmEpilogue(Config{}, a, bitmat.New(3, 11), func(int, []uint32, int, int, int, int, int) {}); err == nil {
+	if err := GemmEpilogue(Config{}, a, bitmat.New(3, 11), TileEpilogue(func(int, []uint32, int, int, int, int, int) {})); err == nil {
 		t.Fatal("sample mismatch accepted")
 	}
 	if err := GemmEpilogue(Config{}, a, bitmat.New(3, 10), nil); err == nil {
@@ -442,7 +489,7 @@ func TestEpilogueStats(t *testing.T) {
 	a := randomMatrix(rng, 50, 300)
 	b := randomMatrix(rng, 40, 300)
 	before := ReadStats()
-	if err := GemmEpilogue(Config{Threads: 2}, a, b, func(int, []uint32, int, int, int, int, int) {}); err != nil {
+	if err := GemmEpilogue(Config{Threads: 2}, a, b, TileEpilogue(func(int, []uint32, int, int, int, int, int) {})); err != nil {
 		t.Fatal(err)
 	}
 	after := ReadStats()

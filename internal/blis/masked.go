@@ -47,7 +47,7 @@ func MaskedGemm(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, c []uint32
 // MaskedGemmEpilogue runs MaskedGemm fused (see GemmEpilogue): the four-
 // count matrix is never materialized; epi receives each finished register
 // tile with cell (r, c, k) at tile[(r*ldt+c)*4+k].
-func MaskedGemmEpilogue(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, epi TileEpilogue) error {
+func MaskedGemmEpilogue(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, epi Epilogue) error {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return err
@@ -93,7 +93,7 @@ func MaskedSyrk(cfg Config, a *bitmat.Matrix, ka *bitmat.Mask, c []uint32, ldc i
 // receives every tile of the triangle sweep; there is no count mirror, and
 // epilogues that need the (j, i) view swap the MaskedI/MaskedJ roles
 // themselves, as MirrorMasked does.
-func MaskedSyrkEpilogue(cfg Config, a *bitmat.Matrix, ka *bitmat.Mask, epi TileEpilogue) error {
+func MaskedSyrkEpilogue(cfg Config, a *bitmat.Matrix, ka *bitmat.Mask, epi Epilogue) error {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return err
@@ -131,7 +131,7 @@ func MirrorMasked(c []uint32, n, ldc int) {
 // resolved popcount strategy: the interleaved scalar kernel packs
 // (value, mask) word pairs, the batched family (dispatch.go) packs
 // per-SNP runs; every C entry is the four Section VII counts either way.
-func driveMasked(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, c []uint32, ldc int, syrk bool, epi TileEpilogue) error {
+func driveMasked(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, c []uint32, ldc int, syrk bool, epi Epilogue) error {
 	mk := kernel.Masked2x2()
 	strat := resolvePopcount(cfg.Popcount, a.Words)
 	var ops tileOps

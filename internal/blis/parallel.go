@@ -3,6 +3,7 @@ package blis
 import (
 	"context"
 	"time"
+	"unsafe"
 )
 
 // The slab-pipelined parallel driver. Both the plain and the masked
@@ -54,17 +55,22 @@ type tileOps struct {
 	// of tiles — the A micro-panel aw against the B micro-panels at
 	// bw[t*bstride:] — the first at (i0, j0) in C. acc is BLAS β: set, the
 	// counts are added into C; clear, they are stored over whatever C held.
-	row func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool)
+	// pf/pfRowBytes is the destination hint of kernel.RowFunc (nil for
+	// none); only the assembly tile's row looks at it.
+	row rowOp
 	// fringe computes a partial mm×nn tile through the scratch tile, with
 	// the same acc.
 	fringe func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int, acc bool)
 }
 
+// rowOp is the signature of tileOps.row.
+type rowOp func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool, pf unsafe.Pointer, pfRowBytes int)
+
 // tileRow is the row op of a kernel that has only a per-tile function
 // (every Go kernel, plain or masked): fn over the nt tiles, each cleared
 // first when the row stores, since fn can only add.
-func tileRow(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), mr, nr, cells int) func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
-	return func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool) {
+func tileRow(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), mr, nr, cells int) rowOp {
+	return func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool, _ unsafe.Pointer, _ int) {
 		for t := 0; t < nt; t++ {
 			ct := c[(i0*ldc+j0+t*nr)*cells:]
 			if !acc {
@@ -101,10 +107,10 @@ func tileFringe(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), nr, cells
 // block [ic, ic+mc), across every slab of the current slab group. Chunk
 // boundaries are cost-adapted (see buildTileJobs) so jobs near the SYRK
 // diagonal, which hold fewer active tiles, cover more columns. Under a
-// fused epilogue, off is the job's cell offset into the per-column-block
-// count scratch; jobs are stable across the slab groups of one column
-// block, so the offset identifies the same accumulator region in every
-// group.
+// fused epilogue over several slabs, off is the job's cell offset into the
+// per-column-block count scratch; jobs are stable across the slab groups of
+// one column block, so the offset identifies the same accumulator region
+// in every group.
 type tileJob struct {
 	ic, mc, jr0, jr1 int
 	off              int
@@ -120,6 +126,32 @@ var maxGroupWords = 4 << 20
 // target chunk cost is totalTiles/(workers·chunksPerWorker) unless
 // Config.ChunkTiles overrides it.
 const chunksPerWorker = 4
+
+// minParallelCellWords is the size — output cells × sample words, m·n·kw —
+// below which a driver call runs on its caller alone. Waking a second worker
+// costs a cross-CPU futex round trip per phase, and a call this small is
+// over before that pays: measured on the 2-vCPU build host, a store build's
+// scan of 128 × 256-cell × 32-word calls (1 Mi cell-words, ≈ 100 µs each)
+// took 36–41 ms on one thread and 38–42 ms on two, and 63 calls of ≈ 470 µs
+// (4096 × 2048 at StripeRows 128) 29.8 ms against 32.4 ms, while calls four
+// times that size (StripeRows 512) went from 27.2 ms to 15.8 ms. 4 Mi sits
+// between the two. With only this rule toggled, six alternating ledger pairs
+// each: build_dense_ooc 77.4 → 87.6 M pairs/s and build_sparse_banded
+// 66.0 → 74.9, 6/6 both (EXPERIMENTS.md). A variable rather than a constant,
+// like maxGroupWords: this package's tests zero it (TestMain) so their small
+// shapes keep running on as many workers as they ask for.
+var minParallelCellWords = 4 << 20
+
+// callWorkers is how many workers a call of m × n cells over kw sample
+// words runs on: threads, or 1 when the call is too small to pay for a
+// wake-up. Everything that depends on the worker count — the pool, the
+// arena, the chunk target — reads it from here.
+func callWorkers(threads, m, n, kw int) int {
+	if m*n*kw < minParallelCellWords {
+		return 1
+	}
+	return threads
+}
 
 func roundUp(x, m int) int { return (x + m - 1) / m * m }
 
@@ -198,11 +230,15 @@ type tileDriver struct {
 	kcMax     int
 	slabWords int // packed words of one slab at the widest column block
 	apanelLen int // packed words of one A micro-panel per slab
-	// epi, when non-nil, is the fused epilogue: counts accumulate in
-	// per-job scratch instead of a caller matrix, and finished row runs are
-	// handed to the hook during the final slab group while still hot.
-	epi     TileEpilogue
-	scratch []uint32 // per-column-block count scratch (epi mode only)
+	// epi, when non-nil, is the fused epilogue: counts land in scratch
+	// instead of a caller matrix and finished row runs are handed to the
+	// hook while still hot. streamed is the single-slab order of a fused
+	// call (see runJob): the scratch is the worker's strip, and dest, when
+	// the epilogue answers, where each run's floats will go.
+	epi      Epilogue
+	streamed bool
+	dest     destHinter
+	scratch  []uint32 // per-column-block count scratch (fused, not streamed)
 }
 
 // ctxErr reports the context's error, tolerating a nil context.
@@ -221,14 +257,15 @@ func ctxErr(ctx context.Context) error {
 // phase wait — so a cancelled call returns ctx.Err() within one
 // slab-group phase, with its arena still recycled through the pool.
 //
-// With epi non-nil the call runs fused: c is ignored (callers pass nil),
-// every job accumulates its counts in a slice of the per-column-block
-// scratch buffer, and during the final slab group the worker that
-// finishes a job immediately hands the job's MR-row panels to epi, one
-// row run each — the counts are at most one job region behind the
-// kernel's last store, so the conversion reads cache-resident data and
-// the full m×n count matrix never exists.
-func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk bool, epi TileEpilogue) error {
+// With epi non-nil the call runs fused: c is ignored (callers pass nil) and
+// the full m×n count matrix never exists. When the sample dimension fits
+// one KC slab the call is streamed: a worker counts each MR-row panel of
+// its job into its own MR × job-width strip and hands it to epi at once,
+// one row run, before the next panel overwrites the strip. Over several
+// slabs every job accumulates in a slice of the per-column-block scratch
+// buffer, and during the final slab group the worker that finishes a job
+// hands its panels to epi, one row run each.
+func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk bool, epi Epilogue) error {
 	if m == 0 || n == 0 || kw == 0 {
 		return nil
 	}
@@ -256,7 +293,9 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 		nbufs = 2 // double buffer: pack group g+1 while computing group g
 	}
 
-	workers := cfg.Threads
+	workers := callWorkers(cfg.Threads, m, n, kw)
+	fused := epi != nil
+	streamed := fused && nslabs == 1
 	// When every column block can share the packed B slab as A panels, no
 	// worker ever packs an A block.
 	allShare := ops.shareable && syrk && n <= ncBlk && m == n
@@ -268,7 +307,11 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 
 	ar := getArena()
 	defer ar.release()
-	ar.prepare(workers, nbufs*group*slabWords, apackWords, mr*nr*ops.cells)
+	stripLen := 0
+	if streamed {
+		stripLen = mr * bpanelsMax * nr * ops.cells // MR rows of the widest job there can be
+	}
+	ar.prepare(workers, nbufs*group*slabWords, apackWords, mr*nr*ops.cells, stripLen)
 	bpack := ar.bpack
 
 	pool := newWorkerPool(workers)
@@ -290,7 +333,10 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 	d := &tileDriver{
 		cfg: cfg, ops: ops, m: m, n: n, kw: kw, c: c, ldc: ldc, syrk: syrk,
 		mcBlk: mcBlk, kcMax: kcMax, slabWords: slabWords, apanelLen: apanelLen,
-		epi: epi,
+		epi: epi, streamed: streamed,
+	}
+	if streamed {
+		d.dest, _ = epi.(destHinter)
 	}
 
 	var jobs []tileJob
@@ -304,7 +350,7 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 		if len(jobs) == 0 {
 			continue
 		}
-		if epi != nil {
+		if fused && !streamed {
 			// Lay the jobs' count accumulators end to end in the scratch
 			// buffer: O(active area of one column block), recycled through
 			// the arena, instead of the full m×n matrix. The previous
@@ -380,7 +426,7 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 		avoided := uint64(ops.popcPerWord) * (cells - cells/uint64(ops.popcFold))
 		stats.popcAvoided.Add(avoided)
 	}
-	if epi != nil {
+	if fused {
 		// The split pipeline would have materialized the full m×n count
 		// matrix (cells uint32s per C entry) just to read it once.
 		stats.epiBytesAvoided.Add(uint64(m) * uint64(n) * 4 * uint64(ops.cells))
@@ -407,12 +453,22 @@ func (d *tileDriver) firstCol(jb tileJob, jc, i0 int) int {
 // sweep is slab → MR-row panel → one row op over the panel's full tiles →
 // the fringe tile, if the column block ends in one. The slab loop stays
 // outermost so a panel re-reads B micro-panels one slab apart, not all
-// slabs apart. Under a fused epilogue the counts land in the job's scratch
-// region (local coordinates, row stride = job width), and the job's very
-// first slab stores them instead of adding, so the recycled scratch is
-// never cleared and never read before it is written; when the final slab
-// group completes, the worker converts the job's finished row runs in
-// place via the epilogue hook.
+// slabs apart.
+//
+// Under a fused epilogue the counts land in scratch, in job-local
+// coordinates with the job's width as row stride, and the first slab stores
+// them instead of adding, so recycled scratch is never cleared and never
+// read before it is written. Where that scratch is, and when the hook runs,
+// is the one thing the streamed flag decides. Over several slabs it is the
+// job's region of the column block's scratch, a panel at its own rows, and
+// the hook converts the job's panels after the final group's last slab
+// (fuseJob). Streamed — one slab, so a panel's first rank-k update is also
+// its last — it is the worker's strip: every panel is counted into strip
+// row 0 and handed to the hook before the next one starts, and the row op
+// is told where the hook will write so the tile can prefetch those lines
+// while it counts. C then moves once, through an MR × job-width strip that
+// stays in cache, and the output's write-allocate misses overlap the k-loop
+// instead of stalling the conversion a whole job later.
 func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs int, buf []uint64, share, final bool) {
 	ops := &d.ops
 	mr, nr := ops.mr, ops.nr
@@ -429,24 +485,30 @@ func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs in
 		st.lastIC, st.lastPG = jb.ic, pg
 	}
 	// Output routing: caller matrix with global coordinates, or — fused —
-	// the job's scratch region with job-local coordinates.
+	// scratch with job-local coordinates.
 	cdst, ldc := d.c, d.ldc
 	width := jb.jr1 - jb.jr0
 	fused := d.epi != nil
 	iorg, jorg := 0, 0
-	if fused {
+	switch {
+	case d.streamed:
+		cdst, ldc = st.strip[:mr*width*ops.cells], width
+		jorg = jc + jb.jr0
+	case fused:
 		cdst, ldc = d.scratch[jb.off:jb.off+jb.mc*width*ops.cells], width
 		iorg, jorg = jb.ic, jc+jb.jr0
 	}
 	panelB := nr * d.kcMax * ops.stride
 	fullEnd := min(jb.jr1, nc/nr*nr) // tiles left of it are nr columns wide
+	var epiTiles uint64
+	var epiNanos time.Duration
 	for s := 0; s < gs; s++ {
 		pc := pg + s*d.cfg.KC
 		kc := min(d.cfg.KC, d.kw-pc)
 		sbase := s * d.slabWords
 		abase := s * apanels * d.apanelLen
-		// The caller's C is added to; a job's scratch is stored by the
-		// first slab of the first group and added to by the rest.
+		// The caller's C is added to; fused scratch is stored by the first
+		// slab of the first group and added to by the rest.
 		acc := !fused || pc > 0
 		for ir := 0; ir < jb.mc; ir += mr {
 			i0 := jb.ic + ir
@@ -460,44 +522,78 @@ func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs in
 			} else {
 				aw = st.apack[abase+(ir/mr)*d.apanelLen:][:kc*mr*ops.stride]
 			}
+			ci := i0 - iorg // the panel's first row in cdst
+			var pf unsafe.Pointer
+			pfRowBytes := 0
+			if d.streamed {
+				ci = 0
+				if d.dest != nil {
+					pf, pfRowBytes = d.dest.Dest(i0, jc+jr)
+				}
+			}
 			mm := min(mr, jb.mc-ir)
 			if mm == mr && jr < fullEnd {
-				ops.row(kc, aw, buf[sbase+(jr/nr)*panelB:], panelB, (fullEnd-jr)/nr, cdst, i0-iorg, jc+jr-jorg, ldc, acc)
+				ops.row(kc, aw, buf[sbase+(jr/nr)*panelB:], panelB, (fullEnd-jr)/nr, cdst, ci, jc+jr-jorg, ldc, acc, pf, pfRowBytes)
 				jr = fullEnd
 			}
 			for ; jr < jb.jr1; jr += nr {
-				ops.fringe(kc, aw, buf[sbase+(jr/nr)*panelB:], st.tile, cdst, i0-iorg, jc+jr-jorg, mm, min(nr, nc-jr), ldc, acc)
+				ops.fringe(kc, aw, buf[sbase+(jr/nr)*panelB:], st.tile, cdst, ci, jc+jr-jorg, mm, min(nr, nc-jr), ldc, acc)
+			}
+			if d.streamed {
+				t0 := time.Now()
+				epiTiles += d.fusePanel(w, jb, jc, nc, cdst, width, ir, 0)
+				epiNanos += time.Since(t0)
 			}
 		}
 	}
-	if fused && final {
-		d.fuseJob(w, jb, jc, nc, cdst, width)
+	if fused && final && !d.streamed {
+		t0 := time.Now()
+		epiTiles = d.fuseJob(w, jb, jc, nc, cdst, width)
+		epiNanos = time.Since(t0)
+	}
+	// The epilogue counters keep their meaning in both orders — the hook's
+	// wall time and the tiles handed over — at two clock reads per panel
+	// when streamed, two per job otherwise, and one add of each per job.
+	if epiTiles > 0 {
+		stats.epiTiles.Add(epiTiles)
+		stats.epiNanos.Add(uint64(epiNanos))
 	}
 }
 
-// fuseJob hands the finished counts of one job — they just received their
-// last rank-k update, so the region is cache-resident — to the epilogue
-// hook one MR-row panel at a time, each as a single row run spanning every
-// computed column of the job, with global output coordinates. Under SYRK a
-// panel's run starts at its first tile with i0 < j0+nr (the compute
-// sweep's skip rule), so the cells delivered are exactly the cells
-// computed.
-func (d *tileDriver) fuseJob(w int, jb tileJob, jc, nc int, cdst []uint32, width int) {
-	ops := &d.ops
-	mr, nr := ops.mr, ops.nr
-	start := time.Now()
+// fuseJob hands every panel of a job whose counts have received their last
+// rank-k update to the hook, top to bottom, and returns the tiles handed
+// over. Rows only sink further below the SYRK diagonal, so the first panel
+// without a computed tile ends the job.
+func (d *tileDriver) fuseJob(w int, jb tileJob, jc, nc int, cdst []uint32, width int) uint64 {
 	tiles := uint64(0)
-	jrEnd := min(jb.jr1, nc)
-	for ir := 0; ir < jb.mc; ir += mr {
-		i0 := jb.ic + ir
-		jr := d.firstCol(jb, jc, i0)
-		if jr >= jrEnd {
+	for ir := 0; ir < jb.mc; ir += d.ops.mr {
+		t := d.fusePanel(w, jb, jc, nc, cdst, width, ir, ir)
+		if t == 0 {
 			break
 		}
-		off := (ir*width + (jr - jb.jr0)) * ops.cells
-		d.epi(w, cdst[off:], width, i0, jc+jr, min(mr, jb.mc-ir), jrEnd-jr)
-		tiles += uint64((jrEnd - jr + nr - 1) / nr)
+		tiles += t
 	}
-	stats.epiTiles.Add(tiles)
-	stats.epiNanos.Add(uint64(time.Since(start)))
+	return tiles
+}
+
+// fusePanel hands the finished counts of job jb's MR-row panel ir — sitting
+// at row srow of cdst — to the epilogue hook as a single row run spanning
+// every computed column of the job, with global output coordinates, and
+// returns how many tiles that was: 0, and nothing handed over, for a panel
+// without a computed tile. Under SYRK the run starts at the panel's first
+// tile with i0 < j0+nr (the compute sweep's skip rule), so the cells
+// delivered are exactly the cells computed. Both orders of runJob deliver
+// through here.
+func (d *tileDriver) fusePanel(w int, jb tileJob, jc, nc int, cdst []uint32, width, ir, srow int) uint64 {
+	ops := &d.ops
+	mr, nr := ops.mr, ops.nr
+	i0 := jb.ic + ir
+	jr := d.firstCol(jb, jc, i0)
+	jrEnd := min(jb.jr1, nc)
+	if jr >= jrEnd {
+		return 0
+	}
+	off := (srow*width + (jr - jb.jr0)) * ops.cells
+	d.epi.RowRun(w, cdst[off:], width, i0, jc+jr, min(mr, jb.mc-ir), jrEnd-jr)
+	return uint64((jrEnd - jr + nr - 1) / nr)
 }

@@ -2,10 +2,75 @@ package blis
 
 import (
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 	"time"
 )
+
+// smallCallThreshold is minParallelCellWords as shipped. TestMain zeroes the
+// variable so that every test of this package runs on the workers its Config
+// asks for — their shapes are all far under the rule, and they are what
+// covers the masked drivers, the shared-C path, the double-buffer barrier,
+// cancellation and pool shutdown on several workers (also under -race);
+// TestSmallCallRunsOnCaller puts the shipped value back to test the rule.
+var smallCallThreshold = minParallelCellWords
+
+func TestMain(m *testing.M) {
+	minParallelCellWords = 0
+	os.Exit(m.Run())
+}
+
+// TestSmallCallRunsOnCaller is the small-call rule: under the shipped
+// threshold a call runs on worker 0 alone whatever Threads says, from the
+// threshold up on Threads workers — and it is the rule, nothing else, that
+// confines the small call: the same call with the threshold at zero reaches
+// a second worker.
+func TestSmallCallRunsOnCaller(t *testing.T) {
+	if w := callWorkers(4, 128, 256, 32); w != 4 {
+		t.Fatalf("threshold zeroed by TestMain, yet callWorkers = %d", w)
+	}
+	defer func(old int) { minParallelCellWords = old }(minParallelCellWords)
+	minParallelCellWords = smallCallThreshold
+	for _, c := range []struct{ m, n, kw, want int }{
+		{128, 256, 32, 1},  // one call of the dense build's scan
+		{128, 2048, 8, 1},  // one stripe of compute_small_k's diagonal
+		{1024, 1024, 3, 1}, // just under
+		{1024, 1024, 4, 4}, // at the threshold
+		{8192, 2048, 8, 4}, // a column block of compute_small_k
+		{1024, 1024, 1024, 4},
+	} {
+		if got := callWorkers(4, c.m, c.n, c.kw); got != c.want {
+			t.Errorf("callWorkers(4, %d, %d, %d) = %d, want %d", c.m, c.n, c.kw, got, c.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	a := randomMatrix(rng, 128, 512)
+	b := randomMatrix(rng, 256, 512)
+	workersSeen := func() map[int]bool {
+		var mu sync.Mutex
+		seen := map[int]bool{}
+		err := GemmEpilogue(Config{MC: 32, NC: 64, KC: 8, Threads: 4}, a, b,
+			TileEpilogue(func(worker int, _ []uint32, _, _, _, _, _ int) {
+				mu.Lock()
+				seen[worker] = true
+				mu.Unlock()
+				time.Sleep(50 * time.Microsecond) // long enough for a woken worker to take the next job
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seen
+	}
+	if seen := workersSeen(); len(seen) != 1 || !seen[0] {
+		t.Errorf("a 128 × 256 × 8-word call under the rule ran on workers %v, want worker 0 alone", seen)
+	}
+	minParallelCellWords = 0
+	if seen := workersSeen(); len(seen) < 2 {
+		t.Errorf("the same call without the rule ran on workers %v, want several", seen)
+	}
+}
 
 // adversarialConfigs exercises the parallel driver at scheduling extremes:
 // blocks smaller than a micro-tile, single-slab and many-slab k, more

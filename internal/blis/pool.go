@@ -96,22 +96,26 @@ func (p *workerPool) close() {
 }
 
 // tileWorker is the per-worker private state of the compute phase: a
-// packed-A block (covering every slab of the current slab group) and the
-// fringe scratch tile. lastIC/lastPG memoize which (row block, slab group)
+// packed-A block (covering every slab of the current slab group), the
+// fringe scratch tile, and — in a streamed fused call — the strip of MR
+// count rows each panel passes through on its way to the epilogue hook.
+// lastIC/lastPG memoize which (row block, slab group)
 // the A buffer currently holds, so consecutive jobs on the same row block
 // skip repacking; the key is valid across column blocks because packed A
 // panels do not depend on jc.
 type tileWorker struct {
 	apack  []uint64
 	tile   []uint32
+	strip  []uint32
 	lastIC int
 	lastPG int
 }
 
 // arena owns every buffer of one driver call. cscratch is the fused-
-// epilogue count scratch of the current column block — O(MC × NC) cells
-// recycled across calls, the storage that replaces the dense m×n count
-// matrix when a tile epilogue is installed.
+// epilogue count scratch of the current column block of a call over several
+// slabs — O(MC × NC) cells recycled across calls, the storage that replaces
+// the dense m×n count matrix; a streamed call (one slab) leaves it alone and
+// uses the workers' O(MR × NC) strips.
 type arena struct {
 	bpack    []uint64
 	cscratch []uint32
@@ -155,7 +159,7 @@ func (a *arena) release() {
 
 // prepare sizes the arena for one driver call and resets the per-worker
 // packing memos.
-func (a *arena) prepare(workers, bpackWords, apackWords, tileLen int) {
+func (a *arena) prepare(workers, bpackWords, apackWords, tileLen, stripLen int) {
 	a.bpack = growU64(a.bpack, bpackWords)
 	for len(a.ws) < workers {
 		a.ws = append(a.ws, &tileWorker{})
@@ -164,6 +168,7 @@ func (a *arena) prepare(workers, bpackWords, apackWords, tileLen int) {
 		w := a.ws[i]
 		w.apack = growU64(w.apack, apackWords)
 		w.tile = growU32(w.tile, tileLen)
+		w.strip = growU32(w.strip, stripLen)
 		w.lastIC, w.lastPG = -1, -1
 	}
 }

@@ -2,11 +2,12 @@ package core
 
 import (
 	"math"
+	"unsafe"
 
 	"ldgemm/internal/kernel"
 )
 
-// This file implements the fused LD epilogue: blis.TileEpilogue hooks that
+// This file implements the fused LD epilogue: blis.Epilogue hooks that
 // convert haplotype counts to D/r²/D′ per finished row run (one MR-row
 // panel of a scheduler job, every computed column), inside the blocked
 // driver's workers, while the counts are still cache-hot. The
@@ -182,17 +183,37 @@ func r2Table(p []float64, fast bool) []float64 {
 	return varTable(p)
 }
 
-// tile is the blis.TileEpilogue hook: one finished row run of mm ≤ MR
+// RowRun is the blis.Epilogue hook: one finished row run of mm ≤ MR
 // rows by nn columns. Rows are converted whole, each measure in its own
 // loop over contiguous operands and outputs; mirrored cells are copied
 // from the converted values afterwards (see reflect).
-func (e *denseEpilogue) tile(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
+func (e *denseEpilogue) RowRun(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 	for r := 0; r < mm; r++ {
 		e.row(t[r*ldt:][:nn], i0+r, j0)
 	}
 	if e.mirror {
 		e.reflect(i0, j0, mm, nn)
 	}
+}
+
+// Dest is the optional half of blis.Epilogue: where RowRun will write the
+// run starting at (i0, j0), so the micro-kernel can prefetch those lines
+// while it counts the run. One run is one pass over one matrix only when a
+// single measure with a row kernel is asked for — D or r², every streaming
+// scan and the server's region path; with several measures, or D′ alone
+// (a Go loop slow enough to hide its own misses), there is nothing worth
+// fetching early and the answer is nil.
+func (e *denseEpilogue) Dest(i0, j0 int) (unsafe.Pointer, int) {
+	var out []float64
+	switch {
+	case e.dp != nil || e.d != nil && e.r2 != nil:
+		return nil, 0
+	case e.d != nil:
+		out = e.d
+	default:
+		out = e.r2
+	}
+	return unsafe.Pointer(&out[i0*e.ld+j0]), e.ld * 8
 }
 
 // row converts cells [j0, j0+len(trow)) of output row gi, each measure in
@@ -297,10 +318,11 @@ func newMaskedEpilogue(res *Result, opt Options, mirror bool) *maskedEpilogue {
 	return e
 }
 
-// tile is the blis.TileEpilogue hook for the masked kernel: each C entry
+// RowRun is the blis.Epilogue hook for the masked kernel: each C entry
 // is four uint32 counts, cell (r, c, k) at t[(r*ldt+c)*4+k]. Same shape
-// as denseEpilogue.tile: whole rows, then the mirrored cells copied.
-func (e *maskedEpilogue) tile(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
+// as denseEpilogue.RowRun: whole rows, then the mirrored cells copied.
+// There is no Dest: the masked kernel has no assembly row to use one.
+func (e *maskedEpilogue) RowRun(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 	for r := 0; r < mm; r++ {
 		quads := t[r*ldt*4:][:nn*4]
 		base := (i0+r)*e.ld + j0

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
@@ -449,7 +450,7 @@ func TestDenseEpilogueRunsMatchTilesBitwise(t *testing.T) {
 						if !mirror {
 							res.Cols, res.ColFreqs = b.SNPs, pb
 						}
-						hook := blis.TileEpilogue(newDenseEpilogue(res, opt, mirror).tile)
+						hook := blis.TileEpilogue(newDenseEpilogue(res, opt, mirror).RowRun)
 						if cut {
 							hook = cutIntoTiles(hook, k.NR, 1)
 						}
@@ -505,7 +506,7 @@ func TestMaskedEpilogueRunsMatchTilesBitwise(t *testing.T) {
 				if !mirror {
 					res.Cols = b.SNPs
 				}
-				hook := blis.TileEpilogue(newMaskedEpilogue(res, opt, mirror).tile)
+				hook := blis.TileEpilogue(newMaskedEpilogue(res, opt, mirror).RowRun)
 				if cut {
 					hook = cutIntoTiles(hook, mk.NR, 4)
 				}
@@ -523,6 +524,97 @@ func TestMaskedEpilogueRunsMatchTilesBitwise(t *testing.T) {
 			for _, mirror := range []bool{true, false} {
 				bitsEqualResults(t, run(mirror, false), run(mirror, true))
 			}
+		}
+	}
+}
+
+// TestDestHintUnobservable: the destination hint is prefetched from and
+// nothing else, so an epilogue that answers Dest and the same epilogue
+// wrapped in blis.TileEpilogue — a bare func, which cannot answer — must
+// produce the same bits. Matrix and Cross are compared with the driver
+// calls they make, re-made with the wrapped hook, for every measure set
+// (one measure answers, several and D′ alone decline). Stream's rows are
+// compared with one unhinted GEMM over the whole matrix through the scan's
+// own epilogue — a cell's value does not depend on how the scan cut the
+// work — exact and fast, full, triangular, banded and row-windowed. The
+// shapes have whole rows of full register tiles on every host, so where the
+// assembly tile runs the hint is really followed.
+func TestDestHintUnobservable(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n = 150
+	g := withMonomorphic(randomMatrix(rng, n, 333))
+	b := withMonomorphic(randomMatrix(rng, n+21, 333))
+	p, pb := AlleleFrequencies(g), AlleleFrequencies(b)
+
+	for _, meas := range measureSets {
+		for _, fast := range []bool{false, true} {
+			opt := Options{Measures: meas, FastR2: fast, Blis: blis.Config{Threads: 2}}
+			hinted, err := Matrix(g, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare := &Result{SNPs: n, Cols: n, Samples: g.Samples, RowFreqs: p, ColFreqs: p}
+			if err := blis.SyrkEpilogue(opt.blisCfg(), g, blis.TileEpilogue(newDenseEpilogue(bare, opt, true).RowRun)); err != nil {
+				t.Fatal(err)
+			}
+			bitsEqualResults(t, hinted, bare)
+
+			if hinted, err = Cross(g, b, opt); err != nil {
+				t.Fatal(err)
+			}
+			bare = &Result{SNPs: n, Cols: b.SNPs, Samples: g.Samples, RowFreqs: p, ColFreqs: pb}
+			if err := blis.GemmEpilogue(opt.blisCfg(), g, b, blis.TileEpilogue(newDenseEpilogue(bare, opt, false).RowRun)); err != nil {
+				t.Fatal(err)
+			}
+			bitsEqualResults(t, hinted, bare)
+		}
+	}
+
+	modes := map[string]StreamOptions{
+		"full":       {StripeRows: 40},
+		"triangular": {Triangular: true, StripeRows: 40},
+		"banded":     {Triangular: true, Banded: true, Band: 37, StripeRows: 32},
+		"row-window": {Triangular: true, StripeRows: 16, RowStart: 21, RowEnd: 131},
+	}
+	for name, opt := range modes {
+		for _, exact := range []bool{false, true} {
+			opt.Exact = exact
+			bare := make([]float64, n*n)
+			e := newStripeScan(opt, p, g.Samples).epilogue(bare, n, 0, 0)
+			if err := blis.GemmEpilogue(opt.blisCfg(), g, g, blis.TileEpilogue(e.RowRun)); err != nil {
+				t.Fatal(err)
+			}
+			rows := 0
+			err := Stream(g, opt, func(i, j0 int, row []float64) {
+				rows++
+				bitsEqual(t, name, row, bare[i*n+j0:][:len(row)])
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo, hi, _ := opt.rowWindow(n); rows != hi-lo {
+				t.Fatalf("%s: %d rows visited, want %d", name, rows, hi-lo)
+			}
+		}
+	}
+}
+
+// The dense epilogue answers Dest only when a run is one pass over one
+// matrix, and then with the address RowRun writes first.
+func TestDenseEpilogueDest(t *testing.T) {
+	res := &Result{SNPs: 9, Cols: 11, Samples: 64, RowFreqs: make([]float64, 9), ColFreqs: make([]float64, 11)}
+	for _, meas := range measureSets {
+		e := newDenseEpilogue(res, Options{Measures: meas}, false)
+		p, rowBytes := e.Dest(3, 4)
+		var want *float64
+		switch meas {
+		case 0, MeasureR2:
+			want = &res.R2[3*11+4]
+		case MeasureD:
+			want = &res.D[3*11+4]
+		}
+		if p != unsafe.Pointer(want) || (want != nil && rowBytes != 11*8) {
+			t.Fatalf("measures %b: Dest = %p, %d bytes a row; want %p", meas, p, rowBytes, want)
 		}
 	}
 }

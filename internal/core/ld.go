@@ -197,7 +197,7 @@ func Matrix(g *bitmat.Matrix, opt Options) (*Result, error) {
 	res := &Result{SNPs: n, Cols: n, Samples: g.Samples, RowFreqs: p, ColFreqs: p}
 	if opt.fused() {
 		e := newDenseEpilogue(res, opt, true)
-		if err := blis.SyrkEpilogue(opt.blisCfg(), g, e.tile); err != nil {
+		if err := blis.SyrkEpilogue(opt.blisCfg(), g, e); err != nil {
 			return nil, err
 		}
 		return res, nil
@@ -227,7 +227,7 @@ func Cross(a, b *bitmat.Matrix, opt Options) (*Result, error) {
 	}
 	if opt.fused() {
 		e := newDenseEpilogue(res, opt, false)
-		if err := blis.GemmEpilogue(opt.blisCfg(), a, b, e.tile); err != nil {
+		if err := blis.GemmEpilogue(opt.blisCfg(), a, b, e); err != nil {
 			return nil, err
 		}
 		return res, nil

@@ -58,7 +58,7 @@ func MaskedMatrix(g *bitmat.Matrix, mask *bitmat.Mask, opt Options) (*Result, er
 		// converts its four-count cells in place and writes the (bit-
 		// symmetric) float mirrors it owns.
 		e := newMaskedEpilogue(res, opt, true)
-		if err := blis.MaskedSyrkEpilogue(opt.blisCfg(), gm, mask, e.tile); err != nil {
+		if err := blis.MaskedSyrkEpilogue(opt.blisCfg(), gm, mask, e); err != nil {
 			return nil, err
 		}
 		return res, nil

@@ -82,8 +82,8 @@ func (o StreamOptions) check() error {
 	return nil
 }
 
-// rowEndCol returns the exclusive end column of row gi's delivered slice.
-func (o StreamOptions) rowEndCol(gi, n int) int {
+// RowEndCol returns the exclusive end column of row gi's delivered slice.
+func (o StreamOptions) RowEndCol(gi, n int) int {
 	if !o.Banded {
 		return n
 	}
@@ -111,6 +111,65 @@ func (o StreamOptions) rowWindow(n int) (lo, hi int, err error) {
 	return o.RowStart, o.RowEnd, nil
 }
 
+// StripeSink receives a streaming scan a stripe at a time, in the buffer of
+// its own choosing: the scan computes each stripe straight into what the
+// sink hands it, so a consumer that keeps stripes (the store builder) gets
+// them without a copy. Stream and StreamSource's row visitors are a sink
+// over one pooled buffer.
+type StripeSink interface {
+	// StripeBuffer returns the buffer the next stripe is computed into, at
+	// least cells float64s. It is called once per stripe, before any of it
+	// is computed, and may block (that is the sink's back-pressure on the
+	// scan). The buffer need not be cleared: the scan assigns every cell it
+	// goes on to deliver and reads none.
+	StripeBuffer(cells int) []float64
+	// StripeDone is told that the stripe computed into the last
+	// StripeBuffer is complete, after which the scan never touches that
+	// buffer again. It holds SNP rows [i0, i0+rows), row r at
+	// vals[r*width : (r+1)*width]. In a triangular scan column 0 is SNP i0
+	// and row r is meaningful from its own diagonal, column r, to the band
+	// edge min(n, i0+r+Band+1) − i0 (n − i0 unbanded); cells outside that
+	// are by-products or stale. Otherwise column 0 is SNP 0 and every cell
+	// of the n-wide row is delivered.
+	StripeDone(i0, rows, width int, vals []float64)
+}
+
+// rowVisitor is the StripeSink behind the row visitors of Stream and
+// StreamSource: one pooled buffer, every finished stripe handed to visit
+// row by row.
+type rowVisitor struct {
+	opt   StreamOptions
+	n     int
+	visit func(i, j0 int, row []float64)
+	buf   *[]float64
+}
+
+func (v *rowVisitor) StripeBuffer(cells int) []float64 {
+	// The first stripe of a scan is its largest, so one buffer serves all.
+	if v.buf == nil {
+		v.buf = getStripe(cells)
+	}
+	return (*v.buf)[:cells]
+}
+
+func (v *rowVisitor) StripeDone(i0, rows, width int, vals []float64) {
+	for r := 0; r < rows; r++ {
+		gi := i0 + r
+		j0, from, to := 0, 0, width
+		if v.opt.Triangular {
+			j0, from, to = gi, r, v.opt.RowEndCol(gi, v.n)-i0
+		}
+		v.visit(gi, j0, vals[r*width+from:r*width+to])
+	}
+}
+
+// release returns the buffer to the pool once the scan is over.
+func (v *rowVisitor) release() {
+	if v.buf != nil {
+		stripePool.Put(v.buf)
+	}
+}
+
 // Stream computes all-pairs LD for matrices too large to materialize n²
 // float64 outputs: it runs the blocked GEMM stripe by stripe and hands
 // each finished row to visit as (i, j0, row) where row[t] is the statistic
@@ -122,6 +181,14 @@ func (o StreamOptions) rowWindow(n int) (lo, hi int, err error) {
 // The statistic delivered is r² unless Options.Measures selects exactly
 // MeasureD or MeasureDPrime.
 func Stream(g *bitmat.Matrix, opt StreamOptions, visit func(i, j0 int, row []float64)) error {
+	v := &rowVisitor{opt: opt, n: g.SNPs, visit: visit}
+	defer v.release()
+	return streamResident(g, opt, v)
+}
+
+// streamResident validates a scan of a resident matrix and runs it into
+// sink.
+func streamResident(g *bitmat.Matrix, opt StreamOptions, sink StripeSink) error {
 	if g.Samples == 0 && g.SNPs > 0 {
 		return fmt.Errorf("core: streaming LD with zero samples")
 	}
@@ -139,7 +206,7 @@ func Stream(g *bitmat.Matrix, opt StreamOptions, visit func(i, j0 int, row []flo
 	if err := opt.check(); err != nil {
 		return err
 	}
-	return streamFused(g, opt, AlleleFrequencies(g), lo, hi, stripe, visit)
+	return streamFused(g, opt, AlleleFrequencies(g), lo, hi, stripe, sink)
 }
 
 // stripeScan builds the stripe epilogues of one fused scan. Whatever
@@ -185,9 +252,10 @@ func (s *stripeScan) epilogue(out []float64, ld, row0, col0 int) *denseEpilogue 
 	return e
 }
 
-// stripeCells returns the float64 cells the widest stripe of a fused scan
-// over rows [lo, hi) needs — the first: its height times the columns from
-// the stripe origin to n, or to the band edge.
+// stripeCells returns the float64 cells of the stripe that starts at row lo
+// of a fused scan ending at row hi: its height times the columns from the
+// stripe origin to n, or to the band edge. A scan's first stripe is its
+// largest.
 func (o StreamOptions) stripeCells(stripe, lo, hi, n int) int {
 	rows, width := min(stripe, hi-lo), n
 	if o.Triangular {
@@ -211,36 +279,30 @@ func getStripe(cells int) *[]float64 {
 	return &b
 }
 
-// streamFused is Stream's body: the stripe's statistic values are written
-// directly by the blocked driver's fused epilogue into a float64 stripe —
-// no uint32 count stripe, no per-row conversion pass, and the conversion
-// runs in parallel inside the driver. Expression shapes match the dense
-// split sweep exactly (exact via PairFromFreqs's sequence), so streamed
-// values under Exact are bit-identical to Matrix's.
-func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, lo, hi, stripe int, visit func(i, j0 int, row []float64)) error {
+// streamFused is the resident scan's body: the stripe's statistic values are
+// written directly by the blocked driver's fused epilogue into the sink's
+// float64 stripe — no uint32 count stripe, no per-row conversion pass, and
+// the conversion runs in parallel inside the driver. Expression shapes match
+// the dense split sweep exactly (exact via PairFromFreqs's sequence), so
+// streamed values under Exact are bit-identical to Matrix's.
+func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, lo, hi, stripe int, sink StripeSink) error {
 	n := g.SNPs
 	scan := newStripeScan(opt, p, g.Samples)
-	buf := getStripe(opt.stripeCells(stripe, lo, hi, n))
-	defer stripePool.Put(buf)
-	vals := *buf
 	for i0 := lo; i0 < hi; i0 += stripe {
 		rows := min(stripe, hi-i0)
 		sub := g.Slice(i0, i0+rows)
-		base := 0
 		width := n
 		bHi := opt.stripeColEnd(i0, rows, n)
 		if opt.Triangular {
-			base = i0
 			width = bHi - i0
 		}
-		v := vals[:rows*width]
+		v := sink.StripeBuffer(opt.stripeCells(stripe, i0, hi, n))[:rows*width]
 		if opt.Triangular {
 			// Diagonal block: the fused SYRK sweep writes every upper-
 			// triangle cell (and correct below-diagonal by-products the
-			// visit loop never reads), so no clear is needed — the
+			// sink never reads), so no clear is needed — the
 			// epilogue assigns rather than accumulates.
-			e := scan.epilogue(v, width, i0, i0)
-			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, e.tile); err != nil {
+			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, scan.epilogue(v, width, i0, i0)); err != nil {
 				return err
 			}
 			if skip := n - bHi; skip > 0 {
@@ -248,29 +310,14 @@ func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, lo, hi, strip
 			}
 			if i0+rows < bHi {
 				rest := g.Slice(i0+rows, bHi)
-				e := scan.epilogue(vals[rows:], width, i0, i0+rows)
-				if err := blis.GemmEpilogue(opt.blisCfg(), sub, rest, e.tile); err != nil {
+				if err := blis.GemmEpilogue(opt.blisCfg(), sub, rest, scan.epilogue(v[rows:], width, i0, i0+rows)); err != nil {
 					return err
 				}
 			}
-		} else {
-			e := scan.epilogue(v, width, i0, 0)
-			if err := blis.GemmEpilogue(opt.blisCfg(), sub, g, e.tile); err != nil {
-				return err
-			}
+		} else if err := blis.GemmEpilogue(opt.blisCfg(), sub, g, scan.epilogue(v, width, i0, 0)); err != nil {
+			return err
 		}
-		for i := 0; i < rows; i++ {
-			gi := i0 + i
-			j0 := base
-			off := 0
-			end := i*width + width
-			if opt.Triangular {
-				j0 = gi
-				off = gi - i0
-				end = i*width + (opt.rowEndCol(gi, n) - i0)
-			}
-			visit(gi, j0, v[i*width+off:end])
-		}
+		sink.StripeDone(i0, rows, width, v)
 	}
 	return nil
 }

@@ -72,8 +72,18 @@ func SourceAlleleFrequencies(src bitmat.Source, panelSNPs int) ([]float64, error
 // Like Stream it rejects KeepCounts: the dense count matrix is what
 // streaming exists to avoid.
 func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, row []float64)) error {
+	v := &rowVisitor{opt: opt, n: src.NumSNPs(), visit: visit}
+	defer v.release()
+	return StreamSourceStripes(src, opt, v)
+}
+
+// StreamSourceStripes is the scan under StreamSource (and, through the
+// MemSource short-circuit, under Stream) with stripe-level delivery: the
+// same schedule and the same bits, each stripe computed into the buffer
+// sink supplies and handed back whole (see StripeSink).
+func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) error {
 	if ms, ok := src.(*bitmat.MemSource); ok {
-		return Stream(ms.M, opt, visit)
+		return streamResident(ms.M, opt, sink)
 	}
 	if err := opt.check(); err != nil {
 		return err
@@ -182,9 +192,6 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 	}
 
 	scan := newStripeScan(opt, p, samples)
-	buf := getStripe(opt.stripeCells(stripe, lo, hi, n))
-	defer stripePool.Put(buf)
-	vals := *buf
 	for i0 := lo; i0 < hi; i0 += stripe {
 		rows := min(stripe, hi-i0)
 		a, err := recv()
@@ -201,10 +208,10 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 			bHi = opt.stripeColEnd(i0, rows, n)
 			width = bHi - i0
 		}
-		v := vals[:rows*width]
+		v := sink.StripeBuffer(opt.stripeCells(stripe, i0, hi, n))[:rows*width]
 		if opt.Triangular {
 			e := scan.epilogue(v, width, i0, i0)
-			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, e.tile); err != nil {
+			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, e); err != nil {
 				return err
 			}
 		}
@@ -214,25 +221,14 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 				return err
 			}
 			e := scan.epilogue(v[c-base:], width, i0, c)
-			err = blis.GemmEpilogue(opt.blisCfg(), sub, b.m, e.tile)
+			err = blis.GemmEpilogue(opt.blisCfg(), sub, b.m, e)
 			freeB <- b.buf
 			if err != nil {
 				return err
 			}
 		}
 		freeA <- a.buf
-		for i := 0; i < rows; i++ {
-			gi := i0 + i
-			j0 := base
-			off := 0
-			end := i*width + width
-			if opt.Triangular {
-				j0 = gi
-				off = gi - i0
-				end = i*width + (opt.rowEndCol(gi, n) - i0)
-			}
-			visit(gi, j0, v[i*width+off:end])
-		}
+		sink.StripeDone(i0, rows, width, v)
 	}
 	return nil
 }

@@ -22,6 +22,7 @@ package kernel
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Func computes an MR×NR micro-tile: c[i*ldc+j] accumulates the haplotype
@@ -35,7 +36,14 @@ type Func func(kc int, ap, bp []uint64, c []uint32, ldc int)
 // With acc set the counts are added into c, as Func does; without it they
 // are stored over whatever c held (BLAS β = 0), so the first rank-k update
 // of a C that nobody cleared is exact.
-type RowFunc func(kc int, ap, bp []uint64, bstride, nt int, c []uint32, ldc int, acc bool)
+//
+// pf is the destination hint, nil for none: the first byte the caller will
+// write when it converts tile 0's row 0 of these counts to float64s, the
+// rows of that output pfRowBytes ≥ 0 apart. A kernel may prefetch tile t's
+// MR output rows — pf + r·pfRowBytes + 8·NR·t — while it counts; it never
+// reads or writes through the hint, so no result depends on it and it may
+// run past the end of the caller's matrix.
+type RowFunc func(kc int, ap, bp []uint64, bstride, nt int, c []uint32, ldc int, acc bool, pf unsafe.Pointer, pfRowBytes int)
 
 // Kernel bundles a micro-kernel with its register-block shape.
 type Kernel struct {

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func tileRow8x8VPOPCNTQ(kc int, ap, bp *uint64, bstride, nt int, c *uint32, ldc int, acc bool)
+// func tileRow8x8VPOPCNTQ(kc int, ap, bp *uint64, bstride, nt int, c *uint32, ldc int, acc bool, pf unsafe.Pointer, pfRowBytes int)
 //
 // One row of 8×8 register tiles over interleaved panels (ap[l*8+i],
 // bp[t*bstride+l*8+j]): the A micro-panel against nt B micro-panels
@@ -15,7 +15,21 @@
 // wrap) and leave through one of two exits: added into C (acc, BLAS β = 1)
 // or stored over it (β = 0), so a first rank-k update needs no cleared C.
 // kc ≥ 1, nt ≥ 1 and the panel and C extents are the Go wrapper's to check.
-TEXT ·tileRow8x8VPOPCNTQ(SB), NOSPLIT, $0-57
+//
+// pf, when not nil, is the destination hint: the first byte the caller will
+// write once it converts this run's counts (tile 0, row 0), rows pfRowBytes
+// apart, eight bytes a cell — so tile t's eight output rows start 64·t bytes
+// along. Each tile prefetches those eight lines before its k-loop: the
+// misses then overlap the counting, whose ports (p0/p5) the prefetches do
+// not use, instead of stalling the conversion's stores. PREFETCHT0: the
+// three levels measured alike here, and T0 is the plain request — the lines
+// are written within one row of tiles, so no level is worth keeping them
+// out of. Go's assembler has no PREFETCHW; a line no other core holds
+// arrives exclusive anyway. Every general register is taken (R14 and R15
+// are the runtime's), so the cursor lives in its argument slot and borrows
+// R12, CX and SI before the tile sets them. A prefetch cannot fault: past
+// the last row or column of the destination it is merely wasted.
+TEXT ·tileRow8x8VPOPCNTQ(SB), NOSPLIT, $0-80
 	MOVQ kc+0(FP), R8
 	MOVQ ap+8(FP), R9
 	MOVQ bp+16(FP), DI
@@ -32,6 +46,23 @@ TEXT ·tileRow8x8VPOPCNTQ(SB), NOSPLIT, $0-57
 	SHLQ $3, R10            // bytes from there to the next panel's first word
 
 tile:
+	MOVQ pf+64(FP), R12
+	TESTQ R12, R12
+	JZ   count
+	MOVQ pfRowBytes+72(FP), CX
+	LEAQ (CX)(CX*2), SI
+	PREFETCHT0 (R12)
+	PREFETCHT0 (R12)(CX*1)
+	PREFETCHT0 (R12)(CX*2)
+	PREFETCHT0 (R12)(SI*1)
+	LEAQ (R12)(CX*4), R12
+	PREFETCHT0 (R12)
+	PREFETCHT0 (R12)(CX*1)
+	PREFETCHT0 (R12)(CX*2)
+	PREFETCHT0 (R12)(SI*1)
+	ADDQ $64, pf+64(FP)
+
+count:
 	MOVQ R8, CX
 	MOVQ R9, SI
 	VPXORQ Z0, Z0, Z0

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/popcount"
@@ -107,15 +108,15 @@ func TestVectorTileChecksExtents(t *testing.T) {
 	rb := make([]uint64, (nt-1)*bstride+8*kc)
 	rc := make([]uint32, 7*ldr+8*nt)
 	for _, acc := range []bool{false, true} {
-		tile.Row(kc, ap, rb, bstride, nt, rc, ldr, acc) // exact extents are enough
-		tile.Row(kc, ap, rb, bstride, 0, nil, ldr, acc) // no tiles, nothing touched
+		tile.Row(kc, ap, rb, bstride, nt, rc, ldr, acc, nil, 0) // exact extents are enough
+		tile.Row(kc, ap, rb, bstride, 0, nil, ldr, acc, nil, 0) // no tiles, nothing touched
 	}
 	rc[0], rc[ldr+8*nt-1], rc[8*nt] = 7, 7, 7
-	tile.Row(0, nil, nil, bstride, nt, rc, ldr, true)
+	tile.Row(0, nil, nil, bstride, nt, rc, ldr, true, nil, 0)
 	if rc[0] != 7 || rc[ldr+8*nt-1] != 7 {
 		t.Fatalf("kc=0 row in add mode changed C: %d %d", rc[0], rc[ldr+8*nt-1])
 	}
-	tile.Row(0, nil, nil, bstride, nt, rc, ldr, false)
+	tile.Row(0, nil, nil, bstride, nt, rc, ldr, false, nil, 0)
 	if rc[0] != 0 || rc[ldr+8*nt-1] != 0 || rc[8*nt] != 7 {
 		t.Fatalf("kc=0 row in store mode left C = %d %d, gap cell %d", rc[0], rc[ldr+8*nt-1], rc[8*nt])
 	}
@@ -126,11 +127,14 @@ func TestVectorTileChecksExtents(t *testing.T) {
 		"short C":      func() { tile.Fn(kc, ap, bp, c[:7*ldc+7], ldc) },
 		"negative ldc": func() { tile.Fn(kc, ap, bp, c, -1) },
 
-		"row short A":          func() { tile.Row(kc, ap[:8*kc-1], rb, bstride, nt, rc, ldr, true) },
-		"row short last B":     func() { tile.Row(kc, ap, rb[:len(rb)-1], bstride, nt, rc, ldr, true) },
-		"row short C":          func() { tile.Row(kc, ap, rb, bstride, nt, rc[:len(rc)-1], ldr, false) },
-		"row negative ldc":     func() { tile.Row(kc, ap, rb, bstride, nt, rc, -1, true) },
-		"row negative bstride": func() { tile.Row(kc, ap, rb, -1, nt, rc, ldr, true) },
+		"row short A":          func() { tile.Row(kc, ap[:8*kc-1], rb, bstride, nt, rc, ldr, true, nil, 0) },
+		"row short last B":     func() { tile.Row(kc, ap, rb[:len(rb)-1], bstride, nt, rc, ldr, true, nil, 0) },
+		"row short C":          func() { tile.Row(kc, ap, rb, bstride, nt, rc[:len(rc)-1], ldr, false, nil, 0) },
+		"row negative ldc":     func() { tile.Row(kc, ap, rb, bstride, nt, rc, -1, true, nil, 0) },
+		"row negative bstride": func() { tile.Row(kc, ap, rb, -1, nt, rc, ldr, true, nil, 0) },
+		"row negative hint row distance": func() {
+			tile.Row(kc, ap, rb, bstride, nt, rc, ldr, true, unsafe.Pointer(&rc[0]), -8)
+		},
 	} {
 		func() {
 			defer func() {
@@ -149,12 +153,34 @@ func TestVectorTileChecksExtents(t *testing.T) {
 // the canary cells around it must come back untouched. Store mode runs over
 // a destination full of 0xdeadbeef and must equal the oracle on a zeroed
 // one; add mode runs over cells within 2·64·kc of 2³² and must wrap exactly
-// as the Go kernels do.
+// as the Go kernels do. Every case runs without a destination hint and with
+// one — on a cache line, 8 and 56 bytes off it, rows a page apart and all
+// on one line (distance 0): the hint is prefetched from and nothing else,
+// so C must be identical and the hinted buffer, canaries throughout, must
+// come back as it went in.
 func TestVectorTileRowMatchesGeneric(t *testing.T) {
 	tile := vectorTileOrSkip(t)
 	oracle := Generic(8, 8)
 	rng := rand.New(rand.NewSource(23))
 	const rowsAbove, colsLeft, colsRight, rowsBelow = 2, 3, 5, 1
+
+	const page = 4096
+	hinted := make([]float64, (7*page+64*64+2*64)/8) // 8 rows a page apart, 64 tiles, slack to align
+	for i := range hinted {
+		hinted[i] = float64(i) + 0.5
+	}
+	line := int((64 - uintptr(unsafe.Pointer(&hinted[0]))%64) % 64 / 8) // first cell on a cache line
+	type hint struct {
+		p        unsafe.Pointer
+		rowBytes int
+	}
+	hints := []hint{{nil, 0}}
+	for _, off := range []int{0, 8, 56} {
+		for _, rowBytes := range []int{0, page} {
+			hints = append(hints, hint{unsafe.Pointer(&hinted[line+off/8]), rowBytes})
+		}
+	}
+
 	for _, kc := range []int{1, 7, 8, 33, 256} {
 		for _, nt := range []int{1, 2, 5, 64} {
 			for _, bstride := range []int{8 * kc, 8*kc + 24} {
@@ -180,24 +206,32 @@ func TestVectorTileRowMatchesGeneric(t *testing.T) {
 							want[i] = -uint32(rng.Intn(2*64*kc) + 1)
 						}
 					}
-					got := append([]uint32(nil), want...)
+					start := append([]uint32(nil), want...)
 					for i := range want {
 						if !acc && inside(i) {
-							want[i], got[i] = 0, 0xdeadbeef
+							want[i], start[i] = 0, 0xdeadbeef
 						}
 					}
 					for tl := 0; tl < nt; tl++ {
 						oracle.Fn(kc, ap, bp[tl*bstride:], want[org+8*tl:], ldc)
 					}
-					tile.Row(kc, ap, bp, bstride, nt, got[org:], ldc, acc)
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("kc=%d nt=%d bstride=%d acc=%v: c[%d] (inside=%v) = %#x, want %#x",
-								kc, nt, bstride, acc, i, inside(i), got[i], want[i])
+					for _, h := range hints {
+						got := append([]uint32(nil), start...)
+						tile.Row(kc, ap, bp, bstride, nt, got[org:], ldc, acc, h.p, h.rowBytes)
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("kc=%d nt=%d bstride=%d acc=%v hint=%v: c[%d] (inside=%v) = %#x, want %#x",
+									kc, nt, bstride, acc, h, i, inside(i), got[i], want[i])
+							}
 						}
 					}
 				}
 			}
+		}
+	}
+	for i, v := range hinted {
+		if v != float64(i)+0.5 {
+			t.Fatalf("the hinted buffer was written: cell %d = %v", i, v)
 		}
 	}
 }
@@ -232,7 +266,7 @@ func TestVectorTileRowEqualsFn(t *testing.T) {
 			}
 			got := append([]uint32(nil), want...)
 			k.Fn(kc, ap, bp, want, ldc)
-			k.Row(kc, ap, bp, 0, 1, got, ldc, true)
+			k.Row(kc, ap, bp, 0, 1, got, ldc, true, nil, 0)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%s kc=%d: Row c[%d] = %d, Fn %d", k.Name, kc, i, got[i], want[i])
@@ -278,7 +312,8 @@ func TestVectorTileGating(t *testing.T) {
 // the shape ablation. Last, the tile's row entry at kc = 8 and 256: nt = 1,
 // 16 and 256 tiles per call, storing and adding — ns/tile at nt = 1 against
 // the per-tile Fn line is what a call costs, and against nt = 256 what the
-// driver's one call per row of tiles leaves of it.
+// driver's one call per row of tiles leaves of it — and, at kc = 8 and 32,
+// the same row with and without a destination hint.
 func BenchmarkMicroKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	type packer func(dst []uint64, m *bitmat.Matrix, snp, count, rr, pc, kc int)
@@ -336,11 +371,44 @@ func BenchmarkMicroKernel(b *testing.B) {
 				mode := map[bool]string{false: "store", true: "add"}[acc]
 				b.Run(fmt.Sprintf("%s-row/kc=%d/nt=%d/%s", tile.Name, kc, nt, mode), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						tile.Row(kc, ap, bp, kc*nr, nt, c, nt*nr, acc)
+						tile.Row(kc, ap, bp, kc*nr, nt, c, nt*nr, acc, nil, 0)
 					}
 					report(b, nt, nt*kc*mr*nr)
 				})
 			}
+		}
+	}
+	// The destination hint, at the depths where a tile is short enough for
+	// eight prefetches to show: 256 tiles per call, storing, without a hint
+	// and with one walking a 32 MB float64 buffer the way the driver's
+	// panels walk a stripe (eight rows of 256 tiles' floats per call, the
+	// next eight on the next call). Nothing ever writes the buffer, so the
+	// difference is what issuing the prefetches costs the counting loop
+	// when the lines come from L3 or nearer.
+	const nt = 256
+	out := make([]float64, 32<<20/8)
+	rowBytes := nt * nr * 8
+	for _, kc := range []int{8, 32} {
+		ap, bp := make([]uint64, kc*mr), make([]uint64, nt*kc*nr)
+		PackPanel(ap, randomMatrix(rng, mr, kc*64), 0, mr, mr, 0, kc)
+		cols := randomMatrix(rng, nt*nr, kc*64)
+		for t := 0; t < nt; t++ {
+			PackPanel(bp[t*kc*nr:], cols, t*nr, nr, nr, 0, kc)
+		}
+		c := make([]uint32, mr*nt*nr)
+		for _, hinted := range []bool{false, true} {
+			name := map[bool]string{false: "none", true: "32MB"}[hinted]
+			b.Run(fmt.Sprintf("%s-row/kc=%d/nt=%d/hint=%s", tile.Name, kc, nt, name), func(b *testing.B) {
+				panels := len(out) * 8 / (mr * rowBytes)
+				for i := 0; i < b.N; i++ {
+					var pf unsafe.Pointer
+					if hinted {
+						pf = unsafe.Pointer(&out[i%panels*mr*rowBytes/8])
+					}
+					tile.Row(kc, ap, bp, kc*nr, nt, c, nt*nr, false, pf, rowBytes)
+				}
+				report(b, nt, nt*kc*mr*nr)
+			})
 		}
 	}
 }

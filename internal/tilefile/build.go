@@ -16,14 +16,15 @@ import (
 	"ldgemm/internal/core"
 )
 
-// Stripe is one tile row of statistic values as the scan delivered it:
-// the encoder's input. Row r (global SNP I0+r) occupies
-// Vals[r*Width : (r+1)*Width] for columns [I0, N); only the upper
-// triangle is delivered, so the cells left of a row's own diagonal are
-// unset. RowEnd[r] is the exclusive global end column the scan delivered
-// for that row — the band edge in a banded build, N otherwise; cells past
-// it are stale values of an earlier stripe, possibly of an earlier build
-// (the buffers are pooled and never cleared).
+// Stripe is one tile row of statistic values as the scan computed it, in
+// place: the encoder's input. Row r (global SNP I0+r) occupies
+// Vals[r*Width : (r+1)*Width] for columns [I0, I0+Width) — to N, or in a
+// banded build to where the stripe's last row leaves the band; only the
+// upper triangle is delivered, so the cells left of a row's own diagonal
+// are not to be read. RowEnd[r] is the exclusive global end column the scan
+// delivered for that row — the band edge in a banded build, N otherwise;
+// cells past it are stale values of an earlier stripe, possibly of an
+// earlier build (the buffers are pooled and never cleared).
 type Stripe struct {
 	N, I0, Rows, Width int
 	Vals               []float64
@@ -79,10 +80,10 @@ type BuildStats struct {
 	Tiles     int
 	TileBytes int64
 	FileBytes int64
-	// PeakResultBytes is the build's result-storage high-water mark: three
-	// NT-row float64 stripes — the scan's fused stripe, the buffer it is
-	// being copied into, and the one the writer is encoding —
-	// O(TileSize × SNPs), never the n² result.
+	// PeakResultBytes is the build's result-storage high-water mark: the
+	// three NT-row float64 stripes that circulate between the scan, which
+	// computes straight into one, and the writer — O(TileSize × SNPs),
+	// never the n² result.
 	PeakResultBytes int64
 	// StartStripe is the tile row the build began at: 0 for a fresh
 	// build, the checkpoint's stripe count for a resumed one.
@@ -104,13 +105,15 @@ type BuildStats struct {
 
 // builder is the single build driver, a three-stage pipeline:
 //
-//	scan (core.StreamSource → addRow) → writer (encode, CRC, append, index)
+//	scan (core.StreamSourceStripes) → writer (encode, CRC, append, index)
 //	→ committer (fsync, sidecar, manifest; checkpointed file builds only)
 //
-// The scan fills one of two stripe buffers while the writer drains the
-// other, and the committer makes the newest flushed stripe durable while
-// both run on. Each field below belongs to one stage while the pipeline
-// runs; everything is joined before run reads any of it back.
+// The builder is the scan's core.StripeSink: the blocked driver's epilogue
+// writes each stripe straight into one of three circulating buffers, the
+// writer drains the ones already handed over, and the committer makes the
+// newest flushed stripe durable while both run on. Each field below belongs
+// to one stage while the pipeline runs; everything is joined before run
+// reads any of it back.
 type builder struct {
 	spec  *Spec
 	src   bitmat.Source
@@ -120,12 +123,13 @@ type builder struct {
 	id    identity
 
 	// Scan side.
-	next int     // expected next global row
-	cur  *Stripe // the buffer being filled, nil between stripes
+	so   core.StreamOptions
+	next int     // first row of the stripe the scan must deliver next
+	cur  *Stripe // the buffer the scan is computing into, nil between stripes
 
-	// The two stripe buffers circulate free → scan → full → writer → free;
-	// both channels hold every buffer there is, so only the scan's wait for
-	// a free one ever blocks.
+	// The stripe buffers circulate free → scan → full → writer → free; both
+	// channels hold every buffer there is, so only the scan's wait for a
+	// free one ever blocks.
 	free, full chan *Stripe
 
 	// Writer side.
@@ -218,15 +222,15 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 
 // Build computes the statistic for every SNP pair of src (or only the
 // |i−j| ≤ Band pairs of a banded spec) with the blocked driver and writes
-// the tile container to w. It rides core.StreamSource's triangular scan
+// the tile container to w. It rides core.StreamSourceStripes' triangular scan
 // with StripeRows = TileSize, so each tile row is produced from one stripe
 // and result memory stays O(TileSize × SNPs) no matter how large the full
 // n² matrix would be; a resident bitmat.MemSource runs core.Stream's
 // in-RAM scan, any other source the double-buffered panel schedule. The
-// output side is double-buffered too: a writer goroutine encodes and
-// appends stripe s while the scan computes stripe s+1. The Exact epilogue
-// is forced so stored values are bit-identical to the dense core.Matrix
-// path a serverless request would compute.
+// output side is buffered too: a writer goroutine encodes and appends
+// stripe s while the scan computes stripe s+1 into another buffer. The
+// Exact epilogue is forced so stored values are bit-identical to the dense
+// core.Matrix path a serverless request would compute.
 func Build(w io.WriteSeeker, src bitmat.Source, spec Spec) (BuildStats, error) {
 	b, err := newBuilder(src, &spec)
 	if err != nil {
@@ -380,8 +384,7 @@ func (b *builder) run() (BuildStats, error) {
 	st.Tiles = len(b.index)
 	st.TileBytes = b.offset - int64(f.HeaderSize())
 	st.FileBytes = b.offset + int64(len(b.index))*IndexEntrySize
-	// Our two buffers and the scan's own stripe, which has their shape.
-	st.PeakResultBytes = 3 * 8 * int64(rows) * int64(b.n)
+	st.PeakResultBytes = stripeBuffers * 8 * int64(rows) * int64(b.n)
 	st.StartStripe = b.startStripe
 	return st, nil
 }
@@ -391,7 +394,7 @@ func (b *builder) run() (BuildStats, error) {
 // finished. A stripe the scan handed over is written and committed
 // whatever stops the scan afterwards (a cancelled parent context, a failed
 // source read), so stripesDone and the manifest always agree. A stage's
-// own error cannot abort the stream from inside a visit callback: it is
+// own error cannot abort the stream from inside a sink callback: it is
 // recorded, the scan is cancelled through the driver's context plumbing,
 // and the recorded error wins over the resulting ctx.Err.
 func (b *builder) scan(start, rows int) error {
@@ -405,7 +408,7 @@ func (b *builder) scan(start, rows int) error {
 	ld := b.spec.LD
 	ld.Ctx = ctx
 	ld.Measures = b.spec.Stat.Measure()
-	so := core.StreamOptions{
+	b.so = core.StreamOptions{
 		Options:     ld,
 		StripeRows:  b.nt,
 		Triangular:  true,
@@ -415,12 +418,11 @@ func (b *builder) scan(start, rows int) error {
 		IOPanelSNPs: b.spec.IOPanelSNPs,
 	}
 	if start > 0 {
-		so.RowStart, so.RowEnd = start, b.n
+		b.so.RowStart, b.so.RowEnd = start, b.n
 	}
 
-	const buffers = 2
-	b.free, b.full = make(chan *Stripe, buffers), make(chan *Stripe, buffers)
-	for range buffers {
+	b.free, b.full = make(chan *Stripe, stripeBuffers), make(chan *Stripe, stripeBuffers)
+	for range stripeBuffers {
 		b.free <- getStripe(b.n, rows)
 	}
 	var stages sync.WaitGroup
@@ -438,7 +440,7 @@ func (b *builder) scan(start, rows int) error {
 		b.writeStripes()
 	}()
 
-	streamErr := core.StreamSource(b.src, so, func(i, _ int, row []float64) { b.addRow(i, row) })
+	streamErr := core.StreamSourceStripes(b.src, b.so, b)
 
 	close(b.full)
 	stages.Wait()
@@ -462,39 +464,43 @@ func (b *builder) fail(err error) {
 	}
 }
 
-// addRow copies one streamed row into the current stripe buffer and hands
-// the buffer to the writer once its last row has arrived. The stream
-// delivers rows in order; the builder asserts that rather than trusting it
-// silently.
-func (b *builder) addRow(i int, row []float64) {
-	if b.failed.Load() {
-		return
+// stripeBuffers is how many stripe buffers circulate: one the scan computes
+// into, one queued and one the writer is encoding. The scan can therefore
+// run two whole stripes ahead of a stalled writer and no further, which is
+// also as far as it ran when it owned a stripe and copied into two.
+const stripeBuffers = 3
+
+// StripeBuffer is the scan asking where to compute its next stripe
+// (core.StripeSink): the next free buffer. The writer returns every buffer
+// it is handed, failed or not, so the wait always ends; it is timed only
+// when it blocks.
+func (b *builder) StripeBuffer(cells int) []float64 {
+	select {
+	case b.cur = <-b.free:
+	default:
+		t0 := time.Now()
+		b.cur = <-b.free
+		b.stats.ScanWaitNanos += time.Since(t0).Nanoseconds()
 	}
-	if i != b.next {
-		b.fail(b.spec.Format.errorf("stream delivered row %d, want %d", i, b.next))
-		return
-	}
-	b.next++
-	if i%b.nt == 0 {
-		// The writer returns every buffer it is handed, failed or not, so
-		// this wait always ends; it is timed only when it blocks.
-		select {
-		case b.cur = <-b.free:
-		default:
-			t0 := time.Now()
-			b.cur = <-b.free
-			b.stats.ScanWaitNanos += time.Since(t0).Nanoseconds()
-		}
-		b.cur.I0, b.cur.Rows, b.cur.Width = i, min(b.nt, b.n-i), b.n-i
-	}
+	return b.cur.Vals[:cells]
+}
+
+// StripeDone is the scan reporting that stripe complete: the buffer is
+// labelled — the scan's layout is Stripe's, and a row's delivered end is the
+// band rule's — and handed to the writer. The stream delivers stripes in
+// order; the builder asserts that rather than trusting it silently.
+func (b *builder) StripeDone(i0, rows, width int, _ []float64) {
 	s := b.cur
-	r := i - s.I0
-	copy(s.Vals[r*s.Width+r:(r+1)*s.Width], row)
-	s.RowEnd[r] = i + len(row)
-	if r == s.Rows-1 {
-		b.cur = nil
-		b.full <- s
+	b.cur = nil
+	if i0 != b.next {
+		b.fail(b.spec.Format.errorf("stream delivered the stripe at row %d, want %d", i0, b.next))
 	}
+	b.next = i0 + rows
+	s.I0, s.Rows, s.Width = i0, rows, width
+	for r := range s.RowEnd[:rows] {
+		s.RowEnd[r] = b.so.RowEndCol(i0+r, b.n)
+	}
+	b.full <- s
 }
 
 // writeStripes is the writer stage: every stripe the scan hands over, in
