@@ -23,9 +23,10 @@ build-arm64:
 # many goroutines, the tile container whose LRU every store query shares and
 # whose build is a three-stage pipeline, three stripe buffers handed from the
 # scan to the writer and back, tested under injected faults, the
-# HTTP server that shares the arena pool and in-flight semaphore across
-# requests, the scatter-gather cluster coordinator, and the ldserver
-# lifecycle).
+# HTTP server that shares the arena pool, the region encoder's pooled offset
+# scratch and the in-flight semaphore across requests
+# (TestConcurrentRegionRequests), the scatter-gather cluster coordinator, and
+# the ldserver lifecycle).
 .PHONY: verify-race
 verify-race:
 	go vet ./...
@@ -45,12 +46,13 @@ verify-cluster:
 # checkpoint-manifest target, each run against every codec (dense, dense
 # + DEFLATE, sparse, banded sparse); hostile and truncated files must
 # error, never panic or over-allocate. The float wire: the node's encoder
-# against encoding/json on any float64 bits, and the coordinator's strip
-# scan on any bytes — what it accepts, encoding/json accepts with the same
-# shape — and a sparse operator's request body, scanned or handed to
-# encoding/json, against encoding/json alone. Last, the fused epilogue's
-# AVX-512 row kernels against their Go loops, bit for bit, on any counts,
-# frequencies and row length (CI runs this too).
+# against encoding/json on any float64 bits — in rows, in vectors, and in
+# square replies whose lower half may be copied from the upper — and the
+# coordinator's strip scan on any bytes — what it accepts, encoding/json
+# accepts with the same shape — and a sparse operator's request body,
+# scanned or handed to encoding/json, against encoding/json alone. Last, the
+# fused epilogue's AVX-512 row kernels against their Go loops, bit for bit, on
+# any counts, frequencies and row length (CI runs this too).
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
@@ -89,10 +91,12 @@ bench-kernel:
 	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller'
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling
-# and running in CI. The float wire: a node encoding an 80 × 80 region, a
-# coordinator checking and splicing its two strips. One pass of the small-k
-# stream (8192 SNPs × 512 samples), which prints what the fused epilogue
-# costs per pair, one pass of the dense store build's out-of-core scan
+# and running in CI. The float wire: a node encoding an 80 × 80 region (the
+# square a single node answers with, and a 40-row strip of it: ns/float,
+# MB/s), the float writer beside strconv.AppendFloat on r²-shaped and
+# matvec-shaped values (ns/float), a coordinator checking and splicing its
+# two strips. One pass of the small-k stream (8192 SNPs × 512 samples),
+# which prints what the fused epilogue costs per pair, one pass of the dense store build's out-of-core scan
 # (4096 × 2048, stripes of 128 against 256-SNP panels) at 1 and 2 threads,
 # which must read alike, and one call of each of its row conversions (D, fast and
 # exact r², Go loop and AVX-512 row kernel, 512 and 3840 cells, ns/cell on
@@ -110,7 +114,7 @@ bench-kernel:
 # stripes, scan wait, B/op.
 .PHONY: bench-smoke
 bench-smoke:
-	go test ./internal/server -run '^$$' -bench BenchmarkEncodeRegion -benchtime 1x -benchmem
+	go test ./internal/server -run '^$$' -bench 'BenchmarkEncodeRegion|BenchmarkAppendFloat' -benchtime 1x -benchmem
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
 	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamSource' -benchtime 1x
 	go test ./internal/core -run '^$$' -bench BenchmarkEpilogueRow -benchtime 1x

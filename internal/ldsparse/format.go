@@ -217,11 +217,13 @@ func (enc *encoder) EncodeTile(s *tilefile.Stripe, t tilefile.Tile) ([]byte, uin
 		if t.Diagonal() && gi > cStart {
 			cStart = gi // diagonal tile: upper triangle only
 		}
-		cEnd := min(t.Col0+t.Cols, s.RowEnd[r])
-		for c := cStart; c < cEnd; c++ {
-			if v := s.Vals[r*s.Width+(c-s.I0)]; keep(v, enc.tau) {
-				enc.colBuf = append(enc.colBuf, uint16(c-t.Col0))
-				enc.valBuf = append(enc.valBuf, v)
+		if cEnd := min(t.Col0+t.Cols, s.RowEnd[r]); cStart < cEnd {
+			first := uint16(cStart - t.Col0)
+			for k, v := range s.Vals[r*s.Width+(cStart-s.I0):][:cEnd-cStart] {
+				if keep(v, enc.tau) {
+					enc.colBuf = append(enc.colBuf, first+uint16(k))
+					enc.valBuf = append(enc.valBuf, v)
+				}
 			}
 		}
 		enc.ptrBuf = append(enc.ptrBuf, uint32(len(enc.colBuf)))

@@ -127,7 +127,8 @@ func TestRegionEndpoint(t *testing.T) {
 
 // TestConcurrentRegionRequests drives the region endpoint from many
 // goroutines with ChunkTiles pinned: the per-request blis calls share the
-// pooled pack arena, so this doubles as the server leg of the race tier.
+// pooled pack arena and the square replies the encoder's pooled offset
+// scratch, so this doubles as the server leg of the race tier.
 func TestConcurrentRegionRequests(t *testing.T) {
 	g, err := popsim.Mosaic(120, 200, popsim.MosaicConfig{Seed: 9})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"sync"
 )
 
 // The float payloads. Three 200 bodies — the region matrix and the two
@@ -33,12 +34,7 @@ type FloatPayload interface {
 	floats() int
 }
 
-const (
-	payloadTail = "}\n"
-	// maxFloatLen is the longest spelling of a float64, e.g.
-	// -0.0000012345678901234567.
-	maxFloatLen = 25
-)
+const payloadTail = "}\n"
 
 // encodeFloatPayload writes head + array + tail into one allocation sized
 // for the longest spelling of every float.
@@ -64,6 +60,9 @@ func (r RegionResponse) appendArray(b []byte) (_ []byte, err error) {
 	if r.Values == nil {
 		return append(b, "null"...), nil
 	}
+	if r.square() {
+		return appendSquare(b, r.Values)
+	}
 	b = append(b, '[')
 	for i, row := range r.Values {
 		if i > 0 {
@@ -75,6 +74,65 @@ func (r RegionResponse) appendArray(b []byte) (_ []byte, err error) {
 	}
 	return append(b, ']'), nil
 }
+
+// square reports whether the reply has at least two rows and every row is
+// as long as there are rows.
+func (r RegionResponse) square() bool {
+	n := len(r.Values)
+	for _, row := range r.Values {
+		if len(row) != n {
+			return false
+		}
+	}
+	return n > 1
+}
+
+// appendSquare spells each distinct value of a square reply once: an LD
+// region over its own rows is symmetric, so cell (i, j) below the diagonal
+// usually holds the bits of cell (j, i), and then the bytes already written
+// for (j, i) are copied. The bits are compared cell by cell, so a square of
+// anything else — asymmetric, or holding a value appendFloat refuses — is
+// spelled, or refused, as a row window is.
+func appendSquare(b []byte, vals [][]float64) (_ []byte, err error) {
+	// spelled[j*n+i], i < j, is where cell (i, j) sits in b: offset<<8 |
+	// length. Row j reads only what rows before it wrote, so the scratch is
+	// never cleared.
+	n := len(vals)
+	scratch := spelledPool.Get().(*[]uint64)
+	defer spelledPool.Put(scratch)
+	if cap(*scratch) < n*n {
+		*scratch = make([]uint64, n*n)
+	}
+	spelled := (*scratch)[:n*n]
+	b = append(b, '[')
+	for i, row := range vals {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, f := range row {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			if j < i && math.Float64bits(f) == math.Float64bits(vals[j][i]) {
+				at := spelled[i*n+j]
+				b = append(b, b[at>>8:][:at&0xff]...)
+				continue
+			}
+			at := len(b)
+			if b, err = appendFloat(b, f); err != nil {
+				return b, err
+			}
+			if j > i {
+				spelled[j*n+i] = uint64(at)<<8 | uint64(len(b)-at)
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']'), nil
+}
+
+var spelledPool = sync.Pool{New: func() any { return new([]uint64) }}
 
 func (r RegionResponse) floats() int {
 	n := 0
@@ -142,23 +200,6 @@ func appendFloats(b []byte, fs []float64) (_ []byte, err error) {
 		}
 	}
 	return append(b, ']'), nil
-}
-
-// appendFloat spells f as encoding/json does, and refuses what it refuses.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-	}
-	abs := math.Abs(f)
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		b = strconv.AppendFloat(b, f, 'e', -1, 64)
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1] // e-07 → e-7
-			b = b[:n-1]
-		}
-		return b, nil
-	}
-	return strconv.AppendFloat(b, f, 'f', -1, 64), nil
 }
 
 // ScanFloatArray steps over a payload's float array at b[i] — n rows of

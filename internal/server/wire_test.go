@@ -86,28 +86,102 @@ func wireFloats(tb testing.TB) []float64 {
 
 // FuzzWireFloat: for any float64 bit pattern the encoder writes what
 // encoding/json writes — in a matrix row, beside a null row, and in both
-// vectors — or both refuse with the same 500.
+// vectors — or both refuse with the same 500. Then in a square reply, where
+// a cell below the diagonal may be a copy of the one above: symmetric,
+// antisymmetric, and around a unit diagonal.
 func FuzzWireFloat(f *testing.F) {
-	for _, v := range wireFloats(f) {
-		f.Add(math.Float64bits(v))
+	vs := wireFloats(f)
+	for i, v := range vs {
+		f.Add(math.Float64bits(v), math.Float64bits(vs[(i+1)%len(vs)]))
 	}
-	f.Fuzz(func(t *testing.T, bits uint64) {
-		v := math.Float64frombits(bits)
+	f.Fuzz(func(t *testing.T, bits, wbits uint64) {
+		v, w := math.Float64frombits(bits), math.Float64frombits(wbits)
 		sameResponse(t, RegionResponse{Start: 1, End: 3, Measure: "r2", Values: [][]float64{{v, -v}, nil, {v}}})
 		sameResponse(t, MatVecResponse{RowEnd: 2, Y: []float64{v, v}})
 		sameResponse(t, ScoreResponse{RowStart: 1, RowEnd: 2, Scores: []float64{v}})
+		sameResponse(t, RegionResponse{End: 2, Measure: "r2", Values: [][]float64{{v, w}, {w, v}}})
+		sameResponse(t, RegionResponse{End: 2, Measure: "d", Values: [][]float64{{v, w}, {-w, v}}})
+		sameResponse(t, RegionResponse{End: 2, Measure: "r2", Values: [][]float64{{1, v}, {v, 1}}})
 	})
+}
+
+// TestRegionMirrorCopy: a square reply whose cells below the diagonal are
+// copied from above it reads as encoding/json's, and so does every square
+// that is not quite symmetric: a cell one ulp off, -0 against +0, a value
+// that is refused above, on and below the diagonal. A row window and a
+// single cell are not squares at all.
+func TestRegionMirrorCopy(t *testing.T) {
+	sym := wireRegion(t, 100, 124)
+	sym.RowStart, sym.RowEnd = 0, 0 // as the node answers an unwindowed query
+	for i, row := range sym.Values {
+		for j := range row {
+			if math.Float64bits(row[j]) != math.Float64bits(sym.Values[j][i]) {
+				t.Fatalf("the region is not symmetric at (%d, %d)", i, j)
+			}
+		}
+	}
+	with := func(i, j int, v float64) RegionResponse {
+		r := sym
+		r.Values = make([][]float64, len(sym.Values))
+		for k, row := range sym.Values {
+			r.Values[k] = append([]float64(nil), row...)
+		}
+		r.Values[i][j] = v
+		return r
+	}
+	if !sym.square() {
+		t.Fatal("a whole region is not taken for a square")
+	}
+	sameResponse(t, sym)
+	sameResponse(t, with(7, 3, math.Nextafter(sym.Values[7][3], 2)))
+	sameResponse(t, with(3, 7, math.Nextafter(sym.Values[3][7], 2)))
+	zeros := with(9, 2, math.Copysign(0, -1))
+	zeros.Values[2][9] = 0
+	sameResponse(t, zeros)
+	zeros.Values[2][9], zeros.Values[9][2] = zeros.Values[9][2], zeros.Values[2][9]
+	sameResponse(t, zeros)
+	for _, at := range [][2]int{{3, 7}, {5, 5}, {7, 3}, {23, 0}, {0, 23}} {
+		sameResponse(t, with(at[0], at[1], math.NaN()))
+		sameResponse(t, with(at[0], at[1], math.Inf(-1)))
+	}
+	both := with(3, 7, math.NaN())
+	both.Values[7][3] = both.Values[3][7]
+	sameResponse(t, both)
+
+	window := sym
+	window.RowStart, window.RowEnd, window.Values = 104, 112, sym.Values[4:12]
+	one := RegionResponse{Start: 5, End: 6, Measure: "r2", Values: [][]float64{{1}}}
+	ragged := with(0, 0, 1)
+	ragged.Values[5] = nil
+	for _, r := range []RegionResponse{window, one, ragged, {Measure: "r2", Values: [][]float64{}}} {
+		if r.square() {
+			t.Errorf("%d rows of %d taken for a square", len(r.Values), len(sym.Values))
+		}
+		sameResponse(t, r)
+	}
 }
 
 var sinkResponse *Response
 
-// BenchmarkEncodeRegion: one 80 × 80 region payload through OK.
+// BenchmarkEncodeRegion: one region payload through OK — the 80 × 80 square
+// a node answers an unwindowed query with, and 40 rows of it as a shard
+// answers for its strip (no cell is the mirror of another).
 func BenchmarkEncodeRegion(b *testing.B) {
-	resp := wireRegion(b, 100, 180)
-	b.SetBytes(int64(len(OK(resp).Body)))
-	b.ReportAllocs()
-	for b.Loop() {
-		sinkResponse = OK(resp)
+	square := wireRegion(b, 100, 180)
+	strip := square
+	strip.RowStart, strip.RowEnd, strip.Values = 100, 140, square.Values[:40]
+	for _, c := range []struct {
+		name string
+		resp RegionResponse
+	}{{"square", square}, {"strip", strip}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(OK(c.resp).Body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				sinkResponse = OK(c.resp)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.resp.floats()), "ns/float")
+		})
 	}
 }
 
