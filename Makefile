@@ -25,8 +25,9 @@ build-arm64:
 # scan to the writer and back, tested under injected faults, the
 # HTTP server that shares the arena pool, the region encoder's pooled offset
 # scratch and the in-flight semaphore across requests
-# (TestConcurrentRegionRequests), the scatter-gather cluster coordinator, and
-# the ldserver lifecycle).
+# (TestConcurrentRegionRequests), concurrent matvecs in both body spellings
+# over the request-vector counters (TestSparseVectorCounters), the
+# scatter-gather cluster coordinator, and the ldserver lifecycle).
 .PHONY: verify-race
 verify-race:
 	go vet ./...
@@ -50,7 +51,9 @@ verify-cluster:
 # square replies whose lower half may be copied from the upper — and the
 # coordinator's strip scan on any bytes — what it accepts, encoding/json
 # accepts with the same shape — and a sparse operator's request body,
-# scanned or handed to encoding/json, against encoding/json alone. Last, the
+# scanned or handed to encoding/json, against encoding/json alone, and the
+# reader under that scan — one number walked and converted — against
+# scanNumber's end index and strconv.ParseFloat's bits on any bytes. Last, the
 # fused epilogue's AVX-512 row kernels against their Go loops, bit for bit, on
 # any counts, frequencies and row length (CI runs this too).
 .PHONY: fuzz-smoke
@@ -60,6 +63,7 @@ fuzz-smoke:
 	go test ./internal/server -run=Fuzz -fuzz=FuzzWireFloat -fuzztime=10s
 	go test ./internal/cluster -run=Fuzz -fuzz=FuzzSpliceScan -fuzztime=10s
 	go test ./internal/server -run=Fuzz -fuzz=FuzzParseVector -fuzztime=10s
+	go test ./internal/server -run=Fuzz -fuzz=FuzzReadNumber -fuzztime=10s
 	go test ./internal/core -run=Fuzz -fuzz=FuzzEpilogueRow -fuzztime=10s
 
 # The benchmark/ module is its own Go module, so tier-1 `go test ./...`
@@ -102,8 +106,10 @@ bench-kernel:
 # exact r², Go loop and AVX-512 row kernel, 512 and 3840 cells, ns/cell on
 # L2-resident operands). Then the sparse
 # operator path: one matvec over the ledger's 4096-SNP banded store,
-# resident and laid out per call (entries/s, allocs/op), and its 4096-float
-# request body through the vector scanner (MB/s). Then one call each of
+# resident and laid out per call (entries/s, allocs/op), its 4096-float
+# request body through the vector scanner (MB/s, ns/float), and the number
+# reader beside scanNumber + strconv.ParseFloat on r²-shaped, matvec-shaped,
+# exponent-form and 8-digit literals (ns/float). Then one call each of
 # the micro-kernel rows (portable 4x4, per-cell vector, AVX-512 tile at kc
 # 8/32/256, Gtriples/s and ns/tile; then the tile's row entry at kc 8/256,
 # 1/16/256 tiles per call, storing and adding — the per-call floor and
@@ -119,6 +125,6 @@ bench-smoke:
 	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamSource' -benchtime 1x
 	go test ./internal/core -run '^$$' -bench BenchmarkEpilogueRow -benchtime 1x
 	go test ./internal/ldsparse -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
-	go test ./internal/server -run '^$$' -bench BenchmarkParseVector -benchtime 1x -benchmem
+	go test ./internal/server -run '^$$' -bench 'BenchmarkParseVector|BenchmarkReadNumber' -benchtime 1x -benchmem
 	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x
 	go test ./internal/tilefile -run '^$$' -bench BenchmarkBuildFile -benchtime 1x -benchmem

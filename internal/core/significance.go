@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 
 	"ldgemm/internal/bitmat"
@@ -106,27 +107,39 @@ func Significance(g *bitmat.Matrix, opt SignificanceOptions) (*SignificanceResul
 	// the final sort would; p-values are evaluated once at the end, only
 	// for the survivors.
 	h := &pairHeap{}
+	// floor is the root's r² once the heap is full: a cell below it ranks
+	// after every kept pair and is only counted. NaN compares false both
+	// times and takes the whole path.
+	floor, significant := math.Inf(-1), int64(0)
 	ld := opt.LD
 	ld.Measures = MeasureR2
 	err = Stream(g, StreamOptions{Options: ld, Triangular: true, RowStart: lo, RowEnd: hi},
 		func(i, j0 int, row []float64) {
-			for t, r2 := range row {
-				j := j0 + t
-				if j == i || r2 < r2Cut {
+			// A triangular row opens with its own diagonal, which is no pair.
+			for t, r2 := range row[1:] {
+				if r2 < r2Cut {
 					continue
 				}
-				res.Significant++
+				significant++
+				if r2 < floor {
+					continue
+				}
+				j := j0 + 1 + t
 				if h.Len() < opt.MaxResults {
 					heap.Push(h, SignificantPair{I: i, J: j, R2: r2})
 				} else if last := (*h)[0]; RanksBefore(r2, i, j, last.R2, last.I, last.J) {
 					(*h)[0] = SignificantPair{I: i, J: j, R2: r2}
 					heap.Fix(h, 0)
 				}
+				if h.Len() == opt.MaxResults {
+					floor = (*h)[0].R2
+				}
 			}
 		})
 	if err != nil {
 		return nil, err
 	}
+	res.Significant = significant
 	res.Pairs = append(res.Pairs, *h...)
 	for idx := range res.Pairs {
 		p := &res.Pairs[idx]

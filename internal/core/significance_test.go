@@ -190,3 +190,72 @@ func TestSignificanceOptionsValidation(t *testing.T) {
 		t.Fatal("negative MaxResults accepted")
 	}
 }
+
+// TestSignificanceVisitorMatchesReference: the scan's counts and kept pairs
+// against a ranking built the slow way — every cell of the same stream, each
+// held to PairLD, cut, sorted by RanksBefore and truncated — on a cohort with
+// runs of tied pairs, a monomorphic SNP (r² 0 against everything), with and
+// without a row window, at a cut nothing fails and one most pairs fail, and
+// with MaxResults 1, 20 and more than there are pairs.
+func TestSignificanceVisitorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	g := randomMatrix(rng, 48, 128)
+	for b := 5; b <= 23; b += 3 { // 7 copies of SNP 2: 21 pairs at r² 1, 7 × 40 more in tied runs
+		copy(g.SNP(b), g.SNP(2))
+	}
+	copy(g.SNP(40), g.SNP(30))
+	clear(g.SNP(11)) // monomorphic
+
+	for _, window := range [][2]int{{0, 0}, {0, 16}, {7, 31}, {40, 48}} {
+		var all []SignificantPair
+		err := Stream(g, StreamOptions{Options: Options{Measures: MeasureR2}, Triangular: true, RowStart: window[0], RowEnd: window[1]},
+			func(i, j0 int, row []float64) {
+				for c, r2 := range row {
+					if j := j0 + c; j != i {
+						if want := PairLD(g, i, j).R2; math.Abs(r2-want) > 1e-12 {
+							t.Fatalf("streamed r²(%d,%d) = %v, PairLD %v", i, j, r2, want)
+						}
+						all = append(all, SignificantPair{I: i, J: j, R2: r2})
+					}
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alpha := range []float64{0.999999, 0.05} {
+			chiCut, err := chiSquareQuantile(alpha)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []SignificantPair
+			for _, p := range all {
+				if !(p.R2 < chiCut/float64(g.Samples)) {
+					want = append(want, p)
+				}
+			}
+			sort.Slice(want, func(a, b int) bool {
+				return RanksBefore(want[a].R2, want[a].I, want[a].J, want[b].R2, want[b].I, want[b].J)
+			})
+			if len(want) == 0 || window == [2]int{} && len(want) > len(all)-(g.SNPs-1) {
+				t.Fatalf("rows %v alpha %v keeps %d of %d pairs: the monomorphic SNP's must fail the cut and some pass it", window, alpha, len(want), len(all))
+			}
+			for _, k := range []int{1, 20, len(all) + 5} {
+				res, err := Significance(g, SignificanceOptions{Alpha: alpha, AlphaIsPerTest: true, MaxResults: k,
+					RowStart: window[0], RowEnd: window[1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Tested != int64(len(all)) || res.Significant != int64(len(want)) || len(res.Pairs) != min(k, len(want)) {
+					t.Fatalf("rows %v alpha %v MaxResults %d: tested %d, significant %d, kept %d; the reference has %d, %d, %d",
+						window, alpha, k, res.Tested, res.Significant, len(res.Pairs), len(all), len(want), min(k, len(want)))
+				}
+				for r, p := range res.Pairs {
+					if w := want[r]; p.I != w.I || p.J != w.J || math.Float64bits(p.R2) != math.Float64bits(w.R2) {
+						t.Fatalf("rows %v alpha %v MaxResults %d: rank %d is (%d,%d) r²=%v, the reference has (%d,%d) r²=%v",
+							window, alpha, k, r, p.I, p.J, p.R2, w.I, w.J, w.R2)
+					}
+				}
+			}
+		}
+	}
+}

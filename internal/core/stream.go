@@ -55,6 +55,14 @@ type StreamOptions struct {
 	Band   int
 }
 
+// stripeRows resolves the stripe height.
+func (o StreamOptions) stripeRows() int {
+	if o.StripeRows == 0 {
+		return 512
+	}
+	return o.StripeRows
+}
+
 // ioPanel resolves the I/O column-panel width.
 func (o StreamOptions) ioPanel() int {
 	if o.IOPanelSNPs > 0 {
@@ -146,8 +154,13 @@ type rowVisitor struct {
 
 func (v *rowVisitor) StripeBuffer(cells int) []float64 {
 	// The first stripe of a scan is its largest, so one buffer serves all.
+	// It is taken at the size a stripe of this height has at row 0, where it
+	// is widest: a scan over any row window then fits the buffer the last
+	// scan of its stripe height pooled, whatever that one's window was.
 	if v.buf == nil {
-		v.buf = getStripe(cells)
+		lo, hi, _ := v.opt.rowWindow(v.n)
+		rows := min(v.opt.stripeRows(), hi-lo)
+		v.buf = getStripe(max(cells, v.opt.stripeCells(rows, 0, rows, v.n)))
 	}
 	return (*v.buf)[:cells]
 }
@@ -192,10 +205,7 @@ func streamResident(g *bitmat.Matrix, opt StreamOptions, sink StripeSink) error 
 	if g.Samples == 0 && g.SNPs > 0 {
 		return fmt.Errorf("core: streaming LD with zero samples")
 	}
-	stripe := opt.StripeRows
-	if stripe == 0 {
-		stripe = 512
-	}
+	stripe := opt.stripeRows()
 	if stripe < 1 {
 		return fmt.Errorf("core: invalid StripeRows %d", stripe)
 	}
@@ -269,7 +279,7 @@ func (o StreamOptions) stripeCells(stripe, lo, hi, n int) int {
 // every cell a scan goes on to deliver, and nothing else is read.
 var stripePool sync.Pool
 
-// getStripe returns a stripe buffer of exactly cells elements.
+// getStripe returns a stripe buffer of cells elements.
 func getStripe(cells int) *[]float64 {
 	if b, _ := stripePool.Get().(*[]float64); b != nil && cap(*b) >= cells {
 		*b = (*b)[:cells]

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"ldgemm/internal/bitmat"
@@ -207,5 +209,46 @@ func TestStreamRecycledStripeIsNeverRead(t *testing.T) {
 				bitsEqual(t, name+" "+where, recycled[r].row, fresh[r].row)
 			}
 		}
+	}
+}
+
+// TestStreamStripePooled: stripes of one height are interchangeable in the
+// pool whatever row window they were taken for — a scan low in the matrix,
+// whose rows are long, reuses the buffer a scan high in it left, as a served
+// top over one window follows a top over another. The second scan must
+// allocate less than its stripe.
+func TestStreamStripePooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	const n, rows = 700, 128
+	g := streamMatrix(t, n, 64, 11)
+	scan := func(lo int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		opt := StreamOptions{Triangular: true, StripeRows: rows, RowStart: lo, RowEnd: lo + rows}
+		if err := Stream(g, opt, func(int, int, []float64) {}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	drainStripePool()
+	stripe := uint64(rows * n * 8)
+	if first := scan(n - rows); first < stripe {
+		t.Fatalf("the first scan allocated %d bytes: less than the %d of a stripe at row 0", first, stripe)
+	}
+	if second := scan(0); second >= stripe/2 {
+		t.Fatalf("a scan of rows 0..%d after one of rows %d..%d allocated %d bytes: its %d-byte stripe was not the pooled one",
+			rows, n-rows, n, second, stripe)
+	}
+	// An unwindowed scan's stripe is what it always was.
+	drainStripePool()
+	if err := Stream(g, StreamOptions{Triangular: true, StripeRows: rows}, func(int, int, []float64) {}); err != nil {
+		t.Fatal(err)
+	}
+	if b := stripePool.Get().(*[]float64); cap(*b) != rows*n {
+		t.Fatalf("an unwindowed scan pooled a stripe of %d cells, want %d", cap(*b), rows*n)
 	}
 }

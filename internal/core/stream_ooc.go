@@ -93,10 +93,7 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 	if samples == 0 && n > 0 {
 		return fmt.Errorf("core: streaming LD with zero samples")
 	}
-	stripe := opt.StripeRows
-	if stripe == 0 {
-		stripe = 512
-	}
+	stripe := opt.stripeRows()
 	if stripe < 1 {
 		return fmt.Errorf("core: invalid StripeRows %d", stripe)
 	}

@@ -15,6 +15,10 @@ import (
 // 64 × 128-bit multiplies, no loop and no fallback), and appendFloat lays
 // those digits into the reply in encoding/json's spelling. strconv is what
 // the tests hold both to, value by value; it is not a second path.
+//
+// And the float reader's conversion, over the same table: decimalFloat turns
+// the digits and decimal exponent wire.go's readNumber carried out of a
+// request vector's literal into the float64 strconv.ParseFloat would return.
 
 // maxFloatLen is the longest spelling of a float64, e.g.
 // -0.0000012345678901234567.
@@ -206,4 +210,94 @@ func roundToOdd(g *[2]uint64, cp uint64) uint64 {
 		yhi |= 1
 	}
 	return yhi
+}
+
+// pow10Floor is 10^k as pow10Tab holds it but rounded down, the largest
+// {hi, lo} ≤ 10^k·2^-r: a reader's product must never exceed the true one
+// where a writer's must never fall short of it. That is the entry itself
+// where it is exact — 10^k·2^-r is an integer when 5^k < 2^128, 0 ≤ k ≤ 55 —
+// and one less everywhere else.
+func pow10Floor(k int) (hi, lo uint64) {
+	g := &pow10Tab[k-pow10Min]
+	var inexact uint64
+	if uint(k) > 55 {
+		inexact = 1
+	}
+	lo, borrow := bits.Sub64(g[1], inexact, 0)
+	return g[0] - borrow, lo
+}
+
+// decimalFloat returns the float64 nearest man × 10^exp10, ties to even,
+// negated when neg, where man holds digits significant digits; or false
+// where what it is given cannot say, and the caller converts the literal
+// the slow way: more than 19 digits (man has wrapped), and what neither of
+// its two methods decides. Digits and a power of ten that are both exact
+// float64s meet in one correctly rounded operation (W. Clinger, "How to
+// read floating point numbers accurately", 1990). Everything else is
+// Eisel–Lemire (D. Lemire, "Number parsing at a gigabyte per second", 2021;
+// the steps are strconv's): one 64 × 128-bit product of the normalised
+// digits and the power of ten, of which the second half is computed only
+// when the first leaves the rounding open. It gives up rather than guess
+// where the truncated product cannot decide — a power outside pow10Tab, a
+// product within one unit of a rounding boundary, a result outside the
+// normal range.
+func decimalFloat(man uint64, exp10, digits int, neg bool) (float64, bool) {
+	if digits > 19 {
+		return 0, false
+	}
+	if man>>53 == 0 && -19 <= exp10 && exp10 <= 19 {
+		f := float64(man)
+		if exp10 < 0 {
+			f /= float64(uintPow10[-exp10])
+		} else {
+			f *= float64(uintPow10[exp10])
+		}
+		if neg {
+			f = -f
+		}
+		return f, true
+	}
+	var sign uint64
+	if neg {
+		sign = 1 << 63
+	}
+	if man == 0 {
+		return math.Float64frombits(sign), true
+	}
+	if exp10 < pow10Min || exp10 > pow10Max {
+		return 0, false
+	}
+	ghi, glo := pow10Floor(exp10)
+
+	clz := bits.LeadingZeros64(man)
+	man <<= clz
+	exp2 := uint64(217706*exp10>>16+64+1023) - uint64(clz) // 217706/2^16 ≈ log2 10
+
+	hi, lo := bits.Mul64(man, ghi)
+	if hi&0x1FF == 0x1FF && lo+man < man {
+		// What glo adds could carry into the bits that round.
+		yhi, ylo := bits.Mul64(man, glo)
+		var carry uint64
+		lo, carry = bits.Add64(lo, yhi, 0)
+		hi += carry
+		if hi&0x1FF == 0x1FF && lo+1 == 0 && ylo+man < man {
+			return 0, false // and so could what the table itself dropped
+		}
+	}
+	// 54 bits: the significand and one to round by.
+	msb := hi >> 63
+	m := hi >> (msb + 9)
+	exp2 -= 1 ^ msb
+	if lo == 0 && hi&0x1FF == 0 && m&3 == 1 {
+		return 0, false // half-way to an even neighbour as far as these bits say
+	}
+	m = (m + m&1) >> 1
+	if m>>53 != 0 {
+		m >>= 1
+		exp2++
+	}
+	if exp2-1 >= 0x7FF-1 { // subnormal or infinite
+		return 0, false
+	}
+	return math.Float64frombits(sign | exp2<<52 | m&(1<<52-1)), true
 }

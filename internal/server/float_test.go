@@ -95,7 +95,8 @@ func TestAppendFloatMatchesStrconv(t *testing.T) {
 	}
 }
 
-// TestPow10Table rebuilds pow10Tab with math/big, entry by entry.
+// TestPow10Table rebuilds pow10Tab with math/big, entry by entry, rounded up
+// as the writer reads it and rounded down as the reader does.
 func TestPow10Table(t *testing.T) {
 	one, ten := big.NewInt(1), big.NewInt(10)
 	for k := pow10Min; k <= pow10Max; k++ {
@@ -113,13 +114,23 @@ func TestPow10Table(t *testing.T) {
 		num.Lsh(num, uint(max(s, 0)))
 		den.Lsh(den, uint(max(-s, 0)))
 		g, rem := new(big.Int).QuoRem(num, den, new(big.Int))
+		words := func(g *big.Int) (hi, lo uint64) {
+			return new(big.Int).Rsh(g, 64).Uint64(), new(big.Int).And(g, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+		}
+		fhi, flo := words(g)
+		if hi, lo := pow10Floor(k); g.BitLen() != 128 || hi != fhi || lo != flo {
+			t.Errorf("1e%d rounded down: the reader takes {%#016x, %#016x}, math/big {%#016x, %#016x} (%d bits)", k, hi, lo, fhi, flo, g.BitLen())
+		}
+		if exact := rem.Sign() == 0; exact != (0 <= k && k <= 55) {
+			t.Errorf("1e%d: exact in 128 bits: %v", k, exact)
+		}
 		if rem.Sign() != 0 {
 			g.Add(g, one)
 		}
-		hi, lo := new(big.Int).Rsh(g, 64), new(big.Int).And(g, new(big.Int).SetUint64(math.MaxUint64))
-		if g.BitLen() != 128 || hi.Uint64() != pow10Tab[k-pow10Min][0] || lo.Uint64() != pow10Tab[k-pow10Min][1] {
+		hi, lo := words(g)
+		if g.BitLen() != 128 || hi != pow10Tab[k-pow10Min][0] || lo != pow10Tab[k-pow10Min][1] {
 			t.Errorf("1e%d: table {%#016x, %#016x}, math/big {%#016x, %#016x} (%d bits)",
-				k, pow10Tab[k-pow10Min][0], pow10Tab[k-pow10Min][1], hi.Uint64(), lo.Uint64(), g.BitLen())
+				k, pow10Tab[k-pow10Min][0], pow10Tab[k-pow10Min][1], hi, lo, g.BitLen())
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"ldgemm/internal/blis"
@@ -23,6 +24,11 @@ import (
 //	statuses        response counts by HTTP status code
 //	latency_ns      cumulative handling time by route, nanoseconds
 //	uptime_seconds  seconds since construction
+//	sparse_vectors_scanned, sparse_vectors_json
+//	                sparse operator bodies whose vector the wire scanner
+//	                read, and bodies it left to encoding/json (anything but
+//	                {"x":[…]} without whitespace: several times the parse
+//	                cost); process-wide, like blis, store and sparse
 type Metrics struct {
 	Root     *expvar.Map
 	requests *expvar.Map
@@ -45,8 +51,13 @@ func NewMetrics() *Metrics {
 	m.Root.Set("uptime_seconds", expvar.Func(func() any {
 		return time.Since(start).Seconds()
 	}))
+	m.Root.Set("sparse_vectors_scanned", expvar.Func(func() any { return vectorsScanned.Load() }))
+	m.Root.Set("sparse_vectors_json", expvar.Func(func() any { return vectorsJSON.Load() }))
 	return m
 }
+
+// vectorsScanned and vectorsJSON count where parseSparse branches.
+var vectorsScanned, vectorsJSON atomic.Int64
 
 // ServeVars writes the metric tree in expvar's JSON format.
 func (m *Metrics) ServeVars(w http.ResponseWriter, r *http.Request) {

@@ -414,15 +414,19 @@ func parseSparse(op string) func(*http.Request, Limits) (Query, *Response) {
 		}
 		q := SparseQuery{Op: op}
 		if vec, ok := parseVector(body, sparseKey[q.Op], lim.SNPs); ok {
+			vectorsScanned.Add(1)
 			q.Vec = vec
-		} else if op == "score" {
-			var req ScoreRequest
-			err = json.Unmarshal(body, &req)
-			q.Vec = req.Z
 		} else {
-			var req MatVecRequest
-			err = json.Unmarshal(body, &req)
-			q.Vec = req.X
+			vectorsJSON.Add(1)
+			if op == "score" {
+				var req ScoreRequest
+				err = json.Unmarshal(body, &req)
+				q.Vec = req.Z
+			} else {
+				var req MatVecRequest
+				err = json.Unmarshal(body, &req)
+				q.Vec = req.X
+			}
 		}
 		p := params{v: r.URL.Query()}
 		if err != nil {

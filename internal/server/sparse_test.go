@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"ldgemm/internal/bitmat"
@@ -260,5 +262,63 @@ func TestSparseMetrics(t *testing.T) {
 	}
 	if info := sp.Info(); !info.Resident || vars.Sparse.ResidentBytes != info.ResidentBytes || info.ResidentBytes == 0 {
 		t.Fatalf("sparse.resident_bytes = %d, store reports %+v", vars.Sparse.ResidentBytes, info)
+	}
+}
+
+// TestSparseVectorCounters: concurrent matvecs in both spellings — the one
+// body the wire scanner takes and a pretty-printed one it leaves to
+// encoding/json — answer alike and move sparse_vectors_scanned and
+// sparse_vectors_json by one each on /debug/vars. The server leg of the race
+// tier for the counters and the reader.
+func TestSparseVectorCounters(t *testing.T) {
+	ts, _, sp := sparseServer(t, Config{})
+	x := make([]float64, sp.SNPs())
+	for i := range x {
+		x[i] = math.Sin(float64(i)) * 3
+	}
+	compact, _ := json.Marshal(MatVecRequest{X: x})
+	pretty, _ := json.MarshalIndent(MatVecRequest{X: x}, "", " ")
+	type counters struct {
+		Scanned int64 `json:"sparse_vectors_scanned"`
+		JSON    int64 `json:"sparse_vectors_json"`
+	}
+	var before, after counters
+	if code := getJSON(t, ts.URL+"/debug/vars", &before); code != http.StatusOK {
+		t.Fatalf("vars status %d", code)
+	}
+	const each = 6
+	replies := make([][]byte, 2*each)
+	var wg sync.WaitGroup
+	for r := range replies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := compact
+			if r%2 == 1 {
+				body = pretty
+			}
+			resp, err := http.Post(ts.URL+"/api/sparse/matvec", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if replies[r], err = io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("status %d, %v", resp.StatusCode, err)
+			}
+		}()
+	}
+	wg.Wait()
+	for r := range replies {
+		if !bytes.Equal(replies[r], replies[0]) {
+			t.Fatalf("reply %d differs from reply 0", r)
+		}
+	}
+	if code := getJSON(t, ts.URL+"/debug/vars", &after); code != http.StatusOK {
+		t.Fatalf("vars status %d", code)
+	}
+	if after.Scanned-before.Scanned != each || after.JSON-before.JSON != each {
+		t.Fatalf("%d bodies of each spelling moved sparse_vectors_scanned by %d and sparse_vectors_json by %d",
+			each, after.Scanned-before.Scanned, after.JSON-before.JSON)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -236,15 +237,9 @@ func parseVector(body []byte, key string, n int) ([]float64, bool) {
 		if k > 0 {
 			i = expect(body, i, ',')
 		}
-		end := scanNumber(body, i)
-		if end < 0 {
+		if vec[k], i = readNumber(body, i); i < 0 {
 			return nil, false
 		}
-		f, err := strconv.ParseFloat(string(body[i:end]), 64)
-		if err != nil {
-			return nil, false
-		}
-		vec[k], i = f, end
 	}
 	if rest := body[i:]; string(rest) != "]}" && string(rest) != "]}\n" {
 		return nil, false
@@ -330,4 +325,116 @@ func scanDigits(b []byte, i int) int {
 		i++
 	}
 	return i
+}
+
+// readNumber steps over one number at b[i] exactly as scanNumber does —
+// walkNumber is that grammar and that refusal a second time, carrying the
+// digits, and FuzzReadNumber holds the two to the same end index — and
+// converts what the walk read (decimalFloat), leaving to strconv.ParseFloat
+// the one literal in thousands that cannot be converted from what was
+// carried: as strconv itself does internally, so the value is strconv's
+// either way.
+func readNumber(b []byte, i int) (float64, int) {
+	man, exp10, digits, end := walkNumber(b, i)
+	if end < 0 {
+		return 0, -1
+	}
+	if f, ok := decimalFloat(man, exp10, digits, b[i] == '-'); ok {
+		return f, end
+	}
+	f, err := strconv.ParseFloat(string(b[i:end]), 64)
+	if err != nil {
+		return 0, -1
+	}
+	return f, end
+}
+
+// walkNumber is scanNumber reading as it goes: it returns the index after
+// the number at b[i], -1 when scanNumber refuses it, and the value as
+// man × 10^exp10 under the sign at b[i]. man holds the number's digits, of
+// which all but a fraction's leading zeros are significant; it is only
+// meaningful when that count is at most 19, the most a uint64 always holds.
+func walkNumber(b []byte, i int) (man uint64, exp10, digits, end int) {
+	if i < 0 {
+		return 0, 0, 0, -1
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	first := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		man = man*10 + uint64(b[i]-'0')
+	}
+	magnitude := i - first // the value is below this power of ten
+	digits = magnitude
+	switch {
+	case magnitude == 0, magnitude > 1 && b[first] == '0':
+		return 0, 0, 0, -1
+	case b[first] == '0':
+		magnitude, digits = 0, 0
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		from := i
+		if digits == 0 {
+			// 0.000…0123: zeros ahead of the first nonzero digit weigh nothing.
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+			digits = from - i
+		}
+		// Eight digits a load while eight are there. Go gives +, - and | one
+		// precedence: the test needs both pairs of parentheses.
+		for ; i+8 <= len(b); i += 8 {
+			v := binary.LittleEndian.Uint64(b[i:])
+			if ((v+0x4646464646464646)|(v-0x3030303030303030))&0x8080808080808080 != 0 {
+				break
+			}
+			man = man*100000000 + eightDigits(v)
+		}
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			man = man*10 + uint64(b[i]-'0')
+		}
+		if i == from {
+			return 0, 0, 0, -1
+		}
+		exp10 = from - i
+		digits += i - from
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		negative := i < len(b) && b[i] == '-'
+		if negative || i < len(b) && b[i] == '+' {
+			i++
+		}
+		from := i
+		exp := 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if exp < 1<<20 { // anything this large is refused or is zero
+				exp = exp*10 + int(b[i]-'0')
+			}
+		}
+		switch {
+		case i == from:
+			return 0, 0, 0, -1
+		case negative:
+			exp10 -= exp
+		default:
+			exp10 += exp
+			magnitude += exp
+		}
+	}
+	if magnitude > 308 {
+		return 0, 0, 0, -1
+	}
+	return man, exp10, digits, i
+}
+
+// eightDigits is the number eight ASCII digits spell, the first in v's low
+// byte (SWAR: pairs, then fours, then the eight, three multiplies).
+func eightDigits(v uint64) uint64 {
+	const mask = 0x000000FF000000FF
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	return ((v&mask)*(100+1000000<<32) + (v>>16&mask)*(1+10000<<32)) >> 32 & 0xFFFFFFFF
 }
