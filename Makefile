@@ -11,10 +11,13 @@ verify:
 
 # Build-tag gate: the AVX-512 micro-kernel and the SIMD popcount tiers are
 # amd64-only files; a non-amd64 target must still build from what is left
-# (offline, standard library only).
+# (offline, standard library only). vet compiles the tests too, so the
+# non-amd64 stubs and the host-keyed route tests of the three kernel
+# packages must build there as well.
 .PHONY: build-arm64
 build-arm64:
 	GOOS=linux GOARCH=arm64 go build ./...
+	GOOS=linux GOARCH=arm64 go vet ./internal/popcount ./internal/kernel ./internal/blis
 
 # Race tier: vet (asmdecl holds the assembly tile's frame to its Go
 # declaration) plus the race detector on the concurrency-bearing packages
@@ -73,26 +76,38 @@ fuzz-smoke:
 bench-compile:
 	cd benchmark && go vet . && go test -count=1 .
 
+# run_listed PKG,RUN runs `go test PKG -run RUN` after checking every
+# |-separated name in RUN against `go test -list`: a -run name that matches
+# no test passes silently, so a renamed test would drop out of a target
+# unnoticed. Here it fails the target instead.
+run_listed = listed=$$(go test -list . $(1) | grep '^Test'); \
+	for name in $$(echo '$(2)' | tr '|' ' '); do \
+		echo "$$listed" | grep -Eq "$$name" || { echo "$(1): -run name $$name matches no test" >&2; exit 1; }; \
+	done; \
+	go test $(1) -count=1 -run '$(2)'
+
 # Kernel-dispatch tests: the AVX-512 tile against the generic kernel — one
 # tile per call, then its row entry (a row of tiles per call, storing and
 # adding, with and without a destination hint, canary cells around the
 # destination, Row at one tile ≡ Fn) and both wrappers' extent checks
 # (skipped with a message where the host cannot run it). Then tiny shapes
-# through every popcount engine (scalar, CSA, SIMD when present, and the
-# auto dispatch) asserted bit-identical to the scalar oracle at each k —
-# under the host default and again as on a host without the tile — every
+# through every route — the host default and the Go 4x4 below and above
+# CSAMinWords, so the scalar kernel, the batched SIMD family and the tile,
+# plus the masked driver — asserted bit-identical to the scalar oracle,
+# under the host default and again as on a host without the tile; the
+# route table pinned row by row through the driver's variant stats; every
 # fused driver on all-ones recycled count scratch and strips, which nothing
 # clears, and the row-run contract in both orders (one slab: streamed panel
 # by panel; several: after the last), on one worker and on four. Then the
 # fused epilogue's AVX-512 row kernels against their Go loops, bit for bit
 # (the vector half skipped with a message without AVX-512F), and the
-# destination hint shown unobservable in Matrix, Cross and Stream. Cheap
-# enough for the verify tier.
+# destination hint shown unobservable in Matrix, Cross and Stream. Every
+# name must match a test (run_listed). Cheap enough for the verify tier.
 .PHONY: bench-kernel
 bench-kernel:
-	go test ./internal/kernel -count=1 -run 'TestVectorTile'
-	go test ./internal/core -count=1 -run 'TestEpilogueRows|TestDestHintUnobservable|TestDenseEpilogueDest'
-	go test ./internal/blis -count=1 -run 'TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller'
+	@$(call run_listed,./internal/kernel,TestVectorTile)
+	@$(call run_listed,./internal/core,TestEpilogueRows|TestDestHintUnobservable|TestDenseEpilogueDest)
+	@$(call run_listed,./internal/blis,TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestMaskedStrategiesMatchScalarOracle|TestDispatchRoutes|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller)
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling
 # and running in CI. The float wire: a node encoding an 80 × 80 region (the

@@ -359,26 +359,50 @@ func BenchmarkAblationBlocking(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationKernelShape sweeps the register-block shapes of the
-// micro-kernel under the full blocked driver.
+// BenchmarkAblationKernelShape is the register-shape ablation at kc = 128
+// words: each shape's own Fn on L1-resident packed panels — the 1x1
+// per-pair dot product, the Go 4x4 and, where it differs, the host default
+// — then the blocked driver with the default config, named for the variant
+// it runs. Under the driver a Go kernel at this k runs the per-cell dot
+// product around its shape, so only the kernel rows measure the shapes.
 func BenchmarkAblationKernelShape(b *testing.B) {
 	const n, k = 512, 8192
 	g := benchMatrix(b, 66, n, k)
 	peak := hostPeak()
-	triples := int64(n) * int64(n+1) / 2 * int64(g.Words)
-	for _, kn := range kernel.Fixed {
-		c := make([]uint32, n*n)
-		b.Run(kn.Name, func(b *testing.B) {
+	kc := g.Words
+	shapes := kernel.Fixed
+	if kernel.Default.Lanes > 1 {
+		shapes = append(shapes[:len(shapes):len(shapes)], kernel.Default)
+	}
+	for _, kn := range shapes {
+		ap, bp := make([]uint64, kc*kn.MR), make([]uint64, kc*kn.NR)
+		kernel.PackPanel(ap, g, 0, kn.MR, kn.MR, 0, kc)
+		kernel.PackPanel(bp, g, kn.MR, kn.NR, kn.NR, 0, kc)
+		c := make([]uint32, kn.MR*kn.NR)
+		b.Run("kernel/"+kn.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				clear(c)
-				if err := blis.Syrk(blis.Config{Kernel: kn, Threads: 1}, g, c, n, false); err != nil {
-					b.Fatal(err)
-				}
+				kn.Fn(kc, ap, bp, c, kn.NR)
 			}
-			rate := float64(triples) * float64(b.N) / b.Elapsed().Seconds()
+			rate := float64(kc*kn.MR*kn.NR) * float64(b.N) / b.Elapsed().Seconds()
 			b.ReportMetric(100*rate/peak, "peak%")
 		})
 	}
+	triples := int64(n) * int64(n+1) / 2 * int64(kc)
+	c := make([]uint32, n*n)
+	cfg := blis.Config{Threads: 1}
+	if err := blis.Syrk(cfg, g, c, n, false); err != nil { // names the route
+		b.Fatal(err)
+	}
+	b.Run("driver/"+blis.ReadStats().Variant, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			clear(c)
+			if err := blis.Syrk(cfg, g, c, n, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rate := float64(triples) * float64(b.N) / b.Elapsed().Seconds()
+		b.ReportMetric(100*rate/peak, "peak%")
+	})
 }
 
 // BenchmarkStreamSmallK is the small-k regime of ROADMAP item 5 (the

@@ -15,8 +15,8 @@
 //	            (default 1,2,4,8,12 as in the paper)
 //	-reps N     best-of repetitions for the peak-fraction figures
 //	-csv        emit CSV instead of aligned tables
-//	-write-tune-profile PATH   run the joint autotuner (kernel shape ×
-//	                      popcount strategy × blocking × threads) and
+//	-write-tune-profile PATH   run the autotuner (blocking × threads ×
+//	                      chunk size, for the host's micro-kernel) and
 //	                      persist the winner as a per-host profile for
 //	                      ldserver/ldstore -tune-profile; with it, the
 //	                      experiment list may be empty
@@ -163,7 +163,7 @@ func dispatch(name string, cfg experiments.Config) (*harness.Table, error) {
 	}
 }
 
-// writeTuneProfile runs the joint autotuner and persists the winner as a
+// writeTuneProfile runs the autotuner and persists the winner as a
 // per-host profile the serving binaries load via -tune-profile.
 func writeTuneProfile(path string, budget time.Duration, stderr io.Writer) error {
 	res, err := blis.Tune(blis.TuneOptions{

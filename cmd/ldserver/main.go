@@ -7,9 +7,10 @@
 //	ldserver -in data.ldgm -addr :8080
 //
 // With -tune-profile pointing at an `ldbench -write-tune-profile` output,
-// the saved kernel configuration (micro-kernel shape, popcount strategy,
-// cache blocking) steers every LD request; a profile that is corrupt or
-// was measured on different hardware is logged and ignored, never fatal.
+// the saved driver configuration (cache blocking, and threads × chunk size
+// when the tuner pinned them) steers every LD request; the micro-kernel is
+// the host's. A profile that is corrupt or was measured on different
+// hardware or by an older tuner is logged and ignored, never fatal.
 //
 // With -store pointing at an `ldstore build` output for the same dataset,
 // the /api/ld, /api/ld/region, and /api/ld/top endpoints serve precomputed
@@ -258,11 +259,11 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	return a, nil
 }
 
-// loadTuneProfile resolves the -tune-profile flag into a base kernel
-// configuration. Any failure — corrupt JSON, an unknown kernel, or a
-// fingerprint measured on another host — is logged and the defaults are
-// kept: a bad profile must never stop the server, and a stale one must
-// never steer it with foreign measurements.
+// loadTuneProfile resolves the -tune-profile flag into a base driver
+// configuration. Any failure — corrupt JSON, an invalid blocking, or a
+// fingerprint measured on another host or by another profile version — is
+// logged and the defaults are kept: a bad profile must never stop the
+// server, and a stale one must never steer it with foreign measurements.
 func loadTuneProfile(path string, stderr io.Writer) blis.Config {
 	p, err := blis.LoadProfile(path)
 	if err != nil {
@@ -274,8 +275,8 @@ func loadTuneProfile(path string, stderr io.Writer) blis.Config {
 		fmt.Fprintf(stderr, "ldserver: ignoring tune profile %s: %v\n", path, err)
 		return blis.Config{}
 	}
-	fmt.Fprintf(stderr, "ldserver: tune profile %s: kernel %s, popcount %s, MC/NC/KC %d/%d/%d\n",
-		path, p.Kernel, p.Popcount, p.MC, p.NC, p.KC)
+	fmt.Fprintf(stderr, "ldserver: tune profile %s: MC/NC/KC %d/%d/%d\n",
+		path, cfg.MC, cfg.NC, cfg.KC)
 	return cfg
 }
 

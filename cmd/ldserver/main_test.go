@@ -14,8 +14,10 @@ import (
 	"strings"
 
 	"ldgemm/internal/blis"
+	"ldgemm/internal/kernel"
 	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
+	"ldgemm/internal/popcount"
 	"ldgemm/internal/popsim"
 	"ldgemm/internal/seqio"
 )
@@ -208,14 +210,15 @@ func TestSetupRejectsMismatchedStore(t *testing.T) {
 }
 
 // TestSetupTuneProfile closes the autotune loop: a saved profile is
-// loaded at startup, steers the kernel config, and the dispatched
-// variant surfaces on /debug/vars after a kernel-powered request.
+// loaded at startup and its blocking reaches the server's driver config
+// (the announcement is printed from the config handed to the server),
+// while the kernel stays the host's: after a kernel-powered request
+// /debug/vars reports the host default's route at this k (one sample
+// word: the tile where the host has one, the scalar 4x4 elsewhere).
 func TestSetupTuneProfile(t *testing.T) {
 	path := writeServerDataset(t, false)
 	profPath := filepath.Join(t.TempDir(), "tune.json")
-	err := blis.SaveProfile(profPath, blis.Profile{
-		Kernel: "4x4", Popcount: "scalar", MC: 64, NC: 1024, KC: 128,
-	})
+	err := blis.SaveProfile(profPath, blis.Profile{MC: 64, NC: 1024, KC: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +227,8 @@ func TestSetupTuneProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errBuf.String(), "tune profile") || strings.Contains(errBuf.String(), "ignoring") {
-		t.Fatalf("profile load not announced: %s", errBuf.String())
+	if !strings.Contains(errBuf.String(), "tune profile "+profPath+": MC/NC/KC 64/1024/128") || strings.Contains(errBuf.String(), "ignoring") {
+		t.Fatalf("profile blocking not announced: %s", errBuf.String())
 	}
 	rec := httptest.NewRecorder()
 	a.srv.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/api/ld/region?start=0&end=20", nil))
@@ -243,14 +246,20 @@ func TestSetupTuneProfile(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
 		t.Fatal(err)
 	}
-	if vars.Blis.Variant != "4x4" || vars.Blis.Popcount != "scalar" {
-		t.Fatalf("/debug/vars reports variant %q popcount %q, want 4x4/scalar",
-			vars.Blis.Variant, vars.Blis.Popcount)
+	engine := "scalar"
+	if kernel.Default.Lanes > 1 {
+		engine = "vector-" + popcount.VectorName()
+	}
+	if vars.Blis.Variant != kernel.Default.Name || vars.Blis.Popcount != engine {
+		t.Fatalf("/debug/vars reports variant %q popcount %q, want the host default %s/%s",
+			vars.Blis.Variant, vars.Blis.Popcount, kernel.Default.Name, engine)
 	}
 }
 
-// TestSetupTuneProfileFallback pins the failure contract: a corrupt or
-// stale profile is logged and ignored — startup must still succeed.
+// TestSetupTuneProfileFallback pins the failure contract: a corrupt
+// profile, one from another host, and one this host wrote in the version-2
+// format that still named a kernel and a popcount strategy are each logged
+// and ignored — startup must still succeed.
 func TestSetupTuneProfileFallback(t *testing.T) {
 	path := writeServerDataset(t, false)
 	dir := t.TempDir()
@@ -262,13 +271,17 @@ func TestSetupTuneProfileFallback(t *testing.T) {
 	stale := filepath.Join(dir, "stale.json")
 	err := blis.SaveProfile(stale, blis.Profile{
 		Fingerprint: "linux/riscv64/cpu64/simd-none/v1",
-		Kernel:      "4x4", Popcount: "vector", MC: 128, NC: 4096, KC: 256,
+		MC:          128, NC: 4096, KC: 256,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v2 := filepath.Join(dir, "v2.json")
+	if err := os.WriteFile(v2, version2Profile(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	for _, prof := range []string{corrupt, stale} {
+	for _, prof := range []string{corrupt, stale, v2} {
 		var errBuf bytes.Buffer
 		if _, err := setup([]string{"-in", path, "-tune-profile", prof, "-access-log=false"}, &errBuf); err != nil {
 			t.Fatalf("bad profile %s failed startup: %v", prof, err)
@@ -277,6 +290,13 @@ func TestSetupTuneProfileFallback(t *testing.T) {
 			t.Fatalf("fallback for %s not logged: %s", prof, errBuf.String())
 		}
 	}
+}
+
+// version2Profile is a profile as this host's tuner wrote it before
+// profiles stopped naming a kernel and a popcount strategy.
+func version2Profile() []byte {
+	fp := strings.Replace(blis.HostFingerprint(), "/v3", "/v2", 1)
+	return []byte(`{"version": 2, "fingerprint": "` + fp + `", "kernel": "4x4", "popcount": "scalar", "mc": 64, "nc": 1024, "kc": 128}`)
 }
 
 // TestSetupShardMode boots a shard via -shard-range and checks both the

@@ -133,8 +133,8 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 				cfg.Threads = *threads
 			}
 			bcfg = cfg
-			fmt.Fprintf(stderr, "ldstore: tune profile %s: kernel %s, popcount %s, MC/NC/KC %d/%d/%d\n",
-				*tuneProfile, p.Kernel, p.Popcount, p.MC, p.NC, p.KC)
+			fmt.Fprintf(stderr, "ldstore: tune profile %s: MC/NC/KC %d/%d/%d\n",
+				*tuneProfile, cfg.MC, cfg.NC, cfg.KC)
 		}
 	}
 	if !*sparse {

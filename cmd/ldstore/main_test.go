@@ -122,16 +122,16 @@ func TestBuildInfoQuery(t *testing.T) {
 }
 
 // TestBuildTuneProfile covers both sides of the -tune-profile contract
-// on the build path: a valid profile steers the build (and is announced),
-// a corrupt one is logged and ignored without failing the build.
+// on the build path: a valid profile steers the build (and its blocking is
+// announced), while a corrupt one, one from another host and one this
+// host wrote in the version-2 format that still named a kernel and a
+// popcount strategy are logged and ignored without failing the build.
 func TestBuildTuneProfile(t *testing.T) {
 	data := writeDataset(t)
 	dir := t.TempDir()
 
 	prof := filepath.Join(dir, "tune.json")
-	err := blis.SaveProfile(prof, blis.Profile{
-		Kernel: "4x4", Popcount: "scalar", MC: 64, NC: 1024, KC: 128,
-	})
+	err := blis.SaveProfile(prof, blis.Profile{MC: 64, NC: 1024, KC: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestBuildTuneProfile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build with profile: %v", err)
 	}
-	if !strings.Contains(stderr, "tune profile") || strings.Contains(stderr, "ignoring") {
+	if !strings.Contains(stderr, "tune profile "+prof+": MC/NC/KC 64/1024/128") || strings.Contains(stderr, "ignoring") {
 		t.Fatalf("profile load not announced: %q", stderr)
 	}
 
@@ -148,13 +148,25 @@ func TestBuildTuneProfile(t *testing.T) {
 	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr, err = runLdstore(t, "build", "-in", data,
-		"-out", filepath.Join(dir, "fallback.ldts"), "-tune-profile", corrupt)
+	stale := filepath.Join(dir, "stale.json")
+	err = blis.SaveProfile(stale, blis.Profile{Fingerprint: "linux/riscv64/cpu64/simd-none/v1", MC: 128, NC: 4096, KC: 256})
 	if err != nil {
-		t.Fatalf("build with corrupt profile failed: %v", err)
+		t.Fatal(err)
 	}
-	if !strings.Contains(stderr, "ignoring tune profile") {
-		t.Fatalf("fallback not logged: %q", stderr)
+	v2 := filepath.Join(dir, "v2.json")
+	fp := strings.Replace(blis.HostFingerprint(), "/v3", "/v2", 1)
+	if err := os.WriteFile(v2, []byte(`{"version": 2, "fingerprint": "`+fp+`", "kernel": "4x4", "popcount": "scalar", "mc": 64, "nc": 1024, "kc": 128}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []string{corrupt, stale, v2} {
+		_, stderr, err = runLdstore(t, "build", "-in", data,
+			"-out", filepath.Join(dir, "fallback.ldts"), "-tune-profile", bad)
+		if err != nil {
+			t.Fatalf("build with bad profile %s failed: %v", bad, err)
+		}
+		if !strings.Contains(stderr, "ignoring tune profile") {
+			t.Fatalf("fallback for %s not logged: %q", bad, stderr)
+		}
 	}
 }
 

@@ -43,15 +43,10 @@ type Config struct {
 	// Kernel is the register-blocked micro-kernel of the plain driver;
 	// the zero value means kernel.Default, the host-resolved default (the
 	// AVX-512 VPOPCNTQ tile where the host runs it, the Go 4x4 elsewhere).
-	// A kernel set here is the kernel that runs, with one exception: the
-	// vector tile cannot serve a forced scalar or CSA strategy, which fall
-	// back to kernel.Portable (see PlainKernel).
+	// A kernel set here is the kernel that runs; how it counts — its own
+	// loop, or the batched run-packed family around its shape — follows
+	// from the kernel, the sample words and the host (dispatch.go).
 	Kernel kernel.Kernel
-	// Popcount selects the AND-count engine of the micro-kernel sweep
-	// (see PopcountStrategy). The zero value is PopcountAuto: the vector
-	// tile at every k when Kernel is that tile; for a Go kernel,
-	// k-dispatch between it and the batched CSA/vector family.
-	Popcount PopcountStrategy
 	// Threads is the number of worker goroutines (GOMAXPROCS if 0).
 	Threads int
 	// ChunkTiles is the work-queue granularity of the parallel driver:
@@ -82,21 +77,13 @@ func DefaultConfig() Config {
 
 // PlainKernel returns the micro-kernel the plain (unmasked) driver runs
 // for c — the one answer to "which kernel, which register tile" that
-// normalize, the tuner's log and core's SYRK mirror-ownership rule share.
-// An unset Kernel is kernel.Default. A vector tile counts with its own
-// vector popcount, so it serves PopcountAuto and PopcountVector; under a
-// forced PopcountScalar or PopcountCSA the Go kernel.Portable runs
-// instead, which keeps those two strategies the portable oracles they are
-// on every host.
+// normalize, the tuner and core's SYRK mirror-ownership rule share: the
+// Kernel set, or kernel.Default when it is unset.
 func (c Config) PlainKernel() kernel.Kernel {
-	k := c.Kernel
-	if k.Fn == nil {
-		k = kernel.Default
+	if c.Kernel.Fn == nil {
+		return kernel.Default
 	}
-	if k.Lanes > 1 && (c.Popcount == PopcountScalar || c.Popcount == PopcountCSA) {
-		k = kernel.Portable
-	}
-	return k
+	return c.Kernel
 }
 
 // normalize fills zero fields with defaults and validates the rest.
@@ -120,9 +107,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Kernel.MR < 1 || c.Kernel.NR < 1 {
 		return c, fmt.Errorf("blis: invalid kernel shape %dx%d", c.Kernel.MR, c.Kernel.NR)
-	}
-	if c.Popcount < PopcountAuto || c.Popcount > PopcountVector {
-		return c, fmt.Errorf("blis: invalid popcount strategy %d", int(c.Popcount))
 	}
 	return c, nil
 }
@@ -351,23 +335,22 @@ func checkC(m, n int, c []uint32, ldc int) error {
 }
 
 // drive instantiates the slab-pipelined parallel driver (parallel.go) for
-// the plain count kernel by the route plainEngine resolves: the
-// micro-kernel itself on interleaved panels (the vector tile at every k,
-// a Go kernel when the engine is scalar), or the batched run-packed
+// the plain count kernel by the route plainRoute resolves: the
+// micro-kernel itself on interleaved panels, or the batched run-packed
 // family around a Go kernel's shape (dispatch.go). With syrk set, register
 // tiles strictly below the diagonal are skipped and — when the column
 // block spans the whole matrix and the register tile is square — the
 // packed B slab doubles as the packed A panels.
 func drive(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int, syrk bool, epi Epilogue) error {
 	k := cfg.Kernel
-	strat := plainEngine(k, cfg.Popcount, a.Words)
+	runs, variant, engine := plainRoute(k, a.Words)
 	var ops tileOps
-	if interleaved(k, strat) {
-		ops = interleavedOps(k, a, b)
+	if runs {
+		ops = runOps(k, a, b)
 	} else {
-		ops = runOps(k, a, b, strat)
+		ops = interleavedOps(k, a, b)
 	}
-	stats.setVariant(variantName(k, strat), strategyTag(strat))
+	stats.setVariant(variant, engine)
 	return driveTiles(cfg, ops, a.SNPs, b.SNPs, a.Words, c, ldc, syrk, epi)
 }
 

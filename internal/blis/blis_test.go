@@ -24,6 +24,13 @@ func randomMatrix(rng *rand.Rand, snps, samples int) *bitmat.Matrix {
 	return m
 }
 
+// shapeKernels are the register shapes the driver tests cross with their
+// blockings: the hand-unrolled Go kernels, the host default and the wide
+// and tall shapes as Generic instances.
+func shapeKernels() []kernel.Kernel {
+	return append(append([]kernel.Kernel(nil), kernel.Fixed...), kernel.Default, kernel.Generic(8, 4), kernel.Generic(4, 8))
+}
+
 // smallConfig forces many blocking fringes on small inputs.
 func smallConfig(k kernel.Kernel, threads int) Config {
 	return Config{MC: 12, NC: 20, KC: 3, Kernel: k, Threads: threads}
@@ -35,7 +42,7 @@ func TestGemmMatchesReference(t *testing.T) {
 		{1, 1, 1}, {1, 1, 64}, {5, 7, 65}, {16, 16, 128},
 		{33, 47, 200}, {64, 64, 1000}, {100, 30, 64*7 + 13},
 	}
-	for _, k := range kernel.Fixed {
+	for _, k := range shapeKernels() {
 		for _, sh := range shapes {
 			a := randomMatrix(rng, sh.m, sh.samples)
 			b := randomMatrix(rng, sh.n, sh.samples)
@@ -260,7 +267,8 @@ func TestQuickGemm(t *testing.T) {
 		m := int(m8%40) + 1
 		n := int(n8%40) + 1
 		samples := int(s8)*3 + 1
-		k := kernel.Fixed[int(kidx)%len(kernel.Fixed)]
+		ks := shapeKernels()
+		k := ks[int(kidx)%len(ks)]
 		cfg := Config{
 			MC: int(mc8%30) + 1, NC: int(nc8%30) + 1, KC: int(kc8%5) + 1,
 			Kernel: k, Threads: int(seed%4) + 1,

@@ -9,14 +9,17 @@ import (
 	"ldgemm/internal/popcount"
 )
 
-// explicitStrategies is every engine an operator can force; Auto is
-// covered separately because its resolution depends on k.
-var explicitStrategies = []PopcountStrategy{PopcountScalar, PopcountCSA, PopcountVector}
+// routeKernels are the kernel settings whose routes the oracle tests cover:
+// unset (the host default — the vector tile where there is one) and the Go
+// 4x4, which k-dispatches between its own loop and the batched family. Run
+// again under kernel.DisableVectorTileForTest (TestPortableRoute), unset is
+// the 4x4 too.
+var routeKernels = []kernel.Kernel{{}, kernel.Portable}
 
-// dispatchShapes stresses the batched family at its boundaries: m, n not
-// multiples of MR/NR, and sample words not multiples of the fold widths
-// (16 for CSA, 8/4 for the SIMD tiers). Samples are in bits; 64 samples
-// = 1 word.
+// dispatchShapes stresses every route at its boundaries: m, n not
+// multiples of MR/NR, sample words below and above CSAMinWords and not
+// multiples of the fold widths (16 for CSA, 8/4 for the SIMD tiers).
+// Samples are in bits; 64 samples = 1 word.
 var dispatchShapes = [][3]int{
 	{1, 1, 64},
 	{1, 5, 320},      // 5 words: below every fold width
@@ -38,20 +41,20 @@ func TestGemmStrategiesMatchScalarOracle(t *testing.T) {
 		if err := Reference(a, b, want, ldc); err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range explicitStrategies {
+		for _, k := range routeKernels {
 			for _, cfg := range []Config{
-				{Popcount: strat},
-				{Popcount: strat, MC: 5, NC: 7, KC: 3, Threads: 3},
-				{Popcount: strat, MC: 8, NC: 16, KC: 7, Threads: 2, ChunkTiles: 1},
+				{Kernel: k},
+				{Kernel: k, MC: 5, NC: 7, KC: 3, Threads: 3},
+				{Kernel: k, MC: 8, NC: 16, KC: 7, Threads: 2, ChunkTiles: 1},
 			} {
 				got := make([]uint32, m*ldc)
 				if err := Gemm(cfg, a, b, got, ldc); err != nil {
-					t.Fatalf("shape %v %v: %v", sh, strat, err)
+					t.Fatalf("shape %v kernel %q: %v", sh, k.Name, err)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("shape %v strategy %v cfg %+v: mismatch at %d: %d != %d",
-							sh, strat, cfg, i, got[i], want[i])
+						t.Fatalf("shape %v kernel %q cfg %+v: mismatch at %d: %d != %d",
+							sh, k.Name, cfg, i, got[i], want[i])
 					}
 				}
 			}
@@ -68,24 +71,22 @@ func TestSyrkStrategiesMatchScalarOracle(t *testing.T) {
 		if err := Reference(g, g, want, n); err != nil {
 			t.Fatal(err)
 		}
-		// Auto rides along: whatever engine it resolves to at this k must
-		// fill the same triangle as the scalar oracle.
-		for _, strat := range append([]PopcountStrategy{PopcountAuto}, explicitStrategies...) {
+		for _, k := range routeKernels {
 			// Defaults keep NC wide, exercising the pack-sharing path the
 			// run layout must preserve; the small config forces fringe
 			// tiles and multi-slab groups.
 			for _, cfg := range []Config{
-				{Popcount: strat},
-				{Popcount: strat, MC: 4, NC: 8, KC: 5, Threads: 3, ChunkTiles: 1},
+				{Kernel: k},
+				{Kernel: k, MC: 4, NC: 8, KC: 5, Threads: 3, ChunkTiles: 1},
 			} {
 				got := make([]uint32, n*n)
 				if err := Syrk(cfg, g, got, n, true); err != nil {
-					t.Fatalf("n=%d %v: %v", n, strat, err)
+					t.Fatalf("n=%d kernel %q: %v", n, k.Name, err)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("n=%d strategy %v: mismatch at %d: %d != %d",
-							n, strat, i, got[i], want[i])
+						t.Fatalf("n=%d kernel %q: mismatch at %d: %d != %d",
+							n, k.Name, i, got[i], want[i])
 					}
 				}
 			}
@@ -93,6 +94,9 @@ func TestSyrkStrategiesMatchScalarOracle(t *testing.T) {
 	}
 }
 
+// The masked driver has one kernel and no tile, so its route depends on k
+// and the host alone: dispatchShapes crosses CSAMinWords, and running it
+// again with the tile off would repeat the same calls.
 func TestMaskedStrategiesMatchScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for _, sh := range dispatchShapes {
@@ -103,29 +107,28 @@ func TestMaskedStrategiesMatchScalarOracle(t *testing.T) {
 		if err := MaskedReference(a, b, ka, kb, want, n); err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range explicitStrategies {
-			for _, cfg := range []Config{
-				{Popcount: strat},
-				{Popcount: strat, MC: 4, NC: 6, KC: 5, Threads: 2, ChunkTiles: 1},
-			} {
-				got := make([]uint32, m*n*4)
-				if err := MaskedGemm(cfg, a, b, ka, kb, got, n); err != nil {
-					t.Fatalf("shape %v %v: %v", sh, strat, err)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("shape %v strategy %v: mismatch at %d: %d != %d",
-							sh, strat, i, got[i], want[i])
-					}
+		for _, cfg := range []Config{
+			{},
+			{MC: 4, NC: 6, KC: 5, Threads: 2, ChunkTiles: 1},
+		} {
+			got := make([]uint32, m*n*4)
+			if err := MaskedGemm(cfg, a, b, ka, kb, got, n); err != nil {
+				t.Fatalf("shape %v: %v", sh, err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("shape %v cfg %+v: mismatch at %d: %d != %d",
+						sh, cfg, i, got[i], want[i])
 				}
 			}
 		}
 	}
 }
 
-// TestBatchedMultiSlabGroups shrinks maxGroupWords so the batched family
-// runs a real multi-group pipeline — accumulation across slab groups
-// through the double buffer must stay exact.
+// TestBatchedMultiSlabGroups shrinks maxGroupWords so every route — the
+// batched family under the Go 4x4 at this k — runs a real multi-group
+// pipeline: accumulation across slab groups through the double buffer must
+// stay exact.
 func TestBatchedMultiSlabGroups(t *testing.T) {
 	saved := maxGroupWords
 	maxGroupWords = 512
@@ -139,15 +142,15 @@ func TestBatchedMultiSlabGroups(t *testing.T) {
 	if err := Reference(a, b, want, n); err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range explicitStrategies {
+	for _, k := range routeKernels {
 		got := make([]uint32, m*n)
-		cfg := Config{Popcount: strat, KC: 8, Threads: 3}
+		cfg := Config{Kernel: k, KC: 8, Threads: 3}
 		if err := Gemm(cfg, a, b, got, n); err != nil {
-			t.Fatalf("%v: %v", strat, err)
+			t.Fatalf("kernel %q: %v", k.Name, err)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%v: mismatch at %d: %d != %d", strat, i, got[i], want[i])
+				t.Fatalf("kernel %q: mismatch at %d: %d != %d", k.Name, i, got[i], want[i])
 			}
 		}
 	}
@@ -169,7 +172,7 @@ func TestAutoDispatchPicksByK(t *testing.T) {
 		return ReadStats()
 	}
 
-	if _, err := kernel.ByName(kernel.AVX512Name); err == nil {
+	if kernel.Default.Lanes > 1 {
 		for _, words := range []int{4, 64} {
 			before := ReadStats().PopcountsAvoided
 			got := run(words)
@@ -209,9 +212,8 @@ func TestAutoDispatchPicksByK(t *testing.T) {
 }
 
 // TestPlainKernelResolution pins the one resolver of "which kernel runs":
-// unset means the host default, an explicit kernel is kept, and the vector
-// tile steps aside for the portable 4x4 under a forced scalar or CSA
-// strategy — so those two stay portable oracles on every host.
+// unset means the host default, and an explicit kernel — a Go shape or the
+// tile — is the kernel that runs.
 func TestPlainKernelResolution(t *testing.T) {
 	if got := (Config{}).PlainKernel(); got.Name != kernel.Default.Name {
 		t.Fatalf("unset kernel resolved to %q, want the default %q", got.Name, kernel.Default.Name)
@@ -219,27 +221,57 @@ func TestPlainKernelResolution(t *testing.T) {
 	if got := DefaultConfig().Kernel; got.Name != kernel.Default.Name {
 		t.Fatalf("DefaultConfig kernel %q, want %q", got.Name, kernel.Default.Name)
 	}
-	for _, s := range []PopcountStrategy{PopcountAuto, PopcountScalar, PopcountCSA, PopcountVector} {
-		if got := (Config{Kernel: kernel.Fixed[3], Popcount: s}).PlainKernel(); got.Name != "8x4" {
-			t.Fatalf("explicit 8x4 under %v resolved to %q", s, got.Name)
+	for _, k := range []kernel.Kernel{kernel.Generic(8, 4), kernel.Portable, kernel.Default} {
+		if got := (Config{Kernel: k}).PlainKernel(); got.Name != k.Name {
+			t.Fatalf("explicit %q resolved to %q", k.Name, got.Name)
 		}
 	}
-	tile, err := kernel.ByName(kernel.AVX512Name)
-	if err != nil {
-		t.Skipf("no vector tile to resolve: %v", err)
-	}
-	for s, want := range map[PopcountStrategy]string{
-		PopcountAuto: tile.Name, PopcountVector: tile.Name,
-		PopcountScalar: kernel.Portable.Name, PopcountCSA: kernel.Portable.Name,
-	} {
-		got := (Config{Kernel: tile, Popcount: s}).PlainKernel()
-		if got.Name != want {
-			t.Fatalf("tile under %v resolved to %q, want %q", s, got.Name, want)
+}
+
+// TestDispatchRoutes pins README's route table row by row through what the
+// driver reports: {unset, Go 4x4} × {one word below CSAMinWords, exactly
+// CSAMinWords} × {plain, masked}, with the tile on (where the host has it)
+// and off. The tile counts at every k; a Go kernel and the masked driver
+// run their own loop below the threshold and the batched family from it on
+// a SIMD host, their own loop at every k without one.
+func TestDispatchRoutes(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	vector := "vector-" + popcount.VectorName()
+	goRoute := func(name string, kw int) [2]string {
+		if kw >= CSAMinWords && popcount.HasVector() {
+			return [2]string{name + "-runs", vector}
 		}
-		if eng := plainEngine(got, s, 4); (got.Lanes > 1) != (eng == PopcountVector) {
-			t.Fatalf("tile under %v at k = 4 words: kernel %q, engine %v", s, got.Name, eng)
+		return [2]string{name, "scalar"}
+	}
+	check := func(t *testing.T) {
+		for _, k := range routeKernels {
+			for _, kw := range []int{CSAMinWords - 1, CSAMinWords} {
+				g, mk := randomMasked(rng, 9, 64*kw)
+				if err := Gemm(Config{Kernel: k}, g, g, make([]uint32, 81), 9); err != nil {
+					t.Fatal(err)
+				}
+				want := goRoute(kernel.Portable.Name, kw)
+				if k.Fn == nil && kernel.Default.Lanes > 1 {
+					want = [2]string{kernel.AVX512Name, "vector-avx512-vpopcntdq"}
+				}
+				if s := ReadStats(); s.Variant != want[0] || s.Popcount != want[1] {
+					t.Errorf("plain, kernel %q, kw = %d: ran %s / %s, want %s / %s", k.Name, kw, s.Variant, s.Popcount, want[0], want[1])
+				}
+				if err := MaskedGemm(Config{Kernel: k}, g, g, mk, mk, make([]uint32, 81*4), 9); err != nil {
+					t.Fatal(err)
+				}
+				want = goRoute("masked2x2", kw)
+				if s := ReadStats(); s.Variant != want[0] || s.Popcount != want[1] {
+					t.Errorf("masked, kernel %q, kw = %d: ran %s / %s, want %s / %s", k.Name, kw, s.Variant, s.Popcount, want[0], want[1])
+				}
+			}
 		}
 	}
+	if kernel.Default.Lanes > 1 {
+		t.Run("tile", check)
+	}
+	defer kernel.DisableVectorTileForTest()()
+	t.Run("portable", check)
 }
 
 // TestPortableRoute reruns the driver oracle tests and the row-run contract
@@ -247,8 +279,8 @@ func TestPlainKernelResolution(t *testing.T) {
 // the route everyone else runs. (The tests themselves run with the host
 // default: the tile, where there is one.)
 func TestPortableRoute(t *testing.T) {
-	if _, err := kernel.ByName(kernel.AVX512Name); err != nil {
-		t.Skipf("the portable route is already this host's default: %v", err)
+	if kernel.Default.Lanes <= 1 {
+		t.Skipf("the portable route is already this host's default (%s)", kernel.Default.Name)
 	}
 	defer kernel.DisableVectorTileForTest()()
 	t.Run("GemmStrategies", TestGemmStrategiesMatchScalarOracle)
@@ -257,37 +289,24 @@ func TestPortableRoute(t *testing.T) {
 	t.Run("SyrkRowRuns", TestSyrkEpilogueUpperTriangle)
 }
 
-// TestVectorDegradesWithoutSIMD pins the explicit-vector fallback: a host
-// with no SIMD tier must land on the CSA engine, never fail.
+// TestVectorDegradesWithoutSIMD pins what a Go kernel runs at long k on a
+// host without a SIMD tier: its own scalar loop, never a batched route the
+// host cannot vectorise.
 func TestVectorDegradesWithoutSIMD(t *testing.T) {
-	got := resolvePopcount(PopcountVector, 1024)
+	runs, variant, engine := plainRoute(kernel.Portable, 1024)
 	if popcount.HasVector() {
-		if got != PopcountVector {
-			t.Fatalf("resolvePopcount(Vector) = %v with SIMD available", got)
+		if !runs || variant != "4x4-runs" || engine != "vector-"+popcount.VectorName() {
+			t.Fatalf("4x4 at 1024 words with SIMD: runs %v, %s / %s", runs, variant, engine)
 		}
-	} else if got != PopcountCSA {
-		t.Fatalf("resolvePopcount(Vector) = %v without SIMD, want CSA", got)
-	}
-}
-
-func TestParsePopcountRoundTrip(t *testing.T) {
-	for _, s := range []PopcountStrategy{PopcountAuto, PopcountScalar, PopcountCSA, PopcountVector} {
-		got, err := ParsePopcount(s.String())
-		if err != nil || got != s {
-			t.Fatalf("ParsePopcount(%q) = %v, %v", s.String(), got, err)
-		}
-	}
-	if _, err := ParsePopcount("simd"); err == nil {
-		t.Fatal("unknown strategy accepted")
-	}
-	if got, err := ParsePopcount(""); err != nil || got != PopcountAuto {
-		t.Fatalf("empty strategy = %v, %v; want auto", got, err)
+	} else if runs || variant != "4x4" || engine != "scalar" {
+		t.Fatalf("4x4 at 1024 words without SIMD: runs %v, %s / %s", runs, variant, engine)
 	}
 }
 
 // TestConcurrentBatchedSyrk mirrors the PR 4 shared-arena race exercise
-// with the batched family forced: 8 workers drive Syrk and MaskedSyrk
-// through the vector engine concurrently, all sharing the arena pool.
+// on the batched family (the Go 4x4 and the masked driver at 40 words, on a
+// SIMD host): 8 workers drive Syrk and MaskedSyrk concurrently, all sharing
+// the arena pool.
 func TestConcurrentBatchedSyrk(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	n, samples := 70, 64*40
@@ -302,7 +321,7 @@ func TestConcurrentBatchedSyrk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := Config{Popcount: PopcountVector, MC: 16, NC: 32, KC: 7, Threads: 3, ChunkTiles: 1}
+	cfg := Config{Kernel: kernel.Portable, MC: 16, NC: 32, KC: 7, Threads: 3, ChunkTiles: 1}
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for call := 0; call < 8; call++ {
@@ -344,9 +363,9 @@ func TestConcurrentBatchedSyrk(t *testing.T) {
 	}
 }
 
-// TestBatchedEpilogueFusion checks the batched family composes with the
-// fused tile epilogue: per-tile counts handed to the hook must equal the
-// materialized matrix.
+// TestBatchedEpilogueFusion checks every route at long k — the batched
+// family under the Go 4x4 — composes with the fused tile epilogue: per-tile
+// counts handed to the hook must equal the materialized matrix.
 func TestBatchedEpilogueFusion(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	n, samples := 45, 64*36
@@ -355,10 +374,10 @@ func TestBatchedEpilogueFusion(t *testing.T) {
 	if err := Reference(g, g, want, n); err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range explicitStrategies {
+	for _, k := range routeKernels {
 		got := make([]uint32, n*n)
 		var mu sync.Mutex
-		cfg := Config{Popcount: strat, MC: 8, NC: 16, KC: 9, Threads: 3}
+		cfg := Config{Kernel: k, MC: 8, NC: 16, KC: 9, Threads: 3}
 		err := SyrkEpilogue(cfg, g, TileEpilogue(func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -369,13 +388,13 @@ func TestBatchedEpilogueFusion(t *testing.T) {
 			}
 		}))
 		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+			t.Fatalf("kernel %q: %v", k.Name, err)
 		}
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
 				if got[i*n+j] != want[i*n+j] {
-					t.Fatalf("%v: fused mismatch at (%d,%d): %d != %d",
-						strat, i, j, got[i*n+j], want[i*n+j])
+					t.Fatalf("kernel %q: fused mismatch at (%d,%d): %d != %d",
+						k.Name, i, j, got[i*n+j], want[i*n+j])
 				}
 			}
 		}

@@ -26,7 +26,7 @@ func TestGemmEpilogueMatchesReference(t *testing.T) {
 		{1, 1, 1}, {1, 1, 64}, {5, 7, 65}, {16, 16, 128},
 		{33, 47, 200}, {64, 64, 1000}, {100, 30, 64*7 + 13},
 	}
-	for _, k := range kernel.Fixed {
+	for _, k := range shapeKernels() {
 		for _, sh := range shapes {
 			a := randomMatrix(rng, sh.m, sh.samples)
 			b := randomMatrix(rng, sh.n, sh.samples)
@@ -168,7 +168,7 @@ var contractShapes = []struct{ m, n int }{
 // tile shape, block sizes, chunking (1 tile per job, 7, derived), threads.
 func contractConfigs() []Config {
 	var cfgs []Config
-	for _, k := range []kernel.Kernel{kernel.Default, kernel.Fixed[3] /* 8x4 */, kernel.Fixed[4] /* 4x8 */, kernel.Generic(3, 5)} {
+	for _, k := range []kernel.Kernel{kernel.Default, kernel.Generic(8, 4), kernel.Generic(4, 8), kernel.Generic(3, 5)} {
 		for _, chunk := range []int{1, 7, 0} {
 			for _, threads := range []int{1, 3, 8} {
 				cfgs = append(cfgs, Config{MC: 12, NC: 20, KC: 1, Kernel: k, ChunkTiles: chunk, Threads: threads})
@@ -333,13 +333,13 @@ func onPoisonedScratch(t *testing.T, cells int, call func() error) {
 // op writes a cell first — fringe rows and columns (m, n off every register
 // tile), SYRK diagonal-crossing tiles, one slab (the streamed order, through
 // the workers' strips), several slabs per group, several groups, several
-// column blocks — with all four tileOps families, on the vector tile's
-// route and the portable one, at 1 and 4 threads.
+// column blocks — with all four tileOps families (the two interleaved ones
+// below CSAMinWords, the two batched ones from it under the Go 4x4 and the
+// masked driver on a SIMD host), on the vector tile's route and the
+// portable one, at 1 and 4 threads.
 func TestEpilogueIgnoresScratchContents(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	const m, n, samples = 37, 43, 64*6 + 5
-	a, ka := randomMasked(rng, m, samples)
-	b, kb := randomMasked(rng, n, samples)
+	const m, n = 37, 43
 	reference := func(a, b *bitmat.Matrix, ka, kb *bitmat.Mask) (plain, masked []uint32) {
 		plain, masked = make([]uint32, a.SNPs*b.SNPs), make([]uint32, a.SNPs*b.SNPs*4)
 		if err := Reference(a, b, plain, b.SNPs); err != nil {
@@ -350,8 +350,21 @@ func TestEpilogueIgnoresScratchContents(t *testing.T) {
 		}
 		return plain, masked
 	}
-	gemm, maskedGemm := reference(a, b, ka, kb)
-	syrk, maskedSyrk := reference(b, b, kb, kb)
+	type input struct {
+		kw                                 int
+		a, b                               *bitmat.Matrix
+		ka, kb                             *bitmat.Mask
+		gemm, maskedGemm, syrk, maskedSyrk []uint32
+	}
+	var inputs []input
+	for _, samples := range []int{64*6 + 5, 64*CSAMinWords + 5} {
+		in := input{kw: bitmat.WordsFor(samples)}
+		in.a, in.ka = randomMasked(rng, m, samples)
+		in.b, in.kb = randomMasked(rng, n, samples)
+		in.gemm, in.maskedGemm = reference(in.a, in.b, in.ka, in.kb)
+		in.syrk, in.maskedSyrk = reference(in.b, in.b, in.kb, in.kb)
+		inputs = append(inputs, in)
+	}
 	// check compares every delivered cell (cells uint32s each) with want.
 	check := func(name string, want []uint32, cells int) TileEpilogue {
 		return func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
@@ -364,46 +377,48 @@ func TestEpilogueIgnoresScratchContents(t *testing.T) {
 		}
 	}
 
-	blockings := []struct {
-		cfg        Config
-		groupWords int
-	}{
-		{Config{MC: 16, NC: 24, KC: 8}, maxGroupWords}, // one slab: streamed, panel by panel through a strip
-		{Config{MC: 16, NC: 24, KC: 2}, maxGroupWords}, // column blocks; one group of slabs
-		{Config{MC: 16, NC: 24, KC: 1}, 2},             // every slab its own group
-		{Config{KC: 2}, 300},                           // groups of several slabs
-	}
 	oldGroup := maxGroupWords
 	defer func() { maxGroupWords = oldGroup }()
 	route := func(t *testing.T) {
-		for _, bl := range blockings {
-			maxGroupWords = bl.groupWords
-			for _, pop := range []PopcountStrategy{PopcountAuto, PopcountCSA, PopcountVector} {
-				for _, threads := range []int{1, 4} {
-					cfg := bl.cfg
-					cfg.Popcount, cfg.Threads = pop, threads
-					const scratch = 4 * 64 * 64
-					onPoisonedScratch(t, scratch, func() error {
-						return GemmEpilogue(cfg, a, b, check("gemm", gemm, 1))
-					})
-					onPoisonedScratch(t, scratch, func() error {
-						return SyrkEpilogue(cfg, b, check("syrk", syrk, 1))
-					})
-					onPoisonedScratch(t, scratch, func() error {
-						return MaskedGemmEpilogue(cfg, a, b, ka, kb, check("masked gemm", maskedGemm, 4))
-					})
-					onPoisonedScratch(t, scratch, func() error {
-						return MaskedSyrkEpilogue(cfg, b, kb, check("masked syrk", maskedSyrk, 4))
-					})
-					if t.Failed() {
-						t.Fatalf("failed at %+v, maxGroupWords %d", cfg, bl.groupWords)
+		for _, in := range inputs {
+			blockings := []struct {
+				cfg        Config
+				groupWords int
+			}{
+				{Config{MC: 16, NC: 24, KC: in.kw}, oldGroup}, // one slab: streamed, panel by panel through a strip
+				{Config{MC: 16, NC: 24, KC: 2}, oldGroup},     // column blocks; one group of slabs
+				{Config{MC: 16, NC: 24, KC: 1}, 2},            // every slab its own group
+				{Config{KC: 2}, 300},                          // groups of several slabs
+			}
+			for _, bl := range blockings {
+				maxGroupWords = bl.groupWords
+				for _, k := range routeKernels {
+					for _, threads := range []int{1, 4} {
+						cfg := bl.cfg
+						cfg.Kernel, cfg.Threads = k, threads
+						const scratch = 4 * 64 * 64
+						onPoisonedScratch(t, scratch, func() error {
+							return GemmEpilogue(cfg, in.a, in.b, check("gemm", in.gemm, 1))
+						})
+						onPoisonedScratch(t, scratch, func() error {
+							return SyrkEpilogue(cfg, in.b, check("syrk", in.syrk, 1))
+						})
+						onPoisonedScratch(t, scratch, func() error {
+							return MaskedGemmEpilogue(cfg, in.a, in.b, in.ka, in.kb, check("masked gemm", in.maskedGemm, 4))
+						})
+						onPoisonedScratch(t, scratch, func() error {
+							return MaskedSyrkEpilogue(cfg, in.b, in.kb, check("masked syrk", in.maskedSyrk, 4))
+						})
+						if t.Failed() {
+							t.Fatalf("failed at %+v, %d words, maxGroupWords %d", cfg, in.kw, bl.groupWords)
+						}
 					}
 				}
 			}
 		}
 	}
 	t.Run("host-default", route)
-	if _, err := kernel.ByName(kernel.AVX512Name); err == nil {
+	if kernel.Default.Lanes > 1 {
 		defer kernel.DisableVectorTileForTest()()
 		t.Run("portable", route)
 	}

@@ -127,20 +127,19 @@ func MirrorMasked(c []uint32, n, ldc int) {
 }
 
 // driveMasked instantiates the slab-pipelined parallel driver (parallel.go)
-// for the fused masked kernel, selecting the AND-count engine by the
-// resolved popcount strategy: the interleaved scalar kernel packs
-// (value, mask) word pairs, the batched family (dispatch.go) packs
-// per-SNP runs; every C entry is the four Section VII counts either way.
+// for the fused masked kernel by the Go-kernel rule of dispatch.go: the
+// interleaved scalar 2×2 packs (value, mask) word pairs, the batched family
+// packs per-SNP runs; every C entry is the four Section VII counts either
+// way.
 func driveMasked(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, c []uint32, ldc int, syrk bool, epi Epilogue) error {
 	mk := kernel.Masked2x2()
-	strat := resolvePopcount(cfg.Popcount, a.Words)
 	var ops tileOps
-	if strat == PopcountScalar {
-		ops = maskedScalarOps(mk, a, b, ka, kb)
-		stats.setVariant(mk.Name, strategyTag(strat))
+	if batched(a.Words) {
+		ops = maskedRunOps(mk, a, b, ka, kb)
+		stats.setVariant(mk.Name+"-runs", vectorTag)
 	} else {
-		ops = maskedRunOps(mk, a, b, ka, kb, strat)
-		stats.setVariant(mk.Name+"-runs", strategyTag(strat))
+		ops = maskedScalarOps(mk, a, b, ka, kb)
+		stats.setVariant(mk.Name, scalarTag)
 	}
 	return driveTiles(cfg, ops, a.SNPs, b.SNPs, a.Words, c, ldc, syrk, epi)
 }

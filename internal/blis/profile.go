@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"time"
 
-	"ldgemm/internal/kernel"
 	"ldgemm/internal/popcount"
 )
 
@@ -25,7 +24,10 @@ import (
 // way that invalidates old measurements (e.g. a new kernel family).
 // 2: the search starts from the host default, which on AVX-512 VPOPCNTDQ
 // hosts is the vector tile — a version-1 winner never raced it.
-const profileVersion = 2
+// 3: a profile no longer names a kernel or a popcount strategy — the host
+// and k decide those — so a version-2 winner's blocking was measured for
+// a kernel the driver may no longer run.
+const profileVersion = 3
 
 // ErrProfileStale reports a structurally valid profile measured on a
 // different host or by an incompatible version; callers fall back to
@@ -37,13 +39,10 @@ type Profile struct {
 	Version     int    `json:"version"`
 	Fingerprint string `json:"fingerprint"`
 	CreatedAt   string `json:"created_at,omitempty"`
-	// Kernel and Popcount name the winning micro-kernel shape and
-	// popcount strategy (kernel.ByName / ParsePopcount forms).
-	Kernel   string `json:"kernel"`
-	Popcount string `json:"popcount"`
-	MC       int    `json:"mc"`
-	NC       int    `json:"nc"`
-	KC       int    `json:"kc"`
+	// MC, NC and KC are the winning cache blocking.
+	MC int `json:"mc"`
+	NC int `json:"nc"`
+	KC int `json:"kc"`
 	// Threads and ChunkTiles are recorded only when the tuner's threaded
 	// phase beat the single-core winner (0 otherwise).
 	Threads    int `json:"threads,omitempty"`
@@ -61,23 +60,11 @@ func HostFingerprint() string {
 		runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), popcount.VectorName(), profileVersion)
 }
 
-// Config converts a loaded profile into a driver configuration. A
-// profile naming a kernel this host cannot run (kernel.AVX512Name without
-// AVX-512 VPOPCNTDQ) is refused here, by kernel.ByName, whatever its
-// fingerprint says.
+// Config converts a loaded profile into a driver configuration. The
+// kernel is left unset: the driver runs the host default.
 func (p Profile) Config() (Config, error) {
-	k, err := kernel.ByName(p.Kernel)
-	if err != nil {
-		return Config{}, fmt.Errorf("blis: profile kernel: %w", err)
-	}
-	strat, err := ParsePopcount(p.Popcount)
-	if err != nil {
-		return Config{}, fmt.Errorf("blis: profile popcount: %w", err)
-	}
 	cfg := Config{
 		MC: p.MC, NC: p.NC, KC: p.KC,
-		Kernel:     k,
-		Popcount:   strat,
 		Threads:    p.Threads,
 		ChunkTiles: p.ChunkTiles,
 	}
@@ -121,8 +108,8 @@ func SaveProfile(path string, p Profile) error {
 
 // LoadProfile reads and validates a profile. A file measured on another
 // host or by an incompatible version returns ErrProfileStale (wrapped
-// with the fingerprints); malformed JSON or an unknown kernel/strategy
-// returns the underlying error. Either way callers are expected to log
+// with the fingerprints); malformed JSON or an invalid blocking returns
+// the underlying error. Either way callers are expected to log
 // and fall back to defaults rather than fail startup.
 func LoadProfile(path string) (Profile, error) {
 	data, err := os.ReadFile(path)

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ldgemm/internal/kernel"
 )
 
 // TestTuneProfileRoundTrip runs a small tune with persistence and checks
@@ -35,8 +33,8 @@ func TestTuneProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Kernel.Name != res.Config.Kernel.Name || cfg.Popcount != res.Config.Popcount ||
-		cfg.MC != res.Config.MC || cfg.NC != res.Config.NC || cfg.KC != res.Config.KC {
+	if cfg.MC != res.Config.MC || cfg.NC != res.Config.NC || cfg.KC != res.Config.KC ||
+		cfg.Threads != res.Config.Threads || cfg.ChunkTiles != res.Config.ChunkTiles {
 		t.Fatalf("profile config %+v does not round-trip tune winner %+v", cfg, res.Config)
 	}
 
@@ -55,8 +53,10 @@ func TestTuneProfileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTuneProbeLogReportsVariants pins the satellite fix: every probe
-// entry must say which kernel variant and popcount engine it measured.
+// TestTuneProbeLogReportsVariants pins the probe log: one entry per
+// evaluation, each naming its phase and rate, and the result naming the
+// kernel variant and engine every probe ran — the host default's route at
+// the probe's k, as the driver reports it.
 func TestTuneProbeLogReportsVariants(t *testing.T) {
 	res, err := Tune(TuneOptions{SNPs: 96, Samples: 2048, Budget: 400 * time.Millisecond})
 	if err != nil {
@@ -65,30 +65,16 @@ func TestTuneProbeLogReportsVariants(t *testing.T) {
 	if len(res.Probes) != res.Evaluated {
 		t.Fatalf("probe log has %d entries for %d evaluations", len(res.Probes), res.Evaluated)
 	}
-	variants := map[string]bool{}
 	for i, pr := range res.Probes {
-		if pr.Variant == "" || pr.Popcount == "" || pr.Phase == "" {
-			t.Fatalf("probe %d missing identity: %+v", i, pr)
-		}
-		if pr.TriplesPerSecond <= 0 {
-			t.Fatalf("probe %d has no rate: %+v", i, pr)
-		}
-		variants[pr.Variant] = true
-	}
-	// The joint phase must have tried both panel layouts.
-	var sawRuns, sawScalar bool
-	for v := range variants {
-		if strings.HasSuffix(v, "-runs") {
-			sawRuns = true
-		} else {
-			sawScalar = true
+		if pr.Phase == "" || pr.TriplesPerSecond <= 0 {
+			t.Fatalf("probe %d missing phase or rate: %+v", i, pr)
 		}
 	}
-	if !sawRuns || !sawScalar {
-		t.Fatalf("joint phase did not cover both families: %v", variants)
+	if err := Syrk(res.Config, probeMatrix(96, 2048), make([]uint32, 96*96), 96, false); err != nil {
+		t.Fatal(err)
 	}
-	if res.Variant == "" || res.Popcount == "" {
-		t.Fatalf("winner identity missing: %+v", res)
+	if s := ReadStats(); res.Variant != s.Variant || res.Popcount != s.Popcount {
+		t.Fatalf("tuner reports %s / %s, the driver ran %s / %s", res.Variant, res.Popcount, s.Variant, s.Popcount)
 	}
 }
 
@@ -103,12 +89,12 @@ func TestLoadProfileCorrupt(t *testing.T) {
 	if _, err := LoadProfile(path); err == nil {
 		t.Fatal("corrupt profile loaded without error")
 	}
-	// Structurally valid JSON with an unknown kernel is also rejected.
-	if err := os.WriteFile(path, []byte(fmt.Sprintf(`{"version":%d,"fingerprint":%q,"kernel":"13x13","popcount":"auto"}`, profileVersion, HostFingerprint())), 0o644); err != nil {
+	// Structurally valid JSON with an invalid blocking is also rejected.
+	if err := os.WriteFile(path, []byte(fmt.Sprintf(`{"version":%d,"fingerprint":%q,"mc":-1,"nc":4096,"kc":256}`, profileVersion, HostFingerprint())), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadProfile(path); err == nil {
-		t.Fatal("profile with unknown kernel loaded without error")
+		t.Fatal("profile with a negative MC loaded without error")
 	}
 }
 
@@ -119,8 +105,6 @@ func TestLoadProfileStaleFingerprint(t *testing.T) {
 	path := filepath.Join(dir, "tune.json")
 	p := Profile{
 		Fingerprint: "linux/riscv64/cpu64/simd-none/v1",
-		Kernel:      "4x4",
-		Popcount:    "vector",
 		MC:          128, NC: 4096, KC: 256,
 	}
 	if err := SaveProfile(path, p); err != nil {
@@ -132,7 +116,7 @@ func TestLoadProfileStaleFingerprint(t *testing.T) {
 	}
 
 	// Same host, wrong version.
-	stale := Profile{Fingerprint: HostFingerprint(), Kernel: "4x4", Popcount: "scalar", MC: 1, NC: 1, KC: 1}
+	stale := Profile{Fingerprint: HostFingerprint(), MC: 1, NC: 1, KC: 1}
 	if err := SaveProfile(path, stale); err != nil {
 		t.Fatal(err)
 	}
@@ -148,21 +132,18 @@ func TestLoadProfileStaleFingerprint(t *testing.T) {
 	}
 }
 
-// TestProfileVectorTileNeedsTheHost pins that a profile naming the vector
-// tile converts only where the tile runs: on any other host (here: with
-// the tile turned off) Config refuses it, naming the missing feature, so a
-// copied profile can never steer a process into an illegal instruction.
-func TestProfileVectorTileNeedsTheHost(t *testing.T) {
-	p := Profile{Kernel: kernel.AVX512Name, Popcount: "vector", MC: 128, NC: 4096, KC: 256}
-	if _, err := kernel.ByName(kernel.AVX512Name); err == nil {
-		cfg, err := p.Config()
-		if err != nil || cfg.Kernel.Name != kernel.AVX512Name {
-			t.Fatalf("tile profile on a tile host: %+v, %v", cfg.Kernel, err)
-		}
+// TestLoadProfileVersion2Stale pins the version bump: a profile this host
+// wrote before profiles stopped naming a kernel and a popcount strategy is
+// stale, not silently half-applied.
+func TestLoadProfileVersion2Stale(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tune.json")
+	v2 := strings.Replace(HostFingerprint(), fmt.Sprintf("/v%d", profileVersion), "/v2", 1)
+	body := fmt.Sprintf(`{"version":2,"fingerprint":%q,"kernel":"8x8-avx512","popcount":"vector","mc":128,"nc":4096,"kc":256}`, v2)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	defer kernel.DisableVectorTileForTest()()
-	if _, err := p.Config(); err == nil || !strings.Contains(err.Error(), "AVX512_VPOPCNTDQ") {
-		t.Fatalf("tile profile without the tile: %v", err)
+	if _, err := LoadProfile(path); !errors.Is(err, ErrProfileStale) {
+		t.Fatalf("version-2 profile error = %v, want ErrProfileStale", err)
 	}
 }
 
@@ -171,7 +152,7 @@ func TestProfileVectorTileNeedsTheHost(t *testing.T) {
 func TestSaveProfileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tune.json")
-	p := Profile{Kernel: "4x4", Popcount: "auto", MC: 128, NC: 4096, KC: 256}
+	p := Profile{MC: 128, NC: 4096, KC: 256}
 	for i := 0; i < 2; i++ {
 		if err := SaveProfile(path, p); err != nil {
 			t.Fatal(err)

@@ -68,7 +68,7 @@ type DriverStats struct {
 	EpilogueBytesAvoided uint64
 	// PopcountsAvoided counts the single-word popcount executions the
 	// vector tile (fold 8: one VPOPCNTQ per eight cells) and the batched
-	// CSA/vector strategies folded away relative to the scalar kernel:
+	// SIMD family folded away relative to the scalar kernel:
 	// popcPerWord · cells · (1 − 1/fold) per call.
 	PopcountsAvoided uint64
 	// PanelsRead/PanelBytesRead count the I/O panels (and their packed
@@ -90,10 +90,10 @@ type DriverStats struct {
 	BandCellsSkipped  uint64
 	// Variant names the kernel variant of the most recent driver call
 	// (e.g. "8x8-avx512", "4x4", "4x4-runs", "masked2x2-runs"); Popcount
-	// names its concrete AND-count engine ("scalar", "csa", "vector-
-	// avx512-vpopcntdq" — the last for the tile and for the per-cell dot
-	// product alike; the variant tells them apart). Empty until the first
-	// call.
+	// names its concrete AND-count engine ("scalar" or "vector-<tier>",
+	// e.g. "vector-avx512-vpopcntdq" — for the tile and for the per-cell
+	// dot product alike; the variant tells them apart). Empty until the
+	// first call.
 	Variant  string
 	Popcount string
 }

@@ -7,18 +7,17 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/kernel"
-	"ldgemm/internal/popcount"
 )
 
 // The paper notes (Section IV) that "no attempt was made to tune the
 // parameters within BLIS to obtain an optimized LD kernel" — the default
 // dgemm-oriented blocking already lands in the 84–90% band. Tune supplies
 // the missing step: an empirical search on a probe problem shaped like
-// the caller's workload, jointly over micro-kernel shape × popcount
-// strategy (the two interact: the batched strategies shift work from the
-// register tile to the slice engine), then cache blocking, and
-// thread/chunk parallelism. The winner can be persisted as a per-host
-// profile (profile.go) so serving binaries skip the search at startup.
+// the caller's workload over cache blocking and then thread/chunk
+// parallelism. The micro-kernel is not searched: like BLIS's one kernel
+// per architecture, it is what the host and k decide (dispatch.go). The
+// winner can be persisted as a per-host profile (profile.go) so serving
+// binaries skip the search at startup.
 
 // TuneOptions bounds the auto-tuning search.
 type TuneOptions struct {
@@ -61,16 +60,10 @@ func (o TuneOptions) normalize() TuneOptions {
 	return o
 }
 
-// TuneProbe records one measured configuration: which variant ran and
-// how fast. The log answers "what did the tuner actually try" — without
-// it a surprising winner is indistinguishable from a search bug.
+// TuneProbe records one measured configuration and how fast it ran. The
+// log answers "what did the tuner actually try" — without it a surprising
+// winner is indistinguishable from a search bug.
 type TuneProbe struct {
-	// Kernel is the micro-kernel shape name; Variant the full kernel
-	// variant measured (shape plus panel layout, e.g. "4x4-runs");
-	// Popcount the concrete AND-count engine.
-	Kernel   string
-	Variant  string
-	Popcount string
 	// Phase names the search phase that issued the probe.
 	Phase            string
 	MC, NC, KC       int
@@ -82,8 +75,9 @@ type TuneProbe struct {
 // TuneResult reports the winning configuration and its measured rate.
 type TuneResult struct {
 	Config Config
-	// Variant and Popcount name the winner's kernel variant and concrete
-	// AND-count engine, as they will appear in DriverStats.
+	// Variant and Popcount name the kernel variant and concrete AND-count
+	// engine every probe ran, as they appear in DriverStats: the host's
+	// route at the probe's k, which no probe changes.
 	Variant  string
 	Popcount string
 	// TriplesPerSecond is the probe throughput of the winner.
@@ -94,18 +88,10 @@ type TuneResult struct {
 	Probes []TuneProbe
 }
 
-// tuneStrategies returns the distinct concrete strategies worth probing
-// on this host: vector and CSA coincide when no SIMD tier exists.
-func tuneStrategies() []PopcountStrategy {
-	if popcount.HasVector() {
-		return []PopcountStrategy{PopcountScalar, PopcountCSA, PopcountVector}
-	}
-	return []PopcountStrategy{PopcountScalar, PopcountCSA}
-}
-
-// Tune searches kernel variants and cache block sizes for the fastest
-// symmetric rank-k update on a probe matrix of the given shape. The probe
-// is capped so tuning stays cheap even for huge target shapes.
+// Tune searches cache block sizes (and, with MaxThreads, threads × chunk
+// size) for the fastest symmetric rank-k update on a probe matrix of the
+// given shape. The probe is capped so tuning stays cheap even for huge
+// target shapes.
 func Tune(opt TuneOptions) (*TuneResult, error) {
 	opt = opt.normalize()
 	if opt.SNPs < 1 || opt.Samples < 1 || opt.Budget <= 0 || opt.Threads < 1 || opt.MaxThreads < 0 {
@@ -118,100 +104,71 @@ func Tune(opt TuneOptions) (*TuneResult, error) {
 	deadline := time.Now().Add(opt.Budget)
 
 	res := &TuneResult{}
+	_, res.Variant, res.Popcount = plainRoute(kernel.Default, g.Words)
 	triples := float64(probeN) * float64(probeN+1) / 2 * float64(g.Words)
-	// names reports what the driver runs for cfg on the probe, in
-	// DriverStats terms.
-	names := func(cfg Config) (k kernel.Kernel, variant, engine string) {
-		k = cfg.PlainKernel()
-		strat := plainEngine(k, cfg.Popcount, g.Words)
-		return k, variantName(k, strat), strategyTag(strat)
-	}
-	record := func(cfg Config, phase string, rate float64) {
-		k, variant, engine := names(cfg)
-		res.Evaluated++
-		res.Probes = append(res.Probes, TuneProbe{
-			Kernel:   k.Name,
-			Variant:  variant,
-			Popcount: engine,
-			Phase:    phase,
-			MC:       cfg.MC, NC: cfg.NC, KC: cfg.KC,
-			Threads: cfg.Threads, ChunkTiles: cfg.ChunkTiles,
-			TriplesPerSecond: rate,
-		})
+	run := func(cfg Config, threads int) error {
+		cfg.Threads = threads
+		cfg.Ctx = opt.Ctx
+		clear(c)
+		return Syrk(cfg, g, c, probeN, false)
 	}
 	measure := func(cfg Config, threads int, phase string) (float64, error) {
 		if err := ctxErr(opt.Ctx); err != nil {
 			return 0, err
 		}
-		cfg.Threads = threads
-		cfg.Ctx = opt.Ctx
-		clear(c)
 		start := time.Now()
-		if err := Syrk(cfg, g, c, probeN, false); err != nil {
+		if err := run(cfg, threads); err != nil {
 			return 0, err
 		}
 		rate := triples / time.Since(start).Seconds()
-		record(cfg, phase, rate)
+		res.Evaluated++
+		res.Probes = append(res.Probes, TuneProbe{
+			Phase: phase,
+			MC:    cfg.MC, NC: cfg.NC, KC: cfg.KC,
+			Threads: threads, ChunkTiles: cfg.ChunkTiles,
+			TriplesPerSecond: rate,
+		})
 		return rate, nil
 	}
 
-	// The baseline is the host default as the driver runs it: the vector
-	// tile where there is one, the scalar Go kernel elsewhere.
+	// The baseline is the host default as the driver runs it. One untimed
+	// call first: the first driver call of a process pays arena allocation
+	// and cold caches, which would otherwise be charged to the baseline and
+	// hand the first probe that re-measures it a phantom win.
 	best := DefaultConfig()
-	best.Popcount = PopcountScalar
-	if best.Kernel.Lanes > 1 {
-		best.Popcount = PopcountVector
+	if err := run(best, opt.Threads); err != nil {
+		return nil, err
 	}
-	baseline := best
 	bestRate, err := measure(best, opt.Threads, "baseline")
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 1: joint micro-kernel shape × popcount strategy. The two are
-	// searched together because the best shape under the scalar kernel
-	// (accumulator pressure) need not be the best under the batched
-	// family (slice-call amortization).
-	for _, strat := range tuneStrategies() {
-		for _, k := range kernel.Fixed {
-			if strat == baseline.Popcount && k.Name == baseline.Kernel.Name {
-				continue // the baseline already measured it
-			}
-			if time.Now().After(deadline) {
-				break
-			}
-			cfg := best
-			cfg.Kernel = k
-			cfg.Popcount = strat
-			rate, err := measure(cfg, opt.Threads, "kernel-variant")
-			if err != nil {
-				return nil, err
-			}
-			if rate > bestRate {
-				best, bestRate = cfg, rate
-			}
-		}
-	}
-
-	// Phase 2: greedy coordinate descent over the block sizes. An exhausted
-	// budget aborts the whole descent, not just the current axis.
+	// Greedy coordinate descent over the block sizes. Each axis skips the
+	// value it starts from — that config is already measured — so no
+	// configuration is timed twice. An exhausted budget aborts the whole
+	// descent, not just the current axis.
 	axes := []struct {
 		name   string
 		values []int
-		set    func(*Config, int)
+		field  func(*Config) *int
 	}{
-		{"KC", []int{64, 128, 256, 512, 1024}, func(c *Config, v int) { c.KC = v }},
-		{"MC", []int{32, 64, 128, 256, 512}, func(c *Config, v int) { c.MC = v }},
-		{"NC", []int{512, 1024, 2048, 4096, 8192}, func(c *Config, v int) { c.NC = v }},
+		{"KC", []int{64, 128, 256, 512, 1024}, func(c *Config) *int { return &c.KC }},
+		{"MC", []int{32, 64, 128, 256, 512}, func(c *Config) *int { return &c.MC }},
+		{"NC", []int{512, 1024, 2048, 4096, 8192}, func(c *Config) *int { return &c.NC }},
 	}
 descent:
 	for _, axis := range axes {
+		from := *axis.field(&best)
 		for _, v := range axis.values {
+			if v == from {
+				continue
+			}
 			if time.Now().After(deadline) {
 				break descent
 			}
 			cfg := best
-			axis.set(&cfg, v)
+			*axis.field(&cfg) = v
 			rate, err := measure(cfg, opt.Threads, "blocking-"+axis.name)
 			if err != nil {
 				return nil, err
@@ -222,23 +179,26 @@ descent:
 		}
 	}
 
-	best.Threads = 0 // leave thread choice to the caller
-	// Phase 3 (MaxThreads > 0): search thread counts and work-queue chunk
-	// granularity against the single-core winner. Pins Threads/ChunkTiles
-	// only when a parallel config beats it.
+	// MaxThreads > 1: search thread counts and work-queue chunk granularity
+	// against the single-core winner. Pins Threads/ChunkTiles only when a
+	// parallel config beats it.
 	if opt.MaxThreads > 1 {
 		var grid []int
 		for t := 2; t < opt.MaxThreads; t *= 2 {
 			grid = append(grid, t)
 		}
 		grid = append(grid, opt.MaxThreads)
+		from := best
 	threaded:
 		for _, threads := range grid {
 			for _, chunk := range []int{0, 8, 32, 128} {
+				if threads == opt.Threads && chunk == from.ChunkTiles {
+					continue // the descent's winner, already measured
+				}
 				if time.Now().After(deadline) {
 					break threaded
 				}
-				cfg := best
+				cfg := from
 				cfg.ChunkTiles = chunk
 				rate, err := measure(cfg, threads, "threads")
 				if err != nil {
@@ -253,12 +213,9 @@ descent:
 	}
 	res.Config = best
 	res.TriplesPerSecond = bestRate
-	_, res.Variant, res.Popcount = names(best)
 
 	if opt.ProfilePath != "" {
 		p := Profile{
-			Kernel:           best.Kernel.Name,
-			Popcount:         best.Popcount.String(),
 			MC:               best.MC,
 			NC:               best.NC,
 			KC:               best.KC,

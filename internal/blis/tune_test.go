@@ -62,3 +62,30 @@ func TestTuneInvalidOptions(t *testing.T) {
 		t.Fatal("negative threads accepted")
 	}
 }
+
+// TestTuneProbesAreDistinct pins that the search times no configuration
+// twice: the baseline is measured once, after an untimed warm-up, and each
+// descent axis skips the value it starts from, so a re-measured default can
+// never win against its own cold first run.
+func TestTuneProbesAreDistinct(t *testing.T) {
+	res, err := Tune(TuneOptions{SNPs: 96, Samples: 256, Budget: 5 * time.Second, MaxThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ mc, nc, kc, threads, chunk int }
+	seen := map[key]string{}
+	phases := map[string]bool{}
+	for _, pr := range res.Probes {
+		k := key{pr.MC, pr.NC, pr.KC, pr.Threads, pr.ChunkTiles}
+		if prev, ok := seen[k]; ok {
+			t.Fatalf("%+v measured twice: in %s and in %s", k, prev, pr.Phase)
+		}
+		seen[k] = pr.Phase
+		phases[pr.Phase] = true
+	}
+	for _, p := range []string{"baseline", "blocking-KC", "blocking-MC", "blocking-NC", "threads"} {
+		if !phases[p] {
+			t.Fatalf("no probe from phase %s (budget exhausted?): %v", p, phases)
+		}
+	}
+}

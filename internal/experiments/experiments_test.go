@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"ldgemm/internal/blis"
+	"ldgemm/internal/kernel"
 	"ldgemm/internal/popsim"
 )
 
@@ -190,8 +192,12 @@ func TestAblationTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 7 { // vector + 6 micro-kernels
-		t.Fatalf("%d rows", len(tbl.Rows))
+	want := 2 + len(kernel.Fixed) // vector, driver, the Go kernels alone
+	if kernel.Default.Lanes > 1 {
+		want++ // and the tile alone
+	}
+	if len(tbl.Rows) != want {
+		t.Fatalf("%d rows, want %d", len(tbl.Rows), want)
 	}
 	pc, err := PopcountAblation(fastConfig())
 	if err != nil {
@@ -199,6 +205,39 @@ func TestAblationTables(t *testing.T) {
 	}
 	if len(pc.Rows) != 4 {
 		t.Fatalf("%d popcount rows", len(pc.Rows))
+	}
+}
+
+// TestAblationDriverRowNamesItsRoute pins that the ablation's driver row
+// is labelled with the variant the driver reported for the calls it timed
+// (its own are the table's last driver calls), on the tile's route and on
+// the portable one. A row named for a register shape while the driver ran
+// that shape's per-cell route ("4x4" running "4x4-runs") is what it guards
+// against.
+func TestAblationDriverRowNamesItsRoute(t *testing.T) {
+	check := func(t *testing.T) {
+		tbl, err := Ablation(fastConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := blis.ReadStats().Variant
+		rows := 0
+		for _, row := range tbl.Rows {
+			if strings.HasPrefix(row[0], driverRowPrefix) {
+				rows++
+				if row[0] != driverRowPrefix+ran {
+					t.Fatalf("driver row %q, but the driver ran %s", row[0], ran)
+				}
+			}
+		}
+		if rows != 1 {
+			t.Fatalf("%d driver rows in %v", rows, tbl.Rows)
+		}
+	}
+	t.Run("host-default", check)
+	if kernel.Default.Lanes > 1 {
+		defer kernel.DisableVectorTileForTest()()
+		t.Run("portable", check)
 	}
 }
 

@@ -54,7 +54,7 @@ type Kernel struct {
 	// the Go kernels (one scalar POPCNT per cell and word), 8 for the zmm
 	// VPOPCNTQ tile. A kernel with Lanes > 1 is itself the vector engine:
 	// the driver runs it on interleaved panels at every k and reports it
-	// as such (see blis.Config.PlainKernel).
+	// as such.
 	Lanes int
 	Fn    Func
 	// Row, when non-nil, is the kernel's own loop over a row of tiles (the
@@ -94,23 +94,6 @@ func micro1x1(kc int, ap, bp []uint64, c []uint32, ldc int) {
 		acc += uint32(bits.OnesCount64(ap[l] & bp[l]))
 	}
 	c[0] += acc
-}
-
-// micro2x2 keeps 4 accumulators live.
-func micro2x2(kc int, ap, bp []uint64, c []uint32, ldc int) {
-	var c00, c01, c10, c11 uint32
-	for l := 0; l < kc; l++ {
-		a0, a1 := ap[2*l], ap[2*l+1]
-		b0, b1 := bp[2*l], bp[2*l+1]
-		c00 += uint32(bits.OnesCount64(a0 & b0))
-		c01 += uint32(bits.OnesCount64(a0 & b1))
-		c10 += uint32(bits.OnesCount64(a1 & b0))
-		c11 += uint32(bits.OnesCount64(a1 & b1))
-	}
-	c[0] += c00
-	c[1] += c01
-	c[ldc] += c10
-	c[ldc+1] += c11
 }
 
 // micro4x4 keeps 16 accumulators live; with 14+ integer registers on amd64
@@ -162,98 +145,19 @@ func micro4x4(kc int, ap, bp []uint64, c []uint32, ldc int) {
 	c[3*ldc+3] += c33
 }
 
-// micro8x4 trades A reuse for more accumulators (32), amortizing each B
-// load over eight rows.
-func micro8x4(kc int, ap, bp []uint64, c []uint32, ldc int) {
-	var acc [8][4]uint32
-	for l := 0; l < kc; l++ {
-		a := ap[8*l : 8*l+8 : 8*l+8]
-		b := bp[4*l : 4*l+4 : 4*l+4]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		for i := 0; i < 8; i++ {
-			ai := a[i]
-			acc[i][0] += uint32(bits.OnesCount64(ai & b0))
-			acc[i][1] += uint32(bits.OnesCount64(ai & b1))
-			acc[i][2] += uint32(bits.OnesCount64(ai & b2))
-			acc[i][3] += uint32(bits.OnesCount64(ai & b3))
-		}
-	}
-	for i := 0; i < 8; i++ {
-		row := c[i*ldc : i*ldc+4]
-		row[0] += acc[i][0]
-		row[1] += acc[i][1]
-		row[2] += acc[i][2]
-		row[3] += acc[i][3]
-	}
-}
-
-// micro4x8 is the transpose-shaped variant of micro8x4.
-func micro4x8(kc int, ap, bp []uint64, c []uint32, ldc int) {
-	var acc [4][8]uint32
-	for l := 0; l < kc; l++ {
-		a := ap[4*l : 4*l+4 : 4*l+4]
-		b := bp[8*l : 8*l+8 : 8*l+8]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		for j := 0; j < 8; j++ {
-			bj := b[j]
-			acc[0][j] += uint32(bits.OnesCount64(a0 & bj))
-			acc[1][j] += uint32(bits.OnesCount64(a1 & bj))
-			acc[2][j] += uint32(bits.OnesCount64(a2 & bj))
-			acc[3][j] += uint32(bits.OnesCount64(a3 & bj))
-		}
-	}
-	for i := 0; i < 4; i++ {
-		row := c[i*ldc : i*ldc+8]
-		for j := 0; j < 8; j++ {
-			row[j] += acc[i][j]
-		}
-	}
-}
-
-// micro8x8 uses 64 accumulators; past what fits in registers, but each
-// loaded panel word is reused 8×, which pays on memory-bound shapes.
-func micro8x8(kc int, ap, bp []uint64, c []uint32, ldc int) {
-	var acc [8][8]uint32
-	for l := 0; l < kc; l++ {
-		a := ap[8*l : 8*l+8 : 8*l+8]
-		b := bp[8*l : 8*l+8 : 8*l+8]
-		for i := 0; i < 8; i++ {
-			ai := a[i]
-			ri := &acc[i]
-			ri[0] += uint32(bits.OnesCount64(ai & b[0]))
-			ri[1] += uint32(bits.OnesCount64(ai & b[1]))
-			ri[2] += uint32(bits.OnesCount64(ai & b[2]))
-			ri[3] += uint32(bits.OnesCount64(ai & b[3]))
-			ri[4] += uint32(bits.OnesCount64(ai & b[4]))
-			ri[5] += uint32(bits.OnesCount64(ai & b[5]))
-			ri[6] += uint32(bits.OnesCount64(ai & b[6]))
-			ri[7] += uint32(bits.OnesCount64(ai & b[7]))
-		}
-	}
-	for i := 0; i < 8; i++ {
-		row := c[i*ldc : i*ldc+8]
-		for j := 0; j < 8; j++ {
-			row[j] += acc[i][j]
-		}
-	}
-}
-
-// Fixed enumerates every hand-unrolled Go micro-kernel.
+// Fixed enumerates the hand-unrolled Go micro-kernels: the 1x1 dot product
+// (the per-pair shape, for the ablation) and the 4x4 every host without
+// the vector tile runs. Any other register shape is a Generic instance.
 var Fixed = []Kernel{
 	{Name: "1x1", MR: 1, NR: 1, Fn: micro1x1},
-	{Name: "2x2", MR: 2, NR: 2, Fn: micro2x2},
 	{Name: "4x4", MR: 4, NR: 4, Fn: micro4x4},
-	{Name: "8x4", MR: 8, NR: 4, Fn: micro8x4},
-	{Name: "4x8", MR: 4, NR: 8, Fn: micro4x8},
-	{Name: "8x8", MR: 8, NR: 8, Fn: micro8x8},
 }
 
 // Portable is the pure-Go default: 4x4 keeps all 16 accumulators plus both
-// operand quads in registers and is the fastest Go shape on amd64 (see
+// operand quads in registers, the fastest Go shape on amd64 (see
 // BenchmarkMicroKernel). It is what every host without the vector tile
-// runs, what a forced scalar or CSA strategy runs everywhere, and the
-// oracle the tile is pinned to.
-var Portable = Fixed[2]
+// runs and the oracle the tile is pinned to.
+var Portable = Fixed[1]
 
 // AVX512Name names the register-tiled AVX-512 VPOPCNTQ micro-kernel
 // (tile_amd64.s): 8×8, broadcast A word × eight B words per zmm, one
@@ -261,46 +165,18 @@ var Portable = Fixed[2]
 // It consumes the same interleaved PackPanel layout as the Go kernels.
 const AVX512Name = "8x8-avx512"
 
-// vectorTile is the AVX512Name kernel where the host can run it (set by
-// the amd64 init), the zero Kernel elsewhere.
-var vectorTile Kernel
-
 // Default is the micro-kernel the BLIS driver selects when not overridden,
 // resolved once for this host: the vector tile where AVX-512F + VPOPCNTDQ
-// are usable, Portable everywhere else. Every "the default kernel" in the
-// tree reads this one value.
+// are usable (set by the amd64 init), Portable everywhere else. Every "the
+// default kernel" in the tree reads this one value, and Default.Lanes > 1
+// is the one test of "does this host run the tile".
 var Default = Portable
 
-// DisableVectorTileForTest makes Default and ByName resolve as on a host
-// without AVX-512 VPOPCNTDQ until restore is called, so one host tests
-// both routes. Not safe beside running driver calls.
+// DisableVectorTileForTest makes Default resolve as on a host without
+// AVX-512 VPOPCNTDQ until restore is called, so one host tests both
+// routes. Not safe beside running driver calls.
 func DisableVectorTileForTest() (restore func()) {
-	d, t := Default, vectorTile
-	Default, vectorTile = Portable, Kernel{}
-	return func() { Default, vectorTile = d, t }
-}
-
-// ByName returns a kernel by name, or an error listing choices. The vector
-// tile resolves only where it can run: a name from a profile or a flag
-// must never reach an instruction the host lacks.
-func ByName(name string) (Kernel, error) {
-	if name == AVX512Name {
-		if vectorTile.Fn == nil {
-			return Kernel{}, fmt.Errorf("kernel: micro-kernel %q needs amd64 with AVX-512F and AVX512_VPOPCNTDQ and OS-enabled zmm state, which this host lacks", name)
-		}
-		return vectorTile, nil
-	}
-	for _, k := range Fixed {
-		if k.Name == name {
-			return k, nil
-		}
-	}
-	names := make([]string, len(Fixed))
-	for i, k := range Fixed {
-		names[i] = k.Name
-	}
-	if vectorTile.Fn != nil {
-		names = append(names, vectorTile.Name)
-	}
-	return Kernel{}, fmt.Errorf("kernel: unknown micro-kernel %q (have %v)", name, names)
+	d := Default
+	Default = Portable
+	return func() { Default = d }
 }

@@ -167,16 +167,6 @@ func TestPackPanelSubrange(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	k, err := ByName("4x4")
-	if err != nil || k.MR != 4 || k.NR != 4 {
-		t.Fatalf("ByName(4x4) = %+v, %v", k, err)
-	}
-	if _, err := ByName("3x7"); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-}
-
 // Property: every fixed kernel agrees with popcount.AndCount on random
 // panels of random depth, including kc == 0.
 func TestQuickKernels(t *testing.T) {

@@ -39,15 +39,14 @@ func row8x8AVX512(kc int, ap, bp []uint64, bstride, nt int, c []uint32, ldc int,
 	tileRow8x8VPOPCNTQ(kc, &ap[0], &bp[0], bstride, nt, &c[0], ldc, acc, pf, pfRowBytes)
 }
 
-// micro8x8AVX512 is the Func face: the row of one tile, added into C, with
+// fn8x8AVX512 is the Func face: the row of one tile, added into C, with
 // no destination hint.
-func micro8x8AVX512(kc int, ap, bp []uint64, c []uint32, ldc int) {
+func fn8x8AVX512(kc int, ap, bp []uint64, c []uint32, ldc int) {
 	row8x8AVX512(kc, ap, bp, 0, 1, c, ldc, true, nil, 0)
 }
 
 func init() {
 	if popcount.HasAVX512VPOPCNTDQ() {
-		vectorTile = Kernel{Name: AVX512Name, MR: 8, NR: 8, Lanes: 8, Fn: micro8x8AVX512, Row: row8x8AVX512}
-		Default = vectorTile
+		Default = Kernel{Name: AVX512Name, MR: 8, NR: 8, Lanes: 8, Fn: fn8x8AVX512, Row: row8x8AVX512}
 	}
 }

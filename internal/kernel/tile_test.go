@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -15,11 +14,10 @@ import (
 // run it.
 func vectorTileOrSkip(t testing.TB) Kernel {
 	t.Helper()
-	k, err := ByName(AVX512Name)
-	if err != nil {
-		t.Skipf("vector tile unavailable: %v", err)
+	if Default.Lanes <= 1 {
+		t.Skipf("vector tile unavailable: this host's default kernel is %s", Default.Name)
 	}
-	return k
+	return Default
 }
 
 // TestVectorTileMatchesGeneric is the tile's oracle table: exact uint32
@@ -240,10 +238,7 @@ func TestVectorTileRowMatchesGeneric(t *testing.T) {
 // entry to the rule on Kernel.Row: at nt = 1 in add mode it is Fn, bit for
 // bit — the driver calls whichever is set, so the two may never drift.
 func TestVectorTileRowEqualsFn(t *testing.T) {
-	kernels := append([]Kernel(nil), Fixed...)
-	if vectorTile.Fn != nil {
-		kernels = append(kernels, vectorTile)
-	}
+	kernels := append(append([]Kernel(nil), Fixed...), Default)
 	rng := rand.New(rand.NewSource(29))
 	checked := 0
 	for _, k := range kernels {
@@ -279,22 +274,20 @@ func TestVectorTileRowEqualsFn(t *testing.T) {
 	}
 }
 
-// TestVectorTileGating pins the registry: where the tile runs it is the
-// default; with it off (as on a host without VPOPCNTDQ) the default is the
-// portable 4x4 and asking for the tile by name errors, naming the feature.
+// TestVectorTileGating pins the registry: the tile is the default exactly
+// where the host runs VPOPCNTQ on zmm registers; with it off (as on a host
+// without VPOPCNTDQ) the default is the portable 4x4.
 func TestVectorTileGating(t *testing.T) {
 	host := Default
-	if k, err := ByName(AVX512Name); err == nil {
-		if Default.Name != AVX512Name || k.MR != 8 || k.NR != 8 || k.Lanes != 8 {
-			t.Fatalf("tile available but Default = %q, tile = %+v", Default.Name, k)
-		}
+	if popcount.HasAVX512VPOPCNTDQ() != (Default.Lanes > 1) {
+		t.Fatalf("host has VPOPCNTDQ = %v but Default = %q", popcount.HasAVX512VPOPCNTDQ(), Default.Name)
+	}
+	if Default.Lanes > 1 && (Default.Name != AVX512Name || Default.MR != 8 || Default.NR != 8 || Default.Lanes != 8) {
+		t.Fatalf("tile available but Default = %+v", Default)
 	}
 	restore := DisableVectorTileForTest()
 	if Default.Name != Portable.Name || Default.Lanes != 0 {
 		t.Fatalf("Default with the tile off = %+v", Default)
-	}
-	if _, err := ByName(AVX512Name); err == nil || !strings.Contains(err.Error(), "AVX512_VPOPCNTDQ") {
-		t.Fatalf("ByName(%s) with the tile off: %v", AVX512Name, err)
 	}
 	restore()
 	if Default.Name != host.Name {
@@ -308,8 +301,8 @@ func TestVectorTileGating(t *testing.T) {
 // the portable 4x4, the per-cell vector route (4x4-runs: one
 // popcount.AndCountVector dot product per cell over run-packed panels, what
 // Auto ran at k ≥ CSAMinWords before the tile and still runs on AVX2-only
-// hosts) and the AVX-512 tile. The other Go shapes run at kc = 256 only, as
-// the shape ablation. Last, the tile's row entry at kc = 8 and 256: nt = 1,
+// hosts) and the AVX-512 tile. The 1x1 dot product runs at kc = 256 only,
+// as the shape ablation's per-pair row. Last, the tile's row entry at kc = 8 and 256: nt = 1,
 // 16 and 256 tiles per call, storing and adding — ns/tile at nt = 1 against
 // the per-tile Fn line is what a call costs, and against nt = 256 what the
 // driver's one call per row of tiles leaves of it — and, at kc = 8 and 32,
@@ -341,11 +334,11 @@ func BenchmarkMicroKernel(b *testing.B) {
 			}
 		}
 	}
-	tile, tileErr := ByName(AVX512Name)
+	tile := Default
 	for _, kc := range []int{8, 32, 256} {
 		run(Portable.Name, Portable.MR, Portable.NR, kc, PackPanel, Portable.Fn)
 		run(Portable.Name+"-runs", Portable.MR, Portable.NR, kc, PackPanelRuns, perCell)
-		if tileErr == nil {
+		if tile.Lanes > 1 {
 			run(tile.Name, tile.MR, tile.NR, kc, PackPanel, tile.Fn)
 		}
 	}
@@ -354,7 +347,7 @@ func BenchmarkMicroKernel(b *testing.B) {
 			run(k.Name, k.MR, k.NR, 256, PackPanel, k.Fn)
 		}
 	}
-	if tileErr != nil {
+	if tile.Lanes <= 1 {
 		return
 	}
 	mr, nr := tile.MR, tile.NR

@@ -101,65 +101,6 @@ reduce:
 	MOVQ AX, ret+24(FP)
 	RET
 
-// func andCount3AVX512(a, b, c *uint64, n int) uint64
-//
-// Three-operand AND-count for the masked kernels; n must be a multiple
-// of 8.
-TEXT ·andCount3AVX512(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ c+16(FP), R8
-	MOVQ n+24(FP), CX
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	CMPQ CX, $16
-	JL   tail8
-
-loop16:
-	VMOVDQU64 (SI), Z0
-	VMOVDQU64 64(SI), Z1
-	VPANDQ (DI), Z0, Z0
-	VPANDQ 64(DI), Z1, Z1
-	VPANDQ (R8), Z0, Z0
-	VPANDQ 64(R8), Z1, Z1
-	VPOPCNTQ Z0, Z0
-	VPOPCNTQ Z1, Z1
-	VPADDQ Z0, Z4, Z4
-	VPADDQ Z1, Z5, Z5
-	ADDQ $128, SI
-	ADDQ $128, DI
-	ADDQ $128, R8
-	SUBQ $16, CX
-	CMPQ CX, $16
-	JGE  loop16
-
-tail8:
-	CMPQ CX, $8
-	JL   reduce
-	VMOVDQU64 (SI), Z0
-	VPANDQ (DI), Z0, Z0
-	VPANDQ (R8), Z0, Z0
-	VPOPCNTQ Z0, Z0
-	VPADDQ Z0, Z4, Z4
-	ADDQ $64, SI
-	ADDQ $64, DI
-	ADDQ $64, R8
-	SUBQ $8, CX
-	JMP  tail8
-
-reduce:
-	VPADDQ Z5, Z4, Z4
-	VEXTRACTI64X4 $1, Z4, Y0
-	VPADDQ Y0, Y4, Y4
-	VEXTRACTI128 $1, Y4, X0
-	VPADDQ X0, X4, X4
-	VPSRLDQ $8, X4, X0
-	VPADDQ X0, X4, X4
-	MOVQ X4, AX
-	VZEROUPPER
-	MOVQ AX, ret+32(FP)
-	RET
-
 // func maskedCountsAVX512(si, ci, sj, cj *uint64, n int) (valid, nI, nJ, nIJ uint64)
 //
 // One fused pass over the four streams of a masked SNP pair: loads each

@@ -13,10 +13,10 @@ import "math/bits"
 // (integer counts, so the split point never changes the result).
 //
 // On hosts where the hardware popcount dual-issues (modern x86), the
-// scalar AndCount still wins in pure Go — the batched strategies only
-// pay off vectorized (see vector_amd64.go) — but these kernels are the
-// portable batch tier and the reference the SIMD paths are tested
-// against.
+// scalar AndCount still wins in pure Go — batching only pays off
+// vectorized (see vector_amd64.go) — so these kernels are what the Vector
+// entry points fall back to without a SIMD tier, and the reference the
+// SIMD paths are tested against.
 
 // AndCountCSA is AndCount (Σ popcount(a[i] & b[i])) computed through a
 // fold-16 Harley–Seal CSA tree. Bit-identical to AndCount for every
@@ -145,7 +145,7 @@ func MaskedCountsCSA(si, ci, sj, cj []uint64) (valid, nI, nJ, nIJ int) {
 
 // MaskedCounts computes the four gap-aware counts with the plain
 // hardware popcount in a single pass; the scalar reference the batched
-// masked strategies are checked against.
+// masked kernels are checked against.
 func MaskedCounts(si, ci, sj, cj []uint64) (valid, nI, nJ, nIJ int) {
 	n := len(ci)
 	_, _, _ = cj[:n], si[:n], sj[:n]
@@ -160,7 +160,7 @@ func MaskedCounts(si, ci, sj, cj []uint64) (valid, nI, nJ, nIJ int) {
 }
 
 // Count is the single-word popcount with the uint32 result the LD
-// kernels accumulate in; every scalar loop calls it, so kernel strategy
-// changes have one home. The compiler inlines it to the hardware POPCNT
+// kernels accumulate in; every scalar loop calls it, so a change of
+// scalar counter has one home. The compiler inlines it to the hardware POPCNT
 // instruction on amd64.
 func Count(x uint64) uint32 { return uint32(bits.OnesCount64(x)) }

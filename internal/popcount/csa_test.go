@@ -73,9 +73,6 @@ func TestAndCount3CSAMatchesAndCount3(t *testing.T) {
 			if got := AndCount3CSA(a, b, c); got != want {
 				t.Fatalf("AndCount3CSA(n=%d, %s) = %d, want %d", n, pat, got, want)
 			}
-			if got := AndCount3Vector(a, b, c); got != want {
-				t.Fatalf("AndCount3Vector(n=%d, %s) = %d, want %d", n, pat, got, want)
-			}
 		}
 	}
 }

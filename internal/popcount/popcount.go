@@ -3,11 +3,12 @@
 //
 // The LD inner loop is POPCNT(sᵢ & sⱼ) accumulated over 64-bit words. On
 // x86 the paper uses the POPCNT instruction; in Go, math/bits.OnesCount64
-// compiles to that same instruction on amd64. The software alternatives
-// (SWAR, lookup tables, Harley–Seal) are implemented here both as fallbacks
-// and as ablation subjects: the paper cites [18] for the claim that software
-// counters underperform the hardware instruction, and BenchmarkPopcount*
-// reproduces that comparison.
+// compiles to that same instruction on amd64. The single-word software
+// alternatives (SWAR, lookup tables) are ablation subjects: the paper cites
+// [18] for the claim that software counters underperform the hardware
+// instruction, and BenchmarkPopcount* reproduces that comparison. The
+// Harley–Seal carry-save tree lives in csa.go, over AND-ed streams, as the
+// portable batch kernel.
 package popcount
 
 import "math/bits"
@@ -50,15 +51,6 @@ func Lookup16(x uint64) int {
 	return int(lut16[x&0xffff] + lut16[x>>16&0xffff] + lut16[x>>32&0xffff] + lut16[x>>48])
 }
 
-// Slice counts the set bits of a word slice with the hardware popcount.
-func Slice(xs []uint64) int {
-	n := 0
-	for _, x := range xs {
-		n += bits.OnesCount64(x)
-	}
-	return n
-}
-
 // AndCount returns Σ popcount(a[i] & b[i]) — the haplotype count
 // POPCNT(sᵢ & sⱼ) of Section IV, the fundamental LD word kernel.
 // The slices must have equal length.
@@ -86,56 +78,9 @@ func csa(a, b, c uint64) (carry, sum uint64) {
 	return a&b | u&c, u ^ c
 }
 
-// HarleySeal counts the set bits of a word slice using the Harley–Seal
-// carry-save-adder tree over blocks of 16 words, reducing the number of
-// per-word popcounts by 16× at the cost of CSA logic ops. This is the
-// strongest software counter in [17]'s survey and the natural comparison
-// point for the hardware instruction.
-func HarleySeal(xs []uint64) int {
-	total := 0
-	var ones, twos, fours, eights uint64
-	i := 0
-	for ; i+16 <= len(xs); i += 16 {
-		var twosA, twosB, foursA, foursB, eightsA, eightsB uint64
-		twosA, ones = csa(ones, xs[i], xs[i+1])
-		twosB, ones = csa(ones, xs[i+2], xs[i+3])
-		foursA, twos = csa(twos, twosA, twosB)
-		twosA, ones = csa(ones, xs[i+4], xs[i+5])
-		twosB, ones = csa(ones, xs[i+6], xs[i+7])
-		foursB, twos = csa(twos, twosA, twosB)
-		eightsA, fours = csa(fours, foursA, foursB)
-		twosA, ones = csa(ones, xs[i+8], xs[i+9])
-		twosB, ones = csa(ones, xs[i+10], xs[i+11])
-		foursA, twos = csa(twos, twosA, twosB)
-		twosA, ones = csa(ones, xs[i+12], xs[i+13])
-		twosB, ones = csa(ones, xs[i+14], xs[i+15])
-		foursB, twos = csa(twos, twosA, twosB)
-		eightsB, fours = csa(fours, foursA, foursB)
-		var sixteens uint64
-		sixteens, eights = csa(eights, eightsA, eightsB)
-		total += 16 * bits.OnesCount64(sixteens)
-	}
-	total += 8 * bits.OnesCount64(eights)
-	total += 4 * bits.OnesCount64(fours)
-	total += 2 * bits.OnesCount64(twos)
-	total += bits.OnesCount64(ones)
-	for ; i < len(xs); i++ {
-		total += bits.OnesCount64(xs[i])
-	}
-	return total
-}
-
-// Counter is a single-word popcount implementation, selectable by name for
-// kernel ablations.
+// Counter is a single-word popcount implementation, for the popcount
+// ablation.
 type Counter func(uint64) int
-
-// Counters enumerates every single-word implementation by name.
-var Counters = map[string]Counter{
-	"hw":       Word,
-	"swar":     SWAR,
-	"lookup8":  Lookup8,
-	"lookup16": Lookup16,
-}
 
 // AndCountWith is AndCount parameterized by counter implementation, used by
 // the popcount ablation benchmarks.

@@ -14,8 +14,16 @@ var wordCases = []uint64{
 	1 << 31, 1<<32 - 1, 1 << 63,
 }
 
+// counters is every single-word implementation by name.
+var counters = map[string]Counter{
+	"hw":       Word,
+	"swar":     SWAR,
+	"lookup8":  Lookup8,
+	"lookup16": Lookup16,
+}
+
 func TestSingleWordCountersAgree(t *testing.T) {
-	for name, count := range Counters {
+	for name, count := range counters {
 		for _, x := range wordCases {
 			if got, want := count(x), bits.OnesCount64(x); got != want {
 				t.Errorf("%s(%#x) = %d, want %d", name, x, got, want)
@@ -25,22 +33,12 @@ func TestSingleWordCountersAgree(t *testing.T) {
 }
 
 func TestQuickCountersAgree(t *testing.T) {
-	for name, count := range Counters {
+	for name, count := range counters {
 		count := count
 		f := func(x uint64) bool { return count(x) == bits.OnesCount64(x) }
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-}
-
-func TestSlice(t *testing.T) {
-	if got := Slice(nil); got != 0 {
-		t.Fatalf("Slice(nil) = %d", got)
-	}
-	xs := []uint64{3, 0, ^uint64(0)}
-	if got := Slice(xs); got != 2+64 {
-		t.Fatalf("Slice = %d, want 66", got)
 	}
 }
 
@@ -65,34 +63,6 @@ func TestAndCount3(t *testing.T) {
 	}
 }
 
-func TestHarleySealMatchesSlice(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	// Cover the CSA block boundary (16 words) and the scalar tail.
-	for _, n := range []int{0, 1, 15, 16, 17, 31, 32, 33, 48, 100, 1024} {
-		xs := make([]uint64, n)
-		for i := range xs {
-			xs[i] = rng.Uint64()
-		}
-		if got, want := HarleySeal(xs), Slice(xs); got != want {
-			t.Fatalf("HarleySeal(n=%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestQuickHarleySeal(t *testing.T) {
-	f := func(seed int64, n8 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]uint64, int(n8))
-		for i := range xs {
-			xs[i] = rng.Uint64()
-		}
-		return HarleySeal(xs) == Slice(xs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAndCountWith(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := make([]uint64, 40)
@@ -101,7 +71,7 @@ func TestAndCountWith(t *testing.T) {
 		a[i], b[i] = rng.Uint64(), rng.Uint64()
 	}
 	want := AndCount(a, b)
-	for name, count := range Counters {
+	for name, count := range counters {
 		if got := AndCountWith(count, a, b); got != want {
 			t.Errorf("AndCountWith(%s) = %d, want %d", name, got, want)
 		}
@@ -145,24 +115,6 @@ func benchWord(b *testing.B, count Counter) {
 }
 
 var benchSink int
-
-func BenchmarkPopcountSlice(b *testing.B)      { benchSlice(b, Slice) }
-func BenchmarkPopcountHarleySeal(b *testing.B) { benchSlice(b, HarleySeal) }
-
-func benchSlice(b *testing.B, count func([]uint64) int) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]uint64, 4096)
-	for i := range xs {
-		xs[i] = rng.Uint64()
-	}
-	b.SetBytes(int64(len(xs) * 8))
-	b.ResetTimer()
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		sink += count(xs)
-	}
-	benchSink = sink
-}
 
 func BenchmarkAndCount(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

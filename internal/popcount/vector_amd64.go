@@ -10,14 +10,12 @@ import "math/bits"
 // needs AVX2 with ymm state enabled. The assembly bodies live in
 // asm_amd64.s; each wrapper below rounds the length down to the
 // vector's fold width and finishes with the exact scalar loop, so the
-// results are bit-identical to AndCount/AndCount3/MaskedCounts on
-// every input.
+// results are bit-identical to AndCount/MaskedCounts on every input.
 
 // Implemented in asm_amd64.s.
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 func andCountAVX512(a, b *uint64, n int) uint64
-func andCount3AVX512(a, b, c *uint64, n int) uint64
 func maskedCountsAVX512(si, ci, sj, cj *uint64, n int) (valid, nI, nJ, nIJ uint64)
 func andCountAVX2(a, b *uint64, n int) uint64
 func andCount3AVX2(a, b, c *uint64, n int) uint64
@@ -123,34 +121,6 @@ func AndCountVector(a, b []uint64) int {
 	t := int(total)
 	for ; i < n; i++ {
 		t += bits.OnesCount64(a[i] & b[i])
-	}
-	return t
-}
-
-// AndCount3Vector is AndCount3 through the best available SIMD tier,
-// bit-identical to AndCount3 on every input.
-func AndCount3Vector(a, b, c []uint64) int {
-	n := len(a)
-	_, _ = b[:n], c[:n]
-	var total uint64
-	i := 0
-	switch {
-	case hasAVX512Popcnt:
-		if k := n &^ 7; k > 0 {
-			total = andCount3AVX512(&a[0], &b[0], &c[0], k)
-			i = k
-		}
-	case hasAVX2:
-		if k := n &^ 3; k > 0 {
-			total = andCount3AVX2(&a[0], &b[0], &c[0], k)
-			i = k
-		}
-	default:
-		return AndCount3CSA(a, b, c)
-	}
-	t := int(total)
-	for ; i < n; i++ {
-		t += bits.OnesCount64(a[i] & b[i] & c[i])
 	}
 	return t
 }

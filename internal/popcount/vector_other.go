@@ -24,9 +24,6 @@ func VectorFold() int { return 0 }
 // AndCountVector is AndCount through the portable CSA kernel.
 func AndCountVector(a, b []uint64) int { return AndCountCSA(a, b) }
 
-// AndCount3Vector is AndCount3 through the portable CSA kernel.
-func AndCount3Vector(a, b, c []uint64) int { return AndCount3CSA(a, b, c) }
-
 // MaskedCountsVector computes the four gap-aware counts through the
 // portable CSA kernels.
 func MaskedCountsVector(si, ci, sj, cj []uint64) (valid, nI, nJ, nIJ int) {

@@ -76,7 +76,7 @@ func (m *Metrics) ServeVars(w http.ResponseWriter, r *http.Request) {
 //	                of C×k work per second), kernel_variant and
 //	                popcount_strategy (what the last driver call
 //	                dispatched to), popcounts_avoided (POPCNT
-//	                invocations the batched CSA/SIMD folds saved vs the
+//	                invocations the vector tile and SIMD folds saved vs the
 //	                scalar kernel), arena_gets, arena_misses,
 //	                arena_hit_rate, epilogue_tiles (register tiles
 //	                converted by the fused epilogue), epilogue_nanos

@@ -33,8 +33,8 @@ type Config struct {
 	// Threads for the LD kernels (default GOMAXPROCS via blis).
 	Threads int
 	// Blis is the base kernel configuration merged into every request's
-	// driver config — typically a loaded tune profile (kernel shape,
-	// popcount strategy, cache blocking). Threads and ChunkTiles above
+	// driver config — typically a loaded tune profile (cache blocking,
+	// threads, chunk size). Threads and ChunkTiles above
 	// override its corresponding fields when non-zero, and the request
 	// context is always attached per request.
 	Blis blis.Config

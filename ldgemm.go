@@ -246,27 +246,10 @@ type TuneOptions = blis.TuneOptions
 // TuneResult reports the winning blocked configuration.
 type TuneResult = blis.TuneResult
 
-// Tune searches micro-kernel shapes and cache block sizes for the host,
-// returning a BlockConfig to pass via Options.Blis.
+// Tune searches cache block sizes (and, with TuneOptions.MaxThreads,
+// threads × chunk size) for the host's micro-kernel, returning a
+// BlockConfig to pass via Options.Blis.
 func Tune(opt TuneOptions) (*TuneResult, error) { return blis.Tune(opt) }
-
-// PopcountStrategy selects the AND-count engine of the blocked kernels
-// (BlockConfig.Popcount): scalar POPCNT per word-pair, the portable
-// Harley–Seal CSA fold, the SIMD tier, or auto — the register-tiled
-// AVX-512 VPOPCNTQ micro-kernel at every k where the host runs it,
-// k-dispatch between scalar and the SIMD tier elsewhere.
-type PopcountStrategy = blis.PopcountStrategy
-
-const (
-	PopcountAuto   = blis.PopcountAuto
-	PopcountScalar = blis.PopcountScalar
-	PopcountCSA    = blis.PopcountCSA
-	PopcountVector = blis.PopcountVector
-)
-
-// ParsePopcount parses a popcount strategy name ("auto", "scalar",
-// "csa", "vector") as accepted by flags and tune profiles.
-func ParsePopcount(name string) (PopcountStrategy, error) { return blis.ParsePopcount(name) }
 
 // TuneProfile is the persistent, host-fingerprinted form of a tuned
 // configuration (the -tune-profile file of the serving binaries).
@@ -289,8 +272,8 @@ func HostFingerprint() string { return blis.HostFingerprint() }
 
 // DriverStats is a snapshot of the blocked drivers' cumulative counters:
 // completed and cancelled calls, C-cells×k-words of kernel work, wall
-// time, packing-arena reuse, and the selected kernel variant/popcount
-// strategy.
+// time, packing-arena reuse, and the kernel variant and popcount engine
+// the last call ran.
 type DriverStats = blis.DriverStats
 
 // KernelStats reads the process-wide driver counters — the same numbers
