@@ -86,6 +86,18 @@ run_listed = listed=$$(go test -list . $(1) | grep '^Test'); \
 	done; \
 	go test $(1) -count=1 -run '$(2)'
 
+# Non-test source lines (.go and .s) per directory and in total, over the
+# files git tracks; benchmark/ (its own module) is counted apart. ROADMAP's
+# "least code" tallies come from this one command.
+.PHONY: loc
+loc:
+	@git ls-files -- '*.go' '*.s' | grep -v '_test\.go$$' | xargs wc -l | awk '\
+		$$2 == "total" { next } \
+		{ dir = $$2; sub(/\/[^\/]*$$/, "", dir); if (dir == $$2) dir = "."; \
+		  lines[dir] += $$1; if (dir ~ /^benchmark(\/|$$)/) bench += $$1; else total += $$1 } \
+		END { for (d in lines) if (d !~ /^benchmark(\/|$$)/) printf "%7d  %s\n", lines[d], d | "sort -k2"; \
+		      close("sort -k2"); printf "%7d  total, benchmark/ apart\n%7d  benchmark/ (its own module)\n", total, bench }'
+
 # Kernel-dispatch tests: the AVX-512 tile against the generic kernel — one
 # tile per call, then its row entry (a row of tiles per call, storing and
 # adding, with and without a destination hint, canary cells around the
@@ -100,13 +112,15 @@ run_listed = listed=$$(go test -list . $(1) | grep '^Test'); \
 # clears, and the row-run contract in both orders (one slab: streamed panel
 # by panel; several: after the last), on one worker and on four. Then the
 # fused epilogue's AVX-512 row kernels against their Go loops, bit for bit
-# (the vector half skipped with a message without AVX-512F), and the
-# destination hint shown unobservable in Matrix, Cross and Stream. Every
+# (the vector half skipped with a message without AVX-512F), the
+# destination hint shown unobservable in Matrix, Cross and Stream, and
+# KeepCounts shown inert (copying the counts out changes no measure bit,
+# exact or fast r²). Every
 # name must match a test (run_listed). Cheap enough for the verify tier.
 .PHONY: bench-kernel
 bench-kernel:
 	@$(call run_listed,./internal/kernel,TestVectorTile)
-	@$(call run_listed,./internal/core,TestEpilogueRows|TestDestHintUnobservable|TestDenseEpilogueDest)
+	@$(call run_listed,./internal/core,TestEpilogueRows|TestDestHintUnobservable|TestDenseEpilogueDest|TestKeepCountsInert)
 	@$(call run_listed,./internal/blis,TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestMaskedStrategiesMatchScalarOracle|TestDispatchRoutes|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller)
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling

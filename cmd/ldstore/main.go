@@ -557,7 +557,7 @@ func writeJSON(w io.Writer, v any) error {
 // openSource opens a dataset as a bitmat.Source. A .ldbm container stays
 // on disk — mmap'd or windowed-read — so the build is out of core; every
 // other format loads into RAM exactly as before and is wrapped as a
-// MemSource (the builder's in-RAM fast path).
+// MemSource (scanned zero-copy, one panel wide).
 func openSource(path string, mmap bool) (bitmat.Source, func(), error) {
 	if filepath.Ext(path) == ".ldbm" {
 		f, err := bitmat.OpenFile(path, mmap)

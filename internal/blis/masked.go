@@ -2,7 +2,6 @@ package blis
 
 import (
 	"fmt"
-	"runtime"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/kernel"
@@ -69,9 +68,9 @@ func MaskedGemmEpilogue(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, ep
 
 // MaskedSyrk is the single-matrix gap-aware rank-k update: like Syrk it
 // fills the upper triangle (j ≥ i) of the four-count matrix, skipping
-// blocks and register tiles strictly below the diagonal. MirrorMasked
-// fills the lower triangle afterwards (the counts are symmetric up to
-// swapping the MaskedI/MaskedJ roles).
+// blocks and register tiles strictly below the diagonal. Cell (j, i) of
+// the lower triangle is cell (i, j) with the MaskedI/MaskedJ roles
+// swapped.
 func MaskedSyrk(cfg Config, a *bitmat.Matrix, ka *bitmat.Mask, c []uint32, ldc int) error {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -92,7 +91,7 @@ func MaskedSyrk(cfg Config, a *bitmat.Matrix, ka *bitmat.Mask, c []uint32, ldc i
 // MaskedSyrkEpilogue runs MaskedSyrk fused (see SyrkEpilogue): epi
 // receives every tile of the triangle sweep; there is no count mirror, and
 // epilogues that need the (j, i) view swap the MaskedI/MaskedJ roles
-// themselves, as MirrorMasked does.
+// themselves.
 func MaskedSyrkEpilogue(cfg Config, a *bitmat.Matrix, ka *bitmat.Mask, epi Epilogue) error {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -105,25 +104,6 @@ func MaskedSyrkEpilogue(cfg Config, a *bitmat.Matrix, ka *bitmat.Mask, epi Epilo
 		return fmt.Errorf("blis: nil epilogue")
 	}
 	return driveMasked(cfg, a, a, ka, ka, nil, a.SNPs, true, epi)
-}
-
-// MirrorMasked copies the strict upper triangle of an n×n four-count
-// matrix onto the strict lower triangle, swapping the per-SNP counts so
-// that cell (j, i) reads correctly: MaskedI and MaskedJ exchange roles.
-// Large matrices are mirrored in parallel, like Mirror.
-func MirrorMasked(c []uint32, n, ldc int) {
-	forEachTriangleSpan(n, runtime.GOMAXPROCS(0), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			for j := 0; j < i; j++ {
-				src := c[(j*ldc+i)*4:]
-				dst := c[(i*ldc+j)*4:]
-				dst[kernel.MaskedValid] = src[kernel.MaskedValid]
-				dst[kernel.MaskedI] = src[kernel.MaskedJ]
-				dst[kernel.MaskedJ] = src[kernel.MaskedI]
-				dst[kernel.MaskedIJ] = src[kernel.MaskedIJ]
-			}
-		}
-	})
 }
 
 // driveMasked instantiates the slab-pipelined parallel driver (parallel.go)

@@ -6,7 +6,25 @@ import (
 	"testing/quick"
 
 	"ldgemm/internal/bitmat"
+	"ldgemm/internal/kernel"
 )
+
+// MirrorMasked copies the strict upper triangle of an n×n four-count
+// matrix onto the strict lower triangle, MaskedI and MaskedJ exchanging
+// roles so that cell (j, i) reads correctly: the masked tests' oracle for
+// the lower triangle MaskedSyrk leaves unwritten.
+func MirrorMasked(c []uint32, n, ldc int) {
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			src := c[(j*ldc+i)*4:]
+			dst := c[(i*ldc+j)*4:]
+			dst[kernel.MaskedValid] = src[kernel.MaskedValid]
+			dst[kernel.MaskedI] = src[kernel.MaskedJ]
+			dst[kernel.MaskedJ] = src[kernel.MaskedI]
+			dst[kernel.MaskedIJ] = src[kernel.MaskedIJ]
+		}
+	}
+}
 
 func randomMasked(rng *rand.Rand, snps, samples int) (*bitmat.Matrix, *bitmat.Mask) {
 	m := randomMatrix(rng, snps, samples)

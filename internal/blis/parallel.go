@@ -427,8 +427,8 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 		stats.popcAvoided.Add(avoided)
 	}
 	if fused {
-		// The split pipeline would have materialized the full m×n count
-		// matrix (cells uint32s per C entry) just to read it once.
+		// A count-then-convert pipeline would have materialized the full
+		// m×n count matrix (cells uint32s per C entry) just to read it once.
 		stats.epiBytesAvoided.Add(uint64(m) * uint64(n) * 4 * uint64(ops.cells))
 	}
 	return nil

@@ -10,27 +10,19 @@ import (
 // This file implements the fused LD epilogue: blis.Epilogue hooks that
 // convert haplotype counts to D/r²/D′ per finished row run (one MR-row
 // panel of a scheduler job, every computed column), inside the blocked
-// driver's workers, while the counts are still cache-hot. The
-// split pipeline (fillMeasures/fillMaskedMeasures) materializes the full
-// m×n uint32 count matrix and walks it serially afterwards — a second
-// round-trip through memory that Amdahl-caps the parallel driver. Fused,
-// the counts only ever exist as O(column block) scratch inside blis, the
-// conversion is parallelized for free across the pool's workers, and the
-// float64 outputs are written exactly once.
+// driver's workers, while the counts are still cache-hot. It is the one
+// route from counts to floats: the counts only ever exist as O(column
+// block) scratch inside blis, the conversion is parallelized for free
+// across the pool's workers, and the float64 outputs are written exactly
+// once. A caller that wants the counts too (KeepCounts) gets each run's
+// copied out beside its floats.
 //
-// Bit-identity with the split epilogue is load-bearing (golden tests and
-// the ldstore precompute/serve contract both rely on it), so the hot
-// loops below replicate PairFromFreqs operation for operation; the only
-// transformation is precomputing the per-SNP variance factors pᵢ(1−pᵢ)
-// once per call, which is bit-safe because the product (pa(1−pa))·(pb(1−pb))
-// rounds each factor before multiplying either way.
-
-// fused reports whether the conversion runs inside the blocked driver. The
-// one thing that forces the dense count matrix into existence is a caller
-// asking for it back (KeepCounts); then the split sweep fills the measures.
-func (o Options) fused() bool {
-	return o.measures()&KeepCounts == 0
-}
+// Bit-identity with PairFromFreqs is load-bearing (golden tests and the
+// ldstore precompute/serve contract both rely on it), so the hot loops
+// below replicate it operation for operation; the only transformation is
+// precomputing the per-SNP variance factors pᵢ(1−pᵢ) once per call, which
+// is bit-safe because the product (pa(1−pa))·(pb(1−pb)) rounds each factor
+// before multiplying either way.
 
 // varTable returns v[i] = p[i]·(1−p[i]), the per-SNP variance factor of
 // the r² denominator, rounded exactly as PairFromFreqs rounds it inline.
@@ -146,11 +138,13 @@ type denseEpilogue struct {
 	// rowTab/colTab are the per-SNP r² factors (see r2Table): reciprocals
 	// 1/(p(1−p)) when fast, variance factors p(1−p) otherwise.
 	rowTab, colTab []float64
-	fast           bool // r² via reciprocal tables (FastR2 / stream default)
+	fast           bool     // r² via reciprocal tables (FastR2 / stream default)
+	counts         []uint32 // KeepCounts: each run's counts, row stride ld
 }
 
-// newDenseEpilogue allocates the requested measure matrices on res and
-// returns the epilogue that fills them with row stride res.Cols.
+// newDenseEpilogue allocates the requested measure matrices (and, with
+// KeepCounts, the count matrix) on res and returns the epilogue that fills
+// them with row stride res.Cols.
 func newDenseEpilogue(res *Result, opt Options, mirror bool) *denseEpilogue {
 	e := &denseEpilogue{
 		measureOut: measureOut{ld: res.Cols, mirror: mirror},
@@ -163,6 +157,10 @@ func newDenseEpilogue(res *Result, opt Options, mirror bool) *denseEpilogue {
 		e.inv = 1 / float64(res.Samples)
 	}
 	e.alloc(res, opt)
+	if opt.Measures&KeepCounts != 0 {
+		res.Counts = make([]uint32, res.SNPs*res.Cols)
+		e.counts = res.Counts
+	}
 	if e.r2 != nil {
 		e.rowTab = r2Table(e.rowFreqs, e.fast)
 		e.colTab = e.rowTab
@@ -186,10 +184,16 @@ func r2Table(p []float64, fast bool) []float64 {
 // RowRun is the blis.Epilogue hook: one finished row run of mm ≤ MR
 // rows by nn columns. Rows are converted whole, each measure in its own
 // loop over contiguous operands and outputs; mirrored cells are copied
-// from the converted values afterwards (see reflect).
+// from the converted values afterwards (see reflect). Kept counts are not
+// mirrored here: Matrix mirrors the whole count matrix once the sweep is
+// done.
 func (e *denseEpilogue) RowRun(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 	for r := 0; r < mm; r++ {
-		e.row(t[r*ldt:][:nn], i0+r, j0)
+		trow := t[r*ldt:][:nn]
+		e.row(trow, i0+r, j0)
+		if e.counts != nil {
+			copy(e.counts[(i0+r)*e.ld+j0:], trow)
+		}
 	}
 	if e.mirror {
 		e.reflect(i0, j0, mm, nn)
@@ -301,12 +305,12 @@ func scalarR2Exact(out []float64, cnt []uint32, colFreq, colVar []float64, inv, 
 }
 
 // maskedEpilogue converts four-count row runs (Section VII) into measures
-// using per-pair effective sample sizes, replicating fillMaskedMeasures.
-// The mirror write copies the computed floats: the measures are invariant
-// under exchanging the SNP roles (the count quadruple transposes to
-// itself with MaskedI/MaskedJ swapped, and PairFromFreqs is bit-symmetric
-// under pa↔pb), so the copy lands the same bits the legacy MirrorMasked +
-// reconvert pipeline produces.
+// using per-pair effective sample sizes: PairFromFreqs over the counts
+// divided by the pair's valid-sample count. The mirror write copies the
+// computed floats: the measures are invariant under exchanging the SNP
+// roles (the count quadruple transposes to itself with MaskedI/MaskedJ
+// swapped, and PairFromFreqs is bit-symmetric under pa↔pb), so the copy
+// lands the bits converting the transposed quadruple would.
 type maskedEpilogue struct {
 	measureOut
 }

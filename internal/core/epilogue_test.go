@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -50,10 +51,79 @@ func fringeConfig(threads int) blis.Config {
 	return blis.Config{MC: 12, NC: 20, KC: 3, Threads: threads}
 }
 
+// sweepMatrix, sweepCross and sweepMasked are the golden tests' oracle: the
+// count-then-convert sweep the fused epilogue replaced, over the reference
+// counts. A plain cell is PairFromFreqs(count·(1/Nseq), pa, pb) — the
+// reciprocal product, not PairLD's /n, which differs in the last ulp — and
+// a masked one PairFromFreqs over its counts / nv. KeepCounts is ignored,
+// and r² is always the exact quotient.
+func sweepMatrix(g *bitmat.Matrix, opt Options) (*Result, error) { return sweepCross(g, g, opt) }
+
+func sweepCross(a, b *bitmat.Matrix, opt Options) (*Result, error) {
+	m, n := a.SNPs, b.SNPs
+	counts := make([]uint32, m*n)
+	if err := blis.Reference(a, b, counts, n); err != nil {
+		return nil, err
+	}
+	res := &Result{SNPs: m, Cols: n, Samples: a.Samples, RowFreqs: AlleleFrequencies(a), ColFreqs: AlleleFrequencies(b)}
+	inv := 1 / float64(a.Samples)
+	return sweep(res, opt, func(idx int) Pair {
+		return PairFromFreqs(float64(counts[idx])*inv, res.RowFreqs[idx/n], res.ColFreqs[idx%n])
+	}), nil
+}
+
+func sweepMasked(g *bitmat.Matrix, mask *bitmat.Mask, opt Options) (*Result, error) {
+	gm := g.Clone()
+	if err := mask.ApplyTo(gm); err != nil {
+		return nil, err
+	}
+	n := g.SNPs
+	quad := make([]uint32, n*n*4)
+	if err := blis.MaskedReference(gm, gm, mask, mask, quad, n); err != nil {
+		return nil, err
+	}
+	return sweep(&Result{SNPs: n, Cols: n, Samples: g.Samples}, opt, func(idx int) Pair {
+		cell := quad[idx*4:][:4]
+		v := cell[kernel.MaskedValid]
+		if v == 0 {
+			return Pair{}
+		}
+		nv := float64(v)
+		return PairFromFreqs(float64(cell[kernel.MaskedIJ])/nv, float64(cell[kernel.MaskedI])/nv, float64(cell[kernel.MaskedJ])/nv)
+	}), nil
+}
+
+// sweep fills the measures opt asks for on res, cell idx from pair(idx).
+func sweep(res *Result, opt Options, pair func(idx int) Pair) *Result {
+	meas, cells := opt.measures(), res.SNPs*res.Cols
+	if meas&MeasureD != 0 {
+		res.D = make([]float64, cells)
+	}
+	if meas&MeasureR2 != 0 {
+		res.R2 = make([]float64, cells)
+	}
+	if meas&MeasureDPrime != 0 {
+		res.DPrime = make([]float64, cells)
+	}
+	for idx := range cells {
+		p := pair(idx)
+		if res.D != nil {
+			res.D[idx] = p.D
+		}
+		if res.R2 != nil {
+			res.R2[idx] = p.R2
+		}
+		if res.DPrime != nil {
+			res.DPrime[idx] = p.DPrime
+		}
+	}
+	return res
+}
+
 // The golden contract: the fused per-tile epilogue produces bit-identical
-// measures to the split sweep over the dense counts (the route KeepCounts
-// takes), for every measure combination and across fringe shapes
-// (n % MR ≠ 0, n < NR, n = 1).
+// measures to the count-then-convert sweep over the reference counts, for
+// every measure combination and across fringe shapes (n % MR ≠ 0, n < NR,
+// n = 1).
 func TestMatrixFusedMatchesSplitBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 3, 13, 50, 67} {
@@ -65,7 +135,7 @@ func TestMatrixFusedMatchesSplitBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt.Measures |= KeepCounts
-			split, err := Matrix(g, opt)
+			split, err := sweepMatrix(g, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +151,7 @@ func TestMatrixFusedDefaultConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := Matrix(g, Options{
+	split, err := sweepMatrix(g, Options{
 		Measures: MeasureD | MeasureR2 | MeasureDPrime | KeepCounts,
 	})
 	if err != nil {
@@ -103,7 +173,7 @@ func TestCrossFusedMatchesSplitBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt.Measures |= KeepCounts
-			split, err := Cross(a, b, opt)
+			split, err := sweepCross(a, b, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,9 +238,8 @@ func TestMatrixFastR2(t *testing.T) {
 	}
 }
 
-// KeepCounts cannot run fused (its contract is the dense counts): the
-// counts must be present, exact, and the measures identical to the fused
-// pipeline's.
+// KeepCounts hands back the dense counts: they must be present and exact,
+// and the measures still those of the count-then-convert sweep.
 func TestKeepCountsStillExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 33
@@ -193,11 +262,66 @@ func TestKeepCountsStillExact(t *testing.T) {
 			t.Fatalf("Counts[%d] = %d, want %d", i, res.Counts[i], want[i])
 		}
 	}
-	fused, err := Matrix(g, Options{Measures: MeasureR2, Blis: fringeConfig(2)})
+	fused, err := sweepMatrix(g, Options{Measures: MeasureR2, Blis: fringeConfig(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bitsEqual(t, "R2", res.R2, fused.R2)
+}
+
+// TestKeepCountsInert: KeepCounts is an output, not a route. Asking for the
+// counts changes no measure bit — every measure set, exact and fast r² — and
+// Matrix and Cross hand back the reference counts in both triangles;
+// MaskedMatrix hands back none.
+func TestKeepCountsInert(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g := withMonomorphic(randomMatrix(rng, 67, 130))
+	b := randomMatrix(rng, 29, 130)
+	gm, mask := randomMaskedPair(rng, 41, 130)
+	square := make([]uint32, g.SNPs*g.SNPs)
+	if err := blis.Reference(g, g, square, g.SNPs); err != nil {
+		t.Fatal(err)
+	}
+	cross := make([]uint32, g.SNPs*b.SNPs)
+	if err := blis.Reference(g, b, cross, b.SNPs); err != nil {
+		t.Fatal(err)
+	}
+	routes := []struct {
+		name   string
+		run    func(Options) (*Result, error)
+		counts []uint32 // nil: none returned
+	}{
+		{"Matrix", func(o Options) (*Result, error) { return Matrix(g, o) }, square},
+		{"Cross", func(o Options) (*Result, error) { return Cross(g, b, o) }, cross},
+		{"MaskedMatrix", func(o Options) (*Result, error) { return MaskedMatrix(gm, mask, o) }, nil},
+	}
+	for _, r := range routes {
+		for _, meas := range measureSets {
+			for _, fast := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/measures=%b/fast=%v", r.name, meas, fast), func(t *testing.T) {
+					opt := Options{Measures: meas, FastR2: fast, Blis: fringeConfig(3)}
+					plain, err := r.run(opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.Measures |= KeepCounts
+					kept, err := r.run(opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bitsEqualResults(t, kept, plain)
+					if len(kept.Counts) != len(r.counts) {
+						t.Fatalf("%d counts returned, want %d", len(kept.Counts), len(r.counts))
+					}
+					for i, c := range r.counts {
+						if kept.Counts[i] != c {
+							t.Fatalf("Counts[%d] = %d, want %d", i, kept.Counts[i], c)
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 func TestMaskedMatrixFusedMatchesSplitBitwise(t *testing.T) {
@@ -211,7 +335,7 @@ func TestMaskedMatrixFusedMatchesSplitBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt.Measures |= KeepCounts
-			split, err := MaskedMatrix(g, k, opt)
+			split, err := sweepMasked(g, k, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -237,9 +361,9 @@ func streamDense(t *testing.T, g *bitmat.Matrix, opt StreamOptions) []float64 {
 }
 
 // splitStream is what a count-then-convert scan delivers, as a dense
-// matrix: the split sweep of Matrix (PairFromFreqs per cell) for every
-// statistic, except that a non-Exact r² scan trades the quotient for the
-// reciprocal product, spelled out here over the reference counts.
+// matrix: sweepMatrix (PairFromFreqs per cell) for every statistic, except
+// that a non-Exact r² scan trades the quotient for the reciprocal product,
+// spelled out here over the reference counts.
 func splitStream(t *testing.T, g *bitmat.Matrix, meas Measure, exact bool) []float64 {
 	t.Helper()
 	n := g.SNPs
@@ -264,7 +388,7 @@ func splitStream(t *testing.T, g *bitmat.Matrix, meas Measure, exact bool) []flo
 		}
 		return out
 	}
-	res, err := Matrix(g, Options{Measures: meas | KeepCounts, Blis: fringeConfig(2)})
+	res, err := sweepMatrix(g, Options{Measures: meas | KeepCounts, Blis: fringeConfig(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,8 +492,8 @@ func allocBytes(f func()) uint64 {
 }
 
 // The point of the fusion, asserted: only a caller that asks for the
-// counts (KeepCounts, the split pipeline) pays for the dense n²·4-byte
-// count matrix; the fused pipeline never allocates it.
+// counts (KeepCounts) pays for the dense n²·4-byte count matrix; otherwise
+// the pipeline never allocates it.
 func TestMatrixFusedAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement")
@@ -431,8 +555,8 @@ func withMonomorphic(g *bitmat.Matrix) *bitmat.Matrix {
 // combination × exact/fast r² × SYRK-with-mirror / GEMM × register-tile
 // shapes (3x5 makes the mirror bound differ between rows of one panel), on
 // shapes off multiples of the tile and block sizes, monomorphic SNPs
-// included. The mirrored uncut run must also be what the split pipeline
-// returns (exact r² only: that sweep has no reciprocal path).
+// included. The mirrored uncut run must also be what sweepMatrix returns
+// (exact r² only: that sweep has no reciprocal path).
 func TestDenseEpilogueRunsMatchTilesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	kernels := []kernel.Kernel{kernel.Default, kernel.Generic(8, 4), kernel.Generic(4, 8), kernel.Generic(3, 5)}
@@ -469,11 +593,11 @@ func TestDenseEpilogueRunsMatchTilesBitwise(t *testing.T) {
 						bitsEqualResults(t, run(mirror, false), run(mirror, true))
 					}
 					if fast {
-						continue // the split sweep has no reciprocal path
+						continue // sweepMatrix has no reciprocal path
 					}
 					splitOpt := opt
 					splitOpt.Measures |= KeepCounts
-					split, err := Matrix(g, splitOpt)
+					split, err := sweepMatrix(g, splitOpt)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -34,7 +34,8 @@ const (
 	MeasureR2
 	// MeasureDPrime requests Lewontin's normalized D′.
 	MeasureDPrime
-	// KeepCounts retains the raw haplotype count matrix in the result.
+	// KeepCounts also returns the raw haplotype count matrix (Matrix and
+	// Cross; MaskedMatrix returns none). It changes no measure bit.
 	KeepCounts
 )
 
@@ -48,8 +49,8 @@ type Options struct {
 	// multiplies instead of divides — which can differ from the exact
 	// PairFromFreqs quotient in the last ulp. Off by default so dense
 	// results stay bit-identical to PairFromFreqs (the contract the
-	// tile store and golden tests rely on). Only the fused epilogue
-	// honors it; the split sweep always computes the exact quotient.
+	// tile store and golden tests rely on). KeepCounts does not change
+	// which quotient is computed.
 	FastR2 bool
 	// Ctx, when non-nil, cancels an in-flight computation cooperatively:
 	// the blocked driver observes it at phase and slab-group boundaries
@@ -183,11 +184,10 @@ func (r *Result) At(i, j int) Pair {
 }
 
 // Matrix computes all-pairs LD within one genomic matrix: the H = GᵀG/Nseq
-// rank-k update of Section III-B via the blocked symmetric driver, plus the
-// O(n²) D/r²/D′ epilogue — fused into the driver's tile sweep, or a
-// separate serial pass over the dense counts when KeepCounts asks for them
-// back. Both triangles of each output are filled; the two routes produce
-// bit-identical measures.
+// rank-k update of Section III-B via the blocked symmetric driver, with the
+// O(n²) D/r²/D′ epilogue fused into the driver's tile sweep. Both triangles
+// of each output are filled; with KeepCounts so are the counts', the upper
+// triangle copied out by the epilogue and mirrored afterwards.
 func Matrix(g *bitmat.Matrix, opt Options) (*Result, error) {
 	if g.Samples == 0 && g.SNPs > 0 {
 		return nil, fmt.Errorf("core: LD of %d SNPs with zero samples", g.SNPs)
@@ -195,18 +195,12 @@ func Matrix(g *bitmat.Matrix, opt Options) (*Result, error) {
 	n := g.SNPs
 	p := AlleleFrequencies(g)
 	res := &Result{SNPs: n, Cols: n, Samples: g.Samples, RowFreqs: p, ColFreqs: p}
-	if opt.fused() {
-		e := newDenseEpilogue(res, opt, true)
-		if err := blis.SyrkEpilogue(opt.blisCfg(), g, e); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	counts := make([]uint32, n*n)
-	if err := blis.Syrk(opt.blisCfg(), g, counts, n, true); err != nil {
+	if err := blis.SyrkEpilogue(opt.blisCfg(), g, newDenseEpilogue(res, opt, true)); err != nil {
 		return nil, err
 	}
-	fillMeasures(res, counts, opt)
+	if res.Counts != nil {
+		blis.Mirror(res.Counts, n, n)
+	}
 	return res, nil
 }
 
@@ -220,61 +214,12 @@ func Cross(a, b *bitmat.Matrix, opt Options) (*Result, error) {
 	if a.Samples == 0 && a.SNPs > 0 && b.SNPs > 0 {
 		return nil, fmt.Errorf("core: cross LD with zero samples")
 	}
-	m, n := a.SNPs, b.SNPs
 	res := &Result{
-		SNPs: m, Cols: n, Samples: a.Samples,
+		SNPs: a.SNPs, Cols: b.SNPs, Samples: a.Samples,
 		RowFreqs: AlleleFrequencies(a), ColFreqs: AlleleFrequencies(b),
 	}
-	if opt.fused() {
-		e := newDenseEpilogue(res, opt, false)
-		if err := blis.GemmEpilogue(opt.blisCfg(), a, b, e); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	counts := make([]uint32, m*n)
-	if err := blis.Gemm(opt.blisCfg(), a, b, counts, n); err != nil {
+	if err := blis.GemmEpilogue(opt.blisCfg(), a, b, newDenseEpilogue(res, opt, false)); err != nil {
 		return nil, err
 	}
-	fillMeasures(res, counts, opt)
 	return res, nil
-}
-
-// fillMeasures runs the O(n²) epilogue converting haplotype counts into the
-// requested statistics, and hands the counts back: it is reached only with
-// KeepCounts set.
-func fillMeasures(res *Result, counts []uint32, opt Options) {
-	meas := opt.measures()
-	m, n := res.SNPs, res.Cols
-	inv := 0.0
-	if res.Samples > 0 {
-		inv = 1 / float64(res.Samples)
-	}
-	if meas&MeasureD != 0 {
-		res.D = make([]float64, m*n)
-	}
-	if meas&MeasureR2 != 0 {
-		res.R2 = make([]float64, m*n)
-	}
-	if meas&MeasureDPrime != 0 {
-		res.DPrime = make([]float64, m*n)
-	}
-	for i := 0; i < m; i++ {
-		pa := res.RowFreqs[i]
-		row := counts[i*n : (i+1)*n]
-		for j, c := range row {
-			p := PairFromFreqs(float64(c)*inv, pa, res.ColFreqs[j])
-			idx := i*n + j
-			if res.D != nil {
-				res.D[idx] = p.D
-			}
-			if res.R2 != nil {
-				res.R2[idx] = p.R2
-			}
-			if res.DPrime != nil {
-				res.DPrime[idx] = p.DPrime
-			}
-		}
-	}
-	res.Counts = counts
 }

@@ -5,7 +5,6 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
-	"ldgemm/internal/kernel"
 	"ldgemm/internal/popcount"
 )
 
@@ -34,6 +33,7 @@ func MaskedPairLD(g *bitmat.Matrix, k *bitmat.Mask, i, j int) Pair {
 // using the fused masked blocked driver. The mask is applied to a copy of
 // the matrix first (enforcing s = s & c), so callers may pass matrices
 // whose gap positions carry arbitrary bits. Both triangles are filled.
+// KeepCounts returns no counts here: there is no dense four-count matrix.
 func MaskedMatrix(g *bitmat.Matrix, mask *bitmat.Mask, opt Options) (*Result, error) {
 	if mask.SNPs != g.SNPs || mask.Samples != g.Samples {
 		return nil, fmt.Errorf("core: mask %dx%d does not match matrix %dx%d",
@@ -53,61 +53,11 @@ func MaskedMatrix(g *bitmat.Matrix, mask *bitmat.Mask, opt Options) (*Result, er
 		}
 	}
 	res.ColFreqs = res.RowFreqs
-	if opt.fused() {
-		// Fused: no n²·16-byte quad matrix, no count mirror — each tile
-		// converts its four-count cells in place and writes the (bit-
-		// symmetric) float mirrors it owns.
-		e := newMaskedEpilogue(res, opt, true)
-		if err := blis.MaskedSyrkEpilogue(opt.blisCfg(), gm, mask, e); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	quad := make([]uint32, n*n*4)
-	if err := blis.MaskedSyrk(opt.blisCfg(), gm, mask, quad, n); err != nil {
+	// No n²·16-byte quad matrix, no count mirror: each run converts its
+	// four-count cells in place and writes the (bit-symmetric) float
+	// mirrors it owns.
+	if err := blis.MaskedSyrkEpilogue(opt.blisCfg(), gm, mask, newMaskedEpilogue(res, opt, true)); err != nil {
 		return nil, err
 	}
-	blis.MirrorMasked(quad, n, n)
-	fillMaskedMeasures(res, quad, opt)
 	return res, nil
-}
-
-// fillMaskedMeasures converts the four-count matrix into the requested
-// statistics using per-pair effective sample sizes.
-func fillMaskedMeasures(res *Result, quad []uint32, opt Options) {
-	meas := opt.measures()
-	m, n := res.SNPs, res.Cols
-	if meas&MeasureD != 0 {
-		res.D = make([]float64, m*n)
-	}
-	if meas&MeasureR2 != 0 {
-		res.R2 = make([]float64, m*n)
-	}
-	if meas&MeasureDPrime != 0 {
-		res.DPrime = make([]float64, m*n)
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			idx := i*n + j
-			cell := quad[idx*4 : idx*4+4]
-			var p Pair
-			if v := cell[kernel.MaskedValid]; v > 0 {
-				nv := float64(v)
-				p = PairFromFreqs(
-					float64(cell[kernel.MaskedIJ])/nv,
-					float64(cell[kernel.MaskedI])/nv,
-					float64(cell[kernel.MaskedJ])/nv,
-				)
-			}
-			if res.D != nil {
-				res.D[idx] = p.D
-			}
-			if res.R2 != nil {
-				res.R2[idx] = p.R2
-			}
-			if res.DPrime != nil {
-				res.DPrime[idx] = p.DPrime
-			}
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"ldgemm/internal/bitmat"
-	"ldgemm/internal/blis"
 )
 
 // StreamOptions configures a striped streaming LD scan.
@@ -35,11 +34,14 @@ type StreamOptions struct {
 	// bit-identical to a full scan's — a cluster shard streaming only its
 	// owned row strip reproduces exactly the rows a single node computes.
 	RowStart, RowEnd int
-	// IOPanelSNPs is the column-panel width (in SNPs) of the out-of-core
-	// scheduler's B-side fetches (default 1024). Only StreamSource reads
-	// it; resident scans pass whole slices to the driver. Values are
-	// bit-independent of the panel width — every output cell's count is a
-	// full-K dot product no matter how the columns are paneled.
+	// IOPanelSNPs is the column-panel width (in SNPs) of the scan's B-side
+	// fetches from a file-backed source (default 1024), and the unit the
+	// band-skip counters count panels in. A resident matrix (Stream, or a
+	// bitmat.MemSource) is fetched one panel wide whatever it says: its
+	// panels are zero-copy views, so a narrower cut would only add driver
+	// calls. Values are bit-independent of the panel width — every output
+	// cell's count is a full-K dot product no matter how the columns are
+	// paneled.
 	IOPanelSNPs int
 	// Banded restricts the scan to pairs with |i−j| ≤ Band by capping each
 	// stripe's off-diagonal work at the band edge: far-off-diagonal column
@@ -72,11 +74,11 @@ func (o StreamOptions) ioPanel() int {
 }
 
 // check validates what every streaming scan shares: a scan hands out
-// float64 rows and never holds the dense count matrix KeepCounts promises,
+// float64 rows and has no dense count matrix to hand back for KeepCounts,
 // and a band needs the triangular schedule.
 func (o StreamOptions) check() error {
-	if !o.fused() {
-		return fmt.Errorf("core: streaming requires the fused epilogue (no KeepCounts)")
+	if o.Measures&KeepCounts != 0 {
+		return fmt.Errorf("core: a streaming scan has no dense count matrix to keep (KeepCounts)")
 	}
 	if !o.Banded {
 		return nil
@@ -192,31 +194,11 @@ func (v *rowVisitor) release() {
 // buffer is pooled); callers must not retain it.
 //
 // The statistic delivered is r² unless Options.Measures selects exactly
-// MeasureD or MeasureDPrime.
+// MeasureD or MeasureDPrime. Stream is StreamSource over the resident
+// matrix, fetched one panel wide: a triangular stripe makes one SYRK and at
+// most one GEMM, a full stripe one GEMM.
 func Stream(g *bitmat.Matrix, opt StreamOptions, visit func(i, j0 int, row []float64)) error {
-	v := &rowVisitor{opt: opt, n: g.SNPs, visit: visit}
-	defer v.release()
-	return streamResident(g, opt, v)
-}
-
-// streamResident validates a scan of a resident matrix and runs it into
-// sink.
-func streamResident(g *bitmat.Matrix, opt StreamOptions, sink StripeSink) error {
-	if g.Samples == 0 && g.SNPs > 0 {
-		return fmt.Errorf("core: streaming LD with zero samples")
-	}
-	stripe := opt.stripeRows()
-	if stripe < 1 {
-		return fmt.Errorf("core: invalid StripeRows %d", stripe)
-	}
-	lo, hi, err := opt.rowWindow(g.SNPs)
-	if err != nil {
-		return err
-	}
-	if err := opt.check(); err != nil {
-		return err
-	}
-	return streamFused(g, opt, AlleleFrequencies(g), lo, hi, stripe, sink)
+	return StreamSource(bitmat.NewMemSource(g), opt, visit)
 }
 
 // stripeScan builds the stripe epilogues of one fused scan. Whatever
@@ -287,49 +269,6 @@ func getStripe(cells int) *[]float64 {
 	}
 	b := make([]float64, cells)
 	return &b
-}
-
-// streamFused is the resident scan's body: the stripe's statistic values are
-// written directly by the blocked driver's fused epilogue into the sink's
-// float64 stripe — no uint32 count stripe, no per-row conversion pass, and
-// the conversion runs in parallel inside the driver. Expression shapes match
-// the dense split sweep exactly (exact via PairFromFreqs's sequence), so
-// streamed values under Exact are bit-identical to Matrix's.
-func streamFused(g *bitmat.Matrix, opt StreamOptions, p []float64, lo, hi, stripe int, sink StripeSink) error {
-	n := g.SNPs
-	scan := newStripeScan(opt, p, g.Samples)
-	for i0 := lo; i0 < hi; i0 += stripe {
-		rows := min(stripe, hi-i0)
-		sub := g.Slice(i0, i0+rows)
-		width := n
-		bHi := opt.stripeColEnd(i0, rows, n)
-		if opt.Triangular {
-			width = bHi - i0
-		}
-		v := sink.StripeBuffer(opt.stripeCells(stripe, i0, hi, n))[:rows*width]
-		if opt.Triangular {
-			// Diagonal block: the fused SYRK sweep writes every upper-
-			// triangle cell (and correct below-diagonal by-products the
-			// sink never reads), so no clear is needed — the
-			// epilogue assigns rather than accumulates.
-			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, scan.epilogue(v, width, i0, i0)); err != nil {
-				return err
-			}
-			if skip := n - bHi; skip > 0 {
-				blis.NoteBandSkip(1, int64(rows)*int64(skip))
-			}
-			if i0+rows < bHi {
-				rest := g.Slice(i0+rows, bHi)
-				if err := blis.GemmEpilogue(opt.blisCfg(), sub, rest, scan.epilogue(v[rows:], width, i0, i0+rows)); err != nil {
-					return err
-				}
-			}
-		} else if err := blis.GemmEpilogue(opt.blisCfg(), sub, g, scan.epilogue(v, width, i0, 0)); err != nil {
-			return err
-		}
-		sink.StripeDone(i0, rows, width, v)
-	}
-	return nil
 }
 
 // SumR2 runs a triangular streaming scan and returns the sum and count of

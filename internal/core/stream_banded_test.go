@@ -46,8 +46,8 @@ func collectBanded(t *testing.T, g *bitmat.Matrix, opt StreamOptions, ooc bool) 
 	return out
 }
 
-// sliceBacked wraps g in a non-MemSource so StreamSource exercises the
-// real panel-pair schedule rather than short-circuiting to Stream.
+// sliceBacked wraps g in a non-MemSource, so StreamSource fetches it in
+// IOPanelSNPs-wide panels as it would a file.
 func sliceBacked(t *testing.T, g *bitmat.Matrix) bitmat.Source {
 	t.Helper()
 	src, err := bitmat.NewSliceSource(bitmat.NewMemSource(g), 0, g.SNPs)
@@ -123,6 +123,40 @@ func TestBandedSkipCounters(t *testing.T) {
 		}
 		if p, c := run(g.SNPs, ooc); p != 0 || c != 0 {
 			t.Fatalf("ooc=%v: W=n skipped %d panels / %d cells, want 0", ooc, p, c)
+		}
+	}
+}
+
+// TestBandSkipCountersAgree: the band-skip counters read the same whatever
+// the source and its fetch width — panels counted IOPanelSNPs wide, and
+// every skipped cell noted, also where a stripe's band edge falls inside
+// the last panel of its walk (stripe 96 of 100 SNPs at W = 3).
+func TestBandSkipCountersAgree(t *testing.T) {
+	g := streamMatrix(t, 100, 40, 5)
+	n := g.SNPs
+	skips := func(scan func(StreamOptions, func(int, int, []float64)) error, opt StreamOptions) [2]uint64 {
+		before := blis.ReadStats()
+		if err := scan(opt, func(int, int, []float64) {}); err != nil {
+			t.Fatal(err)
+		}
+		after := blis.ReadStats()
+		return [2]uint64{after.BandPanelsSkipped - before.BandPanelsSkipped, after.BandCellsSkipped - before.BandCellsSkipped}
+	}
+	for _, W := range []int{0, 3, 4, 17, n - 1, n} {
+		opt := StreamOptions{Triangular: true, StripeRows: 16, Banded: true, Band: W, IOPanelSNPs: 8}
+		var cells uint64
+		for i0 := 0; i0 < n; i0 += 16 {
+			rows := min(16, n-i0)
+			cells += uint64(rows * (n - opt.stripeColEnd(i0, rows, n)))
+		}
+		resident := skips(func(o StreamOptions, v func(int, int, []float64)) error { return Stream(g, o, v) }, opt)
+		paneled := skips(func(o StreamOptions, v func(int, int, []float64)) error { return StreamSource(sliceBacked(t, g), o, v) }, opt)
+		if resident != paneled {
+			t.Fatalf("W=%d: resident scan skipped %d panels / %d cells, paneled %d / %d",
+				W, resident[0], resident[1], paneled[0], paneled[1])
+		}
+		if resident[1] != cells {
+			t.Fatalf("W=%d: %d cells noted skipped, want %d", W, resident[1], cells)
 		}
 	}
 }

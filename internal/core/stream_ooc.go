@@ -2,22 +2,24 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
 )
 
-// This file implements the out-of-core panel-pair scheduler: the striped
-// streaming scan of Stream, generalized from a resident Matrix to any
-// bitmat.Source (an mmap'd or windowed .ldbm file, or a resident matrix
-// behind MemSource). The stripe × column-panel triangle is walked with a
-// dedicated prefetcher goroutine reading — or, for mmap'd sources,
-// MADV_WILLNEED-ing — the panels ahead of the compute loop, so disk I/O
-// for panel k+1 overlaps the GEMM + fused epilogue on panel k. Per-row
-// values are bit-identical to Stream's: counts are full-K dot products
-// independent of column paneling, and the fused epilogue's expression
-// shapes are per-cell, so the decomposition cannot perturb a single bit.
+// This file implements the panel-pair scheduler, the one striped scan
+// under Stream and StreamSource, over any bitmat.Source (an mmap'd or
+// windowed .ldbm file, or a resident matrix behind MemSource). The stripe ×
+// column-panel triangle is walked with a dedicated prefetcher goroutine
+// reading — or, for mmap'd sources, MADV_WILLNEED-ing — the panels ahead
+// of the compute loop, so disk I/O for panel k+1 overlaps the GEMM + fused
+// epilogue on panel k. A resident source is fetched one panel wide (see
+// StreamOptions.IOPanelSNPs). Per-row values do not depend on the source
+// or its panel width: counts are full-K dot products independent of column
+// paneling, and the fused epilogue's expression shapes are per-cell, so
+// the decomposition cannot perturb a single bit.
 //
 // Memory is bounded by the stripe (StripeRows × n float64 values), the
 // double-buffered panel pools (2 A-stripes + 2 B-panels of packed words in
@@ -65,9 +67,9 @@ func SourceAlleleFrequencies(src bitmat.Source, panelSNPs int) ([]float64, error
 // StreamSource is Stream for a bitmat.Source: it computes the same rows,
 // delivers them through the same visit contract, and produces bit-
 // identical values — but the bit matrix is fetched panel by panel, so the
-// scan runs on datasets that never fit in memory. A resident MemSource
-// short-circuits to Stream (one zero-copy "panel" is the whole matrix);
-// file sources run the double-buffered panel-pair schedule.
+// scan runs on datasets that never fit in memory. Every source runs the
+// same double-buffered panel-pair schedule; only a resident MemSource's
+// panel width differs (see StreamOptions.IOPanelSNPs).
 //
 // Like Stream it rejects KeepCounts: the dense count matrix is what
 // streaming exists to avoid.
@@ -77,14 +79,12 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 	return StreamSourceStripes(src, opt, v)
 }
 
-// StreamSourceStripes is the scan under StreamSource (and, through the
-// MemSource short-circuit, under Stream) with stripe-level delivery: the
-// same schedule and the same bits, each stripe computed into the buffer
-// sink supplies and handed back whole (see StripeSink).
+// StreamSourceStripes is the scan under StreamSource and Stream with
+// stripe-level delivery: the same schedule and the same bits, each stripe
+// computed into the buffer sink supplies and handed back whole (see
+// StripeSink). It returns only once its prefetcher has exited, so no
+// Source.Panel call is in flight or starts after it returns, error or not.
 func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) error {
-	if ms, ok := src.(*bitmat.MemSource); ok {
-		return streamResident(ms.M, opt, sink)
-	}
 	if err := opt.check(); err != nil {
 		return err
 	}
@@ -101,7 +101,14 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 	if err != nil {
 		return err
 	}
+	// A resident matrix is fetched one panel wide: its panels are zero-copy
+	// views, so a narrower cut would only add driver calls, and handing
+	// them over reads nothing (no panel I/O or stall is recorded).
 	panel := opt.ioPanel()
+	_, resident := src.(*bitmat.MemSource)
+	if resident {
+		panel = max(n, 1)
+	}
 	p, err := SourceAlleleFrequencies(src, panel)
 	if err != nil {
 		return err
@@ -114,7 +121,10 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 	// this is where far-off-diagonal panels drop out of existence: never
 	// scheduled, never fetched, never multiplied. The compute loop below
 	// derives its panel walk from the same stripeColEnd, so producer and
-	// consumer always agree on the schedule.
+	// consumer always agree on the schedule. What a band skipped is counted
+	// the same way for every source: all the cells past the band edge, and
+	// the IOPanelSNPs-wide panels of the unbanded walk that hold none of
+	// the band, whatever width this source is fetched at.
 	var schedule []oocReq
 	for i0 := lo; i0 < hi; i0 += stripe {
 		rows := min(stripe, hi-i0)
@@ -127,8 +137,11 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 		for c := bLo; c < bHi; c += panel {
 			schedule = append(schedule, oocReq{c, min(c+panel, bHi), false})
 		}
-		if skipped := countSkippedPanels(bLo, bHi, n, panel); skipped > 0 {
-			blis.NoteBandSkip(skipped, int64(rows)*int64(n-bHi))
+		if n > bHi {
+			// The unbanded walk's panels of [bLo, n) less those of [bLo, bHi).
+			w := opt.ioPanel()
+			skipped := (n-bLo+w-1)/w - (bHi-bLo+w-1)/w
+			blis.NoteBandSkip(int64(skipped), int64(rows)*int64(n-bHi))
 		}
 	}
 
@@ -141,9 +154,15 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 	}
 	fetched := make(chan oocPanel, 2)
 	done := make(chan struct{})
-	defer close(done)
+	var prefetcher sync.WaitGroup
+	defer func() {
+		close(done)
+		prefetcher.Wait()
+	}()
 
+	prefetcher.Add(1)
 	go func() {
+		defer prefetcher.Done()
 		defer close(fetched)
 		for _, r := range schedule {
 			pool := freeB
@@ -161,7 +180,9 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 			// read itself, into the recycled pool buffer.
 			src.Prefetch(r.lo, r.hi)
 			m, err := src.Panel(r.lo, r.hi, buf)
-			blis.NotePanelRead(int64(r.hi-r.lo) * int64(words) * 8)
+			if !resident {
+				blis.NotePanelRead(int64(r.hi-r.lo) * int64(words) * 8)
+			}
 			select {
 			case fetched <- oocPanel{m: m, buf: buf, err: err}:
 			case <-done:
@@ -180,7 +201,9 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 		default:
 			t0 := time.Now()
 			pnl, ok = <-fetched
-			blis.NotePrefetchStall(time.Since(t0).Nanoseconds())
+			if !resident {
+				blis.NotePrefetchStall(time.Since(t0).Nanoseconds())
+			}
 		}
 		if !ok {
 			return pnl, fmt.Errorf("core: panel prefetcher exited early")
@@ -228,16 +251,4 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 		sink.StripeDone(i0, rows, width, v)
 	}
 	return nil
-}
-
-// countSkippedPanels returns how many column panels of the unbanded walk
-// [bLo, n) a banded cap at bHi eliminated.
-func countSkippedPanels(bLo, bHi, n, panel int) int64 {
-	var skipped int64
-	for c := bLo; c < n; c += panel {
-		if c >= bHi {
-			skipped++
-		}
-	}
-	return skipped
 }

@@ -225,8 +225,8 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 // the tile container to w. It rides core.StreamSourceStripes' triangular scan
 // with StripeRows = TileSize, so each tile row is produced from one stripe
 // and result memory stays O(TileSize × SNPs) no matter how large the full
-// n² matrix would be; a resident bitmat.MemSource runs core.Stream's
-// in-RAM scan, any other source the double-buffered panel schedule. The
+// n² matrix would be; every source runs the double-buffered panel
+// schedule, a resident bitmat.MemSource one panel wide. The
 // output side is buffered too: a writer goroutine encodes and appends
 // stripe s while the scan computes stripe s+1 into another buffer. The
 // Exact epilogue is forced so stored values are bit-identical to the dense
