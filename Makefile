@@ -9,6 +9,20 @@ verify:
 	go build ./...
 	go test ./...
 
+# Build every program under examples/ and run it. `go build ./...` only
+# compiles them; running them exercises their own checks (fingerprint:
+# the planted analogs are recovered; longrange: the planted interaction is
+# the top hit; sweepdetect: the ω peak lands on the planted sweep), each a
+# log.Fatal that fails the target. Their output is discarded.
+.PHONY: examples
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	go build -o "$$dir/" ./examples/... && \
+	for ex in "$$dir"/*; do \
+		echo "examples/$$(basename "$$ex")"; \
+		"$$ex" >/dev/null || exit 1; \
+	done
+
 # Build-tag gate: the AVX-512 micro-kernel and the SIMD popcount tiers are
 # amd64-only files; a non-amd64 target must still build from what is left
 # (offline, standard library only). vet compiles the tests too, so the

@@ -3,13 +3,10 @@ package main
 import (
 	"bufio"
 	"fmt"
-	"math"
-	"sort"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
 	"ldgemm/internal/core"
-	"ldgemm/internal/ldmap"
 	"ldgemm/internal/seqio"
 )
 
@@ -50,25 +47,6 @@ func runBlocks(w *bufio.Writer, g *bitmat.Matrix, threads int, dprime, frac floa
 	return nil
 }
 
-// runDecay executes the -decay analysis: the LD decay profile.
-func runDecay(w *bufio.Writer, g *bitmat.Matrix, threads int, maxDist, bins int) error {
-	p, err := ldmap.Decay(g, ldmap.Options{
-		MaxDistance: maxDist, Bins: bins,
-		LD: core.Options{Blis: blis.Config{Threads: threads}},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "distance,mean_r2,pairs")
-	for b := range p.Centers {
-		fmt.Fprintf(w, "%.1f,%.6f,%d\n", p.Centers[b], p.MeanR2[b], p.Counts[b])
-	}
-	if hd := p.HalfDecayDistance(); !math.IsNaN(hd) {
-		fmt.Fprintf(w, "# half-decay distance: %.1f SNPs\n", hd)
-	}
-	return nil
-}
-
 // runLDOut writes every pair above a floor to the tabular .ld format.
 func runLDOut(w *bufio.Writer, g *bitmat.Matrix, threads int, measure core.Measure, floor float64) error {
 	// Positions are synthesized on an even grid (no map information in
@@ -103,35 +81,4 @@ func runLDOut(w *bufio.Writer, g *bitmat.Matrix, threads int, measure core.Measu
 		return err
 	}
 	return seqio.WriteLD(w, recs)
-}
-
-// runEM computes EM haplotype-frequency LD for an unphased PLINK fileset:
-// the strongest K pairs by EM r² (Hill 1974), as PLINK does for
-// genotype data.
-func runEM(w *bufio.Writer, fs *seqio.PlinkFileset, top int) error {
-	g := fs.Genotypes
-	type hit struct {
-		i, j int
-		p    core.Pair
-	}
-	var hits []hit
-	for i := 0; i < g.SNPs; i++ {
-		for j := i + 1; j < g.SNPs; j++ {
-			p, err := core.EMPairLD(g, i, j)
-			if err != nil {
-				return err
-			}
-			hits = append(hits, hit{i, j, p})
-		}
-	}
-	sort.Slice(hits, func(a, b int) bool { return hits[a].p.R2 > hits[b].p.R2 })
-	if top > len(hits) {
-		top = len(hits)
-	}
-	fmt.Fprintln(w, "snp_i,snp_j,id_i,id_j,em_r2,em_d,em_dprime")
-	for _, h := range hits[:top] {
-		fmt.Fprintf(w, "%d,%d,%s,%s,%.6f,%.6f,%.6f\n",
-			h.i, h.j, fs.Variants[h.i].ID, fs.Variants[h.j].ID, h.p.R2, h.p.D, h.p.DPrime)
-	}
-	return nil
 }

@@ -6,17 +6,15 @@
 //	ldcalc -in data.ldgm -measure r2 -top 20
 //	ldcalc -in sim.ms -measure dprime -matrix -out ld.csv
 //	ldcalc -in calls.vcf -summary
-//	ldcalc -in data.ldgm -prune -blocks -decay
-//	ldcalc -in cohort.bed -em 20
+//	ldcalc -in data.ldgm -prune -blocks
 //
 // Input formats are detected from the extension (.ldgm, .ms, .vcf) or set
 // with -format. Output modes: -summary (default) prints aggregate LD
 // statistics; -top K lists the K strongest off-diagonal pairs with χ²
-// significance; -matrix dumps the full dense matrix as CSV; -prune,
-// -blocks, and -decay run the sliding-window pruner, haplotype-block
-// detector, and decay profiler; -ld-out emits tabular .ld records; -em K
-// reads a PLINK .bed/.bim/.fam fileset and reports the strongest pairs by
-// EM-estimated haplotype r².
+// significance, in the canonical pair order (|value| descending, then
+// (i, j) ascending); -matrix dumps the full dense matrix as CSV; -prune
+// and -blocks run the sliding-window pruner and haplotype-block detector;
+// -ld-out emits tabular .ld records.
 package main
 
 import (
@@ -60,12 +58,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	blocks := fs.Bool("blocks", false, "detect haplotype blocks")
 	blocksDPrime := fs.Float64("blocks-dprime", 0.8, "block |D'| threshold")
 	blocksFrac := fs.Float64("blocks-frac", 0.9, "block strong-pair fraction")
-	decay := fs.Bool("decay", false, "print the LD decay profile")
-	decayMax := fs.Int("decay-max", 200, "decay profile maximum distance (SNPs)")
-	decayBins := fs.Int("decay-bins", 40, "decay profile bins")
 	ldOut := fs.Bool("ld-out", false, "emit pairs in tabular .ld format")
 	ldFloor := fs.Float64("ld-floor", 0.2, "minimum |value| for -ld-out records")
-	em := fs.Int("em", 0, "with a .bed fileset: print the K strongest pairs by EM haplotype r²")
 	out := fs.String("out", "", "output path (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -74,15 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *in == "" {
 		fs.Usage()
 		return fmt.Errorf("-in is required")
-	}
-	if *em > 0 {
-		fileset, err := seqio.ReadPlinkFileset(*in)
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(stdout)
-		defer w.Flush()
-		return runEM(w, fileset, *em)
 	}
 	g, err := load(*in, *format)
 	if err != nil {
@@ -112,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	defer w.Flush()
 
-	if !*matrix && *top == 0 && !*prune && !*blocks && !*decay && !*ldOut {
+	if !*matrix && *top == 0 && !*prune && !*blocks && !*ldOut {
 		*summary = true
 	}
 	opt := core.Options{Measures: meas, Blis: blis.Config{Threads: *threads}}
@@ -139,11 +124,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *blocks {
 		if err := runBlocks(w, g, *threads, *blocksDPrime, *blocksFrac); err != nil {
-			return err
-		}
-	}
-	if *decay {
-		if err := runDecay(w, g, *threads, *decayMax, *decayBins); err != nil {
 			return err
 		}
 	}
@@ -224,27 +204,31 @@ type pairHit struct {
 	v    float64
 }
 
+// ranksBefore is core.RanksBefore over |v|, the order /api/ld/top ranks
+// in: ties come out in (i, j) order, and a tie at the cut keeps the
+// earlier pair.
+func (a pairHit) ranksBefore(b pairHit) bool {
+	return core.RanksBefore(abs(a.v), a.i, a.j, abs(b.v), b.i, b.j)
+}
+
 func printTop(w *bufio.Writer, g *bitmat.Matrix, opt core.Options, meas core.Measure, k int) error {
-	hits := make([]pairHit, 0, k+1)
+	// hits stays sorted by ranksBefore; a pair that beats the last one is
+	// inserted at its rank and the last one falls off.
+	hits := make([]pairHit, 0, k)
 	sopt := core.StreamOptions{Options: opt, Triangular: true}
 	sopt.Measures = meas
 	err := core.Stream(g, sopt, func(i, j0 int, row []float64) {
 		for t, v := range row {
-			j := j0 + t
-			if j == i {
+			h := pairHit{i, j0 + t, v}
+			if h.j == i || len(hits) == k && !h.ranksBefore(hits[k-1]) {
 				continue
 			}
-			av := v
-			if av < 0 {
-				av = -av
+			at := sort.Search(len(hits), func(x int) bool { return h.ranksBefore(hits[x]) })
+			if len(hits) < k {
+				hits = append(hits, pairHit{})
 			}
-			if len(hits) < k || av > abs(hits[len(hits)-1].v) {
-				hits = append(hits, pairHit{i, j, v})
-				sort.Slice(hits, func(a, b int) bool { return abs(hits[a].v) > abs(hits[b].v) })
-				if len(hits) > k {
-					hits = hits[:k]
-				}
-			}
+			copy(hits[at+1:], hits[at:])
+			hits[at] = h
 		}
 	})
 	if err != nil {

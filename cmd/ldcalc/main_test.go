@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"ldgemm/internal/bitmat"
+	"ldgemm/internal/core"
 	"ldgemm/internal/popsim"
 	"ldgemm/internal/seqio"
 )
@@ -19,6 +24,11 @@ func writeDataset(t *testing.T, snps, samples int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return writeMatrix(t, m)
+}
+
+func writeMatrix(t *testing.T, m *bitmat.Matrix) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "data.ldgm")
 	f, err := os.Create(path)
 	if err != nil {
@@ -66,6 +76,67 @@ func TestLdcalcTop(t *testing.T) {
 	}
 }
 
+// TestLdcalcTopTiesCanonical: on a cohort of eight SNPs each present three
+// times, interleaved, most values are tied and the cut at 20 falls inside
+// the 24 pairs of copies (r² = 1). -top must print exactly the first 20
+// off-diagonal pairs of the same stream in core.RanksBefore order over
+// |value|, the order /api/ld/top ranks in.
+func TestLdcalcTopTiesCanonical(t *testing.T) {
+	const bases, copies, k = 8, 3, 20
+	base, err := popsim.Mosaic(bases, 64, popsim.MosaicConfig{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := bitmat.New(bases*copies, base.Samples)
+	for c := 0; c < copies; c++ {
+		for b := 0; b < bases; b++ {
+			copy(m.SNP(c*bases+b), base.SNP(b))
+		}
+	}
+	path := writeMatrix(t, m)
+	for _, c := range []struct {
+		measure string
+		meas    core.Measure
+	}{{"r2", core.MeasureR2}, {"d", core.MeasureD}} {
+		type hit struct {
+			i, j int
+			v    float64
+		}
+		var all []hit
+		sopt := core.StreamOptions{Options: core.Options{Measures: c.meas}, Triangular: true}
+		if err := core.Stream(m, sopt, func(i, j0 int, row []float64) {
+			for x, v := range row {
+				if j0+x != i {
+					all = append(all, hit{i, j0 + x, v})
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(all, func(a, b int) bool {
+			return core.RanksBefore(math.Abs(all[a].v), all[a].i, all[a].j, math.Abs(all[b].v), all[b].i, all[b].j)
+		})
+		if math.Abs(all[k-1].v) != math.Abs(all[k].v) {
+			t.Fatalf("%s: the cut at %d is not inside a tie", c.measure, k)
+		}
+
+		out, err := runLdcalc(t, "-in", path, "-measure", c.measure, "-top", strconv.Itoa(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(out), "\n")[1:]
+		if len(lines) != k {
+			t.Fatalf("%s: %d pairs, want %d", c.measure, len(lines), k)
+		}
+		for r, line := range lines {
+			want := fmt.Sprintf("%d,%d,%.6f,", all[r].i, all[r].j, all[r].v)
+			if !strings.HasPrefix(line, want) {
+				t.Fatalf("%s: rank %d is %q, want %q…", c.measure, r, line, want)
+			}
+		}
+	}
+}
+
 func TestLdcalcMatrixDimensions(t *testing.T) {
 	path := writeDataset(t, 12, 30)
 	out, err := runLdcalc(t, "-in", path, "-matrix")
@@ -78,13 +149,13 @@ func TestLdcalcMatrixDimensions(t *testing.T) {
 	}
 }
 
-func TestLdcalcPruneBlocksDecay(t *testing.T) {
+func TestLdcalcPruneBlocks(t *testing.T) {
 	path := writeDataset(t, 60, 80)
-	out, err := runLdcalc(t, "-in", path, "-prune", "-prune-window", "20", "-blocks", "-decay", "-decay-max", "30", "-decay-bins", "3")
+	out, err := runLdcalc(t, "-in", path, "-prune", "-prune-window", "20", "-blocks")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"pruning: kept", "haplotype blocks", "distance,mean_r2,pairs"} {
+	for _, want := range []string{"pruning: kept", "haplotype blocks"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q", want)
 		}
@@ -105,29 +176,6 @@ func TestLdcalcLDOutParses(t *testing.T) {
 		if r.R2 < 0.05 && r.R2 > -0.05 {
 			t.Fatalf("record below floor: %+v", r)
 		}
-	}
-}
-
-func TestLdcalcEM(t *testing.T) {
-	m, err := popsim.Mosaic(10, 40, popsim.MosaicConfig{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := bitmat.FromHaplotypes(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := filepath.Join(t.TempDir(), "cohort")
-	if err := seqio.WritePlinkFileset(prefix, g, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	out, err := runLdcalc(t, "-in", prefix+".bed", "-em", "4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if lines[0] != "snp_i,snp_j,id_i,id_j,em_r2,em_d,em_dprime" || len(lines) != 5 {
-		t.Fatalf("em output:\n%s", out)
 	}
 }
 

@@ -70,13 +70,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
 	"ldgemm/internal/cluster"
 	"ldgemm/internal/ldsparse"
@@ -186,7 +184,7 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 		fs.Usage()
 		return nil, fmt.Errorf("-in is required")
 	}
-	g, err := load(*in)
+	g, err := seqio.LoadMatrix(*in)
 	if err != nil {
 		return nil, err
 	}
@@ -360,24 +358,4 @@ func (a *app) run(ctx context.Context) error {
 		a.coord.Close()
 	}
 	return err
-}
-
-func load(path string) (*bitmat.Matrix, error) {
-	r, closer, err := seqio.OpenMaybeGzip(path)
-	if err != nil {
-		return nil, err
-	}
-	defer closer.Close()
-	base := path
-	for filepath.Ext(base) == ".gz" {
-		base = base[:len(base)-3]
-	}
-	if filepath.Ext(base) == ".ms" {
-		reps, err := seqio.ReadMS(r)
-		if err != nil {
-			return nil, err
-		}
-		return reps[0].Matrix, nil
-	}
-	return seqio.ReadBinary(r)
 }

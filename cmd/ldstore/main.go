@@ -380,7 +380,7 @@ func runConvert(args []string, stdout, stderr io.Writer) error {
 			*in, snps, samples, *out, 2*samples)
 		return nil
 	}
-	m, err := load(*in)
+	m, err := seqio.LoadMatrix(*in)
 	if err != nil {
 		return err
 	}
@@ -566,31 +566,9 @@ func openSource(path string, mmap bool) (bitmat.Source, func(), error) {
 		}
 		return f, func() { f.Close() }, nil
 	}
-	m, err := load(path)
+	m, err := seqio.LoadMatrix(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	return bitmat.NewMemSource(m), func() {}, nil
-}
-
-// load reads a dataset the same way ldserver does, so a store built here
-// fingerprints identically to the matrix the server loads.
-func load(path string) (*bitmat.Matrix, error) {
-	r, closer, err := seqio.OpenMaybeGzip(path)
-	if err != nil {
-		return nil, err
-	}
-	defer closer.Close()
-	base := path
-	for filepath.Ext(base) == ".gz" {
-		base = base[:len(base)-3]
-	}
-	if filepath.Ext(base) == ".ms" {
-		reps, err := seqio.ReadMS(r)
-		if err != nil {
-			return nil, err
-		}
-		return reps[0].Matrix, nil
-	}
-	return seqio.ReadBinary(r)
 }

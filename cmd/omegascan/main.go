@@ -1,16 +1,13 @@
-// Command omegascan scans a genomic dataset for selective sweeps, with
-// either the Kim–Nielsen ω statistic (the OmegaPlus workload built on the
-// blocked LD kernel) or the Voight iHS haplotype statistic.
+// Command omegascan scans a genomic dataset for selective sweeps with the
+// Kim–Nielsen ω statistic: the OmegaPlus workload built on the blocked LD
+// kernel.
 //
 // Usage:
 //
 //	omegascan -in sweep.ldgm -grid 50 -max-each 200
-//	omegascan -in sweep.ldgm -stat ihs -max-span 200
 //
-// ω output: one line per grid position with the maximized ω and the
-// maximizing window, then the global peak. iHS output: one line per
-// common SNP with iHH values and the standardized score, then the peak
-// |iHS|.
+// Output: one line per grid position with the maximized ω and the
+// maximizing window, then the global peak.
 package main
 
 import (
@@ -19,9 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
-	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
 	"ldgemm/internal/core"
 	"ldgemm/internal/omega"
@@ -38,14 +33,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("omegascan", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	in := fs.String("in", "", "input path (.ldgm or .ms; required)")
-	stat := fs.String("stat", "omega", "selection statistic: omega (Kim–Nielsen) or ihs (Voight)")
-	grid := fs.Int("grid", 100, "number of evaluation positions (omega)")
-	minEach := fs.Int("min-each", 2, "minimum SNPs on each side of a candidate site (omega)")
-	maxEach := fs.Int("max-each", 100, "maximum SNPs on each side of a candidate site (omega)")
-	maxSpan := fs.Int("max-span", 200, "EHH trace distance per side in SNPs (ihs)")
-	minMAF := fs.Float64("min-maf", 0.05, "minimum minor-allele frequency (ihs)")
-	bins := fs.Int("bins", 20, "frequency bins for iHS standardization (ihs)")
+	in := fs.String("in", "", "input path (.ldgm or .ms, optionally gzipped; required)")
+	grid := fs.Int("grid", 100, "number of evaluation positions")
+	minEach := fs.Int("min-each", 2, "minimum SNPs on each side of a candidate site")
+	maxEach := fs.Int("max-each", 100, "maximum SNPs on each side of a candidate site")
 	threads := fs.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -55,15 +46,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-in is required")
 	}
-	g, err := load(*in)
+	g, err := seqio.LoadMatrix(*in)
 	if err != nil {
 		return err
-	}
-	if *stat == "ihs" {
-		return runIHS(stdout, g, *maxSpan, *minMAF, *bins)
-	}
-	if *stat != "omega" {
-		return fmt.Errorf("unknown statistic %q (want omega or ihs)", *stat)
 	}
 
 	cfg := omega.Config{
@@ -90,22 +75,4 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(w, "# peak: center=%d omega=%.4f window=[%d,%d)\n",
 		best.Center, best.Omega, best.Left, best.Right)
 	return nil
-}
-
-func load(path string) (*bitmat.Matrix, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch filepath.Ext(path) {
-	case ".ms", ".txt":
-		reps, err := seqio.ReadMS(f)
-		if err != nil {
-			return nil, err
-		}
-		return reps[0].Matrix, nil
-	default:
-		return seqio.ReadBinary(f)
-	}
 }

@@ -102,29 +102,3 @@ func TestOmegascanErrors(t *testing.T) {
 		t.Fatal("min-each=1 accepted")
 	}
 }
-
-func TestOmegascanIHS(t *testing.T) {
-	path := writeSweepDataset(t)
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-stat", "ihs", "-max-span", "60"}, &out, &errBuf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if lines[0] != "snp,derived_freq,ihh_derived,ihh_ancestral,unstd_ihs,std_ihs" {
-		t.Fatalf("header %q", lines[0])
-	}
-	if len(lines) < 20 {
-		t.Fatalf("only %d lines", len(lines))
-	}
-	if !strings.HasPrefix(lines[len(lines)-1], "# peak |iHS|:") {
-		t.Fatalf("missing peak line %q", lines[len(lines)-1])
-	}
-}
-
-func TestOmegascanBadStat(t *testing.T) {
-	path := writeSweepDataset(t)
-	var out, errBuf bytes.Buffer
-	if err := run([]string{"-in", path, "-stat", "zeta"}, &out, &errBuf); err == nil {
-		t.Fatal("unknown stat accepted")
-	}
-}

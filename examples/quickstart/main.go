@@ -16,8 +16,8 @@ import (
 
 func main() {
 	// 1. A genomic matrix: 500 SNPs × 1,000 sequences with realistic LD
-	// block structure (in a real pipeline this comes from ReadMS/ReadVCF
-	// or the SNP caller).
+	// block structure (in a real pipeline this comes from ReadMS, ReadVCF
+	// or ReadBinary).
 	g, err := ldgemm.GenerateMosaic(500, 1000, 7)
 	if err != nil {
 		log.Fatal(err)

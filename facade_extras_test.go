@@ -7,20 +7,11 @@ import (
 )
 
 // TestFacadeAnalyses drives the analysis layer end to end through the
-// public API: decay profile → pruning → blocks → significance → GWAS →
-// third-order LD, on one simulated dataset.
+// public API: pruning → blocks → significance, on one simulated dataset.
 func TestFacadeAnalyses(t *testing.T) {
 	g, err := GenerateMosaic(300, 800, 99)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	profile, err := Decay(g, DecayOptions{MaxDistance: 100, Bins: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if profile.MeanR2[0] <= profile.MeanR2[9] {
-		t.Fatalf("no decay: %v vs %v", profile.MeanR2[0], profile.MeanR2[9])
 	}
 
 	pruned, err := Prune(g, PruneOptions{WindowSNPs: 40, StepSNPs: 8, R2Threshold: 0.3})
@@ -50,34 +41,6 @@ func TestFacadeAnalyses(t *testing.T) {
 	}
 	if sig.Tested != 300*299/2 {
 		t.Fatalf("tested %d", sig.Tested)
-	}
-
-	ph, err := SimulatePhenotypes(g, PhenotypeConfig{
-		Seed: 100, Causal: []CausalEffect{{SNP: 150, Beta: 1.5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := AssociationTest(g, ph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clumps, err := ClumpAssociations(g, res, ClumpOptions{PThreshold: 1e-3, R2: 0.2, WindowSNPs: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = clumps // presence depends on draw strength; validated in internal/assoc
-
-	tr := TripleLD(g, 0, 1, 2)
-	if math.IsNaN(tr.D3) {
-		t.Fatal("TripleLD returned NaN")
-	}
-	triples, err := TripleScan(g.Slice(0, 30), TripleScanOptions{MaxSpan: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(triples) == 0 {
-		t.Fatal("triple scan empty")
 	}
 }
 

@@ -7,9 +7,7 @@
 // offline, so dataset A is substituted by the mosaic (Li–Stephens-style
 // copying) model below, calibrated to a neutral 1/i site-frequency
 // spectrum; B and C use the same generator at the paper's dimensions
-// (DESIGN.md records the substitution). A forward Wright–Fisher simulator
-// with mutation and recombination provides a mechanistic alternative for
-// examples and cross-validation, and a sweep overlay injects the
+// (DESIGN.md records the substitution). A sweep overlay injects the
 // reduced-diversity/high-flank-LD signature that the ω statistic detects.
 package popsim
 

@@ -158,86 +158,6 @@ func TestGeometricSkipDistribution(t *testing.T) {
 	}
 }
 
-func TestPoisson(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	const lambda = 2.5
-	const n = 20000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += float64(poisson(rng, lambda))
-	}
-	if mean := sum / n; math.Abs(mean-lambda) > 0.1 {
-		t.Fatalf("poisson mean %v, want %v", mean, lambda)
-	}
-	if poisson(rng, 0) != 0 {
-		t.Fatal("lambda=0 should give 0")
-	}
-}
-
-func TestWrightFisher(t *testing.T) {
-	res, err := WrightFisher(40, WFConfig{Seed: 7, PopSize: 80, Sites: 300, Generations: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Matrix.Samples != 40 {
-		t.Fatalf("samples %d", res.Matrix.Samples)
-	}
-	if res.Segregating < 10 {
-		t.Fatalf("only %d segregating sites", res.Segregating)
-	}
-	if res.Matrix.SNPs != res.Segregating || len(res.Positions) != res.Segregating {
-		t.Fatal("inconsistent segregating bookkeeping")
-	}
-	for i := 0; i < res.Matrix.SNPs; i++ {
-		c := res.Matrix.DerivedCount(i)
-		if c == 0 || c == 40 {
-			t.Fatalf("WF SNP %d monomorphic", i)
-		}
-	}
-	for i := 1; i < len(res.Positions); i++ {
-		if res.Positions[i] <= res.Positions[i-1] {
-			t.Fatal("positions not increasing")
-		}
-	}
-}
-
-func TestWrightFisherErrors(t *testing.T) {
-	if _, err := WrightFisher(0, WFConfig{}); err == nil {
-		t.Fatal("zero samples accepted")
-	}
-	if _, err := WrightFisher(300, WFConfig{PopSize: 100}); err == nil {
-		t.Fatal("samples > PopSize accepted")
-	}
-	if _, err := WrightFisher(10, WFConfig{MutationRate: -1}); err == nil {
-		t.Fatal("negative mutation rate accepted")
-	}
-}
-
-// TestWrightFisherLD checks recombination limits LD range: adjacent sites
-// more correlated than distant ones.
-func TestWrightFisherLD(t *testing.T) {
-	res, err := WrightFisher(60, WFConfig{Seed: 9, PopSize: 100, Sites: 600, Generations: 400,
-		MutationRate: 1.2, RecombinationRate: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := res.Matrix
-	if m.SNPs < 40 {
-		t.Skipf("too few segregating sites (%d) for an LD decay check", m.SNPs)
-	}
-	var near, far []float64
-	for i := 0; i+1 < m.SNPs; i++ {
-		near = append(near, core.PairLD(m, i, i+1).R2)
-		j := i + m.SNPs/2
-		if j < m.SNPs {
-			far = append(far, core.PairLD(m, i, j).R2)
-		}
-	}
-	if stats.Mean(near) <= stats.Mean(far) {
-		t.Fatalf("no LD decay: near %v far %v", stats.Mean(near), stats.Mean(far))
-	}
-}
-
 func TestApplySweepSignature(t *testing.T) {
 	m, err := Mosaic(300, 200, MosaicConfig{Seed: 11})
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // gzipMagic are the first two bytes of any gzip stream.
@@ -35,20 +34,6 @@ func OpenMaybeGzip(path string) (io.Reader, io.Closer, error) {
 		return gz, multiCloser{gz, f}, nil
 	}
 	return br, f, nil
-}
-
-// CreateMaybeGzip creates a file, wrapping the writer in gzip when the
-// path ends in .gz. The returned closer flushes and closes both layers.
-func CreateMaybeGzip(path string) (io.Writer, io.Closer, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if strings.HasSuffix(path, ".gz") {
-		gz := gzip.NewWriter(f)
-		return gz, multiCloser{gz, f}, nil
-	}
-	return f, f, nil
 }
 
 // multiCloser closes a stack of layers in order.

@@ -56,33 +56,62 @@ func TestOpenMaybeGzipPlainAndCompressed(t *testing.T) {
 	}
 }
 
-func TestCreateMaybeGzip(t *testing.T) {
+// TestLoadMatrix: every extension the loader routes, plain and gzipped,
+// gives back the written matrix; a truncated file and a missing one are
+// errors.
+func TestLoadMatrix(t *testing.T) {
 	dir := t.TempDir()
-	m, err := popsim.Mosaic(6, 12, popsim.MosaicConfig{Seed: 2})
+	m, err := popsim.Mosaic(12, 30, popsim.MosaicConfig{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"out.ldgm", "out.ldgm.gz"} {
-		path := filepath.Join(dir, name)
-		w, closer, err := CreateMaybeGzip(path)
-		if err != nil {
+	var bin, ms bytes.Buffer
+	if err := WriteBinary(&bin, m); err != nil {
+		t.Fatal(err)
+	}
+	pos := make([]float64, m.SNPs)
+	for i := range pos {
+		pos[i] = float64(i+1) / float64(m.SNPs+1)
+	}
+	if err := WriteMS(&ms, []MSReplicate{{Matrix: m, Positions: pos}}); err != nil {
+		t.Fatal(err)
+	}
+	gz := func(b []byte) []byte {
+		var z bytes.Buffer
+		zw := gzip.NewWriter(&z)
+		zw.Write(b)
+		zw.Close()
+		return z.Bytes()
+	}
+	cases := []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"m.ms", ms.Bytes(), true},
+		{"m.ms.gz", gz(ms.Bytes()), true},
+		{"m.txt", ms.Bytes(), true},
+		{"m.ldgm", bin.Bytes(), true},
+		{"m.ldgm.gz", gz(bin.Bytes()), true},
+		{"trunc.ldgm", bin.Bytes()[:bin.Len()-5], false},
+	}
+	for _, c := range cases {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteBinary(w, m); err != nil {
-			t.Fatal(err)
+		got, err := LoadMatrix(path)
+		switch {
+		case !c.ok && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.ok && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.ok && !got.Equal(m):
+			t.Errorf("%s: matrix differs from the one written", c.name)
 		}
-		if err := closer.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, rcloser, err := OpenMaybeGzip(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadBinary(r)
-		rcloser.Close()
-		if err != nil || !got.Equal(m) {
-			t.Fatalf("%s: round trip failed: %v", name, err)
-		}
+	}
+	if _, err := LoadMatrix(filepath.Join(dir, "missing.ldgm")); err == nil {
+		t.Error("missing file accepted")
 	}
 }
 

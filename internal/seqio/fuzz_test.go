@@ -85,21 +85,6 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-func FuzzReadFASTA(f *testing.F) {
-	f.Add(">a\nACGT\n>b\nTTAA\n")
-	f.Add(">x\nAC\nGT\n")
-	f.Add("no header\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		aln, err := ReadFASTA(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		if err := aln.Validate(); err != nil {
-			t.Fatalf("accepted invalid alignment: %v", err)
-		}
-	})
-}
-
 func FuzzReadLD(f *testing.F) {
 	f.Add("CHR_A\tBP_A\tSNP_A\tCHR_B\tBP_B\tSNP_B\tR2\tD\tDP\n1\t1\trs1\t1\t2\trs2\t0.5\t0.1\t0.9\n")
 	f.Add("CHR_A\tBP_A\tSNP_A\tCHR_B\tBP_B\tSNP_B\tR2\tD\tDP\n")

@@ -1,7 +1,7 @@
 // Package seqio reads and writes the file formats the LD toolchain
 // consumes and produces: Hudson's ms output (the lingua franca of
-// population-genetic simulators, which OmegaPlus also reads), FASTA
-// alignments, a minimal VCF subset, PLINK-style .bed genotype files, and a
+// population-genetic simulators, which OmegaPlus also reads), a minimal
+// VCF subset, PLINK-style .bed genotype files, tabular .ld results, and a
 // compact binary container for bit-packed genomic matrices.
 package seqio
 

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"ldgemm/internal/bitmat"
-	"ldgemm/internal/msa"
 	"ldgemm/internal/popsim"
 )
 
@@ -81,44 +80,6 @@ func TestReadMSZeroSegsites(t *testing.T) {
 	}
 	if reps[0].Matrix.SNPs != 0 {
 		t.Fatal("expected empty replicate")
-	}
-}
-
-func TestFASTARoundTrip(t *testing.T) {
-	aln := &msa.Alignment{
-		Seqs: [][]byte{
-			[]byte(strings.Repeat("ACGT", 40)), // forces line wrapping
-			[]byte(strings.Repeat("TTAA", 40)),
-		},
-		Names: []string{"first", "second"},
-	}
-	var buf bytes.Buffer
-	if err := WriteFASTA(&buf, aln); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFASTA(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Seqs) != 2 || got.Names[0] != "first" || got.Names[1] != "second" {
-		t.Fatalf("names %v", got.Names)
-	}
-	for s := range aln.Seqs {
-		if !bytes.Equal(got.Seqs[s], aln.Seqs[s]) {
-			t.Fatalf("sequence %d mismatch", s)
-		}
-	}
-}
-
-func TestReadFASTAErrors(t *testing.T) {
-	if _, err := ReadFASTA(strings.NewReader("ACGT\n")); err == nil {
-		t.Fatal("data before header accepted")
-	}
-	if _, err := ReadFASTA(strings.NewReader("")); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := ReadFASTA(strings.NewReader(">a\nACGT\n>b\nAC\n")); err == nil {
-		t.Fatal("ragged alignment accepted")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical utilities the LD library
-// and its examples need: descriptive statistics, the site-frequency
-// spectrum, and the χ² tail probability used to assess LD significance
-// (χ² = Nseq·r² with one degree of freedom for biallelic SNPs).
+// needs: the mean, the site-frequency spectrum, and the χ² tail
+// probability used to assess LD significance (χ² = Nseq·r² with one
+// degree of freedom for biallelic SNPs).
 package stats
 
 import (
@@ -19,42 +19,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance (0 for fewer than two
-// values).
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// MinMax returns the extrema of xs; it panics on an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }
 
 // SFS computes the folded or unfolded site-frequency spectrum from
@@ -84,24 +48,6 @@ func SFS(counts []int, samples int, folded bool) []int {
 		} else {
 			out[c]++
 		}
-	}
-	return out
-}
-
-// ExpectedNeutralSFS returns the expected unfolded neutral spectrum shape:
-// bin i proportional to 1/i, normalized to sum to 1 over 1..n−1.
-func ExpectedNeutralSFS(samples int) []float64 {
-	if samples < 2 {
-		return nil
-	}
-	out := make([]float64, samples)
-	var norm float64
-	for i := 1; i < samples; i++ {
-		out[i] = 1 / float64(i)
-		norm += out[i]
-	}
-	for i := 1; i < samples; i++ {
-		out[i] /= norm
 	}
 	return out
 }
@@ -185,28 +131,4 @@ func gammaQContinuedFraction(a, x float64) (float64, error) {
 		}
 	}
 	return 0, fmt.Errorf("stats: gamma continued fraction did not converge (a=%v x=%v)", a, x)
-}
-
-// Pearson returns the Pearson correlation of two equal-length vectors
-// (0 when either is constant).
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: Pearson length mismatch %d vs %d", len(xs), len(ys))
-	}
-	n := float64(len(xs))
-	if n == 0 {
-		return 0, nil
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

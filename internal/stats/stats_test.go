@@ -8,33 +8,14 @@ import (
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := Variance(xs); !almost(got, 32.0/7, 1e-12) {
-		t.Fatalf("Variance = %v", got)
+	if Mean(nil) != 0 {
+		t.Fatal("degenerate case wrong")
 	}
-	if got := StdDev(xs); !almost(got, math.Sqrt(32.0/7), 1e-12) {
-		t.Fatalf("StdDev = %v", got)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Fatal("degenerate cases wrong")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v %v", lo, hi)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty MinMax did not panic")
-		}
-	}()
-	MinMax(nil)
 }
 
 func TestSFS(t *testing.T) {
@@ -57,21 +38,6 @@ func TestSFS(t *testing.T) {
 	}
 	if SFS(counts, 1, false) != nil {
 		t.Fatal("samples<2 should give nil")
-	}
-}
-
-func TestExpectedNeutralSFS(t *testing.T) {
-	e := ExpectedNeutralSFS(4)
-	// 1 + 1/2 + 1/3 = 11/6; bins: (6/11, 3/11, 2/11)
-	if !almost(e[1], 6.0/11, 1e-12) || !almost(e[2], 3.0/11, 1e-12) || !almost(e[3], 2.0/11, 1e-12) {
-		t.Fatalf("ExpectedNeutralSFS = %v", e)
-	}
-	var sum float64
-	for _, v := range e {
-		sum += v
-	}
-	if !almost(sum, 1, 1e-12) {
-		t.Fatalf("spectrum sums to %v", sum)
 	}
 }
 
@@ -138,23 +104,5 @@ func TestQuickChiSquareMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	r, err := Pearson([]float64{1, 2, 3}, []float64{2, 4, 6})
-	if err != nil || !almost(r, 1, 1e-12) {
-		t.Fatalf("perfect correlation: %v %v", r, err)
-	}
-	r, err = Pearson([]float64{1, 2, 3}, []float64{3, 2, 1})
-	if err != nil || !almost(r, -1, 1e-12) {
-		t.Fatalf("perfect anticorrelation: %v %v", r, err)
-	}
-	r, err = Pearson([]float64{1, 1, 1}, []float64{1, 2, 3})
-	if err != nil || r != 0 {
-		t.Fatalf("constant vector: %v %v", r, err)
-	}
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }

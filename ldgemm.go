@@ -15,23 +15,20 @@
 //	res, _ := ldgemm.LD(g, ldgemm.Options{Measures: ldgemm.MeasureR2})
 //	fmt.Println(res.At(0, 1).R2)
 //
-// The subsystems are exposed as type aliases so the whole toolchain —
-// baseline kernels, the ω-statistic sweep scan, population simulators,
-// MSA/SNP-calling, file formats, the Section V SIMD model — is reachable
-// from this one import.
+// The subsystems the paper's evaluation and the serving tiers use are
+// exposed as type aliases — the blocked driver and its tuner, the
+// ω-statistic sweep scan, the population simulator, gap-masked and
+// finite-sites LD, Tanimoto fingerprints, pruning, blocks, significance
+// and the file formats — so they are reachable from this one import.
 package ldgemm
 
 import (
 	"io"
 
-	"ldgemm/internal/assoc"
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
 	"ldgemm/internal/core"
-	"ldgemm/internal/ehh"
-	"ldgemm/internal/ldmap"
 	"ldgemm/internal/ldstore"
-	"ldgemm/internal/msa"
 	"ldgemm/internal/omega"
 	"ldgemm/internal/popsim"
 	"ldgemm/internal/seqio"
@@ -179,23 +176,6 @@ func ReadBinary(r io.Reader) (*Matrix, error) { return seqio.ReadBinary(r) }
 // WriteBinary stores a matrix in the compact container.
 func WriteBinary(w io.Writer, m *Matrix) error { return seqio.WriteBinary(w, m) }
 
-// Alignment is a gapped multiple-sequence alignment (the input to SNP
-// calling, the paper's Section I workflow).
-type Alignment = msa.Alignment
-
-// CallOptions controls the SNP caller.
-type CallOptions = msa.CallOptions
-
-// CallResult is the SNP caller's output: genomic matrix, gap mask, and
-// per-SNP metadata.
-type CallResult = msa.CallResult
-
-// CallSNPs identifies biallelic segregating alignment columns and encodes
-// them into a bit-packed matrix plus validity mask.
-func CallSNPs(aln *Alignment, ref []byte, opt CallOptions) (*CallResult, error) {
-	return msa.CallSNPs(aln, ref, opt)
-}
-
 // Fingerprints is a set of binary chemical fingerprints (Section VII's
 // cross-domain adaptation).
 type Fingerprints = tanimoto.Fingerprints
@@ -288,72 +268,8 @@ type StoreStats = ldstore.Stats
 // numbers ldserver exports on /debug/vars under "store".
 func TileStoreStats() StoreStats { return ldstore.ReadStats() }
 
-// DecayOptions configures an LD decay profile.
-type DecayOptions = ldmap.Options
-
-// DecayProfile is a binned mean-r²-by-distance curve.
-type DecayProfile = ldmap.Profile
-
-// Decay computes the LD decay profile of a matrix.
-func Decay(g *Matrix, opt DecayOptions) (*DecayProfile, error) { return ldmap.Decay(g, opt) }
-
-// PhenotypeConfig parameterizes GWAS phenotype simulation.
-type PhenotypeConfig = assoc.PhenotypeConfig
-
-// CausalEffect is one causal SNP with its log-odds effect.
-type CausalEffect = assoc.Effect
-
-// Phenotypes is a simulated case/control assignment.
-type Phenotypes = assoc.Phenotypes
-
-// AssocResult is one SNP's association test result.
-type AssocResult = assoc.SNPResult
-
-// ClumpOptions configures LD-based clumping of association hits.
-type ClumpOptions = assoc.ClumpOptions
-
-// AssocClump is one clumped association region.
-type AssocClump = assoc.Clump
-
-// SimulatePhenotypes draws case/control phenotypes under a logistic model.
-func SimulatePhenotypes(g *Matrix, cfg PhenotypeConfig) (*Phenotypes, error) {
-	return assoc.Simulate(g, cfg)
-}
-
-// AssociationTest runs the per-SNP allelic χ² test, bit-parallel.
-func AssociationTest(g *Matrix, ph *Phenotypes) ([]AssocResult, error) { return assoc.Test(g, ph) }
-
-// ClumpAssociations groups significant hits into LD clumps.
-func ClumpAssociations(g *Matrix, results []AssocResult, opt ClumpOptions) ([]AssocClump, error) {
-	return assoc.ClumpResults(g, results, opt)
-}
-
-// TripleLDResult is one SNP triple's third-order disequilibrium.
-type TripleLDResult = core.Triple
-
-// TripleLD computes the three-locus disequilibrium D₃ of one triple.
-func TripleLD(g *Matrix, i, j, k int) TripleLDResult { return core.TripleLD(g, i, j, k) }
-
-// TripleScanOptions configures the windowed third-order scan.
-type TripleScanOptions = core.TripleScanOptions
-
-// TripleScan computes D₃ over all triples within a window span.
-func TripleScan(g *Matrix, opt TripleScanOptions) ([]TripleLDResult, error) {
-	return core.TripleScan(g, opt)
-}
-
-// GenoTable is a 3×3 joint genotype count table for unphased diploids.
-type GenoTable = core.GenoTable
-
-// EMPairLD estimates haplotype-frequency LD between two unphased diploid
-// variants with Hill's (1974) EM algorithm.
-func EMPairLD(g *GenotypeMatrix, i, j int) (Pair, error) { return core.EMPairLD(g, i, j) }
-
-// EMMatrix estimates the haplotype r² matrix of unphased genotypes.
-func EMMatrix(g *GenotypeMatrix) ([]float64, error) { return core.EMMatrix(g) }
-
 // GenotypesFromHaplotypes pairs consecutive haplotypes into diploid
-// genotypes (for the PLINK-like baseline, .bed export, or EM estimation).
+// genotypes (for the PLINK-like baseline or .bed export).
 func GenotypesFromHaplotypes(m *Matrix) (*GenotypeMatrix, error) {
 	return bitmat.FromHaplotypes(m)
 }
@@ -381,60 +297,4 @@ func ReadPlinkFileset(path string) (*PlinkFileset, error) { return seqio.ReadPli
 // WritePlinkFileset writes genotypes as a .bed/.bim/.fam triple.
 func WritePlinkFileset(prefix string, g *GenotypeMatrix, bim []seqio.BimRecord, fam []seqio.FamRecord) error {
 	return seqio.WritePlinkFileset(prefix, g, bim, fam)
-}
-
-// StructuredConfig parameterizes the Balding–Nichols structured-population
-// generator (the admixture-LD confounder).
-type StructuredConfig = popsim.StructuredConfig
-
-// StructuredResult carries a structured-population matrix plus its deme
-// assignment.
-type StructuredResult = popsim.StructuredResult
-
-// GenerateStructured simulates unlinked SNPs over diverged demes; any LD
-// in the pooled sample is pure population structure.
-func GenerateStructured(snps, samples int, cfg StructuredConfig) (*StructuredResult, error) {
-	return popsim.Structured(snps, samples, cfg)
-}
-
-// DecayFit is a fitted hyperbolic LD decay model (Sved/Hill–Weir shape).
-type DecayFit = ldmap.FitResult
-
-// FitDecay estimates the decay model E[r²](d) = c0/(1+a·d) + floor from a
-// profile.
-func FitDecay(p *DecayProfile) (DecayFit, error) { return ldmap.Fit(p) }
-
-// EHHScore is one SNP's integrated-haplotype-score result.
-type EHHScore = ehh.Score
-
-// EHHScanOptions configures an iHS scan.
-type EHHScanOptions = ehh.ScanOptions
-
-// EHHDecay traces extended haplotype homozygosity outward from a core SNP
-// on the chosen allelic background.
-func EHHDecay(g *Matrix, core int, derived bool, maxSpan int) (left, right []float64, err error) {
-	return ehh.Decay(g, core, derived, maxSpan)
-}
-
-// IHS computes the unstandardized integrated haplotype score of one SNP.
-func IHS(g *Matrix, core, maxSpan int) (EHHScore, error) { return ehh.IHS(g, core, maxSpan) }
-
-// IHSScan computes unstandardized iHS for every common SNP.
-func IHSScan(g *Matrix, opt EHHScanOptions) ([]EHHScore, error) { return ehh.Scan(g, opt) }
-
-// StandardizeIHS converts iHS values to z-scores within frequency bins.
-func StandardizeIHS(scores []EHHScore, bins int) ([]float64, error) {
-	return ehh.Standardize(scores, bins)
-}
-
-// BootstrapOptions configures bootstrap confidence intervals.
-type BootstrapOptions = core.BootstrapOptions
-
-// Interval is a bootstrap percentile confidence interval.
-type Interval = core.Interval
-
-// BootstrapPair resamples haplotypes to put confidence intervals on the
-// r², D, and D′ of one SNP pair.
-func BootstrapPair(g *Matrix, i, j int, opt BootstrapOptions) (r2, d, dprime Interval, err error) {
-	return core.BootstrapPair(g, i, j, opt)
 }
