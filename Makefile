@@ -44,7 +44,15 @@ build-arm64:
 # scratch and the in-flight semaphore across requests
 # (TestConcurrentRegionRequests), concurrent matvecs in both body spellings
 # over the request-vector counters (TestSparseVectorCounters), the
-# scatter-gather cluster coordinator, and the ldserver lifecycle).
+# scatter-gather cluster coordinator, and the ldserver lifecycle). The
+# server and cluster tests run with poisoned releases here
+# (bufpool.PoisonForTest in their TestMain): a recycled reply, result
+# float, request vector, tile payload or strip body is overwritten when it
+# goes back and is the next buffer of its class handed out, and a double
+# release panics — so TestWireStability, TestClusterBitIdentity,
+# TestReplicaFailoverBitIdentity, TestClusterSparseBitIdentity,
+# TestCoalesceConcurrentIdentical, TestHedge, TestConcurrentRegionRequests
+# and TestStoreRegionBitIdentical fail on any read after a release.
 .PHONY: verify-race
 verify-race:
 	go vet ./...
@@ -138,9 +146,12 @@ bench-kernel:
 	@$(call run_listed,./internal/blis,TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestMaskedStrategiesMatchScalarOracle|TestDispatchRoutes|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller)
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling
-# and running in CI. The float wire: a node encoding an 80 × 80 region (the
-# square a single node answers with, and a 40-row strip of it: ns/float,
-# MB/s), the float writer beside strconv.AppendFloat on r²-shaped and
+# and running in CI. The float wire: a node encoding an 80 × 80 region
+# into a pooled reply and releasing it (the square a single node answers
+# with, and a 40-row strip of it: ns/float, MB/s), one 128-wide region
+# through the node's mux, computed and from a tile store (B/op: what a
+# request allocates with its floats, reply and tile payloads recycled),
+# the float writer beside strconv.AppendFloat on r²-shaped and
 # matvec-shaped values (ns/float), a coordinator checking and splicing its
 # two strips. One pass of the small-k stream (8192 SNPs × 512 samples),
 # which prints what the fused epilogue costs per pair, one pass of the dense store build's out-of-core scan
@@ -163,7 +174,7 @@ bench-kernel:
 # stripes, scan wait, B/op.
 .PHONY: bench-smoke
 bench-smoke:
-	go test ./internal/server -run '^$$' -bench 'BenchmarkEncodeRegion|BenchmarkAppendFloat' -benchtime 1x -benchmem
+	go test ./internal/server -run '^$$' -bench 'BenchmarkEncodeRegion|BenchmarkServeRegion|BenchmarkAppendFloat' -benchtime 1x -benchmem
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
 	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamSource' -benchtime 1x
 	go test ./internal/core -run '^$$' -bench BenchmarkEpilogueRow -benchtime 1x

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ldgemm/internal/bufpool"
 )
 
 // HTTPError is a non-200 shard response. Status < 500 is terminal — the
@@ -283,12 +285,15 @@ const maxPresizedBody = 16 << 20
 
 // readBody reads a reply into one buffer of its declared length — nodes
 // declare it (server.Response.Write) — instead of io.ReadAll's doubling;
-// an undeclared or implausible length falls back to io.ReadAll.
+// an undeclared or implausible length falls back to io.ReadAll. The buffer
+// is taken from bufpool.Bytes: scatter hands a strip's body back once the
+// merge has copied it, and any body handed on whole instead — relayed,
+// forwarded, a terminal 4xx, a hedge's discarded twin — is never released.
 func readBody(resp *http.Response) ([]byte, error) {
 	if resp.ContentLength < 0 || resp.ContentLength > maxPresizedBody {
 		return io.ReadAll(resp.Body)
 	}
-	body := make([]byte, resp.ContentLength)
+	body := bufpool.Bytes.Get(int(resp.ContentLength))
 	_, err := io.ReadFull(resp.Body, body)
 	return body, err
 }

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ldgemm/internal/bufpool"
 	"ldgemm/internal/server"
 )
 
@@ -309,8 +310,11 @@ func (co *Coordinator) execute(ctx context.Context, d *server.Definition, q serv
 	}
 	key := q.Path(rows)
 	if sq, ok := q.(server.SparseQuery); ok {
-		// Here the vector is the query, so its digest joins the key.
+		// Here the vector is the query, so its digest joins the key. Only
+		// this request reads it — the digest, then the shard body scatter
+		// spells from it — so it goes back once the answer is in.
 		key += " vec=" + vecDigest(sq.Vec)
+		defer bufpool.Floats.Put(sq.Vec)
 	}
 	return co.serve(ctx, key, func(ctx context.Context) *server.Response {
 		return co.scatter(ctx, d, q, rows)
@@ -354,6 +358,7 @@ func (co *Coordinator) scatter(ctx context.Context, d *server.Definition, q serv
 	owners := co.part.overlapping(rows.Lo, rows.Hi)
 	body := q.Body()
 	strips := make([]server.Window, len(owners))
+	bodies := make([][]byte, len(owners))
 	parts := make([]any, len(owners))
 	errs := make([]error, len(owners))
 	var wg sync.WaitGroup
@@ -362,13 +367,22 @@ func (co *Coordinator) scatter(ctx context.Context, d *server.Definition, q serv
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var resp []byte
-			if resp, errs[k] = co.groups[shard].call(ctx, d.Method, q.Path(strips[k]), body); errs[k] == nil {
-				parts[k], errs[k] = decodeStrip(d.Merge, q, strips[k], resp)
+			if bodies[k], errs[k] = co.groups[shard].call(ctx, d.Method, q.Path(strips[k]), body); errs[k] == nil {
+				parts[k], errs[k] = decodeStrip(d.Merge, q, strips[k], bodies[k])
 			}
 		}()
 	}
 	wg.Wait()
+	if d.Merge != server.MergeNone {
+		// Whatever is answered below copies what it keeps of the strip
+		// bodies, so they go back once it is built. MergeNone's one body is
+		// the answer itself, relayed whole, and stays out of the pool.
+		defer func() {
+			for _, b := range bodies {
+				bufpool.Bytes.Put(b)
+			}
+		}()
+	}
 
 	// A terminal 4xx anywhere is relayed verbatim: the request itself is
 	// wrong, and every shard would say so. A strip whose whole replica

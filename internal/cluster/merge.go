@@ -28,7 +28,7 @@ func stripShape(q server.Query, rows server.Window, partial bool) (head []byte, 
 	b := make([]byte, 0, 128) // a head is about 80 bytes
 	switch q := q.(type) {
 	case server.RegionQuery:
-		resp := q.Response(rows, nil)
+		resp := q.Response(rows)
 		resp.Partial = partial
 		return resp.AppendHead(b), q.End - q.Start
 	case server.SparseQuery:

@@ -268,7 +268,9 @@ func FuzzSpliceScan(f *testing.F) {
 			if err := json.Unmarshal(body, &resp); err != nil {
 				t.Fatalf("scan accepted what encoding/json refuses (%v): %s", err, body)
 			}
-			if want := q.Response(strip, resp.Values); !reflect.DeepEqual(resp, want) || len(resp.Values) != n {
+			want := q.Response(strip)
+			want.Values = resp.Values
+			if !reflect.DeepEqual(resp, want) || len(resp.Values) != n {
 				t.Fatalf("scan accepted %d rows under %+v as the %d rows of %s: %s", len(resp.Values), resp, n, q.Path(strip), body)
 			}
 			for i, row := range resp.Values {

@@ -72,7 +72,7 @@ func TestBandedStreamBitEqualsStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := StreamOptions{Triangular: true, Banded: true, Band: 9}
-	if got := opt.stripeCells(11, 0, 70, 70); got != 11*(11+9) {
+	if got := opt.StripeCells(11, 0, 70, 70); got != 11*(11+9) {
 		t.Fatalf("banded stripe holds %d cells, want %d", got, 11*(11+9))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"unsafe"
 
+	"ldgemm/internal/bufpool"
 	"ldgemm/internal/kernel"
 )
 
@@ -63,20 +64,22 @@ type measureOut struct {
 	mr, nr int
 }
 
-// alloc allocates the measure matrices opt requests on res.
+// alloc takes the measure matrices opt requests on res from bufpool.Floats:
+// the epilogue assigns every cell, so what the buffers held before is never
+// read.
 func (o *measureOut) alloc(res *Result, opt Options) {
 	meas := opt.measures()
 	cells := res.SNPs * res.Cols
 	if meas&MeasureD != 0 {
-		res.D = make([]float64, cells)
+		res.D = bufpool.Floats.Get(cells)
 		o.d = res.D
 	}
 	if meas&MeasureR2 != 0 {
-		res.R2 = make([]float64, cells)
+		res.R2 = bufpool.Floats.Get(cells)
 		o.r2 = res.R2
 	}
 	if meas&MeasureDPrime != 0 {
-		res.DPrime = make([]float64, cells)
+		res.DPrime = bufpool.Floats.Get(cells)
 		o.dp = res.DPrime
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
+	"ldgemm/internal/bufpool"
 	"ldgemm/internal/kernel"
 )
 
@@ -740,5 +742,45 @@ func TestDenseEpilogueDest(t *testing.T) {
 		if p != unsafe.Pointer(want) || (want != nil && rowBytes != 11*8) {
 			t.Fatalf("measures %b: Dest = %p, %d bytes a row; want %p", meas, p, rowBytes, want)
 		}
+	}
+}
+
+// TestRecycledFloatsOverwritten: a result's measure matrices come from
+// bufpool.Floats with whatever their last owner left, so the epilogue must
+// assign every cell. Each route runs once, its floats go back poisoned
+// (all-ones bits, a NaN), and a second run — handed exactly those buffers —
+// must read bit for bit as the first.
+func TestRecycledFloatsOverwritten(t *testing.T) {
+	bufpool.PoisonForTest(true)
+	defer bufpool.PoisonForTest(false)
+	rng := rand.New(rand.NewSource(29))
+	g := withMonomorphic(randomMatrix(rng, 67, 130))
+	b := randomMatrix(rng, 29, 130)
+	gm, mask := randomMaskedPair(rng, 41, 130)
+	for _, r := range []struct {
+		name string
+		run  func(Options) (*Result, error)
+	}{
+		{"Matrix", func(o Options) (*Result, error) { return Matrix(g, o) }},
+		{"Cross", func(o Options) (*Result, error) { return Cross(g, b, o) }},
+		{"MaskedMatrix", func(o Options) (*Result, error) { return MaskedMatrix(gm, mask, o) }},
+	} {
+		opt := Options{Measures: MeasureD | MeasureR2 | MeasureDPrime, Blis: fringeConfig(3)}
+		first, err := r.run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &Result{D: slices.Clone(first.D), R2: slices.Clone(first.R2), DPrime: slices.Clone(first.DPrime)}
+		for _, f := range [][]float64{first.D, first.R2, first.DPrime} {
+			bufpool.Floats.Put(f)
+		}
+		again, err := r.run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &again.D[0] != &first.DPrime[0] {
+			t.Fatalf("%s: the second run did not reuse the released buffers", r.name)
+		}
+		bitsEqualResults(t, again, want)
 	}
 }

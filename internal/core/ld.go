@@ -155,6 +155,8 @@ type Result struct {
 	// Counts is the raw haplotype count matrix (present with KeepCounts).
 	Counts []uint32
 	// D, R2, DPrime are present when the corresponding Measure was set.
+	// They are taken from bufpool.Floats: a caller done with one may hand
+	// it back there, once; one that is never handed back is garbage.
 	D      []float64
 	R2     []float64
 	DPrime []float64

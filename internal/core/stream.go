@@ -162,7 +162,7 @@ func (v *rowVisitor) StripeBuffer(cells int) []float64 {
 	if v.buf == nil {
 		lo, hi, _ := v.opt.rowWindow(v.n)
 		rows := min(v.opt.stripeRows(), hi-lo)
-		v.buf = getStripe(max(cells, v.opt.stripeCells(rows, 0, rows, v.n)))
+		v.buf = getStripe(max(cells, v.opt.StripeCells(rows, 0, rows, v.n)))
 	}
 	return (*v.buf)[:cells]
 }
@@ -244,11 +244,12 @@ func (s *stripeScan) epilogue(out []float64, ld, row0, col0 int) *denseEpilogue 
 	return e
 }
 
-// stripeCells returns the float64 cells of the stripe that starts at row lo
+// StripeCells returns the float64 cells of the stripe that starts at row lo
 // of a fused scan ending at row hi: its height times the columns from the
 // stripe origin to n, or to the band edge. A scan's first stripe is its
-// largest.
-func (o StreamOptions) stripeCells(stripe, lo, hi, n int) int {
+// largest, and one starting at row 0 is at least as large as any stripe of
+// the same height, so a buffer sized there serves a scan over any window.
+func (o StreamOptions) StripeCells(stripe, lo, hi, n int) int {
 	rows, width := min(stripe, hi-lo), n
 	if o.Triangular {
 		width = o.stripeColEnd(lo, rows, n) - lo

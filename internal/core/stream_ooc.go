@@ -228,7 +228,7 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 			bHi = opt.stripeColEnd(i0, rows, n)
 			width = bHi - i0
 		}
-		v := sink.StripeBuffer(opt.stripeCells(stripe, i0, hi, n))[:rows*width]
+		v := sink.StripeBuffer(opt.StripeCells(stripe, i0, hi, n))[:rows*width]
 		if opt.Triangular {
 			e := scan.epilogue(v, width, i0, i0)
 			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, e); err != nil {

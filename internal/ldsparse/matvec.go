@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"ldgemm/internal/bufpool"
 )
 
 // Sparse operators over the CSR tile store. The contract that matters is
@@ -177,6 +179,8 @@ func (s *Store) MatVec(x []float64) ([]float64, error) {
 // input vector goes in, the owned slice of y comes out. A cluster shard
 // serving its row strip produces exactly the bytes the full MatVec would
 // place there, because per-row fold order does not depend on the range.
+// The output is taken from bufpool.Floats, as core's and ldstore's results
+// are: a caller done with it may hand it back there, once.
 func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
 	n := s.SNPs()
 	if len(x) != n {
@@ -186,7 +190,7 @@ func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
 		return nil, fmt.Errorf("ldsparse: invalid row range [%d,%d) of %d SNPs", r0, r1, n)
 	}
 	t0 := time.Now()
-	out := make([]float64, r1-r0)
+	out := bufpool.Floats.Get(r1 - r0) // every row is folded into it
 	if c := s.rows; c != nil {
 		if parts := min(runtime.GOMAXPROCS(0), int(c.ptr[r1]-c.ptr[r0])/foldGrain); parts <= 1 {
 			c.fold(x, out, r0, r1)
@@ -211,6 +215,7 @@ func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
 			return nil
 		})
 		if err != nil {
+			bufpool.Floats.Put(out)
 			return nil, err
 		}
 	}
@@ -229,21 +234,17 @@ func (s *Store) Score(z []float64) ([]float64, error) {
 	return s.ScoreRange(z, 0, s.SNPs())
 }
 
-// squares recycles ScoreRange's z² scratch vector across calls.
-var squares = sync.Pool{New: func() any { return new([]float64) }}
-
-// ScoreRange is Score restricted to output rows [r0, r1).
+// ScoreRange is Score restricted to output rows [r0, r1), its output from
+// bufpool.Floats as MatVecRange's is.
 func (s *Store) ScoreRange(z []float64, r0, r1 int) ([]float64, error) {
 	if len(z) != s.SNPs() {
 		return nil, fmt.Errorf("ldsparse: vector of %d entries against %d SNPs", len(z), s.SNPs())
 	}
-	buf := squares.Get().(*[]float64)
-	defer squares.Put(buf)
-	x := append((*buf)[:0], z...)
-	for i, v := range x {
+	x := bufpool.Floats.Get(len(z)) // the z² scratch
+	defer bufpool.Floats.Put(x)
+	for i, v := range z {
 		x[i] = v * v
 	}
-	*buf = x
 	out, err := s.MatVecRange(x, r0, r1)
 	if err == nil {
 		stats.scores.Add(1)

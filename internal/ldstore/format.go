@@ -28,6 +28,7 @@ import (
 	"unsafe"
 
 	"ldgemm/internal/bitmat"
+	"ldgemm/internal/bufpool"
 	"ldgemm/internal/tilefile"
 )
 
@@ -98,7 +99,8 @@ func (codec) Decode(h *tilefile.Header, t tilefile.Tile, _ tilefile.Entry, paylo
 	if h.Flags&flagCompressed != 0 {
 		fr := flate.NewReader(bytes.NewReader(payload))
 		defer fr.Close()
-		raw = make([]byte, rawLen)
+		raw = bufpool.Bytes.Get(rawLen) // dead once vals holds it
+		defer bufpool.Bytes.Put(raw)
 		if _, err := io.ReadFull(fr, raw); err != nil {
 			return nil, fmt.Errorf("decompressing: %w", err)
 		}

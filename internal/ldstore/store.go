@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"ldgemm/internal/bufpool"
 	"ldgemm/internal/core"
 	"ldgemm/internal/tilefile"
 )
@@ -121,19 +122,22 @@ func (s *Store) At(i, j int) (float64, error) {
 
 // Region materializes the dense (end−start)² statistic matrix for SNPs
 // [start, end), row-major with both triangles filled — the payload of the
-// server's /api/ld/region fast path.
+// server's /api/ld/region fast path. The matrix is taken from
+// bufpool.Floats, as core's results are: a caller done with it may hand it
+// back there, once; one never handed back is ordinary garbage.
 func (s *Store) Region(start, end int) ([]float64, error) {
 	n := s.SNPs()
 	if start < 0 || end <= start || end > n {
 		return nil, fmt.Errorf("ldstore: invalid region [%d,%d) of %d SNPs", start, end, n)
 	}
 	w := end - start
-	out := make([]float64, w*w)
+	out := bufpool.Floats.Get(w * w) // the tiles below cover every cell
 	nt := s.TileSize()
 	for ti := start / nt; ti*nt < end; ti++ {
 		for tj := ti; tj*nt < end; tj++ {
 			vals, err := s.Tile(ti, tj)
 			if err != nil {
+				bufpool.Floats.Put(out)
 				return nil, err
 			}
 			cols := s.tileDim(tj)
@@ -161,20 +165,22 @@ func (s *Store) Region(start, end int) ([]float64, error) {
 // the symmetric statistic matrix, row-major — the payload of a cluster
 // shard's row-restricted region request. Cells are read from whichever
 // tile orientation holds them (the store keeps i ≤ j), so any rectangle
-// is served, both triangles included.
+// is served, both triangles included. The block comes from bufpool.Floats,
+// as Region's does.
 func (s *Store) Rect(r0, r1, c0, c1 int) ([]float64, error) {
 	n := s.SNPs()
 	if r0 < 0 || r1 <= r0 || r1 > n || c0 < 0 || c1 <= c0 || c1 > n {
 		return nil, fmt.Errorf("ldstore: invalid rect rows [%d,%d) cols [%d,%d) of %d SNPs", r0, r1, c0, c1, n)
 	}
 	w := c1 - c0
-	out := make([]float64, (r1-r0)*w)
+	out := bufpool.Floats.Get((r1 - r0) * w) // the tiles below cover every cell
 	nt := s.TileSize()
 	for tr := r0 / nt; tr*nt < r1; tr++ {
 		for tc := c0 / nt; tc*nt < c1; tc++ {
 			ti, tj := min(tr, tc), max(tr, tc)
 			vals, err := s.Tile(ti, tj)
 			if err != nil {
+				bufpool.Floats.Put(out)
 				return nil, err
 			}
 			cols := s.tileDim(tj)

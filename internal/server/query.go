@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ldgemm/internal/bufpool"
 	"ldgemm/internal/core"
 )
 
@@ -145,7 +146,9 @@ func NewMux(lim Limits, m *Metrics, exec Executor, admit func(http.Handler) http
 				rejection.Write(w)
 				return
 			}
-			exec(r.Context(), d, q).Write(w)
+			resp := exec(r.Context(), d, q)
+			resp.Write(w)
+			resp.release()
 		})
 		if d.Heavy && admit != nil {
 			h = admit(h)
@@ -338,11 +341,11 @@ type RegionResponse struct {
 	Values   [][]float64 `json:"values"`
 }
 
-// Response wraps the values of rows. A window covering every region row
-// is the plain square response, so a one-strip cluster answers like a
-// single node.
-func (q RegionQuery) Response(rows Window, values [][]float64) RegionResponse {
-	resp := RegionResponse{Start: q.Start, End: q.End, Measure: q.Measure, Values: values}
+// Response is the envelope of rows, its Values unset. A window covering
+// every region row is the plain square response, so a one-strip cluster
+// answers like a single node.
+func (q RegionQuery) Response(rows Window) RegionResponse {
+	resp := RegionResponse{Start: q.Start, End: q.End, Measure: q.Measure}
 	if rows != (Window{Lo: q.Start, Hi: q.End}) {
 		resp.RowStart, resp.RowEnd = rows.Lo, rows.Hi
 	}
@@ -412,6 +415,8 @@ func parseSparse(op string) func(*http.Request, Limits) (Query, *Response) {
 		if err != nil {
 			return nil, Errorf(http.StatusRequestEntityTooLarge, "%v", err)
 		}
+		// Neither reader keeps a byte of the body, nor does any error text.
+		defer bufpool.Bytes.Put(body)
 		q := SparseQuery{Op: op}
 		if vec, ok := parseVector(body, sparseKey[q.Op], lim.SNPs); ok {
 			vectorsScanned.Add(1)
@@ -441,12 +446,13 @@ func parseSparse(op string) func(*http.Request, Limits) (Query, *Response) {
 }
 
 // readBody drains the request body under a hard byte cap, into one buffer
-// of the declared Content-Length when there is one inside the cap.
+// of the declared Content-Length, from bufpool.Bytes, when there is one
+// inside the cap.
 func readBody(r *http.Request, limit int64) (b []byte, err error) {
 	defer r.Body.Close()
 	body := http.MaxBytesReader(nil, r.Body, limit)
 	if n := r.ContentLength; 0 <= n && n <= limit {
-		b = make([]byte, n)
+		b = bufpool.Bytes.Get(int(n))
 		_, err = io.ReadFull(body, b)
 	} else {
 		b, err = io.ReadAll(body)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"ldgemm/internal/bufpool"
 )
 
 // Response is a fully materialized answer: status, JSON body, and the
@@ -18,25 +20,33 @@ type Response struct {
 	// Failed names the replica groups a coordinator's gather lost (the
 	// X-LD-Shards-Failed header); "" on every complete answer.
 	Failed string
+	// pooled marks a Body taken from bufpool.Bytes: a float payload's,
+	// which the node mux hands back once it has written it (release). A
+	// coordinator builds its float answers, which may be cached or shared
+	// by coalesced callers, without OK, so they never are.
+	pooled bool
 }
 
 // OK marshals a 200 payload: a float payload through the one float
-// encoder (wire.go), anything else through encoding/json. The payload is
-// marshalled before any byte is written, so an encoding failure still
-// produces a well-formed JSON error instead of a truncated body behind a
-// 200 already on the wire.
+// encoder (wire.go), into a buffer from bufpool.Bytes, anything else
+// through encoding/json. The payload is marshalled before any byte is
+// written, so an encoding failure still produces a well-formed JSON error
+// instead of a truncated body behind a 200 already on the wire.
 func OK(v any) *Response {
 	var b []byte
 	var err error
-	if p, ok := v.(FloatPayload); ok {
-		b, err = encodeFloatPayload(p)
+	p, float := v.(FloatPayload)
+	if float {
+		b, err = encodeFloatPayload(bufpool.Bytes.Get(payloadCap(p))[:0], p)
 	} else if b, err = json.Marshal(v); err == nil {
 		b = append(b, '\n')
 	}
+	resp := &Response{Status: http.StatusOK, Body: b, pooled: float}
 	if err != nil {
+		resp.release()
 		return Errorf(http.StatusInternalServerError, "encoding response: %v", err)
 	}
-	return &Response{Status: http.StatusOK, Body: b}
+	return resp
 }
 
 // Errorf builds the JSON error payload every non-200 answer carries.
@@ -58,6 +68,15 @@ func (resp *Response) Write(w http.ResponseWriter) {
 		w.WriteHeader(resp.Status)
 	}
 	w.Write(resp.Body)
+}
+
+// release hands a pooled Body back to bufpool.Bytes, after its last read;
+// any other Response is left as it is.
+func (resp *Response) release() {
+	if resp.pooled {
+		bufpool.Bytes.Put(resp.Body)
+		resp.Body, resp.pooled = nil, false
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) { OK(v).Write(w) }

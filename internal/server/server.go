@@ -17,6 +17,7 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
+	"ldgemm/internal/bufpool"
 	"ldgemm/internal/core"
 	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
@@ -286,6 +287,7 @@ func (s *Server) execute(ctx context.Context, d *Definition, q Query) *Response 
 		}
 	}
 	var v any
+	var floats []float64 // the pooled floats v holds, released once v is spelled
 	var err error
 	switch q := q.(type) {
 	case FreqQuery:
@@ -293,11 +295,13 @@ func (s *Server) execute(ctx context.Context, d *Definition, q Query) *Response 
 	case PairQuery:
 		v = s.pair(q)
 	case RegionQuery:
-		v, err = s.region(ctx, q, rows)
+		var r flatRegion
+		r, err = s.region(ctx, q, rows)
+		v, floats = r, r.vals
 	case TopQuery:
 		v, err = s.top(ctx, q, rows)
 	case SparseQuery:
-		v, err = s.sparseOp(ctx, q, rows)
+		v, floats, err = s.sparseOp(ctx, q, rows)
 	case PruneQuery:
 		v, err = s.prune(ctx, q)
 	case BlocksQuery:
@@ -310,7 +314,9 @@ func (s *Server) execute(ctx context.Context, d *Definition, q Query) *Response 
 		// the computation, which computeError classifies.
 		return s.computeError(err)
 	}
-	return OK(v)
+	resp := OK(v)
+	bufpool.Floats.Put(floats)
+	return resp
 }
 
 // storeOr is the one place a query meets the tile store: when the store
@@ -384,7 +390,9 @@ func (s *Server) pair(q PairQuery) PairResponse {
 	return s.pairResponse(q.I, q.J, p, p.R2)
 }
 
-func (s *Server) region(ctx context.Context, q RegionQuery, rows Window) (RegionResponse, error) {
+// region answers rows of a region query as one row-major matrix, taken
+// from bufpool.Floats by whichever executor filled it.
+func (s *Server) region(ctx context.Context, q RegionQuery, rows Window) (flatRegion, error) {
 	meas := q.measure()
 	opt := s.ldOptions(ctx)
 	opt.Measures = meas
@@ -417,14 +425,9 @@ func (s *Server) region(ctx context.Context, q RegionQuery, rows Window) (Region
 			}
 		})
 	if err != nil {
-		return RegionResponse{}, err
+		return flatRegion{}, err
 	}
-	width := q.End - q.Start
-	values := make([][]float64, rows.Hi-rows.Lo)
-	for i := range values {
-		values[i] = flat[i*width : (i+1)*width]
-	}
-	return q.Response(rows, values), nil
+	return flatRegion{RegionResponse: q.Response(rows), vals: flat}, nil
 }
 
 // top ranks the pairs whose smaller index lies in rows — the cluster

@@ -6,7 +6,8 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
-	"sync"
+
+	"ldgemm/internal/bufpool"
 )
 
 // The float payloads. Three 200 bodies — the region matrix and the two
@@ -37,11 +38,14 @@ type FloatPayload interface {
 
 const payloadTail = "}\n"
 
-// encodeFloatPayload writes head + array + tail into one allocation sized
-// for the longest spelling of every float.
-func encodeFloatPayload(p FloatPayload) ([]byte, error) {
-	b := p.AppendHead(make([]byte, 0, 160+p.floats()*(maxFloatLen+1)))
-	b, err := p.appendArray(b)
+// payloadCap is the buffer a payload is encoded into: room for the longest
+// spelling of every float.
+func payloadCap(p FloatPayload) int { return 160 + p.floats()*(maxFloatLen+1) }
+
+// encodeFloatPayload appends head + array + tail to b, which has payloadCap
+// bytes of room.
+func encodeFloatPayload(b []byte, p FloatPayload) ([]byte, error) {
+	b, err := p.appendArray(p.AppendHead(b))
 	return append(b, payloadTail...), err
 }
 
@@ -57,65 +61,61 @@ func (r RegionResponse) AppendHead(b []byte) []byte {
 	return append(b, `,"values":`...)
 }
 
-func (r RegionResponse) appendArray(b []byte) (_ []byte, err error) {
-	if r.Values == nil {
-		return append(b, "null"...), nil
-	}
-	if r.square() {
-		return appendSquare(b, r.Values)
+// flatRegion is a node's region payload: RegionResponse's envelope (its
+// Values unset) over the matrix as the executor produced it, rows × (End −
+// Start) floats row-major, so no row needs a slice header of its own.
+type flatRegion struct {
+	RegionResponse
+	vals []float64
+}
+
+func (r flatRegion) appendArray(b []byte) ([]byte, error) {
+	return appendMatrix(b, r.vals, r.End-r.Start)
+}
+func (r flatRegion) floats() int { return len(r.vals) }
+
+// appendMatrix appends the row-major matrix vals of width columns as an
+// array of rows, a square of at least two rows through appendSquare.
+func appendMatrix(b []byte, vals []float64, width int) (_ []byte, err error) {
+	n := len(vals) / width
+	if n == width && n > 1 {
+		return appendSquare(b, vals, n)
 	}
 	b = append(b, '[')
-	for i, row := range r.Values {
+	for i := range n {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		if b, err = appendFloats(b, row); err != nil {
+		if b, err = appendFloats(b, vals[i*width:][:width]); err != nil {
 			return b, err
 		}
 	}
 	return append(b, ']'), nil
 }
 
-// square reports whether the reply has at least two rows and every row is
-// as long as there are rows.
-func (r RegionResponse) square() bool {
-	n := len(r.Values)
-	for _, row := range r.Values {
-		if len(row) != n {
-			return false
-		}
-	}
-	return n > 1
-}
-
-// appendSquare spells each distinct value of a square reply once: an LD
-// region over its own rows is symmetric, so cell (i, j) below the diagonal
-// usually holds the bits of cell (j, i), and then the bytes already written
-// for (j, i) are copied. The bits are compared cell by cell, so a square of
-// anything else — asymmetric, or holding a value appendFloat refuses — is
-// spelled, or refused, as a row window is.
-func appendSquare(b []byte, vals [][]float64) (_ []byte, err error) {
+// appendSquare spells each distinct value of an n × n reply, row-major in
+// vals, once: an LD region over its own rows is symmetric, so cell (i, j)
+// below the diagonal usually holds the bits of cell (j, i), and then the
+// bytes already written for (j, i) are copied. The bits are compared cell by
+// cell, so a square of anything else — asymmetric, or holding a value
+// appendFloat refuses — is spelled, or refused, as a row window is.
+func appendSquare(b []byte, vals []float64, n int) (_ []byte, err error) {
 	// spelled[j*n+i], i < j, is where cell (i, j) sits in b: offset<<8 |
 	// length. Row j reads only what rows before it wrote, so the scratch is
 	// never cleared.
-	n := len(vals)
-	scratch := spelledPool.Get().(*[]uint64)
-	defer spelledPool.Put(scratch)
-	if cap(*scratch) < n*n {
-		*scratch = make([]uint64, n*n)
-	}
-	spelled := (*scratch)[:n*n]
+	spelled := spelledPool.Get(n * n)
+	defer spelledPool.Put(spelled)
 	b = append(b, '[')
-	for i, row := range vals {
+	for i := range n {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, '[')
-		for j, f := range row {
+		for j, f := range vals[i*n:][:n] {
 			if j > 0 {
 				b = append(b, ',')
 			}
-			if j < i && math.Float64bits(f) == math.Float64bits(vals[j][i]) {
+			if j < i && math.Float64bits(f) == math.Float64bits(vals[j*n+i]) {
 				at := spelled[i*n+j]
 				b = append(b, b[at>>8:][:at&0xff]...)
 				continue
@@ -133,15 +133,7 @@ func appendSquare(b []byte, vals [][]float64) (_ []byte, err error) {
 	return append(b, ']'), nil
 }
 
-var spelledPool = sync.Pool{New: func() any { return new([]uint64) }}
-
-func (r RegionResponse) floats() int {
-	n := 0
-	for _, row := range r.Values {
-		n += max(len(row), 1) // a null or empty row is still a few bytes
-	}
-	return n
-}
+var spelledPool bufpool.Pool[uint64]
 
 func (r MatVecResponse) AppendHead(b []byte) []byte {
 	return appendVectorHead(b, r.RowStart, r.RowEnd, "y")
@@ -226,22 +218,24 @@ func ScanFloatArray(b []byte, i, n, width int) int {
 // encoding/json does. Any other body — whitespace, more keys, null, another
 // count, a literal near the float64 range — reports false and is left to
 // encoding/json, which alone decides what is accepted and what errors say.
+// The vector is taken from bufpool.Floats.
 func parseVector(body []byte, key string, n int) ([]float64, bool) {
 	open := `{"` + key + `":[`
 	if !bytes.HasPrefix(body, []byte(open)) {
 		return nil, false
 	}
-	vec := make([]float64, n)
+	vec := bufpool.Floats.Get(n)
 	i := len(open)
 	for k := range vec {
 		if k > 0 {
 			i = expect(body, i, ',')
 		}
 		if vec[k], i = readNumber(body, i); i < 0 {
-			return nil, false
+			break
 		}
 	}
-	if rest := body[i:]; string(rest) != "]}" && string(rest) != "]}\n" {
+	if i < 0 || string(body[i:]) != "]}" && string(body[i:]) != "]}\n" {
+		bufpool.Floats.Put(vec)
 		return nil, false
 	}
 	return vec, true

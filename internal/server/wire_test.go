@@ -27,25 +27,62 @@ func jsonOK(v any) *Response {
 
 func sameResponse(t *testing.T, v any) {
 	t.Helper()
-	got, want := OK(v), jsonOK(v)
-	if got.Status != want.Status || !bytes.Equal(got.Body, want.Body) {
+	sameBody(t, v, OK(v))
+}
+
+// sameRegion holds a node's region encoder to encoding/json: r's rows,
+// flattened as the executor hands them over, through OK against r itself
+// through encoding/json.
+func sameRegion(t *testing.T, r RegionResponse) {
+	t.Helper()
+	for i, row := range r.Values {
+		if len(row) != r.End-r.Start {
+			t.Fatalf("row %d holds %d values in a region %d wide", i, len(row), r.End-r.Start)
+		}
+	}
+	sameBody(t, r, OK(nodeRegion(r)))
+}
+
+func sameBody(t *testing.T, v any, got *Response) {
+	t.Helper()
+	if want := jsonOK(v); got.Status != want.Status || !bytes.Equal(got.Body, want.Body) {
 		t.Errorf("%+v:\n OK  %d %s\njson %d %s", v, got.Status, got.Body, want.Status, want.Body)
 	}
 }
 
-// TestFloatPayloadMatchesJSON: the envelope cases — omitempty fields, null
-// and empty arrays and rows, strings that need escaping, refused values.
+// nodeRegion is r as a node answers it: the envelope over its rows
+// flattened row-major.
+func nodeRegion(r RegionResponse) flatRegion {
+	p := flatRegion{RegionResponse: r}
+	p.Values = nil
+	for _, row := range r.Values {
+		p.vals = append(p.vals, row...)
+	}
+	return p
+}
+
+// TestFloatPayloadMatchesJSON: the envelope cases — omitempty fields,
+// empty arrays, strings that need escaping, refused values — and a
+// region's rows as a window, a square and no rows at all.
 func TestFloatPayloadMatchesJSON(t *testing.T) {
 	row := []float64{0, 1, -1, 0.5, 1e-7, 1.5e-7, 1e21, 123456.789, math.Copysign(0, -1), 1e-6, 5e-324, math.MaxFloat64}
+	square := make([][]float64, len(row))
+	for i := range square {
+		square[i] = row
+	}
+	for _, r := range []RegionResponse{
+		{Start: 3, End: 15, Measure: "r2", Values: [][]float64{row, row}},
+		{Start: 3, End: 15, Measure: "r2", Values: square},
+		{Start: 0, End: 12, Measure: "dprime", RowStart: 0, RowEnd: 4, Values: [][]float64{row}},
+		{Start: 3, End: 15, Measure: "d", RowStart: 5, RowEnd: 9, Partial: true, Values: [][]float64{row, row, row, row}},
+		{Start: -3, End: 15, Measure: "r2", RowStart: -1, Values: [][]float64{}},
+		{End: 1, Measure: `a"b\c<d>&é` + "\x01\u2028", Values: [][]float64{{1}}},
+		{End: 2, Measure: "r2", Values: [][]float64{{1, math.NaN()}}},
+		{End: 1, Measure: "r2", Values: [][]float64{{math.Inf(-1)}}},
+	} {
+		sameRegion(t, r)
+	}
 	for _, v := range []any{
-		RegionResponse{},
-		RegionResponse{Start: 3, End: 15, Measure: "r2", Values: [][]float64{row, row}},
-		RegionResponse{Start: 0, End: 12, Measure: "dprime", RowStart: 0, RowEnd: 4, Values: [][]float64{row}},
-		RegionResponse{Start: 3, End: 15, Measure: "d", RowStart: 5, RowEnd: 9, Partial: true, Values: [][]float64{nil, row, {}, nil}},
-		RegionResponse{Start: -3, End: 15, Measure: "r2", RowStart: -1, Values: [][]float64{}},
-		RegionResponse{Measure: `a"b\c<d>&é` + "\x01\u2028", Values: [][]float64{{1}}},
-		RegionResponse{Measure: "r2", Values: [][]float64{{1, math.NaN()}}},
-		RegionResponse{Measure: "r2", Values: [][]float64{{math.Inf(-1)}}},
 		MatVecResponse{},
 		MatVecResponse{RowStart: 0, RowEnd: 12, Y: row},
 		MatVecResponse{RowStart: 7, RowEnd: 7, Y: []float64{}},
@@ -89,8 +126,8 @@ func wireFloats(tb testing.TB) []float64 {
 }
 
 // FuzzWireFloat: for any float64 bit pattern the encoder writes what
-// encoding/json writes — in a matrix row, beside a null row, and in both
-// vectors — or both refuse with the same 500. Then in a square reply, where
+// encoding/json writes — in a row window, in rows that are not a square,
+// and in both vectors — or both refuse with the same 500. Then in a square reply, where
 // a cell below the diagonal may be a copy of the one above: symmetric,
 // antisymmetric, and around a unit diagonal.
 func FuzzWireFloat(f *testing.F) {
@@ -100,20 +137,21 @@ func FuzzWireFloat(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, bits, wbits uint64) {
 		v, w := math.Float64frombits(bits), math.Float64frombits(wbits)
-		sameResponse(t, RegionResponse{Start: 1, End: 3, Measure: "r2", Values: [][]float64{{v, -v}, nil, {v}}})
+		sameRegion(t, RegionResponse{Start: 1, End: 3, Measure: "r2", RowStart: 1, RowEnd: 2, Values: [][]float64{{v, -v}}})
+		sameRegion(t, RegionResponse{Start: 1, End: 3, Measure: "r2", Values: [][]float64{{v, -v}, {w, v}, {v, w}}})
 		sameResponse(t, MatVecResponse{RowEnd: 2, Y: []float64{v, v}})
 		sameResponse(t, ScoreResponse{RowStart: 1, RowEnd: 2, Scores: []float64{v}})
-		sameResponse(t, RegionResponse{End: 2, Measure: "r2", Values: [][]float64{{v, w}, {w, v}}})
-		sameResponse(t, RegionResponse{End: 2, Measure: "d", Values: [][]float64{{v, w}, {-w, v}}})
-		sameResponse(t, RegionResponse{End: 2, Measure: "r2", Values: [][]float64{{1, v}, {v, 1}}})
+		sameRegion(t, RegionResponse{End: 2, Measure: "r2", Values: [][]float64{{v, w}, {w, v}}})
+		sameRegion(t, RegionResponse{End: 2, Measure: "d", Values: [][]float64{{v, w}, {-w, v}}})
+		sameRegion(t, RegionResponse{End: 2, Measure: "r2", Values: [][]float64{{1, v}, {v, 1}}})
 	})
 }
 
 // TestRegionMirrorCopy: a square reply whose cells below the diagonal are
 // copied from above it reads as encoding/json's, and so does every square
 // that is not quite symmetric: a cell one ulp off, -0 against +0, a value
-// that is refused above, on and below the diagonal. A row window and a
-// single cell are not squares at all.
+// that is refused above, on and below the diagonal. A row window, a single
+// cell and no rows at all are spelled row by row.
 func TestRegionMirrorCopy(t *testing.T) {
 	sym := wireRegion(t, 100, 124)
 	sym.RowStart, sym.RowEnd = 0, 0 // as the node answers an unwindowed query
@@ -133,58 +171,55 @@ func TestRegionMirrorCopy(t *testing.T) {
 		r.Values[i][j] = v
 		return r
 	}
-	if !sym.square() {
-		t.Fatal("a whole region is not taken for a square")
-	}
-	sameResponse(t, sym)
-	sameResponse(t, with(7, 3, math.Nextafter(sym.Values[7][3], 2)))
-	sameResponse(t, with(3, 7, math.Nextafter(sym.Values[3][7], 2)))
+	sameRegion(t, sym)
+	sameRegion(t, with(7, 3, math.Nextafter(sym.Values[7][3], 2)))
+	sameRegion(t, with(3, 7, math.Nextafter(sym.Values[3][7], 2)))
 	zeros := with(9, 2, math.Copysign(0, -1))
 	zeros.Values[2][9] = 0
-	sameResponse(t, zeros)
+	sameRegion(t, zeros)
 	zeros.Values[2][9], zeros.Values[9][2] = zeros.Values[9][2], zeros.Values[2][9]
-	sameResponse(t, zeros)
+	sameRegion(t, zeros)
 	for _, at := range [][2]int{{3, 7}, {5, 5}, {7, 3}, {23, 0}, {0, 23}} {
-		sameResponse(t, with(at[0], at[1], math.NaN()))
-		sameResponse(t, with(at[0], at[1], math.Inf(-1)))
+		sameRegion(t, with(at[0], at[1], math.NaN()))
+		sameRegion(t, with(at[0], at[1], math.Inf(-1)))
 	}
 	both := with(3, 7, math.NaN())
 	both.Values[7][3] = both.Values[3][7]
-	sameResponse(t, both)
+	sameRegion(t, both)
 
 	window := sym
 	window.RowStart, window.RowEnd, window.Values = 104, 112, sym.Values[4:12]
 	one := RegionResponse{Start: 5, End: 6, Measure: "r2", Values: [][]float64{{1}}}
-	ragged := with(0, 0, 1)
-	ragged.Values[5] = nil
-	for _, r := range []RegionResponse{window, one, ragged, {Measure: "r2", Values: [][]float64{}}} {
-		if r.square() {
-			t.Errorf("%d rows of %d taken for a square", len(r.Values), len(sym.Values))
-		}
-		sameResponse(t, r)
+	for _, r := range []RegionResponse{window, one, {End: 3, Measure: "r2", Values: [][]float64{}}} {
+		sameRegion(t, r)
 	}
 }
 
 var sinkResponse *Response
 
-// BenchmarkEncodeRegion: one region payload through OK — the 80 × 80 square
-// a node answers an unwindowed query with, and 40 rows of it as a shard
+// BenchmarkEncodeRegion: one region payload through the encoder a node
+// runs — its row-major floats spelled into a pooled buffer, which is then
+// released as the mux releases it after Write — for the 80 × 80 square a
+// node answers an unwindowed query with, and 40 rows of it as a shard
 // answers for its strip (no cell is the mirror of another).
 func BenchmarkEncodeRegion(b *testing.B) {
-	square := wireRegion(b, 100, 180)
+	square := nodeRegion(wireRegion(b, 100, 180))
 	strip := square
-	strip.RowStart, strip.RowEnd, strip.Values = 100, 140, square.Values[:40]
+	strip.RowStart, strip.RowEnd, strip.vals = 100, 140, square.vals[:40*80]
 	for _, c := range []struct {
-		name string
-		resp RegionResponse
+		name    string
+		payload flatRegion
 	}{{"square", square}, {"strip", strip}} {
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(OK(c.resp).Body)))
+			warm := OK(c.payload)
+			b.SetBytes(int64(len(warm.Body)))
+			warm.release() // the first encode below reuses its buffer
 			b.ReportAllocs()
 			for b.Loop() {
-				sinkResponse = OK(c.resp)
+				sinkResponse = OK(c.payload)
+				sinkResponse.release()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.resp.floats()), "ns/float")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.payload.floats()), "ns/float")
 		})
 	}
 }

@@ -82,8 +82,8 @@ type BuildStats struct {
 	FileBytes int64
 	// PeakResultBytes is the build's result-storage high-water mark: the
 	// three NT-row float64 stripes that circulate between the scan, which
-	// computes straight into one, and the writer — O(TileSize × SNPs),
-	// never the n² result.
+	// computes straight into one, and the writer — O(TileSize × SNPs), or
+	// O(TileSize × (TileSize + Band)) banded, never the n² result.
 	PeakResultBytes int64
 	// StartStripe is the tile row the build began at: 0 for a fresh
 	// build, the checkpoint's stripe count for a resumed one.
@@ -123,9 +123,13 @@ type builder struct {
 	id    identity
 
 	// Scan side.
-	so   core.StreamOptions
-	next int     // first row of the stripe the scan must deliver next
-	cur  *Stripe // the buffer the scan is computing into, nil between stripes
+	so core.StreamOptions
+	// cells is a stripe buffer's size: the scan's largest stripe, NT rows
+	// to n, or in a banded build to the band edge, which is all the
+	// encoders read. It stays 0 when no row was left to scan.
+	cells int
+	next  int     // first row of the stripe the scan must deliver next
+	cur   *Stripe // the buffer the scan is computing into, nil between stripes
 
 	// The stripe buffers circulate free → scan → full → writer → free; both
 	// channels hold every buffer there is, so only the scan's wait for a
@@ -173,12 +177,13 @@ type commitReq struct {
 // and stale cells past it are already part of Stripe's contract.
 var stripePool sync.Pool
 
-func getStripe(n, rows int) *Stripe {
-	if s, _ := stripePool.Get().(*Stripe); s != nil && cap(s.Vals) >= rows*n && cap(s.RowEnd) >= rows {
-		s.N, s.Vals, s.RowEnd = n, s.Vals[:rows*n], s.RowEnd[:rows]
+// getStripe returns a stripe buffer of cells values for rows rows of n SNPs.
+func getStripe(n, rows, cells int) *Stripe {
+	if s, _ := stripePool.Get().(*Stripe); s != nil && cap(s.Vals) >= cells && cap(s.RowEnd) >= rows {
+		s.N, s.Vals, s.RowEnd = n, s.Vals[:cells], s.RowEnd[:rows]
 		return s
 	}
-	return &Stripe{N: n, Vals: make([]float64, rows*n), RowEnd: make([]int, rows)}
+	return &Stripe{N: n, Vals: make([]float64, cells), RowEnd: make([]int, rows)}
 }
 
 func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
@@ -384,7 +389,7 @@ func (b *builder) run() (BuildStats, error) {
 	st.Tiles = len(b.index)
 	st.TileBytes = b.offset - int64(f.HeaderSize())
 	st.FileBytes = b.offset + int64(len(b.index))*IndexEntrySize
-	st.PeakResultBytes = stripeBuffers * 8 * int64(rows) * int64(b.n)
+	st.PeakResultBytes = stripeBuffers * 8 * int64(b.cells)
 	st.StartStripe = b.startStripe
 	return st, nil
 }
@@ -420,10 +425,11 @@ func (b *builder) scan(start, rows int) error {
 	if start > 0 {
 		b.so.RowStart, b.so.RowEnd = start, b.n
 	}
+	b.cells = b.so.StripeCells(rows, 0, b.n, b.n)
 
 	b.free, b.full = make(chan *Stripe, stripeBuffers), make(chan *Stripe, stripeBuffers)
 	for range stripeBuffers {
-		b.free <- getStripe(b.n, rows)
+		b.free <- getStripe(b.n, rows, b.cells)
 	}
 	var stages sync.WaitGroup
 	if b.ck != nil {

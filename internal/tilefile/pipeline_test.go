@@ -365,6 +365,32 @@ func TestBuildBackPressure(t *testing.T) {
 	}
 }
 
+// TestStripeBufferSize: the three circulating stripe buffers hold what the
+// scan writes — NT rows to n unbanded, NT rows to the band edge banded —
+// and PeakResultBytes reports exactly that.
+func TestStripeBufferSize(t *testing.T) {
+	const snps, nt, band = 120, 16, 50
+	g := testMatrix(t, snps, 64, 5)
+	src := ldbmSource(t, g, false)
+	sh := shape{nt: nt, band: band}
+	for _, c := range []struct {
+		tier tier
+		want int64
+	}{
+		{tiers[0], 3 * 8 * nt * snps},
+		{tiers[2], 3 * 8 * nt * snps},
+		{tiers[3], 3 * 8 * nt * (nt + band)},
+	} {
+		st, err := c.tier.build(filepath.Join(t.TempDir(), "s.store"), src, sh, srcOpts{ioPanel: nt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PeakResultBytes != c.want {
+			t.Errorf("%s: PeakResultBytes %d, want %d", c.tier.name, st.PeakResultBytes, c.want)
+		}
+	}
+}
+
 // BenchmarkBuildFile runs the whole build pipeline from a windowed .ldbm:
 // the dense and the banded sparse codec, with and without the checkpoint's
 // committer stage. pairs/s is the headline; MB/s is the store written,

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"sync/atomic"
+
+	"ldgemm/internal/bufpool"
 )
 
 // Codec is the read side of a tile format: what the container cannot
@@ -236,7 +238,10 @@ func (r *Reader[T]) Tile(ti, tj int) (T, error) {
 	}
 	var zero T
 	e := r.Index[id]
-	payload := make([]byte, e.Length)
+	// The payload is dead once Decode returns: codecs copy what they keep,
+	// and the decoded tile is what the LRU holds.
+	payload := bufpool.Bytes.Get(int(e.Length))
+	defer bufpool.Bytes.Put(payload)
 	// A zero-length payload (an empty sparse tile) may sit exactly at the
 	// end of the tile section, where some ReaderAts report EOF even for
 	// an empty read.
