@@ -44,7 +44,10 @@ build-arm64:
 # scratch and the in-flight semaphore across requests
 # (TestConcurrentRegionRequests), concurrent matvecs in both body spellings
 # over the request-vector counters (TestSparseVectorCounters), the
-# scatter-gather cluster coordinator, and the ldserver lifecycle). The
+# scatter-gather cluster coordinator, the ldserver lifecycle, and ldstore's
+# per-chromosome builds — TestBuildSplitChromParallel runs up to three
+# store builds at once over the shared arena pool and the process-wide
+# counters). The
 # server and cluster tests run with poisoned releases here
 # (bufpool.PoisonForTest in their TestMain): a recycled reply, result
 # float, request vector, tile payload or strip body is overwritten when it
@@ -56,7 +59,7 @@ build-arm64:
 .PHONY: verify-race
 verify-race:
 	go vet ./...
-	go test -race ./internal/blis/... ./internal/core/... ./internal/kernel/... ./internal/popcount/... ./internal/tilefile/... ./internal/ldstore/... ./internal/ldsparse/... ./internal/server/... ./internal/cluster/... ./cmd/ldserver/...
+	go test -race ./internal/blis/... ./internal/core/... ./internal/kernel/... ./internal/popcount/... ./internal/tilefile/... ./internal/ldstore/... ./internal/ldsparse/... ./internal/server/... ./internal/cluster/... ./cmd/ldserver/... ./cmd/ldstore/...
 
 # Cluster tier: the httptest cluster end to end — bit-identity, error
 # parity and wire stability against a single node (including replica

@@ -5,7 +5,7 @@
 //	ldbench [flags] <experiment>...
 //
 // Experiments: fig3 fig4 table1 table2 table3 fig5 simd gaps fsm tanimoto
-// ablation popcount all
+// ablation popcount banded all
 //
 // Flags:
 //
@@ -15,12 +15,6 @@
 //	            (default 1,2,4,8,12 as in the paper)
 //	-reps N     best-of repetitions for the peak-fraction figures
 //	-csv        emit CSV instead of aligned tables
-//	-write-tune-profile PATH   run the autotuner (blocking × threads ×
-//	                      chunk size, for the host's micro-kernel) and
-//	                      persist the winner as a per-host profile for
-//	                      ldserver/ldstore -tune-profile; with it, the
-//	                      experiment list may be empty
-//	-tune-budget D        autotuner measurement budget (default 2s)
 package main
 
 import (
@@ -28,12 +22,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"ldgemm/internal/blis"
 	"ldgemm/internal/experiments"
 	"ldgemm/internal/harness"
 	"ldgemm/internal/popsim"
@@ -41,7 +33,7 @@ import (
 
 var experimentOrder = []string{
 	"fig3", "fig4", "table1", "table2", "table3", "fig5",
-	"simd", "gaps", "fsm", "tanimoto", "ablation", "popcount", "tuned", "banded",
+	"simd", "gaps", "fsm", "tanimoto", "ablation", "popcount", "banded",
 }
 
 func main() {
@@ -58,9 +50,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	threadsFlag := fs.String("threads", "1,2,4,8,12", "comma-separated thread counts for comparison tables")
 	reps := fs.Int("reps", 3, "best-of repetitions for peak-fraction figures")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
-	writeProfile := fs.String("write-tune-profile", "",
-		"run the autotuner and persist the winner as a per-host profile at this path (loadable via ldserver/ldstore -tune-profile); with it, the experiment list may be empty")
-	tuneBudget := fs.Duration("tune-budget", 2*time.Second, "autotuner measurement budget for -write-tune-profile")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr,
 			"usage: ldbench [flags] <experiment>...\nexperiments: %s all\nflags:\n",
@@ -72,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	names := fs.Args()
-	if len(names) == 0 && *writeProfile == "" {
+	if len(names) == 0 {
 		fs.Usage()
 		return fmt.Errorf("no experiment named")
 	}
@@ -83,14 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	threads, err := parseThreads(*threadsFlag)
 	if err != nil {
 		return err
-	}
-	if *writeProfile != "" {
-		if err := writeTuneProfile(*writeProfile, *tuneBudget, stderr); err != nil {
-			return err
-		}
-	}
-	if len(names) == 0 {
-		return nil
 	}
 	fmt.Fprintf(stderr, "calibrating host peak... ")
 	peak := harness.CalibratePeak(300 * time.Millisecond)
@@ -154,31 +135,11 @@ func dispatch(name string, cfg experiments.Config) (*harness.Table, error) {
 		return experiments.Ablation(cfg)
 	case "popcount":
 		return experiments.PopcountAblation(cfg)
-	case "tuned":
-		return experiments.Tuned(cfg)
 	case "banded":
 		return experiments.Banded(cfg)
 	default:
 		return nil, fmt.Errorf("unknown experiment (have: %s all)", strings.Join(experimentOrder, " "))
 	}
-}
-
-// writeTuneProfile runs the autotuner and persists the winner as a
-// per-host profile the serving binaries load via -tune-profile.
-func writeTuneProfile(path string, budget time.Duration, stderr io.Writer) error {
-	res, err := blis.Tune(blis.TuneOptions{
-		Budget:      budget,
-		MaxThreads:  runtime.NumCPU(),
-		ProfilePath: path,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "ldbench: tuned %d configs; winner %s/%s MC/NC/KC %d/%d/%d at %.3f Gtriples/s; profile written to %s\n",
-		res.Evaluated, res.Variant, res.Popcount,
-		res.Config.MC, res.Config.NC, res.Config.KC,
-		res.TriplesPerSecond/1e9, path)
-	return nil
 }
 
 func parseThreads(s string) ([]int, error) {

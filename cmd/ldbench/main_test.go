@@ -2,11 +2,8 @@ package main
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"ldgemm/internal/blis"
 )
 
 func TestParseThreads(t *testing.T) {
@@ -35,25 +32,6 @@ func TestLdbenchNoExperiment(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "usage: ldbench") {
 		t.Fatal("usage not printed")
-	}
-}
-
-func TestLdbenchWriteTuneProfile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tune.json")
-	var out, errBuf bytes.Buffer
-	err := run([]string{"-write-tune-profile", path, "-tune-budget", "200ms"}, &out, &errBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errBuf.String(), "profile written to") {
-		t.Fatalf("no tune summary: %s", errBuf.String())
-	}
-	p, err := blis.LoadProfile(path)
-	if err != nil {
-		t.Fatalf("written profile does not load back: %v", err)
-	}
-	if _, err := p.Config(); err != nil {
-		t.Fatal(err)
 	}
 }
 

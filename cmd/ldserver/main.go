@@ -6,11 +6,9 @@
 //
 //	ldserver -in data.ldgm -addr :8080
 //
-// With -tune-profile pointing at an `ldbench -write-tune-profile` output,
-// the saved driver configuration (cache blocking, and threads × chunk size
-// when the tuner pinned them) steers every LD request; the micro-kernel is
-// the host's. A profile that is corrupt or was measured on different
-// hardware or by an older tuner is logged and ignored, never fatal.
+// Every LD request runs the host's one driver configuration (cache
+// blocking and micro-kernel); -threads sets only its worker count, and
+// -max-region caps the width of a dense region (at least 1).
 //
 // With -store pointing at an `ldstore build` output for the same dataset,
 // the /api/ld, /api/ld/region, and /api/ld/top endpoints serve precomputed
@@ -75,7 +73,6 @@ import (
 	"syscall"
 	"time"
 
-	"ldgemm/internal/blis"
 	"ldgemm/internal/cluster"
 	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
@@ -114,9 +111,8 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "dataset path (.ldgm or .ms, optionally gzipped; required)")
 	addr := fs.String("addr", ":8080", "listen address")
-	maxRegion := fs.Int("max-region", 512, "cap on dense region width")
+	maxRegion := fs.Int("max-region", 512, "cap on dense region width (at least 1)")
 	threads := fs.Int("threads", 0, "LD kernel threads (0 = GOMAXPROCS)")
-	chunk := fs.Int("chunk", 0, "parallel-driver chunk granularity in micro-tiles (0 = derived)")
 	reqTimeout := fs.Duration("request-timeout", 30*time.Second,
 		"per-request deadline; in-flight kernels are cancelled when it expires (0 = none)")
 	maxInFlight := fs.Int("max-inflight", 0,
@@ -131,8 +127,6 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	sparsePath := fs.String("sparse-store", "",
 		"threshold-pruned sparse store (ldstore build -sparse output) backing the /api/sparse operator endpoints")
 	sparseCache := fs.Int("sparse-cache", 0, "sparse-store tile LRU capacity (0 = default); it serves pair lookups, and the operators only of a store too large to keep resident")
-	tuneProfile := fs.String("tune-profile", "",
-		"per-host tune profile JSON (ldbench -write-tune-profile output); corrupt or stale profiles are logged and ignored")
 	shardRange := fs.String("shard-range", "",
 		"owned SNP row range a:b when running as a cluster shard (empty = unsharded)")
 	coordinator := fs.String("coordinator", "",
@@ -184,16 +178,18 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 		fs.Usage()
 		return nil, fmt.Errorf("-in is required")
 	}
+	if *maxRegion < 1 {
+		// Like a -shard-range typo: refuse to start rather than serve with
+		// a cap the operator did not ask for.
+		return nil, fmt.Errorf("-max-region %d: want at least 1", *maxRegion)
+	}
 	g, err := seqio.LoadMatrix(*in)
 	if err != nil {
 		return nil, err
 	}
 	cfg := server.Config{
-		MaxRegionSNPs: *maxRegion, Threads: *threads, ChunkTiles: *chunk,
+		MaxRegionSNPs: *maxRegion, Threads: *threads,
 		RequestTimeout: *reqTimeout, MaxInFlight: *maxInFlight,
-	}
-	if *tuneProfile != "" {
-		cfg.Blis = loadTuneProfile(*tuneProfile, stderr)
 	}
 	if *shardRange != "" {
 		lo, hi, err := parseShardRange(*shardRange, g.SNPs)
@@ -255,27 +251,6 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 		a.admin = newHTTPServer(*adminAddr, adminMux(s.VarsHandler()), 0)
 	}
 	return a, nil
-}
-
-// loadTuneProfile resolves the -tune-profile flag into a base driver
-// configuration. Any failure — corrupt JSON, an invalid blocking, or a
-// fingerprint measured on another host or by another profile version — is
-// logged and the defaults are kept: a bad profile must never stop the
-// server, and a stale one must never steer it with foreign measurements.
-func loadTuneProfile(path string, stderr io.Writer) blis.Config {
-	p, err := blis.LoadProfile(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "ldserver: ignoring tune profile %s: %v\n", path, err)
-		return blis.Config{}
-	}
-	cfg, err := p.Config()
-	if err != nil {
-		fmt.Fprintf(stderr, "ldserver: ignoring tune profile %s: %v\n", path, err)
-		return blis.Config{}
-	}
-	fmt.Fprintf(stderr, "ldserver: tune profile %s: MC/NC/KC %d/%d/%d\n",
-		path, cfg.MC, cfg.NC, cfg.KC)
-	return cfg
 }
 
 // parseShardRange parses the -shard-range a:b flag against the loaded

@@ -13,7 +13,6 @@ import (
 
 	"strings"
 
-	"ldgemm/internal/blis"
 	"ldgemm/internal/kernel"
 	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
@@ -209,26 +208,16 @@ func TestSetupRejectsMismatchedStore(t *testing.T) {
 	}
 }
 
-// TestSetupTuneProfile closes the autotune loop: a saved profile is
-// loaded at startup and its blocking reaches the server's driver config
-// (the announcement is printed from the config handed to the server),
-// while the kernel stays the host's: after a kernel-powered request
-// /debug/vars reports the host default's route at this k (one sample
-// word: the tile where the host has one, the scalar 4x4 elsewhere).
-func TestSetupTuneProfile(t *testing.T) {
+// TestSetupReportsHostRoute: there is one driver configuration per host,
+// so after a kernel-powered request /debug/vars reports the host default's
+// route at this k (one sample word: the tile where the host has one, the
+// scalar 4x4 elsewhere).
+func TestSetupReportsHostRoute(t *testing.T) {
 	path := writeServerDataset(t, false)
-	profPath := filepath.Join(t.TempDir(), "tune.json")
-	err := blis.SaveProfile(profPath, blis.Profile{MC: 64, NC: 1024, KC: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var errBuf bytes.Buffer
-	a, err := setup([]string{"-in", path, "-tune-profile", profPath, "-access-log=false"}, &errBuf)
+	a, err := setup([]string{"-in", path, "-access-log=false"}, &errBuf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(errBuf.String(), "tune profile "+profPath+": MC/NC/KC 64/1024/128") || strings.Contains(errBuf.String(), "ignoring") {
-		t.Fatalf("profile blocking not announced: %s", errBuf.String())
 	}
 	rec := httptest.NewRecorder()
 	a.srv.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/api/ld/region?start=0&end=20", nil))
@@ -256,47 +245,21 @@ func TestSetupTuneProfile(t *testing.T) {
 	}
 }
 
-// TestSetupTuneProfileFallback pins the failure contract: a corrupt
-// profile, one from another host, and one this host wrote in the version-2
-// format that still named a kernel and a popcount strategy are each logged
-// and ignored — startup must still succeed.
-func TestSetupTuneProfileFallback(t *testing.T) {
+// TestSetupRefusesMaxRegionBelowOne: a region cap below 1 is a typo, not a
+// request for an uncapped server, so startup fails and names the flag.
+func TestSetupRefusesMaxRegionBelowOne(t *testing.T) {
 	path := writeServerDataset(t, false)
-	dir := t.TempDir()
-
-	corrupt := filepath.Join(dir, "corrupt.json")
-	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stale := filepath.Join(dir, "stale.json")
-	err := blis.SaveProfile(stale, blis.Profile{
-		Fingerprint: "linux/riscv64/cpu64/simd-none/v1",
-		MC:          128, NC: 4096, KC: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(dir, "v2.json")
-	if err := os.WriteFile(v2, version2Profile(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, prof := range []string{corrupt, stale, v2} {
+	for _, bad := range []string{"0", "-1"} {
 		var errBuf bytes.Buffer
-		if _, err := setup([]string{"-in", path, "-tune-profile", prof, "-access-log=false"}, &errBuf); err != nil {
-			t.Fatalf("bad profile %s failed startup: %v", prof, err)
-		}
-		if !strings.Contains(errBuf.String(), "ignoring tune profile") {
-			t.Fatalf("fallback for %s not logged: %s", prof, errBuf.String())
+		_, err := setup([]string{"-in", path, "-max-region", bad, "-access-log=false"}, &errBuf)
+		if err == nil || !strings.Contains(err.Error(), "-max-region") {
+			t.Fatalf("-max-region %s: setup returned %v, want a -max-region error", bad, err)
 		}
 	}
-}
-
-// version2Profile is a profile as this host's tuner wrote it before
-// profiles stopped naming a kernel and a popcount strategy.
-func version2Profile() []byte {
-	fp := strings.Replace(blis.HostFingerprint(), "/v3", "/v2", 1)
-	return []byte(`{"version": 2, "fingerprint": "` + fp + `", "kernel": "4x4", "popcount": "scalar", "mc": 64, "nc": 1024, "kc": 128}`)
+	var errBuf bytes.Buffer
+	if _, err := setup([]string{"-in", path, "-max-region", "1", "-access-log=false"}, &errBuf); err != nil {
+		t.Fatalf("-max-region 1 refused: %v", err)
+	}
 }
 
 // TestSetupShardMode boots a shard via -shard-range and checks both the

@@ -101,8 +101,6 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 		"with -sparse: drop entries with |value| below this threshold")
 	band := fs.Int("band", -1,
 		"with -sparse: compute only pairs within |i-j| <= band, skipping off-band GEMM (-1 = full matrix; 0 = diagonal only)")
-	tuneProfile := fs.String("tune-profile", "",
-		"per-host tune profile JSON (ldbench -write-tune-profile output); corrupt or stale profiles are logged and ignored")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -119,24 +117,7 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer closeSrc()
-	// The build is one long batch of kernel calls, so a tuned kernel
-	// config pays off most here; like ldserver, a bad profile is logged
-	// and ignored — it must never block a build.
 	bcfg := blis.Config{Threads: *threads}
-	if *tuneProfile != "" {
-		if p, err := blis.LoadProfile(*tuneProfile); err != nil {
-			fmt.Fprintf(stderr, "ldstore: ignoring tune profile %s: %v\n", *tuneProfile, err)
-		} else if cfg, err := p.Config(); err != nil {
-			fmt.Fprintf(stderr, "ldstore: ignoring tune profile %s: %v\n", *tuneProfile, err)
-		} else {
-			if *threads != 0 {
-				cfg.Threads = *threads
-			}
-			bcfg = cfg
-			fmt.Fprintf(stderr, "ldstore: tune profile %s: MC/NC/KC %d/%d/%d\n",
-				*tuneProfile, cfg.MC, cfg.NC, cfg.KC)
-		}
-	}
 	if !*sparse {
 		if *threshold != 0 {
 			return fmt.Errorf("-threshold requires -sparse")

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ldgemm/internal/bitmat"
-	"ldgemm/internal/blis"
 	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/popsim"
 	"ldgemm/internal/seqio"
@@ -117,55 +116,6 @@ func TestBuildInfoQuery(t *testing.T) {
 	for i := 1; i < len(top.Pairs); i++ {
 		if top.Pairs[i].Value > top.Pairs[i-1].Value {
 			t.Fatal("top pairs not sorted")
-		}
-	}
-}
-
-// TestBuildTuneProfile covers both sides of the -tune-profile contract
-// on the build path: a valid profile steers the build (and its blocking is
-// announced), while a corrupt one, one from another host and one this
-// host wrote in the version-2 format that still named a kernel and a
-// popcount strategy are logged and ignored without failing the build.
-func TestBuildTuneProfile(t *testing.T) {
-	data := writeDataset(t)
-	dir := t.TempDir()
-
-	prof := filepath.Join(dir, "tune.json")
-	err := blis.SaveProfile(prof, blis.Profile{MC: 64, NC: 1024, KC: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stderr, err := runLdstore(t, "build", "-in", data,
-		"-out", filepath.Join(dir, "tuned.ldts"), "-tune-profile", prof)
-	if err != nil {
-		t.Fatalf("build with profile: %v", err)
-	}
-	if !strings.Contains(stderr, "tune profile "+prof+": MC/NC/KC 64/1024/128") || strings.Contains(stderr, "ignoring") {
-		t.Fatalf("profile load not announced: %q", stderr)
-	}
-
-	corrupt := filepath.Join(dir, "corrupt.json")
-	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stale := filepath.Join(dir, "stale.json")
-	err = blis.SaveProfile(stale, blis.Profile{Fingerprint: "linux/riscv64/cpu64/simd-none/v1", MC: 128, NC: 4096, KC: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(dir, "v2.json")
-	fp := strings.Replace(blis.HostFingerprint(), "/v3", "/v2", 1)
-	if err := os.WriteFile(v2, []byte(`{"version": 2, "fingerprint": "`+fp+`", "kernel": "4x4", "popcount": "scalar", "mc": 64, "nc": 1024, "kc": 128}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{corrupt, stale, v2} {
-		_, stderr, err = runLdstore(t, "build", "-in", data,
-			"-out", filepath.Join(dir, "fallback.ldts"), "-tune-profile", bad)
-		if err != nil {
-			t.Fatalf("build with bad profile %s failed: %v", bad, err)
-		}
-		if !strings.Contains(stderr, "ignoring tune profile") {
-			t.Fatalf("fallback for %s not logged: %q", bad, stderr)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package ldgemm
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 // TestFacadeAnalyses drives the analysis layer end to end through the
@@ -44,17 +43,15 @@ func TestFacadeAnalyses(t *testing.T) {
 	}
 }
 
-func TestFacadeTune(t *testing.T) {
-	res, err := Tune(TuneOptions{SNPs: 128, Samples: 512, Budget: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The tuned config must work when passed through Options.
+// TestFacadeBlockConfig passes a non-default blocking — several row and
+// column blocks, two KC slabs — through Options: the counts are integers,
+// so every r² must be bit-identical to the default's.
+func TestFacadeBlockConfig(t *testing.T) {
 	g, err := GenerateMosaic(50, 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withTuned, err := LD(g, Options{Measures: MeasureR2, Blis: res.Config})
+	blocked, err := LD(g, Options{Measures: MeasureR2, Blis: BlockConfig{MC: 16, NC: 32, KC: 2, Threads: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +59,9 @@ func TestFacadeTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range withTuned.R2 {
-		if math.Abs(withTuned.R2[i]-withDefault.R2[i]) > 1e-12 {
-			t.Fatal("tuned config changed results")
+	for i := range blocked.R2 {
+		if math.Float64bits(blocked.R2[i]) != math.Float64bits(withDefault.R2[i]) {
+			t.Fatalf("r2[%d] = %v with MC/NC/KC 16/32/2, %v with the default", i, blocked.R2[i], withDefault.R2[i])
 		}
 	}
 }

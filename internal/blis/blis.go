@@ -49,12 +49,6 @@ type Config struct {
 	Kernel kernel.Kernel
 	// Threads is the number of worker goroutines (GOMAXPROCS if 0).
 	Threads int
-	// ChunkTiles is the work-queue granularity of the parallel driver:
-	// the target number of micro-tiles per scheduler chunk. 0 derives it
-	// from the workload and thread count (tiles per column block divided
-	// by 4·Threads). Smaller chunks balance the triangular SYRK workload
-	// better at the cost of more queue traffic.
-	ChunkTiles int
 	// Ctx, when non-nil, cancels an in-flight driver call cooperatively:
 	// workers observe the cancellation between tile jobs and the driver
 	// returns Ctx.Err() at the next phase or slab-group boundary, with
@@ -77,7 +71,7 @@ func DefaultConfig() Config {
 
 // PlainKernel returns the micro-kernel the plain (unmasked) driver runs
 // for c — the one answer to "which kernel, which register tile" that
-// normalize, the tuner and core's SYRK mirror-ownership rule share: the
+// normalize and core's SYRK mirror-ownership rule share: the
 // Kernel set, or kernel.Default when it is unset.
 func (c Config) PlainKernel() kernel.Kernel {
 	if c.Kernel.Fn == nil {
@@ -102,7 +96,7 @@ func (c Config) normalize() (Config, error) {
 	if c.Threads == 0 {
 		c.Threads = runtime.GOMAXPROCS(0)
 	}
-	if c.MC < 1 || c.NC < 1 || c.KC < 1 || c.Threads < 1 || c.ChunkTiles < 0 {
+	if c.MC < 1 || c.NC < 1 || c.KC < 1 || c.Threads < 1 {
 		return c, fmt.Errorf("blis: invalid config %+v", c)
 	}
 	if c.Kernel.MR < 1 || c.Kernel.NR < 1 {

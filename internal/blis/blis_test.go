@@ -82,6 +82,28 @@ func TestGemmDefaultConfigLargerInput(t *testing.T) {
 	}
 }
 
+// TestConfigNormalize pins the one blocking the driver runs: DefaultConfig
+// and the zero Config normalize to the same MC/NC/KC and kernel, and a
+// blocking or thread count below 1 is refused before any work starts.
+func TestConfigNormalize(t *testing.T) {
+	d := DefaultConfig()
+	for _, cfg := range []Config{d, {}} {
+		got, err := cfg.normalize()
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if got.MC != d.MC || got.NC != d.NC || got.KC != d.KC || got.Kernel.Name != kernel.Default.Name || got.Threads < 1 {
+			t.Fatalf("%+v normalized to %+v", cfg, got)
+		}
+	}
+	g := randomMatrix(rand.New(rand.NewSource(8)), 4, 64)
+	for _, bad := range []Config{{MC: -1}, {NC: -1}, {KC: -1}, {Threads: -1}} {
+		if err := Syrk(bad, g, make([]uint32, 16), 4, false); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+}
+
 func TestGemmAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randomMatrix(rng, 10, 100)

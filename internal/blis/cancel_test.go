@@ -3,6 +3,7 @@ package blis
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -35,8 +36,13 @@ func slowKernel(started chan<- struct{}, delay time.Duration) kernel.Kernel {
 	return k
 }
 
+// testMatrix is a fixed random snps × samples input.
+func testMatrix(snps, samples int) *bitmat.Matrix {
+	return randomMatrix(rand.New(rand.NewSource(1)), snps, samples)
+}
+
 func TestDriverPreCancelled(t *testing.T) {
-	g := probeMatrix(64, 256)
+	g := testMatrix(64, 256)
 	c := make([]uint32, 64*64)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -53,7 +59,7 @@ func TestDriverPreCancelled(t *testing.T) {
 
 func TestDriverCancelMidFlight(t *testing.T) {
 	base := runtime.NumGoroutine()
-	g := probeMatrix(128, 512)
+	g := testMatrix(128, 512)
 	c := make([]uint32, 128*128)
 	started := make(chan struct{}, 1)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -61,8 +67,9 @@ func TestDriverCancelMidFlight(t *testing.T) {
 
 	// Small KC so the call has many slab-group phases; the slow kernel
 	// guarantees plenty of them remain when the cancel lands.
-	cfg := Config{Threads: 4, KC: 1, ChunkTiles: 1, Ctx: ctx,
+	cfg := Config{Threads: 4, KC: 1, Ctx: ctx,
 		Kernel: slowKernel(started, 200*time.Microsecond)}
+	pinChunk(t, 1)
 	done := make(chan error, 1)
 	go func() { done <- Syrk(cfg, g, c, 128, true) }()
 
@@ -89,7 +96,7 @@ func TestDriverCancelMidFlight(t *testing.T) {
 }
 
 func TestDriverDeadlineExceeded(t *testing.T) {
-	g := probeMatrix(96, 512)
+	g := testMatrix(96, 512)
 	c := make([]uint32, 96*96)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
@@ -103,7 +110,7 @@ func TestDriverDeadlineExceeded(t *testing.T) {
 // TestDriverCancelMasked covers the masked instantiation of the unified
 // driver: the same cooperative-cancel machinery must serve both kernels.
 func TestDriverCancelMasked(t *testing.T) {
-	g := probeMatrix(64, 256)
+	g := testMatrix(64, 256)
 	mask := bitmat.NewMask(64, 256)
 	c := make([]uint32, 64*64*4)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -116,7 +123,7 @@ func TestDriverCancelMasked(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	before := ReadStats()
-	g := probeMatrix(64, 512)
+	g := testMatrix(64, 512)
 	c := make([]uint32, 64*64)
 	if err := Syrk(Config{Threads: 2}, g, c, 64, true); err != nil {
 		t.Fatal(err)
@@ -137,14 +144,5 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if hr := after.ArenaHitRate(); hr < 0 || hr > 1 {
 		t.Fatalf("arena hit rate %v", hr)
-	}
-}
-
-func TestTuneCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := Tune(TuneOptions{SNPs: 64, Samples: 512, Budget: time.Second, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled tune returned %v, want context.Canceled", err)
 	}
 }

@@ -42,11 +42,13 @@ func TestGemmStrategiesMatchScalarOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range routeKernels {
-			for _, cfg := range []Config{
-				{Kernel: k},
-				{Kernel: k, MC: 5, NC: 7, KC: 3, Threads: 3},
-				{Kernel: k, MC: 8, NC: 16, KC: 7, Threads: 2, ChunkTiles: 1},
+			for _, c := range []chunked{
+				{Config{Kernel: k}, 0},
+				{Config{Kernel: k, MC: 5, NC: 7, KC: 3, Threads: 3}, 0},
+				{Config{Kernel: k, MC: 8, NC: 16, KC: 7, Threads: 2}, 1},
 			} {
+				cfg := c.Config
+				pinChunk(t, c.chunk)
 				got := make([]uint32, m*ldc)
 				if err := Gemm(cfg, a, b, got, ldc); err != nil {
 					t.Fatalf("shape %v kernel %q: %v", sh, k.Name, err)
@@ -75,10 +77,12 @@ func TestSyrkStrategiesMatchScalarOracle(t *testing.T) {
 			// Defaults keep NC wide, exercising the pack-sharing path the
 			// run layout must preserve; the small config forces fringe
 			// tiles and multi-slab groups.
-			for _, cfg := range []Config{
-				{Kernel: k},
-				{Kernel: k, MC: 4, NC: 8, KC: 5, Threads: 3, ChunkTiles: 1},
+			for _, c := range []chunked{
+				{Config{Kernel: k}, 0},
+				{Config{Kernel: k, MC: 4, NC: 8, KC: 5, Threads: 3}, 1},
 			} {
+				cfg := c.Config
+				pinChunk(t, c.chunk)
 				got := make([]uint32, n*n)
 				if err := Syrk(cfg, g, got, n, true); err != nil {
 					t.Fatalf("n=%d kernel %q: %v", n, k.Name, err)
@@ -107,10 +111,12 @@ func TestMaskedStrategiesMatchScalarOracle(t *testing.T) {
 		if err := MaskedReference(a, b, ka, kb, want, n); err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []Config{
-			{},
-			{MC: 4, NC: 6, KC: 5, Threads: 2, ChunkTiles: 1},
+		for _, c := range []chunked{
+			{Config{}, 0},
+			{Config{MC: 4, NC: 6, KC: 5, Threads: 2}, 1},
 		} {
+			cfg := c.Config
+			pinChunk(t, c.chunk)
 			got := make([]uint32, m*n*4)
 			if err := MaskedGemm(cfg, a, b, ka, kb, got, n); err != nil {
 				t.Fatalf("shape %v: %v", sh, err)
@@ -321,7 +327,8 @@ func TestConcurrentBatchedSyrk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := Config{Kernel: kernel.Portable, MC: 16, NC: 32, KC: 7, Threads: 3, ChunkTiles: 1}
+	cfg := Config{Kernel: kernel.Portable, MC: 16, NC: 32, KC: 7, Threads: 3}
+	pinChunk(t, 1)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for call := 0; call < 8; call++ {

@@ -126,7 +126,7 @@ func checkRowRunContract(t *testing.T, cfg Config, m, n, samples int, syrk bool)
 	expect := map[epiRun]int{}
 	for jc := 0; jc < n; jc += ncBlk {
 		nc := min(ncBlk, n-jc)
-		target := norm.ChunkTiles
+		target := chunkTiles
 		if target == 0 {
 			target = countTiles(m, jc, nc, mcBlk, mr, nr, syrk) / (callWorkers(norm.Threads, m, n, a.Words) * chunksPerWorker)
 		}
@@ -166,16 +166,16 @@ var contractShapes = []struct{ m, n int }{
 
 // contractConfigs varies what decides where runs start and end: register
 // tile shape, block sizes, chunking (1 tile per job, 7, derived), threads.
-func contractConfigs() []Config {
-	var cfgs []Config
+func contractConfigs() []chunked {
+	var cfgs []chunked
 	for _, k := range []kernel.Kernel{kernel.Default, kernel.Generic(8, 4), kernel.Generic(4, 8), kernel.Generic(3, 5)} {
 		for _, chunk := range []int{1, 7, 0} {
 			for _, threads := range []int{1, 3, 8} {
-				cfgs = append(cfgs, Config{MC: 12, NC: 20, KC: 1, Kernel: k, ChunkTiles: chunk, Threads: threads})
+				cfgs = append(cfgs, chunked{Config{MC: 12, NC: 20, KC: 1, Kernel: k, Threads: threads}, chunk})
 			}
 		}
 	}
-	return append(cfgs, Config{MC: 8, NC: 12, KC: 2, ChunkTiles: 7, Threads: 2}, Config{Threads: 5})
+	return append(cfgs, chunked{Config{MC: 8, NC: 12, KC: 2, Threads: 2}, 7}, chunked{Config{Threads: 5}, 0})
 }
 
 // contractSamples returns the two sample counts every contract config runs
@@ -199,10 +199,11 @@ func TestGemmEpilogueCoversEachCellOnce(t *testing.T) {
 	old := maxGroupWords
 	maxGroupWords = 64 // several slab groups: runs fire after the last only
 	defer func() { maxGroupWords = old }()
-	for _, cfg := range contractConfigs() {
-		for _, samples := range contractSamples(t, cfg) {
+	for _, c := range contractConfigs() {
+		pinChunk(t, c.chunk)
+		for _, samples := range contractSamples(t, c.Config) {
 			for _, sh := range contractShapes {
-				checkRowRunContract(t, cfg, sh.m, sh.n, samples, false)
+				checkRowRunContract(t, c.Config, sh.m, sh.n, samples, false)
 			}
 		}
 	}
@@ -215,10 +216,11 @@ func TestSyrkEpilogueUpperTriangle(t *testing.T) {
 	old := maxGroupWords
 	maxGroupWords = 64
 	defer func() { maxGroupWords = old }()
-	for _, cfg := range contractConfigs() {
-		for _, samples := range contractSamples(t, cfg) {
+	for _, c := range contractConfigs() {
+		pinChunk(t, c.chunk)
+		for _, samples := range contractSamples(t, c.Config) {
 			for _, sh := range contractShapes {
-				checkRowRunContract(t, cfg, sh.n, sh.n, samples, true)
+				checkRowRunContract(t, c.Config, sh.n, sh.n, samples, true)
 			}
 		}
 	}

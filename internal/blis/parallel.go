@@ -122,10 +122,16 @@ type tileJob struct {
 // multi-group pipelines on small inputs.
 var maxGroupWords = 4 << 20
 
-// chunksPerWorker is the default work-queue overpartition factor: the
-// target chunk cost is totalTiles/(workers·chunksPerWorker) unless
-// Config.ChunkTiles overrides it.
+// chunksPerWorker is the work-queue overpartition factor: the target chunk
+// cost is totalTiles/(workers·chunksPerWorker), so the triangular SYRK
+// workload balances across workers at little queue traffic.
 const chunksPerWorker = 4
+
+// chunkTiles, when non-zero, replaces the derived chunk target with a fixed
+// number of micro-tiles per scheduler chunk. Nothing outside this package's
+// tests sets it: like maxGroupWords, it lets them force one-tile jobs and
+// other scheduling extremes on small inputs.
+var chunkTiles int
 
 // minParallelCellWords is the size — output cells × sample words, m·n·kw —
 // below which a driver call runs on its caller alone. Waking a second worker
@@ -342,7 +348,7 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 	var jobs []tileJob
 	for jc := 0; jc < n; jc += ncBlk {
 		nc := min(ncBlk, n-jc)
-		target := cfg.ChunkTiles
+		target := chunkTiles
 		if target == 0 {
 			target = countTiles(m, jc, nc, mcBlk, mr, nr, syrk) / (workers * chunksPerWorker)
 		}

@@ -72,18 +72,33 @@ func TestSmallCallRunsOnCaller(t *testing.T) {
 	}
 }
 
+// chunked is a driver config together with the scheduler chunk target it
+// runs under (chunkTiles; 0 = derived).
+type chunked struct {
+	Config
+	chunk int
+}
+
+// pinChunk fixes the scheduler's chunk target at n micro-tiles (0 =
+// derived) until the test ends. Set it before a call starts, never while one
+// runs.
+func pinChunk(t testing.TB, n int) {
+	t.Cleanup(func() { chunkTiles = 0 })
+	chunkTiles = n
+}
+
 // adversarialConfigs exercises the parallel driver at scheduling extremes:
 // blocks smaller than a micro-tile, single-slab and many-slab k, more
 // threads than jobs, and forced chunk granularities.
-func adversarialConfigs() []Config {
-	return []Config{
-		{},
-		{MC: 1, NC: 1, KC: 1},
-		{MC: 5, NC: 7, KC: 3, Threads: 7},
-		{MC: 8, NC: 8, KC: 2, Threads: 3, ChunkTiles: 1},
-		{MC: 64, NC: 16, KC: 4, Threads: 2, ChunkTiles: 1000},
-		{MC: 16, NC: 4096, KC: 8, Threads: 5},
-		{Threads: 13, ChunkTiles: 2},
+func adversarialConfigs() []chunked {
+	return []chunked{
+		{Config{}, 0},
+		{Config{MC: 1, NC: 1, KC: 1}, 0},
+		{Config{MC: 5, NC: 7, KC: 3, Threads: 7}, 0},
+		{Config{MC: 8, NC: 8, KC: 2, Threads: 3}, 1},
+		{Config{MC: 64, NC: 16, KC: 4, Threads: 2}, 1000},
+		{Config{MC: 16, NC: 4096, KC: 8, Threads: 5}, 0},
+		{Config{Threads: 13}, 2},
 	}
 }
 
@@ -113,9 +128,10 @@ func TestGemmAdversarialCrossCheck(t *testing.T) {
 		if err := Reference(a, b, want, ldc); err != nil {
 			t.Fatal(err)
 		}
-		for ci, cfg := range adversarialConfigs() {
+		for ci, c := range adversarialConfigs() {
+			pinChunk(t, c.chunk)
 			got := make([]uint32, m*ldc)
-			if err := Gemm(cfg, a, b, got, ldc); err != nil {
+			if err := Gemm(c.Config, a, b, got, ldc); err != nil {
 				t.Fatalf("shape %v cfg %d: %v", sh, ci, err)
 			}
 			for i := range got {
@@ -137,9 +153,10 @@ func TestSyrkAdversarialCrossCheck(t *testing.T) {
 		if err := Reference(g, g, want, n); err != nil {
 			t.Fatal(err)
 		}
-		for ci, cfg := range adversarialConfigs() {
+		for ci, c := range adversarialConfigs() {
+			pinChunk(t, c.chunk)
 			got := make([]uint32, n*n)
-			if err := Syrk(cfg, g, got, n, true); err != nil {
+			if err := Syrk(c.Config, g, got, n, true); err != nil {
 				t.Fatalf("n=%d cfg %d: %v", n, ci, err)
 			}
 			for i := range got {
@@ -162,9 +179,10 @@ func TestMaskedAdversarialCrossCheck(t *testing.T) {
 		if err := MaskedReference(a, b, ka, kb, want, n); err != nil {
 			t.Fatal(err)
 		}
-		for ci, cfg := range adversarialConfigs() {
+		for ci, c := range adversarialConfigs() {
+			pinChunk(t, c.chunk)
 			got := make([]uint32, m*n*4)
-			if err := MaskedGemm(cfg, a, b, ka, kb, got, n); err != nil {
+			if err := MaskedGemm(c.Config, a, b, ka, kb, got, n); err != nil {
 				t.Fatalf("shape %v cfg %d: %v", sh, ci, err)
 			}
 			for i := range got {
@@ -194,7 +212,8 @@ func TestConcurrentSyrkSharedArena(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := Config{MC: 16, NC: 32, KC: 2, Threads: 3, ChunkTiles: 1}
+	cfg := Config{MC: 16, NC: 32, KC: 2, Threads: 3}
+	pinChunk(t, 1)
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for call := 0; call < 8; call++ {
@@ -308,54 +327,5 @@ func TestActiveTilesMatchesEnumeration(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestTuneDeadlineAbortsDescent(t *testing.T) {
-	// A budget this small exhausts during (or before) the descent; the
-	// labeled break must prevent probing every remaining axis, so the
-	// whole call stays near the budget.
-	start := time.Now()
-	res, err := Tune(TuneOptions{SNPs: 256, Samples: 4096, Budget: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("tuning took %v with a 1ms budget", el)
-	}
-	if res.Evaluated < 1 {
-		t.Fatal("no configurations evaluated")
-	}
-}
-
-func TestTuneMaxThreadsPhase(t *testing.T) {
-	res, err := Tune(TuneOptions{
-		SNPs: 96, Samples: 256, Budget: 2 * time.Second, MaxThreads: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The phase may or may not beat single-threaded on this host; either
-	// way the config must stay usable and ChunkTiles non-negative.
-	cfg := res.Config
-	if cfg.Threads < 0 || cfg.ChunkTiles < 0 {
-		t.Fatalf("invalid parallel knobs %+v", cfg)
-	}
-	got := make([]uint32, 50*50)
-	g := randomMatrix(rand.New(rand.NewSource(7)), 50, 300)
-	if err := Syrk(cfg, g, got, 50, true); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]uint32, 50*50)
-	if err := Reference(g, g, want, 50); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("MaxThreads-tuned config wrong at %d", i)
-		}
-	}
-	if _, err := Tune(TuneOptions{MaxThreads: -1}); err == nil {
-		t.Fatal("negative MaxThreads accepted")
 	}
 }

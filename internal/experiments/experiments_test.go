@@ -267,22 +267,6 @@ func TestSpeedupAtModerateScale(t *testing.T) {
 	}
 }
 
-func TestTunedTable(t *testing.T) {
-	cfg := fastConfig()
-	tbl, err := Tuned(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("%d rows", len(tbl.Rows))
-	}
-	for _, row := range tbl.Rows {
-		if _, err := strconv.ParseFloat(row[5], 64); err != nil {
-			t.Fatalf("time cell %q", row[5])
-		}
-	}
-}
-
 func TestBandedTable(t *testing.T) {
 	tbl, err := Banded(fastConfig())
 	if err != nil {

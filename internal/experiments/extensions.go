@@ -391,57 +391,6 @@ func PopcountAblation(cfg Config) (*harness.Table, error) {
 	return tbl, nil
 }
 
-// Tuned quantifies the auto-tuning extension: the default dgemm-oriented
-// blocking (which the paper used as-is) versus the empirically tuned
-// configuration on the same problem.
-func Tuned(cfg Config) (*harness.Table, error) {
-	cfg = cfg.normalize()
-	n := max(4096/cfg.Scale, 64)
-	k := max(16384/cfg.Scale, 256)
-	g := randomMatrix(777, n, k)
-	triples := syrkTriples(n, g.Words)
-	c := make([]uint32, n*n)
-
-	tbl := &harness.Table{
-		Title:   fmt.Sprintf("Auto-tuning ablation, %d SNPs × %d samples (single thread)", n, k),
-		Headers: []string{"configuration", "MC", "NC", "KC", "kernel", "time (s)", "% of peak"},
-	}
-	run := func(name string, bc blis.Config) error {
-		bc.Threads = 1
-		m, err := harness.Best(cfg.Reps, triples, func() error {
-			clear(c)
-			return blis.Syrk(bc, g, c, n, false)
-		})
-		if err != nil {
-			return err
-		}
-		resolved := bc
-		if resolved.MC == 0 {
-			resolved = blis.DefaultConfig()
-		}
-		kernelName := resolved.Kernel.Name
-		if kernelName == "" {
-			kernelName = "default"
-		}
-		tbl.AddRow(name,
-			fmt.Sprint(resolved.MC), fmt.Sprint(resolved.NC), fmt.Sprint(resolved.KC), kernelName,
-			harness.F(m.Elapsed.Seconds(), 3),
-			harness.F(100*m.PeakFraction(cfg.Peak), 1))
-		return nil
-	}
-	if err := run("default (untuned, as in the paper)", blis.Config{}); err != nil {
-		return nil, err
-	}
-	tuned, err := blis.Tune(blis.TuneOptions{SNPs: n, Samples: k})
-	if err != nil {
-		return nil, err
-	}
-	if err := run("auto-tuned", tuned.Config); err != nil {
-		return nil, err
-	}
-	return tbl, nil
-}
-
 // Banded demonstrates the chromosome-scale banded scan: LD restricted to
 // pairs within a window (PLINK --ld-window), whose cost is linear in n
 // rather than quadratic. The table contrasts the full triangle with two

@@ -69,8 +69,8 @@ func HasAVX512F() bool { return hasAVX512F }
 // register-tiled micro-kernel of internal/kernel needs exactly this.
 func HasAVX512VPOPCNTDQ() bool { return hasAVX512Popcnt }
 
-// VectorName names the active SIMD tier for stats, tune profiles and
-// /debug/vars: "avx512-vpopcntdq", "avx2-lut", or "none".
+// VectorName names the active SIMD tier for stats and /debug/vars:
+// "avx512-vpopcntdq", "avx2-lut", or "none".
 func VectorName() string {
 	switch {
 	case hasAVX512Popcnt:

@@ -27,21 +27,14 @@ import (
 
 // Config bounds the service.
 type Config struct {
-	// MaxRegionSNPs caps the width of a dense region request (default 512).
+	// MaxRegionSNPs caps the width of a dense region request (default 512,
+	// also for any value below 1: a node is never uncapped).
 	MaxRegionSNPs int
-	// MaxTopK caps the top-pairs list (default 1000).
+	// MaxTopK caps the top-pairs list (default 1000, likewise for any
+	// value below 1).
 	MaxTopK int
 	// Threads for the LD kernels (default GOMAXPROCS via blis).
 	Threads int
-	// Blis is the base kernel configuration merged into every request's
-	// driver config — typically a loaded tune profile (cache blocking,
-	// threads, chunk size). Threads and ChunkTiles above
-	// override its corresponding fields when non-zero, and the request
-	// context is always attached per request.
-	Blis blis.Config
-	// ChunkTiles is the parallel driver's work-queue granularity
-	// (blis.Config.ChunkTiles; default 0 = derived).
-	ChunkTiles int
 	// RequestTimeout bounds each request's total handling time; past it
 	// the request context is cancelled, the kernel drivers abort at their
 	// next phase boundary, and the client gets 504. 0 disables.
@@ -79,10 +72,10 @@ type Config struct {
 }
 
 func (c Config) normalize() Config {
-	if c.MaxRegionSNPs == 0 {
+	if c.MaxRegionSNPs <= 0 {
 		c.MaxRegionSNPs = 512
 	}
-	if c.MaxTopK == 0 {
+	if c.MaxTopK <= 0 {
 		c.MaxTopK = 1000
 	}
 	if c.RetryAfter == 0 {
@@ -173,21 +166,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.S
 // separate admin listener.
 func (s *Server) VarsHandler() http.Handler { return http.HandlerFunc(s.metrics.ServeVars) }
 
-// blisConfig is the per-request kernel configuration: the request context
-// flows into the parallel driver so an abandoned or timed-out request
-// stops the GEMM at its next phase boundary. Requests served concurrently
-// share packing storage through the blis arena pool, so the hot
+// blisConfig is the per-request kernel configuration: the host's one
+// blocking at the server's thread count, with the request context flowing
+// into the parallel driver so an abandoned or timed-out request stops the
+// GEMM at its next phase boundary. Requests served concurrently share
+// packing storage through the blis arena pool, so the hot
 // region/prune/blocks endpoints do not reallocate pack buffers.
 func (s *Server) blisConfig(ctx context.Context) blis.Config {
-	cfg := s.cfg.Blis
-	if s.cfg.Threads != 0 {
-		cfg.Threads = s.cfg.Threads
-	}
-	if s.cfg.ChunkTiles != 0 {
-		cfg.ChunkTiles = s.cfg.ChunkTiles
-	}
-	cfg.Ctx = ctx
-	return cfg
+	return blis.Config{Threads: s.cfg.Threads, Ctx: ctx}
 }
 
 // ldOptions is the per-request core configuration shared by the heavy

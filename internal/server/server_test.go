@@ -126,7 +126,7 @@ func TestRegionEndpoint(t *testing.T) {
 }
 
 // TestConcurrentRegionRequests drives the region endpoint from many
-// goroutines with ChunkTiles pinned: the per-request blis calls share the
+// goroutines: the per-request blis calls share the
 // pooled pack arena and the square replies the encoder's pooled offset
 // scratch, so this doubles as the server leg of the race tier.
 func TestConcurrentRegionRequests(t *testing.T) {
@@ -134,7 +134,7 @@ func TestConcurrentRegionRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(g, Config{MaxRegionSNPs: 64, Threads: 2, ChunkTiles: 1})
+	s := New(g, Config{MaxRegionSNPs: 64, Threads: 2})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
@@ -203,6 +203,34 @@ func TestTopEndpoint(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/api/ld/top?k=10000", nil); code != http.StatusBadRequest {
 		t.Fatalf("oversized k gave %d", code)
+	}
+}
+
+// TestNegativeCapsKeepDefaults: a cap below 1 is not "uncapped". Region
+// width and k are held to the defaults (512 and 1000), so a 600-wide region
+// is refused and k outside 1..1000 is a bad request.
+func TestNegativeCapsKeepDefaults(t *testing.T) {
+	g, err := popsim.Mosaic(600, 64, popsim.MosaicConfig{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(g, Config{MaxRegionSNPs: -1, MaxTopK: -1, Threads: 1})
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/api/ld/region?start=0&end=600", http.StatusUnprocessableEntity},
+		{"/api/ld/region?start=0&end=8", http.StatusOK},
+		{"/api/ld/top?k=0", http.StatusBadRequest},
+		{"/api/ld/top?k=-3", http.StatusBadRequest},
+		{"/api/ld/top?k=1001", http.StatusBadRequest},
+		{"/api/ld/top?k=3", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", c.path, nil))
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d", c.path, rec.Code, c.want)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@
 //	fmt.Println(res.At(0, 1).R2)
 //
 // The subsystems the paper's evaluation and the serving tiers use are
-// exposed as type aliases — the blocked driver and its tuner, the
+// exposed as type aliases — the blocked driver and its counters, the
 // ω-statistic sweep scan, the population simulator, gap-masked and
 // finite-sites LD, Tanimoto fingerprints, pruning, blocks, significance
 // and the file formats — so they are reachable from this one import.
@@ -66,9 +66,8 @@ func NewMask(snps, samples int) *Mask { return bitmat.NewMask(snps, samples) }
 type Options = core.Options
 
 // BlockConfig carries the GotoBLAS blocking parameters plus the parallel
-// driver's knobs: Threads (worker count), ChunkTiles (work-queue
-// granularity; 0 derives it from the workload), and Ctx for cooperative
-// cancellation (nil runs to completion).
+// driver's knobs: Threads (worker count) and Ctx for cooperative
+// cancellation (nil runs to completion). Zero fields take the defaults.
 type BlockConfig = blis.Config
 
 // Measure flags select which statistics to materialize.
@@ -218,37 +217,6 @@ type SignificanceResult = core.SignificanceResult
 func Significance(g *Matrix, opt SignificanceOptions) (*SignificanceResult, error) {
 	return core.Significance(g, opt)
 }
-
-// TuneOptions bounds the blocking auto-tuner search; its Ctx field lets a
-// caller abandon a long tuning sweep between measurements.
-type TuneOptions = blis.TuneOptions
-
-// TuneResult reports the winning blocked configuration.
-type TuneResult = blis.TuneResult
-
-// Tune searches cache block sizes (and, with TuneOptions.MaxThreads,
-// threads × chunk size) for the host's micro-kernel, returning a
-// BlockConfig to pass via Options.Blis.
-func Tune(opt TuneOptions) (*TuneResult, error) { return blis.Tune(opt) }
-
-// TuneProfile is the persistent, host-fingerprinted form of a tuned
-// configuration (the -tune-profile file of the serving binaries).
-type TuneProfile = blis.Profile
-
-// ErrProfileStale reports a tune profile measured on different hardware
-// or by an incompatible version; callers fall back to defaults.
-var ErrProfileStale = blis.ErrProfileStale
-
-// LoadTuneProfile reads and validates a saved tune profile; stale
-// profiles (another host, another version) fail with ErrProfileStale.
-func LoadTuneProfile(path string) (TuneProfile, error) { return blis.LoadProfile(path) }
-
-// SaveTuneProfile persists a profile atomically with this host's
-// fingerprint.
-func SaveTuneProfile(path string, p TuneProfile) error { return blis.SaveProfile(path, p) }
-
-// HostFingerprint identifies this host for tune-profile validation.
-func HostFingerprint() string { return blis.HostFingerprint() }
 
 // DriverStats is a snapshot of the blocked drivers' cumulative counters:
 // completed and cancelled calls, C-cells×k-words of kernel work, wall
