@@ -18,9 +18,11 @@
 // A .ldbm input is the out-of-core path: the bit matrix stays on disk
 // (windowed reads, or -mmap) and the build streams double-buffered panel
 // pairs through the GEMM, so genome-scale inputs never need to fit in
-// memory. -checkpoint makes progress durable stripe by stripe, as fast as
-// the disk commits; -resume restarts a killed build where it left off,
-// producing byte-identical output.
+// memory. Every stripe is written back to disk as it streams and the
+// finished store is made durable once, at the end. -checkpoint also
+// commits progress at most once a second, so a kill loses at most about a
+// second of stripes plus the commit in flight; -resume restarts a killed
+// build where it left off, producing byte-identical output.
 //
 // -sparse writes a threshold-pruned CSR container (ldsparse's LDSS
 // format) instead of the dense tile store: entries with |value| below
@@ -89,7 +91,7 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 	mmap := fs.Bool("mmap", false, "memory-map a .ldbm input instead of windowed reads")
 	ioWindow := fs.Int("io-window", 0, "out-of-core column-panel width in SNPs (0 = default 1024)")
 	checkpoint := fs.Bool("checkpoint", false,
-		"keep a durable stripe-granular checkpoint (<out>.ckpt/.idx) so a killed build can -resume")
+		"keep a durable checkpoint (<out>.ckpt/.idx), committed at most once a second, so a killed build can -resume")
 	resume := fs.Bool("resume", false, "resume a checkpointed build from where it left off (implies -checkpoint)")
 	splitChrom := fs.String("split-chrom", "",
 		"variant .bim path; build one store per chromosome, inserting .chr<N> before the output extension")

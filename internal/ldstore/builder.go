@@ -31,10 +31,12 @@ type SourceBuildOptions struct {
 	// panel memory against per-fetch I/O efficiency for file sources.
 	IOPanelSNPs int
 	// Checkpoint maintains a <store>.ckpt manifest and <store>.idx index
-	// sidecar, advanced as fast as the disk commits and never past durable
+	// sidecar, committed at most once a second and never past durable
 	// data, so a killed build can restart where it left off (less at most
-	// the stripes written during one commit) instead of from scratch. On
-	// failure the partial store and its sidecars are left in place.
+	// about a second of stripes and the commit in flight) instead of from
+	// scratch. A failure or cancel commits every flushed stripe at once and
+	// leaves the partial store and its sidecars in place; a build that
+	// finishes is made durable by its final fsync alone.
 	Checkpoint bool
 	// Resume restarts from an existing checkpoint manifest (implies
 	// Checkpoint). Without a manifest the build starts fresh; with one

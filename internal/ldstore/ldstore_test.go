@@ -254,6 +254,9 @@ func TestStoreCacheCounters(t *testing.T) {
 // matrix alone is n²×8 ≈ 18.9 MB, and the build must allocate less than
 // n²×4 total — impossible if anything materializes the full matrix.
 func TestBuildMemoryBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("TotalAlloc budgets are meaningless under the race detector")
+	}
 	n := 1536
 	g := testMatrix(t, n, 64, 17)
 	path := filepath.Join(t.TempDir(), "big.ldts")

@@ -92,21 +92,25 @@ type BuildStats struct {
 	// Where this call's time went, by pipeline stage. ScanWaitNanos is how
 	// long the scan sat blocked for a free stripe buffer: the output
 	// side's back-pressure on the compute side. EncodeWriteNanos is the
-	// writer's busy time (encode, CRC, append, flush) and CommitNanos the
+	// writer's busy time (encode, CRC, append, flush, and asking the kernel
+	// to start writing the flushed stripe back) and CommitNanos the
 	// committer's (fsyncs and the manifest rename); both overlap the scan.
 	ScanWaitNanos    int64
 	EncodeWriteNanos int64
 	CommitNanos      int64
-	// Commits is the number of manifests written: one per stripe when the
-	// disk keeps up, fewer when pending commits were merged, 0 without
-	// checkpointing.
+	// Commits is the number of manifests written: at most one per second
+	// of scanning (commitInterval), plus one when a failure or cancel ends
+	// the build. The final stripe is never committed — the seal makes it
+	// durable — so a build that finishes inside the interval writes none;
+	// 0 without checkpointing.
 	Commits int
 }
 
 // builder is the single build driver, a three-stage pipeline:
 //
-//	scan (core.StreamSourceStripes) → writer (encode, CRC, append, index)
-//	→ committer (fsync, sidecar, manifest; checkpointed file builds only)
+//	scan (core.StreamSourceStripes) → writer (encode, CRC, append, index,
+//	flush, writeback) → committer (fsync, sidecar, manifest; checkpointed
+//	file builds only, at most once per commitInterval)
 //
 // The builder is the scan's core.StripeSink: the blocked driver's epilogue
 // writes each stripe straight into one of three circulating buffers, the
@@ -143,8 +147,11 @@ type builder struct {
 	index  []Entry
 
 	// commits carries the writer's newest flushed position to the
-	// committer; nil unless checkpointing.
+	// committer; nil unless checkpointing. sealing, set before the channel
+	// is closed, says the scan and the writer both finished cleanly, so the
+	// seal will make every stripe durable.
 	commits chan commitReq
+	sealing bool
 
 	// The first error of any stage (failErr is read only after the join),
 	// and the cancel that stops the scan.
@@ -248,14 +255,21 @@ func Build(w io.WriteSeeker, src bitmat.Source, spec Spec) (BuildStats, error) {
 	return b.run()
 }
 
-// BuildFile is Build into the file at path. With spec.Checkpoint it
-// maintains the manifest and index sidecar, advanced as fast as the disk
-// commits and never past durable data (a committer goroutine fsyncs and
-// renames behind the writer, one manifest covering every stripe flushed
-// since the last); with spec.Resume it restarts from an existing manifest
-// (starting fresh without one, refusing one written by a different
-// dataset or options), re-computing only the stripes past it and
-// converging to the bytes of an uninterrupted build.
+// BuildFile is Build into the file at path. Every stripe is flushed to the
+// file as the writer finishes it and the kernel is asked to start writing
+// it back, so the data is mostly on disk by the time the seal's one fsync
+// makes the whole store durable. With spec.Checkpoint it also maintains
+// the manifest and index sidecar, never past durable data: a committer
+// goroutine fsyncs and renames behind the writer at most once per
+// commitInterval (one second), each manifest covering every stripe flushed
+// since the last, and at once when a failure or cancel ends the build. A
+// kill therefore loses at most about a second of stripes plus the commit
+// in flight. The final stripe is never committed: the seal makes it
+// durable and the sidecars are then removed, so a build that finishes
+// inside the interval pays for durability once. With spec.Resume it
+// restarts from an existing manifest (starting fresh without one, refusing
+// one written by a different dataset or options), re-computing only the
+// stripes past it and converging to the bytes of an uninterrupted build.
 //
 // On failure after at least one stripe has been flushed, the returned
 // error is a *PartialError carrying the progress; a checkpointed build
@@ -330,19 +344,26 @@ func BuildFile(path string, src bitmat.Source, spec Spec) (BuildStats, error) {
 	}
 	if useCkpt {
 		os.Remove(CheckpointPath(path))
+		os.Remove(manifestTemp(CheckpointPath(path)))
 		os.Remove(SidecarPath(path))
 	}
 	return st, nil
 }
 
-// fsys holds the three calls a checkpointed build's durability rests on.
-// It exists so export_test.go can record their order and inject faults;
-// nothing else assigns it.
+// fsys holds the calls a build's durability rests on, plus the writeback
+// hint, which is never durability: a range written back is durable only
+// once a sync covers it. It exists so export_test.go can record their
+// order and inject faults; nothing else assigns it.
 var fsys = struct {
-	write  func(f *os.File, p []byte) (int, error) // store bytes to the data file
-	sync   func(f *os.File) error                  // data file, sidecar, manifest temp
-	rename func(oldpath, newpath string) error     // manifest temp → manifest
-}{(*os.File).Write, (*os.File).Sync, os.Rename}
+	write     func(f *os.File, p []byte) (int, error) // store bytes to the data file
+	writeback func(f *os.File, off, n int64)          // start writing flushed data-file bytes back
+	sync      func(f *os.File) error                  // data file, sidecar, manifest temp
+	rename    func(oldpath, newpath string) error     // manifest temp → manifest
+}{(*os.File).Write, writeback, (*os.File).Sync, os.Rename}
+
+// commitInterval is the least time between two checkpoint commits of one
+// build, the first counted from the scan's start. Only tests change it.
+var commitInterval = time.Second
 
 // dataFile is the store's data file with its writes routed through fsys.
 type dataFile struct{ *os.File }
@@ -398,7 +419,8 @@ func (b *builder) run() (BuildStats, error) {
 // checkpointing, the committer behind it, and returns once all three have
 // finished. A stripe the scan handed over is written and committed
 // whatever stops the scan afterwards (a cancelled parent context, a failed
-// source read), so stripesDone and the manifest always agree. A stage's
+// source read), so stripesDone and the manifest always agree; only a clean
+// end leaves the stripes since the last commit to the seal. A stage's
 // own error cannot abort the stream from inside a sink callback: it is
 // recorded, the scan is cancelled through the driver's context plumbing,
 // and the recorded error wins over the resulting ctx.Err.
@@ -431,25 +453,30 @@ func (b *builder) scan(start, rows int) error {
 	for range stripeBuffers {
 		b.free <- getStripe(b.n, rows, b.cells)
 	}
-	var stages sync.WaitGroup
+	var writer, committer sync.WaitGroup
 	if b.ck != nil {
 		b.commits = make(chan commitReq, 1)
-		stages.Add(1)
+		committer.Add(1)
 		go func() {
-			defer stages.Done()
+			defer committer.Done()
 			b.commitStripes()
 		}()
 	}
-	stages.Add(1)
+	writer.Add(1)
 	go func() {
-		defer stages.Done()
+		defer writer.Done()
 		b.writeStripes()
 	}()
 
 	streamErr := core.StreamSourceStripes(b.src, b.so, b)
 
 	close(b.full)
-	stages.Wait()
+	writer.Wait()
+	if b.commits != nil {
+		b.sealing = streamErr == nil && !b.failed.Load()
+		close(b.commits)
+		committer.Wait()
+	}
 	if b.cur != nil {
 		stripePool.Put(b.cur)
 	}
@@ -513,9 +540,6 @@ func (b *builder) StripeDone(i0, rows, width int, _ []float64) {
 // order, until the scan closes the channel. After a failure anywhere it
 // only recycles buffers, so the scan never waits on a dead writer.
 func (b *builder) writeStripes() {
-	if b.commits != nil {
-		defer close(b.commits)
-	}
 	for s := range b.full {
 		if !b.failed.Load() {
 			t0 := time.Now()
@@ -528,10 +552,13 @@ func (b *builder) writeStripes() {
 	}
 }
 
-// writeStripe encodes and appends every tile of one tile row, then either
-// counts it done or flushes it to the file and posts it for commit.
+// writeStripe encodes and appends every tile of one tile row, flushes it
+// to the file and asks the kernel to start writing it back, then either
+// counts it done or posts it for commit. The final stripe is never
+// posted: the seal's data fsync makes it durable.
 func (b *builder) writeStripe(s *Stripe) error {
 	ti := s.I0 / b.nt
+	start := b.offset
 	for tj := ti; tj < b.bands; tj++ {
 		payload, aux, err := b.spec.Encoder.EncodeTile(s, tileAt(b.n, b.nt, ti, tj))
 		if err != nil {
@@ -548,12 +575,18 @@ func (b *builder) writeStripe(s *Stripe) error {
 		})
 		b.offset += int64(len(payload))
 	}
+	if err := b.bw.Flush(); err != nil {
+		return err
+	}
+	if b.file != nil {
+		fsys.writeback(b.file, start, b.offset-start)
+	}
 	if b.ck == nil {
 		b.stripesDone++
 		return nil
 	}
-	if err := b.bw.Flush(); err != nil {
-		return err
+	if ti+1 == b.bands {
+		return nil
 	}
 	// Newest wins: commit appends index[ck.tiles:], so this request covers
 	// every stripe of one the committer has not started on. The writer is
@@ -574,26 +607,75 @@ func (b *builder) writeStripe(s *Stripe) error {
 
 // commitStripes is the committer stage: the unchanged durability sequence
 // — tile bytes to disk, index entries to disk, then the manifest rename
-// that counts them — run on whatever the newest request is each time it
-// comes round. The data fsync is issued after the request's bytes were
-// flushed to the file, so a manifest never names a byte or an index entry
-// that is not durable; stripes flushed during a commit ride the next one,
-// and a kill loses at most those. A request outstanding when the scan or
-// the writer stops is still committed; a commit that fails ends the stage
-// (the writer's post never blocks, so nothing waits on it).
+// that counts them — run on the newest request, no sooner than
+// commitInterval after the scan started or the last commit began. A
+// request that arrives sooner is held, and a newer one replaces it. The
+// data fsync is issued after the request's bytes were flushed to the
+// file, so a manifest never names a byte or an index entry that is not
+// durable; a kill loses at most the stripes since the last commit and the
+// one in flight. When the channel closes, a held request is dropped if
+// the build is sealing (the seal makes those stripes durable) and
+// committed at once if it is not, so a failed or cancelled build's
+// manifest counts every stripe it flushed. A commit that fails ends the
+// stage (the writer's post never blocks, so nothing waits on it).
 func (b *builder) commitStripes() {
-	for req := range b.commits {
-		t0 := time.Now()
-		err := fsys.sync(b.file)
-		if err == nil {
-			err = b.ck.commit(b.spec.Format, req.index, req.stripes, req.offset)
+	var (
+		held  *commitReq
+		timer *time.Timer
+		due   <-chan time.Time // timer.C while a held request waits on it
+	)
+	defer func() {
+		if timer != nil {
+			timer.Stop()
 		}
-		b.stats.CommitNanos += time.Since(t0).Nanoseconds()
-		if err != nil {
-			b.fail(err)
+	}()
+	next := time.Now().Add(commitInterval)
+	for {
+		select {
+		case req, ok := <-b.commits:
+			if !ok {
+				if held != nil && !b.sealing {
+					b.commit(*held)
+				}
+				return
+			}
+			held = &req
+			if wait := time.Until(next); wait > 0 {
+				if due == nil {
+					if timer == nil {
+						timer = time.NewTimer(wait)
+					} else {
+						timer.Reset(wait)
+					}
+					due = timer.C
+				}
+				continue
+			}
+		case <-due:
+		}
+		due = nil
+		next = time.Now().Add(commitInterval)
+		if !b.commit(*held) {
 			return
 		}
-		b.stripesDone = req.stripes
-		b.stats.Commits++
+		held = nil
 	}
+}
+
+// commit runs one round of the durability sequence for req and reports
+// whether it succeeded; a failure is recorded for the build.
+func (b *builder) commit(req commitReq) bool {
+	t0 := time.Now()
+	err := fsys.sync(b.file)
+	if err == nil {
+		err = b.ck.commit(b.spec.Format, req.index, req.stripes, req.offset)
+	}
+	b.stats.CommitNanos += time.Since(t0).Nanoseconds()
+	if err != nil {
+		b.fail(err)
+		return false
+	}
+	b.stripesDone = req.stripes
+	b.stats.Commits++
+	return true
 }

@@ -24,10 +24,15 @@ import (
 //     build reloads the entries it can no longer recompute from here.
 //
 // Commits run on their own goroutine behind the build's writer (see
-// builder.commitStripes) and each takes the newest flushed position, so
-// the manifest advances as fast as the disk commits — once per stripe on
-// a disk that keeps up, once per several on one that does not — and a
-// kill loses at most the stripes written during one commit.
+// builder.commitStripes), at most once per commitInterval (one second),
+// and each takes the newest flushed position. A kill therefore loses at
+// most about a second of stripes plus the commit in flight: a bounded
+// loss traded for not paying three fsyncs per stripe. A failure or cancel
+// commits the newest flushed stripe at once. The final stripe is never
+// committed; the seal makes it durable, so a build that finishes within
+// the interval writes no manifest at all. Meanwhile the writer asks the
+// kernel to write each flushed stripe back as it goes — a head start on
+// the fsyncs, never a substitute for them.
 //
 // Resume truncates the data file to the manifest's offset, reloads the
 // sidecar, and restarts the scan at the next stripe via the stream's row
@@ -127,14 +132,18 @@ func parseManifest(f *Format, b []byte) (manifest, error) {
 	return m, nil
 }
 
+// manifestTemp is where writeManifest stages the manifest at path.
+func manifestTemp(path string) string { return path + ".tmp" }
+
 // writeManifest atomically replaces path with the encoded manifest:
-// temp file in the same directory, fsync, rename.
+// temp file in the same directory, fsync, rename. The temp file is
+// removed whichever step fails.
 func writeManifest(path string, m manifest) error {
 	b, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
+	tmp := manifestTemp(path)
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
@@ -145,11 +154,13 @@ func writeManifest(path string, m manifest) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = fsys.rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return fsys.rename(tmp, path)
+	return err
 }
 
 // checkpoint is the open checkpoint state of one file build: the index

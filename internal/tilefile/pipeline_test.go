@@ -17,10 +17,11 @@ import (
 )
 
 // The build pipeline under observation and injected faults. The seam sees
-// three calls — a write to the data file, an fsync, the manifest rename —
-// and tells the fsyncs apart by file name.
+// four calls — a write to the data file, a writeback request for it, an
+// fsync, the manifest rename — and tells the fsyncs apart by file name.
 const (
 	opWrite        = "data write"
+	opWriteback    = "data writeback"
 	opSyncData     = "data fsync"
 	opSyncSidecar  = "sidecar fsync"
 	opSyncManifest = "manifest fsync"
@@ -31,10 +32,11 @@ var errInjected = errors.New("injected fault")
 
 type fsEvent struct {
 	op string
-	// size is the file's length when an fsync was issued; manifest the
-	// bytes a rename installs.
-	size     int64
-	manifest []byte
+	// size is the file's length when an fsync or a writeback was issued;
+	// off and n the range a writeback asked for; manifest the bytes a
+	// rename installs.
+	size, off, n int64
+	manifest     []byte
 }
 
 // seam records every call through tilefile's fs seam and can fail, gate
@@ -51,7 +53,11 @@ type seam struct {
 	injected bool
 	// lockstep > 0 makes the pipeline deterministic for that many stripes:
 	// the data write of stripe s waits for the manifest that counts stripe
-	// s−1, so commit k covers exactly stripe k.
+	// s−1, so commit k covers exactly stripe k. The last of them is never
+	// committed, so the writes after it wait for lockstep−1 manifests.
+	// Every write already waits for the commit before it, so lockstep
+	// also pins the commit interval to 0: pacing would only stretch each
+	// stripe to a second.
 	lockstep int
 	// before runs ahead of the nth call of op, outside the lock.
 	before func(op string, nth int)
@@ -61,8 +67,18 @@ func installSeam(t *testing.T, s *seam) *seam {
 	t.Helper()
 	s.cond = sync.NewCond(&s.mu)
 	s.calls = make(map[string]int)
-	t.Cleanup(tilefile.SetFSForTest(s.write, s.sync, s.rename))
+	t.Cleanup(tilefile.SetFSForTest(s.write, s.writeback, s.sync, s.rename))
+	if s.lockstep > 0 {
+		pinInterval(t, 0)
+	}
 	return s
+}
+
+// pinInterval sets the least time between two checkpoint commits for the
+// rest of the test.
+func pinInterval(t *testing.T, d time.Duration) {
+	t.Helper()
+	t.Cleanup(tilefile.SetCommitIntervalForTest(d))
 }
 
 // wait blocks until pred holds or a fault has been injected.
@@ -96,8 +112,8 @@ func (s *seam) enter(ev fsEvent) error {
 	}
 	if ev.op == opWrite && s.lockstep > 0 {
 		// Write 1 is the header, write 2+s stripe s; the index and the
-		// header patch follow the last stripe's manifest.
-		need := min(nth-2, s.lockstep)
+		// header patch follow the last committed stripe's manifest.
+		need := min(nth-2, s.lockstep-1)
 		s.wait(func() bool { return s.calls[opRename] >= need })
 	}
 	if fail {
@@ -111,6 +127,17 @@ func (s *seam) write(f *os.File, p []byte) (int, error) {
 		return 0, err
 	}
 	return f.Write(p)
+}
+
+// writeback records the file's length beside the range asked for (-1 if
+// it cannot be read, which no range fits); a writeback cannot fail.
+func (s *seam) writeback(f *os.File, off, n int64) {
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
+	s.enter(fsEvent{op: opWriteback, size: size, off: off, n: n})
+	tilefile.Writeback(f, off, n)
 }
 
 func (s *seam) sync(f *os.File) error {
@@ -160,11 +187,15 @@ func settleGoroutines(t *testing.T, what string, base int) {
 // every manifest that gets renamed into place was preceded by a data
 // fsync issued with at least its DataOffset bytes in the file and by a
 // sidecar fsync covering its TilesWritten entries — and the build's own
-// count of commits is the number of manifests.
+// count of commits is the number of manifests. A writeback never counts
+// as a data fsync here; each asks only for bytes already in the file, one
+// per stripe, and no manifest names the final stripe, which the seal makes
+// durable. Commits are unpaced, so the test build makes some.
 func TestBuildDurabilityOrder(t *testing.T) {
 	g := testMatrix(t, 120, 77, 9)
 	sh := shape{nt: 16, band: 50}
 	stripes := tilefile.BandsFor(120, sh.nt)
+	pinInterval(t, 0)
 	for _, tr := range tiers {
 		s := installSeam(t, &seam{})
 		path := filepath.Join(t.TempDir(), "ordered.store")
@@ -172,13 +203,22 @@ func TestBuildDurabilityOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tr.name, err)
 		}
+		if n := s.count(opWriteback); n != stripes {
+			t.Fatalf("%s: %d writebacks for %d stripes", tr.name, n, stripes)
+		}
 		if got := mustRead(t, path); string(got) != string(ramBytes(t, tr, g, sh)) {
 			t.Fatalf("%s: store differs from the in-RAM build", tr.name)
 		}
-		renames := 0
+		renames, writebacks := 0, 0
 		var dataSynced, sidecarSynced int64 // the most any fsync so far covered
 		for _, ev := range s.events {
 			switch ev.op {
+			case opWriteback:
+				writebacks++
+				if ev.n <= 0 || ev.off+ev.n > ev.size {
+					t.Fatalf("%s: writeback %d asks for [%d, %d) of a %d-byte file",
+						tr.name, writebacks, ev.off, ev.off+ev.n, ev.size)
+				}
 			case opSyncData:
 				dataSynced = max(dataSynced, ev.size)
 			case opSyncSidecar:
@@ -196,6 +236,9 @@ func TestBuildDurabilityOrder(t *testing.T) {
 				if want := int64(m.TilesWritten) * tilefile.IndexEntrySize; sidecarSynced < want {
 					t.Fatalf("%s: manifest %d counts %d tiles (%d sidecar bytes), only %d were fsynced",
 						tr.name, renames, m.TilesWritten, want, sidecarSynced)
+				}
+				if m.StripesDone >= stripes {
+					t.Fatalf("%s: manifest %d names the final stripe (%d of %d)", tr.name, renames, m.StripesDone, stripes)
 				}
 			}
 		}
@@ -273,11 +316,13 @@ func TestBuildInjectedFaults(t *testing.T) {
 // TestBuildGroupCommit: a committer slower than the scan merges pending
 // commits instead of queueing them. The first data fsync is held until
 // every stripe has been flushed, so the second commit has to cover all the
-// rest: two manifests for eight stripes, and the same bytes.
+// rest but the final one: two manifests for eight stripes, and the same
+// bytes. Commits are unpaced, so only the held fsync merges them.
 func TestBuildGroupCommit(t *testing.T) {
 	g := testMatrix(t, 120, 77, 9)
 	sh := shape{nt: 16, band: 50}
 	stripes := tilefile.BandsFor(120, sh.nt)
+	pinInterval(t, 0)
 	for _, tr := range tiers {
 		s := &seam{}
 		s.before = func(op string, nth int) {
@@ -297,6 +342,156 @@ func TestBuildGroupCommit(t *testing.T) {
 		if got := mustRead(t, path); string(got) != string(ramBytes(t, tr, g, sh)) {
 			t.Fatalf("%s: group-committed store differs from the in-RAM build", tr.name)
 		}
+	}
+}
+
+// onlyStore fails the test unless dir holds exactly the file name: no
+// manifest, sidecar or manifest temp left beside the store.
+func onlyStore(t *testing.T, dir, name string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || names[0] != name {
+		t.Fatalf("directory holds %q, want only %q", names, name)
+	}
+}
+
+// TestBuildCommitPacing: with commits an hour apart, a checkpointed build
+// that runs to the end makes no commit at all — the seal makes every
+// stripe durable — returns long before the interval with no goroutine
+// left behind, leaves only the store in its directory, and writes an
+// unchecked build's bytes. Both write every stripe back. A source that
+// fails part-way has the committer commit what was flushed at once,
+// whatever the interval: the error, the one manifest and the stripes the
+// writer wrote agree, and a resume reaches the reference bytes.
+func TestBuildCommitPacing(t *testing.T) {
+	const interval = time.Hour
+	g := testMatrix(t, 120, 77, 9)
+	sh := shape{nt: 16, band: 50}
+	stripes := tilefile.BandsFor(120, sh.nt)
+	pinInterval(t, interval)
+	for _, tr := range tiers {
+		t.Run(tr.name, func(t *testing.T) {
+			src := ldbmSource(t, g, false)
+			plain := filepath.Join(t.TempDir(), "plain.store")
+			s := installSeam(t, &seam{})
+			if _, err := tr.build(plain, src, sh, srcOpts{ioPanel: 16}); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.count(opWriteback); n != stripes {
+				t.Fatalf("unchecked build: %d writebacks for %d stripes", n, stripes)
+			}
+
+			base := runtime.NumGoroutine()
+			dir := t.TempDir()
+			path := filepath.Join(dir, "paced.store")
+			s = installSeam(t, &seam{})
+			t0 := time.Now()
+			st, err := tr.build(path, src, sh, srcOpts{ioPanel: 16, checkpoint: true})
+			took := time.Since(t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Commits != 0 || s.count(opRename) != 0 {
+				t.Fatalf("%d commits (%d manifests) within one interval, want 0", st.Commits, s.count(opRename))
+			}
+			if took > interval/60 {
+				t.Fatalf("build took %v against a commit interval of %v", took, interval)
+			}
+			settleGoroutines(t, "after the build", base)
+			if n := s.count(opWriteback); n != stripes {
+				t.Fatalf("checkpointed build: %d writebacks for %d stripes", n, stripes)
+			}
+			onlyStore(t, dir, "paced.store")
+			if string(mustRead(t, path)) != string(mustRead(t, plain)) {
+				t.Fatal("checkpointed store differs from the unchecked one")
+			}
+
+			t.Run("failing source", func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				s := installSeam(t, &seam{})
+				// The frequency pass fetches each of the 8 panels once;
+				// 18 more see the dense tier through two stripes.
+				path, src, pe := killedBuild(t, tr, g, sh, 120/16+18)
+				written := s.count(opWriteback)
+				if written == 0 || written >= stripes {
+					t.Fatalf("the writer wrote %d of %d stripes before the failure", written, stripes)
+				}
+				m, err := tilefile.ParseManifest(&tr.format, mustRead(t, tilefile.CheckpointPath(path)))
+				if err != nil {
+					t.Fatalf("manifest after the failure: %v", err)
+				}
+				if pe.FlushedStripes != written || m.StripesDone != written || s.count(opRename) != 1 {
+					t.Fatalf("error says %d stripes durable, manifest %d, %d manifests; the writer wrote %d",
+						pe.FlushedStripes, m.StripesDone, s.count(opRename), written)
+				}
+				settleGoroutines(t, "after the failure", base)
+
+				installSeam(t, &seam{})
+				st, err := tr.build(path, src, sh, srcOpts{ioPanel: 16, resume: true})
+				if err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				if st.StartStripe != written || st.Commits != 0 {
+					t.Fatalf("resumed at stripe %d with %d commits, want %d and 0", st.StartStripe, st.Commits, written)
+				}
+				if string(mustRead(t, path)) != string(mustRead(t, plain)) {
+					t.Fatal("resumed store differs from an uninterrupted build")
+				}
+				onlyStore(t, filepath.Dir(path), filepath.Base(path))
+			})
+		})
+	}
+}
+
+// TestBuildRemovesManifestTemp: a manifest rename that fails takes its
+// temp file with it, and a build that finishes removes one that a kill
+// left between the temp's fsync and its rename — with paced commits a
+// resumed build may commit nothing, so nothing else would ever replace it.
+func TestBuildRemovesManifestTemp(t *testing.T) {
+	g := testMatrix(t, 120, 77, 9)
+	sh := shape{nt: 16, band: 50}
+	stripes := tilefile.BandsFor(120, sh.nt)
+	for _, tr := range tiers {
+		t.Run(tr.name, func(t *testing.T) {
+			src := ldbmSource(t, g, false)
+			dir := t.TempDir()
+			path := filepath.Join(dir, "renamed.store")
+			tmp := tilefile.CheckpointPath(path) + ".tmp"
+			installSeam(t, &seam{failOp: opRename, failAt: 2, lockstep: stripes})
+			_, err := tr.build(path, src, sh, srcOpts{ioPanel: 16, checkpoint: true})
+			var pe *tilefile.PartialError
+			if !errors.As(err, &pe) || !errors.Is(err, errInjected) || pe.FlushedStripes != 1 {
+				t.Fatalf("build returned %v, want a *PartialError after 1 stripe wrapping the injected fault", err)
+			}
+			if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("the failed rename left its manifest temp behind (stat: %v)", err)
+			}
+
+			// A kill between the temp's fsync and its rename leaves one.
+			if err := os.WriteFile(tmp, mustRead(t, tilefile.CheckpointPath(path)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			pinInterval(t, time.Hour)
+			installSeam(t, &seam{})
+			st, err := tr.build(path, src, sh, srcOpts{ioPanel: 16, resume: true})
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if st.StartStripe != 1 || st.Commits != 0 {
+				t.Fatalf("resumed at stripe %d with %d commits, want 1 and 0", st.StartStripe, st.Commits)
+			}
+			onlyStore(t, dir, "renamed.store")
+			if string(mustRead(t, path)) != string(ramBytes(t, tr, g, sh)) {
+				t.Fatal("resumed store differs from the in-RAM build")
+			}
+		})
 	}
 }
 
@@ -394,9 +589,10 @@ func TestStripeBufferSize(t *testing.T) {
 // BenchmarkBuildFile runs the whole build pipeline from a windowed .ldbm:
 // the dense and the banded sparse codec, with and without the checkpoint's
 // committer stage. pairs/s is the headline; MB/s is the store written,
-// commits/op how many manifests the group commit needed for the stripes/op
-// it covered, scan-wait-ms/op the back-pressure the output side put on the
-// scan.
+// commits/op how many manifests the paced committer wrote against the
+// stripes/op (0 for a build shorter than the commit interval: the seal
+// makes every stripe durable), scan-wait-ms/op the back-pressure the
+// output side put on the scan.
 func BenchmarkBuildFile(b *testing.B) {
 	const snps, samples, nt, band = 2048, 1024, 128, 256
 	g := testMatrix(b, snps, samples, 17)
