@@ -27,14 +27,15 @@ examples:
 # amd64-only files; a non-amd64 target must still build from what is left
 # (offline, standard library only). vet compiles the tests too, so the
 # non-amd64 stubs and the host-keyed route tests of the three kernel
-# packages must build there as well. The store build's writeback hint is
-# sync_file_range on Linux and a no-op elsewhere; the last line compiles
-# that no-op twin (bitmat's madvise keeps darwin from building the
-# package, so the non-Linux arm64 target is windows).
+# packages must build there as well. The store build's writeback hint and
+# the mapped source's readahead hint are Linux calls with no-op twins
+# elsewhere; the darwin line compiles those twins, and the windows line the
+# no-mmap fallback.
 .PHONY: build-arm64
 build-arm64:
 	GOOS=linux GOARCH=arm64 go build ./...
 	GOOS=linux GOARCH=arm64 go vet ./internal/popcount ./internal/kernel ./internal/blis
+	GOOS=darwin GOARCH=arm64 go build ./...
 	GOOS=windows GOARCH=arm64 go build ./internal/tilefile/...
 
 # Race tier: vet (asmdecl holds the assembly tile's frame to its Go

@@ -209,7 +209,7 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 		}
 		// A stale store silently serving wrong statistics would be worse
 		// than no store: refuse to start rather than quietly fall back.
-		if fp := ldstore.Fingerprint(g); st.Fingerprint() != fp {
+		if fp := g.Fingerprint(); st.Fingerprint() != fp {
 			st.Close()
 			return nil, fmt.Errorf("store %s was built for a different dataset (fingerprint %016x, dataset %016x)",
 				*storePath, st.Fingerprint(), fp)
@@ -229,7 +229,7 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 		}
 		// Same contract as -store: a sparse store for the wrong dataset is
 		// refused loudly rather than silently dropped.
-		if fp := ldstore.Fingerprint(g); sp.Fingerprint() != fp {
+		if fp := g.Fingerprint(); sp.Fingerprint() != fp {
 			sp.Close()
 			if st != nil {
 				st.Close()

@@ -10,10 +10,11 @@ import (
 // dimensions followed by every packed word in SNP-major order — without
 // requiring the matrix to be resident: stream the words through AddWords
 // in storage order and read the digest with Sum64. A whole-matrix
-// convenience lives on Matrix.Fingerprint; the tile store's
-// ldstore.Fingerprint and the .ldbm container header both produce this
-// hash, so a store built out of core binds to exactly the same identity a
-// server computing from the in-RAM matrix derives.
+// convenience lives on Matrix.Fingerprint; the tile stores' headers and
+// the .ldbm container header all carry this hash, so a store built out of
+// core binds to exactly the same identity a server computing from the
+// in-RAM matrix derives, and a server refuses to pair a store with a
+// dataset whose fingerprint differs.
 type FingerprintHash struct {
 	h   hash.Hash64
 	buf [8]byte

@@ -10,5 +10,3 @@ func (f *File) mmap(size int64) error {
 }
 
 func munmap(b []byte) error { return nil }
-
-func madvise(b []byte) {}

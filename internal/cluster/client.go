@@ -235,7 +235,7 @@ func (c *shardClient) hedgeDelay() (time.Duration, bool) {
 	case c.cfg.HedgeAfter > 0:
 		return c.cfg.HedgeAfter, true
 	}
-	q, ok := c.lat.quantile(c.cfg.HedgeQuantile)
+	q, ok := c.lat.quantile(hedgeQuantile)
 	if !ok {
 		return 0, false // not enough history yet
 	}

@@ -31,29 +31,28 @@ type Config struct {
 	// retry up to one second. Default 25ms.
 	RetryBackoff time.Duration
 	// HedgeAfter controls the hedged second request: 0 hedges adaptively
-	// once the primary outlives the shard's recent HedgeQuantile latency,
+	// once the primary outlives the shard's recent 95th-percentile latency,
 	// a positive duration hedges after that fixed delay, and a negative
 	// value disables hedging.
 	HedgeAfter time.Duration
-	// HedgeQuantile is the latency quantile driving adaptive hedging.
-	// Default 0.95.
-	HedgeQuantile float64
 	// BreakerFailures is the consecutive-failure count that opens a
 	// shard's circuit breaker. Default 5.
 	BreakerFailures int
 	// BreakerCooldown is how long an open breaker fails fast before
 	// admitting a half-open probe. Default 5s.
 	BreakerCooldown time.Duration
-	// BootstrapTimeout bounds the initial /api/info sweep in New.
-	// Default 10s.
-	BootstrapTimeout time.Duration
 	// ResultCacheBytes caps the fingerprint-keyed result cache over
 	// complete pair/region/top responses. 0 picks the 64 MiB default;
 	// negative disables the cache.
 	ResultCacheBytes int64
-	// Client overrides the HTTP client used for shard calls.
-	Client *http.Client
 }
+
+const (
+	// hedgeQuantile is the shard latency quantile adaptive hedging waits out.
+	hedgeQuantile = 0.95
+	// bootstrapTimeout bounds the initial /api/info sweep in New.
+	bootstrapTimeout = 10 * time.Second
+)
 
 func (c Config) normalize() Config {
 	if c.ShardTimeout <= 0 {
@@ -68,17 +67,11 @@ func (c Config) normalize() Config {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
-	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 5
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 5 * time.Second
-	}
-	if c.BootstrapTimeout <= 0 {
-		c.BootstrapTimeout = 10 * time.Second
 	}
 	if c.ResultCacheBytes == 0 {
 		c.ResultCacheBytes = 64 << 20
@@ -123,12 +116,8 @@ func New(ctx context.Context, shardURLs []string, cfg Config) (*Coordinator, err
 	if err != nil {
 		return nil, err
 	}
-	hc := cfg.Client
-	if hc == nil {
-		hc = &http.Client{}
-	}
-
-	ctx, cancel := context.WithTimeout(ctx, cfg.BootstrapTimeout)
+	hc := &http.Client{}
+	ctx, cancel := context.WithTimeout(ctx, bootstrapTimeout)
 	defer cancel()
 	infos := make([][]server.InfoResponse, len(groups))
 	for gi, group := range groups {

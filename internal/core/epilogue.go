@@ -141,18 +141,17 @@ type denseEpilogue struct {
 	// rowTab/colTab are the per-SNP r² factors (see r2Table): reciprocals
 	// 1/(p(1−p)) when fast, variance factors p(1−p) otherwise.
 	rowTab, colTab []float64
-	fast           bool     // r² via reciprocal tables (FastR2 / stream default)
+	fast           bool     // r² via reciprocal tables (the stream default)
 	counts         []uint32 // KeepCounts: each run's counts, row stride ld
 }
 
 // newDenseEpilogue allocates the requested measure matrices (and, with
 // KeepCounts, the count matrix) on res and returns the epilogue that fills
-// them with row stride res.Cols.
+// them with row stride res.Cols, r² by the exact PairFromFreqs quotient.
 func newDenseEpilogue(res *Result, opt Options, mirror bool) *denseEpilogue {
 	e := &denseEpilogue{
 		measureOut: measureOut{ld: res.Cols, mirror: mirror},
 		rowFreqs:   res.RowFreqs, colFreqs: res.ColFreqs,
-		fast: opt.FastR2,
 	}
 	k := opt.Blis.PlainKernel()
 	e.mr, e.nr = k.MR, k.NR
@@ -165,11 +164,11 @@ func newDenseEpilogue(res *Result, opt Options, mirror bool) *denseEpilogue {
 		e.counts = res.Counts
 	}
 	if e.r2 != nil {
-		e.rowTab = r2Table(e.rowFreqs, e.fast)
+		e.rowTab = varTable(e.rowFreqs)
 		e.colTab = e.rowTab
 		shared := len(e.rowFreqs) > 0 && len(e.colFreqs) == len(e.rowFreqs) && &e.rowFreqs[0] == &e.colFreqs[0]
 		if !shared {
-			e.colTab = r2Table(e.colFreqs, e.fast)
+			e.colTab = varTable(e.colFreqs)
 		}
 	}
 	return e

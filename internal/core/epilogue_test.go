@@ -212,34 +212,6 @@ func TestMatrixFusedSymmetryBitwise(t *testing.T) {
 	}
 }
 
-// FastR2 trades the exact quotient for reciprocal multiplies: values may
-// move in the last ulps but must stay numerically tight and — because the
-// mirror copies floats — exactly symmetric.
-func TestMatrixFastR2(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := randomMatrix(rng, 47, 150)
-	exact, err := Matrix(g, Options{Blis: fringeConfig(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := Matrix(g, Options{Blis: fringeConfig(2), FastR2: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fast.R2 {
-		if d := math.Abs(fast.R2[i] - exact.R2[i]); d > 1e-9 {
-			t.Fatalf("FastR2[%d] = %g, exact %g (Δ %g)", i, fast.R2[i], exact.R2[i], d)
-		}
-	}
-	for i := 0; i < 47; i++ {
-		for j := 0; j < i; j++ {
-			if math.Float64bits(fast.R2[i*47+j]) != math.Float64bits(fast.R2[j*47+i]) {
-				t.Fatalf("FastR2 asymmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
 // KeepCounts hands back the dense counts: they must be present and exact,
 // and the measures still those of the count-then-convert sweep.
 func TestKeepCountsStillExact(t *testing.T) {
@@ -271,6 +243,42 @@ func TestKeepCountsStillExact(t *testing.T) {
 	bitsEqual(t, "R2", res.R2, fused.R2)
 }
 
+// withFastR2 turns a dense epilogue, if fast, onto the reciprocal r²
+// tables the stream's default epilogue reads; Matrix and Cross always take
+// the exact quotient.
+func withFastR2(e *denseEpilogue, fast bool) *denseEpilogue {
+	if !fast {
+		return e
+	}
+	e.fast = true
+	if e.r2 != nil {
+		e.rowTab, e.colTab = invVarTable(e.rowFreqs), invVarTable(e.colFreqs)
+	}
+	return e
+}
+
+// denseRun is Matrix (b nil) or Cross, or with fast the same driver call
+// through withFastR2's epilogue.
+func denseRun(g, b *bitmat.Matrix, opt Options, fast bool) (*Result, error) {
+	switch {
+	case !fast && b == nil:
+		return Matrix(g, opt)
+	case !fast:
+		return Cross(g, b, opt)
+	}
+	p := AlleleFrequencies(g)
+	res := &Result{SNPs: g.SNPs, Cols: g.SNPs, Samples: g.Samples, RowFreqs: p, ColFreqs: p}
+	if b != nil {
+		res.Cols, res.ColFreqs = b.SNPs, AlleleFrequencies(b)
+		return res, blis.GemmEpilogue(opt.Blis, g, b, withFastR2(newDenseEpilogue(res, opt, false), true))
+	}
+	err := blis.SyrkEpilogue(opt.Blis, g, withFastR2(newDenseEpilogue(res, opt, true), true))
+	if res.Counts != nil {
+		blis.Mirror(res.Counts, g.SNPs, g.SNPs)
+	}
+	return res, err
+}
+
 // TestKeepCountsInert: KeepCounts is an output, not a route. Asking for the
 // counts changes no measure bit — every measure set, exact and fast r² — and
 // Matrix and Cross hand back the reference counts in both triangles;
@@ -290,24 +298,25 @@ func TestKeepCountsInert(t *testing.T) {
 	}
 	routes := []struct {
 		name   string
-		run    func(Options) (*Result, error)
+		run    func(o Options, fast bool) (*Result, error)
 		counts []uint32 // nil: none returned
 	}{
-		{"Matrix", func(o Options) (*Result, error) { return Matrix(g, o) }, square},
-		{"Cross", func(o Options) (*Result, error) { return Cross(g, b, o) }, cross},
-		{"MaskedMatrix", func(o Options) (*Result, error) { return MaskedMatrix(gm, mask, o) }, nil},
+		{"Matrix", func(o Options, fast bool) (*Result, error) { return denseRun(g, nil, o, fast) }, square},
+		{"Cross", func(o Options, fast bool) (*Result, error) { return denseRun(g, b, o, fast) }, cross},
+		// The masked epilogue has no reciprocal path: fast runs it unchanged.
+		{"MaskedMatrix", func(o Options, _ bool) (*Result, error) { return MaskedMatrix(gm, mask, o) }, nil},
 	}
 	for _, r := range routes {
 		for _, meas := range measureSets {
 			for _, fast := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/measures=%b/fast=%v", r.name, meas, fast), func(t *testing.T) {
-					opt := Options{Measures: meas, FastR2: fast, Blis: fringeConfig(3)}
-					plain, err := r.run(opt)
+					opt := Options{Measures: meas, Blis: fringeConfig(3)}
+					plain, err := r.run(opt, fast)
 					if err != nil {
 						t.Fatal(err)
 					}
 					opt.Measures |= KeepCounts
-					kept, err := r.run(opt)
+					kept, err := r.run(opt, fast)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -569,22 +578,22 @@ func TestDenseEpilogueRunsMatchTilesBitwise(t *testing.T) {
 		for _, k := range kernels {
 			for _, meas := range measureSets {
 				for _, fast := range []bool{false, true} {
-					opt := Options{Measures: meas, FastR2: fast, Blis: fringeConfig(3)}
+					opt := Options{Measures: meas, Blis: fringeConfig(3)}
 					opt.Blis.Kernel = k
 					run := func(mirror, cut bool) *Result {
 						res := &Result{SNPs: n, Cols: n, Samples: g.Samples, RowFreqs: p, ColFreqs: p}
 						if !mirror {
 							res.Cols, res.ColFreqs = b.SNPs, pb
 						}
-						hook := blis.TileEpilogue(newDenseEpilogue(res, opt, mirror).RowRun)
+						hook := blis.TileEpilogue(withFastR2(newDenseEpilogue(res, opt, mirror), fast).RowRun)
 						if cut {
 							hook = cutIntoTiles(hook, k.NR, 1)
 						}
 						var err error
 						if mirror {
-							err = blis.SyrkEpilogue(opt.blisCfg(), g, hook)
+							err = blis.SyrkEpilogue(opt.Blis, g, hook)
 						} else {
-							err = blis.GemmEpilogue(opt.blisCfg(), g, b, hook)
+							err = blis.GemmEpilogue(opt.Blis, g, b, hook)
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -638,9 +647,9 @@ func TestMaskedEpilogueRunsMatchTilesBitwise(t *testing.T) {
 				}
 				var err error
 				if mirror {
-					err = blis.MaskedSyrkEpilogue(opt.blisCfg(), g, mask, hook)
+					err = blis.MaskedSyrkEpilogue(opt.Blis, g, mask, hook)
 				} else {
-					err = blis.MaskedGemmEpilogue(opt.blisCfg(), g, b, mask, maskB, hook)
+					err = blis.MaskedGemmEpilogue(opt.Blis, g, b, mask, maskB, hook)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -674,22 +683,22 @@ func TestDestHintUnobservable(t *testing.T) {
 
 	for _, meas := range measureSets {
 		for _, fast := range []bool{false, true} {
-			opt := Options{Measures: meas, FastR2: fast, Blis: blis.Config{Threads: 2}}
-			hinted, err := Matrix(g, opt)
+			opt := Options{Measures: meas, Blis: blis.Config{Threads: 2}}
+			hinted, err := denseRun(g, nil, opt, fast)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bare := &Result{SNPs: n, Cols: n, Samples: g.Samples, RowFreqs: p, ColFreqs: p}
-			if err := blis.SyrkEpilogue(opt.blisCfg(), g, blis.TileEpilogue(newDenseEpilogue(bare, opt, true).RowRun)); err != nil {
+			if err := blis.SyrkEpilogue(opt.Blis, g, blis.TileEpilogue(withFastR2(newDenseEpilogue(bare, opt, true), fast).RowRun)); err != nil {
 				t.Fatal(err)
 			}
 			bitsEqualResults(t, hinted, bare)
 
-			if hinted, err = Cross(g, b, opt); err != nil {
+			if hinted, err = denseRun(g, b, opt, fast); err != nil {
 				t.Fatal(err)
 			}
 			bare = &Result{SNPs: n, Cols: b.SNPs, Samples: g.Samples, RowFreqs: p, ColFreqs: pb}
-			if err := blis.GemmEpilogue(opt.blisCfg(), g, b, blis.TileEpilogue(newDenseEpilogue(bare, opt, false).RowRun)); err != nil {
+			if err := blis.GemmEpilogue(opt.Blis, g, b, blis.TileEpilogue(withFastR2(newDenseEpilogue(bare, opt, false), fast).RowRun)); err != nil {
 				t.Fatal(err)
 			}
 			bitsEqualResults(t, hinted, bare)
@@ -707,7 +716,7 @@ func TestDestHintUnobservable(t *testing.T) {
 			opt.Exact = exact
 			bare := make([]float64, n*n)
 			e := newStripeScan(opt, p, g.Samples).epilogue(bare, n, 0, 0)
-			if err := blis.GemmEpilogue(opt.blisCfg(), g, g, blis.TileEpilogue(e.RowRun)); err != nil {
+			if err := blis.GemmEpilogue(opt.Blis, g, g, blis.TileEpilogue(e.RowRun)); err != nil {
 				t.Fatal(err)
 			}
 			rows := 0

@@ -179,7 +179,7 @@ func FSMLD(f *FSMMatrix, opt Options) (*FSMResult, error) {
 	// the validity planes.
 	valid := f.ValidMask()
 	vij := make([]uint32, n*n)
-	if err := blis.Syrk(opt.blisCfg(), &valid.Matrix, vij, n, true); err != nil {
+	if err := blis.Syrk(opt.Blis, &valid.Matrix, vij, n, true); err != nil {
 		return nil, err
 	}
 
@@ -191,7 +191,7 @@ func FSMLD(f *FSMMatrix, opt Options) (*FSMResult, error) {
 	for a := 0; a < NumStates; a++ {
 		for b := 0; b < NumStates; b++ {
 			c := make([]uint32, n*n)
-			if err := blis.Gemm(opt.blisCfg(), f.Planes[a], f.Planes[b], c, n); err != nil {
+			if err := blis.Gemm(opt.Blis, f.Planes[a], f.Planes[b], c, n); err != nil {
 				return nil, err
 			}
 			joint[a*NumStates+b] = c

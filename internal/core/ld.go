@@ -15,7 +15,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -43,20 +42,11 @@ const (
 type Options struct {
 	// Measures selects the statistics to compute; MeasureR2 if zero.
 	Measures Measure
-	// Blis carries blocking parameters and thread count for the GEMM.
+	// Blis carries blocking parameters and thread count for the GEMM, and
+	// in Blis.Ctx the computation's one cancellation context. Serving
+	// paths set it to the request context so abandoned requests stop
+	// burning workers.
 	Blis blis.Config
-	// FastR2 computes r² with precomputed 1/(p(1−p)) reciprocal tables —
-	// multiplies instead of divides — which can differ from the exact
-	// PairFromFreqs quotient in the last ulp. Off by default so dense
-	// results stay bit-identical to PairFromFreqs (the contract the
-	// tile store and golden tests rely on). KeepCounts does not change
-	// which quotient is computed.
-	FastR2 bool
-	// Ctx, when non-nil, cancels an in-flight computation cooperatively:
-	// the blocked driver observes it at phase and slab-group boundaries
-	// and the computation returns Ctx.Err(). Serving paths set it to the
-	// request context so abandoned requests stop burning workers.
-	Ctx context.Context
 }
 
 func (o Options) measures() Measure {
@@ -64,16 +54,6 @@ func (o Options) measures() Measure {
 		return o.Measures | MeasureR2
 	}
 	return o.Measures
-}
-
-// blisCfg returns the kernel configuration with the computation's context
-// folded in (an explicit Blis.Ctx wins over Options.Ctx).
-func (o Options) blisCfg() blis.Config {
-	cfg := o.Blis
-	if cfg.Ctx == nil {
-		cfg.Ctx = o.Ctx
-	}
-	return cfg
 }
 
 // Pair holds every per-pair LD quantity for one SNP pair.
@@ -197,7 +177,7 @@ func Matrix(g *bitmat.Matrix, opt Options) (*Result, error) {
 	n := g.SNPs
 	p := AlleleFrequencies(g)
 	res := &Result{SNPs: n, Cols: n, Samples: g.Samples, RowFreqs: p, ColFreqs: p}
-	if err := blis.SyrkEpilogue(opt.blisCfg(), g, newDenseEpilogue(res, opt, true)); err != nil {
+	if err := blis.SyrkEpilogue(opt.Blis, g, newDenseEpilogue(res, opt, true)); err != nil {
 		return nil, err
 	}
 	if res.Counts != nil {
@@ -220,7 +200,7 @@ func Cross(a, b *bitmat.Matrix, opt Options) (*Result, error) {
 		SNPs: a.SNPs, Cols: b.SNPs, Samples: a.Samples,
 		RowFreqs: AlleleFrequencies(a), ColFreqs: AlleleFrequencies(b),
 	}
-	if err := blis.GemmEpilogue(opt.blisCfg(), a, b, newDenseEpilogue(res, opt, false)); err != nil {
+	if err := blis.GemmEpilogue(opt.Blis, a, b, newDenseEpilogue(res, opt, false)); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -56,7 +56,7 @@ func MaskedMatrix(g *bitmat.Matrix, mask *bitmat.Mask, opt Options) (*Result, er
 	// No n²·16-byte quad matrix, no count mirror: each run converts its
 	// four-count cells in place and writes the (bit-symmetric) float
 	// mirrors it owns.
-	if err := blis.MaskedSyrkEpilogue(opt.blisCfg(), gm, mask, newMaskedEpilogue(res, opt, true)); err != nil {
+	if err := blis.MaskedSyrkEpilogue(opt.Blis, gm, mask, newMaskedEpilogue(res, opt, true)); err != nil {
 		return nil, err
 	}
 	return res, nil

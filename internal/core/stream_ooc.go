@@ -231,7 +231,7 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 		v := sink.StripeBuffer(opt.StripeCells(stripe, i0, hi, n))[:rows*width]
 		if opt.Triangular {
 			e := scan.epilogue(v, width, i0, i0)
-			if err := blis.SyrkEpilogue(opt.blisCfg(), sub, e); err != nil {
+			if err := blis.SyrkEpilogue(opt.Blis, sub, e); err != nil {
 				return err
 			}
 		}
@@ -241,7 +241,7 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 				return err
 			}
 			e := scan.epilogue(v[c-base:], width, i0, c)
-			err = blis.GemmEpilogue(opt.blisCfg(), sub, b.m, e)
+			err = blis.GemmEpilogue(opt.Blis, sub, b.m, e)
 			freeB <- b.buf
 			if err != nil {
 				return err

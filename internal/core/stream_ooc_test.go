@@ -182,7 +182,7 @@ func TestStreamSourceJoinsPrefetcher(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	opt := StreamOptions{Triangular: true, StripeRows: 16, IOPanelSNPs: 8}
-	opt.Ctx = ctx
+	opt.Blis.Ctx = ctx
 	// Frequencies (8 panels), stripe 0's A and its 6 B panels, stripe 1's A.
 	src := &blockingSource{Source: sliceBacked(t, g), free: 8 + 1 + 6 + 1,
 		blocked: make(chan struct{}), release: make(chan struct{})}

@@ -3,7 +3,6 @@ package ldsparse
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"ldgemm/internal/bitmat"
@@ -113,23 +112,12 @@ func buildStats(st tilefile.BuildStats, err error, spec tilefile.Spec) (BuildSta
 	return BuildStats{BuildStats: st, NNZ: int64(binary.LittleEndian.Uint64(spec.Ext[extNNZ:]))}, nil
 }
 
-// Build computes the selected statistic for every SNP pair of g (or only
-// the |i−j| ≤ Band pairs in banded mode) with the blocked driver and
-// writes the threshold-pruned CSR tile container to w; each tile row is
-// pruned and serialized from one stripe as the values land, so pruning
-// costs no pass of its own. See tilefile.Build for the scan and its
-// memory bound.
-func Build(w io.WriteSeeker, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
-	spec, err := SourceBuildOptions{BuildOptions: opt}.spec()
-	if err != nil {
-		return BuildStats{}, err
-	}
-	st, err := tilefile.Build(w, bitmat.NewMemSource(g), spec)
-	return buildStats(st, err, spec)
-}
-
-// BuildFile builds a sparse tile store for the matrix at path, removing
-// the partial file on failure.
+// BuildFile computes the selected statistic for every SNP pair of g (or
+// only the |i−j| ≤ Band pairs in banded mode) with the blocked driver and
+// writes the threshold-pruned CSR tile store to path, removing the partial
+// file on failure; each tile row is pruned and serialized from one stripe
+// as the values land, so pruning costs no pass of its own. See
+// tilefile.BuildFile for the scan and its memory bound.
 func BuildFile(path string, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
 	return BuildFileFromSource(path, bitmat.NewMemSource(g), SourceBuildOptions{BuildOptions: opt})
 }

@@ -1,8 +1,6 @@
 package ldstore
 
 import (
-	"io"
-
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/core"
 	"ldgemm/internal/tilefile"
@@ -66,15 +64,10 @@ func (o SourceBuildOptions) spec() tilefile.Spec {
 	return spec
 }
 
-// Build computes the selected statistic for every SNP pair of g with the
-// blocked driver and writes the tile container to w; see tilefile.Build
-// for the scan and its memory bound.
-func Build(w io.WriteSeeker, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
-	return tilefile.Build(w, bitmat.NewMemSource(g), SourceBuildOptions{BuildOptions: opt}.spec())
-}
-
-// BuildFile builds a tile store for the matrix at path, removing the
-// partial file on failure.
+// BuildFile computes the selected statistic for every SNP pair of g with
+// the blocked driver and writes the tile store to path, removing the
+// partial file on failure; see tilefile.BuildFile for the scan and its
+// memory bound.
 func BuildFile(path string, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
 	return BuildFileFromSource(path, bitmat.NewMemSource(g), SourceBuildOptions{BuildOptions: opt})
 }

@@ -27,7 +27,6 @@ import (
 	"math"
 	"unsafe"
 
-	"ldgemm/internal/bitmat"
 	"ldgemm/internal/bufpool"
 	"ldgemm/internal/tilefile"
 )
@@ -59,17 +58,6 @@ var format = tilefile.Format{
 
 // flagCompressed marks per-tile DEFLATE compression.
 const flagCompressed = 1 << 0
-
-// Fingerprint hashes a genomic matrix (dimensions plus packed words) with
-// FNV-1a 64. Builders stamp it into the header and servers refuse to pair
-// a store with a dataset whose fingerprint differs, so a stale or
-// mismatched tile file can never silently serve wrong statistics. The hash
-// itself lives in bitmat (streamable, so out-of-core sources and .ldbm
-// containers carry the identical identity); this wrapper is the historical
-// entry point.
-func Fingerprint(g *bitmat.Matrix) uint64 {
-	return g.Fingerprint()
-}
 
 // codec is the LDTS read side: a decoded tile is its values, row-major.
 type codec struct{}

@@ -1,7 +1,6 @@
 package ldstore
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -108,11 +107,11 @@ func TestStoreBitIdentical(t *testing.T) {
 func TestStoreFingerprint(t *testing.T) {
 	g := testMatrix(t, 30, 40, 1)
 	s := buildStore(t, g, BuildOptions{TileSize: 8}, Options{})
-	if s.Fingerprint() != Fingerprint(g) {
-		t.Fatalf("fingerprint %x, want %x", s.Fingerprint(), Fingerprint(g))
+	if s.Fingerprint() != g.Fingerprint() {
+		t.Fatalf("fingerprint %x, want %x", s.Fingerprint(), g.Fingerprint())
 	}
 	other := testMatrix(t, 30, 40, 2)
-	if s.Fingerprint() == Fingerprint(other) {
+	if s.Fingerprint() == other.Fingerprint() {
 		t.Fatal("distinct datasets share a fingerprint")
 	}
 }
@@ -303,16 +302,11 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-// TestBuildWriteFailure exercises the error path through the visit
-// callback: a writer that fails mid-build must surface the write error
-// (not a panic, not a zero-stat success), and BuildFile must remove the
-// partial output.
+// TestBuildWriteFailure: a build refused up front must not leave an
+// output file behind. A write that fails mid-build is the tilefile
+// suite's TestBuildUncheckedWriteFault.
 func TestBuildWriteFailure(t *testing.T) {
 	g := testMatrix(t, 64, 32, 23)
-	w := &failingWriter{failAfter: format.HeaderSize() + 100}
-	if _, err := Build(w, g, BuildOptions{TileSize: 16}); err == nil {
-		t.Fatal("Build on a failing writer succeeded")
-	}
 	path := filepath.Join(t.TempDir(), "partial.ldts")
 	if _, err := BuildFile(path, g, BuildOptions{TileSize: 1 << 20}); err == nil {
 		t.Fatal("BuildFile succeeded")
@@ -321,20 +315,6 @@ func TestBuildWriteFailure(t *testing.T) {
 		t.Fatalf("partial file left behind: stat err=%v", err)
 	}
 }
-
-type failingWriter struct {
-	buf       bytes.Buffer
-	failAfter int
-}
-
-func (f *failingWriter) Write(p []byte) (int, error) {
-	if f.buf.Len()+len(p) > f.failAfter {
-		return 0, os.ErrClosed
-	}
-	return f.buf.Write(p)
-}
-
-func (f *failingWriter) Seek(offset int64, whence int) (int64, error) { return 0, nil }
 
 func TestStoreQueryErrors(t *testing.T) {
 	g := testMatrix(t, 20, 16, 29)

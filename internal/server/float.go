@@ -1,8 +1,10 @@
 package server
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"math/big"
 	"math/bits"
 	"slices"
 	"strconv"
@@ -197,6 +199,57 @@ func shortestDecimal(frac uint64, exp int) (d uint64, k int) {
 		s++
 	}
 	return s, k
+}
+
+// pow10Min and pow10Max bound the powers of ten shortestDecimal multiplies
+// by: every float64 from the smallest subnormal to MaxFloat64 needs one in
+// this range.
+const (
+	pow10Min = -292
+	pow10Max = 324
+)
+
+// pow10Tab[k-pow10Min] is 10^k as a 128-bit significand {hi, lo}: the
+// smallest g ≥ 10^k·2^-r with r = ⌊log2 10^k⌋ − 127, so that
+// 2^127 ≤ g < 2^128 (exact for 0 ≤ k ≤ 55, rounded up elsewhere). It is
+// built once, at package init; TestPow10Table rebuilds every entry
+// independently and TestPow10TableDigest pins the whole table.
+var pow10Tab = pow10Table()
+
+// pow10Table walks 10^k exactly in math/big, up from 10^0 and down from
+// 10^-1 with one multiply by ten per step, and keeps each power's top 128
+// bits rounded up: 10^k itself shifted into place for k ≥ 0, and
+// ⌈2^s / 10^-k⌉ for k < 0, with s putting the quotient in [2^127, 2^128) —
+// never exact, since 10^-k is no power of two.
+func pow10Table() (tab [pow10Max - pow10Min + 1][2]uint64) {
+	one, ten := big.NewInt(1), big.NewInt(10)
+	g, num := new(big.Int), new(big.Int)
+	var w [16]byte
+	put := func(k int) {
+		g.FillBytes(w[:])
+		tab[k-pow10Min] = [2]uint64{binary.BigEndian.Uint64(w[:8]), binary.BigEndian.Uint64(w[8:])}
+	}
+	p := big.NewInt(1)
+	for k := 0; k <= pow10Max; k++ {
+		if s := p.BitLen() - 128; s <= 0 {
+			g.Lsh(p, uint(-s))
+		} else {
+			g.Rsh(p, uint(s))
+			if p.TrailingZeroBits() < uint(s) { // bits were dropped
+				g.Add(g, one)
+			}
+		}
+		put(k)
+		p.Mul(p, ten)
+	}
+	p.Set(ten)
+	for k := -1; k >= pow10Min; k-- {
+		g.Quo(num.Lsh(one, uint(127+p.BitLen())), p)
+		g.Add(g, one)
+		put(k)
+		p.Mul(p, ten)
+	}
+	return tab
 }
 
 // roundToOdd is ⌊g × cp / 2^128⌋ with its low bit set when any bit below

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -132,6 +135,29 @@ func TestPow10Table(t *testing.T) {
 			t.Errorf("1e%d: table {%#016x, %#016x}, math/big {%#016x, %#016x} (%d bits)",
 				k, pow10Tab[k-pow10Min][0], pow10Tab[k-pow10Min][1], hi, lo, g.BitLen())
 		}
+	}
+}
+
+// TestPow10TableDigest pins pow10Tab as a whole: the SHA-256 of its words,
+// k ascending, hi then lo, each 8 bytes little-endian, is that of the table
+// the writer and the reader were first validated on, so the builder cannot
+// drift together with TestPow10Table's oracle.
+func TestPow10TableDigest(t *testing.T) {
+	const want = "c17206ff27377115c3b8d157dbee14db12200d661f32727fe5535d99dbe11b5c"
+	var words []byte
+	for _, g := range pow10Tab {
+		words = binary.LittleEndian.AppendUint64(words, g[0])
+		words = binary.LittleEndian.AppendUint64(words, g[1])
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(words)); got != want {
+		t.Fatalf("pow10Tab digest %s, want %s", got, want)
+	}
+}
+
+// BenchmarkPow10Table: what building the table costs at package init.
+func BenchmarkPow10Table(b *testing.B) {
+	for range b.N {
+		pow10Table()
 	}
 }
 

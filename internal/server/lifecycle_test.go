@@ -83,7 +83,7 @@ func TestInFlightLimiterSheds(t *testing.T) {
 		<-release
 		w.WriteHeader(http.StatusOK)
 	})
-	h := inFlightLimiter(1, 3*time.Second, m)(slow)
+	h := inFlightLimiter(1, m)(slow)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -99,8 +99,8 @@ func TestInFlightLimiterSheds(t *testing.T) {
 	if second.Code != http.StatusServiceUnavailable {
 		t.Fatalf("saturated request got %d, want 503", second.Code)
 	}
-	if ra := second.Header().Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want \"3\"", ra)
+	if ra := second.Header().Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", ra)
 	}
 	var body struct {
 		Error string `json:"error"`

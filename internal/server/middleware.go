@@ -61,18 +61,14 @@ func withDeadline(d time.Duration, next http.Handler) http.Handler {
 
 // inFlightLimiter builds middleware sharing one semaphore: across every
 // endpoint it wraps, at most limit requests execute concurrently; beyond
-// that requests are shed with 503 + Retry-After, so a traffic spike
+// that requests are shed with 503 + Retry-After: 1, so a traffic spike
 // degrades into fast rejections instead of an unbounded queue of n²
 // computations. limit <= 0 disables the cap.
-func inFlightLimiter(limit int, retryAfter time.Duration, m *metrics) func(http.Handler) http.Handler {
+func inFlightLimiter(limit int, m *metrics) func(http.Handler) http.Handler {
 	if limit <= 0 {
 		return func(next http.Handler) http.Handler { return next }
 	}
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
 	sem := make(chan struct{}, limit)
-	secs := max(1, int(retryAfter.Round(time.Second)/time.Second))
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			select {
@@ -91,7 +87,7 @@ func inFlightLimiter(limit int, retryAfter time.Duration, m *metrics) func(http.
 				if m != nil {
 					m.shed.Add(1)
 				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
+				w.Header().Set("Retry-After", "1")
 				httpError(w, http.StatusServiceUnavailable,
 					"saturated: %d heavy requests already in flight", limit)
 			}

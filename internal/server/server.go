@@ -41,11 +41,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxInFlight caps concurrently-executing heavy (LD-computing)
 	// requests across the region/top/prune/blocks/omega endpoints;
-	// excess requests are shed with 503 + Retry-After. 0 disables.
+	// excess requests are shed with 503 + Retry-After: 1. 0 disables.
 	MaxInFlight int
-	// RetryAfter is the backoff hint attached to shed requests
-	// (default 1s).
-	RetryAfter time.Duration
 	// AccessLog, when non-nil, receives one structured line per request.
 	AccessLog *slog.Logger
 	// ShardStart/ShardEnd, when ShardEnd > 0, declare this server a
@@ -78,9 +75,6 @@ func (c Config) normalize() Config {
 	if c.MaxTopK <= 0 {
 		c.MaxTopK = 1000
 	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
-	}
 	return c
 }
 
@@ -104,10 +98,11 @@ type Server struct {
 
 // New builds a Server for the matrix.
 func New(g *bitmat.Matrix, cfg Config) *Server {
+	fp := g.Fingerprint()
 	s := &Server{
 		g: g, cfg: cfg.normalize(),
 		freqs:       core.AlleleFrequencies(g),
-		fingerprint: fmt.Sprintf("%016x", ldstore.Fingerprint(g)),
+		fingerprint: fmt.Sprintf("%016x", fp),
 		metrics:     newMetrics(),
 	}
 	if s.cfg.ShardEnd > g.SNPs {
@@ -116,10 +111,10 @@ func New(g *bitmat.Matrix, cfg Config) *Server {
 	if s.cfg.ShardStart < 0 || s.cfg.ShardEnd <= s.cfg.ShardStart {
 		s.cfg.ShardStart, s.cfg.ShardEnd = 0, 0 // degenerate range: unsharded
 	}
-	if cfg.Store != nil && cfg.Store.Fingerprint() == ldstore.Fingerprint(g) {
+	if cfg.Store != nil && cfg.Store.Fingerprint() == fp {
 		s.store = cfg.Store
 	}
-	if cfg.Sparse != nil && cfg.Sparse.Fingerprint() == ldstore.Fingerprint(g) {
+	if cfg.Sparse != nil && cfg.Sparse.Fingerprint() == fp {
 		s.sparse = cfg.Sparse
 		s.metrics.sparseResident.Set(cfg.Sparse.Info().ResidentBytes)
 	}
@@ -129,7 +124,7 @@ func New(g *bitmat.Matrix, cfg Config) *Server {
 		}
 	}
 	s.metrics.setShard(s.cfg.ShardStart, s.cfg.ShardEnd)
-	heavy := inFlightLimiter(s.cfg.MaxInFlight, s.cfg.RetryAfter, s.metrics)
+	heavy := inFlightLimiter(s.cfg.MaxInFlight, s.metrics)
 	lim := Limits{
 		SNPs: g.SNPs, MaxRegionSNPs: s.cfg.MaxRegionSNPs, MaxTopK: s.cfg.MaxTopK,
 		Sparse: s.sparse != nil,

@@ -141,7 +141,6 @@ type builder struct {
 	free, full chan *Stripe
 
 	// Writer side.
-	w      io.WriteSeeker
 	bw     *bufio.Writer
 	offset int64
 	index  []Entry
@@ -159,7 +158,6 @@ type builder struct {
 	failErr error
 	cancel  context.CancelFunc
 
-	// File builds only.
 	file        *os.File
 	ck          *checkpoint // nil unless checkpointing
 	startStripe int
@@ -232,39 +230,29 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 	return b, nil
 }
 
-// Build computes the statistic for every SNP pair of src (or only the
+// BuildFile computes the statistic for every SNP pair of src (or only the
 // |i−j| ≤ Band pairs of a banded spec) with the blocked driver and writes
-// the tile container to w. It rides core.StreamSourceStripes' triangular scan
-// with StripeRows = TileSize, so each tile row is produced from one stripe
-// and result memory stays O(TileSize × SNPs) no matter how large the full
-// n² matrix would be; every source runs the double-buffered panel
-// schedule, a resident bitmat.MemSource one panel wide. The
-// output side is buffered too: a writer goroutine encodes and appends
-// stripe s while the scan computes stripe s+1 into another buffer. The
-// Exact epilogue is forced so stored values are bit-identical to the dense
-// core.Matrix path a serverless request would compute.
-func Build(w io.WriteSeeker, src bitmat.Source, spec Spec) (BuildStats, error) {
-	b, err := newBuilder(src, &spec)
-	if err != nil {
-		return BuildStats{}, err
-	}
-	b.setOutput(w)
-	if _, err := b.bw.Write(b.hdr.encode(spec.Format)); err != nil {
-		return BuildStats{}, err
-	}
-	return b.run()
-}
-
-// BuildFile is Build into the file at path. Every stripe is flushed to the
-// file as the writer finishes it and the kernel is asked to start writing
-// it back, so the data is mostly on disk by the time the seal's one fsync
-// makes the whole store durable. With spec.Checkpoint it also maintains
-// the manifest and index sidecar, never past durable data: a committer
-// goroutine fsyncs and renames behind the writer at most once per
-// commitInterval (one second), each manifest covering every stripe flushed
-// since the last, and at once when a failure or cancel ends the build. A
-// kill therefore loses at most about a second of stripes plus the commit
-// in flight. The final stripe is never committed: the seal makes it
+// the tile container to the file at path. It rides
+// core.StreamSourceStripes' triangular scan with StripeRows = TileSize, so
+// each tile row is produced from one stripe and result memory stays
+// O(TileSize × SNPs) no matter how large the full n² matrix would be;
+// every source runs the double-buffered panel schedule, a resident
+// bitmat.MemSource one panel wide. The output side is buffered too: a
+// writer goroutine encodes and appends stripe s while the scan computes
+// stripe s+1 into another buffer. The Exact epilogue is forced so stored
+// values are bit-identical to the dense core.Matrix path a serverless
+// request would compute. The scan is cancelled through spec.LD.Blis.Ctx,
+// and by the build itself when a stage fails.
+//
+// Every stripe is flushed to the file as the writer finishes it and the
+// kernel is asked to start writing it back, so the data is mostly on disk
+// by the time the seal's one fsync makes the whole store durable. With
+// spec.Checkpoint it also maintains the manifest and index sidecar, never
+// past durable data: a committer goroutine fsyncs and renames behind the
+// writer at most once per commitInterval (one second), each manifest
+// covering every stripe flushed since the last, and at once when a failure
+// or cancel ends the build. A kill therefore loses at most about a second
+// of stripes plus the commit in flight. The final stripe is never committed: the seal makes it
 // durable and the sidecars are then removed, so a build that finishes
 // inside the interval pays for durability once. With spec.Resume it
 // restarts from an existing manifest (starting fresh without one, refusing
@@ -321,7 +309,9 @@ func BuildFile(path string, src bitmat.Source, spec Spec) (BuildStats, error) {
 			return BuildStats{}, err
 		}
 	}
-	b.setOutput(dataFile{b.file})
+	// bufio sees only a Writer, so buffered tile writes can never
+	// interleave with the final header patch unflushed.
+	b.bw = bufio.NewWriterSize(struct{ io.Writer }{dataFile{b.file}}, 1<<20)
 
 	st, err := b.run()
 	if err == nil {
@@ -370,13 +360,6 @@ type dataFile struct{ *os.File }
 
 func (d dataFile) Write(p []byte) (int, error) { return fsys.write(d.File, p) }
 
-func (b *builder) setOutput(w io.WriteSeeker) {
-	b.w = w
-	// bufio sees only a Writer, so buffered tile writes can never
-	// interleave with the final header patch unflushed.
-	b.bw = bufio.NewWriterSize(struct{ io.Writer }{w}, 1<<20)
-}
-
 // run scans the rows not yet durable through the pipeline, then writes
 // the index and the back-patched header carrying its offset.
 func (b *builder) run() (BuildStats, error) {
@@ -400,10 +383,10 @@ func (b *builder) run() (BuildStats, error) {
 	if err := b.bw.Flush(); err != nil {
 		return BuildStats{}, err
 	}
-	if _, err := b.w.Seek(0, io.SeekStart); err != nil {
+	if _, err := b.file.Seek(0, io.SeekStart); err != nil {
 		return BuildStats{}, err
 	}
-	if _, err := b.w.Write(b.hdr.encode(f)); err != nil {
+	if _, err := (dataFile{b.file}).Write(b.hdr.encode(f)); err != nil {
 		return BuildStats{}, err
 	}
 	st := b.stats
@@ -425,7 +408,7 @@ func (b *builder) run() (BuildStats, error) {
 // recorded, the scan is cancelled through the driver's context plumbing,
 // and the recorded error wins over the resulting ctx.Err.
 func (b *builder) scan(start, rows int) error {
-	parent := b.spec.LD.Ctx
+	parent := b.spec.LD.Blis.Ctx
 	if parent == nil {
 		parent = context.Background()
 	}
@@ -433,7 +416,7 @@ func (b *builder) scan(start, rows int) error {
 	defer cancel()
 	b.cancel = cancel
 	ld := b.spec.LD
-	ld.Ctx = ctx
+	ld.Blis.Ctx = ctx
 	ld.Measures = b.spec.Stat.Measure()
 	b.so = core.StreamOptions{
 		Options:     ld,
@@ -578,9 +561,7 @@ func (b *builder) writeStripe(s *Stripe) error {
 	if err := b.bw.Flush(); err != nil {
 		return err
 	}
-	if b.file != nil {
-		fsys.writeback(b.file, start, b.offset-start)
-	}
+	fsys.writeback(b.file, start, b.offset-start)
 	if b.ck == nil {
 		b.stripesDone++
 		return nil

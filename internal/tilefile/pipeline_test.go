@@ -1,6 +1,7 @@
 package tilefile_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"ldgemm/internal/bitmat"
+	"ldgemm/internal/blis"
 	"ldgemm/internal/tilefile"
 )
 
@@ -310,6 +312,62 @@ func TestBuildInjectedFaults(t *testing.T) {
 				settleGoroutines(t, "after the resume", base)
 			})
 		}
+	}
+}
+
+// TestBuildFaultStopsScan: a stage's failure cancels the scan even when
+// the caller handed the build a context of its own (LD.Blis.Ctx). The
+// third data write — stripe 1's tiles — fails; the build must return its
+// *PartialError having made fewer than half the driver calls of the same
+// build unfaulted, not compute every remaining stripe for a writer that
+// discards them.
+func TestBuildFaultStopsScan(t *testing.T) {
+	g := testMatrix(t, 480, 40, 9)
+	sh := shape{nt: 16, band: 50}
+	o := srcOpts{ioPanel: 16, checkpoint: true, ctx: context.Background()}
+	for _, tr := range tiers {
+		t.Run(tr.name, func(t *testing.T) {
+			src := ldbmSource(t, g, false)
+			calls := func(s *seam) (uint64, error) {
+				installSeam(t, s)
+				before := blis.ReadStats().Calls
+				_, err := tr.build(filepath.Join(t.TempDir(), "s.store"), src, sh, o)
+				return blis.ReadStats().Calls - before, err
+			}
+			full, err := calls(&seam{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			faulted, err := calls(&seam{failOp: opWrite, failAt: 3})
+			var pe *tilefile.PartialError
+			if !errors.As(err, &pe) || !errors.Is(err, errInjected) {
+				t.Fatalf("build returned %v, want a *PartialError wrapping the injected fault", err)
+			}
+			if 2*faulted >= full {
+				t.Fatalf("faulted build made %d driver calls, the whole build %d: the fault did not stop the scan", faulted, full)
+			}
+			t.Logf("%d driver calls faulted, %d unfaulted", faulted, full)
+		})
+	}
+}
+
+// TestBuildUncheckedWriteFault: a build without a checkpoint whose data
+// write fails returns the write's error and removes its partial file.
+func TestBuildUncheckedWriteFault(t *testing.T) {
+	g := testMatrix(t, 120, 77, 9)
+	sh := shape{nt: 16, band: 50}
+	for _, tr := range tiers {
+		t.Run(tr.name, func(t *testing.T) {
+			installSeam(t, &seam{failOp: opWrite, failAt: 3})
+			dir := t.TempDir()
+			_, err := tr.build(filepath.Join(dir, "partial.store"), ldbmSource(t, g, false), sh, srcOpts{ioPanel: 16})
+			if !errors.Is(err, errInjected) {
+				t.Fatalf("build returned %v, want the injected fault", err)
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				t.Fatalf("directory holds %v after the failed build (%v), want nothing", ents, err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package tilefile_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -29,6 +30,7 @@ type shape struct{ nt, band int }
 type srcOpts struct {
 	ioPanel            int
 	checkpoint, resume bool
+	ctx                context.Context // the build's LD.Blis.Ctx
 }
 
 type buildFn func(path string, src bitmat.Source, sh shape, o srcOpts) (tilefile.BuildStats, error)
@@ -69,17 +71,21 @@ var (
 
 func denseBuild(bo func(shape) ldstore.BuildOptions) buildFn {
 	return func(path string, src bitmat.Source, sh shape, o srcOpts) (tilefile.BuildStats, error) {
-		return ldstore.BuildFileFromSource(path, src, ldstore.SourceBuildOptions{
+		opt := ldstore.SourceBuildOptions{
 			BuildOptions: bo(sh), IOPanelSNPs: o.ioPanel, Checkpoint: o.checkpoint, Resume: o.resume,
-		})
+		}
+		opt.LD.Blis.Ctx = o.ctx
+		return ldstore.BuildFileFromSource(path, src, opt)
 	}
 }
 
 func sparseBuild(bo func(shape) ldsparse.BuildOptions) buildFn {
 	return func(path string, src bitmat.Source, sh shape, o srcOpts) (tilefile.BuildStats, error) {
-		st, err := ldsparse.BuildFileFromSource(path, src, ldsparse.SourceBuildOptions{
+		opt := ldsparse.SourceBuildOptions{
 			BuildOptions: bo(sh), IOPanelSNPs: o.ioPanel, Checkpoint: o.checkpoint, Resume: o.resume,
-		})
+		}
+		opt.LD.Blis.Ctx = o.ctx
+		st, err := ldsparse.BuildFileFromSource(path, src, opt)
 		return st.BuildStats, err
 	}
 }

@@ -60,7 +60,7 @@ func FromColumns(cols [][]byte) (*Matrix, error) { return bitmat.FromColumns(col
 func NewMask(snps, samples int) *Mask { return bitmat.NewMask(snps, samples) }
 
 // Options configures an LD computation (measures + blocking/threads).
-// Set Options.Ctx to bound the computation: the blocked drivers observe
+// Set Options.Blis.Ctx to bound the computation: the blocked drivers observe
 // cancellation cooperatively at slab and phase boundaries, return the
 // context's error, and recycle their packing arenas on the way out.
 type Options = core.Options
