@@ -222,26 +222,40 @@ func (e *denseEpilogue) Dest(i0, j0 int) (unsafe.Pointer, int) {
 	return unsafe.Pointer(&out[i0*e.ld+j0]), e.ld * 8
 }
 
-// row converts cells [j0, j0+len(trow)) of output row gi, each measure in
-// its own loop. D and the two r² loops are the scalar* functions below;
+// row converts cells [j0, j0+len(trow)) of output row gi into each
+// requested measure matrix.
+func (e *denseEpilogue) row(trow []uint32, gi, j0 int) {
+	base := gi*e.ld + j0
+	if e.d != nil {
+		e.convert(MeasureD, e.d[base:][:len(trow)], trow, gi, j0)
+	}
+	if e.r2 != nil {
+		e.convert(MeasureR2, e.r2[base:][:len(trow)], trow, gi, j0)
+	}
+	if e.dp != nil {
+		e.convert(MeasureDPrime, e.dp[base:][:len(trow)], trow, gi, j0)
+	}
+}
+
+// convert writes measure m of cells [j0, j0+len(trow)) of row gi to out,
+// in one loop. D and the two r² loops are the scalar* functions below;
 // each one's row kernel (rowD, rowR2Fast, rowR2Exact: epilogue_amd64.go)
 // first converts as many leading cells as it can, eight per instruction and
 // bit-equal per lane, and the Go loop finishes from the index it returns —
 // the tail, or the whole row on a host without the kernels. D′ stays a Go
 // loop: math.Min and math.Max carry NaN and ±0 rules a vector min/max does
 // not share.
-func (e *denseEpilogue) row(trow []uint32, gi, j0 int) {
+func (e *denseEpilogue) convert(m Measure, out []float64, trow []uint32, gi, j0 int) {
 	nn := len(trow)
+	out = out[:nn]
 	pa, inv := e.rowFreqs[gi], e.inv
 	colFreqs := e.colFreqs[j0:][:nn]
-	base := gi*e.ld + j0
-	if e.d != nil {
-		out := e.d[base:][:nn]
+	switch m {
+	case MeasureD:
 		k := rowD(out, trow, colFreqs, nil, inv, pa, 0)
 		scalarD(out[k:], trow[k:], colFreqs[k:], nil, inv, pa, 0)
-	}
-	if e.r2 != nil {
-		out, colTab, tab := e.r2[base:][:nn], e.colTab[j0:][:nn], e.rowTab[gi]
+	case MeasureR2:
+		colTab, tab := e.colTab[j0:][:nn], e.rowTab[gi]
 		if e.fast {
 			k := rowR2Fast(out, trow, colFreqs, colTab, inv, pa, tab)
 			scalarR2Fast(out[k:], trow[k:], colFreqs[k:], colTab[k:], inv, pa, tab)
@@ -249,9 +263,7 @@ func (e *denseEpilogue) row(trow []uint32, gi, j0 int) {
 			k := rowR2Exact(out, trow, colFreqs, colTab, inv, pa, tab)
 			scalarR2Exact(out[k:], trow[k:], colFreqs[k:], colTab[k:], inv, pa, tab)
 		}
-	}
-	if e.dp != nil {
-		out := e.dp[base:][:nn]
+	default:
 		for c, cnt := range trow {
 			pb := colFreqs[c]
 			d := float64(cnt)*inv - pa*pb

@@ -92,8 +92,8 @@ func (o StreamOptions) check() error {
 	return nil
 }
 
-// RowEndCol returns the exclusive end column of row gi's delivered slice.
-func (o StreamOptions) RowEndCol(gi, n int) int {
+// rowEndCol returns the exclusive end column of row gi's delivered slice.
+func (o StreamOptions) rowEndCol(gi, n int) int {
 	if !o.Banded {
 		return n
 	}
@@ -172,7 +172,7 @@ func (v *rowVisitor) StripeDone(i0, rows, width int, vals []float64) {
 		gi := i0 + r
 		j0, from, to := 0, 0, width
 		if v.opt.Triangular {
-			j0, from, to = gi, r, v.opt.RowEndCol(gi, v.n)-i0
+			j0, from, to = gi, r, v.opt.rowEndCol(gi, v.n)-i0
 		}
 		v.visit(gi, j0, vals[r*width+from:r*width+to])
 	}
@@ -223,20 +223,32 @@ func newStripeScan(opt StreamOptions, p []float64, samples int) *stripeScan {
 	return s
 }
 
+// stat returns the scan's single statistic: r² unless the measures select
+// exactly D or D′.
+func (s *stripeScan) stat() Measure {
+	switch {
+	case s.meas&MeasureR2 != 0:
+		return MeasureR2
+	case s.meas&MeasureD != 0:
+		return MeasureD
+	}
+	return MeasureDPrime
+}
+
 // epilogue returns the epilogue writing the scan's single statistic into
 // out (row stride ld) for a driver call whose row 0 is SNP row0 and whose
-// column 0 is SNP col0.
+// column 0 is SNP col0. A kept scan passes no out: it only converts.
 func (s *stripeScan) epilogue(out []float64, ld, row0, col0 int) *denseEpilogue {
 	e := &denseEpilogue{
 		measureOut: measureOut{ld: ld},
 		rowFreqs:   s.p[row0:], colFreqs: s.p[col0:],
 		inv: s.inv, fast: s.fast,
 	}
-	switch {
-	case s.meas&MeasureR2 != 0:
+	switch s.stat() {
+	case MeasureR2:
 		e.r2 = out
 		e.rowTab, e.colTab = s.tab[row0:], s.tab[col0:]
-	case s.meas&MeasureD != 0:
+	case MeasureD:
 		e.d = out
 	default:
 		e.dp = out

@@ -19,9 +19,9 @@ type BuildOptions struct {
 	// Stat selects the statistic to materialize (default StatR2).
 	Stat Stat
 	// Threshold is the pruning cutoff τ: entries survive iff |v| ≥ τ,
-	// applied inside the build's single streaming pass as the fused
-	// epilogue hands rows over — pruning costs no extra sweep. τ = 0
-	// keeps every computed cell.
+	// selected inside the fused epilogue of the build's single streaming
+	// pass, which hands the writer only the survivors. τ = 0 keeps every
+	// computed cell.
 	Threshold float64
 	// Banded restricts the build to |i−j| ≤ Band via the streaming
 	// scan's banded schedule: far-off-diagonal GEMM work is skipped
@@ -115,9 +115,9 @@ func buildStats(st tilefile.BuildStats, err error, spec tilefile.Spec) (BuildSta
 // BuildFile computes the selected statistic for every SNP pair of g (or
 // only the |i−j| ≤ Band pairs in banded mode) with the blocked driver and
 // writes the threshold-pruned CSR tile store to path, removing the partial
-// file on failure; each tile row is pruned and serialized from one stripe
-// as the values land, so pruning costs no pass of its own. See
-// tilefile.BuildFile for the scan and its memory bound.
+// file on failure; each tile row is serialized from one stripe of the
+// scan's survivors. See tilefile.BuildFile for the scan and its memory
+// bound.
 func BuildFile(path string, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
 	return BuildFileFromSource(path, bitmat.NewMemSource(g), SourceBuildOptions{BuildOptions: opt})
 }

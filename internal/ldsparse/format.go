@@ -8,9 +8,11 @@
 // |r²| values sit below any threshold a consumer cares about — and the
 // high-value downstream workloads are GWAS summary-statistic
 // computations (LD-matrix × vector products, Σ r²·χ² score aggregates),
-// not dense region dumps. Pruning at |v| ≥ τ while the fused epilogue
-// streams rows out of the blocked driver costs no extra pass over the
-// data, and cuts the store by orders of magnitude.
+// not dense region dumps. The build prunes at |v| ≥ τ inside the fused
+// epilogue: the scan keeps only each row run's survivors and hands every
+// stripe over as a row-CSR of them, so the other cells are never stored,
+// not even in a stripe buffer, and the store shrinks by orders of
+// magnitude.
 //
 // The file ("LDSS") is a tilefile container with a 32-byte header
 // extension (threshold, band width, total entry count). The index
@@ -93,14 +95,6 @@ func csrBytes(rows int, nnz int64) int64 {
 		return 0
 	}
 	return int64(rows+1)*4 + nnz*csrEntryBytes
-}
-
-// keep is the pruning predicate: an entry survives iff |v| ≥ τ. It is a
-// pure value predicate — no positional state, no quota — so entries
-// whose magnitudes tie exactly at the threshold are kept
-// deterministically, independent of scan order or parallel schedule.
-func keep(v, tau float64) bool {
-	return math.Abs(v) >= tau
 }
 
 // csrTile is one decoded tile-local CSR block. rowPtr has the tile's row
@@ -193,62 +187,72 @@ func (codec) Decode(_ *tilefile.Header, t tilefile.Tile, e tilefile.Entry, paylo
 }
 
 // encoder is the LDSS write side, with the scratch it reuses across tiles.
+// It is a tilefile.KeptEncoder: the build's scan hands it only the cells
+// with |v| ≥ τ, each stripe in row-CSR.
 type encoder struct {
-	tau    float64
-	ptrBuf []uint32
-	colBuf []uint16
-	valBuf []float64
-	raw    []byte
+	tau float64
+	// cur is each stripe row's cursor into the kept stripe: the first
+	// survivor no tile has taken yet; left counts the survivors past all
+	// of them.
+	cur  []int
+	left int
+	raw  []byte
 }
 
-// EncodeTile scans tile t's cells in the stripe, keeps the |v| ≥ τ
-// survivors as a tile-local CSR block, and returns it with the entry
-// count. The diagonal tile keeps only its upper triangle — the stripe
-// never held the lower half. Tiles with no survivor — every far-off-band
-// tile of a banded build — cost zero payload bytes, only their index
-// entry.
+// Threshold is τ: the scan keeps a cell iff |v| ≥ τ.
+func (enc *encoder) Threshold() float64 { return enc.tau }
+
+// EncodeTile cuts tile t's survivors from the kept stripe as a tile-local
+// CSR block and returns it with the entry count. The stripe holds each
+// row's survivors in ascending column order from its diagonal to its band
+// edge, so the diagonal tile — the stripe's first — keeps only its upper
+// triangle, and the tiles of a stripe, encoded in column order, each take
+// the survivors below their end column from every row's cursor. Tiles with
+// no survivor — every far-off-band tile of a banded build — cost zero
+// payload bytes, only their index entry, and once a stripe's survivors are
+// all taken its remaining tiles read nothing.
 func (enc *encoder) EncodeTile(s *tilefile.Stripe, t tilefile.Tile) ([]byte, uint64, error) {
-	enc.ptrBuf = append(enc.ptrBuf[:0], 0)
-	enc.colBuf = enc.colBuf[:0]
-	enc.valBuf = enc.valBuf[:0]
-	for r := 0; r < t.Rows; r++ {
-		gi := s.I0 + r
-		cStart := t.Col0
-		if t.Diagonal() && gi > cStart {
-			cStart = gi // diagonal tile: upper triangle only
-		}
-		if cEnd := min(t.Col0+t.Cols, s.RowEnd[r]); cStart < cEnd {
-			first := uint16(cStart - t.Col0)
-			for k, v := range s.Vals[r*s.Width+(cStart-s.I0):][:cEnd-cStart] {
-				if keep(v, enc.tau) {
-					enc.colBuf = append(enc.colBuf, first+uint16(k))
-					enc.valBuf = append(enc.valBuf, v)
-				}
-			}
-		}
-		enc.ptrBuf = append(enc.ptrBuf, uint32(len(enc.colBuf)))
+	k := &s.Kept
+	if t.Diagonal() {
+		enc.cur = append(enc.cur[:0], k.RowPtr[:t.Rows]...)
+		enc.left = k.RowPtr[t.Rows]
 	}
-	nnz := len(enc.colBuf)
+	if enc.left == 0 {
+		return nil, 0, nil
+	}
+	end := t.Col0 + t.Cols
+	ptr := (t.Rows + 1) * 4 // the row pointers' bytes; columns follow
+	nnz := 0
+	for r, c := range enc.cur[:t.Rows] {
+		stop := k.RowPtr[r+1]
+		for c < stop && int(k.Cols[c]) < end {
+			c++
+		}
+		nnz += c - enc.cur[r]
+	}
 	if nnz == 0 {
 		return nil, 0, nil
 	}
+	enc.left -= nnz
 	length := int(csrBytes(t.Rows, int64(nnz)))
 	if cap(enc.raw) < length {
 		enc.raw = make([]byte, length)
 	}
-	enc.raw = enc.raw[:length]
-	for k, p := range enc.ptrBuf {
-		binary.LittleEndian.PutUint32(enc.raw[k*4:], p)
+	raw := enc.raw[:length]
+	cols, vals := raw[ptr:], raw[ptr+nnz*2:]
+	at := 0
+	binary.LittleEndian.PutUint32(raw, 0)
+	for r, c := range enc.cur[:t.Rows] {
+		stop := k.RowPtr[r+1]
+		for ; c < stop && int(k.Cols[c]) < end; c++ {
+			binary.LittleEndian.PutUint16(cols[at*2:], uint16(int(k.Cols[c])-t.Col0))
+			binary.LittleEndian.PutUint64(vals[at*8:], math.Float64bits(k.Vals[c]))
+			at++
+		}
+		enc.cur[r] = c
+		binary.LittleEndian.PutUint32(raw[(r+1)*4:], uint32(at))
 	}
-	off := (t.Rows + 1) * 4
-	for k, c := range enc.colBuf {
-		binary.LittleEndian.PutUint16(enc.raw[off+k*2:], c)
-	}
-	off += nnz * 2
-	for k, v := range enc.valBuf {
-		binary.LittleEndian.PutUint64(enc.raw[off+k*8:], math.Float64bits(v))
-	}
-	return enc.raw, uint64(nnz), nil
+	return raw, uint64(nnz), nil
 }
 
 // FinishHeader stamps the store's total entry count, summed from the

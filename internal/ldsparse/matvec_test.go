@@ -10,6 +10,12 @@ import (
 	"ldgemm/internal/popsim"
 )
 
+// keep is the store's pruning rule as the oracles apply it: an entry
+// survives iff |v| ≥ τ.
+func keep(v, tau float64) bool {
+	return math.Abs(v) >= tau
+}
+
 // oracleMatVec is the serial reference the parallel operator must match
 // bit for bit: for each output row, fold contributions in ascending
 // source order over the cells the store holds (in-band, |v| ≥ τ).

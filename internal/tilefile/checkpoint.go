@@ -104,7 +104,7 @@ func parseManifest(f *Format, b []byte) (manifest, error) {
 	if m.Version != manifestVersion {
 		return fail("unsupported version %d", m.Version)
 	}
-	if m.SNPs < 0 || m.SNPs > maxSNPs || m.Samples < 0 || int64(m.Samples) > maxSamples {
+	if m.SNPs < 0 || int64(m.SNPs) > maxSNPs || m.Samples < 0 || int64(m.Samples) > maxSamples {
 		return fail("implausible dimensions %d×%d", m.SNPs, m.Samples)
 	}
 	if f.checkTileSize(int64(m.TileSize)) != nil {
