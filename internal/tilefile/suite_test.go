@@ -31,6 +31,7 @@ type srcOpts struct {
 	ioPanel            int
 	checkpoint, resume bool
 	ctx                context.Context // the build's LD.Blis.Ctx
+	threads            int             // the build's LD.Blis.Threads
 }
 
 type buildFn func(path string, src bitmat.Source, sh shape, o srcOpts) (tilefile.BuildStats, error)
@@ -74,7 +75,7 @@ func denseBuild(bo func(shape) ldstore.BuildOptions) buildFn {
 		opt := ldstore.SourceBuildOptions{
 			BuildOptions: bo(sh), IOPanelSNPs: o.ioPanel, Checkpoint: o.checkpoint, Resume: o.resume,
 		}
-		opt.LD.Blis.Ctx = o.ctx
+		opt.LD.Blis.Ctx, opt.LD.Blis.Threads = o.ctx, o.threads
 		return ldstore.BuildFileFromSource(path, src, opt)
 	}
 }
@@ -84,7 +85,7 @@ func sparseBuild(bo func(shape) ldsparse.BuildOptions) buildFn {
 		opt := ldsparse.SourceBuildOptions{
 			BuildOptions: bo(sh), IOPanelSNPs: o.ioPanel, Checkpoint: o.checkpoint, Resume: o.resume,
 		}
-		opt.LD.Blis.Ctx = o.ctx
+		opt.LD.Blis.Ctx, opt.LD.Blis.Threads = o.ctx, o.threads
 		st, err := ldsparse.BuildFileFromSource(path, src, opt)
 		return st.BuildStats, err
 	}
