@@ -47,9 +47,10 @@ build-arm64:
 # many goroutines, the tile container whose LRU every store query shares and
 # whose build is a three-stage pipeline, three stripe buffers handed from the
 # scan to the writer and back, tested under injected faults — a sparse build
-# among them with four kept stripes in flight, stopped by a writer fault and
-# by a cancel with no panel read left running
-# (TestKeptBuildStopsAtFourThreads) — the HTTP server that shares the
+# with four kept stripes in flight and a dense one with four counts stripes,
+# each stopped by a writer fault and by a cancel with no panel read left
+# running (TestKeptBuildStopsAtFourThreads, TestCountBuildStopsAtFourThreads)
+# — the HTTP server that shares the
 # arena pool, the region encoder's pooled offset scratch and the in-flight
 # semaphore across requests (TestConcurrentRegionRequests), concurrent matvecs in both body spellings
 # over the request-vector counters (TestSparseVectorCounters), the
@@ -81,8 +82,8 @@ verify-cluster:
 	go test -race -count=1 ./internal/cluster/
 
 # Short fuzz smoke. The tile container: one open target and one
-# checkpoint-manifest target, each run against every codec (dense, dense
-# + DEFLATE, sparse, banded sparse); hostile and truncated files must
+# checkpoint-manifest target, each run against every codec (dense counts at
+# both widths, sparse, banded sparse); hostile and truncated files must
 # error, never panic or over-allocate. The float wire: the node's encoder
 # against encoding/json on any float64 bits — in rows, in vectors, and in
 # square replies whose lower half may be copied from the upper — and the
@@ -95,7 +96,10 @@ verify-cluster:
 # any counts, frequencies and row length (CI runs this too), and the kept
 # epilogue's fused r² keep kernel against converting with scalarR2Exact, then
 # keeping: the same kept columns and value bits on any counts, frequencies,
-# threshold and row length.
+# threshold and row length; and the counts epilogue's fused narrow-and-max
+# kernel against its Go loop: the same narrowed counts and the same bits for
+# every tile's maximum on any counts ≤ N, frequencies, N ≤ 65 535, row
+# length and tile edges.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
@@ -106,6 +110,7 @@ fuzz-smoke:
 	go test ./internal/server -run=Fuzz -fuzz=FuzzReadNumber -fuzztime=10s
 	go test ./internal/core -run=Fuzz -fuzz=FuzzEpilogueRow -fuzztime=10s
 	go test ./internal/core -run=Fuzz -fuzz=FuzzKeepRow -fuzztime=10s
+	go test ./internal/core -run=Fuzz -fuzz=FuzzCountsRow -fuzztime=10s
 
 # The benchmark/ module is its own Go module, so tier-1 `go test ./...`
 # never enters it: compile and smoke-test it against this tree, so an API
@@ -123,6 +128,28 @@ run_listed = listed=$$(go test -list . $(1) | grep '^Test'); \
 		echo "$$listed" | grep -Eq "$$name" || { echo "$(1): -run name $$name matches no test" >&2; exit 1; }; \
 	done; \
 	go test $(1) -count=1 -run '$(2)'
+
+# Placement report: where the linker put the hot assembly loops, as the
+# address and its offset in a 64-byte line, in cmd/ldbench and in the
+# benchmark's own binary (benchmark/, which runs the ledger's workloads). The
+# compute workloads have read bimodal with no change on their path when
+# code linked in front of these moved them by a few hundred bytes; a change
+# that claims no move on them shows here whether their kernels moved. A
+# kernel a binary does not link is reported so.
+placement_syms = tileRow8x8VPOPCNTQ rowR2FastAVX512 rowR2ExactAVX512 countsR2Max16AVX512
+.PHONY: placement
+placement:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	go build -o "$$dir/ldbench" ./cmd/ldbench && \
+	(cd benchmark && go build -o "$$dir/benchmark" .) && \
+	for bin in ldbench benchmark; do \
+		go tool nm "$$dir/$$bin" > "$$dir/nm"; \
+		for sym in $(placement_syms); do \
+			addr=$$(awk -v s="$$sym" '$$3 ~ "\\." s "(\\.abi0)?$$" { print $$1 }' "$$dir/nm"); \
+			if [ -z "$$addr" ]; then echo "$$bin $$sym (not linked)"; \
+			else echo "$$bin $$sym 0x$$addr mod 64 = $$((0x$$addr % 64))"; fi; \
+		done; \
+	done
 
 # Non-test source lines (.go and .s) per directory and in total, over the
 # files git tracks; benchmark/ (its own module) is counted apart. ROADMAP's
@@ -154,14 +181,17 @@ loc:
 # epilogue's r² skip at its edges (τ at each value and one ulp either side,
 # a monomorphic column, τ = 0, subnormal τ, τ above every value, every tail
 # length) and its fused keep kernel's whole-vector stores held inside
-# their room, the destination hint shown unobservable in Matrix, Cross and
+# their room, the counts epilogue's fused kernel at its edges (every run
+# length 0–40, a monomorphic column, N = 65 535 and 65 536, a diagonal
+# cell kept out of its tile's maximum), the destination hint shown
+# unobservable in Matrix, Cross and
 # Stream, and KeepCounts shown inert (copying the counts out changes no
 # measure bit, exact or fast r²). Every
 # name must match a test (run_listed). Cheap enough for the verify tier.
 .PHONY: bench-kernel
 bench-kernel:
 	@$(call run_listed,./internal/kernel,TestVectorTile)
-	@$(call run_listed,./internal/core,TestEpilogueRows|TestKeepRowEdges|TestKeepR2ExactStaysInRoom|TestDestHintUnobservable|TestDenseEpilogueDest|TestKeepCountsInert)
+	@$(call run_listed,./internal/core,TestEpilogueRows|TestKeepRowEdges|TestKeepR2ExactStaysInRoom|TestCountsRowEdges|TestDestHintUnobservable|TestDenseEpilogueDest|TestKeepCountsInert)
 	@$(call run_listed,./internal/blis,TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestMaskedStrategiesMatchScalarOracle|TestDispatchRoutes|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller)
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling

@@ -12,7 +12,8 @@
 //
 // With -store pointing at an `ldstore build` output for the same dataset,
 // the /api/ld, /api/ld/region, and /api/ld/top endpoints serve precomputed
-// tiles through an LRU cache instead of running the kernels per request;
+// tiles of joint counts, converted to whichever measure a request asks
+// for, through an LRU cache instead of running the kernels per request;
 // a store built from a different dataset is rejected at startup by its
 // fingerprint. With -sparse-store pointing at an `ldstore build -sparse`
 // output (LDSS), the POST /api/sparse/matvec and /api/sparse/score
@@ -215,8 +216,8 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 				*storePath, st.Fingerprint(), fp)
 		}
 		cfg.Store = st
-		fmt.Fprintf(stderr, "ldserver: tile store %s: %d tiles of %s, %d×%d\n",
-			*storePath, st.Info().Tiles, st.Stat(), st.SNPs(), st.Samples())
+		fmt.Fprintf(stderr, "ldserver: tile store %s: %d tiles of counts, %d×%d\n",
+			*storePath, st.Info().Tiles, st.SNPs(), st.Samples())
 	}
 	var sp *ldsparse.Store
 	if *sparsePath != "" {

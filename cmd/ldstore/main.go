@@ -1,14 +1,14 @@
 // Command ldstore builds and inspects on-disk tile stores of precomputed
-// LD statistics: run the blocked GEMM once, then serve any number of
-// point, region, or top-K queries without touching the kernels again.
+// LD: run the blocked GEMM once, then serve any number of point, region,
+// or top-K queries without touching the kernels again.
 //
 // Usage:
 //
-//	ldstore build -in data.ldgm -out data.ldts [-tile 256] [-stat r2] [-compress]
+//	ldstore build -in data.ldgm -out data.ldts [-tile 256]
 //	ldstore build -in data.ldbm -out data.ldts [-mmap] [-io-window 1024] [-checkpoint]
 //	ldstore build -in data.ldbm -out data.ldts -resume
 //	ldstore build -in data.ldbm -out data.ldts -split-chrom data.bim [-split-workers 4]
-//	ldstore build -in data.ldbm -out data.ldss -sparse -threshold 0.2 [-band 500]
+//	ldstore build -in data.ldbm -out data.ldss -sparse [-stat r2] -threshold 0.2 [-band 500]
 //	ldstore convert -in data.bed -out data.ldbm [-window 1024]
 //	ldstore info -store data.ldts (or a .ldss sparse store)
 //	ldstore query -store data.ldts -i 3 -j 7
@@ -24,9 +24,13 @@
 // second of stripes plus the commit in flight; -resume restarts a killed
 // build where it left off, producing byte-identical output.
 //
+// The dense store (LDTS) holds the joint haplotype counts, 2 bytes a pair
+// for up to 65 535 samples and 4 beyond, and serves r², D and D′ alike;
+// queries here print r².
+//
 // -sparse writes a threshold-pruned CSR container (ldsparse's LDSS
-// format) instead of the dense tile store: entries with |value| below
-// -threshold are dropped in the fused epilogue, and -band W restricts
+// format) of one statistic (-stat) instead of the dense tile store:
+// entries with |value| below -threshold are dropped in the fused epilogue, and -band W restricts
 // the build to pairs within |i−j| ≤ W, skipping far-off-diagonal GEMM
 // panels entirely. The out-of-core, checkpoint, and split-chrom
 // machinery all apply to sparse builds too.
@@ -85,8 +89,7 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 	in := fs.String("in", "", "dataset path (.ldbm for out-of-core, or .ldgm/.ms, optionally gzipped; required)")
 	out := fs.String("out", "", "tile store output path (required)")
 	tile := fs.Int("tile", 0, "tile side NT in SNPs (0 = default 256)")
-	stat := fs.String("stat", "r2", "statistic to precompute: r2, d, or dprime")
-	compress := fs.Bool("compress", false, "DEFLATE-compress each tile")
+	stat := fs.String("stat", "r2", "with -sparse: statistic to precompute, r2, d, or dprime (a dense store serves all three)")
 	threads := fs.Int("threads", 0, "kernel threads (0 = GOMAXPROCS)")
 	mmap := fs.Bool("mmap", false, "memory-map a .ldbm input instead of windowed reads")
 	ioWindow := fs.Int("io-window", 0, "out-of-core column-panel width in SNPs (0 = default 1024)")
@@ -127,8 +130,11 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 		if *band >= 0 {
 			return fmt.Errorf("-band requires -sparse")
 		}
-	} else if *compress {
-		return fmt.Errorf("-compress applies to dense tile stores, not -sparse (CSR payloads are already pruned)")
+		statSet := false
+		fs.Visit(func(f *flag.Flag) { statSet = statSet || f.Name == "stat" })
+		if statSet {
+			return fmt.Errorf("-stat requires -sparse: a dense store holds the joint counts and serves r2, d and dprime alike")
+		}
 	}
 	var build buildFunc
 	if *sparse {
@@ -145,8 +151,8 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 	} else {
 		build = denseBuildFunc(ldstore.SourceBuildOptions{
 			BuildOptions: ldstore.BuildOptions{
-				TileSize: *tile, Stat: st, Compress: *compress,
-				LD: core.Options{Blis: bcfg},
+				TileSize: *tile,
+				LD:       core.Options{Blis: bcfg},
 			},
 			IOPanelSNPs: *ioWindow,
 			Checkpoint:  *checkpoint,
@@ -199,8 +205,8 @@ func denseBuildFunc(opt ldstore.SourceBuildOptions) buildFunc {
 		if res.StartStripe > 0 {
 			resumed = fmt.Sprintf(", resumed at stripe %d", res.StartStripe)
 		}
-		fmt.Fprintf(stderr, "ldstore: wrote %s: %d tiles, %d bytes (%s, %d×%d, peak result memory %d bytes%s; %s)\n",
-			out, res.Tiles, res.FileBytes, opt.Stat, src.NumSNPs(), src.NumSamples(), res.PeakResultBytes, resumed, stageTimes(res))
+		fmt.Fprintf(stderr, "ldstore: wrote %s: %d tiles, %d bytes (counts, %d×%d, peak result memory %d bytes%s; %s)\n",
+			out, res.Tiles, res.FileBytes, src.NumSNPs(), src.NumSamples(), res.PeakResultBytes, resumed, stageTimes(res))
 		return nil
 	}
 }

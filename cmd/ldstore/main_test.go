@@ -43,7 +43,7 @@ func TestBuildInfoQuery(t *testing.T) {
 	data := writeDataset(t)
 	store := filepath.Join(t.TempDir(), "d.ldts")
 
-	_, stderr, err := runLdstore(t, "build", "-in", data, "-out", store, "-tile", "16", "-compress")
+	_, stderr, err := runLdstore(t, "build", "-in", data, "-out", store, "-tile", "16")
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -55,17 +55,17 @@ func TestBuildInfoQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("info: %v", err)
 	}
-	var info struct {
-		SNPs       int    `json:"snps"`
-		Stat       string `json:"stat"`
-		Tiles      int    `json:"tiles"`
-		Compressed bool   `json:"compressed"`
-	}
+	var info map[string]any
 	if err := json.Unmarshal([]byte(stdout), &info); err != nil {
 		t.Fatalf("info output %q: %v", stdout, err)
 	}
-	if info.SNPs != 40 || info.Stat != "r2" || info.Tiles != 6 || !info.Compressed {
+	if info["snps"] != 40.0 || info["stat"] != "r2" || info["tiles"] != 6.0 || info["count_bytes"] != 2.0 {
 		t.Fatalf("info %+v", info)
+	}
+	for _, gone := range []string{"compressed", "compression_ratio"} {
+		if _, ok := info[gone]; ok {
+			t.Fatalf("info still reports %q: %+v", gone, info)
+		}
 	}
 
 	stdout, _, err = runLdstore(t, "query", "-store", store, "-i", "3", "-j", "17")
@@ -334,8 +334,20 @@ func TestCLIErrors(t *testing.T) {
 	}
 	data := writeDataset(t)
 	if _, _, err := runLdstore(t, "build", "-in", data,
-		"-out", filepath.Join(t.TempDir(), "x.ldts"), "-stat", "nope"); err == nil {
+		"-out", filepath.Join(t.TempDir(), "x.ldss"), "-sparse", "-stat", "nope"); err == nil {
 		t.Fatal("bad stat accepted")
+	}
+	// A dense store holds counts and serves every statistic: -stat is a
+	// sparse build's, and a dense build that sets it, even to r2, fails
+	// saying so; -compress is gone.
+	for _, stat := range []string{"r2", "d"} {
+		if _, _, err := runLdstore(t, "build", "-in", data, "-out", filepath.Join(t.TempDir(), "x.ldts"), "-stat", stat); err == nil ||
+			!strings.Contains(err.Error(), "-stat requires -sparse") {
+			t.Fatalf("dense build with -stat %s: %v", stat, err)
+		}
+	}
+	if _, _, err := runLdstore(t, "build", "-in", data, "-out", filepath.Join(t.TempDir(), "x.ldts"), "-compress"); err == nil {
+		t.Fatal("-compress accepted")
 	}
 	store := filepath.Join(t.TempDir(), "q.ldts")
 	if _, _, err := runLdstore(t, "build", "-in", data, "-out", store); err != nil {
@@ -403,7 +415,7 @@ func TestBuildSparse(t *testing.T) {
 	}
 
 	// Sparse-only flags are rejected without -sparse; -compress is
-	// rejected with it.
+	// rejected with it, as everywhere.
 	if _, _, err := runLdstore(t, "build", "-in", ldbm, "-out", out, "-threshold", "0.1"); err == nil {
 		t.Fatal("-threshold without -sparse accepted")
 	}

@@ -158,7 +158,7 @@ func wireNodes(t testing.TB, stored bool) func(lo, hi int) *server.Server {
 	dir := t.TempDir()
 	dense, sparse := filepath.Join(dir, "w.ldts"), filepath.Join(dir, "w.ldss")
 	if stored {
-		if _, err := ldstore.BuildFile(dense, matrix(), ldstore.BuildOptions{TileSize: 32, Stat: ldstore.StatR2}); err != nil {
+		if _, err := ldstore.BuildFile(dense, matrix(), ldstore.BuildOptions{TileSize: 32}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ldsparse.BuildFile(sparse, matrix(), ldsparse.BuildOptions{TileSize: 32, Threshold: 0.02}); err != nil {

@@ -2,7 +2,11 @@
 
 package core
 
-import "ldgemm/internal/popcount"
+import (
+	"math"
+
+	"ldgemm/internal/popcount"
+)
 
 // Implemented in epilogue_amd64.s.
 //
@@ -17,6 +21,9 @@ func rowR2ExactAVX512(out *float64, cnt *uint32, colFreq, colVar *float64, n int
 
 //go:noescape
 func keepR2ExactAVX512(cols *int32, vals *float64, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va, skip, tau float64, col0 int32) int
+
+//go:noescape
+func countsR2Max16AVX512(dst *uint16, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va float64) float64
 
 // The row kernels are the vector bodies of denseEpilogue.row's loops: rowX
 // converts the first vectorCells(cnt) cells, bit for bit what scalarX
@@ -88,4 +95,18 @@ func keepR2Exact(cols []int32, vals []float64, cnt []uint32, colFreq, colTab []f
 	}
 	_, _, _, _ = cols[keepRoom(n)-1], vals[keepRoom(n)-1], colFreq[n-1], colTab[n-1]
 	return n, keepR2ExactAVX512(&cols[0], &vals[0], &cnt[0], &colFreq[0], &colTab[0], n, inv, pa, tab, skip, tau, int32(col0))
+}
+
+// countsVector16 is the vector body of the counts epilogue's rows
+// (counts.go): over the first vectorCells(cnt) cells it stores dst[c] =
+// uint16(cnt[c]) and returns that count with the greatest exact r² among
+// them, −Inf when there are none. Every bit is what countsRowGo stores and
+// folds over those cells.
+func countsVector16(dst []uint16, cnt []uint32, colFreq, colVar []float64, inv, pa, va float64) (int, float64) {
+	n := vectorCells(cnt)
+	if n == 0 {
+		return 0, math.Inf(-1)
+	}
+	_, _, _ = dst[n-1], colFreq[n-1], colVar[n-1]
+	return n, countsR2Max16AVX512(&dst[0], &cnt[0], &colFreq[0], &colVar[0], n, inv, pa, va)
 }

@@ -216,3 +216,55 @@ skipped:
 	MOVQ   AX, ret+96(FP)
 	VZEROUPPER
 	RET
+
+// The counts epilogue's kernel (counts.go) stores a row run's counts
+// narrowed to uint16 by VPMOVDW, which keeps the low half of each lane as
+// Go's conversion does, and folds the exact r² of every cell into a
+// running maximum, rowR2ExactAVX512's lanes with the divide's +0 where
+// den ≤ 0. VMAXPD returns its second source when the first is NaN or both
+// are zeros, so `VMAXPD Z27, Z0, Z27` is, lane by lane, Go's
+// `if v > m { m = v }`. The eight lane maxima are folded the same way at
+// the end; an r² is never −0, so the order they fold in cannot change the
+// bits.
+
+// func countsR2Max16AVX512(dst *uint16, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va float64) float64
+TEXT ·countsR2Max16AVX512(SB), NOSPLIT, $0-72
+	MOVQ         dst+0(FP), DI
+	MOVQ         cnt+8(FP), SI
+	MOVQ         colFreq+16(FP), DX
+	MOVQ         colVar+24(FP), BX
+	MOVQ         n+32(FP), CX
+	VBROADCASTSD inv+40(FP), Z30
+	VBROADCASTSD pa+48(FP), Z31
+	VBROADCASTSD va+56(FP), Z29
+	VPXORQ       Z28, Z28, Z28
+	MOVQ         $0xfff0000000000000, R9 // −Inf
+	VPBROADCASTQ R9, Z27
+	SHRQ         $3, CX
+
+counts16:
+	VMOVDQU  (SI), Y3
+	VPMOVDW  Y3, (DI)
+	D_LANES
+	VMULPD   Z0, Z0, Z0
+	VMULPD   (BX), Z29, Z2
+	VCMPPD   $0x1E, Z28, Z2, K1
+	VDIVPD.Z Z2, Z0, K1, Z0
+	VMAXPD   Z27, Z0, Z27
+	ADDQ     $32, SI
+	ADDQ     $64, DX
+	ADDQ     $64, BX
+	ADDQ     $16, DI
+	DECQ     CX
+	JNZ      counts16
+
+	VEXTRACTF64X4 $1, Z27, Y1
+	VMOVAPD       Z27, Z0
+	VMAXPD        Y0, Y1, Y0
+	VEXTRACTF128  $1, Y0, X1
+	VMAXPD        X0, X1, X0
+	VPERMILPD     $1, X0, X1
+	VMAXPD        X0, X1, X0
+	VZEROUPPER
+	MOVSD         X0, ret+64(FP)
+	RET

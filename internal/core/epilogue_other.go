@@ -2,8 +2,10 @@
 
 package core
 
-// Non-amd64 builds have no row kernels and no fused keep kernel: each
-// converts nothing and the Go loops do the whole row.
+import "math"
+
+// Non-amd64 builds have no row kernels and no fused keep or counts kernel:
+// each converts nothing and the Go loops do the whole row.
 
 // vectorRows is always false here; tests that clear it to run the Go loops
 // alone build everywhere.
@@ -23,4 +25,8 @@ func rowR2Exact(out []float64, cnt []uint32, colFreq, colTab []float64, inv, pa,
 
 func keepR2Exact(cols []int32, vals []float64, cnt []uint32, colFreq, colTab []float64, inv, pa, tab, skip, tau float64, col0 int) (done, kept int) {
 	return 0, 0
+}
+
+func countsVector16(dst []uint16, cnt []uint32, colFreq, colVar []float64, inv, pa, va float64) (int, float64) {
+	return 0, math.Inf(-1)
 }

@@ -18,7 +18,7 @@ import (
 // of SNP rows [I0, I0+Rows) whose |v| ≥ τ. Row r's survivors are
 // Cols[RowPtr[r]:RowPtr[r+1]] — global SNP columns, strictly ascending —
 // with their values at the same positions of Vals. A row's delivered range
-// is the float stripe's (StripeSink): from its own diagonal to the band
+// is the float scan's (StreamSource): from its own diagonal to the band
 // edge in a triangular scan, all n columns otherwise.
 type KeptStripe struct {
 	I0, Rows int

@@ -121,30 +121,7 @@ func (o StreamOptions) rowWindow(n int) (lo, hi int, err error) {
 	return o.RowStart, o.RowEnd, nil
 }
 
-// StripeSink receives a streaming scan a stripe at a time, in the buffer of
-// its own choosing: the scan computes each stripe straight into what the
-// sink hands it, so a consumer that keeps stripes (the store builder) gets
-// them without a copy. Stream and StreamSource's row visitors are a sink
-// over one pooled buffer.
-type StripeSink interface {
-	// StripeBuffer returns the buffer the next stripe is computed into, at
-	// least cells float64s. It is called once per stripe, before any of it
-	// is computed, and may block (that is the sink's back-pressure on the
-	// scan). The buffer need not be cleared: the scan assigns every cell it
-	// goes on to deliver and reads none.
-	StripeBuffer(cells int) []float64
-	// StripeDone is told that the stripe computed into the last
-	// StripeBuffer is complete, after which the scan never touches that
-	// buffer again. It holds SNP rows [i0, i0+rows), row r at
-	// vals[r*width : (r+1)*width]. In a triangular scan column 0 is SNP i0
-	// and row r is meaningful from its own diagonal, column r, to the band
-	// edge min(n, i0+r+Band+1) − i0 (n − i0 unbanded); cells outside that
-	// are by-products or stale. Otherwise column 0 is SNP 0 and every cell
-	// of the n-wide row is delivered.
-	StripeDone(i0, rows, width int, vals []float64)
-}
-
-// rowVisitor is the StripeSink behind the row visitors of Stream and
+// rowVisitor is the sink behind the row visitors of Stream and
 // StreamSource: one pooled buffer, every finished stripe handed to visit
 // row by row.
 type rowVisitor struct {
@@ -154,6 +131,9 @@ type rowVisitor struct {
 	buf   *[]float64
 }
 
+// StripeBuffer returns the buffer the next stripe is computed into, cells
+// float64s long. It need not be cleared: the scan assigns every cell it
+// goes on to deliver and reads none.
 func (v *rowVisitor) StripeBuffer(cells int) []float64 {
 	// The first stripe of a scan is its largest, so one buffer serves all.
 	// It is taken at the size a stripe of this height has at row 0, where it
@@ -167,6 +147,12 @@ func (v *rowVisitor) StripeBuffer(cells int) []float64 {
 	return (*v.buf)[:cells]
 }
 
+// StripeDone visits the stripe computed into the last StripeBuffer: SNP
+// rows [i0, i0+rows), row r at vals[r*width : (r+1)*width]. In a
+// triangular scan column 0 is SNP i0 and row r is meaningful from its own
+// diagonal, column r, to the band edge min(n, i0+r+Band+1) − i0 (n − i0
+// unbanded); cells outside that are by-products or stale. Otherwise column
+// 0 is SNP 0 and every cell of the n-wide row is delivered.
 func (v *rowVisitor) StripeDone(i0, rows, width int, vals []float64) {
 	for r := 0; r < rows; r++ {
 		gi := i0 + r

@@ -13,8 +13,9 @@ import (
 )
 
 // This file implements the panel-pair scheduler, the one striped scan
-// under Stream, StreamSource and the kept scan, over any bitmat.Source (an
-// mmap'd or windowed .ldbm file, or a resident matrix behind MemSource).
+// under Stream, StreamSource, the kept and the counts scans, over any
+// bitmat.Source (an mmap'd or windowed .ldbm file, or a resident matrix
+// behind MemSource).
 // The stripe × column-panel triangle is walked with a dedicated prefetcher
 // goroutine reading — or, for mmap'd sources, MADV_WILLNEED-ing — the
 // panels ahead of the stripe workers, so disk I/O for panel k+1 overlaps
@@ -24,8 +25,9 @@ import (
 // independent of column paneling, and the fused epilogue's expression
 // shapes are per-cell, so the decomposition cannot perturb a single bit.
 //
-// Memory is bounded by the stripe (StripeRows × n float64 values, or a kept
-// stripe's survivors per stripe in flight), the panel pools (W+1 A-stripes
+// Memory is bounded by the stripe (StripeRows × n float64 values, or per
+// stripe in flight a kept stripe's survivors or a counts stripe's narrowed
+// counts), the panel pools (W+1 A-stripes
 // and 2W B-panels of packed words for W stripes in flight in windowed mode;
 // zero-copy views in mmap mode), and the O(n) frequency vector — never by
 // the n² output or the full bit matrix.
@@ -51,15 +53,13 @@ type oocPanel struct {
 // next scan's panels of the same shape fit it.
 var panelPool = sync.Pool{New: func() any { return new(bitmat.Matrix) }}
 
-// SourceAlleleFrequencies computes the per-SNP allele frequencies of a
-// source in one panel-by-panel pass, bit-identical to AlleleFrequencies
-// on the resident matrix.
-func SourceAlleleFrequencies(src bitmat.Source, panelSNPs int) ([]float64, error) {
-	n := src.NumSNPs()
+// sourceAlleles returns every SNP's derived-allele frequency in one
+// panel-by-panel pass, bit-identical to AlleleFrequencies on the resident
+// matrix, and stores its derived-allele count in counts unless that is nil.
+func sourceAlleles(src bitmat.Source, panelSNPs int, counts []uint32) ([]float64, error) {
+	n, samples := src.NumSNPs(), float64(src.NumSamples())
 	p := make([]float64, n)
-	if panelSNPs < 1 {
-		panelSNPs = 1
-	}
+	panelSNPs = max(panelSNPs, 1)
 	var buf bitmat.Matrix
 	for lo := 0; lo < n; lo += panelSNPs {
 		hi := min(lo+panelSNPs, n)
@@ -68,7 +68,13 @@ func SourceAlleleFrequencies(src bitmat.Source, panelSNPs int) ([]float64, error
 			return nil, err
 		}
 		for i := 0; i < m.SNPs; i++ {
-			p[lo+i] = m.AlleleFrequency(i)
+			c := m.DerivedCount(i)
+			if samples > 0 {
+				p[lo+i] = float64(c) / samples
+			}
+			if counts != nil {
+				counts[lo+i] = uint32(c)
+			}
 		}
 	}
 	return p, nil
@@ -81,34 +87,28 @@ func SourceAlleleFrequencies(src bitmat.Source, panelSNPs int) ([]float64, error
 // same double-buffered panel-pair schedule; only a resident MemSource's
 // panel width differs (see StreamOptions.IOPanelSNPs).
 //
+// Each stripe is computed into one pooled float buffer and visited row
+// by row. One stripe is in flight at a time, its driver calls on Threads
+// workers: a float stripe is as wide as the rows it holds. It returns only
+// once its prefetcher has exited, so no Source.Panel call is in flight or
+// starts after it returns, error or not.
+//
 // Like Stream it rejects KeepCounts: the dense count matrix is what
-// streaming exists to avoid.
+// streaming exists to avoid; StreamSourceCounts hands the counts over a
+// stripe at a time instead.
 func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, row []float64)) error {
 	v := &rowVisitor{opt: opt, n: src.NumSNPs(), visit: visit}
 	defer v.release()
-	return StreamSourceStripes(src, opt, v)
-}
-
-// StreamSourceStripes is the scan under StreamSource and Stream with
-// stripe-level delivery: the same schedule and the same bits, each stripe
-// computed into the buffer sink supplies and handed back whole (see
-// StripeSink). One stripe is in flight at a time, its driver calls on
-// Threads workers: a float stripe is as wide as the rows it holds, and
-// its consumer (the dense store's writer) is the bottleneck a second one
-// would only queue behind. It returns only once its prefetcher has exited,
-// so no Source.Panel call is in flight or starts after it returns, error
-// or not.
-func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) error {
-	sc, err := newScan(src, opt)
+	sc, err := newScan(src, opt, false)
 	if err != nil {
 		return err
 	}
 	return sc.run(1, func() stripeOut {
-		return &floatOut{sink: sink, sc: sc, conv: newStripeScan(opt, sc.p, sc.samples)}
+		return &floatOut{sink: v, sc: sc, conv: newStripeScan(opt, sc.p, sc.samples)}
 	})
 }
 
-// StreamSourceKept is StreamSourceStripes for a sink that declares a
+// StreamSourceKept is the triangular scan for a sink that declares a
 // threshold: the scan runs the kept epilogue (kept.go), which converts
 // each row run in place and keeps only the cells with |v| ≥ τ, and hands
 // each stripe over in row-CSR (KeptStripe). Kept values are bit-identical
@@ -124,18 +124,11 @@ func StreamSourceStripes(src bitmat.Source, opt StreamOptions, sink StripeSink) 
 // is the driver's to reject, at the first call, as on the float scan. It
 // returns only once its prefetcher and every stripe worker have exited.
 func StreamSourceKept(src bitmat.Source, opt StreamOptions, sink KeptSink) error {
-	sc, err := newScan(src, opt)
+	sc, err := newScan(src, opt, false)
 	if err != nil {
 		return err
 	}
-	threads := opt.Blis.Threads
-	if threads == 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	if threads > 0 {
-		sc.opt.Blis.Threads = 1 // the driver calls' workers, not the stripes in flight
-	}
-	inFlight := max(1, min(threads, sc.stripes))
+	inFlight := sc.oneWorkerStripes()
 	tau := sink.Threshold()
 	conv := newStripeScan(opt, sc.p, sc.samples)
 	return sc.run(inFlight, func() stripeOut {
@@ -154,11 +147,14 @@ type scan struct {
 	lo, hi, stripes    int
 	panel              int
 	resident           bool
+	alleles            []uint32 // counts scans only
 	p                  []float64
 	schedule           []oocReq
 }
 
-func newScan(src bitmat.Source, opt StreamOptions) (*scan, error) {
+// newScan resolves a scan of src; alleles keeps every SNP's allele count
+// too (scan.alleles), which only a counts scan hands on.
+func newScan(src bitmat.Source, opt StreamOptions, alleles bool) (*scan, error) {
 	if err := opt.check(); err != nil {
 		return nil, err
 	}
@@ -183,7 +179,10 @@ func newScan(src bitmat.Source, opt StreamOptions) (*scan, error) {
 	if sc.resident {
 		sc.panel = max(n, 1)
 	}
-	if sc.p, err = SourceAlleleFrequencies(src, sc.panel); err != nil {
+	if alleles {
+		sc.alleles = make([]uint32, n)
+	}
+	if sc.p, err = sourceAlleles(src, sc.panel, sc.alleles); err != nil {
 		return nil, err
 	}
 
@@ -228,6 +227,21 @@ func (sc *scan) span(i0, rows int) (bLo, bHi int) {
 		return 0, sc.n
 	}
 	return i0 + rows, sc.opt.stripeColEnd(i0, rows, sc.n)
+}
+
+// oneWorkerStripes readies the scan to run Threads stripes at once
+// (GOMAXPROCS when Threads is 0, never more than the scan has), each one's
+// driver calls on a single worker, and returns that stripe count. A
+// negative Threads is left for the driver to reject at the first call.
+func (sc *scan) oneWorkerStripes() int {
+	threads := sc.opt.Blis.Threads
+	if threads == 0 {
+		threads = runtime.GOMAXPROCS(0)
+	}
+	if threads > 0 {
+		sc.opt.Blis.Threads = 1 // the driver calls' workers, not the stripes in flight
+	}
+	return max(1, min(threads, sc.stripes))
 }
 
 // base returns a stripe's column 0: SNP i0 in a triangular scan, else 0.
@@ -460,10 +474,10 @@ func (r *stripeRun) stripeOf(s int, o stripeOut, in <-chan oocPanel) error {
 // the scan; run returns that first failure instead.
 var errStopped = errors.New("core: scan stopped")
 
-// floatOut delivers float stripes to a StripeSink: the stripe epilogues
-// write straight into the buffer the sink supplies.
+// floatOut delivers float stripes to a row visitor: the stripe epilogues
+// write straight into the buffer it supplies.
 type floatOut struct {
-	sink StripeSink
+	sink *rowVisitor
 	sc   *scan
 	conv *stripeScan
 

@@ -54,6 +54,7 @@ var format = tilefile.Format{
 	Name:          "ldsparse",
 	Magic:         [4]byte{'L', 'D', 'S', 'S'},
 	ManifestMagic: "ldsparse-checkpoint",
+	Version:       1,
 	ExtSize:       extSize,
 }
 
@@ -111,6 +112,9 @@ type csrTile struct {
 type codec struct{}
 
 func (codec) CheckHeader(h *tilefile.Header) error {
+	if h.TableWidth != 0 {
+		return fmt.Errorf("per-SNP table of %d bytes a SNP; LDSS has none", h.TableWidth)
+	}
 	if tau := math.Float64frombits(extWord(h, extThreshold)); math.IsNaN(tau) || tau < 0 {
 		return fmt.Errorf("invalid threshold %v", tau)
 	}

@@ -12,10 +12,6 @@ type BuildOptions struct {
 	// tiles amortize index and seek overhead; smaller tiles sharpen the
 	// LRU's working set. NT²×8 bytes must not exceed tilefile.MaxTileBytes.
 	TileSize int
-	// Stat selects the statistic to materialize (default StatR2).
-	Stat Stat
-	// Compress DEFLATE-compresses each tile payload.
-	Compress bool
 	// LD carries kernel blocking, threading, and context options for the
 	// blocked pass that produces the tiles.
 	LD core.Options
@@ -50,24 +46,23 @@ type BuildStats = tilefile.BuildStats
 // stripes; see tilefile.PartialError.
 type PartialError = tilefile.PartialError
 
-func (o SourceBuildOptions) spec() tilefile.Spec {
-	spec := tilefile.Spec{
-		Format: &format, TileSize: o.TileSize, Stat: o.Stat,
-		Params:  tilefile.Params{Compress: o.Compress},
-		Encoder: newEncoder(o.Compress),
+// spec is the build of a store over samples sequences: counts as wide as
+// N calls for, in tiles and in the allele-count table.
+func (o SourceBuildOptions) spec(samples int) tilefile.Spec {
+	width := core.CountBytes(samples)
+	return tilefile.Spec{
+		Format: &format, TileSize: o.TileSize, Stat: StatR2,
+		Ext: make([]byte, extSize), TableWidth: width,
+		Encoder: &encoder{width: width},
 		LD:      o.LD, IOPanelSNPs: o.IOPanelSNPs,
 		Checkpoint: o.Checkpoint, Resume: o.Resume,
 	}
-	if o.Compress {
-		spec.Flags = flagCompressed
-	}
-	return spec
 }
 
-// BuildFile computes the selected statistic for every SNP pair of g with
-// the blocked driver and writes the tile store to path, removing the
-// partial file on failure; see tilefile.BuildFile for the scan and its
-// memory bound.
+// BuildFile computes the joint counts of every SNP pair of g with the
+// blocked driver and writes the tile store to path, removing the partial
+// file on failure; see tilefile.BuildFile for the scan and its memory
+// bound.
 func BuildFile(path string, g *bitmat.Matrix, opt BuildOptions) (BuildStats, error) {
 	return BuildFileFromSource(path, bitmat.NewMemSource(g), SourceBuildOptions{BuildOptions: opt})
 }
@@ -77,5 +72,5 @@ func BuildFile(path string, g *bitmat.Matrix, opt BuildOptions) (BuildStats, err
 // fits in memory — with byte-identical output either way; see
 // tilefile.BuildFile for checkpointing, resume, and failure behaviour.
 func BuildFileFromSource(path string, src bitmat.Source, opt SourceBuildOptions) (BuildStats, error) {
-	return tilefile.BuildFile(path, src, opt.spec())
+	return tilefile.BuildFile(path, src, opt.spec(src.NumSamples()))
 }

@@ -7,31 +7,36 @@
 // the n² result cheap to *produce*, and tiling it to disk makes it cheap
 // to *serve* — one build, millions of reads.
 //
-// The file ("LDTS") is a tilefile container with no header extension.
-// Each tile payload is its rows×cols float64 values row-major, optionally
-// DEFLATE-compressed (header flag bit 0); diagonal tiles store their full
-// mirrored square so point and region reads never have to transpose. The
-// index auxiliary word is the tile's maximum off-diagonal value — the
-// pruning bound that lets top-K queries skip cold tiles. This package is
-// that codec plus the query operators; the container itself (header,
-// index, cache, checkpointed build) is internal/tilefile. See DESIGN.md
-// ("Tile container") for the byte-level tables.
+// The file ("LDTS", version 2) stores what the kernel computes, the joint
+// haplotype counts H = GᵀG, not a statistic: D, r² and D′ are all
+// conversions of H (Eq. 1, 2), so one store serves every measure, bit for
+// bit what core.Matrix computes. Each tile payload is its rows×cols counts
+// row-major, each count 2 bytes when N ≤ 65 535 and 4 otherwise (the
+// header's per-SNP table width); diagonal tiles store their full mirrored
+// square so point and region reads never have to transpose. The per-SNP
+// table after the header holds each SNP's derived-allele count, at the same
+// width, under a CRC-32 in the header extension: the frequencies every
+// conversion needs. The index auxiliary word is the tile's maximum
+// off-diagonal exact r² — the pruning bound that lets top-K queries skip
+// cold tiles. A reader converts a tile's rows with core.CountConverter, the
+// row code of core.Matrix's epilogue, and its LRU holds counts tiles. This
+// package is that codec plus the query operators; the container itself
+// (header, index, cache, checkpointed build) is internal/tilefile. See
+// DESIGN.md ("Tile container") for the byte-level tables.
 package ldstore
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
+	"hash/crc32"
 	"math"
 	"unsafe"
 
-	"ldgemm/internal/bufpool"
+	"ldgemm/internal/core"
 	"ldgemm/internal/tilefile"
 )
 
-// Stat identifies the statistic a store holds.
+// Stat identifies a statistic: a store serves all three.
 type Stat = tilefile.Stat
 
 const (
@@ -54,25 +59,68 @@ var format = tilefile.Format{
 	Name:          "ldstore",
 	Magic:         [4]byte{'L', 'D', 'T', 'S'},
 	ManifestMagic: "ldstore-checkpoint",
+	Version:       2,
+	ExtSize:       extSize,
 }
 
-// flagCompressed marks per-tile DEFLATE compression.
-const flagCompressed = 1 << 0
+// Header extension layout (8 bytes, after the 64-byte prefix): the CRC-32
+// (IEEE) of the per-SNP table, then 4 reserved bytes, zero.
+const (
+	extTableCRC = 0
+	extSize     = 8
+)
 
-// codec is the LDTS read side: a decoded tile is its values, row-major.
+// codec is the LDTS read side: a decoded tile is its counts, row-major,
+// widened to uint32 for the conversion row code.
 type codec struct{}
 
-func (codec) CheckHeader(*tilefile.Header) error { return nil }
+// CheckHeader holds the header to what a build writes: no flags, r² (the
+// measure of the index maxima and of Top), the count width N calls for,
+// and an allele-count table whose CRC matches and whose every entry is at
+// most N.
+func (codec) CheckHeader(h *tilefile.Header) error {
+	if h.Flags != 0 {
+		return fmt.Errorf("unknown flags %#x", h.Flags)
+	}
+	if h.Stat != StatR2 {
+		return fmt.Errorf("statistic %v, want r2", h.Stat)
+	}
+	if h.Samples > math.MaxUint32 {
+		return fmt.Errorf("%d samples: joint counts past 32 bits", h.Samples)
+	}
+	if w := core.CountBytes(int(min(h.Samples, math.MaxUint16+1))); h.TableWidth != uint32(w) {
+		return fmt.Errorf("counts are %d bytes wide, want %d for N = %d", h.TableWidth, w, h.Samples)
+	}
+	if binary.LittleEndian.Uint32(h.Ext[extTableCRC+4:]) != 0 {
+		return fmt.Errorf("reserved extension bytes set")
+	}
+	if crc := crc32.ChecksumIEEE(h.Table); crc != binary.LittleEndian.Uint32(h.Ext[extTableCRC:]) {
+		return fmt.Errorf("allele-count table checksum %08x, want %08x", crc, binary.LittleEndian.Uint32(h.Ext[extTableCRC:]))
+	}
+	for i, a := range alleleCounts(h) {
+		if uint64(a) > h.Samples {
+			return fmt.Errorf("SNP %d has %d derived alleles of N = %d", i, a, h.Samples)
+		}
+	}
+	return nil
+}
+
+// alleleCounts decodes the per-SNP table of a header CheckHeader passed,
+// or whose table the builder wrote.
+func alleleCounts(h *tilefile.Header) []uint32 {
+	a := make([]uint32, len(h.Table)/int(h.TableWidth))
+	for i := range a {
+		if h.TableWidth == 2 {
+			a[i] = uint32(binary.LittleEndian.Uint16(h.Table[2*i:]))
+		} else {
+			a[i] = binary.LittleEndian.Uint32(h.Table[4*i:])
+		}
+	}
+	return a
+}
 
 func (codec) CheckEntry(h *tilefile.Header, t tilefile.Tile, e *tilefile.Entry) error {
-	raw := int64(t.Rows) * int64(t.Cols) * 8
-	if h.Flags&flagCompressed != 0 {
-		// DEFLATE worst case is a whisker over the input; anything
-		// bigger than raw plus slack cannot be a legitimate tile.
-		if int64(e.Length) > raw+raw/100+64 {
-			return fmt.Errorf("compressed payload of %d bytes exceeds plausible bound for %d raw bytes", e.Length, raw)
-		}
-	} else if int64(e.Length) != raw {
+	if raw := int64(t.Rows) * int64(t.Cols) * int64(h.TableWidth); int64(e.Length) != raw {
 		return fmt.Errorf("payload has %d bytes, want %d", e.Length, raw)
 	}
 	if math.IsNaN(math.Float64frombits(e.Aux)) {
@@ -81,124 +129,99 @@ func (codec) CheckEntry(h *tilefile.Header, t tilefile.Tile, e *tilefile.Entry) 
 	return nil
 }
 
-func (codec) Decode(h *tilefile.Header, t tilefile.Tile, _ tilefile.Entry, payload []byte) ([]float64, error) {
-	rawLen := t.Rows * t.Cols * 8
-	raw := payload
-	if h.Flags&flagCompressed != 0 {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		defer fr.Close()
-		raw = bufpool.Bytes.Get(rawLen) // dead once vals holds it
-		defer bufpool.Bytes.Put(raw)
-		if _, err := io.ReadFull(fr, raw); err != nil {
-			return nil, fmt.Errorf("decompressing: %w", err)
+// Decode widens the tile's counts, refusing any above N.
+func (codec) Decode(h *tilefile.Header, t tilefile.Tile, _ tilefile.Entry, payload []byte) ([]uint32, error) {
+	counts := make([]uint32, t.Rows*t.Cols)
+	var top uint32
+	if h.TableWidth == 2 {
+		src := payload[:2*len(counts)]
+		for k := range counts {
+			c := uint32(src[2*k]) | uint32(src[2*k+1])<<8
+			counts[k], top = c, max(top, c)
 		}
-		var extra [1]byte
-		if m, _ := fr.Read(extra[:]); m != 0 {
-			return nil, fmt.Errorf("decompresses past its declared %d bytes", rawLen)
+	} else {
+		src := payload[:4*len(counts)]
+		for k := range counts {
+			c := binary.LittleEndian.Uint32(src[4*k:])
+			counts[k], top = c, max(top, c)
 		}
 	}
-	vals := make([]float64, rawLen/8)
-	if hostLittleEndian {
-		copy(floatBytes(vals), raw)
-		return vals, nil
+	if uint64(top) > h.Samples {
+		return nil, fmt.Errorf("joint count %d of N = %d", top, h.Samples)
 	}
-	for k := range vals {
-		vals[k] = math.Float64frombits(binary.LittleEndian.Uint64(raw[k*8:]))
-	}
-	return vals, nil
-}
-
-// hostLittleEndian: a float64 in memory is already its LDTS bytes, so the
-// codec moves whole tile rows with copy in both directions; a big-endian
-// host converts value by value.
-var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// floatBytes views v's backing array as bytes, in host order.
-func floatBytes(v []float64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
+	return counts, nil
 }
 
 // encoder is the LDTS write side, with the scratch it reuses across tiles.
 type encoder struct {
-	raw  []byte
-	comp bytes.Buffer
-	fw   *flate.Writer // nil unless compressing
+	width   int // count bytes
+	alleles []uint32
+	raw     []byte
 }
 
-func newEncoder(compress bool) *encoder {
-	enc := &encoder{}
-	if compress {
-		// Fixed level, and the writer is reset per tile, so payloads are
-		// deterministic: resumed builds converge to the same bytes.
-		enc.fw, _ = flate.NewWriter(&enc.comp, flate.DefaultCompression)
-	}
-	return enc
-}
+// Alleles keeps the allele counts for the header's table.
+func (enc *encoder) Alleles(a []uint32) { enc.alleles = a }
 
-// EncodeTile serializes tile t from the stripe. For the diagonal tile it
-// first mirrors the lower triangle into the stripe (both halves live in
-// the same tile row), so the stored square is complete.
+// EncodeTile serializes tile t from the stripe's counts, and returns the
+// tile's maximum r² the scan folded as its auxiliary word. For the
+// diagonal tile it first mirrors the upper triangle into the stripe's
+// lower one (both halves live in the same tile row; H is symmetric), so
+// the stored square is complete.
 func (enc *encoder) EncodeTile(s *tilefile.Stripe, t tilefile.Tile) ([]byte, uint64, error) {
-	if t.Diagonal() {
-		for r := 1; r < s.Rows; r++ {
-			for c := 0; c < r; c++ {
-				s.Vals[r*s.Width+c] = s.Vals[c*s.Width+r]
-			}
-		}
-	}
-	if need := t.Rows * t.Cols * 8; cap(enc.raw) < need {
+	c := &s.Counts
+	need := t.Rows * t.Cols * enc.width
+	if cap(enc.raw) < need {
 		enc.raw = make([]byte, need)
-	} else {
-		enc.raw = enc.raw[:need]
 	}
-	colLo := t.Col0 - s.I0
-	maxOff := math.Inf(-1)
-	for r := 0; r < t.Rows; r++ {
-		src := s.Vals[r*s.Width+colLo : r*s.Width+colLo+t.Cols]
-		dst := enc.raw[r*t.Cols*8 : (r+1)*t.Cols*8]
-		if hostLittleEndian {
-			copy(dst, floatBytes(src))
-		} else {
-			for c, v := range src {
-				binary.LittleEndian.PutUint64(dst[c*8:], math.Float64bits(v))
+	enc.raw = enc.raw[:need]
+	if enc.width == 2 {
+		tileBytes(enc.raw, c.C16, c.Width, t.Col0-c.I0, t)
+	} else {
+		tileBytes(enc.raw, c.C32, c.Width, t.Col0-c.I0, t)
+	}
+	return enc.raw, math.Float64bits(c.TileMax[t.TJ-t.TI]), nil
+}
+
+// tileBytes writes tile t — rows 0… of a stripe of row stride width, from
+// stripe column col — to dst as little-endian counts.
+func tileBytes[T uint16 | uint32](dst []byte, stripe []T, width, col int, t tilefile.Tile) {
+	if t.Diagonal() {
+		for r := 1; r < t.Rows; r++ {
+			for c := 0; c < r; c++ {
+				stripe[r*width+c] = stripe[c*width+r]
 			}
 		}
-		// The bound is over off-diagonal cells: a diagonal tile's row r
-		// skips its own column.
-		if t.Diagonal() {
-			maxOff = rowMax(rowMax(maxOff, src[:r]), src[r+1:])
+	}
+	size := int(unsafe.Sizeof(T(0)))
+	for r := 0; r < t.Rows; r++ {
+		row := stripe[r*width+col:][:t.Cols]
+		out := dst[r*t.Cols*size:][:t.Cols*size]
+		if hostLittleEndian {
+			copy(out, unsafe.Slice((*byte)(unsafe.Pointer(&row[0])), len(out)))
+			continue
+		}
+		for c, v := range row {
+			for b := range size {
+				out[c*size+b] = byte(v >> (8 * b))
+			}
+		}
+	}
+}
+
+// hostLittleEndian: a count in memory is already its LDTS bytes, so the
+// encoder moves whole tile rows with copy; a big-endian host writes them
+// byte by byte.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// FinishHeader writes the allele-count table and its checksum.
+func (enc *encoder) FinishHeader(h *tilefile.Header, _ []tilefile.Entry) {
+	h.Table = make([]byte, len(enc.alleles)*enc.width)
+	for i, a := range enc.alleles {
+		if enc.width == 2 {
+			binary.LittleEndian.PutUint16(h.Table[2*i:], uint16(a))
 		} else {
-			maxOff = rowMax(maxOff, src)
+			binary.LittleEndian.PutUint32(h.Table[4*i:], a)
 		}
 	}
-	payload := enc.raw
-	if enc.fw != nil {
-		enc.comp.Reset()
-		enc.fw.Reset(&enc.comp)
-		if _, err := enc.fw.Write(enc.raw); err != nil {
-			return nil, 0, err
-		}
-		if err := enc.fw.Close(); err != nil {
-			return nil, 0, err
-		}
-		payload = enc.comp.Bytes()
-	}
-	return payload, math.Float64bits(maxOff), nil
+	binary.LittleEndian.PutUint32(h.Ext[extTableCRC:], crc32.ChecksumIEEE(h.Table))
 }
-
-// rowMax folds row into the running maximum m. NaN compares false and
-// never wins; of equal values (−0 and +0) the first seen stays, which the
-// stored bits depend on.
-func rowMax(m float64, row []float64) float64 {
-	for _, v := range row {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func (*encoder) FinishHeader(*tilefile.Header, []tilefile.Entry) {}

@@ -1,12 +1,15 @@
 package ldstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -57,48 +60,111 @@ func dense(t *testing.T, g *bitmat.Matrix, stat Stat) []float64 {
 }
 
 // TestStoreBitIdentical verifies the acceptance criterion driving the
-// whole design: every value a store serves — via At and via Region —
-// must be bit-for-bit the value the dense core.Matrix path computes, for
-// every statistic, with and without compression, across tile sizes that
-// do and do not divide the SNP count.
+// whole design: every value a store serves — via At, Cell, Pair, Region
+// and Rect — must be bit-for-bit the value the dense core.Matrix path
+// computes, for every statistic from the one store, across tile sizes
+// that do and do not divide the SNP count, with counts 2 bytes wide and,
+// at N = 65 536, 4.
 func TestStoreBitIdentical(t *testing.T) {
-	g := testMatrix(t, 75, 96, 3)
-	n := g.SNPs
-	for _, stat := range []Stat{StatR2, StatD, StatDPrime} {
-		want := dense(t, g, stat)
-		for _, compress := range []bool{false, true} {
-			for _, nt := range []int{16, 25, 128} {
-				s := buildStore(t, g, BuildOptions{TileSize: nt, Stat: stat, Compress: compress}, Options{})
-				if s.SNPs() != n || s.Samples() != g.Samples || s.Stat() != stat {
-					t.Fatalf("stat=%v nt=%d: header mismatch: %+v", stat, nt, s.Info())
+	for _, g := range []*bitmat.Matrix{testMatrix(t, 75, 96, 3), testMatrix(t, 37, 65536, 3)} {
+		n := g.SNPs
+		want := map[Stat][]float64{}
+		for _, stat := range []Stat{StatR2, StatD, StatDPrime} {
+			want[stat] = dense(t, g, stat)
+		}
+		for _, nt := range []int{16, 25, 128} {
+			s := buildStore(t, g, BuildOptions{TileSize: nt}, Options{})
+			if s.SNPs() != n || s.Samples() != g.Samples || s.Stat() != StatR2 || s.Info().CountBytes != core.CountBytes(g.Samples) {
+				t.Fatalf("N=%d nt=%d: header mismatch: %+v", g.Samples, nt, s.Info())
+			}
+			same := func(what string, got, ref float64) {
+				t.Helper()
+				if math.Float64bits(got) != math.Float64bits(ref) {
+					t.Fatalf("N=%d nt=%d %s = %v, dense %v", g.Samples, nt, what, got, ref)
 				}
-				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						got, err := s.At(i, j)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					at, err := s.At(i, j)
+					d, r2, dp, perr := s.Pair(i, j)
+					if err != nil || perr != nil {
+						t.Fatalf("At/Pair(%d,%d): %v, %v", i, j, err, perr)
+					}
+					same(fmt.Sprintf("At(%d,%d)", i, j), at, want[StatR2][i*n+j])
+					same(fmt.Sprintf("Pair(%d,%d).D", i, j), d, want[StatD][i*n+j])
+					same(fmt.Sprintf("Pair(%d,%d).R2", i, j), r2, want[StatR2][i*n+j])
+					same(fmt.Sprintf("Pair(%d,%d).DPrime", i, j), dp, want[StatDPrime][i*n+j])
+					for stat, ref := range want {
+						v, err := s.Cell(stat.Measure(), i, j)
 						if err != nil {
-							t.Fatalf("At(%d,%d): %v", i, j, err)
+							t.Fatalf("Cell(%v,%d,%d): %v", stat, i, j, err)
 						}
-						if math.Float64bits(got) != math.Float64bits(want[i*n+j]) {
-							t.Fatalf("stat=%v compress=%v nt=%d At(%d,%d) = %v, dense %v",
-								stat, compress, nt, i, j, got, want[i*n+j])
+						same(fmt.Sprintf("Cell(%v,%d,%d)", stat, i, j), v, ref[i*n+j])
+					}
+				}
+			}
+			start, end := 7, n-3
+			reg, err := s.Region(start, end)
+			if err != nil {
+				t.Fatalf("Region: %v", err)
+			}
+			w := end - start
+			for i := 0; i < w; i++ {
+				for j := 0; j < w; j++ {
+					same(fmt.Sprintf("Region[%d,%d]", i, j), reg[i*w+j], want[StatR2][(i+start)*n+(j+start)])
+				}
+			}
+			for stat, ref := range want {
+				for _, rc := range [][4]int{{start, end, start, end}, {20, n, 0, 30}, {3, 9, 5, n}} {
+					got, err := s.Rect(stat.Measure(), rc[0], rc[1], rc[2], rc[3])
+					if err != nil {
+						t.Fatalf("Rect(%v, %v): %v", stat, rc, err)
+					}
+					w := rc[3] - rc[2]
+					for i := rc[0]; i < rc[1]; i++ {
+						for j := rc[2]; j < rc[3]; j++ {
+							same(fmt.Sprintf("Rect(%v, %v)(%d,%d)", stat, rc, i, j), got[(i-rc[0])*w+j-rc[2]], ref[i*n+j])
 						}
 					}
 				}
-				start, end := 7, 64
-				reg, err := s.Region(start, end)
-				if err != nil {
-					t.Fatalf("Region: %v", err)
+			}
+		}
+	}
+}
+
+// TestStoreTileMaxima: every index aux word is the greatest off-diagonal
+// exact r² of its tile as core.Matrix computes it, −Inf for a tile with no
+// off-diagonal pair — and for a store the parent format (LDTS version 1,
+// f64 tiles) also wrote, the very bits it wrote there.
+func TestStoreTileMaxima(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.ldts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// testdata/v1.ldts is the version-1 store of this matrix at tile size 8.
+	g := testMatrix(t, 40, 64, 5)
+	r2 := dense(t, g, StatR2)
+	n := g.SNPs
+	for _, nt := range []int{8, 7, 40} {
+		s := buildStore(t, g, BuildOptions{TileSize: nt}, Options{})
+		for id, e := range s.Index {
+			tile := s.TileAt(id)
+			want := math.Inf(-1)
+			for i := tile.Row0; i < tile.Row0+tile.Rows; i++ {
+				for j := max(tile.Col0, i+1); j < tile.Col0+tile.Cols; j++ {
+					want = max(want, r2[i*n+j])
 				}
-				w := end - start
-				for i := 0; i < w; i++ {
-					for j := 0; j < w; j++ {
-						got, ref := reg[i*w+j], want[(i+start)*n+(j+start)]
-						if math.Float64bits(got) != math.Float64bits(ref) {
-							t.Fatalf("stat=%v compress=%v nt=%d Region[%d,%d] = %v, dense %v",
-								stat, compress, nt, i, j, got, ref)
-						}
-					}
-				}
+			}
+			if e.Aux != math.Float64bits(want) {
+				t.Fatalf("nt=%d tile (%d,%d): aux %016x, Matrix's maximum %016x", nt, tile.TI, tile.TJ, e.Aux, math.Float64bits(want))
+			}
+			if nt != 8 {
+				continue
+			}
+			le := binary.LittleEndian
+			old := v1[le.Uint64(v1[48:])+uint64(id)*24:]
+			if got := le.Uint64(old[16:]); got != e.Aux {
+				t.Fatalf("tile (%d,%d): aux %016x, the version-1 store wrote %016x", tile.TI, tile.TJ, e.Aux, got)
 			}
 		}
 	}
@@ -294,9 +360,6 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := BuildFile(filepath.Join(t.TempDir(), "x"), g, BuildOptions{TileSize: -1}); err == nil {
 		t.Fatal("negative tile size accepted")
 	}
-	if _, err := BuildFile(filepath.Join(t.TempDir(), "x"), g, BuildOptions{Stat: Stat(9)}); err == nil {
-		t.Fatal("bad stat accepted")
-	}
 	if _, err := BuildFile(filepath.Join(t.TempDir(), "x"), g, BuildOptions{TileSize: 1 << 20}); err == nil {
 		t.Fatal("tile above MaxTileBytes accepted")
 	}
@@ -339,7 +402,9 @@ func TestStoreQueryErrors(t *testing.T) {
 	}
 }
 
-// TestStoreCorruption flips payload bytes and checks the CRC catches it.
+// TestStoreCorruption flips payload bytes and checks the CRC catches it
+// when the tile is read; a flipped allele-count table fails its CRC at
+// open.
 func TestStoreCorruption(t *testing.T) {
 	g := testMatrix(t, 32, 24, 31)
 	path := filepath.Join(t.TempDir(), "c.ldts")
@@ -350,7 +415,16 @@ func TestStoreCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[format.HeaderSize()+5] ^= 0xFF
+	table := format.HeaderSize()
+	if _, err := OpenReader(bytes.NewReader(data), int64(len(data)), Options{}); err != nil {
+		t.Fatalf("intact store: %v", err)
+	}
+	data[table+5] ^= 0xFF
+	if _, err := OpenReader(bytes.NewReader(data), int64(len(data)), Options{}); err == nil || !strings.Contains(err.Error(), "allele-count table checksum") {
+		t.Fatalf("Open with a corrupt allele-count table: %v", err)
+	}
+	data[table+5] ^= 0xFF
+	data[table+g.SNPs*core.CountBytes(g.Samples)+5] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ldgemm/internal/core"
 )
 
 // TestStoreRect checks row-restricted rectangles against the dense
@@ -27,7 +29,7 @@ func TestStoreRect(t *testing.T) {
 	}
 	for _, rc := range rects {
 		r0, r1, c0, c1 := rc[0], rc[1], rc[2], rc[3]
-		got, err := s.Rect(r0, r1, c0, c1)
+		got, err := s.Rect(core.MeasureR2, r0, r1, c0, c1)
 		if err != nil {
 			t.Fatalf("Rect%v: %v", rc, err)
 		}
@@ -44,8 +46,16 @@ func TestStoreRect(t *testing.T) {
 		}
 	}
 	for _, rc := range [][4]int{{-1, 5, 0, 5}, {5, 5, 0, 5}, {0, 5, 5, 5}, {0, 71, 0, 5}, {0, 5, 0, 71}} {
-		if _, err := s.Rect(rc[0], rc[1], rc[2], rc[3]); err == nil {
+		if _, err := s.Rect(core.MeasureR2, rc[0], rc[1], rc[2], rc[3]); err == nil {
 			t.Fatalf("Rect%v accepted", rc)
+		}
+	}
+	for _, m := range []core.Measure{0, core.MeasureD | core.MeasureR2, core.KeepCounts} {
+		if _, err := s.Rect(m, 0, 5, 0, 5); err == nil {
+			t.Fatalf("Rect of measure %d accepted", m)
+		}
+		if _, err := s.Cell(m, 0, 5); err == nil {
+			t.Fatalf("Cell of measure %d accepted", m)
 		}
 	}
 }

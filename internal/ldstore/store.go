@@ -15,19 +15,23 @@ import (
 // Options configures a Store reader.
 type Options struct {
 	// CacheTiles is the LRU capacity in tiles (default 64). The resident
-	// bound is CacheTiles × TileSize² × 8 bytes.
+	// bound is CacheTiles × TileSize² × 4 bytes: a cached tile is its
+	// counts, widened to uint32.
 	CacheTiles int
 }
 
-type reader = tilefile.Reader[[]float64]
+type reader = tilefile.Reader[[]uint32]
 
-// Store serves LD statistics from a tile file built by Build. All query
-// methods are safe for concurrent use. The embedded reader supplies
-// Close, SNPs, Samples, Stat, TileSize and Fingerprint.
+// Store serves LD statistics from a tile file built by Build: every
+// measure from the one store, converted from its counts bit for bit as
+// core.Matrix computes it. All query methods are safe for concurrent use.
+// The embedded reader supplies Close, SNPs, Samples, Stat (r², the
+// measure of At, Region and Top), TileSize and Fingerprint.
 type Store struct {
 	*reader
-	// maxOff is each tile's maximum off-diagonal value, in index order:
-	// the Top pruning bound, decoded once from the index aux words.
+	conv *core.CountConverter
+	// maxOff is each tile's maximum off-diagonal r², in index order: the
+	// Top pruning bound, decoded once from the index aux words.
 	maxOff []float64
 }
 
@@ -37,10 +41,10 @@ func Open(path string, opt Options) (*Store, error) {
 }
 
 // OpenReader opens a tile store over an arbitrary random-access reader of
-// the given size. The header and the whole index are validated before any
-// query runs (see tilefile.OpenReader), so a corrupt or hostile file
-// fails here with an error, never with a panic or an unbounded
-// allocation.
+// the given size. The header, the allele-count table and the whole index
+// are validated before any query runs (see tilefile.OpenReader), so a
+// corrupt or hostile file fails here with an error, never with a panic or
+// an unbounded allocation.
 func OpenReader(r io.ReaderAt, size int64, opt Options) (*Store, error) {
 	return newStore(tilefile.OpenReader(r, size, &format, codec{}, opt.CacheTiles, &stats.Counters))
 }
@@ -49,48 +53,34 @@ func newStore(r *reader, err error) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{reader: r, maxOff: make([]float64, len(r.Index))}
+	s := &Store{reader: r, maxOff: make([]float64, len(r.Index)),
+		conv: core.NewCountConverter(alleleCounts(&r.Header), r.Samples())}
 	for id, e := range r.Index {
 		s.maxOff[id] = math.Float64frombits(e.Aux)
 	}
 	return s, nil
 }
 
-// Compressed reports whether tiles are DEFLATE-compressed.
-func (s *Store) Compressed() bool { return s.Header.Flags&flagCompressed != 0 }
-
 // Info summarizes a store for tooling.
 type Info struct {
-	SNPs        int     `json:"snps"`
-	Samples     int     `json:"samples"`
-	Stat        string  `json:"stat"`
-	TileSize    int     `json:"tile_size"`
-	Tiles       int     `json:"tiles"`
-	Compressed  bool    `json:"compressed"`
-	Fingerprint string  `json:"fingerprint"`
-	TileBytes   int64   `json:"tile_bytes"`
-	RawBytes    int64   `json:"raw_bytes"`
-	Ratio       float64 `json:"compression_ratio"`
+	SNPs        int    `json:"snps"`
+	Samples     int    `json:"samples"`
+	Stat        string `json:"stat"`
+	TileSize    int    `json:"tile_size"`
+	Tiles       int    `json:"tiles"`
+	CountBytes  int    `json:"count_bytes"`
+	Fingerprint string `json:"fingerprint"`
+	TileBytes   int64  `json:"tile_bytes"`
 }
 
 // Info returns the store's header summary.
 func (s *Store) Info() Info {
-	var raw int64
-	for id := range s.Index {
-		t := s.TileAt(id)
-		raw += int64(t.Rows) * int64(t.Cols) * 8
-	}
-	tileBytes := s.TileBytes()
-	info := Info{
+	return Info{
 		SNPs: s.SNPs(), Samples: s.Samples(), Stat: s.Stat().String(),
-		TileSize: s.TileSize(), Tiles: len(s.Index), Compressed: s.Compressed(),
+		TileSize: s.TileSize(), Tiles: len(s.Index), CountBytes: int(s.Header.TableWidth),
 		Fingerprint: fmt.Sprintf("%016x", s.Fingerprint()),
-		TileBytes:   tileBytes, RawBytes: raw,
+		TileBytes:   s.TileBytes(),
 	}
-	if raw > 0 {
-		info.Ratio = float64(tileBytes) / float64(raw)
-	}
-	return info
 }
 
 // tileDim returns the row (or column) count of tile band t.
@@ -98,87 +88,112 @@ func (s *Store) tileDim(t int) int {
 	return min(s.TileSize(), s.SNPs()-t*s.TileSize())
 }
 
-// At returns the stored statistic for the pair (i, j). The store is
-// symmetric: argument order does not matter.
-func (s *Store) At(i, j int) (float64, error) {
-	if err := s.CheckSNP("i", i); err != nil {
+// checkMeasure rejects anything but exactly one of D, r² and D′.
+func checkMeasure(m core.Measure) error {
+	if m != core.MeasureD && m != core.MeasureR2 && m != core.MeasureDPrime {
+		return fmt.Errorf("ldstore: measure %d is not one of D, r², D′", m)
+	}
+	return nil
+}
+
+// At returns r² for the pair (i, j). The store is symmetric: argument
+// order does not matter.
+func (s *Store) At(i, j int) (float64, error) { return s.Cell(core.MeasureR2, i, j) }
+
+// Cell returns measure m (MeasureD, MeasureR2 or MeasureDPrime) for the
+// pair (i, j), in either order.
+func (s *Store) Cell(m core.Measure, i, j int) (float64, error) {
+	if err := checkMeasure(m); err != nil {
 		return 0, err
 	}
-	if err := s.CheckSNP("j", j); err != nil {
+	cnt, i, j, err := s.count(i, j)
+	if err != nil {
 		return 0, err
+	}
+	var v [1]float64
+	s.conv.Row(m, v[:], cnt, i, j)
+	stats.bytesServed.Add(8)
+	return v[0], nil
+}
+
+// Pair returns D, r² and D′ for the pair (i, j), in either order, from one
+// tile lookup.
+func (s *Store) Pair(i, j int) (d, r2, dprime float64, err error) {
+	cnt, i, j, err := s.count(i, j)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	var v [3]float64
+	s.conv.Row(core.MeasureD, v[0:1], cnt, i, j)
+	s.conv.Row(core.MeasureR2, v[1:2], cnt, i, j)
+	s.conv.Row(core.MeasureDPrime, v[2:3], cnt, i, j)
+	stats.bytesServed.Add(24)
+	return v[0], v[1], v[2], nil
+}
+
+// count returns the joint count of SNPs i and j as a one-cell row, and
+// the pair ordered i ≤ j.
+func (s *Store) count(i, j int) ([]uint32, int, int, error) {
+	if err := s.CheckSNP("i", i); err != nil {
+		return nil, 0, 0, err
+	}
+	if err := s.CheckSNP("j", j); err != nil {
+		return nil, 0, 0, err
 	}
 	if i > j {
 		i, j = j, i
 	}
 	nt := s.TileSize()
 	ti, tj := i/nt, j/nt
-	vals, err := s.Tile(ti, tj)
+	counts, err := s.Tile(ti, tj)
 	if err != nil {
-		return 0, err
+		return nil, 0, 0, err
 	}
-	stats.bytesServed.Add(8)
-	return vals[(i-ti*nt)*s.tileDim(tj)+(j-tj*nt)], nil
+	k := (i-ti*nt)*s.tileDim(tj) + (j - tj*nt)
+	return counts[k : k+1], i, j, nil
 }
 
-// Region materializes the dense (end−start)² statistic matrix for SNPs
-// [start, end), row-major with both triangles filled — the payload of the
-// server's /api/ld/region fast path. The matrix is taken from
-// bufpool.Floats, as core's results are: a caller done with it may hand it
-// back there, once; one never handed back is ordinary garbage.
+// Region materializes the dense (end−start)² r² matrix for SNPs [start,
+// end), row-major with both triangles filled: Rect over the square.
 func (s *Store) Region(start, end int) ([]float64, error) {
 	n := s.SNPs()
 	if start < 0 || end <= start || end > n {
 		return nil, fmt.Errorf("ldstore: invalid region [%d,%d) of %d SNPs", start, end, n)
 	}
-	w := end - start
-	out := bufpool.Floats.Get(w * w) // the tiles below cover every cell
-	nt := s.TileSize()
-	for ti := start / nt; ti*nt < end; ti++ {
-		for tj := ti; tj*nt < end; tj++ {
-			vals, err := s.Tile(ti, tj)
-			if err != nil {
-				bufpool.Floats.Put(out)
-				return nil, err
-			}
-			cols := s.tileDim(tj)
-			iLo, iHi := max(start, ti*nt), min(end, ti*nt+s.tileDim(ti))
-			jLo, jHi := max(start, tj*nt), min(end, tj*nt+cols)
-			for i := iLo; i < iHi; i++ {
-				row := vals[(i-ti*nt)*cols:]
-				for j := jLo; j < jHi; j++ {
-					v := row[j-tj*nt]
-					out[(i-start)*w+(j-start)] = v
-					if ti != tj {
-						// Diagonal tiles store their mirrored square;
-						// off-diagonal tiles cover only i < j.
-						out[(j-start)*w+(i-start)] = v
-					}
-				}
-			}
-		}
-	}
-	stats.bytesServed.Add(uint64(w) * uint64(w) * 8)
-	return out, nil
+	return s.Rect(core.MeasureR2, start, end, start, end)
 }
 
-// Rect materializes the dense rows [r0, r1) × columns [c0, c1) block of
-// the symmetric statistic matrix, row-major — the payload of a cluster
-// shard's row-restricted region request. Cells are read from whichever
-// tile orientation holds them (the store keeps i ≤ j), so any rectangle
-// is served, both triangles included. The block comes from bufpool.Floats,
-// as Region's does.
-func (s *Store) Rect(r0, r1, c0, c1 int) ([]float64, error) {
+// Rect materializes measure m (MeasureD, MeasureR2 or MeasureDPrime) over
+// rows [r0, r1) × columns [c0, c1) of the symmetric matrix, row-major — the
+// payload of the server's region requests, a cluster shard's
+// row-restricted ones among them. Each cell is converted from the tile
+// orientation that holds it (the store keeps i ≤ j): a tile read against
+// the grain converts its own rows, whose pairs are the rectangle's
+// transposed, and measures are symmetric in their two SNPs to the bit. A
+// square rectangle converts each pair of its upper tiles once and mirrors
+// it. The block comes from bufpool.Floats, as core's results do: a caller
+// done with it may hand it back there, once; one never handed back is
+// ordinary garbage.
+func (s *Store) Rect(m core.Measure, r0, r1, c0, c1 int) ([]float64, error) {
+	if err := checkMeasure(m); err != nil {
+		return nil, err
+	}
 	n := s.SNPs()
 	if r0 < 0 || r1 <= r0 || r1 > n || c0 < 0 || c1 <= c0 || c1 > n {
 		return nil, fmt.Errorf("ldstore: invalid rect rows [%d,%d) cols [%d,%d) of %d SNPs", r0, r1, c0, c1, n)
 	}
 	w := c1 - c0
 	out := bufpool.Floats.Get((r1 - r0) * w) // the tiles below cover every cell
+	square := r0 == c0 && r1 == c1
 	nt := s.TileSize()
+	var scratch []float64
 	for tr := r0 / nt; tr*nt < r1; tr++ {
 		for tc := c0 / nt; tc*nt < c1; tc++ {
+			if square && tr > tc {
+				continue // mirrored from tile (tc, tr)
+			}
 			ti, tj := min(tr, tc), max(tr, tc)
-			vals, err := s.Tile(ti, tj)
+			counts, err := s.Tile(ti, tj)
 			if err != nil {
 				bufpool.Floats.Put(out)
 				return nil, err
@@ -186,17 +201,27 @@ func (s *Store) Rect(r0, r1, c0, c1 int) ([]float64, error) {
 			cols := s.tileDim(tj)
 			iLo, iHi := max(r0, tr*nt), min(r1, tr*nt+s.tileDim(tr))
 			jLo, jHi := max(c0, tc*nt), min(c1, tc*nt+s.tileDim(tc))
-			for i := iLo; i < iHi; i++ {
-				dst := out[(i-r0)*w:]
+			if tr > tc {
+				// Stored row j holds the pairs (j, i) of columns i.
+				if scratch == nil {
+					scratch = make([]float64, nt)
+				}
+				row := scratch[:iHi-iLo]
 				for j := jLo; j < jHi; j++ {
-					// Diagonal tiles store the full mirrored square, so
-					// (row, col) indexing is direct; an off-diagonal tile
-					// read against the grain swaps its coordinates.
-					a, b := i, j
-					if tr > tc {
-						a, b = j, i
+					s.conv.Row(m, row, counts[(j-ti*nt)*cols+iLo-tj*nt:][:len(row)], j, iLo)
+					for x, v := range row {
+						out[(iLo+x-r0)*w+j-c0] = v
 					}
-					dst[j-c0] = vals[(a-ti*nt)*cols+(b-tj*nt)]
+				}
+				continue
+			}
+			for i := iLo; i < iHi; i++ {
+				row := out[(i-r0)*w+jLo-c0:][:jHi-jLo]
+				s.conv.Row(m, row, counts[(i-ti*nt)*cols+jLo-tj*nt:][:len(row)], i, jLo)
+				if square && tr < tc {
+					for x, v := range row {
+						out[(jLo+x-c0)*w+i-r0] = v
+					}
 				}
 			}
 		}
@@ -212,7 +237,7 @@ type TopPair struct {
 	Value float64 `json:"value"`
 }
 
-// Top returns the k strongest off-diagonal pairs by stored value,
+// Top returns the k strongest off-diagonal pairs by r²,
 // strongest first (ties broken by (I, J)). The per-tile maxima recorded
 // at build time prune the scan: tiles whose maximum cannot displace the
 // current k-th value are never read.
@@ -239,6 +264,7 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 		return s.maxOff[order[a]] > s.maxOff[order[b]]
 	})
 	h := &topHeap{}
+	scratch := make([]float64, s.TileSize())
 	for _, id := range order {
 		// Strict inequality: a tile whose maximum ties the current k-th
 		// value can still hold a pair that wins on the (I, J) tie-break,
@@ -250,7 +276,7 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 			break // only empty 1×1 diagonal tiles remain
 		}
 		c := s.TileAt(id)
-		vals, err := s.Tile(c.TI, c.TJ)
+		counts, err := s.Tile(c.TI, c.TJ)
 		if err != nil {
 			return nil, err
 		}
@@ -259,12 +285,14 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 			if i < r0 || i >= r1 {
 				continue // row outside the ownership window
 			}
-			row := vals[r*c.Cols : (r+1)*c.Cols]
+			from := 0
+			if c.Diagonal() {
+				from = r + 1 // mirrored square: keep i < j once, skip the diagonal
+			}
+			row := scratch[:c.Cols-from]
+			s.conv.Row(core.MeasureR2, row, counts[r*c.Cols+from:(r+1)*c.Cols], i, c.Col0+from)
 			for col, v := range row {
-				if c.Diagonal() && col <= r {
-					continue // mirrored square: keep i < j once, skip the diagonal
-				}
-				p := TopPair{I: i, J: c.Col0 + col, Value: v}
+				p := TopPair{I: i, J: c.Col0 + from + col, Value: v}
 				if h.Len() < k {
 					heap.Push(h, p)
 				} else if topLess((*h)[0], p) {
@@ -273,7 +301,7 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 				}
 			}
 		}
-		stats.bytesServed.Add(uint64(len(vals)) * 8)
+		stats.bytesServed.Add(uint64(len(counts)) * 8)
 	}
 	out := make([]TopPair, h.Len())
 	copy(out, *h)
@@ -298,8 +326,8 @@ func (h *topHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; 
 
 var _ heap.Interface = (*topHeap)(nil)
 
-// Band visits every pair (i, j) with i in [start, end) and i ≤ j ≤
-// i+band, mirroring core.BandedStream's coverage (diagonal included).
+// Band visits the r² of every pair (i, j) with i in [start, end) and i ≤
+// j ≤ i+band, mirroring core.BandedStream's coverage (diagonal included).
 // Returning false from visit stops the scan early.
 func (s *Store) Band(start, end, band int, visit func(i, j int, v float64) bool) error {
 	n := s.SNPs()

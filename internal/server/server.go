@@ -210,7 +210,8 @@ type InfoResponse struct {
 	// result cache: responses are immutable for a fixed fingerprint.
 	Fingerprint string `json:"fingerprint"`
 	// StoreLoaded reports whether a fingerprint-matched tile store backs
-	// the LD endpoints; StoreStat names its statistic when loaded.
+	// the LD endpoints; StoreStat names the statistic its tile maxima and
+	// top lists rank by when loaded (r2; it serves every measure).
 	StoreLoaded bool   `json:"store_loaded"`
 	StoreStat   string `json:"store_stat,omitempty"`
 	// Sparse summarizes the loaded sparse store (statistic, threshold,
@@ -353,20 +354,16 @@ func (s *Server) pairResponse(i, j int, p core.Pair, r2 float64) PairResponse {
 
 func (s *Server) pair(q PairQuery) PairResponse {
 	p := core.PairLD(s.g, q.I, q.J)
-	// With a tile store loaded, the stored statistic is authoritative: it
-	// overrides the per-pair recomputation so /api/ld answers are
-	// bit-identical to the corresponding /api/ld/region cells.
+	// With a tile store loaded, the stored counts are authoritative: D, r²
+	// and D′ are converted from them, so /api/ld answers are bit-identical
+	// to the corresponding /api/ld/region cells of every measure.
 	if s.store != nil {
-		stat := &p.R2
-		switch s.store.Stat() {
-		case ldstore.StatD:
-			stat = &p.D
-		case ldstore.StatDPrime:
-			stat = &p.DPrime
-		}
-		*stat, _ = storeOr(s, true,
-			func() (float64, error) { return s.store.At(q.I, q.J) },
-			func() (float64, error) { return *stat, nil })
+		p, _ = storeOr(s, true, func() (core.Pair, error) {
+			st := p
+			var err error
+			st.D, st.R2, st.DPrime, err = s.store.Pair(q.I, q.J)
+			return st, err
+		}, func() (core.Pair, error) { return p, nil })
 	}
 	return s.pairResponse(q.I, q.J, p, p.R2)
 }
@@ -381,16 +378,15 @@ func (s *Server) region(ctx context.Context, q RegionQuery, rows Window) (flatRe
 	// The executors for a rectangular strip: rows [Lo, Hi) against every
 	// region column, from store tiles or the GEMM. Per-cell values are a
 	// pure function of pair counts and the two SNP frequencies, so a strip
-	// is bit-identical to the same rows of the square below.
-	read := func() ([]float64, error) { return s.store.Rect(rows.Lo, rows.Hi, q.Start, q.End) }
+	// is bit-identical to the same rows of the square below, and a store
+	// converts its counts to the same bits in any measure.
 	compute := func() (*core.Result, error) { return core.Cross(s.g.Slice(rows.Lo, rows.Hi), cols, opt) }
 	if rows == (Window{Lo: q.Start, Hi: q.End}) {
-		// A window covering every region row is the plain square, which
-		// has cheaper executors: upper-triangle tiles and SYRK.
-		read = func() ([]float64, error) { return s.store.Region(q.Start, q.End) }
+		// A window covering every region row is the plain square: SYRK.
 		compute = func() (*core.Result, error) { return core.Matrix(cols, opt) }
 	}
-	flat, err := storeOr(s, s.store != nil && s.store.Stat().Measure() == meas, read,
+	flat, err := storeOr(s, s.store != nil,
+		func() ([]float64, error) { return s.store.Rect(meas, rows.Lo, rows.Hi, q.Start, q.End) },
 		func() ([]float64, error) {
 			res, err := compute()
 			if err != nil {
@@ -414,11 +410,11 @@ func (s *Server) region(ctx context.Context, q RegionQuery, rows Window) (flatRe
 // top ranks the pairs whose smaller index lies in rows — the cluster
 // ownership rule, which partitions the pair set disjointly across shards.
 func (s *Server) top(ctx context.Context, q TopQuery, rows Window) (TopResponse, error) {
-	// An r² tile store already knows the strongest pairs (per-tile maxima
+	// A tile store already knows the strongest pairs (per-tile r² maxima
 	// prune the scan), so the whole-matrix significance stream — the most
 	// expensive query the server owns — is skipped. Per-pair details are
 	// recomputed from the two SNP vectors, which involves no kernel driver.
-	pairs, err := storeOr(s, s.store != nil && s.store.Stat() == ldstore.StatR2,
+	pairs, err := storeOr(s, s.store != nil,
 		func() (pairs []PairResponse, err error) {
 			top, err := s.store.TopRange(q.K, rows.Lo, rows.Hi)
 			for _, t := range top {

@@ -7,26 +7,26 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
+	"ldgemm/internal/core"
 	"ldgemm/internal/ldstore"
 	"ldgemm/internal/popsim"
 )
 
 // storeServers builds one dataset and two servers over it — one backed by
 // a tile store, one computing on the fly — so tests can compare the two
-// paths request for request.
-func storeServers(t *testing.T, stat ldstore.Stat) (plain, stored *httptest.Server, g *bitmat.Matrix) {
+// paths request for request; st is the store.
+func storeServers(t *testing.T) (plain, stored *httptest.Server, st *ldstore.Store) {
 	t.Helper()
 	gm, err := popsim.Mosaic(120, 200, popsim.MosaicConfig{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "srv.ldts")
-	if _, err := ldstore.BuildFile(path, gm, ldstore.BuildOptions{TileSize: 32, Stat: stat}); err != nil {
+	if _, err := ldstore.BuildFile(path, gm, ldstore.BuildOptions{TileSize: 32}); err != nil {
 		t.Fatalf("BuildFile: %v", err)
 	}
-	st, err := ldstore.Open(path, ldstore.Options{})
+	st, err = ldstore.Open(path, ldstore.Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -37,20 +37,22 @@ func storeServers(t *testing.T, stat ldstore.Stat) (plain, stored *httptest.Serv
 	cfg.Store = st
 	stored = httptest.NewServer(New(gm, cfg))
 	t.Cleanup(stored.Close)
-	return plain, stored, gm
+	return plain, stored, st
 }
 
 // TestStoreRegionBitIdentical is the headline acceptance test: for every
-// measure the store holds, the store-backed /api/ld/region response must
-// be bit-for-bit identical to the on-the-fly response, and a repeat of
-// the same (now warm-cached) query must run zero kernel invocations.
+// measure, one store-backed server's /api/ld/region response must be
+// bit-for-bit identical to the on-the-fly response, and a repeat of the
+// same (now warm-cached) query must run zero kernel invocations. The
+// store's own Rect and At, a row strip of the region, and /api/ld's pair
+// cells must carry the same bits.
 func TestStoreRegionBitIdentical(t *testing.T) {
+	plain, stored, store := storeServers(t)
 	for _, tc := range []struct {
-		stat    ldstore.Stat
+		meas    core.Measure
 		measure string
-	}{{ldstore.StatR2, "r2"}, {ldstore.StatD, "d"}, {ldstore.StatDPrime, "dprime"}} {
+	}{{core.MeasureR2, "r2"}, {core.MeasureD, "d"}, {core.MeasureDPrime, "dprime"}} {
 		t.Run(tc.measure, func(t *testing.T) {
-			plain, stored, _ := storeServers(t, tc.stat)
 			url := fmt.Sprintf("/api/ld/region?start=13&end=70&measure=%s", tc.measure)
 			var want, got RegionResponse
 			if code := getJSON(t, plain.URL+url, &want); code != 200 {
@@ -90,16 +92,60 @@ func TestStoreRegionBitIdentical(t *testing.T) {
 			if after.TilesRead != st.TilesRead {
 				t.Fatalf("warm region re-read %d tiles from disk", after.TilesRead-st.TilesRead)
 			}
+
+			// The same cells from the store's Rect and At, a row strip
+			// of the region, and /api/ld.
+			cell := func(i, j int) float64 { return want.Values[i-13][j-13] }
+			same := func(what string, i, j int, v float64) {
+				t.Helper()
+				if math.Float64bits(v) != math.Float64bits(cell(i, j)) {
+					t.Fatalf("%s (%d,%d) = %v, compute %v", what, i, j, v, cell(i, j))
+				}
+			}
+			rect, err := store.Rect(tc.meas, 40, 60, 13, 70)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var strip RegionResponse
+			if code := getJSON(t, stored.URL+url+"&rows=40:60", &strip); code != 200 || len(strip.Values) != 20 {
+				t.Fatalf("strip status %d, %d rows", code, len(strip.Values))
+			}
+			for i := 40; i < 60; i++ {
+				for j := 13; j < 70; j++ {
+					same("Rect", i, j, rect[(i-40)*57+j-13])
+					same("strip", i, j, strip.Values[i-40][j-13])
+				}
+			}
+			for _, p := range [][2]int{{13, 13}, {20, 69}, {69, 20}, {45, 46}, {33, 64}} {
+				v, err := store.Cell(tc.meas, p[0], p[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("Cell", p[0], p[1], v)
+				if tc.meas == core.MeasureR2 {
+					at, err := store.At(p[0], p[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					same("At", p[0], p[1], at)
+				}
+				var pair PairResponse
+				if code := getJSON(t, fmt.Sprintf("%s/api/ld?i=%d&j=%d", stored.URL, p[0], p[1]), &pair); code != 200 {
+					t.Fatalf("pair status %d", code)
+				}
+				same("/api/ld", p[0], p[1], map[core.Measure]float64{core.MeasureR2: pair.R2, core.MeasureD: pair.D, core.MeasureDPrime: pair.DPrime}[tc.meas])
+			}
 		})
 	}
 }
 
 // TestStorePairAndTop checks the other two fast paths: pair responses
-// match the plain server to rounding (the stored statistic is exact; the
-// others are recomputed identically), and the store-backed top list finds
-// the same leading pairs with zero kernel calls.
+// match the plain server to rounding (the store converts D, r² and D′ as
+// the dense path does, the plain server through PairLD), and the
+// store-backed top list finds the same leading pairs with zero kernel
+// calls.
 func TestStorePairAndTop(t *testing.T) {
-	plain, stored, _ := storeServers(t, ldstore.StatR2)
+	plain, stored, _ := storeServers(t)
 
 	var wantPair, gotPair PairResponse
 	if code := getJSON(t, plain.URL+"/api/ld?i=11&j=87", &wantPair); code != 200 {
@@ -141,22 +187,42 @@ func TestStorePairAndTop(t *testing.T) {
 	}
 }
 
-// TestStoreMeasureMismatchFallsBack asks a D-kind store for r²: the fast
-// path must decline and the computed response must equal the plain one.
-func TestStoreMeasureMismatchFallsBack(t *testing.T) {
-	plain, stored, _ := storeServers(t, ldstore.StatD)
-	url := "/api/ld/region?start=0&end=40&measure=r2"
+// TestStoreServesEveryMeasure: one store serves a D′ region — the store
+// path answers it (store_served grows, no kernel call, no fallback) — and
+// the response is bit-equal to the computed one.
+func TestStoreServesEveryMeasure(t *testing.T) {
+	plain, stored, _ := storeServers(t)
+	url := "/api/ld/region?start=0&end=40&measure=dprime"
 	var want, got RegionResponse
 	if code := getJSON(t, plain.URL+url, &want); code != 200 {
 		t.Fatalf("plain status %d", code)
 	}
+	type counters struct {
+		StoreServed    int `json:"store_served"`
+		StoreFallbacks int `json:"store_fallbacks"`
+	}
+	var before, after counters
+	if code := getJSON(t, stored.URL+"/debug/vars", &before); code != 200 {
+		t.Fatalf("vars status %d", code)
+	}
+	kern := blis.ReadStats()
 	if code := getJSON(t, stored.URL+url, &got); code != 200 {
 		t.Fatalf("stored status %d", code)
+	}
+	if d := blis.ReadStats().Calls - kern.Calls; d != 0 {
+		t.Fatalf("store-backed D′ region ran %d kernel calls", d)
+	}
+	if code := getJSON(t, stored.URL+"/debug/vars", &after); code != 200 {
+		t.Fatalf("vars status %d", code)
+	}
+	if after.StoreServed != before.StoreServed+1 || after.StoreFallbacks != before.StoreFallbacks {
+		t.Fatalf("store_served %d → %d, store_fallbacks %d → %d: the store did not serve the D′ region",
+			before.StoreServed, after.StoreServed, before.StoreFallbacks, after.StoreFallbacks)
 	}
 	for i := range want.Values {
 		for j := range want.Values[i] {
 			if math.Float64bits(want.Values[i][j]) != math.Float64bits(got.Values[i][j]) {
-				t.Fatalf("fallback differs at (%d,%d)", i, j)
+				t.Fatalf("(%d,%d): store %v, compute %v", i, j, got.Values[i][j], want.Values[i][j])
 			}
 		}
 	}
@@ -197,7 +263,7 @@ func TestStoreFingerprintMismatchIgnored(t *testing.T) {
 // TestStoreInfoAndVars checks the observable store surface: /api/info
 // store fields and the /debug/vars store counters.
 func TestStoreInfoAndVars(t *testing.T) {
-	_, stored, _ := storeServers(t, ldstore.StatR2)
+	_, stored, _ := storeServers(t)
 	var info InfoResponse
 	if code := getJSON(t, stored.URL+"/api/info", &info); code != 200 {
 		t.Fatalf("status %d", code)

@@ -251,6 +251,10 @@ func TestSparseBodyMatchesJSON(t *testing.T) {
 // encoding/json for every body. It is the reference parseVector's fast
 // path is held to — verdict, decoded bits and error body.
 func jsonSparse(op string, body []byte, lim Limits) (Query, *Response) {
+	if limit := int64(lim.SNPs)*64 + 4096; int64(len(body)) > limit {
+		// The one thing a parse does before reading the body: the cap.
+		return nil, Errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+	}
 	q := SparseQuery{Op: op}
 	var err error
 	if op == "score" {

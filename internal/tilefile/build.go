@@ -16,29 +16,24 @@ import (
 	"ldgemm/internal/core"
 )
 
-// Stripe is one tile row of statistic values as the scan computed it, in
-// place: the encoder's input, in the shape its encoder asks for.
-//
-// For a plain Encoder the values are a float stripe: row r (global SNP
-// I0+r) occupies Vals[r*Width : (r+1)*Width] for columns [I0, I0+Width) —
-// to N, or in a banded build to where the stripe's last row leaves the
-// band. Only the upper triangle to each row's band edge is delivered:
-// cells left of a row's own diagonal, and in a banded build past
-// min(N, I0+r+Band+1), are by-products or stale values of an earlier
-// stripe, possibly of an earlier build (the buffers are pooled and never
-// cleared), and are not to be read.
-//
-// For a KeptEncoder the stripe is Kept, the row-CSR of the delivered cells
-// with |v| ≥ its threshold (core.KeptStripe), and Vals and Width are unset.
+// Stripe is one tile row as the scan handed it over, in place: the
+// encoder's input, in the shape its encoder asks for. A CountEncoder's is
+// Counts, the joint counts from each row's diagonal to N with each tile's
+// maximum exact r² (core.CountStripe); a KeptEncoder's is Kept, the
+// row-CSR of the delivered cells with |v| ≥ its threshold
+// (core.KeptStripe). The buffers are pooled and never cleared, so the
+// other one holds whatever an earlier build left. The stripe holds SNP
+// rows [I0, I0+Rows) of N.
 type Stripe struct {
-	N, I0, Rows, Width int
-	Vals               []float64
-	Kept               core.KeptStripe
+	N, I0, Rows int
+	Counts      core.CountStripe
+	Kept        core.KeptStripe
 }
 
 // Encoder is the write side of a tile format. The boundary is per tile:
 // the driver hands over the whole stripe and a tile's coordinates, and
-// gets one payload back.
+// gets one payload back. Every Encoder is a CountEncoder or a
+// KeptEncoder, which says what its stripes hold.
 type Encoder interface {
 	// EncodeTile serializes tile t of stripe s and returns its payload
 	// and index auxiliary word. The payload lives in scratch the encoder
@@ -46,9 +41,21 @@ type Encoder interface {
 	// tile is always the first tile encoded from its stripe, and the
 	// encoder may complete the stripe in place for it.
 	EncodeTile(s *Stripe, t Tile) (payload []byte, aux uint64, err error)
-	// FinishHeader patches the header extension once every tile is
-	// indexed, for formats whose header carries a whole-store total.
+	// FinishHeader patches the header extension and per-SNP table once
+	// every tile is indexed, for formats whose header carries a
+	// whole-store total.
 	FinishHeader(h *Header, index []Entry)
+}
+
+// CountEncoder is an Encoder of counts stripes (Stripe.Counts): the scan
+// stores the driver's counts narrowed and folds each tile's maximum r² in
+// its fused epilogue, no float stripe ever filled, and runs Threads
+// stripes at once (core.StreamSourceCounts).
+type CountEncoder interface {
+	Encoder
+	// Alleles is handed every SNP's derived-allele count once, before any
+	// stripe.
+	Alleles(counts []uint32)
 }
 
 // KeptEncoder is an Encoder that stores only the cells with |v| ≥
@@ -67,9 +74,11 @@ type Spec struct {
 	// to materialize (0 selects r²).
 	TileSize int
 	Stat     Stat
-	// Flags and Ext are the codec's header flags and initial extension.
-	Flags uint32
-	Ext   []byte
+	// Flags and Ext are the codec's header flags and initial extension,
+	// TableWidth its per-SNP table's bytes a SNP (0 for none).
+	Flags      uint32
+	Ext        []byte
+	TableWidth int
 	// Params is the codec's share of the checkpoint identity; its Banded
 	// and Band also restrict the scan.
 	Params  Params
@@ -95,16 +104,16 @@ type BuildStats struct {
 	TileBytes int64
 	FileBytes int64
 	// PeakResultBytes is the build's result-storage high-water mark,
-	// never the n² result. A dense build holds the three NT-row float
-	// stripes that circulate between the scan and the writer, which the
-	// scan computes straight into: O(TileSize × SNPs), or O(TileSize ×
-	// (TileSize + Band)) banded. A sparse build holds three kept stripes,
-	// counted at the largest one it delivered (core.KeptStripe.Bytes: its
-	// row pointers and survivors), plus the scan's survivor lists, one per
-	// stripe in flight, counted as if each were that large
-	// (core.KeptStripe.ScanBytes). At τ = 0 with no band every cell
-	// survives, and that is O((Threads + 3) × TileSize × SNPs) at 12
-	// bytes a cell. Growth slack in any of them is not counted.
+	// never the n² result: three stripes circulate between the scan and
+	// the writer, and the scan holds stripes of its own besides, one per
+	// stripe in flight (Threads of them, up to the stripe count). A dense
+	// build's are counts stripes, each NT rows to n at the store's count
+	// width plus one 8-byte maximum per tile (core.CountStripe.Bytes):
+	// (Threads + 3) × NT × n × 2 bytes at N ≤ 65 535, and that plus the
+	// maxima. A sparse build's are survivor lists, counted at the largest
+	// stripe it delivered (core.KeptStripe.Bytes and ScanBytes); at τ = 0
+	// with no band every cell survives, and that is O((Threads + 3) ×
+	// TileSize × SNPs) at 12 bytes a cell. Growth slack is not counted.
 	PeakResultBytes int64
 	// StartStripe is the tile row the build began at: 0 for a fresh
 	// build, the checkpoint's stripe count for a resumed one.
@@ -129,15 +138,15 @@ type BuildStats struct {
 
 // builder is the single build driver, a three-stage pipeline:
 //
-//	scan (core.StreamSourceStripes, or StreamSourceKept for a KeptEncoder)
-//	→ writer (encode, CRC, append, index, flush, writeback) → committer
-//	(fsync, sidecar, manifest; checkpointed file builds only, at most once
-//	per commitInterval)
+//	scan (core.StreamSourceCounts for a CountEncoder, StreamSourceKept for
+//	a KeptEncoder) → writer (encode, CRC, append, index, flush, writeback)
+//	→ committer (fsync, sidecar, manifest; checkpointed file builds only,
+//	at most once per commitInterval)
 //
-// The builder is the scan's sink (a core.StripeSink, or through keptSink a
-// core.KeptSink): the scan writes each stripe straight into one of three
-// circulating buffers — the blocked driver's epilogue computes a float
-// stripe in place, a kept scan merges its survivors in — the writer drains
+// The builder is the scan's sink (through countSink a core.CountSink, or
+// through keptSink a core.KeptSink): the scan hands each stripe over in one
+// of three circulating buffers — a counts scan swaps in the storage it
+// computed into, a kept scan merges its survivors in — the writer drains
 // the ones already handed over, and the committer makes the newest flushed
 // stripe durable while both run on. Each field below belongs to one stage
 // while the pipeline runs; everything is joined before run reads any of it
@@ -150,19 +159,12 @@ type builder struct {
 	hdr   Header
 	id    identity
 
-	// Scan side. kept is the encoder's threshold interface, nil for float
-	// stripes.
-	kept core.KeptSink
-	so   core.StreamOptions
-	// cells is a float stripe buffer's size: the scan's largest stripe, NT
-	// rows to n, or in a banded build to the band edge, which is all the
-	// encoders read. It stays 0 when no row was left to scan, and in a kept
-	// build, whose largest stripe is keptBytes and whose scan holds at most
-	// scanBytes of survivor lists besides.
-	cells                int
-	keptBytes, scanBytes int64
-	next                 int     // first row of the stripe the scan must deliver next
-	cur                  *Stripe // the buffer the scan is computing into, nil between stripes
+	// Scan side. stripeBytes is the largest stripe delivered, scanBytes the
+	// most the scan held besides the sink's stripes (see PeakResultBytes).
+	so                     core.StreamOptions
+	stripeBytes, scanBytes int64
+	next                   int     // first row of the stripe the scan must deliver next
+	cur                    *Stripe // the buffer the scan is handing over into, nil between stripes
 
 	// The stripe buffers circulate free → scan → full → writer → free; both
 	// channels hold every buffer there is, so only the scan's wait for a
@@ -206,21 +208,10 @@ type commitReq struct {
 	offset  int64
 }
 
-// stripePool recycles the builders' stripe buffers across builds, float
-// and kept alike. A recycled buffer is not cleared: stale cells are
-// already part of Stripe's contract, and a kept stripe is rewritten whole.
+// stripePool recycles the builders' stripe buffers across builds, counts
+// and kept alike. A recycled buffer is not cleared: the scan rewrites what
+// its encoder reads.
 var stripePool = sync.Pool{New: func() any { return new(Stripe) }}
-
-// getStripe returns a stripe buffer of n SNPs with room for cells float
-// values (0 for a kept stripe, whose slices the scan sizes).
-func getStripe(n, cells int) *Stripe {
-	s := stripePool.Get().(*Stripe)
-	if cap(s.Vals) < cells {
-		s.Vals = make([]float64, cells)
-	}
-	s.N, s.Vals = n, s.Vals[:cells]
-	return s
-}
 
 func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 	f := spec.Format
@@ -236,6 +227,11 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 	if !spec.Stat.Valid() {
 		return nil, f.errorf("invalid statistic kind %d", uint32(spec.Stat))
 	}
+	switch spec.Encoder.(type) {
+	case CountEncoder, KeptEncoder:
+	default:
+		return nil, f.errorf("encoder %T takes neither counts nor kept stripes", spec.Encoder)
+	}
 	n, nt := src.NumSNPs(), spec.TileSize
 	t := bandsFor(n, nt)
 	b := &builder{spec: spec, src: src, n: n, nt: nt, bands: t,
@@ -245,12 +241,13 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 			SNPs:        uint64(n),
 			Samples:     uint64(src.NumSamples()),
 			TileSize:    uint32(nt),
+			TableWidth:  uint32(spec.TableWidth),
 			Fingerprint: src.Fingerprint(),
 			TileCount:   uint64(tilesThrough(t, t)),
 			Ext:         spec.Ext,
 		},
-		offset: int64(f.HeaderSize()),
 	}
+	b.offset = b.hdr.DataStart(f)
 	// Full capacity up front: the writer appends while the committer reads
 	// the entries of an earlier stripe, so the array must never move.
 	b.index = make([]Entry, 0, b.hdr.TileCount)
@@ -261,23 +258,23 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 	return b, nil
 }
 
-// BuildFile computes the statistic for every SNP pair of src (or only the
-// |i−j| ≤ Band pairs of a banded spec) with the blocked driver and writes
-// the tile container to the file at path. It rides core's triangular
-// striped scan with StripeRows = TileSize, so each tile row is produced
-// from one stripe and result memory stays O(TileSize × SNPs) no matter how
-// large the full n² matrix would be; every source runs the double-buffered
-// panel schedule, a resident bitmat.MemSource one panel wide. A
-// KeptEncoder's build runs the kept scan (core.StreamSourceKept), Threads
-// stripes at once, and gets only the survivors of its threshold; each
-// stripe in flight holds its survivors until its turn, so its result
-// memory is O((Threads + 3) × TileSize × SNPs) when every cell survives
-// (τ = 0, no band), and far less at any useful τ (PeakResultBytes). The
-// output side is buffered too: a writer goroutine encodes and appends
-// stripe s while the scan computes the next. The Exact epilogue is forced so stored
-// values are bit-identical to the dense core.Matrix path a serverless
-// request would compute. The scan is cancelled through spec.LD.Blis.Ctx,
-// and by the build itself when a stage fails.
+// BuildFile computes every SNP pair of src (or only the |i−j| ≤ Band
+// pairs of a banded spec) with the blocked driver and writes the tile
+// container to the file at path. It rides core's triangular striped scan
+// with StripeRows = TileSize, so each tile row is produced from one stripe
+// and result memory stays O((Threads + 3) × TileSize × SNPs) no matter how
+// large the full n² matrix would be (PeakResultBytes); every source runs
+// the double-buffered panel schedule, a resident bitmat.MemSource one panel
+// wide. A CountEncoder's build runs the counts scan
+// (core.StreamSourceCounts) and a KeptEncoder's the kept scan
+// (core.StreamSourceKept), each Threads stripes at once; each stripe in
+// flight holds its counts or survivors until its turn, which for a kept
+// scan is far less than every cell at any useful τ. The output side is
+// buffered too: a writer goroutine encodes and appends stripe s while the
+// scan computes the next. Values are the Exact epilogue's, so a store
+// serves the bits the dense core.Matrix path a serverless request would
+// compute. The scan is cancelled through spec.LD.Blis.Ctx, and by the
+// build itself when a stage fails.
 //
 // Every stripe is flushed to the file as the writer finishes it and the
 // kernel is asked to start writing it back, so the data is mostly on disk
@@ -317,7 +314,7 @@ func BuildFile(path string, src bitmat.Source, spec Spec) (BuildStats, error) {
 				return BuildStats{}, f.errorf("checkpoint at %s was written by a different build (dataset or options changed); remove it to start over", CheckpointPath(path))
 			}
 			var loaded []Entry
-			if b.file, b.ck, loaded, err = resume(f, path, m); err != nil {
+			if b.file, b.ck, loaded, err = resume(f, path, m, b.hdr.DataStart(f)); err != nil {
 				return BuildStats{}, err
 			}
 			b.index = append(b.index, loaded...)
@@ -408,9 +405,8 @@ func (d dataFile) Write(p []byte) (int, error) { return fsys.write(d.File, p) }
 // run scans the rows not yet durable through the pipeline, then writes
 // the index and the back-patched header carrying its offset.
 func (b *builder) run() (BuildStats, error) {
-	rows := min(b.nt, max(b.n, 1))
 	if start := b.startStripe * b.nt; start == 0 || start < b.n {
-		if err := b.scan(start, rows); err != nil {
+		if err := b.scan(start); err != nil {
 			return BuildStats{}, err
 		}
 	}
@@ -436,9 +432,9 @@ func (b *builder) run() (BuildStats, error) {
 	}
 	st := b.stats
 	st.Tiles = len(b.index)
-	st.TileBytes = b.offset - int64(f.HeaderSize())
+	st.TileBytes = b.offset - b.hdr.DataStart(f)
 	st.FileBytes = b.offset + int64(len(b.index))*IndexEntrySize
-	st.PeakResultBytes = stripeBuffers*max(8*int64(b.cells), b.keptBytes) + b.scanBytes
+	st.PeakResultBytes = stripeBuffers*b.stripeBytes + b.scanBytes
 	st.StartStripe = b.startStripe
 	return st, nil
 }
@@ -452,7 +448,7 @@ func (b *builder) run() (BuildStats, error) {
 // own error cannot abort the stream from inside a sink callback: it is
 // recorded, the scan is cancelled through the driver's context plumbing,
 // and the recorded error wins over the resulting ctx.Err.
-func (b *builder) scan(start, rows int) error {
+func (b *builder) scan(start int) error {
 	parent := b.spec.LD.Blis.Ctx
 	if parent == nil {
 		parent = context.Background()
@@ -475,15 +471,12 @@ func (b *builder) scan(start, rows int) error {
 	if start > 0 {
 		b.so.RowStart, b.so.RowEnd = start, b.n
 	}
-	if ke, ok := b.spec.Encoder.(KeptEncoder); ok {
-		b.kept = keptSink{b, ke.Threshold()}
-	} else {
-		b.cells = b.so.StripeCells(rows, 0, b.n, b.n)
-	}
 
 	b.free, b.full = make(chan *Stripe, stripeBuffers), make(chan *Stripe, stripeBuffers)
 	for range stripeBuffers {
-		b.free <- getStripe(b.n, b.cells)
+		s := stripePool.Get().(*Stripe)
+		s.N = b.n
+		b.free <- s
 	}
 	var writer, committer sync.WaitGroup
 	if b.ck != nil {
@@ -501,10 +494,11 @@ func (b *builder) scan(start, rows int) error {
 	}()
 
 	var streamErr error
-	if b.kept != nil {
-		streamErr = core.StreamSourceKept(b.src, b.so, b.kept)
-	} else {
-		streamErr = core.StreamSourceStripes(b.src, b.so, b)
+	switch enc := b.spec.Encoder.(type) {
+	case KeptEncoder:
+		streamErr = core.StreamSourceKept(b.src, b.so, keptSink{b, enc.Threshold()})
+	case CountEncoder:
+		streamErr = core.StreamSourceCounts(b.src, b.so, countSink{b, enc})
 	}
 
 	close(b.full)
@@ -534,11 +528,10 @@ func (b *builder) fail(err error) {
 	}
 }
 
-// stripeBuffers is how many stripe buffers circulate: one the scan computes
-// (or merges) into, one queued and one the writer is encoding. The scan can
-// therefore run two whole stripes ahead of a stalled writer and no further.
-// A kept scan's further stripes in flight wait for their turn in its own
-// survivor lists.
+// stripeBuffers is how many stripe buffers circulate: one the scan hands
+// over into, one queued and one the writer is encoding. The scan can
+// therefore hand over two whole stripes ahead of a stalled writer; its
+// stripes in flight wait for their turn in storage of its own.
 const stripeBuffers = 3
 
 // nextBuffer takes the next free stripe buffer for the scan. The writer
@@ -555,31 +548,34 @@ func (b *builder) nextBuffer() *Stripe {
 	return b.cur
 }
 
-// handOver passes the scan's finished stripe at rows [i0, i0+rows), width
-// float columns wide (0 for a kept stripe), to the writer. The stream
-// delivers stripes in order; the builder asserts that rather than trusting
-// it silently.
-func (b *builder) handOver(i0, rows, width int) {
+// handOver passes the scan's finished stripe at rows [i0, i0+rows) to the
+// writer. The stream delivers stripes in order; the builder asserts that
+// rather than trusting it silently.
+func (b *builder) handOver(i0, rows int) {
 	s := b.cur
 	b.cur = nil
 	if i0 != b.next {
 		b.fail(b.spec.Format.errorf("stream delivered the stripe at row %d, want %d", i0, b.next))
 	}
 	b.next = i0 + rows
-	s.I0, s.Rows, s.Width = i0, rows, width
+	s.I0, s.Rows = i0, rows
 	b.full <- s
 }
 
-// StripeBuffer is the scan asking where to compute its next float stripe
-// (core.StripeSink).
-func (b *builder) StripeBuffer(cells int) []float64 {
-	return b.nextBuffer().Vals[:cells]
+// countSink is the builder as the core.CountSink of a CountEncoder's build.
+type countSink struct {
+	*builder
+	enc CountEncoder
 }
 
-// StripeDone is the scan reporting a float stripe complete: the buffer
-// gets the scan's layout, which is Stripe's, and goes to the writer.
-func (b *builder) StripeDone(i0, rows, width int, _ []float64) {
-	b.handOver(i0, rows, width)
+func (c countSink) Alleles(a []uint32) { c.enc.Alleles(a) }
+
+func (c countSink) CountBuffer() *core.CountStripe { return &c.nextBuffer().Counts }
+
+func (c countSink) CountDone(s *core.CountStripe) {
+	c.stripeBytes = max(c.stripeBytes, s.Bytes())
+	c.scanBytes = max(c.scanBytes, int64(s.InFlight)*s.Bytes())
+	c.handOver(s.I0, s.Rows)
 }
 
 // keptSink is the builder as the core.KeptSink of a KeptEncoder's build.
@@ -593,9 +589,9 @@ func (k keptSink) Threshold() float64 { return k.tau }
 func (k keptSink) KeptBuffer() *core.KeptStripe { return &k.nextBuffer().Kept }
 
 func (k keptSink) KeptDone(s *core.KeptStripe) {
-	k.keptBytes = max(k.keptBytes, s.Bytes())
+	k.stripeBytes = max(k.stripeBytes, s.Bytes())
 	k.scanBytes = max(k.scanBytes, s.ScanBytes())
-	k.handOver(s.I0, s.Rows, 0)
+	k.handOver(s.I0, s.Rows)
 }
 
 // writeStripes is the writer stage: every stripe the scan hands over, in

@@ -167,10 +167,11 @@ func checkpointOf(t *testing.T, ref []byte, manifest string, tiles int, dataOffs
 }
 
 // TestFormatStability pins the on-disk bytes: the stores the golden build
-// produces must hash to the digests recorded at the parent commit, by
-// every build route, and a checkpoint manifest the parent commit wrote
-// mid-build must still parse and resume to those same bytes — an
-// in-flight build survives the upgrade.
+// produces must hash to the digests recorded for their format version, by
+// every build route, and a checkpoint manifest an earlier commit wrote
+// mid-build must still parse and resume to those same bytes — an in-flight
+// build survives the upgrade — unless it was written for an earlier format
+// version, which must be refused rather than resumed into this one's bytes.
 func TestFormatStability(t *testing.T) {
 	g := goldenMatrix(t)
 	for _, tr := range tiers {
@@ -179,7 +180,7 @@ func TestFormatStability(t *testing.T) {
 		}
 		ref := ramBytes(t, tr, g, goldenShape)
 		if got := fmt.Sprintf("%x", sha256.Sum256(ref)); got != tr.golden {
-			t.Fatalf("%s: in-RAM build hashes to %s, parent commit wrote %s", tr.name, got, tr.golden)
+			t.Fatalf("%s: in-RAM build hashes to %s, recorded %s", tr.name, got, tr.golden)
 		}
 		for name, rt := range sourceRoutes(t, g) {
 			path := filepath.Join(t.TempDir(), "got.store")
@@ -187,7 +188,7 @@ func TestFormatStability(t *testing.T) {
 				t.Fatalf("%s %s: %v", tr.name, name, err)
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256(mustRead(t, path))); got != tr.golden {
-				t.Fatalf("%s %s: hashes to %s, parent commit wrote %s", tr.name, name, got, tr.golden)
+				t.Fatalf("%s %s: hashes to %s, recorded %s", tr.name, name, got, tr.golden)
 			}
 		}
 		path, src, _ := killedBuild(t, tr, g, goldenShape, 53/16+6)
@@ -195,10 +196,23 @@ func TestFormatStability(t *testing.T) {
 			t.Fatalf("%s: resume: %v", tr.name, err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(mustRead(t, path))); got != tr.golden {
-			t.Fatalf("%s killed+resumed: hashes to %s, parent commit wrote %s", tr.name, got, tr.golden)
+			t.Fatalf("%s killed+resumed: hashes to %s, recorded %s", tr.name, got, tr.golden)
 		}
 
 		if tr.parentManifest == "" {
+			continue
+		}
+		if tr.oldManifest {
+			if _, err := tilefile.ParseManifest(&tr.format, []byte(tr.parentManifest)); err == nil || !strings.Contains(err.Error(), "version") {
+				t.Fatalf("%s: an earlier version's manifest parsed: %v", tr.name, err)
+			}
+			path = filepath.Join(t.TempDir(), "old.store")
+			if err := os.WriteFile(tilefile.CheckpointPath(path), []byte(tr.parentManifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.build(path, ldbmSource(t, g, false), goldenShape, srcOpts{ioPanel: 16, resume: true}); err == nil || !strings.Contains(err.Error(), "version") {
+				t.Fatalf("%s: resuming an earlier version's checkpoint returned %v", tr.name, err)
+			}
 			continue
 		}
 		m, err := tilefile.ParseManifest(&tr.format, []byte(tr.parentManifest))

@@ -45,15 +45,10 @@ import (
 func CheckpointPath(path string) string { return path + ".ckpt" }
 func SidecarPath(path string) string    { return path + ".idx" }
 
-// manifestVersion guards the checkpoint manifest schema.
-const manifestVersion = 1
-
 // Params are the codec parameters of a build: the part of its identity
 // that is not dataset or geometry. A codec leaves the ones it lacks at
 // zero. Banded and Band also bound the scan itself.
 type Params struct {
-	// Compress marks DEFLATE-compressed dense tiles.
-	Compress bool `json:"compress"`
 	// ThresholdBits is the sparse pruning cutoff τ as raw float64 bits, so
 	// identity is exact, never a formatting round trip.
 	ThresholdBits uint64 `json:"threshold_bits"`
@@ -75,8 +70,8 @@ type identity struct {
 
 // manifest is the checkpoint record of a partially built store.
 type manifest struct {
-	Version int    `json:"version"`
-	Magic   string `json:"magic"` // Format.ManifestMagic
+	Version int    `json:"version"` // Format.Version
+	Magic   string `json:"magic"`   // Format.ManifestMagic
 	identity
 
 	// Progress: StripesDone stripes are durably flushed, their tile
@@ -101,8 +96,8 @@ func parseManifest(f *Format, b []byte) (manifest, error) {
 	if m.Magic != f.ManifestMagic {
 		return fail("bad magic %q", m.Magic)
 	}
-	if m.Version != manifestVersion {
-		return fail("unsupported version %d", m.Version)
+	if m.Version != int(f.Version) {
+		return fail("version %d, this build resumes only version %d", m.Version, f.Version)
 	}
 	if m.SNPs < 0 || int64(m.SNPs) > maxSNPs || m.Samples < 0 || int64(m.Samples) > maxSamples {
 		return fail("implausible dimensions %d×%d", m.SNPs, m.Samples)
@@ -177,10 +172,11 @@ type checkpoint struct {
 // file and sidecar positioned to append, plus the index entries of the
 // tiles already durable. It refuses a data file shorter than the
 // manifest's durable offset and sidecar entries that do not chain from
-// the header end to exactly that offset: either means the files are not
+// dataStart, where the header and per-SNP table end, to exactly that
+// offset: either means the files are not
 // the ones the manifest describes, and continuing would bake a hole into
 // a store that then opens cleanly and fails its first CRC.
-func resume(f *Format, path string, m manifest) (data *os.File, ck *checkpoint, entries []Entry, err error) {
+func resume(f *Format, path string, m manifest, dataStart int64) (data *os.File, ck *checkpoint, entries []Entry, err error) {
 	if data, err = os.OpenFile(path, os.O_RDWR, 0o644); err != nil {
 		return nil, nil, nil, f.errorf("resume: %w", err)
 	}
@@ -189,7 +185,7 @@ func resume(f *Format, path string, m manifest) (data *os.File, ck *checkpoint, 
 		data.Close()
 		return nil, nil, nil, f.errorf("resume: %w", err)
 	}
-	if entries, err = loadCheckpoint(f, data, sidecar, m); err != nil {
+	if entries, err = loadCheckpoint(data, sidecar, m, dataStart); err != nil {
 		data.Close()
 		sidecar.Close()
 		return nil, nil, nil, f.errorf("resume %s: %w", path, err)
@@ -200,7 +196,7 @@ func resume(f *Format, path string, m manifest) (data *os.File, ck *checkpoint, 
 // loadCheckpoint validates both files against m, then discards anything
 // past the durable state — tile bytes and sidecar entries whose manifest
 // rename never landed — leaving both files positioned to append.
-func loadCheckpoint(f *Format, data, sidecar *os.File, m manifest) ([]Entry, error) {
+func loadCheckpoint(data, sidecar *os.File, m manifest, dataStart int64) ([]Entry, error) {
 	fi, err := sidecar.Stat()
 	if err != nil {
 		return nil, err
@@ -214,7 +210,7 @@ func loadCheckpoint(f *Format, data, sidecar *os.File, m manifest) ([]Entry, err
 		return nil, err
 	}
 	entries := make([]Entry, m.TilesWritten)
-	end := uint64(f.HeaderSize())
+	end := uint64(dataStart)
 	for i := range entries {
 		entries[i] = decodeEntry(b[i*IndexEntrySize:])
 		if entries[i].Offset != end {
@@ -269,7 +265,7 @@ func (ck *checkpoint) commit(f *Format, index []Entry, stripesDone int, dataOffs
 	}
 	ck.tiles = len(index)
 	return writeManifest(CheckpointPath(ck.path), manifest{
-		Version: manifestVersion, Magic: f.ManifestMagic, identity: ck.id,
+		Version: int(f.Version), Magic: f.ManifestMagic, identity: ck.id,
 		StripesDone: stripesDone, DataOffset: dataOffset, TilesWritten: ck.tiles,
 	})
 }

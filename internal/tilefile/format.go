@@ -10,6 +10,7 @@
 // File layout (all integers little-endian):
 //
 //	header: 64-byte prefix + the format's fixed-size extension
+//	per-SNP table: SNPs × the prefix's table width bytes (LDTS: allele counts; none in LDSS)
 //	tile payloads, in index order (row-major over the upper tile triangle)
 //	index: one 24-byte entry per tile, ending exactly at end-of-file
 //
@@ -73,7 +74,10 @@ const (
 	// IndexEntrySize is the encoded size of one Entry.
 	IndexEntrySize = 24
 
-	formatVersion = 1
+	// maxTableWidth caps the per-SNP table's bytes per SNP, so a hostile
+	// header cannot size the table past what its product with SNPs can
+	// hold.
+	maxTableWidth = 8
 
 	// Dimension sanity caps: a corrupt or hostile header must not drive an
 	// implausible allocation before any payload is validated.
@@ -95,6 +99,10 @@ type Format struct {
 	// Magic opens the file; ManifestMagic marks its checkpoint manifests.
 	Magic         [4]byte
 	ManifestMagic string
+	// Version is the one version of the format this build reads and
+	// writes, in the header and in checkpoint manifests alike: a file or a
+	// manifest of any other version is refused.
+	Version uint32
 	// ExtSize is the length of the header extension after the prefix.
 	ExtSize int
 }
@@ -112,42 +120,58 @@ func (f *Format) errorf(format string, args ...any) error {
 //
 //	off size field
 //	  0    4 magic
-//	  4    4 version (uint32, currently 1)
+//	  4    4 version (uint32, Format.Version)
 //	  8    4 flags (meaning owned by the codec)
 //	 12    4 statistic kind (1 r², 2 D, 3 D′)
 //	 16    8 SNPs
 //	 24    8 samples
 //	 32    4 tile size NT
-//	 36    4 reserved (zero)
+//	 36    4 per-SNP table width in bytes (0: no table)
 //	 40    8 dataset fingerprint (FNV-1a 64 over dims + packed words)
 //	 48    8 index offset
 //	 56    8 tile count
 //	 64    … extension (Format.ExtSize bytes, owned by the codec)
+//
+// The per-SNP table follows the extension, TableWidth bytes for each SNP;
+// what it holds is the codec's business too.
 type Header struct {
 	Flags       uint32
 	Stat        Stat
 	SNPs        uint64
 	Samples     uint64
 	TileSize    uint32
+	TableWidth  uint32
 	Fingerprint uint64
 	IndexOffset uint64
 	TileCount   uint64
 	Ext         []byte
+	// Table is the per-SNP table, SNPs × TableWidth bytes. A builder
+	// writes zeros until the encoder's FinishHeader fills it.
+	Table []byte
 }
 
+// DataStart is the offset of the first tile payload: past the header and
+// the per-SNP table.
+func (h *Header) DataStart(f *Format) int64 {
+	return int64(f.HeaderSize()) + int64(h.SNPs)*int64(h.TableWidth)
+}
+
+// encode returns the header's bytes with the per-SNP table after them.
 func (h *Header) encode(f *Format) []byte {
-	b := make([]byte, f.HeaderSize())
+	b := make([]byte, h.DataStart(f))
 	copy(b[0:4], f.Magic[:])
-	binary.LittleEndian.PutUint32(b[4:], formatVersion)
+	binary.LittleEndian.PutUint32(b[4:], f.Version)
 	binary.LittleEndian.PutUint32(b[8:], h.Flags)
 	binary.LittleEndian.PutUint32(b[12:], uint32(h.Stat))
 	binary.LittleEndian.PutUint64(b[16:], h.SNPs)
 	binary.LittleEndian.PutUint64(b[24:], h.Samples)
 	binary.LittleEndian.PutUint32(b[32:], h.TileSize)
+	binary.LittleEndian.PutUint32(b[36:], h.TableWidth)
 	binary.LittleEndian.PutUint64(b[40:], h.Fingerprint)
 	binary.LittleEndian.PutUint64(b[48:], h.IndexOffset)
 	binary.LittleEndian.PutUint64(b[56:], h.TileCount)
 	copy(b[PrefixSize:], h.Ext)
+	copy(b[f.HeaderSize():], h.Table)
 	return b
 }
 
@@ -159,7 +183,7 @@ func decodeHeader(f *Format, b []byte) (Header, error) {
 	if [4]byte(b[0:4]) != f.Magic {
 		return h, f.errorf("bad magic %q", b[0:4])
 	}
-	if v := binary.LittleEndian.Uint32(b[4:]); v != formatVersion {
+	if v := binary.LittleEndian.Uint32(b[4:]); v != f.Version {
 		return h, f.errorf("unsupported version %d", v)
 	}
 	h.Flags = binary.LittleEndian.Uint32(b[8:])
@@ -167,6 +191,7 @@ func decodeHeader(f *Format, b []byte) (Header, error) {
 	h.SNPs = binary.LittleEndian.Uint64(b[16:])
 	h.Samples = binary.LittleEndian.Uint64(b[24:])
 	h.TileSize = binary.LittleEndian.Uint32(b[32:])
+	h.TableWidth = binary.LittleEndian.Uint32(b[36:])
 	h.Fingerprint = binary.LittleEndian.Uint64(b[40:])
 	h.IndexOffset = binary.LittleEndian.Uint64(b[48:])
 	h.TileCount = binary.LittleEndian.Uint64(b[56:])
@@ -190,8 +215,8 @@ func (f *Format) checkTileSize(nt int64) error {
 //
 // Byte layout (24 bytes): offset uint64, length uint32, crc32 (IEEE) of
 // the stored payload uint32, then one 64-bit auxiliary word the codec
-// defines (LDTS: the tile's maximum off-diagonal value; LDSS: its entry
-// count).
+// defines (LDTS: the tile's maximum off-diagonal exact r²; LDSS: its
+// entry count).
 type Entry struct {
 	Offset uint64
 	Length uint32

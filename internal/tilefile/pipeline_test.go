@@ -376,15 +376,34 @@ func (s *panelWatch) Panel(lo, hi int, buf *bitmat.Matrix) (*bitmat.Matrix, erro
 // cancel, makes far fewer driver calls than the whole build and returns
 // with no Panel call running, none starting after.
 func TestKeptBuildStopsAtFourThreads(t *testing.T) {
-	g := testMatrix(t, 480, 40, 9)
-	build := func(src bitmat.Source, ctx context.Context) (uint64, error) {
+	stopsAtFourThreads(t, func(path string, src bitmat.Source, ctx context.Context) error {
 		opt := ldsparse.SourceBuildOptions{
 			BuildOptions: ldsparse.BuildOptions{TileSize: 16, Threshold: 0.02, Banded: true, Band: 50},
 			IOPanelSNPs:  16, Checkpoint: true,
 		}
 		opt.LD.Blis.Threads, opt.LD.Blis.Ctx = 4, ctx
+		_, err := ldsparse.BuildFileFromSource(path, src, opt)
+		return err
+	})
+}
+
+// TestCountBuildStopsAtFourThreads is TestKeptBuildStopsAtFourThreads for
+// a dense build, whose scan runs four counts stripes at once.
+func TestCountBuildStopsAtFourThreads(t *testing.T) {
+	stopsAtFourThreads(t, func(path string, src bitmat.Source, ctx context.Context) error {
+		_, err := tiers[0].build(path, src, shape{nt: 16}, srcOpts{ioPanel: 16, checkpoint: true, ctx: ctx, threads: 4})
+		return err
+	})
+}
+
+// stopsAtFourThreads stops a build at four stripes in flight by a writer
+// fault and by a cancel: either must make fewer than half the whole
+// build's driver calls and leave no Panel call running or starting.
+func stopsAtFourThreads(t *testing.T, buildAt func(path string, src bitmat.Source, ctx context.Context) error) {
+	g := testMatrix(t, 480, 40, 9)
+	build := func(src bitmat.Source, ctx context.Context) (uint64, error) {
 		before := blis.ReadStats().Calls
-		_, err := ldsparse.BuildFileFromSource(filepath.Join(t.TempDir(), "s.ldss"), src, opt)
+		err := buildAt(filepath.Join(t.TempDir(), "s.store"), src, ctx)
 		return blis.ReadStats().Calls - before, err
 	}
 	settled := func(w *panelWatch) {
@@ -648,12 +667,12 @@ func (s *countingSource) Panel(lo, hi int, buf *bitmat.Matrix) (*bitmat.Matrix, 
 }
 
 // TestBuildBackPressure: a writer stuck on the first stripe must stall the
-// scan, not let it run on into more buffers. With two builder buffers the
-// scan can hand over stripes 0 and 1 and compute stripe 2 into its own
-// stripe before it blocks; the prefetcher runs a few panels further. The
-// writer is held for a window and the fetches made by its end counted: a
-// third buffer would let the scan finish stripe 3 as well, nine fetches
-// beyond the bound.
+// scan, not let it run on into more buffers. With three builder buffers
+// the scan can hand over stripes 0, 1 and 2 and, on one thread, compute
+// stripe 3 into its own storage before it blocks; the prefetcher runs a
+// few panels further. The writer is held for a window and the fetches made
+// by its end counted: a fourth buffer would let the scan finish stripe 4 as
+// well, eight fetches beyond the bound.
 func TestBuildBackPressure(t *testing.T) {
 	const (
 		snps, nt  = 192, 16
@@ -665,7 +684,7 @@ func TestBuildBackPressure(t *testing.T) {
 	// With IOPanelSNPs = nt, stripe s fetches its own panel and one per
 	// stripe to its right; the frequency pass fetches every panel once.
 	bound := int64(stripes + lookahead)
-	for s := 0; s <= 2; s++ {
+	for s := 0; s <= 3; s++ {
 		bound += int64(stripes - s)
 	}
 	tr := tiers[0] // dense: every stripe is full width
@@ -683,7 +702,7 @@ func TestBuildBackPressure(t *testing.T) {
 	}
 	installSeam(t, s)
 	path := filepath.Join(t.TempDir(), "stalled.store")
-	st, err := tr.build(path, src, sh, srcOpts{ioPanel: nt, checkpoint: true})
+	st, err := tr.build(path, src, sh, srcOpts{ioPanel: nt, checkpoint: true, threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -695,18 +714,20 @@ func TestBuildBackPressure(t *testing.T) {
 	if got := mustRead(t, path); string(got) != string(ramBytes(t, tr, g, sh)) {
 		t.Fatal("store differs from the in-RAM build")
 	}
-	if want := int64(3 * 8 * nt * snps); st.PeakResultBytes != want {
-		t.Fatalf("PeakResultBytes %d, want three stripes = %d", st.PeakResultBytes, want)
+	if want := int64((1 + 3) * (2*nt*snps + 8*stripes)); st.PeakResultBytes != want {
+		t.Fatalf("PeakResultBytes %d, want four stripes = %d", st.PeakResultBytes, want)
 	}
 }
 
 // TestStripeBufferSize: the three circulating stripe buffers hold what the
-// scan writes — for the dense codec's float stripes NT rows to n; for the
-// sparse codecs' kept stripes NT+1 row pointers and the survivors of the
-// largest stripe (192 unbanded at τ = 0.05, 255 banded at τ = 0.02, a
-// 4-byte column and an 8-byte value each) — and a kept scan holds a
-// survivor list as large for each stripe in flight (one per thread, at
-// most the 8 stripes there are). PeakResultBytes reports exactly that.
+// scan hands over, and the scan holds as much again for each stripe in
+// flight (one per thread, at most the 8 stripes there are) — for the dense
+// codec's counts stripes NT rows to n at 2 bytes a count plus an 8-byte
+// maximum for each of its 8 tiles; for the sparse codecs' kept stripes NT+1
+// row pointers and the survivors of the largest stripe (192 unbanded at
+// τ = 0.05, 255 banded at τ = 0.02, a 4-byte column and an 8-byte value
+// each), a survivor list as large for each stripe in flight.
+// PeakResultBytes reports exactly that.
 func TestStripeBufferSize(t *testing.T) {
 	const snps, nt, band = 120, 16, 50
 	g := testMatrix(t, snps, 64, 5)
@@ -717,9 +738,9 @@ func TestStripeBufferSize(t *testing.T) {
 		tier tier
 		want int64
 	}{
-		{tiers[0], 3 * 8 * nt * snps},
-		{tiers[2], int64(3*(8*(nt+1)+12*192) + w*12*192)},
-		{tiers[3], int64(3*(8*(nt+1)+12*255) + w*12*255)},
+		{tiers[0], int64((3 + w) * (2*nt*snps + 8*8))},
+		{tiers[1], int64(3*(8*(nt+1)+12*192) + w*12*192)},
+		{tiers[2], int64(3*(8*(nt+1)+12*255) + w*12*255)},
 	} {
 		st, err := c.tier.build(filepath.Join(t.TempDir(), "s.store"), src, sh, srcOpts{ioPanel: nt})
 		if err != nil {
@@ -734,8 +755,8 @@ func TestStripeBufferSize(t *testing.T) {
 // TestKeptBuildMemoryAtZeroThreshold: at τ = 0 with no band every cell
 // survives, so a kept build at Threads 4 holds four survivor lists of the
 // largest stripe (rows 0–15, each from its diagonal to n: 1800 cells) on
-// top of its three stripes, 12 bytes a cell — more than three times the
-// dense build's float stripes (3·8·16·120 = 46 080 bytes) — and
+// top of its three stripes, 12 bytes a cell — more than four times the
+// dense build's counts stripes (7·(2·16·120 + 8·8) = 27 328 bytes) — and
 // PeakResultBytes says so.
 func TestKeptBuildMemoryAtZeroThreshold(t *testing.T) {
 	const snps, nt, cells = 120, 16, 16*120 - 16*15/2
@@ -768,7 +789,7 @@ func BenchmarkBuildFile(b *testing.B) {
 		pairs int64
 	}{
 		{"dense", tiers[0], int64(snps) * int64(snps+1) / 2},
-		{"sparse-banded", tiers[3], int64(snps)*int64(band+1) - int64(band)*int64(band+1)/2},
+		{"sparse-banded", tiers[2], int64(snps)*int64(band+1) - int64(band)*int64(band+1)/2},
 	} {
 		for _, ckpt := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/checkpoint=%v", c.name, ckpt), func(b *testing.B) {

@@ -14,8 +14,8 @@ import (
 // know about a tile's bytes. The boundary is per tile — Decode runs once
 // per cache miss and its result is what the LRU holds.
 type Codec[T any] interface {
-	// CheckHeader validates the flags and extension of a header whose
-	// prefix already passed the container's own checks.
+	// CheckHeader validates the flags, extension and per-SNP table of a
+	// header whose prefix already passed the container's own checks.
 	CheckHeader(h *Header) error
 	// CheckEntry validates one index entry's length and auxiliary word
 	// against its tile's shape, before any payload is read. It may
@@ -131,6 +131,19 @@ func OpenReader[T any](r io.ReaderAt, size int64, f *Format, c Codec[T], cacheTi
 	if err := f.checkTileSize(int64(h.TileSize)); err != nil {
 		return nil, err
 	}
+	if h.TableWidth > maxTableWidth {
+		return nil, f.errorf("per-SNP table of %d bytes a SNP", h.TableWidth)
+	}
+	ds := h.DataStart(f)
+	if ds > size {
+		return nil, f.errorf("file of %d bytes is shorter than its %d-byte header and per-SNP table", size, ds)
+	}
+	if h.TableWidth > 0 {
+		h.Table = make([]byte, ds-hs)
+		if _, err := r.ReadAt(h.Table, hs); err != nil {
+			return nil, f.errorf("reading per-SNP table: %w", err)
+		}
+	}
 	if err := c.CheckHeader(&h); err != nil {
 		return nil, f.errorf("%w", err)
 	}
@@ -147,7 +160,7 @@ func OpenReader[T any](r io.ReaderAt, size int64, f *Format, c Codec[T], cacheTi
 		return nil, f.errorf("index of %d entries cannot fit a %d-byte file", h.TileCount, size)
 	}
 	indexBytes := int64(h.TileCount) * IndexEntrySize
-	if h.IndexOffset < uint64(hs) || int64(h.IndexOffset) != size-indexBytes {
+	if h.IndexOffset < uint64(ds) || int64(h.IndexOffset) != size-indexBytes {
 		return nil, f.errorf("index offset %d inconsistent with file size %d", h.IndexOffset, size)
 	}
 
@@ -169,10 +182,10 @@ func OpenReader[T any](r io.ReaderAt, size int64, f *Format, c Codec[T], cacheTi
 	}
 	for id := range rd.Index {
 		e := decodeEntry(ib[id*IndexEntrySize:])
-		if e.Offset < uint64(hs) || e.Offset > h.IndexOffset ||
+		if e.Offset < uint64(ds) || e.Offset > h.IndexOffset ||
 			uint64(e.Length) > h.IndexOffset-e.Offset {
 			return nil, f.errorf("tile %d at [%d, +%d) escapes the tile section [%d, %d)",
-				id, e.Offset, e.Length, hs, h.IndexOffset)
+				id, e.Offset, e.Length, ds, h.IndexOffset)
 		}
 		if err := c.CheckEntry(&rd.Header, rd.TileAt(id), &e); err != nil {
 			return nil, f.errorf("tile %d: %w", id, err)
@@ -218,7 +231,7 @@ func (r *Reader[T]) Entry(ti, tj int) Entry { return r.Index[tileID(r.Bands, ti,
 
 // TileBytes returns the total payload bytes of the tile section.
 func (r *Reader[T]) TileBytes() int64 {
-	return int64(r.Header.IndexOffset) - int64(r.format.HeaderSize())
+	return int64(r.Header.IndexOffset) - r.Header.DataStart(r.format)
 }
 
 // CheckSNP rejects an SNP index outside the store, naming the argument.

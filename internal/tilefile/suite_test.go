@@ -19,7 +19,7 @@ import (
 )
 
 // One suite per container behaviour, parameterised by codec. Every test
-// and fuzz target in this package runs over the same four tiers, so a
+// and fuzz target in this package runs over the same three tiers, so a
 // container change is checked against every format it carries.
 
 // shape is the per-test geometry of a build: tile size, and the band
@@ -49,25 +49,27 @@ type tier struct {
 	// parser needs it, and the kill-and-resume test proves it is the one
 	// the codec writes.
 	format tilefile.Format
-	// golden is the SHA-256, recorded at the parent commit (PR 11), of the
-	// store goldenMatrix builds at goldenShape. Empty for DEFLATE, whose
-	// bytes belong to the Go release, not to this repo.
+	// golden is the SHA-256 of the store goldenMatrix builds at
+	// goldenShape, recorded when its format version was introduced.
 	golden string
-	// parentManifest is a checkpoint manifest the parent commit wrote for
-	// that same build, killed after its first stripe.
+	// parentManifest is a checkpoint manifest an earlier commit wrote for
+	// that same build, killed after its first stripe; oldManifest says it
+	// is of an earlier format version, which a resume must refuse.
 	parentManifest string
+	oldManifest    bool
 	build          buildFn
 	buildRAM       func(path string, g *bitmat.Matrix, sh shape) error
 	// mismatched are builds differing from build in one codec-specific
-	// identity field each; a checkpoint of build must refuse them all.
+	// identity field each; a checkpoint of build must refuse them all. The
+	// dense codec has none: a store holds the counts, whatever is asked.
 	mismatched map[string]buildFn
 	// open opens a store from raw bytes and runs every query path.
 	open func(data []byte) (querier, error)
 }
 
 var (
-	ldtsFormat = tilefile.Format{Name: "ldstore", Magic: [4]byte{'L', 'D', 'T', 'S'}, ManifestMagic: "ldstore-checkpoint"}
-	ldssFormat = tilefile.Format{Name: "ldsparse", Magic: [4]byte{'L', 'D', 'S', 'S'}, ManifestMagic: "ldsparse-checkpoint", ExtSize: 32}
+	ldtsFormat = tilefile.Format{Name: "ldstore", Magic: [4]byte{'L', 'D', 'T', 'S'}, ManifestMagic: "ldstore-checkpoint", Version: 2, ExtSize: 8}
+	ldssFormat = tilefile.Format{Name: "ldsparse", Magic: [4]byte{'L', 'D', 'S', 'S'}, ManifestMagic: "ldsparse-checkpoint", Version: 1, ExtSize: 32}
 )
 
 func denseBuild(bo func(shape) ldstore.BuildOptions) buildFn {
@@ -125,24 +127,16 @@ func openSparse(data []byte) (querier, error) {
 	return s, nil
 }
 
-func denseTier(name string, compress bool, golden, parentManifest string) tier {
+func denseTier(name string, golden, parentManifest string) tier {
 	bo := func(sh shape) ldstore.BuildOptions {
-		return ldstore.BuildOptions{TileSize: sh.nt, Compress: compress}
+		return ldstore.BuildOptions{TileSize: sh.nt}
 	}
 	return tier{
-		name: name, format: ldtsFormat, golden: golden, parentManifest: parentManifest,
+		name: name, format: ldtsFormat, golden: golden, parentManifest: parentManifest, oldManifest: true,
 		build: denseBuild(bo),
 		buildRAM: func(path string, g *bitmat.Matrix, sh shape) error {
 			_, err := ldstore.BuildFile(path, g, bo(sh))
 			return err
-		},
-		mismatched: map[string]buildFn{
-			"different compression": denseBuild(func(sh shape) ldstore.BuildOptions {
-				return ldstore.BuildOptions{TileSize: sh.nt, Compress: !compress}
-			}),
-			"different stat": denseBuild(func(sh shape) ldstore.BuildOptions {
-				return ldstore.BuildOptions{TileSize: sh.nt, Compress: compress, Stat: ldstore.StatD}
-			}),
 		},
 		open: openDense,
 	}
@@ -188,18 +182,19 @@ func sparseTier(name string, tau float64, banded bool, golden, parentManifest st
 	}
 }
 
-// The golden build: digests and manifests below were produced by the
-// parent commit from popsim.Mosaic(53, 40, Seed 7) at tile size 16, band
-// 20, and must never change — they are the on-disk format.
+// The golden build: digests and manifests below were produced from
+// popsim.Mosaic(53, 40, Seed 7) at tile size 16, band 20, and must never
+// change — they are the on-disk format. The sparse ones date from PR 11;
+// the dense one from LDTS version 2, whose stores hold counts, and its
+// manifest from version 1, which wrote f64 tiles.
 var goldenShape = shape{nt: 16, band: 20}
 
 func goldenMatrix(tb testing.TB) *bitmat.Matrix { return testMatrix(tb, 53, 40, 7) }
 
 var tiers = []tier{
-	denseTier("dense", false,
-		"9bb0223d31acef5bf87ff7e8cad8ac4b4f9751649873ffcfa587afcc85b0c14f",
+	denseTier("dense",
+		"21ea6f7cb54c64715760295b9092676ed22c8c1578bb979a47825b37b2bd25f2",
 		`{"version":1,"magic":"ldstore-checkpoint","fingerprint":8134653551277746360,"snps":53,"samples":40,"tile_size":16,"stat":1,"compress":false,"stripes_done":1,"data_offset":6848,"tiles_written":4}`),
-	denseTier("dense+deflate", true, "", ""),
 	sparseTier("sparse", 0.05, false,
 		"f2a8c3f4af2144b0f21084b3d2c34292298cc80b6c3969fba25a2f9631735232", ""),
 	sparseTier("sparse-banded", 0.02, true,
