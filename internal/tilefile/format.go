@@ -74,9 +74,8 @@ const (
 	// IndexEntrySize is the encoded size of one Entry.
 	IndexEntrySize = 24
 
-	// maxTableWidth caps the per-SNP table's bytes per SNP, so a hostile
-	// header cannot size the table past what its product with SNPs can
-	// hold.
+	// maxTableWidth caps the per-SNP table's bytes a SNP, so a hostile
+	// header's table size, SNPs × width, stays far inside an int64.
 	maxTableWidth = 8
 
 	// Dimension sanity caps: a corrupt or hostile header must not drive an
