@@ -184,9 +184,10 @@ func sparseTier(name string, tau float64, banded bool, golden, parentManifest st
 
 // The golden build: digests and manifests below were produced from
 // popsim.Mosaic(53, 40, Seed 7) at tile size 16, band 20, and must never
-// change — they are the on-disk format. The sparse ones date from PR 11;
-// the dense one from LDTS version 2, whose stores hold counts, and its
-// manifest from version 1, which wrote f64 tiles.
+// change — they are the on-disk format. The sparse ones predate the
+// container's extraction; the dense one dates from LDTS version 2, whose
+// stores hold counts, and its manifest from version 1, which wrote f64
+// tiles.
 var goldenShape = shape{nt: 16, band: 20}
 
 func goldenMatrix(tb testing.TB) *bitmat.Matrix { return testMatrix(tb, 53, 40, 7) }
