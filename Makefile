@@ -220,7 +220,7 @@ bench-kernel:
 # without a destination hint). Last, one store build per codec (dense, banded
 # sparse) × checkpoint on/off through the three-stage build pipeline from a
 # windowed .ldbm: pairs/s, MB/s written, commits per build against its 16
-# stripes, scan wait, B/op.
+# stripes, scan wait, the stripe workers' prefetcher stall, B/op.
 .PHONY: bench-smoke
 bench-smoke:
 	go test ./internal/server -run '^$$' -bench 'BenchmarkEncodeRegion|BenchmarkServeRegion|BenchmarkAppendFloat' -benchtime 1x -benchmem

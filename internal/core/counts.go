@@ -15,8 +15,9 @@ import (
 // as floats. The counts are the result; D, r² and D′ are conversions of them
 // (Eq. 1, 2), which a reader runs with CountConverter, the row code of
 // Matrix's epilogue. The one float the scan computes is the exact r² of
-// every off-diagonal cell, and only to fold each tile's maximum, in the same
-// pass that narrows the counts (countsRow16).
+// off-diagonal cells, and only to fold each tile's maximum, in the same pass
+// that narrows the counts (countsRow16); the row kernel skips the divide of
+// cells that cannot raise the maximum.
 
 // CountBytes is the width of a stored count for N samples: 2 bytes when
 // every count fits a uint16 (N ≤ 65 535), else 4.
@@ -28,23 +29,34 @@ func CountBytes(samples int) int {
 }
 
 // CountStripe is one stripe of a counts scan: the joint counts of SNP rows
-// [I0, I0+Rows) against columns [I0, I0+Width), row r at [r*Width,
-// (r+1)*Width) of C16 when CountBytes is 2 and of C32 otherwise. Row r is
-// delivered from its own diagonal, column r, to its end: cells left of it
-// are stale, never written by this scan.
+// [I0, I0+Rows) against columns [I0, I0+Width), in C16 when CountBytes is 2
+// and in C32 otherwise. Row r is delivered from its own diagonal, column r,
+// to its end: cells left of it are stale, never written by this scan.
 //
-// The stripe's tiles are as wide as the scan's stripes are high (S =
-// StripeRows): tile k is stripe columns [k·S, (k+1)·S), tile 0 the
-// diagonal block. TileMax[k] is the greatest exact r² over tile k's delivered cells
-// off the diagonal, −Inf where there are none (a 1 × 1 diagonal tile).
+// The stripe is laid out tile by tile. Its tiles are TileCols wide (the
+// scan's StripeRows): tile k is stripe columns [k·TileCols,
+// (k+1)·TileCols), the last one cut at Width, and tile 0 the diagonal
+// block. Tile k's rows lie one after another, each as long as the tile is
+// wide (Tile). TileMax[k] is the greatest exact r² over tile k's delivered
+// cells off the diagonal, −Inf where there are none (a 1 × 1 diagonal
+// tile).
 type CountStripe struct {
 	I0, Rows, Width int
+	TileCols        int
 	C16             []uint16
 	C32             []uint32
 	TileMax         []float64
 	// InFlight is how many stripes the scan computed at once, each into
 	// storage of its own (StreamSourceCounts).
 	InFlight int
+}
+
+// Tile returns where tile k lies in C16 or C32: its Rows rows one after
+// another from off, each stride counts long — the tile's width, so the
+// stripe holds no padding.
+func (c *CountStripe) Tile(k int) (off, stride int) {
+	col := k * c.TileCols
+	return c.Rows * col, min(c.TileCols, c.Width-col)
 }
 
 // Bytes is the stripe's size as held: its counts and tile maxima.
@@ -114,7 +126,7 @@ type countOut struct {
 
 func (o *countOut) open(i0, rows, width int) {
 	c, stripe := o.c, o.epi.sc.stripe
-	c.I0, c.Rows, c.Width = i0, rows, width
+	c.I0, c.Rows, c.Width, c.TileCols = i0, rows, width, stripe
 	if o.epi.wide {
 		c.C16, c.C32 = c.C16[:0], grow(c.C32, rows*width)
 	} else {
@@ -166,37 +178,35 @@ func (e *countsEpilogue) RowRun(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 	}
 }
 
-// row stores the counts of row gi, columns [j, j+len(cnt)), and folds the
-// r² of every one of them but the diagonal into the maximum of the tile it
-// lies in, a tile at a time.
+// row stores the counts of row gi, columns [j, j+len(cnt)), into their
+// tiles, and folds the r² of every one of them but the diagonal into the
+// maximum of the tile it lies in, a tile at a time.
 func (e *countsEpilogue) row(cnt []uint32, gi, j int) {
-	c, tile := e.c, e.sc.stripe
-	at := (gi-c.I0)*c.Width + j - c.I0
+	c, r := e.c, gi-e.c.I0
 	if j == gi {
 		// The diagonal cell (r² = 1 but for rounding) is stored, never in a
 		// maximum: the bound is over pairs of two SNPs.
-		if e.wide {
+		_, stride := c.Tile(0)
+		if at := r*stride + r; e.wide {
 			c.C32[at] = cnt[0]
 		} else {
 			c.C16[at] = uint16(cnt[0])
 		}
-		cnt, at, j = cnt[1:], at+1, j+1
+		cnt, j = cnt[1:], j+1
 	}
 	pa, va := e.conv.p[gi], e.conv.tab[gi]
 	for len(cnt) > 0 {
-		k := (j - c.I0) / tile
-		n := min(len(cnt), c.I0+(k+1)*tile-j)
+		k := (j - c.I0) / c.TileCols
+		col := j - c.I0 - k*c.TileCols
+		off, stride := c.Tile(k)
+		at, n := off+r*stride+col, min(len(cnt), stride-col)
 		colFreq, colVar := e.conv.p[j:][:n], e.conv.tab[j:][:n]
-		var m float64
 		if e.wide {
-			m = countsRowGo(c.C32[at:][:n], cnt[:n], colFreq, colVar, e.conv.inv, pa, va, math.Inf(-1))
+			c.TileMax[k] = countsRowGo(c.C32[at:][:n], cnt[:n], colFreq, colVar, e.conv.inv, pa, va, c.TileMax[k])
 		} else {
-			m = countsRow16(c.C16[at:][:n], cnt[:n], colFreq, colVar, e.conv.inv, pa, va)
+			c.TileMax[k] = countsRow16(c.C16[at:][:n], cnt[:n], colFreq, colVar, e.conv.inv, pa, va, c.TileMax[k])
 		}
-		if m > c.TileMax[k] {
-			c.TileMax[k] = m
-		}
-		cnt, at, j = cnt[n:], at+n, j+n
+		cnt, j = cnt[n:], j+n
 	}
 }
 
@@ -221,13 +231,14 @@ func countsRowGo[T uint16 | uint32](dst []T, cnt []uint32, colFreq, colVar []flo
 }
 
 // countsRow16 stores one run of a row narrowed to uint16 and returns the
-// greatest exact r² over it, −Inf for an empty run: the row kernel's whole
-// groups of eight (countsVector16), then the Go loop over the tail. Every
-// r² of this loop is +0, positive or NaN, never −0, so the maximum does not
-// depend on the order the cells are folded in. Wide counts (N > 65 535)
-// take the Go loop alone: no workload stores them.
-func countsRow16(dst []uint16, cnt []uint32, colFreq, colVar []float64, inv, pa, va float64) float64 {
-	k, m := countsVector16(dst, cnt, colFreq, colVar, inv, pa, va)
+// greatest of m and the exact r² over the run: the row kernel's whole
+// groups of eight (countsVector16), then the Go loop over the tail, each
+// folding into the maximum the one before it left. Every r² of this loop is
+// +0, positive or NaN, never −0, and a NaN never enters the maximum, so it
+// does not depend on the order the cells are folded in. Wide counts
+// (N > 65 535) take the Go loop alone: no workload stores them.
+func countsRow16(dst []uint16, cnt []uint32, colFreq, colVar []float64, inv, pa, va, m float64) float64 {
+	k, m := countsVector16(dst, cnt, colFreq, colVar, inv, pa, va, m)
 	return countsRowGo(dst[k:], cnt[k:], colFreq[k:], colVar[k:], inv, pa, va, m)
 }
 

@@ -10,13 +10,36 @@ import (
 	"ldgemm/internal/bitmat"
 )
 
-// countsRowCase is one row run through the counts epilogue: row gi of a
-// stripe at SNP 0 whose tiles are tile wide, columns [j, j+len(cnt)), over
-// the frequencies p of SNPs 0 … j+len(cnt)−1, for samples sequences.
+// countsRowCase is one row run through the counts epilogue: row gi < tile
+// of a stripe at SNP 0 whose tiles are tile wide, columns [j, j+len(cnt)), over
+// the frequencies p of SNPs 0 … j+len(cnt)−1, for samples sequences. Tile
+// k's maximum starts at start[k], or −Inf past the end of start (or with
+// none), as a stripe's maxima do.
 type countsRowCase struct {
 	samples, tile, gi, j int
 	cnt                  []uint32
 	p                    []float64
+	start                []float64
+}
+
+// startMax returns tile k's starting maximum.
+func (rc countsRowCase) startMax(k int) float64 {
+	if k < len(rc.start) {
+		return rc.start[k]
+	}
+	return math.Inf(-1)
+}
+
+// countAt reads the count of stripe row r, column col, through the
+// stripe's tile layout.
+func countAt(c *CountStripe, r, col int) uint32 {
+	k := col / c.TileCols
+	off, stride := c.Tile(k)
+	at := off + r*stride + col - k*c.TileCols
+	if len(c.C32) > 0 {
+		return c.C32[at]
+	}
+	return uint32(c.C16[at])
 }
 
 // run stores the run through countsEpilogue.row into a stripe of its own
@@ -24,7 +47,7 @@ type countsRowCase struct {
 func (rc countsRowCase) run() ([]uint32, []float64) {
 	width := rc.j + len(rc.cnt)
 	sc := &scan{stripe: rc.tile, n: width}
-	c := &CountStripe{Rows: rc.gi + 1, Width: width}
+	c := &CountStripe{Rows: rc.gi + 1, Width: width, TileCols: rc.tile}
 	wide := CountBytes(rc.samples) > 2
 	if wide {
 		c.C32 = make([]uint32, c.Rows*width)
@@ -33,7 +56,7 @@ func (rc countsRowCase) run() ([]uint32, []float64) {
 	}
 	c.TileMax = make([]float64, (width+rc.tile-1)/rc.tile)
 	for k := range c.TileMax {
-		c.TileMax[k] = math.Inf(-1)
+		c.TileMax[k] = rc.startMax(k)
 	}
 	e := &countsEpilogue{conv: newStripeScan(StreamOptions{Exact: true}, rc.p, rc.samples), sc: sc, c: c, wide: wide}
 	if len(rc.cnt) > 0 { // RowRun never runs an empty one
@@ -41,18 +64,15 @@ func (rc countsRowCase) run() ([]uint32, []float64) {
 	}
 	got := make([]uint32, len(rc.cnt))
 	for x := range got {
-		if at := rc.gi*width + rc.j + x; wide {
-			got[x] = c.C32[at]
-		} else {
-			got[x] = uint32(c.C16[at])
-		}
+		got[x] = countAt(c, rc.gi, rc.j+x)
 	}
 	return got, c.TileMax
 }
 
 // reference is what run must return, cell by cell: each count as the
-// stripe's width holds it, and per tile the greatest scalarR2Exact value
-// over the run's cells in it off the diagonal, −Inf for none.
+// stripe's width holds it, and per tile the fold, from its starting
+// maximum, of the scalarR2Exact values over the run's cells in it off the
+// diagonal — a value replaces the maximum only when greater.
 func (rc countsRowCase) reference() ([]uint32, []float64) {
 	width := rc.j + len(rc.cnt)
 	tab := varTable(rc.p)
@@ -63,7 +83,7 @@ func (rc countsRowCase) reference() ([]uint32, []float64) {
 	counts := make([]uint32, len(rc.cnt))
 	maxes := make([]float64, (width+rc.tile-1)/rc.tile)
 	for k := range maxes {
-		maxes[k] = math.Inf(-1)
+		maxes[k] = rc.startMax(k)
 	}
 	for x, n := range rc.cnt {
 		counts[x] = n
@@ -112,38 +132,61 @@ func checkCountsRow(t testing.TB, what string, rc countsRowCase) {
 // FuzzCountsRow: the counts epilogue's fused narrow-and-maximum kernel
 // against the Go loop, through the epilogue's row, on any counts ≤ N, any
 // frequency bits, N up to 65 535, any row length, tile width and start —
-// so runs cross tile edges and start at, before or past the diagonal.
+// so runs cross tile edges and start at, before or past the diagonal — and
+// any starting maximum per tile: −Inf, +0, a subnormal, 2⁻¹⁰²² (the least
+// maximum the kernel's divide skip runs against) or any bits.
 func FuzzCountsRow(f *testing.F) {
-	seed := func(samples uint16, tile, gi, j byte, cells int) []byte {
+	seed := func(samples uint16, tile, gi, j, kind byte, bits uint64, cells int) []byte {
 		b := binary.BigEndian.AppendUint16(nil, samples)
-		b = append(b, tile, gi, j)
+		b = append(b, tile, gi, j, kind)
+		b = binary.BigEndian.AppendUint64(b, bits)
 		for c := range cells {
 			b = binary.BigEndian.AppendUint16(b, uint16(c*977))
 			b = binary.BigEndian.AppendUint64(b, math.Float64bits(float64(c%13)/13))
 		}
 		return b
 	}
-	f.Add(seed(2048, 8, 0, 0, 40))
-	f.Add(seed(65535, 16, 5, 3, 37))
-	f.Add(seed(1000, 3, 9, 9, 19))
-	f.Add(seed(1, 1, 0, 4, 9))
+	f.Add(seed(2048, 8, 0, 0, 0, 0, 40))
+	f.Add(seed(65535, 16, 5, 3, 4, math.Float64bits(0.25), 37))
+	f.Add(seed(1000, 3, 9, 9, 2, 12345, 19))
+	f.Add(seed(1, 1, 0, 4, 3, 0, 9))
+	f.Add(seed(2048, 64, 0, 1, 4, math.Float64bits(0.01), 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 5 {
+		const head = 14
+		if len(data) < head {
 			return
 		}
 		rc := countsRowCase{samples: int(binary.BigEndian.Uint16(data)), tile: 1 + int(data[2])%64}
 		rc.j = int(data[4]) % 64
-		rc.gi = min(int(data[3])%64, rc.j) // a run starts at its row's diagonal or right of it
-		cells := min((len(data)-5)/10, 512)
+		// A run starts at its row's diagonal or right of it, and a stripe's
+		// rows are its diagonal block's.
+		rc.gi = min(int(data[3])%64, rc.j, rc.tile-1)
+		cells := min((len(data)-head)/10, 512)
 		rc.p = make([]float64, rc.j+cells)
 		for i := range rc.j {
 			rc.p[i] = float64(i) / 64
 		}
 		rc.cnt = make([]uint32, cells)
 		for c := range rc.cnt {
-			cell := data[5+10*c:]
+			cell := data[head+10*c:]
 			rc.cnt[c] = uint32(binary.BigEndian.Uint16(cell)) % uint32(rc.samples+1)
 			rc.p[rc.j+c] = math.Float64frombits(binary.BigEndian.Uint64(cell[2:]))
+		}
+		bits := binary.BigEndian.Uint64(data[6:])
+		rc.start = make([]float64, (rc.j+cells+rc.tile-1)/rc.tile)
+		for k := range rc.start {
+			switch (int(data[5]) + k) % 5 {
+			case 0:
+				rc.start[k] = math.Inf(-1)
+			case 1:
+				rc.start[k] = 0
+			case 2:
+				rc.start[k] = math.Float64frombits((bits+uint64(k))&(1<<52-1) | 1)
+			case 3:
+				rc.start[k] = 0x1p-1022
+			default:
+				rc.start[k] = math.Float64frombits(bits + uint64(k))
+			}
 		}
 		checkCountsRow(t, "fuzz", rc)
 	})
@@ -153,8 +196,12 @@ func FuzzCountsRow(f *testing.F) {
 // kernels' path and the Go loops alone — every run length 0–40 from its
 // diagonal and from past it, across tile edges; a monomorphic column, whose
 // r² is the +0 of a zero denominator; N = 65 535 with counts at N (the
-// widest that narrows) and N = 65 536 (the first kept at 32 bits); and a
-// run whose diagonal cell, r² = 1, must not enter its tile's maximum.
+// widest that narrows) and N = 65 536 (the first kept at 32 bits); a run
+// whose diagonal cell, r² = 1, must not enter its tile's maximum; and the
+// kernel's divide skip at its edges: an r² equal to the running maximum and
+// one ulp above it, r² just inside and just outside the skip's margin,
+// lanes with den ≤ 0 or a NaN frequency after a positive maximum, and a
+// subnormal maximum, under which nothing is skipped.
 func TestCountsRowEdges(t *testing.T) {
 	row := func(samples, tile, gi, j, n int) countsRowCase {
 		rc := countsRowCase{samples: samples, tile: tile, gi: gi, j: j, cnt: make([]uint32, n), p: make([]float64, j+n)}
@@ -205,6 +252,50 @@ func TestCountsRowEdges(t *testing.T) {
 	if _, maxes := diag.run(); maxes[0] != 0 || maxes[1] != 0 {
 		t.Fatalf("diagonal run: tile maxima %v, want [0 0]: the diagonal's r² = 1 entered one", maxes)
 	}
+
+	// The kernel's divide skip against the tile's running maximum. Row 0
+	// against 24 cells, three groups of eight, at p = ½ and N = 1024: count
+	// 256 is independent (r² = +0), count 300 has r² = v. Each case starts
+	// the maximum somewhere against v and names the maximum it must end at.
+	skipRow := func(start float64, hot ...int) countsRowCase {
+		rc := countsRowCase{samples: 1024, tile: 32, gi: 0, j: 1, cnt: make([]uint32, 24), p: make([]float64, 25), start: []float64{start}}
+		for i := range rc.p {
+			rc.p[i] = 0.5
+		}
+		for c := range rc.cnt {
+			rc.cnt[c] = 256
+		}
+		for _, c := range hot {
+			rc.cnt[c] = 300
+		}
+		return rc
+	}
+	_, m := skipRow(math.Inf(-1), 10).reference()
+	v := m[0]
+	denZero := skipRow(v/2, 10)
+	denZero.p[1+3], denZero.p[1+5], denZero.p[1+17], denZero.p[1+20] = 0, math.NaN(), 1, math.NaN()
+	denAtMax := skipRow(v)
+	denAtMax.p[1+3], denAtMax.p[1+5], denAtMax.p[1+17], denAtMax.p[1+20] = 0, math.NaN(), 1, math.NaN()
+	const subnormal = 3 * 0x1p-1074
+	for _, c := range []struct {
+		what string
+		rc   countsRowCase
+		want float64
+	}{
+		{"r² equal to the maximum", skipRow(v, 10), v},
+		{"r² one ulp above the maximum", skipRow(math.Nextafter(v, 0), 10), v},
+		{"r² just inside the 1−2⁻⁴⁰ margin", skipRow(v*(1+0x1p-41), 10), v * (1 + 0x1p-41)},
+		{"r² just outside the 1−2⁻⁴⁰ margin", skipRow(v*(1+0x1p-39), 10), v * (1 + 0x1p-39)},
+		{"den ≤ 0 and NaN frequencies after a positive maximum", denZero, v},
+		{"den ≤ 0 and NaN frequencies beside skippable lanes", denAtMax, v},
+		{"a subnormal maximum", skipRow(subnormal), subnormal},
+		{"a subnormal maximum raised", skipRow(subnormal, 20), v},
+	} {
+		checkCountsRow(t, c.what, c.rc)
+		if _, got := c.rc.run(); math.Float64bits(got[0]) != math.Float64bits(c.want) {
+			t.Fatalf("%s: maximum %v, want %v", c.what, got[0], c.want)
+		}
+	}
 }
 
 // countCollector is a CountSink that checks every stripe it is handed
@@ -247,13 +338,7 @@ func (c *countCollector) CountDone(s *CountStripe) {
 		gi := s.I0 + r
 		for col := r; col < s.Width; col++ {
 			gj := s.I0 + col
-			var got uint32
-			if s.C32 != nil && len(s.C32) > 0 {
-				got = s.C32[r*s.Width+col]
-			} else {
-				got = uint32(s.C16[r*s.Width+col])
-			}
-			if w := c.res.Counts[gi*n+gj]; got != w {
+			if got, w := countAt(s, r, col), c.res.Counts[gi*n+gj]; got != w {
 				c.t.Errorf("count (%d,%d) = %d, want %d", gi, gj, got, w)
 				return
 			}

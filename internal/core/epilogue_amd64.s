@@ -221,14 +221,32 @@ skipped:
 // narrowed to uint16 by VPMOVDW, which keeps the low half of each lane as
 // Go's conversion does, and folds the exact r² of every cell into a
 // running maximum, rowR2ExactAVX512's lanes with the divide's +0 where
-// den ≤ 0. VMAXPD returns its second source when the first is NaN or both
-// are zeros, so `VMAXPD Z27, Z0, Z27` is, lane by lane, Go's
-// `if v > m { m = v }`. The eight lane maxima are folded the same way at
-// the end; an r² is never −0, so the order they fold in cannot change the
-// bits.
+// den ≤ 0. Each lane's maximum starts at m. VMAXPD returns its second
+// source when the first is NaN or both are zeros, so `VMAXPD Z27, Z0, Z27`
+// is, lane by lane, Go's `if v > m { m = v }`. The eight lane maxima are
+// folded the same way at the end; each is m or an r² above it, an r² is
+// never −0, and a NaN never enters one, so the order they fold in cannot
+// change the bits.
+//
+// A group is skipped, stored but undivided, when num < skip·den in all of
+// its lanes (NLT_UQ as in keepR2ExactAVX512: a NaN lane is never skipped),
+// skip being skipBound of that lane's running maximum (Z26). By the
+// rounding argument of skipBound, every skipped cell's r² lies below that
+// lane's maximum and cannot raise it. A lane whose maximum is negative,
+// ±0, subnormal, infinite or NaN has skip = 0 and skips nothing.
 
-// func countsR2Max16AVX512(dst *uint16, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va float64) float64
-TEXT ·countsR2Max16AVX512(SB), NOSPLIT, $0-72
+// SKIP_BOUND sets Z26 to skipBound of each lane maximum in Z27:
+// Z27·(1−2⁻⁴⁰) where 2⁻¹⁰²² ≤ Z27 ≤ MaxFloat64 (GE_OQ and LE_OQ are false
+// on NaN, as Go's >= and <= are), else 0. Z25 = 1−2⁻⁴⁰, Z24 = 2⁻¹⁰²²,
+// Z23 = MaxFloat64.
+#define SKIP_BOUND \
+	VCMPPD   $0x1D, Z24, Z27, K2 \
+	VCMPPD   $0x12, Z23, Z27, K3 \
+	KANDW    K3, K2, K2          \
+	VMULPD.Z Z25, Z27, K2, Z26
+
+// func countsR2Max16AVX512(dst *uint16, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va, m float64) float64
+TEXT ·countsR2Max16AVX512(SB), NOSPLIT, $0-80
 	MOVQ         dst+0(FP), DI
 	MOVQ         cnt+8(FP), SI
 	MOVQ         colFreq+16(FP), DX
@@ -237,9 +255,15 @@ TEXT ·countsR2Max16AVX512(SB), NOSPLIT, $0-72
 	VBROADCASTSD inv+40(FP), Z30
 	VBROADCASTSD pa+48(FP), Z31
 	VBROADCASTSD va+56(FP), Z29
+	VBROADCASTSD m+64(FP), Z27
 	VPXORQ       Z28, Z28, Z28
-	MOVQ         $0xfff0000000000000, R9 // −Inf
-	VPBROADCASTQ R9, Z27
+	MOVQ         $0x3fefffffffffe000, R9 // 1−2⁻⁴⁰
+	VPBROADCASTQ R9, Z25
+	MOVQ         $0x0010000000000000, R9 // 2⁻¹⁰²²
+	VPBROADCASTQ R9, Z24
+	MOVQ         $0x7fefffffffffffff, R9 // MaxFloat64
+	VPBROADCASTQ R9, Z23
+	SKIP_BOUND
 	SHRQ         $3, CX
 
 counts16:
@@ -248,15 +272,22 @@ counts16:
 	D_LANES
 	VMULPD   Z0, Z0, Z0
 	VMULPD   (BX), Z29, Z2
+	VMULPD   Z2, Z26, Z3
+	VCMPPD   $0x15, Z3, Z0, K2
+	KORTESTW K2, K2
+	JZ       counted16
 	VCMPPD   $0x1E, Z28, Z2, K1
 	VDIVPD.Z Z2, Z0, K1, Z0
 	VMAXPD   Z27, Z0, Z27
-	ADDQ     $32, SI
-	ADDQ     $64, DX
-	ADDQ     $64, BX
-	ADDQ     $16, DI
-	DECQ     CX
-	JNZ      counts16
+	SKIP_BOUND
+
+counted16:
+	ADDQ $32, SI
+	ADDQ $64, DX
+	ADDQ $64, BX
+	ADDQ $16, DI
+	DECQ CX
+	JNZ  counts16
 
 	VEXTRACTF64X4 $1, Z27, Y1
 	VMOVAPD       Z27, Z0
@@ -266,5 +297,5 @@ counts16:
 	VPERMILPD     $1, X0, X1
 	VMAXPD        X0, X1, X0
 	VZEROUPPER
-	MOVSD         X0, ret+64(FP)
+	MOVSD         X0, ret+72(FP)
 	RET

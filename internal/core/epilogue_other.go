@@ -2,8 +2,6 @@
 
 package core
 
-import "math"
-
 // Non-amd64 builds have no row kernels and no fused keep or counts kernel:
 // each converts nothing and the Go loops do the whole row.
 
@@ -27,6 +25,6 @@ func keepR2Exact(cols []int32, vals []float64, cnt []uint32, colFreq, colTab []f
 	return 0, 0
 }
 
-func countsVector16(dst []uint16, cnt []uint32, colFreq, colVar []float64, inv, pa, va float64) (int, float64) {
-	return 0, math.Inf(-1)
+func countsVector16(dst []uint16, cnt []uint32, colFreq, colVar []float64, inv, pa, va, m float64) (int, float64) {
+	return 0, m
 }

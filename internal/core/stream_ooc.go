@@ -18,8 +18,10 @@ import (
 // behind MemSource).
 // The stripe × column-panel triangle is walked with a dedicated prefetcher
 // goroutine reading — or, for mmap'd sources, MADV_WILLNEED-ing — the
-// panels ahead of the stripe workers, so disk I/O for panel k+1 overlaps
-// the GEMM + fused epilogue on panel k. A resident source is fetched one
+// schedule's panels in order and routing each to its stripe's worker, up to
+// readAheadBytes ahead of every worker: disk I/O overlaps the GEMM + fused
+// epilogue, and a worker's next stripe is read while the stripes before it
+// still compute, so every stripe in flight is fed. A resident source is fetched one
 // panel wide (see StreamOptions.IOPanelSNPs). Per-row values do not depend
 // on the source or its panel width: counts are full-K dot products
 // independent of column paneling, and the fused epilogue's expression
@@ -27,8 +29,8 @@ import (
 //
 // Memory is bounded by the stripe (StripeRows × n float64 values, or per
 // stripe in flight a kept stripe's survivors or a counts stripe's narrowed
-// counts), the panel pools (W+1 A-stripes
-// and 2W B-panels of packed words for W stripes in flight in windowed mode;
+// counts), the panel buffers (for W stripes in flight in windowed mode,
+// W × (readAheadBytes + two panels) of packed words, four panels for one;
 // zero-copy views in mmap mode), and the O(n) frequency vector — never by
 // the n² output or the full bit matrix.
 
@@ -36,8 +38,7 @@ import (
 // for each row block, then every B column panel it multiplies against.
 type oocReq struct {
 	lo, hi int
-	a      bool // A-stripe (row block) vs B column panel
-	stripe int  // index of the stripe it belongs to
+	stripe int // index of the stripe it belongs to
 }
 
 // oocPanel is a fetched panel handed from the prefetcher to a stripe
@@ -150,6 +151,7 @@ type scan struct {
 	alleles            []uint32 // counts scans only
 	p                  []float64
 	schedule           []oocReq
+	stripePanels       int // the most panels one stripe of the schedule fetches
 }
 
 // newScan resolves a scan of src; alleles keeps every SNP's allele count
@@ -199,11 +201,13 @@ func newScan(src bitmat.Source, opt StreamOptions, alleles bool) (*scan, error) 
 	// band, whatever width this source is fetched at.
 	for s := range sc.stripes {
 		i0, rows := sc.rows(s)
-		sc.schedule = append(sc.schedule, oocReq{i0, i0 + rows, true, s})
+		first := len(sc.schedule)
+		sc.schedule = append(sc.schedule, oocReq{i0, i0 + rows, s})
 		bLo, bHi := sc.span(i0, rows)
 		for c := bLo; c < bHi; c += sc.panel {
-			sc.schedule = append(sc.schedule, oocReq{c, min(c+sc.panel, bHi), false, s})
+			sc.schedule = append(sc.schedule, oocReq{c, min(c+sc.panel, bHi), s})
 		}
+		sc.stripePanels = max(sc.stripePanels, len(sc.schedule)-first)
 		if n > bHi {
 			// The unbanded walk's panels of [bLo, n) less those of [bLo, bHi).
 			w := opt.ioPanel()
@@ -267,17 +271,24 @@ type stripeOut interface {
 	release()
 }
 
+// readAheadBytes is how far the prefetcher reads ahead of each of several
+// stripe workers, in bytes of the scan's largest panel: a worker's queue
+// holds that many panels, never fewer than two (and never more than one
+// stripe has). A ledger-shape stripe's whole B span fits, so a worker
+// starts its next stripe as soon as it finishes one.
+const readAheadBytes = 4 << 20
+
 // stripeRun is one run of a scan: the stripe workers, the panel buffers
 // and channels between them and the prefetcher, and the stop signal.
 type stripeRun struct {
 	*scan
 	workers int
 	cfg     blis.Config // the driver calls' configuration
-	// freeA and freeB hold the panel buffers not in use, the A stripes'
-	// and the B panels'; fetched[w] carries worker w's panels in schedule
-	// order, two ahead of it.
-	freeA, freeB chan *bitmat.Matrix
-	fetched      []chan oocPanel
+	// fetched[w] carries worker w's panels in schedule order, up to its
+	// capacity ahead of it; free holds the panel buffers not in use, enough
+	// for every worker's queue and the two panels it multiplies.
+	free    chan *bitmat.Matrix
+	fetched []chan oocPanel
 	// turns[w] holds the one delivery token while it is worker w's turn.
 	turns []chan struct{}
 	stop  chan struct{} // closed by the first failure
@@ -314,16 +325,21 @@ func (sc *scan) run(workers int, out func() stripeOut) error {
 		})
 	}
 
-	// Panel buffers: one A stripe per worker and one ahead, two B panels per
-	// worker; one worker gets the two of each the scan has always had.
-	r.freeA, r.freeB = make(chan *bitmat.Matrix, r.workers+1), make(chan *bitmat.Matrix, 2*r.workers)
-	var bufs []*bitmat.Matrix
-	for _, pool := range []chan *bitmat.Matrix{r.freeA, r.freeB} {
-		for range cap(pool) {
-			m := panelPool.Get().(*bitmat.Matrix)
-			bufs = append(bufs, m)
-			pool <- m
-		}
+	// Each worker's queue: with several, readAheadBytes of the largest
+	// panel, at least two, and no more than a whole stripe's — so the
+	// prefetcher reads past one worker's stripe to the next worker's at
+	// once. A single worker has no other stripe to be fed, and two panels
+	// hide a read.
+	depth := 2
+	if r.workers > 1 {
+		panelBytes := max(sc.stripe, sc.panel) * bitmat.WordsFor(sc.samples) * 8
+		depth = max(2, min(readAheadBytes/max(panelBytes, 1), sc.stripePanels))
+	}
+	r.free = make(chan *bitmat.Matrix, r.workers*(depth+2))
+	bufs := make([]*bitmat.Matrix, cap(r.free))
+	for i := range bufs {
+		bufs[i] = panelPool.Get().(*bitmat.Matrix)
+		r.free <- bufs[i]
 	}
 	defer func() {
 		for _, m := range bufs {
@@ -332,7 +348,7 @@ func (sc *scan) run(workers int, out func() stripeOut) error {
 	}()
 	r.fetched, r.turns = make([]chan oocPanel, r.workers), make([]chan struct{}, r.workers)
 	for w := range r.workers {
-		r.fetched[w] = make(chan oocPanel, 2)
+		r.fetched[w] = make(chan oocPanel, depth)
 		r.turns[w] = make(chan struct{}, 1)
 	}
 	r.turns[0] <- struct{}{}
@@ -370,13 +386,9 @@ func (sc *scan) run(workers int, out func() stripeOut) error {
 func (r *stripeRun) prefetch() {
 	words := bitmat.WordsFor(r.samples)
 	for _, req := range r.schedule {
-		pool := r.freeB
-		if req.a {
-			pool = r.freeA
-		}
 		var buf *bitmat.Matrix
 		select {
-		case buf = <-pool:
+		case buf = <-r.free:
 		case <-r.stop:
 			return
 		}
@@ -448,7 +460,7 @@ func (r *stripeRun) stripeOf(s int, o stripeOut, in <-chan oocPanel) error {
 	if err != nil {
 		return err
 	}
-	defer func() { r.freeA <- a.buf }()
+	defer func() { r.free <- a.buf }()
 	bLo, bHi := r.span(i0, rows)
 	o.open(i0, rows, bHi-r.base(i0))
 	if r.opt.Triangular {
@@ -462,7 +474,7 @@ func (r *stripeRun) stripeOf(s int, o stripeOut, in <-chan oocPanel) error {
 			return err
 		}
 		err = blis.GemmEpilogue(r.cfg, a.m, b.m, o.epilogue(c))
-		r.freeB <- b.buf
+		r.free <- b.buf
 		if err != nil {
 			return err
 		}

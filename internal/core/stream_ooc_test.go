@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -218,3 +219,104 @@ func TestStreamSourceJoinsPrefetcher(t *testing.T) {
 		t.Fatalf("%d Panel calls started after StreamSource returned", later-calls)
 	}
 }
+
+// recordingSource records every Panel call's SNPs and the panel bytes held
+// in the scan's buffers: a buffer holds the panel it was last filled with
+// until it is filled again, which counts a buffer back in the free pool as
+// still held, so held bytes bound what the scan has fetched and not yet
+// given back. Calls before skip (the frequency pass, into a buffer of its
+// own) are recorded but hold nothing.
+type recordingSource struct {
+	bitmat.Source
+	skip      int
+	mu        sync.Mutex
+	reads     [][2]int
+	held      map[*bitmat.Matrix]int
+	heldBytes int
+	peak      int
+}
+
+func (s *recordingSource) Panel(lo, hi int, buf *bitmat.Matrix) (*bitmat.Matrix, error) {
+	s.mu.Lock()
+	s.reads = append(s.reads, [2]int{lo, hi})
+	if len(s.reads) > s.skip {
+		b := (hi - lo) * bitmat.WordsFor(s.NumSamples()) * 8
+		s.heldBytes += b - s.held[buf]
+		s.held[buf] = b
+		s.peak = max(s.peak, s.heldBytes)
+	}
+	s.mu.Unlock()
+	return s.Source.Panel(lo, hi, buf)
+}
+
+// TestScanReadOrderAndBound: the counts, kept and float scans read their
+// panels in the schedule's order — the frequency pass, then per stripe its
+// A panel and its B panels left to right — at 1, 2 and 4 threads, whatever
+// GOMAXPROCS is, which is what a build killed after a given number of reads
+// relies on; and the panel bytes they hold never pass the read-ahead bound:
+// per stripe worker readAheadBytes, or two panels if more, plus the A
+// stripe and the B panel it multiplies. The panels here are 1 MiB, so four
+// fill a worker's read-ahead and a stripe has nine.
+func TestScanReadOrderAndBound(t *testing.T) {
+	const n, samples, stripe, panel = 64, 1 << 20, 4, 8
+	g := bitmat.New(n, samples)
+	rng := rand.New(rand.NewSource(5))
+	for i := range g.Data {
+		g.Data[i] = rng.Uint64()
+	}
+	var want [][2]int
+	for lo := 0; lo < n; lo += panel {
+		want = append(want, [2]int{lo, min(lo+panel, n)})
+	}
+	freqReads := len(want)
+	for i0 := 0; i0 < n; i0 += stripe {
+		want = append(want, [2]int{i0, i0 + stripe})
+		for c := i0 + stripe; c < n; c += panel {
+			want = append(want, [2]int{c, min(c+panel, n)})
+		}
+	}
+	panelBytes := panel * bitmat.WordsFor(samples) * 8
+	scans := map[string]func(bitmat.Source, StreamOptions) error{
+		"counts": func(src bitmat.Source, opt StreamOptions) error {
+			return StreamSourceCounts(src, opt, &countSkipper{})
+		},
+		"kept": func(src bitmat.Source, opt StreamOptions) error {
+			return StreamSourceKept(src, opt, &keptCollector{t: t, tau: 0.5})
+		},
+		"float": func(src bitmat.Source, opt StreamOptions) error {
+			return StreamSource(src, opt, func(int, int, []float64) {})
+		},
+	}
+	for name, scan := range scans {
+		for _, threads := range []int{1, 2, 4} {
+			src := &recordingSource{Source: bitmat.NewMemSource(g), skip: freqReads, held: map[*bitmat.Matrix]int{}}
+			opt := StreamOptions{Triangular: true, Exact: true, StripeRows: stripe, IOPanelSNPs: panel}
+			opt.Blis.Threads = threads
+			if err := scan(src, opt); err != nil {
+				t.Fatalf("%s threads=%d: %v", name, threads, err)
+			}
+			if len(src.reads) != len(want) {
+				t.Fatalf("%s threads=%d: %d panel reads, want %d", name, threads, len(src.reads), len(want))
+			}
+			for k := range want {
+				if src.reads[k] != want[k] {
+					t.Fatalf("%s threads=%d: read %d is SNPs %v, want %v", name, threads, k, src.reads[k], want[k])
+				}
+			}
+			workers := threads
+			if name == "float" {
+				workers = 1 // a float stripe is as wide as its rows: one in flight
+			}
+			if bound := workers * (max(readAheadBytes, 2*panelBytes) + 2*panelBytes); src.peak > bound {
+				t.Fatalf("%s threads=%d: %d panel bytes held, bound %d", name, threads, src.peak, bound)
+			}
+		}
+	}
+}
+
+// countSkipper is a CountSink that takes every stripe and checks nothing.
+type countSkipper struct{ buf CountStripe }
+
+func (c *countSkipper) Alleles([]uint32)          {}
+func (c *countSkipper) CountBuffer() *CountStripe { return &c.buf }
+func (c *countSkipper) CountDone(*CountStripe)    {}

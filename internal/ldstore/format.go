@@ -152,7 +152,8 @@ func (codec) Decode(h *tilefile.Header, t tilefile.Tile, _ tilefile.Entry, paylo
 	return counts, nil
 }
 
-// encoder is the LDTS write side, with the scratch it reuses across tiles.
+// encoder is the LDTS write side, with the scratch a big-endian host
+// reuses across tiles.
 type encoder struct {
 	width   int // count bytes
 	alleles []uint32
@@ -163,54 +164,54 @@ type encoder struct {
 func (enc *encoder) Alleles(a []uint32) { enc.alleles = a }
 
 // EncodeTile serializes tile t from the stripe's counts, and returns the
-// tile's maximum r² the scan folded as its auxiliary word. For the
-// diagonal tile it first mirrors the upper triangle into the stripe's
-// lower one (both halves live in the same tile row; H is symmetric), so
-// the stored square is complete.
+// tile's maximum r² the scan folded as its auxiliary word. The stripe holds
+// each tile as its payload's rows (core.CountStripe.Tile), so on a
+// little-endian host the payload is the tile's own bytes. For the diagonal
+// tile it first mirrors the upper triangle into the lower one (H is
+// symmetric), so the stored square is complete.
 func (enc *encoder) EncodeTile(s *tilefile.Stripe, t tilefile.Tile) ([]byte, uint64, error) {
 	c := &s.Counts
-	need := t.Rows * t.Cols * enc.width
-	if cap(enc.raw) < need {
-		enc.raw = make([]byte, need)
-	}
-	enc.raw = enc.raw[:need]
+	k := t.TJ - t.TI
+	off, _ := c.Tile(k)
+	var payload []byte
 	if enc.width == 2 {
-		tileBytes(enc.raw, c.C16, c.Width, t.Col0-c.I0, t)
+		payload = tileBytes(&enc.raw, c.C16[off:][:t.Rows*t.Cols], t)
 	} else {
-		tileBytes(enc.raw, c.C32, c.Width, t.Col0-c.I0, t)
+		payload = tileBytes(&enc.raw, c.C32[off:][:t.Rows*t.Cols], t)
 	}
-	return enc.raw, math.Float64bits(c.TileMax[t.TJ-t.TI]), nil
+	return payload, math.Float64bits(c.TileMax[k]), nil
 }
 
-// tileBytes writes tile t — rows 0… of a stripe of row stride width, from
-// stripe column col — to dst as little-endian counts.
-func tileBytes[T uint16 | uint32](dst []byte, stripe []T, width, col int, t tilefile.Tile) {
+// tileBytes returns tile t's counts, rows × cols of them row after row, as
+// little-endian bytes: the tile's own memory on a little-endian host, else
+// written into raw.
+func tileBytes[T uint16 | uint32](raw *[]byte, tile []T, t tilefile.Tile) []byte {
 	if t.Diagonal() {
 		for r := 1; r < t.Rows; r++ {
 			for c := 0; c < r; c++ {
-				stripe[r*width+c] = stripe[c*width+r]
+				tile[r*t.Cols+c] = tile[c*t.Cols+r]
 			}
 		}
 	}
 	size := int(unsafe.Sizeof(T(0)))
-	for r := 0; r < t.Rows; r++ {
-		row := stripe[r*width+col:][:t.Cols]
-		out := dst[r*t.Cols*size:][:t.Cols*size]
-		if hostLittleEndian {
-			copy(out, unsafe.Slice((*byte)(unsafe.Pointer(&row[0])), len(out)))
-			continue
-		}
-		for c, v := range row {
-			for b := range size {
-				out[c*size+b] = byte(v >> (8 * b))
-			}
+	if hostLittleEndian {
+		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(tile))), len(tile)*size)
+	}
+	if cap(*raw) < len(tile)*size {
+		*raw = make([]byte, len(tile)*size)
+	}
+	out := (*raw)[:len(tile)*size]
+	for c, v := range tile {
+		for b := range size {
+			out[c*size+b] = byte(v >> (8 * b))
 		}
 	}
+	return out
 }
 
 // hostLittleEndian: a count in memory is already its LDTS bytes, so the
-// encoder moves whole tile rows with copy; a big-endian host writes them
-// byte by byte.
+// encoder hands over a tile's memory as its payload; a big-endian host
+// writes it byte by byte.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // FinishHeader writes the allele-count table and its checksum.

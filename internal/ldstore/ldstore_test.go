@@ -500,3 +500,31 @@ func TestStoreConcurrentReads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEncodeByteOrder: the encoder's byte-by-byte path, which a big-endian
+// host takes because a count in its memory is not its LDTS bytes, writes
+// the same file as the little-endian path that hands over each tile's own
+// memory — at both count widths, and with tiles that do not divide the SNP
+// count.
+func TestEncodeByteOrder(t *testing.T) {
+	restore := hostLittleEndian
+	defer func() { hostLittleEndian = restore }()
+	for _, g := range []*bitmat.Matrix{testMatrix(t, 75, 96, 5), testMatrix(t, 37, 65536, 5)} {
+		var files [2][]byte
+		for k, little := range []bool{true, false} {
+			hostLittleEndian = little
+			path := filepath.Join(t.TempDir(), "order.ldts")
+			if _, err := BuildFile(path, g, BuildOptions{TileSize: 16}); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[k] = b
+		}
+		if !bytes.Equal(files[0], files[1]) {
+			t.Fatalf("N=%d: the byte-by-byte encoder wrote a different store", g.Samples)
+		}
+	}
+}

@@ -37,9 +37,9 @@ type Stripe struct {
 type Encoder interface {
 	// EncodeTile serializes tile t of stripe s and returns its payload
 	// and index auxiliary word. The payload lives in scratch the encoder
-	// reuses; the driver consumes it before the next call. A diagonal
-	// tile is always the first tile encoded from its stripe, and the
-	// encoder may complete the stripe in place for it.
+	// reuses, or in the stripe itself; the driver consumes it before the
+	// next call. A diagonal tile is always the first tile encoded from its
+	// stripe, and the encoder may complete the stripe in place for it.
 	EncodeTile(s *Stripe, t Tile) (payload []byte, aux uint64, err error)
 	// FinishHeader patches the header extension and per-SNP table once
 	// every tile is indexed, for formats whose header carries a

@@ -777,7 +777,9 @@ func TestKeptBuildMemoryAtZeroThreshold(t *testing.T) {
 // commits/op how many manifests the paced committer wrote against the
 // stripes/op (0 for a build shorter than the commit interval: the seal
 // makes every stripe durable), scan-wait-ms/op the back-pressure the
-// output side put on the scan.
+// output side put on the scan, and stall-ms/op the time the stripe workers
+// waited on the prefetcher (the build's delta of
+// blis.ReadStats().PrefetchStallNanos).
 func BenchmarkBuildFile(b *testing.B) {
 	const snps, samples, nt, band = 2048, 1024, 128, 256
 	g := testMatrix(b, snps, samples, 17)
@@ -796,12 +798,15 @@ func BenchmarkBuildFile(b *testing.B) {
 				path := filepath.Join(b.TempDir(), "bench.store")
 				var st tilefile.BuildStats
 				var commits, waited int64
+				var stalled uint64
 				b.ReportAllocs()
 				for b.Loop() {
+					before := blis.ReadStats().PrefetchStallNanos
 					var err error
 					if st, err = c.tier.build(path, src, sh, srcOpts{ioPanel: 256, checkpoint: ckpt}); err != nil {
 						b.Fatal(err)
 					}
+					stalled += blis.ReadStats().PrefetchStallNanos - before
 					commits += int64(st.Commits)
 					waited += st.ScanWaitNanos
 				}
@@ -811,6 +816,7 @@ func BenchmarkBuildFile(b *testing.B) {
 				b.ReportMetric(float64(commits)/n, "commits/op")
 				b.ReportMetric(float64(snps/nt), "stripes/op")
 				b.ReportMetric(float64(waited)/n/1e6, "scan-wait-ms/op")
+				b.ReportMetric(float64(stalled)/n/1e6, "stall-ms/op")
 			})
 		}
 	}
