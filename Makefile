@@ -46,8 +46,8 @@ build-arm64:
 # strips in TestEpilogueContractFourWorkers — the pack kernels it calls from
 # many goroutines, the tile container whose LRU every store query shares and
 # whose build is a three-stage pipeline, three stripe buffers handed from the
-# scan to the writer and back, tested under injected faults — a sparse build
-# with four kept stripes in flight and a dense one with four counts stripes,
+# scan to the writer and back, tested under injected faults — a pruned build
+# with four kept stripes in flight and a complete one with four counts stripes,
 # each stopped by a writer fault and by a cancel with no panel read left
 # running (TestKeptBuildStopsAtFourThreads, TestCountBuildStopsAtFourThreads)
 # — the HTTP server that shares the
@@ -57,7 +57,8 @@ build-arm64:
 # scatter-gather cluster coordinator, the ldserver lifecycle, and ldstore's
 # per-chromosome builds — TestBuildSplitChromParallel runs up to three
 # store builds at once over the shared arena pool and the process-wide
-# counters). The
+# counters), and the one LD store package, complete and pruned stores alike
+# (ldsparse's tests reach the pruned store through its aliases). The
 # server and cluster tests run with poisoned releases here
 # (bufpool.PoisonForTest in their TestMain): a recycled reply, result
 # float, request vector, tile payload or strip body is overwritten when it
@@ -83,7 +84,7 @@ verify-cluster:
 
 # Short fuzz smoke. The tile container: one open target and one
 # checkpoint-manifest target, each run against every codec (dense counts at
-# both widths, sparse, banded sparse); hostile and truncated files must
+# both widths, pruned, banded pruned); hostile and truncated files must
 # error, never panic or over-allocate. The float wire: the node's encoder
 # against encoding/json on any float64 bits — in rows, in vectors, and in
 # square replies whose lower half may be copied from the upper — and the
@@ -95,7 +96,7 @@ verify-cluster:
 # fused epilogue's AVX-512 row kernels against their Go loops, bit for bit, on
 # any counts, frequencies and row length (CI runs this too), and the kept
 # epilogue's fused r² keep kernel against converting with scalarR2Exact, then
-# keeping: the same kept columns and value bits on any counts, frequencies,
+# keeping: the same kept columns and counts on any counts, frequencies,
 # threshold and row length; and the counts epilogue's fused narrow-and-max
 # kernel against its Go loop: the same narrowed counts and the same bits for
 # every tile's maximum on any counts ≤ N, frequencies, N ≤ 65 535, row
@@ -208,7 +209,7 @@ bench-kernel:
 # which must read alike, and one call of each of its row conversions (D, fast and
 # exact r², Go loop and AVX-512 row kernel, 512 and 3840 cells, ns/cell on
 # L2-resident operands). Then the sparse
-# operator path: one matvec over the ledger's 4096-SNP banded store,
+# operator path: one matvec over the ledger's 4096-SNP banded pruned store,
 # resident and laid out per call (entries/s, allocs/op), its 4096-float
 # request body through the vector scanner (MB/s, ns/float), and the number
 # reader beside scanNumber + strconv.ParseFloat on r²-shaped, matvec-shaped,
@@ -217,8 +218,8 @@ bench-kernel:
 # 8/32/256, Gtriples/s and ns/tile; then the tile's row entry at kc 8/256,
 # 1/16/256 tiles per call, storing and adding — the per-call floor and
 # what one call per row of tiles leaves of it — and at kc 8/32 with and
-# without a destination hint). Last, one store build per codec (dense, banded
-# sparse) × checkpoint on/off through the three-stage build pipeline from a
+# without a destination hint). Last, one store build per kind (complete,
+# banded pruned) × checkpoint on/off through the three-stage build pipeline from a
 # windowed .ldbm: pairs/s, MB/s written, commits per build against its 16
 # stripes, scan wait, the stripe workers' prefetcher stall, B/op.
 .PHONY: bench-smoke
@@ -227,7 +228,7 @@ bench-smoke:
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
 	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamSource' -benchtime 1x
 	go test ./internal/core -run '^$$' -bench BenchmarkEpilogueRow -benchtime 1x
-	go test ./internal/ldsparse -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
+	go test ./internal/ldstore -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
 	go test ./internal/server -run '^$$' -bench 'BenchmarkParseVector|BenchmarkReadNumber' -benchtime 1x -benchmem
 	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x
 	go test ./internal/tilefile -run '^$$' -bench BenchmarkBuildFile -benchtime 1x -benchmem

@@ -15,9 +15,11 @@
 // tiles of joint counts, converted to whichever measure a request asks
 // for, through an LRU cache instead of running the kernels per request;
 // a store built from a different dataset is rejected at startup by its
-// fingerprint. With -sparse-store pointing at an `ldstore build -sparse`
-// output (LDSS), the POST /api/sparse/matvec and /api/sparse/score
-// operator endpoints come up too, under the same fingerprint check.
+// fingerprint. With -sparse-store pointing at a pruned store (`ldstore
+// build` with -threshold or -band, LDSS), the POST /api/sparse/matvec and
+// /api/sparse/score operator endpoints come up too, under the same
+// fingerprint check. Each flag takes only its own kind of store; both
+// stores' tile caches are -store-cache tiles.
 //
 // Endpoints (GET unless noted, JSON):
 //
@@ -75,7 +77,6 @@ import (
 	"time"
 
 	"ldgemm/internal/cluster"
-	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
 	"ldgemm/internal/seqio"
 	"ldgemm/internal/server"
@@ -99,9 +100,34 @@ type app struct {
 	srv    *http.Server
 	admin  *http.Server         // nil unless -admin was given
 	store  *ldstore.Store       // nil unless -store was given; closed after drain
-	sparse *ldsparse.Store      // nil unless -sparse-store was given; closed after drain
+	sparse *ldstore.Store       // nil unless -sparse-store was given; closed after drain
 	coord  *cluster.Coordinator // nil unless -coordinator was given
 	grace  time.Duration
+}
+
+// openStore opens the store at path for -store (complete) or
+// -sparse-store (pruned). A store of the other kind, or built for a
+// different dataset, is refused: a stale store silently serving wrong
+// statistics would be worse than no store, so startup fails rather than
+// quietly falling back.
+func openStore(what, path string, pruned bool, cache int, fp uint64) (*ldstore.Store, error) {
+	s, err := ldstore.Open(path, ldstore.Options{CacheTiles: cache})
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case s.Pruned() != pruned && pruned:
+		err = fmt.Errorf("%s %s is a complete store; -sparse-store takes a pruned one (ldstore build -threshold or -band)", what, path)
+	case s.Pruned() != pruned:
+		err = fmt.Errorf("%s %s is a pruned store; pass it as -sparse-store", what, path)
+	case s.Fingerprint() != fp:
+		err = fmt.Errorf("%s %s was built for a different dataset (fingerprint %016x, dataset %016x)", what, path, s.Fingerprint(), fp)
+	}
+	if err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // setup parses flags, loads the dataset, and returns the ready app;
@@ -123,11 +149,10 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain window after SIGINT/SIGTERM")
 	accessLog := fs.Bool("access-log", true, "emit one structured (JSON) log line per request")
 	storePath := fs.String("store", "",
-		"precomputed tile store (ldstore build output) backing the LD endpoints (empty = compute on the fly)")
-	storeCache := fs.Int("store-cache", 0, "tile-store LRU capacity in tiles (0 = default)")
+		"complete store (ldstore build output) backing the LD endpoints (empty = compute on the fly)")
+	storeCache := fs.Int("store-cache", 0, "tile LRU capacity of each store in tiles (0 = default); a pruned store's serves pair lookups, and the operators only of a store too large to keep resident")
 	sparsePath := fs.String("sparse-store", "",
-		"threshold-pruned sparse store (ldstore build -sparse output) backing the /api/sparse operator endpoints")
-	sparseCache := fs.Int("sparse-cache", 0, "sparse-store tile LRU capacity (0 = default); it serves pair lookups, and the operators only of a store too large to keep resident")
+		"pruned store (ldstore build -threshold/-band output) backing the /api/sparse operator endpoints")
 	shardRange := fs.String("shard-range", "",
 		"owned SNP row range a:b when running as a cluster shard (empty = unsharded)")
 	coordinator := fs.String("coordinator", "",
@@ -202,41 +227,21 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	if *accessLog {
 		cfg.AccessLog = slog.New(slog.NewJSONHandler(stderr, nil))
 	}
-	var st *ldstore.Store
+	var st, sp *ldstore.Store
 	if *storePath != "" {
-		st, err = ldstore.Open(*storePath, ldstore.Options{CacheTiles: *storeCache})
-		if err != nil {
+		if st, err = openStore("store", *storePath, false, *storeCache, g.Fingerprint()); err != nil {
 			return nil, err
-		}
-		// A stale store silently serving wrong statistics would be worse
-		// than no store: refuse to start rather than quietly fall back.
-		if fp := g.Fingerprint(); st.Fingerprint() != fp {
-			st.Close()
-			return nil, fmt.Errorf("store %s was built for a different dataset (fingerprint %016x, dataset %016x)",
-				*storePath, st.Fingerprint(), fp)
 		}
 		cfg.Store = st
 		fmt.Fprintf(stderr, "ldserver: tile store %s: %d tiles of counts, %d×%d\n",
 			*storePath, st.Info().Tiles, st.SNPs(), st.Samples())
 	}
-	var sp *ldsparse.Store
 	if *sparsePath != "" {
-		sp, err = ldsparse.Open(*sparsePath, ldsparse.Options{CacheTiles: *sparseCache})
-		if err != nil {
+		if sp, err = openStore("sparse store", *sparsePath, true, *storeCache, g.Fingerprint()); err != nil {
 			if st != nil {
 				st.Close()
 			}
 			return nil, err
-		}
-		// Same contract as -store: a sparse store for the wrong dataset is
-		// refused loudly rather than silently dropped.
-		if fp := g.Fingerprint(); sp.Fingerprint() != fp {
-			sp.Close()
-			if st != nil {
-				st.Close()
-			}
-			return nil, fmt.Errorf("sparse store %s was built for a different dataset (fingerprint %016x, dataset %016x)",
-				*sparsePath, sp.Fingerprint(), fp)
 		}
 		cfg.Sparse = sp
 		info := sp.Info()

@@ -208,6 +208,50 @@ func TestSetupRejectsMismatchedStore(t *testing.T) {
 	}
 }
 
+// TestSetupRejectsWrongKind: -store takes only a complete store and
+// -sparse-store only a pruned one; either given the other kind refuses to
+// start, naming it. Both stores size their caches by -store-cache: there is
+// no -sparse-cache.
+func TestSetupRejectsWrongKind(t *testing.T) {
+	path := writeServerDataset(t, false)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := seqio.ReadBinary(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	complete := filepath.Join(t.TempDir(), "d.ldts")
+	pruned := filepath.Join(t.TempDir(), "d.ldss")
+	if _, err := ldstore.BuildFile(complete, g, ldstore.BuildOptions{TileSize: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ldstore.BuildFile(pruned, g, ldstore.BuildOptions{TileSize: 16, Threshold: 0.05}); err != nil {
+		t.Fatal(err)
+	}
+	var errBuf bytes.Buffer
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-store", pruned}, "is a pruned store"},
+		{[]string{"-sparse-store", complete}, "is a complete store"},
+		{[]string{"-sparse-store", pruned, "-sparse-cache", "8"}, "sparse-cache"},
+	} {
+		if _, err := setup(append([]string{"-in", path, "-access-log=false"}, c.args...), &errBuf); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%v: %v, want an error naming %q", c.args, err, c.want)
+		}
+	}
+	a, err := setup([]string{"-in", path, "-access-log=false", "-store", complete, "-sparse-store", pruned, "-store-cache", "8"}, &errBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.store.Close()
+	a.sparse.Close()
+}
+
 // TestSetupReportsHostRoute: there is one driver configuration per host,
 // so after a kernel-powered request /debug/vars reports the host default's
 // route at this k (one sample word: the tile where the host has one, the

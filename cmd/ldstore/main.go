@@ -8,9 +8,9 @@
 //	ldstore build -in data.ldbm -out data.ldts [-mmap] [-io-window 1024] [-checkpoint]
 //	ldstore build -in data.ldbm -out data.ldts -resume
 //	ldstore build -in data.ldbm -out data.ldts -split-chrom data.bim [-split-workers 4]
-//	ldstore build -in data.ldbm -out data.ldss -sparse [-stat r2] -threshold 0.2 [-band 500]
+//	ldstore build -in data.ldbm -out data.ldss [-stat r2] -threshold 0.2 [-band 500]
 //	ldstore convert -in data.bed -out data.ldbm [-window 1024]
-//	ldstore info -store data.ldts (or a .ldss sparse store)
+//	ldstore info -store data.ldts (or a pruned .ldss store)
 //	ldstore query -store data.ldts -i 3 -j 7
 //	ldstore query -store data.ldts -start 100 -end 120
 //	ldstore query -store data.ldts -top 25
@@ -24,19 +24,17 @@
 // second of stripes plus the commit in flight; -resume restarts a killed
 // build where it left off, producing byte-identical output.
 //
-// The dense store (LDTS) holds the joint haplotype counts, 2 bytes a pair
-// for up to 65 535 samples and 4 beyond, and serves r², D and D′ alike;
-// queries here print r².
-//
-// -sparse writes a threshold-pruned CSR container (ldsparse's LDSS
-// format) of one statistic (-stat) instead of the dense tile store:
-// entries with |value| below -threshold are dropped in the fused epilogue, and -band W restricts
-// the build to pairs within |i−j| ≤ W, skipping far-off-diagonal GEMM
-// panels entirely. The out-of-core, checkpoint, and split-chrom
-// machinery all apply to sparse builds too.
-//
-// The build output is the file ldserver's -store flag consumes. All query
-// output is JSON on stdout.
+// A store holds the joint haplotype counts, 2 bytes a pair for up to
+// 65 535 samples and 4 beyond. Without -threshold or -band the store is
+// complete (LDTS): every pair, serving r², D and D′ alike; queries here
+// print r², and it is the file ldserver's -store flag consumes. With
+// -threshold τ > 0 or -band W ≥ 0 it is pruned (LDSS): the counts of the
+// pairs whose statistic (-stat) has |value| ≥ τ, selected in the fused
+// epilogue, within |i−j| ≤ W, skipping far-off-diagonal GEMM panels
+// entirely — the file ldserver's -sparse-store flag consumes. -stat is
+// refused on a complete build. The out-of-core, checkpoint, and
+// split-chrom machinery apply to both kinds. A pruned store answers only
+// pair queries here. All query output is JSON on stdout.
 package main
 
 import (
@@ -54,7 +52,6 @@ import (
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
 	"ldgemm/internal/core"
-	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
 	"ldgemm/internal/seqio"
 )
@@ -89,7 +86,7 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 	in := fs.String("in", "", "dataset path (.ldbm for out-of-core, or .ldgm/.ms, optionally gzipped; required)")
 	out := fs.String("out", "", "tile store output path (required)")
 	tile := fs.Int("tile", 0, "tile side NT in SNPs (0 = default 256)")
-	stat := fs.String("stat", "r2", "with -sparse: statistic to precompute, r2, d, or dprime (a dense store serves all three)")
+	stat := fs.String("stat", "r2", "statistic a pruned build selects on, r2, d, or dprime (a complete store serves all three)")
 	threads := fs.Int("threads", 0, "kernel threads (0 = GOMAXPROCS)")
 	mmap := fs.Bool("mmap", false, "memory-map a .ldbm input instead of windowed reads")
 	ioWindow := fs.Int("io-window", 0, "out-of-core column-panel width in SNPs (0 = default 1024)")
@@ -100,12 +97,10 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 		"variant .bim path; build one store per chromosome, inserting .chr<N> before the output extension")
 	splitWorkers := fs.Int("split-workers", 0,
 		"per-chromosome builds running concurrently under -split-chrom (0 = GOMAXPROCS, capped at 4)")
-	sparse := fs.Bool("sparse", false,
-		"write a threshold-pruned sparse CSR store (LDSS) instead of a dense tile store")
 	threshold := fs.Float64("threshold", 0,
-		"with -sparse: drop entries with |value| below this threshold")
+		"prune: keep only pairs with |value| >= this threshold (0 = keep every pair)")
 	band := fs.Int("band", -1,
-		"with -sparse: compute only pairs within |i-j| <= band, skipping off-band GEMM (-1 = full matrix; 0 = diagonal only)")
+		"prune: compute only pairs within |i-j| <= band, skipping off-band GEMM (-1 = full matrix; 0 = diagonal only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,43 +117,23 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer closeSrc()
-	bcfg := blis.Config{Threads: *threads}
-	if !*sparse {
-		if *threshold != 0 {
-			return fmt.Errorf("-threshold requires -sparse")
-		}
-		if *band >= 0 {
-			return fmt.Errorf("-band requires -sparse")
-		}
+	if *threshold == 0 && *band < 0 {
 		statSet := false
 		fs.Visit(func(f *flag.Flag) { statSet = statSet || f.Name == "stat" })
 		if statSet {
-			return fmt.Errorf("-stat requires -sparse: a dense store holds the joint counts and serves r2, d and dprime alike")
+			return fmt.Errorf("-stat needs -threshold or -band: a complete store holds the joint counts and serves r2, d and dprime alike")
 		}
 	}
-	var build buildFunc
-	if *sparse {
-		build = sparseBuildFunc(ldsparse.SourceBuildOptions{
-			BuildOptions: ldsparse.BuildOptions{
-				TileSize: *tile, Stat: st, Threshold: *threshold,
-				Banded: *band >= 0, Band: max(*band, 0),
-				LD: core.Options{Blis: bcfg},
-			},
-			IOPanelSNPs: *ioWindow,
-			Checkpoint:  *checkpoint,
-			Resume:      *resume,
-		})
-	} else {
-		build = denseBuildFunc(ldstore.SourceBuildOptions{
-			BuildOptions: ldstore.BuildOptions{
-				TileSize: *tile,
-				LD:       core.Options{Blis: bcfg},
-			},
-			IOPanelSNPs: *ioWindow,
-			Checkpoint:  *checkpoint,
-			Resume:      *resume,
-		})
-	}
+	build := newBuildFunc(ldstore.SourceBuildOptions{
+		BuildOptions: ldstore.BuildOptions{
+			TileSize: *tile, Stat: st, Threshold: *threshold,
+			Banded: *band >= 0, Band: max(*band, 0),
+			LD: core.Options{Blis: blis.Config{Threads: *threads}},
+		},
+		IOPanelSNPs: *ioWindow,
+		Checkpoint:  *checkpoint,
+		Resume:      *resume,
+	})
 	if *splitChrom != "" {
 		if *resume || *checkpoint {
 			// Each per-chromosome store checkpoints independently; the flags
@@ -170,66 +145,40 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 	return build(*out, src, stderr)
 }
 
-// buildFunc runs one store build (dense or sparse) and reports to stderr.
-type buildFunc func(out string, src bitmat.Source, stderr io.Writer) error
-
-// resumeHint prints the re-run hint when a checkpointing build died with
-// durable progress. Dense and sparse builds share the PartialError type.
-func resumeHint(err error, out string, checkpointing bool, stderr io.Writer) {
-	var pe *ldstore.PartialError
-	if errors.As(err, &pe) && checkpointing {
-		fmt.Fprintf(stderr, "ldstore: %d/%d stripes durable in %s; re-run with -resume to continue\n",
-			pe.FlushedStripes, pe.TotalStripes, out)
-	}
-}
-
-// stageTimes renders where one build's time went behind the scan: how
+// buildFunc runs one store build and reports the result to stderr: on a
+// failure with durable progress under checkpointing, the re-run hint;
+// otherwise what it wrote and where its time went behind the scan — how
 // long the scan waited on the output side, and what the writer and the
 // committer were busy for meanwhile.
-func stageTimes(st ldstore.BuildStats) string {
-	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
-	return fmt.Sprintf("scan waited %.1f ms on output, encode+write %.1f ms, %d commits %.1f ms",
-		ms(st.ScanWaitNanos), ms(st.EncodeWriteNanos), st.Commits, ms(st.CommitNanos))
-}
+type buildFunc func(out string, src bitmat.Source, stderr io.Writer) error
 
-// denseBuildFunc runs a single out-of-core (or delegated in-RAM) dense
-// tile-store build and reports the result.
-func denseBuildFunc(opt ldstore.SourceBuildOptions) buildFunc {
+func newBuildFunc(opt ldstore.SourceBuildOptions) buildFunc {
 	return func(out string, src bitmat.Source, stderr io.Writer) error {
 		res, err := ldstore.BuildFileFromSource(out, src, opt)
 		if err != nil {
-			resumeHint(err, out, opt.Checkpoint || opt.Resume, stderr)
+			var pe *ldstore.PartialError
+			if errors.As(err, &pe) && (opt.Checkpoint || opt.Resume) {
+				fmt.Fprintf(stderr, "ldstore: %d/%d stripes durable in %s; re-run with -resume to continue\n",
+					pe.FlushedStripes, pe.TotalStripes, out)
+			}
 			return err
+		}
+		kind := "counts"
+		if opt.Threshold != 0 || opt.Banded {
+			kind = fmt.Sprintf("%d entries of pruned %s, threshold %g", res.NNZ, opt.Stat, opt.Threshold)
+			if opt.Banded {
+				kind += fmt.Sprintf(", band %d", opt.Band)
+			}
 		}
 		resumed := ""
 		if res.StartStripe > 0 {
 			resumed = fmt.Sprintf(", resumed at stripe %d", res.StartStripe)
 		}
-		fmt.Fprintf(stderr, "ldstore: wrote %s: %d tiles, %d bytes (counts, %d×%d, peak result memory %d bytes%s; %s)\n",
-			out, res.Tiles, res.FileBytes, src.NumSNPs(), src.NumSamples(), res.PeakResultBytes, resumed, stageTimes(res))
-		return nil
-	}
-}
-
-// sparseBuildFunc runs a single threshold-pruned sparse store build.
-func sparseBuildFunc(opt ldsparse.SourceBuildOptions) buildFunc {
-	return func(out string, src bitmat.Source, stderr io.Writer) error {
-		res, err := ldsparse.BuildFileFromSource(out, src, opt)
-		if err != nil {
-			resumeHint(err, out, opt.Checkpoint || opt.Resume, stderr)
-			return err
-		}
-		banded := ""
-		if opt.Banded {
-			banded = fmt.Sprintf(", band %d", opt.Band)
-		}
-		resumed := ""
-		if res.StartStripe > 0 {
-			resumed = fmt.Sprintf(", resumed at stripe %d", res.StartStripe)
-		}
-		fmt.Fprintf(stderr, "ldstore: wrote %s: %d tiles, %d entries, %d bytes (sparse %s, threshold %g%s, %d×%d, peak result memory %d bytes%s; %s)\n",
-			out, res.Tiles, res.NNZ, res.FileBytes, opt.Stat, opt.Threshold, banded,
-			src.NumSNPs(), src.NumSamples(), res.PeakResultBytes, resumed, stageTimes(res.BuildStats))
+		ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+		fmt.Fprintf(stderr, "ldstore: wrote %s: %d tiles, %d bytes (%s, %d×%d, peak result memory %d bytes%s; "+
+			"scan waited %.1f ms on output, encode+write %.1f ms, %d commits %.1f ms)\n",
+			out, res.Tiles, res.FileBytes, kind, src.NumSNPs(), src.NumSamples(), res.PeakResultBytes, resumed,
+			ms(res.ScanWaitNanos), ms(res.EncodeWriteNanos), res.Commits, ms(res.CommitNanos))
 		return nil
 	}
 }
@@ -445,39 +394,12 @@ func runInfo(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-store is required")
 	}
-	sparse, err := isSparseStore(*path)
-	if err != nil {
-		return err
-	}
-	if sparse {
-		s, err := ldsparse.Open(*path, ldsparse.Options{})
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		return writeJSON(stdout, s.Info())
-	}
 	s, err := ldstore.Open(*path, ldstore.Options{})
 	if err != nil {
 		return err
 	}
 	defer s.Close()
 	return writeJSON(stdout, s.Info())
-}
-
-// isSparseStore sniffs the 4-byte container magic so info works on both
-// dense (LDTS) and sparse (LDSS) stores without a flag.
-func isSparseStore(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var m [4]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false, fmt.Errorf("%s: reading container magic: %w", path, err)
-	}
-	return m == [4]byte{'L', 'D', 'S', 'S'}, nil
 }
 
 func runQuery(args []string, stdout, stderr io.Writer) error {

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"ldgemm/internal/bitmat"
-	"ldgemm/internal/ldsparse"
+	"ldgemm/internal/ldstore"
 	"ldgemm/internal/popsim"
 	"ldgemm/internal/seqio"
 )
@@ -334,15 +334,15 @@ func TestCLIErrors(t *testing.T) {
 	}
 	data := writeDataset(t)
 	if _, _, err := runLdstore(t, "build", "-in", data,
-		"-out", filepath.Join(t.TempDir(), "x.ldss"), "-sparse", "-stat", "nope"); err == nil {
+		"-out", filepath.Join(t.TempDir(), "x.ldss"), "-threshold", "0.1", "-stat", "nope"); err == nil {
 		t.Fatal("bad stat accepted")
 	}
-	// A dense store holds counts and serves every statistic: -stat is a
-	// sparse build's, and a dense build that sets it, even to r2, fails
+	// A complete store holds counts and serves every statistic: -stat is a
+	// pruned build's, and a complete build that sets it, even to r2, fails
 	// saying so; -compress is gone.
 	for _, stat := range []string{"r2", "d"} {
 		if _, _, err := runLdstore(t, "build", "-in", data, "-out", filepath.Join(t.TempDir(), "x.ldts"), "-stat", stat); err == nil ||
-			!strings.Contains(err.Error(), "-stat requires -sparse") {
+			!strings.Contains(err.Error(), "-stat needs -threshold or -band") {
 			t.Fatalf("dense build with -stat %s: %v", stat, err)
 		}
 	}
@@ -361,9 +361,10 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
-// TestBuildSparse: the -sparse path writes an LDSS container
-// byte-identical to a direct ldsparse build, info sniffs the magic, and
-// the sparse-only flags are validated.
+// TestBuildSparse: a build with a threshold and a band writes a pruned
+// (LDSS) store byte-identical to a direct library build, info opens it by
+// its magic, a pruned store answers pairs but not top-K, and the flags
+// that are gone are refused.
 func TestBuildSparse(t *testing.T) {
 	dir := t.TempDir()
 	m, err := popsim.Mosaic(48, 40, popsim.MosaicConfig{Seed: 11})
@@ -377,15 +378,15 @@ func TestBuildSparse(t *testing.T) {
 
 	out := filepath.Join(dir, "d.ldss")
 	_, stderr, err := runLdstore(t, "build", "-in", ldbm, "-out", out,
-		"-sparse", "-tile", "16", "-threshold", "0.1", "-band", "20")
+		"-tile", "16", "-threshold", "0.1", "-band", "20")
 	if err != nil {
 		t.Fatalf("sparse build: %v", err)
 	}
-	if !strings.Contains(stderr, "sparse r2") || !strings.Contains(stderr, "band 20") {
+	if !strings.Contains(stderr, "pruned r2") || !strings.Contains(stderr, "band 20") {
 		t.Fatalf("sparse build stderr %q", stderr)
 	}
 	ref := filepath.Join(dir, "ref.ldss")
-	if _, err := ldsparse.BuildFile(ref, m, ldsparse.BuildOptions{
+	if _, err := ldstore.BuildFile(ref, m, ldstore.BuildOptions{
 		TileSize: 16, Threshold: 0.1, Banded: true, Band: 20,
 	}); err != nil {
 		t.Fatal(err)
@@ -393,7 +394,7 @@ func TestBuildSparse(t *testing.T) {
 	got, _ := os.ReadFile(out)
 	want, _ := os.ReadFile(ref)
 	if !bytes.Equal(got, want) {
-		t.Fatal("CLI sparse build differs from direct ldsparse build")
+		t.Fatal("CLI sparse build differs from direct library build")
 	}
 
 	stdout, _, err := runLdstore(t, "info", "-store", out)
@@ -414,16 +415,19 @@ func TestBuildSparse(t *testing.T) {
 		t.Fatalf("sparse info %+v", info)
 	}
 
-	// Sparse-only flags are rejected without -sparse; -compress is
-	// rejected with it, as everywhere.
-	if _, _, err := runLdstore(t, "build", "-in", ldbm, "-out", out, "-threshold", "0.1"); err == nil {
-		t.Fatal("-threshold without -sparse accepted")
+	if _, _, err := runLdstore(t, "query", "-store", out, "-i", "3", "-j", "5"); err != nil {
+		t.Fatalf("pair query on a pruned store: %v", err)
 	}
-	if _, _, err := runLdstore(t, "build", "-in", ldbm, "-out", out, "-band", "5"); err == nil {
-		t.Fatal("-band without -sparse accepted")
+	if _, _, err := runLdstore(t, "query", "-store", out, "-top", "3"); err == nil {
+		t.Fatal("top-K from a pruned store accepted")
 	}
-	if _, _, err := runLdstore(t, "build", "-in", ldbm, "-out", out, "-sparse", "-compress"); err == nil {
-		t.Fatal("-sparse -compress accepted")
+
+	// -sparse is gone (a threshold or a band makes a build pruned), as is
+	// -compress; a negative threshold is refused.
+	for _, flags := range [][]string{{"-sparse"}, {"-threshold", "0.1", "-compress"}, {"-threshold", "-0.5"}} {
+		if _, _, err := runLdstore(t, append([]string{"build", "-in", ldbm, "-out", out}, flags...)...); err == nil {
+			t.Fatalf("build %v accepted", flags)
+		}
 	}
 }
 
@@ -492,7 +496,7 @@ func TestBuildSplitChromParallel(t *testing.T) {
 
 	// Sparse split builds ride the same pool.
 	if _, _, err := runLdstore(t, "build", "-in", ldbm, "-out", filepath.Join(parDir, "d.ldss"),
-		"-sparse", "-tile", "16", "-threshold", "0.2", "-split-chrom", bimPath, "-split-workers", "2"); err != nil {
+		"-tile", "16", "-threshold", "0.2", "-split-chrom", bimPath, "-split-workers", "2"); err != nil {
 		t.Fatalf("sparse split: %v", err)
 	}
 	for _, c := range chroms {

@@ -16,7 +16,7 @@ func rowR2FastAVX512(out *float64, cnt *uint32, colFreq, colInv *float64, n int,
 func rowR2ExactAVX512(out *float64, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va float64)
 
 //go:noescape
-func keepR2ExactAVX512(cols *int32, vals *float64, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va, skip, tau float64, col0 int32) int
+func keepR2ExactAVX512(cols *int32, counts *uint32, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va, skip, tau float64, col0 int32) int
 
 //go:noescape
 func countsR2Max16AVX512(dst *uint16, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va, m float64) float64
@@ -75,22 +75,22 @@ func rowR2Exact(out []float64, cnt []uint32, colFreq, colTab []float64, inv, pa,
 
 // keepR2Exact is the vector body of the kept epilogue's exact r² rows
 // (kept.go): it runs over every cell of its row, stores the ones that keep
-// — |v| ≥ τ — at the front of cols and vals, column col0+c for cell c, and
-// returns how many cells it ran over (all, or none on a host without
-// AVX-512F) and how many it kept. It writes whole groups of eight lanes, so
-// cols and vals must hold the row's length rounded up to a multiple of
+// — |v| ≥ τ — at the front of cols and counts, column col0+c and count
+// cnt[c] for cell c, and returns how many cells it ran over (all, or none
+// on a host without AVX-512F) and how many it kept. It writes whole groups
+// of eight lanes, so cols and counts must hold the row's length rounded up to a multiple of
 // eight, whatever survives (keepRoom).
 //
 // It converts by rowR2ExactAVX512's lanes and selects in the same pass,
 // skipping every group of eight whose cells all fall below skip (see
 // skipBound) before dividing it.
-func keepR2Exact(cols []int32, vals []float64, cnt []uint32, colFreq, colTab []float64, inv, pa, tab, skip, tau float64, col0 int) (done, kept int) {
+func keepR2Exact(cols []int32, counts []uint32, cnt []uint32, colFreq, colTab []float64, inv, pa, tab, skip, tau float64, col0 int) (done, kept int) {
 	n := len(cnt)
 	if n == 0 || !vectorRows {
 		return 0, 0
 	}
-	_, _, _, _ = cols[keepRoom(n)-1], vals[keepRoom(n)-1], colFreq[n-1], colTab[n-1]
-	return n, keepR2ExactAVX512(&cols[0], &vals[0], &cnt[0], &colFreq[0], &colTab[0], n, inv, pa, tab, skip, tau, int32(col0))
+	_, _, _, _ = cols[keepRoom(n)-1], counts[keepRoom(n)-1], colFreq[n-1], colTab[n-1]
+	return n, keepR2ExactAVX512(&cols[0], &counts[0], &cnt[0], &colFreq[0], &colTab[0], n, inv, pa, tab, skip, tau, int32(col0))
 }
 
 // countsVector16 is the vector body of the counts epilogue's rows

@@ -99,9 +99,9 @@ exact8:
 	VZEROUPPER
 	RET
 
-// The kept epilogue's kernel (kept.go) stores only the cells whose
-// |value| ≥ τ, with their columns, compressed to the front of vals and
-// cols. It runs over any n ≥ 1 cells: the last group of eight loads only
+// The kept epilogue's kernel (kept.go) stores only the joint counts of
+// the cells whose |value| ≥ τ, with their columns, compressed to the front
+// of counts and cols. It runs over any n ≥ 1 cells: the last group of eight loads only
 // its n mod 8 cells (zero-masked; a masked-off lane never faults) and
 // keeps none of the rest. The stores are whole vectors: each group writes
 // eight lanes at the current count, which is why the wrapper asks for room
@@ -151,25 +151,27 @@ GLOBL keepIota<>(SB), RODATA|NOPTR, $64
 	DECL  R9         \
 	KMOVW R9, K4
 
-// KEEP stores the lanes of Z0 under K4 whose |value| ≥ τ at vals[AX:] (R8)
-// and their columns at cols[AX:] (DI), and adds their count to AX. GE_OQ is
-// false on NaN, as Go's >= is. The compress is to a register, then a whole
-// store: only the first popcount lanes are meaningful.
+// KEEP stores the count lanes of Y7 under K4 whose value in Z0 has
+// |value| ≥ τ at counts[AX:] (R8) and their columns at cols[AX:] (DI), and
+// adds their count to AX. GE_OQ is false on NaN, as Go's >= is. The
+// compress is to a register, then a whole store: only the first popcount
+// lanes are meaningful.
 #define KEEP \
 	VPANDQ      Z25, Z0, Z4        \
 	VCMPPD      $0x1D, Z26, Z4, K3 \
 	KANDW       K4, K3, K3         \
-	VCOMPRESSPD Z0, K3, Z5         \
-	VMOVUPD     Z5, (R8)(AX*8)     \
+	VPCOMPRESSD Z7, K3, Z5         \
+	VMOVDQU     Y5, (R8)(AX*4)     \
 	VPCOMPRESSD Z24, K3, Z6        \
 	VMOVDQU     Y6, (DI)(AX*4)     \
 	KMOVW       K3, R9             \
 	POPCNTL     R9, R9             \
 	ADDQ        R9, AX
 
-// func keepR2ExactAVX512(cols *int32, vals *float64, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va, skip, tau float64, col0 int32) int
+// func keepR2ExactAVX512(cols *int32, counts *uint32, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va, skip, tau float64, col0 int32) int
 //
-// rowR2ExactAVX512's lanes, kept: d as D_LANES computes it, num = d·d,
+// rowR2ExactAVX512's lanes, kept: the group's counts loaded once into Y7,
+// d as D_LANES computes it from them, num = d·d,
 // den = va·colVar. A group is skipped, undivided and unstored, when
 // num < skip·den in all of its lanes (K2 = NLT_UQ: true on NaN, so a NaN
 // lane is never skipped); otherwise the zero-masked divide gives every
@@ -177,7 +179,7 @@ GLOBL keepIota<>(SB), RODATA|NOPTR, $64
 // num < 0·den is false for every num ≥ 0.
 TEXT ·keepR2ExactAVX512(SB), NOSPLIT, $0-104
 	MOVQ         cols+0(FP), DI
-	MOVQ         vals+8(FP), R8
+	MOVQ         counts+8(FP), R8
 	MOVQ         cnt+16(FP), SI
 	MOVQ         colFreq+24(FP), DX
 	MOVQ         colVar+32(FP), BX
@@ -191,7 +193,8 @@ TEXT ·keepR2ExactAVX512(SB), NOSPLIT, $0-104
 
 keepr2:
 	GROUP_MASK
-	VCVTUDQ2PD.Z (SI), K4, Z0
+	VMOVDQU32.Z  (SI), K4, Y7
+	VCVTUDQ2PD   Y7, Z0
 	VMULPD       Z30, Z0, Z0
 	VMULPD.Z     (DX), Z31, K4, Z1
 	VSUBPD       Z1, Z0, Z0

@@ -21,7 +21,7 @@ func rowR2Exact(out []float64, cnt []uint32, colFreq, colTab []float64, inv, pa,
 	return 0
 }
 
-func keepR2Exact(cols []int32, vals []float64, cnt []uint32, colFreq, colTab []float64, inv, pa, tab, skip, tau float64, col0 int) (done, kept int) {
+func keepR2Exact(cols []int32, counts []uint32, cnt []uint32, colFreq, colTab []float64, inv, pa, tab, skip, tau float64, col0 int) (done, kept int) {
 	return 0, 0
 }
 

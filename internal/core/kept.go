@@ -9,22 +9,23 @@ import (
 
 // This file implements the kept epilogue, the third fused epilogue beside
 // denseEpilogue and maskedEpilogue: it converts each row run like the dense
-// one and emits only the cells with |v| ≥ τ, as runs of ascending columns,
-// so a consumer that stores only those (the sparse tier) never holds the
-// rest. A kept scan (StreamSourceKept) merges a stripe's runs into one
-// row-CSR KeptStripe.
+// one and emits only the joint counts of the cells with |v| ≥ τ, as runs of
+// ascending columns, so a consumer that stores only those (a pruned store)
+// never holds the rest. A kept scan (StreamSourceKept) merges a stripe's
+// runs into one row-CSR KeptStripe.
 
 // KeptStripe is one stripe of a kept scan in row-CSR: the delivered cells
 // of SNP rows [I0, I0+Rows) whose |v| ≥ τ. Row r's survivors are
 // Cols[RowPtr[r]:RowPtr[r+1]] — global SNP columns, strictly ascending —
-// with their values at the same positions of Vals. A row's delivered range
+// with their joint counts at the same positions of Counts; a reader gets
+// v back from a count with CountConverter. A row's delivered range
 // is the float scan's (StreamSource): from its own diagonal to the band
 // edge in a triangular scan, all n columns otherwise.
 type KeptStripe struct {
 	I0, Rows int
 	RowPtr   []int
 	Cols     []int32
-	Vals     []float64
+	Counts   []uint32
 	// InFlight is how many stripes the scan computed at once, each
 	// collecting its survivors in a list of its own until its turn to be
 	// delivered (StreamSourceKept).
@@ -33,15 +34,15 @@ type KeptStripe struct {
 
 // Bytes is the stripe's size as held: its row pointers and survivors.
 func (k *KeptStripe) Bytes() int64 {
-	return int64(len(k.RowPtr))*bits.UintSize/8 + int64(len(k.Cols))*4 + int64(len(k.Vals))*8
+	return int64(len(k.RowPtr))*bits.UintSize/8 + int64(len(k.Cols))*4 + int64(len(k.Counts))*4
 }
 
 // ScanBytes is what the scan holds besides the sink's stripes when every
 // stripe in flight is this one's size: a survivor list of a column and a
-// value per survivor for each of them. The largest stripe's ScanBytes
+// count per survivor for each of them. The largest stripe's ScanBytes
 // bounds the scan's survivor lists at any moment, growth slack aside.
 func (k *KeptStripe) ScanBytes() int64 {
-	return int64(k.InFlight) * int64(len(k.Cols)) * (4 + 8)
+	return int64(k.InFlight) * int64(len(k.Cols)) * (4 + 4)
 }
 
 // KeptSink receives a kept scan a stripe at a time, in stripe order. A
@@ -51,6 +52,9 @@ func (k *KeptStripe) ScanBytes() int64 {
 type KeptSink interface {
 	// Threshold is τ: a cell is delivered iff |v| ≥ τ, so never a NaN.
 	Threshold() float64
+	// Alleles is handed every SNP's derived-allele count once, before any
+	// stripe, as CountSink's is.
+	Alleles(counts []uint32)
 	// KeptBuffer returns the stripe the next finished stripe is merged
 	// into. It is called once per stripe, in stripe order, once that stripe
 	// is computed, and may block (the sink's back-pressure on the scan).
@@ -70,14 +74,14 @@ func keep(v, tau float64) bool {
 }
 
 // keepScalar stores the cells of row that keep at the front of cols and
-// vals, column col0+c for cell c, and returns how many it stored: the
-// selection of every row the fused kernel does not take — D, D′, fast r²,
-// and exact r² on a host without AVX-512F.
-func keepScalar(cols []int32, vals, row []float64, tau float64, col0 int) int {
+// counts, column col0+c and count cnt[c] for cell c, and returns how many
+// it stored: the selection of every row the fused kernel does not take — D,
+// D′, fast r², and exact r² on a host without AVX-512F.
+func keepScalar(cols []int32, counts []uint32, row []float64, cnt []uint32, tau float64, col0 int) int {
 	k := 0
 	for c, v := range row {
 		if keep(v, tau) {
-			cols[k], vals[k] = int32(col0+c), v
+			cols[k], counts[k] = int32(col0+c), cnt[c]
 			k++
 		}
 	}
@@ -101,7 +105,7 @@ func skipBound(tau float64) float64 {
 }
 
 // keptRun is one row run's survivors of one row: n cells of stripe row
-// row, the first at stripe column col, stored at keeper.cols/vals[off:].
+// row, the first at stripe column col, stored at keeper.cols/counts[off:].
 type keptRun struct {
 	row, col int32
 	off, n   int
@@ -116,7 +120,7 @@ type keeper struct {
 	colBase  int // global column of stripe column 0
 	width    int // stripe columns
 	cols     []int32
-	vals     []float64
+	counts   []uint32
 	runs     []keptRun
 	// Merge and conversion scratch.
 	sorted []keptRun
@@ -130,19 +134,19 @@ var keeperPool = sync.Pool{New: func() any { return new(keeper) }}
 // stripe column 0 is global column colBase, width columns wide.
 func (k *keeper) reset(i0, rows, colBase, width int) {
 	k.i0, k.rows, k.colBase, k.width = i0, rows, colBase, width
-	k.cols, k.vals, k.runs = k.cols[:0], k.vals[:0], k.runs[:0]
+	k.cols, k.counts, k.runs = k.cols[:0], k.counts[:0], k.runs[:0]
 }
 
-// keepRoom is how many cells of cols and vals the selection of an n-cell
+// keepRoom is how many cells of cols and counts the selection of an n-cell
 // row may write: the fused kernel stores whole groups of eight.
 func keepRoom(n int) int { return (n + 7) &^ 7 }
 
-// room returns cols and vals windows of n cells past the survivors so far,
-// growing both to fit as append does.
-func (k *keeper) room(n int) ([]int32, []float64) {
+// room returns cols and counts windows of n cells past the survivors so
+// far, growing both to fit as append does.
+func (k *keeper) room(n int) ([]int32, []uint32) {
 	at := len(k.cols)
-	k.cols, k.vals = slices.Grow(k.cols, n), slices.Grow(k.vals, n)
-	return k.cols[at : at+n], k.vals[at : at+n]
+	k.cols, k.counts = slices.Grow(k.cols, n), slices.Grow(k.counts, n)
+	return k.cols[at : at+n], k.counts[at : at+n]
 }
 
 // commit records the kept cells of one row's run, the first n of the last
@@ -153,7 +157,7 @@ func (k *keeper) commit(gi, c0, n int) {
 	}
 	at := len(k.cols)
 	k.runs = append(k.runs, keptRun{row: int32(gi - k.i0), col: int32(c0 - k.colBase), off: at, n: n})
-	k.cols, k.vals = k.cols[:at+n], k.vals[:at+n]
+	k.cols, k.counts = k.cols[:at+n], k.counts[:at+n]
 }
 
 // merge writes the stripe's survivors into dst in row-CSR. The runs are
@@ -174,11 +178,11 @@ func (k *keeper) merge(dst *KeptStripe) {
 		ptr[i] += ptr[i-1]
 	}
 	nnz := ptr[k.rows]
-	dst.RowPtr, dst.Cols, dst.Vals = ptr, grow(dst.Cols, nnz), grow(dst.Vals, nnz)
+	dst.RowPtr, dst.Cols, dst.Counts = ptr, grow(dst.Cols, nnz), grow(dst.Counts, nnz)
 	at := 0
 	for _, r := range k.runs {
 		copy(dst.Cols[at:], k.cols[r.off:r.off+r.n])
-		copy(dst.Vals[at:], k.vals[r.off:r.off+r.n])
+		copy(dst.Counts[at:], k.counts[r.off:r.off+r.n])
 		at += r.n
 	}
 }
@@ -215,8 +219,8 @@ func grow[T any](s []T, n int) []T {
 
 // keptEpilogue is the fused epilogue of one driver call of a kept scan: it
 // converts each row run's delivered cells — clipped to the row's diagonal in
-// a triangular scan and to its band edge — and hands the ones that keep to
-// the stripe's keeper. Exact r² converts and selects in one pass
+// a triangular scan and to its band edge — and hands the counts of the ones
+// that keep to the stripe's keeper. Exact r² converts and selects in one pass
 // (keepR2Exact); D, D′ and fast r² convert with the dense epilogue's row
 // code into scratch and select from it (keepScalar). It must run on one
 // worker: the keeper is not shared-safe, and a kept scan makes every driver
@@ -253,16 +257,16 @@ func (e *keptEpilogue) RowRun(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 // epilogue's row code and selected from there by keepScalar.
 func (e *keptEpilogue) row(trow []uint32, gi, j0 int) int {
 	n := len(trow)
-	cols, vals := e.k.room(keepRoom(n))
+	cols, counts := e.k.room(keepRoom(n))
 	c0 := e.col0 + j0
 	if e.meas == MeasureR2 && !e.conv.fast {
 		c := e.conv
-		if done, kept := keepR2Exact(cols, vals, trow, c.colFreqs[j0:][:n], c.colTab[j0:][:n],
+		if done, kept := keepR2Exact(cols, counts, trow, c.colFreqs[j0:][:n], c.colTab[j0:][:n],
 			c.inv, c.rowFreqs[gi], c.rowTab[gi], e.skip, e.tau, c0); done == n {
 			return kept
 		}
 	}
 	e.k.row = grow(e.k.row, n)
 	e.conv.convert(e.meas, e.k.row, trow, gi, j0)
-	return keepScalar(cols, vals, e.k.row, e.tau, c0)
+	return keepScalar(cols, counts, e.k.row, trow, e.tau, c0)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // keptCell is one delivered survivor: its global row and column and its
-// value's bits.
+// value's bits (a kept scan's count converted back).
 type keptCell struct {
 	i, j int
 	bits uint64
@@ -19,23 +19,23 @@ type keptCell struct {
 
 // keepReference is the kept r² row as the dense epilogue and the store
 // used to compute it: convert the whole row with scalarR2Exact, then keep
-// the |v| ≥ τ cells.
-func keepReference(cnt []uint32, colFreq, colVar []float64, inv, pa, va, tau float64) ([]int32, []float64) {
+// the counts of the |v| ≥ τ cells.
+func keepReference(cnt []uint32, colFreq, colVar []float64, inv, pa, va, tau float64) ([]int32, []uint32) {
 	row := make([]float64, len(cnt))
 	scalarR2Exact(row, cnt, colFreq, colVar, inv, pa, va)
 	var cols []int32
-	var vals []float64
+	var counts []uint32
 	for c, v := range row {
 		if keep(v, tau) {
-			cols, vals = append(cols, int32(c)), append(vals, v)
+			cols, counts = append(cols, int32(c)), append(counts, cnt[c])
 		}
 	}
-	return cols, vals
+	return cols, counts
 }
 
 // keptRow runs the kept epilogue's exact-r² row path — fused kernel, then
 // the converted tail — over one row, as keptEpilogue.row does.
-func keptRow(cnt []uint32, colFreq, colVar []float64, inv, pa, va, tau float64) ([]int32, []float64) {
+func keptRow(cnt []uint32, colFreq, colVar []float64, inv, pa, va, tau float64) ([]int32, []uint32) {
 	k := new(keeper)
 	k.reset(0, 1, 0, len(cnt))
 	e := &keptEpilogue{
@@ -43,11 +43,11 @@ func keptRow(cnt []uint32, colFreq, colVar []float64, inv, pa, va, tau float64) 
 		meas: MeasureR2, tau: tau, skip: skipBound(tau), k: k,
 	}
 	n := e.row(cnt, 0, 0)
-	return k.cols[:n:n], k.vals[:n:n]
+	return k.cols[:n:n], k.counts[:n:n]
 }
 
 // checkKeptRow holds the fused row to the reference: the same columns, and
-// every value's bits.
+// every kept count.
 func checkKeptRow(t testing.TB, what string, cnt []uint32, colFreq, colVar []float64, inv, pa, va, tau float64) {
 	t.Helper()
 	wc, wv := keepReference(cnt, colFreq, colVar, inv, pa, va, tau)
@@ -56,9 +56,9 @@ func checkKeptRow(t testing.TB, what string, cnt []uint32, colFreq, colVar []flo
 		t.Fatalf("%s (len %d, τ %g = %016x): kept %d cells %v, want %d %v", what, len(cnt), tau, math.Float64bits(tau), len(gc), gc, len(wc), wc)
 	}
 	for c := range wc {
-		if gc[c] != wc[c] || math.Float64bits(gv[c]) != math.Float64bits(wv[c]) {
-			t.Fatalf("%s (len %d, τ %g): survivor %d is column %d = %016x, want column %d = %016x",
-				what, len(cnt), tau, c, gc[c], math.Float64bits(gv[c]), wc[c], math.Float64bits(wv[c]))
+		if gc[c] != wc[c] || gv[c] != wv[c] {
+			t.Fatalf("%s (len %d, τ %g): survivor %d is column %d = count %d, want column %d = count %d",
+				what, len(cnt), tau, c, gc[c], gv[c], wc[c], wv[c])
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestKeepRowEdges(t *testing.T) {
 // the row frequency, and one (count, frequency) pair per six bytes — the
 // row's length is however many pairs the input holds — and holds the fused
 // r² keep kernel to converting with scalarR2Exact, then keeping: the same
-// kept columns, and every value's bits. Frequencies are k/65535, so 0 and
+// kept columns, and every kept count. Frequencies are k/65535, so 0 and
 // 1 occur and NaN does not, as in FuzzEpilogueRow.
 func FuzzKeepRow(f *testing.F) {
 	seed := func(tau float64, pa uint16, cells int) []byte {
@@ -170,36 +170,49 @@ func FuzzKeepRow(f *testing.F) {
 	})
 }
 
-// keptCollector is a KeptSink that copies out every survivor and checks the
-// stripe contract as it goes: stripes in order, row pointers from 0 and
-// monotone, columns strictly ascending within each row. It runs on the
-// scan's workers, so it reports with Errorf, never Fatalf.
+// keptCollector is a KeptSink that copies out every survivor, its count
+// converted to the scan's statistic by the scan's own row code over the
+// allele counts it was handed, and checks the stripe contract as it goes:
+// stripes in order, row pointers from 0 and monotone, columns strictly
+// ascending within each row. It runs on the scan's workers, so it reports
+// with Errorf, never Fatalf.
 type keptCollector struct {
-	t     *testing.T
-	tau   float64
-	next  int
-	buf   KeptStripe
-	cells []keptCell
+	t       *testing.T
+	tau     float64
+	opt     StreamOptions // the scan's, for its statistic
+	samples int
+	next    int
+	buf     KeptStripe
+	conv    *denseEpilogue
+	meas    Measure
+	cells   []keptCell
 }
 
 func (c *keptCollector) Threshold() float64      { return c.tau }
 func (c *keptCollector) KeptBuffer() *KeptStripe { return &c.buf }
+
+func (c *keptCollector) Alleles(a []uint32) {
+	sc := newStripeScan(c.opt, frequencies(a, c.samples), c.samples)
+	c.conv, c.meas = sc.epilogue(nil, 0, 0, 0), sc.stat()
+}
 
 func (c *keptCollector) KeptDone(k *KeptStripe) {
 	if k.I0 != c.next {
 		c.t.Errorf("stripe at row %d delivered, want %d", k.I0, c.next)
 	}
 	c.next = k.I0 + k.Rows
-	if len(k.RowPtr) != k.Rows+1 || k.RowPtr[0] != 0 || len(k.Cols) != k.RowPtr[k.Rows] || len(k.Vals) != len(k.Cols) {
-		c.t.Errorf("stripe %d: %d row pointers from %d over %d columns and %d values", k.I0, len(k.RowPtr), k.RowPtr[0], len(k.Cols), len(k.Vals))
+	if len(k.RowPtr) != k.Rows+1 || k.RowPtr[0] != 0 || len(k.Cols) != k.RowPtr[k.Rows] || len(k.Counts) != len(k.Cols) {
+		c.t.Errorf("stripe %d: %d row pointers from %d over %d columns and %d counts", k.I0, len(k.RowPtr), k.RowPtr[0], len(k.Cols), len(k.Counts))
 		return
 	}
+	var v [1]float64
 	for r := range k.Rows {
 		for x := k.RowPtr[r]; x < k.RowPtr[r+1]; x++ {
 			if x > k.RowPtr[r] && k.Cols[x] <= k.Cols[x-1] {
 				c.t.Errorf("row %d: column %d after %d", k.I0+r, k.Cols[x], k.Cols[x-1])
 			}
-			c.cells = append(c.cells, keptCell{k.I0 + r, int(k.Cols[x]), math.Float64bits(k.Vals[x])})
+			c.conv.convert(c.meas, v[:], k.Counts[x:x+1], k.I0+r, int(k.Cols[x]))
+			c.cells = append(c.cells, keptCell{k.I0 + r, int(k.Cols[x]), math.Float64bits(v[0])})
 		}
 	}
 }
@@ -278,7 +291,7 @@ func TestKeptScanMatchesFloatScan(t *testing.T) {
 						vectorRows = vector && restore
 						opt := sh.opt
 						opt.Blis.Threads = threads
-						sink := &keptCollector{t: t, tau: tau, next: max(opt.RowStart, 0)}
+						sink := &keptCollector{t: t, tau: tau, opt: opt, samples: g.Samples, next: max(opt.RowStart, 0)}
 						if err := StreamSourceKept(src, opt, sink); err != nil || t.Failed() {
 							t.Fatalf("%s %s threads=%d: %v", sh.name, srcName, threads, err)
 						}
@@ -300,15 +313,14 @@ func TestKeptScanMatchesFloatScan(t *testing.T) {
 
 // TestKeepR2ExactStaysInRoom: the fused keep kernel writes whole vectors
 // past the survivors, so it must stay inside keepRoom(n) cells of cols and
-// vals — sentinels just past them survive every length 1–33, whatever is
+// counts — sentinels just past them survive every length 1–33, whatever is
 // kept — and its wrapper must panic before the assembly runs on a short
 // operand.
 func TestKeepR2ExactStaysInRoom(t *testing.T) {
 	if !vectorRows {
 		t.Skip("host has no AVX-512F: the fused keep kernel selects nothing here")
 	}
-	const canary = 0x7eadbeef
-	sentinel := math.Float64frombits(0x7ff8_dead_beef_0002)
+	const canary, sentinel = 0x7eadbeef, 0xdeadbeef
 	for n := 1; n <= 33; n++ {
 		for _, tau := range []float64{0, 0.5, 2} {
 			room := keepRoom(n)
@@ -318,25 +330,25 @@ func TestKeepR2ExactStaysInRoom(t *testing.T) {
 				cnt[c], p[c] = uint32(c*7%11), float64(1+c%9)/10
 			}
 			colVar := varTable(p)
-			run := func(cols []int32, vals []float64) (int, int) {
-				return keepR2Exact(cols, vals, cnt, p, colVar, 1.0/16, 0.3, 0.21, skipBound(tau), tau, 0)
+			run := func(cols []int32, counts []uint32) (int, int) {
+				return keepR2Exact(cols, counts, cnt, p, colVar, 1.0/16, 0.3, 0.21, skipBound(tau), tau, 0)
 			}
 			cols := make([]int32, room+4)
-			vals := make([]float64, room+4)
+			counts := make([]uint32, room+4)
 			for c := room; c < room+4; c++ {
-				cols[c], vals[c] = canary, sentinel
+				cols[c], counts[c] = canary, sentinel
 			}
-			if done, kept := run(cols[:room], vals[:room]); done != n || kept > n {
+			if done, kept := run(cols[:room], counts[:room]); done != n || kept > n {
 				t.Fatalf("n=%d τ=%g: ran over %d cells and kept %d", n, tau, done, kept)
 			}
 			for c := room; c < room+4; c++ {
-				if cols[c] != canary || math.Float64bits(vals[c]) != math.Float64bits(sentinel) {
+				if cols[c] != canary || counts[c] != sentinel {
 					t.Fatalf("n=%d τ=%g: wrote cell %d, past its room of %d", n, tau, c, room)
 				}
 			}
 			for what, short := range map[string]func(){
-				"cols": func() { run(cols[:room-1], vals[:room]) },
-				"vals": func() { run(cols[:room], vals[:room-1]) },
+				"cols":   func() { run(cols[:room-1], counts[:room]) },
+				"counts": func() { run(cols[:room], counts[:room-1]) },
 			} {
 				func() {
 					defer func() {
@@ -371,7 +383,7 @@ func TestKeptScanOneStripeOneWorker(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sink := &keptCollector{t: t, tau: tau}
+	sink := &keptCollector{t: t, tau: tau, opt: opt, samples: g.Samples}
 	if err := StreamSourceKept(bitmat.NewMemSource(g), opt, sink); err != nil || t.Failed() {
 		t.Fatalf("kept scan: %v", err)
 	}

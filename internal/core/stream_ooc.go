@@ -111,9 +111,10 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 
 // StreamSourceKept is the triangular scan for a sink that declares a
 // threshold: the scan runs the kept epilogue (kept.go), which converts
-// each row run in place and keeps only the cells with |v| ≥ τ, and hands
-// each stripe over in row-CSR (KeptStripe). Kept values are bit-identical
-// to the float scan's cells. With no float stripe to fill, Threads stripes
+// each row run in place and keeps only the joint counts of the cells with
+// |v| ≥ τ, and hands each stripe over in row-CSR (KeptStripe), after the
+// allele counts (KeptSink.Alleles). A kept count converts back to the
+// float scan's cell bit for bit (CountConverter). With no float stripe to fill, Threads stripes
 // run at once (GOMAXPROCS when Threads is 0, never more than the scan
 // has), each one's driver calls on a single worker (its keeper takes one
 // run at a time, and a store build's calls are too small to pay for
@@ -125,12 +126,13 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 // is the driver's to reject, at the first call, as on the float scan. It
 // returns only once its prefetcher and every stripe worker have exited.
 func StreamSourceKept(src bitmat.Source, opt StreamOptions, sink KeptSink) error {
-	sc, err := newScan(src, opt, false)
+	sc, err := newScan(src, opt, true)
 	if err != nil {
 		return err
 	}
 	inFlight := sc.oneWorkerStripes()
 	tau := sink.Threshold()
+	sink.Alleles(sc.alleles)
 	conv := newStripeScan(opt, sc.p, sc.samples)
 	return sc.run(inFlight, func() stripeOut {
 		k := keeperPool.Get().(*keeper)
@@ -148,14 +150,14 @@ type scan struct {
 	lo, hi, stripes    int
 	panel              int
 	resident           bool
-	alleles            []uint32 // counts scans only
+	alleles            []uint32 // counts and kept scans only
 	p                  []float64
 	schedule           []oocReq
 	stripePanels       int // the most panels one stripe of the schedule fetches
 }
 
 // newScan resolves a scan of src; alleles keeps every SNP's allele count
-// too (scan.alleles), which only a counts scan hands on.
+// too (scan.alleles), which only counts and kept scans hand on.
 func newScan(src bitmat.Source, opt StreamOptions, alleles bool) (*scan, error) {
 	if err := opt.check(); err != nil {
 		return nil, err

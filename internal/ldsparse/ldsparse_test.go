@@ -325,9 +325,14 @@ func TestInfoAndStats(t *testing.T) {
 	g := testMatrix(t, 48, 32, 5)
 	_, s := buildStore(t, g, BuildOptions{TileSize: 16, Threshold: 0.1})
 	info := s.Info()
-	n := int64(info.SNPs)
-	if info.DenseBytes != n*(n+1)/2*8 {
-		t.Fatalf("dense bytes %d", info.DenseBytes)
+	// DenseBytes is the tile payload of the complete store of this shape
+	// and N: six 16 × 16 tiles of 2-byte counts.
+	complete, err := ldstore.BuildFile(filepath.Join(t.TempDir(), "g.ldts"), g, ldstore.BuildOptions{TileSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.DenseBytes != complete.TileBytes || info.DenseBytes != 6*16*16*2 {
+		t.Fatalf("dense bytes %d, the complete store's tiles %d", info.DenseBytes, complete.TileBytes)
 	}
 	if info.NNZ != s.NNZ() || info.Tiles != 6 {
 		t.Fatalf("info %+v", info)

@@ -3,11 +3,8 @@ package ldsparse
 import (
 	"fmt"
 	"math"
-	"path/filepath"
 	"runtime"
 	"testing"
-
-	"ldgemm/internal/popsim"
 )
 
 // keep is the store's pruning rule as the oracles apply it: an entry
@@ -217,7 +214,7 @@ func TestWarmFoldCounters(t *testing.T) {
 			t.Fatalf("%s: %d tiles read by warm calls", mode, read)
 		}
 	}
-	if cells := len(s.rows.col); cells >= foldGrain {
+	if cells := foldCells(s); cells >= foldGrain {
 		t.Fatalf("store of %d cells would fold on several goroutines; shrink it", cells)
 	}
 	if allocs := testing.AllocsPerRun(50, func() { s.MatVecRange(x, 3, 290) }); allocs > 2 {
@@ -233,7 +230,7 @@ func TestParallelFold(t *testing.T) {
 	g := testMatrix(t, n, 48, 11)
 	bo := BuildOptions{TileSize: 64}
 	_, s := buildStore(t, g, bo)
-	if cells := len(s.rows.col); cells < 2*foldGrain {
+	if cells := foldCells(s); cells < 2*foldGrain {
 		t.Fatalf("store of %d cells folds inline; grow it", cells)
 	}
 	x := foldVector(n, 1e300)
@@ -245,31 +242,6 @@ func TestParallelFold(t *testing.T) {
 		}
 		if i := equalBits(y, want[r[0]:r[1]]); i >= 0 {
 			t.Fatalf("rows [%d,%d): y[%d] = %v, oracle %v", r[0], r[1], i, y[i], want[r[0]+i])
-		}
-	}
-}
-
-// TestSplitRows: the fan-out above foldGrain covers every row exactly
-// once and hands back the first error.
-func TestSplitRows(t *testing.T) {
-	for _, parts := range []int{1, 2, 3, 8} {
-		hits := make([]int32, 101)
-		err := split(7, 101, parts, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				hits[i]++
-			}
-			if lo == 7 {
-				return fmt.Errorf("first part")
-			}
-			return nil
-		})
-		if err == nil || err.Error() != "first part" {
-			t.Fatalf("%d parts: error %v", parts, err)
-		}
-		for i, h := range hits {
-			if want := int32(min(1, max(0, i-6))); h != want {
-				t.Fatalf("%d parts: row %d visited %d times", parts, i, h)
-			}
 		}
 	}
 }
@@ -357,40 +329,5 @@ func TestMatVecValidation(t *testing.T) {
 	}
 	if _, err := s.ScoreRange(make([]float64, 3), 0, 30); err == nil {
 		t.Fatal("short score vector accepted")
-	}
-}
-
-// BenchmarkMatVec is the benchmark ledger's serve_store shape: 4096 SNPs,
-// banded W = 512, τ = 0.1 over a 16-founder mosaic. resident folds the
-// layout kept since open; budget0 lays every tile band out per call.
-func BenchmarkMatVec(b *testing.B) {
-	g, err := popsim.Mosaic(4096, 2048, popsim.MosaicConfig{Seed: 1, Founders: 16, SwitchRate: 0.005})
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "bench.ldss")
-	if _, err := BuildFile(path, g, BuildOptions{TileSize: 128, Threshold: 0.1, Banded: true, Band: 512}); err != nil {
-		b.Fatal(err)
-	}
-	x := testVector(g.SNPs)
-	for _, mode := range []struct {
-		name   string
-		budget int64
-	}{{"resident", residentBudget}, {"budget0", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer SetResidentBudgetForTest(mode.budget)()
-			s, err := Open(path, Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := s.MatVec(x); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(s.NNZ())*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
-		})
 	}
 }

@@ -1,28 +1,28 @@
-// Package ldstore is the dense on-disk tier for precomputed all-pairs LD:
-// compute the blocked GEMM once, then serve point, region, top-K, and
-// banded queries from an indexed, checksummed tile file at cache speed.
+// Package ldstore is the on-disk tier for precomputed all-pairs LD:
+// compute the blocked GEMM once, write what the kernel computes — the
+// joint haplotype counts H = GᵀG — to an indexed, checksummed tile file,
+// and serve queries from it at cache speed. D, r² and D′ are conversions
+// of H (Eq. 1, 2), run by core.CountConverter, the row code of
+// core.Matrix's epilogue, so a store serves core.Matrix's bits.
 //
-// The motivation follows Fabregat-Traver & Bientinesi's out-of-core GWAS
-// pipelines and PLINK's precomputed LD reports: the paper's kernel makes
-// the n² result cheap to *produce*, and tiling it to disk makes it cheap
-// to *serve* — one build, millions of reads.
-//
-// The file ("LDTS", version 2) stores what the kernel computes, the joint
-// haplotype counts H = GᵀG, not a statistic: D, r² and D′ are all
-// conversions of H (Eq. 1, 2), so one store serves every measure, bit for
-// bit what core.Matrix computes. Each tile payload is its rows×cols counts
-// row-major, each count 2 bytes when N ≤ 65 535 and 4 otherwise (the
-// header's per-SNP table width); diagonal tiles store their full mirrored
-// square so point and region reads never have to transpose. The per-SNP
-// table after the header holds each SNP's derived-allele count, at the same
-// width, under a CRC-32 in the header extension: the frequencies every
-// conversion needs. The index auxiliary word is the tile's maximum
-// off-diagonal exact r² — the pruning bound that lets top-K queries skip
-// cold tiles. A reader converts a tile's rows with core.CountConverter, the
-// row code of core.Matrix's epilogue, and its LRU holds counts tiles. This
-// package is that codec plus the query operators; the container itself
-// (header, index, cache, checkpointed build) is internal/tilefile. See
-// DESIGN.md ("Tile container") for the byte-level tables.
+// A store is one of two kinds, fixed at build by its predicate (a measure,
+// a threshold τ and an optional band |i−j| ≤ W). A complete store ("LDTS"
+// v2: τ = 0, no band) holds every tile's counts row-major, a diagonal tile
+// its mirrored square, and indexes each tile's maximum off-diagonal exact
+// r², Top's pruning bound; it serves points, pairs, rectangles and top-K
+// of every measure, as PLINK's precomputed reports and Fabregat-Traver &
+// Bientinesi's out-of-core pipelines do. A pruned store ("LDSS" v2) holds
+// the counts of the in-band cells whose measure has |v| ≥ τ, selected in
+// the fused epilogue of the build's one scan, each tile a tile-local CSR
+// block (a diagonal tile its upper triangle, an empty one no payload)
+// indexed by its entry count; it serves the sparse operators MatVec and
+// Score, as SparseLD/graphld serve banded LD to summary-statistic
+// pipelines. At serves both. Each carries the per-SNP derived-allele
+// counts after its header, at the count width (2 bytes when N ≤ 65 535,
+// else 4), under a CRC-32 in the header extension: the frequencies every
+// conversion needs. The container (header, index, cache, checkpointed
+// build) is internal/tilefile; DESIGN.md ("Tile container") has the byte
+// tables.
 package ldstore
 
 import (
@@ -30,13 +30,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"unsafe"
 
 	"ldgemm/internal/core"
 	"ldgemm/internal/tilefile"
 )
 
-// Stat identifies a statistic: a store serves all three.
+// Stat identifies a statistic: a complete store serves all three, a
+// pruned store the one its predicate selects on.
 type Stat = tilefile.Stat
 
 const (
@@ -55,34 +55,72 @@ func ParseStat(s string) (Stat, error) {
 	return 0, fmt.Errorf("ldstore: unknown statistic %q (want r2, d, or dprime)", s)
 }
 
-var format = tilefile.Format{
-	Name:          "ldstore",
-	Magic:         [4]byte{'L', 'D', 'T', 'S'},
-	ManifestMagic: "ldstore-checkpoint",
-	Version:       2,
-	ExtSize:       extSize,
-}
-
-// Header extension layout (8 bytes, after the 64-byte prefix): the CRC-32
-// (IEEE) of the per-SNP table, then 4 reserved bytes, zero.
-const (
-	extTableCRC = 0
-	extSize     = 8
+// The two formats. A pruned store's manifests keep the sparse tier's
+// magic, so a version-1 manifest is refused for its version.
+var (
+	format = tilefile.Format{
+		Name: "ldstore", Magic: [4]byte{'L', 'D', 'T', 'S'},
+		ManifestMagic: "ldstore-checkpoint", Version: 2, ExtSize: 8,
+	}
+	prunedFormat = tilefile.Format{
+		Name: "ldstore", Magic: [4]byte{'L', 'D', 'S', 'S'},
+		ManifestMagic: "ldsparse-checkpoint", Version: 2, ExtSize: 32,
+	}
 )
 
-// codec is the LDTS read side: a decoded tile is its counts, row-major,
-// widened to uint32 for the conversion row code.
-type codec struct{}
+// Header extension layout (offsets within it; the file offset is 64
+// more). The first 8 bytes are both kinds'; a pruned store's predicate and
+// total follow.
+//
+//	 0  4 CRC-32 (IEEE) of the allele-count table
+//	 4  4 reserved, zero
+//	 8  8 τ, float64 bits (entries keep |v| ≥ τ)
+//	16  8 band width W (meaningful only when flag bit 0 is set)
+//	24  8 stored entries (nnz)
+const (
+	extTableCRC  = 0
+	extThreshold = 8
+	extBand      = 16
+	extNNZ       = 24
 
-// CheckHeader holds the header to what a build writes: no flags, r² (the
-// measure of the index maxima and of Top), the count width N calls for,
-// and an allele-count table whose CRC matches and whose every entry is at
-// most N.
-func (codec) CheckHeader(h *tilefile.Header) error {
-	if h.Flags != 0 {
+	// flagBanded marks a pruned store built under a |i−j| ≤ band window:
+	// cells outside it are absent because they were never computed.
+	flagBanded = 1 << 0
+	// maxBand caps a header's band width at the SNP cap.
+	maxBand = 1 << 31
+)
+
+// tile is one decoded tile. A complete store's counts are its rows × cols
+// row-major. A pruned store's are its entries': row r's are
+// counts[rowPtr[r]:rowPtr[r+1]], at the tile-local columns of the same
+// positions of cols, strictly ascending. Tiles are immutable once decoded.
+type tile struct {
+	counts []uint32
+	rowPtr []uint32
+	cols   []uint16
+}
+
+// csrBytes is a pruned tile's payload length: row pointers, then a column
+// and a count of width bytes per entry; a tile with none stores nothing.
+func csrBytes(rows int, nnz int64, width uint32) int64 {
+	if nnz == 0 {
+		return 0
+	}
+	return int64(rows+1)*4 + nnz*int64(2+width)
+}
+
+// codec is the read side of both formats.
+type codec struct{ pruned bool }
+
+// CheckHeader holds the header to what a build writes: a complete store's
+// r² (the measure of its index maxima and of Top) and no flags, a pruned
+// store's valid predicate; the count width N calls for, and an allele-count
+// table whose CRC matches and whose every entry is at most N.
+func (c codec) CheckHeader(h *tilefile.Header) error {
+	if h.Flags&^flagBanded != 0 || (!c.pruned && h.Flags != 0) {
 		return fmt.Errorf("unknown flags %#x", h.Flags)
 	}
-	if h.Stat != StatR2 {
+	if !c.pruned && h.Stat != StatR2 {
 		return fmt.Errorf("statistic %v, want r2", h.Stat)
 	}
 	if h.Samples > math.MaxUint32 {
@@ -91,16 +129,28 @@ func (codec) CheckHeader(h *tilefile.Header) error {
 	if w := core.CountBytes(int(min(h.Samples, math.MaxUint16+1))); h.TableWidth != uint32(w) {
 		return fmt.Errorf("counts are %d bytes wide, want %d for N = %d", h.TableWidth, w, h.Samples)
 	}
-	if binary.LittleEndian.Uint32(h.Ext[extTableCRC+4:]) != 0 {
+	le := binary.LittleEndian
+	if le.Uint32(h.Ext[extTableCRC+4:]) != 0 {
 		return fmt.Errorf("reserved extension bytes set")
 	}
-	if crc := crc32.ChecksumIEEE(h.Table); crc != binary.LittleEndian.Uint32(h.Ext[extTableCRC:]) {
-		return fmt.Errorf("allele-count table checksum %08x, want %08x", crc, binary.LittleEndian.Uint32(h.Ext[extTableCRC:]))
+	if crc := crc32.ChecksumIEEE(h.Table); crc != le.Uint32(h.Ext[extTableCRC:]) {
+		return fmt.Errorf("allele-count table checksum %08x, want %08x", crc, le.Uint32(h.Ext[extTableCRC:]))
 	}
 	for i, a := range alleleCounts(h) {
 		if uint64(a) > h.Samples {
 			return fmt.Errorf("SNP %d has %d derived alleles of N = %d", i, a, h.Samples)
 		}
+	}
+	if !c.pruned {
+		return nil
+	}
+	if tau := math.Float64frombits(le.Uint64(h.Ext[extThreshold:])); math.IsNaN(tau) || tau < 0 {
+		return fmt.Errorf("invalid threshold %v", tau)
+	}
+	if band := le.Uint64(h.Ext[extBand:]); h.Flags&flagBanded == 0 && band != 0 {
+		return fmt.Errorf("band width %d without the banded flag", band)
+	} else if band > maxBand {
+		return fmt.Errorf("implausible band width %d", band)
 	}
 	return nil
 }
@@ -109,120 +159,92 @@ func (codec) CheckHeader(h *tilefile.Header) error {
 // or whose table the builder wrote.
 func alleleCounts(h *tilefile.Header) []uint32 {
 	a := make([]uint32, len(h.Table)/int(h.TableWidth))
-	for i := range a {
-		if h.TableWidth == 2 {
-			a[i] = uint32(binary.LittleEndian.Uint16(h.Table[2*i:]))
-		} else {
-			a[i] = binary.LittleEndian.Uint32(h.Table[4*i:])
-		}
-	}
+	widen(a, h.Table, h.TableWidth)
 	return a
 }
 
-func (codec) CheckEntry(h *tilefile.Header, t tilefile.Tile, e *tilefile.Entry) error {
-	if raw := int64(t.Rows) * int64(t.Cols) * int64(h.TableWidth); int64(e.Length) != raw {
-		return fmt.Errorf("payload has %d bytes, want %d", e.Length, raw)
-	}
-	if math.IsNaN(math.Float64frombits(e.Aux)) {
+// CheckEntry holds a complete tile's payload to its rows × cols counts,
+// a pruned one's to the CSR size of its entry count, which must fit the
+// tile: its rectangle, or on the diagonal its upper triangle.
+func (c codec) CheckEntry(h *tilefile.Header, t tilefile.Tile, e *tilefile.Entry) error {
+	cells := int64(t.Rows) * int64(t.Cols)
+	want := cells * int64(h.TableWidth)
+	if c.pruned {
+		if t.Diagonal() {
+			cells = int64(t.Rows) * int64(t.Rows+1) / 2
+		}
+		if e.Aux > uint64(cells) {
+			return fmt.Errorf("declares %d entries, above its %d cells", e.Aux, cells)
+		}
+		want = csrBytes(t.Rows, int64(e.Aux), h.TableWidth)
+	} else if math.IsNaN(math.Float64frombits(e.Aux)) {
 		e.Aux = math.Float64bits(math.Inf(-1))
+	}
+	if int64(e.Length) != want {
+		return fmt.Errorf("payload has %d bytes, want %d", e.Length, want)
 	}
 	return nil
 }
 
-// Decode widens the tile's counts, refusing any above N.
-func (codec) Decode(h *tilefile.Header, t tilefile.Tile, _ tilefile.Entry, payload []byte) ([]uint32, error) {
-	counts := make([]uint32, t.Rows*t.Cols)
-	var top uint32
-	if h.TableWidth == 2 {
-		src := payload[:2*len(counts)]
-		for k := range counts {
-			c := uint32(src[2*k]) | uint32(src[2*k+1])<<8
-			counts[k], top = c, max(top, c)
+// Decode widens the tile's counts, refusing any above N, and holds a pruned
+// tile to CSR — row pointers monotone from 0 to nnz, checked before any
+// column is read, then columns in range and strictly ascending per row, a
+// diagonal tile's upper-triangular — so consumers walk it unchecked.
+func (c codec) Decode(h *tilefile.Header, t tilefile.Tile, e tilefile.Entry, payload []byte) (tile, error) {
+	var tl tile
+	n := t.Rows * t.Cols
+	if c.pruned {
+		n = int(e.Aux)
+		tl.rowPtr = make([]uint32, t.Rows+1)
+		if n == 0 {
+			return tl, nil
 		}
-	} else {
-		src := payload[:4*len(counts)]
-		for k := range counts {
-			c := binary.LittleEndian.Uint32(src[4*k:])
-			counts[k], top = c, max(top, c)
-		}
-	}
-	if uint64(top) > h.Samples {
-		return nil, fmt.Errorf("joint count %d of N = %d", top, h.Samples)
-	}
-	return counts, nil
-}
-
-// encoder is the LDTS write side, with the scratch a big-endian host
-// reuses across tiles.
-type encoder struct {
-	width   int // count bytes
-	alleles []uint32
-	raw     []byte
-}
-
-// Alleles keeps the allele counts for the header's table.
-func (enc *encoder) Alleles(a []uint32) { enc.alleles = a }
-
-// EncodeTile serializes tile t from the stripe's counts, and returns the
-// tile's maximum r² the scan folded as its auxiliary word. The stripe holds
-// each tile as its payload's rows (core.CountStripe.Tile), so on a
-// little-endian host the payload is the tile's own bytes. For the diagonal
-// tile it first mirrors the upper triangle into the lower one (H is
-// symmetric), so the stored square is complete.
-func (enc *encoder) EncodeTile(s *tilefile.Stripe, t tilefile.Tile) ([]byte, uint64, error) {
-	c := &s.Counts
-	k := t.TJ - t.TI
-	off, _ := c.Tile(k)
-	var payload []byte
-	if enc.width == 2 {
-		payload = tileBytes(&enc.raw, c.C16[off:][:t.Rows*t.Cols], t)
-	} else {
-		payload = tileBytes(&enc.raw, c.C32[off:][:t.Rows*t.Cols], t)
-	}
-	return payload, math.Float64bits(c.TileMax[k]), nil
-}
-
-// tileBytes returns tile t's counts, rows × cols of them row after row, as
-// little-endian bytes: the tile's own memory on a little-endian host, else
-// written into raw.
-func tileBytes[T uint16 | uint32](raw *[]byte, tile []T, t tilefile.Tile) []byte {
-	if t.Diagonal() {
-		for r := 1; r < t.Rows; r++ {
-			for c := 0; c < r; c++ {
-				tile[r*t.Cols+c] = tile[c*t.Cols+r]
+		for k := range tl.rowPtr {
+			tl.rowPtr[k] = binary.LittleEndian.Uint32(payload[k*4:])
+			if k > 0 && tl.rowPtr[k] < tl.rowPtr[k-1] {
+				return tl, fmt.Errorf("row %d pointers decrease", k-1)
 			}
 		}
-	}
-	size := int(unsafe.Sizeof(T(0)))
-	if hostLittleEndian {
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(tile))), len(tile)*size)
-	}
-	if cap(*raw) < len(tile)*size {
-		*raw = make([]byte, len(tile)*size)
-	}
-	out := (*raw)[:len(tile)*size]
-	for c, v := range tile {
-		for b := range size {
-			out[c*size+b] = byte(v >> (8 * b))
+		if tl.rowPtr[0] != 0 || tl.rowPtr[t.Rows] != uint32(n) {
+			return tl, fmt.Errorf("row pointers span [%d,%d), want [0,%d)", tl.rowPtr[0], tl.rowPtr[t.Rows], n)
 		}
+		payload = payload[(t.Rows+1)*4:]
+		tl.cols = make([]uint16, n)
+		for r := 0; r < t.Rows; r++ {
+			for k := tl.rowPtr[r]; k < tl.rowPtr[r+1]; k++ {
+				tl.cols[k] = binary.LittleEndian.Uint16(payload[k*2:])
+				if col := int(tl.cols[k]); col >= t.Cols || (t.Diagonal() && col < r) {
+					return tl, fmt.Errorf("row %d holds column %d outside its range", r, col)
+				} else if k > tl.rowPtr[r] && tl.cols[k] <= tl.cols[k-1] {
+					return tl, fmt.Errorf("row %d columns not ascending", r)
+				}
+			}
+		}
+		payload = payload[n*2:]
 	}
-	return out
+	tl.counts = make([]uint32, n)
+	if top := widen(tl.counts, payload, h.TableWidth); uint64(top) > h.Samples {
+		return tl, fmt.Errorf("joint count %d of N = %d", top, h.Samples)
+	}
+	return tl, nil
 }
 
-// hostLittleEndian: a count in memory is already its LDTS bytes, so the
-// encoder hands over a tile's memory as its payload; a big-endian host
-// writes it byte by byte.
-var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
-
-// FinishHeader writes the allele-count table and its checksum.
-func (enc *encoder) FinishHeader(h *tilefile.Header, _ []tilefile.Entry) {
-	h.Table = make([]byte, len(enc.alleles)*enc.width)
-	for i, a := range enc.alleles {
-		if enc.width == 2 {
-			binary.LittleEndian.PutUint16(h.Table[2*i:], uint16(a))
-		} else {
-			binary.LittleEndian.PutUint32(h.Table[4*i:], a)
+// widen decodes len(dst) little-endian counts of width bytes from src and
+// returns the largest.
+func widen(dst []uint32, src []byte, width uint32) uint32 {
+	var top uint32
+	if width == 2 {
+		src = src[:2*len(dst)]
+		for k := range dst {
+			c := uint32(src[2*k]) | uint32(src[2*k+1])<<8
+			dst[k], top = c, max(top, c)
 		}
+		return top
 	}
-	binary.LittleEndian.PutUint32(h.Ext[extTableCRC:], crc32.ChecksumIEEE(h.Table))
+	src = src[:4*len(dst)]
+	for k := range dst {
+		c := binary.LittleEndian.Uint32(src[4*k:])
+		dst[k], top = c, max(top, c)
+	}
+	return top
 }

@@ -244,51 +244,6 @@ func TestStoreTopPrunes(t *testing.T) {
 	}
 }
 
-func TestStoreBand(t *testing.T) {
-	g := testMatrix(t, 60, 48, 5)
-	n := g.SNPs
-	want := dense(t, g, StatR2)
-	s := buildStore(t, g, BuildOptions{TileSize: 16}, Options{})
-	band := 9
-	type cell struct {
-		i, j int
-		v    float64
-	}
-	var got []cell
-	err := s.Band(0, n, band, func(i, j int, v float64) bool {
-		got = append(got, cell{i, j, v})
-		return true
-	})
-	if err != nil {
-		t.Fatalf("Band: %v", err)
-	}
-	idx := 0
-	for i := 0; i < n; i++ {
-		for j := i; j <= min(i+band, n-1); j++ {
-			if idx >= len(got) {
-				t.Fatalf("band visit stopped early at %d cells", len(got))
-			}
-			c := got[idx]
-			if c.i != i || c.j != j || math.Float64bits(c.v) != math.Float64bits(want[i*n+j]) {
-				t.Fatalf("band cell %d = (%d,%d,%v), want (%d,%d,%v)", idx, c.i, c.j, c.v, i, j, want[i*n+j])
-			}
-			idx++
-		}
-	}
-	if idx != len(got) {
-		t.Fatalf("band visited %d cells, want %d", len(got), idx)
-	}
-
-	// Early stop.
-	calls := 0
-	if err := s.Band(0, n, band, func(int, int, float64) bool { calls++; return calls < 5 }); err != nil {
-		t.Fatalf("Band early stop: %v", err)
-	}
-	if calls != 5 {
-		t.Fatalf("early-stopped band made %d visits, want 5", calls)
-	}
-}
-
 func TestStoreCacheCounters(t *testing.T) {
 	g := testMatrix(t, 64, 32, 13)
 	s := buildStore(t, g, BuildOptions{TileSize: 16}, Options{CacheTiles: 2})
@@ -393,12 +348,6 @@ func TestStoreQueryErrors(t *testing.T) {
 	}
 	if _, err := s.Region(0, 21); err == nil {
 		t.Fatal("overlong region succeeded")
-	}
-	if err := s.Band(0, 20, 0, func(int, int, float64) bool { return true }); err == nil {
-		t.Fatal("zero band succeeded")
-	}
-	if err := s.Band(-1, 20, 3, func(int, int, float64) bool { return true }); err == nil {
-		t.Fatal("negative band start succeeded")
 	}
 }
 

@@ -1,4 +1,4 @@
-package ldsparse
+package ldstore
 
 import (
 	"fmt"
@@ -10,24 +10,22 @@ import (
 	"ldgemm/internal/bufpool"
 )
 
-// Sparse operators over the CSR tile store. The contract that matters is
+// Sparse operators over a pruned store. The contract that matters is
 // determinism: MatVec must equal, to the exact float64 bit pattern, the
 // serial reference
 //
 //	for i: for j = 0..n−1 ascending: if kept(i,j): y[i] += R[i][j]·x[j]
 //
 // so a cluster of shards, a single node, and a test oracle can never
-// disagree by a ulp. The operators run over a layout made for that loop,
-// not over the tiles: a row-CSR whose row i lists every kept (i, j) — the
-// stored upper-triangle cells and their mirrors — with j strictly
-// ascending, and one fold, acc = 0; acc += val[k]·x[col[k]] along the row,
-// which is the reference's sequence of float operations. Rows are
-// independent, so splitting them across workers reorders nothing.
-//
-// A store whose rows fit residentBudget is laid out once, at open, and
-// every call folds resident memory. Above it the same assembler lays out
-// one output tile band at a time inside each call for the same fold; the
-// tile LRU serves that case and Lookup. DESIGN.md ("Sparse operators").
+// disagree by a ulp. The operators fold a layout made for that loop: a
+// row-CSR whose row i lists every kept (i, j) — the stored upper-triangle
+// cells and their mirrors — with j strictly ascending and its value
+// converted once, at assembly, mirror and cell alike; acc += val[k]·x[col[k]]
+// along the row is the reference's sequence of float operations, and rows
+// split across workers reorder nothing. A store whose rows fit
+// residentBudget is laid out once, at open; above it the same assembler
+// lays out one output tile band at a time inside each call, through the
+// tile LRU that also serves Lookup. DESIGN.md ("Sparse operators").
 
 // residentBudget bounds the row-CSR a store keeps for its lifetime. It is
 // a constant: only SetResidentBudgetForTest writes it.
@@ -46,6 +44,40 @@ type rowCSR struct {
 	val    []float64
 }
 
+// load checks a pruned store's index against its header — the entry
+// counts sum to nnz, and under a band no tile beyond its reach holds any
+// — and lays the rows out when they fit the residency budget (nil when
+// not).
+func (s *Store) load() (*rowCSR, error) {
+	var total uint64
+	reach, id := s.reach(), 0
+	for ti := 0; ti < s.Bands; ti++ {
+		for tj := ti; tj < s.Bands; tj, id = tj+1, id+1 {
+			aux := s.Index[id].Aux
+			if aux != 0 && tj-ti > reach {
+				return nil, fmt.Errorf("ldstore: tile (%d,%d) holds %d entries outside the band of %d", ti, tj, aux, s.Band())
+			}
+			total += aux
+		}
+	}
+	if total != uint64(s.NNZ()) {
+		return nil, fmt.Errorf("ldstore: index entries sum to %d nnz, header says %d", total, s.NNZ())
+	}
+	// Two row arrays, and 12 bytes for each stored entry and for its mirror.
+	if 8*int64(s.SNPs()+1)+24*s.NNZ() > residentBudget {
+		return nil, nil
+	}
+	return s.assemble(0, s.Bands)
+}
+
+// SetResidentBudgetForTest overrides the budget until restore is called, so
+// tests reach the over-budget path with small files.
+func SetResidentBudgetForTest(bytes int64) (restore func()) {
+	old := residentBudget
+	residentBudget = bytes
+	return func() { residentBudget = old }
+}
+
 // reach is how many tile bands off the diagonal a non-empty tile can sit.
 func (s *Store) reach() int {
 	if nt := s.TileSize(); s.Banded() {
@@ -55,16 +87,17 @@ func (s *Store) reach() int {
 }
 
 // assemble lays out the rows of tile bands [tb0, tb1) from the non-empty
-// tiles that touch them, each through Reader.Tile's CRC and decode checks.
-// Tiles are visited in index order and each cell appended at its row's
-// cursor, which leaves every row ascending in j: mirrors from the tiles
-// above arrive by ascending tile and row, the diagonal tile delivers row
-// i's mirrors before row i's own cells, the tiles to the right follow.
+// tiles that touch them, each through Reader.Tile's CRC and decode checks,
+// converting each stored count to the store's measure as it fills. Tiles
+// are visited in index order and each cell appended at its row's cursor,
+// which leaves every row ascending in j: mirrors from the tiles above
+// arrive by ascending tile and row, the diagonal tile delivers row i's
+// mirrors before row i's own cells, the tiles to the right follow.
 func (s *Store) assemble(tb0, tb1 int) (*rowCSR, error) {
 	nt, reach := s.TileSize(), s.reach()
 	row0, row1 := tb0*nt, min(tb1*nt, s.SNPs())
 	type piece struct {
-		t    *csrTile
+		t    tile
 		a, b int // global row and column of the tile's first cell
 	}
 	var pieces []piece
@@ -84,19 +117,25 @@ func (s *Store) assemble(tb0, tb1 int) (*rowCSR, error) {
 			pieces = append(pieces, piece{t, ti * nt, tj * nt})
 		}
 	}
-	// each walks the cells the pieces contribute to the bands' rows.
-	each := func(emit func(row, col int, v float64, mirror bool)) {
+	// each walks the cells the pieces contribute to the bands' rows, their
+	// values converted when conv is set.
+	m := s.Stat().Measure()
+	var v [1]float64
+	each := func(conv bool, emit func(row, col int, v float64, mirror bool)) {
 		for _, p := range pieces {
 			direct, mirror := p.a >= row0, p.b < row1 // its rows, its columns are the bands'
 			for r := 0; r+1 < len(p.t.rowPtr); r++ {
 				gi := p.a + r
 				for k := p.t.rowPtr[r]; k < p.t.rowPtr[r+1]; k++ {
-					gj, v := p.b+int(p.t.cols[k]), p.t.vals[k]
+					gj := p.b + int(p.t.cols[k])
+					if conv {
+						s.conv.Row(m, v[:], p.t.counts[k:k+1], gi, gj)
+					}
 					if direct {
-						emit(gi-row0, gj, v, false)
+						emit(gi-row0, gj, v[0], false)
 					}
 					if mirror && gj != gi {
-						emit(gj-row0, gi, v, true)
+						emit(gj-row0, gi, v[0], true)
 					}
 				}
 			}
@@ -105,7 +144,7 @@ func (s *Store) assemble(tb0, tb1 int) (*rowCSR, error) {
 	rows := row1 - row0
 	c := &rowCSR{row0: row0, ptr: make([]uint32, rows+1), stored: make([]uint32, rows+1)}
 	var cells uint64
-	each(func(row, _ int, _ float64, mirror bool) {
+	each(false, func(row, _ int, _ float64, mirror bool) {
 		c.ptr[row+1]++
 		if !mirror {
 			c.stored[row+1]++
@@ -113,7 +152,7 @@ func (s *Store) assemble(tb0, tb1 int) (*rowCSR, error) {
 		cells++
 	})
 	if cells > math.MaxUint32 {
-		return nil, fmt.Errorf("ldsparse: tile bands [%d,%d) hold %d cells, above the row layout's 2³² limit", tb0, tb1, cells)
+		return nil, fmt.Errorf("ldstore: tile bands [%d,%d) hold %d cells, above the row layout's 2³² limit", tb0, tb1, cells)
 	}
 	for i := 0; i < rows; i++ {
 		c.ptr[i+1] += c.ptr[i]
@@ -121,7 +160,7 @@ func (s *Store) assemble(tb0, tb1 int) (*rowCSR, error) {
 	}
 	c.col, c.val = make([]uint32, cells), make([]float64, cells)
 	cursor := append([]uint32(nil), c.ptr[:rows]...)
-	each(func(row, col int, v float64, _ bool) {
+	each(true, func(row, col int, v float64, _ bool) {
 		k := cursor[row]
 		c.col[k], c.val[k] = uint32(col), v
 		cursor[row] = k + 1
@@ -141,7 +180,7 @@ func (c *rowCSR) fold(x, out []float64, lo, hi int) {
 		}
 		out[i-lo] = acc
 	}
-	stats.entriesVisited.Add(uint64(c.stored[hi-c.row0] - c.stored[lo-c.row0]))
+	stats[1].entriesVisited.Add(uint64(c.stored[hi-c.row0] - c.stored[lo-c.row0])) // only pruned stores fold
 }
 
 // split runs f over [lo, hi) cut into `parts` contiguous ranges, one
@@ -168,8 +207,8 @@ func split(lo, hi, parts int, f func(lo, hi int) error) error {
 	return nil
 }
 
-// MatVec computes y = R·x over the stored entries, treating pruned (and
-// out-of-band) cells as zero and applying symmetry — each stored
+// MatVec computes y = R·x over a pruned store's entries, treating pruned
+// (and out-of-band) cells as zero and applying symmetry — each stored
 // upper-triangle entry contributes both (i,j) and (j,i).
 func (s *Store) MatVec(x []float64) ([]float64, error) {
 	return s.MatVecRange(x, 0, s.SNPs())
@@ -179,15 +218,18 @@ func (s *Store) MatVec(x []float64) ([]float64, error) {
 // input vector goes in, the owned slice of y comes out. A cluster shard
 // serving its row strip produces exactly the bytes the full MatVec would
 // place there, because per-row fold order does not depend on the range.
-// The output is taken from bufpool.Floats, as core's and ldstore's results
+// The output is taken from bufpool.Floats, as core's and Rect's results
 // are: a caller done with it may hand it back there, once.
 func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
+	if err := s.serves(true); err != nil {
+		return nil, err
+	}
 	n := s.SNPs()
 	if len(x) != n {
-		return nil, fmt.Errorf("ldsparse: vector of %d entries against %d SNPs", len(x), n)
+		return nil, fmt.Errorf("ldstore: vector of %d entries against %d SNPs", len(x), n)
 	}
 	if r0 < 0 || r1 <= r0 || r1 > n {
-		return nil, fmt.Errorf("ldsparse: invalid row range [%d,%d) of %d SNPs", r0, r1, n)
+		return nil, fmt.Errorf("ldstore: invalid row range [%d,%d) of %d SNPs", r0, r1, n)
 	}
 	t0 := time.Now()
 	out := bufpool.Floats.Get(r1 - r0) // every row is folded into it
@@ -219,17 +261,17 @@ func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
 			return nil, err
 		}
 	}
-	stats.matVecs.Add(1)
-	stats.matVecNanos.Add(uint64(time.Since(t0).Nanoseconds()))
-	stats.bytesServed.Add(uint64(len(out)) * 8)
+	s.st.matVecs.Add(1)
+	s.st.matVecNanos.Add(uint64(time.Since(t0).Nanoseconds()))
+	s.st.bytesServed.Add(uint64(len(out)) * 8)
 	return out, nil
 }
 
 // Score computes the per-SNP score-statistic aggregate s[i] = Σ_j
-// R[i][j]·z[j]² over stored entries — with R holding r², the Σ r²·χ²
-// quantity GWAS summary-statistic pipelines consume (LD score regression
-// terms, inflation diagnostics). It is exactly MatVec applied to the
-// squared z vector, so it inherits MatVec's bit-determinism.
+// R[i][j]·z[j]² over a pruned store's entries — with R holding r², the
+// Σ r²·χ² quantity GWAS summary-statistic pipelines consume (LD score
+// regression terms, inflation diagnostics). It is exactly MatVec applied
+// to the squared z vector, so it inherits MatVec's bit-determinism.
 func (s *Store) Score(z []float64) ([]float64, error) {
 	return s.ScoreRange(z, 0, s.SNPs())
 }
@@ -237,9 +279,6 @@ func (s *Store) Score(z []float64) ([]float64, error) {
 // ScoreRange is Score restricted to output rows [r0, r1), its output from
 // bufpool.Floats as MatVecRange's is.
 func (s *Store) ScoreRange(z []float64, r0, r1 int) ([]float64, error) {
-	if len(z) != s.SNPs() {
-		return nil, fmt.Errorf("ldsparse: vector of %d entries against %d SNPs", len(z), s.SNPs())
-	}
 	x := bufpool.Floats.Get(len(z)) // the z² scratch
 	defer bufpool.Floats.Put(x)
 	for i, v := range z {
@@ -247,7 +286,7 @@ func (s *Store) ScoreRange(z []float64, r0, r1 int) ([]float64, error) {
 	}
 	out, err := s.MatVecRange(x, r0, r1)
 	if err == nil {
-		stats.scores.Add(1)
+		s.st.scores.Add(1)
 	}
 	return out, err
 }

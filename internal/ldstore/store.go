@@ -2,9 +2,11 @@ package ldstore
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 
 	"ldgemm/internal/bufpool"
@@ -14,73 +16,168 @@ import (
 
 // Options configures a Store reader.
 type Options struct {
-	// CacheTiles is the LRU capacity in tiles (default 64). The resident
-	// bound is CacheTiles × TileSize² × 4 bytes: a cached tile is its
-	// counts, widened to uint32.
+	// CacheTiles is the decoded-tile LRU capacity in tiles (default 64). A
+	// complete store caches a tile as its counts widened to uint32, so it
+	// holds at most CacheTiles × TileSize² × 4 bytes. A pruned store's LRU
+	// serves At and Lookup, and the operators only of a store too large to
+	// keep resident (Info.Resident).
 	CacheTiles int
 }
 
-type reader = tilefile.Reader[[]uint32]
+type reader = tilefile.Reader[tile]
 
-// Store serves LD statistics from a tile file built by Build: every
-// measure from the one store, converted from its counts bit for bit as
-// core.Matrix computes it. All query methods are safe for concurrent use.
-// The embedded reader supplies Close, SNPs, Samples, Stat (r², the
-// measure of At, Region and Top), TileSize and Fingerprint.
+// Store serves LD from a store of either kind (see the package doc); a
+// query its kind does not serve returns an error. All query methods are
+// safe for concurrent use. The embedded reader supplies SNPs, Samples,
+// Stat (a complete store's r², a pruned store's measure), TileSize and
+// Fingerprint.
 type Store struct {
 	*reader
-	conv *core.CountConverter
-	// maxOff is each tile's maximum off-diagonal r², in index order: the
-	// Top pruning bound, decoded once from the index aux words.
-	maxOff []float64
+	file   io.Closer // nil when opened over a caller's reader
+	conv   *core.CountConverter
+	st     *counters
+	pruned bool
+	rows   *rowCSR // a pruned store's rows, laid out at open; nil above residentBudget
 }
 
-// Open opens the tile store at path.
+// Open opens the store at path, of either kind.
 func Open(path string, opt Options) (*Store, error) {
-	return newStore(tilefile.Open(path, &format, codec{}, opt.CacheTiles, &stats.Counters))
-}
-
-// OpenReader opens a tile store over an arbitrary random-access reader of
-// the given size. The header, the allele-count table and the whole index
-// are validated before any query runs (see tilefile.OpenReader), so a
-// corrupt or hostile file fails here with an error, never with a panic or
-// an unbounded allocation.
-func OpenReader(r io.ReaderAt, size int64, opt Options) (*Store, error) {
-	return newStore(tilefile.OpenReader(r, size, &format, codec{}, opt.CacheTiles, &stats.Counters))
-}
-
-func newStore(r *reader, err error) (*Store, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{reader: r, maxOff: make([]float64, len(r.Index)),
-		conv: core.NewCountConverter(alleleCounts(&r.Header), r.Samples())}
-	for id, e := range r.Index {
-		s.maxOff[id] = math.Float64frombits(e.Aux)
+	var s *Store
+	fi, err := f.Stat()
+	if err == nil {
+		s, err = OpenReader(f, fi.Size(), opt)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("ldstore: %s: %w", path, err)
+	}
+	s.file = f
+	return s, nil
+}
+
+// OpenReader opens a store over an arbitrary random-access reader of the
+// given size; its magic says the kind. The header, the allele-count table
+// and the whole index are validated before any query runs (see
+// tilefile.OpenReader), a pruned store's entry counts must sum to its
+// total with none beyond its band, and a pruned store inside the residency
+// budget decodes every tile into its row layout (matvec.go) — so a corrupt
+// or hostile file fails with an error, here or at a tile's first read,
+// never with a panic or an unbounded allocation.
+func OpenReader(r io.ReaderAt, size int64, opt Options) (*Store, error) {
+	var magic [4]byte
+	r.ReadAt(magic[:], 0) // a short file is the container's to refuse
+	s := &Store{pruned: magic == prunedFormat.Magic, st: &stats[0]}
+	f := &format
+	if s.pruned {
+		f, s.st = &prunedFormat, &stats[1]
+	}
+	rd, err := tilefile.OpenReader(r, size, f, codec{s.pruned}, opt.CacheTiles, &s.st.Counters)
+	if err != nil {
+		return nil, err
+	}
+	s.reader, s.conv = rd, core.NewCountConverter(alleleCounts(&rd.Header), rd.Samples())
+	if s.pruned {
+		if s.rows, err = s.load(); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-// Info summarizes a store for tooling.
+// Close releases the store's file, if Open opened it.
+func (s *Store) Close() error {
+	if s.file == nil {
+		return nil
+	}
+	return s.file.Close()
+}
+
+// Pruned reports whether the store is pruned (LDSS), not complete (LDTS).
+func (s *Store) Pruned() bool { return s.pruned }
+
+// serves refuses a query that only a store of the other kind answers: a
+// pruned store serves At, Lookup, MatVec and Score, a complete one the
+// rest and At and Lookup.
+func (s *Store) serves(pruned bool) error {
+	if s.pruned != pruned {
+		return fmt.Errorf("ldstore: this query needs a %s store", map[bool]string{false: "complete", true: "pruned"}[pruned])
+	}
+	return nil
+}
+
+// Threshold, Banded and Band are a pruned store's predicate (τ, and the
+// window |i−j| ≤ Band when Banded), and NNZ its stored upper-triangle
+// entries; a complete store has none of them (0, false, 0, 0).
+func (s *Store) Threshold() float64 { return math.Float64frombits(s.ext(extThreshold)) }
+func (s *Store) Banded() bool       { return s.Header.Flags&flagBanded != 0 }
+func (s *Store) Band() int          { return int(s.ext(extBand)) }
+func (s *Store) NNZ() int64         { return int64(s.ext(extNNZ)) }
+
+// ext reads one 64-bit field of a pruned store's header extension.
+func (s *Store) ext(off int) uint64 {
+	if !s.pruned {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(s.Header.Ext[off:])
+}
+
+// Info summarizes a store for tooling. DenseBytes is the tile payload of
+// the complete store of the same shape and N, every tile's rows × cols
+// counts; the fields after Pruned are a pruned store's predicate and
+// entries (Density: nnz over the upper triangle's cells), and, when its
+// operators fold a row layout kept since open, that layout's size.
 type Info struct {
-	SNPs        int    `json:"snps"`
-	Samples     int    `json:"samples"`
-	Stat        string `json:"stat"`
-	TileSize    int    `json:"tile_size"`
-	Tiles       int    `json:"tiles"`
-	CountBytes  int    `json:"count_bytes"`
-	Fingerprint string `json:"fingerprint"`
-	TileBytes   int64  `json:"tile_bytes"`
+	SNPs          int     `json:"snps"`
+	Samples       int     `json:"samples"`
+	Stat          string  `json:"stat"`
+	TileSize      int     `json:"tile_size"`
+	Tiles         int     `json:"tiles"`
+	CountBytes    int     `json:"count_bytes"`
+	Fingerprint   string  `json:"fingerprint"`
+	TileBytes     int64   `json:"tile_bytes"`
+	FileBytes     int64   `json:"file_bytes"`
+	DenseBytes    int64   `json:"dense_bytes"`
+	Pruned        bool    `json:"pruned"`
+	Threshold     float64 `json:"threshold"`
+	Banded        bool    `json:"banded"`
+	Band          int     `json:"band"`
+	NNZ           int64   `json:"nnz"`
+	EmptyTiles    int     `json:"empty_tiles"`
+	Density       float64 `json:"density"`
+	Resident      bool    `json:"resident"`
+	ResidentBytes int64   `json:"resident_bytes"`
 }
 
 // Info returns the store's header summary.
 func (s *Store) Info() Info {
-	return Info{
+	info := Info{
 		SNPs: s.SNPs(), Samples: s.Samples(), Stat: s.Stat().String(),
 		TileSize: s.TileSize(), Tiles: len(s.Index), CountBytes: int(s.Header.TableWidth),
 		Fingerprint: fmt.Sprintf("%016x", s.Fingerprint()),
 		TileBytes:   s.TileBytes(),
+		FileBytes:   int64(s.Header.IndexOffset) + int64(len(s.Index))*tilefile.IndexEntrySize,
+		Pruned:      s.pruned,
+		Threshold:   s.Threshold(), Banded: s.Banded(), Band: s.Band(), NNZ: s.NNZ(),
 	}
+	for id, e := range s.Index {
+		t := s.TileAt(id)
+		info.DenseBytes += int64(t.Rows) * int64(t.Cols) * int64(info.CountBytes)
+		if s.pruned && e.Aux == 0 {
+			info.EmptyTiles++
+		}
+	}
+	if n := int64(s.SNPs()); s.pruned && n > 0 {
+		info.Density = float64(s.NNZ()) / float64(n*(n+1)/2)
+	}
+	if c := s.rows; c != nil {
+		info.Resident = true
+		info.ResidentBytes = 4*int64(len(c.ptr)+len(c.stored)+len(c.col)) + 8*int64(len(c.val))
+	}
+	return info
 }
 
 // tileDim returns the row (or column) count of tile band t.
@@ -96,85 +193,104 @@ func checkMeasure(m core.Measure) error {
 	return nil
 }
 
-// At returns r² for the pair (i, j). The store is symmetric: argument
-// order does not matter.
-func (s *Store) At(i, j int) (float64, error) { return s.Cell(core.MeasureR2, i, j) }
+// At returns the store's statistic for the pair (i, j) — r² from a
+// complete store, a pruned store's measure or 0 where the pair was pruned
+// (or out of band) — in either order.
+func (s *Store) At(i, j int) (float64, error) {
+	v, _, err := s.Lookup(i, j)
+	return v, err
+}
+
+// Lookup is At plus whether the store holds the pair: a complete store
+// holds every pair, a pruned one those that passed its predicate, so a
+// stored zero is told from a pruned pair.
+func (s *Store) Lookup(i, j int) (float64, bool, error) {
+	var v [1]float64
+	ok, err := s.convert(v[:], i, j, s.Stat().Measure())
+	return v[0], ok, err
+}
 
 // Cell returns measure m (MeasureD, MeasureR2 or MeasureDPrime) for the
-// pair (i, j), in either order.
+// pair (i, j) of a complete store, in either order.
 func (s *Store) Cell(m core.Measure, i, j int) (float64, error) {
-	if err := checkMeasure(m); err != nil {
-		return 0, err
-	}
-	cnt, i, j, err := s.count(i, j)
-	if err != nil {
-		return 0, err
-	}
 	var v [1]float64
-	s.conv.Row(m, v[:], cnt, i, j)
-	stats.bytesServed.Add(8)
-	return v[0], nil
-}
-
-// Pair returns D, r² and D′ for the pair (i, j), in either order, from one
-// tile lookup.
-func (s *Store) Pair(i, j int) (d, r2, dprime float64, err error) {
-	cnt, i, j, err := s.count(i, j)
-	if err != nil {
-		return 0, 0, 0, err
+	err := s.serves(false)
+	if err == nil {
+		err = checkMeasure(m)
 	}
-	var v [3]float64
-	s.conv.Row(core.MeasureD, v[0:1], cnt, i, j)
-	s.conv.Row(core.MeasureR2, v[1:2], cnt, i, j)
-	s.conv.Row(core.MeasureDPrime, v[2:3], cnt, i, j)
-	stats.bytesServed.Add(24)
-	return v[0], v[1], v[2], nil
+	if err == nil {
+		_, err = s.convert(v[:], i, j, m)
+	}
+	return v[0], err
 }
 
-// count returns the joint count of SNPs i and j as a one-cell row, and
-// the pair ordered i ≤ j.
-func (s *Store) count(i, j int) ([]uint32, int, int, error) {
+// Pair returns D, r² and D′ for the pair (i, j) of a complete store, in
+// either order, from one tile lookup.
+func (s *Store) Pair(i, j int) (d, r2, dprime float64, err error) {
+	var v [3]float64
+	if err = s.serves(false); err == nil {
+		_, err = s.convert(v[:], i, j, core.MeasureD, core.MeasureR2, core.MeasureDPrime)
+	}
+	return v[0], v[1], v[2], err
+}
+
+// convert writes measure ms[k] of the pair (i, j), in either order, to
+// out[k], and reports whether the store holds the pair: out is left alone
+// where a pruned store does not. A pruned tile with no entry is answered
+// from the index alone.
+func (s *Store) convert(out []float64, i, j int, ms ...core.Measure) (bool, error) {
 	if err := s.CheckSNP("i", i); err != nil {
-		return nil, 0, 0, err
+		return false, err
 	}
 	if err := s.CheckSNP("j", j); err != nil {
-		return nil, 0, 0, err
+		return false, err
 	}
-	if i > j {
-		i, j = j, i
-	}
+	i, j = min(i, j), max(i, j)
 	nt := s.TileSize()
 	ti, tj := i/nt, j/nt
-	counts, err := s.Tile(ti, tj)
-	if err != nil {
-		return nil, 0, 0, err
+	s.st.bytesServed.Add(8 * uint64(len(ms)))
+	if s.pruned && s.Entry(ti, tj).Aux == 0 {
+		return false, nil
 	}
-	k := (i-ti*nt)*s.tileDim(tj) + (j - tj*nt)
-	return counts[k : k+1], i, j, nil
+	t, err := s.Tile(ti, tj)
+	if err != nil {
+		return false, err
+	}
+	r, c := i-ti*nt, j-tj*nt
+	k := r*s.tileDim(tj) + c
+	if s.pruned {
+		lo, hi := int(t.rowPtr[r]), int(t.rowPtr[r+1])
+		if k = lo + sort.Search(hi-lo, func(k int) bool { return int(t.cols[lo+k]) >= c }); k == hi || int(t.cols[k]) != c {
+			return false, nil
+		}
+	}
+	for x, m := range ms {
+		s.conv.Row(m, out[x:x+1], t.counts[k:k+1], i, j)
+	}
+	return true, nil
 }
 
 // Region materializes the dense (end−start)² r² matrix for SNPs [start,
-// end), row-major with both triangles filled: Rect over the square.
+// end) of a complete store, row-major with both triangles filled: Rect
+// over the square.
 func (s *Store) Region(start, end int) ([]float64, error) {
-	n := s.SNPs()
-	if start < 0 || end <= start || end > n {
-		return nil, fmt.Errorf("ldstore: invalid region [%d,%d) of %d SNPs", start, end, n)
-	}
 	return s.Rect(core.MeasureR2, start, end, start, end)
 }
 
 // Rect materializes measure m (MeasureD, MeasureR2 or MeasureDPrime) over
-// rows [r0, r1) × columns [c0, c1) of the symmetric matrix, row-major — the
-// payload of the server's region requests, a cluster shard's
-// row-restricted ones among them. Each cell is converted from the tile
-// orientation that holds it (the store keeps i ≤ j): a tile read against
-// the grain converts its own rows, whose pairs are the rectangle's
+// rows [r0, r1) × columns [c0, c1) of a complete store's symmetric matrix,
+// row-major — the payload of the server's region requests, a cluster
+// shard's row-restricted ones among them. Each cell is converted from the
+// tile orientation that holds it (the store keeps i ≤ j): a tile read
+// against the grain converts its own rows, whose pairs are the rectangle's
 // transposed, and measures are symmetric in their two SNPs to the bit. A
 // square rectangle converts each pair of its upper tiles once and mirrors
 // it. The block comes from bufpool.Floats, as core's results do: a caller
-// done with it may hand it back there, once; one never handed back is
-// ordinary garbage.
+// done with it may hand it back there, once.
 func (s *Store) Rect(m core.Measure, r0, r1, c0, c1 int) ([]float64, error) {
+	if err := s.serves(false); err != nil {
+		return nil, err
+	}
 	if err := checkMeasure(m); err != nil {
 		return nil, err
 	}
@@ -193,12 +309,12 @@ func (s *Store) Rect(m core.Measure, r0, r1, c0, c1 int) ([]float64, error) {
 				continue // mirrored from tile (tc, tr)
 			}
 			ti, tj := min(tr, tc), max(tr, tc)
-			counts, err := s.Tile(ti, tj)
+			t, err := s.Tile(ti, tj)
 			if err != nil {
 				bufpool.Floats.Put(out)
 				return nil, err
 			}
-			cols := s.tileDim(tj)
+			counts, cols := t.counts, s.tileDim(tj)
 			iLo, iHi := max(r0, tr*nt), min(r1, tr*nt+s.tileDim(tr))
 			jLo, jHi := max(c0, tc*nt), min(c1, tc*nt+s.tileDim(tc))
 			if tr > tc {
@@ -226,7 +342,7 @@ func (s *Store) Rect(m core.Measure, r0, r1, c0, c1 int) ([]float64, error) {
 			}
 		}
 	}
-	stats.bytesServed.Add(uint64(len(out)) * 8)
+	s.st.bytesServed.Add(uint64(len(out)) * 8)
 	return out, nil
 }
 
@@ -237,7 +353,7 @@ type TopPair struct {
 	Value float64 `json:"value"`
 }
 
-// Top returns the k strongest off-diagonal pairs by r²,
+// Top returns a complete store's k strongest off-diagonal pairs by r²,
 // strongest first (ties broken by (I, J)). The per-tile maxima recorded
 // at build time prune the scan: tiles whose maximum cannot displace the
 // current k-th value are never read.
@@ -247,6 +363,9 @@ func (s *Store) Top(k int) ([]TopPair, error) { return s.TopRange(k, 0, s.SNPs()
 // [r0, r1) — the ownership rule of a cluster shard. The per-tile maxima
 // still prune: a tile's recorded maximum bounds any row subset of it.
 func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
+	if err := s.serves(false); err != nil {
+		return nil, err
+	}
 	if k < 1 {
 		return nil, fmt.Errorf("ldstore: invalid top k=%d", k)
 	}
@@ -260,23 +379,23 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 			order = append(order, id)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return s.maxOff[order[a]] > s.maxOff[order[b]]
-	})
+	// A complete tile's aux word is its maximum off-diagonal r².
+	maxOff := func(id int) float64 { return math.Float64frombits(s.Index[id].Aux) }
+	sort.Slice(order, func(a, b int) bool { return maxOff(order[a]) > maxOff(order[b]) })
 	h := &topHeap{}
 	scratch := make([]float64, s.TileSize())
 	for _, id := range order {
 		// Strict inequality: a tile whose maximum ties the current k-th
 		// value can still hold a pair that wins on the (I, J) tie-break,
 		// so only strictly-weaker tiles are pruned.
-		if h.Len() == k && s.maxOff[id] < (*h)[0].Value {
+		if h.Len() == k && maxOff(id) < (*h)[0].Value {
 			break
 		}
-		if math.IsInf(s.maxOff[id], -1) {
+		if math.IsInf(maxOff(id), -1) {
 			break // only empty 1×1 diagonal tiles remain
 		}
 		c := s.TileAt(id)
-		counts, err := s.Tile(c.TI, c.TJ)
+		t, err := s.Tile(c.TI, c.TJ)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +409,7 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 				from = r + 1 // mirrored square: keep i < j once, skip the diagonal
 			}
 			row := scratch[:c.Cols-from]
-			s.conv.Row(core.MeasureR2, row, counts[r*c.Cols+from:(r+1)*c.Cols], i, c.Col0+from)
+			s.conv.Row(core.MeasureR2, row, t.counts[r*c.Cols+from:(r+1)*c.Cols], i, c.Col0+from)
 			for col, v := range row {
 				p := TopPair{I: i, J: c.Col0 + from + col, Value: v}
 				if h.Len() < k {
@@ -301,7 +420,7 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 				}
 			}
 		}
-		stats.bytesServed.Add(uint64(len(counts)) * 8)
+		s.st.bytesServed.Add(uint64(len(t.counts)) * 8)
 	}
 	out := make([]TopPair, h.Len())
 	copy(out, *h)
@@ -325,28 +444,3 @@ func (h *topHeap) Push(x any)        { *h = append(*h, x.(TopPair)) }
 func (h *topHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
 var _ heap.Interface = (*topHeap)(nil)
-
-// Band visits the r² of every pair (i, j) with i in [start, end) and i ≤
-// j ≤ i+band, mirroring core.BandedStream's coverage (diagonal included).
-// Returning false from visit stops the scan early.
-func (s *Store) Band(start, end, band int, visit func(i, j int, v float64) bool) error {
-	n := s.SNPs()
-	if band < 1 {
-		return fmt.Errorf("ldstore: invalid band %d", band)
-	}
-	if start < 0 || end <= start || end > n {
-		return fmt.Errorf("ldstore: invalid band range [%d,%d) of %d SNPs", start, end, n)
-	}
-	for i := start; i < end; i++ {
-		for j := i; j <= min(i+band, n-1); j++ {
-			v, err := s.At(i, j)
-			if err != nil {
-				return err
-			}
-			if !visit(i, j, v) {
-				return nil
-			}
-		}
-	}
-	return nil
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ldgemm/internal/blis"
-	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
 )
 
@@ -120,7 +119,7 @@ func newMetrics() *metrics {
 	m.Root.Set("store_fallbacks", &m.storeFallbacks)
 	m.Root.Set("sparse_served", &m.sparseServed)
 	m.Root.Set("sparse", expvar.Func(func() any {
-		s := ldsparse.ReadStats()
+		s := ldstore.ReadPrunedStats()
 		return map[string]any{
 			"tiles_read":      s.TilesRead,
 			"bytes_read":      s.BytesRead,

@@ -19,7 +19,6 @@ import (
 	"ldgemm/internal/blis"
 	"ldgemm/internal/bufpool"
 	"ldgemm/internal/core"
-	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
 	"ldgemm/internal/omega"
 	"ldgemm/internal/stats"
@@ -54,18 +53,18 @@ type Config struct {
 	// The whole-matrix analysis endpoints (prune/blocks/omega) are
 	// unaffected. Both zero (the default) means unsharded.
 	ShardStart, ShardEnd int
-	// Store, when non-nil, is a precomputed tile store for the dataset:
-	// /api/ld, /api/ld/region, and /api/ld/top requests whose statistic
-	// matches the store's are served from tiles instead of recomputed, and
-	// fall back to on-the-fly compute on any store error. A store whose
-	// fingerprint does not match the matrix is silently ignored (cmd/ldserver
-	// rejects the mismatch loudly before it gets here).
+	// Store, when non-nil, is a complete store for the dataset: /api/ld,
+	// /api/ld/region, and /api/ld/top requests are served from its tiles
+	// instead of recomputed, and fall back to on-the-fly compute on any
+	// store error. A store whose fingerprint does not match the matrix, or
+	// a pruned one, is silently ignored (cmd/ldserver rejects either loudly
+	// before it gets here).
 	Store *ldstore.Store
-	// Sparse, when non-nil, is a threshold-pruned sparse LD store for the
-	// dataset, enabling the POST /api/sparse/matvec and /api/sparse/score
-	// operators. Fingerprint-gated like Store: a mismatch is silently
+	// Sparse, when non-nil, is a pruned store for the dataset, enabling
+	// the POST /api/sparse/matvec and /api/sparse/score operators. Gated
+	// like Store: a complete store or a fingerprint mismatch is silently
 	// ignored here and rejected loudly by cmd/ldserver.
-	Sparse *ldsparse.Store
+	Sparse *ldstore.Store
 }
 
 func (c Config) normalize() Config {
@@ -84,8 +83,8 @@ type Server struct {
 	cfg     Config
 	handler http.Handler // the mux wrapped in the lifecycle middleware
 	metrics *metrics
-	store   *ldstore.Store  // nil without a (fingerprint-matched) tile store
-	sparse  *ldsparse.Store // nil without a (fingerprint-matched) sparse store
+	store   *ldstore.Store // nil without a (fingerprint-matched) complete store
+	sparse  *ldstore.Store // nil without a (fingerprint-matched) pruned store
 	// freqs, poly, and fingerprint are precomputed at construction so
 	// /api/info and /api/freq never rescan the matrix per request.
 	freqs       []float64
@@ -111,10 +110,10 @@ func New(g *bitmat.Matrix, cfg Config) *Server {
 	if s.cfg.ShardStart < 0 || s.cfg.ShardEnd <= s.cfg.ShardStart {
 		s.cfg.ShardStart, s.cfg.ShardEnd = 0, 0 // degenerate range: unsharded
 	}
-	if cfg.Store != nil && cfg.Store.Fingerprint() == fp {
+	if cfg.Store != nil && !cfg.Store.Pruned() && cfg.Store.Fingerprint() == fp {
 		s.store = cfg.Store
 	}
-	if cfg.Sparse != nil && cfg.Sparse.Fingerprint() == fp {
+	if cfg.Sparse != nil && cfg.Sparse.Pruned() && cfg.Sparse.Fingerprint() == fp {
 		s.sparse = cfg.Sparse
 		s.metrics.sparseResident.Set(cfg.Sparse.Info().ResidentBytes)
 	}

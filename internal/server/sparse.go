@@ -4,7 +4,7 @@ import (
 	"context"
 
 	"ldgemm/internal/bufpool"
-	"ldgemm/internal/ldsparse"
+	"ldgemm/internal/ldstore"
 )
 
 // sparseOp executes a sparse operator over output rows [Lo, Hi) and
@@ -56,7 +56,7 @@ type SparseInfo struct {
 	NNZ       int64   `json:"nnz"`
 }
 
-func sparseInfo(s *ldsparse.Store) *SparseInfo {
+func sparseInfo(s *ldstore.Store) *SparseInfo {
 	return &SparseInfo{
 		Stat: s.Stat().String(), Threshold: s.Threshold(),
 		Banded: s.Banded(), Band: s.Band(), NNZ: s.NNZ(),

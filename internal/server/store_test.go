@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -289,5 +292,78 @@ func TestStoreInfoAndVars(t *testing.T) {
 	}
 	if vars.Store.TilesRead == 0 || vars.Store.BytesServed == 0 {
 		t.Fatalf("store counters empty: %+v", vars)
+	}
+}
+
+// TestStoreWrongKindIgnored gives New each store in the other's place: a
+// pruned store as Store and a complete one as Sparse. Both are left
+// unloaded, as a fingerprint mismatch is, so the server answers as it does
+// with no store: /api/info reports neither, a region and a pair come back
+// with the computed bytes, and the sparse operators with the same status
+// and body as on a server without a sparse store.
+func TestStoreWrongKindIgnored(t *testing.T) {
+	g, err := popsim.Mosaic(60, 80, popsim.MosaicConfig{Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(name string, bo ldstore.BuildOptions) *ldstore.Store {
+		path := filepath.Join(t.TempDir(), name)
+		if _, err := ldstore.BuildFile(path, g, bo); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ldstore.Open(path, ldstore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	complete := open("g.ldts", ldstore.BuildOptions{TileSize: 16})
+	pruned := open("g.ldss", ldstore.BuildOptions{TileSize: 16, Threshold: 0.05})
+	plain := httptest.NewServer(New(g, Config{}))
+	defer plain.Close()
+	swapped := httptest.NewServer(New(g, Config{Store: pruned, Sparse: complete}))
+	defer swapped.Close()
+
+	var info InfoResponse
+	if code := getJSON(t, swapped.URL+"/api/info", &info); code != 200 || info.StoreLoaded || info.Sparse != nil {
+		t.Fatalf("info %d: store loaded %v, sparse %+v", code, info.StoreLoaded, info.Sparse)
+	}
+	body := make([]byte, 0, 1024)
+	body = append(body, `{"x":[`...)
+	for i := range g.SNPs {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, '1')
+	}
+	body = append(body, "]}"...)
+	reply := func(base, method, path string) (int, string) {
+		req, err := http.NewRequest(method, base+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	for _, q := range []struct{ method, path string }{
+		{"GET", "/api/ld/region?start=3&end=40&measure=dprime"},
+		{"GET", "/api/ld?i=4&j=17"},
+		{"GET", "/api/ld/top?k=5"},
+		{"POST", "/api/sparse/matvec"},
+		{"POST", "/api/sparse/score"},
+	} {
+		wantCode, want := reply(plain.URL, q.method, q.path)
+		if code, got := reply(swapped.URL, q.method, q.path); code != wantCode || got != want {
+			t.Fatalf("%s %s: %d %.80q, without a store %d %.80q", q.method, q.path, code, got, wantCode, want)
+		}
 	}
 }

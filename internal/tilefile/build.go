@@ -17,13 +17,13 @@ import (
 )
 
 // Stripe is one tile row as the scan handed it over, in place: the
-// encoder's input, in the shape its encoder asks for. A CountEncoder's is
+// encoder's input, in the shape its encoder asks for. A counts encoder's is
 // Counts, the joint counts from each row's diagonal to N with each tile's
 // maximum exact r² (core.CountStripe); a KeptEncoder's is Kept, the
-// row-CSR of the delivered cells with |v| ≥ its threshold
-// (core.KeptStripe). The buffers are pooled and never cleared, so the
-// other one holds whatever an earlier build left. The stripe holds SNP
-// rows [I0, I0+Rows) of N.
+// row-CSR of the joint counts of the delivered cells with |v| ≥ its
+// threshold (core.KeptStripe). The buffers are pooled and never cleared,
+// so the other one holds whatever an earlier build left. The stripe holds
+// SNP rows [I0, I0+Rows) of N.
 type Stripe struct {
 	N, I0, Rows int
 	Counts      core.CountStripe
@@ -32,9 +32,15 @@ type Stripe struct {
 
 // Encoder is the write side of a tile format. The boundary is per tile:
 // the driver hands over the whole stripe and a tile's coordinates, and
-// gets one payload back. Every Encoder is a CountEncoder or a
-// KeptEncoder, which says what its stripes hold.
+// gets one payload back. An Encoder is handed counts stripes
+// (Stripe.Counts): the scan stores the driver's counts narrowed and folds
+// each tile's maximum r² in its fused epilogue, no float stripe ever
+// filled, and runs Threads stripes at once (core.StreamSourceCounts). A
+// KeptEncoder is handed kept stripes instead.
 type Encoder interface {
+	// Alleles is handed every SNP's derived-allele count once, before any
+	// stripe.
+	Alleles(counts []uint32)
 	// EncodeTile serializes tile t of stripe s and returns its payload
 	// and index auxiliary word. The payload lives in scratch the encoder
 	// reuses, or in the stripe itself; the driver consumes it before the
@@ -47,21 +53,11 @@ type Encoder interface {
 	FinishHeader(h *Header, index []Entry)
 }
 
-// CountEncoder is an Encoder of counts stripes (Stripe.Counts): the scan
-// stores the driver's counts narrowed and folds each tile's maximum r² in
-// its fused epilogue, no float stripe ever filled, and runs Threads
-// stripes at once (core.StreamSourceCounts).
-type CountEncoder interface {
-	Encoder
-	// Alleles is handed every SNP's derived-allele count once, before any
-	// stripe.
-	Alleles(counts []uint32)
-}
-
 // KeptEncoder is an Encoder that stores only the cells with |v| ≥
 // Threshold(). It is handed kept stripes (Stripe.Kept): the scan selects
-// the survivors inside its fused epilogue, so no float stripe is ever
-// filled, and it runs Threads stripes at once.
+// the survivors inside its fused epilogue and keeps their counts, so no
+// float stripe is ever filled, and it runs Threads stripes at once
+// (core.StreamSourceKept).
 type KeptEncoder interface {
 	Encoder
 	Threshold() float64
@@ -110,10 +106,11 @@ type BuildStats struct {
 	// build's are counts stripes, each NT rows to n at the store's count
 	// width plus one 8-byte maximum per tile (core.CountStripe.Bytes):
 	// (Threads + 3) × NT × n × 2 bytes at N ≤ 65 535, and that plus the
-	// maxima. A sparse build's are survivor lists, counted at the largest
+	// maxima. A kept build's are survivor lists, counted at the largest
 	// stripe it delivered (core.KeptStripe.Bytes and ScanBytes); at τ = 0
 	// with no band every cell survives, and that is O((Threads + 3) ×
-	// TileSize × SNPs) at 12 bytes a cell. Growth slack is not counted.
+	// TileSize × SNPs) at 8 bytes a cell, a column and a count. Growth
+	// slack is not counted.
 	PeakResultBytes int64
 	// StartStripe is the tile row the build began at: 0 for a fresh
 	// build, the checkpoint's stripe count for a resumed one.
@@ -138,8 +135,8 @@ type BuildStats struct {
 
 // builder is the single build driver, a three-stage pipeline:
 //
-//	scan (core.StreamSourceCounts for a CountEncoder, StreamSourceKept for
-//	a KeptEncoder) → writer (encode, CRC, append, index, flush, writeback)
+//	scan (core.StreamSourceCounts, or StreamSourceKept for a KeptEncoder)
+//	→ writer (encode, CRC, append, index, flush, writeback)
 //	→ committer (fsync, sidecar, manifest; checkpointed file builds only,
 //	at most once per commitInterval)
 //
@@ -157,6 +154,7 @@ type builder struct {
 	n, nt int
 	bands int
 	hdr   Header
+	head  []byte // hdr's bytes, hdr.Table a view of them
 	id    identity
 
 	// Scan side. stripeBytes is the largest stripe delivered, scanBytes the
@@ -227,11 +225,6 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 	if !spec.Stat.Valid() {
 		return nil, f.errorf("invalid statistic kind %d", uint32(spec.Stat))
 	}
-	switch spec.Encoder.(type) {
-	case CountEncoder, KeptEncoder:
-	default:
-		return nil, f.errorf("encoder %T takes neither counts nor kept stripes", spec.Encoder)
-	}
 	n, nt := src.NumSNPs(), spec.TileSize
 	t := bandsFor(n, nt)
 	b := &builder{spec: spec, src: src, n: n, nt: nt, bands: t,
@@ -248,6 +241,10 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 		},
 	}
 	b.offset = b.hdr.DataStart(f)
+	// The header is encoded at the start and at the seal into one buffer,
+	// whose table part FinishHeader fills in place.
+	b.head = make([]byte, b.offset)
+	b.hdr.Table = b.head[f.HeaderSize():]
 	// Full capacity up front: the writer appends while the committer reads
 	// the entries of an earlier stripe, so the array must never move.
 	b.index = make([]Entry, 0, b.hdr.TileCount)
@@ -265,11 +262,11 @@ func newBuilder(src bitmat.Source, spec *Spec) (*builder, error) {
 // and result memory stays O((Threads + 3) × TileSize × SNPs) no matter how
 // large the full n² matrix would be (PeakResultBytes); every source runs
 // the double-buffered panel schedule, a resident bitmat.MemSource one panel
-// wide. A CountEncoder's build runs the counts scan
-// (core.StreamSourceCounts) and a KeptEncoder's the kept scan
-// (core.StreamSourceKept), each Threads stripes at once; each stripe in
-// flight holds its counts or survivors until its turn, which for a kept
-// scan is far less than every cell at any useful τ. The output side is
+// wide. An Encoder's build runs the counts scan (core.StreamSourceCounts)
+// and a KeptEncoder's the kept scan (core.StreamSourceKept), each Threads
+// stripes at once; each stripe in flight holds its counts or survivors
+// until its turn, which for a kept scan is far less than every cell at any
+// useful τ. The output side is
 // buffered too: a writer goroutine encodes and appends stripe s while the
 // scan computes the next. Values are the Exact epilogue's, so a store
 // serves the bits the dense core.Matrix path a serverless request would
@@ -331,7 +328,8 @@ func BuildFile(path string, src bitmat.Source, spec Spec) (BuildStats, error) {
 		if b.file, err = os.Create(path); err != nil {
 			return BuildStats{}, err
 		}
-		if _, err = (dataFile{b.file}).Write(b.hdr.encode(f)); err == nil && useCkpt {
+		b.hdr.encode(f, b.head)
+		if _, err = (dataFile{b.file}).Write(b.head); err == nil && useCkpt {
 			b.ck = &checkpoint{path: path, id: b.id}
 			b.ck.sidecar, err = os.Create(SidecarPath(path))
 		}
@@ -427,7 +425,8 @@ func (b *builder) run() (BuildStats, error) {
 	if _, err := b.file.Seek(0, io.SeekStart); err != nil {
 		return BuildStats{}, err
 	}
-	if _, err := (dataFile{b.file}).Write(b.hdr.encode(f)); err != nil {
+	b.hdr.encode(f, b.head)
+	if _, err := (dataFile{b.file}).Write(b.head); err != nil {
 		return BuildStats{}, err
 	}
 	st := b.stats
@@ -494,11 +493,10 @@ func (b *builder) scan(start int) error {
 	}()
 
 	var streamErr error
-	switch enc := b.spec.Encoder.(type) {
-	case KeptEncoder:
-		streamErr = core.StreamSourceKept(b.src, b.so, keptSink{b, enc.Threshold()})
-	case CountEncoder:
-		streamErr = core.StreamSourceCounts(b.src, b.so, countSink{b, enc})
+	if enc, ok := b.spec.Encoder.(KeptEncoder); ok {
+		streamErr = core.StreamSourceKept(b.src, b.so, keptSink{countSink{b}, enc.Threshold()})
+	} else {
+		streamErr = core.StreamSourceCounts(b.src, b.so, countSink{b})
 	}
 
 	close(b.full)
@@ -562,13 +560,10 @@ func (b *builder) handOver(i0, rows int) {
 	b.full <- s
 }
 
-// countSink is the builder as the core.CountSink of a CountEncoder's build.
-type countSink struct {
-	*builder
-	enc CountEncoder
-}
+// countSink is the builder as the core.CountSink of an Encoder's build.
+type countSink struct{ *builder }
 
-func (c countSink) Alleles(a []uint32) { c.enc.Alleles(a) }
+func (c countSink) Alleles(a []uint32) { c.spec.Encoder.Alleles(a) }
 
 func (c countSink) CountBuffer() *core.CountStripe { return &c.nextBuffer().Counts }
 
@@ -580,7 +575,7 @@ func (c countSink) CountDone(s *core.CountStripe) {
 
 // keptSink is the builder as the core.KeptSink of a KeptEncoder's build.
 type keptSink struct {
-	*builder
+	countSink
 	tau float64
 }
 

@@ -15,7 +15,7 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
-	"ldgemm/internal/ldsparse"
+	"ldgemm/internal/ldstore"
 	"ldgemm/internal/tilefile"
 )
 
@@ -386,7 +386,7 @@ func TestCraftedRowPointers(t *testing.T) {
 	flipped := bytes.Clone(valid)
 	flipped[le.Uint64(flipped[len(flipped)-tilefile.IndexEntrySize:])] ^= 0x40 // last tile, first payload byte
 	miscounted := bytes.Clone(valid)
-	le.PutUint64(miscounted[80:], le.Uint64(miscounted[80:])+1)
+	le.PutUint64(miscounted[88:], le.Uint64(miscounted[88:])+1)
 
 	for _, c := range []struct {
 		name  string
@@ -401,7 +401,7 @@ func TestCraftedRowPointers(t *testing.T) {
 		for _, budget := range []int64{-1, 0} {
 			t.Run(fmt.Sprintf("%s/budget=%d", c.name, budget), func(t *testing.T) {
 				if budget >= 0 {
-					defer ldsparse.SetResidentBudgetForTest(budget)()
+					defer ldstore.SetResidentBudgetForTest(budget)()
 				}
 				refused := func(what string, err error) {
 					t.Helper()
@@ -409,7 +409,7 @@ func TestCraftedRowPointers(t *testing.T) {
 						t.Fatalf("%s: error %v, want one naming %q", what, err, c.wants)
 					}
 				}
-				s, err := ldsparse.OpenReader(bytes.NewReader(c.data), int64(len(c.data)), ldsparse.Options{})
+				s, err := ldstore.OpenReader(bytes.NewReader(c.data), int64(len(c.data)), ldstore.Options{})
 				if budget < 0 || !c.lazy {
 					refused("open", err)
 					return

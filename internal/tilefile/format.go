@@ -1,16 +1,16 @@
-// Package tilefile is the one on-disk tile container behind both LD store
-// tiers: the upper tile triangle of one SNP×SNP statistic, each tile an
-// opaque checksummed payload behind an offset index, bound to its dataset
-// by a fingerprint. The container owns everything the dense (LDTS) and
-// sparse (LDSS) formats share — header prefix, tile geometry, index,
+// Package tilefile is the one on-disk tile container behind the LD store:
+// the upper tile triangle of the SNP×SNP joint counts, each tile an opaque
+// checksummed payload behind an offset index, bound to its dataset by a
+// fingerprint. The container owns everything the complete (LDTS) and
+// pruned (LDSS) formats share — header prefix, tile geometry, index,
 // validated open, the read-and-CRC tile fetch behind one LRU, the
 // checkpoint/resume protocol, and the single build driver. What a tile's
-// bytes mean is a Codec's business: ldstore and ldsparse each supply one.
+// bytes mean is a Codec's business: ldstore supplies one for both formats.
 //
 // File layout (all integers little-endian):
 //
 //	header: 64-byte prefix + the format's fixed-size extension
-//	per-SNP table: SNPs × the prefix's table width bytes (LDTS: allele counts; none in LDSS)
+//	per-SNP table: SNPs × the prefix's table width bytes (ldstore: allele counts)
 //	tile payloads, in index order (row-major over the upper tile triangle)
 //	index: one 24-byte entry per tile, ending exactly at end-of-file
 //
@@ -144,8 +144,8 @@ type Header struct {
 	IndexOffset uint64
 	TileCount   uint64
 	Ext         []byte
-	// Table is the per-SNP table, SNPs × TableWidth bytes. A builder
-	// writes zeros until the encoder's FinishHeader fills it.
+	// Table is the per-SNP table, SNPs × TableWidth bytes. A build writes
+	// zeros until the encoder's FinishHeader fills it in place.
 	Table []byte
 }
 
@@ -155,9 +155,9 @@ func (h *Header) DataStart(f *Format) int64 {
 	return int64(f.HeaderSize()) + int64(h.SNPs)*int64(h.TableWidth)
 }
 
-// encode returns the header's bytes with the per-SNP table after them.
-func (h *Header) encode(f *Format) []byte {
-	b := make([]byte, h.DataStart(f))
+// encode writes the header's bytes with the per-SNP table after them to b,
+// DataStart bytes long; a Table that is b's own view of it stays put.
+func (h *Header) encode(f *Format, b []byte) {
 	copy(b[0:4], f.Magic[:])
 	binary.LittleEndian.PutUint32(b[4:], f.Version)
 	binary.LittleEndian.PutUint32(b[8:], h.Flags)
@@ -171,7 +171,6 @@ func (h *Header) encode(f *Format) []byte {
 	binary.LittleEndian.PutUint64(b[56:], h.TileCount)
 	copy(b[PrefixSize:], h.Ext)
 	copy(b[f.HeaderSize():], h.Table)
-	return b
 }
 
 func decodeHeader(f *Format, b []byte) (Header, error) {

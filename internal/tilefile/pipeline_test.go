@@ -15,7 +15,7 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
-	"ldgemm/internal/ldsparse"
+	"ldgemm/internal/ldstore"
 	"ldgemm/internal/tilefile"
 )
 
@@ -377,12 +377,12 @@ func (s *panelWatch) Panel(lo, hi int, buf *bitmat.Matrix) (*bitmat.Matrix, erro
 // with no Panel call running, none starting after.
 func TestKeptBuildStopsAtFourThreads(t *testing.T) {
 	stopsAtFourThreads(t, func(path string, src bitmat.Source, ctx context.Context) error {
-		opt := ldsparse.SourceBuildOptions{
-			BuildOptions: ldsparse.BuildOptions{TileSize: 16, Threshold: 0.02, Banded: true, Band: 50},
+		opt := ldstore.SourceBuildOptions{
+			BuildOptions: ldstore.BuildOptions{TileSize: 16, Threshold: 0.02, Banded: true, Band: 50},
 			IOPanelSNPs:  16, Checkpoint: true,
 		}
 		opt.LD.Blis.Threads, opt.LD.Blis.Ctx = 4, ctx
-		_, err := ldsparse.BuildFileFromSource(path, src, opt)
+		_, err := ldstore.BuildFileFromSource(path, src, opt)
 		return err
 	})
 }
@@ -723,9 +723,9 @@ func TestBuildBackPressure(t *testing.T) {
 // scan hands over, and the scan holds as much again for each stripe in
 // flight (one per thread, at most the 8 stripes there are) — for the dense
 // codec's counts stripes NT rows to n at 2 bytes a count plus an 8-byte
-// maximum for each of its 8 tiles; for the sparse codecs' kept stripes NT+1
-// row pointers and the survivors of the largest stripe (192 unbanded at
-// τ = 0.05, 255 banded at τ = 0.02, a 4-byte column and an 8-byte value
+// maximum for each of its 8 tiles; for the pruned codecs' kept stripes
+// NT+1 row pointers and the survivors of the largest stripe (192 unbanded
+// at τ = 0.05, 255 banded at τ = 0.02, a 4-byte column and a 4-byte count
 // each), a survivor list as large for each stripe in flight.
 // PeakResultBytes reports exactly that.
 func TestStripeBufferSize(t *testing.T) {
@@ -739,8 +739,8 @@ func TestStripeBufferSize(t *testing.T) {
 		want int64
 	}{
 		{tiers[0], int64((3 + w) * (2*nt*snps + 8*8))},
-		{tiers[1], int64(3*(8*(nt+1)+12*192) + w*12*192)},
-		{tiers[2], int64(3*(8*(nt+1)+12*255) + w*12*255)},
+		{tiers[1], int64(3*(8*(nt+1)+8*192) + w*8*192)},
+		{tiers[2], int64(3*(8*(nt+1)+8*255) + w*8*255)},
 	} {
 		st, err := c.tier.build(filepath.Join(t.TempDir(), "s.store"), src, sh, srcOpts{ioPanel: nt})
 		if err != nil {
@@ -755,9 +755,9 @@ func TestStripeBufferSize(t *testing.T) {
 // TestKeptBuildMemoryAtZeroThreshold: at τ = 0 with no band every cell
 // survives, so a kept build at Threads 4 holds four survivor lists of the
 // largest stripe (rows 0–15, each from its diagonal to n: 1800 cells) on
-// top of its three stripes, 12 bytes a cell — more than four times the
-// dense build's counts stripes (7·(2·16·120 + 8·8) = 27 328 bytes) — and
-// PeakResultBytes says so.
+// top of its three stripes, 8 bytes a cell, a column and a count — more
+// than three times the dense build's counts stripes (7·(2·16·120 + 8·8) =
+// 27 328 bytes) — and PeakResultBytes says so.
 func TestKeptBuildMemoryAtZeroThreshold(t *testing.T) {
 	const snps, nt, cells = 120, 16, 16*120 - 16*15/2
 	g := testMatrix(t, snps, 64, 5)
@@ -766,7 +766,7 @@ func TestKeptBuildMemoryAtZeroThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int64(3*(8*(nt+1)+12*cells) + 4*12*cells); st.PeakResultBytes != want {
+	if want := int64(3*(8*(nt+1)+8*cells) + 4*8*cells); st.PeakResultBytes != want {
 		t.Fatalf("PeakResultBytes %d, want %d", st.PeakResultBytes, want)
 	}
 }

@@ -1,10 +1,8 @@
 package tilefile
 
 import (
-	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync/atomic"
 
 	"ldgemm/internal/bufpool"
@@ -27,7 +25,7 @@ type Codec[T any] interface {
 }
 
 // Counters are the cumulative read-path counters of one format. The codec
-// package owns the instance, so dense and sparse traffic stay separately
+// package owns the instance, so each format's traffic stays separately
 // observable; every Reader of that format feeds it.
 type Counters struct {
 	// TilesRead counts tiles decoded from disk (cache misses that
@@ -68,28 +66,7 @@ type Reader[T any] struct {
 	codec    Codec[T]
 	counters *Counters
 	r        io.ReaderAt
-	closer   io.Closer // nil when opened over a caller-owned reader
 	cache    *lru[T]
-}
-
-// Open opens the tile file at path.
-func Open[T any](path string, f *Format, c Codec[T], cacheTiles int, ctr *Counters) (*Reader[T], error) {
-	file, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	fi, err := file.Stat()
-	if err != nil {
-		file.Close()
-		return nil, err
-	}
-	r, err := OpenReader(file, fi.Size(), f, c, cacheTiles, ctr)
-	if err != nil {
-		file.Close()
-		return nil, fmt.Errorf("%s: %s: %w", f.Name, path, err)
-	}
-	r.closer = file
-	return r, nil
 }
 
 // OpenReader opens a tile file over an arbitrary random-access reader of
@@ -193,14 +170,6 @@ func OpenReader[T any](r io.ReaderAt, size int64, f *Format, c Codec[T], cacheTi
 		rd.Index[id] = e
 	}
 	return rd, nil
-}
-
-// Close releases the underlying file, if the Reader owns one.
-func (r *Reader[T]) Close() error {
-	if r.closer == nil {
-		return nil
-	}
-	return r.closer.Close()
 }
 
 // SNPs returns the dataset's SNP count.

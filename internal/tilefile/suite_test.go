@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"ldgemm/internal/bitmat"
-	"ldgemm/internal/ldsparse"
 	"ldgemm/internal/ldstore"
 	"ldgemm/internal/popsim"
 	"ldgemm/internal/tilefile"
@@ -26,7 +25,7 @@ import (
 // width the banded tier uses (the others ignore it).
 type shape struct{ nt, band int }
 
-// srcOpts are the out-of-core knobs, identical in both codec packages.
+// srcOpts are the out-of-core knobs, identical for both kinds of store.
 type srcOpts struct {
 	ioPanel            int
 	checkpoint, resume bool
@@ -69,7 +68,7 @@ type tier struct {
 
 var (
 	ldtsFormat = tilefile.Format{Name: "ldstore", Magic: [4]byte{'L', 'D', 'T', 'S'}, ManifestMagic: "ldstore-checkpoint", Version: 2, ExtSize: 8}
-	ldssFormat = tilefile.Format{Name: "ldsparse", Magic: [4]byte{'L', 'D', 'S', 'S'}, ManifestMagic: "ldsparse-checkpoint", Version: 1, ExtSize: 32}
+	ldssFormat = tilefile.Format{Name: "ldstore", Magic: [4]byte{'L', 'D', 'S', 'S'}, ManifestMagic: "ldsparse-checkpoint", Version: 2, ExtSize: 32}
 )
 
 func denseBuild(bo func(shape) ldstore.BuildOptions) buildFn {
@@ -78,17 +77,19 @@ func denseBuild(bo func(shape) ldstore.BuildOptions) buildFn {
 			BuildOptions: bo(sh), IOPanelSNPs: o.ioPanel, Checkpoint: o.checkpoint, Resume: o.resume,
 		}
 		opt.LD.Blis.Ctx, opt.LD.Blis.Threads = o.ctx, o.threads
-		return ldstore.BuildFileFromSource(path, src, opt)
+		st, err := ldstore.BuildFileFromSource(path, src, opt)
+		return st.BuildStats, err
 	}
 }
 
-func sparseBuild(bo func(shape) ldsparse.BuildOptions) buildFn {
+// sparseBuild builds pruned stores, at τ = 0 with no band too.
+func sparseBuild(bo func(shape) ldstore.BuildOptions) buildFn {
 	return func(path string, src bitmat.Source, sh shape, o srcOpts) (tilefile.BuildStats, error) {
-		opt := ldsparse.SourceBuildOptions{
+		opt := ldstore.SourceBuildOptions{
 			BuildOptions: bo(sh), IOPanelSNPs: o.ioPanel, Checkpoint: o.checkpoint, Resume: o.resume,
 		}
 		opt.LD.Blis.Ctx, opt.LD.Blis.Threads = o.ctx, o.threads
-		st, err := ldsparse.BuildFileFromSource(path, src, opt)
+		st, err := ldstore.BuildPrunedFromSource(path, src, opt)
 		return st.BuildStats, err
 	}
 }
@@ -103,13 +104,12 @@ func openDense(data []byte) (querier, error) {
 		_, _ = s.At(0, n-1)
 		_, _ = s.Region(0, min(n, 12))
 		_, _ = s.Top(3)
-		_ = s.Band(0, n, 4, func(int, int, float64) bool { return true })
 	}
 	return s, nil
 }
 
 func openSparse(data []byte) (querier, error) {
-	s, err := ldsparse.OpenReader(bytes.NewReader(data), int64(len(data)), ldsparse.Options{CacheTiles: 4})
+	s, err := ldstore.OpenReader(bytes.NewReader(data), int64(len(data)), ldstore.Options{CacheTiles: 4})
 	if err != nil {
 		return nil, err
 	}
@@ -143,9 +143,9 @@ func denseTier(name string, golden, parentManifest string) tier {
 }
 
 func sparseTier(name string, tau float64, banded bool, golden, parentManifest string) tier {
-	with := func(edit func(*ldsparse.BuildOptions)) func(shape) ldsparse.BuildOptions {
-		return func(sh shape) ldsparse.BuildOptions {
-			bo := ldsparse.BuildOptions{TileSize: sh.nt, Threshold: tau, Banded: banded}
+	with := func(edit func(*ldstore.BuildOptions)) func(shape) ldstore.BuildOptions {
+		return func(sh shape) ldstore.BuildOptions {
+			bo := ldstore.BuildOptions{TileSize: sh.nt, Threshold: tau, Banded: banded}
 			if banded {
 				bo.Band = sh.band
 			}
@@ -153,25 +153,25 @@ func sparseTier(name string, tau float64, banded bool, golden, parentManifest st
 			return bo
 		}
 	}
-	bo := with(func(*ldsparse.BuildOptions) {})
+	bo := with(func(*ldstore.BuildOptions) {})
 	return tier{
-		name: name, format: ldssFormat, golden: golden, parentManifest: parentManifest,
+		name: name, format: ldssFormat, golden: golden, parentManifest: parentManifest, oldManifest: parentManifest != "",
 		build: sparseBuild(bo),
 		buildRAM: func(path string, g *bitmat.Matrix, sh shape) error {
-			_, err := ldsparse.BuildFile(path, g, bo(sh))
+			_, err := ldstore.BuildPrunedFromSource(path, bitmat.NewMemSource(g), ldstore.SourceBuildOptions{BuildOptions: bo(sh)})
 			return err
 		},
 		mismatched: map[string]buildFn{
-			"different threshold": sparseBuild(with(func(bo *ldsparse.BuildOptions) { bo.Threshold = 2 * tau })),
-			"different stat":      sparseBuild(with(func(bo *ldsparse.BuildOptions) { bo.Stat = ldsparse.StatD })),
-			"banded vs not": sparseBuild(with(func(bo *ldsparse.BuildOptions) {
+			"different threshold": sparseBuild(with(func(bo *ldstore.BuildOptions) { bo.Threshold = 2 * tau })),
+			"different stat":      sparseBuild(with(func(bo *ldstore.BuildOptions) { bo.Stat = ldstore.StatD })),
+			"banded vs not": sparseBuild(with(func(bo *ldstore.BuildOptions) {
 				if bo.Banded = !bo.Banded; bo.Banded {
 					bo.Band = 10
 				} else {
 					bo.Band = 0
 				}
 			})),
-			"different band": sparseBuild(with(func(bo *ldsparse.BuildOptions) {
+			"different band": sparseBuild(with(func(bo *ldstore.BuildOptions) {
 				if !bo.Banded {
 					bo.Banded = true
 				}
@@ -184,10 +184,10 @@ func sparseTier(name string, tau float64, banded bool, golden, parentManifest st
 
 // The golden build: digests and manifests below were produced from
 // popsim.Mosaic(53, 40, Seed 7) at tile size 16, band 20, and must never
-// change — they are the on-disk format. The sparse ones predate the
-// container's extraction; the dense one dates from LDTS version 2, whose
-// stores hold counts, and its manifest from version 1, which wrote f64
-// tiles.
+// change — they are the on-disk format. The dense digest dates from LDTS
+// version 2 and the pruned ones from LDSS version 2, whose stores hold
+// counts; both manifests from version 1, whose stores held f64 values,
+// and which a resume refuses.
 var goldenShape = shape{nt: 16, band: 20}
 
 func goldenMatrix(tb testing.TB) *bitmat.Matrix { return testMatrix(tb, 53, 40, 7) }
@@ -197,9 +197,9 @@ var tiers = []tier{
 		"21ea6f7cb54c64715760295b9092676ed22c8c1578bb979a47825b37b2bd25f2",
 		`{"version":1,"magic":"ldstore-checkpoint","fingerprint":8134653551277746360,"snps":53,"samples":40,"tile_size":16,"stat":1,"compress":false,"stripes_done":1,"data_offset":6848,"tiles_written":4}`),
 	sparseTier("sparse", 0.05, false,
-		"f2a8c3f4af2144b0f21084b3d2c34292298cc80b6c3969fba25a2f9631735232", ""),
+		"adfefa7139124db6f9df48f31f2e713e26b8a041e16c1352b2594d5c3866d46d", ""),
 	sparseTier("sparse-banded", 0.02, true,
-		"c49a665a2b9e37861f5aa3df65343551c4557c4dcedaeafff99f85f86c5056cb",
+		"23c8d32fdded949f407fb89a9bbdc88b18ce7b892d4cffff88adff34022bcb0d",
 		`{"version":1,"magic":"ldsparse-checkpoint","fingerprint":8134653551277746360,"snps":53,"samples":40,"tile_size":16,"stat":1,"threshold_bits":4581421828931458171,"banded":true,"band":20,"stripes_done":1,"data_offset":1960,"tiles_written":4}`),
 }
 
@@ -278,7 +278,7 @@ func killedBuild(t *testing.T, tr tier, g *bitmat.Matrix, sh shape, fetches int)
 	return path, src, pe
 }
 
-// craftedRowPtrLDSS is a sparse store whose last tile's row pointers read
+// craftedRowPtrLDSS is a pruned store whose last tile's row pointers read
 // [0, 2^20, nnz, …, nnz] over ascending in-range columns, with length,
 // entry count, CRC and header total all consistent: every open-time check
 // passes, and a decoder that walks row 0's columns before validating the
@@ -287,7 +287,8 @@ func craftedRowPtrLDSS(tb testing.TB) []byte {
 	tb.Helper()
 	const nt = 8
 	path := filepath.Join(tb.TempDir(), "crafted.ldss")
-	if _, err := ldsparse.BuildFile(path, testMatrix(tb, 2*nt, 16, 41), ldsparse.BuildOptions{TileSize: nt}); err != nil {
+	src := bitmat.NewMemSource(testMatrix(tb, 2*nt, 16, 41))
+	if _, err := ldstore.BuildPrunedFromSource(path, src, ldstore.SourceBuildOptions{BuildOptions: ldstore.BuildOptions{TileSize: nt}}); err != nil {
 		tb.Fatal(err)
 	}
 	b := mustRead(tb, path)
@@ -296,7 +297,7 @@ func craftedRowPtrLDSS(tb testing.TB) []byte {
 	last := b[len(b)-tilefile.IndexEntrySize:]
 	oldNNZ := le.Uint64(last[16:])
 
-	payload := make([]byte, (nt+1)*4+nt*10) // rowPtr, then nt cols, then nt vals
+	payload := make([]byte, (nt+1)*4+nt*4) // rowPtr, then nt cols, then nt 2-byte counts
 	le.PutUint32(payload[4:], 1<<20)
 	for r := 2; r <= nt; r++ {
 		le.PutUint32(payload[r*4:], nt)
@@ -309,7 +310,7 @@ func craftedRowPtrLDSS(tb testing.TB) []byte {
 	out = append(out, payload...)
 	out = append(out, b[indexOff:]...)
 	le.PutUint64(out[48:], uint64(len(out))-uint64(len(b))+indexOff)
-	le.PutUint64(out[80:], le.Uint64(b[80:])-oldNNZ+nt)
+	le.PutUint64(out[88:], le.Uint64(b[88:])-oldNNZ+nt)
 	last = out[len(out)-tilefile.IndexEntrySize:]
 	le.PutUint32(last[8:], uint32(len(payload)))
 	le.PutUint32(last[12:], crc32.ChecksumIEEE(payload))
