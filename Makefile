@@ -221,7 +221,8 @@ bench-kernel:
 # without a destination hint). Last, one store build per kind (complete,
 # banded pruned) × checkpoint on/off through the three-stage build pipeline from a
 # windowed .ldbm: pairs/s, MB/s written, commits per build against its 16
-# stripes, scan wait, the stripe workers' prefetcher stall, B/op.
+# stripes, driver calls per build (one a stripe: equal to stripes/op), scan
+# wait, the stripe workers' prefetcher stall, B/op.
 .PHONY: bench-smoke
 bench-smoke:
 	go test ./internal/server -run '^$$' -bench 'BenchmarkEncodeRegion|BenchmarkServeRegion|BenchmarkAppendFloat' -benchtime 1x -benchmem

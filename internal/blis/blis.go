@@ -17,13 +17,16 @@
 // packing is a parallel phase, compute work is distributed as fine-grained
 // tile-range chunks (cost-balanced under the SYRK triangle), successive
 // KC slab groups are pipelined through a double buffer, and pack buffers
-// are recycled across calls through a pooled arena. See parallel.go and
-// pool.go.
+// are recycled across calls through a pooled arena. A call may stream
+// many B panels past one packed A block (StripeEpilogue). See parallel.go
+// and pool.go.
 package blis
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"runtime"
 	"sync"
@@ -174,26 +177,19 @@ func Gemm(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int) error {
 	if err := checkC(a.SNPs, b.SNPs, c, ldc); err != nil {
 		return err
 	}
-	return drive(cfg, a, b, c, ldc, false, nil)
+	return drive(cfg, a, b, c, ldc, false)
 }
 
 // GemmEpilogue runs the blocked GEMM of Gemm fused: no count matrix is
 // materialized — counts accumulate in pooled per-job scratch and every
 // finished row run is handed to epi while cache-hot. Callers
 // convert counts to their final representation (LD measures, summaries)
-// inside epi; the dense m×n uint32 intermediate never exists.
+// inside epi; the dense m×n uint32 intermediate never exists. It is the
+// one-panel StripeEpilogue.
 func GemmEpilogue(cfg Config, a, b *bitmat.Matrix, epi Epilogue) error {
-	cfg, err := cfg.normalize()
-	if err != nil {
-		return err
-	}
-	if a.Samples != b.Samples {
-		return fmt.Errorf("blis: sample mismatch %d vs %d", a.Samples, b.Samples)
-	}
-	if epi == nil {
-		return fmt.Errorf("blis: nil epilogue")
-	}
-	return drive(cfg, a, b, nil, b.SNPs, false, epi)
+	return StripeEpilogue(cfg, a, nil, func(yield func(Panel, error) bool) {
+		yield(Panel{B: b, Epi: epi}, nil)
+	})
 }
 
 // Syrk computes the upper triangle (j >= i) of the symmetric count matrix
@@ -210,7 +206,7 @@ func Syrk(cfg Config, a *bitmat.Matrix, c []uint32, ldc int, mirror bool) error 
 	if err := checkC(a.SNPs, a.SNPs, c, ldc); err != nil {
 		return err
 	}
-	if err := drive(cfg, a, a, c, ldc, true, nil); err != nil {
+	if err := drive(cfg, a, a, c, ldc, true); err != nil {
 		return err
 	}
 	if mirror {
@@ -226,16 +222,72 @@ func Syrk(cfg Config, a *bitmat.Matrix, c []uint32, ldc int, mirror bool) error 
 // as a by-product.
 // There is no count mirror; epilogues that need the lower triangle mirror
 // their own converted values (bit-safe for the LD measures because the
-// denominator grouping is symmetric under SNP exchange).
+// denominator grouping is symmetric under SNP exchange). It is the
+// StripeEpilogue of a diagonal block alone.
 func SyrkEpilogue(cfg Config, a *bitmat.Matrix, epi Epilogue) error {
+	if epi == nil {
+		return errNilEpilogue
+	}
+	return StripeEpilogue(cfg, a, epi, nil)
+}
+
+// Panel is one B panel of a stripe call and the epilogue its row runs go
+// to.
+type Panel struct {
+	B   *bitmat.Matrix
+	Epi Epilogue
+}
+
+var errNilEpilogue = errors.New("blis: nil epilogue")
+
+// StripeEpilogue runs one stripe of a fused scan as one driver call: the
+// SYRK of a's own block (as SyrkEpilogue) when diag is non-nil, then the
+// GEMM of a against every panel panels yields, in order (as GemmEpilogue,
+// each run handed to that panel's epilogue). The config is normalized
+// once, the call takes one arena, one worker pool and one context watcher,
+// and a's packed panels are kept from B panel to B panel, so A is packed
+// once per (row block, slab group) — not once per panel. Each panel runs
+// on the workers its own size earns (a small one on the caller alone).
+//
+// panels is pulled one panel at a time: the next is asked for only once
+// every cell of the one before it has been handed to its epilogue, so an
+// iterator may recycle a panel's buffer, and reuse its epilogue, as soon
+// as yield returns. A panel yielded with an error, or whose sample count
+// differs from a's, ends the call with that error; otherwise a call that
+// returns nil has pulled every panel. panels may be nil. The call counts
+// once in DriverStats.Calls.
+func StripeEpilogue(cfg Config, a *bitmat.Matrix, diag Epilogue, panels iter.Seq2[Panel, error]) error {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return err
 	}
-	if epi == nil {
-		return fmt.Errorf("blis: nil epilogue")
-	}
-	return drive(cfg, a, a, nil, a.SNPs, true, epi)
+	k := cfg.Kernel
+	runs, variant, engine := plainRoute(k, a.Words)
+	stats.setVariant(variant, engine)
+	return driveTiles(cfg, a.SNPs, a.Words, func(yield func(tilePanel, error) bool) {
+		if diag != nil && !yield(tilePanel{ops: plainOps(k, runs, a, a), n: a.SNPs, syrk: true, epi: diag}, nil) {
+			return
+		}
+		if panels == nil {
+			return
+		}
+		for p, err := range panels {
+			switch {
+			case err != nil:
+			case p.Epi == nil:
+				err = errNilEpilogue
+			case p.B.Samples != a.Samples:
+				err = fmt.Errorf("blis: sample mismatch %d vs %d", a.Samples, p.B.Samples)
+			}
+			if err != nil {
+				yield(tilePanel{}, err)
+				return
+			}
+			if !yield(tilePanel{ops: plainOps(k, runs, a, p.B), n: p.B.SNPs, epi: p.Epi}, nil) {
+				return
+			}
+		}
+	})
 }
 
 // Mirror copies the strict upper triangle of an n×n matrix onto the strict
@@ -328,24 +380,27 @@ func checkC(m, n int, c []uint32, ldc int) error {
 	return nil
 }
 
-// drive instantiates the slab-pipelined parallel driver (parallel.go) for
-// the plain count kernel by the route plainRoute resolves: the
-// micro-kernel itself on interleaved panels, or the batched run-packed
-// family around a Go kernel's shape (dispatch.go). With syrk set, register
-// tiles strictly below the diagonal are skipped and — when the column
-// block spans the whole matrix and the register tile is square — the
-// packed B slab doubles as the packed A panels.
-func drive(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int, syrk bool, epi Epilogue) error {
+// drive is a one-panel call of the slab-pipelined parallel driver
+// (parallel.go) into the caller's c, for the plain count kernel by the
+// route plainRoute resolves. With syrk set, register tiles strictly below
+// the diagonal are skipped and — when the column block spans the whole
+// matrix and the register tile is square — the packed B slab doubles as
+// the packed A panels.
+func drive(cfg Config, a, b *bitmat.Matrix, c []uint32, ldc int, syrk bool) error {
 	k := cfg.Kernel
 	runs, variant, engine := plainRoute(k, a.Words)
-	var ops tileOps
-	if runs {
-		ops = runOps(k, a, b)
-	} else {
-		ops = interleavedOps(k, a, b)
-	}
 	stats.setVariant(variant, engine)
-	return driveTiles(cfg, ops, a.SNPs, b.SNPs, a.Words, c, ldc, syrk, epi)
+	return driveTiles(cfg, a.SNPs, a.Words, onePanel(tilePanel{ops: plainOps(k, runs, a, b), n: b.SNPs, c: c, ldc: ldc, syrk: syrk}))
+}
+
+// plainOps is the plain kernel's tileOps on the route plainRoute resolved:
+// the micro-kernel itself on interleaved panels, or the batched run-packed
+// family around a Go kernel's shape (dispatch.go).
+func plainOps(k kernel.Kernel, runs bool, a, b *bitmat.Matrix) tileOps {
+	if runs {
+		return runOps(k, a, b)
+	}
+	return interleavedOps(k, a, b)
 }
 
 // interleavedOps is the interleaved-panel tileOps: the register-blocked

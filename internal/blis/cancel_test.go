@@ -95,6 +95,66 @@ func TestDriverCancelMidFlight(t *testing.T) {
 	}
 }
 
+// TestStripeCancelledBetweenPanels: a stripe call whose context is
+// cancelled while it asks for its second panel returns ctx.Err() without
+// computing that panel or asking for a third; it counts as cancelled, not
+// as a call; its arena goes back to the pool; and its worker and context
+// watcher exit. sync.Pool may drop a Put (it does, at random, under the
+// race detector), hence the retries.
+func TestStripeCancelledBetweenPanels(t *testing.T) {
+	base := runtime.NumGoroutine()
+	rng := rand.New(rand.NewSource(45))
+	a := randomMatrix(rng, 64, 512)
+	bs := []*bitmat.Matrix{randomMatrix(rng, 96, 512), randomMatrix(rng, 96, 512), randomMatrix(rng, 96, 512)}
+	for attempt := 0; ; attempt++ {
+		for len(arenaPool.Get().(*arena).ws) > 0 {
+			// A used arena; one fresh from New means the pool is empty.
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		var handed [3]atomic.Int64
+		pulled := 0
+		before := ReadStats()
+		err := StripeEpilogue(Config{Threads: 2, MC: 16, KC: 2, Ctx: ctx}, a, nil, func(yield func(Panel, error) bool) {
+			for p, b := range bs {
+				pulled++
+				if p == 1 {
+					cancel()
+				}
+				epi := TileEpilogue(func(int, []uint32, int, int, int, int, int) { handed[p].Add(1) })
+				if !yield(Panel{B: b, Epi: epi}, nil) {
+					return
+				}
+			}
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("stripe call cancelled between panels returned %v, want context.Canceled", err)
+		}
+		if handed[0].Load() == 0 || handed[1].Load() != 0 || pulled != 2 {
+			t.Fatalf("runs handed over per panel %d, %d, %d with %d panels pulled: want the first panel's only, two pulled",
+				handed[0].Load(), handed[1].Load(), handed[2].Load(), pulled)
+		}
+		after := ReadStats()
+		if after.Calls != before.Calls || after.Cancelled != before.Cancelled+1 {
+			t.Fatalf("calls %d → %d, cancelled %d → %d: want the call counted as cancelled only",
+				before.Calls, after.Calls, before.Cancelled, after.Cancelled)
+		}
+		if len(arenaPool.Get().(*arena).ws) > 0 {
+			break
+		}
+		if attempt == 10 {
+			t.Fatal("the cancelled stripe call's arena never came back to the pool")
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked after cancellation: %d > %d baseline", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestDriverDeadlineExceeded(t *testing.T) {
 	g := testMatrix(96, 512)
 	c := make([]uint32, 96*96)

@@ -126,10 +126,7 @@ func checkRowRunContract(t *testing.T, cfg Config, m, n, samples int, syrk bool)
 	expect := map[epiRun]int{}
 	for jc := 0; jc < n; jc += ncBlk {
 		nc := min(ncBlk, n-jc)
-		target := chunkTiles
-		if target == 0 {
-			target = countTiles(m, jc, nc, mcBlk, mr, nr, syrk) / (callWorkers(norm.Threads, m, n, a.Words) * chunksPerWorker)
-		}
+		target := chunkTarget(m, jc, nc, mcBlk, mr, nr, callWorkers(norm.Threads, m, n, a.Words), syrk)
 		for _, jb := range buildTileJobs(nil, m, jc, nc, mcBlk, mr, nr, target, syrk) {
 			for ir := 0; ir < jb.mc; ir += mr {
 				i0 := jb.ic + ir

@@ -61,7 +61,7 @@ func MaskedGemmEpilogue(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, ep
 		return fmt.Errorf("blis: mask B shape %dx%d vs matrix %dx%d", kb.SNPs, kb.Samples, b.SNPs, b.Samples)
 	}
 	if epi == nil {
-		return fmt.Errorf("blis: nil epilogue")
+		return errNilEpilogue
 	}
 	return driveMasked(cfg, a, b, ka, kb, nil, b.SNPs, false, epi)
 }
@@ -101,7 +101,7 @@ func MaskedSyrkEpilogue(cfg Config, a *bitmat.Matrix, ka *bitmat.Mask, epi Epilo
 		return fmt.Errorf("blis: mask shape %dx%d vs matrix %dx%d", ka.SNPs, ka.Samples, a.SNPs, a.Samples)
 	}
 	if epi == nil {
-		return fmt.Errorf("blis: nil epilogue")
+		return errNilEpilogue
 	}
 	return driveMasked(cfg, a, a, ka, ka, nil, a.SNPs, true, epi)
 }
@@ -121,7 +121,7 @@ func driveMasked(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, c []uint3
 		ops = maskedScalarOps(mk, a, b, ka, kb)
 		stats.setVariant(mk.Name, scalarTag)
 	}
-	return driveTiles(cfg, ops, a.SNPs, b.SNPs, a.Words, c, ldc, syrk, epi)
+	return driveTiles(cfg, a.SNPs, a.Words, onePanel(tilePanel{ops: ops, n: b.SNPs, c: c, ldc: ldc, syrk: syrk, epi: epi}))
 }
 
 // maskedScalarOps is the original interleaved masked tileOps — the

@@ -2,6 +2,8 @@ package blis
 
 import (
 	"context"
+	"iter"
+	"math"
 	"time"
 	"unsafe"
 )
@@ -16,9 +18,16 @@ import (
 //
 // Scheduling replaces the original fork/join-per-slab design:
 //
+//   - A call is a stripe: one A block against a sequence of B panels
+//     (tilePanel), the diagonal SYRK block first when there is one. The
+//     arena, the worker pool and the context watcher are the call's, not
+//     a panel's, and each worker's packed A block outlives the panel that
+//     packed it, so A is packed once per (row block, slab group) however
+//     many panels stream past it. A one-panel call is Gemm/Syrk.
 //   - Workers are persistent for the whole call (workerPool) and pull
 //     fine-grained tile-range jobs from an atomic cursor instead of whole
-//     MC row blocks, so the triangular SYRK workload stays balanced.
+//     MC row blocks, so the triangular SYRK workload stays balanced. A
+//     panel on one worker is one job per row block: no queue to balance.
 //   - B-slab packing is itself a parallel phase over (slab, panel) pairs.
 //   - Slabs are processed in groups sized to a packing budget; while a
 //     group is being computed, the next group's B panels are packed into
@@ -122,9 +131,11 @@ type tileJob struct {
 // multi-group pipelines on small inputs.
 var maxGroupWords = 4 << 20
 
-// chunksPerWorker is the work-queue overpartition factor: the target chunk
-// cost is totalTiles/(workers·chunksPerWorker), so the triangular SYRK
-// workload balances across workers at little queue traffic.
+// chunksPerWorker is the work-queue overpartition factor of a panel on
+// several workers: the target chunk cost is totalTiles/(workers ·
+// chunksPerWorker), so the triangular SYRK workload balances across them
+// at little queue traffic. A panel on one worker has nothing to balance
+// (chunkTarget).
 const chunksPerWorker = 4
 
 // chunkTiles, when non-zero, replaces the derived chunk target with a fixed
@@ -133,30 +144,48 @@ const chunksPerWorker = 4
 // other scheduling extremes on small inputs.
 var chunkTiles int
 
-// minParallelCellWords is the size — output cells × sample words, m·n·kw —
-// below which a driver call runs on its caller alone. Waking a second worker
-// costs a cross-CPU futex round trip per phase, and a call this small is
-// over before that pays: measured on the 2-vCPU build host, a store build's
+// minParallelCellWords is the size — output cells × sample words, m·n·kw,
+// of one panel — below which the panel runs on its caller alone. Waking a
+// second worker costs a cross-CPU futex round trip per phase, and a call
+// this small is over before that pays: measured on the 2-vCPU build host, a store build's
 // scan of 128 × 256-cell × 32-word calls (1 Mi cell-words, ≈ 100 µs each)
 // took 36–41 ms on one thread and 38–42 ms on two, and 63 calls of ≈ 470 µs
 // (4096 × 2048 at StripeRows 128) 29.8 ms against 32.4 ms, while calls four
 // times that size (StripeRows 512) went from 27.2 ms to 15.8 ms. 4 Mi sits
 // between the two. With only this rule toggled, six alternating ledger pairs
 // each: build_dense_ooc 77.4 → 87.6 M pairs/s and build_sparse_banded
-// 66.0 → 74.9, 6/6 both (EXPERIMENTS.md). A variable rather than a constant,
-// like maxGroupWords: this package's tests zero it (TestMain) so their small
-// shapes keep running on as many workers as they ask for.
+// 66.0 → 74.9, 6/6 both (EXPERIMENTS.md). The store builds have since run
+// their stripe calls on one worker each, whatever the threshold says, so it
+// governs the float scans and the serving calls only. A variable rather
+// than a constant, like maxGroupWords: this package's tests zero it
+// (TestMain) so their small shapes keep running on as many workers as they
+// ask for.
 var minParallelCellWords = 4 << 20
 
-// callWorkers is how many workers a call of m × n cells over kw sample
-// words runs on: threads, or 1 when the call is too small to pay for a
-// wake-up. Everything that depends on the worker count — the pool, the
-// arena, the chunk target — reads it from here.
+// callWorkers is how many workers a panel of m × n cells over kw sample
+// words runs on: threads, or 1 when the panel is too small to pay for a
+// wake-up. Everything that depends on the worker count — the pool's share
+// of the panel, the arena, the chunk target — reads it from here.
 func callWorkers(threads, m, n, kw int) int {
 	if m*n*kw < minParallelCellWords {
 		return 1
 	}
 	return threads
+}
+
+// chunkTarget is the micro-tiles per scheduler job of column block
+// [jc, jc+nc) on workers workers: chunkTiles when a test pins it, a whole
+// row block on one worker — one row op then spans every tile of a panel
+// row, and the epilogue gets one run per MR-row panel — else the block's
+// active tiles over workers·chunksPerWorker.
+func chunkTarget(m, jc, nc, mcBlk, mr, nr, workers int, syrk bool) int {
+	switch {
+	case chunkTiles != 0:
+		return chunkTiles
+	case workers == 1:
+		return math.MaxInt
+	}
+	return countTiles(m, jc, nc, mcBlk, mr, nr, syrk) / (workers * chunksPerWorker)
 }
 
 func roundUp(x, m int) int { return (x + m - 1) / m * m }
@@ -224,7 +253,41 @@ func countTiles(m, jc, nc, mcBlk, mr, nr int, syrk bool) int {
 	return total
 }
 
-// tileDriver carries the per-call invariants of driveTiles.
+// tilePanel is one panel of a driver call: the tileOps over its B matrix,
+// its width n, and where its counts go — the caller's c with row stride
+// ldc, or with epi non-nil the fused epilogue (c is then nil). syrk marks
+// the diagonal block, a stripe's own columns: only the tiles on or above
+// the diagonal are computed.
+type tilePanel struct {
+	ops  tileOps
+	n    int
+	c    []uint32
+	ldc  int
+	syrk bool
+	epi  Epilogue
+}
+
+// onePanel is the panel sequence of a one-panel driver call.
+func onePanel(p tilePanel) iter.Seq2[tilePanel, error] {
+	return func(yield func(tilePanel, error) bool) { yield(p, nil) }
+}
+
+// tileCall is one driver call: the m rows over kw sample words that every
+// panel multiplies, and what the call holds from its first panel to its
+// last — the arena (with each worker's packed-A memo), the worker pool and
+// the context watcher's stop flag — plus the work it has counted.
+type tileCall struct {
+	cfg   Config
+	m, kw int
+	ar    *arena
+	pool  workerPool
+	// Totals of the panels computed, added to the package counters only
+	// once the call completes.
+	cells, avoided, epiBytes uint64
+	nanos                    time.Duration
+}
+
+// tileDriver carries the invariants of one panel of a call.
 type tileDriver struct {
 	cfg       Config
 	ops       tileOps
@@ -255,29 +318,82 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// driveTiles runs the five-loop blocked multiplication for any tileOps.
+// driveTiles runs one driver call: the m rows over kw sample words against
+// each panel of panels in turn, pulled one at a time — a panel is asked
+// for only once every cell of the one before it has been handed over. The
+// call normalizes nothing (its entry point did), takes one arena, one
+// worker pool and one context watcher for all its panels, and keeps each
+// worker's packed A block from panel to panel, so a stripe's A is packed
+// once per (row block, slab group) however many B panels stream past it.
+// A panel that yields an error ends the call with it. The call counts once
+// in DriverStats.Calls when every panel is done.
 //
 // Cancellation is cooperative: a watcher goroutine trips the pool's stop
 // flag the moment cfg.Ctx is done, workers abandon their phase at the
 // next job boundary, and the driver observes the context after every
-// phase wait — so a cancelled call returns ctx.Err() within one
-// slab-group phase, with its arena still recycled through the pool.
+// phase wait and before every panel — so a cancelled call returns
+// ctx.Err() within one slab-group phase, with its arena still recycled
+// through the pool.
+func driveTiles(cfg Config, m, kw int, panels iter.Seq2[tilePanel, error]) error {
+	ctx := cfg.Ctx
+	if err := ctxErr(ctx); err != nil {
+		stats.cancelled.Add(1)
+		return err
+	}
+	tc := &tileCall{cfg: cfg, m: m, kw: kw, ar: getArena()}
+	defer tc.ar.release()
+	tc.ar.forget()
+	defer tc.pool.close()
+	if ctx != nil {
+		if done := ctx.Done(); done != nil {
+			unwatch := make(chan struct{})
+			defer close(unwatch)
+			go func() {
+				select {
+				case <-done:
+					tc.pool.stop.Store(true)
+				case <-unwatch:
+				}
+			}()
+		}
+	}
+	for p, err := range panels {
+		if err == nil {
+			err = tc.panel(p)
+		}
+		if err != nil {
+			if err == ctxErr(ctx) {
+				stats.cancelled.Add(1)
+			}
+			return err
+		}
+	}
+	stats.calls.Add(1)
+	stats.cells.Add(tc.cells)
+	stats.nanos.Add(uint64(tc.nanos))
+	stats.popcAvoided.Add(tc.avoided)
+	stats.epiBytesAvoided.Add(tc.epiBytes)
+	return nil
+}
+
+// panel runs the five-loop blocked multiplication of the call's rows
+// against one panel, for any tileOps.
 //
-// With epi non-nil the call runs fused: c is ignored (callers pass nil) and
-// the full m×n count matrix never exists. When the sample dimension fits
-// one KC slab the call is streamed: a worker counts each MR-row panel of
-// its job into its own MR × job-width strip and hands it to epi at once,
-// one row run, before the next panel overwrites the strip. Over several
-// slabs every job accumulates in a slice of the per-column-block scratch
-// buffer, and during the final slab group the worker that finishes a job
-// hands its panels to epi, one row run each.
-func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk bool, epi Epilogue) error {
+// With p.epi non-nil the panel runs fused: the full m×n count matrix never
+// exists. When the sample dimension fits one KC slab the panel is
+// streamed: a worker counts each MR-row panel of its job into its own MR ×
+// job-width strip and hands it to epi at once, one row run, before the
+// next panel overwrites the strip. Over several slabs every job
+// accumulates in a slice of the per-column-block scratch buffer, and
+// during the final slab group the worker that finishes a job hands its
+// panels to epi, one row run each.
+func (tc *tileCall) panel(p tilePanel) error {
+	cfg, ops, m, n, kw := tc.cfg, p.ops, tc.m, p.n, tc.kw
 	if m == 0 || n == 0 || kw == 0 {
 		return nil
 	}
 	ctx := cfg.Ctx
 	if err := ctxErr(ctx); err != nil {
-		stats.cancelled.Add(1)
 		return err
 	}
 	start := time.Now()
@@ -300,7 +416,8 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 	}
 
 	workers := callWorkers(cfg.Threads, m, n, kw)
-	fused := epi != nil
+	syrk := p.syrk
+	fused := p.epi != nil
 	streamed := fused && nslabs == 1
 	// When every column block can share the packed B slab as A panels, no
 	// worker ever packs an A block.
@@ -311,48 +428,28 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 		apackWords = (mcBlk / mr) * apanelLen * group
 	}
 
-	ar := getArena()
-	defer ar.release()
+	ar := tc.ar
 	stripLen := 0
 	if streamed {
 		stripLen = mr * bpanelsMax * nr * ops.cells // MR rows of the widest job there can be
 	}
 	ar.prepare(workers, nbufs*group*slabWords, apackWords, mr*nr*ops.cells, stripLen)
 	bpack := ar.bpack
-
-	pool := newWorkerPool(workers)
-	defer pool.close()
-	if ctx != nil {
-		if done := ctx.Done(); done != nil {
-			unwatch := make(chan struct{})
-			defer close(unwatch)
-			go func() {
-				select {
-				case <-done:
-					pool.stop.Store(true)
-				case <-unwatch:
-				}
-			}()
-		}
-	}
+	pool := &tc.pool
 
 	d := &tileDriver{
-		cfg: cfg, ops: ops, m: m, n: n, kw: kw, c: c, ldc: ldc, syrk: syrk,
+		cfg: cfg, ops: ops, m: m, n: n, kw: kw, c: p.c, ldc: p.ldc, syrk: syrk,
 		mcBlk: mcBlk, kcMax: kcMax, slabWords: slabWords, apanelLen: apanelLen,
-		epi: epi, streamed: streamed,
+		epi: p.epi, streamed: streamed,
 	}
 	if streamed {
-		d.dest, _ = epi.(destHinter)
+		d.dest, _ = p.epi.(destHinter)
 	}
 
 	var jobs []tileJob
 	for jc := 0; jc < n; jc += ncBlk {
 		nc := min(ncBlk, n-jc)
-		target := chunkTiles
-		if target == 0 {
-			target = countTiles(m, jc, nc, mcBlk, mr, nr, syrk) / (workers * chunksPerWorker)
-		}
-		jobs = buildTileJobs(jobs[:0], m, jc, nc, mcBlk, mr, nr, target, syrk)
+		jobs = buildTileJobs(jobs[:0], m, jc, nc, mcBlk, mr, nr, chunkTarget(m, jc, nc, mcBlk, mr, nr, workers, syrk), syrk)
 		if len(jobs) == 0 {
 			continue
 		}
@@ -389,9 +486,8 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 		}
 
 		np, prun := packGroup(0)
-		pool.do(np, prun)
+		pool.do(workers, np, prun)
 		if err := ctxErr(ctx); err != nil {
-			stats.cancelled.Add(1)
 			return err
 		}
 		for gi := 0; gi < ngroups; gi++ {
@@ -406,7 +502,7 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 			// One queue, one wait: the next group's pack jobs ride ahead
 			// of this group's compute jobs (they touch disjoint buffers).
 			final := gi == ngroups-1
-			pool.do(nextN+len(jobs), func(w, idx int) {
+			pool.do(workers, nextN+len(jobs), func(w, idx int) {
 				if idx < nextN {
 					nextRun(w, idx)
 					return
@@ -414,7 +510,6 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 				d.runJob(ar.ws[w], w, jobs[idx-nextN], jc, nc, pg, gs, buf, share, final)
 			})
 			if err := ctxErr(ctx); err != nil {
-				stats.cancelled.Add(1)
 				return err
 			}
 		}
@@ -425,17 +520,15 @@ func driveTiles(cfg Config, ops tileOps, m, n, kw int, c []uint32, ldc int, syrk
 		// computed; count the triangle as the useful work.
 		cells = uint64(n) * uint64(n+1) / 2 * uint64(kw)
 	}
-	stats.calls.Add(1)
-	stats.cells.Add(cells)
-	stats.nanos.Add(uint64(time.Since(start)))
+	tc.cells += cells
+	tc.nanos += time.Since(start)
 	if ops.popcFold > 1 {
-		avoided := uint64(ops.popcPerWord) * (cells - cells/uint64(ops.popcFold))
-		stats.popcAvoided.Add(avoided)
+		tc.avoided += uint64(ops.popcPerWord) * (cells - cells/uint64(ops.popcFold))
 	}
 	if fused {
 		// A count-then-convert pipeline would have materialized the full
 		// m×n count matrix (cells uint32s per C entry) just to read it once.
-		stats.epiBytesAvoided.Add(uint64(m) * uint64(n) * 4 * uint64(ops.cells))
+		tc.epiBytes += uint64(m) * uint64(n) * 4 * uint64(ops.cells)
 	}
 	return nil
 }
@@ -455,7 +548,8 @@ func (d *tileDriver) firstCol(jb tileJob, jc, i0 int) int {
 
 // runJob computes one tile-range chunk over every slab of the current
 // group. Unless the SYRK pack-sharing path is active, the worker lazily
-// packs (and memoizes) the A panels of the job's row block first. The
+// packs (and memoizes, for every later job and panel of the call) the A
+// panels of the job's row block first. The
 // sweep is slab → MR-row panel → one row op over the panel's full tiles →
 // the fringe tile, if the column block ends in one. The slab loop stays
 // outermost so a panel re-reads B micro-panels one slab apart, not all
@@ -479,7 +573,7 @@ func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs in
 	ops := &d.ops
 	mr, nr := ops.mr, ops.nr
 	apanels := (jb.mc + mr - 1) / mr
-	if !share && (st.lastIC != jb.ic || st.lastPG != pg) {
+	if !share && st.packed != (apackKey{jb.ic, pg, gs}) {
 		for s := 0; s < gs; s++ {
 			pc := pg + s*d.cfg.KC
 			kc := min(d.cfg.KC, d.kw-pc)
@@ -488,7 +582,7 @@ func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs in
 				ops.packA(st.apack[base+(ir/mr)*d.apanelLen:], jb.ic+ir, min(mr, jb.mc-ir), pc, kc)
 			}
 		}
-		st.lastIC, st.lastPG = jb.ic, pg
+		st.packed = apackKey{jb.ic, pg, gs}
 	}
 	// Output routing: caller matrix with global coordinates, or — fused —
 	// scratch with job-local coordinates.

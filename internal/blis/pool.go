@@ -7,17 +7,18 @@ import (
 
 // This file provides the two reuse mechanisms of the parallel driver:
 //
-//   - workerPool: a set of goroutines spawned once per driver call.
-//     Work arrives in phases (pack a slab group, run the compute jobs of
-//     a column block); each phase's jobs are pulled from a shared atomic
-//     cursor so fast workers absorb the slow jobs, and the caller blocks
-//     on exactly one wait per phase instead of forking and joining fresh
-//     goroutines per (jc, pc) slab as the original driver did.
+//   - workerPool: a set of goroutines spawned at most once per driver
+//     call, when its first panel needs them. Work arrives in phases (pack
+//     a slab group, run the compute jobs of a column block); each phase's
+//     jobs are pulled from a shared atomic cursor so fast workers absorb
+//     the slow jobs, and the caller blocks on exactly one wait per phase
+//     instead of forking and joining fresh goroutines per (jc, pc) slab as
+//     the original driver did.
 //
 //   - arena: the packing buffers and scratch tiles of a driver call,
 //     recycled through a sync.Pool so repeated calls — the HTTP serving
-//     path computes a region per request — do not reallocate packing
-//     storage every time.
+//     path computes a region per request, a store build a stripe — do not
+//     reallocate packing storage every time.
 
 // poolPhase is one batch of homogeneous jobs distributed over the pool.
 type poolPhase struct {
@@ -45,41 +46,37 @@ func (ph *poolPhase) runJobs(worker int) {
 }
 
 // workerPool runs phases across persistent goroutines. The calling
-// goroutine participates as worker 0, so a pool of size 1 spawns no
-// goroutines at all and runs every phase inline.
+// goroutine participates as worker 0, so a call whose every phase asks for
+// one worker spawns no goroutines at all and runs them inline. The zero
+// value is an empty pool.
 type workerPool struct {
-	feeds []chan *poolPhase // one per extra worker
+	feeds []chan *poolPhase // one per extra worker started so far
 	// stop is the cooperative cancel flag: set (by the context watcher in
 	// driveTiles) it makes every worker abandon its phase at the next job
 	// boundary, so do() returns within one job of cancellation.
 	stop atomic.Bool
 }
 
-// newWorkerPool starts workers-1 goroutines (worker 0 is the caller).
-func newWorkerPool(workers int) *workerPool {
-	p := &workerPool{feeds: make([]chan *poolPhase, workers-1)}
-	for i := range p.feeds {
-		ch := make(chan *poolPhase, 1)
-		p.feeds[i] = ch
-		go func(w int) {
-			for ph := range ch {
-				ph.runJobs(w)
-				ph.done.Done()
-			}
-		}(i + 1)
-	}
-	return p
-}
-
-// do runs njobs jobs across the pool and returns when every job has
-// finished — the single wait of a phase. Workers beyond the job count are
-// left sleeping on their feed channels.
-func (p *workerPool) do(njobs int, run func(worker, job int)) {
+// do runs njobs jobs on up to workers workers (worker 0 is the caller) and
+// returns when every job has finished — the single wait of a phase. The
+// first phase that needs a worker starts its goroutine; workers beyond
+// the phase's count are left sleeping on their feed channels.
+func (p *workerPool) do(workers, njobs int, run func(worker, job int)) {
 	if njobs <= 0 {
 		return
 	}
 	ph := &poolPhase{jobs: int64(njobs), run: run, stop: &p.stop}
-	extra := min(len(p.feeds), njobs-1)
+	extra := min(workers, njobs) - 1
+	for w := len(p.feeds) + 1; w <= extra; w++ {
+		ch := make(chan *poolPhase, 1)
+		p.feeds = append(p.feeds, ch)
+		go func() {
+			for ph := range ch {
+				ph.runJobs(w)
+				ph.done.Done()
+			}
+		}()
+	}
 	ph.done.Add(extra)
 	for i := 0; i < extra; i++ {
 		p.feeds[i] <- ph
@@ -99,17 +96,20 @@ func (p *workerPool) close() {
 // packed-A block (covering every slab of the current slab group), the
 // fringe scratch tile, and — in a streamed fused call — the strip of MR
 // count rows each panel passes through on its way to the epilogue hook.
-// lastIC/lastPG memoize which (row block, slab group)
-// the A buffer currently holds, so consecutive jobs on the same row block
-// skip repacking; the key is valid across column blocks because packed A
-// panels do not depend on jc.
+// packed memoizes which row block and slabs the A buffer currently holds,
+// so consecutive jobs on the same row block skip repacking; the key is
+// valid across column blocks and across the panels of a call because
+// packed A panels depend on neither.
 type tileWorker struct {
 	apack  []uint64
 	tile   []uint32
 	strip  []uint32
-	lastIC int
-	lastPG int
+	packed apackKey
 }
+
+// apackKey names a packed A block: row block ic, slabs [pg, pg+gs·KC) of
+// the sample words. ic = -1 names none.
+type apackKey struct{ ic, pg, gs int }
 
 // arena owns every buffer of one driver call. cscratch is the fused-
 // epilogue count scratch of the current column block of a call over several
@@ -157,19 +157,29 @@ func (a *arena) release() {
 	arenaPool.Put(a)
 }
 
-// prepare sizes the arena for one driver call and resets the per-worker
-// packing memos.
+// forget readies the arena for a driver call: no worker holds a packed A
+// block of it yet.
+func (a *arena) forget() {
+	for _, w := range a.ws {
+		w.packed.ic = -1
+	}
+}
+
+// prepare sizes the arena for one panel of a driver call. A worker's
+// packed A block survives unless its buffer had to grow.
 func (a *arena) prepare(workers, bpackWords, apackWords, tileLen, stripLen int) {
 	a.bpack = growU64(a.bpack, bpackWords)
 	for len(a.ws) < workers {
-		a.ws = append(a.ws, &tileWorker{})
+		a.ws = append(a.ws, &tileWorker{packed: apackKey{ic: -1}})
 	}
 	for i := 0; i < workers; i++ {
 		w := a.ws[i]
+		if cap(w.apack) < apackWords {
+			w.packed.ic = -1
+		}
 		w.apack = growU64(w.apack, apackWords)
 		w.tile = growU32(w.tile, tileLen)
 		w.strip = growU32(w.strip, stripLen)
-		w.lastIC, w.lastPG = -1, -1
 	}
 }
 

@@ -45,14 +45,16 @@ func (s *driverCounters) setVariant(variant, popcount string) {
 // DriverStats is a snapshot of the cumulative driver counters.
 type DriverStats struct {
 	// Calls counts completed driver invocations (Gemm/Syrk, plain and
-	// masked); Cancelled counts invocations aborted by their context.
+	// masked, and StripeEpilogue: one a stripe, however many panels it
+	// streams); Cancelled counts invocations aborted by their context.
 	Calls     uint64
 	Cancelled uint64
 	// Cells is Σ C-cells × k-words over completed calls — the paper's
 	// (SNP, SNP, word) triple count, the unit of kernel work. Dividing a
 	// Cells delta by the matching Nanos delta gives the giga-cell rate.
 	Cells uint64
-	// Nanos is the total wall time spent inside completed driver calls.
+	// Nanos is the total wall time completed driver calls spent on their
+	// panels; a stripe call's wait for its next panel is not in it.
 	Nanos uint64
 	// ArenaGets/ArenaMisses count arena-pool checkouts and the subset
 	// that had to allocate fresh storage; 1 − misses/gets is the pool

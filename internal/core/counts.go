@@ -85,7 +85,7 @@ type CountSink interface {
 // StreamSourceKept for the schedule): each stripe's joint counts, narrowed
 // to CountBytes, with every tile's maximum exact r², handed over in stripe
 // order. Threads stripes run at once (GOMAXPROCS when Threads is 0, never
-// more than the scan has), each one's driver calls on a single worker and
+// more than the scan has), each one's driver call on a single worker and
 // into storage of its own, so besides the sink's stripes the scan holds
 // one stripe's storage per stripe in flight. Options.Measures and Exact
 // are ignored: the maximum is always the exact quotient. It returns only
@@ -152,12 +152,12 @@ func (o *countOut) deliver() {
 
 func (o *countOut) release() { countStripePool.Put(o.c) }
 
-// countsEpilogue is the fused epilogue of one driver call of a counts scan:
+// countsEpilogue is the fused epilogue of one panel of a counts scan:
 // each row run's delivered cells — from the row's diagonal on, to the band
 // edge — are stored narrowed into the stripe, and their exact r² folded
-// into their tile's maximum. The stripe's rows are SNPs c.I0 on; the call's
-// row 0 is the stripe's, its column 0 SNP col0. It must run on one worker:
-// a counts scan makes every driver call with Threads = 1.
+// into their tile's maximum. The stripe's rows are SNPs c.I0 on; the
+// panel's row 0 is the stripe's, its column 0 SNP col0. It must run on one
+// worker: a counts scan makes every driver call with Threads = 1.
 type countsEpilogue struct {
 	conv *stripeScan // frequencies and the exact r² variance table
 	sc   *scan

@@ -217,7 +217,7 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// keptEpilogue is the fused epilogue of one driver call of a kept scan: it
+// keptEpilogue is the fused epilogue of one panel of a kept scan: it
 // converts each row run's delivered cells — clipped to the row's diagonal in
 // a triangular scan and to its band edge — and hands the counts of the ones
 // that keep to the stripe's keeper. Exact r² converts and selects in one pass

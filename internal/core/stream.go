@@ -222,7 +222,7 @@ func (s *stripeScan) stat() Measure {
 }
 
 // epilogue returns the epilogue writing the scan's single statistic into
-// out (row stride ld) for a driver call whose row 0 is SNP row0 and whose
+// out (row stride ld) for a panel whose row 0 is SNP row0 and whose
 // column 0 is SNP col0. A kept scan passes no out: it only converts.
 func (s *stripeScan) epilogue(out []float64, ld, row0, col0 int) *denseEpilogue {
 	e := &denseEpilogue{

@@ -21,8 +21,10 @@ import (
 // schedule's panels in order and routing each to its stripe's worker, up to
 // readAheadBytes ahead of every worker: disk I/O overlaps the GEMM + fused
 // epilogue, and a worker's next stripe is read while the stripes before it
-// still compute, so every stripe in flight is fed. A resident source is fetched one
-// panel wide (see StreamOptions.IOPanelSNPs). Per-row values do not depend
+// still compute, so every stripe in flight is fed. A stripe is one driver
+// call (blis.StripeEpilogue): its A panel is packed once and every B panel
+// streams past it as it arrives. A resident source is fetched one panel
+// wide (see StreamOptions.IOPanelSNPs). Per-row values do not depend
 // on the source or its panel width: counts are full-K dot products
 // independent of column paneling, and the fused epilogue's expression
 // shapes are per-cell, so the decomposition cannot perturb a single bit.
@@ -89,7 +91,7 @@ func sourceAlleles(src bitmat.Source, panelSNPs int, counts []uint32) ([]float64
 // panel width differs (see StreamOptions.IOPanelSNPs).
 //
 // Each stripe is computed into one pooled float buffer and visited row
-// by row. One stripe is in flight at a time, its driver calls on Threads
+// by row. One stripe is in flight at a time, its driver call on Threads
 // workers: a float stripe is as wide as the rows it holds. It returns only
 // once its prefetcher has exited, so no Source.Panel call is in flight or
 // starts after it returns, error or not.
@@ -116,8 +118,8 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 // allele counts (KeptSink.Alleles). A kept count converts back to the
 // float scan's cell bit for bit (CountConverter). With no float stripe to fill, Threads stripes
 // run at once (GOMAXPROCS when Threads is 0, never more than the scan
-// has), each one's driver calls on a single worker (its keeper takes one
-// run at a time, and a store build's calls are too small to pay for
+// has), each one's driver call on a single worker (its keeper takes one
+// run at a time, and a store build's panels are too small to pay for
 // waking a second worker anyway), merged and handed over in stripe order.
 // Each stripe in flight holds its survivors until its turn, so the scan's
 // survivor lists reach the largest stripe's times the stripes in flight
@@ -237,7 +239,7 @@ func (sc *scan) span(i0, rows int) (bLo, bHi int) {
 
 // oneWorkerStripes readies the scan to run Threads stripes at once
 // (GOMAXPROCS when Threads is 0, never more than the scan has), each one's
-// driver calls on a single worker, and returns that stripe count. A
+// driver call on a single worker, and returns that stripe count. A
 // negative Threads is left for the driver to reject at the first call.
 func (sc *scan) oneWorkerStripes() int {
 	threads := sc.opt.Blis.Threads
@@ -245,7 +247,7 @@ func (sc *scan) oneWorkerStripes() int {
 		threads = runtime.GOMAXPROCS(0)
 	}
 	if threads > 0 {
-		sc.opt.Blis.Threads = 1 // the driver calls' workers, not the stripes in flight
+		sc.opt.Blis.Threads = 1 // the driver call's workers, not the stripes in flight
 	}
 	return max(1, min(threads, sc.stripes))
 }
@@ -259,13 +261,14 @@ func (sc *scan) base(i0 int) int {
 }
 
 // stripeOut is one stripe worker's side of the sink: where the epilogues of
-// its stripe's driver calls write, and how the finished stripe is handed
+// its stripe's driver call write, and how the finished stripe is handed
 // over.
 type stripeOut interface {
 	// open readies stripe i0, rows × width, before any of it is computed.
 	open(i0, rows, width int)
-	// epilogue returns the epilogue of the stripe's driver call whose
-	// column 0 is SNP col0.
+	// epilogue returns the epilogue of the stripe's panel whose column 0
+	// is SNP col0. The driver asks for a panel's only once it has handed
+	// over every cell of the one before, so it may reuse one epilogue.
 	epilogue(col0 int) blis.Epilogue
 	// deliver hands the stripe over; stripes are delivered in order.
 	deliver()
@@ -285,7 +288,7 @@ const readAheadBytes = 4 << 20
 type stripeRun struct {
 	*scan
 	workers int
-	cfg     blis.Config // the driver calls' configuration
+	cfg     blis.Config // the driver calls' configuration, one a stripe
 	// fetched[w] carries worker w's panels in schedule order, up to its
 	// capacity ahead of it; free holds the panel buffers not in use, enough
 	// for every worker's queue and the two panels it multiplies.
@@ -465,23 +468,26 @@ func (r *stripeRun) stripeOf(s int, o stripeOut, in <-chan oocPanel) error {
 	defer func() { r.free <- a.buf }()
 	bLo, bHi := r.span(i0, rows)
 	o.open(i0, rows, bHi-r.base(i0))
+	var diag blis.Epilogue
 	if r.opt.Triangular {
-		if err := blis.SyrkEpilogue(r.cfg, a.m, o.epilogue(i0)); err != nil {
-			return err
-		}
+		diag = o.epilogue(i0)
 	}
-	for c := bLo; c < bHi; c += r.panel {
-		b, err := recv()
-		if err != nil {
-			return err
+	// One driver call a stripe: the diagonal block, then each B panel as
+	// it arrives, its buffer freed once the driver has multiplied it.
+	return blis.StripeEpilogue(r.cfg, a.m, diag, func(yield func(blis.Panel, error) bool) {
+		for c := bLo; c < bHi; c += r.panel {
+			b, err := recv()
+			if err != nil {
+				yield(blis.Panel{}, err)
+				return
+			}
+			more := yield(blis.Panel{B: b.m, Epi: o.epilogue(c)}, nil)
+			r.free <- b.buf
+			if !more {
+				return
+			}
 		}
-		err = blis.GemmEpilogue(r.cfg, a.m, b.m, o.epilogue(c))
-		r.free <- b.buf
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // errStopped is what a worker returns when another one's failure stopped

@@ -128,18 +128,26 @@ func TestStreamSourceRejectsUnfusable(t *testing.T) {
 }
 
 // A resident source is fetched one panel wide whatever IOPanelSNPs says: a
-// scan of it makes one SYRK plus at most one GEMM per stripe (one GEMM
-// unless triangular), and reading its zero-copy views is no panel I/O.
+// stripe of its scan is one SYRK plus at most one GEMM (one GEMM unless
+// triangular), all of it one driver call, and reading its zero-copy views
+// is no panel I/O.
 func TestMemSourcePanelWidth(t *testing.T) {
 	g := streamMatrix(t, 70, 40, 3) // stripes of 16: four full, one of 6
 	for name, tc := range map[string]struct {
 		opt   StreamOptions
 		calls uint64
 	}{
-		"triangular": {StreamOptions{Triangular: true, StripeRows: 16, IOPanelSNPs: 8}, 5 + 4},
-		"banded":     {StreamOptions{Triangular: true, Banded: true, Band: 20, StripeRows: 16, IOPanelSNPs: 8}, 5 + 4},
+		"triangular": {StreamOptions{Triangular: true, StripeRows: 16, IOPanelSNPs: 8}, 5},
+		"banded":     {StreamOptions{Triangular: true, Banded: true, Band: 20, StripeRows: 16, IOPanelSNPs: 8}, 5},
 		"full":       {StreamOptions{StripeRows: 16, IOPanelSNPs: 8}, 5},
 	} {
+		sc, err := newScan(bitmat.NewMemSource(g), tc.opt, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.panel != g.SNPs {
+			t.Fatalf("%s: a resident source is fetched %d SNPs wide, want %d", name, sc.panel, g.SNPs)
+		}
 		before := blis.ReadStats()
 		if err := Stream(g, tc.opt, func(int, int, []float64) {}); err != nil {
 			t.Fatal(err)

@@ -108,10 +108,11 @@ func FuzzOpen(f *testing.F) {
 		corrupt(func(b []byte) { le.PutUint32(b[len(b)-16:], 1<<28) }) // entry length out of range
 		corrupt(func(b []byte) { le.PutUint64(b[len(b)-8:], 1<<30) })  // entry aux: LDSS nnz above tile capacity
 		if tr.format.Magic == ldssFormat.Magic {
-			corrupt(func(b []byte) { le.PutUint64(b[64:], math.Float64bits(math.NaN())) }) // NaN threshold
-			corrupt(func(b []byte) { le.PutUint64(b[72:], 7) })                            // band without banded flag
-			corrupt(func(b []byte) { le.PutUint64(b[80:], 1<<40) })                        // nnz disagrees with index
-			corrupt(func(b []byte) { le.PutUint32(b[36:], 2) })                            // a per-SNP table LDSS has not
+			// The extension starts at 64: table CRC, τ at 72, band at 80, nnz at 88.
+			corrupt(func(b []byte) { le.PutUint64(b[72:], math.Float64bits(math.NaN())) }) // NaN threshold
+			corrupt(func(b []byte) { le.PutUint64(b[80:], 7) })                            // band without banded flag
+			corrupt(func(b []byte) { le.PutUint64(b[88:], 1<<40) })                        // nnz disagrees with index
+			corrupt(func(b []byte) { le.PutUint32(b[36:], 3) })                            // a count width LDSS has not
 		}
 	}
 	for _, store := range []struct {

@@ -798,15 +798,17 @@ func BenchmarkBuildFile(b *testing.B) {
 				path := filepath.Join(b.TempDir(), "bench.store")
 				var st tilefile.BuildStats
 				var commits, waited int64
-				var stalled uint64
+				var stalled, calls uint64
 				b.ReportAllocs()
 				for b.Loop() {
-					before := blis.ReadStats().PrefetchStallNanos
+					before := blis.ReadStats()
 					var err error
 					if st, err = c.tier.build(path, src, sh, srcOpts{ioPanel: 256, checkpoint: ckpt}); err != nil {
 						b.Fatal(err)
 					}
-					stalled += blis.ReadStats().PrefetchStallNanos - before
+					after := blis.ReadStats()
+					stalled += after.PrefetchStallNanos - before.PrefetchStallNanos
+					calls += after.Calls - before.Calls
 					commits += int64(st.Commits)
 					waited += st.ScanWaitNanos
 				}
@@ -815,6 +817,7 @@ func BenchmarkBuildFile(b *testing.B) {
 				b.ReportMetric(float64(st.FileBytes)*n/secs/1e6, "MB/s")
 				b.ReportMetric(float64(commits)/n, "commits/op")
 				b.ReportMetric(float64(snps/nt), "stripes/op")
+				b.ReportMetric(float64(calls)/n, "calls/op")
 				b.ReportMetric(float64(waited)/n/1e6, "scan-wait-ms/op")
 				b.ReportMetric(float64(stalled)/n/1e6, "stall-ms/op")
 			})
