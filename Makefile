@@ -50,7 +50,8 @@ build-arm64:
 # with four kept stripes in flight and a complete one with four counts stripes,
 # each stopped by a writer fault and by a cancel with no panel read left
 # running (TestKeptBuildStopsAtFourThreads, TestCountBuildStopsAtFourThreads)
-# — the HTTP server that shares the
+# — a selection scan on four driver workers, each with its own heap
+# (TestSelectScanMatchesVisitor), the HTTP server that shares the
 # arena pool, the region encoder's pooled offset scratch and the in-flight
 # semaphore across requests (TestConcurrentRegionRequests), concurrent matvecs in both body spellings
 # over the request-vector counters (TestSparseVectorCounters), the
@@ -100,7 +101,10 @@ verify-cluster:
 # threshold and row length; and the counts epilogue's fused narrow-and-max
 # kernel against its Go loop: the same narrowed counts and the same bits for
 # every tile's maximum on any counts ≤ N, frequencies, N ≤ 65 535, row
-# length and tile edges.
+# length and tile edges; and the selection epilogue's fused kernel against
+# converting with scalarR2Fast, then selecting: the same candidate columns and
+# r² bits and the same below-cut count on any counts, frequencies, floor, cut
+# and row length.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
@@ -111,6 +115,7 @@ fuzz-smoke:
 	go test ./internal/server -run=Fuzz -fuzz=FuzzReadNumber -fuzztime=10s
 	go test ./internal/core -run=Fuzz -fuzz=FuzzEpilogueRow -fuzztime=10s
 	go test ./internal/core -run=Fuzz -fuzz=FuzzKeepRow -fuzztime=10s
+	go test ./internal/core -run=Fuzz -fuzz=FuzzSelectRow -fuzztime=10s
 	go test ./internal/core -run=Fuzz -fuzz=FuzzCountsRow -fuzztime=10s
 
 # The benchmark/ module is its own Go module, so tier-1 `go test ./...`
@@ -137,7 +142,7 @@ run_listed = listed=$$(go test -list . $(1) | grep '^Test'); \
 # code linked in front of these moved them by a few hundred bytes; a change
 # that claims no move on them shows here whether their kernels moved. A
 # kernel a binary does not link is reported so.
-placement_syms = tileRow8x8VPOPCNTQ rowR2FastAVX512 rowR2ExactAVX512 countsR2Max16AVX512
+placement_syms = tileRow8x8VPOPCNTQ rowR2FastAVX512 rowR2ExactAVX512 selectR2FastAVX512 countsR2Max16AVX512
 .PHONY: placement
 placement:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
@@ -184,7 +189,10 @@ loc:
 # length) and its fused keep kernel's whole-vector stores held inside
 # their room, the counts epilogue's fused kernel at its edges (every run
 # length 0–40, a monomorphic column, N = 65 535 and 65 536, a diagonal
-# cell kept out of its tile's maximum), the destination hint shown
+# cell kept out of its tile's maximum), the selection epilogue's fused kernel
+# at its edges (every row length 0–17, counts at 0 and N, floors at ±Inf,
+# NaN and a tie, cuts at 0 and subnormal, its stores held inside their
+# room), the destination hint shown
 # unobservable in Matrix, Cross and
 # Stream, and KeepCounts shown inert (copying the counts out changes no
 # measure bit, exact or fast r²). Every
@@ -192,7 +200,7 @@ loc:
 .PHONY: bench-kernel
 bench-kernel:
 	@$(call run_listed,./internal/kernel,TestVectorTile)
-	@$(call run_listed,./internal/core,TestEpilogueRows|TestKeepRowEdges|TestKeepR2ExactStaysInRoom|TestCountsRowEdges|TestDestHintUnobservable|TestDenseEpilogueDest|TestKeepCountsInert)
+	@$(call run_listed,./internal/core,TestEpilogueRows|TestKeepRowEdges|TestKeepR2ExactStaysInRoom|TestSelectRowEdges|TestCountsRowEdges|TestDestHintUnobservable|TestDenseEpilogueDest|TestKeepCountsInert)
 	@$(call run_listed,./internal/blis,TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestMaskedStrategiesMatchScalarOracle|TestDispatchRoutes|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller)
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling
@@ -208,7 +216,8 @@ bench-kernel:
 # (4096 × 2048, stripes of 128 against 256-SNP panels) at 1 and 2 threads,
 # which must read alike, and one call of each of its row conversions (D, fast and
 # exact r², Go loop and AVX-512 row kernel, 512 and 3840 cells, ns/cell on
-# L2-resident operands). Then the sparse
+# L2-resident operands), and of the selection row (converted and selected,
+# Go loop and fused kernel). Then the sparse
 # operator path: one matvec over the ledger's 4096-SNP banded pruned store,
 # resident and laid out per call (entries/s, allocs/op), its 4096-float
 # request body through the vector scanner (MB/s, ns/float), and the number

@@ -162,6 +162,16 @@ var chunkTiles int
 // ask for.
 var minParallelCellWords = 4 << 20
 
+// SetMinParallelForTest sets the panel size below which a call runs on its
+// caller (minParallelCellWords) and returns the value it replaced. Tests of
+// other packages set 0 so that their small shapes run on as many workers
+// as they ask for, and put the old value back when done.
+func SetMinParallelForTest(cellWords int) int {
+	old := minParallelCellWords
+	minParallelCellWords = cellWords
+	return old
+}
+
 // callWorkers is how many workers a panel of m × n cells over kw sample
 // words runs on: threads, or 1 when the panel is too small to pay for a
 // wake-up. Everything that depends on the worker count — the pool's share

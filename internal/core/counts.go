@@ -98,8 +98,9 @@ func StreamSourceCounts(src bitmat.Source, opt StreamOptions, sink CountSink) er
 	if err != nil {
 		return err
 	}
+	defer sc.release()
 	inFlight := sc.oneWorkerStripes()
-	conv := newStripeScan(StreamOptions{Options: Options{Measures: MeasureR2}, Exact: true}, sc.p, sc.samples)
+	conv := sc.conv(StreamOptions{Options: Options{Measures: MeasureR2}, Exact: true})
 	wide := CountBytes(sc.samples) > 2
 	sink.Alleles(sc.alleles)
 	return sc.run(inFlight, func() stripeOut {

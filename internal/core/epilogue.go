@@ -27,27 +27,13 @@ import (
 
 // varTable returns v[i] = p[i]·(1−p[i]), the per-SNP variance factor of
 // the r² denominator, rounded exactly as PairFromFreqs rounds it inline.
-func varTable(p []float64) []float64 {
-	v := make([]float64, len(p))
-	for i, pi := range p {
-		v[i] = pi * (1 - pi)
-	}
-	return v
-}
+func varTable(p []float64) []float64 { return r2Table(make([]float64, len(p)), p, false) }
 
 // invVarTable returns v[i] = 1/(p[i]·(1−p[i])), with 0 for monomorphic
 // SNPs so their r² multiplies out to zero — the fast-r² trick of the
 // streaming path (divides traded for multiplies; last-ulp differences
 // from the exact quotient are possible).
-func invVarTable(p []float64) []float64 {
-	v := make([]float64, len(p))
-	for i, pi := range p {
-		if va := pi * (1 - pi); va > 0 {
-			v[i] = 1 / va
-		}
-	}
-	return v
-}
+func invVarTable(p []float64) []float64 { return r2Table(make([]float64, len(p)), p, true) }
 
 func roundUp2(x, m int) int { return (x + m - 1) / m * m }
 
@@ -174,13 +160,23 @@ func newDenseEpilogue(res *Result, opt Options, mirror bool) *denseEpilogue {
 	return e
 }
 
-// r2Table returns the per-SNP table the r² path reads: invVarTable for the
-// fast path, varTable for the exact one.
-func r2Table(p []float64, fast bool) []float64 {
-	if fast {
-		return invVarTable(p)
+// r2Table writes the per-SNP table the r² path reads into dst, len(p)
+// long, and returns it: invVarTable's entries for the fast path, varTable's
+// for the exact one.
+func r2Table(dst, p []float64, fast bool) []float64 {
+	dst = dst[:len(p)]
+	for i, pi := range p {
+		v := pi * (1 - pi)
+		if fast {
+			if v > 0 {
+				v = 1 / v
+			} else {
+				v = 0
+			}
+		}
+		dst[i] = v
 	}
-	return varTable(p)
+	return dst
 }
 
 // RowRun is the blis.Epilogue hook: one finished row run of mm ≤ MR

@@ -19,6 +19,9 @@ func rowR2ExactAVX512(out *float64, cnt *uint32, colFreq, colVar *float64, n int
 func keepR2ExactAVX512(cols *int32, counts *uint32, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va, skip, tau float64, col0 int32) int
 
 //go:noescape
+func selectR2FastAVX512(cols *int32, vals *float64, cnt *uint32, colFreq, colInv *float64, n int, inv, pa, iva, thr, cut float64, col0 int32) (cands, below int)
+
+//go:noescape
 func countsR2Max16AVX512(dst *uint16, cnt *uint32, colFreq, colVar *float64, n int, inv, pa, va, m float64) float64
 
 // The row kernels are the vector bodies of denseEpilogue.row's loops: rowX
@@ -91,6 +94,31 @@ func keepR2Exact(cols []int32, counts []uint32, cnt []uint32, colFreq, colTab []
 	}
 	_, _, _, _ = cols[keepRoom(n)-1], counts[keepRoom(n)-1], colFreq[n-1], colTab[n-1]
 	return n, keepR2ExactAVX512(&cols[0], &counts[0], &cnt[0], &colFreq[0], &colTab[0], n, inv, pa, tab, skip, tau, int32(col0))
+}
+
+// selectR2Fast is the vector body of the selection epilogue's rows
+// (select.go): it runs over every cell of its row, converting each by
+// rowR2FastAVX512's lanes, counts the cells below cut, stores the others
+// that are not below floor at the front of cols and vals — column col0+c
+// and r² for cell c — and returns how many cells it ran over (all, or none
+// on a host without AVX-512F), how many it stored and how many it counted:
+// what converting with scalarR2Fast and then running selectScalar gives.
+// Like keepR2Exact it writes whole groups of eight lanes, so cols and vals
+// must hold keepRoom of the row's length.
+func selectR2Fast(cols []int32, vals []float64, cnt []uint32, colFreq, colInv []float64, inv, pa, iva, floor, cut float64, col0 int) (done, cands, below int) {
+	n := len(cnt)
+	if n == 0 || !vectorRows {
+		return 0, 0, 0
+	}
+	_, _, _, _ = cols[keepRoom(n)-1], vals[keepRoom(n)-1], colFreq[n-1], colInv[n-1]
+	// Below neither the cut nor the floor is not below the greater of the
+	// two, or not below the one that is not NaN: nothing is below NaN.
+	thr := floor
+	if cut > floor || floor != floor {
+		thr = cut
+	}
+	cands, below = selectR2FastAVX512(&cols[0], &vals[0], &cnt[0], &colFreq[0], &colInv[0], n, inv, pa, iva, thr, cut, int32(col0))
+	return n, cands, below
 }
 
 // countsVector16 is the vector body of the counts epilogue's rows

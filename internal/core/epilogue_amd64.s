@@ -220,6 +220,112 @@ skipped:
 	VZEROUPPER
 	RET
 
+// The selection epilogue's kernel (select.go) converts by
+// rowR2FastAVX512's lanes, counts the cells below the cut (LT_OQ: false on
+// NaN, as Go's < is) in eight int64 lanes, and compress-stores the r² and
+// column of the cells not below thr (NLT_UQ: true on NaN, so a NaN lane is
+// a candidate) at the front of vals and cols, whole-vector stores after a
+// register compress at the current candidate count; the wrapper passes the
+// greater of the cut and the floor as thr. Whole groups of eight run
+// unmasked; the last n mod 8 cells run once more, their loads zero-masked
+// as in keepR2ExactAVX512 (a masked-off lane never faults). Once a worker's
+// heap is full most groups have no candidate and store nothing. KEEP_SETUP
+// is the kept kernel's, with the cut as its τ (Z26).
+
+// func selectR2FastAVX512(cols *int32, vals *float64, cnt *uint32, colFreq, colInv *float64, n int, inv, pa, iva, thr, cut float64, col0 int32) (cands, below int)
+TEXT ·selectR2FastAVX512(SB), NOSPLIT, $0-112
+	MOVQ         cols+0(FP), DI
+	MOVQ         vals+8(FP), R8
+	MOVQ         cnt+16(FP), SI
+	MOVQ         colFreq+24(FP), DX
+	MOVQ         colInv+32(FP), BX
+	MOVQ         n+40(FP), CX
+	VBROADCASTSD inv+48(FP), Z30
+	VBROADCASTSD pa+56(FP), Z31
+	VBROADCASTSD iva+64(FP), Z29
+	VBROADCASTSD thr+72(FP), Z27
+	KEEP_SETUP(cut+80(FP), col0+88(FP))
+	VPXORQ       Z8, Z8, Z8
+	MOVQ         $1, R9
+	VPBROADCASTQ R9, Z9
+	MOVQ         CX, R11
+	SHRQ         $3, R11
+	JZ           seltail
+
+select8:
+	VCVTUDQ2PD (SI), Z0
+	VMULPD     Z30, Z0, Z0
+	VMULPD     (DX), Z31, Z1
+	VSUBPD     Z1, Z0, Z0
+	VMULPD     Z0, Z0, Z0
+	VMULPD     (BX), Z29, Z2
+	VMULPD     Z2, Z0, Z0
+	VCMPPD     $0x11, Z26, Z0, K2
+	VPADDQ     Z9, Z8, K2, Z8
+	VCMPPD     $0x15, Z27, Z0, K3
+	KORTESTW   K3, K3
+	JNZ        selstore8
+
+selnext8:
+	VPADDD Z23, Z24, Z24
+	ADDQ   $32, SI
+	ADDQ   $64, DX
+	ADDQ   $64, BX
+	DECQ   R11
+	JNZ    select8
+	JMP    seltail
+
+selstore8:
+	VCOMPRESSPD Z0, K3, Z5
+	VMOVUPD     Z5, (R8)(AX*8)
+	VPCOMPRESSD Z24, K3, Z6
+	VMOVDQU     Y6, (DI)(AX*4)
+	KMOVW       K3, R9
+	POPCNTL     R9, R9
+	ADDQ        R9, AX
+	JMP         selnext8
+
+seltail:
+	ANDQ        $7, CX
+	JZ          seldone
+	MOVL        $1, R9
+	SHLL        CX, R9
+	DECL        R9
+	KMOVW       R9, K4
+	VMOVDQU32.Z (SI), K4, Y7
+	VCVTUDQ2PD  Y7, Z0
+	VMULPD      Z30, Z0, Z0
+	VMULPD.Z    (DX), Z31, K4, Z1
+	VSUBPD      Z1, Z0, Z0
+	VMULPD      Z0, Z0, Z0
+	VMULPD.Z    (BX), Z29, K4, Z2
+	VMULPD      Z2, Z0, Z0
+	VCMPPD      $0x11, Z26, Z0, K2
+	KANDW       K4, K2, K2
+	VPADDQ      Z9, Z8, K2, Z8
+	VCMPPD      $0x15, Z27, Z0, K3
+	KANDW       K4, K3, K3
+	VCOMPRESSPD Z0, K3, Z5
+	VMOVUPD     Z5, (R8)(AX*8)
+	VPCOMPRESSD Z24, K3, Z6
+	VMOVDQU     Y6, (DI)(AX*4)
+	KMOVW       K3, R9
+	POPCNTL     R9, R9
+	ADDQ        R9, AX
+
+seldone:
+	VEXTRACTI64X4 $1, Z8, Y1
+	VPADDQ        Y1, Y8, Y1
+	VEXTRACTI128  $1, Y1, X2
+	VPADDQ        X2, X1, X1
+	VPSHUFD       $0x4E, X1, X2
+	VPADDQ        X2, X1, X1
+	MOVQ          X1, R10
+	MOVQ          AX, cands+96(FP)
+	MOVQ          R10, below+104(FP)
+	VZEROUPPER
+	RET
+
 // The counts epilogue's kernel (counts.go) stores a row run's counts
 // narrowed to uint16 by VPMOVDW, which keeps the low half of each lane as
 // Go's conversion does, and folds the exact r² of every cell into a

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ldgemm/internal/popcount"
@@ -214,8 +215,11 @@ func FuzzEpilogueRow(f *testing.F) {
 
 // BenchmarkEpilogueRow times one row conversion per measure, Go loop
 // against row kernel + Go tail, at a narrow row and at one small-k job's
-// width. One row's operands (≈ 100 KB at 3840 cells) stay L2-resident, so
-// the figure is the conversion itself, not the stripe's memory traffic.
+// width, and then one selection row (select.go): fast r² converted and
+// selected against a floor one cell in a hundred reaches, as on a full
+// top-K heap, by scalarR2Fast + selectScalar and by the fused kernel. One
+// row's operands (≈ 100 KB at 3840 cells) stay L2-resident, so the figure
+// is the conversion itself, not the stripe's memory traffic.
 func BenchmarkEpilogueRow(b *testing.B) {
 	const samples = 512
 	rng := rand.New(rand.NewSource(20))
@@ -248,6 +252,30 @@ func BenchmarkEpilogueRow(b *testing.B) {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nn), "ns/cell")
 				})
 			}
+		}
+		inv, tabs := 1.0/samples, invVarTable(p)
+		scalarR2Fast(out, cnt, p, tabs, inv, p[0], tabs[0])
+		floor := slices.Sorted(slices.Values(out))[nn*99/100]
+		cols, vals := make([]int32, keepRoom(nn)), make([]float64, keepRoom(nn))
+		for _, vector := range []bool{false, true} {
+			path := "scalar"
+			if vector {
+				path = "vector"
+			}
+			b.Run(fmt.Sprintf("select/%s/nn=%d", path, nn), func(b *testing.B) {
+				if vector && !popcount.HasAVX512F() {
+					b.Skip("host has no AVX-512F")
+				}
+				for i := 0; i < b.N; i++ {
+					if vector {
+						selectR2Fast(cols, vals, cnt, p, tabs, inv, p[0], tabs[0], floor, 0, 0)
+					} else {
+						scalarR2Fast(out, cnt, p, tabs, inv, p[0], tabs[0])
+						selectScalar(cols, vals, out, floor, 0, 0)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nn), "ns/cell")
+			})
 		}
 	}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
-	"sort"
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/stats"
@@ -70,8 +67,9 @@ type SignificanceResult struct {
 
 // Significance scans all SNP pairs, tests each for linkage disequilibrium
 // with the χ² statistic Nseq·r² (1 df), and returns the pairs passing a
-// Bonferroni-corrected threshold. The χ² values come from the streamed r²
-// scan, so memory stays O(stripe·n).
+// Bonferroni-corrected threshold. The χ² values come from the selection
+// scan (select.go), which ranks the fast r² of every pair inside the fused
+// epilogue, on Threads driver workers, and keeps MaxResults pairs a worker.
 func Significance(g *bitmat.Matrix, opt SignificanceOptions) (*SignificanceResult, error) {
 	opt, err := opt.normalize()
 	if err != nil {
@@ -99,48 +97,21 @@ func Significance(g *bitmat.Matrix, opt SignificanceOptions) (*SignificanceResul
 	if err != nil {
 		return nil, err
 	}
-	r2Cut := chiCut / float64(max(g.Samples, 1))
 
-	res := &SignificanceResult{Tested: tested, Threshold: threshold}
-	// Keep the MaxResults first pairs of the canonical ranking in a heap
-	// whose root is the last of them, so ties at the cut resolve exactly as
-	// the final sort would; p-values are evaluated once at the end, only
-	// for the survivors.
-	h := &pairHeap{}
-	// floor is the root's r² once the heap is full: a cell below it ranks
-	// after every kept pair and is only counted. NaN compares false both
-	// times and takes the whole path.
-	floor, significant := math.Inf(-1), int64(0)
-	ld := opt.LD
-	ld.Measures = MeasureR2
-	err = Stream(g, StreamOptions{Options: ld, Triangular: true, RowStart: lo, RowEnd: hi},
-		func(i, j0 int, row []float64) {
-			// A triangular row opens with its own diagonal, which is no pair.
-			for t, r2 := range row[1:] {
-				if r2 < r2Cut {
-					continue
-				}
-				significant++
-				if r2 < floor {
-					continue
-				}
-				j := j0 + 1 + t
-				if h.Len() < opt.MaxResults {
-					heap.Push(h, SignificantPair{I: i, J: j, R2: r2})
-				} else if last := (*h)[0]; RanksBefore(r2, i, j, last.R2, last.I, last.J) {
-					(*h)[0] = SignificantPair{I: i, J: j, R2: r2}
-					heap.Fix(h, 0)
-				}
-				if h.Len() == opt.MaxResults {
-					floor = (*h)[0].R2
-				}
-			}
-		})
+	// Each worker keeps the MaxResults first pairs of the canonical ranking
+	// it saw, so ties at the cut resolve exactly as the final sort would;
+	// p-values are evaluated once at the end, only for the survivors.
+	sel := getSelector(opt.MaxResults, chiCut/float64(max(g.Samples, 1)))
+	defer selectorPool.Put(sel)
+	err = selectScan(bitmat.NewMemSource(g), StreamOptions{Options: opt.LD, RowStart: lo, RowEnd: hi}, sel)
 	if err != nil {
 		return nil, err
 	}
-	res.Significant = significant
-	res.Pairs = append(res.Pairs, *h...)
+	res := &SignificanceResult{Tested: tested, Threshold: threshold}
+	// Strongest first, ties broken by (I, J) so the ranking is fully
+	// deterministic — a cluster coordinator merging per-shard lists with
+	// the same comparator reproduces the single-node order exactly.
+	res.Pairs, _, res.Significant = sel.merge()
 	for idx := range res.Pairs {
 		p := &res.Pairs[idx]
 		p.Chi2 = float64(g.Samples) * p.R2
@@ -150,13 +121,6 @@ func Significance(g *bitmat.Matrix, opt SignificanceOptions) (*SignificanceResul
 		}
 		p.PValue = pv
 	}
-	// Strongest first, ties broken by (I, J) so the ranking is fully
-	// deterministic — a cluster coordinator merging per-shard lists with
-	// the same comparator reproduces the single-node order exactly.
-	sort.Slice(res.Pairs, func(a, b int) bool {
-		pa, pb := res.Pairs[a], res.Pairs[b]
-		return RanksBefore(pa.R2, pa.I, pa.J, pb.R2, pb.I, pb.J)
-	})
 	return res, nil
 }
 
@@ -175,20 +139,6 @@ func RanksBefore(r2a float64, ia, ja int, r2b float64, ib, jb int) bool {
 	}
 	return ja < jb
 }
-
-// pairHeap is a heap of SignificantPair in reverse canonical order: the
-// root is the pair every other one RanksBefore.
-type pairHeap []SignificantPair
-
-func (h pairHeap) Len() int { return len(h) }
-func (h pairHeap) Less(i, j int) bool {
-	return RanksBefore(h[j].R2, h[j].I, h[j].J, h[i].R2, h[i].I, h[i].J)
-}
-func (h pairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x any)   { *h = append(*h, x.(SignificantPair)) }
-func (h *pairHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-var _ heap.Interface = (*pairHeap)(nil)
 
 // chiSquareQuantile returns the χ² value (1 df) whose upper-tail
 // probability equals p, by bisection on the monotone tail.

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"ldgemm/internal/bitmat"
+	"ldgemm/internal/bufpool"
 )
 
 // StreamOptions configures a striped streaming LD scan.
@@ -188,13 +189,16 @@ func Stream(g *bitmat.Matrix, opt StreamOptions, visit func(i, j0 int, row []flo
 }
 
 // stripeScan builds the stripe epilogues of one fused scan. Whatever
-// per-SNP table the r² path reads is built once, over the whole frequency
-// vector, and sliced per stripe — every entry depends on its own p[i] only.
+// per-SNP table the r² path reads is built once, over the scan's whole
+// frequency vector, and sliced per stripe — every entry depends on its own
+// p[i] only. The table is a bufpool.Floats buffer, which the scan hands
+// back once it is over (scan.release).
 type stripeScan struct {
 	meas   Measure
 	fast   bool
-	inv    float64 // 1/Nseq
-	p, tab []float64
+	inv    float64   // 1/Nseq
+	p, tab []float64 // of SNPs p0, p0+1, …
+	p0     int
 }
 
 func newStripeScan(opt StreamOptions, p []float64, samples int) *stripeScan {
@@ -204,7 +208,7 @@ func newStripeScan(opt StreamOptions, p []float64, samples int) *stripeScan {
 		s.inv = 1 / float64(samples)
 	}
 	if s.meas&MeasureR2 != 0 {
-		s.tab = r2Table(p, s.fast)
+		s.tab = r2Table(bufpool.Floats.Get(len(p)), p, s.fast)
 	}
 	return s
 }
@@ -227,13 +231,13 @@ func (s *stripeScan) stat() Measure {
 func (s *stripeScan) epilogue(out []float64, ld, row0, col0 int) *denseEpilogue {
 	e := &denseEpilogue{
 		measureOut: measureOut{ld: ld},
-		rowFreqs:   s.p[row0:], colFreqs: s.p[col0:],
+		rowFreqs:   s.p[row0-s.p0:], colFreqs: s.p[col0-s.p0:],
 		inv: s.inv, fast: s.fast,
 	}
 	switch s.stat() {
 	case MeasureR2:
 		e.r2 = out
-		e.rowTab, e.colTab = s.tab[row0:], s.tab[col0:]
+		e.rowTab, e.colTab = s.tab[row0-s.p0:], s.tab[col0-s.p0:]
 	case MeasureD:
 		e.d = out
 	default:

@@ -10,12 +10,13 @@ import (
 
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
+	"ldgemm/internal/bufpool"
 )
 
 // This file implements the panel-pair scheduler, the one striped scan
-// under Stream, StreamSource, the kept and the counts scans, over any
-// bitmat.Source (an mmap'd or windowed .ldbm file, or a resident matrix
-// behind MemSource).
+// under Stream, StreamSource, the kept, the counts and the selection scans,
+// over any bitmat.Source (an mmap'd or windowed .ldbm file, or a resident
+// matrix behind MemSource).
 // The stripe × column-panel triangle is walked with a dedicated prefetcher
 // goroutine reading — or, for mmap'd sources, MADV_WILLNEED-ing — the
 // schedule's panels in order and routing each to its stripe's worker, up to
@@ -31,7 +32,8 @@ import (
 //
 // Memory is bounded by the stripe (StripeRows × n float64 values, or per
 // stripe in flight a kept stripe's survivors or a counts stripe's narrowed
-// counts), the panel buffers (for W stripes in flight in windowed mode,
+// counts; a selection scan holds only its workers' heaps), the panel
+// buffers (for W stripes in flight in windowed mode,
 // W × (readAheadBytes + two panels) of packed words, four panels for one;
 // zero-copy views in mmap mode), and the O(n) frequency vector — never by
 // the n² output or the full bit matrix.
@@ -56,27 +58,30 @@ type oocPanel struct {
 // next scan's panels of the same shape fit it.
 var panelPool = sync.Pool{New: func() any { return new(bitmat.Matrix) }}
 
-// sourceAlleles returns every SNP's derived-allele frequency in one
-// panel-by-panel pass, bit-identical to AlleleFrequencies on the resident
-// matrix, and stores its derived-allele count in counts unless that is nil.
-func sourceAlleles(src bitmat.Source, panelSNPs int, counts []uint32) ([]float64, error) {
-	n, samples := src.NumSNPs(), float64(src.NumSamples())
-	p := make([]float64, n)
+// sourceAlleles returns the derived-allele frequencies of SNPs [lo, hi),
+// SNP lo first, in one panel-by-panel pass, bit-identical to
+// AlleleFrequencies on the resident matrix, and stores each one's
+// derived-allele count at the same index of counts unless that is nil.
+// The frequencies are a bufpool.Floats buffer.
+func sourceAlleles(src bitmat.Source, lo, hi, panelSNPs int, counts []uint32) ([]float64, error) {
+	samples := float64(src.NumSamples())
+	p := bufpool.Floats.Get(hi - lo)
 	panelSNPs = max(panelSNPs, 1)
 	var buf bitmat.Matrix
-	for lo := 0; lo < n; lo += panelSNPs {
-		hi := min(lo+panelSNPs, n)
-		m, err := src.Panel(lo, hi, &buf)
+	for c := lo; c < hi; c += panelSNPs {
+		m, err := src.Panel(c, min(c+panelSNPs, hi), &buf)
 		if err != nil {
+			bufpool.Floats.Put(p)
 			return nil, err
 		}
 		for i := 0; i < m.SNPs; i++ {
-			c := m.DerivedCount(i)
+			n, f := m.DerivedCount(i), 0.0
 			if samples > 0 {
-				p[lo+i] = float64(c) / samples
+				f = float64(n) / samples
 			}
+			p[c-lo+i] = f
 			if counts != nil {
-				counts[lo+i] = uint32(c)
+				counts[c-lo+i] = uint32(n)
 			}
 		}
 	}
@@ -106,9 +111,9 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 	if err != nil {
 		return err
 	}
-	return sc.run(1, func() stripeOut {
-		return &floatOut{sink: v, sc: sc, conv: newStripeScan(opt, sc.p, sc.samples)}
-	})
+	defer sc.release()
+	conv := sc.conv(opt)
+	return sc.run(1, func() stripeOut { return &floatOut{sink: v, sc: sc, conv: conv} })
 }
 
 // StreamSourceKept is the triangular scan for a sink that declares a
@@ -132,10 +137,11 @@ func StreamSourceKept(src bitmat.Source, opt StreamOptions, sink KeptSink) error
 	if err != nil {
 		return err
 	}
+	defer sc.release()
 	inFlight := sc.oneWorkerStripes()
 	tau := sink.Threshold()
 	sink.Alleles(sc.alleles)
-	conv := newStripeScan(opt, sc.p, sc.samples)
+	conv := sc.conv(opt)
 	return sc.run(inFlight, func() stripeOut {
 		k := keeperPool.Get().(*keeper)
 		return &keptOut{sink: sink, sc: sc, conv: conv, k: k, inFlight: inFlight,
@@ -152,8 +158,10 @@ type scan struct {
 	lo, hi, stripes    int
 	panel              int
 	resident           bool
-	alleles            []uint32 // counts and kept scans only
-	p                  []float64
+	alleles            []uint32  // counts and kept scans only
+	p                  []float64 // frequencies of SNPs p0, p0+1, …, as far as the scan reads
+	p0                 int
+	tabs               [][]float64 // the r² tables of the scan's conversions
 	schedule           []oocReq
 	stripePanels       int // the most panels one stripe of the schedule fetches
 }
@@ -185,10 +193,18 @@ func newScan(src bitmat.Source, opt StreamOptions, alleles bool) (*scan, error) 
 	if sc.resident {
 		sc.panel = max(n, 1)
 	}
+	// A triangular scan reads the frequencies of its rows and of the columns
+	// right of them only, [RowStart, n) or up to the band edge, so unless
+	// its sink is handed the whole allele table that is all it counts.
+	// Every frequency and table entry is a function of its own SNP alone,
+	// so a row's values do not depend on where the range starts.
+	to := n
 	if alleles {
 		sc.alleles = make([]uint32, n)
+	} else if opt.Triangular {
+		sc.p0, to = sc.lo, opt.stripeColEnd(sc.lo, sc.hi-sc.lo, n)
 	}
-	if sc.p, err = sourceAlleles(src, sc.panel, sc.alleles); err != nil {
+	if sc.p, err = sourceAlleles(src, sc.p0, to, sc.panel, sc.alleles); err != nil {
 		return nil, err
 	}
 
@@ -235,6 +251,27 @@ func (sc *scan) span(i0, rows int) (bLo, bHi int) {
 		return 0, sc.n
 	}
 	return i0 + rows, sc.opt.stripeColEnd(i0, rows, sc.n)
+}
+
+// conv returns the stripe conversion of the scan's frequencies for opt's
+// measures. It is called before the scan runs, never from its workers.
+func (sc *scan) conv(opt StreamOptions) *stripeScan {
+	s := newStripeScan(opt, sc.p, sc.samples)
+	s.p0 = sc.p0
+	if s.tab != nil {
+		sc.tabs = append(sc.tabs, s.tab)
+	}
+	return s
+}
+
+// release hands the scan's frequencies and the r² tables of its
+// conversions back to bufpool.Floats, once the scan has returned and
+// nothing converts with them.
+func (sc *scan) release() {
+	bufpool.Floats.Put(sc.p)
+	for _, t := range sc.tabs {
+		bufpool.Floats.Put(t)
+	}
 }
 
 // oneWorkerStripes readies the scan to run Threads stripes at once

@@ -93,7 +93,7 @@ func TestSourceAlleleFrequencies(t *testing.T) {
 	for srcName, src := range oocSources(t, m) {
 		for _, panel := range []int{1, 13, 97, 1000} {
 			counts := make([]uint32, m.SNPs)
-			got, err := sourceAlleles(src, panel, counts)
+			got, err := sourceAlleles(src, 0, m.SNPs, panel, counts)
 			if err != nil {
 				t.Fatalf("%s/panel=%d: %v", srcName, panel, err)
 			}
