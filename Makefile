@@ -37,15 +37,16 @@ build-arm64:
 	GOOS=linux GOARCH=arm64 go build ./...
 	GOOS=linux GOARCH=arm64 go vet ./internal/popcount ./internal/kernel ./internal/blis
 	GOOS=darwin GOARCH=arm64 go build ./...
-	GOOS=windows GOARCH=arm64 go build ./internal/tilefile/...
+	GOOS=windows GOARCH=arm64 go build ./internal/ldstore/...
 	GOOS=linux GOARCH=386 go build ./...
 
 # Race tier: vet (asmdecl holds the assembly tile's frame to its Go
 # declaration) plus the race detector on the concurrency-bearing packages
 # (the parallel blis driver — four workers streaming panels through their
 # strips in TestEpilogueContractFourWorkers — the pack kernels it calls from
-# many goroutines, the tile container whose LRU every store query shares and
-# whose build is a three-stage pipeline, three stripe buffers handed from the
+# many goroutines, the one LD store package (internal/ldstore), complete and
+# pruned stores alike, whose tile LRU every store query shares and whose
+# build is a three-stage pipeline, three stripe buffers handed from the
 # scan to the writer and back, tested under injected faults — a pruned build
 # with four kept stripes in flight and a complete one with four counts stripes,
 # each stopped by a writer fault and by a cancel with no panel read left
@@ -58,8 +59,8 @@ build-arm64:
 # scatter-gather cluster coordinator, the ldserver lifecycle, and ldstore's
 # per-chromosome builds — TestBuildSplitChromParallel runs up to three
 # store builds at once over the shared arena pool and the process-wide
-# counters), and the one LD store package, complete and pruned stores alike
-# (ldsparse's tests reach the pruned store through its aliases). The
+# counters), and ldsparse, whose tests reach the pruned store through its
+# aliases. The
 # server and cluster tests run with poisoned releases here
 # (bufpool.PoisonForTest in their TestMain): a recycled reply, result
 # float, request vector, tile payload or strip body is overwritten when it
@@ -71,7 +72,7 @@ build-arm64:
 .PHONY: verify-race
 verify-race:
 	go vet ./...
-	go test -race ./internal/blis/... ./internal/core/... ./internal/kernel/... ./internal/popcount/... ./internal/tilefile/... ./internal/ldstore/... ./internal/ldsparse/... ./internal/server/... ./internal/cluster/... ./cmd/ldserver/... ./cmd/ldstore/...
+	go test -race ./internal/blis/... ./internal/core/... ./internal/kernel/... ./internal/popcount/... ./internal/ldstore/... ./internal/ldsparse/... ./internal/server/... ./internal/cluster/... ./cmd/ldserver/... ./cmd/ldstore/...
 
 # Cluster tier: the httptest cluster end to end — bit-identity, error
 # parity and wire stability against a single node (including replica
@@ -83,8 +84,8 @@ verify-race:
 verify-cluster:
 	go test -race -count=1 ./internal/cluster/
 
-# Short fuzz smoke. The tile container: one open target and one
-# checkpoint-manifest target, each run against every codec (dense counts at
+# Short fuzz smoke. The LD store's tile container: one open target and one
+# checkpoint-manifest target, each run against every store kind (dense counts at
 # both widths, pruned, banded pruned); hostile and truncated files must
 # error, never panic or over-allocate. The float wire: the node's encoder
 # against encoding/json on any float64 bits — in rows, in vectors, and in
@@ -107,8 +108,8 @@ verify-cluster:
 # and row length.
 .PHONY: fuzz-smoke
 fuzz-smoke:
-	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
-	go test ./internal/tilefile -run=Fuzz -fuzz=FuzzManifest -fuzztime=20s
+	go test ./internal/ldstore -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
+	go test ./internal/ldstore -run=Fuzz -fuzz=FuzzManifest -fuzztime=20s
 	go test ./internal/server -run=Fuzz -fuzz=FuzzWireFloat -fuzztime=10s
 	go test ./internal/cluster -run=Fuzz -fuzz=FuzzSpliceScan -fuzztime=10s
 	go test ./internal/server -run=Fuzz -fuzz=FuzzParseVector -fuzztime=10s
@@ -241,4 +242,4 @@ bench-smoke:
 	go test ./internal/ldstore -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
 	go test ./internal/server -run '^$$' -bench 'BenchmarkParseVector|BenchmarkReadNumber' -benchtime 1x -benchmem
 	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x
-	go test ./internal/tilefile -run '^$$' -bench BenchmarkBuildFile -benchtime 1x -benchmem
+	go test ./internal/ldstore -run '^$$' -bench BenchmarkBuildFile -benchtime 1x -benchmem

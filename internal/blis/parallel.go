@@ -474,7 +474,7 @@ func (tc *tileCall) panel(p tilePanel) error {
 				jobs[i].off = off
 				off += jobs[i].mc * (jobs[i].jr1 - jobs[i].jr0) * ops.cells
 			}
-			ar.cscratch = growU32(ar.cscratch, off)
+			ar.cscratch = grow(ar.cscratch, off)
 			d.scratch = ar.cscratch
 		}
 		bpanels := (nc + nr - 1) / nr

@@ -1,6 +1,7 @@
 package blis
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -168,7 +169,7 @@ func (a *arena) forget() {
 // prepare sizes the arena for one panel of a driver call. A worker's
 // packed A block survives unless its buffer had to grow.
 func (a *arena) prepare(workers, bpackWords, apackWords, tileLen, stripLen int) {
-	a.bpack = growU64(a.bpack, bpackWords)
+	a.bpack = grow(a.bpack, bpackWords)
 	for len(a.ws) < workers {
 		a.ws = append(a.ws, &tileWorker{packed: apackKey{ic: -1}})
 	}
@@ -177,22 +178,21 @@ func (a *arena) prepare(workers, bpackWords, apackWords, tileLen, stripLen int) 
 		if cap(w.apack) < apackWords {
 			w.packed.ic = -1
 		}
-		w.apack = growU64(w.apack, apackWords)
-		w.tile = growU32(w.tile, tileLen)
-		w.strip = growU32(w.strip, stripLen)
+		w.apack = grow(w.apack, apackWords)
+		w.tile = grow(w.tile, tileLen)
+		w.strip = grow(w.strip, stripLen)
 	}
 }
 
-func growU64(s []uint64, n int) []uint64 {
+// grow returns s resized to n elements. When its capacity falls short it
+// reallocates to the next power of two, so an arena that serves ever wider
+// panels reallocates a logarithmic number of times, not at each width.
+// release counts the rounded capacities against the pooling caps as it
+// counts any capacity; maxPooledScratch is a power of two, so rounding
+// never takes a count scratch that fit it past it.
+func grow[T uint32 | uint64](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func growU32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
+		return make([]T, n, 1<<bits.Len(uint(n-1)))
 	}
 	return s[:n]
 }

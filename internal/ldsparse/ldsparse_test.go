@@ -237,7 +237,7 @@ func TestBandedStoreWideBandIdentical(t *testing.T) {
 	if len(db) != len(bb) {
 		t.Fatalf("file sizes differ: %d vs %d", len(db), len(bb))
 	}
-	if string(db[format.HeaderSize():]) != string(bb[format.HeaderSize():]) {
+	if string(db[headerSize:]) != string(bb[headerSize:]) {
 		t.Fatal("tile payloads differ between wide-banded and unbanded builds")
 	}
 	ref := denseRef(t, g, StatR2)

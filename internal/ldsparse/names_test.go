@@ -1,9 +1,6 @@
 package ldsparse
 
-import (
-	"ldgemm/internal/ldstore"
-	"ldgemm/internal/tilefile"
-)
+import "ldgemm/internal/ldstore"
 
 // The tests here hold the pruned store through this package's names. The
 // names below are the rest of what they spell: ldstore's, aliased.
@@ -18,9 +15,9 @@ const (
 
 var SetResidentBudgetForTest = ldstore.SetResidentBudgetForTest
 
-// format restates the pruned store's container format, as the tilefile
-// suite does.
-var format = tilefile.Format{Name: "ldstore", Magic: [4]byte{'L', 'D', 'S', 'S'}, ManifestMagic: "ldsparse-checkpoint", Version: 2, ExtSize: 32}
+// headerSize is where a pruned store's allele-count table starts: the
+// 64-byte container prefix and the pruned format's 32-byte extension.
+const headerSize = 64 + 32
 
 // foldGrain is ldstore's: the fewest row-layout cells a resident matvec
 // folds on a goroutine of their own.

@@ -16,17 +16,7 @@ import (
 	"ldgemm/internal/bitmat"
 	"ldgemm/internal/blis"
 	"ldgemm/internal/core"
-	"ldgemm/internal/popsim"
 )
-
-func testMatrix(t *testing.T, snps, samples int, seed int64) *bitmat.Matrix {
-	t.Helper()
-	g, err := popsim.Mosaic(snps, samples, popsim.MosaicConfig{Seed: seed})
-	if err != nil {
-		t.Fatalf("popsim.Mosaic: %v", err)
-	}
-	return g
-}
 
 func buildStore(t *testing.T, g *bitmat.Matrix, opt BuildOptions, so Options) *Store {
 	t.Helper()
@@ -316,13 +306,13 @@ func TestBuildErrors(t *testing.T) {
 		t.Fatal("negative tile size accepted")
 	}
 	if _, err := BuildFile(filepath.Join(t.TempDir(), "x"), g, BuildOptions{TileSize: 1 << 20}); err == nil {
-		t.Fatal("tile above MaxTileBytes accepted")
+		t.Fatal("tile above maxTileBytes accepted")
 	}
 }
 
 // TestBuildWriteFailure: a build refused up front must not leave an
-// output file behind. A write that fails mid-build is the tilefile
-// suite's TestBuildUncheckedWriteFault.
+// output file behind. A write that fails mid-build is
+// TestBuildUncheckedWriteFault's (pipeline_test.go).
 func TestBuildWriteFailure(t *testing.T) {
 	g := testMatrix(t, 64, 32, 23)
 	path := filepath.Join(t.TempDir(), "partial.ldts")
@@ -364,7 +354,7 @@ func TestStoreCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := format.HeaderSize()
+	table := ldtsFormat.headerSize()
 	if _, err := OpenReader(bytes.NewReader(data), int64(len(data)), Options{}); err != nil {
 		t.Fatalf("intact store: %v", err)
 	}

@@ -87,7 +87,7 @@ func (s *Store) reach() int {
 }
 
 // assemble lays out the rows of tile bands [tb0, tb1) from the non-empty
-// tiles that touch them, each through Reader.Tile's CRC and decode checks,
+// tiles that touch them, each through Store.Tile's CRC and decode checks,
 // converting each stored count to the store's measure as it fills. Tiles
 // are visited in index order and each cell appended at its row's cursor,
 // which leaves every row ascending in j: mirrors from the tiles above

@@ -1,10 +1,6 @@
 package ldstore
 
-import (
-	"sync/atomic"
-
-	"ldgemm/internal/tilefile"
-)
+import "sync/atomic"
 
 // Package-wide serving instrumentation, mirroring the blis driver
 // counters: the HTTP surface needs to answer "is the tile cache doing its
@@ -13,7 +9,7 @@ import (
 // kind, which any observer (/debug/vars, a benchmark harness) snapshots
 // with ReadStats or ReadPrunedStats and differences over time.
 type counters struct {
-	tilefile.Counters                                                       // fed by the container's read path
+	tilesRead, bytesRead, cacheHits, cacheMisses, evictions   atomic.Uint64 // fed by the tile read path
 	bytesServed, matVecs, matVecNanos, scores, entriesVisited atomic.Uint64 // see Stats
 }
 
@@ -40,7 +36,12 @@ type Stats struct {
 
 // HitRate returns the fraction of tile lookups served from the cache, or
 // 0 before the first lookup.
-func (s Stats) HitRate() float64 { return tilefile.HitRate(s.CacheHits, s.CacheMisses) }
+func (s Stats) HitRate() float64 {
+	if total := s.CacheHits + s.CacheMisses; total > 0 {
+		return float64(s.CacheHits) / float64(total)
+	}
+	return 0
+}
 
 // ReadStats snapshots the complete stores' counters, and ReadPrunedStats
 // the pruned stores'. Counters only grow; observers difference successive
@@ -50,11 +51,11 @@ func ReadPrunedStats() Stats { return stats[1].read() }
 
 func (c *counters) read() Stats {
 	return Stats{
-		TilesRead:      c.TilesRead.Load(),
-		BytesRead:      c.BytesRead.Load(),
-		CacheHits:      c.CacheHits.Load(),
-		CacheMisses:    c.CacheMisses.Load(),
-		Evictions:      c.Evictions.Load(),
+		TilesRead:      c.tilesRead.Load(),
+		BytesRead:      c.bytesRead.Load(),
+		CacheHits:      c.cacheHits.Load(),
+		CacheMisses:    c.cacheMisses.Load(),
+		Evictions:      c.evictions.Load(),
 		BytesServed:    c.bytesServed.Load(),
 		MatVecs:        c.matVecs.Load(),
 		MatVecNanos:    c.matVecNanos.Load(),

@@ -11,7 +11,6 @@ import (
 
 	"ldgemm/internal/bufpool"
 	"ldgemm/internal/core"
-	"ldgemm/internal/tilefile"
 )
 
 // Options configures a Store reader.
@@ -24,16 +23,25 @@ type Options struct {
 	CacheTiles int
 }
 
-type reader = tilefile.Reader[tile]
-
 // Store serves LD from a store of either kind (see the package doc); a
 // query its kind does not serve returns an error. All query methods are
-// safe for concurrent use. The embedded reader supplies SNPs, Samples,
-// Stat (a complete store's r², a pruned store's measure), TileSize and
-// Fingerprint.
+// safe for concurrent use: tile reads go through ReadAt and the LRU is
+// mutex-guarded.
 type Store struct {
-	*reader
+	// Header is the validated file header, Bands the number of tile bands
+	// per side, Index the tile entries in on-disk order.
+	Header Header
+	Bands  int
+	Index  []Entry
+
+	// coords maps an index position back to (ti, tj). A genome-scale
+	// pruned store has millions of tiles, so it is kept to 8 bytes each;
+	// the band count of any file that fits its own index is far below 2³¹.
+	coords [][2]int32
+
+	r      io.ReaderAt
 	file   io.Closer // nil when opened over a caller's reader
+	cache  *lru
 	conv   *core.CountConverter
 	st     *counters
 	pruned bool
@@ -61,26 +69,25 @@ func Open(path string, opt Options) (*Store, error) {
 
 // OpenReader opens a store over an arbitrary random-access reader of the
 // given size; its magic says the kind. The header, the allele-count table
-// and the whole index are validated before any query runs (see
-// tilefile.OpenReader), a pruned store's entry counts must sum to its
-// total with none beyond its band, and a pruned store inside the residency
-// budget decodes every tile into its row layout (matvec.go) — so a corrupt
-// or hostile file fails with an error, here or at a tile's first read,
-// never with a panic or an unbounded allocation.
+// and the whole index are validated before any query runs (see open), a
+// pruned store's entry counts must sum to its total with none beyond its
+// band, and a pruned store inside the residency budget decodes every tile
+// into its row layout (matvec.go) — so a corrupt or hostile file fails
+// with an error, here or at a tile's first read, never with a panic or an
+// unbounded allocation.
 func OpenReader(r io.ReaderAt, size int64, opt Options) (*Store, error) {
 	var magic [4]byte
-	r.ReadAt(magic[:], 0) // a short file is the container's to refuse
-	s := &Store{pruned: magic == prunedFormat.Magic, st: &stats[0]}
-	f := &format
+	r.ReadAt(magic[:], 0) // a short file is open's to refuse
+	s := &Store{r: r, pruned: magic == ldssFormat.magic, st: &stats[0]}
 	if s.pruned {
-		f, s.st = &prunedFormat, &stats[1]
+		s.st = &stats[1]
 	}
-	rd, err := tilefile.OpenReader(r, size, f, codec{s.pruned}, opt.CacheTiles, &s.st.Counters)
-	if err != nil {
+	if err := s.open(size, opt.CacheTiles); err != nil {
 		return nil, err
 	}
-	s.reader, s.conv = rd, core.NewCountConverter(alleleCounts(&rd.Header), rd.Samples())
+	s.conv = core.NewCountConverter(alleleCounts(&s.Header), s.Samples())
 	if s.pruned {
+		var err error
 		if s.rows, err = s.load(); err != nil {
 			return nil, err
 		}
@@ -159,7 +166,7 @@ func (s *Store) Info() Info {
 		TileSize: s.TileSize(), Tiles: len(s.Index), CountBytes: int(s.Header.TableWidth),
 		Fingerprint: fmt.Sprintf("%016x", s.Fingerprint()),
 		TileBytes:   s.TileBytes(),
-		FileBytes:   int64(s.Header.IndexOffset) + int64(len(s.Index))*tilefile.IndexEntrySize,
+		FileBytes:   int64(s.Header.IndexOffset) + int64(len(s.Index))*indexEntrySize,
 		Pruned:      s.pruned,
 		Threshold:   s.Threshold(), Banded: s.Banded(), Band: s.Band(), NNZ: s.NNZ(),
 	}
