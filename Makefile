@@ -232,7 +232,9 @@ bench-kernel:
 # banded pruned) × checkpoint on/off through the three-stage build pipeline from a
 # windowed .ldbm: pairs/s, MB/s written, commits per build against its 16
 # stripes, driver calls per build (one a stripe: equal to stripes/op), scan
-# wait, the stripe workers' prefetcher stall, B/op.
+# wait, the stripe workers' prefetcher stall, B/op. Then both cohort
+# generators (BenchmarkMosaic at 1024 × 65 536, BenchmarkMosaicStream at
+# 16 384 × 2048 through 1024-SNP windows): ns/op and bits/s.
 .PHONY: bench-smoke
 bench-smoke:
 	go test ./internal/server -run '^$$' -bench 'BenchmarkEncodeRegion|BenchmarkServeRegion|BenchmarkAppendFloat' -benchtime 1x -benchmem
@@ -243,3 +245,4 @@ bench-smoke:
 	go test ./internal/server -run '^$$' -bench 'BenchmarkParseVector|BenchmarkReadNumber' -benchtime 1x -benchmem
 	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x
 	go test ./internal/ldstore -run '^$$' -bench BenchmarkBuildFile -benchtime 1x -benchmem
+	go test ./internal/popsim -run '^$$' -bench BenchmarkMosaic -benchtime 1x

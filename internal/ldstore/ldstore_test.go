@@ -137,8 +137,8 @@ func TestStoreTileMaxima(t *testing.T) {
 	n := g.SNPs
 	for _, nt := range []int{8, 7, 40} {
 		s := buildStore(t, g, BuildOptions{TileSize: nt}, Options{})
-		for id, e := range s.Index {
-			tile := s.TileAt(id)
+		for id, e := range s.index {
+			tile := s.tileOf(id)
 			want := math.Inf(-1)
 			for i := tile.Row0; i < tile.Row0+tile.Rows; i++ {
 				for j := max(tile.Col0, i+1); j < tile.Col0+tile.Cols; j++ {
@@ -229,7 +229,7 @@ func TestStoreTopPrunes(t *testing.T) {
 		t.Fatalf("Top: %v", err)
 	}
 	read := ReadStats().TilesRead - before.TilesRead
-	if total := uint64(len(s.Index)); read >= total {
+	if total := uint64(len(s.index)); read >= total {
 		t.Fatalf("Top(3) read all %d tiles; maxOff pruning is not working", total)
 	}
 }

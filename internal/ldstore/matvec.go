@@ -51,9 +51,9 @@ type rowCSR struct {
 func (s *Store) load() (*rowCSR, error) {
 	var total uint64
 	reach, id := s.reach(), 0
-	for ti := 0; ti < s.Bands; ti++ {
-		for tj := ti; tj < s.Bands; tj, id = tj+1, id+1 {
-			aux := s.Index[id].Aux
+	for ti := 0; ti < s.bands; ti++ {
+		for tj := ti; tj < s.bands; tj, id = tj+1, id+1 {
+			aux := s.index[id].Aux
 			if aux != 0 && tj-ti > reach {
 				return nil, fmt.Errorf("ldstore: tile (%d,%d) holds %d entries outside the band of %d", ti, tj, aux, s.Band())
 			}
@@ -67,7 +67,7 @@ func (s *Store) load() (*rowCSR, error) {
 	if 8*int64(s.SNPs()+1)+24*s.NNZ() > residentBudget {
 		return nil, nil
 	}
-	return s.assemble(0, s.Bands)
+	return s.assemble(0, s.bands)
 }
 
 // SetResidentBudgetForTest overrides the budget until restore is called, so
@@ -81,13 +81,13 @@ func SetResidentBudgetForTest(bytes int64) (restore func()) {
 // reach is how many tile bands off the diagonal a non-empty tile can sit.
 func (s *Store) reach() int {
 	if nt := s.TileSize(); s.Banded() {
-		return min(s.Bands, (s.Band()+nt-1)/nt)
+		return min(s.bands, (s.Band()+nt-1)/nt)
 	}
-	return s.Bands
+	return s.bands
 }
 
 // assemble lays out the rows of tile bands [tb0, tb1) from the non-empty
-// tiles that touch them, each through Store.Tile's CRC and decode checks,
+// tiles that touch them, each through Store.fetch's CRC and decode checks,
 // converting each stored count to the store's measure as it fills. Tiles
 // are visited in index order and each cell appended at its row's cursor,
 // which leaves every row ascending in j: mirrors from the tiles above
@@ -102,15 +102,15 @@ func (s *Store) assemble(tb0, tb1 int) (*rowCSR, error) {
 	}
 	var pieces []piece
 	for ti := max(0, tb0-reach); ti < tb1; ti++ {
-		lo, hi := ti, min(s.Bands-1, ti+reach)
+		lo, hi := ti, min(s.bands-1, ti+reach)
 		if ti < tb0 { // above the bands: only its tiles in their columns
 			lo, hi = tb0, min(hi, tb1-1)
 		}
 		for tj := lo; tj <= hi; tj++ {
-			if s.Entry(ti, tj).Aux == 0 {
+			if s.entry(ti, tj).Aux == 0 {
 				continue
 			}
-			t, err := s.Tile(ti, tj)
+			t, err := s.fetch(ti, tj)
 			if err != nil {
 				return nil, err
 			}

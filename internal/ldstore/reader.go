@@ -66,7 +66,7 @@ func (s *Store) open(size int64, cacheTiles int) error {
 			return errorf("reading per-SNP table: %w", err)
 		}
 	}
-	s.Header = h
+	s.header = h
 	if err := s.checkHeader(); err != nil {
 		return err
 	}
@@ -87,8 +87,8 @@ func (s *Store) open(size int64, cacheTiles int) error {
 		return errorf("index offset %d inconsistent with file size %d", h.IndexOffset, size)
 	}
 
-	s.Bands = t
-	s.Index = make([]Entry, h.TileCount)
+	s.bands = t
+	s.index = make([]Entry, h.TileCount)
 	s.coords = make([][2]int32, 0, h.TileCount)
 	s.cache = newLRU(cacheTiles, s.st)
 	for ti := 0; ti < t; ti++ {
@@ -100,69 +100,64 @@ func (s *Store) open(size int64, cacheTiles int) error {
 	if _, err := s.r.ReadAt(ib, int64(h.IndexOffset)); err != nil {
 		return errorf("reading index: %w", err)
 	}
-	for id := range s.Index {
+	for id := range s.index {
 		e := decodeEntry(ib[id*indexEntrySize:])
 		if e.Offset < uint64(ds) || e.Offset > h.IndexOffset ||
 			uint64(e.Length) > h.IndexOffset-e.Offset {
 			return errorf("tile %d at [%d, +%d) escapes the tile section [%d, %d)",
 				id, e.Offset, e.Length, ds, h.IndexOffset)
 		}
-		if err := s.checkEntry(s.TileAt(id), &e); err != nil {
+		if err := s.checkEntry(s.tileOf(id), &e); err != nil {
 			return errorf("tile %d: %w", id, err)
 		}
-		s.Index[id] = e
+		s.index[id] = e
 	}
 	return nil
 }
 
 // SNPs returns the dataset's SNP count.
-func (s *Store) SNPs() int { return int(s.Header.SNPs) }
+func (s *Store) SNPs() int { return int(s.header.SNPs) }
 
 // Samples returns the dataset's sequence count.
-func (s *Store) Samples() int { return int(s.Header.Samples) }
+func (s *Store) Samples() int { return int(s.header.Samples) }
 
 // Stat returns the statistic the store holds: a complete store's r², a
 // pruned store's measure.
-func (s *Store) Stat() Stat { return s.Header.Stat }
+func (s *Store) Stat() Stat { return s.header.Stat }
 
 // TileSize returns NT.
-func (s *Store) TileSize() int { return int(s.Header.TileSize) }
+func (s *Store) TileSize() int { return int(s.header.TileSize) }
 
 // Fingerprint returns the dataset fingerprint stamped at build time.
-func (s *Store) Fingerprint() uint64 { return s.Header.Fingerprint }
+func (s *Store) Fingerprint() uint64 { return s.header.Fingerprint }
 
-// TileAt returns the position and shape of the tile at index position id.
-func (s *Store) TileAt(id int) Tile {
+// tileOf returns the position and shape of the tile at index position id.
+func (s *Store) tileOf(id int) Tile {
 	c := s.coords[id]
 	return tileAt(s.SNPs(), s.TileSize(), int(c[0]), int(c[1]))
 }
 
-// Entry returns the index entry of tile (ti, tj), ti ≤ tj: what a query
+// entry returns the index entry of tile (ti, tj), ti ≤ tj: what a query
 // can learn about the tile (its length, its auxiliary word) without
 // reading it.
-func (s *Store) Entry(ti, tj int) Entry { return s.Index[tileID(s.Bands, ti, tj)] }
+func (s *Store) entry(ti, tj int) Entry { return s.index[tileID(s.bands, ti, tj)] }
 
-// TileBytes returns the total payload bytes of the tile section.
-func (s *Store) TileBytes() int64 {
-	return int64(s.Header.IndexOffset) - s.Header.dataStart(formatOf(s.pruned))
-}
-
-// CheckSNP rejects an SNP index outside the store, naming the argument.
-func (s *Store) CheckSNP(name string, i int) error {
+// checkSNP rejects an SNP index outside the store, naming the argument.
+func (s *Store) checkSNP(name string, i int) error {
 	if i < 0 || i >= s.SNPs() {
 		return errorf("%s=%d outside 0..%d", name, i, s.SNPs()-1)
 	}
 	return nil
 }
 
-// Tile returns the decoded tile (ti, tj), ti ≤ tj: from the LRU on a hit,
+// fetch returns the decoded tile (ti, tj), ti ≤ tj: from the LRU on a hit,
 // otherwise read, CRC-checked, decoded, and cached.
-func (s *Store) Tile(ti, tj int) (tile, error) {
-	id := tileID(s.Bands, ti, tj)
+func (s *Store) fetch(ti, tj int) (tile, error) {
+	id := tileID(s.bands, ti, tj)
 	if t, ok := s.cache.get(id); ok {
 		return t, nil
 	}
-	e := s.Index[id]
+	e := s.index[id]
 	// The payload is dead once decode returns: the decoded tile copies
 	// what it keeps, and it is what the LRU holds.
 	payload := bufpool.Bytes.Get(int(e.Length))
@@ -193,7 +188,7 @@ func (s *Store) Tile(ti, tj int) (tile, error) {
 // store's valid predicate; the count width N calls for, and an allele-count
 // table whose CRC matches and whose every entry is at most N.
 func (s *Store) checkHeader() error {
-	h := &s.Header
+	h := &s.header
 	if h.Flags&^flagBanded != 0 || (!s.pruned && h.Flags != 0) {
 		return errorf("unknown flags %#x", h.Flags)
 	}
@@ -246,7 +241,7 @@ func alleleCounts(h *Header) []uint32 {
 // −Inf.
 func (s *Store) checkEntry(t Tile, e *Entry) error {
 	cells := int64(t.Rows) * int64(t.Cols)
-	want := cells * int64(s.Header.TableWidth)
+	want := cells * int64(s.header.TableWidth)
 	if s.pruned {
 		if t.Diagonal() {
 			cells = int64(t.Rows) * int64(t.Rows+1) / 2
@@ -254,7 +249,7 @@ func (s *Store) checkEntry(t Tile, e *Entry) error {
 		if e.Aux > uint64(cells) {
 			return fmt.Errorf("declares %d entries, above its %d cells", e.Aux, cells)
 		}
-		want = csrBytes(t.Rows, int64(e.Aux), s.Header.TableWidth)
+		want = csrBytes(t.Rows, int64(e.Aux), s.header.TableWidth)
 	} else if math.IsNaN(math.Float64frombits(e.Aux)) {
 		e.Aux = math.Float64bits(math.Inf(-1))
 	}
@@ -302,8 +297,8 @@ func (s *Store) decode(t Tile, e Entry, payload []byte) (tile, error) {
 		payload = payload[n*2:]
 	}
 	tl.counts = make([]uint32, n)
-	if top := widen(tl.counts, payload, s.Header.TableWidth); uint64(top) > s.Header.Samples {
-		return tl, fmt.Errorf("joint count %d of N = %d", top, s.Header.Samples)
+	if top := widen(tl.counts, payload, s.header.TableWidth); uint64(top) > s.header.Samples {
+		return tl, fmt.Errorf("joint count %d of N = %d", top, s.header.Samples)
 	}
 	return tl, nil
 }

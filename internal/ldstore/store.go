@@ -28,11 +28,11 @@ type Options struct {
 // safe for concurrent use: tile reads go through ReadAt and the LRU is
 // mutex-guarded.
 type Store struct {
-	// Header is the validated file header, Bands the number of tile bands
-	// per side, Index the tile entries in on-disk order.
-	Header Header
-	Bands  int
-	Index  []Entry
+	// header is the validated file header, bands the number of tile bands
+	// per side, index the tile entries in on-disk order.
+	header Header
+	bands  int
+	index  []Entry
 
 	// coords maps an index position back to (ti, tj). A genome-scale
 	// pruned store has millions of tiles, so it is kept to 8 bytes each;
@@ -85,7 +85,7 @@ func OpenReader(r io.ReaderAt, size int64, opt Options) (*Store, error) {
 	if err := s.open(size, opt.CacheTiles); err != nil {
 		return nil, err
 	}
-	s.conv = core.NewCountConverter(alleleCounts(&s.Header), s.Samples())
+	s.conv = core.NewCountConverter(alleleCounts(&s.header), s.Samples())
 	if s.pruned {
 		var err error
 		if s.rows, err = s.load(); err != nil {
@@ -120,7 +120,7 @@ func (s *Store) serves(pruned bool) error {
 // window |i−j| ≤ Band when Banded), and NNZ its stored upper-triangle
 // entries; a complete store has none of them (0, false, 0, 0).
 func (s *Store) Threshold() float64 { return math.Float64frombits(s.ext(extThreshold)) }
-func (s *Store) Banded() bool       { return s.Header.Flags&flagBanded != 0 }
+func (s *Store) Banded() bool       { return s.header.Flags&flagBanded != 0 }
 func (s *Store) Band() int          { return int(s.ext(extBand)) }
 func (s *Store) NNZ() int64         { return int64(s.ext(extNNZ)) }
 
@@ -129,7 +129,7 @@ func (s *Store) ext(off int) uint64 {
 	if !s.pruned {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(s.Header.Ext[off:])
+	return binary.LittleEndian.Uint64(s.header.Ext[off:])
 }
 
 // Info summarizes a store for tooling. DenseBytes is the tile payload of
@@ -163,15 +163,15 @@ type Info struct {
 func (s *Store) Info() Info {
 	info := Info{
 		SNPs: s.SNPs(), Samples: s.Samples(), Stat: s.Stat().String(),
-		TileSize: s.TileSize(), Tiles: len(s.Index), CountBytes: int(s.Header.TableWidth),
+		TileSize: s.TileSize(), Tiles: len(s.index), CountBytes: int(s.header.TableWidth),
 		Fingerprint: fmt.Sprintf("%016x", s.Fingerprint()),
-		TileBytes:   s.TileBytes(),
-		FileBytes:   int64(s.Header.IndexOffset) + int64(len(s.Index))*indexEntrySize,
+		TileBytes:   int64(s.header.IndexOffset) - s.header.dataStart(formatOf(s.pruned)),
+		FileBytes:   int64(s.header.IndexOffset) + int64(len(s.index))*indexEntrySize,
 		Pruned:      s.pruned,
 		Threshold:   s.Threshold(), Banded: s.Banded(), Band: s.Band(), NNZ: s.NNZ(),
 	}
-	for id, e := range s.Index {
-		t := s.TileAt(id)
+	for id, e := range s.index {
+		t := s.tileOf(id)
 		info.DenseBytes += int64(t.Rows) * int64(t.Cols) * int64(info.CountBytes)
 		if s.pruned && e.Aux == 0 {
 			info.EmptyTiles++
@@ -246,20 +246,20 @@ func (s *Store) Pair(i, j int) (d, r2, dprime float64, err error) {
 // where a pruned store does not. A pruned tile with no entry is answered
 // from the index alone.
 func (s *Store) convert(out []float64, i, j int, ms ...core.Measure) (bool, error) {
-	if err := s.CheckSNP("i", i); err != nil {
+	if err := s.checkSNP("i", i); err != nil {
 		return false, err
 	}
-	if err := s.CheckSNP("j", j); err != nil {
+	if err := s.checkSNP("j", j); err != nil {
 		return false, err
 	}
 	i, j = min(i, j), max(i, j)
 	nt := s.TileSize()
 	ti, tj := i/nt, j/nt
 	s.st.bytesServed.Add(8 * uint64(len(ms)))
-	if s.pruned && s.Entry(ti, tj).Aux == 0 {
+	if s.pruned && s.entry(ti, tj).Aux == 0 {
 		return false, nil
 	}
-	t, err := s.Tile(ti, tj)
+	t, err := s.fetch(ti, tj)
 	if err != nil {
 		return false, err
 	}
@@ -316,7 +316,7 @@ func (s *Store) Rect(m core.Measure, r0, r1, c0, c1 int) ([]float64, error) {
 				continue // mirrored from tile (tc, tr)
 			}
 			ti, tj := min(tr, tc), max(tr, tc)
-			t, err := s.Tile(ti, tj)
+			t, err := s.fetch(ti, tj)
 			if err != nil {
 				bufpool.Floats.Put(out)
 				return nil, err
@@ -379,15 +379,15 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 	if n := s.SNPs(); r0 < 0 || r1 <= r0 || r1 > n {
 		return nil, fmt.Errorf("ldstore: invalid top row range [%d,%d) of %d SNPs", r0, r1, n)
 	}
-	order := make([]int, 0, len(s.Index))
-	for id := range s.Index {
+	order := make([]int, 0, len(s.index))
+	for id := range s.index {
 		// Only tiles whose row band intersects the window hold owned pairs.
-		if t := s.TileAt(id); t.Row0 < r1 && t.Row0+t.Rows > r0 {
+		if t := s.tileOf(id); t.Row0 < r1 && t.Row0+t.Rows > r0 {
 			order = append(order, id)
 		}
 	}
 	// A complete tile's aux word is its maximum off-diagonal r².
-	maxOff := func(id int) float64 { return math.Float64frombits(s.Index[id].Aux) }
+	maxOff := func(id int) float64 { return math.Float64frombits(s.index[id].Aux) }
 	sort.Slice(order, func(a, b int) bool { return maxOff(order[a]) > maxOff(order[b]) })
 	h := &topHeap{}
 	scratch := make([]float64, s.TileSize())
@@ -401,8 +401,8 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 		if math.IsInf(maxOff(id), -1) {
 			break // only empty 1×1 diagonal tiles remain
 		}
-		c := s.TileAt(id)
-		t, err := s.Tile(c.TI, c.TJ)
+		c := s.tileOf(id)
+		t, err := s.fetch(c.TI, c.TJ)
 		if err != nil {
 			return nil, err
 		}

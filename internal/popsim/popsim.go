@@ -86,26 +86,14 @@ func Mosaic(snps, samples int, cfg MosaicConfig) (*bitmat.Matrix, error) {
 		}
 	}
 
+	// Copying chains, 64 samples a word, sample-major: each sample's
+	// founder, gaps and events are drawn before the next sample's.
 	m := bitmat.New(snps, samples)
-	for s := 0; s < samples; s++ {
-		cur := rng.Intn(cfg.Founders)
-		nextSwitch := geometricSkip(rng, cfg.SwitchRate)
-		nextMut := geometricSkip(rng, cfg.MutationRate)
-		for i := 0; i < snps; i++ {
-			if i == nextSwitch {
-				cur = rng.Intn(cfg.Founders)
-				nextSwitch = i + 1 + geometricSkip(rng, cfg.SwitchRate)
-			}
-			bit := founders.Bit(i, cur)
-			if i == nextMut {
-				bit = !bit
-				nextMut = i + 1 + geometricSkip(rng, cfg.MutationRate)
-			}
-			if bit {
-				m.SetBit(i, s)
-			}
-		}
-	}
+	var c chain
+	newFiller(cfg.Founders).fill(m, founders, 0, cfg, func(int) (drawer, *chain) {
+		c = startChain(rng, cfg)
+		return rng, &c
+	})
 	ensurePolymorphic(rng, m)
 	return m, nil
 }
@@ -139,7 +127,7 @@ func sampleSFS(rng *rand.Rand, cdf []float64) int {
 // geometricSkip returns the number of Bernoulli(p) failures before the
 // next success, i.e. the gap to the next rare event. Sampling gaps instead
 // of testing every position makes rare-event streams O(events), not O(n).
-func geometricSkip(rng *rand.Rand, p float64) int {
+func geometricSkip(rng drawer, p float64) int {
 	if p >= 1 {
 		return 0
 	}

@@ -2,7 +2,6 @@ package popsim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"ldgemm/internal/bitmat"
@@ -32,27 +31,12 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// float64 returns a uniform draw in [0, 1) with 53 random bits.
-func (s *splitmix64) float64() float64 { return float64(s.next()>>11) / (1 << 53) }
+// Float64 returns a uniform draw in [0, 1) with 53 random bits.
+func (s *splitmix64) Float64() float64 { return float64(s.next()>>11) / (1 << 53) }
 
-// intn returns a uniform draw in [0, n). The modulo bias is ≤ n/2⁶⁴ —
+// Intn returns a uniform draw in [0, n). The modulo bias is ≤ n/2⁶⁴ —
 // irrelevant for simulation.
-func (s *splitmix64) intn(n int) int { return int(s.next() % uint64(n)) }
-
-// geomSkip is geometricSkip on a splitmix64 stream.
-func (s *splitmix64) geomSkip(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		return math.MaxInt / 2
-	}
-	u := s.float64()
-	for u == 0 {
-		u = s.float64()
-	}
-	return int(math.Log(u) / math.Log(1-p))
-}
+func (s *splitmix64) Intn(n int) int { return int(s.next() % uint64(n)) }
 
 // MosaicStream generates a mosaic dataset in SNP-window increments.
 type MosaicStream struct {
@@ -66,11 +50,11 @@ type MosaicStream struct {
 	sfs        []float64
 	perm       []int
 
-	// Per-sample copying-chain state, advanced window by window.
-	rngs       []splitmix64
-	cur        []int32
-	nextSwitch []int
-	nextMut    []int
+	// Per-sample copying-chain state, advanced window by window by the
+	// word-sliced fill (whose scratch is reused across windows).
+	rngs   []splitmix64
+	chains []chain
+	fill   *filler
 
 	// fixRng resolves monomorphic SNPs; it only advances on such SNPs
 	// (in SNP order), so the fix-up is window-size invariant too.
@@ -99,9 +83,8 @@ func NewMosaicStream(snps, samples int, cfg MosaicConfig) (*MosaicStream, error)
 		sfs:        cumulativeNeutralSFS(cfg.Founders),
 		perm:       make([]int, cfg.Founders),
 		rngs:       make([]splitmix64, samples),
-		cur:        make([]int32, samples),
-		nextSwitch: make([]int, samples),
-		nextMut:    make([]int, samples),
+		chains:     make([]chain, samples),
+		fill:       newFiller(cfg.Founders),
 		fixRng:     splitmix64{state: uint64(cfg.Seed) ^ 0xa0761d6478bd642f},
 	}
 	for i := range s.perm {
@@ -112,10 +95,7 @@ func NewMosaicStream(snps, samples int, cfg MosaicConfig) (*MosaicStream, error)
 		// adjacent samples don't share low-entropy starting states.
 		seed := splitmix64{state: uint64(cfg.Seed)*0x9e3779b97f4a7c15 + uint64(smp)}
 		s.rngs[smp] = splitmix64{state: seed.next()}
-		r := &s.rngs[smp]
-		s.cur[smp] = int32(r.intn(cfg.Founders))
-		s.nextSwitch[smp] = r.geomSkip(cfg.SwitchRate)
-		s.nextMut[smp] = r.geomSkip(cfg.MutationRate)
+		s.chains[smp] = startChain(&s.rngs[smp], cfg)
 	}
 	return s, nil
 }
@@ -156,37 +136,16 @@ func (s *MosaicStream) Next(rows int) (*bitmat.Matrix, error) {
 	}
 
 	m := s.buf.Slice(0, rows)
-	clear(m.Data)
-	for smp := 0; smp < s.samples; smp++ {
-		r := &s.rngs[smp]
-		cur := s.cur[smp]
-		nextSwitch := s.nextSwitch[smp]
-		nextMut := s.nextMut[smp]
-		for i := lo; i < hi; i++ {
-			if i == nextSwitch {
-				cur = int32(r.intn(s.cfg.Founders))
-				nextSwitch = i + 1 + r.geomSkip(s.cfg.SwitchRate)
-			}
-			bit := founders.Bit(i-lo, int(cur))
-			if i == nextMut {
-				bit = !bit
-				nextMut = i + 1 + r.geomSkip(s.cfg.MutationRate)
-			}
-			if bit {
-				m.SetBit(i-lo, smp)
-			}
-		}
-		s.cur[smp] = cur
-		s.nextSwitch[smp] = nextSwitch
-		s.nextMut[smp] = nextMut
-	}
+	s.fill.fill(m, founders, lo, s.cfg, func(smp int) (drawer, *chain) {
+		return &s.rngs[smp], &s.chains[smp]
+	})
 
 	for i := 0; i < rows; i++ {
 		switch m.DerivedCount(i) {
 		case 0:
-			m.SetBit(i, s.fixRng.intn(s.samples))
+			m.SetBit(i, s.fixRng.Intn(s.samples))
 		case s.samples:
-			m.ClearBit(i, s.fixRng.intn(s.samples))
+			m.ClearBit(i, s.fixRng.Intn(s.samples))
 		}
 	}
 	s.pos = hi
