@@ -176,8 +176,10 @@ loc:
 # destination, Row at one tile ≡ Fn) and both wrappers' extent checks
 # (skipped with a message where the host cannot run it). Then tiny shapes
 # through every route — the host default and the Go 4x4 below and above
-# CSAMinWords, so the scalar kernel, the batched SIMD family and the tile,
-# plus the masked driver — asserted bit-identical to the scalar oracle,
+# CSAMinWords, so the scalar kernel, the batched SIMD family and the tile —
+# and the masked entry points, which take the default kernel's route over
+# interleaved rows whatever kernel and blocking the config names, their
+# runs on MaskedTile's grid — asserted bit-identical to the scalar oracle,
 # under the host default and again as on a host without the tile; the
 # route table pinned row by row through the driver's variant stats; every
 # fused driver on all-ones recycled count scratch and strips, which nothing
@@ -202,7 +204,7 @@ loc:
 bench-kernel:
 	@$(call run_listed,./internal/kernel,TestVectorTile)
 	@$(call run_listed,./internal/core,TestEpilogueRows|TestKeepRowEdges|TestKeepR2ExactStaysInRoom|TestSelectRowEdges|TestCountsRowEdges|TestDestHintUnobservable|TestDenseEpilogueDest|TestKeepCountsInert)
-	@$(call run_listed,./internal/blis,TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestMaskedStrategiesMatchScalarOracle|TestDispatchRoutes|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller)
+	@$(call run_listed,./internal/blis,TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestMaskedStrategiesMatchScalarOracle|TestMaskedEvenTileAnyConfig|TestDispatchRoutes|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller)
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling
 # and running in CI. The float wire: a node encoding an 80 × 80 region
@@ -213,8 +215,11 @@ bench-kernel:
 # the float writer beside strconv.AppendFloat on r²-shaped and
 # matvec-shaped values (ns/float), a coordinator checking and splicing its
 # two strips. One pass of the small-k stream (8192 SNPs × 512 samples),
-# which prints what the fused epilogue costs per pair, one pass of the dense store build's out-of-core scan
-# (4096 × 2048, stripes of 128 against 256-SNP panels) at 1 and 2 threads,
+# which prints what the fused epilogue costs per pair, one pass of the
+# Section VII gaps ablation (512 × 4096: plain Syrk, MaskedSyrk, and
+# MaskedSyrk as on a host without the vector tile), one pass of the dense
+# store build's out-of-core scan (4096 × 2048, stripes of 128 against
+# 256-SNP panels) at 1 and 2 threads,
 # which must read alike, and one call of each of its row conversions (D, fast and
 # exact r², Go loop and AVX-512 row kernel, 512 and 3840 cells, ns/cell on
 # L2-resident operands), and of the selection row (converted and selected,
@@ -239,7 +244,7 @@ bench-kernel:
 bench-smoke:
 	go test ./internal/server -run '^$$' -bench 'BenchmarkEncodeRegion|BenchmarkServeRegion|BenchmarkAppendFloat' -benchtime 1x -benchmem
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
-	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamSource' -benchtime 1x
+	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamSource|BenchmarkMaskedLD' -benchtime 1x
 	go test ./internal/core -run '^$$' -bench BenchmarkEpilogueRow -benchtime 1x
 	go test ./internal/ldstore -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
 	go test ./internal/server -run '^$$' -bench 'BenchmarkParseVector|BenchmarkReadNumber' -benchtime 1x -benchmem

@@ -225,8 +225,11 @@ func BenchmarkSIMDModel(b *testing.B) {
 	}
 }
 
-// BenchmarkMaskedLD is the Section VII gaps ablation: the fused masked
-// kernel (4 counts/pair) against the plain kernel on identical input.
+// BenchmarkMaskedLD is the Section VII gaps ablation: masked LD (4 counts
+// a pair, one plain rank-k update over the interleaved value and mask
+// rows) against the plain kernel on identical input — and the masked call
+// again as on a host without the vector tile (masked-portable), where the
+// default kernel is the Go 4x4.
 func BenchmarkMaskedLD(b *testing.B) {
 	const n, k = 512, 4096
 	g := benchMatrix(b, 77, n, k)
@@ -248,7 +251,7 @@ func BenchmarkMaskedLD(b *testing.B) {
 			}
 		}
 	})
-	b.Run("masked", func(b *testing.B) {
+	masked := func(b *testing.B) {
 		c := make([]uint32, n*n*4)
 		for i := 0; i < b.N; i++ {
 			clear(c)
@@ -256,6 +259,11 @@ func BenchmarkMaskedLD(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+	b.Run("masked", masked)
+	b.Run("masked-portable", func(b *testing.B) {
+		defer kernel.DisableVectorTileForTest()()
+		masked(b)
 	})
 }
 

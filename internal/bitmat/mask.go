@@ -9,7 +9,7 @@ import (
 // A set bit means the sample carries a valid allelic state at that SNP; a
 // clear bit marks an alignment gap or ambiguous character (Sec. VII of the
 // paper, "Considering alignment gaps"). Padding bits are zero, i.e. invalid,
-// which composes correctly with the masked kernels: an invalid position can
+// which composes correctly with the masked counts: an invalid position can
 // never contribute to a count.
 type Mask struct {
 	Matrix
@@ -62,8 +62,7 @@ func (k *Mask) PairValidCount(i, j int) int {
 }
 
 // ApplyTo zeroes every matrix bit the mask marks invalid, enforcing the
-// invariant s = s & c that the masked kernels assume. The matrix is
-// modified in place.
+// invariant s = s & c in place.
 func (k *Mask) ApplyTo(m *Matrix) error {
 	if k.SNPs != m.SNPs || k.Samples != m.Samples {
 		return fmt.Errorf("bitmat: mask %dx%d does not match matrix %dx%d",
@@ -73,4 +72,22 @@ func (k *Mask) ApplyTo(m *Matrix) error {
 		m.Data[w] &= k.Data[w]
 	}
 	return nil
+}
+
+// Interleave returns the 2n-SNP matrix whose SNP 2i is sᵢ∧cᵢ (SNP i of m,
+// masked) and SNP 2i+1 is cᵢ. Its plain count matrix holds, in the 2×2
+// block of SNP pair (i, j), the four Section VII counts: |sᵢ∧sⱼ∧cᵢⱼ| and
+// |sᵢ∧cᵢⱼ| on row 2i, |sⱼ∧cᵢⱼ| and |cᵢⱼ| on row 2i+1 (cᵢⱼ = cᵢ∧cⱼ). m
+// must have the mask's shape; it is not modified.
+func (k *Mask) Interleave(m *Matrix) *Matrix {
+	out := New(2*k.SNPs, k.Samples)
+	for i := 0; i < k.SNPs; i++ {
+		s, c := m.SNP(i), k.SNP(i)
+		v := out.SNP(2 * i)
+		for w := range v {
+			v[w] = s[w] & c[w]
+		}
+		copy(out.SNP(2*i+1), c)
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package bitmat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +69,38 @@ func TestMaskApplyTo(t *testing.T) {
 	}
 	if err := k.ApplyTo(New(3, 10)); err == nil {
 		t.Fatal("shape mismatch accepted")
+	}
+}
+
+// TestMaskInterleave: SNP 2i of the interleaved matrix is SNP i masked,
+// SNP 2i+1 the mask itself, and the input matrix is left as it was.
+func TestMaskInterleave(t *testing.T) {
+	m := New(2, 70)
+	for s := 0; s < 70; s += 3 {
+		m.SetBit(0, s)
+		m.SetBit(1, 69-s)
+	}
+	before := m.Clone()
+	k := NewMask(2, 70)
+	for s := 0; s < 70; s += 5 {
+		k.Invalidate(s%2, s)
+	}
+	x := k.Interleave(m)
+	if x.SNPs != 4 || x.Samples != 70 {
+		t.Fatalf("interleaved shape %dx%d, want 4x70", x.SNPs, x.Samples)
+	}
+	for i := 0; i < 2; i++ {
+		for s := 0; s < 70; s++ {
+			if got, want := x.Bit(2*i, s), m.Bit(i, s) && k.Bit(i, s); got != want {
+				t.Fatalf("value row of SNP %d, sample %d = %v, want %v", i, s, got, want)
+			}
+			if got, want := x.Bit(2*i+1, s), k.Bit(i, s); got != want {
+				t.Fatalf("mask row of SNP %d, sample %d = %v, want %v", i, s, got, want)
+			}
+		}
+	}
+	if !slices.Equal(m.Data, before.Data) {
+		t.Fatal("Interleave modified its input")
 	}
 }
 

@@ -116,9 +116,10 @@ func (c Config) normalize() (Config, error) {
 // after the job's final rank-k update, from the worker goroutine that
 // computed it. tile addresses the finished counts with row stride ldt in
 // C entries — for the plain kernel the cell (r, c) of the run is
-// tile[r*ldt+c]; for the masked kernel each C entry is four uint32 counts
-// and cell (r, c, k) is tile[(r*ldt+c)*4+k]. (i0, j0) are the run's
-// global output coordinates; i0 is a multiple of MR and j0 of NR. Under
+// tile[r*ldt+c]; for the masked entry points each C entry is four uint32
+// counts and cell (r, c, k) is tile[(r*ldt+c)*4+k]. (i0, j0) are the run's
+// global output coordinates; i0 is a multiple of MR and j0 of NR (of
+// MaskedTile's for the masked entry points). Under
 // SYRK a run starts at its panel's first register tile with i0 < j0+NR,
 // so the cells delivered are exactly those of the tiles the triangle
 // sweep computes. Handing over whole rows rather than MR×NR tiles lets
@@ -411,8 +412,7 @@ func interleavedOps(k kernel.Kernel, a, b *bitmat.Matrix) tileOps {
 	mr, nr := k.MR, k.NR
 	row := k.Row // captured alone: a closure over k copies all 64 bytes of it, per call
 	ops := tileOps{
-		mr: mr, nr: nr, stride: 1, cells: 1,
-		popcPerWord: 1, popcFold: max(1, k.Lanes),
+		mr: mr, nr: nr, popcFold: max(1, k.Lanes),
 		shareable: a == b && mr == nr,
 		packA: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackPanel(dst, a, snp, count, mr, pc, kc)
@@ -420,14 +420,14 @@ func interleavedOps(k kernel.Kernel, a, b *bitmat.Matrix) tileOps {
 		packB: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackPanel(dst, b, snp, count, nr, pc, kc)
 		},
-		fringe: tileFringe(k.Fn, nr, 1),
+		fringe: tileFringe(k.Fn, nr),
 	}
 	if row != nil {
 		ops.row = func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool, pf unsafe.Pointer, pfRowBytes int) {
 			row(kc, aw, bw, bstride, nt, c[i0*ldc+j0:], ldc, acc, pf, pfRowBytes)
 		}
 	} else {
-		ops.row = tileRow(k.Fn, mr, nr, 1)
+		ops.row = tileRow(k.Fn, mr, nr)
 	}
 	return ops
 }

@@ -17,9 +17,11 @@ import (
 //     word-pair below CSAMinWords words, or where the host has no SIMD
 //     tier; from CSAMinWords on, on a SIMD host, the batched family repacks
 //     panels into per-SNP kc-word runs (kernel.PackPanelRuns) so every
-//     register-tile cell is one popcount.AndCountVector dot product;
-//   - the masked driver follows the Go-kernel rule with its 2×2 tile and
-//     popcount.MaskedCountsVector.
+//     register-tile cell is one popcount.AndCountVector dot product.
+//
+// The masked entry points have no route of their own: they run the plain
+// driver with kernel.Default over the interleaved (value, mask) rows
+// (masked.go), so they take whichever of these routes that kernel does.
 //
 // All routes produce bit-identical counts; they differ only in popcounts
 // executed per word. Fringe tiles under the batched family fall out
@@ -27,10 +29,10 @@ import (
 // C, no scratch scatter needed, and zero-padded runs contribute nothing.
 
 // CSAMinWords is the k-dispatch threshold of the batched family: a Go
-// kernel or the masked driver runs batched only when the sample dimension
-// spans at least this many 64-bit words (2048 samples) and the host has a
-// SIMD tier. Below it the per-cell call of the batched family costs more
-// than the popcounts it folds. The vector tile never consults it.
+// kernel runs batched only when the sample dimension spans at least this
+// many 64-bit words (2048 samples) and the host has a SIMD tier. Below it
+// the per-cell call of the batched family costs more than the popcounts
+// it folds. The vector tile never consults it.
 const CSAMinWords = 32
 
 // batched reports whether a call over kw sample words runs the batched
@@ -85,8 +87,7 @@ func runTile(kc int, aw, bw []uint64, c []uint32, i0, j0, mm, nn, ldc int, acc b
 func runOps(k kernel.Kernel, a, b *bitmat.Matrix) tileOps {
 	mr, nr := k.MR, k.NR
 	return tileOps{
-		mr: mr, nr: nr, stride: 1, cells: 1,
-		popcPerWord: 1, popcFold: popcount.VectorFold(),
+		mr: mr, nr: nr, popcFold: popcount.VectorFold(),
 		shareable: a == b && mr == nr,
 		packA: func(dst []uint64, snp, count, pc, kc int) {
 			kernel.PackPanelRuns(dst, a, snp, count, mr, pc, kc)
@@ -101,54 +102,6 @@ func runOps(k kernel.Kernel, a, b *bitmat.Matrix) tileOps {
 		},
 		fringe: func(kc int, aw, bw []uint64, _, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
 			runTile(kc, aw, bw, c, i0, j0, mm, nn, ldc, acc)
-		},
-	}
-}
-
-// maskedRunTile is runTile for the batched masked family: run-packed
-// (value, mask) panels, one fused four-count slice pass per cell.
-func maskedRunTile(kc int, aw, bw []uint64, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
-	for i := 0; i < mm; i++ {
-		si := aw[i*2*kc : i*2*kc+kc]
-		ci := aw[i*2*kc+kc : (i+1)*2*kc]
-		for j := 0; j < nn; j++ {
-			sj := bw[j*2*kc : j*2*kc+kc]
-			cj := bw[j*2*kc+kc : (j+1)*2*kc]
-			v, nI, nJ, nIJ := popcount.MaskedCountsVector(si, ci, sj, cj)
-			cell := c[((i0+i)*ldc+j0+j)*4:][:4]
-			if !acc {
-				clear(cell)
-			}
-			cell[kernel.MaskedValid] += uint32(v)
-			cell[kernel.MaskedI] += uint32(nI)
-			cell[kernel.MaskedJ] += uint32(nJ)
-			cell[kernel.MaskedIJ] += uint32(nIJ)
-		}
-	}
-}
-
-// maskedRunOps is the batched masked family. The register tile stays the
-// masked driver's 2×2 so scalar and batched runs are geometrically
-// identical.
-func maskedRunOps(mk kernel.MaskedKernel, a, b *bitmat.Matrix, ka, kb *bitmat.Mask) tileOps {
-	mr, nr := mk.MR, mk.NR
-	return tileOps{
-		mr: mr, nr: nr, stride: 2, cells: 4,
-		popcPerWord: 4, popcFold: popcount.VectorFold(),
-		shareable: a == b && ka == kb && mr == nr,
-		packA: func(dst []uint64, snp, count, pc, kc int) {
-			kernel.PackMaskedPanelRuns(dst, a, ka, snp, count, mr, pc, kc)
-		},
-		packB: func(dst []uint64, snp, count, pc, kc int) {
-			kernel.PackMaskedPanelRuns(dst, b, kb, snp, count, nr, pc, kc)
-		},
-		row: func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool, _ unsafe.Pointer, _ int) {
-			for t := 0; t < nt; t++ {
-				maskedRunTile(kc, aw, bw[t*bstride:], c, i0, j0+t*nr, mr, nr, ldc, acc)
-			}
-		},
-		fringe: func(kc int, aw, bw []uint64, _, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
-			maskedRunTile(kc, aw, bw, c, i0, j0, mm, nn, ldc, acc)
 		},
 	}
 }

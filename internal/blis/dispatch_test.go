@@ -98,9 +98,9 @@ func TestSyrkStrategiesMatchScalarOracle(t *testing.T) {
 	}
 }
 
-// The masked driver has one kernel and no tile, so its route depends on k
-// and the host alone: dispatchShapes crosses CSAMinWords, and running it
-// again with the tile off would repeat the same calls.
+// The masked entry points run the default kernel over interleaved rows, so
+// their route depends on k and the host's default: dispatchShapes crosses
+// CSAMinWords, and TestPortableRoute runs this again with the tile off.
 func TestMaskedStrategiesMatchScalarOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	for _, sh := range dispatchShapes {
@@ -237,9 +237,10 @@ func TestPlainKernelResolution(t *testing.T) {
 // TestDispatchRoutes pins README's route table row by row through what the
 // driver reports: {unset, Go 4x4} × {one word below CSAMinWords, exactly
 // CSAMinWords} × {plain, masked}, with the tile on (where the host has it)
-// and off. The tile counts at every k; a Go kernel and the masked driver
-// run their own loop below the threshold and the batched family from it on
-// a SIMD host, their own loop at every k without one.
+// and off. The tile counts at every k; a Go kernel runs its own loop below
+// the threshold and the batched family from it on a SIMD host, its own loop
+// at every k without one. A masked call takes the default kernel's route,
+// whichever kernel the config names.
 func TestDispatchRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	vector := "vector-" + popcount.VectorName()
@@ -266,7 +267,12 @@ func TestDispatchRoutes(t *testing.T) {
 				if err := MaskedGemm(Config{Kernel: k}, g, g, mk, mk, make([]uint32, 81*4), 9); err != nil {
 					t.Fatal(err)
 				}
-				want = goRoute("masked2x2", kw)
+				// A masked call runs the plain driver with the default
+				// kernel, whatever kernel the config names.
+				want = goRoute(kernel.Portable.Name, kw)
+				if kernel.Default.Lanes > 1 {
+					want = [2]string{kernel.AVX512Name, "vector-avx512-vpopcntdq"}
+				}
 				if s := ReadStats(); s.Variant != want[0] || s.Popcount != want[1] {
 					t.Errorf("masked, kernel %q, kw = %d: ran %s / %s, want %s / %s", k.Name, kw, s.Variant, s.Popcount, want[0], want[1])
 				}
@@ -291,6 +297,7 @@ func TestPortableRoute(t *testing.T) {
 	defer kernel.DisableVectorTileForTest()()
 	t.Run("GemmStrategies", TestGemmStrategiesMatchScalarOracle)
 	t.Run("SyrkStrategies", TestSyrkStrategiesMatchScalarOracle)
+	t.Run("MaskedStrategies", TestMaskedStrategiesMatchScalarOracle)
 	t.Run("GemmRowRuns", TestGemmEpilogueCoversEachCellOnce)
 	t.Run("SyrkRowRuns", TestSyrkEpilogueUpperTriangle)
 }
@@ -310,9 +317,10 @@ func TestVectorDegradesWithoutSIMD(t *testing.T) {
 }
 
 // TestConcurrentBatchedSyrk mirrors the PR 4 shared-arena race exercise
-// on the batched family (the Go 4x4 and the masked driver at 40 words, on a
-// SIMD host): 8 workers drive Syrk and MaskedSyrk concurrently, all sharing
-// the arena pool.
+// on the batched family (the Go 4x4 at 40 words, on a SIMD host), with
+// MaskedSyrk — the default kernel's route over interleaved rows — beside
+// it: 8 workers drive Syrk and MaskedSyrk concurrently, all sharing the
+// arena pool.
 func TestConcurrentBatchedSyrk(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	n, samples := 70, 64*40

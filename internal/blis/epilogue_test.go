@@ -332,10 +332,10 @@ func onPoisonedScratch(t *testing.T, cells int, call func() error) {
 // op writes a cell first — fringe rows and columns (m, n off every register
 // tile), SYRK diagonal-crossing tiles, one slab (the streamed order, through
 // the workers' strips), several slabs per group, several groups, several
-// column blocks — with all four tileOps families (the two interleaved ones
-// below CSAMinWords, the two batched ones from it under the Go 4x4 and the
-// masked driver on a SIMD host), on the vector tile's route and the
-// portable one, at 1 and 4 threads.
+// column blocks — with both tileOps families (interleaved below
+// CSAMinWords, batched from it under the Go 4x4 on a SIMD host), through
+// the plain and the masked entry points, on the vector tile's route and
+// the portable one, at 1 and 4 threads.
 func TestEpilogueIgnoresScratchContents(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const m, n = 37, 43

@@ -16,10 +16,9 @@ import (
 //	c[(i*ldc+j)*4 + kernel.MaskedJ]     += popcount(cᵢⱼ & sⱼ)
 //	c[(i*ldc+j)*4 + kernel.MaskedIJ]    += popcount(cᵢⱼ & sᵢ & sⱼ)
 //
-// It uses the same five-loop blocked structure as Gemm with the fused
-// masked micro-kernel, packing (value, mask) word pairs. Callers must have
-// applied the masks to the matrices (s = s & c); bitmat.Mask.ApplyTo does
-// this.
+// It is one plain blocked rank-k update over the interleaved (value, mask)
+// rows of both matrices (see driveMasked), so the value bits at gap
+// positions need not be cleared first: the interleaved value row is s ∧ c.
 func MaskedGemm(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, c []uint32, ldc int) error {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -106,40 +105,70 @@ func MaskedSyrkEpilogue(cfg Config, a *bitmat.Matrix, ka *bitmat.Mask, epi Epilo
 	return driveMasked(cfg, a, a, ka, ka, nil, a.SNPs, true, epi)
 }
 
-// driveMasked instantiates the slab-pipelined parallel driver (parallel.go)
-// for the fused masked kernel by the Go-kernel rule of dispatch.go: the
-// interleaved scalar 2×2 packs (value, mask) word pairs, the batched family
-// packs per-SNP runs; every C entry is the four Section VII counts either
-// way.
+// MaskedTile is the register tile, in SNPs, of the runs the fused masked
+// entry points hand their epilogue: i0 is a multiple of mr and j0 of nr,
+// and under SYRK a run starts at its panel's first tile with i0 < j0+nr.
+// It is half the default kernel's tile, whose rows and columns are the
+// interleaved matrix's two per SNP (see driveMasked).
+func MaskedTile() (mr, nr int) { return kernel.Default.MR / 2, kernel.Default.NR / 2 }
+
+// driveMasked counts the four Section VII counts as one plain rank-k
+// update: the interleaved matrix of bitmat.Mask.Interleave puts SNP i on
+// rows 2i (sᵢ∧cᵢ) and 2i+1 (cᵢ), so the 2×2 block of its count matrix at
+// SNP pair (i, j) is the pair's four counts. The plain driver runs it with
+// kernel.Default — cfg.Kernel is not consulted — on MC and NC doubled, so
+// a row or column block spans the SNPs cfg asks for. The default tile is
+// even (8×8 or 4×4), and row and column blocks round to it, so every run
+// the driver hands over starts on an even row and column and spans whole
+// SNPs; maskedRuns turns each into a four-count run.
 func driveMasked(cfg Config, a, b *bitmat.Matrix, ka, kb *bitmat.Mask, c []uint32, ldc int, syrk bool, epi Epilogue) error {
-	mk := kernel.Masked2x2()
-	var ops tileOps
-	if batched(a.Words) {
-		ops = maskedRunOps(mk, a, b, ka, kb)
-		stats.setVariant(mk.Name+"-runs", vectorTag)
-	} else {
-		ops = maskedScalarOps(mk, a, b, ka, kb)
-		stats.setVariant(mk.Name, scalarTag)
+	cfg.Kernel = kernel.Default
+	cfg.MC, cfg.NC = 2*cfg.MC, 2*cfg.NC
+	hook := &maskedRuns{strips: make([][]uint32, cfg.Threads), epi: epi, c: c, ldc: ldc}
+	ia := ka.Interleave(a)
+	if syrk {
+		return SyrkEpilogue(cfg, ia, hook)
 	}
-	return driveTiles(cfg, a.SNPs, a.Words, onePanel(tilePanel{ops: ops, n: b.SNPs, c: c, ldc: ldc, syrk: syrk, epi: epi}))
+	return GemmEpilogue(cfg, ia, kb.Interleave(b), hook)
 }
 
-// maskedScalarOps is the original interleaved masked tileOps — the
-// short-k dispatch target and the oracle for the batched masked family.
-func maskedScalarOps(mk kernel.MaskedKernel, a, b *bitmat.Matrix, ka, kb *bitmat.Mask) tileOps {
-	mr, nr := mk.MR, mk.NR
-	return tileOps{
-		mr: mr, nr: nr, stride: 2, cells: 4,
-		popcPerWord: 4, popcFold: 1,
-		shareable: a == b && ka == kb && mr == nr,
-		packA: func(dst []uint64, snp, count, pc, kc int) {
-			kernel.PackMaskedPanel(dst, a, ka, snp, count, mr, pc, kc)
-		},
-		packB: func(dst []uint64, snp, count, pc, kc int) {
-			kernel.PackMaskedPanel(dst, b, kb, snp, count, nr, pc, kc)
-		},
-		row:    tileRow(mk.Fn, mr, nr, 4),
-		fringe: tileFringe(mk.Fn, nr, 4),
+// maskedRuns is the epilogue of an interleaved call: it adds each run's
+// 2×2 blocks, as four-count cells, into the four-count matrix c — or, for a
+// fused call (epi non-nil), into the calling worker's cleared strip, which
+// it then hands to epi in SNP coordinates.
+type maskedRuns struct {
+	strips [][]uint32 // per worker
+	epi    Epilogue
+	c      []uint32
+	ldc    int
+}
+
+func (e *maskedRuns) RowRun(w int, t []uint32, ldt, i0, j0, mm, nn int) {
+	rows, cols := mm/2, nn/2
+	var dst []uint32
+	ldd := cols
+	if e.epi == nil {
+		dst, ldd = e.c[(i0/2*e.ldc+j0/2)*4:], e.ldc
+	} else {
+		if len(e.strips[w]) < rows*cols*4 {
+			e.strips[w] = make([]uint32, rows*cols*4)
+		}
+		dst = e.strips[w][:rows*cols*4]
+		clear(dst)
+	}
+	for r := 0; r < rows; r++ {
+		s, v := t[2*r*ldt:][:nn], t[(2*r+1)*ldt:][:nn]
+		q := dst[r*ldd*4:][:cols*4]
+		for len(q) >= 4 && len(s) >= 2 && len(v) >= 2 {
+			q[kernel.MaskedValid] += v[1]
+			q[kernel.MaskedI] += s[1]
+			q[kernel.MaskedJ] += v[0]
+			q[kernel.MaskedIJ] += s[0]
+			q, s, v = q[4:], s[2:], v[2:]
+		}
+	}
+	if e.epi != nil {
+		e.epi.RowRun(w, dst, cols, i0/2, j0/2, rows, cols)
 	}
 }
 

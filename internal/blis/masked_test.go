@@ -1,7 +1,9 @@
 package blis
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -191,5 +193,92 @@ func TestMaskedSyrkValidation(t *testing.T) {
 	wrong := bitmat.NewMask(4, 20)
 	if err := MaskedSyrk(Config{}, a, wrong, make([]uint32, 36), 3); err == nil {
 		t.Fatal("mask shape mismatch accepted")
+	}
+}
+
+// TestMaskedEvenTileAnyConfig: the masked entry points run the default
+// kernel over the interleaved rows whatever kernel and blocking the config
+// names, so an odd register tile (Generic 3×5), odd MC and NC, an odd SNP
+// count and samples off a whole word still count every pair right, and
+// every run a fused call hands over starts on MaskedTile's grid — with the
+// tile on and off, streamed (one slab) and over several slabs, on one
+// worker and on four.
+func TestMaskedEvenTileAnyConfig(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const m, n = 13, 11
+	check := func(t *testing.T) {
+		mr, nr := MaskedTile()
+		for _, samples := range []int{64*3 + 17, 64*CSAMinWords + 9} {
+			a, ka := randomMasked(rng, m, samples)
+			b, kb := randomMasked(rng, n, samples)
+			gemmWant := make([]uint32, m*n*4)
+			if err := MaskedReference(a, b, ka, kb, gemmWant, n); err != nil {
+				t.Fatal(err)
+			}
+			syrkWant := make([]uint32, n*n*4)
+			if err := MaskedReference(b, b, kb, kb, syrkWant, n); err != nil {
+				t.Fatal(err)
+			}
+			for _, bl := range []Config{{MC: 5, NC: 7, KC: 2}, {KC: 64}} {
+				for _, threads := range []int{1, 4} {
+					cfg := bl
+					cfg.Kernel, cfg.Threads = kernel.Generic(3, 5), threads
+					name := fmt.Sprintf("%d samples, %+v", samples, cfg)
+					// collect is a fused hook that checks each run's origin
+					// and copies its cells into got.
+					collect := func(got []uint32) TileEpilogue {
+						return func(_ int, tile []uint32, ldt, i0, j0, mm, nn int) {
+							if i0%mr != 0 || j0%nr != 0 || mm > mr || j0+nn > n {
+								t.Errorf("%s: run (%d, %d) %d×%d off the %d×%d masked tile grid", name, i0, j0, mm, nn, mr, nr)
+								return
+							}
+							for r := 0; r < mm; r++ {
+								copy(got[((i0+r)*n+j0)*4:][:nn*4], tile[r*ldt*4:][:nn*4])
+							}
+						}
+					}
+					upper := func(got []uint32) []uint32 {
+						for i := 0; i < n; i++ {
+							clear(got[i*n*4 : (i*n+i)*4])
+						}
+						return got
+					}
+
+					got := make([]uint32, m*n*4)
+					if err := MaskedGemm(cfg, a, b, ka, kb, got, n); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, gemmWant) {
+						t.Errorf("%s: MaskedGemm differs from MaskedReference", name)
+					}
+					got = make([]uint32, m*n*4)
+					if err := MaskedGemmEpilogue(cfg, a, b, ka, kb, collect(got)); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, gemmWant) {
+						t.Errorf("%s: MaskedGemmEpilogue differs from MaskedReference", name)
+					}
+					got = make([]uint32, n*n*4)
+					if err := MaskedSyrk(cfg, b, kb, got, n); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(upper(got), upper(slices.Clone(syrkWant))) {
+						t.Errorf("%s: MaskedSyrk's upper triangle differs from MaskedReference", name)
+					}
+					got = make([]uint32, n*n*4)
+					if err := MaskedSyrkEpilogue(cfg, b, kb, collect(got)); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(upper(got), upper(slices.Clone(syrkWant))) {
+						t.Errorf("%s: MaskedSyrkEpilogue's upper triangle differs from MaskedReference", name)
+					}
+				}
+			}
+		}
+	}
+	t.Run("host-default", check)
+	if kernel.Default.Lanes > 1 {
+		defer kernel.DisableVectorTileForTest()()
+		t.Run("portable", check)
 	}
 }

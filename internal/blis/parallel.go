@@ -8,13 +8,12 @@ import (
 	"unsafe"
 )
 
-// The slab-pipelined parallel driver. Both the plain and the masked
-// five-loop drivers are instances of the same structure, differing only in
-// panel layout (one word per (SNP, sample-word) versus interleaved
-// (value, mask) pairs), micro-kernel, and C-cell width (1 count versus the
-// four Section VII counts). tileOps captures those differences so drive
-// logic — blocking, packing, scheduling, the triangle skip — lives here
-// once.
+// The slab-pipelined parallel driver. Every entry point is an instance of
+// it, the masked ones too: they run the plain driver over interleaved
+// (value, mask) rows (masked.go). tileOps captures what differs between
+// kernel families, the panel layout (interleaved or run-packed) and the
+// micro-kernel, so the drive logic (blocking, packing, scheduling, the
+// triangle skip) lives here once.
 //
 // Scheduling replaces the original fork/join-per-slab design:
 //
@@ -42,18 +41,11 @@ import (
 // tileOps specializes the unified driver for one kernel family.
 type tileOps struct {
 	mr, nr int
-	// stride is packed uint64 words per (SNP, sample-word): 1 for the
-	// plain kernel, 2 for the masked (value, mask) layout.
-	stride int
-	// cells is uint32 outputs per C entry: 1 plain, 4 masked.
-	cells int
-	// popcPerWord is the single-word popcounts the scalar kernel would
-	// execute per (cell, word) triple (1 plain, 4 masked); popcFold is
-	// how many of those the selected engine folds into one popcount
-	// (1 scalar, 16 CSA, the SIMD lane width vectorized — tile or dot
-	// product). Together they feed the popcounts-avoided counter.
-	popcPerWord int
-	popcFold    int
+	// popcFold is how many single-word popcounts of a scalar kernel the
+	// selected engine folds into one (1 scalar, the SIMD lane width
+	// vectorized — tile or dot product); it feeds the popcounts-avoided
+	// counter.
+	popcFold int
 	// shareable reports that A and B are the same matrix with a square
 	// register tile, so packed row panels equal packed column panels.
 	shareable bool
@@ -76,15 +68,15 @@ type tileOps struct {
 type rowOp func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool, pf unsafe.Pointer, pfRowBytes int)
 
 // tileRow is the row op of a kernel that has only a per-tile function
-// (every Go kernel, plain or masked): fn over the nt tiles, each cleared
-// first when the row stores, since fn can only add.
-func tileRow(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), mr, nr, cells int) rowOp {
+// (every Go kernel): fn over the nt tiles, each cleared first when the row
+// stores, since fn can only add.
+func tileRow(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), mr, nr int) rowOp {
 	return func(kc int, aw, bw []uint64, bstride, nt int, c []uint32, i0, j0, ldc int, acc bool, _ unsafe.Pointer, _ int) {
 		for t := 0; t < nt; t++ {
-			ct := c[(i0*ldc+j0+t*nr)*cells:]
+			ct := c[i0*ldc+j0+t*nr:]
 			if !acc {
 				for i := 0; i < mr; i++ {
-					clear(ct[i*ldc*cells:][:nr*cells])
+					clear(ct[i*ldc:][:nr])
 				}
 			}
 			fn(kc, aw, bw[t*bstride:], ct, ldc)
@@ -94,13 +86,13 @@ func tileRow(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), mr, nr, cell
 
 // tileFringe is the fringe op of the same kernels: fn into the zeroed
 // scratch tile, then the valid mm×nn region added into C or copied over it.
-func tileFringe(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), nr, cells int) func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
+func tileFringe(fn func(kc int, ap, bp []uint64, c []uint32, ldc int), nr int) func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
 	return func(kc int, aw, bw []uint64, tile, c []uint32, i0, j0, mm, nn, ldc int, acc bool) {
 		clear(tile)
 		fn(kc, aw, bw, tile, nr)
 		for i := 0; i < mm; i++ {
-			dst := c[((i0+i)*ldc+j0)*cells:][:nn*cells]
-			src := tile[i*nr*cells:]
+			dst := c[(i0+i)*ldc+j0:][:nn]
+			src := tile[i*nr:]
 			if !acc {
 				copy(dst, src)
 				continue
@@ -417,7 +409,7 @@ func (tc *tileCall) panel(p tilePanel) error {
 	nslabs := (kw + cfg.KC - 1) / cfg.KC
 
 	bpanelsMax := (min(ncBlk, roundUp(n, nr)) + nr - 1) / nr
-	slabWords := bpanelsMax * nr * kcMax * ops.stride
+	slabWords := bpanelsMax * nr * kcMax
 	group := max(1, min(maxGroupWords/slabWords, nslabs))
 	ngroups := (nslabs + group - 1) / group
 	nbufs := 1
@@ -432,7 +424,7 @@ func (tc *tileCall) panel(p tilePanel) error {
 	// When every column block can share the packed B slab as A panels, no
 	// worker ever packs an A block.
 	allShare := ops.shareable && syrk && n <= ncBlk && m == n
-	apanelLen := mr * kcMax * ops.stride
+	apanelLen := mr * kcMax
 	apackWords := 0
 	if !allShare {
 		apackWords = (mcBlk / mr) * apanelLen * group
@@ -441,9 +433,9 @@ func (tc *tileCall) panel(p tilePanel) error {
 	ar := tc.ar
 	stripLen := 0
 	if streamed {
-		stripLen = mr * bpanelsMax * nr * ops.cells // MR rows of the widest job there can be
+		stripLen = mr * bpanelsMax * nr // MR rows of the widest job there can be
 	}
-	ar.prepare(workers, nbufs*group*slabWords, apackWords, mr*nr*ops.cells, stripLen)
+	ar.prepare(workers, nbufs*group*slabWords, apackWords, mr*nr, stripLen)
 	bpack := ar.bpack
 	pool := &tc.pool
 
@@ -472,7 +464,7 @@ func (tc *tileCall) panel(p tilePanel) error {
 			off := 0
 			for i := range jobs {
 				jobs[i].off = off
-				off += jobs[i].mc * (jobs[i].jr1 - jobs[i].jr0) * ops.cells
+				off += jobs[i].mc * (jobs[i].jr1 - jobs[i].jr0)
 			}
 			ar.cscratch = grow(ar.cscratch, off)
 			d.scratch = ar.cscratch
@@ -490,7 +482,7 @@ func (tc *tileCall) panel(p tilePanel) error {
 				s, p := idx/bpanels, idx%bpanels
 				pc := pg + s*cfg.KC
 				kc := min(cfg.KC, d.kw-pc)
-				dst := buf[s*slabWords+p*nr*kcMax*ops.stride:]
+				dst := buf[s*slabWords+p*nr*kcMax:]
 				ops.packB(dst, jc+p*nr, min(nr, nc-p*nr), pc, kc)
 			}
 		}
@@ -533,12 +525,12 @@ func (tc *tileCall) panel(p tilePanel) error {
 	tc.cells += cells
 	tc.nanos += time.Since(start)
 	if ops.popcFold > 1 {
-		tc.avoided += uint64(ops.popcPerWord) * (cells - cells/uint64(ops.popcFold))
+		tc.avoided += cells - cells/uint64(ops.popcFold)
 	}
 	if fused {
 		// A count-then-convert pipeline would have materialized the full
-		// m×n count matrix (cells uint32s per C entry) just to read it once.
-		tc.epiBytes += uint64(m) * uint64(n) * 4 * uint64(ops.cells)
+		// m×n count matrix just to read it once.
+		tc.epiBytes += uint64(m) * uint64(n) * 4
 	}
 	return nil
 }
@@ -602,13 +594,13 @@ func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs in
 	iorg, jorg := 0, 0
 	switch {
 	case d.streamed:
-		cdst, ldc = st.strip[:mr*width*ops.cells], width
+		cdst, ldc = st.strip[:mr*width], width
 		jorg = jc + jb.jr0
 	case fused:
-		cdst, ldc = d.scratch[jb.off:jb.off+jb.mc*width*ops.cells], width
+		cdst, ldc = d.scratch[jb.off:jb.off+jb.mc*width], width
 		iorg, jorg = jb.ic, jc+jb.jr0
 	}
-	panelB := nr * d.kcMax * ops.stride
+	panelB := nr * d.kcMax
 	fullEnd := min(jb.jr1, nc/nr*nr) // tiles left of it are nr columns wide
 	var epiTiles uint64
 	var epiNanos time.Duration
@@ -628,9 +620,9 @@ func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs in
 			}
 			var aw []uint64
 			if share {
-				aw = buf[sbase+(i0/mr)*panelB:][:kc*mr*ops.stride]
+				aw = buf[sbase+(i0/mr)*panelB:][:kc*mr]
 			} else {
-				aw = st.apack[abase+(ir/mr)*d.apanelLen:][:kc*mr*ops.stride]
+				aw = st.apack[abase+(ir/mr)*d.apanelLen:][:kc*mr]
 			}
 			ci := i0 - iorg // the panel's first row in cdst
 			var pf unsafe.Pointer
@@ -703,7 +695,7 @@ func (d *tileDriver) fusePanel(w int, jb tileJob, jc, nc int, cdst []uint32, wid
 	if jr >= jrEnd {
 		return 0
 	}
-	off := (srow*width + (jr - jb.jr0)) * ops.cells
+	off := srow*width + (jr - jb.jr0)
 	d.epi.RowRun(w, cdst[off:], width, i0, jc+jr, min(mr, jb.mc-ir), jrEnd-jr)
 	return uint64((jrEnd - jr + nr - 1) / nr)
 }

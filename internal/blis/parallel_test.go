@@ -11,7 +11,7 @@ import (
 // smallCallThreshold is minParallelCellWords as shipped. TestMain zeroes the
 // variable so that every test of this package runs on the workers its Config
 // asks for — their shapes are all far under the rule, and they are what
-// covers the masked drivers, the shared-C path, the double-buffer barrier,
+// covers the masked entry points, the shared-C path, the double-buffer barrier,
 // cancellation and pool shutdown on several workers (also under -race);
 // TestSmallCallRunsOnCaller puts the shipped value back to test the rule.
 var smallCallThreshold = minParallelCellWords

@@ -71,7 +71,7 @@ type DriverStats struct {
 	// PopcountsAvoided counts the single-word popcount executions the
 	// vector tile (fold 8: one VPOPCNTQ per eight cells) and the batched
 	// SIMD family folded away relative to the scalar kernel:
-	// popcPerWord · cells · (1 − 1/fold) per call.
+	// cells · (1 − 1/fold) per call.
 	PopcountsAvoided uint64
 	// PanelsRead/PanelBytesRead count the I/O panels (and their packed
 	// bytes) an out-of-core scheduler fetched from a file-backed bit
@@ -91,7 +91,8 @@ type DriverStats struct {
 	BandPanelsSkipped uint64
 	BandCellsSkipped  uint64
 	// Variant names the kernel variant of the most recent driver call
-	// (e.g. "8x8-avx512", "4x4", "4x4-runs", "masked2x2-runs"); Popcount
+	// (e.g. "8x8-avx512", "4x4", "4x4-runs"; a masked call reports the
+	// default kernel's route, which it runs); Popcount
 	// names its concrete AND-count engine ("scalar" or "vector-<tier>",
 	// e.g. "vector-avx512-vpopcntdq" — for the tile and for the per-cell
 	// dot product alike; the variant tells them apart). Empty until the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"unsafe"
 
+	"ldgemm/internal/blis"
 	"ldgemm/internal/bufpool"
 	"ldgemm/internal/kernel"
 )
@@ -326,16 +327,17 @@ type maskedEpilogue struct {
 }
 
 func newMaskedEpilogue(res *Result, opt Options, mirror bool) *maskedEpilogue {
-	mk := kernel.Masked2x2() // driveMasked's fixed register tile
-	e := &maskedEpilogue{measureOut{ld: res.Cols, mirror: mirror, mr: mk.MR, nr: mk.NR}}
+	mr, nr := blis.MaskedTile()
+	e := &maskedEpilogue{measureOut{ld: res.Cols, mirror: mirror, mr: mr, nr: nr}}
 	e.alloc(res, opt)
 	return e
 }
 
-// RowRun is the blis.Epilogue hook for the masked kernel: each C entry
+// RowRun is the blis.Epilogue hook for the masked entry points: each C entry
 // is four uint32 counts, cell (r, c, k) at t[(r*ldt+c)*4+k]. Same shape
 // as denseEpilogue.RowRun: whole rows, then the mirrored cells copied.
-// There is no Dest: the masked kernel has no assembly row to use one.
+// There is no Dest: the masked driver's runs are repacked from the
+// interleaved counts, so no kernel writes next to this epilogue's output.
 func (e *maskedEpilogue) RowRun(_ int, t []uint32, ldt, i0, j0, mm, nn int) {
 	for r := 0; r < mm; r++ {
 		quads := t[r*ldt*4:][:nn*4]

@@ -619,11 +619,11 @@ func TestDenseEpilogueRunsMatchTilesBitwise(t *testing.T) {
 	}
 }
 
-// The same for the masked (four-count) epilogue, whose register tile is
-// fixed at 2x2.
+// The same for the masked (four-count) epilogue, whose runs come in
+// blis.MaskedTile's register tile.
 func TestMaskedEpilogueRunsMatchTilesBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	mk := kernel.Masked2x2()
+	_, maskedNR := blis.MaskedTile()
 	for _, n := range []int{5, 67, 131} {
 		g, mask := randomMaskedPair(rng, n, 77)
 		withMonomorphic(g)
@@ -643,7 +643,7 @@ func TestMaskedEpilogueRunsMatchTilesBitwise(t *testing.T) {
 				}
 				hook := blis.TileEpilogue(newMaskedEpilogue(res, opt, mirror).RowRun)
 				if cut {
-					hook = cutIntoTiles(hook, mk.NR, 4)
+					hook = cutIntoTiles(hook, maskedNR, 4)
 				}
 				var err error
 				if mirror {

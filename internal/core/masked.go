@@ -30,18 +30,14 @@ func MaskedPairLD(g *bitmat.Matrix, k *bitmat.Mask, i, j int) Pair {
 }
 
 // MaskedMatrix computes gap-aware all-pairs LD within one genomic matrix
-// using the fused masked blocked driver. The mask is applied to a copy of
-// the matrix first (enforcing s = s & c), so callers may pass matrices
-// whose gap positions carry arbitrary bits. Both triangles are filled.
+// using the fused masked blocked driver, which counts s ∧ c, so callers may
+// pass matrices whose gap positions carry arbitrary bits; g is not
+// modified. Both triangles are filled.
 // KeepCounts returns no counts here: there is no dense four-count matrix.
 func MaskedMatrix(g *bitmat.Matrix, mask *bitmat.Mask, opt Options) (*Result, error) {
 	if mask.SNPs != g.SNPs || mask.Samples != g.Samples {
 		return nil, fmt.Errorf("core: mask %dx%d does not match matrix %dx%d",
 			mask.SNPs, mask.Samples, g.SNPs, g.Samples)
-	}
-	gm := g.Clone()
-	if err := mask.ApplyTo(gm); err != nil {
-		return nil, err
 	}
 	n := g.SNPs
 	res := &Result{SNPs: n, Cols: n, Samples: g.Samples}
@@ -49,14 +45,14 @@ func MaskedMatrix(g *bitmat.Matrix, mask *bitmat.Mask, opt Options) (*Result, er
 	for i := range res.RowFreqs {
 		v := mask.ValidCount(i)
 		if v > 0 {
-			res.RowFreqs[i] = float64(gm.DerivedCount(i)) / float64(v)
+			res.RowFreqs[i] = float64(popcount.AndCount(g.SNP(i), mask.SNP(i))) / float64(v)
 		}
 	}
 	res.ColFreqs = res.RowFreqs
 	// No n²·16-byte quad matrix, no count mirror: each run converts its
 	// four-count cells in place and writes the (bit-symmetric) float
 	// mirrors it owns.
-	if err := blis.MaskedSyrkEpilogue(opt.Blis, gm, mask, newMaskedEpilogue(res, opt, true)); err != nil {
+	if err := blis.MaskedSyrkEpilogue(opt.Blis, g, mask, newMaskedEpilogue(res, opt, true)); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -22,22 +22,3 @@ func PackPanelRuns(dst []uint64, m *bitmat.Matrix, snp, count, rr, pc, kc int) {
 	}
 	clear(dst[count*kc:])
 }
-
-// PackMaskedPanelRuns is the run layout for the masked family: each SNP
-// contributes two adjacent kc-word runs, values first, validity mask
-// second —
-//
-//	dst[i*2*kc + l]      = value word (pc+l) of SNP (snp+i)
-//	dst[i*2*kc + kc + l] = mask  word (pc+l) of SNP (snp+i)
-//
-// matching PackMaskedPanel's 2-words-per-(SNP, word) footprint. Padding
-// rows get zero values and zero masks, producing zero for all four
-// Section VII counts.
-func PackMaskedPanelRuns(dst []uint64, m *bitmat.Matrix, k *bitmat.Mask, snp, count, rr, pc, kc int) {
-	dst = dst[:2*kc*rr]
-	for i := 0; i < count; i++ {
-		copy(dst[i*2*kc:i*2*kc+kc], m.SNP(snp + i)[pc:pc+kc])
-		copy(dst[i*2*kc+kc:(i+1)*2*kc], k.SNP(snp + i)[pc:pc+kc])
-	}
-	clear(dst[count*2*kc:])
-}

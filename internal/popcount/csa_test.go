@@ -59,51 +59,6 @@ func TestAndCountCSAMatchesAndCount(t *testing.T) {
 	}
 }
 
-func TestAndCount3CSAMatchesAndCount3(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range testLengths(rng) {
-		for _, pat := range patterns {
-			a := make([]uint64, n)
-			b := make([]uint64, n)
-			c := make([]uint64, n)
-			fillPattern(rng, a, pat)
-			fillPattern(rng, b, "random")
-			fillPattern(rng, c, "random")
-			want := AndCount3(a, b, c)
-			if got := AndCount3CSA(a, b, c); got != want {
-				t.Fatalf("AndCount3CSA(n=%d, %s) = %d, want %d", n, pat, got, want)
-			}
-		}
-	}
-}
-
-func TestMaskedCountsCSAMatchesMaskedCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	for _, n := range testLengths(rng) {
-		for _, pat := range patterns {
-			si := make([]uint64, n)
-			ci := make([]uint64, n)
-			sj := make([]uint64, n)
-			cj := make([]uint64, n)
-			fillPattern(rng, si, pat)
-			fillPattern(rng, ci, "random")
-			fillPattern(rng, sj, "random")
-			fillPattern(rng, cj, pat)
-			wv, wi, wj, wij := MaskedCounts(si, ci, sj, cj)
-			gv, gi, gj, gij := MaskedCountsCSA(si, ci, sj, cj)
-			if gv != wv || gi != wi || gj != wj || gij != wij {
-				t.Fatalf("MaskedCountsCSA(n=%d, %s) = (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-					n, pat, gv, gi, gj, gij, wv, wi, wj, wij)
-			}
-			gv, gi, gj, gij = MaskedCountsVector(si, ci, sj, cj)
-			if gv != wv || gi != wi || gj != wj || gij != wij {
-				t.Fatalf("MaskedCountsVector(n=%d, %s) = (%d,%d,%d,%d), want (%d,%d,%d,%d)",
-					n, pat, gv, gi, gj, gij, wv, wi, wj, wij)
-			}
-		}
-	}
-}
-
 func TestCount(t *testing.T) {
 	for _, x := range wordCases {
 		if got, want := Count(x), Word(x); got != uint32(want) {
@@ -141,40 +96,6 @@ func BenchmarkAndCountStrategies(b *testing.B) {
 		b.SetBytes(n * 8)
 		for i := 0; i < b.N; i++ {
 			sinkInt = AndCountVector(x, y)
-		}
-	})
-}
-
-func BenchmarkMaskedCountsStrategies(b *testing.B) {
-	const n = 256
-	rng := rand.New(rand.NewSource(10))
-	si := make([]uint64, n)
-	ci := make([]uint64, n)
-	sj := make([]uint64, n)
-	cj := make([]uint64, n)
-	fillPattern(rng, si, "random")
-	fillPattern(rng, ci, "random")
-	fillPattern(rng, sj, "random")
-	fillPattern(rng, cj, "random")
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(n * 8 * 4)
-		for i := 0; i < b.N; i++ {
-			v, a, c, d := MaskedCounts(si, ci, sj, cj)
-			sinkInt = v + a + c + d
-		}
-	})
-	b.Run("csa", func(b *testing.B) {
-		b.SetBytes(n * 8 * 4)
-		for i := 0; i < b.N; i++ {
-			v, a, c, d := MaskedCountsCSA(si, ci, sj, cj)
-			sinkInt = v + a + c + d
-		}
-	})
-	b.Run("vector-"+VectorName(), func(b *testing.B) {
-		b.SetBytes(n * 8 * 4)
-		for i := 0; i < b.N; i++ {
-			v, a, c, d := MaskedCountsVector(si, ci, sj, cj)
-			sinkInt = v + a + c + d
 		}
 	})
 }

@@ -62,16 +62,6 @@ func AndCount(a, b []uint64) int {
 	return n
 }
 
-// AndCount3 returns Σ popcount(a[i] & b[i] & c[i]), the masked haplotype
-// count POPCNT(c_ij & sᵢ & sⱼ) of Section VII.
-func AndCount3(a, b, c []uint64) int {
-	n := 0
-	for i := range a {
-		n += bits.OnesCount64(a[i] & b[i] & c[i])
-	}
-	return n
-}
-
 // csa is a carry-save adder step: (a+b+c) = 2·carry + sum, bitwise.
 func csa(a, b, c uint64) (carry, sum uint64) {
 	u := a ^ b

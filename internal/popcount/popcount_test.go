@@ -54,15 +54,6 @@ func TestAndCount(t *testing.T) {
 	}
 }
 
-func TestAndCount3(t *testing.T) {
-	a := []uint64{0b1111}
-	b := []uint64{0b0111}
-	c := []uint64{0b0011}
-	if got := AndCount3(a, b, c); got != 2 {
-		t.Fatalf("AndCount3 = %d, want 2", got)
-	}
-}
-
 func TestAndCountWith(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := make([]uint64, 40)

@@ -8,18 +8,15 @@ import "math/bits"
 // CPUID/XGETBV (no cgo, no external deps): the AVX-512 tier needs
 // AVX512F + VPOPCNTDQ with zmm state enabled in XCR0, the AVX2 tier
 // needs AVX2 with ymm state enabled. The assembly bodies live in
-// asm_amd64.s; each wrapper below rounds the length down to the
-// vector's fold width and finishes with the exact scalar loop, so the
-// results are bit-identical to AndCount/MaskedCounts on every input.
+// asm_amd64.s; AndCountVector rounds the length down to the vector's
+// fold width and finishes with the exact scalar loop, so its result is
+// bit-identical to AndCount on every input.
 
 // Implemented in asm_amd64.s.
 func cpuidAsm(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 func andCountAVX512(a, b *uint64, n int) uint64
-func maskedCountsAVX512(si, ci, sj, cj *uint64, n int) (valid, nI, nJ, nIJ uint64)
 func andCountAVX2(a, b *uint64, n int) uint64
-func andCount3AVX2(a, b, c *uint64, n int) uint64
-func andCount4AVX2(a, b, c, d *uint64, n int) uint64
 
 var (
 	hasAVX2         bool
@@ -55,8 +52,8 @@ func init() {
 }
 
 // HasVector reports whether a SIMD AND-count tier is available on this
-// host; when false the Vector entry points fall through to the portable
-// CSA kernels.
+// host; when false AndCountVector falls through to the portable CSA
+// kernel.
 func HasVector() bool { return hasAVX2 || hasAVX512Popcnt }
 
 // HasAVX512F reports whether the host runs zmm arithmetic: AVX-512F in
@@ -123,39 +120,4 @@ func AndCountVector(a, b []uint64) int {
 		t += bits.OnesCount64(a[i] & b[i])
 	}
 	return t
-}
-
-// MaskedCountsVector computes the four gap-aware counts through the best
-// available SIMD tier — a single fused pass on AVX-512, four LUT passes
-// on AVX2 — bit-identical to MaskedCounts on every input.
-func MaskedCountsVector(si, ci, sj, cj []uint64) (valid, nI, nJ, nIJ int) {
-	n := len(ci)
-	_, _, _ = cj[:n], si[:n], sj[:n]
-	i := 0
-	switch {
-	case hasAVX512Popcnt:
-		if k := n &^ 7; k > 0 {
-			v, a, b, ab := maskedCountsAVX512(&si[0], &ci[0], &sj[0], &cj[0], k)
-			valid, nI, nJ, nIJ = int(v), int(a), int(b), int(ab)
-			i = k
-		}
-	case hasAVX2:
-		if k := n &^ 3; k > 0 {
-			valid = int(andCountAVX2(&ci[0], &cj[0], k))
-			nI = int(andCount3AVX2(&ci[0], &cj[0], &si[0], k))
-			nJ = int(andCount3AVX2(&ci[0], &cj[0], &sj[0], k))
-			nIJ = int(andCount4AVX2(&ci[0], &cj[0], &si[0], &sj[0], k))
-			i = k
-		}
-	default:
-		return MaskedCountsCSA(si, ci, sj, cj)
-	}
-	for ; i < n; i++ {
-		cij := ci[i] & cj[i]
-		valid += bits.OnesCount64(cij)
-		nI += bits.OnesCount64(cij & si[i])
-		nJ += bits.OnesCount64(cij & sj[i])
-		nIJ += bits.OnesCount64(cij & si[i] & sj[i])
-	}
-	return valid, nI, nJ, nIJ
 }

@@ -2,8 +2,8 @@
 
 package popcount
 
-// Non-amd64 builds have no SIMD tier; the Vector entry points degrade to
-// the portable CSA kernels, which are bit-identical to the scalar path.
+// Non-amd64 builds have no SIMD tier; AndCountVector degrades to the
+// portable CSA kernel, which is bit-identical to the scalar path.
 
 // HasVector reports whether a SIMD AND-count tier is available.
 func HasVector() bool { return false }
@@ -23,9 +23,3 @@ func VectorFold() int { return 0 }
 
 // AndCountVector is AndCount through the portable CSA kernel.
 func AndCountVector(a, b []uint64) int { return AndCountCSA(a, b) }
-
-// MaskedCountsVector computes the four gap-aware counts through the
-// portable CSA kernels.
-func MaskedCountsVector(si, ci, sj, cj []uint64) (valid, nI, nJ, nIJ int) {
-	return MaskedCountsCSA(si, ci, sj, cj)
-}

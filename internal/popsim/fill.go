@@ -1,7 +1,6 @@
 package popsim
 
 import (
-	"math"
 	"math/bits"
 
 	"ldgemm/internal/bitmat"
@@ -37,19 +36,9 @@ func startChain(r drawer, cfg MosaicConfig) chain {
 	cur := int32(r.Intn(cfg.Founders))
 	return chain{
 		cur:        cur,
-		nextSwitch: after(-1, geometricSkip(r, cfg.SwitchRate)),
-		nextMut:    after(-1, geometricSkip(r, cfg.MutationRate)),
+		nextSwitch: geometricSkip(r, cfg.SwitchRate),
+		nextMut:    geometricSkip(r, cfg.MutationRate),
 	}
-}
-
-// after returns the SNP of the event skip SNPs past SNP i. A gap that
-// overflows (a rate so small that 1−p rounds to 1 makes it −Inf) is an
-// event that never comes.
-func after(i, skip int) int {
-	if n := i + 1 + skip; n > i {
-		return n
-	}
-	return math.MaxInt
 }
 
 // event is one switch or mutation of a block's sample: row is the SNP
@@ -128,11 +117,11 @@ func (f *filler) advance(r drawer, c *chain, j, lo, hi int, cfg MosaicConfig) {
 		}
 		if i == c.nextSwitch {
 			c.cur = int32(r.Intn(cfg.Founders))
-			c.nextSwitch = after(i, geometricSkip(r, cfg.SwitchRate))
+			c.nextSwitch = i + 1 + geometricSkip(r, cfg.SwitchRate)
 			f.events = append(f.events, event{i - lo, uint64(j) | uint64(c.cur)<<7})
 		}
 		if i == c.nextMut {
-			c.nextMut = after(i, geometricSkip(r, cfg.MutationRate))
+			c.nextMut = i + 1 + geometricSkip(r, cfg.MutationRate)
 			f.events = append(f.events, event{i - lo, uint64(j) | mutationFlag})
 		}
 	}

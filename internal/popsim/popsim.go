@@ -127,6 +127,10 @@ func sampleSFS(rng *rand.Rand, cdf []float64) int {
 // geometricSkip returns the number of Bernoulli(p) failures before the
 // next success, i.e. the gap to the next rare event. Sampling gaps instead
 // of testing every position makes rare-event streams O(events), not O(n).
+// An event that never comes is MaxInt/2 SNPs away, so a SNP index plus a
+// gap never overflows: for p ≤ 0, and for a gap too large to be an int —
+// among them every draw at a p so small that 1−p rounds to 1, where the
+// quotient is −Inf.
 func geometricSkip(rng drawer, p float64) int {
 	if p >= 1 {
 		return 0
@@ -138,7 +142,11 @@ func geometricSkip(rng drawer, p float64) int {
 	for u == 0 {
 		u = rng.Float64()
 	}
-	return int(math.Log(u) / math.Log(1-p))
+	skip := math.Log(u) / math.Log(1-p)
+	if !(skip >= 0 && skip < math.MaxInt/2) {
+		return math.MaxInt / 2
+	}
+	return int(skip)
 }
 
 // ensurePolymorphic flips one random sample at any monomorphic SNP.

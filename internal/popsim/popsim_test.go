@@ -158,6 +158,22 @@ func TestGeometricSkipDistribution(t *testing.T) {
 	}
 }
 
+// TestGeometricSkipNever: a rate so small that 1−p rounds to 1 makes every
+// gap −Inf before conversion; it is the same "never" p = 0 draws, not
+// whatever int(−Inf) is on the host, and it still consumes its draw.
+func TestGeometricSkipNever(t *testing.T) {
+	rng, twin := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
+	for _, p := range []float64{1e-17, 1e-300, math.SmallestNonzeroFloat64} {
+		if got := geometricSkip(rng, p); got != math.MaxInt/2 {
+			t.Fatalf("p=%g: skip %d, want MaxInt/2", p, got)
+		}
+		twin.Float64()
+	}
+	if rng.Int63() != twin.Int63() {
+		t.Fatal("a never-skip did not consume exactly one draw")
+	}
+}
+
 func TestApplySweepSignature(t *testing.T) {
 	m, err := Mosaic(300, 200, MosaicConfig{Seed: 11})
 	if err != nil {
