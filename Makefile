@@ -30,8 +30,9 @@ examples:
 # packages must build there as well. The store build's writeback hint and
 # the mapped source's readahead hint are Linux calls with no-op twins
 # elsewhere; the darwin line compiles those twins, and the windows line the
-# no-mmap fallback. The 386 line is the 32-bit gate: an int is 32 bits
-# there, so a constant past 2³¹ compared against an int fails to compile.
+# no-mmap fallback. The 386 lines are the 32-bit gate: an int is 32 bits
+# there, so a constant past 2³¹ compared against an int fails to compile,
+# and vet holds the tests to the same rule.
 .PHONY: build-arm64
 build-arm64:
 	GOOS=linux GOARCH=arm64 go build ./...
@@ -39,6 +40,7 @@ build-arm64:
 	GOOS=darwin GOARCH=arm64 go build ./...
 	GOOS=windows GOARCH=arm64 go build ./internal/ldstore/...
 	GOOS=linux GOARCH=386 go build ./...
+	GOOS=linux GOARCH=386 go vet ./...
 
 # Race tier: vet (asmdecl holds the assembly tile's frame to its Go
 # declaration) plus the race detector on the concurrency-bearing packages
@@ -52,7 +54,9 @@ build-arm64:
 # each stopped by a writer fault and by a cancel with no panel read left
 # running (TestKeptBuildStopsAtFourThreads, TestCountBuildStopsAtFourThreads)
 # — a selection scan on four driver workers, each with its own heap
-# (TestSelectScanMatchesVisitor), the HTTP server that shares the
+# (TestSelectScanMatchesVisitor), a float scan with up to four stripes in
+# flight, each on up to four driver workers, whose visitor keeps
+# unsynchronized state (TestStreamStripesInFlight), the HTTP server that shares the
 # arena pool, the region encoder's pooled offset scratch and the in-flight
 # semaphore across requests (TestConcurrentRegionRequests), concurrent matvecs in both body spellings
 # over the request-vector counters (TestSparseVectorCounters), the
@@ -215,7 +219,8 @@ bench-kernel:
 # the float writer beside strconv.AppendFloat on r²-shaped and
 # matvec-shaped values (ns/float), a coordinator checking and splicing its
 # two strips. One pass of the small-k stream (8192 SNPs × 512 samples),
-# which prints what the fused epilogue costs per pair, one pass of the
+# which prints what the fused epilogue costs per pair, and one of its
+# large-k twin (1024 SNPs × 65 536 samples), one pass of the
 # Section VII gaps ablation (512 × 4096: plain Syrk, MaskedSyrk, and
 # MaskedSyrk as on a host without the vector tile), one pass of the dense
 # store build's out-of-core scan (4096 × 2048, stripes of 128 against
@@ -244,7 +249,7 @@ bench-kernel:
 bench-smoke:
 	go test ./internal/server -run '^$$' -bench 'BenchmarkEncodeRegion|BenchmarkServeRegion|BenchmarkAppendFloat' -benchtime 1x -benchmem
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
-	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamSource|BenchmarkMaskedLD' -benchtime 1x
+	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamLargeK|BenchmarkStreamSource|BenchmarkMaskedLD' -benchtime 1x
 	go test ./internal/core -run '^$$' -bench BenchmarkEpilogueRow -benchtime 1x
 	go test ./internal/ldstore -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
 	go test ./internal/server -run '^$$' -bench 'BenchmarkParseVector|BenchmarkReadNumber' -benchtime 1x -benchmem

@@ -443,6 +443,31 @@ func BenchmarkStreamSmallK(b *testing.B) {
 	b.ReportMetric(float64(epiNanos)/total, "epilogue-ns/pair")
 }
 
+// BenchmarkStreamLargeK is BenchmarkStreamSmallK's twin at the shape of
+// the benchmark module's compute_large_k: 1024 SNPs × 65 536 samples, a
+// triangular r² core.Stream in 512-row stripes, so two stripes, with a
+// visitor that only counts. Here the vector popcount kernel does the work,
+// so a scan schedule that trades kernel time for fewer idle cores shows up
+// here first.
+func BenchmarkStreamLargeK(b *testing.B) {
+	const n, k = 1024, 65536
+	g := benchMatrix(b, 17, n, k)
+	want := int64(n) * int64(n+1) / 2
+	opt := core.StreamOptions{Triangular: true}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var pairs int64
+		err := core.Stream(g, opt, func(_, _ int, row []float64) { pairs += int64(len(row)) })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pairs != want {
+			b.Fatalf("visited %d pairs, want %d", pairs, want)
+		}
+	}
+	b.ReportMetric(float64(want)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpairs/s")
+}
+
 // BenchmarkStreamSource is the scan of the benchmark module's
 // build_dense_ooc on its own: 4096 SNPs × 2048 samples from a windowed
 // .ldbm, triangular exact r², stripes of 128 rows against 256-SNP column

@@ -164,6 +164,14 @@ type destHinter interface {
 	Dest(i0, j0 int) (p unsafe.Pointer, rowBytes int)
 }
 
+// materializer is an epilogue that may write a count matrix out in full
+// (a masked call's run adapter without the caller's epilogue). When
+// materializes says so, the driver runs it as any fused hook but adds
+// nothing to the epilogue counters, which count what fusing saved.
+type materializer interface {
+	materializes() bool
+}
+
 // Gemm computes the full m×n count matrix between the SNPs of a and b:
 // c[i*ldc+j] += dot(a.SNP(i), b.SNP(j)). The matrices must have the same
 // sample count. c must have at least (a.SNPs-1)*ldc + b.SNPs entries.

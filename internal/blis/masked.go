@@ -143,6 +143,9 @@ type maskedRuns struct {
 	ldc    int
 }
 
+// materializes reports a call that writes the four-count matrix c.
+func (e *maskedRuns) materializes() bool { return e.epi == nil }
+
 func (e *maskedRuns) RowRun(w int, t []uint32, ldt, i0, j0, mm, nn int) {
 	rows, cols := mm/2, nn/2
 	var dst []uint32

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +281,40 @@ func TestMaskedEvenTileAnyConfig(t *testing.T) {
 	if kernel.Default.Lanes > 1 {
 		defer kernel.DisableVectorTileForTest()()
 		t.Run("portable", check)
+	}
+}
+
+// TestMaskedEpilogueCounters: the epilogue counters count only a caller's
+// epilogue. A MaskedSyrk that writes its four-count matrix runs through
+// the driver's fused route but adds to none of EpilogueTiles,
+// EpilogueNanos and EpilogueBytesAvoided; MaskedSyrkEpilogue adds the
+// n·n·16 bytes of the four-count matrix it never wrote.
+func TestMaskedEpilogueCounters(t *testing.T) {
+	const n = 37
+	a, ka := randomMasked(rand.New(rand.NewSource(48)), n, 300)
+	cfg := Config{Threads: 2}
+	before := ReadStats()
+	if err := MaskedSyrk(cfg, a, ka, make([]uint32, n*n*4), n); err != nil {
+		t.Fatal(err)
+	}
+	after := ReadStats()
+	if after.EpilogueTiles != before.EpilogueTiles || after.EpilogueNanos != before.EpilogueNanos ||
+		after.EpilogueBytesAvoided != before.EpilogueBytesAvoided {
+		t.Fatalf("a materialized MaskedSyrk moved the epilogue counters: tiles +%d, ns +%d, bytes +%d",
+			after.EpilogueTiles-before.EpilogueTiles, after.EpilogueNanos-before.EpilogueNanos,
+			after.EpilogueBytesAvoided-before.EpilogueBytesAvoided)
+	}
+	before = after
+	var runs atomic.Int64
+	err := MaskedSyrkEpilogue(cfg, a, ka, TileEpilogue(func(int, []uint32, int, int, int, int, int) { runs.Add(1) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after = ReadStats()
+	if got := after.EpilogueBytesAvoided - before.EpilogueBytesAvoided; got != n*n*16 {
+		t.Fatalf("MaskedSyrkEpilogue added %d to EpilogueBytesAvoided, want %d", got, n*n*16)
+	}
+	if runs.Load() == 0 || after.EpilogueTiles == before.EpilogueTiles {
+		t.Fatalf("MaskedSyrkEpilogue: %d runs, %d tiles counted", runs.Load(), after.EpilogueTiles-before.EpilogueTiles)
 	}
 }

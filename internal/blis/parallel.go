@@ -309,6 +309,7 @@ type tileDriver struct {
 	epi      Epilogue
 	streamed bool
 	dest     destHinter
+	counted  bool     // epi's work goes on the epilogue counters (materializer)
 	scratch  []uint32 // per-column-block count scratch (fused, not streamed)
 }
 
@@ -447,6 +448,10 @@ func (tc *tileCall) panel(p tilePanel) error {
 	if streamed {
 		d.dest, _ = p.epi.(destHinter)
 	}
+	if fused {
+		m, ok := p.epi.(materializer)
+		d.counted = !ok || !m.materializes()
+	}
 
 	var jobs []tileJob
 	for jc := 0; jc < n; jc += ncBlk {
@@ -527,7 +532,7 @@ func (tc *tileCall) panel(p tilePanel) error {
 	if ops.popcFold > 1 {
 		tc.avoided += cells - cells/uint64(ops.popcFold)
 	}
-	if fused {
+	if d.counted {
 		// A count-then-convert pipeline would have materialized the full
 		// m×n count matrix just to read it once.
 		tc.epiBytes += uint64(m) * uint64(n) * 4
@@ -656,7 +661,7 @@ func (d *tileDriver) runJob(st *tileWorker, w int, jb tileJob, jc, nc, pg, gs in
 	// The epilogue counters keep their meaning in both orders — the hook's
 	// wall time and the tiles handed over — at two clock reads per panel
 	// when streamed, two per job otherwise, and one add of each per job.
-	if epiTiles > 0 {
+	if epiTiles > 0 && d.counted {
 		stats.epiTiles.Add(epiTiles)
 		stats.epiNanos.Add(uint64(epiNanos))
 	}

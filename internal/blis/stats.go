@@ -63,8 +63,10 @@ type DriverStats struct {
 	ArenaMisses uint64
 	// EpilogueTiles counts register tiles converted in place by a fused
 	// epilogue (the tiles its row runs span), EpilogueNanos the wall time
-	// workers spent inside the hook, and EpilogueBytesAvoided the dense count-matrix bytes that
-	// fused calls never materialized (m·n·4 per cell per call).
+	// workers spent inside the hook, and EpilogueBytesAvoided the dense
+	// count-matrix bytes that fused calls never materialized (m·n·4 per
+	// call). Only a caller's epilogue counts: a MaskedGemm or MaskedSyrk
+	// that writes its four-count matrix adds to none of the three.
 	EpilogueTiles        uint64
 	EpilogueNanos        uint64
 	EpilogueBytesAvoided uint64

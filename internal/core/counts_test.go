@@ -209,7 +209,7 @@ func TestCountsRowEdges(t *testing.T) {
 			rc.p[i] = float64(1+i*7%19) / 21
 		}
 		for c := range rc.cnt {
-			rc.cnt[c] = uint32((c*2654435761 + 12345) % (samples + 1))
+			rc.cnt[c] = uint32((uint64(c)*2654435761 + 12345) % uint64(samples+1))
 		}
 		return rc
 	}

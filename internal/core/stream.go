@@ -11,9 +11,11 @@ import (
 // StreamOptions configures a striped streaming LD scan.
 type StreamOptions struct {
 	Options
-	// StripeRows is the number of SNP rows materialized at a time
-	// (default 512). Peak memory is one StripeRows × SNPs float64 stripe,
-	// StripeRows × (StripeRows + Band) when Banded.
+	// StripeRows is the number of SNP rows a stripe materializes (default
+	// 512). Peak memory is one StripeRows × SNPs float64 stripe,
+	// StripeRows × (StripeRows + Band) when Banded, per stripe in flight:
+	// a float scan runs Threads stripes at once (GOMAXPROCS when Threads
+	// is 0), never more than it has.
 	StripeRows int
 	// Triangular restricts the scan to the upper triangle exactly: each
 	// stripe runs a symmetric rank-k update on its diagonal block plus a
@@ -122,63 +124,17 @@ func (o StreamOptions) rowWindow(n int) (lo, hi int, err error) {
 	return o.RowStart, o.RowEnd, nil
 }
 
-// rowVisitor is the sink behind the row visitors of Stream and
-// StreamSource: one pooled buffer, every finished stripe handed to visit
-// row by row.
-type rowVisitor struct {
-	opt   StreamOptions
-	n     int
-	visit func(i, j0 int, row []float64)
-	buf   *[]float64
-}
-
-// StripeBuffer returns the buffer the next stripe is computed into, cells
-// float64s long. It need not be cleared: the scan assigns every cell it
-// goes on to deliver and reads none.
-func (v *rowVisitor) StripeBuffer(cells int) []float64 {
-	// The first stripe of a scan is its largest, so one buffer serves all.
-	// It is taken at the size a stripe of this height has at row 0, where it
-	// is widest: a scan over any row window then fits the buffer the last
-	// scan of its stripe height pooled, whatever that one's window was.
-	if v.buf == nil {
-		lo, hi, _ := v.opt.rowWindow(v.n)
-		rows := min(v.opt.stripeRows(), hi-lo)
-		v.buf = getStripe(max(cells, v.opt.StripeCells(rows, 0, rows, v.n)))
-	}
-	return (*v.buf)[:cells]
-}
-
-// StripeDone visits the stripe computed into the last StripeBuffer: SNP
-// rows [i0, i0+rows), row r at vals[r*width : (r+1)*width]. In a
-// triangular scan column 0 is SNP i0 and row r is meaningful from its own
-// diagonal, column r, to the band edge min(n, i0+r+Band+1) − i0 (n − i0
-// unbanded); cells outside that are by-products or stale. Otherwise column
-// 0 is SNP 0 and every cell of the n-wide row is delivered.
-func (v *rowVisitor) StripeDone(i0, rows, width int, vals []float64) {
-	for r := 0; r < rows; r++ {
-		gi := i0 + r
-		j0, from, to := 0, 0, width
-		if v.opt.Triangular {
-			j0, from, to = gi, r, v.opt.rowEndCol(gi, v.n)-i0
-		}
-		v.visit(gi, j0, vals[r*width+from:r*width+to])
-	}
-}
-
-// release returns the buffer to the pool once the scan is over.
-func (v *rowVisitor) release() {
-	if v.buf != nil {
-		stripePool.Put(v.buf)
-	}
-}
-
 // Stream computes all-pairs LD for matrices too large to materialize n²
 // float64 outputs: it runs the blocked GEMM stripe by stripe and hands
 // each finished row to visit as (i, j0, row) where row[t] is the statistic
 // for the pair (i, j0+t). In full mode j0 is always 0; in triangular mode
-// j0 == i (each row starts at its own diagonal). The row slice is reused
-// across calls — and, once Stream returns, by later scans (the stripe
-// buffer is pooled); callers must not retain it.
+// j0 == i (each row starts at its own diagonal). Rows arrive in increasing
+// i, one visit call at a time, but not necessarily on the caller's
+// goroutine: several stripes are computed at once (see StreamSource) and
+// each is visited from the worker that computed it, so visit needs no
+// lock for state only it touches. The row slice is reused across calls —
+// and, once Stream returns, by later scans (the stripe buffers are
+// pooled); callers must not retain it.
 //
 // The statistic delivered is r² unless Options.Measures selects exactly
 // MeasureD or MeasureDPrime. Stream is StreamSource over the resident

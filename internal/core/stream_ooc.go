@@ -30,8 +30,8 @@ import (
 // independent of column paneling, and the fused epilogue's expression
 // shapes are per-cell, so the decomposition cannot perturb a single bit.
 //
-// Memory is bounded by the stripe (StripeRows × n float64 values, or per
-// stripe in flight a kept stripe's survivors or a counts stripe's narrowed
+// Memory is bounded by one stripe per stripe in flight (StripeRows × n
+// float64 values, a kept stripe's survivors or a counts stripe's narrowed
 // counts; a selection scan holds only its workers' heaps), the panel
 // buffers (for W stripes in flight in windowed mode,
 // W × (readAheadBytes + two panels) of packed words, four panels for one;
@@ -95,25 +95,28 @@ func sourceAlleles(src bitmat.Source, lo, hi, panelSNPs int, counts []uint32) ([
 // same double-buffered panel-pair schedule; only a resident MemSource's
 // panel width differs (see StreamOptions.IOPanelSNPs).
 //
-// Each stripe is computed into one pooled float buffer and visited row
-// by row. One stripe is in flight at a time, its driver call on Threads
-// workers: a float stripe is as wide as the rows it holds. It returns only
-// once its prefetcher has exited, so no Source.Panel call is in flight or
-// starts after it returns, error or not.
+// Threads stripes are in flight at once (GOMAXPROCS when Threads is 0,
+// never more than the scan has), each computed into a pooled float buffer
+// of its stripe worker's by a driver call that keeps Threads workers: a
+// core one stripe leaves idle — a diagonal block too small to share, a
+// helper still waking, a wait for its delivery turn — runs the other
+// stripe's. Stripes are visited in order, row by row, one visit call at a
+// time, each on the goroutine of the worker that computed its stripe:
+// not necessarily the caller's. It returns only once its prefetcher and
+// every stripe worker have exited, so no Source.Panel call or visit is in
+// flight or starts after it returns, error or not.
 //
 // Like Stream it rejects KeepCounts: the dense count matrix is what
 // streaming exists to avoid; StreamSourceCounts hands the counts over a
 // stripe at a time instead.
 func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, row []float64)) error {
-	v := &rowVisitor{opt: opt, n: src.NumSNPs(), visit: visit}
-	defer v.release()
 	sc, err := newScan(src, opt, false)
 	if err != nil {
 		return err
 	}
 	defer sc.release()
 	conv := sc.conv(opt)
-	return sc.run(1, func() stripeOut { return &floatOut{sink: v, sc: sc, conv: conv} })
+	return sc.run(sc.inFlight(), func() stripeOut { return &floatOut{sc: sc, conv: conv, visit: visit} })
 }
 
 // StreamSourceKept is the triangular scan for a sink that declares a
@@ -121,11 +124,12 @@ func StreamSource(src bitmat.Source, opt StreamOptions, visit func(i, j0 int, ro
 // each row run in place and keeps only the joint counts of the cells with
 // |v| ≥ τ, and hands each stripe over in row-CSR (KeptStripe), after the
 // allele counts (KeptSink.Alleles). A kept count converts back to the
-// float scan's cell bit for bit (CountConverter). With no float stripe to fill, Threads stripes
-// run at once (GOMAXPROCS when Threads is 0, never more than the scan
-// has), each one's driver call on a single worker (its keeper takes one
-// run at a time, and a store build's panels are too small to pay for
-// waking a second worker anyway), merged and handed over in stripe order.
+// float scan's cell bit for bit (CountConverter). As on the float scan,
+// Threads stripes run at once (GOMAXPROCS when Threads is 0, never more
+// than the scan has), but each one's driver call on a single worker (its
+// keeper takes one run at a time, and a store build's panels are too
+// small to pay for waking a second worker anyway), merged and handed over
+// in stripe order.
 // Each stripe in flight holds its survivors until its turn, so the scan's
 // survivor lists reach the largest stripe's times the stripes in flight
 // (KeptStripe.ScanBytes), on top of the sink's stripes. The panels are
@@ -274,19 +278,26 @@ func (sc *scan) release() {
 	}
 }
 
-// oneWorkerStripes readies the scan to run Threads stripes at once
-// (GOMAXPROCS when Threads is 0, never more than the scan has), each one's
-// driver call on a single worker, and returns that stripe count. A
-// negative Threads is left for the driver to reject at the first call.
-func (sc *scan) oneWorkerStripes() int {
+// inFlight returns how many stripes the scan runs at once: Threads
+// (GOMAXPROCS when Threads is 0), never more than the scan has, and one
+// when Threads is negative, which is left for the driver to reject at the
+// first call.
+func (sc *scan) inFlight() int {
 	threads := sc.opt.Blis.Threads
 	if threads == 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	if threads > 0 {
+	return max(1, min(threads, sc.stripes))
+}
+
+// oneWorkerStripes readies the scan to run inFlight stripes at once, each
+// one's driver call on a single worker, and returns that stripe count.
+func (sc *scan) oneWorkerStripes() int {
+	n := sc.inFlight()
+	if sc.opt.Blis.Threads >= 0 {
 		sc.opt.Blis.Threads = 1 // the driver call's workers, not the stripes in flight
 	}
-	return max(1, min(threads, sc.stripes))
+	return n
 }
 
 // base returns a stripe's column 0: SNP i0 in a triangular scan, else 0.
@@ -531,30 +542,58 @@ func (r *stripeRun) stripeOf(s int, o stripeOut, in <-chan oocPanel) error {
 // the scan; run returns that first failure instead.
 var errStopped = errors.New("core: scan stopped")
 
-// floatOut delivers float stripes to a row visitor: the stripe epilogues
-// write straight into the buffer it supplies.
+// floatOut delivers a stripe worker's float stripes to a row visitor: the
+// stripe epilogues write straight into the worker's pooled buffer.
 type floatOut struct {
-	sink *rowVisitor
-	sc   *scan
-	conv *stripeScan
+	sc    *scan
+	conv  *stripeScan
+	visit func(i, j0 int, row []float64)
 
 	i0, rows, width int
+	buf             *[]float64
 	v               []float64
 }
 
 func (o *floatOut) open(i0, rows, width int) {
 	o.i0, o.rows, o.width = i0, rows, width
-	sc := o.sc
-	o.v = o.sink.StripeBuffer(sc.opt.StripeCells(sc.stripe, i0, sc.hi, sc.n))[:rows*width]
+	if o.buf == nil {
+		// A stripe of the scan's height is widest at row 0, so one buffer
+		// sized there serves every stripe of the worker, and a scan over any
+		// row window fits the buffer the last scan of its height pooled.
+		sc := o.sc
+		h := min(sc.stripe, sc.hi-sc.lo)
+		o.buf = getStripe(sc.opt.StripeCells(h, 0, h, sc.n))
+	}
+	o.v = (*o.buf)[:rows*width]
 }
 
 func (o *floatOut) epilogue(col0 int) blis.Epilogue {
 	return o.conv.epilogue(o.v[col0-o.sc.base(o.i0):], o.width, o.i0, col0)
 }
 
-func (o *floatOut) deliver() { o.sink.StripeDone(o.i0, o.rows, o.width, o.v) }
+// deliver visits the stripe's rows, SNPs i0, i0+1, …, row r at
+// v[r*width : (r+1)*width]. In a triangular scan column 0 is SNP i0 and row
+// r is meaningful from its own diagonal, column r, to the band edge
+// min(n, i0+r+Band+1) − i0 (n − i0 unbanded); cells outside that are
+// by-products or stale. Otherwise column 0 is SNP 0 and every cell of the
+// n-wide row is delivered.
+func (o *floatOut) deliver() {
+	opt, w := o.sc.opt, o.width
+	for r := range o.rows {
+		gi := o.i0 + r
+		j0, from, to := 0, 0, w
+		if opt.Triangular {
+			j0, from, to = gi, r, opt.rowEndCol(gi, o.sc.n)-o.i0
+		}
+		o.visit(gi, j0, o.v[r*w+from:r*w+to])
+	}
+}
 
-func (o *floatOut) release() {}
+func (o *floatOut) release() {
+	if o.buf != nil {
+		stripePool.Put(o.buf)
+	}
+}
 
 // keptOut collects a worker's stripes in a keeper through one reused kept
 // epilogue (its calls run one at a time) and merges each into the buffer a

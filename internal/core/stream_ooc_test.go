@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,11 +313,7 @@ func TestScanReadOrderAndBound(t *testing.T) {
 					t.Fatalf("%s threads=%d: read %d is SNPs %v, want %v", name, threads, k, src.reads[k], want[k])
 				}
 			}
-			workers := threads
-			if name == "float" {
-				workers = 1 // a float stripe is as wide as its rows: one in flight
-			}
-			if bound := workers * (max(readAheadBytes, 2*panelBytes) + 2*panelBytes); src.peak > bound {
+			if bound := threads * (max(readAheadBytes, 2*panelBytes) + 2*panelBytes); src.peak > bound {
 				t.Fatalf("%s threads=%d: %d panel bytes held, bound %d", name, threads, src.peak, bound)
 			}
 		}
@@ -328,3 +326,143 @@ type countSkipper struct{ buf CountStripe }
 func (c *countSkipper) Alleles([]uint32)          {}
 func (c *countSkipper) CountBuffer() *CountStripe { return &c.buf }
 func (c *countSkipper) CountDone(*CountStripe)    {}
+
+// TestStreamStripesInFlight: a float scan runs Threads stripes at once, each
+// one's driver call on Threads workers (the small-call rule is off here),
+// and still visits every row once, in increasing i, with the bits a
+// Threads-1 scan delivers — triangular, full, banded and row-windowed, for
+// r², D and D′, resident and read in panels, at stripe heights that give 1,
+// 3 and 9 stripes. The visitor keeps unsynchronized state: two visits at
+// once are a data race, which make verify-race runs this under.
+func TestStreamStripesInFlight(t *testing.T) {
+	defer blis.SetMinParallelForTest(blis.SetMinParallelForTest(0))
+	const n = 90
+	g := streamMatrix(t, n, 200, 23)
+	modes := map[string]StreamOptions{
+		"triangular": {Triangular: true},
+		"full":       {},
+		"banded":     {Triangular: true, Banded: true, Band: 37},
+		"row-window": {Triangular: true, RowStart: 7, RowEnd: 80},
+	}
+	sources := map[string]bitmat.Source{"resident": bitmat.NewMemSource(g), "panels": sliceBacked(t, g)}
+	measures := map[string]Measure{"r2": MeasureR2, "d": MeasureD, "dprime": MeasureDPrime}
+	scan := func(what string, src bitmat.Source, opt StreamOptions, lo, hi int) []visitRow {
+		var got []visitRow
+		next := lo
+		err := StreamSource(src, opt, func(i, j0 int, row []float64) {
+			if i != next {
+				t.Errorf("%s: row %d visited, want row %d", what, i, next)
+			}
+			next = i + 1
+			got = append(got, visitRow{i, j0, append([]float64(nil), row...)})
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(got) != hi-lo {
+			t.Fatalf("%s: %d rows visited, want %d", what, len(got), hi-lo)
+		}
+		return got
+	}
+	for mode, base := range modes {
+		lo, hi, err := base.rowWindow(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mname, meas := range measures {
+			for _, stripes := range []int{1, 3, 9} {
+				opt := base
+				opt.Measures = meas
+				opt.StripeRows = (hi - lo + stripes - 1) / stripes
+				opt.IOPanelSNPs = 16
+				for sname, src := range sources {
+					opt.Blis.Threads = 1
+					want := scan(fmt.Sprintf("%s/%s/%d stripes/%s threads=1", mode, mname, stripes, sname), src, opt, lo, hi)
+					for _, threads := range []int{2, 4} {
+						what := fmt.Sprintf("%s/%s/%d stripes/%s threads=%d", mode, mname, stripes, sname, threads)
+						opt.Blis.Threads = threads
+						sc, err := newScan(src, opt, false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if sc.stripes != stripes || sc.inFlight() != min(threads, stripes) {
+							t.Fatalf("%s: %d stripes, %d in flight", what, sc.stripes, sc.inFlight())
+						}
+						sc.release()
+						got := scan(what, src, opt, lo, hi)
+						for r := range want {
+							if got[r].j0 != want[r].j0 {
+								t.Fatalf("%s: row %d starts at column %d, want %d", what, want[r].i, got[r].j0, want[r].j0)
+							}
+							bitsEqual(t, fmt.Sprintf("%s row %d", what, want[r].i), got[r].row, want[r].row)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// failingSource fails its fail-th Panel call (counting from 0) and serves
+// every other.
+type failingSource struct {
+	bitmat.Source
+	fail  int64
+	calls atomic.Int64
+}
+
+var errPanel = errors.New("panel read failed")
+
+func (s *failingSource) Panel(lo, hi int, buf *bitmat.Matrix) (*bitmat.Matrix, error) {
+	if s.calls.Add(1)-1 == s.fail {
+		return nil, errPanel
+	}
+	return s.Source.Panel(lo, hi, buf)
+}
+
+// TestStreamStripesInFlightFault: a float scan whose source fails at a
+// middle panel, with two and with four stripes in flight, returns that
+// error once every stripe before the failing one has been visited, in
+// order, and no row of it or of a later stripe; every goroutine it started
+// has exited by then. Stripes are 16 rows against 16-SNP panels over 128
+// SNPs, so stripe s reads its A panel and 7 − s B panels; the read that
+// fails is the second B panel of stripe 4 (the caller's, at both thread
+// counts) or of stripe 5 (another worker's).
+func TestStreamStripesInFlightFault(t *testing.T) {
+	defer blis.SetMinParallelForTest(blis.SetMinParallelForTest(0))
+	const n, stripe = 128, 16
+	g := streamMatrix(t, n, 200, 29)
+	freqReads := n / stripe
+	for _, failStripe := range []int{4, 5} {
+		at := freqReads
+		for s := range failStripe {
+			at += 1 + (n/stripe - 1 - s)
+		}
+		at += 2 // the stripe's A panel, then its first B panel
+		for _, threads := range []int{2, 4} {
+			what := fmt.Sprintf("stripe %d fails, threads=%d", failStripe, threads)
+			base := runtime.NumGoroutine()
+			src := &failingSource{Source: sliceBacked(t, g), fail: int64(at)}
+			opt := StreamOptions{Triangular: true, StripeRows: stripe, IOPanelSNPs: stripe}
+			opt.Blis.Threads = threads
+			var rows []int
+			err := StreamSource(src, opt, func(i, _ int, _ []float64) { rows = append(rows, i) })
+			if !errors.Is(err, errPanel) {
+				t.Fatalf("%s: scan returned %v, want the panel error", what, err)
+			}
+			if len(rows) != failStripe*stripe {
+				t.Fatalf("%s: %d rows visited, want the %d of the stripes before the failing one", what, len(rows), failStripe*stripe)
+			}
+			for k, i := range rows {
+				if i != k {
+					t.Fatalf("%s: visit %d was row %d", what, k, i)
+				}
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: %d goroutines, %d before the scan", what, runtime.NumGoroutine(), base)
+				}
+			}
+		}
+	}
+}

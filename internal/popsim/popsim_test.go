@@ -153,8 +153,8 @@ func TestGeometricSkipDistribution(t *testing.T) {
 	if geometricSkip(rng, 1) != 0 {
 		t.Fatal("p=1 should skip 0")
 	}
-	if geometricSkip(rng, 0) < 1<<40 {
-		t.Fatal("p=0 should be effectively infinite")
+	if got := geometricSkip(rng, 0); got != math.MaxInt/2 {
+		t.Fatalf("p=0: skip %d, want the never value MaxInt/2", got)
 	}
 }
 

@@ -107,7 +107,9 @@ func AlleleFrequencies(g *Matrix) []float64 { return core.AlleleFrequencies(g) }
 // to materialize n² outputs.
 type StreamOptions = core.StreamOptions
 
-// StreamLD runs a striped scan, delivering one row of LD values at a time.
+// StreamLD runs a striped scan, delivering one row of LD values at a time:
+// rows in order, one visit call at a time, not necessarily on the caller's
+// goroutine (see core.Stream).
 func StreamLD(g *Matrix, opt StreamOptions, visit func(i, j0 int, row []float64)) error {
 	return core.Stream(g, opt, visit)
 }
