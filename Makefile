@@ -29,8 +29,9 @@ examples:
 # non-amd64 stubs and the host-keyed route tests of the three kernel
 # packages must build there as well. The store build's writeback hint and
 # the mapped source's readahead hint are Linux calls with no-op twins
-# elsewhere; the darwin line compiles those twins, and the windows line the
-# no-mmap fallback. The 386 lines are the 32-bit gate: an int is 32 bits
+# elsewhere; the darwin line compiles those twins, and the windows lines the
+# no-mmap fallbacks: the tile store read into one buffer instead of
+# mapped, and vetted with its tests beside bitmat's. The 386 lines are the 32-bit gate: an int is 32 bits
 # there, so a constant past 2³¹ compared against an int fails to compile,
 # and vet holds the tests to the same rule.
 .PHONY: build-arm64
@@ -39,6 +40,7 @@ build-arm64:
 	GOOS=linux GOARCH=arm64 go vet ./internal/popcount ./internal/kernel ./internal/blis
 	GOOS=darwin GOARCH=arm64 go build ./...
 	GOOS=windows GOARCH=arm64 go build ./internal/ldstore/...
+	GOOS=windows GOARCH=amd64 go vet ./internal/ldstore/... ./internal/bitmat/...
 	GOOS=linux GOARCH=386 go build ./...
 	GOOS=linux GOARCH=386 go vet ./...
 
@@ -47,7 +49,8 @@ build-arm64:
 # (the parallel blis driver — four workers streaming panels through their
 # strips in TestEpilogueContractFourWorkers — the pack kernels it calls from
 # many goroutines, the one LD store package (internal/ldstore), complete and
-# pruned stores alike, whose tile LRU every store query shares and whose
+# pruned stores alike, whose queries share each tile's first-touch check
+# (TestFirstTouchConcurrent) and race Close (TestQueryRacingClose) and whose
 # build is a three-stage pipeline, three stripe buffers handed from the
 # scan to the writer and back, tested under injected faults — a pruned build
 # with four kept stripes in flight and a complete one with four counts stripes,
@@ -230,7 +233,9 @@ bench-kernel:
 # L2-resident operands), and of the selection row (converted and selected,
 # Go loop and fused kernel). Then the sparse
 # operator path: one matvec over the ledger's 4096-SNP banded pruned store,
-# resident and laid out per call (entries/s, allocs/op), its 4096-float
+# resident and laid out per call (entries/s, allocs/op), and the complete
+# store's reads on the ledger's dense store — an 80 × 80 region, a far pair
+# and a 128-row top, on first-touch and on checked tiles (B/op, allocs/op), its 4096-float
 # request body through the vector scanner (MB/s, ns/float), and the number
 # reader beside scanNumber + strconv.ParseFloat on r²-shaped, matvec-shaped,
 # exponent-form and 8-digit literals (ns/float). Then one call each of
@@ -251,7 +256,7 @@ bench-smoke:
 	go test ./internal/cluster -run '^$$' -bench BenchmarkScatterRegion -benchtime 1x -benchmem
 	go test . -run '^$$' -bench 'BenchmarkStreamSmallK|BenchmarkStreamLargeK|BenchmarkStreamSource|BenchmarkMaskedLD' -benchtime 1x
 	go test ./internal/core -run '^$$' -bench BenchmarkEpilogueRow -benchtime 1x
-	go test ./internal/ldstore -run '^$$' -bench BenchmarkMatVec -benchtime 1x -benchmem
+	go test ./internal/ldstore -run '^$$' -bench 'BenchmarkMatVec|BenchmarkStoreRead' -benchtime 1x -benchmem
 	go test ./internal/server -run '^$$' -bench 'BenchmarkParseVector|BenchmarkReadNumber' -benchtime 1x -benchmem
 	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x
 	go test ./internal/ldstore -run '^$$' -bench BenchmarkBuildFile -benchtime 1x -benchmem

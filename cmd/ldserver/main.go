@@ -12,14 +12,13 @@
 //
 // With -store pointing at an `ldstore build` output for the same dataset,
 // the /api/ld, /api/ld/region, and /api/ld/top endpoints serve precomputed
-// tiles of joint counts, converted to whichever measure a request asks
-// for, through an LRU cache instead of running the kernels per request;
-// a store built from a different dataset is rejected at startup by its
-// fingerprint. With -sparse-store pointing at a pruned store (`ldstore
+// tiles of joint counts, read in place from the mapped file and converted
+// to whichever measure a request asks for, instead of running the kernels
+// per request; a store built from a different dataset is rejected at
+// startup by its fingerprint. With -sparse-store pointing at a pruned store (`ldstore
 // build` with -threshold or -band, LDSS), the POST /api/sparse/matvec and
 // /api/sparse/score operator endpoints come up too, under the same
-// fingerprint check. Each flag takes only its own kind of store; both
-// stores' tile caches are -store-cache tiles.
+// fingerprint check. Each flag takes only its own kind of store.
 //
 // Endpoints (GET unless noted, JSON):
 //
@@ -110,8 +109,8 @@ type app struct {
 // different dataset, is refused: a stale store silently serving wrong
 // statistics would be worse than no store, so startup fails rather than
 // quietly falling back.
-func openStore(what, path string, pruned bool, cache int, fp uint64) (*ldstore.Store, error) {
-	s, err := ldstore.Open(path, ldstore.Options{CacheTiles: cache})
+func openStore(what, path string, pruned bool, fp uint64) (*ldstore.Store, error) {
+	s, err := ldstore.Open(path, ldstore.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +149,6 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	accessLog := fs.Bool("access-log", true, "emit one structured (JSON) log line per request")
 	storePath := fs.String("store", "",
 		"complete store (ldstore build output) backing the LD endpoints (empty = compute on the fly)")
-	storeCache := fs.Int("store-cache", 0, "tile LRU capacity of each store in tiles (0 = default); a pruned store's serves pair lookups, and the operators only of a store too large to keep resident")
 	sparsePath := fs.String("sparse-store", "",
 		"pruned store (ldstore build -threshold/-band output) backing the /api/sparse operator endpoints")
 	shardRange := fs.String("shard-range", "",
@@ -229,7 +227,7 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	}
 	var st, sp *ldstore.Store
 	if *storePath != "" {
-		if st, err = openStore("store", *storePath, false, *storeCache, g.Fingerprint()); err != nil {
+		if st, err = openStore("store", *storePath, false, g.Fingerprint()); err != nil {
 			return nil, err
 		}
 		cfg.Store = st
@@ -237,7 +235,7 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 			*storePath, st.Info().Tiles, st.SNPs(), st.Samples())
 	}
 	if *sparsePath != "" {
-		if sp, err = openStore("sparse store", *sparsePath, true, *storeCache, g.Fingerprint()); err != nil {
+		if sp, err = openStore("sparse store", *sparsePath, true, g.Fingerprint()); err != nil {
 			if st != nil {
 				st.Close()
 			}

@@ -210,8 +210,8 @@ func TestSetupRejectsMismatchedStore(t *testing.T) {
 
 // TestSetupRejectsWrongKind: -store takes only a complete store and
 // -sparse-store only a pruned one; either given the other kind refuses to
-// start, naming it. Both stores size their caches by -store-cache: there is
-// no -sparse-cache.
+// start, naming it. Neither takes a cache size: a store reads its mapped
+// file in place, and -sparse-cache is an unknown flag.
 func TestSetupRejectsWrongKind(t *testing.T) {
 	path := writeServerDataset(t, false)
 	f, err := os.Open(path)
@@ -244,7 +244,7 @@ func TestSetupRejectsWrongKind(t *testing.T) {
 			t.Fatalf("%v: %v, want an error naming %q", c.args, err, c.want)
 		}
 	}
-	a, err := setup([]string{"-in", path, "-access-log=false", "-store", complete, "-sparse-store", pruned, "-store-cache", "8"}, &errBuf)
+	a, err := setup([]string{"-in", path, "-access-log=false", "-store", complete, "-sparse-store", pruned}, &errBuf)
 	if err != nil {
 		t.Fatal(err)
 	}

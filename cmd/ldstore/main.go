@@ -34,7 +34,9 @@
 // entirely — the file ldserver's -sparse-store flag consumes. -stat is
 // refused on a complete build. The out-of-core, checkpoint, and
 // split-chrom machinery apply to both kinds. A pruned store answers only
-// pair queries here. All query output is JSON on stdout.
+// pair queries here. A query maps the store and reads the tiles it touches
+// in place, checking each on first touch; there is no cache to size. All
+// query output is JSON on stdout.
 package main
 
 import (
@@ -411,7 +413,6 @@ func runQuery(args []string, stdout, stderr io.Writer) error {
 	start := fs.Int("start", -1, "region start (inclusive)")
 	end := fs.Int("end", -1, "region end (exclusive)")
 	top := fs.Int("top", 0, "return the K strongest off-diagonal pairs")
-	cache := fs.Int("cache", 0, "tile LRU capacity in tiles (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -419,7 +420,7 @@ func runQuery(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-store is required")
 	}
-	s, err := ldstore.Open(*path, ldstore.Options{CacheTiles: *cache})
+	s, err := ldstore.Open(*path, ldstore.Options{})
 	if err != nil {
 		return err
 	}

@@ -253,8 +253,8 @@ var errNilEpilogue = errors.New("blis: nil epilogue")
 // SYRK of a's own block (as SyrkEpilogue) when diag is non-nil, then the
 // GEMM of a against every panel panels yields, in order (as GemmEpilogue,
 // each run handed to that panel's epilogue). The config is normalized
-// once, the call takes one arena, one worker pool and one context watcher,
-// and a's packed panels are kept from B panel to B panel, so A is packed
+// once, the call takes one arena and one worker pool, which polls the
+// context between jobs, and a's packed panels are kept from B panel to B panel, so A is packed
 // once per (row block, slab group) — not once per panel. Each panel runs
 // on the workers its own size earns (a small one on the caller alone).
 //

@@ -19,8 +19,8 @@ import (
 //
 //   - A call is a stripe: one A block against a sequence of B panels
 //     (tilePanel), the diagonal SYRK block first when there is one. The
-//     arena, the worker pool and the context watcher are the call's, not
-//     a panel's, and each worker's packed A block outlives the panel that
+//     arena and the worker pool (which polls the context) are the call's,
+//     not a panel's, and each worker's packed A block outlives the panel that
 //     packed it, so A is packed once per (row block, slab group) however
 //     many panels stream past it. A one-panel call is Gemm/Syrk.
 //   - Workers are persistent for the whole call (workerPool) and pull
@@ -276,8 +276,8 @@ func onePanel(p tilePanel) iter.Seq2[tilePanel, error] {
 
 // tileCall is one driver call: the m rows over kw sample words that every
 // panel multiplies, and what the call holds from its first panel to its
-// last — the arena (with each worker's packed-A memo), the worker pool and
-// the context watcher's stop flag — plus the work it has counted.
+// last — the arena (with each worker's packed-A memo) and the worker pool,
+// which polls the context — plus the work it has counted.
 type tileCall struct {
 	cfg   Config
 	m, kw int
@@ -324,16 +324,16 @@ func ctxErr(ctx context.Context) error {
 // driveTiles runs one driver call: the m rows over kw sample words against
 // each panel of panels in turn, pulled one at a time — a panel is asked
 // for only once every cell of the one before it has been handed over. The
-// call normalizes nothing (its entry point did), takes one arena, one
-// worker pool and one context watcher for all its panels, and keeps each
+// call normalizes nothing (its entry point did), takes one arena and one
+// worker pool for all its panels, and keeps each
 // worker's packed A block from panel to panel, so a stripe's A is packed
 // once per (row block, slab group) however many B panels stream past it.
 // A panel that yields an error ends the call with it. The call counts once
 // in DriverStats.Calls when every panel is done.
 //
-// Cancellation is cooperative: a watcher goroutine trips the pool's stop
-// flag the moment cfg.Ctx is done, workers abandon their phase at the
-// next job boundary, and the driver observes the context after every
+// Cancellation is cooperative: workers poll cfg.Ctx.Done() without
+// blocking at every job boundary and abandon their phase once it is
+// closed, and the driver observes the context after every
 // phase wait and before every panel — so a cancelled call returns
 // ctx.Err() within one slab-group phase, with its arena still recycled
 // through the pool.
@@ -348,17 +348,7 @@ func driveTiles(cfg Config, m, kw int, panels iter.Seq2[tilePanel, error]) error
 	tc.ar.forget()
 	defer tc.pool.close()
 	if ctx != nil {
-		if done := ctx.Done(); done != nil {
-			unwatch := make(chan struct{})
-			defer close(unwatch)
-			go func() {
-				select {
-				case <-done:
-					tc.pool.stop.Store(true)
-				case <-unwatch:
-				}
-			}()
-		}
+		tc.pool.cancel = ctx.Done()
 	}
 	for p, err := range panels {
 		if err == nil {

@@ -27,16 +27,19 @@ type poolPhase struct {
 	cursor atomic.Int64
 	run    func(worker, job int)
 	done   sync.WaitGroup
-	stop   *atomic.Bool // the owning pool's cancel flag
+	cancel <-chan struct{} // the owning pool's: its call's context's Done
 }
 
-// runJobs pulls job indices until the phase is drained or the pool is
-// cancelled. Bailing between jobs leaves the remaining indices unclaimed —
-// correct only because a cancelled driver call discards its output.
+// runJobs pulls job indices until the phase is drained or the pool's
+// context is done, which it polls without blocking at every job boundary.
+// Bailing between jobs leaves the remaining indices unclaimed — correct
+// only because a cancelled driver call discards its output.
 func (ph *poolPhase) runJobs(worker int) {
 	for {
-		if ph.stop.Load() {
+		select {
+		case <-ph.cancel:
 			return
+		default:
 		}
 		idx := ph.cursor.Add(1) - 1
 		if idx >= ph.jobs {
@@ -52,10 +55,10 @@ func (ph *poolPhase) runJobs(worker int) {
 // value is an empty pool.
 type workerPool struct {
 	feeds []chan *poolPhase // one per extra worker started so far
-	// stop is the cooperative cancel flag: set (by the context watcher in
-	// driveTiles) it makes every worker abandon its phase at the next job
-	// boundary, so do() returns within one job of cancellation.
-	stop atomic.Bool
+	// cancel is the driver call's cfg.Ctx.Done() (nil: never): once it is
+	// closed every worker abandons its phase at the next job boundary, so
+	// do() returns within one job of cancellation.
+	cancel <-chan struct{}
 }
 
 // do runs njobs jobs on up to workers workers (worker 0 is the caller) and
@@ -66,7 +69,7 @@ func (p *workerPool) do(workers, njobs int, run func(worker, job int)) {
 	if njobs <= 0 {
 		return
 	}
-	ph := &poolPhase{jobs: int64(njobs), run: run, stop: &p.stop}
+	ph := &poolPhase{jobs: int64(njobs), run: run, cancel: p.cancel}
 	extra := min(workers, njobs) - 1
 	for w := len(p.feeds) + 1; w <= extra; w++ {
 		ch := make(chan *poolPhase, 1)

@@ -1,7 +1,7 @@
 // Package bufpool recycles the buffers whose life ends with one request:
-// a region's floats, the reply bytes they are spelled into, a tile's
-// payload between its read and its decode, a shard's reply between its
-// arrival and the merge. It is the serving tiers' counterpart of the pack
+// a region's floats, the reply bytes they are spelled into, a tile row's
+// widened counts between its read and its conversion, a shard's reply
+// between its arrival and the merge. It is the serving tiers' counterpart of the pack
 // arena under the driver (internal/blis): memory that is written, read
 // once, and handed back instead of left to the collector.
 //

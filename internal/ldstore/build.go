@@ -21,8 +21,8 @@ import (
 // BuildOptions configures a store build.
 type BuildOptions struct {
 	// TileSize is NT, the side of each square tile (default 256): larger
-	// tiles amortize index and seek overhead, smaller ones sharpen the
-	// LRU's working set. NT²×8 bytes must not exceed 64 MiB.
+	// tiles amortize index overhead, smaller ones read fewer cells past a
+	// small query's edges. NT²×8 bytes must not exceed 64 MiB.
 	TileSize int
 	// Stat, Threshold, Banded and Band are a pruned store's predicate: a
 	// cell is kept iff its Stat (default r²) has |v| ≥ Threshold and, when
@@ -350,6 +350,14 @@ func build(path string, src bitmat.Source, opt SourceBuildOptions, pruned bool) 
 		}
 	}
 	if b.file == nil {
+		// A fresh build writes a new inode: a Store still open on the old
+		// file keeps reading the old file's bytes, and no stale sidecar
+		// outlives it.
+		for _, p := range []string{path, SidecarPath(path), CheckpointPath(path), manifestTemp(CheckpointPath(path))} {
+			if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return BuildStats{}, err
+			}
+		}
 		if b.file, err = os.Create(path); err != nil {
 			return BuildStats{}, err
 		}

@@ -24,7 +24,7 @@
 //
 // Both kinds are one tile container: the upper tile triangle of H, each
 // tile a checksummed payload behind an offset index, bound to its dataset
-// by a fingerprint, read through one LRU (reader.go) and written by one
+// by a fingerprint, read in place (reader.go) and written by one
 // checkpointed build pipeline (build.go, checkpoint.go). File layout (all
 // integers little-endian):
 //
@@ -339,16 +339,6 @@ func tilesThrough(t, stripes int) int64 {
 // tileID maps tile coordinates (ti ≤ tj) to the tile's index position.
 func tileID(t, ti, tj int) int64 {
 	return tilesThrough(t, ti) + int64(tj-ti)
-}
-
-// tile is one decoded tile. A complete store's counts are its rows × cols
-// row-major. A pruned store's are its entries': row r's are
-// counts[rowPtr[r]:rowPtr[r+1]], at the tile-local columns of the same
-// positions of cols, strictly ascending. Tiles are immutable once decoded.
-type tile struct {
-	counts []uint32
-	rowPtr []uint32
-	cols   []uint16
 }
 
 // csrBytes is a pruned tile's payload length: row pointers, then a column

@@ -234,25 +234,30 @@ func TestStoreTopPrunes(t *testing.T) {
 	}
 }
 
+// TestStoreCacheCounters: a store checks each tile on its first touch and
+// reads it in place after, so a first sweep over every tile is all misses,
+// each a tile read, a repeat of it all hits, and nothing is ever evicted.
 func TestStoreCacheCounters(t *testing.T) {
 	g := testMatrix(t, 64, 32, 13)
-	s := buildStore(t, g, BuildOptions{TileSize: 16}, Options{CacheTiles: 2})
+	s := buildStore(t, g, BuildOptions{TileSize: 16}, Options{})
+	tiles := uint64(len(s.index)) // 4 tile bands → 10 tiles, each visited once by the square
 	before := ReadStats()
-	// 4 tile bands → 10 tiles; a full region sweep through a 2-tile cache
-	// must evict, and repeating a single hot query must hit.
 	if _, err := s.Region(0, 64); err != nil {
 		t.Fatalf("Region: %v", err)
 	}
 	mid := ReadStats()
-	if mid.TilesRead-before.TilesRead == 0 || mid.Evictions-before.Evictions == 0 {
-		t.Fatalf("cold sweep through tiny cache: %+v", mid)
+	if mid.CacheMisses-before.CacheMisses != tiles || mid.TilesRead-before.TilesRead != tiles || mid.CacheHits != before.CacheHits {
+		t.Fatalf("first sweep of %d tiles: %+v → %+v", tiles, before, mid)
 	}
-	if _, err := s.At(63, 63); err != nil { // resident: last tile touched
-		t.Fatalf("At: %v", err)
+	if _, err := s.Region(0, 64); err != nil {
+		t.Fatalf("Region: %v", err)
 	}
 	after := ReadStats()
-	if after.CacheHits-mid.CacheHits != 1 {
-		t.Fatalf("hot re-read missed the cache: %+v vs %+v", after, mid)
+	if after.CacheHits-mid.CacheHits != tiles || after.CacheMisses != mid.CacheMisses || after.TilesRead != mid.TilesRead || after.BytesRead != mid.BytesRead {
+		t.Fatalf("repeat sweep of %d tiles: %+v → %+v", tiles, mid, after)
+	}
+	if after.Evictions != before.Evictions {
+		t.Fatalf("evictions moved: %+v → %+v", before, after)
 	}
 	if after.BytesServed <= before.BytesServed {
 		t.Fatal("BytesServed did not advance")

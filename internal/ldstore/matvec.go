@@ -24,8 +24,8 @@ import (
 // along the row is the reference's sequence of float operations, and rows
 // split across workers reorder nothing. A store whose rows fit
 // residentBudget is laid out once, at open; above it the same assembler
-// lays out one output tile band at a time inside each call, through the
-// tile LRU that also serves Lookup. DESIGN.md ("Sparse operators").
+// lays out one output tile band at a time inside each call, straight from
+// the store's bytes. DESIGN.md ("Sparse operators").
 
 // residentBudget bounds the row-CSR a store keeps for its lifetime. It is
 // a constant: only SetResidentBudgetForTest writes it.
@@ -87,7 +87,7 @@ func (s *Store) reach() int {
 }
 
 // assemble lays out the rows of tile bands [tb0, tb1) from the non-empty
-// tiles that touch them, each through Store.fetch's CRC and decode checks,
+// tiles that touch them, each through Store.fetch's first-touch checks,
 // converting each stored count to the store's measure as it fills. Tiles
 // are visited in index order and each cell appended at its row's cursor,
 // which leaves every row ascending in j: mirrors from the tiles above
@@ -118,18 +118,19 @@ func (s *Store) assemble(tb0, tb1 int) (*rowCSR, error) {
 		}
 	}
 	// each walks the cells the pieces contribute to the bands' rows, their
-	// values converted when conv is set.
+	// values converted from the stored counts when conv is set.
 	m := s.Stat().Measure()
 	var v [1]float64
+	var cnt [1]uint32
 	each := func(conv bool, emit func(row, col int, v float64, mirror bool)) {
 		for _, p := range pieces {
 			direct, mirror := p.a >= row0, p.b < row1 // its rows, its columns are the bands'
-			for r := 0; r+1 < len(p.t.rowPtr); r++ {
+			for r := range p.t.rows() {
 				gi := p.a + r
-				for k := p.t.rowPtr[r]; k < p.t.rowPtr[r+1]; k++ {
-					gj := p.b + int(p.t.cols[k])
+				for k := p.t.ptr(r); k < p.t.ptr(r+1); k++ {
+					gj := p.b + p.t.col(k)
 					if conv {
-						s.conv.Row(m, v[:], p.t.counts[k:k+1], gi, gj)
+						s.conv.Row(m, v[:], p.t.row(cnt[:], k), gi, gj)
 					}
 					if direct {
 						emit(gi-row0, gj, v[0], false)
@@ -233,6 +234,20 @@ func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
 	}
 	t0 := time.Now()
 	out := bufpool.Floats.Get(r1 - r0) // every row is folded into it
+	if err := s.read(func() error { return s.matVec(x, out, r0, r1) }); err != nil {
+		bufpool.Floats.Put(out)
+		return nil, err
+	}
+	s.st.matVecs.Add(1)
+	s.st.matVecNanos.Add(uint64(time.Since(t0).Nanoseconds()))
+	s.st.bytesServed.Add(uint64(len(out)) * 8)
+	return out, nil
+}
+
+// matVec folds rows [r0, r1) of R·x into out: from the resident layout,
+// else laying each output tile band out in turn, the bands split across
+// goroutines that read the store's bytes under guards of their own.
+func (s *Store) matVec(x, out []float64, r0, r1 int) error {
 	if c := s.rows; c != nil {
 		if parts := min(runtime.GOMAXPROCS(0), int(c.ptr[r1]-c.ptr[r0])/foldGrain); parts <= 1 {
 			c.fold(x, out, r0, r1)
@@ -242,10 +257,12 @@ func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
 				return nil
 			})
 		}
-	} else {
-		nt := s.TileSize()
-		tb0, tb1 := r0/nt, (r1-1)/nt+1
-		err := split(tb0, tb1, min(runtime.GOMAXPROCS(0), tb1-tb0), func(a, b int) error {
+		return nil
+	}
+	nt := s.TileSize()
+	tb0, tb1 := r0/nt, (r1-1)/nt+1
+	return split(tb0, tb1, min(runtime.GOMAXPROCS(0), tb1-tb0), func(a, b int) error {
+		return guard(func() error {
 			for tb := a; tb < b; tb++ {
 				c, err := s.assemble(tb, tb+1)
 				if err != nil {
@@ -256,15 +273,7 @@ func (s *Store) MatVecRange(x []float64, r0, r1 int) ([]float64, error) {
 			}
 			return nil
 		})
-		if err != nil {
-			bufpool.Floats.Put(out)
-			return nil, err
-		}
-	}
-	s.st.matVecs.Add(1)
-	s.st.matVecNanos.Add(uint64(time.Since(t0).Nanoseconds()))
-	s.st.bytesServed.Add(uint64(len(out)) * 8)
-	return out, nil
+	})
 }
 
 // Score computes the per-SNP score-statistic aggregate s[i] = Σ_j

@@ -1,43 +1,34 @@
 package ldstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"sync/atomic"
 
-	"ldgemm/internal/bufpool"
 	"ldgemm/internal/core"
 )
 
 // The container's read side: the validated open, the store's geometry, and
-// the read-and-CRC tile fetch behind the LRU. Decode runs once per cache
-// miss and its result is what the LRU holds.
+// the tile reads. A store's bytes are its whole file, mapped or read into
+// one buffer; a tile is read in place, checked the first time a query
+// touches it (CRC, counts ≤ N, a pruned tile's CSR structure), and served
+// from the file's bytes from then on.
 
-// open validates the file behind s.r of the given size before any query
-// runs: dimensions and tile size must be plausible, the tile count must
-// match the geometry, the index must end exactly at end-of-file, and every
-// entry must lie inside the tile section and fit its tile's shape — so a
-// corrupt or hostile file fails here with an error, never with a panic or
-// an unbounded allocation. cacheTiles is the LRU capacity in tiles (0
-// selects the default of 64).
-func (s *Store) open(size int64, cacheTiles int) error {
-	if cacheTiles == 0 {
-		cacheTiles = 64
-	}
-	if cacheTiles < 1 {
-		return errorf("invalid cache capacity %d", cacheTiles)
-	}
+// open validates the store's bytes before any query runs: dimensions and
+// tile size must be plausible, the tile count must match the geometry, the
+// index must end exactly at end-of-file, and every entry must lie inside
+// the tile section and fit its tile's shape — so a corrupt or hostile file
+// fails here with an error, never with a panic or an unbounded allocation.
+func (s *Store) open(data []byte) error {
 	f := formatOf(s.pruned)
-	hs := int64(f.headerSize())
+	size, hs := int64(len(data)), int64(f.headerSize())
 	if size < hs {
 		return errorf("file of %d bytes is shorter than the %d-byte header", size, hs)
 	}
-	hb := make([]byte, hs)
-	if _, err := s.r.ReadAt(hb, 0); err != nil {
-		return errorf("reading header: %w", err)
-	}
-	h, err := decodeHeader(f, hb)
+	h, err := decodeHeader(f, bytes.Clone(data[:hs]))
 	if err != nil {
 		return err
 	}
@@ -61,10 +52,7 @@ func (s *Store) open(size int64, cacheTiles int) error {
 		return errorf("file of %d bytes is shorter than its %d-byte header and per-SNP table", size, ds)
 	}
 	if h.TableWidth > 0 {
-		h.Table = make([]byte, ds-hs)
-		if _, err := s.r.ReadAt(h.Table, hs); err != nil {
-			return errorf("reading per-SNP table: %w", err)
-		}
+		h.Table = bytes.Clone(data[hs:ds])
 	}
 	s.header = h
 	if err := s.checkHeader(); err != nil {
@@ -90,16 +78,13 @@ func (s *Store) open(size int64, cacheTiles int) error {
 	s.bands = t
 	s.index = make([]Entry, h.TileCount)
 	s.coords = make([][2]int32, 0, h.TileCount)
-	s.cache = newLRU(cacheTiles, s.st)
+	s.verified = make([]atomic.Uint64, (h.TileCount+63)/64)
 	for ti := 0; ti < t; ti++ {
 		for tj := ti; tj < t; tj++ {
 			s.coords = append(s.coords, [2]int32{int32(ti), int32(tj)})
 		}
 	}
-	ib := make([]byte, indexBytes)
-	if _, err := s.r.ReadAt(ib, int64(h.IndexOffset)); err != nil {
-		return errorf("reading index: %w", err)
-	}
+	ib := data[h.IndexOffset:]
 	for id := range s.index {
 		e := decodeEntry(ib[id*indexEntrySize:])
 		if e.Offset < uint64(ds) || e.Offset > h.IndexOffset ||
@@ -150,36 +135,31 @@ func (s *Store) checkSNP(name string, i int) error {
 	return nil
 }
 
-// fetch returns the decoded tile (ti, tj), ti ≤ tj: from the LRU on a hit,
-// otherwise read, CRC-checked, decoded, and cached.
+// fetch returns tile (ti, tj), ti ≤ tj, read in place. Its first touch
+// checks it (check) and sets its bit in verified; a tile that fails stays
+// unset, so every read of it fails alike. Concurrent first touches may
+// each check it: the bit is the same either way. A first touch counts as
+// a cache miss and a tile read, any later touch as a cache hit.
 func (s *Store) fetch(ti, tj int) (tile, error) {
 	id := tileID(s.bands, ti, tj)
-	if t, ok := s.cache.get(id); ok {
+	e := s.index[id]
+	geo, payload := tileAt(s.SNPs(), s.TileSize(), ti, tj), s.data[e.Offset:][:e.Length]
+	t := s.view(geo, e, payload)
+	word, bit := &s.verified[id/64], uint64(1)<<(id%64)
+	if word.Load()&bit != 0 {
+		s.st.cacheHits.Add(1)
 		return t, nil
 	}
-	e := s.index[id]
-	// The payload is dead once decode returns: the decoded tile copies
-	// what it keeps, and it is what the LRU holds.
-	payload := bufpool.Bytes.Get(int(e.Length))
-	defer bufpool.Bytes.Put(payload)
-	// A zero-length payload (an empty pruned tile) may sit exactly at the
-	// end of the tile section, where some ReaderAts report EOF even for
-	// an empty read.
-	if e.Length > 0 {
-		if _, err := s.r.ReadAt(payload, int64(e.Offset)); err != nil {
-			return tile{}, errorf("reading tile (%d,%d): %w", ti, tj, err)
-		}
-	}
+	s.st.cacheMisses.Add(1)
 	if crc := crc32.ChecksumIEEE(payload); crc != e.CRC {
 		return tile{}, errorf("tile (%d,%d) checksum %08x, want %08x", ti, tj, crc, e.CRC)
 	}
-	t, err := s.decode(tileAt(s.SNPs(), s.TileSize(), ti, tj), e, payload)
-	if err != nil {
+	if err := s.check(geo, t); err != nil {
 		return tile{}, errorf("tile (%d,%d): %w", ti, tj, err)
 	}
 	s.st.tilesRead.Add(1)
 	s.st.bytesRead.Add(uint64(len(payload)))
-	s.cache.put(id, t)
+	word.Or(bit)
 	return t, nil
 }
 
@@ -259,66 +239,106 @@ func (s *Store) checkEntry(t Tile, e *Entry) error {
 	return nil
 }
 
-// decode widens a payload, already CRC-verified and of the indexed length,
-// into the tile's counts, refusing any above N, and holds a pruned tile to
-// CSR — row pointers monotone from 0 to nnz, checked before any column is
-// read, then columns in range and strictly ascending per row, a diagonal
-// tile's upper-triangular — so consumers walk it unchecked.
-func (s *Store) decode(t Tile, e Entry, payload []byte) (tile, error) {
-	var tl tile
-	n := t.Rows * t.Cols
-	if s.pruned {
-		n = int(e.Aux)
-		tl.rowPtr = make([]uint32, t.Rows+1)
-		if n == 0 {
-			return tl, nil
-		}
-		for k := range tl.rowPtr {
-			tl.rowPtr[k] = binary.LittleEndian.Uint32(payload[k*4:])
-			if k > 0 && tl.rowPtr[k] < tl.rowPtr[k-1] {
-				return tl, fmt.Errorf("row %d pointers decrease", k-1)
+// tile is one tile's payload, in place in the store's bytes. A complete
+// tile's counts are its rows × cols counts row-major, little-endian of
+// width bytes each. A pruned tile's are its entries': row r's are counts
+// [ptr(r), ptr(r+1)), at the tile-local columns col(k) of the same
+// positions, strictly ascending, after the rows+1 row pointers and the
+// columns (see csrBytes).
+type tile struct {
+	width  uint32
+	counts []byte
+	rowPtr []byte
+	cols   []byte
+}
+
+// view cuts a payload of the indexed length into its parts.
+func (s *Store) view(t Tile, e Entry, payload []byte) tile {
+	v := tile{width: s.header.TableWidth, counts: payload}
+	if s.pruned && e.Aux > 0 {
+		v.rowPtr, v.cols = payload[:(t.Rows+1)*4], payload[(t.Rows+1)*4:][:2*e.Aux]
+		v.counts = payload[(t.Rows+1)*4+2*int(e.Aux):]
+	}
+	return v
+}
+
+// ptr returns a pruned tile's row pointer r, col its column k.
+func (t *tile) ptr(r int) int { return int(binary.LittleEndian.Uint32(t.rowPtr[4*r:])) }
+func (t *tile) col(k int) int { return int(binary.LittleEndian.Uint16(t.cols[2*k:])) }
+
+// rows returns a pruned tile's row count: 0 for an empty tile.
+func (t *tile) rows() int { return max(0, len(t.rowPtr)/4-1) }
+
+// row widens the len(dst) counts from the k-th into dst and returns it.
+func (t *tile) row(dst []uint32, k int) []uint32 {
+	widen(dst, t.counts[k*int(t.width):], t.width)
+	return dst
+}
+
+// check holds a payload, CRC-verified and of the indexed length, to what
+// the readers walk unchecked: no count above N, and a pruned tile in CSR —
+// row pointers monotone from 0 to nnz, checked before any column is read,
+// then columns in range and strictly ascending per row, a diagonal tile's
+// upper-triangular.
+func (s *Store) check(t Tile, v tile) error {
+	if n := v.rows(); s.pruned && n > 0 {
+		for r := 1; r <= n; r++ {
+			if v.ptr(r) < v.ptr(r-1) {
+				return fmt.Errorf("row %d pointers decrease", r-1)
 			}
 		}
-		if tl.rowPtr[0] != 0 || tl.rowPtr[t.Rows] != uint32(n) {
-			return tl, fmt.Errorf("row pointers span [%d,%d), want [0,%d)", tl.rowPtr[0], tl.rowPtr[t.Rows], n)
+		if nnz := len(v.cols) / 2; v.ptr(0) != 0 || v.ptr(n) != nnz {
+			return fmt.Errorf("row pointers span [%d,%d), want [0,%d)", v.ptr(0), v.ptr(n), nnz)
 		}
-		payload = payload[(t.Rows+1)*4:]
-		tl.cols = make([]uint16, n)
-		for r := 0; r < t.Rows; r++ {
-			for k := tl.rowPtr[r]; k < tl.rowPtr[r+1]; k++ {
-				tl.cols[k] = binary.LittleEndian.Uint16(payload[k*2:])
-				if col := int(tl.cols[k]); col >= t.Cols || (t.Diagonal() && col < r) {
-					return tl, fmt.Errorf("row %d holds column %d outside its range", r, col)
-				} else if k > tl.rowPtr[r] && tl.cols[k] <= tl.cols[k-1] {
-					return tl, fmt.Errorf("row %d columns not ascending", r)
+		for r := 0; r < n; r++ {
+			for k := v.ptr(r); k < v.ptr(r+1); k++ {
+				if col := v.col(k); col >= t.Cols || (t.Diagonal() && col < r) {
+					return fmt.Errorf("row %d holds column %d outside its range", r, col)
+				} else if k > v.ptr(r) && col <= v.col(k-1) {
+					return fmt.Errorf("row %d columns not ascending", r)
 				}
 			}
 		}
-		payload = payload[n*2:]
 	}
-	tl.counts = make([]uint32, n)
-	if top := widen(tl.counts, payload, s.header.TableWidth); uint64(top) > s.header.Samples {
-		return tl, fmt.Errorf("joint count %d of N = %d", top, s.header.Samples)
+	if top := maxCount(v.counts, v.width); uint64(top) > s.header.Samples {
+		return fmt.Errorf("joint count %d of N = %d", top, s.header.Samples)
 	}
-	return tl, nil
+	return nil
 }
 
-// widen decodes len(dst) little-endian counts of width bytes from src and
-// returns the largest.
-func widen(dst []uint32, src []byte, width uint32) uint32 {
-	var top uint32
+// widen decodes len(dst) little-endian counts of width bytes from src,
+// narrow ones four to a 64-bit load.
+func widen(dst []uint32, src []byte, width uint32) {
 	if width == 2 {
 		src = src[:2*len(dst)]
-		for k := range dst {
-			c := uint32(src[2*k]) | uint32(src[2*k+1])<<8
-			dst[k], top = c, max(top, c)
+		k := 0
+		for ; k+4 <= len(dst); k += 4 {
+			w, d := binary.LittleEndian.Uint64(src[2*k:]), dst[k:k+4:k+4]
+			d[0], d[1], d[2], d[3] = uint32(w&0xffff), uint32(w>>16&0xffff), uint32(w>>32&0xffff), uint32(w>>48)
 		}
-		return top
+		for ; k < len(dst); k++ {
+			dst[k] = uint32(binary.LittleEndian.Uint16(src[2*k:]))
+		}
+		return
 	}
 	src = src[:4*len(dst)]
 	for k := range dst {
-		c := binary.LittleEndian.Uint32(src[4*k:])
-		dst[k], top = c, max(top, c)
+		dst[k] = binary.LittleEndian.Uint32(src[4*k:])
+	}
+}
+
+// maxCount returns the largest of the little-endian counts of width bytes
+// that fill src.
+func maxCount(src []byte, width uint32) uint32 {
+	var top uint32
+	if width == 2 {
+		for k := 0; k+1 < len(src); k += 2 {
+			top = max(top, uint32(binary.LittleEndian.Uint16(src[k:])))
+		}
+		return top
+	}
+	for k := 0; k+3 < len(src); k += 4 {
+		top = max(top, binary.LittleEndian.Uint32(src[k:]))
 	}
 	return top
 }

@@ -3,30 +3,32 @@ package ldstore
 import "sync/atomic"
 
 // Package-wide serving instrumentation, mirroring the blis driver
-// counters: the HTTP surface needs to answer "is the tile cache doing its
-// job" and "how much store traffic are we serving" without per-call
-// plumbing, so every Store feeds the cumulative atomic counters of its
-// kind, which any observer (/debug/vars, a benchmark harness) snapshots
-// with ReadStats or ReadPrunedStats and differences over time.
+// counters: the HTTP surface needs to answer "how often does a query meet
+// a tile it has not checked yet" and "how much store traffic are we
+// serving" without per-call plumbing, so every Store feeds the cumulative
+// atomic counters of its kind, which any observer (/debug/vars, a
+// benchmark harness) snapshots with ReadStats or ReadPrunedStats and
+// differences over time.
 type counters struct {
-	tilesRead, bytesRead, cacheHits, cacheMisses, evictions   atomic.Uint64 // fed by the tile read path
+	tilesRead, bytesRead, cacheHits, cacheMisses, evictions   atomic.Uint64 // fed by Store.fetch
 	bytesServed, matVecs, matVecNanos, scores, entriesVisited atomic.Uint64 // see Stats
 }
 
 // stats holds one counters block per kind: complete stores', then pruned.
 var stats [2]counters
 
-// Stats is a snapshot of one kind's cumulative store counters. TilesRead
-// counts tiles decoded from disk (cache misses that completed a load),
-// BytesRead their on-disk payload bytes; CacheHits and CacheMisses count
-// tile-cache lookups, Evictions the tiles the LRU dropped to admit new
-// ones; BytesServed is the size of the values delivered to queries (8
-// bytes a value), the store's service throughput. Pruned stores only:
-// MatVecs counts R·v evaluations (Score calls included — a score is a
-// matvec of the squared z vector, and Scores counts those separately),
-// MatVecNanos their total wall time, and EntriesVisited the stored entries
-// folded into outputs — nnz per full matvec, with symmetric off-diagonal
-// entries counted once.
+// Stats is a snapshot of one kind's cumulative store counters. A store
+// reads its tiles in place and checks each on its first touch: CacheMisses
+// counts first touches, TilesRead those whose check passed and BytesRead
+// their payload bytes, and CacheHits the touches of a tile already
+// checked. Evictions stays 0: nothing is cached to evict (the field keeps
+// the /debug/vars key). BytesServed is the size of the values delivered
+// to queries (8 bytes a value), the store's service throughput. Pruned
+// stores only: MatVecs counts R·v evaluations (Score calls included — a
+// score is a matvec of the squared z vector, and Scores counts those
+// separately), MatVecNanos their total wall time, and EntriesVisited the
+// stored entries folded into outputs — nnz per full matvec, with
+// symmetric off-diagonal entries counted once.
 type Stats struct {
 	TilesRead, BytesRead                         uint64
 	CacheHits, CacheMisses, Evictions            uint64
@@ -34,8 +36,8 @@ type Stats struct {
 	MatVecs, MatVecNanos, Scores, EntriesVisited uint64
 }
 
-// HitRate returns the fraction of tile lookups served from the cache, or
-// 0 before the first lookup.
+// HitRate returns the fraction of tile touches that met a checked tile,
+// or 0 before the first touch.
 func (s Stats) HitRate() float64 {
 	if total := s.CacheHits + s.CacheMisses; total > 0 {
 		return float64(s.CacheHits) / float64(total)

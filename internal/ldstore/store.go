@@ -7,7 +7,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime/debug"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"ldgemm/internal/bufpool"
 	"ldgemm/internal/core"
@@ -15,18 +18,16 @@ import (
 
 // Options configures a Store reader.
 type Options struct {
-	// CacheTiles is the decoded-tile LRU capacity in tiles (default 64). A
-	// complete store caches a tile as its counts widened to uint32, so it
-	// holds at most CacheTiles × TileSize² × 4 bytes. A pruned store's LRU
-	// serves At and Lookup, and the operators only of a store too large to
-	// keep resident (Info.Resident).
+	// CacheTiles is ignored: a store reads its tiles in place, from its
+	// mapped file, and keeps no decoded copies. Its last caller is
+	// benchmark/serve.go.
 	CacheTiles int
 }
 
 // Store serves LD from a store of either kind (see the package doc); a
 // query its kind does not serve returns an error. All query methods are
-// safe for concurrent use: tile reads go through ReadAt and the LRU is
-// mutex-guarded.
+// safe for concurrent use: the store's bytes are read-only, and a tile's
+// first-touch check is recorded in an atomic bit.
 type Store struct {
 	// header is the validated file header, bands the number of tile bands
 	// per side, index the tile entries in on-disk order.
@@ -39,68 +40,139 @@ type Store struct {
 	// the band count of any file that fits its own index is far below 2³¹.
 	coords [][2]int32
 
-	r      io.ReaderAt
-	file   io.Closer // nil when opened over a caller's reader
-	cache  *lru
+	// data is the whole file, mapped (unmap releases it) or read into one
+	// buffer; Close sets it to nil under mu, which every query holds for
+	// reading. verified has bit id set once tile id passed check.
+	mu       sync.RWMutex
+	data     []byte
+	unmap    func([]byte) error
+	verified []atomic.Uint64
+
 	conv   *core.CountConverter
 	st     *counters
 	pruned bool
 	rows   *rowCSR // a pruned store's rows, laid out at open; nil above residentBudget
 }
 
-// Open opens the store at path, of either kind.
+// Open opens the store at path, of either kind. On unix the file is mapped
+// read-only, elsewhere read into memory; either way its descriptor is
+// closed before Open returns.
 func Open(path string, opt Options) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	var s *Store
 	fi, err := f.Stat()
 	if err == nil {
-		s, err = OpenReader(f, fi.Size(), opt)
+		var data []byte
+		var unmap func([]byte) error
+		if data, unmap, err = readFile(f, fi.Size()); err == nil {
+			if s, err = newStore(data, unmap); err != nil && unmap != nil {
+				unmap(data)
+			}
+		}
 	}
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("ldstore: %s: %w", path, err)
 	}
-	s.file = f
 	return s, nil
 }
 
 // OpenReader opens a store over an arbitrary random-access reader of the
-// given size; its magic says the kind. The header, the allele-count table
-// and the whole index are validated before any query runs (see open), a
-// pruned store's entry counts must sum to its total with none beyond its
-// band, and a pruned store inside the residency budget decodes every tile
-// into its row layout (matvec.go) — so a corrupt or hostile file fails
-// with an error, here or at a tile's first read, never with a panic or an
-// unbounded allocation.
+// given size, reading it whole into memory; its magic says the kind. The
+// header, the allele-count table and the whole index are validated before
+// any query runs (see open), a pruned store's entry counts must sum to its
+// total with none beyond its band, and a pruned store inside the residency
+// budget checks every tile into its row layout (matvec.go) — so a corrupt
+// or hostile file fails with an error, here or at a tile's first read,
+// never with a panic or an unbounded allocation.
 func OpenReader(r io.ReaderAt, size int64, opt Options) (*Store, error) {
-	var magic [4]byte
-	r.ReadAt(magic[:], 0) // a short file is open's to refuse
-	s := &Store{r: r, pruned: magic == ldssFormat.magic, st: &stats[0]}
-	if s.pruned {
-		s.st = &stats[1]
-	}
-	if err := s.open(size, opt.CacheTiles); err != nil {
+	data, err := readAll(r, size)
+	if err != nil {
 		return nil, err
 	}
-	s.conv = core.NewCountConverter(alleleCounts(&s.header), s.Samples())
-	if s.pruned {
-		var err error
-		if s.rows, err = s.load(); err != nil {
-			return nil, err
+	return newStore(data, nil)
+}
+
+// readAll reads the size bytes of r into one buffer.
+func readAll(r io.ReaderAt, size int64) ([]byte, error) {
+	if size < 0 || int64(int(size)) != size {
+		return nil, errorf("invalid store size %d", size)
+	}
+	data := make([]byte, size)
+	if n, err := r.ReadAt(data, 0); n < len(data) {
+		return nil, errorf("reading store: %w", err)
+	}
+	return data, nil
+}
+
+// newStore opens the store whose bytes are data.
+func newStore(data []byte, unmap func([]byte) error) (*Store, error) {
+	s := &Store{data: data, unmap: unmap, st: &stats[0]}
+	if s.pruned = len(data) >= 4 && [4]byte(data[:4]) == ldssFormat.magic; s.pruned {
+		s.st = &stats[1]
+	}
+	err := guard(func() error {
+		if err := s.open(data); err != nil {
+			return err
 		}
+		s.conv = core.NewCountConverter(alleleCounts(&s.header), s.Samples())
+		if !s.pruned {
+			return nil
+		}
+		var err error
+		s.rows, err = s.load()
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Close releases the store's file, if Open opened it.
+// Close releases the store's bytes, unmapping its file, once the queries
+// in flight are done; a query after Close returns an error.
 func (s *Store) Close() error {
-	if s.file == nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data := s.data
+	s.data = nil
+	if data == nil || s.unmap == nil {
 		return nil
 	}
-	return s.file.Close()
+	return s.unmap(data)
+}
+
+// read runs a query over the store's bytes: it holds them against Close,
+// refusing a closed store, and runs the query under guard.
+func (s *Store) read(query func() error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.data == nil {
+		return errorf("store is closed")
+	}
+	return guard(query)
+}
+
+// guard runs f with a fault in a memory read made a panic
+// (debug.SetPanicOnFault) and recovers that panic into an error: a mapped
+// store truncated under its reader faults on the pages it lost. Any other
+// panic goes on. A goroutine a query starts runs its share under a guard
+// of its own.
+func guard(f func() error) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(interface{ Addr() uintptr })
+			if !ok {
+				panic(r)
+			}
+			err = errorf("reading the store faulted at %#x: was its file truncated under it?", fault.Addr())
+		}
+	}()
+	return f()
 }
 
 // Pruned reports whether the store is pruned (LDSS), not complete (LDTS).
@@ -245,7 +317,7 @@ func (s *Store) Pair(i, j int) (d, r2, dprime float64, err error) {
 // out[k], and reports whether the store holds the pair: out is left alone
 // where a pruned store does not. A pruned tile with no entry is answered
 // from the index alone.
-func (s *Store) convert(out []float64, i, j int, ms ...core.Measure) (bool, error) {
+func (s *Store) convert(out []float64, i, j int, ms ...core.Measure) (held bool, err error) {
 	if err := s.checkSNP("i", i); err != nil {
 		return false, err
 	}
@@ -256,25 +328,31 @@ func (s *Store) convert(out []float64, i, j int, ms ...core.Measure) (bool, erro
 	nt := s.TileSize()
 	ti, tj := i/nt, j/nt
 	s.st.bytesServed.Add(8 * uint64(len(ms)))
-	if s.pruned && s.entry(ti, tj).Aux == 0 {
-		return false, nil
-	}
-	t, err := s.fetch(ti, tj)
-	if err != nil {
-		return false, err
-	}
-	r, c := i-ti*nt, j-tj*nt
-	k := r*s.tileDim(tj) + c
-	if s.pruned {
-		lo, hi := int(t.rowPtr[r]), int(t.rowPtr[r+1])
-		if k = lo + sort.Search(hi-lo, func(k int) bool { return int(t.cols[lo+k]) >= c }); k == hi || int(t.cols[k]) != c {
-			return false, nil
+	err = s.read(func() error {
+		if s.pruned && s.entry(ti, tj).Aux == 0 {
+			return nil
 		}
-	}
-	for x, m := range ms {
-		s.conv.Row(m, out[x:x+1], t.counts[k:k+1], i, j)
-	}
-	return true, nil
+		t, err := s.fetch(ti, tj)
+		if err != nil {
+			return err
+		}
+		r, c := i-ti*nt, j-tj*nt
+		k := r*s.tileDim(tj) + c
+		if s.pruned {
+			lo, hi := t.ptr(r), t.ptr(r+1)
+			if k = lo + sort.Search(hi-lo, func(k int) bool { return t.col(lo+k) >= c }); k == hi || t.col(k) != c {
+				return nil
+			}
+		}
+		var cnt [1]uint32
+		t.row(cnt[:], k)
+		for x, m := range ms {
+			s.conv.Row(m, out[x:x+1], cnt[:], i, j)
+		}
+		held = true
+		return nil
+	})
+	return held, err
 }
 
 // Region materializes the dense (end−start)² r² matrix for SNPs [start,
@@ -305,11 +383,25 @@ func (s *Store) Rect(m core.Measure, r0, r1, c0, c1 int) ([]float64, error) {
 	if r0 < 0 || r1 <= r0 || r1 > n || c0 < 0 || c1 <= c0 || c1 > n {
 		return nil, fmt.Errorf("ldstore: invalid rect rows [%d,%d) cols [%d,%d) of %d SNPs", r0, r1, c0, c1, n)
 	}
-	w := c1 - c0
-	out := bufpool.Floats.Get((r1 - r0) * w) // the tiles below cover every cell
+	out := bufpool.Floats.Get((r1 - r0) * (c1 - c0)) // the tiles below cover every cell
+	if err := s.read(func() error { return s.rect(out, m, r0, r1, c0, c1) }); err != nil {
+		bufpool.Floats.Put(out)
+		return nil, err
+	}
+	s.st.bytesServed.Add(uint64(len(out)) * 8)
+	return out, nil
+}
+
+// countRows recycles the row of counts a query widens a tile row into.
+var countRows bufpool.Pool[uint32]
+
+// rect fills out with Rect's cells.
+func (s *Store) rect(out []float64, m core.Measure, r0, r1, c0, c1 int) error {
+	w, nt := c1-c0, s.TileSize()
 	square := r0 == c0 && r1 == c1
-	nt := s.TileSize()
-	var scratch []float64
+	cnt, scratch := countRows.Get(nt), bufpool.Floats.Get(nt)
+	defer countRows.Put(cnt)
+	defer bufpool.Floats.Put(scratch)
 	for tr := r0 / nt; tr*nt < r1; tr++ {
 		for tc := c0 / nt; tc*nt < c1; tc++ {
 			if square && tr > tc {
@@ -318,20 +410,16 @@ func (s *Store) Rect(m core.Measure, r0, r1, c0, c1 int) ([]float64, error) {
 			ti, tj := min(tr, tc), max(tr, tc)
 			t, err := s.fetch(ti, tj)
 			if err != nil {
-				bufpool.Floats.Put(out)
-				return nil, err
+				return err
 			}
-			counts, cols := t.counts, s.tileDim(tj)
+			cols := s.tileDim(tj)
 			iLo, iHi := max(r0, tr*nt), min(r1, tr*nt+s.tileDim(tr))
 			jLo, jHi := max(c0, tc*nt), min(c1, tc*nt+s.tileDim(tc))
 			if tr > tc {
 				// Stored row j holds the pairs (j, i) of columns i.
-				if scratch == nil {
-					scratch = make([]float64, nt)
-				}
 				row := scratch[:iHi-iLo]
 				for j := jLo; j < jHi; j++ {
-					s.conv.Row(m, row, counts[(j-ti*nt)*cols+iLo-tj*nt:][:len(row)], j, iLo)
+					s.conv.Row(m, row, t.row(cnt[:len(row)], (j-ti*nt)*cols+iLo-tj*nt), j, iLo)
 					for x, v := range row {
 						out[(iLo+x-r0)*w+j-c0] = v
 					}
@@ -340,7 +428,7 @@ func (s *Store) Rect(m core.Measure, r0, r1, c0, c1 int) ([]float64, error) {
 			}
 			for i := iLo; i < iHi; i++ {
 				row := out[(i-r0)*w+jLo-c0:][:jHi-jLo]
-				s.conv.Row(m, row, counts[(i-ti*nt)*cols+jLo-tj*nt:][:len(row)], i, jLo)
+				s.conv.Row(m, row, t.row(cnt[:len(row)], (i-ti*nt)*cols+jLo-tj*nt), i, jLo)
 				if square && tr < tc {
 					for x, v := range row {
 						out[(jLo+x-c0)*w+i-r0] = v
@@ -349,8 +437,7 @@ func (s *Store) Rect(m core.Measure, r0, r1, c0, c1 int) ([]float64, error) {
 			}
 		}
 	}
-	s.st.bytesServed.Add(uint64(len(out)) * 8)
-	return out, nil
+	return nil
 }
 
 // TopPair is one entry of a Top result.
@@ -379,6 +466,17 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 	if n := s.SNPs(); r0 < 0 || r1 <= r0 || r1 > n {
 		return nil, fmt.Errorf("ldstore: invalid top row range [%d,%d) of %d SNPs", r0, r1, n)
 	}
+	var out []TopPair
+	err := s.read(func() error {
+		var err error
+		out, err = s.topRange(k, r0, r1)
+		return err
+	})
+	return out, err
+}
+
+// topRange is TopRange's scan.
+func (s *Store) topRange(k, r0, r1 int) ([]TopPair, error) {
 	order := make([]int, 0, len(s.index))
 	for id := range s.index {
 		// Only tiles whose row band intersects the window hold owned pairs.
@@ -390,7 +488,9 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 	maxOff := func(id int) float64 { return math.Float64frombits(s.index[id].Aux) }
 	sort.Slice(order, func(a, b int) bool { return maxOff(order[a]) > maxOff(order[b]) })
 	h := &topHeap{}
-	scratch := make([]float64, s.TileSize())
+	cnt, scratch := countRows.Get(s.TileSize()), bufpool.Floats.Get(s.TileSize())
+	defer countRows.Put(cnt)
+	defer bufpool.Floats.Put(scratch)
 	for _, id := range order {
 		// Strict inequality: a tile whose maximum ties the current k-th
 		// value can still hold a pair that wins on the (I, J) tie-break,
@@ -416,7 +516,7 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 				from = r + 1 // mirrored square: keep i < j once, skip the diagonal
 			}
 			row := scratch[:c.Cols-from]
-			s.conv.Row(core.MeasureR2, row, t.counts[r*c.Cols+from:(r+1)*c.Cols], i, c.Col0+from)
+			s.conv.Row(core.MeasureR2, row, t.row(cnt[:len(row)], r*c.Cols+from), i, c.Col0+from)
 			for col, v := range row {
 				p := TopPair{I: i, J: c.Col0 + from + col, Value: v}
 				if h.Len() < k {
@@ -427,7 +527,7 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 				}
 			}
 		}
-		s.st.bytesServed.Add(uint64(len(t.counts)) * 8)
+		s.st.bytesServed.Add(uint64(c.Rows*c.Cols) * 8)
 	}
 	out := make([]TopPair, h.Len())
 	copy(out, *h)

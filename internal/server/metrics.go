@@ -91,7 +91,8 @@ func (m *Metrics) ServeVars(w http.ResponseWriter, r *http.Request) {
 //	store_fallbacks requests that hit a store error and recomputed
 //	store           cumulative tile-store counters: tiles_read, bytes_read,
 //	                cache_hits, cache_misses, cache_hit_rate, evictions,
-//	                bytes_served
+//	                bytes_served (a miss is a tile's first touch, a hit
+//	                any later one; evictions stay 0: see ldstore.Stats)
 //	sparse_served   requests answered by the sparse operators
 //	sparse          cumulative sparse-store counters: tiles_read,
 //	                bytes_read, cache_hits, cache_misses, cache_hit_rate,

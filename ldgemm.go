@@ -231,7 +231,8 @@ type DriverStats = blis.DriverStats
 func KernelStats() DriverStats { return blis.ReadStats() }
 
 // StoreStats is a snapshot of the tile-store serving counters: tiles and
-// bytes read from disk, cache hits/misses/evictions, and bytes served.
+// bytes checked on first touch, touches of checked tiles (cache hits) and
+// first touches (misses), evictions (always 0), and bytes served.
 type StoreStats = ldstore.Stats
 
 // TileStoreStats reads the process-wide tile-store counters — the same
