@@ -27,11 +27,11 @@ examples:
 # amd64-only files; a non-amd64 target must still build from what is left
 # (offline, standard library only). vet compiles the tests too, so the
 # non-amd64 stubs and the host-keyed route tests of the three kernel
-# packages must build there as well. The store build's writeback hint and
-# the mapped source's readahead hint are Linux calls with no-op twins
-# elsewhere; the darwin line compiles those twins, and the windows lines the
-# no-mmap fallbacks: the tile store read into one buffer instead of
-# mapped, and vetted with its tests beside bitmat's. The 386 lines are the 32-bit gate: an int is 32 bits
+# packages must build there as well. The store build's writeback hint is a
+# Linux call with a no-op twin elsewhere; the darwin line compiles that
+# twin, and the windows lines the tile store's no-mmap fallback, read into
+# one buffer instead of mapped, vetted with its tests beside bitmat's
+# windowed .ldbm reads. The 386 lines are the 32-bit gate: an int is 32 bits
 # there, so a constant past 2³¹ compared against an int fails to compile,
 # and vet holds the tests to the same rule.
 .PHONY: build-arm64

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	ldstore build -in data.ldgm -out data.ldts [-tile 256]
-//	ldstore build -in data.ldbm -out data.ldts [-mmap] [-io-window 1024] [-checkpoint]
+//	ldstore build -in data.ldbm -out data.ldts [-io-window 1024] [-checkpoint]
 //	ldstore build -in data.ldbm -out data.ldts -resume
 //	ldstore build -in data.ldbm -out data.ldts -split-chrom data.bim [-split-workers 4]
 //	ldstore build -in data.ldbm -out data.ldss [-stat r2] -threshold 0.2 [-band 500]
@@ -15,8 +15,8 @@
 //	ldstore query -store data.ldts -start 100 -end 120
 //	ldstore query -store data.ldts -top 25
 //
-// A .ldbm input is the out-of-core path: the bit matrix stays on disk
-// (windowed reads, or -mmap) and the build streams double-buffered panel
+// A .ldbm input is the out-of-core path: the bit matrix stays on disk,
+// read one panel at a time, and the build streams double-buffered panel
 // pairs through the GEMM, so genome-scale inputs never need to fit in
 // memory. Every stripe is written back to disk as it streams and the
 // finished store is made durable once, at the end. -checkpoint also
@@ -90,7 +90,6 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 	tile := fs.Int("tile", 0, "tile side NT in SNPs (0 = default 256)")
 	stat := fs.String("stat", "r2", "statistic a pruned build selects on, r2, d, or dprime (a complete store serves all three)")
 	threads := fs.Int("threads", 0, "kernel threads (0 = GOMAXPROCS)")
-	mmap := fs.Bool("mmap", false, "memory-map a .ldbm input instead of windowed reads")
 	ioWindow := fs.Int("io-window", 0, "out-of-core column-panel width in SNPs (0 = default 1024)")
 	checkpoint := fs.Bool("checkpoint", false,
 		"keep a durable checkpoint (<out>.ckpt/.idx), committed at most once a second, so a killed build can -resume")
@@ -114,7 +113,7 @@ func runBuild(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	src, closeSrc, err := openSource(*in, *mmap)
+	src, closeSrc, err := openSource(*in)
 	if err != nil {
 		return err
 	}
@@ -467,12 +466,12 @@ func writeJSON(w io.Writer, v any) error {
 }
 
 // openSource opens a dataset as a bitmat.Source. A .ldbm container stays
-// on disk — mmap'd or windowed-read — so the build is out of core; every
+// on disk, read a panel at a time, so the build is out of core; every
 // other format loads into RAM exactly as before and is wrapped as a
 // MemSource (scanned zero-copy, one panel wide).
-func openSource(path string, mmap bool) (bitmat.Source, func(), error) {
+func openSource(path string) (bitmat.Source, func(), error) {
 	if filepath.Ext(path) == ".ldbm" {
-		f, err := bitmat.OpenFile(path, mmap)
+		f, err := bitmat.OpenFile(path, false)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -120,8 +120,8 @@ func TestBuildInfoQuery(t *testing.T) {
 	}
 }
 
-// TestBuildFromLDBM: builds from an on-disk .ldbm container — windowed,
-// mmap'd, and checkpointed — are byte-identical to the in-RAM build of
+// TestBuildFromLDBM: builds from an on-disk .ldbm container — windowed
+// and checkpointed — are byte-identical to the in-RAM build of
 // the same dataset.
 func TestBuildFromLDBM(t *testing.T) {
 	dir := t.TempDir()
@@ -153,7 +153,6 @@ func TestBuildFromLDBM(t *testing.T) {
 	}
 	for name, extra := range map[string][]string{
 		"windowed":   {"-io-window", "8"},
-		"mmap":       {"-mmap"},
 		"checkpoint": {"-checkpoint"},
 	} {
 		out := filepath.Join(dir, name+".ldts")

@@ -9,9 +9,9 @@ import (
 )
 
 // This file implements the .ldbm container: the bit-packed word-plane
-// matrix made durable in exactly its in-RAM layout, so the GEMM kernels
-// can pack panels straight out of an mmap'd file — or out of a small
-// read window — without the matrix ever being resident. It is the storage
+// matrix made durable in exactly its in-RAM layout, so each panel the
+// GEMM kernels pack is one read into a buffer the scan owns, without the
+// matrix ever being resident. It is the storage
 // half of the out-of-core build pipeline; the panel-pair scheduler that
 // walks it lives in internal/core.
 //
@@ -29,28 +29,24 @@ import (
 //	 40   24 reserved (zero)
 //	 64      data: SNPs × WordsFor(samples) uint64 words, SNP-major
 //
-// The fixed 64-byte header keeps the word plane 8-byte aligned (and, with
-// a page-aligned mmap, the data region constant-offset), so a Matrix view
-// of a mapped region needs no copying or realignment.
+// The fixed 64-byte header keeps the word plane 8-byte aligned, so on a
+// little-endian host a panel read lands directly in a Matrix's words.
 
 // Source provides read-only, SNP-major panel access to a bit matrix that
 // may or may not be memory-resident. It is the abstraction the streaming
 // LD drivers and the tile-store builder consume: an in-RAM Matrix (via
-// MemSource), an mmap'd .ldbm file, and a windowed-read .ldbm file all
-// satisfy it, so one build path serves every scale.
+// MemSource) and a windowed-read .ldbm file both satisfy it, so one build
+// path serves every scale.
 type Source interface {
 	// NumSNPs and NumSamples return the matrix dimensions.
 	NumSNPs() int
 	NumSamples() int
 	// Panel returns SNPs [lo, hi) as a Matrix sharing the source's sample
-	// geometry. In-memory and mmap'd sources return zero-copy views and
-	// ignore buf; a windowed source fills buf (allocating or growing it
-	// when nil or too small) and returns it. Concurrent Panel calls with
-	// distinct buffers are safe — the prefetcher relies on this.
+	// geometry. An in-memory source returns a zero-copy view and ignores
+	// buf; a windowed source fills buf (allocating or growing it when nil
+	// or too small) and returns it. Concurrent Panel calls with distinct
+	// buffers are safe — the prefetcher relies on this.
 	Panel(lo, hi int, buf *Matrix) (*Matrix, error)
-	// Prefetch hints that Panel(lo, hi) will be requested soon. An mmap'd
-	// source issues MADV_WILLNEED; others may ignore it.
-	Prefetch(lo, hi int)
 	// Fingerprint returns the dataset fingerprint (dims + packed words).
 	Fingerprint() uint64
 }
@@ -79,9 +75,6 @@ func (s *MemSource) Panel(lo, hi int, _ *Matrix) (*Matrix, error) {
 	}
 	return s.M.Slice(lo, hi), nil
 }
-
-// Prefetch is a no-op: the matrix is resident.
-func (s *MemSource) Prefetch(lo, hi int) {}
 
 // Fingerprint hashes the matrix once and caches the digest. Not safe for
 // the very first call to race with itself; the builders call it once up
@@ -227,12 +220,11 @@ func WriteFile(path string, m *Matrix) error {
 	return nil
 }
 
-// File is a read-only .ldbm container opened either mmap'd (panels are
-// zero-copy views into the mapping; the OS pages words in on demand and
-// Prefetch turns into MADV_WILLNEED readahead) or windowed (Panel reads
-// the requested SNP range into a caller buffer with ReadAt, so resident
-// memory is bounded by the window size regardless of file size). All
-// methods except Close are safe for concurrent use.
+// File is a read-only .ldbm container read in windows: Panel reads the
+// requested SNP range into a caller buffer with ReadAt, so resident
+// memory is bounded by the window size regardless of file size, and a
+// truncated or failing file is an error from the Panel call that meets
+// it. All methods except Close are safe for concurrent use.
 type File struct {
 	f       *os.File
 	path    string
@@ -240,14 +232,11 @@ type File struct {
 	samples int
 	words   int
 	fp      uint64
-	mapped  []byte   // non-nil in mmap mode
-	data    []uint64 // word view of the mapped data section
 }
 
-// OpenFile opens a .ldbm container. With mapped set it mmaps the file
-// (falling back with an error on platforms or byte orders where the
-// zero-copy view is unavailable); otherwise panels are served by windowed
-// reads.
+// OpenFile opens a .ldbm container. The mapped parameter is ignored: every
+// panel is a windowed read. It stays only because benchmark/batch.go
+// passes it; ROADMAP item 8 removes it.
 func OpenFile(path string, mapped bool) (*File, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -287,12 +276,6 @@ func OpenFile(path string, mapped bool) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("bitmat: %s: ldbm file is %d bytes, want %d for %d×%d", path, fi.Size(), want, snps, samples)
 	}
-	if mapped {
-		if err := lf.mmap(fi.Size()); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("bitmat: mmap %s: %w", path, err)
-		}
-	}
 	return lf, nil
 }
 
@@ -308,12 +291,6 @@ func (f *File) Words() int { return f.words }
 // Fingerprint returns the dataset fingerprint stamped at write time.
 func (f *File) Fingerprint() uint64 { return f.fp }
 
-// Mapped reports whether the file is served from an mmap.
-func (f *File) Mapped() bool { return f.mapped != nil }
-
-// Path returns the file's path.
-func (f *File) Path() string { return f.path }
-
 // MatrixBytes returns the size of the packed word plane — what a resident
 // load would allocate.
 func (f *File) MatrixBytes() int64 { return int64(f.snps) * int64(f.words) * 8 }
@@ -325,18 +302,11 @@ func (f *File) checkRange(lo, hi int) error {
 	return nil
 }
 
-// Panel returns SNPs [lo, hi). In mmap mode the result aliases the
-// mapping (zero copy, valid until Close); in windowed mode the range is
-// read into buf, which is allocated or grown as needed and returned.
+// Panel reads SNPs [lo, hi) into buf, which is allocated or grown as
+// needed and returned.
 func (f *File) Panel(lo, hi int, buf *Matrix) (*Matrix, error) {
 	if err := f.checkRange(lo, hi); err != nil {
 		return nil, err
-	}
-	if f.mapped != nil {
-		return &Matrix{
-			SNPs: hi - lo, Samples: f.samples, Words: f.words,
-			Data: f.data[lo*f.words : hi*f.words : hi*f.words],
-		}, nil
 	}
 	n := (hi - lo) * f.words
 	if buf == nil {
@@ -378,52 +348,17 @@ func hostLittleEndian() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
-// Prefetch hints the OS to read SNPs [lo, hi) ahead of use. Only the
-// mmap'd mode can express the hint (MADV_WILLNEED); windowed mode relies
-// on the scheduler's explicit double buffering instead.
-func (f *File) Prefetch(lo, hi int) {
-	if f.mapped == nil || f.checkRange(lo, hi) != nil || lo == hi {
-		return
-	}
-	start := int64(ldbmHeaderSize) + int64(lo)*int64(f.words)*8
-	end := int64(ldbmHeaderSize) + int64(hi)*int64(f.words)*8
-	// Round outward to page boundaries within the mapping.
-	const page = 4096
-	start -= start % page
-	if rem := end % page; rem != 0 {
-		end += page - rem
-	}
-	if end > int64(len(f.mapped)) {
-		end = int64(len(f.mapped))
-	}
-	madvise(f.mapped[start:end])
-}
-
-// Close unmaps (if mapped) and closes the file. Panels returned by an
-// mmap'd File must not be used after Close.
-func (f *File) Close() error {
-	var err error
-	if f.mapped != nil {
-		err = munmap(f.mapped)
-		f.mapped, f.data = nil, nil
-	}
-	if cerr := f.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// Close closes the file.
+func (f *File) Close() error { return f.f.Close() }
 
 // Load reads the whole container into a resident Matrix — the small-input
 // convenience path, and the oracle the out-of-core tests compare against.
-// The result owns its storage (an mmap'd view is copied) and its
-// fingerprint is verified against the header.
+// The result owns its storage and its fingerprint is verified against
+// the header.
 func (f *File) Load() (*Matrix, error) {
 	m, err := f.Panel(0, f.snps, &Matrix{})
 	if err != nil {
 		return nil, err
-	}
-	if f.mapped != nil {
-		m = m.Clone()
 	}
 	if got := m.Fingerprint(); got != f.fp {
 		return nil, fmt.Errorf("bitmat: %s: fingerprint %016x does not match header %016x", f.path, got, f.fp)

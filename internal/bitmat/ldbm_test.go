@@ -27,27 +27,25 @@ func TestLDBMRoundTrip(t *testing.T) {
 		if err := WriteFile(path, m); err != nil {
 			t.Fatalf("WriteFile(%v): %v", dims, err)
 		}
-		for _, mapped := range []bool{false, true} {
-			f, err := OpenFile(path, mapped)
-			if err != nil {
-				t.Fatalf("OpenFile(mapped=%v): %v", mapped, err)
-			}
-			if f.NumSNPs() != m.SNPs || f.NumSamples() != m.Samples {
-				t.Fatalf("dims %d×%d, want %d×%d", f.NumSNPs(), f.NumSamples(), m.SNPs, m.Samples)
-			}
-			if f.Fingerprint() != m.Fingerprint() {
-				t.Fatalf("fingerprint %016x, want %016x", f.Fingerprint(), m.Fingerprint())
-			}
-			got, err := f.Load()
-			if err != nil {
-				t.Fatalf("Load(mapped=%v): %v", mapped, err)
-			}
-			if !got.Equal(m) {
-				t.Fatalf("Load(mapped=%v) mismatch for dims %v", mapped, dims)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatalf("Close: %v", err)
-			}
+		f, err := OpenFile(path, false)
+		if err != nil {
+			t.Fatalf("OpenFile: %v", err)
+		}
+		if f.NumSNPs() != m.SNPs || f.NumSamples() != m.Samples {
+			t.Fatalf("dims %d×%d, want %d×%d", f.NumSNPs(), f.NumSamples(), m.SNPs, m.Samples)
+		}
+		if f.Fingerprint() != m.Fingerprint() {
+			t.Fatalf("fingerprint %016x, want %016x", f.Fingerprint(), m.Fingerprint())
+		}
+		got, err := f.Load()
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		if !got.Equal(m) {
+			t.Fatalf("Load mismatch for dims %v", dims)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
 		}
 	}
 }
@@ -58,30 +56,27 @@ func TestLDBMPanels(t *testing.T) {
 	if err := WriteFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	for _, mapped := range []bool{false, true} {
-		f, err := OpenFile(path, mapped)
+	f, err := OpenFile(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var buf Matrix
+	for lo := 0; lo < m.SNPs; lo += 17 {
+		hi := min(lo+17, m.SNPs)
+		p, err := f.Panel(lo, hi, &buf)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Panel(%d,%d): %v", lo, hi, err)
 		}
-		var buf Matrix
-		for lo := 0; lo < m.SNPs; lo += 17 {
-			hi := min(lo+17, m.SNPs)
-			f.Prefetch(lo, hi) // must be harmless in both modes
-			p, err := f.Panel(lo, hi, &buf)
-			if err != nil {
-				t.Fatalf("Panel(%d,%d,mapped=%v): %v", lo, hi, mapped, err)
-			}
-			if !p.Equal(m.Slice(lo, hi)) {
-				t.Fatalf("panel [%d,%d) mismatch (mapped=%v)", lo, hi, mapped)
-			}
+		if !p.Equal(m.Slice(lo, hi)) {
+			t.Fatalf("panel [%d,%d) mismatch", lo, hi)
 		}
-		if _, err := f.Panel(-1, 2, nil); err == nil {
-			t.Fatal("negative panel range must error")
-		}
-		if _, err := f.Panel(0, m.SNPs+1, nil); err == nil {
-			t.Fatal("overlong panel range must error")
-		}
-		f.Close()
+	}
+	if _, err := f.Panel(-1, 2, nil); err == nil {
+		t.Fatal("negative panel range must error")
+	}
+	if _, err := f.Panel(0, m.SNPs+1, nil); err == nil {
+		t.Fatal("overlong panel range must error")
 	}
 }
 

@@ -4,9 +4,9 @@ import "fmt"
 
 // SliceSource exposes SNPs [lo, hi) of an underlying Source as a Source
 // in its own right — the per-chromosome view a split build consumes
-// without ever materializing the chromosome. Panel and Prefetch simply
-// shift into the parent's coordinates, so an mmap'd or windowed file
-// backs each slice with no extra copies.
+// without ever materializing the chromosome. Panel simply shifts into the
+// parent's coordinates, so a resident matrix or a windowed file backs
+// each slice with no extra copies.
 //
 // The fingerprint is computed over the slice's own dimensions and words
 // (one streaming pass at construction), which makes it identical to
@@ -55,12 +55,4 @@ func (s *SliceSource) Panel(lo, hi int, buf *Matrix) (*Matrix, error) {
 		return nil, fmt.Errorf("bitmat: panel [%d,%d) of %d-SNP slice", lo, hi, s.hi-s.lo)
 	}
 	return s.src.Panel(s.lo+lo, s.lo+hi, buf)
-}
-
-// Prefetch forwards the hint in parent coordinates.
-func (s *SliceSource) Prefetch(lo, hi int) {
-	if lo < 0 || hi < lo || hi > s.hi-s.lo {
-		return
-	}
-	s.src.Prefetch(s.lo+lo, s.lo+hi)
 }

@@ -27,8 +27,8 @@ import (
 // selWorker is one driver worker's selection state, and its scratch.
 type selWorker struct {
 	// h holds the worker's best pairs so far, at most the selector's k, as
-	// a heap whose root ranks after every other (pairHeap's order).
-	h pairHeap
+	// a heap whose root ranks after every other (PairHeap's order).
+	h PairHeap
 	// floor is the root's r² once h is full, −Inf before: a cell below it
 	// ranks after every pair h keeps and is not offered. NaN compares
 	// false both ways and is offered.
@@ -87,15 +87,7 @@ func (s *selector) merge() (pairs []SignificantPair, tested, significant int64) 
 		significant += s.workers[w].significant
 	}
 	s.workers[0].h = all
-	slices.SortFunc(all, func(a, b SignificantPair) int {
-		switch {
-		case RanksBefore(a.R2, a.I, a.J, b.R2, b.I, b.J):
-			return -1
-		case RanksBefore(b.R2, b.I, b.J, a.R2, a.I, a.J):
-			return 1
-		}
-		return 0
-	})
+	all.Sort()
 	return append([]SignificantPair(nil), all[:min(len(all), s.k)]...), tested, significant
 }
 
@@ -187,12 +179,7 @@ func (e *selectEpilogue) row(w *selWorker, trow []uint32, gi, j0 int) {
 		if r2 < w.floor {
 			continue
 		}
-		p := SignificantPair{I: i, J: int(w.cols[x]), R2: r2}
-		if len(w.h) < k {
-			w.h.push(p)
-		} else if root := w.h[0]; RanksBefore(r2, p.I, p.J, root.R2, root.I, root.J) {
-			w.h.replaceRoot(p)
-		}
+		w.h.Offer(SignificantPair{I: i, J: int(w.cols[x]), R2: r2}, k)
 		if len(w.h) == k {
 			w.floor = w.h[0].R2
 		}
@@ -218,17 +205,42 @@ func selectScalar(cols []int32, vals, row []float64, floor, cut float64, col0 in
 	return cands, below
 }
 
-// pairHeap is a heap of SignificantPair in reverse canonical order: the
-// root is the pair every other one RanksBefore.
-type pairHeap []SignificantPair
+// PairHeap is a top-K heap of SignificantPair in reverse canonical order:
+// the root is the pair every other one RanksBefore. The selection scan's
+// workers and the tile store's top scan both rank with it.
+type PairHeap []SignificantPair
+
+// Offer keeps p if h holds fewer than k pairs, or else if p RanksBefore
+// the root, which p then replaces.
+func (h *PairHeap) Offer(p SignificantPair, k int) {
+	if len(*h) < k {
+		h.push(p)
+	} else if root := (*h)[0]; RanksBefore(p.R2, p.I, p.J, root.R2, root.I, root.J) {
+		h.replaceRoot(p)
+	}
+}
+
+// Sort orders h canonically, first-ranked first; h is then no longer a
+// heap.
+func (h PairHeap) Sort() {
+	slices.SortFunc(h, func(a, b SignificantPair) int {
+		switch {
+		case RanksBefore(a.R2, a.I, a.J, b.R2, b.I, b.J):
+			return -1
+		case RanksBefore(b.R2, b.I, b.J, a.R2, a.I, a.J):
+			return 1
+		}
+		return 0
+	})
+}
 
 // after reports whether h[a] ranks after h[b], the heap's order.
-func (h pairHeap) after(a, b int) bool {
+func (h PairHeap) after(a, b int) bool {
 	return RanksBefore(h[b].R2, h[b].I, h[b].J, h[a].R2, h[a].I, h[a].J)
 }
 
 // push adds p.
-func (h *pairHeap) push(p SignificantPair) {
+func (h *PairHeap) push(p SignificantPair) {
 	*h = append(*h, p)
 	s := *h
 	for c := len(s) - 1; c > 0; {
@@ -242,7 +254,7 @@ func (h *pairHeap) push(p SignificantPair) {
 }
 
 // replaceRoot puts p in the root's place.
-func (h pairHeap) replaceRoot(p SignificantPair) {
+func (h PairHeap) replaceRoot(p SignificantPair) {
 	h[0] = p
 	for c := 0; ; {
 		down := 2*c + 1

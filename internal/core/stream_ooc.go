@@ -15,11 +15,10 @@ import (
 
 // This file implements the panel-pair scheduler, the one striped scan
 // under Stream, StreamSource, the kept, the counts and the selection scans,
-// over any bitmat.Source (an mmap'd or windowed .ldbm file, or a resident
-// matrix behind MemSource).
+// over any bitmat.Source (a windowed .ldbm file, or a resident matrix
+// behind MemSource).
 // The stripe × column-panel triangle is walked with a dedicated prefetcher
-// goroutine reading — or, for mmap'd sources, MADV_WILLNEED-ing — the
-// schedule's panels in order and routing each to its stripe's worker, up to
+// goroutine reading the schedule's panels in order and routing each to its stripe's worker, up to
 // readAheadBytes ahead of every worker: disk I/O overlaps the GEMM + fused
 // epilogue, and a worker's next stripe is read while the stripes before it
 // still compute, so every stripe in flight is fed. A stripe is one driver
@@ -33,9 +32,9 @@ import (
 // Memory is bounded by one stripe per stripe in flight (StripeRows × n
 // float64 values, a kept stripe's survivors or a counts stripe's narrowed
 // counts; a selection scan holds only its workers' heaps), the panel
-// buffers (for W stripes in flight in windowed mode,
+// buffers (for W stripes in flight over a file,
 // W × (readAheadBytes + two panels) of packed words, four panels for one;
-// zero-copy views in mmap mode), and the O(n) frequency vector — never by
+// zero-copy views of a resident matrix), and the O(n) frequency vector — never by
 // the n² output or the full bit matrix.
 
 // oocReq is one panel fetch in the scheduler's walk order: the A stripe
@@ -445,10 +444,8 @@ func (r *stripeRun) prefetch() {
 		case <-r.stop:
 			return
 		}
-		// For mmap'd sources this starts kernel readahead; Panel is then a
-		// zero-copy view. For windowed sources Panel is the read itself,
-		// into the recycled pool buffer.
-		r.src.Prefetch(req.lo, req.hi)
+		// A windowed source reads the panel into the recycled pool
+		// buffer; a resident one returns a zero-copy view.
 		m, err := r.src.Panel(req.lo, req.hi, buf)
 		if !r.resident {
 			blis.NotePanelRead(int64(req.hi-req.lo) * int64(words) * 8)

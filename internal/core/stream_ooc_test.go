@@ -17,24 +17,20 @@ import (
 	"ldgemm/internal/blis"
 )
 
-// oocSources opens a matrix as both file-backed source modes, so every test
-// sweeps both against the resident matrix.
+// oocSources opens a matrix as a windowed .ldbm source, named, so every
+// test sweeps it against the resident matrix.
 func oocSources(t *testing.T, m *bitmat.Matrix) map[string]bitmat.Source {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "m.ldbm")
 	if err := bitmat.WriteFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	srcs := map[string]bitmat.Source{}
-	for name, mapped := range map[string]bool{"windowed": false, "mmap": true} {
-		f, err := bitmat.OpenFile(path, mapped)
-		if err != nil {
-			t.Fatalf("OpenFile(mapped=%v): %v", mapped, err)
-		}
-		t.Cleanup(func() { f.Close() })
-		srcs[name] = f
+	f, err := bitmat.OpenFile(path, false)
+	if err != nil {
+		t.Fatalf("OpenFile: %v", err)
 	}
-	return srcs
+	t.Cleanup(func() { f.Close() })
+	return map[string]bitmat.Source{"windowed": f}
 }
 
 // collect runs a stream function and gathers every visited row, copied.

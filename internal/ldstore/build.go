@@ -266,7 +266,7 @@ func BuildFile(path string, g *bitmat.Matrix, opt BuildOptions) (BuildStats, err
 }
 
 // BuildFileFromSource builds the store at path from any bitmat.Source — a
-// resident matrix, or an mmap'd / windowed .ldbm container that never fits
+// resident matrix, or a windowed .ldbm container that never fits
 // in memory — with byte-identical output either way: pruned when opt has a
 // threshold or a band, complete otherwise.
 //

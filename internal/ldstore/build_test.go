@@ -18,8 +18,8 @@ import (
 )
 
 // sourceRoutes are the ways a store gets built from something other than
-// a resident matrix: every access mode and panel width, with and without
-// checkpointing.
+// a resident matrix: a resident source and windowed files at several
+// panel widths, with and without checkpointing.
 func sourceRoutes(t *testing.T, g *bitmat.Matrix) map[string]struct {
 	src bitmat.Source
 	opt srcOpts
@@ -28,18 +28,18 @@ func sourceRoutes(t *testing.T, g *bitmat.Matrix) map[string]struct {
 		src bitmat.Source
 		opt srcOpts
 	}{
-		"mem":               {bitmat.NewMemSource(g), srcOpts{}},
-		"windowed":          {ldbmSource(t, g, false), srcOpts{ioPanel: 16}},
-		"windowed-wide":     {ldbmSource(t, g, false), srcOpts{ioPanel: 1000}},
-		"mmap":              {ldbmSource(t, g, true), srcOpts{ioPanel: 32}},
-		"windowed-ckpt":     {ldbmSource(t, g, false), srcOpts{ioPanel: 16, checkpoint: true}},
-		"mmap-resume-fresh": {ldbmSource(t, g, true), srcOpts{ioPanel: 16, resume: true}},
+		"mem":           {bitmat.NewMemSource(g), srcOpts{}},
+		"windowed":      {ldbmSource(t, g, false), srcOpts{ioPanel: 16}},
+		"windowed-wide": {ldbmSource(t, g, false), srcOpts{ioPanel: 1000}},
+		"windowed-32":   {ldbmSource(t, g, false), srcOpts{ioPanel: 32}},
+		"windowed-ckpt": {ldbmSource(t, g, false), srcOpts{ioPanel: 16, checkpoint: true}},
+		"resume-fresh":  {ldbmSource(t, g, false), srcOpts{ioPanel: 16, resume: true}},
 	}
 }
 
 // TestSourceBuildByteIdentical: an out-of-core build from a file-backed
-// source produces byte-for-byte the store the in-RAM builder writes, in
-// every access mode, panel width, and tier, with and without
+// source produces byte-for-byte the store the in-RAM builder writes, at
+// every panel width and in every tier, with and without
 // checkpointing — and leaves no checkpoint files behind.
 func TestSourceBuildByteIdentical(t *testing.T) {
 	g := testMatrix(t, 131, 97, 5)

@@ -1,13 +1,14 @@
 package ldstore
 
 import (
-	"container/heap"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -475,9 +476,17 @@ func (s *Store) TopRange(k, r0, r1 int) ([]TopPair, error) {
 	return out, err
 }
 
+// tileOrders and topHeaps recycle topRange's tile ids and its heap.
+var (
+	tileOrders bufpool.Pool[int]
+	topHeaps   bufpool.Pool[core.SignificantPair]
+)
+
 // topRange is TopRange's scan.
 func (s *Store) topRange(k, r0, r1 int) ([]TopPair, error) {
-	order := make([]int, 0, len(s.index))
+	order := tileOrders.Get(len(s.index))
+	defer tileOrders.Put(order)
+	order = order[:0]
 	for id := range s.index {
 		// Only tiles whose row band intersects the window hold owned pairs.
 		if t := s.tileOf(id); t.Row0 < r1 && t.Row0+t.Rows > r0 {
@@ -486,8 +495,10 @@ func (s *Store) topRange(k, r0, r1 int) ([]TopPair, error) {
 	}
 	// A complete tile's aux word is its maximum off-diagonal r².
 	maxOff := func(id int) float64 { return math.Float64frombits(s.index[id].Aux) }
-	sort.Slice(order, func(a, b int) bool { return maxOff(order[a]) > maxOff(order[b]) })
-	h := &topHeap{}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(maxOff(b), maxOff(a)) })
+	pairs := topHeaps.Get(k)
+	defer topHeaps.Put(pairs)
+	h := core.PairHeap(pairs[:0])
 	cnt, scratch := countRows.Get(s.TileSize()), bufpool.Floats.Get(s.TileSize())
 	defer countRows.Put(cnt)
 	defer bufpool.Floats.Put(scratch)
@@ -495,7 +506,7 @@ func (s *Store) topRange(k, r0, r1 int) ([]TopPair, error) {
 		// Strict inequality: a tile whose maximum ties the current k-th
 		// value can still hold a pair that wins on the (I, J) tie-break,
 		// so only strictly-weaker tiles are pruned.
-		if h.Len() == k && maxOff(id) < (*h)[0].Value {
+		if len(h) == k && maxOff(id) < h[0].R2 {
 			break
 		}
 		if math.IsInf(maxOff(id), -1) {
@@ -518,36 +529,18 @@ func (s *Store) topRange(k, r0, r1 int) ([]TopPair, error) {
 			row := scratch[:c.Cols-from]
 			s.conv.Row(core.MeasureR2, row, t.row(cnt[:len(row)], r*c.Cols+from), i, c.Col0+from)
 			for col, v := range row {
-				p := TopPair{I: i, J: c.Col0 + from + col, Value: v}
-				if h.Len() < k {
-					heap.Push(h, p)
-				} else if topLess((*h)[0], p) {
-					(*h)[0] = p
-					heap.Fix(h, 0)
+				if len(h) == k && v < h[0].R2 {
+					continue // ranks after every pair kept
 				}
+				h.Offer(core.SignificantPair{I: i, J: c.Col0 + from + col, R2: v}, k)
 			}
 		}
 		s.st.bytesServed.Add(uint64(c.Rows*c.Cols) * 8)
 	}
-	out := make([]TopPair, h.Len())
-	copy(out, *h)
-	sort.Slice(out, func(a, b int) bool { return topLess(out[b], out[a]) })
+	h.Sort()
+	out := make([]TopPair, len(h))
+	for x, p := range h {
+		out[x] = TopPair{I: p.I, J: p.J, Value: p.R2}
+	}
 	return out, nil
 }
-
-// topLess orders pairs weakest-first — the canonical ranking reversed —
-// so the heap evicts the last-ranked among equals and the final ranking
-// is deterministic.
-func topLess(a, b TopPair) bool {
-	return core.RanksBefore(b.Value, b.I, b.J, a.Value, a.I, a.J)
-}
-
-type topHeap []TopPair
-
-func (h topHeap) Len() int           { return len(h) }
-func (h topHeap) Less(i, j int) bool { return topLess(h[i], h[j]) }
-func (h topHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *topHeap) Push(x any)        { *h = append(*h, x.(TopPair)) }
-func (h *topHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-var _ heap.Interface = (*topHeap)(nil)

@@ -202,8 +202,8 @@ func testMatrix(tb testing.TB, snps, samples int, seed int64) *bitmat.Matrix {
 	return g
 }
 
-// ldbmSource writes m as a .ldbm container and opens it in the requested
-// mode, registering cleanup.
+// ldbmSource writes m as a .ldbm container and opens it, registering
+// cleanup. mapped is handed to bitmat.OpenFile, which ignores it.
 func ldbmSource(tb testing.TB, m *bitmat.Matrix, mapped bool) *bitmat.File {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "g.ldbm")
