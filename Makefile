@@ -97,11 +97,14 @@ verify-cluster:
 # error, never panic or over-allocate. The float wire: the node's encoder
 # against encoding/json on any float64 bits — in rows, in vectors, and in
 # square replies whose lower half may be copied from the upper — and the
-# coordinator's strip scan on any bytes — what it accepts, encoding/json
-# accepts with the same shape — and a sparse operator's request body,
+# coordinator's binary strip decoder on any bytes as a shard's raw reply —
+# what it accepts is exactly the asked head and 8 bytes for each of the
+# strip's floats, all finite, and merges alone to the node encoder's
+# spelling of them (FuzzSpliceScan) — and a sparse operator's request body,
 # scanned or handed to encoding/json, against encoding/json alone, and the
-# reader under that scan — one number walked and converted — against
-# scanNumber's end index and strconv.ParseFloat's bits on any bytes. Last, the
+# reader under that scan — one number walked and converted — against the
+# plain grammar's end index (scanNumber, in the tests) and
+# strconv.ParseFloat's bits on any bytes. Last, the
 # fused epilogue's AVX-512 row kernels against their Go loops, bit for bit, on
 # any counts, frequencies and row length (CI runs this too), and the kept
 # epilogue's fused r² keep kernel against converting with scalarR2Exact, then
@@ -220,10 +223,10 @@ bench-kernel:
 # through the node's mux, computed and from a tile store (B/op: what a
 # request allocates with its floats, reply and tile payloads recycled),
 # the float writer beside strconv.AppendFloat on r²-shaped and
-# matvec-shaped values (ns/float), a coordinator checking and splicing its
-# two strips. One pass of the small-k stream (8192 SNPs × 512 samples),
-# which prints what the fused epilogue costs per pair, and one of its
-# large-k twin (1024 SNPs × 65 536 samples), one pass of the
+# matvec-shaped values (ns/float), a coordinator checking and decoding the
+# two raw strips of an 80 × 80 region and spelling the answer once. One
+# pass of the small-k stream (8192 SNPs × 512 samples), which prints
+# what the fused epilogue costs per pair, and one of its large-k twin (1024 SNPs × 65 536 samples), one pass of the
 # Section VII gaps ablation (512 × 4096: plain Syrk, MaskedSyrk, and
 # MaskedSyrk as on a host without the vector tile), one pass of the dense
 # store build's out-of-core scan (4096 × 2048, stripes of 128 against

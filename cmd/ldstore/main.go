@@ -158,7 +158,7 @@ func newBuildFunc(opt ldstore.SourceBuildOptions) buildFunc {
 		res, err := ldstore.BuildFileFromSource(out, src, opt)
 		if err != nil {
 			var pe *ldstore.PartialError
-			if errors.As(err, &pe) && (opt.Checkpoint || opt.Resume) {
+			if errors.As(err, &pe) {
 				fmt.Fprintf(stderr, "ldstore: %d/%d stripes durable in %s; re-run with -resume to continue\n",
 					pe.FlushedStripes, pe.TotalStripes, out)
 			}

@@ -102,17 +102,24 @@ func (c *shardClient) health() (state breakerState, p95 time.Duration, known boo
 	return state, p95, known
 }
 
+// reply is a shard's 200: its body and the media type it declared.
+type reply struct {
+	body        []byte
+	contentType string
+}
+
 // call runs one logical request — pathQuery is e.g. "/api/ld?i=3&j=5",
-// reqBody a JSON POST body or nil — and returns the 200 body. Every
-// endpoint is a pure function of the dataset, the query and the body, so
-// POSTs ride the same retry, hedge, and failover machinery as GETs: a
-// duplicated or replayed request answers identically. The breaker is
-// consulted once per call and fed one outcome per attempt, so a string of
-// failed retries trips it as fast as a string of failed calls.
-func (c *shardClient) call(ctx context.Context, method, pathQuery string, reqBody []byte) ([]byte, error) {
+// reqBody a JSON POST body or nil, accept the Accept header or "" — and
+// returns the 200 reply. Every endpoint is a pure function of the dataset,
+// the query and the body, so POSTs ride the same retry, hedge, and
+// failover machinery as GETs: a duplicated or replayed request answers
+// identically. The breaker is consulted once per call and fed one outcome
+// per attempt, so a string of failed retries trips it as fast as a string
+// of failed calls.
+func (c *shardClient) call(ctx context.Context, method, pathQuery string, reqBody []byte, accept string) (reply, error) {
 	if !c.breaker.allow() {
 		c.m.fastFails.Add(1)
-		return nil, fmt.Errorf("%w: %s", errShardDown, c.base)
+		return reply{}, fmt.Errorf("%w: %s", errShardDown, c.base)
 	}
 	backoff := c.cfg.RetryBackoff
 	var lastErr error
@@ -121,24 +128,24 @@ func (c *shardClient) call(ctx context.Context, method, pathQuery string, reqBod
 			c.m.retries.Add(1)
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return reply{}, ctx.Err()
 			case <-time.After(backoff):
 			}
 			if backoff *= 2; backoff > maxBackoff {
 				backoff = maxBackoff
 			}
 		}
-		body, err := c.hedgedDo(ctx, method, pathQuery, reqBody)
+		rep, err := c.hedgedDo(ctx, method, pathQuery, reqBody, accept)
 		if err == nil {
 			c.breaker.record(true)
-			return body, nil
+			return rep, nil
 		}
 		var he *HTTPError
 		if errors.As(err, &he) && he.Status < 500 {
 			// The shard answered deliberately: healthy for the breaker,
 			// pointless to retry.
 			c.breaker.record(true)
-			return nil, err
+			return reply{}, err
 		}
 		if ctx.Err() != nil {
 			// The caller went away, so the failure says nothing about the
@@ -146,13 +153,13 @@ func (c *shardClient) call(ctx context.Context, method, pathQuery string, reqBod
 			// the cancellation into the breaker, or a burst of abandoned
 			// requests would trip the circuit against a healthy shard.
 			c.breaker.neutral()
-			return nil, err
+			return reply{}, err
 		}
 		c.breaker.record(false)
 		c.m.failures.Add(1)
 		lastErr = err
 		if attempt == c.cfg.Retries {
-			return nil, lastErr
+			return reply{}, lastErr
 		}
 	}
 }
@@ -165,15 +172,15 @@ const maxBackoff = time.Second
 // the shard's own recent latency percentile, so hedges fire only for
 // outlier-slow requests, spending at most a few percent extra load to cut
 // the tail.
-func (c *shardClient) hedgedDo(ctx context.Context, method, pathQuery string, reqBody []byte) ([]byte, error) {
+func (c *shardClient) hedgedDo(ctx context.Context, method, pathQuery string, reqBody []byte, accept string) (reply, error) {
 	delay, hedge := c.hedgeDelay()
 	if !hedge {
-		return c.do(ctx, method, pathQuery, reqBody)
+		return c.do(ctx, method, pathQuery, reqBody, accept)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // releases the straggler once a winner returns
 	type result struct {
-		body   []byte
+		reply
 		err    error
 		hedged bool
 	}
@@ -182,8 +189,8 @@ func (c *shardClient) hedgedDo(ctx context.Context, method, pathQuery string, re
 		go func() {
 			// reqBody is a shared read-only slice; each attempt wraps it in
 			// its own reader, so the hedge re-sends the identical bytes.
-			body, err := c.do(ctx, method, pathQuery, reqBody)
-			ch <- result{body: body, err: err, hedged: hedged}
+			rep, err := c.do(ctx, method, pathQuery, reqBody, accept)
+			ch <- result{reply: rep, err: err, hedged: hedged}
 		}()
 	}
 	launch(false)
@@ -204,7 +211,7 @@ func (c *shardClient) hedgedDo(ctx context.Context, method, pathQuery string, re
 				if r.hedged {
 					c.m.hedgeWins.Add(1)
 				}
-				return r.body, nil
+				return r.reply, nil
 			}
 			var he *HTTPError
 			if errors.As(r.err, &he) && he.Status < 500 {
@@ -212,13 +219,13 @@ func (c *shardClient) hedgedDo(ctx context.Context, method, pathQuery string, re
 				// deterministic for the same query, so the straggler cannot
 				// answer differently. Return now and let the deferred cancel
 				// release it instead of burning a full extra round trip.
-				return nil, r.err
+				return reply{}, r.err
 			}
 			if firstErr == nil {
 				firstErr = r.err
 			}
 			if inFlight--; inFlight == 0 {
-				return nil, firstErr
+				return reply{}, firstErr
 			}
 			// One request failed while the other is still running: let the
 			// survivor decide the attempt.
@@ -243,7 +250,7 @@ func (c *shardClient) hedgeDelay() (time.Duration, bool) {
 }
 
 // do performs one HTTP round trip under the per-attempt timeout.
-func (c *shardClient) do(ctx context.Context, method, pathQuery string, reqBody []byte) ([]byte, error) {
+func (c *shardClient) do(ctx context.Context, method, pathQuery string, reqBody []byte, accept string) (reply, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
 	var rd io.Reader
@@ -252,31 +259,34 @@ func (c *shardClient) do(ctx context.Context, method, pathQuery string, reqBody 
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+pathQuery, rd)
 	if err != nil {
-		return nil, err
+		return reply{}, err
 	}
 	if reqBody != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	c.m.requests.Add(1)
 	start := time.Now()
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return reply{}, err
 	}
 	defer resp.Body.Close()
 	body, err := readBody(resp)
 	if err != nil {
-		return nil, err
+		return reply{}, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		// Not a successful round trip: a shard failing fast with 5xx must
 		// not drag the hedge trigger down, or hedges fire hardest exactly
 		// when a shard is partially broken (and a 4xx says nothing about
 		// how long real answers take either).
-		return nil, &HTTPError{Status: resp.StatusCode, Body: body}
+		return reply{}, &HTTPError{Status: resp.StatusCode, Body: body}
 	}
 	c.lat.add(time.Since(start))
-	return body, nil
+	return reply{body: body, contentType: resp.Header.Get("Content-Type")}, nil
 }
 
 // maxPresizedBody caps the buffer readBody allocates on a shard's word:
@@ -286,8 +296,8 @@ const maxPresizedBody = 16 << 20
 // readBody reads a reply into one buffer of its declared length — nodes
 // declare it (server.Response.Write) — instead of io.ReadAll's doubling;
 // an undeclared or implausible length falls back to io.ReadAll. The buffer
-// is taken from bufpool.Bytes: scatter hands a strip's body back once the
-// merge has copied it, and any body handed on whole instead — relayed,
+// is taken from bufpool.Bytes: scatter hands a strip's body back once it
+// has decoded it, and any body handed on whole instead — relayed,
 // forwarded, a terminal 4xx, a hedge's discarded twin — is never released.
 func readBody(resp *http.Response) ([]byte, error) {
 	if resp.ContentLength < 0 || resp.ContentLength > maxPresizedBody {

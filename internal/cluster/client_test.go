@@ -59,7 +59,7 @@ func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 
 	// Two genuine failures: one short of the threshold.
 	for i := 0; i < 2; i++ {
-		if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err == nil {
+		if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err == nil {
 			t.Fatal("failing shard answered")
 		}
 	}
@@ -71,7 +71,7 @@ func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 10; i++ {
-		if _, err := c.call(cancelled, http.MethodGet, "/", nil); err == nil {
+		if _, err := c.call(cancelled, http.MethodGet, "/", nil, ""); err == nil {
 			t.Fatal("cancelled call answered")
 		}
 	}
@@ -84,7 +84,7 @@ func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 
 	// The cancellations also must not have reset the streak: one more
 	// genuine failure reaches the threshold.
-	if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err == nil {
+	if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err == nil {
 		t.Fatal("failing shard answered")
 	}
 	if state, trips := c.breaker.snapshot(); state != breakerOpen || trips != 1 {
@@ -112,7 +112,7 @@ func TestBreakerHalfOpenSurvivesCancelledProbe(t *testing.T) {
 		Retries: -1, HedgeAfter: -1, BreakerFailures: 1, BreakerCooldown: 20 * time.Millisecond,
 	}.normalize(), m)
 
-	if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err == nil {
+	if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err == nil {
 		t.Fatal("failing shard answered")
 	}
 	if state, _ := c.breaker.snapshot(); state != breakerOpen {
@@ -123,13 +123,13 @@ func TestBreakerHalfOpenSurvivesCancelledProbe(t *testing.T) {
 	// The half-open probe is cancelled by its caller.
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.call(cancelled, http.MethodGet, "/", nil); err == nil {
+	if _, err := c.call(cancelled, http.MethodGet, "/", nil, ""); err == nil {
 		t.Fatal("cancelled probe answered")
 	}
 	// The shard recovers; the next call must be admitted as a fresh probe
 	// rather than failing fast against a wedged half-open circuit.
 	failing.Store(false)
-	if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err != nil {
+	if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err != nil {
 		t.Fatalf("probe after cancelled probe failed: %v", err)
 	}
 	if state, _ := c.breaker.snapshot(); state != breakerClosed {
@@ -157,7 +157,7 @@ func TestLatencyRingRecordsOnlySuccesses(t *testing.T) {
 	}.normalize(), m)
 
 	for i := 0; i < 2*hedgeMinSamples; i++ {
-		c.call(context.Background(), http.MethodGet, "/", nil)
+		c.call(context.Background(), http.MethodGet, "/", nil, "")
 	}
 	c.lat.mu.Lock()
 	n := c.lat.n
@@ -168,7 +168,7 @@ func TestLatencyRingRecordsOnlySuccesses(t *testing.T) {
 
 	fail.Store(false)
 	for i := 0; i < 3; i++ {
-		if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err != nil {
+		if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestHedgeTerminalReturnsImmediately(t *testing.T) {
 	}.normalize(), m)
 
 	start := time.Now()
-	_, err := c.call(context.Background(), http.MethodGet, "/", nil)
+	_, err := c.call(context.Background(), http.MethodGet, "/", nil, "")
 	elapsed := time.Since(start)
 	var he *HTTPError
 	if !errors.As(err, &he) || he.Status != http.StatusNotFound {

@@ -291,8 +291,9 @@ func (co *Coordinator) handleInfo(w http.ResponseWriter, r *http.Request) {
 // execute is the coordinator's Executor. The canonical spelling of the
 // query over its whole window is the coalesce and result-cache key, so
 // every spelling of one request — measure= omitted or r2, rows= omitted
-// or the full window — is one entry and one fan-out.
-func (co *Coordinator) execute(ctx context.Context, d *server.Definition, q server.Query) *server.Response {
+// or the full window — is one entry and one fan-out. Its clients get JSON,
+// whatever they accept: the raw spelling is the shard hop's alone.
+func (co *Coordinator) execute(ctx context.Context, d *server.Definition, q server.Query, _ bool) *server.Response {
 	rows, _ := q.Rows()
 	if d.AnyShard {
 		return co.forward(ctx, q.Path(rows))
@@ -342,12 +343,20 @@ func (co *Coordinator) serve(ctx context.Context, key string, fetch func(ctx con
 // scatter sends every strip q's window overlaps the canonical spelling
 // narrowed to that strip's rows, concurrently, and merges the answers by
 // the definition's rule. Within each group the call routes to the
-// healthiest replica and fails over through the rest.
+// healthiest replica and fails over through the rest. A float strip is
+// asked for raw, and read straight into its rows of the answer's buffer.
 func (co *Coordinator) scatter(ctx context.Context, d *server.Definition, q server.Query, rows server.Window) *server.Response {
 	owners := co.part.overlapping(rows.Lo, rows.Hi)
 	body := q.Body()
+	var accept string
+	var width int
+	var vals []float64 // the float answer, rows × width, pooled
+	if d.Merge == server.MergeStack || d.Merge == server.MergeConcat {
+		accept, width = server.OctetStream, floatWidth(q)
+		vals = bufpool.Floats.Get((rows.Hi - rows.Lo) * width)
+		defer bufpool.Floats.Put(vals)
+	}
 	strips := make([]server.Window, len(owners))
-	bodies := make([][]byte, len(owners))
 	parts := make([]any, len(owners))
 	errs := make([]error, len(owners))
 	var wg sync.WaitGroup
@@ -356,22 +365,24 @@ func (co *Coordinator) scatter(ctx context.Context, d *server.Definition, q serv
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if bodies[k], errs[k] = co.groups[shard].call(ctx, d.Method, q.Path(strips[k]), body); errs[k] == nil {
-				parts[k], errs[k] = decodeStrip(d.Merge, q, strips[k], bodies[k])
+			rep, err := co.groups[shard].call(ctx, d.Method, q.Path(strips[k]), body, accept)
+			if errs[k] = err; err != nil {
+				return
+			}
+			var dst []float64
+			if vals != nil {
+				dst = stripFloats(vals, rows, strips[k], width)
+			}
+			parts[k], errs[k] = decodeStrip(d.Merge, q, strips[k], rep.contentType, rep.body, dst)
+			if d.Merge != server.MergeNone {
+				// What the merge keeps of the body is decoded out of it.
+				// MergeNone's one body is the answer itself, relayed whole,
+				// and stays out of the pool.
+				bufpool.Bytes.Put(rep.body)
 			}
 		}()
 	}
 	wg.Wait()
-	if d.Merge != server.MergeNone {
-		// Whatever is answered below copies what it keeps of the strip
-		// bodies, so they go back once it is built. MergeNone's one body is
-		// the answer itself, relayed whole, and stays out of the pool.
-		defer func() {
-			for _, b := range bodies {
-				bufpool.Bytes.Put(b)
-			}
-		}()
-	}
 
 	// A terminal 4xx anywhere is relayed verbatim: the request itself is
 	// wrong, and every shard would say so. A strip whose whole replica
@@ -401,7 +412,7 @@ func (co *Coordinator) scatter(ctx context.Context, d *server.Definition, q serv
 	if d.Merge == server.MergeNone {
 		return &server.Response{Status: http.StatusOK, Body: parts[0].([]byte)}
 	}
-	resp := mergeStrips(d.Merge, q, rows, strips, parts, len(failed) > 0)
+	resp := mergeStrips(d.Merge, q, rows, strips, parts, vals)
 	resp.Failed = strings.Join(failed, ",")
 	return resp
 }
@@ -414,10 +425,10 @@ func (co *Coordinator) forward(ctx context.Context, pathQuery string) *server.Re
 	var lastErr error
 	for k := range co.groups {
 		g := co.groups[(first+k)%len(co.groups)]
-		body, err := g.call(ctx, http.MethodGet, pathQuery, nil)
+		rep, err := g.call(ctx, http.MethodGet, pathQuery, nil, "")
 		if err == nil {
 			co.m.proxied.Add(1)
-			return &server.Response{Status: http.StatusOK, Body: body}
+			return &server.Response{Status: http.StatusOK, Body: rep.body}
 		}
 		if resp := terminal(err); resp != nil {
 			return resp

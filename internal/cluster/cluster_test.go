@@ -431,12 +431,12 @@ func TestRetry(t *testing.T) {
 	defer ts.Close()
 	m := &shardMetrics{}
 	c := newShardClient(ts.URL, ts.Client(), Config{Retries: 2, RetryBackoff: time.Millisecond, HedgeAfter: -1}.normalize(), m)
-	body, err := c.call(context.Background(), http.MethodGet, "/", nil)
+	rep, err := c.call(context.Background(), http.MethodGet, "/", nil, "")
 	if err != nil {
 		t.Fatalf("get after retries: %v", err)
 	}
-	if string(body) != `{"ok":true}` {
-		t.Fatalf("body %q", body)
+	if string(rep.body) != `{"ok":true}` {
+		t.Fatalf("body %q", rep.body)
 	}
 	if got := m.retries.Value(); got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
@@ -464,7 +464,7 @@ func TestHedge(t *testing.T) {
 	defer close(release)
 	m := &shardMetrics{}
 	c := newShardClient(ts.URL, ts.Client(), Config{HedgeAfter: 5 * time.Millisecond, Retries: -1}.normalize(), m)
-	if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err != nil {
+	if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err != nil {
 		t.Fatalf("hedged get: %v", err)
 	}
 	if m.hedges.Value() < 1 || m.hedgeWins.Value() < 1 {
@@ -492,7 +492,7 @@ func TestBreakerTripRecover(t *testing.T) {
 	}.normalize(), m)
 
 	for i := 0; i < 2; i++ {
-		if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err == nil {
+		if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err == nil {
 			t.Fatal("failing shard answered")
 		}
 	}
@@ -501,7 +501,7 @@ func TestBreakerTripRecover(t *testing.T) {
 	}
 	// Open circuit: fail fast, no network.
 	before := m.requests.Value()
-	if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err == nil {
+	if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err == nil {
 		t.Fatal("open breaker admitted a call")
 	}
 	if m.requests.Value() != before {
@@ -513,7 +513,7 @@ func TestBreakerTripRecover(t *testing.T) {
 
 	failing.Store(false)
 	time.Sleep(60 * time.Millisecond)
-	if _, err := c.call(context.Background(), http.MethodGet, "/", nil); err != nil {
+	if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	if state, _ := c.breaker.snapshot(); state != breakerClosed {

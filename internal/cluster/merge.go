@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"container/heap"
 	"encoding/json"
 	"fmt"
-	"net/http"
 
 	"ldgemm/internal/core"
 	"ldgemm/internal/server"
@@ -16,32 +14,53 @@ import (
 // the part the rule combines, and mergeStrips combines the parts, in strip
 // order, into the payload a single node would have produced.
 //
-// MergeStack and MergeConcat combine float arrays, and a float is
-// formatted once, by the shard that computed it (server/wire.go): the part
-// is the strip's array bytes, validated and spliced, never converted.
-// MergeKWay has to compare values, so it alone decodes.
+// MergeStack and MergeConcat combine float arrays, which a strip carries
+// raw (server/wire.go): its head, then its floats' bits. decodeStrip reads
+// them into their rows of one pooled buffer of the whole answer, and
+// mergeStrips spells that buffer once, through the node's own encoder, so a
+// float is formatted once, by the coordinator, and a square region spells
+// its mirrored half once even when two strips computed it. MergeKWay
+// decodes its JSON rankings to compare them.
 
-// stripShape is what q's float payload over rows looks like: its JSON up
-// to the array, and the length of each array row (0 when the array is a
-// flat vector).
-func stripShape(q server.Query, rows server.Window, partial bool) (head []byte, width int) {
-	b := make([]byte, 0, 128) // a head is about 80 bytes
+// floatPayload is q's float payload over rows: vals holds its rows × width
+// floats row-major, and each row of a null window (counted from rows.Lo)
+// is spelled null.
+func floatPayload(q server.Query, rows server.Window, vals []float64, null []server.Window) server.FloatPayload {
 	switch q := q.(type) {
 	case server.RegionQuery:
-		resp := q.Response(rows)
-		resp.Partial = partial
-		return resp.AppendHead(b), q.End - q.Start
+		return q.Stacked(rows, vals, null)
 	case server.SparseQuery:
-		return q.Response(rows, nil).AppendHead(b), 0
+		return q.Response(rows, vals)
 	}
 	panic(fmt.Sprintf("cluster: %T has no float payload", q))
 }
 
-func decodeStrip(rule server.Merge, q server.Query, strip server.Window, body []byte) (any, error) {
+// floatWidth is the floats in each row of q's float payload.
+func floatWidth(q server.Query) int {
+	switch q := q.(type) {
+	case server.RegionQuery:
+		return q.End - q.Start
+	case server.SparseQuery:
+		return 1
+	}
+	panic(fmt.Sprintf("cluster: %T has no float payload", q))
+}
+
+// stripFloats is strip's rows of vals, the float answer over rows.
+func stripFloats(vals []float64, rows, strip server.Window, width int) []float64 {
+	return vals[(strip.Lo-rows.Lo)*width : (strip.Hi-rows.Lo)*width]
+}
+
+// decodeStrip checks a strip's 200 body under rule. A float strip's body,
+// sent as contentType, is read into dst, the strip's rows of the answer,
+// which is then its part.
+func decodeStrip(rule server.Merge, q server.Query, strip server.Window, contentType string, body []byte, dst []float64) (any, error) {
 	switch rule {
 	case server.MergeStack, server.MergeConcat:
-		head, width := stripShape(q, strip, false)
-		return scanStrip(body, head, strip.Hi-strip.Lo, width)
+		if contentType != server.OctetStream {
+			return nil, fmt.Errorf("strip reply is %s, not %s", contentType, server.OctetStream)
+		}
+		return dst, server.ReadRaw(body, floatPayload(q, strip, dst, nil))
 	case server.MergeKWay:
 		var resp server.TopResponse
 		err := json.Unmarshal(body, &resp)
@@ -50,27 +69,16 @@ func decodeStrip(rule server.Merge, q server.Query, strip server.Window, body []
 	return body, nil // MergeNone: the bytes themselves are relayed
 }
 
-// scanStrip is the one pass a strip's float payload gets: body must be
-// exactly head — the envelope echoing the asked region, measure and row
-// window, not partial — then an array of n rows, each an array of width
-// JSON numbers (or n bare numbers when width is 0), then "}\n" and nothing
-// more. It returns the bytes between the array's brackets, which are what
-// mergeStrips splices. Everything encoding/json would refuse is refused
-// here, so a body that fails is a lost strip exactly as a decode error was.
-func scanStrip(body, head []byte, n, width int) ([]byte, error) {
-	if !bytes.HasPrefix(body, head) {
-		return nil, fmt.Errorf("strip reply does not open with %s", head)
-	}
-	i := server.ScanFloatArray(body, len(head), n, width)
-	if i < 0 || string(body[i:]) != "}\n" {
-		return nil, fmt.Errorf("strip reply is not %d rows of %d numbers and nothing else", n, max(width, 1))
-	}
-	return body[len(head)+1 : i-1], nil
-}
-
 // mergeStrips combines per-strip parts; parts[k] is nil for a lost strip
-// (only under rules that allow a partial answer).
-func mergeStrips(rule server.Merge, q server.Query, rows server.Window, strips []server.Window, parts []any, partial bool) *server.Response {
+// (only under rules that allow a partial answer). vals is the float
+// answer's buffer, which the float parts are rows of.
+func mergeStrips(rule server.Merge, q server.Query, rows server.Window, strips []server.Window, parts []any, vals []float64) *server.Response {
+	var lost []server.Window // counted from rows.Lo
+	for k, part := range parts {
+		if part == nil {
+			lost = append(lost, server.Window{Lo: strips[k].Lo - rows.Lo, Hi: strips[k].Hi - rows.Lo})
+		}
+	}
 	if rule == server.MergeKWay {
 		k := q.(server.TopQuery).K
 		lists := make([][]server.PairResponse, 0, len(parts))
@@ -79,36 +87,9 @@ func mergeStrips(rule server.Merge, q server.Query, rows server.Window, strips [
 				lists = append(lists, part.([]server.PairResponse))
 			}
 		}
-		return server.OK(server.TopResponse{K: k, Partial: partial, Pairs: mergeTop(k, lists)})
+		return server.OK(server.TopResponse{K: k, Partial: len(lost) > 0, Pairs: mergeTop(k, lists)})
 	}
-	// MergeStack, MergeConcat: the coordinator's envelope around the strips'
-	// array bytes in strip order, null for each row of a lost strip.
-	head, _ := stripShape(q, rows, partial)
-	size := len(head) + len("[]}\n")
-	for k, part := range parts {
-		if part != nil {
-			size += len(part.([]byte)) + 1
-		} else {
-			size += len("null,") * (strips[k].Hi - strips[k].Lo)
-		}
-	}
-	b := append(append(make([]byte, 0, size), head...), '[')
-	for k, part := range parts {
-		if k > 0 {
-			b = append(b, ',')
-		}
-		if part != nil {
-			b = append(b, part.([]byte)...)
-			continue
-		}
-		for r := range strips[k].Hi - strips[k].Lo {
-			if r > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, "null"...)
-		}
-	}
-	return &server.Response{Status: http.StatusOK, Body: append(b, "]}\n"...)}
+	return server.OKShared(floatPayload(q, rows, vals, lost))
 }
 
 // mergeHeap is a k-way merge frontier over per-shard rankings: one cursor

@@ -103,22 +103,22 @@ func (g *replicaGroup) ranked() []*shardClient {
 // strip reported lost. Every endpoint, POST included, is a pure function
 // of the dataset, the query and the body, so replaying the same request
 // on the next replica is safe.
-func (g *replicaGroup) call(ctx context.Context, method, pathQuery string, body []byte) ([]byte, error) {
+func (g *replicaGroup) call(ctx context.Context, method, pathQuery string, body []byte, accept string) (reply, error) {
 	var lastErr error
 	for _, r := range g.ranked() {
-		resp, err := r.call(ctx, method, pathQuery, body)
+		rep, err := r.call(ctx, method, pathQuery, body, accept)
 		if err == nil {
-			return resp, nil
+			return rep, nil
 		}
 		if terminal(err) != nil {
-			return nil, err
+			return reply{}, err
 		}
 		lastErr = err
 		if ctx.Err() != nil {
-			return nil, lastErr
+			return reply{}, lastErr
 		}
 	}
-	return nil, lastErr
+	return reply{}, lastErr
 }
 
 // admitting reports whether any replica's breaker would let a call

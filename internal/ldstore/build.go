@@ -301,10 +301,10 @@ func BuildFile(path string, g *bitmat.Matrix, opt BuildOptions) (BuildStats, err
 // re-computing only the stripes past it and converging to the bytes of an
 // uninterrupted build.
 //
-// On failure after at least one stripe has been flushed, the returned
-// error is a *PartialError carrying the progress; a checkpointed build
-// leaves the partial store and its sidecars in place for a later Resume,
-// any other removes the partial file.
+// A checkpointed build that fails after at least one stripe has been
+// flushed returns a *PartialError carrying the progress and leaves the
+// partial store and its sidecars in place for a later Resume. Any other
+// build removes the partial file and returns the failure itself.
 func BuildFileFromSource(path string, src bitmat.Source, opt SourceBuildOptions) (BuildStats, error) {
 	return build(path, src, opt, opt.Threshold != 0 || opt.Banded)
 }
@@ -392,11 +392,12 @@ func build(path string, src bitmat.Source, opt SourceBuildOptions, pruned bool) 
 		b.ck.sidecar.Close()
 	}
 	if err != nil {
-		if b.stripesDone > b.startStripe || b.startStripe > 0 {
-			err = &PartialError{FlushedStripes: b.stripesDone, TotalStripes: b.bands, Err: err}
-		}
 		if !useCkpt {
+			// Nothing of a build without a checkpoint is durable: the
+			// partial file goes, and the error is the stage's own.
 			os.Remove(path)
+		} else if b.stripesDone > b.startStripe || b.startStripe > 0 {
+			err = &PartialError{FlushedStripes: b.stripesDone, TotalStripes: b.bands, Err: err}
 		}
 		return BuildStats{}, err
 	}

@@ -117,6 +117,39 @@ func TestSourceBuildKillAndResume(t *testing.T) {
 	}
 }
 
+// TestUncheckpointedBuildFailsPlain: a build without a checkpoint that
+// fails a few stripes in — stripes its checkpointed twin reports durable —
+// returns the failure itself, not a *PartialError claiming stripes it
+// keeps nowhere, and leaves no file at the path.
+func TestUncheckpointedBuildFailsPlain(t *testing.T) {
+	g := testMatrix(t, 120, 77, 9)
+	sh := shape{nt: 16, band: 50}
+	const fetches = 120/16 + 22 // the frequency pass, then about three stripes
+	for _, tr := range tiers {
+		for _, checkpoint := range []bool{true, false} {
+			flaky := &flakySource{Source: ldbmSource(t, g, false)}
+			flaky.remaining.Store(fetches)
+			path := filepath.Join(t.TempDir(), "failed.store")
+			_, err := tr.build(path, flaky, sh, srcOpts{ioPanel: 16, checkpoint: checkpoint})
+			var pe *PartialError
+			if checkpoint {
+				if !errors.As(err, &pe) || pe.FlushedStripes < 1 {
+					t.Fatalf("%s: checkpointed build returned %v, want a *PartialError after at least one stripe", tr.name, err)
+				}
+				continue
+			}
+			if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), "injected I/O failure") {
+				t.Fatalf("%s: build without a checkpoint returned %v, want the injected failure itself", tr.name, err)
+			}
+			for _, p := range []string{path, SidecarPath(path), CheckpointPath(path)} {
+				if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("%s: %s survived a failed build without a checkpoint (%v)", tr.name, p, err)
+				}
+			}
+		}
+	}
+}
+
 // TestSourceBuildResumeRefusesMismatch: a manifest from a different
 // dataset or different build options — the codec's own knobs included —
 // must refuse to resume, and the matching configuration still resumes.

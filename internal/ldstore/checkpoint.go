@@ -264,8 +264,8 @@ func (ck *checkpoint) commit(f *fileFormat, index []Entry, stripesDone int, data
 	})
 }
 
-// PartialError reports a build that failed after durably flushing some
-// stripes. Callers that checkpoint can retry with Resume; the error
+// PartialError reports a checkpointed build that failed after durably
+// flushing some stripes, which a retry with Resume keeps; the error
 // carries how far the build got so operators see partial progress rather
 // than a bare failure.
 type PartialError struct {

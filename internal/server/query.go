@@ -123,8 +123,11 @@ var Definitions = []Definition{
 }
 
 // Executor answers a parsed query: a node computes, a coordinator
-// scatters and merges.
-type Executor func(ctx context.Context, d *Definition, q Query) *Response
+// scatters and merges. raw reports that the request asked for a float
+// payload's raw spelling (Accept: application/octet-stream): a node answers
+// a float payload so, a coordinator answers its clients in JSON whatever
+// they accept.
+type Executor func(ctx context.Context, d *Definition, q Query, raw bool) *Response
 
 // NewMux builds the routes both tiers serve from the same code: the
 // liveness probe, the JSON 404/405 fallbacks, /debug/vars, and per
@@ -146,7 +149,7 @@ func NewMux(lim Limits, m *Metrics, exec Executor, admit func(http.Handler) http
 				rejection.Write(w)
 				return
 			}
-			resp := exec(r.Context(), d, q)
+			resp := exec(r.Context(), d, q, r.Header.Get("Accept") == OctetStream)
 			resp.Write(w)
 			resp.release()
 		})

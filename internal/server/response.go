@@ -9,7 +9,7 @@ import (
 	"ldgemm/internal/bufpool"
 )
 
-// Response is a fully materialized answer: status, JSON body, and the
+// Response is a fully materialized answer: status, body, and the
 // cluster degradation marker. Both tiers build every reply through it —
 // a node from what it computed, a coordinator from what it merged,
 // relayed, or replayed out of its result cache — so a body reads the
@@ -23,8 +23,10 @@ type Response struct {
 	// pooled marks a Body taken from bufpool.Bytes: a float payload's,
 	// which the node mux hands back once it has written it (release). A
 	// coordinator builds its float answers, which may be cached or shared
-	// by coalesced callers, without OK, so they never are.
+	// by coalesced callers, through OKShared, so they never are.
 	pooled bool
+	// raw marks a raw float payload (wire.go), sent as OctetStream.
+	raw bool
 }
 
 // OK marshals a 200 payload: a float payload through the one float
@@ -49,6 +51,32 @@ func OK(v any) *Response {
 	return resp
 }
 
+// okRaw is OK for a client that asked for the raw spelling of a float
+// payload: its head and its floats' bits, into a buffer from bufpool.Bytes.
+func okRaw(p FloatPayload) *Response {
+	b, err := appendRaw(bufpool.Bytes.Get(128 + 8*len(p.values()))[:0], p)
+	resp := &Response{Status: http.StatusOK, Body: b, pooled: true, raw: true}
+	if err != nil {
+		resp.release()
+		return Errorf(http.StatusInternalServerError, "encoding response: %v", err)
+	}
+	return resp
+}
+
+// OKShared is a coordinator's 200 for the float payload it merged: spelled
+// once, by the encoder a node runs, into scratch from bufpool.Bytes, then
+// copied into a body of exactly its length that no pool owns, since the
+// result cache and coalesced callers may share it.
+func OKShared(p FloatPayload) *Response {
+	scratch := bufpool.Bytes.Get(payloadCap(p))
+	defer bufpool.Bytes.Put(scratch)
+	b, err := encodeFloatPayload(scratch[:0], p)
+	if err != nil {
+		return Errorf(http.StatusInternalServerError, "encoding response: %v", err)
+	}
+	return &Response{Status: http.StatusOK, Body: append(make([]byte, 0, len(b)), b...)}
+}
+
 // Errorf builds the JSON error payload every non-200 answer carries.
 func Errorf(status int, format string, args ...any) *Response {
 	b, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
@@ -59,7 +87,11 @@ func Errorf(status int, format string, args ...any) *Response {
 // is declared and net/http does not fall back to chunked transfer for
 // anything over its 2 KiB buffer.
 func (resp *Response) Write(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
+	if resp.raw {
+		w.Header().Set("Content-Type", OctetStream)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(resp.Body)))
 	if resp.Failed != "" {
 		w.Header().Set("X-LD-Shards-Failed", resp.Failed)

@@ -247,8 +247,9 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 }
 
 // execute is the node's Executor: narrow the query's row window to the
-// rows this node owns, run the query over them, encode.
-func (s *Server) execute(ctx context.Context, d *Definition, q Query) *Response {
+// rows this node owns, run the query over them, encode — a float payload
+// raw when the request asked for it.
+func (s *Server) execute(ctx context.Context, d *Definition, q Query, raw bool) *Response {
 	rows, explicit := q.Rows()
 	if s.sharded() && !d.AnyShard {
 		// A shard answers only for the rows it owns. By default that is
@@ -295,7 +296,12 @@ func (s *Server) execute(ctx context.Context, d *Definition, q Query) *Response 
 		// the computation, which computeError classifies.
 		return s.computeError(err)
 	}
-	resp := OK(v)
+	var resp *Response
+	if p, ok := v.(FloatPayload); ok && raw {
+		resp = okRaw(p)
+	} else {
+		resp = OK(v)
+	}
 	bufpool.Floats.Put(floats)
 	return resp
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strconv"
 
@@ -12,35 +13,44 @@ import (
 
 // The float payloads. Three 200 bodies — the region matrix and the two
 // sparse operators' vectors — are almost entirely one array of floats, and
-// a float is formatted exactly once, here, by the node that computed it: a
-// coordinator validates and splices those bytes (internal/cluster) and
-// never converts a digit. What it relies on is the shape this encoder
-// writes, which is encoding/json's output for the same struct, byte for
-// byte:
+// they have two spellings, both written here.
+//
+// JSON, for clients: encoding/json's output for the same struct, byte for
+// byte,
 //
 //	head array "}\n"
 //
-// head is every other field in declaration order plus the array's key,
-// the array is the payload's last field, there is no whitespace anywhere
-// and exactly one trailing newline, and every number is spelled as
+// where head is every other field in declaration order plus the array's
+// key, the array is the payload's last field, there is no whitespace
+// anywhere and exactly one trailing newline, and every number is spelled as
 // encoding/json spells it (the shortest decimal that round-trips; exponent
 // form below 1e-6 and from 1e21, its e-07 cleaned up to e-7).
+//
+// Raw, for a coordinator (Accept: application/octet-stream): the same head,
+// then each float as 8 little-endian bytes, row-major, and nothing more. A
+// strip crosses the shard hop as bits, and the coordinator spells the merged
+// answer once, through this encoder (internal/cluster), so a float is
+// formatted by exactly one process whichever tier answers.
 
 // FloatPayload is a 200 payload that ends in a float array.
 type FloatPayload interface {
 	// AppendHead appends the payload's JSON up to the array: every other
 	// field and the array's key.
 	AppendHead(b []byte) []byte
-	// appendArray appends the array; floats is how many it holds.
+	// appendArray appends the array as JSON.
 	appendArray(b []byte) ([]byte, error)
-	floats() int
+	// values is the array's floats, row-major.
+	values() []float64
 }
 
 const payloadTail = "}\n"
 
+// OctetStream is the media type of a raw float payload.
+const OctetStream = "application/octet-stream"
+
 // payloadCap is the buffer a payload is encoded into: room for the longest
 // spelling of every float.
-func payloadCap(p FloatPayload) int { return 160 + p.floats()*(maxFloatLen+1) }
+func payloadCap(p FloatPayload) int { return 160 + len(p.values())*(maxFloatLen+1) }
 
 // encodeFloatPayload appends head + array + tail to b, which has payloadCap
 // bytes of room.
@@ -48,6 +58,47 @@ func encodeFloatPayload(b []byte, p FloatPayload) ([]byte, error) {
 	b, err := p.appendArray(p.AppendHead(b))
 	return append(b, payloadTail...), err
 }
+
+// appendRaw appends head + the floats' little-endian bits to b. A float JSON
+// cannot spell is refused here too, with appendFloat's error, so a node
+// answers a query in both spellings or in neither, and fails alike.
+func appendRaw(b []byte, p FloatPayload) ([]byte, error) {
+	b = p.AppendHead(b)
+	for _, f := range p.values() {
+		if !finite(f) {
+			_, err := appendFloat(nil, f)
+			return b, err
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b, nil
+}
+
+// ReadRaw reads a raw reply into p, the payload it should be: body must be
+// exactly p's head, then 8 bytes for each of p's floats, each finite, and p's
+// floats are overwritten with them. Anything else is an error, and leaves
+// p's floats holding whatever was read so far.
+func ReadRaw(body []byte, p FloatPayload) error {
+	head := p.AppendHead(make([]byte, 0, 128)) // a head is about 80 bytes
+	dst := p.values()
+	if want := len(head) + 8*len(dst); len(body) != want {
+		return fmt.Errorf("raw reply is %d bytes, want %d: %s and %d floats", len(body), want, head, len(dst))
+	}
+	if !bytes.HasPrefix(body, head) {
+		return fmt.Errorf("raw reply does not open with %s", head)
+	}
+	for i := range dst {
+		f := math.Float64frombits(binary.LittleEndian.Uint64(body[len(head)+8*i:]))
+		if !finite(f) {
+			return fmt.Errorf("raw reply holds %v", f)
+		}
+		dst[i] = f
+	}
+	return nil
+}
+
+// finite reports whether f is neither NaN nor ±Inf: whether JSON spells it.
+func finite(f float64) bool { return math.Float64bits(f)>>52&0x7ff != 0x7ff }
 
 func (r RegionResponse) AppendHead(b []byte) []byte {
 	b = appendIntField(append(b, '{'), "start", r.Start, false)
@@ -61,30 +112,51 @@ func (r RegionResponse) AppendHead(b []byte) []byte {
 	return append(b, `,"values":`...)
 }
 
-// flatRegion is a node's region payload: RegionResponse's envelope (its
-// Values unset) over the matrix as the executor produced it, rows × (End −
-// Start) floats row-major, so no row needs a slice header of its own.
+// flatRegion is a region payload: RegionResponse's envelope (its Values
+// unset) over the matrix as the executor produced it, rows × (End − Start)
+// floats row-major, so no row needs a slice header of its own. A
+// coordinator's merged answer may name null windows, counted from its first
+// row: the rows of lost strips, spelled null, whose floats are not read.
 type flatRegion struct {
 	RegionResponse
 	vals []float64
+	null []Window
 }
 
 func (r flatRegion) appendArray(b []byte) ([]byte, error) {
-	return appendMatrix(b, r.vals, r.End-r.Start)
+	return appendMatrix(b, r.vals, r.End-r.Start, r.null)
 }
-func (r flatRegion) floats() int { return len(r.vals) }
+func (r flatRegion) values() []float64 { return r.vals }
+
+// Stacked is a coordinator's region answer over rows, merged from its
+// strips: vals holds the rows × (End − Start) floats row-major, and each row
+// of a null window (counted from rows.Lo) is a lost strip's, spelled null
+// under partial: true.
+func (q RegionQuery) Stacked(rows Window, vals []float64, null []Window) FloatPayload {
+	r := flatRegion{RegionResponse: q.Response(rows), vals: vals, null: null}
+	r.Partial = len(null) > 0
+	return r
+}
 
 // appendMatrix appends the row-major matrix vals of width columns as an
-// array of rows, a square of at least two rows through appendSquare.
-func appendMatrix(b []byte, vals []float64, width int) (_ []byte, err error) {
+// array of rows, null for a row inside a null window, and a square of at
+// least two rows with none null through appendSquare.
+func appendMatrix(b []byte, vals []float64, width int, null []Window) (_ []byte, err error) {
 	n := len(vals) / width
-	if n == width && n > 1 {
+	if n == width && n > 1 && len(null) == 0 {
 		return appendSquare(b, vals, n)
 	}
 	b = append(b, '[')
+rows:
 	for i := range n {
 		if i > 0 {
 			b = append(b, ',')
+		}
+		for _, w := range null {
+			if w.Lo <= i && i < w.Hi {
+				b = append(b, "null"...)
+				continue rows
+			}
 		}
 		if b, err = appendFloats(b, vals[i*width:][:width]); err != nil {
 			return b, err
@@ -139,13 +211,13 @@ func (r MatVecResponse) AppendHead(b []byte) []byte {
 	return appendVectorHead(b, r.RowStart, r.RowEnd, "y")
 }
 func (r MatVecResponse) appendArray(b []byte) ([]byte, error) { return appendFloats(b, r.Y) }
-func (r MatVecResponse) floats() int                          { return len(r.Y) }
+func (r MatVecResponse) values() []float64                    { return r.Y }
 
 func (r ScoreResponse) AppendHead(b []byte) []byte {
 	return appendVectorHead(b, r.RowStart, r.RowEnd, "scores")
 }
 func (r ScoreResponse) appendArray(b []byte) ([]byte, error) { return appendFloats(b, r.Scores) }
-func (r ScoreResponse) floats() int                          { return len(r.Scores) }
+func (r ScoreResponse) values() []float64                    { return r.Scores }
 
 func appendVectorHead(b []byte, lo, hi int, key string) []byte {
 	b = appendIntField(append(b, '{'), "row_start", lo, false)
@@ -195,23 +267,6 @@ func appendFloats(b []byte, fs []float64) (_ []byte, err error) {
 	return append(b, ']'), nil
 }
 
-// ScanFloatArray steps over a payload's float array at b[i] — n rows of
-// width JSON numbers, or n bare numbers when width is 0, no whitespace —
-// and returns the index after it, or -1 when b[i:] does not open with one.
-func ScanFloatArray(b []byte, i, n, width int) int {
-	if width == 0 {
-		return scanNumbers(b, i, n)
-	}
-	i = expect(b, i, '[')
-	for r := 0; r < n && i >= 0; r++ {
-		if r > 0 {
-			i = expect(b, i, ',')
-		}
-		i = scanNumbers(b, i, width)
-	}
-	return expect(b, i, ']')
-}
-
 // parseVector reads a sparse operator's request body when it is exactly
 // {"key":[ n numbers ]} as this encoder, encoding/json and client libraries
 // write it (one trailing newline allowed), converting each literal as
@@ -241,8 +296,8 @@ func parseVector(body []byte, key string, n int) ([]float64, bool) {
 	return vec, true
 }
 
-// The scan steps return the index after what they step over at b[i], and
-// -1 — which they also pass on — when it is not there.
+// expect and readNumber return the index after what they step over at b[i],
+// and -1 — which they also pass on — when it is not there.
 
 func expect(b []byte, i int, c byte) int {
 	if i < 0 || i >= len(b) || b[i] != c {
@@ -251,80 +306,10 @@ func expect(b []byte, i int, c byte) int {
 	return i + 1
 }
 
-// scanNumbers steps over "[" + n comma-separated JSON numbers + "]".
-func scanNumbers(b []byte, i, n int) int {
-	i = expect(b, i, '[')
-	for k := 0; k < n && i >= 0; k++ {
-		if k > 0 {
-			i = expect(b, i, ',')
-		}
-		i = scanNumber(b, i)
-	}
-	return expect(b, i, ']')
-}
-
-// scanNumber steps over one number of the JSON grammar. The grammar has no
-// upper bound and float64 does, so a number is also refused unless it is
-// plainly below 1e308: that is the one thing encoding/json checks by
-// converting, and no LD value comes near it.
-func scanNumber(b []byte, i int) int {
-	if i < 0 {
-		return -1
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	from := i
-	i = scanDigits(b, i)
-	magnitude := i - from // the value is below this power of ten
-	switch {
-	case magnitude == 0, magnitude > 1 && b[from] == '0':
-		return -1
-	case b[from] == '0':
-		magnitude = 0
-	}
-	if i < len(b) && b[i] == '.' {
-		from = i + 1
-		if i = scanDigits(b, from); i == from {
-			return -1
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		negative := i < len(b) && b[i] == '-'
-		if negative || i < len(b) && b[i] == '+' {
-			i++
-		}
-		from = i
-		if i = scanDigits(b, from); i == from {
-			return -1
-		}
-		if !negative {
-			exp, err := strconv.Atoi(string(b[from:i]))
-			if err != nil {
-				return -1
-			}
-			magnitude += exp
-		}
-	}
-	if magnitude > 308 {
-		return -1
-	}
-	return i
-}
-
-// scanDigits steps over any decimal digits at b[i].
-func scanDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// readNumber steps over one number at b[i] exactly as scanNumber does —
-// walkNumber is that grammar and that refusal a second time, carrying the
-// digits, and FuzzReadNumber holds the two to the same end index — and
-// converts what the walk read (decimalFloat), leaving to strconv.ParseFloat
+// readNumber steps over one number of the JSON grammar at b[i] — refused,
+// too, unless it is plainly below 1e308: that is the one thing encoding/json
+// checks by converting, and no vector entry comes near it — and converts
+// what the walk read (decimalFloat), leaving to strconv.ParseFloat
 // the one literal in thousands that cannot be converted from what was
 // carried: as strconv itself does internally, so the value is strconv's
 // either way.
@@ -343,8 +328,9 @@ func readNumber(b []byte, i int) (float64, int) {
 	return f, end
 }
 
-// walkNumber is scanNumber reading as it goes: it returns the index after
-// the number at b[i], -1 when scanNumber refuses it, and the value as
+// walkNumber is that grammar read as it goes (FuzzReadNumber holds it to
+// scanNumber, the grammar written plainly): it returns the index after the
+// number at b[i], -1 when the number is refused, and the value as
 // man × 10^exp10 under the sign at b[i]. man holds the number's digits, of
 // which all but a fraction's leading zeros are significant; it is only
 // meaningful when that count is at most 19, the most a uint64 always holds.

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
 	"math/big"
 	"math/rand"
@@ -195,13 +197,129 @@ func TestRegionMirrorCopy(t *testing.T) {
 	}
 }
 
+// TestRawPayload: a float payload's raw spelling is its JSON head, then
+// each float's 8 little-endian bytes, and ReadRaw reads it back bit for bit
+// into a payload of its shape; a value JSON refuses is refused in both
+// spellings, with the same 500. A coordinator's Stacked answer spells the
+// rows of a lost strip null under partial, as encoding/json spells nil rows.
+func TestRawPayload(t *testing.T) {
+	for _, v := range wireFloats(t) {
+		for _, p := range []FloatPayload{
+			nodeRegion(RegionResponse{Start: 1, End: 3, Measure: "r2", RowStart: 1, RowEnd: 2, Values: [][]float64{{v, -v}}}),
+			nodeRegion(RegionResponse{End: 2, Measure: "d", Values: [][]float64{{1, v}, {v, 1}}}),
+			MatVecResponse{RowEnd: 2, Y: []float64{v, 1}},
+			ScoreResponse{RowStart: 1, RowEnd: 2, Scores: []float64{v}},
+		} {
+			raw, js := okRaw(p), OK(p)
+			if raw.Status != js.Status || raw.Status != http.StatusOK && !bytes.Equal(raw.Body, js.Body) {
+				t.Fatalf("%v: raw %d %s, JSON %d %s", v, raw.Status, raw.Body, js.Status, js.Body)
+			}
+			if raw.Status != http.StatusOK {
+				continue
+			}
+			want := p.AppendHead(nil)
+			for _, f := range p.values() {
+				want = binary.LittleEndian.AppendUint64(want, math.Float64bits(f))
+			}
+			if !bytes.Equal(raw.Body, want) {
+				t.Fatalf("%v: raw spelling %q, want %q", v, raw.Body, want)
+			}
+			vals := append([]float64(nil), p.values()...)
+			clear(p.values())
+			if err := ReadRaw(raw.Body, p); err != nil {
+				t.Fatalf("%v: %v", v, err)
+			}
+			for i, f := range p.values() {
+				if math.Float64bits(f) != math.Float64bits(vals[i]) {
+					t.Fatalf("%v: float %d reads back as %v", v, i, f)
+				}
+			}
+		}
+	}
+
+	q := RegionQuery{Start: 10, End: 13, Measure: "r2"}
+	vals := []float64{1, 0.5, 0.25, 0.5, 1, 0.125, 0.25, 0.125, 1}
+	for _, c := range []struct {
+		rows, null Window
+		want       RegionResponse
+	}{
+		{Window{Lo: 10, Hi: 13}, Window{Lo: 1, Hi: 2},
+			RegionResponse{Start: 10, End: 13, Measure: "r2", Partial: true, Values: [][]float64{vals[0:3], nil, vals[6:9]}}},
+		{Window{Lo: 11, Hi: 13}, Window{Lo: 0, Hi: 1},
+			RegionResponse{Start: 10, End: 13, Measure: "r2", RowStart: 11, RowEnd: 13, Partial: true, Values: [][]float64{nil, vals[3:6]}}},
+	} {
+		n := c.rows.Hi - c.rows.Lo
+		sameBody(t, c.want, OK(q.Stacked(c.rows, vals[:3*n], []Window{c.null})))
+	}
+}
+
+// TestRawReplies: a node asked for application/octet-stream answers a
+// float payload raw — declared so, its length declared — holding the bits
+// of its JSON answer, and answers anything else in JSON.
+func TestRawReplies(t *testing.T) {
+	ts, _ := testServer(t)
+	get := func(path, accept string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Accept", accept)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, c := range []struct {
+		path string
+		q    RegionQuery
+		rows Window
+	}{
+		{"/api/ld/region?start=10&end=50", RegionQuery{Start: 10, End: 50, Measure: "r2"}, Window{Lo: 10, Hi: 50}},
+		{"/api/ld/region?start=10&end=50&rows=20:30&measure=dprime", RegionQuery{Start: 10, End: 50, Measure: "dprime"}, Window{Lo: 20, Hi: 30}},
+	} {
+		var want RegionResponse
+		if code := getJSON(t, ts.URL+c.path, &want); code != http.StatusOK {
+			t.Fatalf("%s: JSON status %d", c.path, code)
+		}
+		resp := get(c.path, OctetStream)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != OctetStream || resp.ContentLength != int64(len(body)) {
+			t.Fatalf("%s: status %d, Content-Type %q, Content-Length %d on %d bytes",
+				c.path, resp.StatusCode, resp.Header.Get("Content-Type"), resp.ContentLength, len(body))
+		}
+		width := c.q.End - c.q.Start
+		vals := make([]float64, (c.rows.Hi-c.rows.Lo)*width)
+		if err := ReadRaw(body, c.q.Stacked(c.rows, vals, nil)); err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		for i, row := range want.Values {
+			for j, f := range row {
+				if math.Float64bits(f) != math.Float64bits(vals[i*width+j]) {
+					t.Fatalf("%s: cell (%d, %d) is %v raw, %v in JSON", c.path, i, j, vals[i*width+j], f)
+				}
+			}
+		}
+	}
+	resp := get("/api/ld/top?k=5", OctetStream)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("top: status %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+}
+
 var sinkResponse *Response
 
 // BenchmarkEncodeRegion: one region payload through the encoder a node
 // runs — its row-major floats spelled into a pooled buffer, which is then
 // released as the mux releases it after Write — for the 80 × 80 square a
-// node answers an unwindowed query with, and 40 rows of it as a shard
-// answers for its strip (no cell is the mirror of another).
+// node answers an unwindowed query with, and 40 rows of it as a rows=
+// window asks for them (no cell is the mirror of another).
 func BenchmarkEncodeRegion(b *testing.B) {
 	square := nodeRegion(wireRegion(b, 100, 180))
 	strip := square
@@ -219,7 +337,7 @@ func BenchmarkEncodeRegion(b *testing.B) {
 				sinkResponse = OK(c.payload)
 				sinkResponse.release()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.payload.floats()), "ns/float")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.payload.values())), "ns/float")
 		})
 	}
 }
@@ -378,9 +496,68 @@ func BenchmarkParseVector(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vec)), "ns/float")
 }
 
+// scanNumber steps over one number of the JSON grammar at b[i] and returns
+// the index after it, or -1 when there is none. The grammar has no upper
+// bound and float64 does, so a number is also refused unless it is plainly
+// below 1e308: that is the one thing encoding/json checks by converting.
+// It is the grammar written plainly, the oracle walkNumber is held to.
+func scanNumber(b []byte, i int) int {
+	if i < 0 {
+		return -1
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	from := i
+	i = scanDigits(b, i)
+	magnitude := i - from // the value is below this power of ten
+	switch {
+	case magnitude == 0, magnitude > 1 && b[from] == '0':
+		return -1
+	case b[from] == '0':
+		magnitude = 0
+	}
+	if i < len(b) && b[i] == '.' {
+		from = i + 1
+		if i = scanDigits(b, from); i == from {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		negative := i < len(b) && b[i] == '-'
+		if negative || i < len(b) && b[i] == '+' {
+			i++
+		}
+		from = i
+		if i = scanDigits(b, from); i == from {
+			return -1
+		}
+		if !negative {
+			exp, err := strconv.Atoi(string(b[from:i]))
+			if err != nil {
+				return -1
+			}
+			magnitude += exp
+		}
+	}
+	if magnitude > 308 {
+		return -1
+	}
+	return i
+}
+
+// scanDigits steps over any decimal digits at b[i].
+func scanDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
 // scanThenParse is readNumber as parseVector had it before the reader: the
-// grammar walked by scanNumber — still the coordinator's validating scan —
-// and the value converted by strconv.ParseFloat. It is the oracle.
+// grammar walked by scanNumber and the value converted by
+// strconv.ParseFloat. It is the oracle.
 func scanThenParse(b []byte, i int) (float64, int) {
 	end := scanNumber(b, i)
 	if end < 0 {
