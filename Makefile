@@ -27,7 +27,8 @@ examples:
 # amd64-only files; a non-amd64 target must still build from what is left
 # (offline, standard library only). vet compiles the tests too, so the
 # non-amd64 stubs and the host-keyed route tests of the three kernel
-# packages must build there as well. The store build's writeback hint is a
+# packages must build there as well, as must experiments' list of Section
+# V loops, none of which runs off amd64. The store build's writeback hint is a
 # Linux call with a no-op twin elsewhere; the darwin line compiles that
 # twin, and the windows lines the tile store's no-mmap fallback, read into
 # one buffer instead of mapped, vetted with its tests beside bitmat's
@@ -37,7 +38,7 @@ examples:
 .PHONY: build-arm64
 build-arm64:
 	GOOS=linux GOARCH=arm64 go build ./...
-	GOOS=linux GOARCH=arm64 go vet ./internal/popcount ./internal/kernel ./internal/blis
+	GOOS=linux GOARCH=arm64 go vet ./internal/popcount ./internal/kernel ./internal/blis ./internal/experiments
 	GOOS=darwin GOARCH=arm64 go build ./...
 	GOOS=windows GOARCH=arm64 go build ./internal/ldstore/...
 	GOOS=windows GOARCH=amd64 go vet ./internal/ldstore/... ./internal/bitmat/...
@@ -115,19 +116,21 @@ verify-cluster:
 # length and tile edges; and the selection epilogue's fused kernel against
 # converting with scalarR2Fast, then selecting: the same candidate columns and
 # r² bits and the same below-cut count on any counts, frequencies, floor, cut
-# and row length.
+# and row length. Each target minimizes a new input for at most a second, so
+# it fuzzes for its whole budget (minimizing under the default 60 s limit
+# used up most of a 10 s budget).
 .PHONY: fuzz-smoke
 fuzz-smoke:
-	go test ./internal/ldstore -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s
-	go test ./internal/ldstore -run=Fuzz -fuzz=FuzzManifest -fuzztime=20s
-	go test ./internal/server -run=Fuzz -fuzz=FuzzWireFloat -fuzztime=10s
-	go test ./internal/cluster -run=Fuzz -fuzz=FuzzSpliceScan -fuzztime=10s
-	go test ./internal/server -run=Fuzz -fuzz=FuzzParseVector -fuzztime=10s
-	go test ./internal/server -run=Fuzz -fuzz=FuzzReadNumber -fuzztime=10s
-	go test ./internal/core -run=Fuzz -fuzz=FuzzEpilogueRow -fuzztime=10s
-	go test ./internal/core -run=Fuzz -fuzz=FuzzKeepRow -fuzztime=10s
-	go test ./internal/core -run=Fuzz -fuzz=FuzzSelectRow -fuzztime=10s
-	go test ./internal/core -run=Fuzz -fuzz=FuzzCountsRow -fuzztime=10s
+	go test ./internal/ldstore -run=Fuzz -fuzz=FuzzOpen -fuzztime=20s -fuzzminimizetime=1s
+	go test ./internal/ldstore -run=Fuzz -fuzz=FuzzManifest -fuzztime=20s -fuzzminimizetime=1s
+	go test ./internal/server -run=Fuzz -fuzz=FuzzWireFloat -fuzztime=10s -fuzzminimizetime=1s
+	go test ./internal/cluster -run=Fuzz -fuzz=FuzzSpliceScan -fuzztime=10s -fuzzminimizetime=1s
+	go test ./internal/server -run=Fuzz -fuzz=FuzzParseVector -fuzztime=10s -fuzzminimizetime=1s
+	go test ./internal/server -run=Fuzz -fuzz=FuzzReadNumber -fuzztime=10s -fuzzminimizetime=1s
+	go test ./internal/core -run=Fuzz -fuzz=FuzzEpilogueRow -fuzztime=10s -fuzzminimizetime=1s
+	go test ./internal/core -run=Fuzz -fuzz=FuzzKeepRow -fuzztime=10s -fuzzminimizetime=1s
+	go test ./internal/core -run=Fuzz -fuzz=FuzzSelectRow -fuzztime=10s -fuzzminimizetime=1s
+	go test ./internal/core -run=Fuzz -fuzz=FuzzCountsRow -fuzztime=10s -fuzzminimizetime=1s
 
 # The benchmark/ module is its own Go module, so tier-1 `go test ./...`
 # never enters it: compile and smoke-test it against this tree, so an API
@@ -208,12 +211,14 @@ loc:
 # room), the destination hint shown
 # unobservable in Matrix, Cross and
 # Stream, and KeepCounts shown inert (copying the counts out changes no
-# measure bit, exact or fast r²). Every
-# name must match a test (run_listed). Cheap enough for the verify tier.
+# measure bit, exact or fast r²). Section V's seven loops against
+# popcount.AndCount at every length to 1024 words (each one the host
+# lacks skipped by name). Every name must match a test (run_listed). Cheap enough for the verify tier.
 .PHONY: bench-kernel
 bench-kernel:
 	@$(call run_listed,./internal/kernel,TestVectorTile)
 	@$(call run_listed,./internal/core,TestEpilogueRows|TestKeepRowEdges|TestKeepR2ExactStaysInRoom|TestSelectRowEdges|TestCountsRowEdges|TestDestHintUnobservable|TestDenseEpilogueDest|TestKeepCountsInert)
+	@$(call run_listed,./internal/experiments,TestSectionVKernels)
 	@$(call run_listed,./internal/blis,TestGemmStrategiesMatchScalarOracle|TestSyrkStrategiesMatchScalarOracle|TestMaskedStrategiesMatchScalarOracle|TestMaskedEvenTileAnyConfig|TestDispatchRoutes|TestAutoDispatchPicksByK|TestPlainKernelResolution|TestPortableRoute|TestEpilogueIgnoresScratchContents|TestGemmEpilogueCoversEachCellOnce|TestSyrkEpilogueUpperTriangle|TestEpilogueContractFourWorkers|TestSmallCallRunsOnCaller)
 
 # One iteration each of the Go micro-benchmarks, so they keep compiling
@@ -252,7 +257,8 @@ bench-kernel:
 # stripes, driver calls per build (one a stripe: equal to stripes/op), scan
 # wait, the stripe workers' prefetcher stall, B/op. Then both cohort
 # generators (BenchmarkMosaic at 1024 × 65 536, BenchmarkMosaicStream at
-# 16 384 × 2048 through 1024-SNP windows): ns/op and bits/s.
+# 16 384 × 2048 through 1024-SNP windows): ns/op and bits/s. Then
+# Section V's seven loops over 1024 L1-resident words: ns a word.
 .PHONY: bench-smoke
 bench-smoke:
 	go test ./internal/server -run '^$$' -bench 'BenchmarkEncodeRegion|BenchmarkServeRegion|BenchmarkAppendFloat' -benchtime 1x -benchmem
@@ -264,3 +270,4 @@ bench-smoke:
 	go test ./internal/kernel -run '^$$' -bench BenchmarkMicroKernel -benchtime 1x
 	go test ./internal/ldstore -run '^$$' -bench BenchmarkBuildFile -benchtime 1x -benchmem
 	go test ./internal/popsim -run '^$$' -bench BenchmarkMosaic -benchtime 1x
+	go test ./internal/experiments -run '^$$' -bench BenchmarkSectionV -benchtime 1x

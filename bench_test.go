@@ -25,7 +25,6 @@ import (
 	"ldgemm/internal/harness"
 	"ldgemm/internal/kernel"
 	"ldgemm/internal/popsim"
-	"ldgemm/internal/simdsim"
 	"ldgemm/internal/tanimoto"
 )
 
@@ -191,36 +190,6 @@ func BenchmarkFig5(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(pairs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MLD/s")
-		})
-	}
-}
-
-// BenchmarkSIMDModel is the Section V argument: simulated cycles per word
-// for the three instruction-set scenarios. cyc/word for SIMD without a
-// hardware popcount never drops below scalar; with one it scales as 1/v.
-func BenchmarkSIMDModel(b *testing.B) {
-	cases := []struct {
-		name  string
-		sc    simdsim.Scenario
-		lanes int
-	}{
-		{"scalar", simdsim.Scalar, 1},
-		{"simd-nohw/v=4", simdsim.SIMDNoHW, 4},
-		{"simd-nohw/v=8", simdsim.SIMDNoHW, 8},
-		{"simd-hw/v=4", simdsim.SIMDHW, 4},
-		{"simd-hw/v=8", simdsim.SIMDHW, 8},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var res simdsim.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = simdsim.Run(c.sc, 1024, c.lanes)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.CyclesPerWord, "cyc/word")
 		})
 	}
 }

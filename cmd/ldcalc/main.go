@@ -8,13 +8,13 @@
 //	ldcalc -in calls.vcf -summary
 //	ldcalc -in data.ldgm -prune -blocks
 //
-// Input formats are detected from the extension (.ldgm, .ms, .vcf) or set
-// with -format. Output modes: -summary (default) prints aggregate LD
-// statistics; -top K lists the K strongest off-diagonal pairs with χ²
-// significance, in the canonical pair order (|value| descending, then
-// (i, j) ascending); -matrix dumps the full dense matrix as CSV; -prune
-// and -blocks run the sliding-window pruner and haplotype-block detector;
-// -ld-out emits tabular .ld records.
+// The extension picks the input format (.ms, .vcf, else the binary .ldgm;
+// gzip is read too), as in every CLI that loads a dataset. Output modes:
+// -summary (default) prints aggregate LD statistics; -top K lists the K
+// strongest off-diagonal pairs with χ² significance, in the canonical pair
+// order (|value| descending, then (i, j) ascending); -matrix dumps the full
+// dense matrix as CSV; -prune and -blocks run the sliding-window pruner and
+// haplotype-block detector; -ld-out emits tabular .ld records.
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -45,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ldcalc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	in := fs.String("in", "", "input path (required)")
-	format := fs.String("format", "", "input format: ldgm, ms, vcf (default: from extension)")
 	measure := fs.String("measure", "r2", "LD measure: r2, d, dprime")
 	threads := fs.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 	top := fs.Int("top", 0, "print the K strongest off-diagonal pairs")
@@ -69,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-in is required")
 	}
-	g, err := load(*in, *format)
+	g, err := seqio.LoadMatrix(*in)
 	if err != nil {
 		return err
 	}
@@ -133,44 +131,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func load(path, format string) (*bitmat.Matrix, error) {
-	if format == "" {
-		switch filepath.Ext(path) {
-		case ".ldgm", ".bin":
-			format = "ldgm"
-		case ".ms", ".txt":
-			format = "ms"
-		case ".vcf":
-			format = "vcf"
-		default:
-			return nil, fmt.Errorf("cannot infer format of %q; use -format", path)
-		}
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	switch format {
-	case "ldgm":
-		return seqio.ReadBinary(f)
-	case "ms":
-		reps, err := seqio.ReadMS(f)
-		if err != nil {
-			return nil, err
-		}
-		return reps[0].Matrix, nil
-	case "vcf":
-		v, err := seqio.ReadVCF(f)
-		if err != nil {
-			return nil, err
-		}
-		return v.Matrix, nil
-	default:
-		return nil, fmt.Errorf("unknown format %q", format)
-	}
 }
 
 func printSummary(w *bufio.Writer, g *bitmat.Matrix, opt core.Options) error {

@@ -9,6 +9,7 @@ import (
 
 	"ldgemm/internal/blis"
 	"ldgemm/internal/kernel"
+	"ldgemm/internal/popcount"
 	"ldgemm/internal/popsim"
 )
 
@@ -108,17 +109,26 @@ func TestSIMDTable(t *testing.T) {
 	if len(tbl.Rows) != 7 { // scalar + 3 widths × 2 scenarios
 		t.Fatalf("%d rows", len(tbl.Rows))
 	}
-	// Every no-HW SIMD row must have speedup ≤ 1 (the paper's claim).
-	for _, row := range tbl.Rows {
-		if !strings.Contains(row[1], "extract/insert") {
-			continue
+	if !popcount.HasAVX512VPOPCNTDQ() || !popcount.HasAVX512VL() {
+		return // no VPOPCNTQ at every width: some rows say "not measured"
+	}
+	// With a hardware vector popcount the v-lane loop beats the one that
+	// moves its lanes out for POPCNTQ, at every v (each row the best of 5
+	// passes; about 2× at v = 2 on the build host).
+	for i := 1; i < len(tbl.Rows); i += 2 {
+		extract, hw := tbl.Rows[i], tbl.Rows[i+1]
+		if !strings.Contains(extract[1], "scalar POPCNT") || !strings.Contains(hw[1], "hardware vector POPCNT") {
+			t.Fatalf("rows %d and %d are %q and %q", i, i+1, extract[1], hw[1])
 		}
-		sp, err := strconv.ParseFloat(row[4], 64)
-		if err != nil {
-			t.Fatal(err)
+		ns := func(row []string) float64 {
+			v, err := strconv.ParseFloat(row[3], 64)
+			if err != nil {
+				t.Fatalf("v = %s, %s: %q is not a time", row[0], row[1], row[3])
+			}
+			return v
 		}
-		if sp > 1.001 {
-			t.Fatalf("SIMD without HW popcount shows speedup %v", sp)
+		if ns(hw) >= ns(extract) {
+			t.Errorf("v = %s: VPOPCNTQ %s ns/word, not faster than extract's %s", hw[0], hw[3], extract[3])
 		}
 	}
 }

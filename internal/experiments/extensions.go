@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"time"
 
 	"ldgemm/internal/baselines"
 	"ldgemm/internal/bitmat"
@@ -12,63 +14,127 @@ import (
 	"ldgemm/internal/kernel"
 	"ldgemm/internal/perfmodel"
 	"ldgemm/internal/popcount"
-	"ldgemm/internal/simdsim"
 	"ldgemm/internal/tanimoto"
 )
 
-// SIMD reproduces the Section V analysis: the analytical model's predicted
-// cycles per word next to the instruction-stream simulator's measured
-// cycles, for scalar and for SIMD widths with and without a hardware
-// vector popcount.
+// sectionVWords is the operand length of Section V's loops: two 8 KiB
+// operands, resident in L1.
+const sectionVWords = 1024
+
+// A sectionVLoop is one of Section V's seven loops: Σ popcount(a[i] & b[i])
+// over n words, n a multiple of 8, 64 bytes of each operand an iteration.
+// At one lane it is the scalar AND/POPCNT/ADD loop; at v lanes a vector
+// AND whose lanes move to general registers for POPCNTQ or, with hw, are
+// counted in place by VPOPCNTQ. runs reports whether the host has needs.
+type sectionVLoop struct {
+	name  string
+	lanes int
+	hw    bool
+	runs  bool
+	needs string
+	fn    func(a, b *uint64, n int) uint64
+}
+
+// sectionVLoops lists the loops in the Section V table's order. Every host
+// with AVX2 or AVX-512 (popcount.HasVector) has POPCNT and SSE4.1 too.
+func sectionVLoops() []sectionVLoop {
+	avx2, vpop := popcount.HasVector(), popcount.HasAVX512VPOPCNTDQ()
+	vl := vpop && popcount.HasAVX512VL()
+	return []sectionVLoop{
+		{"scalar", 1, false, avx2, "POPCNT", andCountScalar},
+		{"extract/v=2", 2, false, avx2, "AVX2", andCountExtract2},
+		{"vpopcntq/v=2", 2, true, vl, "AVX-512 VPOPCNTDQ+VL", andCountVPOPCNT2},
+		{"extract/v=4", 4, false, avx2, "AVX2", andCountExtract4},
+		{"vpopcntq/v=4", 4, true, vl, "AVX-512 VPOPCNTDQ+VL", andCountVPOPCNT4},
+		{"extract/v=8", 8, false, popcount.HasAVX512F(), "AVX-512F", andCountExtract8},
+		{"vpopcntq/v=8", 8, true, vpop, "AVX-512 VPOPCNTDQ", andCountVPOPCNT8},
+	}
+}
+
+// sectionVOperands returns two random operands of sectionVWords words.
+func sectionVOperands() (a, b []uint64) {
+	rng := rand.New(rand.NewSource(5))
+	a, b = make([]uint64, sectionVWords), make([]uint64, sectionVWords)
+	for i := range a {
+		a[i], b[i] = rng.Uint64(), rng.Uint64()
+	}
+	return a, b
+}
+
+// SIMD reproduces the Section V analysis on this host: the analytical
+// model's cycles per word beside each loop's measured time, for scalar and
+// for SIMD widths with and without a hardware vector popcount. No cycle
+// counter is read: a loop's cycles are its time over the scalar loop's, in
+// units of the model's scalar cycles. A loop the host cannot run is "not
+// measured".
 func SIMD(cfg Config) (*harness.Table, error) {
+	cfg = cfg.normalize()
 	model := perfmodel.Default()
 	tbl := &harness.Table{
-		Title: "Section V: SIMD benefit analysis (cycles per 64-bit word; lower is better)",
+		Title: "Section V: SIMD benefit analysis (cycles per 64-bit word, scalar loop = model; lower is better)",
 		Headers: []string{
-			"lanes v", "scenario", "model cyc/word", "simulated cyc/word",
+			"lanes v", "scenario", "model cyc/word", "measured ns/word", "measured cyc/word",
 			"speedup vs scalar", "share of v-lane peak",
 		},
 	}
-	const words = 1024
-	scalarSim, err := simdsim.Run(simdsim.Scalar, words, 1)
-	if err != nil {
-		return nil, err
+	loops := sectionVLoops()
+	a, b := sectionVOperands()
+	want := uint64(popcount.AndCount(a, b))
+	ns := make([]float64, len(loops))
+	for i, l := range loops {
+		if !l.runs {
+			continue
+		}
+		if got := l.fn(&a[0], &b[0], len(a)); got != want {
+			return nil, fmt.Errorf("section V loop %s counts %d, want %d", l.name, got, want)
+		}
+		ns[i] = math.Inf(1)
 	}
-	scalarModel := model.ScalarCyclesPerWord()
-	tbl.AddRow("1", "scalar (Section IV kernel)",
-		harness.F(scalarModel, 2), harness.F(scalarSim.CyclesPerWord, 2), "1.00", "100.0%")
-	for _, v := range []int{2, 4, 8} {
-		simdModel, err := model.SIMDCyclesPerWord(v)
+	// Best of at least 5 passes of about a millisecond each, the loops
+	// taking turns so that each sees the same clock.
+	const calls = 4096
+	for r := 0; r < max(cfg.Reps, 5); r++ {
+		for i, l := range loops {
+			if !l.runs {
+				continue
+			}
+			start := time.Now()
+			for c := 0; c < calls; c++ {
+				l.fn(&a[0], &b[0], len(a))
+			}
+			ns[i] = min(ns[i], float64(time.Since(start).Nanoseconds())/(calls*sectionVWords))
+		}
+	}
+	for i, l := range loops {
+		scenario, predicted, err := "scalar (Section IV kernel)", model.ScalarCyclesPerWord(), error(nil)
+		switch {
+		case l.hw:
+			scenario = "SIMD, hardware vector POPCNT"
+			predicted, err = model.HWCyclesPerWord(l.lanes)
+		case l.lanes > 1:
+			scenario = "SIMD, scalar POPCNT (extract/insert)"
+			predicted, err = model.SIMDCyclesPerWord(l.lanes)
+		}
 		if err != nil {
 			return nil, err
 		}
-		simdSim, err := simdsim.Run(simdsim.SIMDNoHW, words, v)
-		if err != nil {
-			return nil, err
+		if ns[i] == 0 {
+			tbl.AddRow(fmt.Sprint(l.lanes), scenario, harness.F(predicted, 2),
+				"not measured (no "+l.needs+")", "-", "-", "-")
+			continue
 		}
-		hwModel, err := model.HWCyclesPerWord(v)
-		if err != nil {
-			return nil, err
-		}
-		hwSim, err := simdsim.Run(simdsim.SIMDHW, words, v)
-		if err != nil {
-			return nil, err
-		}
-		tbl.AddRow(fmt.Sprint(v), "SIMD, scalar POPCNT (extract/insert)",
-			harness.F(simdModel, 2), harness.F(simdSim.CyclesPerWord, 2),
-			harness.F(scalarSim.CyclesPerWord/simdSim.CyclesPerWord, 2),
-			harness.F(100*hwSim.CyclesPerWord/simdSim.CyclesPerWord, 1)+"%")
-		tbl.AddRow(fmt.Sprint(v), "SIMD, hardware vector POPCNT",
-			harness.F(hwModel, 2), harness.F(hwSim.CyclesPerWord, 2),
-			harness.F(scalarSim.CyclesPerWord/hwSim.CyclesPerWord, 2), "100.0%")
+		speedup := ns[0] / ns[i]
+		tbl.AddRow(fmt.Sprint(l.lanes), scenario, harness.F(predicted, 2), harness.F(ns[i], 3),
+			harness.F(model.ScalarCyclesPerWord()/speedup, 2), harness.F(speedup, 2),
+			harness.F(100*speedup/float64(l.lanes), 1)+"%")
 	}
 	return tbl, nil
 }
 
-// SIMDHardware measures Section V's third scenario on this host instead
-// of simulating it: "SIMD with a hardware vector popcount" is the AVX-512
-// VPOPCNTQ micro-kernel (v = 8 lanes), so the model's T_HW = T/v predicts
-// an 8× kernel over the scalar one. Each row times one register tile per
+// SIMDHardware measures Section V's third scenario in the micro-kernel:
+// "SIMD with a hardware vector popcount" is the AVX-512 VPOPCNTQ
+// micro-kernel (v = 8 lanes), so the model's T_HW = T/v predicts an 8×
+// kernel over the scalar one. Each row times one register tile per
 // call on L1-resident packed panels — the kernels alone, no driver — at a
 // short, a medium and a full KC slab. Where the host cannot run the tile
 // the measured columns say so.

@@ -66,6 +66,17 @@ func HasAVX512F() bool { return hasAVX512F }
 // register-tiled micro-kernel of internal/kernel needs exactly this.
 func HasAVX512VPOPCNTDQ() bool { return hasAVX512Popcnt }
 
+// HasAVX512VL reports whether the host runs AVX-512 instructions on xmm
+// and ymm registers: AVX-512F and AVX512VL in CPUID with the OS saving zmm
+// state. VPOPCNTQ at two and four lanes needs it beside VPOPCNTDQ. It asks
+// CPUID on each call rather than at init, so that a binary which never
+// calls it (every one but ldbench) links the same init code as before.
+func HasAVX512VL() bool {
+	const avx512vl = 1 << 31 // CPUID(7,0).EBX
+	_, ebx7, _, _ := cpuidAsm(7, 0)
+	return hasAVX512F && ebx7&avx512vl != 0
+}
+
 // VectorName names the active SIMD tier for stats and /debug/vars:
 // "avx512-vpopcntdq", "avx2-lut", or "none".
 func VectorName() string {

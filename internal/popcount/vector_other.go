@@ -14,6 +14,9 @@ func HasAVX512F() bool { return false }
 // HasAVX512VPOPCNTDQ reports whether the host runs zmm VPOPCNTQ.
 func HasAVX512VPOPCNTDQ() bool { return false }
 
+// HasAVX512VL reports whether the host runs AVX-512 on xmm and ymm registers.
+func HasAVX512VL() bool { return false }
+
 // VectorName names the active SIMD tier.
 func VectorName() string { return "none" }
 

@@ -65,15 +65,20 @@ func TestLoadMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bin, ms bytes.Buffer
+	var bin, ms, vcf bytes.Buffer
 	if err := WriteBinary(&bin, m); err != nil {
 		t.Fatal(err)
 	}
 	pos := make([]float64, m.SNPs)
+	sites := make([]VCFSite, m.SNPs)
 	for i := range pos {
 		pos[i] = float64(i+1) / float64(m.SNPs+1)
+		sites[i] = VCFSite{Chrom: "1", Pos: 100 * (i + 1), Ref: 'A', Alt: 'G'}
 	}
 	if err := WriteMS(&ms, []MSReplicate{{Matrix: m, Positions: pos}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteVCF(&vcf, m, sites, 2); err != nil {
 		t.Fatal(err)
 	}
 	gz := func(b []byte) []byte {
@@ -93,6 +98,8 @@ func TestLoadMatrix(t *testing.T) {
 		{"m.txt", ms.Bytes(), true},
 		{"m.ldgm", bin.Bytes(), true},
 		{"m.ldgm.gz", gz(bin.Bytes()), true},
+		{"m.vcf", vcf.Bytes(), true},
+		{"m.vcf.gz", gz(vcf.Bytes()), true},
 		{"trunc.ldgm", bin.Bytes()[:bin.Len()-5], false},
 	}
 	for _, c := range cases {

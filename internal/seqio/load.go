@@ -7,12 +7,13 @@ import (
 )
 
 // LoadMatrix reads a dataset file into a bit matrix. It is the one loader
-// of every CLI that takes a dataset path without a format switch, so a
-// store ldstore builds fingerprints identically to the matrix ldserver
-// and omegascan load. Gzip content is decompressed transparently (by its
+// of every CLI that takes a dataset path, so a store ldstore builds
+// fingerprints identically to the matrix ldserver, ldcalc and omegascan
+// load. Gzip content is decompressed transparently (by its
 // magic bytes, as OpenMaybeGzip does); the extension left once any ".gz"
 // is stripped picks the format: .ms and .txt give the first ms
-// replicate, anything else is read as the compact binary container.
+// replicate, .vcf the VCF's haplotypes, anything else is read as the
+// compact binary container.
 func LoadMatrix(path string) (*bitmat.Matrix, error) {
 	r, closer, err := OpenMaybeGzip(path)
 	if err != nil {
@@ -30,6 +31,12 @@ func LoadMatrix(path string) (*bitmat.Matrix, error) {
 			return nil, err
 		}
 		return reps[0].Matrix, nil
+	case ".vcf":
+		v, err := ReadVCF(r)
+		if err != nil {
+			return nil, err
+		}
+		return v.Matrix, nil
 	default:
 		return ReadBinary(r)
 	}
