@@ -75,8 +75,8 @@ build-arm64:
 # goes back and is the next buffer of its class handed out, and a double
 # release panics — so TestWireStability, TestClusterBitIdentity,
 # TestReplicaFailoverBitIdentity, TestClusterSparseBitIdentity,
-# TestCoalesceConcurrentIdentical, TestHedge, TestConcurrentRegionRequests
-# and TestStoreRegionBitIdentical fail on any read after a release.
+# TestCoalesceConcurrentIdentical, TestConcurrentRegionRequests and
+# TestStoreRegionBitIdentical fail on any read after a release.
 .PHONY: verify-race
 verify-race:
 	go vet ./...
@@ -85,9 +85,10 @@ verify-race:
 # Cluster tier: the httptest cluster end to end — bit-identity, error
 # parity and wire stability against a single node (including replica
 # failover), shard-kill → partial degradation, breaker trip/recover,
-# retry, hedging, singleflight coalescing, and the fingerprint-keyed
-# result cache. The whole package runs: a -run list would silently skip
-# any test named outside it.
+# retry, one request per shard attempt, keep-alive connection reuse,
+# singleflight coalescing, and the fingerprint-keyed result cache. The
+# whole package runs: a -run list would silently skip any test named
+# outside it.
 .PHONY: verify-cluster
 verify-cluster:
 	go test -race -count=1 ./internal/cluster/

@@ -53,10 +53,10 @@
 // healthiest replica of the owning group and region/top queries
 // scatter-gather across the strips, failing over within each group
 // before degrading; -shard-timeout, -retries, -retry-backoff,
-// -hedge-after, -breaker-failures, and -breaker-cooldown tune the
-// resilient shard client, and -result-cache bounds the fingerprint-keyed
-// result cache. All replicas must be reachable when the coordinator
-// boots.
+// -breaker-failures, and -breaker-cooldown tune the resilient shard
+// client, which sends one request per attempt, and -result-cache bounds
+// the fingerprint-keyed result cache. All replicas must be reachable
+// when the coordinator boots.
 package main
 
 import (
@@ -156,12 +156,10 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 	coordinator := fs.String("coordinator", "",
 		"comma-separated shard groups (replicas |-separated within a group); run as a cluster coordinator instead of serving a dataset")
 	shardTimeout := fs.Duration("shard-timeout", 30*time.Second,
-		"coordinator: per-attempt deadline for each shard call")
+		"coordinator: deadline for each shard request (one request per attempt)")
 	retries := fs.Int("retries", 2, "coordinator: re-attempts after a failed shard call (0 = none)")
 	retryBackoff := fs.Duration("retry-backoff", 25*time.Millisecond,
 		"coordinator: sleep before the first retry, doubling up to 1s")
-	hedgeAfter := fs.Duration("hedge-after", 0,
-		"coordinator: hedge a slow shard call after this delay (0 = adaptive p95, negative = disabled)")
 	breakerFailures := fs.Int("breaker-failures", 5,
 		"coordinator: consecutive shard failures that open its circuit breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", 5*time.Second,
@@ -177,8 +175,7 @@ func setup(args []string, stderr io.Writer) (*app, error) {
 		}
 		ccfg := cluster.Config{
 			ShardTimeout: *shardTimeout, Retries: *retries, RetryBackoff: *retryBackoff,
-			HedgeAfter: *hedgeAfter, BreakerFailures: *breakerFailures, BreakerCooldown: *breakerCooldown,
-			ResultCacheBytes: *resultCache,
+			BreakerFailures: *breakerFailures, BreakerCooldown: *breakerCooldown, ResultCacheBytes: *resultCache,
 		}
 		if *retries == 0 {
 			ccfg.Retries = -1 // the flag's 0 means "no retries", not "default"

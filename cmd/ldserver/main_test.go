@@ -360,7 +360,7 @@ func TestSetupCoordinatorMode(t *testing.T) {
 
 	a, err := setup([]string{
 		"-coordinator", shards[0] + "," + shards[1],
-		"-admin", "127.0.0.1:0", "-retries", "1", "-hedge-after", "-1ms",
+		"-admin", "127.0.0.1:0", "-retries", "1",
 	}, &errBuf)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +389,7 @@ func TestSetupCoordinatorMode(t *testing.T) {
 	repTS := httptest.NewServer(rep.srv.Handler)
 	a, err = setup([]string{
 		"-coordinator", shards[0] + "|" + repTS.URL + "," + shards[1],
-		"-retries", "1", "-hedge-after", "-1ms", "-result-cache", "0",
+		"-retries", "1", "-result-cache", "0",
 	}, &errBuf)
 	if err != nil {
 		t.Fatalf("replica coordinator failed to boot: %v", err)

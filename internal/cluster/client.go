@@ -31,7 +31,7 @@ func (e *HTTPError) Error() string {
 var errShardDown = errors.New("cluster: shard circuit open")
 
 // latencyRing keeps the most recent successful round-trip times of one
-// shard, feeding the adaptive hedge delay.
+// shard; its p95 ranks the replicas of a group (replicaGroup.ranked).
 type latencyRing struct {
 	mu   sync.Mutex
 	buf  [64]time.Duration
@@ -39,9 +39,9 @@ type latencyRing struct {
 	next int
 }
 
-// hedgeMinSamples gates adaptive hedging: until a shard has this many
-// observed round trips there is no percentile worth acting on.
-const hedgeMinSamples = 16
+// rankMinSamples gates latency ranking: until a shard has this many
+// observed round trips there is no percentile worth ranking on.
+const rankMinSamples = 16
 
 func (l *latencyRing) add(d time.Duration) {
 	l.mu.Lock()
@@ -54,14 +54,14 @@ func (l *latencyRing) add(d time.Duration) {
 }
 
 // quantile returns the q-quantile of the recorded window, or false while
-// the window holds fewer than hedgeMinSamples entries.
+// the window holds fewer than rankMinSamples entries.
 func (l *latencyRing) quantile(q float64) (time.Duration, bool) {
 	l.mu.Lock()
 	n := l.n
 	tmp := make([]time.Duration, n)
 	copy(tmp, l.buf[:n])
 	l.mu.Unlock()
-	if n < hedgeMinSamples {
+	if n < rankMinSamples {
 		return 0, false
 	}
 	sort.Slice(tmp, func(a, b int) bool { return tmp[a] < tmp[b] })
@@ -69,11 +69,12 @@ func (l *latencyRing) quantile(q float64) (time.Duration, bool) {
 	return tmp[idx], true
 }
 
-// shardClient is the resilient HTTP client for one shard: every get runs
-// under the per-attempt timeout, transport errors and 5xx are retried
-// with bounded exponential backoff, a slow first attempt is hedged with a
-// duplicate request after the shard's recent latency percentile, and the
-// circuit breaker fails the whole call fast while the shard is down.
+// shardClient is the resilient HTTP client for one shard: each attempt is
+// one HTTP request under the per-attempt timeout, transport errors and 5xx
+// are retried with bounded exponential backoff, and the circuit breaker
+// fails the whole call fast while the shard is down. A slow shard is
+// routed around, not duplicated: its replica group ranks replicas on the
+// latency ring and fails over through them.
 type shardClient struct {
 	base    string // http://host:port, no trailing slash
 	hc      *http.Client
@@ -111,11 +112,10 @@ type reply struct {
 // call runs one logical request — pathQuery is e.g. "/api/ld?i=3&j=5",
 // reqBody a JSON POST body or nil, accept the Accept header or "" — and
 // returns the 200 reply. Every endpoint is a pure function of the dataset,
-// the query and the body, so POSTs ride the same retry, hedge, and
-// failover machinery as GETs: a duplicated or replayed request answers
-// identically. The breaker is consulted once per call and fed one outcome
-// per attempt, so a string of failed retries trips it as fast as a string
-// of failed calls.
+// the query and the body, so POSTs ride the same retry and failover
+// machinery as GETs: a replayed request answers identically. The breaker
+// is consulted once per call and fed one outcome per attempt, so a string
+// of failed retries trips it as fast as a string of failed calls.
 func (c *shardClient) call(ctx context.Context, method, pathQuery string, reqBody []byte, accept string) (reply, error) {
 	if !c.breaker.allow() {
 		c.m.fastFails.Add(1)
@@ -135,7 +135,7 @@ func (c *shardClient) call(ctx context.Context, method, pathQuery string, reqBod
 				backoff = maxBackoff
 			}
 		}
-		rep, err := c.hedgedDo(ctx, method, pathQuery, reqBody, accept)
+		rep, err := c.do(ctx, method, pathQuery, reqBody, accept)
 		if err == nil {
 			c.breaker.record(true)
 			return rep, nil
@@ -166,90 +166,9 @@ func (c *shardClient) call(ctx context.Context, method, pathQuery string, reqBod
 
 const maxBackoff = time.Second
 
-// hedgedDo runs one logical attempt: the primary request, plus — once the
-// primary has been in flight past the hedge delay — a duplicate, with the
-// first success winning and the straggler cancelled. The delay comes from
-// the shard's own recent latency percentile, so hedges fire only for
-// outlier-slow requests, spending at most a few percent extra load to cut
-// the tail.
-func (c *shardClient) hedgedDo(ctx context.Context, method, pathQuery string, reqBody []byte, accept string) (reply, error) {
-	delay, hedge := c.hedgeDelay()
-	if !hedge {
-		return c.do(ctx, method, pathQuery, reqBody, accept)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel() // releases the straggler once a winner returns
-	type result struct {
-		reply
-		err    error
-		hedged bool
-	}
-	ch := make(chan result, 2)
-	launch := func(hedged bool) {
-		go func() {
-			// reqBody is a shared read-only slice; each attempt wraps it in
-			// its own reader, so the hedge re-sends the identical bytes.
-			rep, err := c.do(ctx, method, pathQuery, reqBody, accept)
-			ch <- result{reply: rep, err: err, hedged: hedged}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	inFlight := 1
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if inFlight == 1 {
-				inFlight = 2
-				c.m.hedges.Add(1)
-				launch(true)
-			}
-		case r := <-ch:
-			if r.err == nil {
-				if r.hedged {
-					c.m.hedgeWins.Add(1)
-				}
-				return r.reply, nil
-			}
-			var he *HTTPError
-			if errors.As(r.err, &he) && he.Status < 500 {
-				// Terminal: the shard rejected the request itself, which is
-				// deterministic for the same query, so the straggler cannot
-				// answer differently. Return now and let the deferred cancel
-				// release it instead of burning a full extra round trip.
-				return reply{}, r.err
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inFlight--; inFlight == 0 {
-				return reply{}, firstErr
-			}
-			// One request failed while the other is still running: let the
-			// survivor decide the attempt.
-		}
-	}
-}
-
-// hedgeDelay resolves the hedge trigger: a fixed configured delay, the
-// shard's recent latency percentile, or disabled entirely.
-func (c *shardClient) hedgeDelay() (time.Duration, bool) {
-	switch {
-	case c.cfg.HedgeAfter < 0:
-		return 0, false
-	case c.cfg.HedgeAfter > 0:
-		return c.cfg.HedgeAfter, true
-	}
-	q, ok := c.lat.quantile(hedgeQuantile)
-	if !ok {
-		return 0, false // not enough history yet
-	}
-	return max(q, time.Millisecond), true
-}
-
-// do performs one HTTP round trip under the per-attempt timeout.
+// do performs one HTTP round trip under the per-attempt timeout. reqBody
+// is shared and read-only: each attempt wraps it in its own reader, so a
+// retry re-sends the identical bytes.
 func (c *shardClient) do(ctx context.Context, method, pathQuery string, reqBody []byte, accept string) (reply, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
@@ -280,9 +199,9 @@ func (c *shardClient) do(ctx context.Context, method, pathQuery string, reqBody 
 	}
 	if resp.StatusCode != http.StatusOK {
 		// Not a successful round trip: a shard failing fast with 5xx must
-		// not drag the hedge trigger down, or hedges fire hardest exactly
-		// when a shard is partially broken (and a 4xx says nothing about
-		// how long real answers take either).
+		// not drag its p95 down, or a partially broken replica would rank
+		// as the fastest of its group (and a 4xx says nothing about how
+		// long real answers take either).
 		return reply{}, &HTTPError{Status: resp.StatusCode, Body: body}
 	}
 	c.lat.add(time.Since(start))
@@ -298,7 +217,7 @@ const maxPresizedBody = 16 << 20
 // an undeclared or implausible length falls back to io.ReadAll. The buffer
 // is taken from bufpool.Bytes: scatter hands a strip's body back once it
 // has decoded it, and any body handed on whole instead — relayed,
-// forwarded, a terminal 4xx, a hedge's discarded twin — is never released.
+// forwarded, a terminal 4xx — is never released.
 func readBody(resp *http.Response) ([]byte, error) {
 	if resp.ContentLength < 0 || resp.ContentLength > maxPresizedBody {
 		return io.ReadAll(resp.Body)

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -12,7 +11,8 @@ import (
 
 // TestLatencyRingWraparound: after the 64-slot ring wraps (100 adds),
 // quantiles are computed over the most recent window, and a ring below
-// hedgeMinSamples reports no quantile at all.
+// rankMinSamples reports no quantile at all, so replica ranking treats
+// its latency as unknown.
 func TestLatencyRingWraparound(t *testing.T) {
 	var l latencyRing
 	for i := 1; i <= 100; i++ {
@@ -31,7 +31,7 @@ func TestLatencyRingWraparound(t *testing.T) {
 	}
 
 	var sparse latencyRing
-	for i := 0; i < hedgeMinSamples-1; i++ {
+	for i := 0; i < rankMinSamples-1; i++ {
 		sparse.add(time.Millisecond)
 	}
 	if _, ok := sparse.quantile(0.95); ok {
@@ -54,7 +54,7 @@ func TestBreakerIgnoresCallerCancellation(t *testing.T) {
 	defer ts.Close()
 	m := &shardMetrics{}
 	c := newShardClient(ts.URL, ts.Client(), Config{
-		Retries: -1, HedgeAfter: -1, BreakerFailures: 3,
+		Retries: -1, BreakerFailures: 3,
 	}.normalize(), m)
 
 	// Two genuine failures: one short of the threshold.
@@ -109,7 +109,7 @@ func TestBreakerHalfOpenSurvivesCancelledProbe(t *testing.T) {
 	defer ts.Close()
 	m := &shardMetrics{}
 	c := newShardClient(ts.URL, ts.Client(), Config{
-		Retries: -1, HedgeAfter: -1, BreakerFailures: 1, BreakerCooldown: 20 * time.Millisecond,
+		Retries: -1, BreakerFailures: 1, BreakerCooldown: 20 * time.Millisecond,
 	}.normalize(), m)
 
 	if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err == nil {
@@ -138,8 +138,8 @@ func TestBreakerHalfOpenSurvivesCancelledProbe(t *testing.T) {
 }
 
 // TestLatencyRingRecordsOnlySuccesses: fast 5xx responses must not feed
-// the hedge ring — a partially failing shard would otherwise drag the
-// "successful round trip" p95 down and trigger a hedge storm.
+// the latency ring — a partially failing replica would otherwise drag
+// its "successful round trip" p95 down and rank first in its group.
 func TestLatencyRingRecordsOnlySuccesses(t *testing.T) {
 	var fail atomic.Bool
 	fail.Store(true)
@@ -153,10 +153,10 @@ func TestLatencyRingRecordsOnlySuccesses(t *testing.T) {
 	defer ts.Close()
 	m := &shardMetrics{}
 	c := newShardClient(ts.URL, ts.Client(), Config{
-		Retries: -1, HedgeAfter: -1, BreakerFailures: 1000,
+		Retries: -1, BreakerFailures: 1000,
 	}.normalize(), m)
 
-	for i := 0; i < 2*hedgeMinSamples; i++ {
+	for i := 0; i < 2*rankMinSamples; i++ {
 		c.call(context.Background(), http.MethodGet, "/", nil, "")
 	}
 	c.lat.mu.Lock()
@@ -180,41 +180,48 @@ func TestLatencyRingRecordsOnlySuccesses(t *testing.T) {
 	}
 }
 
-// TestHedgeTerminalReturnsImmediately: when the hedged duplicate gets a
-// terminal 4xx while the primary is still in flight, the call returns
-// the 4xx at once — it is deterministic for the query — instead of
-// waiting out the straggler.
-func TestHedgeTerminalReturnsImmediately(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	var calls atomic.Int64
+// TestSlowAnswerOneRequest: a shard whose latency ring is warm with fast
+// answers answers one request at least 20× slower than its p95. The call
+// waits for that answer, and the shard receives exactly one request for
+// it: a slow replica is ranked down by its group, never sent a duplicate.
+func TestSlowAnswerOneRequest(t *testing.T) {
+	var delay atomic.Int64
+	var slowCalls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			select { // primary stalls until the test ends
-			case <-release:
-			case <-r.Context().Done():
-			}
+		if r.URL.Path == "/slow" {
+			slowCalls.Add(1)
+			time.Sleep(time.Duration(delay.Load()))
+			w.Write([]byte(`{"slow":true}`))
+			return
 		}
-		http.Error(w, `{"error":"no such pair"}`, http.StatusNotFound)
+		w.Write([]byte(`{"ok":true}`))
 	}))
 	defer ts.Close()
 	m := &shardMetrics{}
-	c := newShardClient(ts.URL, ts.Client(), Config{
-		HedgeAfter: 5 * time.Millisecond, Retries: -1, ShardTimeout: time.Minute,
-	}.normalize(), m)
+	c := newShardClient(ts.URL, ts.Client(), Config{}.normalize(), m)
 
-	start := time.Now()
-	_, err := c.call(context.Background(), http.MethodGet, "/", nil, "")
-	elapsed := time.Since(start)
-	var he *HTTPError
-	if !errors.As(err, &he) || he.Status != http.StatusNotFound {
-		t.Fatalf("err = %v, want HTTP 404", err)
+	for i := 0; i < 2*rankMinSamples; i++ {
+		if _, err := c.call(context.Background(), http.MethodGet, "/fast", nil, ""); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("terminal 4xx took %v — the call waited for the stalled straggler", elapsed)
+	_, p95, known := c.health()
+	if !known {
+		t.Fatalf("p95 unknown after %d answers", 2*rankMinSamples)
 	}
-	// The terminal answer is a shard-side verdict: healthy breaker.
-	if state, _ := c.breaker.snapshot(); state != breakerClosed {
-		t.Fatalf("breaker state %v after 4xx, want closed", state)
+	delay.Store(int64(max(20*p95, 50*time.Millisecond)))
+
+	rep, err := c.call(context.Background(), http.MethodGet, "/slow", nil, "")
+	if err != nil {
+		t.Fatalf("slow call: %v", err)
+	}
+	if string(rep.body) != `{"slow":true}` {
+		t.Fatalf("body %q", rep.body)
+	}
+	if got := slowCalls.Load(); got != 1 {
+		t.Fatalf("shard received %d requests for one slow answer (warm p95 %v), want 1", got, p95)
+	}
+	if got, want := m.requests.Value(), int64(2*rankMinSamples+1); got != want {
+		t.Fatalf("requests = %d, want %d", got, want)
 	}
 }

@@ -30,11 +30,6 @@ type Config struct {
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// retry up to one second. Default 25ms.
 	RetryBackoff time.Duration
-	// HedgeAfter controls the hedged second request: 0 hedges adaptively
-	// once the primary outlives the shard's recent 95th-percentile latency,
-	// a positive duration hedges after that fixed delay, and a negative
-	// value disables hedging.
-	HedgeAfter time.Duration
 	// BreakerFailures is the consecutive-failure count that opens a
 	// shard's circuit breaker. Default 5.
 	BreakerFailures int
@@ -47,12 +42,8 @@ type Config struct {
 	ResultCacheBytes int64
 }
 
-const (
-	// hedgeQuantile is the shard latency quantile adaptive hedging waits out.
-	hedgeQuantile = 0.95
-	// bootstrapTimeout bounds the initial /api/info sweep in New.
-	bootstrapTimeout = 10 * time.Second
-)
+// bootstrapTimeout bounds the initial /api/info sweep in New.
+const bootstrapTimeout = 10 * time.Second
 
 func (c Config) normalize() Config {
 	if c.ShardTimeout <= 0 {
@@ -200,7 +191,7 @@ func shardRangeString(r *server.ShardRange) string {
 	return fmt.Sprintf("[%d,%d)", r.Start, r.End)
 }
 
-// fetchJSON is the plain bootstrap fetch — no breaker or hedging yet,
+// fetchJSON is the plain bootstrap fetch — no breaker or retries yet,
 // because the partition map that organises them does not exist until the
 // info sweep completes.
 func fetchJSON(ctx context.Context, hc *http.Client, url string, v any) error {

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,8 +53,7 @@ func singleServer(t *testing.T) *httptest.Server {
 
 // fastConfig keeps failure paths quick in tests.
 func fastConfig() Config {
-	return Config{ShardTimeout: 5 * time.Second, Retries: -1, RetryBackoff: time.Millisecond,
-		HedgeAfter: -1, BreakerFailures: 100}
+	return Config{ShardTimeout: 5 * time.Second, Retries: -1, RetryBackoff: time.Millisecond, BreakerFailures: 100}
 }
 
 func newTestCluster(t *testing.T, cfg Config, shardURLs ...string) *httptest.Server {
@@ -430,7 +431,7 @@ func TestRetry(t *testing.T) {
 	}))
 	defer ts.Close()
 	m := &shardMetrics{}
-	c := newShardClient(ts.URL, ts.Client(), Config{Retries: 2, RetryBackoff: time.Millisecond, HedgeAfter: -1}.normalize(), m)
+	c := newShardClient(ts.URL, ts.Client(), Config{Retries: 2, RetryBackoff: time.Millisecond}.normalize(), m)
 	rep, err := c.call(context.Background(), http.MethodGet, "/", nil, "")
 	if err != nil {
 		t.Fatalf("get after retries: %v", err)
@@ -446,29 +447,70 @@ func TestRetry(t *testing.T) {
 	}
 }
 
-// TestHedge: with a fixed hedge delay, a one-off slow primary loses to
-// its hedge and the call returns fast.
-func TestHedge(t *testing.T) {
-	var calls atomic.Int64
-	release := make(chan struct{})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			select { // first request stalls until the test ends
-			case <-release:
-			case <-r.Context().Done():
+// TestShardKeepAlive: two concurrent callers send 240 region requests
+// through a two-strip coordinator with the result cache off, so every
+// request reaches both shards. Each shard accepts connections in number
+// bounded by the callers' concurrency, not by the request count: the
+// coordinator reuses its keep-alive connections.
+func TestShardKeepAlive(t *testing.T) {
+	const callers, perCaller = 2, 120
+	var conns [2]atomic.Int64
+	urls := make([]string, 2)
+	for i, strip := range [][2]int{{0, 60}, {60, 120}} {
+		s := server.New(testGenotypes(t), server.Config{
+			MaxRegionSNPs: 128, MaxTopK: 100, Threads: 2, ShardStart: strip[0], ShardEnd: strip[1],
+		})
+		ts := httptest.NewUnstartedServer(s)
+		ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				conns[i].Add(1)
 			}
 		}
-		w.Write([]byte(`{"ok":true}`))
-	}))
-	defer ts.Close()
-	defer close(release)
-	m := &shardMetrics{}
-	c := newShardClient(ts.URL, ts.Client(), Config{HedgeAfter: 5 * time.Millisecond, Retries: -1}.normalize(), m)
-	if _, err := c.call(context.Background(), http.MethodGet, "/", nil, ""); err != nil {
-		t.Fatalf("hedged get: %v", err)
+		ts.Start()
+		t.Cleanup(ts.Close)
+		urls[i] = ts.URL
 	}
-	if m.hedges.Value() < 1 || m.hedgeWins.Value() < 1 {
-		t.Fatalf("hedges = %d, hedge wins = %d, want ≥1 each", m.hedges.Value(), m.hedgeWins.Value())
+	cfg := fastConfig()
+	cfg.ResultCacheBytes = -1
+	co := newTestCluster(t, cfg, urls...).Config.Handler
+
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < perCaller; r++ {
+				// Each caller its own windows, all straddling the strip
+				// boundary at row 60, so none coalesce.
+				lo := 40 + (2*r+c)%20
+				rec := httptest.NewRecorder()
+				co.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+					fmt.Sprintf("/api/ld/region?start=%d&end=%d", lo, lo+30), nil))
+				if rec.Code != http.StatusOK {
+					errs <- fmt.Errorf("region [%d,%d): status %d: %s", lo, lo+30, rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for _, g := range co.(*Coordinator).groups {
+		if got := g.replicas[0].m.requests.Value(); got != callers*perCaller {
+			t.Fatalf("shard %s answered %d requests, want %d", g.replicas[0].base, got, callers*perCaller)
+		}
+	}
+	for i := range conns {
+		got := conns[i].Load()
+		t.Logf("shard %d: %d connections for %d region requests", i, got, callers*perCaller)
+		if got < 1 || got > callers {
+			t.Errorf("shard %d accepted %d connections for %d requests from %d callers, want 1..%d",
+				i, got, callers*perCaller, callers, callers)
+		}
 	}
 }
 
@@ -488,7 +530,7 @@ func TestBreakerTripRecover(t *testing.T) {
 	defer ts.Close()
 	m := &shardMetrics{}
 	c := newShardClient(ts.URL, ts.Client(), Config{
-		Retries: -1, HedgeAfter: -1, BreakerFailures: 2, BreakerCooldown: 50 * time.Millisecond,
+		Retries: -1, BreakerFailures: 2, BreakerCooldown: 50 * time.Millisecond,
 	}.normalize(), m)
 
 	for i := 0; i < 2; i++ {

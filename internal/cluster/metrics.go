@@ -9,11 +9,9 @@ import (
 // shardMetrics is the resilience ledger of one shard, published under the
 // shards map on /debug/vars:
 //
-//	requests       HTTP round trips attempted (hedges included)
+//	requests       HTTP round trips attempted, one per attempt
 //	failures       attempts lost to transport errors or 5xx
 //	retries        backoff re-attempts after a failed attempt
-//	hedges         duplicate requests launched for slow primaries
-//	hedge_wins     hedges that answered before their primary
 //	fast_fails     calls refused locally while the breaker was open
 //	breaker_trips  closed/half-open → open transitions
 //	breaker_state  current circuit state
@@ -21,8 +19,6 @@ type shardMetrics struct {
 	requests  expvar.Int
 	failures  expvar.Int
 	retries   expvar.Int
-	hedges    expvar.Int
-	hedgeWins expvar.Int
 	fastFails expvar.Int
 }
 
@@ -67,8 +63,6 @@ func newMetrics(coord *Coordinator) *metrics {
 			sv.Set("requests", &sm.requests)
 			sv.Set("failures", &sm.failures)
 			sv.Set("retries", &sm.retries)
-			sv.Set("hedges", &sm.hedges)
-			sv.Set("hedge_wins", &sm.hedgeWins)
 			sv.Set("fast_fails", &sm.fastFails)
 			breaker := rep.breaker
 			sv.Set("breaker_trips", expvar.Func(func() any {

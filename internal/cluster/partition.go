@@ -9,11 +9,10 @@
 // Within a group, each call routes to the healthiest replica — breaker
 // state first, then observed p95 latency — and fails over through the
 // rest before the strip is declared lost. Every replica call runs
-// through a resilient client: per-attempt timeout, bounded
-// exponential-backoff retry on transport errors and 5xx, a hedged second
-// request once the first outlives the replica's recent latency
-// percentile, and a per-replica circuit breaker that fails fast while a
-// replica is down. Identical in-flight pair/region/top requests coalesce
+// through a resilient client: one HTTP request per attempt under a
+// per-attempt timeout, bounded exponential-backoff retry on transport
+// errors and 5xx, and a per-replica circuit breaker that fails fast while
+// a replica is down. Identical in-flight pair/region/top requests coalesce
 // into one shard fan-out, and complete responses land in a
 // fingerprint-keyed, byte-budgeted LRU result cache (responses are
 // immutable for a fixed dataset, so entries live until the coordinator

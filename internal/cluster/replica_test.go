@@ -184,7 +184,7 @@ func TestReplicaRankedRouting(t *testing.T) {
 		return newShardClient(base, hc, cfg, &shardMetrics{})
 	}
 	fast, slow := mk("http://fast"), mk("http://slow")
-	for i := 0; i < 2*hedgeMinSamples; i++ {
+	for i := 0; i < 2*rankMinSamples; i++ {
 		fast.lat.add(10 * time.Millisecond)
 		slow.lat.add(100 * time.Millisecond)
 	}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"time"
 
 	"ldgemm/internal/baselines"
 	"ldgemm/internal/bitmat"
@@ -80,7 +78,9 @@ func SIMD(cfg Config) (*harness.Table, error) {
 	loops := sectionVLoops()
 	a, b := sectionVOperands()
 	want := uint64(popcount.AndCount(a, b))
-	ns := make([]float64, len(loops))
+	const calls = 4096
+	var ran []int // indices into loops of the loops the host runs
+	var passes []func() error
 	for i, l := range loops {
 		if !l.runs {
 			continue
@@ -88,22 +88,23 @@ func SIMD(cfg Config) (*harness.Table, error) {
 		if got := l.fn(&a[0], &b[0], len(a)); got != want {
 			return nil, fmt.Errorf("section V loop %s counts %d, want %d", l.name, got, want)
 		}
-		ns[i] = math.Inf(1)
-	}
-	// Best of at least 5 passes of about a millisecond each, the loops
-	// taking turns so that each sees the same clock.
-	const calls = 4096
-	for r := 0; r < max(cfg.Reps, 5); r++ {
-		for i, l := range loops {
-			if !l.runs {
-				continue
-			}
-			start := time.Now()
+		ran = append(ran, i)
+		passes = append(passes, func() error {
 			for c := 0; c < calls; c++ {
 				l.fn(&a[0], &b[0], len(a))
 			}
-			ns[i] = min(ns[i], float64(time.Since(start).Nanoseconds())/(calls*sectionVWords))
-		}
+			return nil
+		})
+	}
+	// Best of at least 5 passes of about a millisecond each, the loops
+	// taking turns so that each sees the same clock.
+	best, err := harness.Interleaved(max(cfg.Reps, 5), passes...)
+	if err != nil {
+		return nil, err
+	}
+	ns := make([]float64, len(loops))
+	for j, i := range ran {
+		ns[i] = float64(best[j].Nanoseconds()) / (calls * sectionVWords)
 	}
 	for i, l := range loops {
 		scenario, predicted, err := "scalar (Section IV kernel)", model.ScalarCyclesPerWord(), error(nil)
@@ -154,37 +155,41 @@ func SIMDHardware(cfg Config) (*harness.Table, error) {
 			"measured T/T_HW", "model T/T_HW (v = 8)", "share of model",
 		},
 	}
-	tile := kernel.Default
-	g := randomMatrix(7, 16, 256*64)
-	rate := func(k kernel.Kernel, kc int) (float64, error) {
-		ap, bp := make([]uint64, kc*k.MR), make([]uint64, kc*k.NR)
-		kernel.PackPanel(ap, g, 0, k.MR, k.MR, 0, kc)
-		kernel.PackPanel(bp, g, 8, k.NR, k.NR, 0, kc)
-		c := make([]uint32, k.MR*k.NR)
-		calls := max(1, (1<<22)/(kc*k.MR*k.NR)) // ≈ 4 M triples per timed pass
-		// A ratio of two millisecond-scale passes: best of at least 5 each.
-		m, err := harness.Best(max(cfg.Reps, 5), int64(calls*kc*k.MR*k.NR), func() error {
-			for r := 0; r < calls; r++ {
-				k.Fn(kc, ap, bp, c, k.NR)
-			}
-			return nil
-		})
-		return m.TriplesPerSecond(), err
+	kernels := []kernel.Kernel{kernel.Portable}
+	if kernel.Default.Lanes > 1 {
+		kernels = append(kernels, kernel.Default)
 	}
+	g := randomMatrix(7, 16, 256*64)
 	for _, kc := range []int{8, 32, 256} {
-		scalar, err := rate(kernel.Portable, kc)
+		passes := make([]func() error, len(kernels))
+		triples := make([]int, len(kernels))
+		for i, k := range kernels {
+			ap, bp := make([]uint64, kc*k.MR), make([]uint64, kc*k.NR)
+			kernel.PackPanel(ap, g, 0, k.MR, k.MR, 0, kc)
+			kernel.PackPanel(bp, g, 8, k.NR, k.NR, 0, kc)
+			c := make([]uint32, k.MR*k.NR)
+			calls := max(1, (1<<22)/(kc*k.MR*k.NR)) // ≈ 4 M triples per timed pass
+			triples[i] = calls * kc * k.MR * k.NR
+			passes[i] = func() error {
+				for r := 0; r < calls; r++ {
+					k.Fn(kc, ap, bp, c, k.NR)
+				}
+				return nil
+			}
+		}
+		// A ratio of two millisecond-scale passes: best of at least 5
+		// each, the kernels taking turns so that both see the same clock.
+		best, err := harness.Interleaved(max(cfg.Reps, 5), passes...)
 		if err != nil {
 			return nil, err
 		}
-		if tile.Lanes <= 1 {
+		scalar := float64(triples[0]) / best[0].Seconds()
+		if len(kernels) == 1 {
 			tbl.AddRow(fmt.Sprint(kc), harness.F(scalar/1e9, 2), "not measured (no AVX-512 VPOPCNTDQ)", "-",
 				harness.F(predicted, 2), "-")
 			continue
 		}
-		vec, err := rate(tile, kc)
-		if err != nil {
-			return nil, err
-		}
+		vec := float64(triples[1]) / best[1].Seconds()
 		tbl.AddRow(fmt.Sprint(kc), harness.F(scalar/1e9, 2), harness.F(vec/1e9, 2),
 			harness.F(vec/scalar, 2), harness.F(predicted, 2), harness.F(100*vec/scalar/predicted, 1)+"%")
 	}
@@ -227,31 +232,27 @@ func Gaps(cfg Config) (*harness.Table, error) {
 		return nil, err
 	}
 	// The reported number is a ratio of two short runs, so a one-off
-	// scheduler blip on either side inverts it; best-of-3 minimum.
-	reps := max(cfg.Reps, 3)
-	tPlain, err := harness.Best(reps, syrkTriples(n, g.Words), func() error {
+	// scheduler blip or clock change on either side inverts it: best of at
+	// least 3 each, the two taking turns.
+	best, err := harness.Interleaved(max(cfg.Reps, 3), func() error {
 		clear(plain)
 		return blis.Syrk(blis.Config{Threads: 1}, gm, plain, n, false)
-	})
-	if err != nil {
-		return nil, err
-	}
-	tMasked, err := harness.Best(reps, 4*syrkTriples(n, g.Words), func() error {
+	}, func() error {
 		clear(quad)
 		return blis.MaskedSyrk(blis.Config{Threads: 1}, gm, mask, quad, n)
 	})
 	if err != nil {
 		return nil, err
 	}
+	tPlain, tMasked := best[0].Seconds(), best[1].Seconds()
 	tbl := &harness.Table{
 		Title:   fmt.Sprintf("Section VII (gaps): masked vs unmasked LD, %d SNPs × %d samples", n, k),
 		Headers: []string{"kernel", "counts/pair", "pairs computed", "time (s)", "slowdown vs plain"},
 	}
 	tbl.AddRow("plain Syrk (upper triangle)", "1", fmt.Sprint(int64(n)*int64(n+1)/2),
-		harness.F(tPlain.Elapsed.Seconds(), 3), "1.00")
+		harness.F(tPlain, 3), "1.00")
 	tbl.AddRow("masked Syrk (upper triangle)", "4", fmt.Sprint(int64(n)*int64(n+1)/2),
-		harness.F(tMasked.Elapsed.Seconds(), 3),
-		harness.F(tMasked.Elapsed.Seconds()/tPlain.Elapsed.Seconds(), 2))
+		harness.F(tMasked, 3), harness.F(tMasked/tPlain, 2))
 	return tbl, nil
 }
 
@@ -282,30 +283,25 @@ func FSM(cfg Config) (*harness.Table, error) {
 	g := randomMatrix(123, n, k)
 
 	// A ratio of two single runs inverts on one scheduler blip; best of
-	// at least three on each side, as Gaps does.
-	reps := max(cfg.Reps, 3)
-	tISM, err := harness.Best(reps, 0, func() error {
+	// at least three on each side, taking turns, as Gaps does.
+	best, err := harness.Interleaved(max(cfg.Reps, 3), func() error {
 		_, err := core.Matrix(g, core.Options{Measures: core.MeasureR2, Blis: blis.Config{Threads: 1}})
 		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	tFSM, err := harness.Best(reps, 0, func() error {
+	}, func() error {
 		_, err := core.FSMLD(fsm, core.Options{Blis: blis.Config{Threads: 1}})
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	tISM, tFSM := best[0].Seconds(), best[1].Seconds()
 	tbl := &harness.Table{
 		Title:   fmt.Sprintf("Section VII (finite sites): FSM vs ISM LD, %d SNPs × %d samples", n, k),
 		Headers: []string{"model", "GEMMs", "time (s)", "ratio vs ISM", "paper bound"},
 	}
-	tbl.AddRow("infinite sites (1-bit)", "1", harness.F(tISM.Elapsed.Seconds(), 3), "1.00", "1x")
+	tbl.AddRow("infinite sites (1-bit)", "1", harness.F(tISM, 3), "1.00", "1x")
 	tbl.AddRow("finite sites (4-state, T statistic)", "17",
-		harness.F(tFSM.Elapsed.Seconds(), 3),
-		harness.F(tFSM.Elapsed.Seconds()/tISM.Elapsed.Seconds(), 2), "≤16x + epilogue")
+		harness.F(tFSM, 3), harness.F(tFSM/tISM, 2), "≤16x + epilogue")
 	return tbl, nil
 }
 

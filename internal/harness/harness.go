@@ -125,17 +125,32 @@ func Time(wordTriples int64, fn func() error) (Measurement, error) {
 // Best runs fn reps times and keeps the fastest run — the standard HPC
 // practice for machine-peak style plots (Figures 3 and 4).
 func Best(reps int, wordTriples int64, fn func() error) (Measurement, error) {
-	if reps < 1 {
-		return Measurement{}, fmt.Errorf("harness: reps must be positive")
+	best, err := Interleaved(reps, fn)
+	if err != nil {
+		return Measurement{}, err
 	}
-	best := Measurement{Elapsed: 1<<63 - 1}
+	return Measurement{Elapsed: best[0], WordTriples: wordTriples}, nil
+}
+
+// Interleaved runs reps rounds of fns, each round running every fn once in
+// turn, and returns each fn's fastest run. Taking turns gives the fns the
+// same clock: a frequency change or a scheduler blip lands on one round of
+// all of them rather than on one fn's block of runs, so the ratio of two
+// fns' times holds.
+func Interleaved(reps int, fns ...func() error) ([]time.Duration, error) {
+	if reps < 1 {
+		return nil, fmt.Errorf("harness: reps must be positive")
+	}
+	best := make([]time.Duration, len(fns))
 	for r := 0; r < reps; r++ {
-		m, err := Time(wordTriples, fn)
-		if err != nil {
-			return Measurement{}, err
-		}
-		if m.Elapsed < best.Elapsed {
-			best = m
+		for i, fn := range fns {
+			start := time.Now()
+			if err := fn(); err != nil {
+				return nil, err
+			}
+			if d := time.Since(start); r == 0 || d < best[i] {
+				best[i] = d
+			}
 		}
 	}
 	return best, nil

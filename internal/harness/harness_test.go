@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -64,6 +65,33 @@ func TestTimeAndBest(t *testing.T) {
 	}
 	if _, err := Best(2, 1, func() error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Fatal("Best swallowed error")
+	}
+}
+
+// TestInterleaved: every round runs each fn once, in order, and each fn
+// keeps its own fastest run.
+func TestInterleaved(t *testing.T) {
+	var order []int
+	fns := []func() error{
+		func() error { order = append(order, 0); return nil },
+		func() error { order = append(order, 1); time.Sleep(time.Millisecond); return nil },
+	}
+	best, err := Interleaved(3, fns...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, 1, 0, 1, 0, 1}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("run order %v, want %v", order, want)
+	}
+	if len(best) != 2 || best[1] < time.Millisecond/2 || best[0] > best[1] {
+		t.Fatalf("best %v", best)
+	}
+	wantErr := errors.New("boom")
+	if _, err := Interleaved(2, fns[0], func() error { return wantErr }); !errors.Is(err, wantErr) {
+		t.Fatalf("Interleaved error = %v", err)
+	}
+	if _, err := Interleaved(0, fns...); err == nil {
+		t.Fatal("reps=0 accepted")
 	}
 }
 
